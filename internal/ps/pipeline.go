@@ -2,7 +2,6 @@ package ps
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,52 +48,6 @@ type TableLoc struct {
 	Device   dlrm.Table
 	HostRows int
 	Store    HostStore
-}
-
-// RetryPolicy bounds how transient gather/apply faults are retried: capped
-// exponential backoff starting at BaseDelay, doubling per attempt up to
-// MaxDelay, for at most MaxRetries retries after the first attempt.
-type RetryPolicy struct {
-	MaxRetries int
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-
-	// Sleep overrides the backoff sleep; tests install a recorder so a
-	// heavily faulted run still finishes in microseconds. Nil uses a real
-	// timer.
-	Sleep func(time.Duration)
-}
-
-// DefaultRetryPolicy is the production policy: 3 retries, 1ms→50ms backoff.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond}
-}
-
-// withDefaults fills zero fields.
-func (r RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if r.MaxRetries <= 0 {
-		r.MaxRetries = d.MaxRetries
-	}
-	if r.BaseDelay <= 0 {
-		r.BaseDelay = d.BaseDelay
-	}
-	if r.MaxDelay <= 0 {
-		r.MaxDelay = d.MaxDelay
-	}
-	return r
-}
-
-// delay is the backoff before retry `attempt` (0-based), capped at MaxDelay.
-func (r RetryPolicy) delay(attempt int) time.Duration {
-	if attempt > 30 {
-		return r.MaxDelay
-	}
-	d := r.BaseDelay << uint(attempt)
-	if d <= 0 || d > r.MaxDelay {
-		d = r.MaxDelay
-	}
-	return d
 }
 
 // CheckpointConfig enables periodic atomic checkpoints during Train: the
@@ -495,81 +448,6 @@ func (p *Pipeline) NumHostTables() int { return len(p.hostBags) }
 //elrec:locked hostMu caller synchronizes: test/evaluation hook, never raced against Train
 func (p *Pipeline) HostBag(i int) *embedding.Bag { return p.hostBags[i] }
 
-// tidForOp maps a fault-injection site to the trace thread of the pipeline
-// stage it runs on.
-func tidForOp(op faults.Op) int {
-	switch op {
-	case faults.OpGather:
-		return tidPrefetch
-	case faults.OpApply:
-		return tidApply
-	}
-	return tidWorker
-}
-
-// injectFault consults the configured injector for one attempt. Stalls are
-// served in place (the operation proceeds after the delay); transient
-// faults are counted and returned for the retry loop.
-func (p *Pipeline) injectFault(op faults.Op, iter, attempt int) error {
-	if p.cfg.Faults == nil {
-		return nil
-	}
-	err := p.cfg.Faults.Fault(op, iter, attempt)
-	if err == nil {
-		return nil
-	}
-	var stall *faults.Stall
-	if errors.As(err, &stall) {
-		p.m.stallNS.Add(int64(stall.D))
-		sp := p.tracer.Begin("stall", "fault", tidForOp(op))
-		p.sleep(stall.D)
-		sp.End()
-		return nil
-	}
-	p.m.injectedFaults.Inc()
-	p.tracer.Instant("fault", "fault", tidForOp(op))
-	return err
-}
-
-// sleep waits for d via the retry policy's hook (or a real sleep).
-func (p *Pipeline) sleep(d time.Duration) {
-	if p.retry.Sleep != nil {
-		p.retry.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// backoff records and serves the delay before retry `attempt`, traced as a
-// backoff span on stage thread tid. A non-nil ctx aborts the wait on
-// cancellation (used on the gather side; the apply side passes nil because
-// pending gradients must land even during a cancelled drain).
-func (p *Pipeline) backoff(ctx context.Context, tid, attempt int) error {
-	d := p.retry.delay(attempt)
-	p.m.retries.Inc()
-	p.m.backoffNS.Add(int64(d))
-	p.tracer.Instant("retry", "fault", tid)
-	sp := p.tracer.Begin("backoff", "fault", tid)
-	defer sp.End()
-	if p.retry.Sleep != nil {
-		p.retry.Sleep(d)
-	} else if ctx == nil {
-		time.Sleep(d)
-	} else {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
 // gather assembles the pre-fetch payload for one batch: the unique rows of
 // every host table, read from its store (the server-side embedding lookup
 // of the PS architecture — an in-process bag under a lock, or a remote
@@ -838,80 +716,6 @@ func (p *Pipeline) writeCheckpoint(nextIter int) error {
 	return nil
 }
 
-// newLookahead builds the per-Train window planner, or nil when lookahead
-// is disabled or there is nothing to plan. The planner is per Train call:
-// windows are aligned to startIter and plan storage is recycled through the
-// window pool for the duration of the run.
-func (p *Pipeline) newLookahead(d BatchSource, batchSize int) (*data.Lookahead, error) {
-	if p.cfg.Lookahead <= 1 || (len(p.stores) == 0 && len(p.protectors) == 0) {
-		return nil, nil
-	}
-	cfg := data.LookaheadConfig{
-		Window: p.cfg.Lookahead,
-		Batch:  batchSize,
-		Budget: p.cfg.LookaheadBudget,
-	}
-	for h, pos := range p.hostIdx {
-		cfg.Tables = append(cfg.Tables, pos)
-		cfg.Rows = append(cfg.Rows, p.stores[h].NumRows())
-	}
-	cfg.DeviceTables = append(cfg.DeviceTables, p.protectPos...)
-	cfg.DeviceRows = append(cfg.DeviceRows, p.protectRows...)
-	la, err := data.NewLookahead(d, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	return la, nil
-}
-
-// nextWindow returns the size of the next planning window given the
-// previous one (0 for the first window of a Train call). Windows start
-// only at iteration 1 — batch 0 rides the plain LC-cache path so the
-// pre-fetcher can hand it to the worker immediately and plan the first
-// window during that step's compute. The first window is clipped near the
-// queue depth and subsequent windows double up to the configured size:
-// planning a full window on a cold pipeline stalls the worker behind
-// Window×Tables index-stream generation, while the ramp lets full-window
-// planning overlap with training once the prefetch queue has filled. The
-// schedule depends only on configuration, never on timing, so ramped runs
-// stay bit-exact.
-func (p *Pipeline) nextWindow(prev int) int {
-	n := 2 * prev
-	if prev == 0 {
-		n = p.cfg.QueueDepth
-		if n < 2 {
-			n = 2
-		}
-	}
-	if n > p.cfg.Lookahead {
-		n = p.cfg.Lookahead
-	}
-	return n
-}
-
-// advanceWindow plans an n-batch window starting at iter (truncated to the
-// remaining steps), counts it, and installs each device table's protection
-// set — the window's recurring rows, shielded from device-cache recycling.
-func (p *Pipeline) advanceWindow(la *data.Lookahead, iter, n, remaining int) *data.WindowPlan {
-	if remaining < n {
-		n = remaining
-	}
-	plan := la.Advance(iter, n)
-	p.m.lookaheadWindows.Inc()
-	for k, prot := range p.protectors {
-		prot.ProtectPrefixes(plan.Device[k].IDs)
-	}
-	return plan
-}
-
-// clearProtection drops the device tables' lookahead protection sets so a
-// finished run's last window cannot pin device-cache slots indefinitely.
-func (p *Pipeline) clearProtection() {
-	for _, prot := range p.protectors {
-		prot.ProtectPrefixes(nil)
-	}
-}
-
 // failSlot records the first failure observed by any pipeline goroutine.
 type failSlot struct {
 	mu        sync.Mutex
@@ -1158,109 +962,3 @@ worker:
 	}
 	return res, nil
 }
-
-// hostAdapter exposes one host-memory table to the model as a dlrm.Table.
-// Lookup pools the pre-fetched (cache-synced) unique rows; Update aggregates
-// the pooled gradient per unique row, publishes the post-update values to
-// the embedding cache, and leaves the gradient for the pipeline to push.
-type hostAdapter struct {
-	pipeline *Pipeline
-	slot     int
-	rows     int
-	dim      int
-	lr       float32
-
-	current *hostRows
-	pending *gradRows
-}
-
-var _ dlrm.Table = (*hostAdapter)(nil)
-
-// Lookup pools the current pre-fetched rows into per-sample embeddings.
-// Outside a pipeline step (inference/evaluation) it reads the host table
-// directly under its lock — the synchronous path a serving system would
-// take.
-func (a *hostAdapter) Lookup(indices, offsets []int) *tensor.Matrix {
-	cur := a.current
-	if cur == nil {
-		uniq, inverse := embedding.Unique(indices)
-		values, err := a.pipeline.stores[a.slot].GatherRows(uniq)
-		if err != nil {
-			// Lookup is a dlrm.Table method and cannot return an error; an
-			// unreachable remote store outside a pipeline step surfaces as a
-			// typed panic exactly like the adapter-misuse invariant.
-			//elrec:invariant typed ErrStoreUnavailable panic: synchronous lookups have no error channel; pipeline steps never take this path
-			panic(fmt.Errorf("%w: host table %d: %w", ErrStoreUnavailable, a.slot, err))
-		}
-		cur = &hostRows{uniq: uniq, inverse: inverse, values: values}
-	} else {
-		start := a.pipeline.clock.Now()
-		defer func() {
-			a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
-		}()
-	}
-	out := tensor.New(len(offsets), a.dim)
-	for s := range offsets {
-		start := offsets[s]
-		end := len(indices)
-		if s+1 < len(offsets) {
-			end = offsets[s+1]
-		}
-		row := out.Row(s)
-		for pos := start; pos < end; pos++ {
-			tensor.AddTo(row, cur.values.Row(cur.inverse[pos]))
-		}
-	}
-	return out
-}
-
-// Update aggregates dOut per unique row, publishes updated values to the
-// cache, and stages the gradient push. Outside a pipeline step it panics
-// with a typed error; the pipeline's recover machinery converts that into
-// an ErrAdapterMisuse-wrapped failure instead of a crash.
-func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
-	cur := a.current
-	if cur == nil {
-		//elrec:invariant typed ErrAdapterMisuse panic: the pipeline recover boundary converts it to an error
-		panic(fmt.Errorf("%w: host table %d updated outside a pipeline step", ErrAdapterMisuse, a.slot))
-	}
-	start := a.pipeline.clock.Now()
-	defer func() {
-		a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
-	}()
-	grads := tensor.New(len(cur.uniq), a.dim)
-	for s := range offsets {
-		start := offsets[s]
-		end := len(indices)
-		if s+1 < len(offsets) {
-			end = offsets[s+1]
-		}
-		for pos := start; pos < end; pos++ {
-			tensor.AddTo(grads.Row(cur.inverse[pos]), dOut.Row(s))
-		}
-	}
-	// Publish post-update values: value − lr·grad (the worker's view of the
-	// row after this batch; the server applies the same delta to the host).
-	updated := make([][]float32, len(cur.uniq))
-	for i := range cur.uniq {
-		row := make([]float32, a.dim)
-		copy(row, cur.values.Row(i))
-		tensor.Axpy(-lr, grads.Row(i), row)
-		updated[i] = row
-	}
-	if cur.nextUse != nil {
-		a.pipeline.caches[a.slot].PublishWindow(cur.uniq, updated, int(a.pipeline.trained.Load()), cur.nextUse)
-	} else {
-		a.pipeline.caches[a.slot].PublishAt(cur.uniq, updated, int(a.pipeline.trained.Load()))
-	}
-	a.pending = &gradRows{uniq: cur.uniq, grads: grads}
-}
-
-// NumRows returns the host table's row count.
-func (a *hostAdapter) NumRows() int { return a.rows }
-
-// Dim returns the embedding dimension.
-func (a *hostAdapter) Dim() int { return a.dim }
-
-// FootprintBytes reports the host-side storage (it does not occupy HBM).
-func (a *hostAdapter) FootprintBytes() int64 { return int64(a.rows) * int64(a.dim) * 4 }
