@@ -259,7 +259,7 @@ func rate(completed int, elapsed time.Duration) float64 {
 	return float64(completed) / elapsed.Seconds()
 }
 
-// cacheHitRate derives the cumulative LC-cache hit rate from the registry.
+// cacheHitRate derives the cumulative embedding-cache hit rate from the registry.
 func cacheHitRate(reg *obs.Registry) float64 {
 	snap := reg.Snapshot()
 	hits, misses := snap.Counter("ps_cache_hits"), snap.Counter("ps_cache_misses")

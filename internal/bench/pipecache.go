@@ -13,7 +13,7 @@ import (
 // PipeCache measures the data-pipeline cache on the Figure 16 workload
 // (largest table TT-compressed on the device, the rest in host memory behind
 // the parameter server). Scale.Lookahead selects the window size: 0 runs the
-// plain LC/push-visibility cache, N≥2 turns on lookahead planning — oracle
+// unplanned push-visibility cache, N≥2 turns on lookahead planning — oracle
 // admission, Belady pinning and cross-batch dedup. Two schedules run back to
 // back from identical initial state: the pipelined schedule (queue depth 4)
 // supplies the throughput/hit-rate rows, and the sequential schedule (queue

@@ -33,7 +33,7 @@ type Scale struct {
 	// TrainSteps is the step count for accuracy/convergence experiments.
 	TrainSteps int
 	// Lookahead is the data-pipeline planning window for the pipecache
-	// experiment (0 = plain LC cache, N≥2 = oracle prefetching over N
+	// experiment (0 = nothing planned, N≥2 = oracle prefetching over N
 	// batches). Overridable with elrec-bench -lookahead.
 	Lookahead int
 	// Metrics, when non-nil, receives the instruments of every system the

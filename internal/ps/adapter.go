@@ -91,18 +91,9 @@ func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr flo
 	}
 	// Publish post-update values: value − lr·grad (the worker's view of the
 	// row after this batch; the server applies the same delta to the host).
-	updated := make([][]float32, len(cur.uniq))
-	for i := range cur.uniq {
-		row := make([]float32, a.dim)
-		copy(row, cur.values.Row(i))
-		tensor.Axpy(-lr, grads.Row(i), row)
-		updated[i] = row
-	}
-	if cur.nextUse != nil {
-		a.pipeline.caches[a.slot].PublishWindow(cur.uniq, updated, int(a.pipeline.trained.Load()), cur.nextUse)
-	} else {
-		a.pipeline.caches[a.slot].PublishAt(cur.uniq, updated, int(a.pipeline.trained.Load()))
-	}
+	updated := cur.values.Clone()
+	tensor.Axpy(-lr, grads.Data, updated.Data)
+	a.pipeline.caches[a.slot].Publish(cur.uniq, updated, int(a.pipeline.trained.Load()), cur.nextUse)
 	a.pending = &gradRows{uniq: cur.uniq, grads: grads}
 }
 

@@ -2,8 +2,8 @@
 // a parameter-server architecture where host memory holds the embedding
 // tables that do not fit on the device, a pre-fetch queue and a gradient
 // queue overlap server-side work with worker-side compute, and a worker-side
-// embedding cache with life-cycle (LC) management resolves the
-// read-after-write conflict that pre-fetching introduces (Figure 10).
+// embedding cache resolves the read-after-write conflict that pre-fetching
+// introduces (Figure 10).
 package ps
 
 import (
@@ -11,24 +11,25 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/tensor"
 )
 
 // Cache is the GPU-side embedding cache of §V-B. It keeps the most recent
-// worker-side value of every embedding row that still has gradient pushes in
-// flight, so pre-fetched (possibly stale) rows can be patched before use.
+// worker-side value of every embedding row that still has a gradient push in
+// flight, so pre-fetched (possibly stale) rows can be patched before use, and
+// — under a lookahead plan — of every row the plan promises to serve from
+// the cache instead of gathering again.
 //
-// Entries expire in one of two ways. The paper's formulation is a life
-// cycle (LC) counter: publishing (after training a batch) sets LC to the
-// request-queue capacity; each gradient application decrements it
-// (Tick/Decrement); at zero the row is evicted. The pipeline instead uses
-// push visibility (PublishAt/SyncAt): an entry is dropped exactly when a
-// gathered batch proves the host copy has absorbed the entry's update,
-// which — unlike the countdown — does not depend on how the server and
-// worker goroutines happen to interleave, and is what makes pipelined
-// training bit-exact under drain barriers, faults and checkpoint resume.
+// Entries expire by push visibility restricted by the plan's promises: an
+// entry is dropped once a gathered batch proves the host copy has absorbed
+// its update AND no planned use is outstanding. Unlike the paper's LC
+// countdown, whose eviction point shifts with how the server and worker
+// goroutines interleave (a drain barrier, a stalled server or an aborted
+// batch all move it), this is a pure function of the gather order, so every
+// schedule — pipelined, sequential, barrier-interrupted, resumed from a
+// checkpoint — syncs bit-identical values.
 type Cache struct {
-	dim      int
-	capacity int // LC value assigned on publish (max queue length)
+	dim int
 
 	mu      sync.Mutex
 	entries map[int]*cacheEntry // guarded by mu
@@ -56,272 +57,122 @@ func (c *Cache) attachCounters(syncs, hits, misses, evictions *obs.Counter) {
 
 type cacheEntry struct {
 	value []float32
-	lc    int
-	// push is the iteration whose gradient push produced value (see
-	// PublishAt); entries published through plain Publish never expire by
-	// push visibility.
+	// push is the iteration whose gradient push makes the host copy catch up
+	// with value.
 	push int
-	// nextUse is the absolute iteration of the entry's next planned
-	// in-window use under lookahead (PublishWindow/SyncWindow): the entry
-	// is protected from push-visibility eviction until that iteration has
-	// been served. -1 (the value every non-lookahead path stores) means no
-	// protection.
+	// nextUse is the absolute iteration of the entry's next planned use that
+	// will be served from the cache: the entry survives push-visibility
+	// eviction until that iteration has been synced. -1 means no promise.
 	nextUse int32
 }
 
-// NewCache builds a cache for rows of the given dimension. lifecycle is the
-// LC value assigned on publish, used only by the countdown expiry path
-// (Tick/Decrement); the paper sets it to the request-queue length. The
-// pipeline's push-visibility path (SyncAt) ignores it and instead evicts a
-// row the moment a gathered batch shows the host has caught up.
-func NewCache(dim, lifecycle int) *Cache {
-	if dim <= 0 || lifecycle <= 0 {
-		//elrec:invariant cache wiring: dim and lifecycle are fixed by NewPipeline
-		panic(fmt.Sprintf("ps: invalid cache dim=%d lifecycle=%d", dim, lifecycle))
+// NewCache builds a cache for rows of the given dimension.
+func NewCache(dim int) *Cache {
+	if dim <= 0 {
+		//elrec:invariant cache wiring: dim is fixed by NewPipeline
+		panic(fmt.Sprintf("ps: invalid cache dim=%d", dim))
 	}
-	return &Cache{dim: dim, capacity: lifecycle, entries: make(map[int]*cacheEntry)}
+	return &Cache{dim: dim, entries: make(map[int]*cacheEntry)}
 }
 
-// Sync patches pre-fetched rows in place: values row i (for index ids[i]) is
-// replaced by the cached copy when present (the Emb2 case of Figure 10(b)).
-// Returns the number of patched rows.
-func (c *Cache) Sync(ids []int, values [][]float32) int {
-	if len(ids) != len(values) {
-		//elrec:invariant ids and rows are built pairwise by the gather/update paths
-		panic(fmt.Sprintf("ps: Sync %d ids vs %d rows", len(ids), len(values)))
+// checkShape panics unless rows holds one c.dim-wide row per id and every
+// non-nil per-row argument is len(ids) long.
+func (c *Cache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) {
+	if rows.Rows != len(ids) || rows.Cols != c.dim ||
+		(fresh != nil && len(fresh) != len(ids)) || (nextUse != nil && len(nextUse) != len(ids)) {
+		//elrec:invariant ids, rows and hints are built pairwise by the gather/update paths
+		panic(fmt.Sprintf("ps: %s %d ids vs %dx%d rows (dim %d), %d fresh flags, %d hints",
+			op, len(ids), rows.Rows, rows.Cols, c.dim, len(fresh), len(nextUse)))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	patched := 0
-	for i, id := range ids {
-		if e, ok := c.entries[id]; ok {
-			copy(values[i], e.value)
-			patched++
-			c.hits++
-		} else {
-			c.misses++
-		}
-	}
-	c.syncs++
-	c.mirrorSync(patched, len(ids)-patched)
-	return patched
 }
 
-// mirrorSync forwards one sync's hit/miss split to the shared aggregate
-// counters. Callers hold mu (the shared pointers are written under it).
-func (c *Cache) mirrorSync(hits, misses int) {
-	c.shared.syncs.Inc()
-	c.shared.hits.Add(int64(hits))
-	c.shared.misses.Add(int64(misses))
-}
-
-// Publish stores the post-update values of the rows just trained, assigning
-// a fresh LC. Existing entries are overwritten and their LC reset.
-func (c *Cache) Publish(ids []int, values [][]float32) {
-	c.PublishAt(ids, values, neverVisible)
-}
-
-// neverVisible marks entries published without a push iteration: they only
-// expire through the LC counter (Tick/Decrement), never through push
-// visibility.
-const neverVisible = int(^uint(0) >> 1) // max int
-
-// PublishAt stores the post-update values of the rows trained at iteration
+// Publish stores the post-update values of the rows trained at iteration
 // pushIter — the iteration whose gradient push will make the host copy catch
-// up with the cached value. Existing entries are overwritten, their LC reset
-// and their push tag advanced.
-func (c *Cache) PublishAt(ids []int, values [][]float32, pushIter int) {
-	if len(ids) != len(values) {
-		//elrec:invariant ids and rows are built pairwise by the gather/update paths
-		panic(fmt.Sprintf("ps: Publish %d ids vs %d rows", len(ids), len(values)))
-	}
+// up with the cached value. nextUse[i] is the retention promise for ids[i]
+// (see cacheEntry.nextUse); nil promises nothing. Existing entries are
+// overwritten.
+func (c *Cache) Publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []int32) {
+	c.checkShape("Publish", ids, rows, nil, nextUse)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, id := range ids {
-		if len(values[i]) != c.dim {
-			//elrec:invariant ids and rows are built pairwise by the gather/update paths
-			panic(fmt.Sprintf("ps: Publish row %d has dim %d want %d", i, len(values[i]), c.dim))
-		}
 		e, ok := c.entries[id]
 		if !ok {
 			e = &cacheEntry{value: make([]float32, c.dim)}
 			c.entries[id] = e
 		}
-		copy(e.value, values[i])
-		e.lc = c.capacity
+		copy(e.value, rows.Row(i))
 		e.push = pushIter
-		e.nextUse = -1
+		e.nextUse = hint(nextUse, i)
 	}
 }
 
-// PublishWindow is PublishAt with per-row retention hints from a lookahead
-// plan: nextUse[i] is the absolute iteration of the row's next planned
-// in-window use (-1 when there is none). Entries with a future next use
-// survive push-visibility eviction until SyncWindow has served that use, so
-// pinned rows are guaranteed present when their batch skips the host
-// gather.
-func (c *Cache) PublishWindow(ids []int, values [][]float32, pushIter int, nextUse []int32) {
-	if len(ids) != len(values) || len(ids) != len(nextUse) {
-		//elrec:invariant ids, rows and hints are built pairwise by the lookahead plan
-		panic(fmt.Sprintf("ps: PublishWindow %d ids vs %d rows vs %d hints", len(ids), len(values), len(nextUse)))
+// hint is nextUse[i], or -1 (no promise) for a nil slice.
+func hint(nextUse []int32, i int) int32 {
+	if nextUse == nil {
+		return -1
 	}
+	return nextUse[i]
+}
+
+// Sync prepares the pre-fetched rows of batch iter for training. applied is
+// the number of gradient pushes already visible in the host tables when the
+// batch was gathered. Rows with fresh[i] true (all of them when fresh is nil)
+// were gathered from the host store and are patched from entries the gather
+// cannot have seen (push ≥ applied: the read-after-write fix of Figure 10);
+// rows with fresh[i] false were skipped by the gather and are served wholly
+// from the cache — the plan only skips rows published earlier under a promise
+// that the sweep below honours, so a missing entry is ErrLookaheadMiss.
+// Entries of the batch's rows adopt nextUse[i] as their new promise.
+//
+// A hit means the cache supplied bits the host gather did not: an entry
+// whose push is host-visible is not copied onto a gathered row (the row
+// already carries the identical bits) and counts as a miss.
+//
+// The sweep then drops every entry whose push is host-visible and whose
+// promise is absent or at or before iter — Belady's "farthest (or no) next
+// use" with an exact future access set, degenerating to plain push
+// visibility when nothing is planned. Serving runs first so an entry
+// promised to this batch is served, never evicted unserved.
+//
+//elrec:hotpath cache admission on every training step: serving and sweeping must not allocate at steady state
+func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
+	c.checkShape("Sync", ids, rows, fresh, nextUse)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, id := range ids {
-		if len(values[i]) != c.dim {
-			//elrec:invariant ids and rows are built pairwise by the gather/update paths
-			panic(fmt.Sprintf("ps: Publish row %d has dim %d want %d", i, len(values[i]), c.dim))
-		}
+		gathered := fresh == nil || fresh[i]
 		e, ok := c.entries[id]
 		if !ok {
-			//elrec:coldpath entry storage is reused across publishes of the same row
-			e = &cacheEntry{value: make([]float32, c.dim)}
-			c.entries[id] = e
-		}
-		copy(e.value, values[i])
-		e.lc = c.capacity
-		e.push = pushIter
-		e.nextUse = nextUse[i]
-	}
-}
-
-// SyncAt is the schedule-independent variant of Sync the pipeline uses.
-// applied is the number of gradient pushes that were already visible in the
-// host tables when this batch was gathered: pushes 0..applied-1 are
-// reflected in values, so every cache entry whose push tag is below applied
-// is redundant — the gathered row carries the identical bits — and is
-// evicted; the remaining entries hold updates the gathered rows are missing
-// and patch them in place.
-//
-// Unlike a raw LC countdown, whose eviction point shifts with the relative
-// timing of the server and worker goroutines (a checkpoint drain barrier,
-// a stalled server, or an aborted batch all shift it), push visibility is a
-// pure function of the gather order, so any schedule — pipelined,
-// sequential, barrier-interrupted or resumed from a checkpoint — syncs
-// bit-identical values.
-func (c *Cache) SyncAt(applied int, ids []int, values [][]float32) int {
-	if len(ids) != len(values) {
-		//elrec:invariant ids and rows are built pairwise by the gather/update paths
-		panic(fmt.Sprintf("ps: Sync %d ids vs %d rows", len(ids), len(values)))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	evicted := 0
-	for id, e := range c.entries {
-		if e.push < applied {
-			delete(c.entries, id)
-			c.evictions++
-			evicted++
-		}
-	}
-	patched := 0
-	for i, id := range ids {
-		if e, ok := c.entries[id]; ok {
-			copy(values[i], e.value)
-			patched++
-			c.hits++
-		} else {
-			c.misses++
-		}
-	}
-	c.syncs++
-	c.mirrorSync(patched, len(ids)-patched)
-	c.shared.evictions.Add(int64(evicted))
-	return patched
-}
-
-// SyncWindow is the lookahead-plan variant of SyncAt, serving batch iter
-// whose access pattern was planned by data.Lookahead. Rows with fresh[i]
-// true were gathered from the host store and are patched from live entries
-// exactly as SyncAt would (the read-after-write fix of Figure 10); rows
-// with fresh[i] false were skipped by the gather and are served wholly from
-// the pinned working set — their entries are guaranteed present because the
-// plan only pins rows published earlier in the window and the sweep below
-// never evicts an entry before its promised use. Served entries adopt
-// nextUse[i] as their new retention hint.
-//
-// The eviction sweep is SyncAt's push-visibility rule restricted by the
-// oracle: an entry is dropped when the host has absorbed its update AND the
-// plan promises no further use at or before the batch being served. A
-// pinned row whose last reference is the window's final batch therefore
-// expires exactly at the window edge, and rows with no future reference
-// expire as in SyncAt — Belady's "farthest (or no) next use" applied with
-// an exact future access set.
-//
-// The serve loop runs before the sweep: entries whose hint pointed at this
-// batch are refreshed (or released) by serving, never evicted unserved.
-//
-//elrec:hotpath lookahead oracle admission: serving and sweeping must not allocate at steady state
-func (c *Cache) SyncWindow(applied, iter int, ids []int, values [][]float32, fresh []bool, nextUse []int32) (int, error) {
-	if len(ids) != len(values) || len(ids) != len(fresh) || len(ids) != len(nextUse) {
-		//elrec:invariant ids, rows and hints are built pairwise by the lookahead plan
-		panic(fmt.Sprintf("ps: SyncWindow %d ids vs %d rows vs %d/%d hints", len(ids), len(values), len(fresh), len(nextUse)))
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	patched := 0
-	for i, id := range ids {
-		e, ok := c.entries[id]
-		if !ok {
-			if !fresh[i] {
+			if !gathered {
 				//elrec:coldpath broken-invariant error construction
 				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", ErrLookaheadMiss, id, iter)
 			}
-			c.misses++
 			continue
 		}
-		copy(values[i], e.value)
-		e.nextUse = nextUse[i]
+		e.nextUse = hint(nextUse, i)
+		if gathered && e.push < applied {
+			continue
+		}
+		copy(rows.Row(i), e.value)
 		patched++
-		c.hits++
 	}
 	evicted := 0
 	for id, e := range c.entries {
-		if e.push < applied && (e.nextUse < 0 || int(e.nextUse) <= iter) {
+		if e.push < applied && int(e.nextUse) <= iter {
 			delete(c.entries, id)
-			c.evictions++
 			evicted++
 		}
 	}
 	c.syncs++
-	c.mirrorSync(patched, len(ids)-patched)
+	c.hits += int64(patched)
+	c.misses += int64(len(ids) - patched)
+	c.evictions += int64(evicted)
+	c.shared.syncs.Inc()
+	c.shared.hits.Add(int64(patched))
+	c.shared.misses.Add(int64(len(ids) - patched))
 	c.shared.evictions.Add(int64(evicted))
 	return patched, nil
-}
-
-// Tick lowers the LC of every cached row by one, evicting rows that reach
-// zero. Called once per gradient-queue pull applied by the server.
-func (c *Cache) Tick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, e := range c.entries {
-		e.lc--
-		if e.lc <= 0 {
-			delete(c.entries, id)
-			c.evictions++
-			c.shared.evictions.Inc()
-		}
-	}
-}
-
-// Decrement lowers the LC of every listed row that is cached, evicting rows
-// that reach zero (the paper's per-batch formulation, kept for targeted
-// eviction policies).
-func (c *Cache) Decrement(ids []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range ids {
-		e, ok := c.entries[id]
-		if !ok {
-			continue
-		}
-		e.lc--
-		if e.lc <= 0 {
-			delete(c.entries, id)
-			c.evictions++
-			c.shared.evictions.Inc()
-		}
-	}
 }
 
 // Len returns the number of cached rows.

@@ -2,19 +2,23 @@ package ps
 
 import (
 	"testing"
+
+	"repro/internal/tensor"
 )
 
-func rowsOf(vals ...float32) [][]float32 {
-	out := make([][]float32, len(vals))
+// rowsOf builds a len(vals)×2 matrix whose row i is {vals[i], vals[i]}.
+func rowsOf(vals ...float32) *tensor.Matrix {
+	out := tensor.New(len(vals), 2)
 	for i, v := range vals {
-		out[i] = []float32{v, v}
+		out.Set(i, 0, v)
+		out.Set(i, 1, v)
 	}
 	return out
 }
 
 func TestCachePublishLookup(t *testing.T) {
-	c := NewCache(2, 3)
-	c.Publish([]int{7}, rowsOf(1.5))
+	c := NewCache(2)
+	c.Publish([]int{7}, rowsOf(1.5), 0, nil)
 	got, ok := c.Lookup(7)
 	if !ok || got[0] != 1.5 || got[1] != 1.5 {
 		t.Fatalf("Lookup = %v, %v", got, ok)
@@ -25,20 +29,24 @@ func TestCachePublishLookup(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
+	c.Publish([]int{7}, rowsOf(5), 1, nil)
+	if got, _ := c.Lookup(7); got[0] != 5 || c.Len() != 1 {
+		t.Fatalf("re-publish did not overwrite in place: %v, Len %d", got, c.Len())
+	}
 }
 
 func TestCacheSyncPatchesOnlyCached(t *testing.T) {
-	c := NewCache(2, 3)
-	c.Publish([]int{5}, rowsOf(9))
+	c := NewCache(2)
+	c.Publish([]int{5}, rowsOf(9), 0, nil)
 	vals := rowsOf(1, 2)
-	patched := c.Sync([]int{5, 6}, vals)
-	if patched != 1 {
-		t.Fatalf("patched %d rows want 1", patched)
+	patched, err := c.Sync(0, 1, []int{5, 6}, vals, nil, nil)
+	if err != nil || patched != 1 {
+		t.Fatalf("patched %d rows (err %v) want 1", patched, err)
 	}
-	if vals[0][0] != 9 {
+	if vals.At(0, 0) != 9 {
 		t.Fatal("cached row not patched")
 	}
-	if vals[1][0] != 2 {
+	if vals.At(1, 0) != 2 {
 		t.Fatal("uncached row modified")
 	}
 	st := c.Stats()
@@ -47,55 +55,20 @@ func TestCacheSyncPatchesOnlyCached(t *testing.T) {
 	}
 }
 
-func TestCacheTickEvicts(t *testing.T) {
-	c := NewCache(2, 2)
-	c.Publish([]int{1}, rowsOf(1))
-	c.Tick()
-	if c.Len() != 1 {
-		t.Fatal("evicted too early")
-	}
-	c.Tick()
-	if c.Len() != 0 {
-		t.Fatal("not evicted at LC=0")
-	}
-	if ev := c.Stats().Evictions; ev != 1 {
-		t.Fatalf("evictions = %d", ev)
-	}
-}
-
-func TestCachePublishResetsLC(t *testing.T) {
-	c := NewCache(2, 2)
-	c.Publish([]int{1}, rowsOf(1))
-	c.Tick()
-	c.Publish([]int{1}, rowsOf(5)) // re-train: LC reset
-	c.Tick()
-	if c.Len() != 1 {
-		t.Fatal("re-published row evicted prematurely")
-	}
-	got, _ := c.Lookup(1)
-	if got[0] != 5 {
-		t.Fatal("re-publish did not overwrite value")
-	}
-}
-
-func TestCacheDecrementTargeted(t *testing.T) {
-	c := NewCache(2, 1)
-	c.Publish([]int{1, 2}, rowsOf(1, 2))
-	c.Decrement([]int{1, 99}) // 99 absent: no-op
-	if _, ok := c.Lookup(1); ok {
-		t.Fatal("row 1 should be evicted")
-	}
-	if _, ok := c.Lookup(2); !ok {
-		t.Fatal("row 2 should remain")
-	}
-}
-
+// TestCacheValidation: mismatched id/row/flag/hint lengths and a wrong row
+// width panic; nil fresh and nextUse are valid (see TestCacheNilMeansDefault).
 func TestCacheValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewCache(0, 1) },
-		func() { NewCache(2, 0) },
-		func() { NewCache(2, 1).Sync([]int{1}, nil) },
-		func() { NewCache(2, 1).Publish([]int{1}, [][]float32{{1}}) }, // wrong dim
+		func() { NewCache(0) },
+		func() { NewCache(2).Publish([]int{1}, rowsOf(), 0, nil) },
+		func() { NewCache(2).Publish([]int{1}, tensor.New(1, 1), 0, nil) }, // wrong dim
+		func() { NewCache(2).Publish([]int{1}, rowsOf(1), 0, []int32{}) },
+		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(), nil, nil) },                  //nolint:errcheck
+		func() { NewCache(2).Sync(0, 0, []int{1}, tensor.New(1, 3), nil, nil) },          //nolint:errcheck
+		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), []bool{}, []int32{-1}) },    //nolint:errcheck
+		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), []bool{true}, []int32{}) },  //nolint:errcheck
+		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), nil, []int32{-1, -1}) },     //nolint:errcheck
+		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), []bool{true, false}, nil) }, //nolint:errcheck
 	} {
 		func() {
 			defer func() {

@@ -52,7 +52,7 @@ var (
 	// ErrLookaheadMiss reports a broken lookahead invariant: a batch asked
 	// the cache for a row the window plan pinned, but the entry was absent.
 	// The plan only pins rows published by an earlier batch of the same
-	// window and SyncWindow never evicts an entry before its promised use,
+	// window and Cache.Sync never evicts an entry before its promised use,
 	// so this indicates a planner or cache bug, not a recoverable condition.
 	ErrLookaheadMiss = errors.New("ps: lookahead pinned row missing from cache")
 )

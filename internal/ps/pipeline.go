@@ -82,9 +82,9 @@ type Config struct {
 	// (data.Lookahead) and uses it for oracle cache admission — rows reused
 	// within the window are gathered once and served from the pinned working
 	// set, rows with no future reference expire Belady-style, and TT device
-	// tables protect recurring rows' prefix-cache slots. 0 or 1 disables the
-	// lookahead (the reactive LC baseline). Training is bit-exact for every
-	// setting.
+	// tables protect recurring rows' prefix-cache slots. 0 or 1 plans nothing:
+	// every row is gathered every batch and entries expire by push visibility
+	// alone. Training is bit-exact for every setting.
 	Lookahead int
 
 	// LookaheadBudget caps simultaneously pinned rows per host table within
@@ -188,25 +188,25 @@ type hostBatch struct {
 	// to decide which published entries the gathered values already cover.
 	gathered int64
 	// plan is the lookahead window plan this batch was gathered under (nil
-	// outside lookahead mode). planLast marks the window's final batch: its
-	// gradient push carries the plan so the apply stage can release it once
-	// no consumer can still reference the plan's slices.
-	plan     *data.WindowPlan
-	planLast bool
+	// for an unplanned batch). The gradient push of the window's final batch
+	// carries the plan so the apply stage can release it once no consumer can
+	// still reference the plan's slices.
+	plan *data.WindowPlan
 }
 
-// hostRows carries the unique rows of one host table for one batch. Under
-// lookahead, fresh/nextUse alias the window plan's access arrays (valid
+// hostRows carries the unique rows of one host table for one batch. For a
+// planned batch, fresh/nextUse alias the window plan's access arrays (valid
 // until the plan is released): fresh[i] marks rows gathered from the store
-// (the remaining rows are served from the cache's pinned working set, left
-// zero in values until SyncWindow fills them), and nextUse[i] is the cache
-// retention hint forwarded to PublishWindow. freshN counts fresh rows.
+// (the remaining rows are served from the cache, left zero in values until
+// Cache.Sync fills them), and nextUse[i] is the retention promise forwarded
+// to Cache.Publish. An unplanned batch gathers every row and promises
+// nothing: both are nil. freshN counts gathered rows.
 type hostRows struct {
 	uniq    []int
 	inverse []int
 	values  *tensor.Matrix // len(uniq) × dim
-	fresh   []bool         // nil outside lookahead mode
-	nextUse []int32        // nil outside lookahead mode
+	fresh   []bool
+	nextUse []int32
 	freshN  int
 }
 
@@ -381,7 +381,7 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 				bag = embedding.NewBag(loc.HostRows, cfg.Model.EmbDim, tensor.NewRNG(cfg.Seed+uint64(i)*104729))
 				store = &localStore{p: p, slot: slot, rows: loc.HostRows, dim: cfg.Model.EmbDim}
 			}
-			cache := NewCache(cfg.Model.EmbDim, 2*cfg.QueueDepth+2)
+			cache := NewCache(cfg.Model.EmbDim)
 			cache.attachCounters(&p.m.cacheSyncs, &p.m.cacheHits, &p.m.cacheMisses, &p.m.cacheEvictions)
 			ad := &hostAdapter{pipeline: p, slot: slot, rows: store.NumRows(), dim: cfg.Model.EmbDim, lr: cfg.Model.LR}
 			p.hostBags = append(p.hostBags, bag)
@@ -451,55 +451,44 @@ func (p *Pipeline) HostBag(i int) *embedding.Bag { return p.hostBags[i] }
 // gather assembles the pre-fetch payload for one batch: the unique rows of
 // every host table, read from its store (the server-side embedding lookup
 // of the PS architecture — an in-process bag under a lock, or a remote
-// shard fan-out).
-func (p *Pipeline) gather(iter int, b *data.Batch) (*hostBatch, error) {
+// shard fan-out). Under a plan the batch's uniq/inverse come from the plan
+// and only the rows whose first in-window use this is (acc.FreshIDs) are
+// read — the cross-batch dedup; the other rows' slots stay zero until
+// Cache.Sync fills them on the worker, where their presence is guaranteed.
+func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan) (*hostBatch, error) {
 	start := p.clock.Now()
 	sp := p.tracer.Begin("gather", "ps", tidPrefetch)
 	defer func() {
 		sp.End()
 		p.m.gatherNS.Add(int64(obs.Since(p.clock, start)))
 	}()
-	hb := &hostBatch{iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: p.applied.Load()}
+	hb := &hostBatch{
+		iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: p.applied.Load(),
+		plan: plan,
+	}
 	for h, pos := range p.hostIdx {
-		uniq, inverse := embedding.Unique(b.Sparse[pos])
-		values, err := p.stores[h].GatherRows(uniq)
+		hr := &hb.rows[h]
+		var read, readPos []int // the rows read from the store and their slots in uniq
+		if plan != nil {
+			acc := plan.Access(h, iter)
+			*hr = hostRows{uniq: acc.Uniq, inverse: acc.Inverse, fresh: acc.Fresh, nextUse: acc.NextUse}
+			read, readPos = acc.FreshIDs, acc.FreshPos
+		} else {
+			hr.uniq, hr.inverse = embedding.Unique(b.Sparse[pos])
+			read = hr.uniq
+		}
+		values, err := p.stores[h].GatherRows(read)
 		if err != nil {
 			return nil, fmt.Errorf("host table %d: %w", h, err)
 		}
-		hb.rows[h] = hostRows{uniq: uniq, inverse: inverse, values: values}
-	}
-	return hb, nil
-}
-
-// gatherWindow is gather under a lookahead plan: the batch's uniq/inverse
-// come from the plan, and only the rows whose first in-window use this is
-// (acc.FreshIDs) are read from the store — the cross-batch dedup. Pinned
-// rows' slots stay zero here; SyncWindow fills them from the cache on the
-// worker, where their presence is guaranteed.
-func (p *Pipeline) gatherWindow(iter int, b *data.Batch, plan *data.WindowPlan) (*hostBatch, error) {
-	start := p.clock.Now()
-	sp := p.tracer.Begin("gather", "ps", tidPrefetch)
-	defer func() {
-		sp.End()
-		p.m.gatherNS.Add(int64(obs.Since(p.clock, start)))
-	}()
-	hb := &hostBatch{iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: p.applied.Load(), plan: plan}
-	for h := range p.hostIdx {
-		acc := plan.Access(h, iter)
-		values := tensor.New(len(acc.Uniq), p.cfg.Model.EmbDim)
-		if len(acc.FreshIDs) > 0 {
-			freshVals, err := p.stores[h].GatherRows(acc.FreshIDs)
-			if err != nil {
-				return nil, fmt.Errorf("host table %d: %w", h, err)
+		if len(read) < len(hr.uniq) {
+			full := tensor.New(len(hr.uniq), p.cfg.Model.EmbDim)
+			for k, at := range readPos {
+				copy(full.Row(at), values.Row(k))
 			}
-			for k, pos := range acc.FreshPos {
-				copy(values.Row(pos), freshVals.Row(k))
-			}
+			values = full
 		}
-		hb.rows[h] = hostRows{
-			uniq: acc.Uniq, inverse: acc.Inverse, values: values,
-			fresh: acc.Fresh, nextUse: acc.NextUse, freshN: len(acc.FreshIDs),
-		}
+		hr.values, hr.freshN = values, len(read)
 	}
 	return hb, nil
 }
@@ -524,13 +513,7 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSi
 	for attempt := 0; ; attempt++ {
 		ferr := p.injectFault(faults.OpGather, iter, attempt)
 		if ferr == nil {
-			var hb *hostBatch
-			var gerr error
-			if plan != nil {
-				hb, gerr = p.gatherWindow(iter, b, plan)
-			} else {
-				hb, gerr = p.gather(iter, b)
-			}
+			hb, gerr := p.gather(iter, b, plan)
 			if gerr == nil {
 				return hb, nil
 			}
@@ -648,22 +631,13 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err er
 	var prefetched, pinned int64
 	for h := range hb.rows {
 		hr := &hb.rows[h]
-		rows := make([][]float32, len(hr.uniq))
-		for i := range rows {
-			rows[i] = hr.values.Row(i)
+		if _, serr := p.caches[h].Sync(int(hb.gathered), hb.iter, hr.uniq, hr.values, hr.fresh, hr.nextUse); serr != nil {
+			return 0, nil, fmt.Errorf("%w: iter %d: %w", ErrWorkerFault, hb.iter, serr)
 		}
-		if hr.fresh != nil {
-			if _, serr := p.caches[h].SyncWindow(int(hb.gathered), hb.iter, hr.uniq, rows, hr.fresh, hr.nextUse); serr != nil {
-				return 0, nil, fmt.Errorf("%w: iter %d: %w", ErrWorkerFault, hb.iter, serr)
-			}
-			// Only fresh rows crossed the host→device link; pinned rows were
-			// deduplicated across batches and served from the cache.
-			prefetched += int64(hr.freshN) * int64(p.cfg.Model.EmbDim) * 4
-			pinned += int64(len(hr.uniq) - hr.freshN)
-		} else {
-			p.caches[h].SyncAt(int(hb.gathered), hr.uniq, rows)
-			prefetched += int64(len(rows)) * int64(p.cfg.Model.EmbDim) * 4
-		}
+		// Only gathered rows crossed the host→device link; the rest were
+		// deduplicated across batches and served from the cache.
+		prefetched += int64(hr.freshN) * int64(p.cfg.Model.EmbDim) * 4
+		pinned += int64(len(hr.uniq) - hr.freshN)
 	}
 	p.m.bytesPrefetched.Add(prefetched)
 	p.m.lookaheadPinned.Add(pinned)
@@ -673,8 +647,8 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err er
 	}
 	loss = p.model.TrainStep(hb.batch)
 	push = &gradPush{iter: hb.iter, rows: make([]gradRows, len(p.adapters)), donec: make(chan struct{})}
-	if hb.planLast {
-		push.plan = hb.plan
+	if pl := hb.plan; pl != nil && hb.iter == pl.Start+pl.N-1 {
+		push.plan = pl
 	}
 	var pushed int64
 	for h, ad := range p.adapters {
@@ -792,32 +766,22 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 		return res, err
 	}
 
-	la, lerr := p.newLookahead(d, batchSize)
+	ws, lerr := p.newWindowSchedule(d, startIter, steps, batchSize)
 	if lerr != nil {
 		return fail(res, lerr, true)
 	}
-	if la != nil {
-		defer p.clearProtection()
-	}
+	defer ws.close()
 
 	if p.cfg.QueueDepth == 1 {
-		var plan *data.WindowPlan
-		nextAdvance, winSize := 1, 0 // batch 0 is unplanned: see nextWindow
-		for it := 0; it < steps; it++ {
+		for iter := startIter; iter < startIter+steps; iter++ {
 			if err := ctx.Err(); err != nil {
 				return res, err
-			}
-			iter := startIter + it
-			if la != nil && it == nextAdvance {
-				winSize = p.nextWindow(winSize)
-				plan = p.advanceWindow(la, iter, winSize, steps-it)
-				nextAdvance = it + plan.N
 			}
 			// In the sequential schedule the worker waits out the entire
 			// gather: record it as prefetch stall so depth-1 runs expose the
 			// same lookahead win the pipelined queue wait does.
 			waitStart := p.clock.Now()
-			hb, err := p.gatherBatch(ctx, d, iter, batchSize, plan)
+			hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter))
 			p.m.prefetchWaitNS.Add(int64(obs.Since(p.clock, waitStart)))
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
@@ -825,7 +789,6 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 				}
 				return res, err
 			}
-			hb.planLast = plan != nil && iter-plan.Start == plan.N-1
 			loss, push, err := p.trainOne(hb)
 			if err != nil {
 				return fail(res, err, faults.IsInjected(err))
@@ -854,18 +817,11 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 
 	p.spawn(&wg, &async, "prefetch", func() { // pre-fetcher (server pull side)
 		defer close(prefetchQ)
-		var plan *data.WindowPlan
-		nextAdvance, winSize := 1, 0 // batch 0 is unplanned: see nextWindow
-		for it := 0; it < steps; it++ {
+		for iter := startIter; iter < startIter+steps; iter++ {
 			if ctx.Err() != nil {
 				return
 			}
-			if la != nil && it == nextAdvance {
-				winSize = p.nextWindow(winSize)
-				plan = p.advanceWindow(la, startIter+it, winSize, steps-it)
-				nextAdvance = it + plan.N
-			}
-			hb, err := p.gatherBatch(ctx, d, startIter+it, batchSize, plan)
+			hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter))
 			if err != nil {
 				// A gather failure leaves state consistent (the batch never
 				// reached the worker); pure cancellation is reported by
@@ -875,7 +831,6 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 				}
 				return
 			}
-			hb.planLast = plan != nil && hb.iter-plan.Start == plan.N-1
 			select {
 			case prefetchQ <- hb:
 			case <-stop:

@@ -6,13 +6,27 @@ import (
 	"repro/internal/data"
 )
 
-// newLookahead builds the per-Train window planner, or nil when lookahead
-// is disabled or there is nothing to plan. The planner is per Train call:
-// windows are aligned to startIter and plan storage is recycled through the
-// window pool for the duration of the run.
-func (p *Pipeline) newLookahead(d BatchSource, batchSize int) (*data.Lookahead, error) {
+// windowSchedule decides which lookahead plan each batch of one Train call
+// is gathered under; both schedules (the sequential loop and the pre-fetch
+// goroutine) ask it batch by batch, in order. Windows are aligned to the
+// call's first iteration and plan storage is recycled through the planner's
+// pool for the duration of the run.
+type windowSchedule struct {
+	p    *Pipeline
+	la   *data.Lookahead  // nil when lookahead is off or there is nothing to plan
+	plan *data.WindowPlan // the current window; nil until the first one is planned
+	next int              // first iteration past the current window
+	end  int              // first iteration past the Train call
+	size int              // untruncated size of the current window, 0 before the first
+}
+
+// newWindowSchedule builds the schedule for Train(startIter, steps).
+func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize int) (*windowSchedule, error) {
+	// The first batch is never planned (see planFor), so the first window
+	// opens one iteration in.
+	w := &windowSchedule{p: p, next: startIter + 1, end: startIter + steps}
 	if p.cfg.Lookahead <= 1 || (len(p.stores) == 0 && len(p.protectors) == 0) {
-		return nil, nil
+		return w, nil
 	}
 	cfg := data.LookaheadConfig{
 		Window: p.cfg.Lookahead,
@@ -29,53 +43,48 @@ func (p *Pipeline) newLookahead(d BatchSource, batchSize int) (*data.Lookahead, 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	return la, nil
+	w.la = la
+	return w, nil
 }
 
-// nextWindow returns the size of the next planning window given the
-// previous one (0 for the first window of a Train call). Windows start
-// only at iteration 1 — batch 0 rides the plain LC-cache path so the
-// pre-fetcher can hand it to the worker immediately and plan the first
-// window during that step's compute. The first window is clipped near the
-// queue depth and subsequent windows double up to the configured size:
-// planning a full window on a cold pipeline stalls the worker behind
-// Window×Tables index-stream generation, while the ramp lets full-window
-// planning overlap with training once the prefetch queue has filled. The
-// schedule depends only on configuration, never on timing, so ramped runs
-// stay bit-exact.
-func (p *Pipeline) nextWindow(prev int) int {
-	n := 2 * prev
-	if prev == 0 {
-		n = p.cfg.QueueDepth
-		if n < 2 {
-			n = 2
-		}
+// planFor returns the plan batch iter is gathered under (nil: unplanned),
+// planning the next window when iter is the first batch past the current
+// one. The call's first batch is unplanned so the pre-fetcher can hand it to
+// the worker immediately and plan the first window during that step's
+// compute. The first window is clipped near the queue depth and subsequent
+// windows double up to the configured size: planning a full window on a cold
+// pipeline stalls the worker behind Window×Tables index-stream generation,
+// while the ramp lets full-window planning overlap with training once the
+// prefetch queue has filled. The schedule depends only on configuration,
+// never on timing, so ramped runs stay bit-exact.
+func (w *windowSchedule) planFor(iter int) *data.WindowPlan {
+	if w.la == nil || iter != w.next {
+		return w.plan
 	}
-	if n > p.cfg.Lookahead {
-		n = p.cfg.Lookahead
+	if w.size == 0 {
+		w.size = max(w.p.cfg.QueueDepth, 2)
+	} else {
+		w.size *= 2
 	}
-	return n
+	w.size = min(w.size, w.p.cfg.Lookahead)
+	w.plan = w.la.Advance(iter, min(w.size, w.end-iter))
+	w.next = iter + w.plan.N
+	w.p.m.lookaheadWindows.Inc()
+	// Each device table shields the window's recurring rows from device-cache
+	// recycling.
+	for k, prot := range w.p.protectors {
+		prot.ProtectPrefixes(w.plan.Device[k].IDs)
+	}
+	return w.plan
 }
 
-// advanceWindow plans an n-batch window starting at iter (truncated to the
-// remaining steps), counts it, and installs each device table's protection
-// set — the window's recurring rows, shielded from device-cache recycling.
-func (p *Pipeline) advanceWindow(la *data.Lookahead, iter, n, remaining int) *data.WindowPlan {
-	if remaining < n {
-		n = remaining
+// close drops the device tables' protection sets so a finished run's last
+// window cannot pin device-cache slots indefinitely.
+func (w *windowSchedule) close() {
+	if w.la == nil {
+		return
 	}
-	plan := la.Advance(iter, n)
-	p.m.lookaheadWindows.Inc()
-	for k, prot := range p.protectors {
-		prot.ProtectPrefixes(plan.Device[k].IDs)
-	}
-	return plan
-}
-
-// clearProtection drops the device tables' lookahead protection sets so a
-// finished run's last window cannot pin device-cache slots indefinitely.
-func (p *Pipeline) clearProtection() {
-	for _, prot := range p.protectors {
+	for _, prot := range w.p.protectors {
 		prot.ProtectPrefixes(nil)
 	}
 }
