@@ -159,7 +159,7 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 	}
 	evicted := 0
 	for id, e := range c.entries {
-		if e.push < applied && int(e.nextUse) <= iter {
+		if e.push < applied && int(e.nextUse) <= iter { // −1 (no promise) is below every iteration
 			delete(c.entries, id)
 			evicted++
 		}

@@ -462,10 +462,7 @@ func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan) (*host
 		sp.End()
 		p.m.gatherNS.Add(int64(obs.Since(p.clock, start)))
 	}()
-	hb := &hostBatch{
-		iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: p.applied.Load(),
-		plan: plan,
-	}
+	hb := &hostBatch{iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: p.applied.Load(), plan: plan}
 	for h, pos := range p.hostIdx {
 		hr := &hb.rows[h]
 		var read, readPos []int // the rows read from the store and their slots in uniq
@@ -777,11 +774,12 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
+			plan := ws.planFor(iter)
 			// In the sequential schedule the worker waits out the entire
 			// gather: record it as prefetch stall so depth-1 runs expose the
 			// same lookahead win the pipelined queue wait does.
 			waitStart := p.clock.Now()
-			hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter))
+			hb, err := p.gatherBatch(ctx, d, iter, batchSize, plan)
 			p.m.prefetchWaitNS.Add(int64(obs.Since(p.clock, waitStart)))
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {

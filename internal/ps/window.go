@@ -51,22 +51,17 @@ func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize 
 // planning the next window when iter is the first batch past the current
 // one. The call's first batch is unplanned so the pre-fetcher can hand it to
 // the worker immediately and plan the first window during that step's
-// compute. The first window is clipped near the queue depth and subsequent
-// windows double up to the configured size: planning a full window on a cold
-// pipeline stalls the worker behind Window×Tables index-stream generation,
-// while the ramp lets full-window planning overlap with training once the
-// prefetch queue has filled. The schedule depends only on configuration,
-// never on timing, so ramped runs stay bit-exact.
+// compute. The first window is the queue depth (at least 2) and later ones
+// double, all capped at the configured size: planning a full window on a
+// cold pipeline stalls the worker behind Window×Tables index-stream
+// generation, while the ramp lets full-window planning overlap with training
+// once the prefetch queue has filled. The schedule depends only on
+// configuration, never on timing, so ramped runs stay bit-exact.
 func (w *windowSchedule) planFor(iter int) *data.WindowPlan {
 	if w.la == nil || iter != w.next {
 		return w.plan
 	}
-	if w.size == 0 {
-		w.size = max(w.p.cfg.QueueDepth, 2)
-	} else {
-		w.size *= 2
-	}
-	w.size = min(w.size, w.p.cfg.Lookahead)
+	w.size = min(max(2*w.size, w.p.cfg.QueueDepth, 2), w.p.cfg.Lookahead)
 	w.plan = w.la.Advance(iter, min(w.size, w.end-iter))
 	w.next = iter + w.plan.N
 	w.p.m.lookaheadWindows.Inc()
@@ -81,9 +76,6 @@ func (w *windowSchedule) planFor(iter int) *data.WindowPlan {
 // close drops the device tables' protection sets so a finished run's last
 // window cannot pin device-cache slots indefinitely.
 func (w *windowSchedule) close() {
-	if w.la == nil {
-		return
-	}
 	for _, prot := range w.p.protectors {
 		prot.ProtectPrefixes(nil)
 	}
