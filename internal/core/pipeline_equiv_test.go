@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/hw"
-	"repro/internal/tensor"
 )
 
 // TestCorePipelineEquivalence: a full EL-Rec system (TT device tables +
@@ -14,11 +13,6 @@ import (
 // Louvain nondeterminism that once made two identical Builds train
 // differently.
 func TestCorePipelineEquivalence(t *testing.T) {
-	// The TT tables Build creates accumulate their parallel backward in
-	// scheduling order; one executor makes that order, and so the bits, fixed.
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	t.Cleanup(func() { tensor.SetMaxWorkers(old) })
 	spec := data.KaggleSpec(0.001)
 	run := func(depth int) *System {
 		cfg := DefaultConfig(spec)

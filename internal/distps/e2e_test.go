@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -16,16 +15,6 @@ import (
 	"repro/internal/ps"
 	"repro/internal/tensor"
 )
-
-// TestMain pins the tensor pool to one executor. The Scenario's TT tables are
-// not Deterministic: their parallel backward reads core slices other
-// executors are updating and accumulates in scheduling order, so the
-// bit-exact comparisons against the reference run (and the race detector)
-// need a fixed order.
-func TestMain(m *testing.M) {
-	tensor.SetMaxWorkers(1)
-	os.Exit(m.Run())
-}
 
 // referencePipeline is the single-process run every distributed test is
 // compared against: same Scenario, host tables in local memory.

@@ -308,9 +308,6 @@ func TestKillAndResumeBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev := tt.NewTable(shape, tensor.NewRNG(2), 0.05)
-		// The fused TT update is hogwild-style by default; bit-exact
-		// comparison needs the deterministic single-threaded path.
-		dev.Deterministic = true
 		return []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}}
 	}
 

@@ -269,9 +269,6 @@ func TestPipelineLookaheadWithDeviceTTBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev := tt.NewTable(shape, tensor.NewRNG(2), 0.05)
-		// The fused TT update is hogwild-style by default; bit-exact
-		// comparison needs the deterministic single-threaded path.
-		dev.Deterministic = true
 		locs := []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}}
 		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 4, Seed: 4, Lookahead: lookahead}, locs)
 		if err != nil {

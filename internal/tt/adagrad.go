@@ -30,14 +30,13 @@ func (t *Table) AdagradAccum(k int) *tensor.Matrix { return t.adagrad[k] }
 // adagradEps matches the dense optimizer's epsilon.
 const adagradEps = 1e-8
 
-// applyGradSlice applies grad to core k's slice row under the stripe lock,
-// using Adagrad when enabled and plain SGD otherwise. Rows of the two
-// prefix-source cores bump their version so the cross-batch prefix cache
-// sees the mutation (prefixcache.go); the bump shares the slice write's
-// stripe lock.
+// applyGradSlice applies grad to core k's slice row, using Adagrad when
+// enabled and plain SGD otherwise. Rows of the two prefix-source cores bump
+// their version so the cross-batch prefix cache sees the mutation
+// (prefixcache.go). The caller owns the slice: the two-level backward gives
+// every slice exactly one writer per batch, the per-occurrence baseline
+// wraps the call in the row's stripe lock.
 func (t *Table) applyGradSlice(k, row int, grad []float32, lr float32) {
-	mu := t.lockFor(k, row)
-	mu.Lock()
 	if k < 2 && row < len(t.coreVer[k]) {
 		t.coreVer[k][row]++
 	}
@@ -51,7 +50,6 @@ func (t *Table) applyGradSlice(k, row int, grad []float32, lr float32) {
 	} else {
 		tensor.Axpy(-lr, grad, dst)
 	}
-	mu.Unlock()
 }
 
 // adagradSweep applies the unfused update from full core-gradient buffers.

@@ -6,7 +6,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// bwScratch holds the per-executor intermediates of one backward work item.
+// bwScratch holds the per-executor intermediates of one work item of the
+// per-occurrence baseline backward.
 type bwScratch struct {
 	p12, dP12, dG1, dG2, dG3 []float32
 }
@@ -21,16 +22,18 @@ func (s *bwScratch) ensure(t *Table) {
 }
 
 // Backward computes TT-core gradients for the batch described by cache and
-// applies the SGD update with learning rate lr. The executed path follows
+// applies the update with learning rate lr. The executed path follows
 // t.Opts:
 //
-//   - InAdvanceAgg aggregates dOut into one gradient row per unique index
-//     first (Figure 6(b)); otherwise every occurrence of every index runs
-//     the full chain-rule multiplications (Figure 6(a), TT-Rec behaviour).
+//   - InAdvanceAgg aggregates at both reuse levels of the forward pass: dOut
+//     is summed into one gradient row per unique index (Figure 6(b)) and the
+//     rank-sized core contractions run once per unique (i₁,i₂) prefix (see
+//     backwardTwoLevel). Otherwise every occurrence of every index runs the
+//     full chain-rule multiplications (Figure 6(a), TT-Rec behaviour).
 //   - FusedUpdate applies −lr·grad to core slices inside the same pass;
-//     otherwise gradients accumulate into full core-sized buffers and a
-//     separate optimizer sweep updates the cores (extra memory traffic,
-//     exactly the cost the fused kernel removes).
+//     otherwise gradients land in full core-sized buffers and a separate
+//     optimizer sweep updates the cores (extra memory traffic, exactly the
+//     cost the fused kernel removes).
 //
 // dOut is the gradient of the loss w.r.t. the pooled batch output
 // (batch×Dim).
@@ -44,40 +47,14 @@ func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
 		panic(fmt.Sprintf("tt: Backward grad %dx%d want %dx%d", dOut.Rows, dOut.Cols, len(cache.Offsets), t.Shape.Dim))
 	}
 
-	var workIdx []int
-	var workGrad *tensor.Matrix
-	cache.bwSlots = nil
-	if t.Opts.InAdvanceAgg {
-		workIdx, workGrad = t.aggregateGrads(cache, dOut)
-	} else {
-		workIdx, workGrad = t.perOccurrenceGrads(cache, dOut)
-	}
-	t.met.recordBackward(len(cache.Indices), len(workIdx))
-
 	var gradBufs [Dims]*tensor.Matrix
 	if !t.Opts.FusedUpdate {
 		gradBufs = t.gradBuffers()
 	}
-
-	prefixNeeded := cache.PrefixBuf == nil
-	var slots []int
-	if !prefixNeeded {
-		if cache.bwSlots != nil {
-			slots = cache.bwSlots // built alongside the dense rebuild
-		} else {
-			slots = t.slotsFor(cache, workIdx)
-		}
-	}
-
-	if t.serialItems() {
-		cache.bw.ensure(t)
-		t.backwardRange(cache, workIdx, workGrad, slots, gradBufs, &cache.bw, lr, 0, len(workIdx))
+	if t.Opts.InAdvanceAgg {
+		t.backwardTwoLevel(cache, dOut, gradBufs, lr)
 	} else {
-		tensor.ParallelFor(len(workIdx), func(lo, hi int) {
-			var s bwScratch
-			s.ensure(t)
-			t.backwardRange(cache, workIdx, workGrad, slots, gradBufs, &s, lr, lo, hi)
-		})
+		t.backwardPerOccurrence(cache, dOut, gradBufs, lr)
 	}
 
 	if !t.Opts.FusedUpdate {
@@ -96,23 +73,45 @@ func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
 	}
 }
 
+// backwardPerOccurrence is the TT-Rec baseline of Figures 14/17/18: one full
+// chain per index occurrence, work items spread over the executors, shared
+// slices updated hogwild under stripe locks (the paper's kernel uses
+// atomics). Only Deterministic mode makes it reproducible.
+func (t *Table) backwardPerOccurrence(cache *ForwardCache, dOut *tensor.Matrix, gradBufs [Dims]*tensor.Matrix, lr float32) {
+	workGrad := t.perOccurrenceGrads(cache, dOut)
+	items := len(cache.Indices)
+	t.met.recordBackward(items, items, items)
+	if t.serialItems() {
+		cache.bw.ensure(t)
+		t.backwardRange(cache, workGrad, gradBufs, &cache.bw, lr, 0, items)
+		return
+	}
+	tensor.ParallelFor(items, func(lo, hi int) {
+		var s bwScratch
+		s.ensure(t)
+		t.backwardRange(cache, workGrad, gradBufs, &s, lr, lo, hi)
+	})
+}
+
 // backwardRange runs the chain-rule multiplications and the core update for
-// work items [lo,hi). s provides the per-executor scratch.
-func (t *Table) backwardRange(cache *ForwardCache, workIdx []int, workGrad *tensor.Matrix, slots []int, gradBufs [Dims]*tensor.Matrix, s *bwScratch, lr float32, lo, hi int) {
+// index occurrences [lo,hi). s provides the per-executor scratch.
+func (t *Table) backwardRange(cache *ForwardCache, workGrad *tensor.Matrix, gradBufs [Dims]*tensor.Matrix, s *bwScratch, lr float32, lo, hi int) {
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
-	for w := lo; w < hi; w++ {
-		idx := workIdx[w]
-		g := workGrad.Row(w)
-		i1, i2, i3 := t.Shape.FactorIndex(idx)
+	for p := lo; p < hi; p++ {
+		g := workGrad.Row(p)
+		i1, i2, i3 := t.Shape.FactorIndex(cache.Indices[p])
 
 		// Fetch or recompute the forward intermediate P₁₂.
-		var pref []float32
-		if slots == nil {
-			t.computePrefix(i1, i2, s.p12)
-			pref = s.p12
+		pref := s.p12
+		if cache.PrefixBuf == nil {
+			t.computePrefix(i1, i2, pref)
 		} else {
-			pref = cache.PrefixBuf.Row(slots[w])
+			fw := p // forward work item of occurrence p
+			if cache.WorkOf != nil {
+				fw = cache.WorkOf[p]
+			}
+			pref = cache.PrefixBuf.Row(cache.PrefixSlots[fw])
 		}
 
 		// dG₃[i₃] = P₁₂ᵀ · g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
@@ -128,59 +127,40 @@ func (t *Table) backwardRange(cache *ForwardCache, workIdx []int, workGrad *tens
 		zero(s.dG1)
 		tensor.GemmTransBAddInto(n[0], n[1]*r2, r1, s.dP12, t.Slice2(i2), s.dG1)
 
-		if t.Opts.FusedUpdate {
-			t.applyGradSlice(0, i1, s.dG1, lr)
-			t.applyGradSlice(1, i2, s.dG2, lr)
-			t.applyGradSlice(2, i3, s.dG3, lr)
-		} else {
-			t.accumSlice(gradBufs[0], 0, i1, s.dG1)
-			t.accumSlice(gradBufs[1], 1, i2, s.dG2)
-			t.accumSlice(gradBufs[2], 2, i3, s.dG3)
-		}
+		t.sinkLocked(gradBufs, 0, i1, s.dG1, lr)
+		t.sinkLocked(gradBufs, 1, i2, s.dG2, lr)
+		t.sinkLocked(gradBufs, 2, i3, s.dG3, lr)
 	}
 }
 
-// slotsFor returns one reuse-buffer slot per backward work item. When the
-// backward work list is the forward work list (the common case) the cached
-// slots are reused directly; otherwise (aggregation enabled on a
-// non-deduplicated forward) a prefix→slot map recovers them.
-//
-//elrec:coldpath map recovery only when the backward work list diverges from forward's; the common case returns cached slots
-func (t *Table) slotsFor(cache *ForwardCache, workIdx []int) []int {
-	if len(workIdx) == len(cache.WorkIdx) {
-		same := true
-		for i := range workIdx {
-			if workIdx[i] != cache.WorkIdx[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return cache.PrefixSlots
-		}
+// sinkLocked is sinkGrad under the row's stripe lock, for the baseline's
+// executors that share slices.
+func (t *Table) sinkLocked(gradBufs [Dims]*tensor.Matrix, k, row int, grad []float32, lr float32) {
+	mu := t.lockFor(k, row)
+	mu.Lock()
+	t.sinkGrad(gradBufs, k, row, grad, lr)
+	mu.Unlock()
+}
+
+// sinkGrad delivers a gradient for slice row of core k: the optimizer apply
+// on the core itself when the update is fused (gradBufs[k] nil), an add into
+// the gradient-buffer row the optimizer sweep reads otherwise. The caller
+// owns the slice while it runs.
+func (t *Table) sinkGrad(gradBufs [Dims]*tensor.Matrix, k, row int, grad []float32, lr float32) {
+	if buf := gradBufs[k]; buf != nil {
+		tensor.AddTo(buf.Row(row), grad)
+		return
 	}
-	byPrefix := make(map[int]int, len(cache.WorkIdx))
-	for fw, fidx := range cache.WorkIdx {
-		byPrefix[t.Shape.Prefix(fidx)] = cache.PrefixSlots[fw]
-	}
-	slots := make([]int, len(workIdx))
-	for w, idx := range workIdx {
-		slot, ok := byPrefix[t.Shape.Prefix(idx)]
-		if !ok {
-			//elrec:invariant Table protocol: Update mirrors the preceding Lookup
-			panic(fmt.Sprintf("tt: prefix of index %d missing from forward cache", idx))
-		}
-		slots[w] = slot
-	}
-	return slots
+	t.applyGradSlice(k, row, grad, lr)
 }
 
 // aggregateGrads computes one aggregated gradient row per unique index of
-// the batch (in-advance gradient aggregation). When the forward pass already
-// deduplicated, its unique structure is reused; otherwise it is built here.
-// The gradient matrix lives in the cache arena, so steady-state batches
-// reuse its storage.
-func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int, *tensor.Matrix) {
+// the batch (in-advance gradient aggregation) and returns the unique
+// indices, the occurrence→unique map and the rows. When the forward pass
+// already deduplicated, its unique structure is reused; otherwise it is
+// built here. The gradient matrix lives in the cache arena, so steady-state
+// batches reuse its storage.
+func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int, []int, *tensor.Matrix) {
 	workIdx, workOf := cache.WorkIdx, cache.WorkOf
 	if !t.Opts.DedupIndices {
 		workIdx, workOf = t.rebuildUnique(cache)
@@ -199,14 +179,12 @@ func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int,
 			tensor.AddTo(grads.Row(workOf[p]), src)
 		}
 	}
-	return workIdx, grads
+	return workIdx, workOf, grads
 }
 
 // rebuildUnique constructs the unique-index structure in Backward when the
 // forward pass ran per occurrence (DedupIndices off, InAdvanceAgg on). On
-// the arena path it reuses the same stamped dense scratch as dedupRows —
-// and records each unique index's reuse-buffer slot (first occurrence's
-// forward slot) in cache.bwSlots, sparing slotsFor its map fallback — so
+// the arena path it reuses the same stamped dense scratch as dedupRows, so
 // steady-state batches allocate nothing. Fresh caches and huge tables keep
 // the map-based rebuild.
 //
@@ -232,23 +210,15 @@ func (t *Table) rebuildUnique(c *ForwardCache) ([]int, []int) {
 		c.rowSlot = make([]int32, t.Shape.Rows)
 	}
 	c.seq++ // fresh stamp generation; forward's stamps (if any) expire
-	trackSlots := c.PrefixSlots != nil
 	c.workIdxBuf = c.workIdxBuf[:0]
 	c.workOfBuf = growInts(c.workOfBuf, len(c.Indices))
-	c.slotsBuf = c.slotsBuf[:0]
 	for p, idx := range c.Indices {
 		if c.rowStamp[idx] != c.seq {
 			c.rowStamp[idx] = c.seq
 			c.rowSlot[idx] = int32(len(c.workIdxBuf))
 			c.workIdxBuf = append(c.workIdxBuf, idx)
-			if trackSlots {
-				c.slotsBuf = append(c.slotsBuf, c.PrefixSlots[p])
-			}
 		}
 		c.workOfBuf[p] = int(c.rowSlot[idx])
-	}
-	if trackSlots {
-		c.bwSlots = c.slotsBuf
 	}
 	return c.workIdxBuf, c.workOfBuf
 }
@@ -256,7 +226,7 @@ func (t *Table) rebuildUnique(c *ForwardCache) ([]int, []int) {
 // perOccurrenceGrads materializes one gradient row per index occurrence
 // (no aggregation): occurrence p of sample s receives a copy of dOut[s].
 // The copy is the point — TT-Rec stores per-row gradients before reducing.
-func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int, *tensor.Matrix) {
+func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) *tensor.Matrix {
 	cache.workGrad = tensor.Reuse(cache.workGrad, len(cache.Indices), t.Shape.Dim)
 	grads := cache.workGrad
 	for s := range cache.Offsets {
@@ -269,16 +239,7 @@ func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]
 			copy(grads.Row(p), dOut.Row(s))
 		}
 	}
-	return cache.Indices, grads
-}
-
-// accumSlice adds delta into the gradient buffer of core k under the stripe
-// lock.
-func (t *Table) accumSlice(buf *tensor.Matrix, k, row int, delta []float32) {
-	mu := t.lockFor(k, row)
-	mu.Lock()
-	tensor.AddTo(buf.Row(row), delta)
-	mu.Unlock()
+	return grads
 }
 
 func zero(x []float32) {

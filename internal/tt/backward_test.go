@@ -85,33 +85,134 @@ func TestBackwardAggregationEquivalence(t *testing.T) {
 	}
 }
 
-// TestBackwardFusedMatchesUnfusedDisjointSlices: when no two work items
-// share any TT slice, fused and unfused updates coincide exactly.
-func TestBackwardFusedMatchesUnfusedDisjointSlices(t *testing.T) {
-	shape := testShape(t) // factors {4,5,5}
-	// Indices with pairwise-distinct i1, i2, i3.
-	idxOf := func(i1, i2, i3 int) int { return (i1*5+i2)*5 + i3 }
-	indices := []int{idxOf(0, 0, 0), idxOf(1, 1, 1), idxOf(2, 2, 2), idxOf(3, 3, 3)}
-	offsets := []int{0, 2}
-
-	run := func(fused bool) *Table {
-		tbl := NewTable(shape, tensor.NewRNG(23), 0.1)
-		tbl.Deterministic = true
-		tbl.Opts = Options{DedupIndices: true, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: fused}
-		out, cache := tbl.Forward(indices, offsets)
-		tbl.Backward(cache, out, 0.05)
-		return tbl
+// sharedSliceBatches generates batches over testShape's 95 rows (factors
+// {4,5,5}): with a few dozen occurrences per batch, duplicate indices and
+// shared i₁, i₂, i₃ and (i₁,i₂) prefixes are the rule, not the exception.
+func sharedSliceBatches(seed uint64, steps int) (indices, offsets [][]int) {
+	r := tensor.NewRNG(seed)
+	for s := 0; s < steps; s++ {
+		idx, off := randomBatch(r, 95, 12, 4)
+		if s%2 == 1 {
+			// Force an exact duplicate and a prefix-mate on top of chance.
+			idx[len(idx)-1] = idx[0]
+			idx[len(idx)-2] = idx[0] - idx[0]%5 + (idx[0]+1)%5
+		}
+		indices, offsets = append(indices, idx), append(offsets, off)
 	}
-	fused, unfused := run(true), run(false)
-	for k := 0; k < Dims; k++ {
-		if d := fused.Cores[k].MaxAbsDiff(unfused.Cores[k]); d > 1e-6 {
-			t.Fatalf("core %d fused/unfused differ by %v on disjoint slices", k, d)
+	return indices, offsets
+}
+
+// trainSteps runs Lookup/Update over the batches with the L = ½Σout²
+// gradient and returns the table.
+func trainSteps(tbl *Table, indices, offsets [][]int, lr float32) *Table {
+	for s := range indices {
+		out := tbl.Lookup(indices[s], offsets[s])
+		tbl.Update(indices[s], offsets[s], out.Clone(), lr)
+	}
+	return tbl
+}
+
+// backwardConfigs are the InAdvanceAgg configurations the equivalence tests
+// cover: the full Eff-TT table, aggregation over a per-occurrence forward,
+// and no reuse buffer at all (P₁₂ computed once per prefix in Backward).
+var backwardConfigs = []struct {
+	name string
+	opts Options
+}{
+	{"eff", EffOptions()},
+	{"no-dedup", Options{ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: true}},
+	{"no-reuse-buffer", Options{InAdvanceAgg: true, FusedUpdate: true}},
+}
+
+// TestBackwardFusedMatchesUnfused: the two-level backward reads every core
+// slice before writing it, so the fused update is exact mini-batch SGD —
+// after several steps on batches full of duplicates and shared slices its
+// cores equal the unfused path's up to float rounding, for SGD and Adagrad.
+func TestBackwardFusedMatchesUnfused(t *testing.T) {
+	indices, offsets := sharedSliceBatches(23, 6)
+	for _, cfg := range backwardConfigs {
+		for _, adagrad := range []bool{false, true} {
+			run := func(fused bool) *Table {
+				tbl := newTestTable(t, 24)
+				tbl.Opts = cfg.opts
+				tbl.Opts.FusedUpdate = fused
+				if adagrad {
+					tbl.EnableAdagrad()
+				}
+				return trainSteps(tbl, indices, offsets, 0.05)
+			}
+			fused, unfused := run(true), run(false)
+			for k := 0; k < Dims; k++ {
+				if d := fused.Cores[k].MaxAbsDiff(unfused.Cores[k]); d > 1e-5 {
+					t.Errorf("%s adagrad=%v: core %d fused/unfused differ by %v", cfg.name, adagrad, k, d)
+				}
+			}
 		}
 	}
 }
 
-// TestBackwardFusedConverges: hogwild-style parallel fused updates still
-// drive a regression objective down.
+// TestBackwardWorkerCountInvariant: every core slice and scratch row of the
+// two-level backward has one writer and a fixed summation order, so the
+// trained cores are bit-identical for 1, 2 and 4 executors — no
+// Deterministic flag, prefix cache live.
+func TestBackwardWorkerCountInvariant(t *testing.T) {
+	old := tensor.Workers()
+	defer tensor.SetMaxWorkers(old)
+	indices, offsets := sharedSliceBatches(31, 6)
+	for _, cfg := range backwardConfigs {
+		for _, fused := range []bool{true, false} {
+			run := func(workers int, adagrad bool) *Table {
+				tensor.SetMaxWorkers(workers)
+				tbl := newTestTable(t, 32)
+				tbl.Opts = cfg.opts
+				tbl.Opts.FusedUpdate = fused
+				if adagrad {
+					tbl.EnableAdagrad()
+				}
+				return trainSteps(tbl, indices, offsets, 0.05)
+			}
+			for _, adagrad := range []bool{false, true} {
+				ref := run(1, adagrad)
+				for _, workers := range []int{2, 4} {
+					got := run(workers, adagrad)
+					for k := 0; k < Dims; k++ {
+						if d := got.Cores[k].MaxAbsDiff(ref.Cores[k]); d != 0 {
+							t.Errorf("%s fused=%v adagrad=%v: core %d differs by %v between 1 and %d workers", cfg.name, fused, adagrad, k, d, workers)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBackwardTwoLevelMatchesPerOccurrence: the Eff-TT backward (two
+// aggregation levels, fused) computes the same mini-batch gradient as the
+// per-occurrence baseline accumulated into gradient buffers.
+func TestBackwardTwoLevelMatchesPerOccurrence(t *testing.T) {
+	indices, offsets := sharedSliceBatches(33, 1)
+	dOut := tensor.New(len(offsets[0]), 12)
+	tensor.NewRNG(34).FillUniform(dOut.Data, 1)
+	base := newTestTable(t, 35)
+	base.Deterministic = true
+	base.Opts = NaiveOptions()
+	_, cache := base.Forward(indices[0], offsets[0])
+	base.Backward(cache, dOut, 0.1)
+	for _, cfg := range backwardConfigs {
+		tbl := newTestTable(t, 35)
+		tbl.Opts = cfg.opts
+		_, cache := tbl.Forward(indices[0], offsets[0])
+		tbl.Backward(cache, dOut, 0.1)
+		for k := 0; k < Dims; k++ {
+			if d := tbl.Cores[k].MaxAbsDiff(base.Cores[k]); d > 1e-4 {
+				t.Errorf("%s: core %d differs by %v from the per-occurrence baseline", cfg.name, k, d)
+			}
+		}
+	}
+}
+
+// TestBackwardFusedConverges: fused updates through the parallel two-level
+// backward drive a regression objective down.
 func TestBackwardFusedConverges(t *testing.T) {
 	tbl := newTestTable(t, 24)
 	tbl.Opts = EffOptions()
@@ -230,7 +331,8 @@ func TestBackwardNoPrefixBufferPath(t *testing.T) {
 }
 
 // TestBackwardAggWithoutForwardDedup: aggregation enabled on a forward pass
-// that ran per occurrence (the slot-map recovery path).
+// that ran per occurrence (unique indices rebuilt in Backward, reuse-buffer
+// rows recovered through the occurrence→unique map).
 func TestBackwardAggWithoutForwardDedup(t *testing.T) {
 	ref := newTestTable(t, 30)
 	ref.Deterministic = true
@@ -249,5 +351,46 @@ func TestBackwardAggWithoutForwardDedup(t *testing.T) {
 		if d := ref.Cores[k].MaxAbsDiff(alt.Cores[k]); d > 1e-4 {
 			t.Fatalf("core %d differs by %v", k, d)
 		}
+	}
+}
+
+// TestGroupsSortAndParts: the counting sort is stable, and the weighted
+// parts tile the key space in order with no key lost or repeated.
+func TestGroupsSortAndParts(t *testing.T) {
+	key := []int{3, 0, 3, 1, 3, 0, 5}
+	var g groups
+	g.build(6, key)
+	want := [][]int{{1, 5}, {3}, {}, {0, 2, 4}, {}, {6}}
+	for k, w := range want {
+		got := g.of(k)
+		if len(got) != len(w) {
+			t.Fatalf("key %d: items %v want %v", k, got, w)
+		}
+		for i := range w {
+			if got[i] != w[i] {
+				t.Fatalf("key %d: items %v want %v", k, got, w)
+			}
+		}
+	}
+	for _, parts := range []int{1, 2, 3, 4, 9} {
+		next := 0
+		for p := 0; p < parts; p++ {
+			lo, hi := g.part(p, parts)
+			if lo != next || hi < lo {
+				t.Fatalf("parts=%d: part %d = [%d,%d) after %d", parts, p, lo, hi, next)
+			}
+			next = hi
+		}
+		if next != 6 {
+			t.Fatalf("parts=%d: parts end at key %d want 6", parts, next)
+		}
+	}
+	// Two executors split the items 3/4 (keys 0–1, keys 2–5), not the keys 3/3.
+	if lo, hi := g.part(0, 2); lo != 0 || hi != 2 {
+		t.Fatalf("part(0,2) = [%d,%d) want [0,2)", lo, hi)
+	}
+	g.build(4, nil) // an empty batch: every part is well-formed
+	if lo, hi := g.part(1, 2); lo != 0 || hi != 4 {
+		t.Fatalf("empty part(1,2) = [%d,%d) want [0,4)", lo, hi)
 	}
 }

@@ -1,0 +1,291 @@
+package tt
+
+import "repro/internal/tensor"
+
+// This file is the Eff-TT backward (Options.InAdvanceAgg). The chain rule of
+// row(i) = reshape(G₁[i₁]·G₂[i₂])·G₃[i₃] for one aggregated gradient row g is
+//
+//	dG₃[i₃] += P₁₂ᵀ·g          (R₂ × n₃,    n₁n₂·n₃·R₂ MACs)
+//	dP₁₂     = g·G₃[i₃]ᵀ        (n₁n₂ × R₂, n₁n₂·n₃·R₂ MACs)
+//	dG₂[i₂] += G₁[i₁]ᵀ·dP₁₂    (R₁ × n₂R₂, n₁·R₁·n₂R₂ MACs)
+//	dG₁[i₁] += dP₁₂·G₂[i₂]ᵀ    (n₁ × R₁,   n₁·R₁·n₂R₂ MACs)
+//
+// The last two are the rank-sized ones (R₁·R₂ each, 94% of the chain at
+// n = 4·4·4, R = 64), they depend on the index only through its prefix
+// (i₁,i₂), and they are linear in dP₁₂. So dP₁₂ is summed over the work
+// items of a prefix first and the two big products run once per unique
+// prefix — the backward counterpart of Algorithm 1's reuse buffer, a second
+// aggregation level the paper's backward (and TT-Rec's) does not have.
+//
+// Execution is three phases, each one loop over owners that runs inline on
+// one executor and through tensor.ParallelFor on several:
+//
+//  1. per unique prefix u: dP₁₂[u] = Σ_w g_w·G₃[i₃(w)]ᵀ over its work items
+//     in work-item order; each item keeps its small P₁₂ᵀ·g_w in c3[w];
+//  2. per unique i₂: every prefix of the group keeps its small
+//     dP₁₂[u]·G₂[i₂]ᵀ in c1[u] and adds G₁[i₁(u)]ᵀ·dP₁₂[u] into one
+//     slice-sized accumulator, then G₂[i₂] is written once;
+//  3. per unique i₁ and per unique i₃: the kept contributions are summed in
+//     prefix / work-item order and G₁[i₁] / G₃[i₃] is written once.
+//
+// Ownership rule: every scratch row and every core slice has exactly one
+// writer (its prefix, its i₂ group, its slice), and all of G₁, G₃ and a
+// group's own G₂[i₂] are read before they are written. Hence no lock, no
+// read of a slice another goroutine is updating, a summation order that
+// does not depend on how owners are chunked over executors (bit-identical
+// cores for every worker count), one optimizer apply and one version bump
+// per touched slice per batch, and a fused update that is exact mini-batch
+// SGD: it differs from the unfused path only in the sink (core slice vs
+// gradient-buffer row). The paper's CUDA kernel instead lets threads update
+// shared slices with atomics as they go; that is kept only as the
+// per-occurrence baseline (backwardPerOccurrence).
+
+// groups is a stable counting sort of items 0..n-1 by a small integer key:
+// the items of key k, in increasing item order, are items[start[k]:start[k+1]].
+type groups struct {
+	start []int
+	items []int
+}
+
+// build sorts the items by key[item] ∈ [0,numKeys).
+func (g *groups) build(numKeys int, key []int) {
+	g.start = growInts(g.start, numKeys+1)
+	for k := range g.start {
+		g.start[k] = 0
+	}
+	for _, k := range key {
+		g.start[k+1]++
+	}
+	for k := 0; k < numKeys; k++ {
+		g.start[k+1] += g.start[k]
+	}
+	g.items = growInts(g.items, len(key))
+	// Place using start[k] as key k's cursor, which leaves start[k] at the
+	// end of group k; shifting by one restores the group starts.
+	for item, k := range key {
+		g.items[g.start[k]] = item
+		g.start[k]++
+	}
+	copy(g.start[1:], g.start[:numKeys])
+	g.start[0] = 0
+}
+
+// of returns the items of key k.
+func (g *groups) of(k int) []int { return g.items[g.start[k]:g.start[k+1]] }
+
+// part returns the p-th of parts contiguous key ranges that tile the key
+// space with near-equal item counts: executors given one part each do
+// near-equal work however the items cluster over the keys.
+func (g *groups) part(p, parts int) (lo, hi int) {
+	return g.bound(p, parts), g.bound(p+1, parts)
+}
+
+// bound returns the first key whose group starts at or after the p-th of
+// parts equal shares of the items.
+func (g *groups) bound(p, parts int) int {
+	keys := len(g.start) - 1
+	if p >= parts {
+		return keys
+	}
+	want := p * len(g.items) / parts
+	lo, hi := 0, keys
+	for lo < hi {
+		if mid := (lo + hi) / 2; g.start[mid] < want {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// twoLevelBwd is the state of one two-level backward call. It lives in the
+// forward cache, so the arena path reuses every buffer across batches.
+type twoLevelBwd struct {
+	workIdx  []int          // unique indices of the batch (the work items)
+	workGrad *tensor.Matrix // aggregated gradient row per work item
+	gradBufs [Dims]*tensor.Matrix
+	lr       float32
+
+	pfx     []int // unique prefix u → prefix value i₁·m₂+i₂
+	pfxOf   []int // work item → u
+	pfxSlot []int // u → reuse-buffer row of P₁₂ (when the forward kept one)
+	key     []int // counting-sort key scratch
+
+	byPfx groups // work items by u
+	byI3  groups // work items by i₃
+	byI2  groups // unique prefixes by i₂
+	byI1  groups // unique prefixes by i₁
+
+	p12  *tensor.Matrix // u → P₁₂, computed here when there is no reuse buffer
+	dP12 *tensor.Matrix // u → dP₁₂
+	c1   *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
+	c3   *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
+	dG2  []float32      // the inline executor's dG₂ accumulator
+}
+
+// backwardTwoLevel runs the three phases for the batch in cache. gradBufs
+// holds the unfused sinks (nil entries when the update is fused).
+func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradBufs [Dims]*tensor.Matrix, lr float32) {
+	b := &cache.tl
+	var workOf []int
+	b.workIdx, workOf, b.workGrad = t.aggregateGrads(cache, dOut)
+	b.gradBufs, b.lr = gradBufs, lr
+	t.groupWork(cache, b, workOf)
+	t.met.recordBackward(len(cache.Indices), len(b.workIdx), len(b.pfx))
+
+	m := t.Shape.RowFactors
+	sz := t.Shape.SliceSizes()
+	if t.serialItems() {
+		b.dG2 = growFloats(b.dG2, sz[1])
+		t.prefixPhase(cache, b, 0, len(b.pfx))
+		t.core2Phase(b, b.dG2, 0, m[1])
+		t.core13Phase(b, 0, m[0]+m[2])
+		return
+	}
+	tensor.ParallelFor(len(b.pfx), func(lo, hi int) { t.prefixPhase(cache, b, lo, hi) })
+	// Phase 2 is where the time goes and its work per owner is the group's
+	// prefix count, so executors get i₂ ranges of equal prefix count rather
+	// than equal width.
+	parts := tensor.Workers()
+	tensor.ParallelFor(parts, func(lo, hi int) {
+		//elrec:coldpath per-executor accumulator on the multi-executor path; the zero-alloc contract is the inline path's
+		dG2 := make([]float32, sz[1])
+		for p := lo; p < hi; p++ {
+			i2Lo, i2Hi := b.byI2.part(p, parts)
+			t.core2Phase(b, dG2, i2Lo, i2Hi)
+		}
+	})
+	tensor.ParallelFor(m[0]+m[2], func(lo, hi int) { t.core13Phase(b, lo, hi) })
+}
+
+// groupWork dedups the prefixes of the work items, recovers each prefix's
+// reuse-buffer row from the forward's PrefixSlots, counting-sorts work items
+// by prefix and by i₃ and prefixes by i₂ and by i₁, and sizes the scratch.
+func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
+	m := t.Shape.RowFactors
+	items := len(b.workIdx)
+	b.pfxOf = growInts(b.pfxOf, items)
+	b.pfx = t.dedupPrefixes(c, b.workIdx, b.pfxOf, b.pfx[:0])
+	prefixes := len(b.pfx)
+
+	if c.PrefixBuf != nil {
+		// Forward work item fw is backward work item fw when the forward
+		// deduplicated, and occurrence fw's unique index otherwise.
+		b.pfxSlot = growInts(b.pfxSlot, prefixes)
+		for fw, slot := range c.PrefixSlots {
+			w := fw
+			if !t.Opts.DedupIndices {
+				w = workOf[fw]
+			}
+			b.pfxSlot[b.pfxOf[w]] = slot
+		}
+	} else {
+		b.p12 = tensor.Reuse(b.p12, prefixes, t.Shape.PrefixSize())
+	}
+
+	b.byPfx.build(prefixes, b.pfxOf)
+	b.key = growInts(b.key, items)
+	for w, idx := range b.workIdx {
+		b.key[w] = idx % m[2]
+	}
+	b.byI3.build(m[2], b.key)
+	b.key = growInts(b.key, prefixes)
+	for u, pfx := range b.pfx {
+		b.key[u] = pfx % m[1]
+	}
+	b.byI2.build(m[1], b.key)
+	for u, pfx := range b.pfx {
+		b.key[u] = pfx / m[1]
+	}
+	b.byI1.build(m[0], b.key)
+
+	sz := t.Shape.SliceSizes()
+	b.dP12 = tensor.Reuse(b.dP12, prefixes, t.Shape.PrefixSize())
+	b.c1 = tensor.Reuse(b.c1, prefixes, sz[0])
+	b.c3 = tensor.Reuse(b.c3, items, sz[2])
+}
+
+// prefixPhase is phase 1 for unique prefixes [lo,hi): it owns rows u of
+// p12/dP12 and rows w of c3 for the work items w of u, and only reads cores.
+func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
+	n := t.Shape.ColFactors
+	r2 := t.Shape.R2
+	m2, m3 := t.Shape.RowFactors[1], t.Shape.RowFactors[2]
+	for u := lo; u < hi; u++ {
+		var p12 []float32
+		if c.PrefixBuf != nil {
+			p12 = c.PrefixBuf.Row(b.pfxSlot[u])
+		} else {
+			p12 = b.p12.Row(u)
+			t.computePrefix(b.pfx[u]/m2, b.pfx[u]%m2, p12)
+		}
+		dP12 := b.dP12.Row(u)
+		zero(dP12)
+		for _, w := range b.byPfx.of(u) {
+			g := b.workGrad.Row(w)
+			// dP₁₂[u] += g·G₃[i₃]ᵀ   (n₁n₂ × R₂).
+			tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, g, t.Slice3(b.workIdx[w]%m3), dP12)
+			// c3[w] = P₁₂ᵀ·g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
+			c3 := b.c3.Row(w)
+			zero(c3)
+			tensor.GemmTransAAddInto(r2, n[0]*n[1], n[2], p12, g, c3)
+		}
+	}
+}
+
+// core2Phase is phase 2 for i₂ ∈ [lo,hi): it owns G₂[i₂] and rows u of c1
+// for the prefixes u of the group, and reads G₁ and dP12. dG2 is the
+// executor's slice-sized accumulator.
+func (t *Table) core2Phase(b *twoLevelBwd, dG2 []float32, lo, hi int) {
+	n := t.Shape.ColFactors
+	r1, r2 := t.Shape.R1, t.Shape.R2
+	m2 := t.Shape.RowFactors[1]
+	for i2 := lo; i2 < hi; i2++ {
+		us := b.byI2.of(i2)
+		if len(us) == 0 {
+			continue
+		}
+		g2 := t.Slice2(i2)
+		zero(dG2)
+		for _, u := range us {
+			dP12 := b.dP12.Row(u)
+			// c1[u] = dP₁₂·G₂[i₂]ᵀ   (n₁ × R₁).
+			c1 := b.c1.Row(u)
+			zero(c1)
+			tensor.GemmTransBAddInto(n[0], n[1]*r2, r1, dP12, g2, c1)
+			// dG₂[i₂] += G₁[i₁]ᵀ·dP₁₂   (R₁ × n₂R₂), dP₁₂ viewed as n₁ × n₂R₂.
+			tensor.GemmTransAAddInto(r1, n[0], n[1]*r2, t.Slice1(b.pfx[u]/m2), dP12, dG2)
+		}
+		t.sinkGrad(b.gradBufs, 1, i2, dG2, b.lr)
+	}
+}
+
+// core13Phase is phase 3 for owners [lo,hi) of the concatenated slice list
+// (G₁ slices first, then G₃ slices): each owner sums its kept contributions
+// into the first one's row, in prefix / work-item order, and writes its
+// slice once.
+func (t *Table) core13Phase(b *twoLevelBwd, lo, hi int) {
+	m1 := t.Shape.RowFactors[0]
+	for o := lo; o < hi; o++ {
+		if o < m1 {
+			t.reduceAndSink(b, 0, o, b.c1, b.byI1.of(o))
+		} else {
+			t.reduceAndSink(b, 2, o-m1, b.c3, b.byI3.of(o-m1))
+		}
+	}
+}
+
+// reduceAndSink sums the listed rows of contrib into the first of them, in
+// list order, and delivers the sum as the batch gradient of slice row of
+// core k — the one sinkGrad call that slice gets this batch.
+func (t *Table) reduceAndSink(b *twoLevelBwd, k, row int, contrib *tensor.Matrix, rows []int) {
+	if len(rows) == 0 {
+		return
+	}
+	sum := contrib.Row(rows[0])
+	for _, r := range rows[1:] {
+		tensor.AddTo(sum, contrib.Row(r))
+	}
+	t.sinkGrad(b.gradBufs, k, row, sum, b.lr)
+}

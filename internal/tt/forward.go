@@ -51,14 +51,13 @@ type ForwardCache struct {
 
 	workIdxBuf []int
 	workOfBuf  []int
-	slotsBuf   []int // backward rebuild: slot per rebuilt work item
-	bwSlots    []int // non-nil when slotsBuf is valid for this backward
 	prefixes   []int
 	batch      []tensor.GemmBatch
 	out        *tensor.Matrix
 	p12        []float32 // serial-path prefix recompute scratch
 	workGrad   *tensor.Matrix
-	bw         bwScratch
+	bw         bwScratch   // per-occurrence baseline backward
+	tl         twoLevelBwd // two-level backward (InAdvanceAgg)
 }
 
 // growInts returns buf resized to n, reusing its storage when it fits.
@@ -277,37 +276,7 @@ func (t *Table) fillPrefixBuffer(c *ForwardCache) {
 //
 //elrec:coldpath batch-local recompute: fresh caches and Deterministic mode; the training hot path uses the versioned cache
 func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
-	c.prefixes = c.prefixes[:0]
-	if np := t.Shape.NumPrefixes(); np <= 4*len(c.WorkIdx)+1024 || (c.arena && np <= prefixDenseCap) {
-		// Dense stamped slot map (Algorithm 1's Buf_flag): arena caches
-		// keep it across batches, so neither reallocation nor the O(np)
-		// reset recurs.
-		if len(c.pfxStamp) < np {
-			c.pfxStamp = make([]int64, np)
-			c.pfxSlot = make([]int32, np)
-		}
-		for w, idx := range c.WorkIdx {
-			pfx := t.Shape.Prefix(idx)
-			if c.pfxStamp[pfx] != c.seq {
-				c.pfxStamp[pfx] = c.seq
-				c.pfxSlot[pfx] = int32(len(c.prefixes))
-				c.prefixes = append(c.prefixes, pfx)
-			}
-			c.PrefixSlots[w] = int(c.pfxSlot[pfx])
-		}
-	} else {
-		slotOf := make(map[int]int, len(c.WorkIdx))
-		for w, idx := range c.WorkIdx {
-			pfx := t.Shape.Prefix(idx)
-			slot, ok := slotOf[pfx]
-			if !ok {
-				slot = len(c.prefixes)
-				slotOf[pfx] = slot
-				c.prefixes = append(c.prefixes, pfx)
-			}
-			c.PrefixSlots[w] = slot
-		}
-	}
+	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes[:0])
 
 	c.PrefixBuf = tensor.Reuse(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize())
 	if cap(c.batch) < len(c.prefixes) {
@@ -322,4 +291,48 @@ func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
 	n := t.Shape.ColFactors
 	tensor.BatchedMatMul(n[0], t.Shape.R1, n[1]*t.Shape.R2, c.batch)
 	t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
+}
+
+// dedupPrefixes writes into ids[w] the batch-local dense id of work item w's
+// prefix, ids being handed out in first-occurrence order (Algorithm 1's
+// Buf_flag/Buf_idx), and returns the unique prefixes appended to uniq. The
+// forward's batch-local reuse buffer and the two-level backward share it.
+// Arena caches keep the dense stamped slot map across batches, so neither
+// reallocation nor an O(prefixes) reset recurs; fresh caches over a prefix
+// space much larger than the batch use a map.
+func (t *Table) dedupPrefixes(c *ForwardCache, workIdx, ids, uniq []int) []int {
+	np := t.Shape.NumPrefixes()
+	if np > 4*len(workIdx)+1024 && !(c.arena && np <= prefixDenseCap) {
+		//elrec:coldpath map dedup: fresh caches and beyond-cap prefix spaces only
+		slotOf := make(map[int]int, len(workIdx))
+		for w, idx := range workIdx {
+			pfx := t.Shape.Prefix(idx)
+			slot, ok := slotOf[pfx]
+			if !ok {
+				slot = len(uniq)
+				slotOf[pfx] = slot       //elrec:coldpath see above
+				uniq = append(uniq, pfx) //elrec:coldpath see above
+			}
+			ids[w] = slot
+		}
+		return uniq
+	}
+	if len(c.pfxStamp) < np {
+		//elrec:coldpath one-time stamp scratch sized to the prefix space
+		c.pfxStamp = make([]int64, np)
+		//elrec:coldpath one-time stamp scratch sized to the prefix space
+		c.pfxSlot = make([]int32, np)
+	}
+	c.seq++ // fresh stamp generation
+	for w, idx := range workIdx {
+		pfx := t.Shape.Prefix(idx)
+		if c.pfxStamp[pfx] != c.seq {
+			c.pfxStamp[pfx] = c.seq
+			c.pfxSlot[pfx] = int32(len(uniq))
+			//elrec:coldpath amortized: the prefix list keeps its capacity across batches
+			uniq = append(uniq, pfx)
+		}
+		ids[w] = int(c.pfxSlot[pfx])
+	}
+	return uniq
 }

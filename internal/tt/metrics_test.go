@@ -54,8 +54,32 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 	}
 }
 
-// TestBackwardMetricsAggregation checks the in-advance-aggregation split on
-// a known batch: 6 gradient occurrences collapse to 3 aggregated rows.
+// TestPrefixGemmLaunchOnlyWhenRun: a Lookup whose unique prefixes are all
+// served by the cross-batch cache runs no batched GEMM and counts none.
+func TestPrefixGemmLaunchOnlyWhenRun(t *testing.T) {
+	tbl := newTestTable(t, 9)
+	reg := obs.NewRegistry()
+	tbl.AttachMetrics(reg)
+
+	indices := []int{0, 0, 1, 1, 7, 7}
+	offsets := []int{0, 3}
+	tbl.Lookup(indices, offsets)
+	tbl.Lookup(indices, offsets) // no Update in between: both prefixes hit
+	snap := reg.Snapshot()
+	if got := snap.Counter("tt_batched_gemm_launches"); got != 1 {
+		t.Errorf("tt_batched_gemm_launches = %d want 1", got)
+	}
+	if got := snap.Counter("tt_batched_gemm_ops"); got != 2 {
+		t.Errorf("tt_batched_gemm_ops = %d want 2", got)
+	}
+	if got := snap.Counter("tt_prefix_cache_hits"); got != 2 {
+		t.Errorf("tt_prefix_cache_hits = %d want 2", got)
+	}
+}
+
+// TestBackwardMetricsAggregation checks both aggregation levels on a known
+// batch: 6 gradient occurrences collapse to 3 aggregated rows, whose
+// prefixes {0, 0, 1} run the rank-sized contractions twice.
 func TestBackwardMetricsAggregation(t *testing.T) {
 	tbl := newTestTable(t, 7)
 	reg := obs.NewRegistry()
@@ -77,15 +101,26 @@ func TestBackwardMetricsAggregation(t *testing.T) {
 	if got := snap.Gauges["tt_backward_agg_ratio"]; got != 2.0 {
 		t.Errorf("tt_backward_agg_ratio = %v want 2", got)
 	}
+	if got := snap.Counter("tt_backward_prefix_work"); got != 2 {
+		t.Errorf("tt_backward_prefix_work = %d want 2", got)
+	}
+	if got := snap.Gauges["tt_backward_prefix_agg_ratio"]; got != 1.5 {
+		t.Errorf("tt_backward_prefix_agg_ratio = %v want 1.5", got)
+	}
 
-	// Without in-advance aggregation every occurrence is a gradient row.
+	// Without in-advance aggregation every occurrence is a gradient row and
+	// runs the whole chain.
 	naive := newTestTable(t, 8)
 	naive.Opts = NaiveOptions()
 	regN := obs.NewRegistry()
 	naive.AttachMetrics(regN)
 	naive.Update(indices, offsets, grad, 0.01)
-	if got := regN.Snapshot().Counter("tt_backward_work"); got != 6 {
+	snapN := regN.Snapshot()
+	if got := snapN.Counter("tt_backward_work"); got != 6 {
 		t.Errorf("naive tt_backward_work = %d want 6", got)
+	}
+	if got := snapN.Counter("tt_backward_prefix_work"); got != 6 {
+		t.Errorf("naive tt_backward_prefix_work = %d want 6", got)
 	}
 }
 

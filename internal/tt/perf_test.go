@@ -46,7 +46,8 @@ func TestLookupUpdateZeroAllocSteadyState(t *testing.T) {
 
 // TestForwardZeroAllocVariantsSteadyState checks the arena path stays
 // allocation-free across option combinations that exercise the batch-local
-// prefix buffer (Deterministic bypass) and the no-dedup identity WorkOf.
+// prefix buffer (Deterministic bypass), the no-dedup identity WorkOf and the
+// backward's own per-prefix P₁₂ scratch (no reuse buffer).
 func TestForwardZeroAllocVariantsSteadyState(t *testing.T) {
 	old := tensor.Workers()
 	tensor.SetMaxWorkers(1)
@@ -60,6 +61,7 @@ func TestForwardZeroAllocVariantsSteadyState(t *testing.T) {
 	}{
 		{"deterministic-bypass", true, EffOptions()},
 		{"no-dedup-identity-workof", false, Options{ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: true}},
+		{"no-reuse-buffer", false, Options{InAdvanceAgg: true, FusedUpdate: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,11 +20,21 @@ type Options struct {
 	// ReusePrefix maintains the reuse buffer of first-two-core products
 	// keyed by index/m₃ and evaluates it with batched GEMM (Algorithm 1).
 	ReusePrefix bool
-	// InAdvanceAgg aggregates embedding gradients per unique index before
-	// multiplying with TT cores in the backward pass (§III-B).
+	// InAdvanceAgg aggregates gradients before multiplying with TT cores in
+	// the backward pass (§III-B), at both reuse levels of the forward pass:
+	// one gradient row per unique index, then one dP₁₂ per unique (i₁,i₂)
+	// prefix, so the two rank-sized contractions (dG₁, dG₂) run once per
+	// prefix. The paper aggregates at the first level only; the second is
+	// the same argument applied to Algorithm 1's prefix. Every core slice
+	// has one writer per batch on this path, so its result does not depend
+	// on the worker count. Off, every index occurrence runs the whole chain
+	// (the TT-Rec baseline).
 	InAdvanceAgg bool
-	// FusedUpdate applies the SGD update inside the backward kernel instead
-	// of materializing core gradients and updating in a second pass (§III-B).
+	// FusedUpdate applies the update inside the backward pass, one apply per
+	// touched core slice, instead of materializing full core gradients and
+	// updating in a second sweep (§III-B). With InAdvanceAgg every slice is
+	// read before it is written, so fused and unfused are the same
+	// mini-batch step up to float rounding and differ only in the sink.
 	FusedUpdate bool
 }
 
@@ -36,8 +46,9 @@ func EffOptions() Options {
 // NaiveOptions returns the TT-Rec baseline configuration.
 func NaiveOptions() Options { return Options{} }
 
-// lockStripes is the number of striped mutexes per core protecting fused
-// in-place slice updates when the backward pass runs in parallel.
+// lockStripes is the number of striped mutexes per core protecting slice
+// updates of the per-occurrence baseline backward when it runs in parallel.
+// The two-level backward takes none: each slice has one writer.
 const lockStripes = 128
 
 // Table is a TT-compressed embedding table with sum-pooling lookup
@@ -47,11 +58,14 @@ const lockStripes = 128
 type Table struct {
 	Shape Shape
 	Opts  Options
-	// Deterministic forces single-threaded forward/backward execution.
-	// The parallel fused-update path applies slice updates in whatever
-	// order goroutines reach them (hogwild-style, as the paper's CUDA
-	// kernel does with atomics); tests that need bit-exact results set
-	// this flag.
+	// Deterministic forces single-threaded forward/backward execution and
+	// bypasses the cross-batch prefix cache. Only the per-occurrence
+	// baseline backward (InAdvanceAgg off) needs it for bit-exact results:
+	// in parallel it applies slice updates in whatever order goroutines
+	// reach them (hogwild-style, as the paper's CUDA kernel does with
+	// atomics). The forward pass and the two-level backward give every
+	// output row and core slice a single writer and a fixed summation
+	// order, so they are bit-identical for every worker count without it.
 	Deterministic bool
 	// Cores[k] stores one slice per row: Cores[k] has RowFactors[k] rows of
 	// SliceSizes()[k] floats each.
@@ -87,9 +101,10 @@ type Table struct {
 	protected atomic.Pointer[protectedPrefixes]
 
 	// coreVer[k][row] counts mutations of core k's slice row (k < 2, the
-	// prefix sources). The fused backward kernel bumps rows under the same
-	// stripe lock that guards the slice write; all other mutators are
-	// serialized by the Table protocol.
+	// prefix sources). The fused backward bumps a row together with the
+	// slice write, by the slice's single writer (or under its stripe lock
+	// on the baseline); all other mutators are serialized by the Table
+	// protocol.
 	coreVer [2][]uint64
 
 	// met holds the forward-path instruments (see AttachMetrics). The zero
@@ -101,7 +116,8 @@ type Table struct {
 // tableMetrics instruments the two-level reuse of the forward pass: how
 // many index occurrences collapse into work items (deduplication) and how
 // many work items share a reuse-buffer prefix (Algorithm 1), plus the
-// batched-GEMM launches that evaluate the buffer. All counters aggregate
+// batched-GEMM launches that evaluate the buffer — and the same two levels
+// of the backward's aggregation. All counters aggregate
 // across every table attached to the same registry, so the exported ratios
 // describe the whole embedding layer.
 type tableMetrics struct {
@@ -114,8 +130,9 @@ type tableMetrics struct {
 	gemmLaunches   *obs.Counter // batched-GEMM kernel launches
 	gemmOps        *obs.Counter // individual GEMMs inside those launches
 
-	backwardRows *obs.Counter // gradient occurrences entering Backward
-	backwardWork *obs.Counter // gradient rows after in-advance aggregation
+	backwardRows  *obs.Counter // gradient occurrences entering Backward
+	backwardWork  *obs.Counter // gradient rows after in-advance aggregation
+	backwardPairs *obs.Counter // dG₁/dG₂ contraction pairs run: one per unique prefix (per row on the baseline)
 
 	cacheHits   *obs.Counter // unique prefixes served by the cross-batch cache
 	cacheMisses *obs.Counter // unique prefixes recomputed (stale or absent)
@@ -123,6 +140,7 @@ type tableMetrics struct {
 	dedupRatio    *obs.Gauge // cumulative indices / work items (≥ 1)
 	prefixHitRate *obs.Gauge // cumulative share of prefix work served by the buffer
 	backwardAgg   *obs.Gauge // cumulative backward rows / aggregated rows (≥ 1)
+	backwardPfx   *obs.Gauge // cumulative aggregated rows / dG₁,dG₂ contraction pairs (≥ 1)
 }
 
 // AttachMetrics wires the table's forward-path counters to r under tt_*
@@ -141,11 +159,13 @@ func (t *Table) AttachMetrics(r *obs.Registry) {
 		gemmOps:        r.Counter("tt_batched_gemm_ops"),
 		backwardRows:   r.Counter("tt_backward_rows"),
 		backwardWork:   r.Counter("tt_backward_work"),
+		backwardPairs:  r.Counter("tt_backward_prefix_work"),
 		cacheHits:      r.Counter("tt_prefix_cache_hits"),
 		cacheMisses:    r.Counter("tt_prefix_cache_misses"),
 		dedupRatio:     r.Gauge("tt_dedup_ratio"),
 		prefixHitRate:  r.Gauge("tt_prefix_hit_rate"),
 		backwardAgg:    r.Gauge("tt_backward_agg_ratio"),
+		backwardPfx:    r.Gauge("tt_backward_prefix_agg_ratio"),
 	}
 }
 
@@ -171,7 +191,10 @@ func (m *tableMetrics) recordPrefix(workItems, uniquePrefixes int) {
 	}
 	m.prefixWork.Add(int64(workItems))
 	m.uniquePrefixes.Add(int64(uniquePrefixes))
-	m.gemmLaunches.Inc()
+	if uniquePrefixes > 0 {
+		// No launch when every prefix was served by the cross-batch cache.
+		m.gemmLaunches.Inc()
+	}
 	m.gemmOps.Add(int64(uniquePrefixes))
 	if w := m.prefixWork.Value(); w > 0 {
 		m.prefixHitRate.Set(1 - float64(m.uniquePrefixes.Value())/float64(w))
@@ -189,17 +212,23 @@ func (m *tableMetrics) recordPrefixCache(hits, misses int) {
 	m.cacheMisses.Add(int64(misses))
 }
 
-// recordBackward accumulates one Backward call's gradient-row split and
-// refreshes the in-advance-aggregation ratio gauge (§III-B): occurrences
-// per core-multiplication chain actually run.
-func (m *tableMetrics) recordBackward(rows, workRows int) {
+// recordBackward accumulates one Backward call's two aggregation levels and
+// refreshes their ratio gauges (§III-B): occurrences per aggregated gradient
+// row, and aggregated rows per pair of rank-sized contractions (dG₁, dG₂)
+// actually run — prefixWork is the batch's unique prefixes with
+// InAdvanceAgg and workRows on the per-occurrence baseline.
+func (m *tableMetrics) recordBackward(rows, workRows, prefixWork int) {
 	if !m.attached {
 		return
 	}
 	m.backwardRows.Add(int64(rows))
 	m.backwardWork.Add(int64(workRows))
+	m.backwardPairs.Add(int64(prefixWork))
 	if w := m.backwardWork.Value(); w > 0 {
 		m.backwardAgg.Set(float64(m.backwardRows.Value()) / float64(w))
+		if p := m.backwardPairs.Value(); p > 0 {
+			m.backwardPfx.Set(float64(w) / float64(p))
+		}
 	}
 }
 
