@@ -198,26 +198,11 @@ func TestFig13ShapeAndOOM(t *testing.T) {
 
 func TestFig14AllOptimizationsMatter(t *testing.T) {
 	skipUnderRace(t)
-	// Wall-time shape: when `go test ./...` runs other packages on the same
-	// two vCPUs a single regeneration violates it about one time in five,
-	// on any commit. The shape has to hold in one of three regenerations.
-	var violation string
-	for attempt := 0; attempt < 3; attempt++ {
-		if violation = fig14Violation(t, Fig14(Quick())); violation == "" {
-			return
-		}
-		t.Logf("attempt %d: %s", attempt+1, violation)
-	}
-	t.Fatal(violation)
-}
-
-// fig14Violation returns the first row of r that breaks Figure 14's shape,
-// or "" when every row holds.
-func fig14Violation(t *testing.T, r *Result) string {
+	r := Fig14(Quick())
 	for _, row := range r.Rows {
 		full := cellFloat(t, row[1])
 		if full <= 0 {
-			return fmt.Sprintf("zero throughput: %v", row)
+			t.Fatalf("zero throughput: %v", row)
 		}
 		// At least one disabled variant must cost >5% (the breakdown has
 		// signal); no variant should be dramatically faster than full.
@@ -225,15 +210,14 @@ func fig14Violation(t *testing.T, r *Result) string {
 		dropAgg := cellFloat(t, row[6])
 		dropReorder := cellFloat(t, row[7])
 		if dropReuse < 5 && dropAgg < 5 && dropReorder < 5 {
-			return fmt.Sprintf("no optimization shows impact: %v", row)
+			t.Fatalf("no optimization shows impact: %v", row)
 		}
 		for _, d := range []float64{dropReuse, dropAgg, dropReorder} {
 			if d < -20 {
-				return fmt.Sprintf("disabled variant much faster than full Eff-TT: %v", row)
+				t.Fatalf("disabled variant much faster than full Eff-TT: %v", row)
 			}
 		}
 	}
-	return ""
 }
 
 func TestFig16PipelineBeatsSequential(t *testing.T) {

@@ -269,6 +269,10 @@ func TestPipelineLookaheadWithDeviceTTBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev := tt.NewTable(shape, tensor.NewRNG(2), 0.05)
+		// Deterministic keeps this pipeline test on the single-threaded,
+		// batch-local TT path (no cross-batch prefix cache); the default
+		// path's bit-exactness is tested in internal/tt.
+		dev.Deterministic = true
 		locs := []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}}
 		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 4, Seed: 4, Lookahead: lookahead}, locs)
 		if err != nil {

@@ -354,9 +354,8 @@ func TestBackwardAggWithoutForwardDedup(t *testing.T) {
 	}
 }
 
-// TestGroupsSortAndParts: the counting sort is stable, and the weighted
-// parts tile the key space in order with no key lost or repeated.
-func TestGroupsSortAndParts(t *testing.T) {
+// TestGroupsSort: the counting sort is stable and keeps empty keys empty.
+func TestGroupsSort(t *testing.T) {
 	key := []int{3, 0, 3, 1, 3, 0, 5}
 	var g groups
 	g.build(6, key)
@@ -371,26 +370,5 @@ func TestGroupsSortAndParts(t *testing.T) {
 				t.Fatalf("key %d: items %v want %v", k, got, w)
 			}
 		}
-	}
-	for _, parts := range []int{1, 2, 3, 4, 9} {
-		next := 0
-		for p := 0; p < parts; p++ {
-			lo, hi := g.part(p, parts)
-			if lo != next || hi < lo {
-				t.Fatalf("parts=%d: part %d = [%d,%d) after %d", parts, p, lo, hi, next)
-			}
-			next = hi
-		}
-		if next != 6 {
-			t.Fatalf("parts=%d: parts end at key %d want 6", parts, next)
-		}
-	}
-	// Two executors split the items 3/4 (keys 0–1, keys 2–5), not the keys 3/3.
-	if lo, hi := g.part(0, 2); lo != 0 || hi != 2 {
-		t.Fatalf("part(0,2) = [%d,%d) want [0,2)", lo, hi)
-	}
-	g.build(4, nil) // an empty batch: every part is well-formed
-	if lo, hi := g.part(1, 2); lo != 0 || hi != 4 {
-		t.Fatalf("empty part(1,2) = [%d,%d) want [0,4)", lo, hi)
 	}
 }

@@ -73,32 +73,6 @@ func (g *groups) build(numKeys int, key []int) {
 // of returns the items of key k.
 func (g *groups) of(k int) []int { return g.items[g.start[k]:g.start[k+1]] }
 
-// part returns the p-th of parts contiguous key ranges that tile the key
-// space with near-equal item counts: executors given one part each do
-// near-equal work however the items cluster over the keys.
-func (g *groups) part(p, parts int) (lo, hi int) {
-	return g.bound(p, parts), g.bound(p+1, parts)
-}
-
-// bound returns the first key whose group starts at or after the p-th of
-// parts equal shares of the items.
-func (g *groups) bound(p, parts int) int {
-	keys := len(g.start) - 1
-	if p >= parts {
-		return keys
-	}
-	want := p * len(g.items) / parts
-	lo, hi := 0, keys
-	for lo < hi {
-		if mid := (lo + hi) / 2; g.start[mid] < want {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // twoLevelBwd is the state of one two-level backward call. It lives in the
 // forward cache, so the arena path reuses every buffer across batches.
 type twoLevelBwd struct {
@@ -121,7 +95,7 @@ type twoLevelBwd struct {
 	dP12 *tensor.Matrix // u → dP₁₂
 	c1   *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
 	c3   *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
-	dG2  []float32      // the inline executor's dG₂ accumulator
+	dG2  *tensor.Matrix // executor → its dG₂[i₂] accumulator (one slice-sized row each)
 }
 
 // backwardTwoLevel runs the three phases for the batch in cache. gradBufs
@@ -137,23 +111,21 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradB
 	m := t.Shape.RowFactors
 	sz := t.Shape.SliceSizes()
 	if t.serialItems() {
-		b.dG2 = growFloats(b.dG2, sz[1])
+		b.dG2 = tensor.Reuse(b.dG2, 1, sz[1])
 		t.prefixPhase(cache, b, 0, len(b.pfx))
-		t.core2Phase(b, b.dG2, 0, m[1])
+		t.core2Phase(b, b.dG2.Row(0), 0, 1)
 		t.core13Phase(b, 0, m[0]+m[2])
 		return
 	}
 	tensor.ParallelFor(len(b.pfx), func(lo, hi int) { t.prefixPhase(cache, b, lo, hi) })
-	// Phase 2 is where the time goes and its work per owner is the group's
-	// prefix count, so executors get i₂ ranges of equal prefix count rather
-	// than equal width.
-	parts := tensor.Workers()
+	// Phase 2 needs one accumulator per executor, so it loops over executors
+	// and executor p owns the groups i₂ ≡ p (mod parts): reordered indices
+	// put most prefixes in the lowest i₂, which striding spreads evenly.
+	parts := min(tensor.Workers(), m[1])
+	b.dG2 = tensor.Reuse(b.dG2, parts, sz[1])
 	tensor.ParallelFor(parts, func(lo, hi int) {
-		//elrec:coldpath per-executor accumulator on the multi-executor path; the zero-alloc contract is the inline path's
-		dG2 := make([]float32, sz[1])
 		for p := lo; p < hi; p++ {
-			i2Lo, i2Hi := b.byI2.part(p, parts)
-			t.core2Phase(b, dG2, i2Lo, i2Hi)
+			t.core2Phase(b, b.dG2.Row(p), p, parts)
 		}
 	})
 	tensor.ParallelFor(m[0]+m[2], func(lo, hi int) { t.core13Phase(b, lo, hi) })
@@ -234,14 +206,14 @@ func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
 	}
 }
 
-// core2Phase is phase 2 for i₂ ∈ [lo,hi): it owns G₂[i₂] and rows u of c1
-// for the prefixes u of the group, and reads G₁ and dP12. dG2 is the
-// executor's slice-sized accumulator.
-func (t *Table) core2Phase(b *twoLevelBwd, dG2 []float32, lo, hi int) {
+// core2Phase is phase 2 for i₂ = first, first+stride, …: it owns those
+// G₂[i₂] and rows u of c1 for the prefixes u of their groups, and reads G₁
+// and dP12. dG2 is the executor's slice-sized accumulator.
+func (t *Table) core2Phase(b *twoLevelBwd, dG2 []float32, first, stride int) {
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
 	m2 := t.Shape.RowFactors[1]
-	for i2 := lo; i2 < hi; i2++ {
+	for i2 := first; i2 < m2; i2 += stride {
 		us := b.byI2.of(i2)
 		if len(us) == 0 {
 			continue

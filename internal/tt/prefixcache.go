@@ -201,8 +201,9 @@ func (t *Table) InvalidatePrefixCache() {
 
 // ensureCoreVersions allocates the per-row version counters of the first
 // two cores (the prefix sources). Versions start at zero; every mutation
-// path bumps them (applyGradSlice under the row's stripe lock, the unfused
-// sweep wholesale).
+// path bumps them: applyGradSlice as the slice's owner (its single writer on
+// the two-level backward, under the row's stripe lock via sinkLocked on the
+// per-occurrence baseline), the unfused sweep wholesale.
 func (t *Table) ensureCoreVersions() {
 	for k := 0; k < 2; k++ {
 		if t.coreVer[k] == nil {
