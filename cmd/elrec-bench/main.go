@@ -10,7 +10,7 @@
 // Every experiment prints the same rows/series the paper reports plus notes
 // recording the parameters and the paper's reference numbers. Alongside the
 // stdout tables, each experiment writes a machine-readable BENCH_<id>.json
-// artifact into -json-dir (config, rows, elapsed time, and a metrics
+// artifact into -json-dir (host, config, rows, elapsed time, and a metrics
 // snapshot of the systems the experiment built) so perf trajectories can
 // accumulate across commits; an empty -json-dir disables the artifacts.
 // -debug-addr serves /metrics, /trace and pprof while the sweep runs; the
@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/tensor"
 )
 
 // artifact is the BENCH_<id>.json schema: everything the stdout table
@@ -40,12 +42,48 @@ import (
 type artifact struct {
 	ID        string       `json:"id"`
 	Title     string       `json:"title"`
+	Host      hostInfo     `json:"host"`
 	Scale     bench.Scale  `json:"scale"`
 	Header    []string     `json:"header"`
 	Rows      [][]string   `json:"rows"`
 	Notes     []string     `json:"notes"`
 	ElapsedMS int64        `json:"elapsed_ms"`
 	Metrics   obs.Snapshot `json:"metrics"`
+}
+
+// hostInfo is what a timing in the artifact depends on besides the code:
+// two artifacts are comparable only when these agree. Kernels is the tensor
+// kernel family the run used ("avx2" or "portable").
+type hostInfo struct {
+	CPUModel   string `json:"cpu_model"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	Kernels    string `json:"kernels"`
+}
+
+func readHostInfo() hostInfo {
+	h := hostInfo{
+		CPUModel:   "unknown",
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		Kernels:    tensor.KernelName(),
+	}
+	// Linux only; elsewhere the model stays "unknown".
+	if cpuinfo, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(cpuinfo), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 func main() {
@@ -278,6 +316,7 @@ func writeArtifact(dir string, res *bench.Result, sc bench.Scale, elapsed time.D
 	a := artifact{
 		ID:        res.ID,
 		Title:     res.Title,
+		Host:      readHostInfo(),
 		Scale:     sc,
 		Header:    res.Header,
 		Rows:      res.Rows,

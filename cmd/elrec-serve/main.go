@@ -54,6 +54,7 @@ import (
 	"repro/internal/dlrm"
 	"repro/internal/obs"
 	"repro/internal/served"
+	"repro/internal/tensor"
 	"repro/internal/tt"
 )
 
@@ -183,7 +184,7 @@ func run() int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	log.Info("serving", "addr", ln.Addr().String(), "replicas", pool.Replicas(),
-		"queue", *queue, "coalesce", *coalesce)
+		"queue", *queue, "coalesce", *coalesce, "kernels", tensor.KernelName())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -44,6 +44,7 @@ import (
 
 	elrec "repro"
 	"repro/internal/obs"
+	"repro/internal/tensor"
 	"repro/internal/tt"
 )
 
@@ -176,7 +177,7 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Info("training", "steps", *steps-start, "batch", *batch)
+	log.Info("training", "steps", *steps-start, "batch", *batch, "kernels", tensor.KernelName())
 	done := start
 	for done < *steps {
 		chunk := *logEvery

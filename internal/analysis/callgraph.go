@@ -80,6 +80,9 @@ type Program struct {
 	Packages []*Package
 	Fset     *token.FileSet
 	ByObj    map[*types.Func]*FuncNode
+	// Stubs are the module's body-less function declarations: routines
+	// implemented in assembly. They are leaves of the call graph.
+	Stubs map[*types.Func]*ast.FuncDecl
 	// Nodes in deterministic order (package path, then position).
 	Nodes []*FuncNode
 
@@ -93,6 +96,7 @@ type Program struct {
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
 		ByObj:      map[*types.Func]*FuncNode{},
+		Stubs:      map[*types.Func]*ast.FuncDecl{},
 		directives: map[*ast.File]map[int][]directive{},
 	}
 	p.Packages = append(p.Packages, pkgs...)
@@ -104,11 +108,15 @@ func BuildProgram(pkgs []*Package) *Program {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
+				if !ok {
 					continue
 				}
 				obj, ok := pkg.TypesInfo.Defs[fn.Name].(*types.Func)
 				if !ok {
+					continue
+				}
+				if fn.Body == nil {
+					p.Stubs[obj] = fn
 					continue
 				}
 				node := &FuncNode{Obj: obj, Decl: fn, Pkg: pkg, File: file}

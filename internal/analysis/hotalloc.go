@@ -19,7 +19,8 @@ import (
 // hatch for warm-up growth and error paths. On a single line it exempts
 // one site or one call edge. Sites inside a panic(...) argument are
 // exempt automatically: a hot path that is about to crash may allocate
-// its message.
+// its message. A body-less function of this module (an assembly stub) is
+// an allocation-free leaf provided it is declared //go:noescape.
 var HotAlloc = &Analyzer{
 	Name:       "hotalloc",
 	Doc:        "functions reachable from //elrec:hotpath roots must not allocate",
@@ -208,6 +209,16 @@ func checkHotCall(pass *Pass, info *types.Info, call *ast.CallExpr, report func(
 		if _, ok := prog.ByObj[obj]; ok {
 			return // module function with a body: traversed through the call graph
 		}
+		if stub, ok := prog.Stubs[obj]; ok {
+			// An assembly routine cannot reach the allocator, but without
+			// //go:noescape the compiler assumes its pointer arguments
+			// escape and moves what they point to onto the heap at the
+			// call site.
+			if !hasNoescape(stub) {
+				report(call.Pos(), "call to assembly stub "+obj.Pkg().Name()+"."+obj.Name()+" declared without //go:noescape (its pointer arguments are forced to the heap)")
+			}
+			return
+		}
 		pkg := obj.Pkg()
 		if pkg == nil || hotAllocAllowedPkgs[pkg.Path()] {
 			return
@@ -222,6 +233,20 @@ func checkHotCall(pass *Pass, info *types.Info, call *ast.CallExpr, report func(
 		}
 		report(call.Pos(), "dynamic call (cannot be proven allocation-free)")
 	}
+}
+
+// hasNoescape reports whether a body-less declaration carries the
+// //go:noescape directive in its doc comment.
+func hasNoescape(decl *ast.FuncDecl) bool {
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		if c.Text == "//go:noescape" {
+			return true
+		}
+	}
+	return false
 }
 
 // checkHotConversion reports conversions that allocate: concrete value to

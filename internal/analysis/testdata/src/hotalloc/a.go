@@ -50,3 +50,20 @@ func pool(n int) {
 func Drive(n int) {
 	warmup(n)
 }
+
+// kernel and leaky stand in for assembly routines: body-less declarations
+// are allocation-free leaves, but only //go:noescape keeps the compiler
+// from moving what their pointer arguments point to onto the heap.
+//
+//go:noescape
+func kernel(x *float32, n int)
+
+func leaky(x *float32, n int)
+
+// Kernels is a hot-path root calling both stubs.
+//
+//elrec:hotpath golden assembly dispatch
+func Kernels(buf []float32) {
+	kernel(&buf[0], len(buf))
+	leaky(&buf[0], len(buf)) // want "hot path must not allocate: call to assembly stub hotalloc.leaky declared without //go:noescape .its pointer arguments are forced to the heap. in hotalloc.Kernels"
+}

@@ -21,16 +21,54 @@ func TTCore(sc Scale) *Result {
 	r := &Result{
 		ID:     "ttcore",
 		Title:  "compute-core hot paths (µs/op)",
-		Header: []string{"path", "us/op", "ops/s"},
+		Header: []string{"path", "us/op", "ops/s", "GFLOP/s"},
 	}
 
-	addRow := func(name string, perOp time.Duration) {
+	// flops is the path's floating-point operation count per op, 0 for the
+	// composite paths that have no single figure.
+	addRowFlops := func(name string, perOp time.Duration, flops float64) {
 		us := float64(perOp.Nanoseconds()) / 1e3
-		opsPerSec := 0.0
+		opsPerSec, gflops := 0.0, "-"
 		if perOp > 0 {
 			opsPerSec = float64(time.Second) / float64(perOp)
+			if flops > 0 {
+				gflops = fmt.Sprintf("%.1f", flops/float64(perOp.Nanoseconds()))
+			}
 		}
-		r.AddRow(name, fmt.Sprintf("%.2f", us), fmt.Sprintf("%.0f", opsPerSec))
+		r.AddRow(name, fmt.Sprintf("%.2f", us), fmt.Sprintf("%.0f", opsPerSec), gflops)
+	}
+	addRow := func(name string, perOp time.Duration) { addRowFlops(name, perOp, 0) }
+
+	// The kernel shapes the benchmark's train_tt step is made of, one serial
+	// raw-buffer call each: the TT contractions at dim 64 = 4·4·4 and rank
+	// 64 (forward NN, backward TN and NT), and the default model's widest
+	// layer, the top tower's 415→64, at batch 128 (forward NT, dW TN, dx NN).
+	type gemm = func(m, k, n int, a, b, c []float32)
+	var nn, tn, nt gemm = tensor.GemmInto, tensor.GemmTransAAddInto, tensor.GemmTransBAddInto
+	for _, g := range []struct {
+		kind    string
+		kernel  gemm
+		m, k, n int
+	}{
+		{"NN", nn, 4, 64, 256}, {"NN", nn, 16, 64, 4},
+		{"TN", tn, 64, 16, 4}, {"TN", tn, 64, 4, 256},
+		{"NT", nt, 16, 4, 64}, {"NT", nt, 4, 256, 64},
+		{"NT", nt, 128, 415, 64}, {"TN", tn, 64, 128, 415}, {"NN", nn, 128, 64, 415},
+	} {
+		a, b, c := make([]float32, g.m*g.k), make([]float32, g.k*g.n), make([]float32, g.m*g.n)
+		rng := tensor.NewRNG(13)
+		rng.FillUniform(a, 1)
+		rng.FillUniform(b, 1)
+		work := g.m * g.k * g.n
+		reps := 1 + 20_000_000/work
+		perOp := minOf(5, func() time.Duration {
+			return timeIt(func() {
+				for i := 0; i < reps; i++ {
+					g.kernel(g.m, g.k, g.n, a, b, c)
+				}
+			})
+		}) / time.Duration(reps)
+		addRowFlops(fmt.Sprintf("kernel-%s-%dx%dx%d", g.kind, g.m, g.k, g.n), perOp, 2*float64(work))
 	}
 
 	// Raw GEMM kernels at an MLP-tower-like and a square shape.
@@ -124,5 +162,6 @@ func TTCore(sc Scale) *Result {
 	addRow("dlrm-train-step", stepTime())
 
 	r.AddNote("table %d rows, dim %d, rank %d, batch %d (-r64 rows: dim %d, rank %d, batch %d, reordered indices); ops/s is per-path calls per second", rows, sc.EmbDim, sc.Rank, sc.Batch, r64, r64, r64Batch)
+	r.AddNote("kernel-* rows: one serial call, m×k×n with the kind's operand layout, %s kernels", tensor.KernelName())
 	return r
 }

@@ -1,233 +1,178 @@
 package tensor
 
-// This file holds the register-blocked, cache-tiled GEMM micro-kernels that
-// every matrix product in the repository funnels through. The shapes split
-// into two regimes: the MLP towers multiply large-ish row-major panels
-// (hundreds × hundreds), where blocking and B-row streaming dominate, and
-// the TT contractions multiply tiny slices (ranks 8–32), where per-call
-// overhead dominates. The kernels therefore keep a single code path with
-// small fixed register tiles (4 A-rows at a time, 2 for the dot-product
-// variant) and a k-panel loop sized so the streamed B panel stays
-// cache-resident; tail loops handle every odd shape exactly.
+// This file holds the three GEMM entry points every matrix product in the
+// repository funnels through, and the portable Go kernels behind them. On
+// amd64 hosts with AVX2 and FMA each entry point hands the whole product to
+// the assembly in gemm_amd64.s; the Go kernels below run everywhere else
+// (other architectures, older CPUs, the purego build tag) and are the
+// tests' oracle for the assembly.
 //
-// Summation order is fixed by the loop structure, so results are
-// deterministic run-to-run (the determinism contract of the tt/reorder
-// packages); the order differs from a textbook triple loop only in that
-// rows accumulate in k-panel chunks.
+// Both families keep one rule: an output element's bits depend on its A row,
+// its B column and k, never on m or on where the row sits in the call.
+// ParallelFor row splits and in-batch dedup change only m, and every
+// bit-exact equivalence in the repository rests on that. Results are
+// deterministic run-to-run within one kernel family; the two families round
+// differently (the assembly fuses each multiply-add, the Go kernels round as
+// the compiler emits them), see DESIGN.md §12.
 
-import "sync"
-
-// gemmKC is the k-panel height: the B panel streamed per outer iteration is
-// gemmKC×n floats, sized to stay L2-resident for the row widths the MLP
-// towers use (n ≤ 1024 → ≤ 1 MB).
-const gemmKC = 256
-
-// gemmPackMinRows gates the B-transpose packing path in gemmBlocked: the
-// k×n transpose cost is amortized over m output rows, so packing only pays
-// once m is comfortably larger than one register tile. Below the threshold
-// (the tiny TT-contraction regime) the streaming path wins on call overhead.
-const gemmPackMinRows = 16
-
-// packPool recycles Bᵀ packing scratch across gemmBlocked calls so the hot
-// training path stays allocation-free in steady state. Pointers to slices
-// are pooled to avoid the interface-boxing allocation on Put.
-var packPool = sync.Pool{New: func() interface{} { return new([]float32) }}
-
-// packTranspose writes bt = bᵀ where b is k×n row-major and bt is n×k.
-// Blocked over both dimensions so source and destination lines stay live
-// across the inner tile.
-func packTranspose(bt, b []float32, k, n int) {
-	const tile = 32
-	for j0 := 0; j0 < n; j0 += tile {
-		j1 := j0 + tile
-		if j1 > n {
-			j1 = n
-		}
-		for k0 := 0; k0 < k; k0 += tile {
-			k1 := k0 + tile
-			if k1 > k {
-				k1 = k
-			}
-			for kk := k0; kk < k1; kk++ {
-				brow := b[kk*n : kk*n+n]
-				for j := j0; j < j1; j++ {
-					bt[j*k+kk] = brow[j]
-				}
-			}
-		}
+// KernelName names the kernel family this process runs: "avx2" for the
+// assembly, "portable" for the Go kernels.
+func KernelName() string {
+	if useAVX2 {
+		return "avx2"
 	}
+	return "portable"
+}
+
+// zeroDims handles the degenerate products shared by every kernel family:
+// nothing to write when m or n is 0, and an empty sum (c = 0 unless
+// accumulating) when k is 0. It reports whether the caller is done.
+func zeroDims(m, k, n int, c []float32, add bool) bool {
+	if m == 0 || n == 0 {
+		return true
+	}
+	if k == 0 {
+		if !add {
+			clear(c[:m*n])
+		}
+		return true
+	}
+	return false
 }
 
 // gemmBlocked computes c = a·b (add=false) or c += a·b (add=true) for
 // row-major buffers: a is m×k, b is k×n, c is m×n. Buffers may be longer
 // than required; c must not alias a or b.
 //
-//elrec:hotpath register-blocked GEMM inner kernel
+//elrec:hotpath GEMM entry point (NN)
 func gemmBlocked(m, k, n int, a, b, c []float32, add bool) {
-	if !add {
-		z := c[:m*n]
-		for i := range z {
-			z[i] = 0
-		}
-	}
-	if m == 0 || n == 0 || k == 0 {
+	if zeroDims(m, k, n, c, add) {
 		return
 	}
-	// Large-m regime: pack Bᵀ once and run the register-accumulator dot
-	// tile, which keeps the C tile in registers instead of doing a
-	// load+store of C per multiply. The pack costs k·n writes against
-	// m·k·n multiplies of work.
-	if m >= gemmPackMinRows {
-		pp := packPool.Get().(*[]float32)
-		bt := *pp
-		if cap(bt) < k*n {
-			//elrec:coldpath pack-buffer growth on a pool miss; repeats reuse pooled storage
-			bt = make([]float32, k*n)
-		}
-		bt = bt[:k*n]
-		packTranspose(bt, b, k, n)
-		gemmTransBBlocked(m, k, n, a, bt, c, true) // c already zeroed when !add
-		*pp = bt
-		packPool.Put(pp)
+	if useAVX2 {
+		gemmNNAsm(m, k, n, a, b, c, add)
 		return
 	}
-	for k0 := 0; k0 < k; k0 += gemmKC {
-		k1 := k0 + gemmKC
-		if k1 > k {
-			k1 = k
-		}
-		i := 0
-		// 4-row register tile: one streamed B row feeds four output rows,
-		// giving four independent FMA chains per element.
-		for ; i+4 <= m; i += 4 {
-			c0 := c[(i+0)*n : (i+0)*n+n]
-			c1 := c[(i+1)*n : (i+1)*n+n]
-			c2 := c[(i+2)*n : (i+2)*n+n]
-			c3 := c[(i+3)*n : (i+3)*n+n]
-			for kk := k0; kk < k1; kk++ {
-				a0 := a[(i+0)*k+kk]
-				a1 := a[(i+1)*k+kk]
-				a2 := a[(i+2)*k+kk]
-				a3 := a[(i+3)*k+kk]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				brow := b[kk*n : kk*n+n]
-				for j, bv := range brow {
-					c0[j] += a0 * bv
-					c1[j] += a1 * bv
-					c2[j] += a2 * bv
-					c3[j] += a3 * bv
-				}
-			}
-		}
-		for ; i+2 <= m; i += 2 {
-			c0 := c[(i+0)*n : (i+0)*n+n]
-			c1 := c[(i+1)*n : (i+1)*n+n]
-			for kk := k0; kk < k1; kk++ {
-				a0 := a[(i+0)*k+kk]
-				a1 := a[(i+1)*k+kk]
-				if a0 == 0 && a1 == 0 {
-					continue
-				}
-				brow := b[kk*n : kk*n+n]
-				for j, bv := range brow {
-					c0[j] += a0 * bv
-					c1[j] += a1 * bv
-				}
-			}
-		}
-		for ; i < m; i++ {
-			c0 := c[i*n : i*n+n]
-			for kk := k0; kk < k1; kk++ {
-				if av := a[i*k+kk]; av != 0 {
-					axpy(av, b[kk*n:kk*n+n], c0)
-				}
-			}
-		}
-	}
+	gemmRowsGo(m, k, n, a, k, 1, b, c, add)
 }
 
 // gemmTransABlocked computes c += aᵀ·b where a is k×m row-major (so aᵀ is
-// m×k), b is k×n and c is m×n. Four rows of c accumulate per pass so each
-// streamed B row is read once per four outputs; the k-panel keeps the B
-// panel cache-resident across row tiles.
+// m×k), b is k×n and c is m×n.
 //
-//elrec:hotpath transposed-A GEMM kernel
+//elrec:hotpath GEMM entry point (TN)
 func gemmTransABlocked(m, k, n int, a, b, c []float32) {
-	if m == 0 || n == 0 || k == 0 {
+	if zeroDims(m, k, n, c, true) {
 		return
 	}
-	for k0 := 0; k0 < k; k0 += gemmKC {
-		k1 := k0 + gemmKC
-		if k1 > k {
-			k1 = k
-		}
-		r := 0
-		for ; r+4 <= m; r += 4 {
-			c0 := c[(r+0)*n : (r+0)*n+n]
-			c1 := c[(r+1)*n : (r+1)*n+n]
-			c2 := c[(r+2)*n : (r+2)*n+n]
-			c3 := c[(r+3)*n : (r+3)*n+n]
-			for kk := k0; kk < k1; kk++ {
-				a0 := a[kk*m+r+0]
-				a1 := a[kk*m+r+1]
-				a2 := a[kk*m+r+2]
-				a3 := a[kk*m+r+3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				brow := b[kk*n : kk*n+n]
-				for j, bv := range brow {
-					c0[j] += a0 * bv
-					c1[j] += a1 * bv
-					c2[j] += a2 * bv
-					c3[j] += a3 * bv
-				}
+	if useAVX2 {
+		gemmTNAsm(m, k, n, a, b, c)
+		return
+	}
+	gemmRowsGo(m, k, n, a, 1, m, b, c, true)
+}
+
+// gemmTransBBlocked computes c = a·bᵀ (add=false) or c += a·bᵀ (add=true)
+// where a is m×k, b is n×k row-major (bᵀ is k×n) and c is m×n.
+//
+//elrec:hotpath GEMM entry point (NT)
+func gemmTransBBlocked(m, k, n int, a, b, c []float32, add bool) {
+	if zeroDims(m, k, n, c, add) {
+		return
+	}
+	if useAVX2 {
+		gemmNTAsm(m, k, n, a, b, c, add)
+		return
+	}
+	gemmDotGo(m, k, n, a, b, c, add)
+}
+
+// gemmRowsGo is the portable NN and TN kernel for m, k, n ≥ 1: c (+)= A·b
+// where A's element (i, kk) is a[i*aRow+kk*aK] (NN: aRow=k, aK=1; TN:
+// aRow=1, aK=m). Like the NT kernel below it is a 2×4 tile of dot products,
+// eight accumulators that stay in registers over the whole k loop, each
+// summed in ascending k and then added to c; B is read four floats to a row,
+// so nothing is packed or transposed.
+func gemmRowsGo(m, k, n int, a []float32, aRow, aK int, b, c []float32, add bool) {
+	if !add {
+		clear(c[:m*n])
+	}
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		a0 := a[(i+0)*aRow:]
+		a1 := a[(i+1)*aRow:]
+		c0 := c[(i+0)*n : (i+0)*n+n]
+		c1 := c[(i+1)*n : (i+1)*n+n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s00, s01, s02, s03, s10, s11, s12, s13 float32
+			for kk := 0; kk < k; kk++ {
+				av0, av1 := a0[kk*aK], a1[kk*aK]
+				bv := b[kk*n+j : kk*n+j+4 : kk*n+j+4]
+				s00 += av0 * bv[0]
+				s01 += av0 * bv[1]
+				s02 += av0 * bv[2]
+				s03 += av0 * bv[3]
+				s10 += av1 * bv[0]
+				s11 += av1 * bv[1]
+				s12 += av1 * bv[2]
+				s13 += av1 * bv[3]
 			}
+			c0[j+0] += s00
+			c0[j+1] += s01
+			c0[j+2] += s02
+			c0[j+3] += s03
+			c1[j+0] += s10
+			c1[j+1] += s11
+			c1[j+2] += s12
+			c1[j+3] += s13
 		}
-		for ; r+2 <= m; r += 2 {
-			c0 := c[(r+0)*n : (r+0)*n+n]
-			c1 := c[(r+1)*n : (r+1)*n+n]
-			for kk := k0; kk < k1; kk++ {
-				a0 := a[kk*m+r+0]
-				a1 := a[kk*m+r+1]
-				if a0 == 0 && a1 == 0 {
-					continue
-				}
-				brow := b[kk*n : kk*n+n]
-				for j, bv := range brow {
-					c0[j] += a0 * bv
-					c1[j] += a1 * bv
-				}
+		for ; j < n; j++ {
+			var s0, s1 float32
+			for kk := 0; kk < k; kk++ {
+				bv := b[kk*n+j]
+				s0 += a0[kk*aK] * bv
+				s1 += a1[kk*aK] * bv
 			}
+			c0[j] += s0
+			c1[j] += s1
 		}
-		for ; r < m; r++ {
-			c0 := c[r*n : r*n+n]
-			for kk := k0; kk < k1; kk++ {
-				if av := a[kk*m+r]; av != 0 {
-					axpy(av, b[kk*n:kk*n+n], c0)
-				}
+	}
+	for ; i < m; i++ {
+		a0 := a[i*aRow:]
+		c0 := c[i*n : i*n+n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 float32
+			for kk := 0; kk < k; kk++ {
+				av := a0[kk*aK]
+				bv := b[kk*n+j : kk*n+j+4 : kk*n+j+4]
+				s0 += av * bv[0]
+				s1 += av * bv[1]
+				s2 += av * bv[2]
+				s3 += av * bv[3]
 			}
+			c0[j+0] += s0
+			c0[j+1] += s1
+			c0[j+2] += s2
+			c0[j+3] += s3
+		}
+		for ; j < n; j++ {
+			var s float32
+			for kk := 0; kk < k; kk++ {
+				s += a0[kk*aK] * b[kk*n+j]
+			}
+			c0[j] += s
 		}
 	}
 }
 
-// gemmTransBBlocked computes c = a·bᵀ (add=false) or c += a·bᵀ (add=true)
-// where a is m×k, b is n×k row-major (bᵀ is k×n) and c is m×n. Both operand
-// rows are contiguous, so the kernel is a 2×4 tile of simultaneous dot
-// products: two A rows against four B rows, eight independent accumulators.
-//
-//elrec:hotpath transposed-B GEMM kernel
-func gemmTransBBlocked(m, k, n int, a, b, c []float32, add bool) {
+// gemmDotGo is the portable NT kernel for m, k, n ≥ 1. Both
+// operand rows are contiguous, so it is a 2×4 tile of simultaneous dot
+// products: two A rows against four B rows, eight independent accumulators,
+// each summed in ascending k and then added to c.
+func gemmDotGo(m, k, n int, a, b, c []float32, add bool) {
 	if !add {
-		z := c[:m*n]
-		for i := range z {
-			z[i] = 0
-		}
-	}
-	if m == 0 || n == 0 || k == 0 {
-		return
+		clear(c[:m*n])
 	}
 	i := 0
 	for ; i+2 <= m; i += 2 {
@@ -265,8 +210,8 @@ func gemmTransBBlocked(m, k, n int, a, b, c []float32, add bool) {
 		}
 		for ; j < n; j++ {
 			brow := b[j*k : j*k+k]
-			c0[j] += dot(a0, brow)
-			c1[j] += dot(a1, brow)
+			c0[j] += dotGo(a0, brow)
+			c1[j] += dotGo(a1, brow)
 		}
 	}
 	for ; i < m; i++ {
@@ -291,7 +236,7 @@ func gemmTransBBlocked(m, k, n int, a, b, c []float32, add bool) {
 			c0[j+3] += s3
 		}
 		for ; j < n; j++ {
-			c0[j] += dot(arow, b[j*k:j*k+k])
+			c0[j] += dotGo(arow, b[j*k:j*k+k])
 		}
 	}
 }

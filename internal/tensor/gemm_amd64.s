@@ -1,0 +1,980 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// AVX2/FMA kernels under every matrix product (DESIGN.md §12). Every output
+// element is S = fma(a[K-1], b[K-1], … fma(a[0], b[0], +0)) for the
+// row-broadcast kernel, or eight such lane chains reduced by one fixed tree
+// for the dot kernel, stored as S or C+S. Vector lanes are independent, so
+// the tile an element lands in (4-row or 1-row, 16/8/4/1 columns) never
+// changes its bits: a result depends on its A row, its B column and k only.
+
+// ---------------------------------------------------------------------------
+// Row-broadcast kernel: C[m×n] (+)= A·B, serving NN (aRow=k, aK=1), TN
+// (aRow=1, aK=m) and, with bTrans set, NT products whose k is too short for
+// the dot kernel below (k ≤ 8): B is then n×k, and each column strip is
+// gathered into a k×16 stack tile before its rows run, so B is transposed
+// sixteen rows at a time, in cache, and never as a whole.
+//
+// Register plan:
+//   AX pA (k loop)   BX pB (k loop) / C row cursor   CX k counter
+//   DX aRow bytes    R8 3·aRow bytes   R9 aK bytes
+//   R10 ldb bytes    R11 ldc bytes
+//   SI B strip       DI C strip        R15 columns left
+//   R12 A row block  R13 C tile        R14 rows left
+//   Y15 gather indices [0,k,…,7k] (bTrans only); Y14 gather mask
+// ---------------------------------------------------------------------------
+
+// One k-step of a 4-row tile one vector wide: C0..C3 += A[4]·B.
+#define KSTEP4(MOV, FMA, B, T0, T1, T2, T3, C0, C1, C2, C3) \
+	MOV (BX), B; \
+	VBROADCASTSS (AX), T0; \
+	FMA B, T0, C0; \
+	VBROADCASTSS (AX)(DX*1), T1; \
+	FMA B, T1, C1; \
+	VBROADCASTSS (AX)(DX*2), T2; \
+	FMA B, T2, C2; \
+	VBROADCASTSS (AX)(R8*1), T3; \
+	FMA B, T3, C3; \
+	ADDQ R9, AX; \
+	ADDQ R10, BX
+
+// One k-step of a 1-row tile one vector wide.
+#define KSTEP1(MOV, FMA, B, T0, C0) \
+	MOV (BX), B; \
+	VBROADCASTSS (AX), T0; \
+	FMA B, T0, C0; \
+	ADDQ R9, AX; \
+	ADDQ R10, BX
+
+// C rows at R13, R13+ldc, … += / = four one-vector accumulators.
+#define ADDROWS4(ADD, C0, C1, C2, C3) \
+	MOVQ R13, BX; \
+	ADD (BX), C0, C0; \
+	ADDQ R11, BX; \
+	ADD (BX), C1, C1; \
+	ADDQ R11, BX; \
+	ADD (BX), C2, C2; \
+	ADDQ R11, BX; \
+	ADD (BX), C3, C3
+
+#define STOREROWS4(MOV, C0, C1, C2, C3) \
+	MOVQ R13, BX; \
+	MOV C0, (BX); \
+	ADDQ R11, BX; \
+	MOV C1, (BX); \
+	ADDQ R11, BX; \
+	MOV C2, (BX); \
+	ADDQ R11, BX; \
+	MOV C3, (BX)
+
+// Start a pass over the rows of the current column strip.
+#define STRIPROWS \
+	MOVQ a+24(FP), R12; \
+	MOVQ DI, R13; \
+	MOVQ m+0(FP), R14
+
+#define TILEPTRS \
+	MOVQ R12, AX; \
+	MOVQ SI, BX; \
+	MOVQ k+8(FP), CX
+
+#define NEXTROWS4 \
+	LEAQ (R12)(DX*4), R12; \
+	LEAQ (R13)(R11*4), R13; \
+	SUBQ $4, R14
+
+#define NEXTROW1 \
+	ADDQ DX, R12; \
+	ADDQ R11, R13; \
+	DECQ R14
+
+// In bTrans mode each strip starts by filling the stack tile from the n×k B:
+// tile row kk takes B[j, kk] for the strip's columns j. GATHER8 moves eight
+// of them (the mask is re-armed each time because a gather clears it);
+// GATHERSTRIPHEAD points BX and SI at the tile, GATHERSTRIPTAIL moves bsrc
+// past the strip (BYTESPERK = 4·its width). AX, BX, CX, R12 and R13 are free
+// at that point: STRIPROWS and TILEPTRS load them afterwards.
+#define GATHER8(BASE, IDX, MASK, DST, OFF) \
+	VPCMPEQD MASK, MASK, MASK; \
+	VGATHERDPS MASK, (BASE)(IDX*4), DST; \
+	VMOVUPS DST, OFF(BX)
+
+#define GATHERSTRIPHEAD \
+	MOVQ bsrc-520(SP), AX; \
+	MOVQ k+8(FP), CX; \
+	LEAQ tile-512(SP), BX; \
+	MOVQ BX, SI
+
+#define GATHERSTRIPTAIL(BYTESPERK) \
+	MOVQ k+8(FP), CX; \
+	IMULQ $BYTESPERK, CX; \
+	ADDQ CX, bsrc-520(SP)
+
+DATA lanes<>+0(SB)/4, $0
+DATA lanes<>+4(SB)/4, $1
+DATA lanes<>+8(SB)/4, $2
+DATA lanes<>+12(SB)/4, $3
+DATA lanes<>+16(SB)/4, $4
+DATA lanes<>+20(SB)/4, $5
+DATA lanes<>+24(SB)/4, $6
+DATA lanes<>+28(SB)/4, $7
+GLOBL lanes<>(SB), RODATA|NOPTR, $32
+
+// func gemmRowsAVX2(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, add, bTrans bool)
+TEXT ·gemmRowsAVX2(SB), NOSPLIT, $520-82
+	MOVQ aRow+32(FP), DX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), R8
+	MOVQ aK+40(FP), R9
+	SHLQ $2, R9
+	MOVQ ldb+56(FP), R10
+	SHLQ $2, R10
+	MOVQ ldc+72(FP), R11
+	SHLQ $2, R11
+	MOVQ b+48(FP), SI
+	MOVQ c+64(FP), DI
+	MOVQ n+16(FP), R15
+	CMPB bTrans+81(FP), $0
+	JEQ  w16
+	MOVQ SI, bsrc-520(SP)
+	MOVQ $64, R10
+	VPBROADCASTD k+8(FP), Y15
+	VPMULLD lanes<>(SB), Y15, Y15
+
+w16:
+	CMPQ R15, $16
+	JLT  w8
+	CMPB bTrans+81(FP), $0
+	JEQ  w16rows
+	GATHERSTRIPHEAD
+	MOVQ CX, R12
+	SHLQ $5, R12
+	LEAQ (AX)(R12*1), R13
+
+w16gather:
+	GATHER8(AX, Y15, Y14, Y8, 0)
+	GATHER8(R13, Y15, Y14, Y9, 32)
+	ADDQ $4, AX
+	ADDQ $4, R13
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  w16gather
+	GATHERSTRIPTAIL(64)
+
+w16rows:
+	STRIPROWS
+
+w16r4:
+	CMPQ R14, $4
+	JLT  w16r1
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TILEPTRS
+
+w16r4k:
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VBROADCASTSS (AX), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (AX)(DX*1), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VBROADCASTSS (AX)(DX*2), Y12
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VBROADCASTSS (AX)(R8*1), Y13
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+	ADDQ         R9, AX
+	ADDQ         R10, BX
+	DECQ         CX
+	JNZ          w16r4k
+
+	MOVQ R13, BX
+	CMPB add+80(FP), $0
+	JEQ  w16r4st
+	VADDPS (BX), Y0, Y0
+	VADDPS 32(BX), Y1, Y1
+	ADDQ   R11, BX
+	VADDPS (BX), Y2, Y2
+	VADDPS 32(BX), Y3, Y3
+	ADDQ   R11, BX
+	VADDPS (BX), Y4, Y4
+	VADDPS 32(BX), Y5, Y5
+	ADDQ   R11, BX
+	VADDPS (BX), Y6, Y6
+	VADDPS 32(BX), Y7, Y7
+	MOVQ   R13, BX
+
+w16r4st:
+	VMOVUPS Y0, (BX)
+	VMOVUPS Y1, 32(BX)
+	ADDQ    R11, BX
+	VMOVUPS Y2, (BX)
+	VMOVUPS Y3, 32(BX)
+	ADDQ    R11, BX
+	VMOVUPS Y4, (BX)
+	VMOVUPS Y5, 32(BX)
+	ADDQ    R11, BX
+	VMOVUPS Y6, (BX)
+	VMOVUPS Y7, 32(BX)
+	NEXTROWS4
+	JMP     w16r4
+
+w16r1:
+	TESTQ R14, R14
+	JZ    w16end
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	TILEPTRS
+
+w16r1k:
+	VMOVUPS      (BX), Y8
+	VMOVUPS      32(BX), Y9
+	VBROADCASTSS (AX), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	ADDQ         R9, AX
+	ADDQ         R10, BX
+	DECQ         CX
+	JNZ          w16r1k
+
+	CMPB add+80(FP), $0
+	JEQ  w16r1st
+	VADDPS (R13), Y0, Y0
+	VADDPS 32(R13), Y1, Y1
+
+w16r1st:
+	VMOVUPS Y0, (R13)
+	VMOVUPS Y1, 32(R13)
+	NEXTROW1
+	JMP     w16r1
+
+w16end:
+	ADDQ $64, SI
+	ADDQ $64, DI
+	SUBQ $16, R15
+	JMP  w16
+
+w8:
+	CMPQ R15, $8
+	JLT  w4
+	CMPB bTrans+81(FP), $0
+	JEQ  w8rows
+	GATHERSTRIPHEAD
+
+w8gather:
+	GATHER8(AX, Y15, Y14, Y8, 0)
+	ADDQ $4, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  w8gather
+	GATHERSTRIPTAIL(32)
+
+w8rows:
+	STRIPROWS
+
+w8r4:
+	CMPQ R14, $4
+	JLT  w8r1
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	TILEPTRS
+
+w8r4k:
+	KSTEP4(VMOVUPS, VFMADD231PS, Y8, Y10, Y11, Y12, Y13, Y0, Y1, Y2, Y3)
+	DECQ CX
+	JNZ  w8r4k
+
+	CMPB add+80(FP), $0
+	JEQ  w8r4st
+	ADDROWS4(VADDPS, Y0, Y1, Y2, Y3)
+
+w8r4st:
+	STOREROWS4(VMOVUPS, Y0, Y1, Y2, Y3)
+	NEXTROWS4
+	JMP w8r4
+
+w8r1:
+	TESTQ R14, R14
+	JZ    w8end
+	VXORPS Y0, Y0, Y0
+	TILEPTRS
+
+w8r1k:
+	KSTEP1(VMOVUPS, VFMADD231PS, Y8, Y10, Y0)
+	DECQ CX
+	JNZ  w8r1k
+
+	CMPB add+80(FP), $0
+	JEQ  w8r1st
+	VADDPS (R13), Y0, Y0
+
+w8r1st:
+	VMOVUPS Y0, (R13)
+	NEXTROW1
+	JMP     w8r1
+
+w8end:
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, R15
+
+w4:
+	CMPQ R15, $4
+	JLT  w1
+	CMPB bTrans+81(FP), $0
+	JEQ  w4rows
+	GATHERSTRIPHEAD
+
+w4gather:
+	GATHER8(AX, X15, X14, X8, 0)
+	ADDQ $4, AX
+	ADDQ $64, BX
+	DECQ CX
+	JNZ  w4gather
+	GATHERSTRIPTAIL(16)
+
+w4rows:
+	STRIPROWS
+
+w4r4:
+	CMPQ R14, $4
+	JLT  w4r1
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	TILEPTRS
+
+w4r4k:
+	KSTEP4(VMOVUPS, VFMADD231PS, X8, X10, X11, X12, X13, X0, X1, X2, X3)
+	DECQ CX
+	JNZ  w4r4k
+
+	CMPB add+80(FP), $0
+	JEQ  w4r4st
+	ADDROWS4(VADDPS, X0, X1, X2, X3)
+
+w4r4st:
+	STOREROWS4(VMOVUPS, X0, X1, X2, X3)
+	NEXTROWS4
+	JMP w4r4
+
+w4r1:
+	TESTQ R14, R14
+	JZ    w4end
+	VXORPS X0, X0, X0
+	TILEPTRS
+
+w4r1k:
+	KSTEP1(VMOVUPS, VFMADD231PS, X8, X10, X0)
+	DECQ CX
+	JNZ  w4r1k
+
+	CMPB add+80(FP), $0
+	JEQ  w4r1st
+	VADDPS (R13), X0, X0
+
+w4r1st:
+	VMOVUPS X0, (R13)
+	NEXTROW1
+	JMP     w4r1
+
+w4end:
+	ADDQ $16, SI
+	ADDQ $16, DI
+	SUBQ $4, R15
+
+w1:
+	TESTQ R15, R15
+	JZ    done
+	CMPB  bTrans+81(FP), $0
+	JEQ   w1rows
+	// One column of Bᵀ is one contiguous row of B: read it in place.
+	MOVQ bsrc-520(SP), SI
+	MOVQ $4, R10
+	GATHERSTRIPTAIL(4)
+
+w1rows:
+	STRIPROWS
+
+w1r4:
+	CMPQ R14, $4
+	JLT  w1r1
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	TILEPTRS
+
+w1r4k:
+	KSTEP4(VMOVSS, VFMADD231SS, X8, X10, X11, X12, X13, X0, X1, X2, X3)
+	DECQ CX
+	JNZ  w1r4k
+
+	CMPB add+80(FP), $0
+	JEQ  w1r4st
+	ADDROWS4(VADDSS, X0, X1, X2, X3)
+
+w1r4st:
+	STOREROWS4(VMOVSS, X0, X1, X2, X3)
+	NEXTROWS4
+	JMP w1r4
+
+w1r1:
+	TESTQ R14, R14
+	JZ    w1end
+	VXORPS X0, X0, X0
+	TILEPTRS
+
+w1r1k:
+	KSTEP1(VMOVSS, VFMADD231SS, X8, X10, X0)
+	DECQ CX
+	JNZ  w1r1k
+
+	CMPB add+80(FP), $0
+	JEQ  w1r1st
+	VADDSS (R13), X0, X0
+
+w1r1st:
+	VMOVSS X0, (R13)
+	NEXTROW1
+	JMP    w1r1
+
+w1end:
+	ADDQ $4, SI
+	ADDQ $4, DI
+	DECQ R15
+	JMP  w1
+
+done:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
+// Dot kernel: C[m×n] (+)= A·Bᵀ with A m×k and B n×k both dense row-major,
+// so both operands stream along k and B is never transposed. Each output
+// owns one 8-lane accumulator (lane l sums k ≡ l mod 8, the last partial
+// step masked), reduced by the fixed tree
+// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) whatever tile it sits in.
+//
+// Register plan:
+//   AX pA (k loop)   BX pB (k loop) / C cursor   CX k-step counter
+//   DX full k-steps  R9 k mod 8     R10 row bytes (k·4)   R8 3·R10
+//   R11 ldc bytes (n·4)             Y14 tail mask
+//   R12 A row block  R13 C row block   R14 rows left
+//   SI B row pair    DI C tile         R15 columns left
+// ---------------------------------------------------------------------------
+
+DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+DATA tailmask<>+56(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// LOADMASK sets Y14 to REM leading all-ones lanes (REM in 1..7); TMP and
+// IDX are clobbered.
+#define LOADMASK(REM, TMP, IDX) \
+	LEAQ tailmask<>(SB), TMP; \
+	MOVQ $8, IDX; \
+	SUBQ REM, IDX; \
+	VMOVDQU (TMP)(IDX*4), Y14
+
+// The reduction tree for four accumulators at once: the low half of D
+// (named DLO) becomes [S(A), S(B), S(C), S(E)]. A and C are clobbered.
+#define REDUCE4(A, B, C, E, D, DLO, TLO) \
+	VHADDPS B, A, A; \
+	VHADDPS E, C, C; \
+	VHADDPS C, A, D; \
+	VEXTRACTF128 $1, D, TLO; \
+	VADDPS TLO, DLO, DLO
+
+// The same tree for two accumulators, [S(A), S(B), …], and for one.
+#define REDUCE2(A, B, ALO, TLO) \
+	VHADDPS B, A, A; \
+	VHADDPS A, A, A; \
+	VEXTRACTF128 $1, A, TLO; \
+	VADDPS TLO, ALO, ALO
+
+#define REDUCE1(A, ALO, TLO) REDUCE2(A, A, ALO, TLO)
+
+#define NTTILEPTRS \
+	MOVQ R12, AX; \
+	MOVQ SI, BX; \
+	MOVQ DX, CX
+
+// func gemmDotAVX2(m, k, n int, a, b, c *float32, add bool)
+TEXT ·gemmDotAVX2(SB), NOSPLIT, $0-49
+	MOVQ  k+8(FP), R10
+	MOVQ  R10, DX
+	SHRQ  $3, DX
+	MOVQ  R10, R9
+	ANDQ  $7, R9
+	SHLQ  $2, R10
+	LEAQ  (R10)(R10*2), R8
+	MOVQ  n+16(FP), R11
+	SHLQ  $2, R11
+	TESTQ R9, R9
+	JZ    ntrows
+	LOADMASK(R9, AX, BX)
+
+ntrows:
+	MOVQ a+24(FP), R12
+	MOVQ c+40(FP), R13
+	MOVQ m+0(FP), R14
+
+r4:
+	CMPQ R14, $4
+	JLT  r1
+	MOVQ b+32(FP), SI
+	MOVQ R13, DI
+	MOVQ n+16(FP), R15
+
+r4c2:
+	CMPQ   R15, $2
+	JLT    r4c1
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	NTTILEPTRS
+	TESTQ  CX, CX
+	JZ     r4c2tail
+
+r4c2k:
+	VMOVUPS     (BX), Y8
+	VMOVUPS     (BX)(R10*1), Y9
+	VMOVUPS     (AX), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VMOVUPS     (AX)(R10*1), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VMOVUPS     (AX)(R10*2), Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VMOVUPS     (AX)(R8*1), Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         r4c2k
+
+r4c2tail:
+	TESTQ       R9, R9
+	JZ          r4c2red
+	VMASKMOVPS  (BX), Y14, Y8
+	VMASKMOVPS  (BX)(R10*1), Y14, Y9
+	VMASKMOVPS  (AX), Y14, Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VMASKMOVPS  (AX)(R10*1), Y14, Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VMASKMOVPS  (AX)(R10*2), Y14, Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VMASKMOVPS  (AX)(R8*1), Y14, Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+
+r4c2red:
+	// X0 = [c00 c01 c10 c11], X4 = [c20 c21 c30 c31]
+	REDUCE4(Y0, Y1, Y2, Y3, Y0, X0, X8)
+	REDUCE4(Y4, Y5, Y6, Y7, Y4, X4, X8)
+	LEAQ    (DI)(R11*2), BX
+	CMPB    add+48(FP), $0
+	JEQ     r4c2st
+	VMOVSD  (DI), X8
+	VMOVHPS (DI)(R11*1), X8, X8
+	VADDPS  X8, X0, X0
+	VMOVSD  (BX), X9
+	VMOVHPS (BX)(R11*1), X9, X9
+	VADDPS  X9, X4, X4
+
+r4c2st:
+	VMOVLPS X0, (DI)
+	VMOVHPS X0, (DI)(R11*1)
+	VMOVLPS X4, (BX)
+	VMOVHPS X4, (BX)(R11*1)
+	LEAQ    (SI)(R10*2), SI
+	ADDQ    $8, DI
+	SUBQ    $2, R15
+	JMP     r4c2
+
+r4c1:
+	TESTQ  R15, R15
+	JZ     r4end
+	VXORPS Y0, Y0, Y0
+	VXORPS Y2, Y2, Y2
+	VXORPS Y4, Y4, Y4
+	VXORPS Y6, Y6, Y6
+	NTTILEPTRS
+	TESTQ  CX, CX
+	JZ     r4c1tail
+
+r4c1k:
+	VMOVUPS     (BX), Y8
+	VFMADD231PS (AX), Y8, Y0
+	VFMADD231PS (AX)(R10*1), Y8, Y2
+	VFMADD231PS (AX)(R10*2), Y8, Y4
+	VFMADD231PS (AX)(R8*1), Y8, Y6
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         r4c1k
+
+r4c1tail:
+	TESTQ       R9, R9
+	JZ          r4c1red
+	VMASKMOVPS  (BX), Y14, Y8
+	VMASKMOVPS  (AX), Y14, Y10
+	VFMADD231PS Y8, Y10, Y0
+	VMASKMOVPS  (AX)(R10*1), Y14, Y11
+	VFMADD231PS Y8, Y11, Y2
+	VMASKMOVPS  (AX)(R10*2), Y14, Y12
+	VFMADD231PS Y8, Y12, Y4
+	VMASKMOVPS  (AX)(R8*1), Y14, Y13
+	VFMADD231PS Y8, Y13, Y6
+
+r4c1red:
+	// X0 = [c0 c1 c2 c3]: one column over four rows
+	REDUCE4(Y0, Y2, Y4, Y6, Y0, X0, X8)
+	LEAQ      (DI)(R11*2), BX
+	CMPB      add+48(FP), $0
+	JEQ       r4c1st
+	VMOVSS    (DI), X8
+	VINSERTPS $0x10, (DI)(R11*1), X8, X8
+	VINSERTPS $0x20, (BX), X8, X8
+	VINSERTPS $0x30, (BX)(R11*1), X8, X8
+	VADDPS    X8, X0, X0
+
+r4c1st:
+	VMOVSS     X0, (DI)
+	VEXTRACTPS $1, X0, (DI)(R11*1)
+	VEXTRACTPS $2, X0, (BX)
+	VEXTRACTPS $3, X0, (BX)(R11*1)
+
+r4end:
+	LEAQ (R12)(R10*4), R12
+	LEAQ (R13)(R11*4), R13
+	SUBQ $4, R14
+	JMP  r4
+
+r1:
+	TESTQ R14, R14
+	JZ    ntdone
+	MOVQ  b+32(FP), SI
+	MOVQ  R13, DI
+	MOVQ  n+16(FP), R15
+
+r1c2:
+	CMPQ   R15, $2
+	JLT    r1c1
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	NTTILEPTRS
+	TESTQ  CX, CX
+	JZ     r1c2tail
+
+r1c2k:
+	VMOVUPS     (AX), Y10
+	VFMADD231PS (BX), Y10, Y0
+	VFMADD231PS (BX)(R10*1), Y10, Y1
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         r1c2k
+
+r1c2tail:
+	TESTQ       R9, R9
+	JZ          r1c2red
+	VMASKMOVPS  (AX), Y14, Y10
+	VMASKMOVPS  (BX), Y14, Y8
+	VFMADD231PS Y8, Y10, Y0
+	VMASKMOVPS  (BX)(R10*1), Y14, Y9
+	VFMADD231PS Y9, Y10, Y1
+
+r1c2red:
+	REDUCE2(Y0, Y1, X0, X8)
+	CMPB    add+48(FP), $0
+	JEQ     r1c2st
+	VMOVSD  (DI), X8
+	VADDPS  X8, X0, X0
+
+r1c2st:
+	VMOVLPS X0, (DI)
+	LEAQ    (SI)(R10*2), SI
+	ADDQ    $8, DI
+	SUBQ    $2, R15
+	JMP     r1c2
+
+r1c1:
+	TESTQ  R15, R15
+	JZ     r1end
+	VXORPS Y0, Y0, Y0
+	NTTILEPTRS
+	TESTQ  CX, CX
+	JZ     r1c1tail
+
+r1c1k:
+	VMOVUPS     (AX), Y10
+	VFMADD231PS (BX), Y10, Y0
+	ADDQ        $32, AX
+	ADDQ        $32, BX
+	DECQ        CX
+	JNZ         r1c1k
+
+r1c1tail:
+	TESTQ       R9, R9
+	JZ          r1c1red
+	VMASKMOVPS  (AX), Y14, Y10
+	VMASKMOVPS  (BX), Y14, Y8
+	VFMADD231PS Y8, Y10, Y0
+
+r1c1red:
+	REDUCE1(Y0, X0, X8)
+	CMPB   add+48(FP), $0
+	JEQ    r1c1st
+	VADDSS (DI), X0, X0
+
+r1c1st:
+	VMOVSS X0, (DI)
+
+r1end:
+	ADDQ R10, R12
+	ADDQ R11, R13
+	DECQ R14
+	JMP  r1
+
+ntdone:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
+// Level-1 kernels. Each element of axpy/addTo is one lane-independent
+// operation; dot keeps four 8-lane accumulators (32 floats a step), folds
+// 8-float and masked remainders into the first, and reduces with the dot
+// kernel's tree, so its bits depend on n alone.
+// ---------------------------------------------------------------------------
+
+// func axpyAVX2(alpha float32, x, y *float32, n int)
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
+	VBROADCASTSS alpha+0(FP), Y15
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+
+axpy32:
+	CMPQ        CX, $32
+	JLT         axpy8
+	VMOVUPS     (DI), Y0
+	VMOVUPS     32(DI), Y1
+	VMOVUPS     64(DI), Y2
+	VMOVUPS     96(DI), Y3
+	VFMADD231PS (SI), Y15, Y0
+	VFMADD231PS 32(SI), Y15, Y1
+	VFMADD231PS 64(SI), Y15, Y2
+	VFMADD231PS 96(SI), Y15, Y3
+	VMOVUPS     Y0, (DI)
+	VMOVUPS     Y1, 32(DI)
+	VMOVUPS     Y2, 64(DI)
+	VMOVUPS     Y3, 96(DI)
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	SUBQ        $32, CX
+	JMP         axpy32
+
+axpy8:
+	CMPQ        CX, $8
+	JLT         axpy4
+	VMOVUPS     (DI), Y0
+	VFMADD231PS (SI), Y15, Y0
+	VMOVUPS     Y0, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $8, CX
+	JMP         axpy8
+
+axpy4:
+	CMPQ        CX, $4
+	JLT         axpy1
+	VMOVUPS     (DI), X0
+	VFMADD231PS (SI), X15, X0
+	VMOVUPS     X0, (DI)
+	ADDQ        $16, SI
+	ADDQ        $16, DI
+	SUBQ        $4, CX
+
+axpy1:
+	TESTQ       CX, CX
+	JZ          axpydone
+	VMOVSS      (DI), X0
+	VFMADD231SS (SI), X15, X0
+	VMOVSS      X0, (DI)
+	ADDQ        $4, SI
+	ADDQ        $4, DI
+	DECQ        CX
+	JMP         axpy1
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func addToAVX2(dst, src *float32, n int)
+TEXT ·addToAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+
+add32:
+	CMPQ    CX, $32
+	JLT     add8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VADDPS  (SI), Y0, Y0
+	VADDPS  32(SI), Y1, Y1
+	VADDPS  64(SI), Y2, Y2
+	VADDPS  96(SI), Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     add32
+
+add8:
+	CMPQ    CX, $8
+	JLT     add4
+	VMOVUPS (DI), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     add8
+
+add4:
+	CMPQ    CX, $4
+	JLT     add1
+	VMOVUPS (DI), X0
+	VADDPS  (SI), X0, X0
+	VMOVUPS X0, (DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+	SUBQ    $4, CX
+
+add1:
+	TESTQ  CX, CX
+	JZ     adddone
+	VMOVSS (DI), X0
+	VADDSS (SI), X0, X0
+	VMOVSS X0, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DI
+	DECQ   CX
+	JMP    add1
+
+adddone:
+	VZEROUPPER
+	RET
+
+// func dotAVX2(x, y *float32, n int) float32
+TEXT ·dotAVX2(SB), NOSPLIT, $0-28
+	MOVQ   x+0(FP), SI
+	MOVQ   y+8(FP), DI
+	MOVQ   n+16(FP), CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+dot32:
+	CMPQ        CX, $32
+	JLT         dot8
+	VMOVUPS     (SI), Y4
+	VMOVUPS     32(SI), Y5
+	VMOVUPS     64(SI), Y6
+	VMOVUPS     96(SI), Y7
+	VFMADD231PS (DI), Y4, Y0
+	VFMADD231PS 32(DI), Y5, Y1
+	VFMADD231PS 64(DI), Y6, Y2
+	VFMADD231PS 96(DI), Y7, Y3
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	SUBQ        $32, CX
+	JMP         dot32
+
+dot8:
+	CMPQ        CX, $8
+	JLT         dottail
+	VMOVUPS     (SI), Y4
+	VFMADD231PS (DI), Y4, Y0
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	SUBQ        $8, CX
+	JMP         dot8
+
+dottail:
+	TESTQ       CX, CX
+	JZ          dotred
+	LOADMASK(CX, AX, BX)
+	VMASKMOVPS  (SI), Y14, Y4
+	VMASKMOVPS  (DI), Y14, Y5
+	VFMADD231PS Y5, Y4, Y0
+
+dotred:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	REDUCE1(Y0, X0, X8)
+	VMOVSS X0, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
+// Feature detection (internal/cpu is not importable from this module).
+// ---------------------------------------------------------------------------
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

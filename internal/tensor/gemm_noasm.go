@@ -1,0 +1,14 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// Without the assembly the dispatch branches in gemm.go and tensor.go are
+// dead code the compiler removes; these stubs only let them type-check.
+const useAVX2 = false
+
+func gemmNNAsm(m, k, n int, a, b, c []float32, add bool) {}
+func gemmTNAsm(m, k, n int, a, b, c []float32)           {}
+func gemmNTAsm(m, k, n int, a, b, c []float32, add bool) {}
+func axpyAsm(alpha float32, x, y []float32)              {}
+func dotAsm(x, y []float32) float32                      { return 0 }
+func addToAsm(dst, src []float32)                        {}

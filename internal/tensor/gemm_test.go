@@ -36,7 +36,7 @@ func refGemm(m, k, n int, a, b []float32, transA, transB bool) []float32 {
 }
 
 // fillPattern fills x with a deterministic, sign-alternating pattern that
-// includes exact zeros (to exercise the kernels' zero-skip branches).
+// includes exact zeros.
 func fillPattern(x []float32, seed int) {
 	for i := range x {
 		v := float32((i*7+seed*13)%11) - 5
@@ -255,5 +255,58 @@ func BenchmarkGemmTTSlice(b *testing.B) {
 	x, y, z := benchOperands(4, 16, 64)
 	for i := 0; i < b.N; i++ {
 		gemmBlocked(4, 16, 64, x, y, z, false)
+	}
+}
+
+// BenchmarkGemmShapes times one serial call of each kernel at the shapes the
+// repo benchmark's train_tt step is made of (elrec-bench -exp ttcore reports
+// the same rows): the TT contractions at dim 64 = 4·4·4, rank 64, and the
+// default model's widest layer at batch 128.
+func BenchmarkGemmShapes(b *testing.B) {
+	for _, s := range []struct {
+		kind    string
+		m, k, n int
+	}{
+		{"NN", 4, 64, 256}, {"NN", 16, 64, 4},
+		{"TN", 64, 16, 4}, {"TN", 64, 4, 256},
+		{"NT", 16, 4, 64}, {"NT", 4, 256, 64},
+		{"NT", 128, 415, 64}, {"TN", 64, 128, 415}, {"NN", 128, 64, 415},
+	} {
+		b.Run(fmt.Sprintf("%s-%dx%dx%d", s.kind, s.m, s.k, s.n), func(b *testing.B) {
+			x, y, z := benchOperands(s.m, s.k, s.n)
+			for i := 0; i < b.N; i++ {
+				switch s.kind {
+				case "NN":
+					gemmBlocked(s.m, s.k, s.n, x, y, z, false)
+				case "TN":
+					gemmTransABlocked(s.m, s.k, s.n, x, y, z)
+				case "NT":
+					gemmTransBBlocked(s.m, s.k, s.n, x, y, z, true)
+				}
+			}
+			b.ReportMetric(2*float64(s.m*s.k*s.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// BenchmarkGemmSplit is the measurement parallelThreshold is set from: a
+// 64-row x·Wᵀ (the serving forward) run inline and split over two executors
+// the way MatMulTransB splits it, at sizes either side of the crossover.
+// Run with -cpu 2 or more; EXPERIMENTS.md "Dispatch threshold" has the table.
+func BenchmarkGemmSplit(b *testing.B) {
+	defer SetMaxWorkers(Workers())
+	const m = 64
+	for _, kn := range []int{32, 64, 128, 181, 256, 362, 512, 724} {
+		x, y, z := benchOperands(m, kn, kn)
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("macs=%d/workers=%d", m*kn*kn, workers), func(b *testing.B) {
+				SetMaxWorkers(workers)
+				for i := 0; i < b.N; i++ {
+					ParallelFor(m, func(lo, hi int) {
+						gemmTransBBlocked(hi-lo, kn, kn, x[lo*kn:], y, z[lo*kn:], false)
+					})
+				}
+			})
+		}
 	}
 }

@@ -1,0 +1,64 @@
+//go:build linux && amd64 && !purego
+
+package tensor
+
+import (
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guardedFloats maps room for max floats followed by a PROT_NONE page and
+// returns a function that hands out n-float slices ending flush against
+// that page: the first byte a kernel touches past its operand faults.
+func guardedFloats(t *testing.T, max int) func(n int) []float32 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (max*4 + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := syscall.Munmap(mem); err != nil {
+			t.Errorf("munmap: %v", err)
+		}
+	})
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
+		t.Fatalf("mprotect: %v", err)
+	}
+	all := unsafe.Slice((*float32)(unsafe.Pointer(&mem[0])), size/4)
+	for i := range all {
+		all[i] = float32(i%13) * 0.125
+	}
+	return func(n int) []float32 { return all[len(all)-n:] }
+}
+
+// TestKernelsStayInsideTheirOperands runs every tail class of m, k and n
+// with each operand's last element on the last mapped float before an
+// unmapped page: a vector load, masked load or store that strays past
+// m·k, k·n or m·n elements kills the test binary with SIGSEGV.
+func TestKernelsStayInsideTheirOperands(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the assembly never runs on this host")
+	}
+	const top = 17
+	aAt, bAt, cAt := guardedFloats(t, top*top), guardedFloats(t, top*top), guardedFloats(t, top*top)
+	for m := 1; m <= top; m++ {
+		for k := 1; k <= top; k++ {
+			for n := 1; n <= top; n++ {
+				a, b, c := aAt(m*k), bAt(k*n), cAt(m*n)
+				for _, kd := range gemmKinds {
+					kd.run(m, k, n, a, b, c, false)
+					kd.run(m, k, n, a, b, c, true)
+				}
+			}
+		}
+	}
+	for n := 1; n <= 70; n++ {
+		x, y := aAt(n), bAt(n)
+		axpy(0.5, x, y)
+		AddTo(y, x)
+		_ = dot(x, y)
+	}
+}

@@ -1,0 +1,356 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// gemmKind drives one of the three GEMM layouts through one signature, so
+// the property tests below run unchanged over NN, TN and NT and over both
+// kernel families: run is the dispatcher every caller in the repository
+// reaches (the assembly on an AVX2 host), portable the Go kernel directly.
+type gemmKind struct {
+	name           string
+	transA, transB bool
+	run, portable  func(m, k, n int, a, b, c []float32, add bool)
+}
+
+// The TN entry point only accumulates; store mode zeroes first, exactly as
+// MatMulTransA and BatchedMatMulTransA do.
+func gemmTransAStoreOrAdd(m, k, n int, a, b, c []float32, add bool) {
+	if !add {
+		clear(c[:m*n])
+	}
+	gemmTransABlocked(m, k, n, a, b, c)
+}
+
+// portable wraps a Go kernel (which needs m, k, n ≥ 1) with the
+// degenerate-shape handling the dispatchers share.
+func portable(kernel func(m, k, n int, a, b, c []float32, add bool)) func(m, k, n int, a, b, c []float32, add bool) {
+	return func(m, k, n int, a, b, c []float32, add bool) {
+		if !zeroDims(m, k, n, c, add) {
+			kernel(m, k, n, a, b, c, add)
+		}
+	}
+}
+
+var gemmKinds = []gemmKind{
+	{"NN", false, false, gemmBlocked, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, k, 1, b, c, add) })},
+	{"TN", true, false, gemmTransAStoreOrAdd, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, 1, m, b, c, add) })},
+	{"NT", false, true, gemmTransBBlocked, portable(gemmDotGo)},
+}
+
+// rowsOfA returns logical rows [lo,hi) of A in the kind's own layout: a
+// subslice when rows are contiguous, a copy of the columns when A is stored
+// transposed (k×m).
+func (kd gemmKind) rowsOfA(a []float32, m, k, lo, hi int) []float32 {
+	if !kd.transA {
+		return a[lo*k : hi*k]
+	}
+	sub := make([]float32, k*(hi-lo))
+	for kk := 0; kk < k; kk++ {
+		copy(sub[kk*(hi-lo):(kk+1)*(hi-lo)], a[kk*m+lo:kk*m+hi])
+	}
+	return sub
+}
+
+// unaligned returns n pseudo-random floats in (-1,1) with full mantissas
+// (so a changed summation order changes bits), starting at an odd float
+// offset of their backing array: every vector load and store in the
+// kernels sees a 4-byte-aligned, not 32-byte-aligned, address.
+func unaligned(r *RNG, n, offset int) []float32 {
+	buf := make([]float32, n+offset)
+	r.FillUniform(buf, 1)
+	return buf[offset:]
+}
+
+func bitsEqual(x, y []float32) bool {
+	for i := range x {
+		if math.Float32bits(x[i]) != math.Float32bits(y[i]) {
+			return false
+		}
+	}
+	return len(x) == len(y)
+}
+
+// invarianceShapes is the full gemmShapes grid plus, around the vector and
+// tile widths further out (31, 33, 255, 257), every combination with at
+// least one such dimension (at most one of them in the hundreds, which
+// bounds the run under -race) and the rest from a short list of tail classes.
+func invarianceShapes() [][3]int {
+	var out [][3]int
+	for _, m := range gemmShapes {
+		for _, k := range gemmShapes {
+			for _, n := range gemmShapes {
+				out = append(out, [3]int{m, k, n})
+			}
+		}
+	}
+	// Two products just past parallelThreshold, with odd row counts so the
+	// two- and four-way row splits cut through register tiles: the only
+	// shapes here that MatMul and MatMulTransB actually fan out.
+	out = append(out,
+		[3]int{37, 257, parallelThreshold/(37*257) + 1},
+		[3]int{131, 129, parallelThreshold/(131*129) + 1})
+	wide := []int{1, 4, 17, 31, 33, 255, 257}
+	for _, m := range wide {
+		for _, k := range wide {
+			for _, n := range wide {
+				hundreds := 0
+				for _, d := range []int{m, k, n} {
+					if d > 100 {
+						hundreds++
+					}
+				}
+				if (m > 17 || k > 17 || n > 17) && hundreds <= 1 {
+					out = append(out, [3]int{m, k, n})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestGemmElementDependsOnRowColumnAndK is the m-independence rule of
+// DESIGN.md §12 as a property: an output element computed inside the full
+// product has the same bits when its row is computed alone, inside a row
+// block that starts at any offset mod 4 (so it lands in a different
+// register tile, or in the row tail), in store or zero-then-accumulate mode,
+// and through the exported entry points at 1, 2 and 4 workers (ParallelFor
+// row splits and batch splits). It holds for either kernel family on its
+// own; both are also checked against the float64 reference.
+func TestGemmElementDependsOnRowColumnAndK(t *testing.T) {
+	defer SetMaxWorkers(Workers())
+	rng := NewRNG(77)
+	for _, kd := range gemmKinds {
+		for _, s := range invarianceShapes() {
+			m, k, n := s[0], s[1], s[2]
+			name := fmt.Sprintf("%s %dx%dx%d", kd.name, m, k, n)
+			a := unaligned(rng, m*k, 1)
+			b := unaligned(rng, k*n, 3)
+			full := unaligned(rng, m*n, 1) // stale values store mode must overwrite
+			kd.run(m, k, n, a, b, full, false)
+
+			want := refGemm(m, k, n, a, b, kd.transA, kd.transB)
+			if d := maxDiff(full, want); d > 1e-3 {
+				t.Fatalf("%s: %s kernels differ from reference by %g", name, KernelName(), d)
+			}
+			got := unaligned(rng, m*n, 1)
+			kd.portable(m, k, n, a, b, got, false)
+			if d := maxDiff(got, want); d > 1e-3 {
+				t.Fatalf("%s: portable kernel differs from reference by %g", name, d)
+			}
+
+			clear(got)
+			kd.run(m, k, n, a, b, got, true)
+			if !bitsEqual(got, full) {
+				t.Fatalf("%s: zero-then-accumulate differs from store", name)
+			}
+
+			// Row blocks [lo,hi): every single row (sampled on tall
+			// operands), and blocks starting at each offset mod 4.
+			check := func(lo, hi int) {
+				sub := unaligned(rng, (hi-lo)*n, 3)
+				kd.run(hi-lo, k, n, kd.rowsOfA(a, m, k, lo, hi), b, sub, false)
+				if !bitsEqual(sub, full[lo*n:hi*n]) {
+					t.Fatalf("%s: rows [%d,%d) computed alone differ from the full product", name, lo, hi)
+				}
+			}
+			for i := 0; i < m; i++ {
+				if m <= 17 || i < 5 || i >= m-5 || i%37 == 0 {
+					check(i, i+1)
+				}
+			}
+			for off := 1; off < 4 && off < m; off++ {
+				check(off, m)
+				check(off, min(m, off+6))
+			}
+
+			if kd.transA {
+				continue // MatMulTransA does not split rows; the batched form is below
+			}
+			am := FromSlice(m, k, a[:m*k])
+			bm := FromSlice(k, n, b[:k*n])
+			if kd.transB {
+				bm = FromSlice(n, k, b[:k*n])
+			}
+			dst := New(m, n)
+			for _, workers := range []int{1, 2, 4} {
+				SetMaxWorkers(workers)
+				fillPattern(dst.Data, 5)
+				if kd.transB {
+					MatMulTransB(dst, am, bm)
+				} else {
+					MatMul(dst, am, bm)
+				}
+				if !bitsEqual(dst.Data, full) {
+					t.Fatalf("%s: %d workers differ from the serial product", name, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchedGemmMatchesSingleProducts: an entry of either batched entry
+// point has the bits of the same product computed alone, at 1, 2 and 4
+// workers.
+func TestBatchedGemmMatchesSingleProducts(t *testing.T) {
+	defer SetMaxWorkers(Workers())
+	rng := NewRNG(78)
+	for _, kd := range gemmKinds[:2] {
+		batched := BatchedMatMul
+		if kd.transA {
+			batched = BatchedMatMulTransA
+		}
+		for _, s := range [][3]int{{1, 1, 1}, {3, 5, 7}, {4, 64, 256}, {16, 64, 4}, {64, 16, 4}, {64, 4, 256}, {17, 33, 31}, {33, 257, 9}} {
+			m, k, n := s[0], s[1], s[2]
+			// Enough entries to cross parallelThreshold, so the batch really
+			// is split over the workers (except where that takes millions).
+			entries := parallelThreshold/(m*k*n) + 2
+			if entries > 1100 {
+				entries = 7
+			}
+			batch := make([]GemmBatch, entries)
+			want := make([][]float32, entries)
+			for i := range batch {
+				batch[i] = GemmBatch{A: unaligned(rng, m*k, 1), B: unaligned(rng, k*n, 3), C: unaligned(rng, m*n, 1)}
+				want[i] = make([]float32, m*n)
+				kd.run(m, k, n, batch[i].A, batch[i].B, want[i], false)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				SetMaxWorkers(workers)
+				for i := range batch {
+					fillPattern(batch[i].C, i)
+				}
+				batched(m, k, n, batch)
+				for i := range batch {
+					if !bitsEqual(batch[i].C, want[i]) {
+						t.Fatalf("%s batched %dx%dx%d entry %d at %d workers differs from the single product", kd.name, m, k, n, i, workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemmNaNReachesEveryRow: IEEE 0·NaN is NaN, so a NaN in B[kk,j] must
+// reach C[i,j] for every row i — including rows (here all of them) whose
+// A[i,kk] is exactly 0 — and no other column. The portable kernels used to
+// skip a k-step whose A tile was all zero, but only below 16 rows.
+func TestGemmNaNReachesEveryRow(t *testing.T) {
+	const k, n, kk, j = 6, 11, 2, 7
+	nan := float32(math.NaN())
+	for _, kd := range gemmKinds {
+		for _, m := range []int{1, 3, 4, 15, 16, 17} {
+			for family, kernel := range map[string]func(m, k, n int, a, b, c []float32, add bool){KernelName(): kd.run, "portable": kd.portable} {
+				a := make([]float32, m*k)
+				b := make([]float32, k*n)
+				fillSeq(a)
+				fillSeq(b)
+				for i := 0; i < m; i++ {
+					if kd.transA {
+						a[kk*m+i] = 0
+					} else {
+						a[i*k+kk] = 0
+					}
+				}
+				clean := make([]float32, m*n)
+				kernel(m, k, n, a, b, clean, false)
+				if kd.transB {
+					b[j*k+kk] = nan
+				} else {
+					b[kk*n+j] = nan
+				}
+				for _, add := range []bool{false, true} {
+					c := make([]float32, m*n)
+					kernel(m, k, n, a, b, c, add)
+					for i := 0; i < m; i++ {
+						for col := 0; col < n; col++ {
+							v := c[i*n+col]
+							if col == j && v == v {
+								t.Fatalf("%s %s m=%d add=%v: C[%d,%d] = %v, want NaN", kd.name, family, m, add, i, col, v)
+							}
+							if col != j && v != clean[i*n+col] {
+								t.Fatalf("%s %s m=%d add=%v: C[%d,%d] = %v, want %v", kd.name, family, m, add, i, col, v, clean[i*n+col])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsWriteOnlyTheirOutput surrounds every output with canaries:
+// for each tail class of every dimension, the kernels must write exactly
+// c[:m·n] (and axpy/AddTo exactly their vector), nothing before or after.
+func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
+	const canary, pad = float32(-12345.5), 19
+	guarded := func(n int) (buf, inner []float32) {
+		buf = make([]float32, n+2*pad)
+		Fill(buf, canary)
+		return buf, buf[pad : pad+n : pad+n]
+	}
+	intact := func(buf []float32, n int) bool {
+		for i, v := range buf {
+			if (i < pad || i >= pad+n) && v != canary {
+				return false
+			}
+		}
+		return true
+	}
+	rng := NewRNG(79)
+	for m := 1; m <= 17; m++ {
+		for k := 1; k <= 17; k++ {
+			for n := 1; n <= 17; n++ {
+				a, b := unaligned(rng, m*k, 1), unaligned(rng, k*n, 3)
+				for _, kd := range gemmKinds {
+					for _, add := range []bool{false, true} {
+						buf, c := guarded(m * n)
+						kd.run(m, k, n, a, b, c, add)
+						if !intact(buf, m*n) {
+							t.Fatalf("%s %dx%dx%d add=%v wrote outside c[:m*n]", kd.name, m, k, n, add)
+						}
+					}
+				}
+			}
+		}
+	}
+	for n := 1; n <= 70; n++ {
+		x := unaligned(rng, n, 1)
+		buf, y := guarded(n)
+		axpy(0.5, x, y)
+		AddTo(y, x)
+		if !intact(buf, n) {
+			t.Fatalf("axpy/AddTo wrote outside y[:%d]", n)
+		}
+	}
+}
+
+// TestLevel1MatchesReference checks axpy, dot and AddTo against float64
+// arithmetic over every tail class of the 32/8/4/1 unrolling.
+func TestLevel1MatchesReference(t *testing.T) {
+	rng := NewRNG(80)
+	for n := 1; n <= 100; n++ {
+		x, y := unaligned(rng, n, 1), unaligned(rng, n, 3)
+		var want float64
+		for i := range x {
+			want += float64(x[i]) * float64(y[i])
+		}
+		if got := Dot(x, y); math.Abs(float64(got)-want) > 1e-4 {
+			t.Fatalf("Dot n=%d: got %v want %v", n, got, want)
+		}
+		if got, again := Dot(x, y), Dot(x[:n:n], y); got != again {
+			t.Fatalf("Dot n=%d not reproducible: %v vs %v", n, got, again)
+		}
+		sum := append([]float32(nil), y...)
+		Axpy(0.75, x, sum)
+		AddTo(sum, x)
+		for i := range sum {
+			if w := float64(y[i]) + 1.75*float64(x[i]); math.Abs(float64(sum[i])-w) > 1e-5 {
+				t.Fatalf("Axpy+AddTo n=%d: element %d got %v want %v", n, i, sum[i], w)
+			}
+		}
+	}
+}

@@ -6,10 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// parallelThreshold is the approximate multiply-add count below which kernels
-// stay single-threaded; worker dispatch costs more than it saves on tiny
-// problems (the TT slice GEMMs are often only a few thousand FLOPs).
-const parallelThreshold = 1 << 16
+// parallelThreshold is the multiply-add count below which kernels stay on
+// the calling goroutine. Splitting saves at most half the kernel's time and
+// costs a pool dispatch and a join (a channel send, a futex wake and, when
+// the helper is still running, a sleep on the WaitGroup). It is set from
+// BenchmarkGemmSplit (EXPERIMENTS.md, "Dispatch threshold"): at the AVX2
+// kernels' ~25 G multiply-adds/s, 1<<22 is ~170 µs of work and the smallest
+// power of two at which two workers were not slower than one on the build
+// host. The old 1<<16 was ~40 µs of scalar work and is ~4 µs now.
+const parallelThreshold = 1 << 22
 
 // maxWorkers bounds the number of concurrent executors ParallelFor uses
 // (the caller plus pool workers). Read and written atomically: the hw

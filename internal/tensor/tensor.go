@@ -242,16 +242,27 @@ func MatMulTransBAdd(dst, a, b *Matrix) {
 	gemmTransBBlocked(a.Rows, a.Cols, b.Rows, a.Data, b.Data, dst.Data, true)
 }
 
-// axpy computes y += a*x over equal-length slices; the loop vectorizes well.
+// axpy computes y += a*x over equal-length, non-empty slices.
 func axpy(a float32, x, y []float32) {
+	if useAVX2 {
+		axpyAsm(a, x, y)
+		return
+	}
 	_ = y[len(x)-1]
 	for i, xv := range x {
 		y[i] += a * xv
 	}
 }
 
-// dot returns the inner product of equal-length slices.
+// dot returns the inner product of equal-length, non-empty slices.
 func dot(x, y []float32) float32 {
+	if useAVX2 {
+		return dotAsm(x, y)
+	}
+	return dotGo(x, y)
+}
+
+func dotGo(x, y []float32) float32 {
 	var s float32
 	_ = y[len(x)-1]
 	for i, xv := range x {
@@ -296,6 +307,13 @@ func AddTo(dst, src []float32) {
 	if len(dst) != len(src) {
 		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: AddTo length mismatch %d != %d", len(dst), len(src)))
+	}
+	if len(src) == 0 {
+		return
+	}
+	if useAVX2 {
+		addToAsm(dst, src)
+		return
 	}
 	for i, v := range src {
 		dst[i] += v
