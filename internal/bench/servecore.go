@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/served"
+	"repro/internal/tensor"
 	"repro/internal/tt"
 )
 
@@ -20,14 +21,17 @@ const serveFetchRTT = 5 * time.Millisecond
 
 // ServeCore measures ranking-stage serving throughput through the replica
 // pool at 1, 4 and 8 replicas under a fixed closed-loop client population,
-// against the single-goroutine serial Ranker baseline. Two workload
-// profiles: "cpu" is pure local scoring — on a single-CPU host it is
-// compute-bound, so replicas buy isolation, not throughput — and "fetch5ms"
-// adds a 5 ms batched remote-feature hydration stall per micro-batch, the
-// regime replica pools exist for: stalls overlap across replicas while other
-// replicas score, so requests/sec scales with the replica count until the
-// CPU saturates. Not a paper artifact — it records the serving front end's
-// scaling trajectory across PRs, the way ttcore does for the compute core.
+// against the single-goroutine serial Ranker baseline. Two workload profiles
+// at 8 candidates per request: "cpu" is pure local scoring — on a single-CPU
+// host it is compute-bound, so replicas buy isolation, not throughput — and
+// "fetch5ms" adds a 5 ms batched remote-feature hydration stall per
+// micro-batch, the regime replica pools exist for: stalls overlap across
+// replicas while other replicas score, so requests/sec scales with the
+// replica count until the CPU saturates. The "cpu-128c" rows repeat the cpu
+// profile's serial and one-replica runs at 128 candidates per request, where
+// the model forward rather than the per-request overhead sets the rate. Not a
+// paper artifact — it records the serving front end's scaling trajectory
+// across PRs, the way ttcore does for the compute core.
 func ServeCore(sc Scale) *Result {
 	spec := data.TerabyteSpec(sc.DatasetScale)
 	d, err := data.New(spec)
@@ -57,16 +61,17 @@ func ServeCore(sc Scale) *Result {
 	}
 
 	const clients = 32
-	const candidatesPerReq = 8
+	const candidatesPerReq, candidatesLarge = 8, 128
 	perClient := 8 * sc.Steps
 	totalReqs := clients * perClient
 	// The serial baseline pays the full stall on every request; a quarter of
 	// the traffic is plenty to measure its (much lower) steady-state rate.
 	serialReqs := totalReqs / 4
 
-	// Per-client fixed workloads: a valid context plus a candidate set.
+	// Per-client fixed workloads: a valid context plus a candidate set of
+	// either size.
 	ctxs := make([]serve.Context, clients)
-	cands := make([][]int, clients)
+	small, large := make([][]int, clients), make([][]int, clients)
 	for c := 0; c < clients; c++ {
 		dense := make([]float32, spec.NumDense)
 		for j := range dense {
@@ -77,11 +82,11 @@ func ServeCore(sc Scale) *Result {
 			sparse[t] = (c*31 + t*13) % rows
 		}
 		ctxs[c] = serve.Context{Dense: dense, Sparse: sparse}
-		cand := make([]int, candidatesPerReq)
+		cand := make([]int, candidatesLarge)
 		for i := range cand {
 			cand[i] = (c*17 + i*97) % spec.TableRows[item]
 		}
-		cands[c] = cand
+		small[c], large[c] = cand[:candidatesPerReq], cand
 	}
 
 	stall := func(batch []served.HydrateRequest) error {
@@ -91,7 +96,7 @@ func ServeCore(sc Scale) *Result {
 
 	// runSerial drives the single-goroutine Ranker; with hydration the stall
 	// lands on every request, since there is no coalescing to amortize it.
-	runSerial := func(hydrated bool) float64 {
+	runSerial := func(hydrated bool, cands [][]int) float64 {
 		ranker, err := serve.NewRanker(model, item, sc.Batch)
 		if err != nil {
 			panic(err)
@@ -112,7 +117,7 @@ func ServeCore(sc Scale) *Result {
 
 	// runPool drives the replica pool closed-loop and returns requests/sec
 	// plus the mean coalesced micro-batch size.
-	runPool := func(replicas int, hydrate func([]served.HydrateRequest) error) (float64, float64) {
+	runPool := func(replicas int, hydrate func([]served.HydrateRequest) error, cands [][]int) (float64, float64) {
 		reg := obs.NewRegistry()
 		pool, err := served.New(model, item, sc.Batch, served.Options{
 			Replicas: replicas, QueueDepth: 4 * clients, MaxCoalesce: 4,
@@ -147,18 +152,21 @@ func ServeCore(sc Scale) *Result {
 		Header: []string{"config", "replicas", "clients", "req/s", "speedup", "avg coalesce"},
 	}
 	profiles := []struct {
-		name    string
-		hydrate func([]served.HydrateRequest) error
+		name     string
+		hydrate  func([]served.HydrateRequest) error
+		cands    [][]int
+		replicas []int
 	}{
-		{"cpu", nil},
-		{"fetch5ms", stall},
+		{"cpu", nil, small, []int{1, 4, 8}},
+		{"fetch5ms", stall, small, []int{1, 4, 8}},
+		{"cpu-128c", nil, large, []int{1}},
 	}
 	for _, prof := range profiles {
-		rate := runSerial(prof.hydrate != nil)
+		rate := runSerial(prof.hydrate != nil, prof.cands)
 		r.AddRow(prof.name+"/serial", "1", "1", fmt.Sprintf("%.0f", rate), "", "")
 		var baseRate float64
-		for _, replicas := range []int{1, 4, 8} {
-			rate, coalesce := runPool(replicas, prof.hydrate)
+		for _, replicas := range prof.replicas {
+			rate, coalesce := runPool(replicas, prof.hydrate, prof.cands)
 			if replicas == 1 {
 				baseRate = rate
 			}
@@ -171,8 +179,8 @@ func ServeCore(sc Scale) *Result {
 		}
 	}
 
-	r.AddNote("%d requests of %d candidates each, %d closed-loop clients; dataset %s, dim %d, rank %d",
-		totalReqs, candidatesPerReq, clients, spec.Name, sc.EmbDim, sc.Rank)
+	r.AddNote("%d requests of %d candidates each (cpu-128c: %d), %d closed-loop clients; dataset %s, dim %d, rank %d, %s kernels",
+		totalReqs, candidatesPerReq, candidatesLarge, clients, spec.Name, sc.EmbDim, sc.Rank, tensor.KernelName())
 	r.AddNote("speedup is relative to the 1-replica pool within each profile; serial is the no-pool baseline")
 	r.AddNote("fetch5ms adds a %v batched remote-feature hydration stall per micro-batch (served.Options.Hydrate); "+
 		"cpu is pure local scoring and compute-bound on a single-CPU host", serveFetchRTT)

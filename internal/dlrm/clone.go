@@ -28,6 +28,12 @@ var ErrNotServable = errors.New("dlrm: table not servable")
 //   - *lockedTable is shared as-is: it serializes access with its own mutex
 //     and copies rows out under the lock.
 //
+// Serving scores a clone through ScoreGroups, whose scratch (ScoreScratch)
+// belongs to the caller — serve.Ranker, one per clone — not to the model.
+// ScoreGroups holds each context table's Lookup result across the chunks of
+// a micro-batch; every table kind above allows it: a tt.Table replica owns
+// its result until its own next Lookup, the others return fresh rows.
+//
 // Any other table type yields ErrNotServable. The sharing contract is
 // read-only: while any clone serves traffic, neither the source model nor any
 // clone may train (Update/Backward). Train a new version and re-clone to

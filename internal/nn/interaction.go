@@ -133,3 +133,69 @@ func (it *Interaction) Backward(dy *tensor.Matrix) (dDense *tensor.Matrix, dEmbs
 	}
 	return dDense, dEmbs
 }
+
+// ForwardShared is the once-per-group half of a forward pass in which every
+// stacked feature but one is shared by a run of rows (a scoring request: one
+// context, many candidate items). For each row g of dense/embs it writes into
+// row g of tmpl (reused, returned) what Forward would write for any row of
+// that group — the dense copy and every pairwise dot not involving embedding
+// vary — and leaves the NumTables columns that do involve it for FillVarying.
+// embs[vary] is not read.
+func (it *Interaction) ForwardShared(tmpl, dense *tensor.Matrix, embs []*tensor.Matrix, vary int) *tensor.Matrix {
+	tmpl = tensor.Reuse(tmpl, dense.Rows, it.OutputDim())
+	f := it.NumTables + 1
+	for g := 0; g < dense.Rows; g++ {
+		row := tmpl.Row(g)
+		copy(row[:it.Dim], dense.Row(g))
+		pos := it.Dim
+		for i := 1; i < f; i++ {
+			if i == vary+1 {
+				pos += i
+				continue
+			}
+			vi := stacked(dense, embs, i, g)
+			for j := 0; j < i; j++ {
+				if j != vary+1 {
+					row[pos] = tensor.Dot(vi, stacked(dense, embs, j, g))
+				}
+				pos++
+			}
+		}
+	}
+	return tmpl
+}
+
+// FillVarying is the per-row half: row s of out (reused, returned) becomes
+// row group[s] of the ForwardShared template with the columns of embedding
+// vary filled from row s of item. Every element is the tensor.Dot Forward
+// computes on the replicated batch, same operands in the same argument order
+// — the varying feature first against lower stacked features, second against
+// higher ones — so out is bit-identical to Forward's output.
+func (it *Interaction) FillVarying(out, tmpl, dense *tensor.Matrix, embs []*tensor.Matrix, vary int, item *tensor.Matrix, group []int) *tensor.Matrix {
+	out = tensor.Reuse(out, item.Rows, it.OutputDim())
+	f := it.NumTables + 1
+	v := vary + 1
+	for s := 0; s < item.Rows; s++ {
+		g := group[s]
+		row := out.Row(s)
+		copy(row, tmpl.Row(g))
+		vs := item.Row(s)
+		pos := it.Dim + v*(v-1)/2
+		for j := 0; j < v; j++ {
+			row[pos+j] = tensor.Dot(vs, stacked(dense, embs, j, g))
+		}
+		for i := v + 1; i < f; i++ {
+			row[it.Dim+i*(i-1)/2+v] = tensor.Dot(stacked(dense, embs, i, g), vs)
+		}
+	}
+	return out
+}
+
+// stacked is Interaction.feature over explicit inputs: stacked feature idx of
+// row s, 0 the dense vector and 1..NumTables the embeddings.
+func stacked(dense *tensor.Matrix, embs []*tensor.Matrix, idx, s int) []float32 {
+	if idx == 0 {
+		return dense.Row(s)
+	}
+	return embs[idx-1].Row(s)
+}

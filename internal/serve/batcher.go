@@ -5,18 +5,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Row is one scoring row of a coalesced batch: a request context paired with
-// a single candidate item. A serving front end flattens many concurrent
-// requests into a row list and scores them in one model forward pass.
-type Row struct {
-	Ctx  *Context
-	Item int
-}
-
-// Batcher builds scoring batches into reusable scratch, amortizing the
-// per-chunk allocations of batch construction across calls. A Batcher is
-// owned by one goroutine at a time, and the batch it returns aliases its
-// scratch — valid only until the next Build/BuildRows call.
+// Batcher builds the replicated scoring batch — one context copied across
+// its candidates — into reusable scratch. Serving no longer scores through
+// it (Ranker.Score and served.Pool run dlrm.Model.ScoreGroups, which computes
+// the context side once); it stays exported as the oracle that path is held
+// bit-identical to: Predict(Build(ctx, chunk)) is what the equivalence tests
+// and the benchmark's traced replay compare served scores against. A Batcher
+// is owned by one goroutine at a time, and the batch it returns aliases its
+// scratch — valid only until the next Build call.
 type Batcher struct {
 	itemFeature int
 	dense       *tensor.Matrix
@@ -62,9 +58,9 @@ func (b *Batcher) prepare(n, numDense, numTables int) *data.Batch {
 }
 
 // Build replicates ctx across len(candidates) rows, varying the item
-// feature — the single-context chunk path used by Ranker.Score.
+// feature.
 //
-//elrec:hotpath per-request batch assembly on the serving fast path
+//elrec:hotpath batch assembly into grown scratch does not allocate
 func (b *Batcher) Build(ctx Context, candidates []int) *data.Batch {
 	n := len(candidates)
 	out := b.prepare(n, len(ctx.Dense), len(ctx.Sparse))
@@ -79,29 +75,6 @@ func (b *Batcher) Build(ctx Context, candidates []int) *data.Batch {
 			v := ctx.Sparse[t]
 			for s := 0; s < n; s++ {
 				col[s] = v
-			}
-		}
-	}
-	return out
-}
-
-// BuildRows builds a coalesced batch where every row carries its own
-// context — the micro-batch path that merges concurrent requests. All
-// contexts must already be validated against the same model.
-//
-//elrec:hotpath per-request batch assembly on the serving fast path
-func (b *Batcher) BuildRows(rows []Row) *data.Batch {
-	if len(rows) == 0 {
-		return b.prepare(0, 0, 0)
-	}
-	out := b.prepare(len(rows), len(rows[0].Ctx.Dense), len(rows[0].Ctx.Sparse))
-	for s, row := range rows {
-		copy(out.Dense.Row(s), row.Ctx.Dense)
-		for t, v := range row.Ctx.Sparse {
-			if t == b.itemFeature {
-				out.Sparse[t][s] = row.Item
-			} else {
-				out.Sparse[t][s] = v
 			}
 		}
 	}

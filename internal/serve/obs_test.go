@@ -1,82 +1,11 @@
 package serve
 
 import (
-	"errors"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// TestScoreManyRejectsExactlyTheBadRows is the regression test for the old
-// batch API, which returned nil for every row on the first bad context. Now
-// a bad context fails only its own row: the error list names the offending
-// index (with the sentinel intact for errors.Is) and the good rows still
-// come back scored.
-func TestScoreManyRejectsExactlyTheBadRows(t *testing.T) {
-	m := serveModel(t)
-	r, err := NewRanker(m, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := testContext()
-	bad := Context{Dense: []float32{1}, Sparse: []int{0, 0}} // wrong dense width
-
-	want, err := r.Score(good, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, errs := r.ScoreMany([]Context{good, bad, good}, []int{1, 2})
-	if errs == nil {
-		t.Fatal("bad context produced no error list")
-	}
-	if !errors.Is(errs[1], ErrInvalidContext) {
-		t.Fatalf("errs[1] = %v, want ErrInvalidContext", errs[1])
-	}
-	if !strings.Contains(errs[1].Error(), "batch context 1") {
-		t.Fatalf("error %q does not name the offending batch index 1", errs[1])
-	}
-	if out[1] != nil {
-		t.Fatal("bad row came back with scores")
-	}
-	for _, i := range []int{0, 2} {
-		if errs[i] != nil {
-			t.Fatalf("good row %d rejected: %v", i, errs[i])
-		}
-		if len(out[i]) != 2 {
-			t.Fatalf("good row %d has %d scores, want 2", i, len(out[i]))
-		}
-		for j := range want {
-			if out[i][j] != want[j] {
-				t.Fatalf("row %d score %d: %v want %v", i, j, out[i][j], want[j])
-			}
-		}
-	}
-
-	// A bad candidate set fails every row with the candidate's position.
-	out, errs = r.ScoreMany([]Context{good, good}, []int{1, 5000})
-	for i := range out {
-		if out[i] != nil {
-			t.Fatalf("row %d scored against a bad candidate set", i)
-		}
-		if !errors.Is(errs[i], ErrInvalidCandidate) {
-			t.Fatalf("errs[%d] = %v, want ErrInvalidCandidate", i, errs[i])
-		}
-		if !strings.Contains(errs[i].Error(), "candidate 1") {
-			t.Fatalf("error %q does not name the candidate position", errs[i])
-		}
-	}
-
-	// A clean batch scores every context with a nil error list.
-	out, errs = r.ScoreMany([]Context{good, good}, []int{3, 4, 5})
-	if errs != nil {
-		t.Fatalf("clean batch produced errors: %v", errs)
-	}
-	if len(out) != 2 || len(out[0]) != 3 {
-		t.Fatalf("result shape %dx%d want 2x3", len(out), len(out[0]))
-	}
-}
 
 // TestServeMetrics checks the request/error counters and the latency and
 // batch-size histograms against a manual clock.

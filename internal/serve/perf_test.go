@@ -4,48 +4,62 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/dlrm"
 	"repro/internal/tensor"
+	"repro/internal/tt"
 )
 
-// TestBatcherZeroAllocSteadyState cross-checks hotalloc's static claim for
-// the serving batch assembly: once the Batcher scratch has grown to the
-// working shape, Build and BuildRows construct batches without heap
-// allocation.
-func TestBatcherZeroAllocSteadyState(t *testing.T) {
+// TestScoringZeroAllocSteadyState cross-checks hotalloc's static claim for
+// the scoring path at runtime: once the scratch has grown to the working
+// shape, the grouped forward scores a micro-batch — several contexts, chunks
+// that end inside a group — without heap allocation, and so does the
+// replicated oracle's batch assembly. The model is all-TT: Eff-TT lookups run
+// in arena scratch, while dense-table lookups allocate rows by contract.
+func TestScoringZeroAllocSteadyState(t *testing.T) {
 	old := tensor.Workers()
 	tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	m := serveModel(t)
-	r, err := NewRanker(m, 1, 16)
+	tables, _, err := dlrm.BuildTables(serveSpec().TableRows,
+		dlrm.TableSpec{Dim: 8, Rank: 4, TTThreshold: 0, Opts: tt.EffOptions(), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := r.NewBatcher()
-	ctx := testContext()
+	m, err := dlrm.NewModel(dlrm.Config{
+		NumDense: 3, EmbDim: 8, BottomSizes: []int{8}, TopSizes: []int{8}, LR: 1.0, Seed: 4,
+	}, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRanker(m, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	candidates := []int{4, 9, 1, 12, 7, 3, 0, 8}
+	groups := make([]dlrm.ScoreGroup, 3)
+	for g := range groups {
+		groups[g] = dlrm.ScoreGroup{
+			Dense: []float32{float32(g), -1, 0.2}, Sparse: []int{g * 7, 0}, Items: candidates[g:],
+		}
+	}
+	scores := make([]float32, 8+7+6)
 
-	rows := make([]Row, len(candidates))
-	ctxs := make([]Context, len(candidates))
-	for i, item := range candidates {
-		ctxs[i] = Context{Dense: []float32{float32(i), -1, 0.2}, Sparse: []int{i % 3, 0}}
-		rows[i] = Row{Ctx: &ctxs[i], Item: item}
+	r.ScoreGroups(groups, scores) // warmup: grows the scratch to the micro-batch shape
+	allocs := testing.AllocsPerRun(20, func() {
+		r.ScoreGroups(groups, scores)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state ScoreGroups allocated %v times per call, want 0", allocs)
 	}
 
+	b := r.NewBatcher()
+	ctx := testContext()
 	b.Build(ctx, candidates) // warmup: grows the scratch to batch shape
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs = testing.AllocsPerRun(20, func() {
 		b.Build(ctx, candidates)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Build allocated %v times per call, want 0", allocs)
-	}
-
-	b.BuildRows(rows)
-	allocs = testing.AllocsPerRun(20, func() {
-		b.BuildRows(rows)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state BuildRows allocated %v times per call, want 0", allocs)
 	}
 }

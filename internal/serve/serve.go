@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/data"
 	"repro/internal/dlrm"
 	"repro/internal/obs"
 )
@@ -38,11 +37,11 @@ type Ranker struct {
 	// itemFeature is the categorical feature (table index) that identifies
 	// the candidate item; all other features describe the user/context.
 	itemFeature int
-	// batch is the scoring batch size.
+	// batch is the scoring batch size: rows per top-MLP pass.
 	batch int
-	// batcher is the pooled batch scratch Score chunks through; reusing it
-	// across chunks and calls is what makes the Ranker single-goroutine.
-	batcher *Batcher
+	// scratch is the grouped-forward state reused across calls; it is what
+	// makes the Ranker single-goroutine.
+	scratch dlrm.ScoreScratch
 
 	// met holds the serving instruments; the zero value (not attached) makes
 	// every record path a no-op.
@@ -86,9 +85,7 @@ func NewRanker(model *dlrm.Model, itemFeature, batchSize int) (*Ranker, error) {
 	if batchSize <= 0 {
 		return nil, fmt.Errorf("%w: non-positive batch size %d", ErrInvalidConfig, batchSize)
 	}
-	r := &Ranker{model: model, itemFeature: itemFeature, batch: batchSize}
-	r.batcher = r.NewBatcher()
-	return r, nil
+	return &Ranker{model: model, itemFeature: itemFeature, batch: batchSize}, nil
 }
 
 // Context is one user/request context: dense features plus one categorical
@@ -157,67 +154,20 @@ func (r *Ranker) Score(ctx Context, candidates []int) (scores []float32, err err
 		r.met.candidates.Add(int64(len(candidates)))
 		r.met.batchSize.Observe(float64(len(candidates)))
 	}
-	out := make([]float32, 0, len(candidates))
-	for start := 0; start < len(candidates); start += r.batch {
-		end := start + r.batch
-		if end > len(candidates) {
-			end = len(candidates)
-		}
-		out = append(out, r.model.Predict(r.batcher.Build(ctx, candidates[start:end]))...)
-	}
+	out := make([]float32, len(candidates))
+	r.ScoreGroups([]dlrm.ScoreGroup{{Dense: ctx.Dense, Sparse: ctx.Sparse, Items: candidates}}, out)
 	return out, nil
 }
 
-// ScoreMany scores the same candidate set for a batch of request contexts
-// (the ranking-stage pattern: one model replica serves many concurrent
-// requests). Row i of the result holds the scores for ctxs[i]; rows whose
-// context is invalid are nil. The error list is nil when every row succeeds;
-// otherwise errs[i] explains row i's failure (wrapping ErrInvalidContext and
-// naming the batch index) and the remaining rows are still scored — a
-// serving layer rejects exactly the bad requests instead of guessing which
-// one failed. A bad candidate set fails every row with the same
-// ErrInvalidCandidate error.
-func (r *Ranker) ScoreMany(ctxs []Context, candidates []int) ([][]float32, []error) {
-	out := make([][]float32, len(ctxs))
-	var errs []error
-	fail := func(i int, err error) {
-		if errs == nil {
-			errs = make([]error, len(ctxs))
-		}
-		errs[i] = err
-	}
-	if err := r.ValidateCandidates(candidates); err != nil {
-		for i := range ctxs {
-			fail(i, err)
-		}
-		return out, errs
-	}
-	// Validate every context up front so one bad request cannot abort its
-	// neighbours' scoring.
-	for i, ctx := range ctxs {
-		if err := r.Validate(ctx); err != nil {
-			fail(i, fmt.Errorf("batch context %d: %w", i, err))
-		}
-	}
-	for i, ctx := range ctxs {
-		if errs != nil && errs[i] != nil {
-			continue
-		}
-		scores, err := r.Score(ctx, candidates)
-		if err != nil {
-			fail(i, fmt.Errorf("batch context %d: %w", i, err))
-			continue
-		}
-		out[i] = scores
-	}
-	return out, errs
-}
-
-// buildBatch replicates the context across rows, varying the item feature.
-// It builds into fresh scratch (tests and one-shot callers); the hot path
-// goes through the ranker's pooled Batcher.
-func (r *Ranker) buildBatch(ctx Context, candidates []int) *data.Batch {
-	return r.NewBatcher().Build(ctx, candidates)
+// ScoreGroups scores already-validated requests in one grouped forward pass
+// (dlrm.Model.ScoreGroups): each group's context side is computed once and
+// its candidates are scored -score-batch rows at a time, into scores in
+// group then candidate order. It is the one scoring path — Score calls it
+// with a single group, served.Pool with a coalesced micro-batch — and the
+// steady state allocates nothing on an all-TT model. Scores are bit-identical
+// to Model.Predict over Batcher.Build of each request.
+func (r *Ranker) ScoreGroups(groups []dlrm.ScoreGroup, scores []float32) {
+	r.model.ScoreGroups(&r.scratch, r.itemFeature, r.batch, groups, scores)
 }
 
 // Scored pairs a candidate item with its predicted CTR.

@@ -70,7 +70,7 @@ func TestScoreMatchesModelPredict(t *testing.T) {
 	}
 	// Reference: score one candidate at a time via the model directly.
 	for i, c := range candidates {
-		single := r.buildBatch(ctx, []int{c})
+		single := r.NewBatcher().Build(ctx, []int{c})
 		want := m.Predict(single)[0]
 		if math.Abs(float64(scores[i]-want)) > 1e-6 {
 			t.Fatalf("candidate %d: score %v want %v", c, scores[i], want)
@@ -251,32 +251,6 @@ func TestBatcherReuseMatchesFreshBuild(t *testing.T) {
 			if got.Offsets[s] != o {
 				t.Fatalf("offsets[%d] = %d want %d", s, got.Offsets[s], o)
 			}
-		}
-	}
-}
-
-// TestBatcherBuildRowsMatchesPerContextBuild: a coalesced multi-context
-// batch must score row-for-row like the single-context path.
-func TestBatcherBuildRowsMatchesPerContextBuild(t *testing.T) {
-	m := serveModel(t)
-	r, _ := NewRanker(m, 1, 64)
-	ctxA := testContext()
-	ctxB := Context{Dense: []float32{-0.3, 2, 1.1}, Sparse: []int{42, 0}}
-	rows := []Row{{&ctxA, 3}, {&ctxB, 1999}, {&ctxA, 7}, {&ctxB, 0}}
-	coalesced := m.Predict(r.NewBatcher().BuildRows(rows))
-
-	sa, err := r.Score(ctxA, []int{3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := r.Score(ctxB, []int{1999, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{sa[0], sb[0], sa[1], sb[1]}
-	for i := range want {
-		if coalesced[i] != want[i] {
-			t.Fatalf("coalesced row %d = %v, per-context path says %v", i, coalesced[i], want[i])
 		}
 	}
 }

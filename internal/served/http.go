@@ -43,6 +43,11 @@ type ScoredItem struct {
 	Score float32 `json:"score"`
 }
 
+// maxBodyBytes caps every POST body. The pool's scratch grows to the largest
+// request it has scored and never shrinks, so an unbounded body would let one
+// request size a replica for good; a 128-candidate /score body is about 1 kB.
+const maxBodyBytes = 1 << 20
+
 // errorResponse is the JSON body of every non-200 answer.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -66,7 +71,9 @@ type ReloadResponse struct {
 // only when the pool is serving a stable version (503 mid-swap and after
 // Close) so load balancers route around a node that is reloading. Shedding
 // maps to status codes a balancer can act on: 503 for ErrOverloaded and
-// ErrShutdown, 504 for ErrDeadline, 400 for invalid requests.
+// ErrShutdown, 504 for ErrDeadline, 400 for invalid requests (including
+// anything but whitespace after the body's JSON value), 413 for a body over
+// maxBodyBytes.
 func (p *Pool) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) {
@@ -105,13 +112,9 @@ func (p *Pool) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ReloadRequest
-	if r.Body != nil {
-		// An empty body means "reload the default path"; only malformed
-		// JSON is an error.
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
-			return
-		}
+	// An empty body means "reload the default path".
+	if r.Body != nil && !decodeBody(w, r, &req, true) {
+		return
 	}
 	version, err := p.SwapFromCheckpoint(req.Path)
 	if err != nil {
@@ -131,8 +134,7 @@ func (p *Pool) handle(w http.ResponseWriter, r *http.Request, topK bool) {
 		return
 	}
 	var req ScoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON: " + err.Error()})
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	ctx := serve.Context{Dense: req.Dense, Sparse: req.Sparse}
@@ -169,6 +171,35 @@ func (p *Pool) handle(w http.ResponseWriter, r *http.Request, topK bool) {
 		scores = []float32{}
 	}
 	writeJSON(w, http.StatusOK, ScoreResponse{Scores: scores})
+}
+
+// decodeBody decodes the request body — one JSON value, at most maxBodyBytes,
+// nothing but whitespace after it — into v. On failure it answers 413 for an
+// oversized body and 400 for anything else and returns false. emptyOK accepts
+// a body with no value at all, leaving v untouched.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	switch {
+	case emptyOK && errors.Is(err, io.EOF):
+		return true
+	case err == nil:
+		// The value must be the whole body: the next token has to be a
+		// clean end of input.
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return true
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, errorResponse{Error: "bad JSON: " + err.Error()})
+	return false
 }
 
 // writeError maps pool and serve errors to HTTP status codes.

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -300,5 +302,53 @@ func TestHTTPErrorMapping(t *testing.T) {
 	rec = postJSON(t, h, "/score", ScoreRequest{Dense: ctx.Dense, Sparse: ctx.Sparse, Candidates: []int{1}})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close status %d want 503", rec.Code)
+	}
+}
+
+// TestHTTPBodyLimits: every POST body is one JSON value of at most
+// maxBodyBytes. An oversized body answers 413 without reaching a replica (the
+// scratch a request grows never shrinks), and anything but whitespace after
+// the value answers 400 instead of being silently dropped.
+func TestHTTPBodyLimits(t *testing.T) {
+	m := poolModel(t)
+	reg := obs.NewRegistry()
+	p, err := New(m, 1, 16, Options{Replicas: 1, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	h := p.Handler()
+	post := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+
+	ctx := poolContext(0)
+	valid, err := json.Marshal(ScoreRequest{Dense: ctx.Dense, Sparse: ctx.Sparse, Candidates: []int{1, 2}, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A syntactically valid body just over the cap: candidate ids to spare.
+	huge := `{"candidates":[` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`
+	for _, path := range []string{"/score", "/topk", "/reload"} {
+		if code := post(path, huge); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s oversized body: status %d want 413", path, code)
+		}
+		if code := post(path, string(valid)+` {"k":2}`); code != http.StatusBadRequest {
+			t.Errorf("%s second JSON value: status %d want 400", path, code)
+		}
+		if code := post(path, string(valid)+"]"); code != http.StatusBadRequest {
+			t.Errorf("%s trailing garbage: status %d want 400", path, code)
+		}
+	}
+	if n := reg.Snapshot().Counter("serve_requests"); n != 0 {
+		t.Fatalf("%d rejected bodies reached admission", n)
+	}
+	// Trailing whitespace is still one value.
+	for _, path := range []string{"/score", "/topk"} {
+		if code := post(path, string(valid)+" \n\t"); code != http.StatusOK {
+			t.Errorf("%s trailing whitespace: status %d want 200", path, code)
+		}
 	}
 }

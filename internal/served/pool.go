@@ -13,12 +13,14 @@
 // shedding (ErrOverloaded when the queue is full, ErrDeadline when a request
 // waited past its deadline, ErrShutdown after Close) and a request coalescer:
 // a worker drains whatever is queued — up to MaxCoalesce requests — into one
-// micro-batch, built through pooled serve.Batcher scratch, and scores it in
-// a single model forward pass (cf. DeepRecSys' ranking-stage batching).
-// Because every scoring kernel accumulates per output element in fixed
-// k-order, a sample's score does not depend on its micro-batch neighbours:
-// pooled results are bit-identical to the serial path, which the -race tests
-// assert.
+// micro-batch and scores it in a single grouped forward pass
+// (serve.Ranker.ScoreGroups, the path Ranker.Score itself takes): the
+// context side of each request is computed once, its candidates share it
+// (cf. DeepRecSys' ranking-stage batching, RecD's dedup past the embedding
+// layer). Because every scoring kernel accumulates per output element in
+// fixed k-order, a sample's score does not depend on its micro-batch
+// neighbours: pooled results are bit-identical to the serial path, which the
+// -race tests assert.
 //
 // The pool also supports hot model reload (see swap.go): Swap hands every
 // worker a freshly cloned replica of a new model version between
@@ -36,7 +38,6 @@ import (
 	"time"
 
 	"repro/internal/dlrm"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -165,15 +166,12 @@ type swapMsg struct {
 // replica is one isolated copy of the model plus its scoring scratch; it is
 // only ever touched by the single worker goroutine that owns it.
 type replica struct {
-	model   *dlrm.Model
-	ranker  *serve.Ranker
-	batcher *serve.Batcher
-	batch   int // scoring chunk size (rows per forward pass)
+	ranker *serve.Ranker // over this replica's own model clone
 
-	reqs   []*request       // coalesce scratch, reused across micro-batches
-	rows   []serve.Row      // flattened row scratch, reused across micro-batches
-	hyd    []HydrateRequest // hydration scratch, reused across micro-batches
-	scores []float32        // micro-batch score scratch, reused across micro-batches
+	reqs   []*request        // coalesce scratch, reused across micro-batches
+	groups []dlrm.ScoreGroup // one per live request, reused across micro-batches
+	hyd    []HydrateRequest  // hydration scratch, reused across micro-batches
+	scores []float32         // micro-batch score scratch, reused across micro-batches
 }
 
 // HydrateRequest is one live request handed to the Options.Hydrate stage.
@@ -190,6 +188,8 @@ type HydrateRequest struct {
 type poolMetrics struct {
 	requests     *obs.Counter   // serve_requests: admission attempts
 	errors       *obs.Counter   // serve_errors: error responses (incl. sheds)
+	candidates   *obs.Counter   // serve_candidates: candidates of validated requests
+	batchSize    *obs.Histogram // serve_batch_size: candidates per validated request
 	shedOverload *obs.Counter   // serve_shed_overload
 	shedDeadline *obs.Counter   // serve_shed_deadline
 	queueDepth   *obs.Gauge     // serve_queue_depth
@@ -197,7 +197,7 @@ type poolMetrics struct {
 	coalesced    *obs.Histogram // serve_coalesced_batch_size: requests per micro-batch
 	queueWaitNS  *obs.Histogram // serve_queue_wait_ns: admission → worker pickup
 	hydrateNS    *obs.Histogram // serve_hydrate_ns: Hydrate stage per micro-batch
-	execNS       *obs.Histogram // serve_exec_ns: micro-batch hydrate+build+forward+rank
+	execNS       *obs.Histogram // serve_exec_ns: micro-batch hydrate+forward+rank
 	swapNS       *obs.Histogram // serve_swap_ns: Swap clone-build + distribution latency
 }
 
@@ -208,6 +208,8 @@ func newPoolMetrics(reg *obs.Registry) poolMetrics {
 	return poolMetrics{
 		requests:     reg.Counter("serve_requests"),
 		errors:       reg.Counter("serve_errors"),
+		candidates:   reg.Counter("serve_candidates"),
+		batchSize:    reg.Histogram("serve_batch_size"),
 		shedOverload: reg.Counter("serve_shed_overload"),
 		shedDeadline: reg.Counter("serve_shed_deadline"),
 		queueDepth:   reg.Gauge("serve_queue_depth"),
@@ -277,12 +279,7 @@ func (p *Pool) buildReplica(model *dlrm.Model) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &replica{
-		model:   clone,
-		ranker:  ranker,
-		batcher: ranker.NewBatcher(),
-		batch:   p.batchSize,
-	}, nil
+	return &replica{ranker: ranker}, nil
 }
 
 // Replicas returns the number of serving replicas.
@@ -463,9 +460,13 @@ coalesce:
 }
 
 // process scores one coalesced micro-batch on r: shed expired requests,
-// reject invalid ones, flatten the rest into rows, run chunked forward
-// passes through the replica's pooled batcher, and split the scores back
-// per request. Every request in reqs receives exactly one response.
+// reject invalid ones, score the rest as one group each in a single grouped
+// forward pass, and split the scores back per request. Every request in
+// reqs receives exactly one response.
+//
+// serve_candidates and serve_batch_size follow serve.Ranker's rule: they
+// record only after validation passes, so candidates ÷ coalesced contexts is
+// the reuse factor the grouped forward exploits.
 func (p *Pool) process(r *replica, reqs []*request) {
 	defer func() {
 		// Backstop: a scoring panic must fail the batch, not kill the
@@ -495,11 +496,14 @@ func (p *Pool) process(r *replica, reqs []*request) {
 			req.respond(response{err: err})
 			continue
 		}
+		p.met.candidates.Add(int64(len(req.candidates)))
+		p.met.batchSize.Observe(float64(len(req.candidates)))
 		live = append(live, req)
 	}
 	if len(live) == 0 {
 		return
 	}
+	defer func() { p.met.execNS.Observe(float64(obs.Since(p.clock, start))) }()
 	p.met.coalesced.Observe(float64(len(live)))
 	if p.opts.Hydrate != nil {
 		r.hyd = r.hyd[:0]
@@ -517,13 +521,11 @@ func (p *Pool) process(r *replica, reqs []*request) {
 			return
 		}
 	}
-	r.rows = r.rows[:0]
+	r.groups = r.groups[:0]
 	for _, req := range live {
-		for _, c := range req.candidates {
-			r.rows = append(r.rows, serve.Row{Ctx: &req.ctx, Item: c})
-		}
+		r.groups = append(r.groups, dlrm.ScoreGroup{Dense: req.ctx.Dense, Sparse: req.ctx.Sparse, Items: req.candidates})
 	}
-	scores := r.scoreRows()
+	scores := r.score()
 	off := 0
 	for _, req := range live {
 		n := len(req.candidates)
@@ -535,31 +537,25 @@ func (p *Pool) process(r *replica, reqs []*request) {
 			req.respond(response{scores: own})
 		}
 	}
-	p.met.execNS.Observe(float64(obs.Since(p.clock, start)))
 }
 
-// scoreRows scores r.rows in Ranker-sized chunks into the replica's pooled
-// scores scratch and returns the scratch resliced to the row count. Steady
+// score runs r.groups through the replica Ranker's grouped forward into the
+// pooled scores scratch and returns it resliced to the row count. Steady
 // state allocates nothing (the AllocsPerRun test pins it; elrec-lint's
 // hotalloc pass keeps the scratch management honest): the scratch grows once
-// to the high-water row count, then every micro-batch reuses it. Results are
-// bit-identical to per-chunk Predict — Forward fills the same logits buffer
-// and SigmoidInto applies the same per-element sigmoid.
+// to the high-water row count, then every micro-batch reuses it.
 //
 //elrec:hotpath
-func (r *replica) scoreRows() []float32 {
-	if cap(r.scores) < len(r.rows) {
-		r.scores = make([]float32, len(r.rows)) //elrec:coldpath amortized scratch growth to the high-water micro-batch size
+func (r *replica) score() []float32 {
+	rows := 0
+	for i := range r.groups {
+		rows += len(r.groups[i].Items)
 	}
-	scores := r.scores[:len(r.rows)]
-	for s := 0; s < len(r.rows); s += r.batch {
-		e := s + r.batch
-		if e > len(r.rows) {
-			e = len(r.rows)
-		}
-		logits := r.model.Forward(r.batcher.BuildRows(r.rows[s:e])) //elrec:coldpath forward reuses model-owned buffers; its steady-state allocations are pinned by runtime AllocsPerRun tests
-		nn.SigmoidInto(scores[s:e], logits.Data)
+	if cap(r.scores) < rows {
+		r.scores = make([]float32, rows) //elrec:coldpath amortized scratch growth to the high-water micro-batch size
 	}
+	scores := r.scores[:rows]
+	r.ranker.ScoreGroups(r.groups, scores)
 	return scores
 }
 

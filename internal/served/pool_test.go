@@ -254,6 +254,25 @@ func TestPoolCoalescesWaitingRequests(t *testing.T) {
 	if snap.Histograms["serve_queue_wait_ns"].Count != 3 {
 		t.Fatal("serve_queue_wait_ns must record every request")
 	}
+	// Candidates ÷ coalesced contexts is the reuse factor: 3 contexts of 12.
+	if got := snap.Counter("serve_candidates"); got != 36 {
+		t.Fatalf("serve_candidates = %d want 36", got)
+	}
+	if bs := snap.Histograms["serve_batch_size"]; bs.Count != 3 || bs.Max != 12 {
+		t.Fatalf("serve_batch_size %+v, want 3 requests of 12 candidates", bs)
+	}
+	// A request that fails validation moves neither.
+	invalid := &request{ctx: poolContext(0), candidates: []int{5000}}
+	if err := p.admit(invalid); err != nil {
+		t.Fatal(err)
+	}
+	p.serveOne(p.workers[0].rep)
+	if resp := <-invalid.done; !errors.Is(resp.err, serve.ErrInvalidCandidate) {
+		t.Fatalf("invalid candidate: err = %v", resp.err)
+	}
+	if got := reg.Snapshot().Counter("serve_candidates"); got != 36 {
+		t.Fatalf("serve_candidates = %d after a rejected request, want 36", got)
+	}
 	if got := snap.Gauges["serve_queue_depth"]; got != 0 {
 		t.Fatalf("serve_queue_depth = %v want 0 after drain", got)
 	}
@@ -332,6 +351,10 @@ func TestPoolHydrateStage(t *testing.T) {
 	resp := <-bad.done
 	if !errors.Is(resp.err, fail) {
 		t.Fatalf("hydrate failure: err = %v, want wrapped %v", resp.err, fail)
+	}
+	// The failed micro-batch still spent replica time: both are timed.
+	if got := reg.Snapshot().Histograms["serve_exec_ns"].Count; got != 2 {
+		t.Fatalf("serve_exec_ns count = %d want 2 (the hydrate failure included)", got)
 	}
 }
 

@@ -317,12 +317,12 @@ func TestReadyFlipsDuringSwapAndClose(t *testing.T) {
 	}
 }
 
-// TestScoreRowsZeroAllocSteadyState cross-checks hotalloc's static claim at
-// runtime: once replica scratch has grown to the working shape, scoring a
-// coalesced micro-batch allocates nothing. Uses an all-TT model — Eff-TT
-// lookups run in arena scratch, while dense-table lookups allocate rows by
-// contract.
-func TestScoreRowsZeroAllocSteadyState(t *testing.T) {
+// TestReplicaScoreZeroAllocSteadyState cross-checks hotalloc's static claim
+// at runtime: once replica scratch has grown to the working shape, scoring a
+// coalesced micro-batch through the grouped forward allocates nothing. Uses
+// an all-TT model — Eff-TT lookups run in arena scratch, while dense-table
+// lookups allocate rows by contract.
+func TestReplicaScoreZeroAllocSteadyState(t *testing.T) {
 	old := tensor.Workers()
 	tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(old)
@@ -345,22 +345,16 @@ func TestScoreRowsZeroAllocSteadyState(t *testing.T) {
 	}
 	r := p.workers[0].rep
 
-	ctxs := make([]serve.Context, 4)
-	for i := range ctxs {
-		ctxs[i] = poolContext(i)
-	}
-	r.rows = r.rows[:0]
-	for i := range ctxs {
-		for _, c := range poolCandidates(i) {
-			r.rows = append(r.rows, serve.Row{Ctx: &ctxs[i], Item: c})
-		}
+	for i := 0; i < 4; i++ {
+		ctx := poolContext(i)
+		r.groups = append(r.groups, dlrm.ScoreGroup{Dense: ctx.Dense, Sparse: ctx.Sparse, Items: poolCandidates(i)})
 	}
 
-	r.scoreRows() // warmup: grows the scores scratch to the row count
+	r.score() // warmup: grows the scratch to the micro-batch shape
 	allocs := testing.AllocsPerRun(20, func() {
-		r.scoreRows()
+		r.score()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state scoreRows allocated %v times per call, want 0", allocs)
+		t.Fatalf("steady-state score allocated %v times per call, want 0", allocs)
 	}
 }
