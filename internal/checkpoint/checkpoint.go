@@ -449,9 +449,6 @@ func readTTInto(r io.Reader, tbl *tt.Table) error {
 			return err
 		}
 	}
-	// Restoring writes core storage behind the version counters' back, so
-	// any cross-batch prefix products are stale.
-	tbl.InvalidatePrefixCache()
 	var hasAdagrad uint8
 	if err := binary.Read(r, binary.LittleEndian, &hasAdagrad); err != nil {
 		return err

@@ -67,9 +67,8 @@ type Config struct {
 	// Lookahead sets the data-pipeline window size in batches: the
 	// pre-fetcher plans the exact sparse access set of the next Lookahead
 	// batches and uses it for oracle cache admission and cross-batch dedup
-	// (rows reused within a window are gathered once), plus TT prefix-cache
-	// protection on device tables. 0 or 1 disables the lookahead. Training
-	// is bit-exact for every setting.
+	// on host tables (rows reused within a window are gathered once). 0 or 1
+	// disables the lookahead. Training is bit-exact for every setting.
 	Lookahead int
 
 	// Faults injects deterministic failures into the pipeline trainer

@@ -298,40 +298,6 @@ func TestLookaheadShortWindow(t *testing.T) {
 	plan.Release()
 }
 
-// TestLookaheadDeviceWindow checks protection-set collection: ids occurring
-// in more than one batch of the window are collected exactly once; ids
-// repeated only within a single batch are not.
-func TestLookaheadDeviceWindow(t *testing.T) {
-	ids := [][][]int{
-		{{5, 5, 1, 2}}, // 5 repeats within the batch only
-		{{2, 3}},
-		{{3, 2, 6}},
-	}
-	la, err := NewLookahead(&fixedSource{ids: ids}, LookaheadConfig{
-		Window: 3, Batch: 1,
-		DeviceTables: []int{0}, DeviceRows: []int{8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := la.Advance(0, 3)
-	got := map[int]int{}
-	for _, id := range plan.Device[0].IDs {
-		got[id]++
-	}
-	for _, id := range []int{2, 3} {
-		if got[id] != 1 {
-			t.Errorf("cross-batch id %d collected %d times, want 1", id, got[id])
-		}
-	}
-	for _, id := range []int{1, 5, 6} {
-		if got[id] != 0 {
-			t.Errorf("single-batch id %d collected %d times, want 0", id, got[id])
-		}
-	}
-	plan.Release()
-}
-
 // TestLookaheadFallbackSource exercises the full-batch fallback: a source
 // without BatchIndices gets its batches generated at plan time, cached on
 // the plan, and the planned access sets match the cached batches.
@@ -369,12 +335,10 @@ func (b batchOnly) Batch(iter, size int) *Batch { return b.d.Batch(iter, size) }
 func TestLookaheadConfigValidation(t *testing.T) {
 	src := &fixedSource{ids: [][][]int{{{0}}, {{0}}}}
 	bad := []LookaheadConfig{
-		{Window: 1, Batch: 1},                                          // window too small
-		{Window: 2, Batch: 0},                                          // no batch size
-		{Window: 2, Batch: 1, Tables: []int{0}},                        // rows missing
-		{Window: 2, Batch: 1, Tables: []int{0}, Rows: []int{0}},        // non-positive rows
-		{Window: 2, Batch: 1, DeviceTables: []int{0}},                  // device rows missing
-		{Window: 2, Batch: 1, DeviceTables: []int{0}, DeviceRows: nil}, // device rows missing
+		{Window: 1, Batch: 1},                                   // window too small
+		{Window: 2, Batch: 0},                                   // no batch size
+		{Window: 2, Batch: 1, Tables: []int{0}},                 // rows missing
+		{Window: 2, Batch: 1, Tables: []int{0}, Rows: []int{0}}, // non-positive rows
 	}
 	for i, cfg := range bad {
 		if _, err := NewLookahead(src, cfg); err == nil {
@@ -417,15 +381,12 @@ func TestLookaheadZeroAllocSteadyState(t *testing.T) {
 		Tables: []int{0, 1},
 		Rows:   []int{d.Spec.TableRows[0], d.Spec.TableRows[1]},
 		Budget: 64,
-		// Third table doubles as the device table to cover planDevice too.
-		DeviceTables: []int{2},
-		DeviceRows:   []int{d.Spec.TableRows[2]},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warmup over every window position grows uniq/pin/protection storage to
-	// the full working set.
+	// Warmup over every window position grows uniq/pin storage to the full
+	// working set.
 	for r := 0; r < 2; r++ {
 		for j := 0; j+window <= len(ids); j += window {
 			la.Advance(j, window).Release()

@@ -15,14 +15,15 @@ var ErrNotServable = errors.New("dlrm: table not servable")
 
 // CloneForServing returns a read-path replica of the model for concurrent
 // inference. The clone owns every piece of mutable forward state — MLP layer
-// scratch, interaction buffers, the per-step lookup slice, and the Eff-TT
-// arena/prefix caches — while sharing only data that is immutable or
-// self-serialized during serving:
+// scratch, interaction buffers, the per-step lookup slice, and each Eff-TT
+// table's arena and prefix memo — while sharing only data that is immutable
+// or self-serialized during serving:
 //
 //   - dense MLP parameters are deep-copied (nn.MLP.Clone), so the clone's
 //     Forward never touches the source's layer buffers;
 //   - *tt.Table becomes an arena-owning replica over shared read-only cores
-//     (tt.Table.CloneForServing);
+//     (tt.Table.CloneForServing), the only place prefix products are kept
+//     across batches;
 //   - *embedding.Bag / *embedding.AdagradBag / *tt.GeneralTable are shared
 //     as-is: their Lookup is read-only and allocates fresh output;
 //   - *lockedTable is shared as-is: it serializes access with its own mutex
@@ -36,8 +37,8 @@ var ErrNotServable = errors.New("dlrm: table not servable")
 //
 // Any other table type yields ErrNotServable. The sharing contract is
 // read-only: while any clone serves traffic, neither the source model nor any
-// clone may train (Update/Backward). Train a new version and re-clone to
-// update.
+// clone may train (Update/Backward; a *tt.Table replica panics if asked to).
+// Train a new version and re-clone to update.
 func (m *Model) CloneForServing() (*Model, error) {
 	tables := make([]Table, len(m.Tables))
 	for i, t := range m.Tables {

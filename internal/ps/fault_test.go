@@ -308,10 +308,6 @@ func TestKillAndResumeBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev := tt.NewTable(shape, tensor.NewRNG(2), 0.05)
-		// Deterministic keeps this pipeline test on the single-threaded,
-		// batch-local TT path (no cross-batch prefix cache); the default
-		// path's bit-exactness is tested in internal/tt.
-		dev.Deterministic = true
 		return []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}}
 	}
 

@@ -33,12 +33,6 @@ type BatchSource interface {
 	Batch(iter, size int) *data.Batch
 }
 
-// prefixProtector is implemented by device tables (tt.Table) whose internal
-// caches can shield the rows recurring in a lookahead window from eviction.
-type prefixProtector interface {
-	ProtectPrefixes(ids []int)
-}
-
 // TableLoc places one embedding table: resident on the device (Device
 // non-nil — typically an Eff-TT table in HBM), in local host memory
 // (HostRows > 0 — served by the in-process parameter server), or behind a
@@ -81,10 +75,10 @@ type Config struct {
 	// plans the exact sparse access set of the next Lookahead batches
 	// (data.Lookahead) and uses it for oracle cache admission — rows reused
 	// within the window are gathered once and served from the pinned working
-	// set, rows with no future reference expire Belady-style, and TT device
-	// tables protect recurring rows' prefix-cache slots. 0 or 1 plans nothing:
-	// every row is gathered every batch and entries expire by push visibility
-	// alone. Training is bit-exact for every setting.
+	// set and rows with no future reference expire Belady-style. Only host
+	// tables are planned. 0 or 1 plans nothing: every row is gathered every
+	// batch and entries expire by push visibility alone. Training is
+	// bit-exact for every setting.
 	Lookahead int
 
 	// LookaheadBudget caps simultaneously pinned rows per host table within
@@ -238,12 +232,6 @@ type Pipeline struct {
 	stores   []HostStore
 	adapters []*hostAdapter
 
-	// Device tables that accept lookahead protection sets (tt.Table), with
-	// their dataset positions and row counts for the window planner.
-	protectors  []prefixProtector
-	protectPos  []int
-	protectRows []int
-
 	// applied counts gradient pushes fully scattered into the host tables.
 	// The gather side reads it before touching any table, so it is a safe
 	// lower bound on host freshness (see hostBatch.gathered).
@@ -363,11 +351,6 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 		switch {
 		case loc.Device != nil:
 			tables[i] = loc.Device
-			if prot, ok := loc.Device.(prefixProtector); ok {
-				p.protectors = append(p.protectors, prot)
-				p.protectPos = append(p.protectPos, i)
-				p.protectRows = append(p.protectRows, loc.Device.NumRows())
-			}
 		case loc.HostRows > 0 || loc.Store != nil:
 			slot := len(p.stores)
 			var store HostStore
@@ -767,7 +750,6 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 	if lerr != nil {
 		return fail(res, lerr, true)
 	}
-	defer ws.close()
 
 	if p.cfg.QueueDepth == 1 {
 		for iter := startIter; iter < startIter+steps; iter++ {

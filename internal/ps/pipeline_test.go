@@ -255,11 +255,9 @@ func TestPipelineAllDeviceTables(t *testing.T) {
 }
 
 // TestPipelineLookaheadWithDeviceTTBitExact runs the Figure 16 mixed
-// placement with lookahead planning: the device table's prefix-cache
-// protection set is driven by the window plans, and training must stay
-// bit-exact with the non-lookahead schedule (protection changes slot
-// recycling, never values; host-side pinning changes gather sources, never
-// values).
+// placement with lookahead planning: only the host table is planned, and
+// training must stay bit-exact with the non-lookahead schedule (host-side
+// pinning changes gather sources, never values).
 func TestPipelineLookaheadWithDeviceTTBitExact(t *testing.T) {
 	spec := psSpec()
 	d, _ := data.New(spec)
@@ -269,10 +267,6 @@ func TestPipelineLookaheadWithDeviceTTBitExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev := tt.NewTable(shape, tensor.NewRNG(2), 0.05)
-		// Deterministic keeps this pipeline test on the single-threaded,
-		// batch-local TT path (no cross-batch prefix cache); the default
-		// path's bit-exactness is tested in internal/tt.
-		dev.Deterministic = true
 		locs := []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}}
 		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 4, Seed: 4, Lookahead: lookahead}, locs)
 		if err != nil {

@@ -25,7 +25,7 @@ func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize 
 	// The first batch is never planned (see planFor), so the first window
 	// opens one iteration in.
 	w := &windowSchedule{p: p, next: startIter + 1, end: startIter + steps}
-	if p.cfg.Lookahead <= 1 || (len(p.stores) == 0 && len(p.protectors) == 0) {
+	if p.cfg.Lookahead <= 1 || len(p.stores) == 0 {
 		return w, nil
 	}
 	cfg := data.LookaheadConfig{
@@ -37,8 +37,6 @@ func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize 
 		cfg.Tables = append(cfg.Tables, pos)
 		cfg.Rows = append(cfg.Rows, p.stores[h].NumRows())
 	}
-	cfg.DeviceTables = append(cfg.DeviceTables, p.protectPos...)
-	cfg.DeviceRows = append(cfg.DeviceRows, p.protectRows...)
 	la, err := data.NewLookahead(d, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
@@ -65,18 +63,5 @@ func (w *windowSchedule) planFor(iter int) *data.WindowPlan {
 	w.plan = w.la.Advance(iter, min(w.size, w.end-iter))
 	w.next = iter + w.plan.N
 	w.p.m.lookaheadWindows.Inc()
-	// Each device table shields the window's recurring rows from device-cache
-	// recycling.
-	for k, prot := range w.p.protectors {
-		prot.ProtectPrefixes(w.plan.Device[k].IDs)
-	}
 	return w.plan
-}
-
-// close drops the device tables' protection sets so a finished run's last
-// window cannot pin device-cache slots indefinitely.
-func (w *windowSchedule) close() {
-	for _, prot := range w.p.protectors {
-		prot.ProtectPrefixes(nil)
-	}
 }

@@ -31,15 +31,10 @@ func (t *Table) AdagradAccum(k int) *tensor.Matrix { return t.adagrad[k] }
 const adagradEps = 1e-8
 
 // applyGradSlice applies grad to core k's slice row, using Adagrad when
-// enabled and plain SGD otherwise. Rows of the two prefix-source cores bump
-// their version so the cross-batch prefix cache sees the mutation
-// (prefixcache.go). The caller owns the slice: the two-level backward gives
-// every slice exactly one writer per batch, the per-occurrence baseline
-// wraps the call in the row's stripe lock.
+// enabled and plain SGD otherwise. The caller owns the slice: the two-level
+// backward gives every slice exactly one writer per batch, the
+// per-occurrence baseline wraps the call in the row's stripe lock.
 func (t *Table) applyGradSlice(k, row int, grad []float32, lr float32) {
-	if k < 2 && row < len(t.coreVer[k]) {
-		t.coreVer[k][row]++
-	}
 	dst := t.Cores[k].Row(row)
 	if acc := t.adagrad[k]; acc != nil {
 		arow := acc.Row(row)

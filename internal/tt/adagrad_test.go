@@ -27,7 +27,6 @@ func TestAdagradFusedMatchesUnfusedDisjointSlices(t *testing.T) {
 
 	run := func(fused bool) *Table {
 		tbl := NewTable(shape, tensor.NewRNG(61), 0.1)
-		tbl.Deterministic = true
 		tbl.EnableAdagrad()
 		tbl.Opts = Options{DedupIndices: true, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: fused}
 		out, cache := tbl.Forward(indices, offsets)
@@ -47,7 +46,6 @@ func TestAdagradFusedMatchesUnfusedDisjointSlices(t *testing.T) {
 
 func TestAdagradStepsShrink(t *testing.T) {
 	tbl := newTestTable(t, 62)
-	tbl.Deterministic = true
 	tbl.EnableAdagrad()
 	indices, offsets := []int{5}, []int{0}
 	dOut := tensor.New(1, tbl.Dim())

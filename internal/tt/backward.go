@@ -38,6 +38,10 @@ func (s *bwScratch) ensure(t *Table) {
 // dOut is the gradient of the loss w.r.t. the pooled batch output
 // (batch×Dim).
 func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
+	if t.memo != nil {
+		//elrec:invariant CloneForServing contract: a clone's cores are shared with every other replica and its memo holds products of them
+		panic("tt: Backward on a serving clone: serving clones are read-only; train the source and re-clone")
+	}
 	if cache == nil {
 		//elrec:invariant Table protocol: Update mirrors the preceding Lookup
 		panic("tt: Backward with nil cache")
@@ -59,9 +63,7 @@ func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
 
 	if !t.Opts.FusedUpdate {
 		// Separate optimizer sweep over the full core buffers: the extra
-		// read-modify-write traffic the fused path avoids. The sweep
-		// rewrites the prefix-source cores wholesale, so every cached
-		// prefix product is invalidated at once.
+		// read-modify-write traffic the fused path avoids.
 		if t.AdagradEnabled() {
 			t.adagradSweep(gradBufs, lr)
 		} else {
@@ -69,19 +71,18 @@ func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
 				tensor.Axpy(-lr, gradBufs[k].Data, t.Cores[k].Data)
 			}
 		}
-		t.bumpAllCoreVersions()
 	}
 }
 
 // backwardPerOccurrence is the TT-Rec baseline of Figures 14/17/18: one full
 // chain per index occurrence, work items spread over the executors, shared
 // slices updated hogwild under stripe locks (the paper's kernel uses
-// atomics). Only Deterministic mode makes it reproducible.
+// atomics). Only a single executor makes it reproducible.
 func (t *Table) backwardPerOccurrence(cache *ForwardCache, dOut *tensor.Matrix, gradBufs [Dims]*tensor.Matrix, lr float32) {
 	workGrad := t.perOccurrenceGrads(cache, dOut)
 	items := len(cache.Indices)
 	t.met.recordBackward(items, items, items)
-	if t.serialItems() {
+	if serialItems() {
 		cache.bw.ensure(t)
 		t.backwardRange(cache, workGrad, gradBufs, &cache.bw, lr, 0, items)
 		return

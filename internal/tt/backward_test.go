@@ -21,7 +21,6 @@ func lossOf(tbl *Table, indices, offsets []int) float64 {
 // against numeric differentiation of every core.
 func TestBackwardGradCheck(t *testing.T) {
 	tbl := newTestTable(t, 20)
-	tbl.Deterministic = true
 	tbl.Opts = Options{DedupIndices: true, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: false}
 
 	indices := []int{0, 7, 7, 23, 94, 50}
@@ -42,7 +41,7 @@ func TestBackwardGradCheck(t *testing.T) {
 			// Analytic gradient = (before - after)/lr.
 			analytic := float64(before[k].Data[idx]-tbl.Cores[k].Data[idx]) / float64(lr)
 			// Numeric gradient on a pristine copy of the table.
-			probe := &Table{Shape: tbl.Shape, Opts: tbl.Opts, Deterministic: true}
+			probe := &Table{Shape: tbl.Shape, Opts: tbl.Opts}
 			for kk := 0; kk < Dims; kk++ {
 				probe.Cores[kk] = before[kk].Clone()
 			}
@@ -62,12 +61,12 @@ func TestBackwardGradCheck(t *testing.T) {
 // and per-occurrence gradients must produce the same core updates (the
 // gradient is linear in the output gradient rows).
 func TestBackwardAggregationEquivalence(t *testing.T) {
+	serialWorkers(t)
 	r := tensor.NewRNG(21)
 	indices, offsets := randomBatch(r, 95, 12, 4)
 
 	makeTbl := func(agg bool) *Table {
 		tbl := newTestTable(t, 22)
-		tbl.Deterministic = true
 		tbl.Opts = Options{DedupIndices: true, ReusePrefix: true, InAdvanceAgg: agg, FusedUpdate: false}
 		return tbl
 	}
@@ -153,8 +152,7 @@ func TestBackwardFusedMatchesUnfused(t *testing.T) {
 
 // TestBackwardWorkerCountInvariant: every core slice and scratch row of the
 // two-level backward has one writer and a fixed summation order, so the
-// trained cores are bit-identical for 1, 2 and 4 executors — no
-// Deterministic flag, prefix cache live.
+// trained cores are bit-identical for 1, 2 and 4 executors.
 func TestBackwardWorkerCountInvariant(t *testing.T) {
 	old := tensor.Workers()
 	defer tensor.SetMaxWorkers(old)
@@ -190,11 +188,11 @@ func TestBackwardWorkerCountInvariant(t *testing.T) {
 // aggregation levels, fused) computes the same mini-batch gradient as the
 // per-occurrence baseline accumulated into gradient buffers.
 func TestBackwardTwoLevelMatchesPerOccurrence(t *testing.T) {
+	serialWorkers(t)
 	indices, offsets := sharedSliceBatches(33, 1)
 	dOut := tensor.New(len(offsets[0]), 12)
 	tensor.NewRNG(34).FillUniform(dOut.Data, 1)
 	base := newTestTable(t, 35)
-	base.Deterministic = true
 	base.Opts = NaiveOptions()
 	_, cache := base.Forward(indices[0], offsets[0])
 	base.Backward(cache, dOut, 0.1)
@@ -251,7 +249,6 @@ func TestBackwardFusedConverges(t *testing.T) {
 // approximately like the dense table update (first-order in lr).
 func TestBackwardMatchesEmbeddingGradientFirstOrder(t *testing.T) {
 	tbl := newTestTable(t, 26)
-	tbl.Deterministic = true
 	tbl.Opts = Options{DedupIndices: true, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: false}
 	indices, offsets := []int{10, 20}, []int{0, 1}
 
@@ -315,7 +312,6 @@ func TestBackwardValidation(t *testing.T) {
 func TestBackwardNoPrefixBufferPath(t *testing.T) {
 	run := func(reuse bool) *Table {
 		tbl := newTestTable(t, 29)
-		tbl.Deterministic = true
 		tbl.Opts = Options{DedupIndices: true, ReusePrefix: reuse, InAdvanceAgg: true, FusedUpdate: false}
 		indices, offsets := []int{5, 6, 7, 5}, []int{0, 2}
 		out, cache := tbl.Forward(indices, offsets)
@@ -335,11 +331,9 @@ func TestBackwardNoPrefixBufferPath(t *testing.T) {
 // rows recovered through the occurrence→unique map).
 func TestBackwardAggWithoutForwardDedup(t *testing.T) {
 	ref := newTestTable(t, 30)
-	ref.Deterministic = true
 	ref.Opts = Options{DedupIndices: true, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: false}
 
 	alt := newTestTable(t, 30)
-	alt.Deterministic = true
 	alt.Opts = Options{DedupIndices: false, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: false}
 
 	indices, offsets := []int{8, 8, 9, 33}, []int{0, 2}

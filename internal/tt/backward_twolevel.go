@@ -33,12 +33,12 @@ import "repro/internal/tensor"
 // group's own G₂[i₂] are read before they are written. Hence no lock, no
 // read of a slice another goroutine is updating, a summation order that
 // does not depend on how owners are chunked over executors (bit-identical
-// cores for every worker count), one optimizer apply and one version bump
-// per touched slice per batch, and a fused update that is exact mini-batch
-// SGD: it differs from the unfused path only in the sink (core slice vs
-// gradient-buffer row). The paper's CUDA kernel instead lets threads update
-// shared slices with atomics as they go; that is kept only as the
-// per-occurrence baseline (backwardPerOccurrence).
+// cores for every worker count), one optimizer apply per touched slice per
+// batch, and a fused update that is exact mini-batch SGD: it differs from the
+// unfused path only in the sink (core slice vs gradient-buffer row). The
+// paper's CUDA kernel instead lets threads update shared slices with atomics
+// as they go; that is kept only as the per-occurrence baseline
+// (backwardPerOccurrence).
 
 // groups is a stable counting sort of items 0..n-1 by a small integer key:
 // the items of key k, in increasing item order, are items[start[k]:start[k+1]].
@@ -110,7 +110,7 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradB
 
 	m := t.Shape.RowFactors
 	sz := t.Shape.SliceSizes()
-	if t.serialItems() {
+	if serialItems() {
 		b.dG2 = tensor.Reuse(b.dG2, 1, sz[1])
 		t.prefixPhase(cache, b, 0, len(b.pfx))
 		t.core2Phase(b, b.dG2.Row(0), 0, 1)

@@ -1,26 +1,25 @@
 package tt
 
-// CloneForServing returns a read-path replica of the table for concurrent
-// inference: the clone shares t's core matrices (the compressed parameters,
-// treated as immutable while serving) and owns every piece of mutable
-// lookup state — arena ForwardCache, cross-batch prefix cache, core-version
-// counters, stripe locks and metric hooks start fresh and lazily. Distinct
-// clones therefore never touch shared mutable memory on Lookup, so each
-// serving replica can score concurrently with the others.
+// CloneForServing returns a read-only replica of the table for concurrent
+// inference: the clone shares t's core matrices (the compressed parameters)
+// and owns every piece of mutable lookup state — its arena ForwardCache,
+// its cross-batch prefix memo (prefixmemo.go) and its metric hooks start
+// empty. Distinct clones therefore never touch shared mutable memory on
+// Lookup, so each serving replica can score concurrently with the others.
 //
-// The sharing contract is read-only: while any clone is serving, neither t
-// nor any clone may run Update/Backward (or any other core mutation) —
-// a weight write would race with the clones' reads. Training a new model
-// version and re-cloning is the supported update path.
+// The sharing contract is read-only. Backward/Update on a clone panics: a
+// weight write would race with the other replicas' reads and leave stale
+// products in the clone's own memo, which is valid only because the cores
+// it was computed from never change. Nor may t train while any clone is
+// serving. Training the source and re-cloning is the supported update path;
+// the new clones start with an empty memo.
 func (t *Table) CloneForServing() *Table {
 	return &Table{
-		Shape:         t.Shape,
-		Opts:          t.Opts,
-		Deterministic: t.Deterministic,
+		Shape: t.Shape,
+		Opts:  t.Opts,
 		// Array assignment copies the three matrix pointers: cores are
-		// shared storage, everything else (arena, pcache, grads, locks,
-		// versions, metrics) stays zero and is allocated per clone on
-		// first use.
+		// shared storage.
 		Cores: t.Cores,
+		memo:  newPrefixMemo(t.Shape),
 	}
 }

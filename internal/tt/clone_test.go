@@ -2,6 +2,7 @@ package tt
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,7 +26,7 @@ func cloneTestTable(t *testing.T) (*Table, []int, []int) {
 	for s := range offsets {
 		offsets[s] = s * 4
 	}
-	tbl.Lookup(indices, offsets) // warm arena + prefix cache
+	tbl.Lookup(indices, offsets) // warm arena
 	return tbl, indices, offsets
 }
 
@@ -99,5 +100,44 @@ func TestCloneForServingConcurrentLookups(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneForServingIsReadOnly: Backward and Update on a clone panic with
+// the contract's name instead of writing cores other replicas read (and
+// leaving stale products in the clone's memo); the source stays trainable.
+func TestCloneForServingIsReadOnly(t *testing.T) {
+	tbl, indices, offsets := cloneTestTable(t)
+	clone := tbl.CloneForServing()
+	dOut := tensor.New(len(offsets), tbl.Dim())
+	before := tbl.Cores[0].Clone()
+
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "serving clones are read-only; train the source and re-clone") {
+				t.Fatalf("%s on a clone: recovered %q, want the read-only contract panic", name, msg)
+			}
+		}()
+		f()
+	}
+	mustPanic("Update", func() {
+		clone.Lookup(indices, offsets)
+		clone.Update(indices, offsets, dOut, 0.1)
+	})
+	mustPanic("Backward", func() {
+		_, cache := clone.Forward(indices, offsets)
+		clone.Backward(cache, dOut, 0.1)
+	})
+	if d := tbl.Cores[0].MaxAbsDiff(before); d != 0 {
+		t.Fatalf("refused update still moved the shared cores by %v", d)
+	}
+
+	tensor.Fill(dOut.Data, 1)
+	tbl.Lookup(indices, offsets)
+	tbl.Update(indices, offsets, dOut, 0.1)
+	if tbl.Cores[0].MaxAbsDiff(before) == 0 {
+		t.Fatal("source table stopped training after being cloned")
 	}
 }

@@ -26,8 +26,8 @@ type ForwardCache struct {
 
 	// PrefixSlots[w] is the reuse-buffer row of work item w; PrefixBuf row
 	// s holds the n₁×(n₂R₂) product for that prefix. Nil when prefix reuse
-	// is disabled. On the arena path PrefixBuf aliases the table's
-	// persistent versioned cache.
+	// is disabled. On a serving clone's arena PrefixBuf aliases the clone's
+	// prefix memo.
 	PrefixSlots []int
 	PrefixBuf   *tensor.Matrix
 
@@ -121,7 +121,7 @@ func (t *Table) validateBatch(indices, offsets []int) {
 //
 // Forward is safe for concurrent use: every call gets a fresh cache. The
 // serialized Lookup/Update path reuses a table-owned cache instead (see
-// Lookup) and additionally hits the cross-batch prefix cache.
+// Lookup).
 func (t *Table) Forward(indices, offsets []int) (*tensor.Matrix, *ForwardCache) {
 	c := &ForwardCache{} //elrec:coldpath fresh cache per call is Forward's contract; the hot path is Lookup's arena
 	out := t.forwardInto(c, indices, offsets)
@@ -155,7 +155,7 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 	if c.PrefixBuf == nil {
 		prefixScratchSize = t.Shape.PrefixSize()
 	}
-	if t.serialItems() {
+	if serialItems() {
 		c.p12 = growFloats(c.p12, prefixScratchSize)
 		t.materializeRows(c, c.p12, 0, len(c.WorkIdx))
 	} else {
@@ -172,7 +172,7 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 	// Pool work-item rows into per-sample embeddings.
 	c.out = tensor.Reuse(c.out, len(offsets), t.Shape.Dim)
 	c.out.Zero()
-	if t.serialItems() {
+	if serialItems() {
 		t.poolRows(c, c.out, 0, len(offsets))
 	} else {
 		tensor.ParallelFor(len(offsets), func(lo, hi int) {
@@ -182,12 +182,10 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 	return c.out
 }
 
-// serialItems reports whether per-item loops should run inline: forced by
-// Deterministic mode, and chosen whenever the worker pool is down to one
-// executor so the hot path skips closure and dispatch costs entirely.
-func (t *Table) serialItems() bool {
-	return t.Deterministic || tensor.Workers() <= 1
-}
+// serialItems reports whether per-item loops should run inline: whenever
+// the worker pool is down to one executor, so the hot path skips closure and
+// dispatch costs entirely.
+func serialItems() bool { return tensor.Workers() <= 1 }
 
 // materializeRows computes embedding rows for work items [lo,hi). scratch
 // holds one prefix product when no reuse buffer is available.
@@ -255,31 +253,31 @@ func (t *Table) dedupRows(c *ForwardCache) {
 	c.WorkIdx, c.WorkOf = c.workIdxBuf, c.workOfBuf
 }
 
-// fillPrefixBuffer deduplicates the prefixes of the work items, prepares the
-// batched-GEMM pointer lists (Ptr_a/Ptr_b/Ptr_c in Algorithm 1), and runs
-// one batched GEMM to populate the reuse buffer. The arena path persists
-// products across batches through the table's versioned prefix cache; the
-// batch-local path (fresh caches, Deterministic mode) recomputes every
-// unique prefix of the batch.
+// fillPrefixBuffer populates the reuse buffer of first-two-core products for
+// the batch's work items. One fact selects the path: the serialized arena
+// Lookup of a serving clone — whose cores never change — resolves prefixes
+// against the clone's cross-batch memo; everything else (every trainable
+// table, and any table's concurrent-safe Forward) computes the batch's own
+// unique prefixes.
 func (t *Table) fillPrefixBuffer(c *ForwardCache) {
 	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx))
-	if pc := t.prefixCacheFor(c); pc != nil {
-		t.fillFromPrefixCache(c, pc)
+	if m := t.memo; m != nil && m.slotOf != nil && c.arena {
+		t.fillFromMemo(c, m)
 		return
 	}
 	t.fillPrefixBatchLocal(c)
 }
 
-// fillPrefixBatchLocal recomputes every unique prefix of the batch into the
-// batch-local reuse buffer — the path taken by fresh caches and
-// Deterministic tables, which never touch the persistent cache.
-//
-//elrec:coldpath batch-local recompute: fresh caches and Deterministic mode; the training hot path uses the versioned cache
+// fillPrefixBatchLocal is Algorithm 1: it deduplicates the prefixes of the
+// work items (Buf_flag/Buf_idx), prepares the batched-GEMM pointer lists
+// (Ptr_a/Ptr_b/Ptr_c) and runs one batched GEMM that computes every unique
+// prefix of the batch into the batch-local reuse buffer.
 func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
 	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes[:0])
 
 	c.PrefixBuf = tensor.Reuse(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize())
 	if cap(c.batch) < len(c.prefixes) {
+		//elrec:coldpath amortized batched-GEMM descriptor growth
 		c.batch = make([]tensor.GemmBatch, len(c.prefixes))
 	}
 	c.batch = c.batch[:len(c.prefixes)]

@@ -54,17 +54,17 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 	}
 }
 
-// TestPrefixGemmLaunchOnlyWhenRun: a Lookup whose unique prefixes are all
-// served by the cross-batch cache runs no batched GEMM and counts none.
+// TestPrefixGemmLaunchOnlyWhenRun: a serving clone's Lookup whose unique
+// prefixes are all held by its memo runs no batched GEMM and counts none.
 func TestPrefixGemmLaunchOnlyWhenRun(t *testing.T) {
-	tbl := newTestTable(t, 9)
+	tbl := newTestTable(t, 9).CloneForServing()
 	reg := obs.NewRegistry()
 	tbl.AttachMetrics(reg)
 
 	indices := []int{0, 0, 1, 1, 7, 7}
 	offsets := []int{0, 3}
 	tbl.Lookup(indices, offsets)
-	tbl.Lookup(indices, offsets) // no Update in between: both prefixes hit
+	tbl.Lookup(indices, offsets) // both prefixes hit
 	snap := reg.Snapshot()
 	if got := snap.Counter("tt_batched_gemm_launches"); got != 1 {
 		t.Errorf("tt_batched_gemm_launches = %d want 1", got)

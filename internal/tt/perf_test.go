@@ -19,9 +19,7 @@ func trainOneStep(tbl *Table, indices, offsets []int, dOut *tensor.Matrix, lr fl
 // contract: after warmup, a full Eff-TT Lookup/Update training step through
 // the arena cache performs zero heap allocations.
 func TestLookupUpdateZeroAllocSteadyState(t *testing.T) {
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(old)
+	serialWorkers(t)
 	// The pack pool and arena survive GC in practice, but a collection in
 	// the middle of AllocsPerRun could empty the sync.Pool and charge a
 	// refill to one run; pause GC for a stable count.
@@ -32,7 +30,7 @@ func TestLookupUpdateZeroAllocSteadyState(t *testing.T) {
 	indices, offsets := randomBatch(r, tbl.NumRows(), 16, 5)
 	dOut := tensor.New(len(offsets), tbl.Dim())
 
-	// Warmup: grows every arena buffer and the prefix cache to batch size.
+	// Warmup: grows every arena buffer to batch size.
 	for i := 0; i < 3; i++ {
 		trainOneStep(tbl, indices, offsets, dOut, 0.01)
 	}
@@ -46,27 +44,23 @@ func TestLookupUpdateZeroAllocSteadyState(t *testing.T) {
 
 // TestForwardZeroAllocVariantsSteadyState checks the arena path stays
 // allocation-free across option combinations that exercise the batch-local
-// prefix buffer (Deterministic bypass), the no-dedup identity WorkOf and the
-// backward's own per-prefix P₁₂ scratch (no reuse buffer).
+// prefix buffer, the no-dedup identity WorkOf and the backward's own
+// per-prefix P₁₂ scratch (no reuse buffer).
 func TestForwardZeroAllocVariantsSteadyState(t *testing.T) {
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(old)
+	serialWorkers(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	cases := []struct {
 		name string
-		det  bool
 		opts Options
 	}{
-		{"deterministic-bypass", true, EffOptions()},
-		{"no-dedup-identity-workof", false, Options{ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: true}},
-		{"no-reuse-buffer", false, Options{InAdvanceAgg: true, FusedUpdate: true}},
+		{"batch-local-buffer", EffOptions()},
+		{"no-dedup-identity-workof", Options{ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: true}},
+		{"no-reuse-buffer", Options{InAdvanceAgg: true, FusedUpdate: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tbl := newTestTable(t, 402)
-			tbl.Deterministic = tc.det
 			tbl.Opts = tc.opts
 			r := tensor.NewRNG(403)
 			indices, offsets := randomBatch(r, tbl.NumRows(), 16, 5)

@@ -1,0 +1,131 @@
+package tt
+
+import "repro/internal/tensor"
+
+// This file is the one place a prefix product G₁[i₁]·G₂[i₂] outlives its
+// batch: the memo of a read-only serving clone (CloneForServing). A
+// trainable table rewrites every core slice a batch touches in that batch's
+// update, so a product kept across steps is never valid again and training
+// runs Algorithm 1's reuse buffer per batch (fillPrefixBatchLocal). A
+// clone's cores never change — Backward on a clone panics — so a memoised
+// product stays valid for the clone's whole life and carries no version: a
+// hit returns bytes the same batched-GEMM kernel computed from the same two
+// slices, bit-exact with recomputing. A new model version is served by fresh
+// clones (Pool.Swap), which start with an empty memo.
+//
+// The memo is consulted on the arena (Lookup) path only, which the Table
+// protocol serializes per clone, so it takes no lock; a clone's
+// concurrent-safe Forward allocates a batch-local buffer like any table's.
+
+// prefixMemoBudgetBytes is the soft cap on memoised product storage; beyond
+// it the memo recycles slots not used by the current batch instead of
+// growing. A batch whose unique prefixes alone exceed the budget still
+// grows (every slot of the current batch must be live simultaneously).
+const prefixMemoBudgetBytes = 16 << 20
+
+// prefixDenseCap bounds the dense per-prefix arrays (the memo's prefix→slot
+// map, the arena's dedup stamps). Prefix counts grow like rows^(2/3), so
+// this covers every realistic table; beyond it a clone has no memo and the
+// arena dedups through a map.
+const prefixDenseCap = 1 << 22
+
+// prefixMemo is a serving clone's cross-batch reuse buffer. Slot arrays
+// (key, lastUse) and buf rows grow together.
+type prefixMemo struct {
+	slotOf  []int32 // prefix → slot+1, 0 when absent; nil beyond prefixDenseCap (no memo)
+	key     []int   // slot → prefix
+	lastUse []int64 // slot → last batch seq that touched it
+	buf     *tensor.Matrix
+	budget  int // slots held before recycling starts
+	seq     int64
+	cursor  int // recycling scan position
+}
+
+func newPrefixMemo(s Shape) *prefixMemo {
+	m := &prefixMemo{budget: max(prefixMemoBudgetBytes/(4*s.PrefixSize()), 64)}
+	if s.NumPrefixes() <= prefixDenseCap {
+		m.slotOf = make([]int32, s.NumPrefixes())
+		m.buf = tensor.New(64, s.PrefixSize())
+	}
+	return m
+}
+
+// fillFromMemo resolves every work item's prefix against the memo. Held
+// products are hits; absent ones are assigned slots and computed by one
+// batched GEMM after the scan (slot storage may grow during the scan, so row
+// pointers are only taken once it is done).
+func (t *Table) fillFromMemo(c *ForwardCache, m *prefixMemo) {
+	m.seq++
+	c.prefixes = c.prefixes[:0] // slots to compute this batch
+	hits := 0
+	for w, idx := range c.WorkIdx {
+		pfx := t.Shape.Prefix(idx)
+		s := int(m.slotOf[pfx]) - 1
+		if s < 0 {
+			s = m.claimSlot()
+			m.slotOf[pfx] = int32(s + 1)
+			m.key[s] = pfx
+			//elrec:coldpath amortized: the miss list keeps its capacity across batches
+			c.prefixes = append(c.prefixes, s)
+		} else if m.lastUse[s] != m.seq {
+			hits++ // first sight this batch of a product an earlier batch left
+		}
+		m.lastUse[s] = m.seq
+		c.PrefixSlots[w] = s
+	}
+
+	if len(c.prefixes) > 0 {
+		if cap(c.batch) < len(c.prefixes) {
+			//elrec:coldpath amortized batched-GEMM descriptor growth
+			c.batch = make([]tensor.GemmBatch, len(c.prefixes))
+		}
+		c.batch = c.batch[:len(c.prefixes)]
+		m2 := t.Shape.RowFactors[1]
+		for i, s := range c.prefixes {
+			pfx := m.key[s]
+			c.batch[i] = tensor.GemmBatch{A: t.Slice1(pfx / m2), B: t.Slice2(pfx % m2), C: m.buf.Row(s)}
+		}
+		n := t.Shape.ColFactors
+		tensor.BatchedMatMul(n[0], t.Shape.R1, n[1]*t.Shape.R2, c.batch)
+	}
+	c.PrefixBuf = m.buf
+	t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
+	t.met.recordPrefixCache(hits, len(c.prefixes))
+}
+
+// claimSlot returns a free slot: a fresh one while under budget, a recycled
+// one (round-robin over slots idle this batch) at budget, or growth past
+// budget when every slot is live in the current batch.
+//
+//elrec:coldpath miss-path slot bookkeeping; growth is amortized by the budget and a stable working set stops missing
+func (m *prefixMemo) claimSlot() int {
+	n := len(m.key)
+	if n >= m.budget {
+		for i := 0; i < n; i++ {
+			s := m.cursor
+			m.cursor++
+			if m.cursor == n {
+				m.cursor = 0
+			}
+			if m.lastUse[s] != m.seq {
+				m.slotOf[m.key[s]] = 0
+				return s
+			}
+		}
+	}
+	if n >= m.buf.Rows {
+		m.growBuf()
+	}
+	m.key = append(m.key, 0)
+	m.lastUse = append(m.lastUse, 0)
+	return n
+}
+
+// growBuf doubles the product storage, preserving memoised rows byte for
+// byte (hits must stay bit-exact across growth). Growth only happens inside
+// the scan, before any row pointer is taken for the batched GEMM.
+func (m *prefixMemo) growBuf() {
+	nm := tensor.New(2*m.buf.Rows, m.buf.Cols)
+	copy(nm.Data, m.buf.Data)
+	m.buf = nm
+}

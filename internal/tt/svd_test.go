@@ -185,7 +185,6 @@ func TestDecomposedTableTrainable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.Deterministic = true
 	out, cache := tbl.Forward([]int{1, 2}, []int{0, 1})
 	tbl.Backward(cache, out, 0.1)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -58,15 +57,6 @@ const lockStripes = 128
 type Table struct {
 	Shape Shape
 	Opts  Options
-	// Deterministic forces single-threaded forward/backward execution and
-	// bypasses the cross-batch prefix cache. Only the per-occurrence
-	// baseline backward (InAdvanceAgg off) needs it for bit-exact results:
-	// in parallel it applies slice updates in whatever order goroutines
-	// reach them (hogwild-style, as the paper's CUDA kernel does with
-	// atomics). The forward pass and the two-level backward give every
-	// output row and core slice a single writer and a fixed summation
-	// order, so they are bit-identical for every worker count without it.
-	Deterministic bool
 	// Cores[k] stores one slice per row: Cores[k] has RowFactors[k] rows of
 	// SliceSizes()[k] floats each.
 	Cores [Dims]*tensor.Matrix
@@ -88,24 +78,11 @@ type Table struct {
 	// across batches (see ForwardCache), allocated on first Lookup.
 	arena *ForwardCache
 
-	// pcache persists prefix products across batches (see prefixcache.go);
-	// nil until the arena path first runs with ReusePrefix on a
-	// non-Deterministic table.
-	pcache *prefixCache
-
-	// protected is the current lookahead protection set: an immutable
-	// bitmap of prefixes whose cache slots must not be recycled because
-	// their rows recur in the planned window. Written by ProtectPrefixes
-	// (the pipeline's pre-fetcher), read by the serialized arena path —
-	// hence an atomic pointer to immutable storage rather than a lock.
-	protected atomic.Pointer[protectedPrefixes]
-
-	// coreVer[k][row] counts mutations of core k's slice row (k < 2, the
-	// prefix sources). The fused backward bumps a row together with the
-	// slice write, by the slice's single writer (or under its stripe lock
-	// on the baseline); all other mutators are serialized by the Table
-	// protocol.
-	coreVer [2][]uint64
+	// memo is non-nil exactly on the read-only replicas CloneForServing
+	// returns: it keeps prefix products across batches (prefixmemo.go) and
+	// marks the table as one Backward must refuse. Trainable tables run
+	// Algorithm 1's reuse buffer per batch on their arena.
+	memo *prefixMemo
 
 	// met holds the forward-path instruments (see AttachMetrics). The zero
 	// value's nil counters make every record a no-op, so an unattached
@@ -134,8 +111,8 @@ type tableMetrics struct {
 	backwardWork  *obs.Counter // gradient rows after in-advance aggregation
 	backwardPairs *obs.Counter // dG₁/dG₂ contraction pairs run: one per unique prefix (per row on the baseline)
 
-	cacheHits   *obs.Counter // unique prefixes served by the cross-batch cache
-	cacheMisses *obs.Counter // unique prefixes recomputed (stale or absent)
+	cacheHits   *obs.Counter // unique prefixes a serving clone's memo already held
+	cacheMisses *obs.Counter // unique prefixes it computed (absent or recycled); both stay 0 on trainable tables
 
 	dedupRatio    *obs.Gauge // cumulative indices / work items (≥ 1)
 	prefixHitRate *obs.Gauge // cumulative share of prefix work served by the buffer
@@ -192,7 +169,7 @@ func (m *tableMetrics) recordPrefix(workItems, uniquePrefixes int) {
 	m.prefixWork.Add(int64(workItems))
 	m.uniquePrefixes.Add(int64(uniquePrefixes))
 	if uniquePrefixes > 0 {
-		// No launch when every prefix was served by the cross-batch cache.
+		// No launch when a serving clone's memo held every prefix.
 		m.gemmLaunches.Inc()
 	}
 	m.gemmOps.Add(int64(uniquePrefixes))
@@ -201,9 +178,9 @@ func (m *tableMetrics) recordPrefix(workItems, uniquePrefixes int) {
 	}
 }
 
-// recordPrefixCache accumulates one batch's cross-batch cache outcome:
-// hits are unique prefixes whose cached product was still version-valid,
-// misses were recomputed (absent, evicted, or invalidated by an update).
+// recordPrefixCache accumulates one batch's outcome on a serving clone's
+// prefix memo: hits are unique prefixes whose product it already held,
+// misses were computed (absent or recycled).
 func (m *tableMetrics) recordPrefixCache(hits, misses int) {
 	if !m.attached {
 		return

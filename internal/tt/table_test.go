@@ -23,6 +23,18 @@ func newTestTable(t *testing.T, seed uint64) *Table {
 	return tbl
 }
 
+// serialWorkers pins the worker pool to one executor for the rest of the
+// test. The per-occurrence baseline backward applies slice updates in
+// whatever order its goroutines reach them, so tests that compare its bits
+// need it; so do the AllocsPerRun tests (dispatch closures allocate). The
+// Eff-TT forward and two-level backward are worker-count-invariant.
+func serialWorkers(t *testing.T) {
+	t.Helper()
+	old := tensor.Workers()
+	tensor.SetMaxWorkers(1)
+	t.Cleanup(func() { tensor.SetMaxWorkers(old) })
+}
+
 // refLookup computes pooled embeddings from the materialized table.
 func refLookup(mat *tensor.Matrix, indices, offsets []int) *tensor.Matrix {
 	out := tensor.New(len(offsets), mat.Cols)
@@ -262,7 +274,6 @@ func TestFootprintSmallerThanDense(t *testing.T) {
 
 func TestLookupUpdateInterface(t *testing.T) {
 	tbl := newTestTable(t, 12)
-	tbl.Deterministic = true
 	indices, offsets := []int{1, 2, 3}, []int{0, 1}
 	out := tbl.Lookup(indices, offsets)
 	before := tbl.Materialize()
@@ -314,7 +325,6 @@ func TestQuickBackwardOptionAgreement(t *testing.T) {
 
 		run := func(dedup, reuse bool) *Table {
 			tbl := NewTable(s, tensor.NewRNG(seed+99), 0.1)
-			tbl.Deterministic = true
 			tbl.Opts = Options{DedupIndices: dedup, ReusePrefix: reuse, InAdvanceAgg: true, FusedUpdate: false}
 			_, cache := tbl.Forward(indices, offsets)
 			tbl.Backward(cache, dOut, 0.05)
