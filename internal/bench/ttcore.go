@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dlrm"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/tt"
 )
@@ -42,18 +43,21 @@ func TTCore(sc Scale) *Result {
 	// The kernel shapes the benchmark's train_tt step is made of, one serial
 	// raw-buffer call each: the TT contractions at dim 64 = 4·4·4 and rank
 	// 64 (forward NN, backward TN and NT), and the default model's widest
-	// layer, the top tower's 415→64, at batch 128 (forward NT, dW TN, dx NN).
+	// layer, the top tower's 415→64, at batch 128 (forward NT, dW TN, dx NN);
+	// then the stacked shapes: the interaction's per-sample Z·Zᵀ and S·Z over
+	// 27 features of width 64, and the TT products of a two-prefix G₂ group.
 	type gemm = func(m, k, n int, a, b, c []float32)
-	var nn, tn, nt gemm = tensor.GemmInto, tensor.GemmTransAAddInto, tensor.GemmTransBAddInto
+	var gnn, gtn, gnt gemm = tensor.GemmInto, tensor.GemmTransAAddInto, tensor.GemmTransBAddInto
 	for _, g := range []struct {
 		kind    string
 		kernel  gemm
 		m, k, n int
 	}{
-		{"NN", nn, 4, 64, 256}, {"NN", nn, 16, 64, 4},
-		{"TN", tn, 64, 16, 4}, {"TN", tn, 64, 4, 256},
-		{"NT", nt, 16, 4, 64}, {"NT", nt, 4, 256, 64},
-		{"NT", nt, 128, 415, 64}, {"TN", tn, 64, 128, 415}, {"NN", nn, 128, 64, 415},
+		{"NN", gnn, 4, 64, 256}, {"NN", gnn, 16, 64, 4},
+		{"TN", gtn, 64, 16, 4}, {"TN", gtn, 64, 4, 256},
+		{"NT", gnt, 16, 4, 64}, {"NT", gnt, 4, 256, 64},
+		{"NT", gnt, 128, 415, 64}, {"TN", gtn, 64, 128, 415}, {"NN", gnn, 128, 64, 415},
+		{"NT", gnt, 27, 64, 27}, {"NN", gnn, 27, 27, 64}, {"NN", gnn, 8, 64, 256}, {"TN", gtn, 64, 8, 256},
 	} {
 		a, b, c := make([]float32, g.m*g.k), make([]float32, g.k*g.n), make([]float32, g.m*g.n)
 		rng := tensor.NewRNG(13)
@@ -105,6 +109,36 @@ func TTCore(sc Scale) *Result {
 		}) / time.Duration(gemmReps)
 	}
 	addRow(fmt.Sprintf("gemmTB-%dx64x64", sc.Batch), timeGemmTB(sc.Batch, 64, 64))
+
+	// The interaction layer at the benchmark's two training shapes (26 tables
+	// and the dense vector; train_host is dim 32 batch 256, train_tt dim 64
+	// batch 128), one whole-batch Forward and Backward each.
+	for _, s := range []struct{ dim, batch int }{{32, 256}, {64, 128}} {
+		const tables = 26
+		it := nn.NewInteraction(s.dim, tables)
+		dense, embs := gradFor(s.batch, s.dim, 14), make([]*tensor.Matrix, tables)
+		for t := range embs {
+			embs[t] = gradFor(s.batch, s.dim, 15+uint64(t))
+		}
+		dy := gradFor(s.batch, it.OutputDim(), 7)
+		const reps = 20
+		for _, pass := range []struct {
+			name string
+			run  func()
+		}{
+			{"fwd", func() { it.Forward(dense, embs) }},
+			{"bwd", func() { it.Backward(dy) }},
+		} {
+			perOp := minOf(5, func() time.Duration {
+				return timeIt(func() {
+					for i := 0; i < reps; i++ {
+						pass.run()
+					}
+				})
+			}) / reps
+			addRow(fmt.Sprintf("interaction-%s-%dx%d-b%d", pass.name, tables+1, s.dim, s.batch), perOp)
+		}
+	}
 
 	// TT table paths over the standard single-table workload.
 	w := newTableWorkload(rows, sc.Steps, sc.Batch, 1004)

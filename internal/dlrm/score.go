@@ -15,14 +15,16 @@ type ScoreGroup struct {
 }
 
 // ScoreScratch is the reusable state of ScoreGroups: the G-row context batch,
-// the per-group interaction template and the flattened candidate rows. It
-// grows to the high-water shape once; one goroutine owns it at a time.
+// the per-group interaction template and packed context features, and the
+// flattened candidate rows. It grows to the high-water shape once; one
+// goroutine owns it at a time.
 type ScoreScratch struct {
 	dense   *tensor.Matrix   // G × NumDense context dense features
 	sparse  [][]int          // per table, G context indices
 	offsets []int            // 0..n-1 bag offsets, n up to max(G, chunk)
 	embs    []*tensor.Matrix // per table, G context rows; the item slot stays nil
 	tmpl    *tensor.Matrix   // G × OutputDim: what a group's rows share
+	ctx     *tensor.Matrix   // G × (tables+1)·EmbDim: each group's stacked features, item slot zero
 	x       *tensor.Matrix   // chunk × OutputDim interaction output
 	items   []int            // every group's items, flattened in group order
 	group   []int            // group of each flattened row
@@ -70,11 +72,13 @@ func (s *ScoreScratch) prepare(g, rows, chunk, numDense, numTables int) {
 // The scores are bit-identical to Predict on the batch that replicates each
 // context across its items (serve.Batcher.Build): every output element is the
 // same function of the same operands. A table row is pooled from zero
-// whatever its batch, tensor.Dot sees the same two vectors in the same order,
-// and a GEMM element depends on its A row, B column and k, never on the row
-// count. The top MLP's first layer is deliberately not split into a
-// once-per-context k-range plus a per-item k-range: that would change the
-// summation order and with it the bits.
+// whatever its batch, and a GEMM element depends on its A row, B column and
+// k, never on the row or column count — which covers the interaction too:
+// a pair's higher stacked feature is the A row and its lower one the B row
+// of an NT product in Forward and in FillVarying alike. The top MLP's first
+// layer is deliberately not split into a once-per-context k-range plus a
+// per-item k-range: that would change the summation order and with it the
+// bits.
 //
 // Context lookups must stay live across the chunks, which they do: a table
 // either owns its result until its own next Lookup (tt.Table) or returns a
@@ -113,12 +117,12 @@ func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []Sc
 			s.embs[t] = tbl.Lookup(s.sparse[t], s.offsets[:len(groups)]) //elrec:coldpath table-owned arena (tt.Table) or fresh by contract (embedding.Bag); pinned by the AllocsPerRun tests
 		}
 	}
-	s.tmpl = m.Interaction.ForwardShared(s.tmpl, z0, s.embs, itemFeature)
+	s.tmpl, s.ctx = m.Interaction.ForwardShared(s.tmpl, s.ctx, z0, s.embs, itemFeature)
 
 	for lo := 0; lo < rows; lo += chunk {
 		hi := min(lo+chunk, rows)
 		item := m.Tables[itemFeature].Lookup(s.items[lo:hi], s.offsets[:hi-lo]) //elrec:coldpath as the context lookups above
-		s.x = m.Interaction.FillVarying(s.x, s.tmpl, z0, s.embs, itemFeature, item, s.group[lo:hi])
+		s.x = m.Interaction.FillVarying(s.x, s.tmpl, s.ctx, itemFeature, item, s.group[lo:hi])
 		logits := m.Top.Forward(s.x) //elrec:coldpath layer-owned buffers; steady-state allocations are pinned by the AllocsPerRun tests
 		nn.SigmoidInto(scores[lo:hi], logits.Data)
 	}

@@ -10,11 +10,18 @@ import (
 // TestSharedInteractionMatchesForwardBitForBit: ForwardShared once per group
 // plus FillVarying per row must reproduce, bit for bit, Interaction.Forward
 // on the batch that replicates each group's shared features across its rows
-// — for the varying embedding first, in the middle and last, with chunks that
-// start inside a group, and with NaN, ±Inf and −0 among the inputs (equal
-// bits, not equal values: NaN != NaN and 0 == −0).
+// — over interactionShapes, for the varying embedding first, in the middle
+// and last, with an empty group, with chunks that start inside a group, and
+// with NaN, ±Inf and −0 among the inputs (equal bits, not equal values:
+// 0 != −0 here; a NaN must meet a NaN, but its sign and payload are outside
+// the kernels' m-independence rule, DESIGN.md §12).
 func TestSharedInteractionMatchesForwardBitForBit(t *testing.T) {
-	const dim, numTables = 7, 5
+	for _, sh := range interactionShapes {
+		testSharedInteraction(t, sh.dim, sh.tables)
+	}
+}
+
+func testSharedInteraction(t *testing.T, dim, numTables int) {
 	rowsPerGroup := []int{3, 0, 1, 6}
 	specials := []float32{
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
@@ -47,7 +54,9 @@ func TestSharedInteractionMatchesForwardBitForBit(t *testing.T) {
 		return out
 	}
 
-	for _, vary := range []int{0, 2, numTables - 1} {
+	it := NewInteraction(dim, numTables) // one layer throughout: later passes reuse its scratch
+	var tmpl, ctx, out *tensor.Matrix
+	for _, vary := range []int{0, numTables / 2, numTables - 1} {
 		dense := random(len(rowsPerGroup))
 		embs := make([]*tensor.Matrix, numTables)
 		full := make([]*tensor.Matrix, numTables)
@@ -62,19 +71,17 @@ func TestSharedInteractionMatchesForwardBitForBit(t *testing.T) {
 		}
 		want := NewInteraction(dim, numTables).Forward(replicate(dense), full)
 
-		it := NewInteraction(dim, numTables)
-		tmpl := it.ForwardShared(nil, dense, embs, vary)
-		var out *tensor.Matrix
+		tmpl, ctx = it.ForwardShared(tmpl, ctx, dense, embs, vary)
 		for _, chunk := range []int{total, 4, 1} {
 			for lo := 0; lo < total; lo += chunk {
 				hi := min(lo+chunk, total)
 				item := tensor.FromSlice(hi-lo, dim, items.Data[lo*dim:hi*dim])
-				out = it.FillVarying(out, tmpl, dense, embs, vary, item, group[lo:hi])
+				out = it.FillVarying(out, tmpl, ctx, vary, item, group[lo:hi])
 				for s := lo; s < hi; s++ {
 					for c, w := range want.Row(s) {
-						if got := out.Row(s - lo)[c]; math.Float32bits(got) != math.Float32bits(w) {
-							t.Fatalf("vary %d chunk %d row %d col %d: %v (%#x) want %v (%#x)",
-								vary, chunk, s, c, got, math.Float32bits(got), w, math.Float32bits(w))
+						if got := out.Row(s - lo)[c]; math.Float32bits(got) != math.Float32bits(w) && (got == got || w == w) {
+							t.Fatalf("dim %d tables %d vary %d chunk %d row %d col %d: %v (%#x) want %v (%#x)",
+								dim, numTables, vary, chunk, s, c, got, math.Float32bits(got), w, math.Float32bits(w))
 						}
 					}
 				}

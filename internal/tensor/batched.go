@@ -25,10 +25,9 @@ func BatchedMatMul(m, k, n int, batch []GemmBatch) {
 			panic(fmt.Sprintf("tensor: BatchedMatMul entry %d buffers too small for %dx%dx%d", idx, m, k, n))
 		}
 	}
-	work := len(batch) * m * k * n
 	// The closure only exists on the parallel branch so the serial hot path
 	// (single worker, or small batches) stays allocation-free.
-	if work >= parallelThreshold && len(batch) > 1 && Workers() > 1 {
+	if len(batch) > 1 && Parallel(len(batch)*m*k*n) {
 		ParallelFor(len(batch), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				gemmInto(m, k, n, batch[i].A, batch[i].B, batch[i].C)
@@ -55,8 +54,7 @@ func BatchedMatMulTransA(m, k, n int, batch []GemmBatch) {
 			panic(fmt.Sprintf("tensor: BatchedMatMulTransA entry %d buffers too small", idx))
 		}
 	}
-	work := len(batch) * m * k * n
-	if work >= parallelThreshold && len(batch) > 1 && Workers() > 1 {
+	if len(batch) > 1 && Parallel(len(batch)*m*k*n) {
 		ParallelFor(len(batch), func(lo, hi int) {
 			batchedTransARange(m, k, n, batch[lo:hi])
 		})
@@ -67,12 +65,7 @@ func BatchedMatMulTransA(m, k, n int, batch []GemmBatch) {
 
 func batchedTransARange(m, k, n int, batch []GemmBatch) {
 	for i := range batch {
-		e := batch[i]
-		z := e.C[:m*n]
-		for x := range z {
-			z[x] = 0
-		}
-		gemmTransABlocked(m, k, n, e.A, e.B, e.C)
+		gemmTransABlocked(m, k, n, batch[i].A, batch[i].B, batch[i].C, false)
 	}
 }
 
@@ -101,18 +94,37 @@ func GemmAddInto(m, k, n int, a, b, c []float32) {
 	gemmBlocked(m, k, n, a, b, c, true)
 }
 
-// GemmTransAAddInto computes c += aᵀ·b where a is k×m row-major (aᵀ is m×k),
-// b is k×n and c is m×n.
+// GemmTransAInto computes c = aᵀ·b where a is k×m row-major (aᵀ is m×k), b is
+// k×n and c is m×n; every element of c is overwritten.
+func GemmTransAInto(m, k, n int, a, b, c []float32) {
+	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
+		//elrec:invariant batched-GEMM buffer contract: pointer lists are built by the TT kernels
+		panic("tensor: GemmTransAInto buffers too small")
+	}
+	gemmTransABlocked(m, k, n, a, b, c, false)
+}
+
+// GemmTransAAddInto computes c += aᵀ·b, shapes as GemmTransAInto.
 func GemmTransAAddInto(m, k, n int, a, b, c []float32) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		//elrec:invariant batched-GEMM buffer contract: pointer lists are built by the TT kernels
 		panic("tensor: GemmTransAAddInto buffers too small")
 	}
-	gemmTransABlocked(m, k, n, a, b, c)
+	gemmTransABlocked(m, k, n, a, b, c, true)
 }
 
-// GemmTransBAddInto computes c += a·bᵀ where a is m×k, b is n×k row-major
-// (bᵀ is k×n) and c is m×n.
+// GemmTransBInto computes c = a·bᵀ where a is m×k, b is n×k row-major (bᵀ is
+// k×n) and c is m×n; every element of c is overwritten. a and b may be the
+// same buffer (a Gram matrix).
+func GemmTransBInto(m, k, n int, a, b, c []float32) {
+	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
+		//elrec:invariant batched-GEMM buffer contract: pointer lists are built by the TT kernels
+		panic("tensor: GemmTransBInto buffers too small")
+	}
+	gemmTransBBlocked(m, k, n, a, b, c, false)
+}
+
+// GemmTransBAddInto computes c += a·bᵀ, shapes as GemmTransBInto.
 func GemmTransBAddInto(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
 		//elrec:invariant batched-GEMM buffer contract: pointer lists are built by the TT kernels

@@ -56,19 +56,19 @@ func gemmBlocked(m, k, n int, a, b, c []float32, add bool) {
 	gemmRowsGo(m, k, n, a, k, 1, b, c, add)
 }
 
-// gemmTransABlocked computes c += aᵀ·b where a is k×m row-major (so aᵀ is
-// m×k), b is k×n and c is m×n.
+// gemmTransABlocked computes c = aᵀ·b (add=false) or c += aᵀ·b (add=true)
+// where a is k×m row-major (so aᵀ is m×k), b is k×n and c is m×n.
 //
 //elrec:hotpath GEMM entry point (TN)
-func gemmTransABlocked(m, k, n int, a, b, c []float32) {
-	if zeroDims(m, k, n, c, true) {
+func gemmTransABlocked(m, k, n int, a, b, c []float32, add bool) {
+	if zeroDims(m, k, n, c, add) {
 		return
 	}
 	if useAVX2 {
-		gemmTNAsm(m, k, n, a, b, c)
+		gemmTNAsm(m, k, n, a, b, c, add)
 		return
 	}
-	gemmRowsGo(m, k, n, a, 1, m, b, c, true)
+	gemmRowsGo(m, k, n, a, 1, m, b, c, add)
 }
 
 // gemmTransBBlocked computes c = a·bᵀ (add=false) or c += a·bᵀ (add=true)

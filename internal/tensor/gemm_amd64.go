@@ -53,9 +53,6 @@ func gemmDotAVX2(m, k, n int, a, b, c *float32, add bool)
 func axpyAVX2(alpha float32, x, y *float32, n int)
 
 //go:noescape
-func dotAVX2(x, y *float32, n int) float32
-
-//go:noescape
 func addToAVX2(dst, src *float32, n int)
 
 // The slice-taking wrappers below are what the dispatchers in gemm.go and
@@ -67,9 +64,9 @@ func gemmNNAsm(m, k, n int, a, b, c []float32, add bool) {
 	gemmRowsAVX2(m, k, n, &a[0], k, 1, &b[0], n, &c[0], n, add, false)
 }
 
-func gemmTNAsm(m, k, n int, a, b, c []float32) {
+func gemmTNAsm(m, k, n int, a, b, c []float32, add bool) {
 	_, _, _ = a[k*m-1], b[k*n-1], c[m*n-1]
-	gemmRowsAVX2(m, k, n, &a[0], 1, m, &b[0], n, &c[0], n, true, false)
+	gemmRowsAVX2(m, k, n, &a[0], 1, m, &b[0], n, &c[0], n, add, false)
 }
 
 // ntDotMinK is the shortest B row the dot kernel takes. Below it a k-long
@@ -90,11 +87,6 @@ func gemmNTAsm(m, k, n int, a, b, c []float32, add bool) {
 func axpyAsm(alpha float32, x, y []float32) {
 	_ = y[len(x)-1]
 	axpyAVX2(alpha, &x[0], &y[0], len(x))
-}
-
-func dotAsm(x, y []float32) float32 {
-	_ = y[len(x)-1]
-	return dotAVX2(&x[0], &y[0], len(x))
 }
 
 func addToAsm(dst, src []float32) {

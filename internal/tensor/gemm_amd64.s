@@ -773,9 +773,7 @@ ntdone:
 
 // ---------------------------------------------------------------------------
 // Level-1 kernels. Each element of axpy/addTo is one lane-independent
-// operation; dot keeps four 8-lane accumulators (32 floats a step), folds
-// 8-float and masked remainders into the first, and reduces with the dot
-// kernel's tree, so its bits depend on n alone.
+// operation.
 // ---------------------------------------------------------------------------
 
 // func axpyAVX2(alpha float32, x, y *float32, n int)
@@ -900,59 +898,6 @@ add1:
 	JMP    add1
 
 adddone:
-	VZEROUPPER
-	RET
-
-// func dotAVX2(x, y *float32, n int) float32
-TEXT ·dotAVX2(SB), NOSPLIT, $0-28
-	MOVQ   x+0(FP), SI
-	MOVQ   y+8(FP), DI
-	MOVQ   n+16(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-dot32:
-	CMPQ        CX, $32
-	JLT         dot8
-	VMOVUPS     (SI), Y4
-	VMOVUPS     32(SI), Y5
-	VMOVUPS     64(SI), Y6
-	VMOVUPS     96(SI), Y7
-	VFMADD231PS (DI), Y4, Y0
-	VFMADD231PS 32(DI), Y5, Y1
-	VFMADD231PS 64(DI), Y6, Y2
-	VFMADD231PS 96(DI), Y7, Y3
-	ADDQ        $128, SI
-	ADDQ        $128, DI
-	SUBQ        $32, CX
-	JMP         dot32
-
-dot8:
-	CMPQ        CX, $8
-	JLT         dottail
-	VMOVUPS     (SI), Y4
-	VFMADD231PS (DI), Y4, Y0
-	ADDQ        $32, SI
-	ADDQ        $32, DI
-	SUBQ        $8, CX
-	JMP         dot8
-
-dottail:
-	TESTQ       CX, CX
-	JZ          dotred
-	LOADMASK(CX, AX, BX)
-	VMASKMOVPS  (SI), Y14, Y4
-	VMASKMOVPS  (DI), Y14, Y5
-	VFMADD231PS Y5, Y4, Y0
-
-dotred:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	REDUCE1(Y0, X0, X8)
-	VMOVSS X0, ret+24(FP)
 	VZEROUPPER
 	RET
 

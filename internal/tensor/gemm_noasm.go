@@ -7,8 +7,7 @@ package tensor
 const useAVX2 = false
 
 func gemmNNAsm(m, k, n int, a, b, c []float32, add bool) {}
-func gemmTNAsm(m, k, n int, a, b, c []float32)           {}
+func gemmTNAsm(m, k, n int, a, b, c []float32, add bool) {}
 func gemmNTAsm(m, k, n int, a, b, c []float32, add bool) {}
 func axpyAsm(alpha float32, x, y []float32)              {}
-func dotAsm(x, y []float32) float32                      { return 0 }
 func addToAsm(dst, src []float32)                        {}

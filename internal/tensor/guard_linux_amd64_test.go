@@ -59,6 +59,5 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 		x, y := aAt(n), bAt(n)
 		axpy(0.5, x, y)
 		AddTo(y, x)
-		_ = dot(x, y)
 	}
 }

@@ -16,15 +16,6 @@ type gemmKind struct {
 	run, portable  func(m, k, n int, a, b, c []float32, add bool)
 }
 
-// The TN entry point only accumulates; store mode zeroes first, exactly as
-// MatMulTransA and BatchedMatMulTransA do.
-func gemmTransAStoreOrAdd(m, k, n int, a, b, c []float32, add bool) {
-	if !add {
-		clear(c[:m*n])
-	}
-	gemmTransABlocked(m, k, n, a, b, c)
-}
-
 // portable wraps a Go kernel (which needs m, k, n ≥ 1) with the
 // degenerate-shape handling the dispatchers share.
 func portable(kernel func(m, k, n int, a, b, c []float32, add bool)) func(m, k, n int, a, b, c []float32, add bool) {
@@ -37,7 +28,7 @@ func portable(kernel func(m, k, n int, a, b, c []float32, add bool)) func(m, k, 
 
 var gemmKinds = []gemmKind{
 	{"NN", false, false, gemmBlocked, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, k, 1, b, c, add) })},
-	{"TN", true, false, gemmTransAStoreOrAdd, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, 1, m, b, c, add) })},
+	{"TN", true, false, gemmTransABlocked, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, 1, m, b, c, add) })},
 	{"NT", false, true, gemmTransBBlocked, portable(gemmDotGo)},
 }
 
@@ -74,10 +65,11 @@ func bitsEqual(x, y []float32) bool {
 	return len(x) == len(y)
 }
 
-// invarianceShapes is the full gemmShapes grid plus, around the vector and
-// tile widths further out (31, 33, 255, 257), every combination with at
-// least one such dimension (at most one of them in the hundreds, which
-// bounds the run under -race) and the rest from a short list of tail classes.
+// invarianceShapes is the full gemmShapes grid, the stacked callers' shapes
+// (stackedShapes) and, around the vector and tile widths further out (31, 33,
+// 255, 257), every combination with at least one such dimension (at most one
+// of them in the hundreds, which bounds the run under -race) and the rest
+// from a short list of tail classes.
 func invarianceShapes() [][3]int {
 	var out [][3]int
 	for _, m := range gemmShapes {
@@ -93,6 +85,7 @@ func invarianceShapes() [][3]int {
 	out = append(out,
 		[3]int{37, 257, parallelThreshold/(37*257) + 1},
 		[3]int{131, 129, parallelThreshold/(131*129) + 1})
+	out = append(out, stackedShapes()...)
 	wide := []int{1, 4, 17, 31, 33, 255, 257}
 	for _, m := range wide {
 		for _, k := range wide {
@@ -301,18 +294,23 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 		return true
 	}
 	rng := NewRNG(79)
+	shapes := stackedShapes()
 	for m := 1; m <= 17; m++ {
 		for k := 1; k <= 17; k++ {
 			for n := 1; n <= 17; n++ {
-				a, b := unaligned(rng, m*k, 1), unaligned(rng, k*n, 3)
-				for _, kd := range gemmKinds {
-					for _, add := range []bool{false, true} {
-						buf, c := guarded(m * n)
-						kd.run(m, k, n, a, b, c, add)
-						if !intact(buf, m*n) {
-							t.Fatalf("%s %dx%dx%d add=%v wrote outside c[:m*n]", kd.name, m, k, n, add)
-						}
-					}
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		a, b := unaligned(rng, m*k, 1), unaligned(rng, k*n, 3)
+		for _, kd := range gemmKinds {
+			for _, add := range []bool{false, true} {
+				buf, c := guarded(m * n)
+				kd.run(m, k, n, a, b, c, add)
+				if !intact(buf, m*n) {
+					t.Fatalf("%s %dx%dx%d add=%v wrote outside c[:m*n]", kd.name, m, k, n, add)
 				}
 			}
 		}
@@ -328,28 +326,117 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 	}
 }
 
-// TestLevel1MatchesReference checks axpy, dot and AddTo against float64
+// TestLevel1MatchesReference checks axpy and AddTo against float64
 // arithmetic over every tail class of the 32/8/4/1 unrolling.
 func TestLevel1MatchesReference(t *testing.T) {
 	rng := NewRNG(80)
 	for n := 1; n <= 100; n++ {
 		x, y := unaligned(rng, n, 1), unaligned(rng, n, 3)
-		var want float64
-		for i := range x {
-			want += float64(x[i]) * float64(y[i])
-		}
-		if got := Dot(x, y); math.Abs(float64(got)-want) > 1e-4 {
-			t.Fatalf("Dot n=%d: got %v want %v", n, got, want)
-		}
-		if got, again := Dot(x, y), Dot(x[:n:n], y); got != again {
-			t.Fatalf("Dot n=%d not reproducible: %v vs %v", n, got, again)
-		}
 		sum := append([]float32(nil), y...)
 		Axpy(0.75, x, sum)
 		AddTo(sum, x)
 		for i := range sum {
 			if w := float64(y[i]) + 1.75*float64(x[i]); math.Abs(float64(sum[i])-w) > 1e-5 {
 				t.Fatalf("Axpy+AddTo n=%d: element %d got %v want %v", n, i, sum[i], w)
+			}
+		}
+	}
+}
+
+// stackedDims and stackedGroups parameterise the products the stacked callers
+// issue: nn.Interaction's per-sample Z·Zᵀ and S·Z over 27 stacked features of
+// width d, and tt's per-G₂-slice products over a group of k prefixes at
+// n = 4·4·4, R = 64.
+var (
+	stackedDims   = []int{1, 7, 8, 33, 64}
+	stackedGroups = []int{1, 2, 3, 4, 5, 6}
+)
+
+// stackedShapes lists those products as m×k×n.
+func stackedShapes() [][3]int {
+	var out [][3]int
+	for _, d := range stackedDims {
+		out = append(out, [3]int{27, d, 27}, [3]int{27, 27, d})
+	}
+	for _, k := range stackedGroups {
+		out = append(out, [3]int{4 * k, 64, 256}, [3]int{4 * k, 256, 64}, [3]int{64, 4 * k, 256})
+	}
+	return out
+}
+
+// TestStackedProducts checks, on both kernel families, what the stacked
+// callers rely on beyond TestGemmElementDependsOnRowColumnAndK (whose grid
+// includes stackedShapes: float64 reference, store ≡ zero-then-add, row
+// blocks, all three layouts): Z·Zᵀ with one
+// buffer as both operands is symmetric bit for bit on finite input; an NT
+// product over fewer B rows or a later block of A rows has the bits of the
+// full one (FillVarying's two products against Forward's Gram matrix); a
+// product over k stacked A operands has the bits of the k separate products
+// (the Eff-TT forward fill and c1); and the TN product whose inner dimension
+// runs over the whole stack is the sum of the separate TN products up to
+// rounding (dG₂: one fma chain per group).
+func TestStackedProducts(t *testing.T) {
+	rng := NewRNG(81)
+	type kernel = func(m, k, n int, a, b, c []float32, add bool)
+	for family, pick := range map[string]func(gemmKind) kernel{
+		KernelName(): func(kd gemmKind) kernel { return kd.run },
+		"portable":   func(kd gemmKind) kernel { return kd.portable },
+	} {
+		nn, tn, nt := pick(gemmKinds[0]), pick(gemmKinds[1]), pick(gemmKinds[2])
+		const f = 27
+		for _, d := range stackedDims {
+			z := unaligned(rng, f*d, 1)
+			gram := make([]float32, f*f)
+			nt(f, d, f, z, z, gram, false)
+			if diff := maxDiff(gram, refGemm(f, d, f, z, z, false, true)); diff > 1e-3 {
+				t.Fatalf("%s d=%d: Z·Zᵀ differs from reference by %g", family, d, diff)
+			}
+			for i := 0; i < f; i++ {
+				for j := 0; j < i; j++ {
+					if math.Float32bits(gram[i*f+j]) != math.Float32bits(gram[j*f+i]) {
+						t.Fatalf("%s d=%d: Z·Zᵀ[%d][%d] = %v but [%d][%d] = %v", family, d, i, j, gram[i*f+j], j, i, gram[j*f+i])
+					}
+				}
+			}
+			for _, v := range []int{1, 13, f - 1} {
+				// Feature v against the lower ones as B, the higher ones as A.
+				below := make([]float32, v)
+				nt(1, d, v, z[v*d:], z, below, false)
+				if !bitsEqual(below, gram[v*f:v*f+v]) {
+					t.Fatalf("%s d=%d v=%d: a row against the first v rows differs from the Gram matrix", family, d, v)
+				}
+				above := make([]float32, f-1-v)
+				nt(f-1-v, d, 1, z[(v+1)*d:], z[v*d:], above, false)
+				for i := range above {
+					if math.Float32bits(above[i]) != math.Float32bits(gram[(v+1+i)*f+v]) {
+						t.Fatalf("%s d=%d v=%d: rows above v against row v differ from the Gram matrix", family, d, v)
+					}
+				}
+			}
+		}
+
+		const n1, r, cols = 4, 64, 256 // G₁[i₁] n₁×R₁, G₂[i₂] R₁×n₂R₂
+		g2 := unaligned(rng, r*cols, 3)
+		for _, k := range stackedGroups {
+			g1, dP := unaligned(rng, k*n1*r, 1), unaligned(rng, k*n1*cols, 1)
+			p12, c1, dG2 := make([]float32, k*n1*cols), make([]float32, k*n1*r), make([]float32, r*cols)
+			nn(k*n1, r, cols, g1, g2, p12, false)
+			nt(k*n1, cols, r, dP, g2, c1, false)
+			tn(r, k*n1, cols, g1, dP, dG2, false)
+			one, sum := make([]float32, n1*cols), make([]float32, r*cols)
+			for u := 0; u < k; u++ {
+				nn(n1, r, cols, g1[u*n1*r:], g2, one, false)
+				if !bitsEqual(one, p12[u*n1*cols:(u+1)*n1*cols]) {
+					t.Fatalf("%s k=%d: stacked NN product differs from prefix %d alone", family, k, u)
+				}
+				nt(n1, cols, r, dP[u*n1*cols:], g2, one[:n1*r], false)
+				if !bitsEqual(one[:n1*r], c1[u*n1*r:(u+1)*n1*r]) {
+					t.Fatalf("%s k=%d: stacked NT product differs from prefix %d alone", family, k, u)
+				}
+				tn(r, n1, cols, g1[u*n1*r:], dP[u*n1*cols:], sum, true)
+			}
+			if d := maxDiff(dG2, sum); d > 1e-4 {
+				t.Fatalf("%s k=%d: stacked TN product differs from the summed separate ones by %g", family, k, d)
 			}
 		}
 	}

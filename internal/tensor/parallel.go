@@ -16,6 +16,10 @@ import (
 // host. The old 1<<16 was ~40 µs of scalar work and is ~4 µs now.
 const parallelThreshold = 1 << 22
 
+// Parallel reports whether a kernel of work multiply-adds should fan out
+// over the worker pool instead of running on the calling goroutine.
+func Parallel(work int) bool { return work >= parallelThreshold && Workers() > 1 }
+
 // maxWorkers bounds the number of concurrent executors ParallelFor uses
 // (the caller plus pool workers). Read and written atomically: the hw
 // package lowers it while emulating narrower hosts concurrently with

@@ -14,8 +14,8 @@ func fillSeq(x []float32) {
 
 // TestGemmKernelsZeroAllocSteadyState cross-checks hotalloc's static claim
 // at runtime: every kernel entry point (and so, on an AVX2 host, each of
-// the five assembly routines: row-broadcast for NN and TN, dot and the
-// short-k tile for NT, axpy, dot, addTo) runs without heap allocation.
+// the four assembly routines: row-broadcast for NN and TN, dot and the
+// short-k tile for NT, axpy, addTo) runs without heap allocation.
 func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
 	old := Workers()
 	SetMaxWorkers(1)
@@ -36,19 +36,20 @@ func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
 		batch[i] = GemmBatch{A: a[:4*8], B: b[:8*6], C: c[i*24 : i*24+24]}
 	}
 
-	var sink float32
 	kernels := []struct {
 		name string
 		run  func()
 	}{
 		{"gemmBlocked", func() { gemmBlocked(m, k, n, a, b, c, false) }},
-		{"gemmTransABlocked", func() { gemmTransABlocked(m, k, n, a[:k*m], b, c) }},
+		{"gemmTransABlocked", func() { gemmTransABlocked(m, k, n, a[:k*m], b, c, true) }},
 		{"gemmTransBBlocked", func() { gemmTransBBlocked(m, k, n, a, bt, c, false) }},
 		{"gemmTransBBlocked-short-k", func() { gemmTransBBlocked(m, 5, n, a, bt, c, true) }},
+		{"GemmTransBInto-gram", func() { GemmTransBInto(27, 32, 27, a, a, c) }},
+		{"GemmInto-27x27x24", func() { GemmInto(27, 27, 24, a, b, c) }},
+		{"GemmTransAInto-48x8x24", func() { GemmTransAInto(48, 8, 24, a, b, c) }},
 		{"BatchedMatMul", func() { BatchedMatMul(4, 8, 6, batch) }},
 		{"BatchedMatMulTransA", func() { BatchedMatMulTransA(4, 8, 6, batch) }},
 		{"axpy", func() { axpy(0.5, bt, a[:len(bt)]) }},
-		{"dot", func() { sink += dot(a[:100], b[:100]) }},
 		{"AddTo", func() { AddTo(c[:100], a[:100]) }},
 	}
 	for _, tc := range kernels {

@@ -156,8 +156,7 @@ func MatMul(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMul dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	k, n := a.Cols, b.Cols
-	work := a.Rows * k * n
-	if work >= parallelThreshold && Workers() > 1 {
+	if Parallel(a.Rows * k * n) {
 		ParallelFor(a.Rows, func(lo, hi int) {
 			gemmBlocked(hi-lo, k, n, a.Data[lo*k:], b.Data, dst.Data[lo*n:], false)
 		})
@@ -190,8 +189,7 @@ func MatMulTransA(dst, a, b *Matrix) {
 		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMulTransA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	dst.Zero()
-	MatMulTransAAdd(dst, a, b)
+	gemmTransABlocked(a.Cols, a.Rows, b.Cols, a.Data, b.Data, dst.Data, false)
 }
 
 // MatMulTransAAdd computes dst += aᵀ · b.
@@ -204,7 +202,7 @@ func MatMulTransAAdd(dst, a, b *Matrix) {
 		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMulTransAAdd dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	gemmTransABlocked(a.Cols, a.Rows, b.Cols, a.Data, b.Data, dst.Data)
+	gemmTransABlocked(a.Cols, a.Rows, b.Cols, a.Data, b.Data, dst.Data, true)
 }
 
 // MatMulTransB computes dst = a · bᵀ where b is stored untransposed.
@@ -219,8 +217,7 @@ func MatMulTransB(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
 	k, n := a.Cols, b.Rows
-	work := a.Rows * k * n
-	if work >= parallelThreshold && Workers() > 1 {
+	if Parallel(a.Rows * k * n) {
 		ParallelFor(a.Rows, func(lo, hi int) {
 			gemmTransBBlocked(hi-lo, k, n, a.Data[lo*k:], b.Data, dst.Data[lo*n:], false)
 		})
@@ -254,14 +251,8 @@ func axpy(a float32, x, y []float32) {
 	}
 }
 
-// dot returns the inner product of equal-length, non-empty slices.
-func dot(x, y []float32) float32 {
-	if useAVX2 {
-		return dotAsm(x, y)
-	}
-	return dotGo(x, y)
-}
-
+// dotGo returns the inner product of equal-length, non-empty slices, summed
+// in ascending order: the column tail of the portable NT kernel.
 func dotGo(x, y []float32) float32 {
 	var s float32
 	_ = y[len(x)-1]
@@ -281,18 +272,6 @@ func Axpy(a float32, x, y []float32) {
 		return
 	}
 	axpy(a, x, y)
-}
-
-// Dot returns xᵀy for vectors exposed as slices.
-func Dot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d != %d", len(x), len(y)))
-	}
-	if len(x) == 0 {
-		return 0
-	}
-	return dot(x, y)
 }
 
 // Scale multiplies every element of x by a in place.

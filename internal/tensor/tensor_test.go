@@ -240,9 +240,6 @@ func TestAxpyDotScaleAdd(t *testing.T) {
 			t.Fatalf("Axpy result %v want %v", y, want)
 		}
 	}
-	if d := Dot(x, want); d != 6+18+36 {
-		t.Fatalf("Dot = %v want 60", d)
-	}
 	Scale(0.5, want)
 	if want[0] != 3 || want[2] != 6 {
 		t.Fatalf("Scale result %v", want)
@@ -259,9 +256,6 @@ func TestAxpyDotScaleAdd(t *testing.T) {
 
 func TestAxpyEmptyAndMismatch(t *testing.T) {
 	Axpy(1, nil, nil) // must not panic
-	if Dot(nil, nil) != 0 {
-		t.Fatal("Dot(nil,nil) != 0")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Axpy length mismatch did not panic")
@@ -452,7 +446,6 @@ func TestMatMulAddShapePanics(t *testing.T) {
 		func() { MatMulTransAAdd(New(2, 2), New(3, 2), New(4, 2)) },
 		func() { MatMul(New(2, 2), New(2, 3), New(3, 3)) },
 		func() { AddTo([]float32{1}, []float32{1, 2}) },
-		func() { Dot([]float32{1}, []float32{1, 2}) },
 	} {
 		func() {
 			defer func() {

@@ -366,3 +366,37 @@ func TestGroupsSort(t *testing.T) {
 		}
 	}
 }
+
+// TestSortByI2: the stacking sort groups the unique prefixes by i₂ with
+// first-occurrence order kept inside a group, leaves unused i₂ empty, and
+// renumbers the work items' ids so each still addresses its own prefix.
+func TestSortByI2(t *testing.T) {
+	const m2 = 5
+	uniq := []int{13, 4, 8, 3, 24, 9, 14} // i₂ = 3, 4, 3, 3, 4, 4, 4; i₂ 0, 1, 2 unused
+	ids := []int{0, 1, 2, 0, 3, 4, 5, 6, 2}
+	prefixOf := make([]int, len(ids))
+	for w, u := range ids {
+		prefixOf[w] = uniq[u]
+	}
+	var g groups
+	g.sortByI2(m2, uniq, ids)
+	for i, want := range []int{13, 8, 3, 4, 24, 9, 14} {
+		if uniq[i] != want {
+			t.Fatalf("sorted prefixes %v: position %d want %d", uniq, i, want)
+		}
+	}
+	for i2, want := range []int{0, 0, 0, 0, 3, 7} {
+		if g.start[i2] != want {
+			t.Fatalf("group starts %v: i₂ %d want %d", g.start[:m2+1], i2, want)
+		}
+	}
+	for w, u := range ids {
+		if uniq[u] != prefixOf[w] {
+			t.Fatalf("work item %d addresses prefix %d after the sort, %d before", w, uniq[u], prefixOf[w])
+		}
+	}
+	g.sortByI2(m2, nil, nil) // an empty batch leaves every group empty
+	if g.start[m2] != 0 {
+		t.Fatalf("empty sort: group starts %v", g.start[:m2+1])
+	}
+}

@@ -22,9 +22,10 @@ import "repro/internal/tensor"
 //
 //  1. per unique prefix u: dP₁₂[u] = Σ_w g_w·G₃[i₃(w)]ᵀ over its work items
 //     in work-item order; each item keeps its small P₁₂ᵀ·g_w in c3[w];
-//  2. per unique i₂: every prefix of the group keeps its small
-//     dP₁₂[u]·G₂[i₂]ᵀ in c1[u] and adds G₁[i₁(u)]ᵀ·dP₁₂[u] into one
-//     slice-sized accumulator, then G₂[i₂] is written once;
+//  2. per unique i₂, whose prefixes are contiguous (sortByI2): one product
+//     [dP₁₂[u]]·G₂[i₂]ᵀ leaves every prefix's small share in c1[u], one
+//     product [G₁[i₁(u)]]ᵀ·[dP₁₂[u]], its inner dimension running over the
+//     whole group, is dG₂[i₂], and G₂[i₂] is written once;
 //  3. per unique i₁ and per unique i₃: the kept contributions are summed in
 //     prefix / work-item order and G₁[i₁] / G₃[i₃] is written once.
 //
@@ -45,6 +46,7 @@ import "repro/internal/tensor"
 type groups struct {
 	start []int
 	items []int
+	key   []int // sortByI2's scratch
 }
 
 // build sorts the items by key[item] ∈ [0,numKeys).
@@ -73,6 +75,28 @@ func (g *groups) build(numKeys int, key []int) {
 // of returns the items of key k.
 func (g *groups) of(k int) []int { return g.items[g.start[k]:g.start[k+1]] }
 
+// sortByI2 is the stacking step the forward's reuse-buffer fill and the
+// backward share: it stably sorts the batch's unique prefixes uniq (first-
+// occurrence order, prefix = i₁·m₂+i₂) by i₂ and renumbers ids (work item →
+// position in uniq) to match. Afterwards uniq[start[i₂]:start[i₂+1]] are the
+// prefixes of G₂[i₂], still in first-occurrence order, so every row set
+// indexed by the new numbers (reuse buffer, dP₁₂, c1) is one contiguous
+// stacked operand per slice. items is left holding a copy of uniq.
+func (g *groups) sortByI2(m2 int, uniq, ids []int) {
+	g.key = growInts(g.key, len(uniq))
+	for u, pfx := range uniq {
+		g.key[u] = pfx % m2
+	}
+	g.build(m2, g.key)
+	for pos, u := range g.items {
+		g.key[u], g.items[pos] = pos, uniq[u]
+	}
+	copy(uniq, g.items)
+	for w, u := range ids {
+		ids[w] = g.key[u]
+	}
+}
+
 // twoLevelBwd is the state of one two-level backward call. It lives in the
 // forward cache, so the arena path reuses every buffer across batches.
 type twoLevelBwd struct {
@@ -81,21 +105,22 @@ type twoLevelBwd struct {
 	gradBufs [Dims]*tensor.Matrix
 	lr       float32
 
-	pfx     []int // unique prefix u → prefix value i₁·m₂+i₂
+	pfx     []int // unique prefix u → prefix value i₁·m₂+i₂, sorted by i₂
 	pfxOf   []int // work item → u
 	pfxSlot []int // u → reuse-buffer row of P₁₂ (when the forward kept one)
 	key     []int // counting-sort key scratch
 
 	byPfx groups // work items by u
 	byI3  groups // work items by i₃
-	byI2  groups // unique prefixes by i₂
+	i2    groups // start[i₂]: first unique prefix of G₂[i₂]'s run
 	byI1  groups // unique prefixes by i₁
 
 	p12  *tensor.Matrix // u → P₁₂, computed here when there is no reuse buffer
 	dP12 *tensor.Matrix // u → dP₁₂
+	g1   *tensor.Matrix // u → G₁[i₁(u)], a group's slices stacked into one operand
 	c1   *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
 	c3   *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
-	dG2  *tensor.Matrix // executor → its dG₂[i₂] accumulator (one slice-sized row each)
+	dG2  *tensor.Matrix // executor → the dG₂[i₂] it is working on (one slice-sized row each)
 }
 
 // backwardTwoLevel runs the three phases for the batch in cache. gradBufs
@@ -118,7 +143,7 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradB
 		return
 	}
 	tensor.ParallelFor(len(b.pfx), func(lo, hi int) { t.prefixPhase(cache, b, lo, hi) })
-	// Phase 2 needs one accumulator per executor, so it loops over executors
+	// Phase 2 needs one dG₂ buffer per executor, so it loops over executors
 	// and executor p owns the groups i₂ ≡ p (mod parts): reordered indices
 	// put most prefixes in the lowest i₂, which striding spreads evenly.
 	parts := min(tensor.Workers(), m[1])
@@ -131,14 +156,16 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradB
 	tensor.ParallelFor(m[0]+m[2], func(lo, hi int) { t.core13Phase(b, lo, hi) })
 }
 
-// groupWork dedups the prefixes of the work items, recovers each prefix's
-// reuse-buffer row from the forward's PrefixSlots, counting-sorts work items
-// by prefix and by i₃ and prefixes by i₂ and by i₁, and sizes the scratch.
+// groupWork dedups the prefixes of the work items and sorts them by i₂,
+// recovers each prefix's reuse-buffer row from the forward's PrefixSlots,
+// counting-sorts work items by prefix and by i₃ and prefixes by i₁, and
+// sizes the scratch.
 func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 	m := t.Shape.RowFactors
 	items := len(b.workIdx)
 	b.pfxOf = growInts(b.pfxOf, items)
 	b.pfx = t.dedupPrefixes(c, b.workIdx, b.pfxOf, b.pfx[:0])
+	b.i2.sortByI2(m[1], b.pfx, b.pfxOf)
 	prefixes := len(b.pfx)
 
 	if c.PrefixBuf != nil {
@@ -164,16 +191,13 @@ func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 	b.byI3.build(m[2], b.key)
 	b.key = growInts(b.key, prefixes)
 	for u, pfx := range b.pfx {
-		b.key[u] = pfx % m[1]
-	}
-	b.byI2.build(m[1], b.key)
-	for u, pfx := range b.pfx {
 		b.key[u] = pfx / m[1]
 	}
 	b.byI1.build(m[0], b.key)
 
 	sz := t.Shape.SliceSizes()
 	b.dP12 = tensor.Reuse(b.dP12, prefixes, t.Shape.PrefixSize())
+	b.g1 = tensor.Reuse(b.g1, prefixes, sz[0])
 	b.c1 = tensor.Reuse(b.c1, prefixes, sz[0])
 	b.c3 = tensor.Reuse(b.c3, items, sz[2])
 }
@@ -199,36 +223,32 @@ func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
 			// dP₁₂[u] += g·G₃[i₃]ᵀ   (n₁n₂ × R₂).
 			tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, g, t.Slice3(b.workIdx[w]%m3), dP12)
 			// c3[w] = P₁₂ᵀ·g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
-			c3 := b.c3.Row(w)
-			zero(c3)
-			tensor.GemmTransAAddInto(r2, n[0]*n[1], n[2], p12, g, c3)
+			tensor.GemmTransAInto(r2, n[0]*n[1], n[2], p12, g, b.c3.Row(w))
 		}
 	}
 }
 
 // core2Phase is phase 2 for i₂ = first, first+stride, …: it owns those
-// G₂[i₂] and rows u of c1 for the prefixes u of their groups, and reads G₁
-// and dP12. dG2 is the executor's slice-sized accumulator.
+// G₂[i₂] and rows u of c1 and g1 for the prefixes u of their groups, and
+// reads G₁ and dP12. dG2 is the executor's slice-sized buffer. Both products
+// store: neither c1 nor dG2 is zeroed or read.
 func (t *Table) core2Phase(b *twoLevelBwd, dG2 []float32, first, stride int) {
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
-	m2 := t.Shape.RowFactors[1]
-	for i2 := first; i2 < m2; i2 += stride {
-		us := b.byI2.of(i2)
-		if len(us) == 0 {
+	sz0, psz := b.c1.Cols, b.dP12.Cols
+	for i2 := first; i2 < t.Shape.RowFactors[1]; i2 += stride {
+		lo, hi := b.i2.start[i2], b.i2.start[i2+1]
+		if lo == hi {
 			continue
 		}
-		g2 := t.Slice2(i2)
-		zero(dG2)
-		for _, u := range us {
-			dP12 := b.dP12.Row(u)
-			// c1[u] = dP₁₂·G₂[i₂]ᵀ   (n₁ × R₁).
-			c1 := b.c1.Row(u)
-			zero(c1)
-			tensor.GemmTransBAddInto(n[0], n[1]*r2, r1, dP12, g2, c1)
-			// dG₂[i₂] += G₁[i₁]ᵀ·dP₁₂   (R₁ × n₂R₂), dP₁₂ viewed as n₁ × n₂R₂.
-			tensor.GemmTransAAddInto(r1, n[0], n[1]*r2, t.Slice1(b.pfx[u]/m2), dP12, dG2)
-		}
+		// The group's dP₁₂ stacked: (k·n₁) × n₂R₂ for its k prefixes.
+		rows, dP12 := (hi-lo)*n[0], b.dP12.Data[lo*psz:hi*psz]
+		// c1[u] = dP₁₂[u]·G₂[i₂]ᵀ for every u of the group   (k·n₁ × R₁).
+		tensor.GemmTransBInto(rows, n[1]*r2, r1, dP12, t.Slice2(i2), b.c1.Data[lo*sz0:hi*sz0])
+		// dG₂[i₂] = Σ_u G₁[i₁(u)]ᵀ·dP₁₂[u] = [G₁]ᵀ·[dP₁₂]   (R₁ × n₂R₂).
+		g1 := b.g1.Data[lo*sz0 : hi*sz0]
+		t.stackG1(g1, b.pfx[lo:hi])
+		tensor.GemmTransAInto(r1, rows, n[1]*r2, g1, dP12, dG2)
 		t.sinkGrad(b.gradBufs, 1, i2, dG2, b.lr)
 	}
 }

@@ -51,8 +51,10 @@ type ForwardCache struct {
 
 	workIdxBuf []int
 	workOfBuf  []int
-	prefixes   []int
-	batch      []tensor.GemmBatch
+	prefixes   []int              // the batch's unique prefixes, sorted by i₂ (batch-local path)
+	i2         groups             // their runs per G₂ slice
+	g1         *tensor.Matrix     // prefix → G₁[i₁], a run's slices stacked into one operand
+	batch      []tensor.GemmBatch // a serving clone's memo misses
 	out        *tensor.Matrix
 	p12        []float32 // serial-path prefix recompute scratch
 	workGrad   *tensor.Matrix
@@ -269,26 +271,57 @@ func (t *Table) fillPrefixBuffer(c *ForwardCache) {
 }
 
 // fillPrefixBatchLocal is Algorithm 1: it deduplicates the prefixes of the
-// work items (Buf_flag/Buf_idx), prepares the batched-GEMM pointer lists
-// (Ptr_a/Ptr_b/Ptr_c) and runs one batched GEMM that computes every unique
-// prefix of the batch into the batch-local reuse buffer.
+// work items (Buf_flag/Buf_idx) and computes every unique prefix of the batch
+// into the batch-local reuse buffer. The batched GEMM is stacked per G₂
+// slice: the prefixes are sorted by i₂, so the buffer rows of one slice are
+// contiguous and take one product [G₁[i₁(u)]]·G₂[i₂] with the run's G₁ slices
+// stacked as the A operand — G₂[i₂], the one operand outside the cache,
+// streams once per slice instead of once per prefix, and each buffer row has
+// the bits of its own n₁-row product (m-independence, DESIGN.md §12).
 func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
 	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes[:0])
+	m2 := t.Shape.RowFactors[1]
+	c.i2.sortByI2(m2, c.prefixes, c.PrefixSlots)
 
 	c.PrefixBuf = tensor.Reuse(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize())
-	if cap(c.batch) < len(c.prefixes) {
-		//elrec:coldpath amortized batched-GEMM descriptor growth
-		c.batch = make([]tensor.GemmBatch, len(c.prefixes))
+	c.g1 = tensor.Reuse(c.g1, len(c.prefixes), t.Shape.SliceSizes()[0])
+	if tensor.Parallel(len(c.prefixes) * t.Shape.R1 * t.Shape.PrefixSize()) {
+		// Executor p owns the slices i₂ ≡ p (mod parts), as in the backward.
+		parts := min(tensor.Workers(), m2)
+		tensor.ParallelFor(parts, func(lo, hi int) {
+			for p := lo; p < hi; p++ {
+				t.fillSlices(c, p, parts)
+			}
+		})
+	} else {
+		t.fillSlices(c, 0, 1)
 	}
-	c.batch = c.batch[:len(c.prefixes)]
-	m2 := t.Shape.RowFactors[1]
-	for s, pfx := range c.prefixes {
-		i1, i2 := pfx/m2, pfx%m2
-		c.batch[s] = tensor.GemmBatch{A: t.Slice1(i1), B: t.Slice2(i2), C: c.PrefixBuf.Row(s)}
-	}
-	n := t.Shape.ColFactors
-	tensor.BatchedMatMul(n[0], t.Shape.R1, n[1]*t.Shape.R2, c.batch)
 	t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
+}
+
+// fillSlices computes the reuse-buffer rows of the prefixes of i₂ = first,
+// first+stride, …; it owns those rows of PrefixBuf and g1.
+func (t *Table) fillSlices(c *ForwardCache, first, stride int) {
+	n := t.Shape.ColFactors
+	sz0, psz := c.g1.Cols, c.PrefixBuf.Cols
+	for i2 := first; i2 < t.Shape.RowFactors[1]; i2 += stride {
+		lo, hi := c.i2.start[i2], c.i2.start[i2+1]
+		if lo == hi {
+			continue
+		}
+		g1 := c.g1.Data[lo*sz0 : hi*sz0]
+		t.stackG1(g1, c.prefixes[lo:hi])
+		tensor.GemmInto((hi-lo)*n[0], t.Shape.R1, n[1]*t.Shape.R2, g1, t.Slice2(i2), c.PrefixBuf.Data[lo*psz:hi*psz])
+	}
+}
+
+// stackG1 copies G₁[i₁] of each listed prefix into consecutive rows of dst.
+func (t *Table) stackG1(dst []float32, prefixes []int) {
+	m2 := t.Shape.RowFactors[1]
+	for i, pfx := range prefixes {
+		g := t.Slice1(pfx / m2)
+		copy(dst[i*len(g):], g)
+	}
 }
 
 // dedupPrefixes writes into ids[w] the batch-local dense id of work item w's
