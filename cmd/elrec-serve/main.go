@@ -4,10 +4,10 @@
 // the pool clones it -replicas ways and serves concurrent traffic with no
 // shared mutable state.
 //
-// The binary either loads a model saved by `elrec-train -save` (pass -load
-// with the same architecture flags) or, by default, trains a small model on
-// a synthetic dataset at startup — enough for demos, smoke tests and load
-// experiments without a checkpoint lying around.
+// The binary either loads a model saved by `elrec-train -no-reorder -save`
+// (pass -load with the same architecture flags) or, by default, trains a
+// small model on a synthetic dataset at startup — enough for demos, smoke
+// tests and load experiments without a checkpoint lying around.
 //
 // Usage:
 //
@@ -28,10 +28,11 @@
 //	GET  /debug/pprof/  runtime profiles
 //
 // A continuously retraining trainer pairs with /reload: it checkpoints with
-// `elrec-train -save` (or this binary's -save after startup training) and
-// POSTs /reload; the pool rebuilds every replica from the checkpoint bytes
-// and swaps them in at micro-batch boundaries, so serving never aliases
-// trainer memory and no request is dropped.
+// `elrec-train -no-reorder -save` (or this binary's -save after startup
+// training, which never reorders) and POSTs /reload; the pool rebuilds every
+// replica from the checkpoint bytes and swaps them in at micro-batch
+// boundaries, so serving never aliases trainer memory and no request is
+// dropped.
 //
 // Overload sheds with 503 (queue full), expired requests with 504; send
 // "timeout_ms" in the body to override the default per-request deadline.
@@ -80,7 +81,7 @@ func run() int {
 		rank         = flag.Int("rank", 8, "TT rank")
 		lr           = flag.Float64("lr", 1.0, "learning rate for startup training")
 		ttThreshold  = flag.Int("tt-threshold", 10_000, "min rows for TT compression (-1 disables)")
-		loadPath     = flag.String("load", "", "load model weights saved by elrec-train -save instead of training")
+		loadPath     = flag.String("load", "", "load model weights saved by elrec-train -no-reorder -save instead of training")
 		savePath     = flag.String("save", "", "save the startup-trained model to this checkpoint (ignored with -load)")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
 	)
@@ -93,7 +94,7 @@ func run() int {
 	}
 	log := obs.NewLogger(os.Stderr, level, nil)
 
-	spec, err := specFor(*dataset, *datasetScale)
+	spec, err := data.SpecByName(*dataset, *datasetScale)
 	if err != nil {
 		log.Error("invalid flags", "err", err)
 		return 2
@@ -240,16 +241,4 @@ func largestFeature(spec data.Spec) int {
 		}
 	}
 	return best
-}
-
-func specFor(name string, scale float64) (data.Spec, error) {
-	switch name {
-	case "avazu":
-		return data.AvazuSpec(scale), nil
-	case "kaggle":
-		return data.KaggleSpec(scale), nil
-	case "terabyte":
-		return data.TerabyteSpec(scale), nil
-	}
-	return data.Spec{}, fmt.Errorf("unknown dataset %q (want avazu, kaggle or terabyte)", name)
 }

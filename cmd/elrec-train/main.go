@@ -30,6 +30,12 @@
 //	elrec-train -steps 5000 -checkpoint run.ckpt -checkpoint-every 500
 //	^C  (interrupt mid-run; state saved at the drain point)
 //	elrec-train -steps 5000 -checkpoint run.ckpt -checkpoint-every 500 -resume run.ckpt
+//
+// -save writes the weights-only model file `elrec-serve -load` reads. It
+// carries no index bijection, so it is refused (exit 2, before the first
+// step) unless reordering is off, and for pipelined systems:
+//
+//	elrec-train -no-reorder -steps 2000 -save model.bin
 package main
 
 import (
@@ -43,6 +49,7 @@ import (
 	"time"
 
 	elrec "repro"
+	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/tt"
@@ -75,7 +82,7 @@ func run() int {
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address while training")
 		tracePath    = flag.String("trace", "", "write Chrome trace-event JSON of the pipeline stages to this path on exit")
 		hbmGB        = flag.Float64("hbm-gb", -1, "override the device HBM capacity in GiB (<0: device default); small values force host placement and the pipelined trainer")
-		savePath     = flag.String("save", "", "save the trained model (weights only) to this path")
+		savePath     = flag.String("save", "", "save the trained model (weights only, for elrec-serve -load) to this path; needs -no-reorder and a device-resident model")
 		ckptPath     = flag.String("checkpoint", "", "write crash-consistent training checkpoints to this path")
 		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint interval in steps (requires -checkpoint)")
 		resumePath   = flag.String("resume", "", "resume training from a checkpoint written by -checkpoint")
@@ -89,7 +96,7 @@ func run() int {
 	}
 	log := obs.NewLogger(os.Stderr, level, nil)
 
-	spec, err := specFor(*dataset, *datasetScale)
+	spec, err := data.SpecByName(*dataset, *datasetScale)
 	if err != nil {
 		log.Error("invalid flags", "err", err)
 		return 2
@@ -129,6 +136,14 @@ func run() int {
 	if err != nil {
 		log.Error("build failed", "err", err)
 		return 1
+	}
+
+	if *savePath != "" {
+		// Refuse before the first step, not after the last one.
+		if err := sys.CanSaveModel(); err != nil {
+			log.Error("invalid flags: -save", "err", err)
+			return 2
+		}
 	}
 
 	if *debugAddr != "" {
@@ -220,11 +235,7 @@ func run() int {
 	acc, auc := sys.Evaluate(*steps+1, *evalBatches, *batch)
 	log.Info("held-out eval", "accuracy", acc, "auc", auc, "batches", *evalBatches)
 	if *savePath != "" {
-		if sys.Pipeline != nil {
-			log.Error("-save stores model weights only and requires a fully device-resident model; use -checkpoint for pipelined training state")
-			return 1
-		}
-		if err := elrec.SaveModel(*savePath, sys.Model()); err != nil {
+		if err := sys.SaveModel(*savePath); err != nil {
 			log.Error("save failed", "err", err)
 			return 1
 		}
@@ -268,16 +279,4 @@ func cacheHitRate(reg *obs.Registry) float64 {
 		return 0
 	}
 	return float64(hits) / float64(hits+misses)
-}
-
-func specFor(name string, scale float64) (elrec.DatasetSpec, error) {
-	switch name {
-	case "avazu":
-		return elrec.Avazu(scale), nil
-	case "kaggle":
-		return elrec.Kaggle(scale), nil
-	case "terabyte":
-		return elrec.Terabyte(scale), nil
-	}
-	return elrec.DatasetSpec{}, fmt.Errorf("unknown dataset %q (want avazu, kaggle or terabyte)", name)
 }

@@ -78,19 +78,6 @@ func NewEmbeddingBag(rows, dim int, seed uint64) *embedding.Bag {
 	return embedding.NewBag(rows, dim, tensor.NewRNG(seed))
 }
 
-// NewGeneralTTEmbeddingBag builds a TT-compressed embedding bag with an
-// arbitrary number of cores d ≥ 2 (the specialized Eff-TT table fixes
-// d = 3; deeper factorizations compress harder at the cost of a longer
-// multiplication chain). The returned table has the same Lookup/Update
-// interface.
-func NewGeneralTTEmbeddingBag(rows, dim, d, rank int, seed uint64) (*tt.GeneralTable, error) {
-	shape, err := tt.NewGeneralShape(rows, dim, d, rank)
-	if err != nil {
-		return nil, err
-	}
-	return tt.NewGeneralTable(shape, tensor.NewRNG(seed), math.Sqrt(1/float64(rows))), nil
-}
-
 // DecomposeTable TT-decomposes an existing dense table (rows×dim, row-major)
 // into an Eff-TT bag with the given rank via truncated TT-SVD — the
 // "initialize from a pretrained table" path.

@@ -107,18 +107,6 @@ func TestNewDLRMFacade(t *testing.T) {
 	}
 }
 
-func TestGeneralTTFacade(t *testing.T) {
-	g, err := NewGeneralTTEmbeddingBag(500, 16, 4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := g.Lookup([]int{1, 499}, []int{0, 1})
-	if out.Rows != 2 || out.Cols != 16 {
-		t.Fatalf("general lookup shape %dx%d", out.Rows, out.Cols)
-	}
-	g.Update([]int{1, 499}, []int{0, 1}, out, 0.01)
-}
-
 func TestSaveLoadModelFacade(t *testing.T) {
 	tables := []EmbeddingBag{NewEmbeddingBag(40, 8, 1)}
 	cfg := ModelConfig{NumDense: 2, EmbDim: 8, BottomSizes: []int{8}, TopSizes: []int{8}, LR: 0.5, Seed: 1}
@@ -133,6 +121,76 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	m2, _ := NewDLRM(cfg, []EmbeddingBag{NewEmbeddingBag(40, 8, 9)})
 	if err := LoadModel(path, m2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSystemSaveModelNeedsRawIds: the weights-only model file carries no
+// index bijection, so a system that trained on reordered ids must not write
+// one — a server would look raw ids up in rows trained for other ids. With
+// reordering off the file round-trips: a pool built from it scores held-out
+// requests bit for bit like the trainer's own model.
+func TestSystemSaveModelNeedsRawIds(t *testing.T) {
+	spec := Kaggle(0.0005)
+	build := func(reorder bool) *System {
+		cfg := DefaultSystemConfig(spec)
+		cfg.Model.EmbDim = 8
+		cfg.Rank = 4
+		cfg.TTThreshold = 1000 // five TT tables, the item table among them
+		cfg.Reorder = reorder
+		sys, err := BuildSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	path := t.TempDir() + "/model.bin"
+
+	err := build(true).SaveModel(path)
+	if err == nil || !strings.Contains(err.Error(), "-no-reorder") {
+		t.Fatalf("a reordered system saved a weights-only model (or did not name the way out): %v", err)
+	}
+
+	sys := build(false)
+	if err := sys.CanSaveModel(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Train(0, 30, 64)
+	if err := sys.SaveModel(path); err != nil {
+		t.Fatal(err)
+	}
+	const item = 2
+	pool, err := NewServingPoolFromCheckpoint(path, item, 16, ServingOptions{
+		Replicas: 2,
+		Factory:  func() (*DLRMModel, error) { return build(false).Model(), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	trainer, err := NewRanker(sys.Model(), item, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := sys.Source().Batch(100, 8)
+	candidates := []int{0, 1, 5, 17, spec.TableRows[item] - 1}
+	for s := 0; s < held.Size(); s++ {
+		ctx := RankContext{Dense: held.Dense.Row(s), Sparse: make([]int, len(held.Sparse))}
+		for f := range held.Sparse {
+			ctx.Sparse[f] = held.Sparse[f][s]
+		}
+		want, err := trainer.Score(ctx, candidates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pool.Score(ctx, candidates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("request %d candidate %d: served %v, trainer %v", s, candidates[i], got[i], want[i])
+			}
+		}
 	}
 }
 

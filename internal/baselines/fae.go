@@ -121,7 +121,7 @@ func (f *FAE) TrainBatch(b *data.Batch) (loss float32, coldFrac float64) {
 		}
 		f.ColdBytes += 2 * int64(len(seen)) * dim * 4
 	}
-	return f.Model.TimedTrainStep(b), float64(cold) / float64(b.Size())
+	return f.Model.TrainStep(b), float64(cold) / float64(b.Size())
 }
 
 // HotSetRows returns the total hot rows cached on the device (HBM cost).

@@ -257,11 +257,11 @@ func timeDataParallelTT(spec data.Spec, d *data.Dataset, sc Scale, n int) (compu
 	}
 	sub := sc.Batch / n
 	for it := 0; it < sc.WarmSteps*n; it++ {
-		model.TimedTrainStep(d.Batch(it, sub))
+		model.TrainStep(d.Batch(it, sub))
 	}
 	model.ResetTiming()
 	for it := 0; it < sc.Steps*n; it++ {
-		model.TimedTrainStep(d.Batch(sc.WarmSteps*n+it, sub))
+		model.TrainStep(d.Batch(sc.WarmSteps*n+it, sub))
 	}
 	compute = model.Timing().Total()
 	var ttBytes int64
@@ -302,7 +302,7 @@ func timeModelParallelDense(spec data.Spec, d *data.Dataset, sc Scale, n int) (c
 	}
 	sub := sc.Batch / n
 	for it := 0; it < sc.WarmSteps*n; it++ {
-		model.TimedTrainStep(d.Batch(it, sub))
+		model.TrainStep(d.Batch(it, sub))
 	}
 	model.ResetTiming()
 	var fwd0, bwd0 int64
@@ -311,7 +311,7 @@ func timeModelParallelDense(spec data.Spec, d *data.Dataset, sc Scale, n int) (c
 		bwd0 += sh.Traffic.BackwardBytes
 	}
 	for it := 0; it < sc.Steps*n; it++ {
-		model.TimedTrainStep(d.Batch(sc.WarmSteps*n+it, sub))
+		model.TrainStep(d.Batch(sc.WarmSteps*n+it, sub))
 	}
 	compute = model.Timing().Total()
 	var fwd, bwd int64

@@ -29,9 +29,10 @@ const (
 	trainMagic = uint32(0xE17EC7A1)
 	version    = uint32(3)
 
-	kindBag        = uint8(0)
-	kindTT         = uint8(1)
-	kindGeneralTT  = uint8(2)
+	kindBag = uint8(0)
+	kindTT  = uint8(1)
+	// 2 was the arbitrary-order TT table and stays reserved: no reader case
+	// accepts it, so a file that carries it is rejected, never reinterpreted.
 	kindAdagradBag = uint8(3)
 	kindRemote     = uint8(4)
 )
@@ -70,10 +71,9 @@ type TrainState struct {
 }
 
 // SaveModel writes the model's dense parameters and every embedding table
-// to w. Tables must be *embedding.Bag, *embedding.AdagradBag, *tt.Table or
-// *tt.GeneralTable (the trainable kinds); baseline executors and pipeline
-// adapters need a TableResolver (see SaveTraining) that maps them to their
-// backing store.
+// to w. Tables must be *embedding.Bag, *embedding.AdagradBag or *tt.Table
+// (the trainable kinds); baseline executors and pipeline adapters need a
+// TableResolver (see SaveTraining) that maps them to their backing store.
 func SaveModel(w io.Writer, m *dlrm.Model) error {
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, magic); err != nil {
@@ -241,13 +241,6 @@ func writeTable(bw *bufio.Writer, i int, table dlrm.Table) error {
 		if err := writeTT(bw, tbl); err != nil {
 			return fmt.Errorf("checkpoint: table %d: %w", i, err)
 		}
-	case *tt.GeneralTable:
-		if err := bw.WriteByte(kindGeneralTT); err != nil {
-			return err
-		}
-		if err := writeGeneralTT(bw, tbl); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
-		}
 	default:
 		return fmt.Errorf("checkpoint: table %d has unsupported type %T", i, table)
 	}
@@ -289,13 +282,6 @@ func readTable(br *bufio.Reader, i int, table dlrm.Table) error {
 			return fmt.Errorf("checkpoint: table %d kind %d, model expects TT table", i, kind)
 		}
 		if err := readTTInto(br, tbl); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
-		}
-	case *tt.GeneralTable:
-		if kind != kindGeneralTT {
-			return fmt.Errorf("checkpoint: table %d kind %d, model expects general TT table", i, kind)
-		}
-		if err := readGeneralTTInto(br, tbl); err != nil {
 			return fmt.Errorf("checkpoint: table %d: %w", i, err)
 		}
 	default:
@@ -459,60 +445,6 @@ func readTTInto(r io.Reader, tbl *tt.Table) error {
 			if err := readMatrixInto(r, tbl.AdagradAccum(k)); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// writeGeneralTT serializes an arbitrary-order TT table: d, the shape
-// vectors, then the cores.
-func writeGeneralTT(w io.Writer, tbl *tt.GeneralTable) error {
-	s := tbl.Shape
-	if err := writeInt(w, s.D()); err != nil {
-		return err
-	}
-	header := []int{s.Rows, s.Dim}
-	header = append(header, s.RowFactors...)
-	header = append(header, s.ColFactors...)
-	header = append(header, s.Ranks...)
-	for _, v := range header {
-		if err := writeInt(w, v); err != nil {
-			return err
-		}
-	}
-	for _, core := range tbl.Cores {
-		if err := writeMatrix(w, core); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readGeneralTTInto(r io.Reader, tbl *tt.GeneralTable) error {
-	s := tbl.Shape
-	d, err := readInt(r)
-	if err != nil {
-		return err
-	}
-	if d != s.D() {
-		return fmt.Errorf("checkpoint: general TT has %d cores in file, model has %d", d, s.D())
-	}
-	want := []int{s.Rows, s.Dim}
-	want = append(want, s.RowFactors...)
-	want = append(want, s.ColFactors...)
-	want = append(want, s.Ranks...)
-	for i, w := range want {
-		got, err := readInt(r)
-		if err != nil {
-			return err
-		}
-		if got != w {
-			return fmt.Errorf("checkpoint: general TT shape field %d is %d, model has %d", i, got, w)
-		}
-	}
-	for _, core := range tbl.Cores {
-		if err := readMatrixInto(r, core); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -244,45 +244,57 @@ func TestLoadRejectsWrongVersionAndKind(t *testing.T) {
 	}
 }
 
-func TestGeneralTTRoundTrip(t *testing.T) {
+// TestGeneralTTRefused: the arbitrary-order table is an experiment and test
+// oracle, not a checkpointable kind. A model that holds one is refused on
+// both sides, and the kind byte it used to be written under (2) stays
+// reserved — a file that carries it is rejected whatever table the model
+// expects there, never reinterpreted.
+func TestGeneralTTRefused(t *testing.T) {
 	shape, err := tt.NewGeneralShape(300, 16, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(seed uint64) *dlrm.Model {
-		gen := tt.NewGeneralTable(shape, tensorRNG(seed), 0.1)
-		m, err := dlrm.NewModel(dlrm.Config{
-			NumDense: 2, EmbDim: 16, BottomSizes: []int{8}, TopSizes: []int{8}, LR: 0.5, Seed: seed,
-		}, []dlrm.Table{gen})
+	cfg := dlrm.Config{NumDense: 2, EmbDim: 16, BottomSizes: []int{8}, TopSizes: []int{8}, LR: 0.5, Seed: 1}
+	build := func(table dlrm.Table) *dlrm.Model {
+		m, err := dlrm.NewModel(cfg, []dlrm.Table{table})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	src := build(1)
+	general := build(tt.NewGeneralTable(shape, tensorRNG(1), 0.1))
+	if err := SaveModel(io.Discard, general); err == nil {
+		t.Fatal("SaveModel accepted a model holding a *tt.GeneralTable")
+	}
+
+	// A dense-bag file: the table record is the last thing in it, one kind
+	// byte followed by the 300×16 matrix (two int64 dimensions + the data).
+	bag := build(dlrm.MustDenseTable(300, 16, 2))
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, src); err != nil {
+	if err := SaveModel(&buf, bag); err != nil {
 		t.Fatal(err)
 	}
-	dst := build(2)
-	if err := LoadModel(bytes.NewReader(buf.Bytes()), dst); err != nil {
-		t.Fatal(err)
+	file := buf.Bytes()
+	kindAt := len(file) - (1 + 16 + 300*16*4)
+	if file[kindAt] != kindBag {
+		t.Fatalf("byte %d is %d, expected the dense-bag kind byte", kindAt, file[kindAt])
 	}
-	a := src.Tables[0].(*tt.GeneralTable).Materialize()
-	b := dst.Tables[0].(*tt.GeneralTable).Materialize()
-	if a.MaxAbsDiff(b) != 0 {
-		t.Fatal("general TT round trip changed the table")
+	if err := LoadModel(bytes.NewReader(file), general); err == nil {
+		t.Fatal("LoadModel accepted a model holding a *tt.GeneralTable")
 	}
-	// Mismatched depth rejected.
-	shape5, _ := tt.NewGeneralShape(300, 16, 2, 3)
-	other, err := dlrm.NewModel(dlrm.Config{
-		NumDense: 2, EmbDim: 16, BottomSizes: []int{8}, TopSizes: []int{8}, LR: 0.5, Seed: 3,
-	}, []dlrm.Table{tt.NewGeneralTable(shape5, tensorRNG(3), 0.1)})
+	file[kindAt] = 2
+	ttShape, err := tt.NewShape(300, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadModel(bytes.NewReader(buf.Bytes()), other); err == nil {
-		t.Fatal("depth mismatch accepted")
+	for name, m := range map[string]*dlrm.Model{
+		"dense bag": bag,
+		"TT table":  build(tt.NewTable(ttShape, tensorRNG(3), 0.1)),
+		"general":   general,
+	} {
+		if err := LoadModel(bytes.NewReader(file), m); err == nil {
+			t.Fatalf("a file with the reserved kind byte 2 loaded into a %s model", name)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/checkpoint"
 	"repro/internal/data"
 	"repro/internal/dlrm"
 	"repro/internal/embedding"
@@ -348,7 +349,7 @@ func (s *System) TrainContext(ctx context.Context, startIter, steps, batchSize i
 			return res, err
 		}
 		iter := startIter + it
-		loss := s.model.TimedTrainStep(s.source.Batch(iter, batchSize))
+		loss := s.model.TrainStep(s.source.Batch(iter, batchSize))
 		curve.Add(iter, float64(loss))
 		res.Completed++
 		res.NextIter = iter + 1
@@ -388,6 +389,34 @@ func (s *System) SaveCheckpoint(path string, nextIter int) error {
 // never stopped.
 func (s *System) ResumeFrom(path string) (int, error) {
 	return s.pipe.LoadCheckpoint(path)
+}
+
+// SaveModel writes the trained model to path as a weights-only file
+// (checkpoint.SaveFile) for a server to load. Such a file carries parameters
+// and nothing else, so a system whose state does not fit in it is refused,
+// see CanSaveModel.
+func (s *System) SaveModel(path string) error {
+	if err := s.CanSaveModel(); err != nil {
+		return err
+	}
+	return checkpoint.SaveFile(path, s.model)
+}
+
+// CanSaveModel reports why SaveModel refuses this system, nil when it does
+// not: a pipelined system keeps tables in host memory the model file has no
+// place for, and a reordered one trained its tables on remapped ids — the
+// file does not carry the bijections, so a server would look raw ids up in
+// the wrong rows. The answer is fixed at Build.
+func (s *System) CanSaveModel() error {
+	if s.Pipeline != nil {
+		return fmt.Errorf("core: a weights-only model file needs a fully device-resident model and this one trains host tables through the pipeline; persist it as a training checkpoint instead (elrec-train -checkpoint)")
+	}
+	for i, bij := range s.Bijections {
+		if bij != nil {
+			return fmt.Errorf("core: table %d is trained on reordered ids and a weights-only model file does not carry the bijection, so a server would score through the wrong rows; build with Reorder off (elrec-train -no-reorder)", i)
+		}
+	}
+	return nil
 }
 
 // Evaluate computes held-out accuracy and AUC over batches starting at

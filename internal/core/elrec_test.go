@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -84,6 +87,44 @@ func TestBuildSpillsToHostWhenHBMSmall(t *testing.T) {
 	curve := sys.Train(100, 10, 64)
 	if len(curve.Losses) != 10 {
 		t.Fatalf("trained %d steps", len(curve.Losses))
+	}
+}
+
+// TestSaveModelRefusesWhatTheFileCannotCarry: a weights-only model file has
+// no place for host tables or index bijections; each refusal names the way
+// out, and nothing is written.
+func TestSaveModelRefusesWhatTheFileCannotCarry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.bin")
+	refused := func(name string, cfg Config, wayOut string) {
+		t.Helper()
+		sys, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sys.SaveModel(path)
+		if err == nil || !strings.Contains(err.Error(), wayOut) {
+			t.Fatalf("%s: SaveModel = %v, want a refusal naming %s", name, err, wayOut)
+		}
+		if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+			t.Fatalf("%s: refused SaveModel left a file behind (%v)", name, statErr)
+		}
+	}
+	refused("reordered", coreConfig(), "-no-reorder")
+
+	pipelined := coreConfig()
+	pipelined.Reorder = false
+	pipelined.Device = hw.Device{Name: "tiny", HBMBytes: 20 << 10, ComputeScale: 1}
+	pipelined.HBMReserve = 0
+	refused("pipelined", pipelined, "-checkpoint")
+
+	plain := coreConfig()
+	plain.Reorder = false
+	sys, err := Build(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SaveModel(path); err != nil {
+		t.Fatalf("device-resident system on raw ids: %v", err)
 	}
 }
 

@@ -43,16 +43,9 @@ type Scenario struct {
 // flag surface of the elrec-ps and elrec-worker binaries so both derive
 // identical configurations from identical flags.
 func NewScenario(dataset string, scale float64, dim, rank, ttThreshold int, lr float64, queueDepth int) (Scenario, error) {
-	var spec data.Spec
-	switch dataset {
-	case "avazu":
-		spec = data.AvazuSpec(scale)
-	case "kaggle":
-		spec = data.KaggleSpec(scale)
-	case "terabyte":
-		spec = data.TerabyteSpec(scale)
-	default:
-		return Scenario{}, fmt.Errorf("%w: unknown dataset %q (want avazu, kaggle or terabyte)", ErrBadRequest, dataset)
+	spec, err := data.SpecByName(dataset, scale)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	model := dlrm.DefaultConfig(spec.NumDense, dim)
 	model.LR = float32(lr)

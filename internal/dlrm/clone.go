@@ -24,10 +24,8 @@ var ErrNotServable = errors.New("dlrm: table not servable")
 //   - *tt.Table becomes an arena-owning replica over shared read-only cores
 //     (tt.Table.CloneForServing), the only place prefix products are kept
 //     across batches;
-//   - *embedding.Bag / *embedding.AdagradBag / *tt.GeneralTable are shared
-//     as-is: their Lookup is read-only and allocates fresh output;
-//   - *lockedTable is shared as-is: it serializes access with its own mutex
-//     and copies rows out under the lock.
+//   - *embedding.Bag / *embedding.AdagradBag are shared as-is: their Lookup
+//     is read-only and allocates fresh output.
 //
 // Serving scores a clone through ScoreGroups, whose scratch (ScoreScratch)
 // belongs to the caller — serve.Ranker, one per clone — not to the model.
@@ -45,9 +43,7 @@ func (m *Model) CloneForServing() (*Model, error) {
 		switch tbl := t.(type) {
 		case *tt.Table:
 			tables[i] = tbl.CloneForServing()
-		case *embedding.Bag, *embedding.AdagradBag, *tt.GeneralTable:
-			tables[i] = t
-		case *lockedTable:
+		case *embedding.Bag, *embedding.AdagradBag:
 			tables[i] = t
 		default:
 			return nil, fmt.Errorf("%w: table %d is %T", ErrNotServable, i, t)

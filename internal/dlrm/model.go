@@ -59,11 +59,11 @@ type Model struct {
 
 	opt    *nn.SGD
 	timing Timing
-	clock  obs.Clock        // timestamp source for TimedTrainStep; never nil
+	clock  obs.Clock        // timestamp source for TrainStep's Timing split; never nil
 	embs   []*tensor.Matrix // per-step lookup results, slice reused across steps
 }
 
-// SetClock replaces the timestamp source TimedTrainStep measures against
+// SetClock replaces the timestamp source TrainStep measures against
 // (nil restores the system clock). Tests inject a manual clock to make the
 // embed/dense timing split deterministic.
 func (m *Model) SetClock(c obs.Clock) { m.clock = obs.OrSystem(c) }
@@ -119,14 +119,20 @@ func (m *Model) Forward(b *data.Batch) *tensor.Matrix {
 		panic(err)
 	}
 	z0 := m.Bottom.Forward(b.Dense)
+	x := m.Interaction.Forward(z0, m.lookups(b))
+	return m.Top.Forward(x)
+}
+
+// lookups runs every table's Lookup for the batch into the model's reused
+// result slice.
+func (m *Model) lookups(b *data.Batch) []*tensor.Matrix {
 	if m.embs == nil {
 		m.embs = make([]*tensor.Matrix, len(m.Tables))
 	}
 	for t, tbl := range m.Tables {
 		m.embs[t] = tbl.Lookup(b.Sparse[t], b.Offsets)
 	}
-	x := m.Interaction.Forward(z0, m.embs)
-	return m.Top.Forward(x)
+	return m.embs
 }
 
 // Predict returns CTR probabilities for a batch.
@@ -135,34 +141,48 @@ func (m *Model) Predict(b *data.Batch) []float32 {
 	return nn.SigmoidSlice(logits.Data)
 }
 
-// ForwardBackward runs one forward/backward pass, returning the batch loss.
-// MLP gradients accumulate in the parameters (for a later ApplyStep or an
-// all-reduce); embedding tables update immediately when updateTables is set
-// (they own their sparse optimizers).
-func (m *Model) ForwardBackward(b *data.Batch, updateTables bool) float32 {
-	logits := m.Forward(b)
-	loss, dLogits := nn.BCEWithLogits(logits, b.Labels)
-	dx := m.Top.Backward(dLogits)
-	dDense, dEmbs := m.Interaction.Backward(dx)
-	m.Bottom.Backward(dDense)
-	if updateTables {
-		for t, tbl := range m.Tables {
-			tbl.Update(b.Sparse[t], b.Offsets, dEmbs[t], m.Cfg.LR)
-		}
-	}
-	return loss
-}
-
 // ApplyStep applies the accumulated MLP gradients with SGD and clears them.
 func (m *Model) ApplyStep() {
 	m.opt.Step(m.MLPParams())
 }
 
-// TrainStep is the single-worker convenience: forward, backward, update
-// everything. Returns the batch loss.
+// TrainStep is one training step: forward, loss, backward, every table's
+// Update (tables own their sparse optimizers) and the MLPs' SGD step. It
+// returns the batch loss and adds the step's embed/dense wall-time split to
+// the model's Timing accumulator, measured against the model's clock (see
+// SetClock).
 func (m *Model) TrainStep(b *data.Batch) float32 {
-	loss := m.ForwardBackward(b, true)
+	if err := m.checkBatch(b); err != nil {
+		//elrec:invariant batch/model agreement; the pipeline recover boundary converts this to ErrWorkerFault
+		panic(err)
+	}
+	// Six clock reads cut the step into dense, embed, dense, embed, dense.
+	clock := m.clock
+	t0 := clock.Now()
+	z0 := m.Bottom.Forward(b.Dense)
+
+	t1 := clock.Now()
+	embs := m.lookups(b)
+
+	t2 := clock.Now()
+	x := m.Interaction.Forward(z0, embs)
+	logits := m.Top.Forward(x)
+	loss, dLogits := nn.BCEWithLogits(logits, b.Labels)
+	dx := m.Top.Backward(dLogits)
+	dDense, dEmbs := m.Interaction.Backward(dx)
+	m.Bottom.Backward(dDense)
+
+	t3 := clock.Now()
+	for t, tbl := range m.Tables {
+		tbl.Update(b.Sparse[t], b.Offsets, dEmbs[t], m.Cfg.LR)
+	}
+
+	t4 := clock.Now()
 	m.ApplyStep()
+	t5 := clock.Now()
+
+	m.timing.Embed += t2.Sub(t1) + t4.Sub(t3)
+	m.timing.Dense += t1.Sub(t0) + t3.Sub(t2) + t5.Sub(t4)
 	return loss
 }
 
@@ -188,10 +208,4 @@ func (m *Model) EmbeddingBytes() int64 {
 		n += t.FootprintBytes()
 	}
 	return n
-}
-
-// CopyMLPFrom replicates src's dense parameters into m.
-func (m *Model) CopyMLPFrom(src *Model) {
-	m.Bottom.CopyParamsFrom(src.Bottom)
-	m.Top.CopyParamsFrom(src.Top)
 }

@@ -56,12 +56,3 @@ func BuildTables(rows []int, spec TableSpec) ([]Table, int, error) {
 func MustDenseTable(rows, dim int, seed uint64) Table {
 	return embedding.NewBag(rows, dim, tensor.NewRNG(seed))
 }
-
-// TotalFootprint sums FootprintBytes over tables.
-func TotalFootprint(tables []Table) int64 {
-	var n int64
-	for _, t := range tables {
-		n += t.FootprintBytes()
-	}
-	return n
-}

@@ -1,13 +1,6 @@
 package dlrm
 
-import (
-	"time"
-
-	"repro/internal/data"
-	"repro/internal/nn"
-	"repro/internal/obs"
-	"repro/internal/tensor"
-)
+import "time"
 
 // Timing splits one model's accumulated wall time into the embedding-side
 // work (table lookups and updates) and the dense-side work (MLPs,
@@ -28,50 +21,3 @@ func (m *Model) Timing() Timing { return m.timing }
 
 // ResetTiming clears the accumulated split.
 func (m *Model) ResetTiming() { m.timing = Timing{} }
-
-// TimedTrainStep is TrainStep with the embed/dense wall-time split recorded
-// into the model's Timing accumulator, measured against the model's clock
-// (see SetClock).
-func (m *Model) TimedTrainStep(b *data.Batch) float32 {
-	if err := m.checkBatch(b); err != nil {
-		//elrec:invariant batch/model agreement; the pipeline recover boundary converts this to ErrWorkerFault
-		panic(err)
-	}
-	clock := obs.OrSystem(m.clock)
-	start := clock.Now()
-	z0 := m.Bottom.Forward(b.Dense)
-	denseMark := obs.Since(clock, start)
-
-	embStart := clock.Now()
-	if m.embs == nil {
-		m.embs = make([]*tensor.Matrix, len(m.Tables))
-	}
-	embs := m.embs
-	for t, tbl := range m.Tables {
-		embs[t] = tbl.Lookup(b.Sparse[t], b.Offsets)
-	}
-	embedFwd := obs.Since(clock, embStart)
-
-	denseStart := clock.Now()
-	x := m.Interaction.Forward(z0, embs)
-	logits := m.Top.Forward(x)
-	loss, dLogits := nn.BCEWithLogits(logits, b.Labels)
-	dx := m.Top.Backward(dLogits)
-	dDense, dEmbs := m.Interaction.Backward(dx)
-	m.Bottom.Backward(dDense)
-	denseBody := obs.Since(clock, denseStart)
-
-	embStart = clock.Now()
-	for t, tbl := range m.Tables {
-		tbl.Update(b.Sparse[t], b.Offsets, dEmbs[t], m.Cfg.LR)
-	}
-	embedBwd := obs.Since(clock, embStart)
-
-	denseStart = clock.Now()
-	m.ApplyStep()
-	denseTail := obs.Since(clock, denseStart)
-
-	m.timing.Embed += embedFwd + embedBwd
-	m.timing.Dense += denseMark + denseBody + denseTail
-	return loss
-}

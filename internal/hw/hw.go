@@ -104,13 +104,6 @@ func NVLinkPair() Link {
 	return Link{Name: "NVLink", BandwidthBps: 45e9, Latency: 5 * time.Microsecond}
 }
 
-// HostGather models CPU-side embedding gather/update throughput for
-// parameter-server style accesses (random-access bound, far below stream
-// bandwidth).
-func HostGather() Link {
-	return Link{Name: "host gather", BandwidthBps: 6e9, Latency: 2 * time.Microsecond}
-}
-
 // PSRowLatency is the modeled host-side cost per embedding row accessed
 // through the parameter server (hash lookup, framework dispatch, optimizer
 // state) on top of the raw copy our Go implementation measures. Real PS

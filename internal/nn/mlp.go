@@ -69,12 +69,6 @@ func (m *MLP) NumParams() int {
 	return n
 }
 
-// CloneArchitecture builds a fresh MLP with the same sizes and newly
-// initialized weights drawn from rng (used to replicate workers).
-func (m *MLP) CloneArchitecture(sigmoidOut bool, rng *tensor.RNG) *MLP {
-	return NewMLP(m.Sizes, sigmoidOut, rng)
-}
-
 // Clone returns a deep copy of the MLP: same layer stack, copied parameter
 // values, fresh gradient accumulators and fresh layer-owned scratch buffers.
 // Because every mutable buffer is per-clone, a clone's Forward never races

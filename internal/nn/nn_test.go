@@ -53,7 +53,6 @@ func TestLinearGradCheck(t *testing.T) {
 
 	eval := func() float64 { return scalarLoss(l.Forward(x)) }
 	y := l.Forward(x)
-	ZeroGrads(l)
 	dx := l.Backward(y) // d(0.5 Σy²)/dy = y
 
 	// Check input gradient.
@@ -137,7 +136,6 @@ func TestMLPShapesAndGradCheck(t *testing.T) {
 	}
 	eval := func() float64 { return scalarLoss(m.Forward(x)) }
 	y = m.Forward(x)
-	ZeroGrads(m)
 	dx := m.Backward(y)
 	for _, idx := range []int{0, 9, 17} {
 		want := numericGrad(x.Data, idx, eval)

@@ -24,9 +24,6 @@ func NewParam(name string, rows, cols int) *Param {
 	}
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
 // clone deep-copies the parameter value with a fresh, zeroed gradient.
 func (p *Param) clone() *Param {
 	return &Param{
@@ -46,13 +43,4 @@ type Layer interface {
 	Backward(dy *tensor.Matrix) *tensor.Matrix
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
-}
-
-// ZeroGrads clears gradients on every parameter of every layer given.
-func ZeroGrads(layers ...Layer) {
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			p.ZeroGrad()
-		}
-	}
 }

@@ -20,11 +20,3 @@ func (s *SGD) Step(params []*Param) {
 		p.Grad.Zero()
 	}
 }
-
-// StepNoZero applies the update without clearing gradients (used by tests
-// that inspect the accumulated gradient afterwards).
-func (s *SGD) StepNoZero(params []*Param) {
-	for _, p := range params {
-		tensor.Axpy(-s.LR, p.Grad.Data, p.Value.Data)
-	}
-}

@@ -164,7 +164,7 @@ func (t *Table) sinkGrad(gradBufs [Dims]*tensor.Matrix, k, row int, grad []float
 func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int, []int, *tensor.Matrix) {
 	workIdx, workOf := cache.WorkIdx, cache.WorkOf
 	if !t.Opts.DedupIndices {
-		workIdx, workOf = t.rebuildUnique(cache)
+		workIdx, workOf = cache.dedupRows()
 	}
 	cache.workGrad = tensor.Reuse(cache.workGrad, len(workIdx), t.Shape.Dim)
 	grads := cache.workGrad
@@ -181,47 +181,6 @@ func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int,
 		}
 	}
 	return workIdx, workOf, grads
-}
-
-// rebuildUnique constructs the unique-index structure in Backward when the
-// forward pass ran per occurrence (DedupIndices off, InAdvanceAgg on). On
-// the arena path it reuses the same stamped dense scratch as dedupRows, so
-// steady-state batches allocate nothing. Fresh caches and huge tables keep
-// the map-based rebuild.
-//
-//elrec:coldpath map rebuild for fresh caches and beyond-cap tables; the arena path amortizes its stamped scratch
-func (t *Table) rebuildUnique(c *ForwardCache) ([]int, []int) {
-	if !c.arena || t.Shape.Rows > rowDenseCap {
-		pos := make(map[int]int, len(c.Indices))
-		workIdx := make([]int, 0, len(c.Indices))
-		workOf := make([]int, len(c.Indices))
-		for p, idx := range c.Indices {
-			u, ok := pos[idx]
-			if !ok {
-				u = len(workIdx)
-				pos[idx] = u
-				workIdx = append(workIdx, idx)
-			}
-			workOf[p] = u
-		}
-		return workIdx, workOf
-	}
-	if len(c.rowStamp) < t.Shape.Rows {
-		c.rowStamp = make([]int64, t.Shape.Rows)
-		c.rowSlot = make([]int32, t.Shape.Rows)
-	}
-	c.seq++ // fresh stamp generation; forward's stamps (if any) expire
-	c.workIdxBuf = c.workIdxBuf[:0]
-	c.workOfBuf = growInts(c.workOfBuf, len(c.Indices))
-	for p, idx := range c.Indices {
-		if c.rowStamp[idx] != c.seq {
-			c.rowStamp[idx] = c.seq
-			c.rowSlot[idx] = int32(len(c.workIdxBuf))
-			c.workIdxBuf = append(c.workIdxBuf, idx)
-		}
-		c.workOfBuf[p] = int(c.rowSlot[idx])
-	}
-	return c.workIdxBuf, c.workOfBuf
 }
 
 // perOccurrenceGrads materializes one gradient row per index occurrence
@@ -260,7 +219,7 @@ func zero(x []float32) {
 func (t *Table) Lookup(indices, offsets []int) *tensor.Matrix {
 	if t.arena == nil {
 		//elrec:coldpath one-time arena construction on the first Lookup
-		t.arena = &ForwardCache{arena: true}
+		t.arena = &ForwardCache{}
 	}
 	out := t.forwardInto(t.arena, indices, offsets)
 	t.lastCache = t.arena
@@ -269,15 +228,14 @@ func (t *Table) Lookup(indices, offsets []int) *tensor.Matrix {
 
 // Update applies gradients for the most recent Lookup batch. The batch
 // description must match that Lookup call; if it does not (or no Lookup ran)
-// a fresh forward pass rebuilds the intermediates.
+// the forward pass is run again for the batch given here.
 //
 //elrec:hotpath steady-state TT embedding update
 func (t *Table) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
-	cache := t.lastCache
-	if cache == nil || !sameBatch(cache, indices, offsets) {
-		//elrec:coldpath cache-miss fallback; the steady state reuses the preceding Lookup's cache
-		_, cache = t.Forward(indices, offsets)
+	if t.lastCache == nil || !sameBatch(t.lastCache, indices, offsets) {
+		t.Lookup(indices, offsets)
 	}
+	cache := t.lastCache
 	t.lastCache = nil
 	t.Backward(cache, dOut, lr)
 }

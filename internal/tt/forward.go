@@ -3,16 +3,16 @@ package tt
 import (
 	"fmt"
 
-	"repro/internal/embedding"
 	"repro/internal/tensor"
 )
 
 // ForwardCache carries the intermediates of one Forward call into the
 // matching Backward call: the batch description, the unique-index structure
 // (when deduplication ran), and the reuse buffer of first-two-core products
-// (when prefix reuse ran). A table-owned arena cache (the Lookup/Update
-// path) additionally keeps every scratch buffer alive across batches so
-// steady-state training steps allocate nothing.
+// (when prefix reuse ran). Every scratch buffer grows to the batch and is
+// reused by the next forwardInto on the same cache, so the table-owned arena
+// (the Lookup/Update path) allocates nothing in steady state; a cache from
+// Forward runs the same code and is simply used once.
 type ForwardCache struct {
 	Indices []int
 	Offsets []int
@@ -35,26 +35,12 @@ type ForwardCache struct {
 	// (len(WorkIdx) × Dim).
 	Rows *tensor.Matrix
 
-	// arena marks a table-owned cache reused across batches. Fresh caches
-	// (the concurrent-safe Forward path) leave every scratch field nil and
-	// simply allocate.
-	arena bool
-
-	// seq stamps the dense dedup scratch below: an entry equals seq iff it
-	// was written during the current batch, so the arrays never need a
-	// per-batch reset (or reallocation) once grown.
-	seq      int64
-	rowStamp []int64 // rowStamp[idx] == seq: idx already has a work item
-	rowSlot  []int32 // its work-item position when stamped
-	pfxStamp []int64 // same scheme over prefixes (batch-local buffer path)
-	pfxSlot  []int32
-
+	seen       uniq // the one dedup: indices, then prefixes, forward and backward
 	workIdxBuf []int
 	workOfBuf  []int
-	prefixes   []int              // the batch's unique prefixes, sorted by i₂ (batch-local path)
-	i2         groups             // their runs per G₂ slice
-	g1         *tensor.Matrix     // prefix → G₁[i₁], a run's slices stacked into one operand
-	batch      []tensor.GemmBatch // a serving clone's memo misses
+	prefixes   []int          // the batch's unique prefixes, sorted by i₂ (batch-local path)
+	i2         groups         // their runs per G₂ slice
+	g1         *tensor.Matrix // prefix → G₁[i₁], a run's slices stacked into one operand
 	out        *tensor.Matrix
 	p12        []float32 // serial-path prefix recompute scratch
 	workGrad   *tensor.Matrix
@@ -81,10 +67,6 @@ func growFloats(buf []float32, n int) []float32 {
 	}
 	return buf[:n]
 }
-
-// rowDenseCap bounds the dense index-dedup scratch: two words per logical
-// row. Larger tables fall back to the allocating map-based dedup.
-const rowDenseCap = 1 << 22
 
 // validateBatch panics when a batch description is malformed, mirroring
 // embedding.Bag's validation.
@@ -121,24 +103,23 @@ func (t *Table) validateBatch(indices, offsets []int) {
 // products of the first two cores are computed once per unique prefix via a
 // single batched GEMM over prepared pointer lists (Algorithm 1).
 //
-// Forward is safe for concurrent use: every call gets a fresh cache. The
-// serialized Lookup/Update path reuses a table-owned cache instead (see
-// Lookup).
+// Forward is safe for concurrent use: every call gets a cache of its own.
+// The serialized Lookup/Update path runs the same code on the table-owned
+// cache instead (see Lookup).
 func (t *Table) Forward(indices, offsets []int) (*tensor.Matrix, *ForwardCache) {
 	c := &ForwardCache{} //elrec:coldpath fresh cache per call is Forward's contract; the hot path is Lookup's arena
 	out := t.forwardInto(c, indices, offsets)
 	return out, c
 }
 
-// forwardInto runs the forward pass through c, reusing c's scratch when it
-// is an arena cache.
+// forwardInto runs the forward pass through c, reusing whatever scratch c
+// already holds.
 func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Matrix {
 	t.validateBatch(indices, offsets)
 	c.Indices, c.Offsets = indices, offsets
-	c.seq++
 
 	if t.Opts.DedupIndices {
-		t.dedupRows(c)
+		c.WorkIdx, c.WorkOf = c.dedupRows()
 	} else {
 		c.WorkIdx = indices
 		c.WorkOf = nil
@@ -225,34 +206,23 @@ func (t *Table) poolRows(c *ForwardCache, out *tensor.Matrix, lo, hi int) {
 	}
 }
 
-// dedupRows builds the unique work-item list for the batch. Arena caches on
-// tables up to rowDenseCap rows use the stamped dense scratch — no per-batch
-// allocation or O(rows) reset; everything else falls back to the allocating
-// embedding.Unique.
-func (t *Table) dedupRows(c *ForwardCache) {
-	if !c.arena || t.Shape.Rows > rowDenseCap {
-		//elrec:coldpath allocating map dedup: fresh caches and beyond-cap tables only
-		c.WorkIdx, c.WorkOf = embedding.Unique(c.Indices)
-		return
-	}
-	if len(c.rowStamp) < t.Shape.Rows {
-		//elrec:coldpath one-time stamp scratch sized to the table
-		c.rowStamp = make([]int64, t.Shape.Rows)
-		//elrec:coldpath one-time stamp scratch sized to the table
-		c.rowSlot = make([]int32, t.Shape.Rows)
-	}
+// dedupRows returns the batch's unique indices in first-occurrence order and
+// the occurrence → unique-position map, in c's buffers. The forward runs it
+// under DedupIndices; the backward's in-advance aggregation runs it when the
+// forward did not.
+func (c *ForwardCache) dedupRows() (workIdx, workOf []int) {
+	c.seen.begin(len(c.Indices))
 	c.workIdxBuf = c.workIdxBuf[:0]
 	c.workOfBuf = growInts(c.workOfBuf, len(c.Indices))
 	for p, idx := range c.Indices {
-		if c.rowStamp[idx] != c.seq {
-			c.rowStamp[idx] = c.seq
-			c.rowSlot[idx] = int32(len(c.workIdxBuf))
+		u, fresh := c.seen.idOf(idx, len(c.workIdxBuf))
+		if fresh {
 			//elrec:coldpath amortized: the work-item buffer keeps its capacity across batches
 			c.workIdxBuf = append(c.workIdxBuf, idx)
 		}
-		c.workOfBuf[p] = int(c.rowSlot[idx])
+		c.workOfBuf[p] = u
 	}
-	c.WorkIdx, c.WorkOf = c.workIdxBuf, c.workOfBuf
+	return c.workIdxBuf, c.workOfBuf
 }
 
 // fillPrefixBuffer populates the reuse buffer of first-two-core products for
@@ -263,7 +233,7 @@ func (t *Table) dedupRows(c *ForwardCache) {
 // unique prefixes.
 func (t *Table) fillPrefixBuffer(c *ForwardCache) {
 	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx))
-	if m := t.memo; m != nil && m.slotOf != nil && c.arena {
+	if m := t.memo; m != nil && m.slotOf != nil && c == t.arena {
 		t.fillFromMemo(c, m)
 		return
 	}
@@ -326,44 +296,18 @@ func (t *Table) stackG1(dst []float32, prefixes []int) {
 
 // dedupPrefixes writes into ids[w] the batch-local dense id of work item w's
 // prefix, ids being handed out in first-occurrence order (Algorithm 1's
-// Buf_flag/Buf_idx), and returns the unique prefixes appended to uniq. The
-// forward's batch-local reuse buffer and the two-level backward share it.
-// Arena caches keep the dense stamped slot map across batches, so neither
-// reallocation nor an O(prefixes) reset recurs; fresh caches over a prefix
-// space much larger than the batch use a map.
-func (t *Table) dedupPrefixes(c *ForwardCache, workIdx, ids, uniq []int) []int {
-	np := t.Shape.NumPrefixes()
-	if np > 4*len(workIdx)+1024 && !(c.arena && np <= prefixDenseCap) {
-		//elrec:coldpath map dedup: fresh caches and beyond-cap prefix spaces only
-		slotOf := make(map[int]int, len(workIdx))
-		for w, idx := range workIdx {
-			pfx := t.Shape.Prefix(idx)
-			slot, ok := slotOf[pfx]
-			if !ok {
-				slot = len(uniq)
-				slotOf[pfx] = slot       //elrec:coldpath see above
-				uniq = append(uniq, pfx) //elrec:coldpath see above
-			}
-			ids[w] = slot
-		}
-		return uniq
-	}
-	if len(c.pfxStamp) < np {
-		//elrec:coldpath one-time stamp scratch sized to the prefix space
-		c.pfxStamp = make([]int64, np)
-		//elrec:coldpath one-time stamp scratch sized to the prefix space
-		c.pfxSlot = make([]int32, np)
-	}
-	c.seq++ // fresh stamp generation
+// Buf_flag/Buf_idx), and returns the unique prefixes appended to prefixes.
+// The forward's batch-local reuse buffer and the two-level backward share it.
+func (t *Table) dedupPrefixes(c *ForwardCache, workIdx, ids, prefixes []int) []int {
+	c.seen.begin(len(workIdx))
 	for w, idx := range workIdx {
 		pfx := t.Shape.Prefix(idx)
-		if c.pfxStamp[pfx] != c.seq {
-			c.pfxStamp[pfx] = c.seq
-			c.pfxSlot[pfx] = int32(len(uniq))
+		u, fresh := c.seen.idOf(pfx, len(prefixes))
+		if fresh {
 			//elrec:coldpath amortized: the prefix list keeps its capacity across batches
-			uniq = append(uniq, pfx)
+			prefixes = append(prefixes, pfx)
 		}
-		ids[w] = int(c.pfxSlot[pfx])
+		ids[w] = u
 	}
-	return uniq
+	return prefixes
 }

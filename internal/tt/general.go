@@ -126,6 +126,13 @@ func (s GeneralShape) Validate() error {
 // processed in sorted order and the partial core products of the longest
 // common TT-index prefix carry over between consecutive indices —
 // generalizing the paper's two-core reuse buffer to every level.
+//
+// It is not a product table: it exists for the ext-ttdepth experiment
+// (compression and cost as d grows) and as the independent d = 3 oracle the
+// tests hold Table against. The facade does not construct it, the checkpoint
+// codec refuses it and dlrm.Model.CloneForServing returns ErrNotServable for
+// it; none of Table's optimizations (arena, stacked products, two-level
+// backward) apply here.
 type GeneralTable struct {
 	Shape GeneralShape
 	// Cores[k] has RowFactors[k] rows of SliceSize(k) floats; slice layout

@@ -79,6 +79,70 @@ func TestGeneralMatchesSpecializedD3(t *testing.T) {
 	}
 }
 
+// TestGeneralUpdateMatchesSpecializedD3 holds Table.Update — the two-level
+// backward, fused and unfused — against GeneralTable.Update at d = 3, an
+// independent implementation of the same mini-batch SGD step (per-row chain
+// rule into core-sized buffers, one sweep), over generated batches and a few
+// compounding steps each.
+func TestGeneralUpdateMatchesSpecializedD3(t *testing.T) {
+	spec := testShape(t) // row factors {4,5,5}: prefix = idx/5, 19 of them below 95 rows
+	r := tensor.NewRNG(75)
+	draw := func(n int, from []int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = from[r.Intn(len(from))]
+		}
+		return out
+	}
+	every := func(n, stride int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i * stride
+		}
+		return out
+	}
+	bags := func(n, size int) []int { return every((n+size-1)/size, size) }
+	randIdx, randOff := randomBatch(r, spec.Rows, 20, 4)
+	batches := []struct {
+		name             string
+		indices, offsets []int
+	}{
+		{"random", randIdx, randOff},
+		{"duplicate-heavy", draw(60, []int{3, 17, 18, 94}), bags(60, 4)},
+		{"single prefix", draw(12, []int{40, 41, 42, 43, 44}), bags(12, 3)},
+		{"all prefixes distinct", every(19, 5), bags(19, 2)},
+		{"one index", []int{7}, []int{0}},
+		{"empty bags", []int{9, 9, 52, 80}, []int{0, 0, 2, 2, 3, 4, 4}},
+		{"no indices", nil, []int{0, 0}},
+	}
+	for _, fused := range []bool{true, false} {
+		for _, b := range batches {
+			tbl := NewTable(spec, tensor.NewRNG(76), 0.1)
+			tbl.Opts.FusedUpdate = fused
+			gen := &GeneralTable{Shape: GeneralShape{
+				Rows: spec.Rows, Dim: spec.Dim,
+				RowFactors: spec.RowFactors[:], ColFactors: spec.ColFactors[:],
+				Ranks: []int{spec.R1, spec.R2},
+			}}
+			for _, core := range tbl.Cores {
+				gen.Cores = append(gen.Cores, core.Clone())
+			}
+			for step := 0; step < 3; step++ {
+				dOut := tensor.New(len(b.offsets), spec.Dim)
+				r.FillNormal(dOut.Data, 1)
+				tbl.Lookup(b.indices, b.offsets)
+				tbl.Update(b.indices, b.offsets, dOut, 0.05)
+				gen.Update(b.indices, b.offsets, dOut, 0.05)
+			}
+			for k, core := range tbl.Cores {
+				if d := core.MaxAbsDiff(gen.Cores[k]); d > 1e-5 {
+					t.Errorf("fused=%v %s: core %d deviates from the general d=3 update by %v", fused, b.name, k, d)
+				}
+			}
+		}
+	}
+}
+
 func TestGeneralLookupMatchesMaterialize(t *testing.T) {
 	for _, d := range []int{2, 4} {
 		s, err := NewGeneralShape(300, 16, d, 3)

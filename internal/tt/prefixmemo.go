@@ -9,7 +9,7 @@ import "repro/internal/tensor"
 // runs Algorithm 1's reuse buffer per batch (fillPrefixBatchLocal). A
 // clone's cores never change — Backward on a clone panics — so a memoised
 // product stays valid for the clone's whole life and carries no version: a
-// hit returns bytes the same batched-GEMM kernel computed from the same two
+// hit returns bytes the same GEMM kernel computed from the same two
 // slices, bit-exact with recomputing. A new model version is served by fresh
 // clones (Pool.Swap), which start with an empty memo.
 //
@@ -23,10 +23,9 @@ import "repro/internal/tensor"
 // grows (every slot of the current batch must be live simultaneously).
 const prefixMemoBudgetBytes = 16 << 20
 
-// prefixDenseCap bounds the dense per-prefix arrays (the memo's prefix→slot
-// map, the arena's dedup stamps). Prefix counts grow like rows^(2/3), so
-// this covers every realistic table; beyond it a clone has no memo and the
-// arena dedups through a map.
+// prefixDenseCap bounds the memo's dense prefix→slot map (4 B per prefix,
+// kept across batches). Prefix counts grow like rows^(2/3), so this covers
+// every realistic table; beyond it a clone has no memo and runs batch-local.
 const prefixDenseCap = 1 << 22
 
 // prefixMemo is a serving clone's cross-batch reuse buffer. Slot arrays
@@ -51,9 +50,9 @@ func newPrefixMemo(s Shape) *prefixMemo {
 }
 
 // fillFromMemo resolves every work item's prefix against the memo. Held
-// products are hits; absent ones are assigned slots and computed by one
-// batched GEMM after the scan (slot storage may grow during the scan, so row
-// pointers are only taken once it is done).
+// products are hits; absent ones are assigned slots and computed after the
+// scan (slot storage may grow during the scan, so row pointers are only taken
+// once it is done).
 func (t *Table) fillFromMemo(c *ForwardCache, m *prefixMemo) {
 	m.seq++
 	c.prefixes = c.prefixes[:0] // slots to compute this batch
@@ -74,19 +73,9 @@ func (t *Table) fillFromMemo(c *ForwardCache, m *prefixMemo) {
 		c.PrefixSlots[w] = s
 	}
 
-	if len(c.prefixes) > 0 {
-		if cap(c.batch) < len(c.prefixes) {
-			//elrec:coldpath amortized batched-GEMM descriptor growth
-			c.batch = make([]tensor.GemmBatch, len(c.prefixes))
-		}
-		c.batch = c.batch[:len(c.prefixes)]
-		m2 := t.Shape.RowFactors[1]
-		for i, s := range c.prefixes {
-			pfx := m.key[s]
-			c.batch[i] = tensor.GemmBatch{A: t.Slice1(pfx / m2), B: t.Slice2(pfx % m2), C: m.buf.Row(s)}
-		}
-		n := t.Shape.ColFactors
-		tensor.BatchedMatMul(n[0], t.Shape.R1, n[1]*t.Shape.R2, c.batch)
+	m2 := t.Shape.RowFactors[1]
+	for _, s := range c.prefixes {
+		t.computePrefix(m.key[s]/m2, m.key[s]%m2, m.buf.Row(s))
 	}
 	c.PrefixBuf = m.buf
 	t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
@@ -123,7 +112,7 @@ func (m *prefixMemo) claimSlot() int {
 
 // growBuf doubles the product storage, preserving memoised rows byte for
 // byte (hits must stay bit-exact across growth). Growth only happens inside
-// the scan, before any row pointer is taken for the batched GEMM.
+// the scan, before any row pointer is taken for the miss products.
 func (m *prefixMemo) growBuf() {
 	nm := tensor.New(2*m.buf.Rows, m.buf.Cols)
 	copy(nm.Data, m.buf.Data)

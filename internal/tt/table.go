@@ -265,8 +265,8 @@ func (t *Table) rowFromPrefix(p12 []float32, i3 int, dst []float32) {
 	tensor.GemmInto(n[0]*n[1], t.Shape.R2, n[2], p12, t.Slice3(i3), dst)
 }
 
-// LookupRow materializes a single embedding row into dst (len Dim). It is
-// the reference single-index path used by tests and the parameter server.
+// LookupRow materializes a single embedding row into dst (len Dim): the
+// single-index reference the tests compare the batched paths against.
 func (t *Table) LookupRow(i int, dst []float32) {
 	if i < 0 || i >= t.Shape.Rows {
 		//elrec:invariant index bounds/shape contract: inputs are validated upstream

@@ -147,7 +147,8 @@ func TestForwardPrefixBufferDedupsPrefixes(t *testing.T) {
 }
 
 func TestForwardMapPathForLargePrefixSpace(t *testing.T) {
-	// Shape with a huge prefix space forces the hash-map dedup branch.
+	// A prefix space (10 000) far larger than the batch: the dedup is sized to
+	// the batch, whatever the space.
 	s, err := NewShapeExplicit(100000, 8, [Dims]int{100, 100, 10}, [Dims]int{2, 2, 2}, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestForwardMapPathForLargePrefixSpace(t *testing.T) {
 	}
 	for j := range want {
 		if math.Abs(float64(got.At(0, j)-want[j])) > 1e-4 {
-			t.Fatalf("map-path sample 0 col %d: %v vs %v", j, got.At(0, j), want[j])
+			t.Fatalf("large-prefix-space sample 0 col %d: %v vs %v", j, got.At(0, j), want[j])
 		}
 	}
 }
@@ -286,7 +287,7 @@ func TestLookupUpdateInterface(t *testing.T) {
 	if before.MaxAbsDiff(after) == 0 {
 		t.Fatal("Update changed nothing")
 	}
-	// Update without a matching Lookup must still work (fresh forward).
+	// Update without a matching Lookup must still work (it runs the forward itself).
 	tbl.Update([]int{4}, []int{0}, tensor.New(1, tbl.Dim()), 0.01)
 }
 
