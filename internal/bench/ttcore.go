@@ -39,6 +39,23 @@ func TTCore(sc Scale) *Result {
 		r.AddRow(name, fmt.Sprintf("%.2f", us), fmt.Sprintf("%.0f", opsPerSec), gflops)
 	}
 	addRow := func(name string, perOp time.Duration) { addRowFlops(name, perOp, 0) }
+	// addPassRows times a layer's whole-batch Forward and then its Backward,
+	// reps calls a sample, into the rows nameFmt names with "fwd" and "bwd".
+	addPassRows := func(nameFmt string, reps int, fwd, bwd func()) {
+		for _, pass := range []struct {
+			name string
+			run  func()
+		}{{"fwd", fwd}, {"bwd", bwd}} {
+			perOp := minOf(5, func() time.Duration {
+				return timeIt(func() {
+					for i := 0; i < reps; i++ {
+						pass.run()
+					}
+				})
+			}) / time.Duration(reps)
+			addRow(fmt.Sprintf(nameFmt, pass.name), perOp)
+		}
+	}
 
 	// The kernel shapes the benchmark's train_tt step is made of, one serial
 	// raw-buffer call each: the TT contractions at dim 64 = 4·4·4 and rank
@@ -121,23 +138,41 @@ func TTCore(sc Scale) *Result {
 			embs[t] = gradFor(s.batch, s.dim, 15+uint64(t))
 		}
 		dy := gradFor(s.batch, it.OutputDim(), 7)
-		const reps = 20
-		for _, pass := range []struct {
-			name string
-			run  func()
-		}{
-			{"fwd", func() { it.Forward(dense, embs) }},
-			{"bwd", func() { it.Backward(dy) }},
-		} {
-			perOp := minOf(5, func() time.Duration {
-				return timeIt(func() {
-					for i := 0; i < reps; i++ {
-						pass.run()
-					}
-				})
-			}) / reps
-			addRow(fmt.Sprintf("interaction-%s-%dx%d-b%d", pass.name, tables+1, s.dim, s.batch), perOp)
+		addPassRows(fmt.Sprintf("interaction-%%s-%dx%d-b%d", tables+1, s.dim, s.batch), 20,
+			func() { it.Forward(dense, embs) }, func() { it.Backward(dy) })
+	}
+
+	// The dense towers at train_host's shape (dim 32, batch 256): a whole
+	// Forward and Backward of the bottom and the top MLP, products and
+	// epilogues together.
+	for _, tw := range []struct {
+		name  string
+		sizes []int
+	}{{"bottom", []int{13, 64, 32, 32}}, {"top", []int{383, 64, 32, 1}}} {
+		const batch = 256
+		m := nn.NewMLP(tw.sizes, tensor.NewRNG(16))
+		x, dy := gradFor(batch, tw.sizes[0], 17), gradFor(batch, tw.sizes[len(tw.sizes)-1], 18)
+		addPassRows(fmt.Sprintf("mlp-%s-%%s-b%d", tw.name, batch), 50,
+			func() { m.Forward(x) }, func() { m.Backward(dy) })
+	}
+
+	// One generated batch of the benchmark's dataset (26 tables, 13 dense
+	// features, labels) at its train_host scale and batch.
+	{
+		const batch, reps = 256, 20
+		d, err := data.New(data.TerabyteSpec(0.01))
+		if err != nil {
+			panic(err)
 		}
+		iter := 0
+		addRow(fmt.Sprintf("data-batch-terabyte-b%d", batch), minOf(5, func() time.Duration {
+			return timeIt(func() {
+				for i := 0; i < reps; i++ {
+					d.Batch(iter, batch)
+					iter++
+				}
+			})
+		})/reps)
 	}
 
 	// TT table paths over the standard single-table workload.

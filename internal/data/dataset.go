@@ -17,6 +17,8 @@ type Dataset struct {
 	scatter [][]int32
 	// groups[t] is the number of hidden groups of table t.
 	groups []int
+	// intra draws an index's offset inside its group.
+	intra smallZipf
 }
 
 // New builds a Dataset from a validated spec.
@@ -24,7 +26,7 @@ func New(spec Spec) (*Dataset, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Dataset{Spec: spec}
+	d := &Dataset{Spec: spec, intra: newSmallZipf(spec.ZipfS, spec.GroupSize)}
 	d.scatter = make([][]int32, spec.NumTables())
 	d.groups = make([]int, spec.NumTables())
 	for t, rows := range spec.TableRows {
@@ -171,31 +173,76 @@ func (d *Dataset) BatchIndices(iter, size, t int) []int {
 		} else if lo+span > rows {
 			span = rows - lo
 		}
-		// Intra-group skew: a fresh small Zipf is cheap (span ≤ GroupSize).
-		off := int(sampleZipfSmall(r, spec.ZipfS, span))
+		// Intra-group skew (span ≤ GroupSize).
+		off := d.intra.sample(r, span)
 		ordered := lo + off
 		out[s] = int(d.scatter[t][ordered])
 	}
 	return out
 }
 
-// sampleZipfSmall draws from P(k) ∝ (1+k)^−s over [0, n) using inverse
-// transform on the (short) cumulative table — avoids allocating a
-// rand.Zipf per group.
-func sampleZipfSmall(r *rand.Rand, s float64, n int) int {
+// zipfGuard is the relative half-width of the band around each boundary
+// inside which smallZipf.index asks math.Pow itself. Pow is good to a few
+// ulps (2⁻⁵²) and a relative step in u moves u^exp by |exp| times as much,
+// so outside the band the comparison and the power cannot disagree.
+const zipfGuard = 1.0 / (1 << 40)
+
+// smallZipf draws from P(k) ∝ (1+k)^−s over [0, n), n ≤ len(thr)−1, by the
+// continuous Pareto-like inversion k = floor(u^(−1/(s−1)) − 1). The power
+// is monotone in u, so k is found by searching precomputed boundaries
+// instead of evaluating it.
+type smallZipf struct {
+	exp float64   // −1/(s−1)
+	thr []float64 // thr[j] = (j+1)^−(s−1), decreasing: k ≥ j ⇔ u ≤ thr[j]
+}
+
+func newSmallZipf(s float64, max int) smallZipf {
+	z := smallZipf{exp: -1 / (s - 1), thr: make([]float64, max+1)}
+	for j := range z.thr {
+		z.thr[j] = math.Pow(float64(j+1), -(s - 1))
+	}
+	return z
+}
+
+// index returns int(math.Pow(u, exp) − 1) for u in (0, 1) when that lies in
+// [0, n), and n otherwise.
+func (z smallZipf) index(u float64, n int) int {
+	thr := z.thr[:n+1]
+	// The largest k with u ≤ thr[k]; thr[0] = 1 always qualifies. Most
+	// draws fall below the last boundary (two in three at s = 1.1), so it
+	// is compared first.
+	k, hi := 0, n
+	if u <= thr[n] {
+		k = n
+	} else {
+		hi = n - 1
+	}
+	for k < hi {
+		mid := (k + hi + 1) / 2
+		if u <= thr[mid] {
+			k = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	if (k > 0 && u >= thr[k]*(1-zipfGuard)) || (k < n && u <= thr[k+1]*(1+zipfGuard)) {
+		k = min(int(math.Pow(u, z.exp)-1), n) // u^exp is within 2⁻⁴⁰ of k+1 or k+2
+	}
+	return k
+}
+
+// sample draws one index in [0, n). A draw that inverts to n or beyond is
+// rejected; the loop terminates quickly because mass concentrates near 0.
+func (z smallZipf) sample(r *rand.Rand, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	// Continuous Pareto-like inversion: k = floor((u^(−1/(s−1)) − 1)),
-	// rejected when ≥ n. The loop terminates quickly: mass concentrates
-	// near 0.
 	for {
 		u := r.Float64()
 		if u == 0 {
 			continue
 		}
-		k := int(math.Pow(u, -1/(s-1)) - 1)
-		if k >= 0 && k < n {
+		if k := z.index(u, n); k < n {
 			return k
 		}
 		// Fall back to uniform tail occasionally to guarantee progress.

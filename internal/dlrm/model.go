@@ -91,8 +91,8 @@ func NewModel(cfg Config, tables []Table) (*Model, error) {
 	topSizes := append(append([]int{it.OutputDim()}, cfg.TopSizes...), 1)
 	m := &Model{
 		Cfg:         cfg,
-		Bottom:      nn.NewMLP(bottomSizes, false, rng),
-		Top:         nn.NewMLP(topSizes, false, rng),
+		Bottom:      nn.NewMLP(bottomSizes, rng),
+		Top:         nn.NewMLP(topSizes, rng),
 		Interaction: it,
 		Tables:      tables,
 		opt:         nn.NewSGD(cfg.LR),

@@ -111,7 +111,7 @@ func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []Sc
 		}
 	}
 
-	z0 := m.Bottom.Forward(s.dense) //elrec:coldpath layer-owned buffers; steady-state allocations are pinned by the AllocsPerRun tests
+	z0 := m.Bottom.Forward(s.dense)
 	for t, tbl := range m.Tables {
 		if t != itemFeature {
 			s.embs[t] = tbl.Lookup(s.sparse[t], s.offsets[:len(groups)]) //elrec:coldpath table-owned arena (tt.Table) or fresh by contract (embedding.Bag); pinned by the AllocsPerRun tests
@@ -123,7 +123,7 @@ func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []Sc
 		hi := min(lo+chunk, rows)
 		item := m.Tables[itemFeature].Lookup(s.items[lo:hi], s.offsets[:hi-lo]) //elrec:coldpath as the context lookups above
 		s.x = m.Interaction.FillVarying(s.x, s.tmpl, s.ctx, itemFeature, item, s.group[lo:hi])
-		logits := m.Top.Forward(s.x) //elrec:coldpath layer-owned buffers; steady-state allocations are pinned by the AllocsPerRun tests
+		logits := m.Top.Forward(s.x)
 		nn.SigmoidInto(scores[lo:hi], logits.Data)
 	}
 }

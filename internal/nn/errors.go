@@ -10,22 +10,25 @@ import (
 // them into errors callers can classify with errors.Is(err, nn.ErrShape).
 var (
 	// ErrShape reports operands whose dimensions violate a layer's shape
-	// contract (wrong input width, mismatched gradient, probs/labels length
+	// contract (wrong input width, mismatched gradient, logits/labels length
 	// skew).
 	ErrShape = errors.New("nn: shape mismatch")
 
 	// ErrUsage reports a layer protocol violation: Backward before Forward,
-	// copying parameters across mismatched architectures, or constructing a
-	// layer from an invalid specification.
+	// or constructing a layer from an invalid specification.
 	ErrUsage = errors.New("nn: layer misuse")
 )
 
 // shapeErr builds an ErrShape-wrapped error for panicking shape checks.
+//
+//elrec:coldpath only ever the argument of a panic
 func shapeErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrShape, fmt.Sprintf(format, args...))
 }
 
 // usageErr builds an ErrUsage-wrapped error for panicking protocol checks.
+//
+//elrec:coldpath only ever the argument of a panic
 func usageErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrUsage, fmt.Sprintf(format, args...))
 }

@@ -7,12 +7,15 @@ import (
 )
 
 // Linear is a fully connected layer computing y = x·Wᵀ + b for a batch of
-// row vectors, matching torch.nn.Linear's weight layout (W is out×in).
+// row vectors, matching torch.nn.Linear's weight layout (W is out×in). As a
+// hidden layer of an MLP it also owns the activation that follows it,
+// y = max(x·Wᵀ + b, 0): one product and one pass over y in each direction.
 type Linear struct {
 	In, Out int
 	W       *Param // Out × In
 	B       *Param // 1 × Out
 
+	relu  bool           // clamp the output at zero; set by NewMLP
 	x     *tensor.Matrix // cached input from Forward
 	y, dx *tensor.Matrix // layer-owned output/input-grad buffers, reused per step
 }
@@ -29,8 +32,9 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 	return l
 }
 
-// Forward computes y = x·Wᵀ + b and caches x for Backward. The returned
-// matrix is layer-owned and overwritten by the next Forward.
+// Forward computes y = x·Wᵀ + b, clamped at zero in a hidden layer, and
+// caches x for Backward. The returned matrix is layer-owned and overwritten
+// by the next Forward.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != l.In {
 		//elrec:invariant layer widths are chained at MLP construction
@@ -40,14 +44,14 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.y = tensor.Reuse(l.y, x.Rows, l.Out)
 	y := l.y
 	tensor.MatMulTransB(y, x, l.W.Value)
-	bias := l.B.Value.Data
-	for i := 0; i < y.Rows; i++ {
-		tensor.AddTo(y.Row(i), bias)
-	}
+	tensor.AddBias(y, l.B.Value.Data, l.relu)
 	return y
 }
 
 // Backward accumulates dW += dyᵀ·x and db += Σᵢ dyᵢ, and returns dx = dy·W.
+// A hidden layer first zeroes dy in place wherever its output was clamped:
+// there dy is the next layer's dx scratch, never a caller's matrix, because
+// an MLP's output layer has no clamp.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
 		//elrec:invariant the training step always runs Forward before Backward
@@ -57,15 +61,16 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		//elrec:invariant the upstream gradient mirrors the Forward output shape
 		panic(shapeErr("Linear backward grad %dx%d want %dx%d", dy.Rows, dy.Cols, l.x.Rows, l.Out))
 	}
-	tensor.MatMulTransAAdd(l.W.Grad, dy, l.x)
 	db := l.B.Grad.Data
-	for i := 0; i < dy.Rows; i++ {
-		tensor.AddTo(db, dy.Row(i))
+	if l.relu {
+		tensor.ReLUGrad(dy, l.y, db)
+	} else {
+		for i := 0; i < dy.Rows; i++ {
+			tensor.AddTo(db, dy.Row(i))
+		}
 	}
+	tensor.MatMulTransAAdd(l.W.Grad, dy, l.x)
 	l.dx = tensor.Reuse(l.dx, dy.Rows, l.In)
 	tensor.MatMul(l.dx, dy, l.W.Value)
 	return l.dx
 }
-
-// Params returns the weight and bias.
-func (l *Linear) Params() []*Param { return []*Param{l.W, l.B} }

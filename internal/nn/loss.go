@@ -39,40 +39,6 @@ func BCEWithLogits(logits *tensor.Matrix, labels []float32) (float32, *tensor.Ma
 	return float32(total / float64(n)), grad
 }
 
-// BCE computes the mean binary cross-entropy between probabilities p∈(0,1)
-// (batch×1) and labels, with clamping for numerical safety, returning the
-// loss and gradient w.r.t. p. Used when a model ends in an explicit Sigmoid.
-func BCE(probs *tensor.Matrix, labels []float32) (float32, *tensor.Matrix) {
-	if probs.Cols != 1 {
-		//elrec:invariant the top MLP ends in a single output column
-		panic(shapeErr("BCE expects batch×1 probs, got %dx%d", probs.Rows, probs.Cols))
-	}
-	if probs.Rows != len(labels) {
-		//elrec:invariant probs and labels come from the same batch
-		panic(shapeErr("BCE %d probs vs %d labels", probs.Rows, len(labels)))
-	}
-	n := probs.Rows
-	if n == 0 {
-		return 0, tensor.New(0, 1)
-	}
-	const eps = 1e-7
-	grad := tensor.New(n, 1)
-	var total float64
-	inv := 1 / float32(n)
-	for i := 0; i < n; i++ {
-		p := float64(probs.Data[i])
-		if p < eps {
-			p = eps
-		} else if p > 1-eps {
-			p = 1 - eps
-		}
-		y := float64(labels[i])
-		total += -(y*math.Log(p) + (1-y)*math.Log(1-p))
-		grad.Data[i] = float32((p-y)/(p*(1-p))) * inv
-	}
-	return float32(total / float64(n)), grad
-}
-
 // SigmoidSlice applies the logistic function to logits, producing
 // probabilities (for evaluation/AUC).
 func SigmoidSlice(logits []float32) []float32 {
@@ -93,4 +59,16 @@ func SigmoidInto(dst, logits []float32) {
 	for i, v := range logits {
 		dst[i] = sigmoid(v)
 	}
+}
+
+// sigmoid is the scalar logistic function with overflow guards.
+func sigmoid(v float32) float32 {
+	x := float64(v)
+	switch {
+	case x >= 30:
+		return 1
+	case x <= -30:
+		return 0
+	}
+	return float32(1 / (1 + math.Exp(-x)))
 }

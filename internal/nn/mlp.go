@@ -4,37 +4,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// MLP is a stack of Linear layers with ReLU between them, matching the
-// bottom/top MLP towers of the DLRM reference implementation. When
-// sigmoidOut is set the final layer output passes through a Sigmoid (the
-// CTR prediction head).
+// MLP is a stack of Linear layers, every one but the last clamped at zero
+// (ReLU), matching the bottom/top MLP towers of the DLRM reference
+// implementation. The last layer's output is the raw logit.
 type MLP struct {
 	Sizes  []int
-	layers []Layer
+	layers []*Linear
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes = [13, 512,
-// 256, 64] builds three Linear layers. sigmoidOut appends a Sigmoid after
-// the last Linear; hidden layers always use ReLU.
-func NewMLP(sizes []int, sigmoidOut bool, rng *tensor.RNG) *MLP {
+// 256, 64] builds three Linear layers.
+func NewMLP(sizes []int, rng *tensor.RNG) *MLP {
 	if len(sizes) < 2 {
 		//elrec:invariant model construction: layer sizes are fixed in the DLRM config
 		panic(usageErr("MLP needs at least 2 sizes, got %v", sizes))
 	}
 	m := &MLP{Sizes: append([]int(nil), sizes...)}
 	for i := 0; i+1 < len(sizes); i++ {
-		m.layers = append(m.layers, NewLinear(sizes[i], sizes[i+1], rng))
-		last := i+2 == len(sizes)
-		if !last {
-			m.layers = append(m.layers, NewReLU())
-		} else if sigmoidOut {
-			m.layers = append(m.layers, NewSigmoid())
-		}
+		l := NewLinear(sizes[i], sizes[i+1], rng)
+		l.relu = i+2 < len(sizes)
+		m.layers = append(m.layers, l)
 	}
 	return m
 }
 
 // Forward runs the batch through every layer.
+//
+//elrec:hotpath dense tower forward: one GEMM and one epilogue per layer
 func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range m.layers {
 		x = l.Forward(x)
@@ -43,6 +39,9 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward propagates the output gradient through every layer in reverse.
+// dy is only read.
+//
+//elrec:hotpath dense tower backward: one epilogue and two GEMMs per layer
 func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		dy = m.layers[i].Backward(dy)
@@ -52,9 +51,9 @@ func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 // Params returns all trainable parameters in layer order.
 func (m *MLP) Params() []*Param {
-	var out []*Param
+	out := make([]*Param, 0, 2*len(m.layers))
 	for _, l := range m.layers {
-		out = append(out, l.Params()...)
+		out = append(out, l.W, l.B)
 	}
 	return out
 }
@@ -76,35 +75,7 @@ func (m *MLP) NumParams() int {
 func (m *MLP) Clone() *MLP {
 	c := &MLP{Sizes: append([]int(nil), m.Sizes...)}
 	for _, l := range m.layers {
-		c.layers = append(c.layers, cloneLayer(l))
+		c.layers = append(c.layers, &Linear{In: l.In, Out: l.Out, W: l.W.clone(), B: l.B.clone(), relu: l.relu})
 	}
 	return c
-}
-
-// cloneLayer deep-copies one layer's parameters, leaving scratch unshared.
-func cloneLayer(l Layer) Layer {
-	switch v := l.(type) {
-	case *Linear:
-		return &Linear{In: v.In, Out: v.Out, W: v.W.clone(), B: v.B.clone()}
-	case *ReLU:
-		return NewReLU()
-	case *Sigmoid:
-		return NewSigmoid()
-	default:
-		//elrec:invariant NewMLP only stacks Linear/ReLU/Sigmoid layers
-		panic(usageErr("Clone: unknown layer type %T", l))
-	}
-}
-
-// CopyParamsFrom copies parameter values from src (same architecture) into
-// m. Used to replicate MLP towers across data-parallel workers.
-func (m *MLP) CopyParamsFrom(src *MLP) {
-	sp, dp := src.Params(), m.Params()
-	if len(sp) != len(dp) {
-		//elrec:invariant parameter copies only run between identically configured models
-		panic(usageErr("CopyParamsFrom architecture mismatch"))
-	}
-	for i := range sp {
-		dp[i].Value.CopyFrom(sp[i].Value)
-	}
 }

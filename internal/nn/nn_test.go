@@ -88,46 +88,40 @@ func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
 	l.Backward(tensor.New(1, 2))
 }
 
+// TestReLU: known values through a clamped layer. Forward clamps the
+// biased product at zero; Backward masks dy where the output was clamped
+// before it reaches db, dW and dx.
 func TestReLU(t *testing.T) {
-	r := NewReLU()
-	x := tensor.FromSlice(2, 2, []float32{-1, 2, 0, 3})
-	y := r.Forward(x)
-	want := []float32{0, 2, 0, 3}
+	l := NewLinear(2, 2, tensor.NewRNG(1))
+	l.relu = true
+	l.W.Value.CopyFrom(tensor.FromSlice(2, 2, []float32{1, 0, 0, 1}))
+	l.B.Value.CopyFrom(tensor.FromSlice(1, 2, []float32{0.5, -1}))
+	x := tensor.FromSlice(2, 2, []float32{-1, 3, -0.5, 1})
+	y := l.Forward(x) // pre-activation [-0.5 2; 0 0]
+	want := []float32{0, 2, 0, 0}
 	for i := range want {
 		if y.Data[i] != want[i] {
-			t.Fatalf("ReLU forward %v want %v", y.Data, want)
+			t.Fatalf("clamped forward %v want %v", y.Data, want)
 		}
 	}
-	dy := tensor.FromSlice(2, 2, []float32{5, 5, 5, 5})
-	dx := r.Backward(dy)
-	wantDx := []float32{0, 5, 0, 5}
-	for i := range wantDx {
-		if dx.Data[i] != wantDx[i] {
-			t.Fatalf("ReLU backward %v want %v", dx.Data, wantDx)
+	dy := tensor.FromSlice(2, 2, []float32{5, 7, 5, 7})
+	dx := l.Backward(dy)
+	for name, c := range map[string][2][]float32{
+		"dx": {dx.Data, {0, 7, 0, 0}},
+		"db": {l.B.Grad.Data, {0, 7}},
+		"dW": {l.W.Grad.Data, {0, 0, -7, 21}},
+	} {
+		for i := range c[1] {
+			if c[0][i] != c[1][i] {
+				t.Fatalf("clamped backward %s = %v want %v", name, c[0], c[1])
+			}
 		}
-	}
-}
-
-func TestSigmoidForwardBackward(t *testing.T) {
-	s := NewSigmoid()
-	x := tensor.FromSlice(1, 3, []float32{0, 100, -100})
-	y := s.Forward(x)
-	if math.Abs(float64(y.Data[0])-0.5) > 1e-6 || y.Data[1] != 1 || y.Data[2] != 0 {
-		t.Fatalf("Sigmoid forward %v", y.Data)
-	}
-	dy := tensor.FromSlice(1, 3, []float32{1, 1, 1})
-	dx := s.Backward(dy)
-	if math.Abs(float64(dx.Data[0])-0.25) > 1e-6 {
-		t.Fatalf("Sigmoid backward at 0 = %v want 0.25", dx.Data[0])
-	}
-	if dx.Data[1] != 0 || dx.Data[2] != 0 {
-		t.Fatalf("Sigmoid backward saturated = %v want 0", dx.Data[1:])
 	}
 }
 
 func TestMLPShapesAndGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(4)
-	m := NewMLP([]int{6, 8, 4, 1}, false, rng)
+	m := NewMLP([]int{6, 8, 4, 1}, rng)
 	x := tensor.New(3, 6)
 	rng.FillUniform(x.Data, 1)
 	y := m.Forward(x)
@@ -151,34 +145,8 @@ func TestMLPShapesAndGradCheck(t *testing.T) {
 	}
 }
 
-func TestMLPSigmoidOutputRange(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	m := NewMLP([]int{4, 8, 1}, true, rng)
-	x := tensor.New(16, 4)
-	rng.FillUniform(x.Data, 3)
-	y := m.Forward(x)
-	for _, v := range y.Data {
-		if v < 0 || v > 1 {
-			t.Fatalf("sigmoid MLP output out of range: %v", v)
-		}
-	}
-}
-
-func TestMLPCopyParamsFrom(t *testing.T) {
-	rng := tensor.NewRNG(6)
-	a := NewMLP([]int{3, 5, 1}, false, rng)
-	b := NewMLP([]int{3, 5, 1}, false, tensor.NewRNG(7))
-	b.CopyParamsFrom(a)
-	x := tensor.New(2, 3)
-	rng.FillUniform(x.Data, 1)
-	ya, yb := a.Forward(x), b.Forward(x)
-	if ya.MaxAbsDiff(yb) != 0 {
-		t.Fatal("CopyParamsFrom did not replicate outputs")
-	}
-}
-
 func TestMLPNumParams(t *testing.T) {
-	m := NewMLP([]int{3, 5, 1}, false, tensor.NewRNG(8))
+	m := NewMLP([]int{3, 5, 1}, tensor.NewRNG(8))
 	want := 3*5 + 5 + 5*1 + 1
 	if got := m.NumParams(); got != want {
 		t.Fatalf("NumParams = %d want %d", got, want)
@@ -276,23 +244,6 @@ func TestBCEWithLogitsExtremeStable(t *testing.T) {
 	}
 }
 
-func TestBCEProbabilityForm(t *testing.T) {
-	probs := tensor.FromSlice(2, 1, []float32{0.5, 0.5})
-	loss, grad := BCE(probs, []float32{1, 0})
-	if math.Abs(float64(loss)-math.Ln2) > 1e-6 {
-		t.Fatalf("BCE loss = %v want ln2", loss)
-	}
-	if math.Abs(float64(grad.Data[0])+1) > 1e-5 || math.Abs(float64(grad.Data[1])-1) > 1e-5 {
-		t.Fatalf("BCE grad = %v want [-1, 1]", grad.Data)
-	}
-	// Clamped extremes must stay finite.
-	probs = tensor.FromSlice(2, 1, []float32{0, 1})
-	loss, _ = BCE(probs, []float32{1, 0})
-	if math.IsInf(float64(loss), 0) || math.IsNaN(float64(loss)) {
-		t.Fatalf("BCE at clamped extremes = %v", loss)
-	}
-}
-
 func TestBCEEmptyBatch(t *testing.T) {
 	loss, grad := BCEWithLogits(tensor.New(0, 1), nil)
 	if loss != 0 || grad.Rows != 0 {
@@ -319,7 +270,7 @@ func TestSGDStep(t *testing.T) {
 func TestSGDTrainsXORishTask(t *testing.T) {
 	// A tiny integration test: the MLP should fit a separable toy problem.
 	rng := tensor.NewRNG(11)
-	m := NewMLP([]int{2, 16, 1}, false, rng)
+	m := NewMLP([]int{2, 16, 1}, rng)
 	opt := NewSGD(0.5)
 	x := tensor.FromSlice(4, 2, []float32{0, 0, 0, 1, 1, 0, 1, 1})
 	labels := []float32{0, 1, 1, 0}
@@ -340,5 +291,147 @@ func TestSigmoidSlice(t *testing.T) {
 	out := SigmoidSlice([]float32{0})
 	if math.Abs(float64(out[0])-0.5) > 1e-6 {
 		t.Fatalf("SigmoidSlice(0) = %v", out[0])
+	}
+}
+
+// unfusedTower is the dense tower as it ran before Linear owned its
+// activation, kept as the fused tower's oracle: per layer a product, one
+// bias AddTo per row, then a separate ReLU pass that branches per element,
+// records a []bool mask and writes a second buffer; backward masks into a
+// third buffer and sums db one row at a time.
+type unfusedTower struct {
+	w, b, dW, db []*tensor.Matrix
+	xs           []*tensor.Matrix // layer inputs of the last forward
+	masks        [][]bool
+}
+
+func unfusedCopy(m *MLP) *unfusedTower {
+	u := &unfusedTower{}
+	for _, l := range m.layers {
+		u.w, u.b = append(u.w, l.W.Value.Clone()), append(u.b, l.B.Value.Clone())
+		u.dW, u.db = append(u.dW, tensor.New(l.Out, l.In)), append(u.db, tensor.New(1, l.Out))
+	}
+	return u
+}
+
+func (u *unfusedTower) forward(x *tensor.Matrix) *tensor.Matrix {
+	u.xs, u.masks = u.xs[:0], u.masks[:0]
+	for k, w := range u.w {
+		u.xs = append(u.xs, x)
+		z := tensor.New(x.Rows, w.Rows)
+		tensor.MatMulTransB(z, x, w)
+		for i := 0; i < z.Rows; i++ {
+			tensor.AddTo(z.Row(i), u.b[k].Data)
+		}
+		x = z
+		if k+1 == len(u.w) {
+			break
+		}
+		y, mask := tensor.New(z.Rows, z.Cols), make([]bool, len(z.Data))
+		for i, v := range z.Data {
+			if v > 0 {
+				y.Data[i], mask[i] = v, true
+			}
+		}
+		u.masks = append(u.masks, mask)
+		x = y
+	}
+	return x
+}
+
+func (u *unfusedTower) backward(dy *tensor.Matrix) *tensor.Matrix {
+	for k := len(u.w) - 1; k >= 0; k-- {
+		if k+1 < len(u.w) {
+			masked := tensor.New(dy.Rows, dy.Cols)
+			for i, v := range dy.Data {
+				if u.masks[k][i] {
+					masked.Data[i] = v
+				}
+			}
+			dy = masked
+		}
+		tensor.MatMulTransAAdd(u.dW[k], dy, u.xs[k])
+		for i := 0; i < dy.Rows; i++ {
+			tensor.AddTo(u.db[k].Data, dy.Row(i))
+		}
+		dx := tensor.New(dy.Rows, u.w[k].Cols)
+		tensor.MatMul(dx, dy, u.w[k])
+		dy = dx
+	}
+	return dy
+}
+
+func sameBits(a, b []float32) bool {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// TestMLPMatchesUnfusedTowerBitForBit: at the benchmark's two tower shapes
+// and at ragged batches, the fused tower's output, input gradient and
+// accumulated W.Grad/B.Grad carry the unfused tower's bits over two steps
+// without a gradient reset (so the second step also checks accumulation and
+// buffer reuse after a batch-size change), and Backward leaves dy untouched.
+func TestMLPMatchesUnfusedTowerBitForBit(t *testing.T) {
+	rng := tensor.NewRNG(12)
+	for _, tc := range []struct {
+		sizes   []int
+		batches []int
+	}{
+		{[]int{13, 64, 32, 32}, []int{256, 7, 1, 128}},
+		{[]int{383, 64, 32, 1}, []int{128, 1, 7, 256}},
+	} {
+		m := NewMLP(tc.sizes, rng)
+		for _, p := range m.Params() {
+			if p.Value.Rows == 1 { // biases start at zero; give the clamp something to do
+				rng.FillUniform(p.Value.Data, 0.5)
+			}
+		}
+		u := unfusedCopy(m)
+		out := tc.sizes[len(tc.sizes)-1]
+		for _, batch := range tc.batches {
+			x, dy := tensor.New(batch, tc.sizes[0]), tensor.New(batch, out)
+			rng.FillNormal(x.Data, 1)
+			rng.FillNormal(dy.Data, 1)
+			dyWas := dy.Clone()
+			if got, want := m.Forward(x), u.forward(x); !sameBits(got.Data, want.Data) {
+				t.Fatalf("%v batch %d: forward differs from the unfused tower", tc.sizes, batch)
+			}
+			if got, want := m.Backward(dy), u.backward(dy); !sameBits(got.Data, want.Data) {
+				t.Fatalf("%v batch %d: input gradient differs from the unfused tower", tc.sizes, batch)
+			}
+			if !sameBits(dy.Data, dyWas.Data) {
+				t.Fatalf("%v batch %d: Backward wrote its argument", tc.sizes, batch)
+			}
+			for k, l := range m.layers {
+				if !sameBits(l.W.Grad.Data, u.dW[k].Data) || !sameBits(l.B.Grad.Data, u.db[k].Data) {
+					t.Fatalf("%v batch %d: layer %d gradients differ from the unfused tower", tc.sizes, batch, k)
+				}
+			}
+		}
+	}
+}
+
+// TestMLPZeroAllocSteadyState cross-checks the //elrec:hotpath claim on
+// (*MLP).Forward and Backward at runtime. One worker: a ParallelFor dispatch
+// allocates its closure.
+func TestMLPZeroAllocSteadyState(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.Workers())
+	tensor.SetMaxWorkers(1)
+	rng := tensor.NewRNG(13)
+	m := NewMLP([]int{383, 64, 32, 1}, rng)
+	x, dy := tensor.New(128, 383), tensor.New(128, 1)
+	rng.FillNormal(x.Data, 1)
+	rng.FillNormal(dy.Data, 1)
+	step := func() {
+		m.Forward(x)
+		m.Backward(dy)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("steady-state Forward+Backward allocates %v times per step", allocs)
 	}
 }

@@ -32,15 +32,3 @@ func (p *Param) clone() *Param {
 		Grad:  tensor.New(p.Grad.Rows, p.Grad.Cols),
 	}
 }
-
-// Layer is the interface shared by all dense layers.
-type Layer interface {
-	// Forward consumes a batch×in matrix and returns a batch×out matrix.
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	// Backward consumes the gradient w.r.t. the output of the most recent
-	// Forward call and returns the gradient w.r.t. its input, accumulating
-	// parameter gradients along the way.
-	Backward(dy *tensor.Matrix) *tensor.Matrix
-	// Params returns the layer's trainable parameters (possibly empty).
-	Params() []*Param
-}

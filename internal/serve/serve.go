@@ -133,6 +133,8 @@ func (r *Ranker) ValidateCandidates(candidates []int) error {
 // serve_requests counts every call and serve_errors every rejection, but the
 // traffic-volume instruments (serve_candidates, serve_batch_size) record only
 // after validation passes, so rejected requests cannot inflate them.
+//
+//elrec:rootctx pure compute: the only wait is tensor.ParallelFor joining a GEMM's row chunks, bounded by the product
 func (r *Ranker) Score(ctx Context, candidates []int) (scores []float32, err error) {
 	if r.met.attached {
 		start := r.met.clock.Now()
@@ -166,6 +168,8 @@ func (r *Ranker) Score(ctx Context, candidates []int) (scores []float32, err err
 // with a single group, served.Pool with a coalesced micro-batch — and the
 // steady state allocates nothing on an all-TT model. Scores are bit-identical
 // to Model.Predict over Batcher.Build of each request.
+//
+//elrec:rootctx pure compute: the only wait is tensor.ParallelFor joining a GEMM's row chunks, bounded by the product
 func (r *Ranker) ScoreGroups(groups []dlrm.ScoreGroup, scores []float32) {
 	r.model.ScoreGroups(&r.scratch, r.itemFeature, r.batch, groups, scores)
 }
@@ -179,6 +183,8 @@ type Scored struct {
 // TopK returns the k highest-scoring candidates in descending score order
 // (NaN scores rank below every real score, ties broken by lower item id).
 // k larger than the candidate count returns all candidates ranked.
+//
+//elrec:rootctx pure compute: the only wait is tensor.ParallelFor joining a GEMM's row chunks, bounded by the product
 func (r *Ranker) TopK(ctx Context, candidates []int, k int) ([]Scored, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: non-positive k %d", ErrInvalidConfig, k)

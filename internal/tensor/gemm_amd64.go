@@ -55,6 +55,14 @@ func axpyAVX2(alpha float32, x, y *float32, n int)
 //go:noescape
 func addToAVX2(dst, src *float32, n int)
 
+// addBiasAVX2 and reluGradAVX2 work on dense rows×cols blocks, rows, cols ≥ 1.
+//
+//go:noescape
+func addBiasAVX2(y, bias *float32, rows, cols int, relu bool)
+
+//go:noescape
+func reluGradAVX2(dy, y, db *float32, rows, cols int)
+
 // The slice-taking wrappers below are what the dispatchers in gemm.go and
 // tensor.go call. Each asserts the extent the assembly will touch (so a short
 // buffer panics here instead of faulting there) and needs m, k, n ≥ 1.
@@ -92,4 +100,14 @@ func axpyAsm(alpha float32, x, y []float32) {
 func addToAsm(dst, src []float32) {
 	_ = dst[len(src)-1]
 	addToAVX2(&dst[0], &src[0], len(src))
+}
+
+func addBiasAsm(y, bias []float32, rows, cols int, relu bool) {
+	_, _ = y[rows*cols-1], bias[cols-1]
+	addBiasAVX2(&y[0], &bias[0], rows, cols, relu)
+}
+
+func reluGradAsm(dy, y, db []float32, rows, cols int) {
+	_, _, _ = dy[rows*cols-1], y[rows*cols-1], db[cols-1]
+	reluGradAVX2(&dy[0], &y[0], &db[0], rows, cols)
 }

@@ -902,6 +902,277 @@ adddone:
 	RET
 
 // ---------------------------------------------------------------------------
+// Dense-tower epilogues. Both walk a rows×cols row-major block one column
+// strip at a time (32, 8, 4, then single columns), the strip's bias or bias
+// gradient held in registers over the whole row loop. Every operation is
+// exact, so the portable twins in tensor.go give the same bits.
+// ---------------------------------------------------------------------------
+
+// func addBiasAVX2(y, bias *float32, rows, cols int, relu bool)
+//
+// y[i][j] += bias[j] and, with relu set, y[i][j] = y[i][j] > 0 ? y[i][j] : 0.
+// VMAXPS returns its second source (Go's first operand, the zero register)
+// when either is NaN or both are zero, so a NaN sum and −0 become +0, as the
+// scalar comparison makes them; without relu the blend keeps the plain sum.
+TEXT ·addBiasAVX2(SB), NOSPLIT, $0-33
+	MOVQ         y+0(FP), DI
+	MOVQ         bias+8(FP), SI
+	MOVQ         rows+16(FP), R8
+	MOVQ         cols+24(FP), CX
+	MOVBQZX      relu+32(FP), AX
+	MOVQ         CX, DX
+	SHLQ         $2, DX               // row stride in bytes
+	VXORPS       Y15, Y15, Y15
+	NEGQ         AX
+	MOVQ         AX, X14
+	VPBROADCASTD X14, Y14             // all ones with relu: the blend takes the clamped lane
+
+bias32:
+	CMPQ      CX, $32
+	JLT       bias8
+	VMOVUPS   (SI), Y8
+	VMOVUPS   32(SI), Y9
+	VMOVUPS   64(SI), Y10
+	VMOVUPS   96(SI), Y11
+	MOVQ      DI, R9
+	MOVQ      R8, R10
+
+bias32row:
+	VMOVUPS   (R9), Y0
+	VMOVUPS   32(R9), Y1
+	VMOVUPS   64(R9), Y2
+	VMOVUPS   96(R9), Y3
+	VADDPS    Y8, Y0, Y0
+	VADDPS    Y9, Y1, Y1
+	VADDPS    Y10, Y2, Y2
+	VADDPS    Y11, Y3, Y3
+	VMAXPS    Y15, Y0, Y4
+	VMAXPS    Y15, Y1, Y5
+	VMAXPS    Y15, Y2, Y6
+	VMAXPS    Y15, Y3, Y7
+	VBLENDVPS Y14, Y4, Y0, Y0
+	VBLENDVPS Y14, Y5, Y1, Y1
+	VBLENDVPS Y14, Y6, Y2, Y2
+	VBLENDVPS Y14, Y7, Y3, Y3
+	VMOVUPS   Y0, (R9)
+	VMOVUPS   Y1, 32(R9)
+	VMOVUPS   Y2, 64(R9)
+	VMOVUPS   Y3, 96(R9)
+	ADDQ      DX, R9
+	DECQ      R10
+	JNZ       bias32row
+	ADDQ      $128, DI
+	ADDQ      $128, SI
+	SUBQ      $32, CX
+	JMP       bias32
+
+bias8:
+	CMPQ      CX, $8
+	JLT       bias4
+	VMOVUPS   (SI), Y8
+	MOVQ      DI, R9
+	MOVQ      R8, R10
+
+bias8row:
+	VMOVUPS   (R9), Y0
+	VADDPS    Y8, Y0, Y0
+	VMAXPS    Y15, Y0, Y4
+	VBLENDVPS Y14, Y4, Y0, Y0
+	VMOVUPS   Y0, (R9)
+	ADDQ      DX, R9
+	DECQ      R10
+	JNZ       bias8row
+	ADDQ      $32, DI
+	ADDQ      $32, SI
+	SUBQ      $8, CX
+	JMP       bias8
+
+bias4:
+	CMPQ      CX, $4
+	JLT       bias1
+	VMOVUPS   (SI), X8
+	MOVQ      DI, R9
+	MOVQ      R8, R10
+
+bias4row:
+	VMOVUPS   (R9), X0
+	VADDPS    X8, X0, X0
+	VMAXPS    X15, X0, X4
+	VBLENDVPS X14, X4, X0, X0
+	VMOVUPS   X0, (R9)
+	ADDQ      DX, R9
+	DECQ      R10
+	JNZ       bias4row
+	ADDQ      $16, DI
+	ADDQ      $16, SI
+	SUBQ      $4, CX
+
+bias1:
+	TESTQ     CX, CX
+	JZ        biasdone
+	VMOVSS    (SI), X8
+	MOVQ      DI, R9
+	MOVQ      R8, R10
+
+bias1row:
+	VMOVSS    (R9), X0
+	VADDSS    X8, X0, X0
+	VMAXSS    X15, X0, X4
+	VBLENDVPS X14, X4, X0, X0
+	VMOVSS    X0, (R9)
+	ADDQ      DX, R9
+	DECQ      R10
+	JNZ       bias1row
+	ADDQ      $4, DI
+	ADDQ      $4, SI
+	DECQ      CX
+	JMP       bias1
+
+biasdone:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX2(dy, y, db *float32, rows, cols int)
+//
+// dy[i][j] &= (y[i][j] > 0), an ordered compare so a NaN y masks like a
+// non-positive one, and db[j] += dy[i][j] after masking, rows in ascending
+// order with db as the first source: the adds AddTo(db, row i) would make.
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-40
+	MOVQ   dy+0(FP), DI
+	MOVQ   y+8(FP), SI
+	MOVQ   db+16(FP), BX
+	MOVQ   rows+24(FP), R8
+	MOVQ   cols+32(FP), CX
+	MOVQ   CX, DX
+	SHLQ   $2, DX                     // row stride in bytes
+	VXORPS Y15, Y15, Y15
+
+grad32:
+	CMPQ    CX, $32
+	JLT     grad8
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	VMOVUPS 64(BX), Y10
+	VMOVUPS 96(BX), Y11
+	MOVQ    DI, R9
+	MOVQ    SI, R11
+	MOVQ    R8, R10
+
+grad32row:
+	VMOVUPS (R11), Y0
+	VMOVUPS 32(R11), Y1
+	VMOVUPS 64(R11), Y2
+	VMOVUPS 96(R11), Y3
+	VCMPPS  $0x1E, Y15, Y0, Y0
+	VCMPPS  $0x1E, Y15, Y1, Y1
+	VCMPPS  $0x1E, Y15, Y2, Y2
+	VCMPPS  $0x1E, Y15, Y3, Y3
+	VANDPS  (R9), Y0, Y0
+	VANDPS  32(R9), Y1, Y1
+	VANDPS  64(R9), Y2, Y2
+	VANDPS  96(R9), Y3, Y3
+	VMOVUPS Y0, (R9)
+	VMOVUPS Y1, 32(R9)
+	VMOVUPS Y2, 64(R9)
+	VMOVUPS Y3, 96(R9)
+	VADDPS  Y0, Y8, Y8
+	VADDPS  Y1, Y9, Y9
+	VADDPS  Y2, Y10, Y10
+	VADDPS  Y3, Y11, Y11
+	ADDQ    DX, R9
+	ADDQ    DX, R11
+	DECQ    R10
+	JNZ     grad32row
+	VMOVUPS Y8, (BX)
+	VMOVUPS Y9, 32(BX)
+	VMOVUPS Y10, 64(BX)
+	VMOVUPS Y11, 96(BX)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	ADDQ    $128, BX
+	SUBQ    $32, CX
+	JMP     grad32
+
+grad8:
+	CMPQ    CX, $8
+	JLT     grad4
+	VMOVUPS (BX), Y8
+	MOVQ    DI, R9
+	MOVQ    SI, R11
+	MOVQ    R8, R10
+
+grad8row:
+	VMOVUPS (R11), Y0
+	VCMPPS  $0x1E, Y15, Y0, Y0
+	VANDPS  (R9), Y0, Y0
+	VMOVUPS Y0, (R9)
+	VADDPS  Y0, Y8, Y8
+	ADDQ    DX, R9
+	ADDQ    DX, R11
+	DECQ    R10
+	JNZ     grad8row
+	VMOVUPS Y8, (BX)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	SUBQ    $8, CX
+	JMP     grad8
+
+grad4:
+	CMPQ    CX, $4
+	JLT     grad1
+	VMOVUPS (BX), X8
+	MOVQ    DI, R9
+	MOVQ    SI, R11
+	MOVQ    R8, R10
+
+grad4row:
+	VMOVUPS (R11), X0
+	VCMPPS  $0x1E, X15, X0, X0
+	VANDPS  (R9), X0, X0
+	VMOVUPS X0, (R9)
+	VADDPS  X0, X8, X8
+	ADDQ    DX, R9
+	ADDQ    DX, R11
+	DECQ    R10
+	JNZ     grad4row
+	VMOVUPS X8, (BX)
+	ADDQ    $16, DI
+	ADDQ    $16, SI
+	ADDQ    $16, BX
+	SUBQ    $4, CX
+
+grad1:
+	TESTQ   CX, CX
+	JZ      graddone
+	VMOVSS  (BX), X8
+	MOVQ    DI, R9
+	MOVQ    SI, R11
+	MOVQ    R8, R10
+
+grad1row:
+	VMOVSS  (R11), X0
+	VCMPSS  $0x1E, X15, X0, X0
+	VMOVSS  (R9), X4
+	VANDPS  X4, X0, X0
+	VMOVSS  X0, (R9)
+	VADDSS  X0, X8, X8
+	ADDQ    DX, R9
+	ADDQ    DX, R11
+	DECQ    R10
+	JNZ     grad1row
+	VMOVSS  X8, (BX)
+	ADDQ    $4, DI
+	ADDQ    $4, SI
+	ADDQ    $4, BX
+	DECQ    CX
+	JMP     grad1
+
+graddone:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
 // Feature detection (internal/cpu is not importable from this module).
 // ---------------------------------------------------------------------------
 

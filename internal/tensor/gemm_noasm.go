@@ -6,8 +6,10 @@ package tensor
 // dead code the compiler removes; these stubs only let them type-check.
 const useAVX2 = false
 
-func gemmNNAsm(m, k, n int, a, b, c []float32, add bool) {}
-func gemmTNAsm(m, k, n int, a, b, c []float32, add bool) {}
-func gemmNTAsm(m, k, n int, a, b, c []float32, add bool) {}
-func axpyAsm(alpha float32, x, y []float32)              {}
-func addToAsm(dst, src []float32)                        {}
+func gemmNNAsm(m, k, n int, a, b, c []float32, add bool)      {}
+func gemmTNAsm(m, k, n int, a, b, c []float32, add bool)      {}
+func gemmNTAsm(m, k, n int, a, b, c []float32, add bool)      {}
+func axpyAsm(alpha float32, x, y []float32)                   {}
+func addToAsm(dst, src []float32)                             {}
+func addBiasAsm(y, bias []float32, rows, cols int, relu bool) {}
+func reluGradAsm(dy, y, db []float32, rows, cols int)         {}

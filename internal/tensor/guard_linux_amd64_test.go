@@ -60,4 +60,11 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 		axpy(0.5, x, y)
 		AddTo(y, x)
 	}
+	for rows := 1; rows <= 5; rows++ {
+		for cols := 1; cols <= 40; cols++ {
+			y, dy, v := aAt(rows*cols), bAt(rows*cols), cAt(cols)
+			AddBias(FromSlice(rows, cols, y), v, cols%2 == 0)
+			ReLUGrad(FromSlice(rows, cols, dy), FromSlice(rows, cols, y), v)
+		}
+	}
 }

@@ -277,7 +277,8 @@ func TestGemmNaNReachesEveryRow(t *testing.T) {
 
 // TestKernelsWriteOnlyTheirOutput surrounds every output with canaries:
 // for each tail class of every dimension, the kernels must write exactly
-// c[:m·n] (and axpy/AddTo exactly their vector), nothing before or after.
+// c[:m·n] (axpy/AddTo exactly their vector, AddBias exactly y, ReLUGrad
+// exactly dy and db), nothing before or after.
 func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 	const canary, pad = float32(-12345.5), 19
 	guarded := func(n int) (buf, inner []float32) {
@@ -322,6 +323,24 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 		AddTo(y, x)
 		if !intact(buf, n) {
 			t.Fatalf("axpy/AddTo wrote outside y[:%d]", n)
+		}
+	}
+	for rows := 1; rows <= 5; rows++ {
+		for cols := 1; cols <= 40; cols++ {
+			bias := unaligned(rng, cols, 1)
+			biasWas := append([]float32(nil), bias...)
+			ybuf, y := guarded(rows * cols)
+			dybuf, dy := guarded(rows * cols)
+			dbbuf, db := guarded(cols)
+			AddBias(FromSlice(rows, cols, y), bias, cols%2 == 0)
+			yWas := append([]float32(nil), y...)
+			ReLUGrad(FromSlice(rows, cols, dy), FromSlice(rows, cols, y), db)
+			if !intact(ybuf, rows*cols) || !intact(dybuf, rows*cols) || !intact(dbbuf, cols) {
+				t.Fatalf("AddBias/ReLUGrad %dx%d wrote outside their operands", rows, cols)
+			}
+			if !bitsEqual(bias, biasWas) || !bitsEqual(y, yWas) {
+				t.Fatalf("AddBias/ReLUGrad %dx%d wrote a read-only operand", rows, cols)
+			}
 		}
 	}
 }
@@ -440,4 +459,136 @@ func TestStackedProducts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// epilogueKind drives the two dense-tower epilogues through slice signatures:
+// by family, the exported entry points (the assembly on an AVX2 host) and the
+// portable kernels directly. rows, cols ≥ 1.
+type epilogueKind struct {
+	addBias  func(y, bias []float32, rows, cols int, relu bool)
+	reluGrad func(dy, y, db []float32, rows, cols int)
+}
+
+var epilogueKinds = map[string]epilogueKind{
+	KernelName(): {
+		func(y, bias []float32, rows, cols int, relu bool) { AddBias(FromSlice(rows, cols, y), bias, relu) },
+		func(dy, y, db []float32, rows, cols int) {
+			ReLUGrad(FromSlice(rows, cols, dy), FromSlice(rows, cols, y), db)
+		},
+	},
+	"portable": {
+		func(y, bias []float32, rows, cols int, relu bool) { addBiasGo(y, bias, relu) },
+		func(dy, y, db []float32, rows, cols int) { reluGradGo(dy, y, db) },
+	},
+}
+
+// refAddBias and refReLUGrad are the loops the fused kernels replaced: a
+// bias add per row and then the branching clamp with its []bool mask, the
+// masked copy of dy, and a per-row sum into db.
+func refAddBias(y, bias []float32, rows, cols int, relu bool) (mask []bool) {
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			y[i*cols+j] += bias[j]
+		}
+	}
+	if !relu {
+		return nil
+	}
+	mask = make([]bool, rows*cols)
+	for i, v := range y {
+		if v > 0 {
+			mask[i] = true
+		} else {
+			y[i] = 0
+		}
+	}
+	return mask
+}
+
+func refReLUGrad(dy []float32, mask []bool, db []float32, rows, cols int) {
+	for i, m := range mask {
+		if !m {
+			dy[i] = 0
+		}
+	}
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			db[j] += dy[i*cols+j]
+		}
+	}
+}
+
+// specials are the values an exact kernel must not treat as ordinary: signed
+// zeros, infinities, the largest and smallest normals and denormals of either
+// sign, and one NaN (a second payload would make x+y depend on operand order,
+// which Go does not fix for the portable kernels).
+var specials = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+	1.1754942e-38, -1.1754942e-38, // largest denormals
+}
+
+// laced returns unaligned random floats with every third element, starting
+// at phase, replaced by a special value.
+func laced(r *RNG, n, offset, phase int) []float32 {
+	x := unaligned(r, n, offset)
+	for i := phase % 3; i < n; i += 3 {
+		x[i] = specials[(i/3+phase)%len(specials)]
+	}
+	return x
+}
+
+// TestEpiloguesMatchScalarLoops: AddBias (clamped and not) and ReLUGrad give,
+// on both kernel families and bit for bit, what the scalar loops they
+// replaced give — for every column tail of the 32/8/4/1 strips, zero to five
+// rows, unaligned operands, and inputs laced with NaN, −0, ±Inf and
+// denormals in every combination of sum, mask and gradient. ReLUGrad is also
+// fed masks no forward pass produces (negative and NaN y).
+func TestEpiloguesMatchScalarLoops(t *testing.T) {
+	rng := NewRNG(82)
+	for rows := 0; rows <= 5; rows++ {
+		for cols := 0; cols <= 40; cols++ {
+			n := rows * cols
+			for phase := 0; phase < 7; phase++ {
+				relu := phase%2 == 0
+				y0, bias := laced(rng, n, 1, phase), laced(rng, cols, 3, phase/2)
+				dy0, db0 := laced(rng, n, 3, phase+1), laced(rng, cols, 1, phase)
+				wantY := append([]float32(nil), y0...)
+				mask := refAddBias(wantY, bias, rows, cols, relu)
+				if !relu { // any y at all as the mask
+					mask = make([]bool, n)
+					for i, v := range wantY {
+						mask[i] = v > 0
+					}
+				}
+				wantDy, wantDb := append([]float32(nil), dy0...), append([]float32(nil), db0...)
+				refReLUGrad(wantDy, mask, wantDb, rows, cols)
+
+				for family, kd := range epilogueKinds {
+					name := fmt.Sprintf("%s %dx%d relu=%v phase %d", family, rows, cols, relu, phase)
+					y := append(make([]float32, 1), y0...)[1:]
+					dy := append(make([]float32, 3), dy0...)[3:]
+					db := append(make([]float32, 1), db0...)[1:]
+					if n > 0 {
+						kd.addBias(y, bias, rows, cols, relu)
+						kd.reluGrad(dy, y, db, rows, cols)
+					}
+					if !bitsEqual(y, wantY) {
+						t.Fatalf("%s: AddBias differs from the scalar loop\n got %v\nwant %v", name, y, wantY)
+					}
+					if !bitsEqual(dy, wantDy) {
+						t.Fatalf("%s: ReLUGrad's masked dy differs from the scalar loop\n got %v\nwant %v", name, dy, wantDy)
+					}
+					if !bitsEqual(db, wantDb) {
+						t.Fatalf("%s: ReLUGrad's db differs from the scalar loop\n got %v\nwant %v", name, db, wantDb)
+					}
+				}
+			}
+		}
+	}
+	// The exported entry points take the empty shapes themselves.
+	AddBias(New(0, 3), make([]float32, 3), true)
+	AddBias(New(3, 0), nil, true)
+	ReLUGrad(New(0, 3), New(0, 3), make([]float32, 3))
+	ReLUGrad(New(3, 0), New(3, 0), nil)
 }

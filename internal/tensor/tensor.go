@@ -299,6 +299,82 @@ func AddTo(dst, src []float32) {
 	}
 }
 
+// AddBias adds bias to every row of y in place and, with relu set, clamps the
+// sum at zero: y[i][j] = max(y[i][j]+bias[j], 0), the epilogue of a Linear
+// layer's forward product. The clamp is the comparison v > 0 ? v : 0, so a
+// NaN sum and −0 both become +0. Like ReLUGrad it is exact: the assembly and
+// the portable loop give the same bits.
+func AddBias(y *Matrix, bias []float32, relu bool) {
+	if len(bias) != y.Cols {
+		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
+		panic(fmt.Sprintf("tensor: AddBias bias length %d != %d columns", len(bias), y.Cols))
+	}
+	if len(y.Data) == 0 {
+		return
+	}
+	if useAVX2 {
+		addBiasAsm(y.Data, bias, y.Rows, y.Cols, relu)
+		return
+	}
+	addBiasGo(y.Data, bias, relu)
+}
+
+// ReLUGrad is the backward epilogue of a clamped Linear layer, whose output
+// y = max(·, 0) is its own mask: it zeroes dy in place wherever y > 0 does
+// not hold and adds the masked rows to db, in ascending row order (the sums
+// a per-row AddTo(db, row) makes).
+func ReLUGrad(dy, y *Matrix, db []float32) {
+	if dy.Rows != y.Rows || dy.Cols != y.Cols || len(db) != y.Cols {
+		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
+		panic(fmt.Sprintf("tensor: ReLUGrad dy %dx%d, y %dx%d, db %d", dy.Rows, dy.Cols, y.Rows, y.Cols, len(db)))
+	}
+	if len(y.Data) == 0 {
+		return
+	}
+	if useAVX2 {
+		reluGradAsm(dy.Data, y.Data, db, y.Rows, y.Cols)
+		return
+	}
+	reluGradGo(dy.Data, y.Data, db)
+}
+
+// positiveMask returns all ones when the float32 with these bits is > 0
+// (0x00000001 … 0x7F800000: denormals up to +Inf) and zero for ±0, negatives
+// and NaNs, without a branch: bits−1 wraps zero out of the range, and the
+// 64-bit subtraction borrows into the sign exactly below the range's end.
+func positiveMask(bits uint32) uint32 {
+	return uint32(int64(uint64(bits-1)-0x7F800000) >> 63)
+}
+
+// addBiasGo is AddBias's portable kernel over a non-empty y of len(bias)
+// columns. keep widens the mask to everything when there is no clamp.
+func addBiasGo(y, bias []float32, relu bool) {
+	keep := ^uint32(0)
+	if relu {
+		keep = 0
+	}
+	for cols := len(bias); len(y) >= cols; y = y[cols:] {
+		row := y[:len(bias)]
+		for j, b := range bias {
+			v := math.Float32bits(row[j] + b)
+			row[j] = math.Float32frombits(v & (positiveMask(v) | keep))
+		}
+	}
+}
+
+// reluGradGo is ReLUGrad's portable kernel over non-empty dy and y of
+// len(db) columns.
+func reluGradGo(dy, y, db []float32) {
+	for cols := len(db); len(dy) >= cols; dy, y = dy[cols:], y[cols:] {
+		g, out := dy[:len(db)], y[:len(db)]
+		for j := range db {
+			v := math.Float32frombits(math.Float32bits(g[j]) & positiveMask(math.Float32bits(out[j])))
+			g[j] = v
+			db[j] += v
+		}
+	}
+}
+
 // Fill sets every element of x to v.
 func Fill(x []float32, v float32) {
 	for i := range x {
