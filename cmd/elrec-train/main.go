@@ -101,6 +101,15 @@ func run() int {
 		log.Error("invalid flags", "err", err)
 		return 2
 	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"steps", *steps, 0}, {"batch", *batch, 1}, {"log-every", *logEvery, 1}, {"eval", *evalBatches, 0}} {
+		if f.val < f.min {
+			log.Error("invalid flags", "err", fmt.Errorf("-%s %d: must be at least %d", f.name, f.val, f.min))
+			return 2
+		}
+	}
 
 	cfg := elrec.DefaultSystemConfig(spec)
 	cfg.Model.EmbDim = *dim

@@ -82,6 +82,10 @@ func run() int {
 	}
 	log := obs.NewLogger(os.Stderr, level, nil)
 
+	if *steps < 0 || *batch <= 0 {
+		log.Error("invalid flags", "err", fmt.Errorf("-steps %d -batch %d: steps must not be negative, batch must be positive", *steps, *batch))
+		return 2
+	}
 	sc, err := distps.NewScenario(*dataset, *datasetScale, *dim, *rank, *ttThreshold, *lr, *queueDepth)
 	if err != nil {
 		log.Error("invalid scenario flags", "err", err)

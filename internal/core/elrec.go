@@ -333,17 +333,22 @@ func (s *System) Source() ps.BatchSource { return s.source }
 // next resumable iteration; see ps.Pipeline.Train for the consistency
 // contract.
 func (s *System) TrainContext(ctx context.Context, startIter, steps, batchSize int) (*ps.TrainResult, error) {
+	if ctx == nil {
+		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default for direct System embedders
+	}
+	curve := &metrics.LossCurve{}
+	res := &ps.TrainResult{Curve: curve, NextIter: startIter, Resumable: true}
+	// Also with no steps to run: a caller that loops until its steps are
+	// done must see the cancellation, not zero progress and no error.
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
 	if s.Pipeline != nil {
 		return s.Pipeline.Train(ctx, s.source, startIter, steps, batchSize)
 	}
 	// Fully device-resident: a sequential timed loop (the hw cost model
 	// reads the per-op timing), with the same cancellation and checkpoint
 	// behaviour as the pipelined path.
-	if ctx == nil {
-		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default for direct System embedders
-	}
-	curve := &metrics.LossCurve{}
-	res := &ps.TrainResult{Curve: curve, NextIter: startIter, Resumable: true}
 	for it := 0; it < steps; it++ {
 		if err := ctx.Err(); err != nil {
 			return res, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,6 +89,33 @@ func TestBuildSpillsToHostWhenHBMSmall(t *testing.T) {
 	curve := sys.Train(100, 10, 64)
 	if len(curve.Losses) != 10 {
 		t.Fatalf("trained %d steps", len(curve.Losses))
+	}
+}
+
+// TestTrainContextCancelledWithNoSteps: a cancelled context is reported even
+// when there is nothing to train, on the device-resident loop and through the
+// pipeline — a caller that loops until its steps are done would otherwise spin
+// on zero progress and no error.
+func TestTrainContextCancelledWithNoSteps(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	spilled := coreConfig()
+	spilled.Device = hw.Device{Name: "tiny", HBMBytes: 20 << 10, ComputeScale: 1}
+	spilled.HBMReserve = 0
+	for _, cfg := range []Config{coreConfig(), spilled} {
+		sys, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, steps := range []int{0, 3} {
+			res, err := sys.TrainContext(ctx, 7, steps, 16)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("pipelined=%v steps=%d: err = %v, want context.Canceled", sys.Pipeline != nil, steps, err)
+			}
+			if res == nil || res.Completed != 0 || res.NextIter != 7 || !res.Resumable {
+				t.Fatalf("pipelined=%v steps=%d: result %+v, want no progress, resumable at 7", sys.Pipeline != nil, steps, res)
+			}
+		}
 	}
 }
 

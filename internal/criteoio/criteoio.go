@@ -12,7 +12,6 @@ package criteoio
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -168,33 +167,4 @@ func hashString(s string) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// CountAccesses streams the whole input once and tallies per-table access
-// counts — the profiling pass index reordering and FAE need on real data.
-func CountAccesses(r io.Reader, schema Schema, batchSize int) ([][]int64, int, error) {
-	rd, err := NewReader(r, schema)
-	if err != nil {
-		return nil, 0, err
-	}
-	counts := make([][]int64, len(schema.TableRows))
-	for t, rows := range schema.TableRows {
-		counts[t] = make([]int64, rows)
-	}
-	samples := 0
-	for {
-		b, err := rd.ReadBatch(batchSize)
-		if errors.Is(err, io.EOF) {
-			return counts, samples, nil
-		}
-		if err != nil {
-			return nil, samples, err
-		}
-		samples += b.Size()
-		for t := range b.Sparse {
-			for _, idx := range b.Sparse[t] {
-				counts[t][idx]++
-			}
-		}
-	}
 }

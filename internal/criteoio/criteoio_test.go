@@ -129,37 +129,6 @@ func TestNegativeDenseClampsToZero(t *testing.T) {
 	}
 }
 
-func TestCountAccesses(t *testing.T) {
-	var lines []string
-	for i := 0; i < 25; i++ {
-		lines = append(lines, line("0", []string{"1", "1"}, []string{"hot", "hot", "hot"}))
-	}
-	lines = append(lines, line("1", []string{"1", "1"}, []string{"cold", "cold", "cold"}))
-	counts, samples, err := CountAccesses(strings.NewReader(strings.Join(lines, "\n")), tinySchema(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples != 26 {
-		t.Fatalf("samples = %d", samples)
-	}
-	for tt2 := range counts {
-		var total int64
-		var max int64
-		for _, c := range counts[tt2] {
-			total += c
-			if c > max {
-				max = c
-			}
-		}
-		if total != 26 {
-			t.Fatalf("table %d counted %d accesses", tt2, total)
-		}
-		if max < 25 {
-			t.Fatalf("table %d hot row count %d", tt2, max)
-		}
-	}
-}
-
 // TestBatchesTrainModel: real-format data flows straight into the DLRM.
 func TestBatchesTrainModel(t *testing.T) {
 	schema := tinySchema()

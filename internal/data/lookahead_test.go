@@ -1,7 +1,10 @@
 package data
 
 import (
+	"fmt"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/embedding"
@@ -54,92 +57,193 @@ func planOver(t *testing.T, ids [][][]int, rows, budget int) *WindowPlan {
 	return la.Advance(0, len(ids))
 }
 
-// TestLookaheadPlanEquivalence checks every field of a planned window
-// against a brute-force reference computed directly from the dataset's
-// batches: Uniq/Inverse must equal embedding.Unique of the index stream,
-// Fresh must mark exactly the first in-window use of each row (unlimited
-// budget), NextUse must link to the next batch using the row, and
-// FreshIDs/FreshPos must be the Fresh subset in order.
+// refPin is one entry of the reference planner's pinned list.
+type refPin struct {
+	id, fromJ, fromSlot int
+	next                int32
+}
+
+// refPlanTable is the brute-force reference planner for one table's window:
+// map dedup, next use by scanning the later streams, and the pinning
+// simulation over a list searched linearly. Only the list's order is shared
+// with the planner, because the Belady tie-break (first farthest pin in list
+// order, swap-removal on unpin) is part of the planned bits.
+func refPlanTable(streams [][]int, start, budget int) []BatchAccess {
+	accs := make([]BatchAccess, len(streams))
+	for j, ids := range streams {
+		acc := &accs[j]
+		pos := map[int]int{}
+		for _, id := range ids {
+			u, ok := pos[id]
+			if !ok {
+				u = len(acc.Uniq)
+				pos[id] = u
+				acc.Uniq = append(acc.Uniq, id)
+			}
+			acc.Inverse = append(acc.Inverse, u)
+		}
+		acc.Fresh = make([]bool, len(acc.Uniq))
+		acc.NextUse = make([]int32, len(acc.Uniq))
+		for i, id := range acc.Uniq {
+			acc.NextUse[i] = -1
+			for k := j + 1; k < len(streams); k++ {
+				if containsInt(streams[k], id) {
+					acc.NextUse[i] = int32(start + k)
+					break
+				}
+			}
+		}
+	}
+	var pins []refPin
+	unpin := func(at int) {
+		pins[at] = pins[len(pins)-1]
+		pins = pins[:len(pins)-1]
+	}
+	for j := range accs {
+		acc := &accs[j]
+		for i, id := range acc.Uniq {
+			acc.Fresh[i] = true
+			for at, p := range pins {
+				if p.id == id {
+					acc.Fresh[i] = false
+					unpin(at)
+					break
+				}
+			}
+			if acc.NextUse[i] >= 0 {
+				pins = append(pins, refPin{id: id, fromJ: j, fromSlot: i, next: acc.NextUse[i]})
+				if budget > 0 && len(pins) > budget {
+					far := 0
+					for at := range pins {
+						if pins[at].next > pins[far].next {
+							far = at
+						}
+					}
+					accs[pins[far].fromJ].NextUse[pins[far].fromSlot] = -1
+					unpin(far)
+				}
+			}
+			if acc.Fresh[i] {
+				acc.FreshIDs = append(acc.FreshIDs, id)
+				acc.FreshPos = append(acc.FreshPos, i)
+			}
+		}
+	}
+	return accs
+}
+
+// TestLookaheadPlanEquivalence checks every field of every planned window
+// against the brute-force reference planner: Uniq/Inverse must equal
+// embedding.Unique of the index stream, Fresh must mark the uses no live pin
+// serves (with an unlimited budget, exactly the first in-window use of each
+// row), NextUse must link to the next batch using the row unless Belady
+// evicted the promise, and FreshIDs/FreshPos must be the Fresh subset in
+// order. Each input runs all its windows on one planner, so every table and
+// window sees the scratch the ones before it left behind.
 func TestLookaheadPlanEquivalence(t *testing.T) {
 	d, err := New(lookaheadTestSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		window = 6
-		batch  = 32
-		start  = 3 // windows need not start at iteration 0
-	)
-	spec := d.Spec
-	la, err := NewLookahead(d, LookaheadConfig{
-		Window: window,
-		Batch:  batch,
-		Tables: []int{0, 1, 2},
-		Rows:   spec.TableRows,
-	})
-	if err != nil {
-		t.Fatal(err)
+	type window struct{ start, n int }
+	ramp := []window{{0, 2}, {2, 4}, {6, 8}, {14, 16}, {30, 16}, {46, 5}}
+	inputs := []struct {
+		name    string
+		src     SparseSource // nil: the dataset's streams spread over rows
+		rows    []int
+		window  int
+		batch   int
+		budget  int
+		windows []window
+	}{
+		// Windows need not start at iteration 0; the second starts where the
+		// first ended, and rows carried over must gather fresh again.
+		{"dataset", d, d.Spec.TableRows, 6, 32, 0, []window{{3, 6}, {9, 6}}},
+		{"large table then tiny then large", nil, []int{1 << 40, 3, 1 << 33}, 6, 32, 0, []window{{0, 6}, {6, 6}}},
+		{"tiny table then large then tiny", nil, []int{2, 1 << 40, 5}, 6, 32, 7, []window{{0, 6}, {6, 6}}},
+		// The pipeline's ramp: windows double up to the configured size, and
+		// the run's tail is truncated.
+		{"ramp and tail", d, d.Spec.TableRows, 16, 8, 0, ramp},
+		{"ramp and tail under a budget", d, d.Spec.TableRows, 16, 8, 12, ramp},
+		// Every row of batch 0 recurs in batch 1: all promises carry the same
+		// next use, so each eviction is decided by the tie-break alone, and
+		// the swap-removals of batch 1 reorder the list before batch 2's ties.
+		{"budget forces equal-next-use ties", &fixedSource{ids: [][][]int{
+			{{1, 2, 3, 4, 5, 6}}, {{6, 5, 4, 3, 2, 1, 7}}, {{7, 1, 2, 3, 4, 5, 6}}, {{2, 4, 6, 7}},
+		}}, []int{8}, 4, 1, 3, []window{{0, 4}, {0, 3}}},
 	}
-	plan := la.Advance(start, window)
-	if plan.Start != start || plan.N != window {
-		t.Fatalf("plan covers [%d,%d), want [%d,%d)", plan.Start, plan.Start+plan.N, start, start+window)
-	}
-
-	for ti := range spec.TableRows {
-		streams := make([][]int, window)
-		for j := 0; j < window; j++ {
-			streams[j] = d.BatchIndices(start+j, batch, ti)
+	for _, in := range inputs {
+		if in.src == nil {
+			in.src = &spreadSource{d: d, rows: in.rows}
 		}
-		seen := map[int]bool{}
-		for j := 0; j < window; j++ {
-			acc := plan.Access(ti, start+j)
-			uniq, inverse := embedding.Unique(streams[j])
-			if !equalInts(acc.Uniq, uniq) || !equalInts(acc.Inverse, inverse) {
-				t.Fatalf("table %d iter %d: Uniq/Inverse disagree with embedding.Unique", ti, start+j)
+		cfg := LookaheadConfig{Window: in.window, Batch: in.batch, Rows: in.rows, Budget: in.budget}
+		for ti := range in.rows {
+			cfg.Tables = append(cfg.Tables, ti)
+		}
+		la, err := NewLookahead(in.src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range in.windows {
+			plan := la.Advance(w.start, w.n)
+			if plan.Start != w.start || plan.N != w.n {
+				t.Fatalf("%s: plan covers [%d,%d), want [%d,%d)", in.name, plan.Start, plan.Start+plan.N, w.start, w.start+w.n)
 			}
-			var wantFreshIDs, wantFreshPos []int
-			for i, id := range uniq {
-				wantFresh := !seen[id]
-				seen[id] = true
-				if acc.Fresh[i] != wantFresh {
-					t.Fatalf("table %d iter %d row %d: Fresh=%v, want %v (first window use)",
-						ti, start+j, id, acc.Fresh[i], wantFresh)
+			for ti := range in.rows {
+				streams := make([][]int, w.n)
+				for j := range streams {
+					streams[j] = in.src.BatchIndices(w.start+j, in.batch, ti)
 				}
-				wantNext := int32(-1)
-				for k := j + 1; k < window; k++ {
-					if containsInt(streams[k], id) {
-						wantNext = int32(start + k)
-						break
+				want := refPlanTable(streams, w.start, in.budget)
+				seen := map[int]bool{}
+				for j := range streams {
+					at := fmt.Sprintf("%s: window [%d,%d) table %d iter %d", in.name, w.start, w.start+w.n, ti, w.start+j)
+					acc, ref := plan.Access(ti, w.start+j), &want[j]
+					uniq, inverse := embedding.Unique(streams[j])
+					if !equalInts(acc.Uniq, uniq) || !equalInts(acc.Inverse, inverse) {
+						t.Fatalf("%s: Uniq/Inverse disagree with embedding.Unique", at)
+					}
+					if !equalInts(acc.Uniq, ref.Uniq) || !equalInts(acc.Inverse, ref.Inverse) ||
+						!slices.Equal(acc.Fresh, ref.Fresh) || !slices.Equal(acc.NextUse, ref.NextUse) ||
+						!equalInts(acc.FreshIDs, ref.FreshIDs) || !equalInts(acc.FreshPos, ref.FreshPos) {
+						t.Fatalf("%s: planned\n%+v\nreference\n%+v", at, *acc, *ref)
+					}
+					if in.budget != 0 {
+						continue
+					}
+					for i, id := range uniq {
+						if acc.Fresh[i] == seen[id] {
+							t.Fatalf("%s row %d: Fresh=%v, want %v (first window use)", at, id, acc.Fresh[i], !seen[id])
+						}
+						seen[id] = true
 					}
 				}
-				if acc.NextUse[i] != wantNext {
-					t.Fatalf("table %d iter %d row %d: NextUse=%d, want %d",
-						ti, start+j, id, acc.NextUse[i], wantNext)
-				}
-				if wantFresh {
-					wantFreshIDs = append(wantFreshIDs, id)
-					wantFreshPos = append(wantFreshPos, i)
-				}
 			}
-			if !equalInts(acc.FreshIDs, wantFreshIDs) || !equalInts(acc.FreshPos, wantFreshPos) {
-				t.Fatalf("table %d iter %d: FreshIDs/FreshPos disagree with Fresh flags", ti, start+j)
-			}
+			plan.Release()
 		}
 	}
+}
 
-	// A second window starting where the first ended: rows carried over from
-	// the previous window must gather fresh again (pinning is per window).
-	plan2 := la.Advance(start+window, window)
-	for ti := range spec.TableRows {
-		acc := plan2.Access(ti, start+window)
-		for i := range acc.Uniq {
-			if !acc.Fresh[i] {
-				t.Fatalf("table %d: first batch of a new window served row %d from a stale pin", ti, acc.Uniq[i])
-			}
+// spreadSource maps the test dataset's small id spaces onto tables of any
+// size, so a huge table and a tiny one can follow each other through the
+// planner: table t's ids are scaled to span rows[t], or folded into it.
+type spreadSource struct {
+	d    *Dataset
+	rows []int
+}
+
+func (s *spreadSource) BatchIndices(iter, size, table int) []int {
+	src := s.d.BatchIndices(iter, size, table)
+	have, want := s.d.Spec.TableRows[table], s.rows[table]
+	ids := make([]int, len(src))
+	for i, id := range src {
+		if want >= have {
+			ids[i] = id * (want / have)
+		} else {
+			ids[i] = id % want
 		}
 	}
-	plan.Release()
-	plan2.Release()
+	return ids
 }
 
 // TestLookaheadBeladyEviction is the table-driven oracle-eviction test: when
@@ -353,7 +457,10 @@ func TestLookaheadConfigValidation(t *testing.T) {
 // TestLookaheadZeroAllocSteadyState enforces the hot-path contract checked
 // statically by the hotalloc analyzer: once plan storage has grown to the
 // working set, Advance+Release over a non-allocating source performs zero
-// heap allocations per window.
+// heap allocations per window. What it does allocate until then follows the
+// window, not the table: the third table declares 2²⁶ rows and its ids span
+// them, and building the planner plus the first window stays within a few
+// hundred bytes per planned id.
 func TestLookaheadZeroAllocSteadyState(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
@@ -362,28 +469,40 @@ func TestLookaheadZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		window = 4
-		batch  = 16
-		rounds = 6
+		window   = 4
+		batch    = 16
+		rounds   = 6
+		hugeRows = 1 << 26
 	)
 	// Freeze the dataset's streams into a canned source: index generation is
 	// the dataset's cost, not the planner's.
+	stretch := hugeRows / d.Spec.TableRows[2]
 	ids := make([][][]int, window*rounds)
 	for j := range ids {
 		ids[j] = make([][]int, len(d.Spec.TableRows))
 		for ti := range ids[j] {
 			ids[j][ti] = d.BatchIndices(j, batch, ti)
 		}
+		for i := range ids[j][2] {
+			ids[j][2][i] *= stretch
+		}
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	la, err := NewLookahead(&fixedSource{ids: ids}, LookaheadConfig{
 		Window: window,
 		Batch:  batch,
-		Tables: []int{0, 1},
-		Rows:   []int{d.Spec.TableRows[0], d.Spec.TableRows[1]},
+		Tables: []int{0, 1, 2},
+		Rows:   []int{d.Spec.TableRows[0], d.Spec.TableRows[1], hugeRows},
 		Budget: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	la.Advance(0, window).Release()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(512*3*window*batch); got > limit {
+		t.Fatalf("planner and first window allocated %d bytes for %d planned ids over a 2²⁶-row table, want ≤ %d", got, 3*window*batch, limit)
 	}
 	// Warmup over every window position grows uniq/pin storage to the full
 	// working set.

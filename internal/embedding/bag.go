@@ -169,22 +169,3 @@ func (b *Bag) ScatterAdd(rows []int, delta *tensor.Matrix) {
 		tensor.AddTo(b.Weights.Row(r), delta.Row(i))
 	}
 }
-
-// Unique returns the distinct values of indices in order of first occurrence
-// together with an inverse mapping: indices[p] == uniq[inverse[p]]. It is the
-// shared primitive behind in-advance gradient aggregation and the paper's
-// Figure 4(b) statistic.
-func Unique(indices []int) (uniq []int, inverse []int) {
-	inverse = make([]int, len(indices))
-	pos := make(map[int]int, len(indices))
-	for p, idx := range indices {
-		u, ok := pos[idx]
-		if !ok {
-			u = len(uniq)
-			pos[idx] = u
-			uniq = append(uniq, idx)
-		}
-		inverse[p] = u
-	}
-	return uniq, inverse
-}

@@ -1,0 +1,80 @@
+package embedding
+
+import "math/bits"
+
+// Index is Algorithm 1's Buf_flag/Buf_idx and the repo's one dedup: it hands
+// the distinct keys of one key set (a batch's indices or TT prefixes, a
+// lookahead window's row ids) dense ids in first-occurrence order. It is an
+// open-addressed table sized to the set, not to the key space (a table's rows
+// or prefixes), and it is never cleared: a slot is live iff its stamp equals
+// the current generation, so Begin costs O(1) once the table has grown to the
+// largest set seen. The zero value is ready to use.
+type Index struct {
+	key   []int
+	id    []int32
+	stamp []uint32
+	gen   uint32
+	shift uint // 64 − log₂ len(key): the hash keeps the product's top bits
+}
+
+// Begin starts a new key set of at most n keys. The table holds a power of
+// two ≥ 2n slots, so at least half stay free and every probe ends.
+func (u *Index) Begin(n int) {
+	if want := max(2*n, 16); len(u.key) < want {
+		u.grow(want)
+	}
+	u.gen++
+	if u.gen == 0 { // wrapped: stamps of 2³² generations ago would read as live
+		clear(u.stamp)
+		u.gen = 1
+	}
+}
+
+// Slots returns the table's size: the power of two ≥ 2n slots the largest
+// set begun so far needed, which is what bounds the memory a caller holds.
+func (u *Index) Slots() int { return len(u.key) }
+
+// grow replaces the table by an empty one of the first power of two ≥ want.
+//
+//elrec:coldpath amortized growth to the largest key set seen; steady state keeps the table
+func (u *Index) grow(want int) {
+	log2 := bits.Len(uint(want - 1))
+	u.key = make([]int, 1<<log2)
+	u.id = make([]int32, 1<<log2)
+	u.stamp = make([]uint32, 1<<log2)
+	u.gen, u.shift = 0, uint(64-log2)
+}
+
+// IDOf returns key's id in the current set; a key not seen since Begin is
+// recorded under next, the id the caller hands out, and reported fresh.
+func (u *Index) IDOf(key, next int) (id int, fresh bool) {
+	mask := len(u.key) - 1
+	for s := int((uint64(key) * 0x9E3779B97F4A7C15) >> u.shift); ; s = (s + 1) & mask {
+		if u.stamp[s] != u.gen {
+			u.key[s], u.id[s], u.stamp[s] = key, int32(next), u.gen
+			return next, true
+		}
+		if u.key[s] == key {
+			return int(u.id[s]), false
+		}
+	}
+}
+
+// Unique returns the distinct values of indices in order of first occurrence
+// together with an inverse mapping: indices[p] == uniq[inverse[p]]. It is the
+// shared primitive behind in-advance gradient aggregation and the paper's
+// Figure 4(b) statistic.
+func Unique(indices []int) (uniq []int, inverse []int) {
+	uniq = make([]int, 0, len(indices))
+	inverse = make([]int, len(indices))
+	var seen Index
+	seen.Begin(len(indices))
+	for p, idx := range indices {
+		u, fresh := seen.IDOf(idx, len(uniq))
+		if fresh {
+			uniq = append(uniq, idx)
+		}
+		inverse[p] = u
+	}
+	return uniq, inverse
+}

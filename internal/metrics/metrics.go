@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -73,34 +72,6 @@ func AUC(probs, labels []float32) float64 {
 		return 0.5
 	}
 	return (posRankSum - float64(pos)*float64(pos+1)/2) / (float64(pos) * float64(neg))
-}
-
-// LogLoss returns the mean binary cross-entropy of probabilities against
-// labels with clamping.
-func LogLoss(probs, labels []float32) float64 {
-	if len(probs) != len(labels) {
-		//elrec:invariant probs and labels are produced together by the evaluation loop
-		panic(fmt.Sprintf("metrics: %d probs vs %d labels", len(probs), len(labels)))
-	}
-	if len(probs) == 0 {
-		return 0
-	}
-	const eps = 1e-7
-	var total float64
-	for i, p := range probs {
-		pf := float64(p)
-		if pf < eps {
-			pf = eps
-		} else if pf > 1-eps {
-			pf = 1 - eps
-		}
-		if labels[i] == 1 {
-			total += -math.Log(pf)
-		} else {
-			total += -math.Log(1 - pf)
-		}
-	}
-	return total / float64(len(probs))
 }
 
 // LossCurve records training loss over iterations (Figure 15).

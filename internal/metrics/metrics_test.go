@@ -63,21 +63,6 @@ func TestAUCKnownValue(t *testing.T) {
 	}
 }
 
-func TestLogLoss(t *testing.T) {
-	probs := []float32{0.5, 0.5}
-	labels := []float32{1, 0}
-	if got := LogLoss(probs, labels); math.Abs(got-math.Ln2) > 1e-6 {
-		t.Fatalf("LogLoss = %v want ln2", got)
-	}
-	// Clamping keeps extremes finite.
-	if got := LogLoss([]float32{0, 1}, []float32{1, 0}); math.IsInf(got, 0) {
-		t.Fatal("LogLoss not clamped")
-	}
-	if LogLoss(nil, nil) != 0 {
-		t.Fatal("empty LogLoss != 0")
-	}
-}
-
 func TestLossCurve(t *testing.T) {
 	var c LossCurve
 	for i := 0; i < 10; i++ {

@@ -3,6 +3,7 @@ package tt
 import (
 	"fmt"
 
+	"repro/internal/embedding"
 	"repro/internal/tensor"
 )
 
@@ -35,7 +36,7 @@ type ForwardCache struct {
 	// (len(WorkIdx) × Dim).
 	Rows *tensor.Matrix
 
-	seen       uniq // the one dedup: indices, then prefixes, forward and backward
+	seen       embedding.Index // the one dedup: indices, then prefixes, forward and backward
 	workIdxBuf []int
 	workOfBuf  []int
 	prefixes   []int          // the batch's unique prefixes, sorted by i₂ (batch-local path)
@@ -211,11 +212,11 @@ func (t *Table) poolRows(c *ForwardCache, out *tensor.Matrix, lo, hi int) {
 // under DedupIndices; the backward's in-advance aggregation runs it when the
 // forward did not.
 func (c *ForwardCache) dedupRows() (workIdx, workOf []int) {
-	c.seen.begin(len(c.Indices))
+	c.seen.Begin(len(c.Indices))
 	c.workIdxBuf = c.workIdxBuf[:0]
 	c.workOfBuf = growInts(c.workOfBuf, len(c.Indices))
 	for p, idx := range c.Indices {
-		u, fresh := c.seen.idOf(idx, len(c.workIdxBuf))
+		u, fresh := c.seen.IDOf(idx, len(c.workIdxBuf))
 		if fresh {
 			//elrec:coldpath amortized: the work-item buffer keeps its capacity across batches
 			c.workIdxBuf = append(c.workIdxBuf, idx)
@@ -299,10 +300,10 @@ func (t *Table) stackG1(dst []float32, prefixes []int) {
 // Buf_flag/Buf_idx), and returns the unique prefixes appended to prefixes.
 // The forward's batch-local reuse buffer and the two-level backward share it.
 func (t *Table) dedupPrefixes(c *ForwardCache, workIdx, ids, prefixes []int) []int {
-	c.seen.begin(len(workIdx))
+	c.seen.Begin(len(workIdx))
 	for w, idx := range workIdx {
 		pfx := t.Shape.Prefix(idx)
-		u, fresh := c.seen.idOf(pfx, len(prefixes))
+		u, fresh := c.seen.IDOf(pfx, len(prefixes))
 		if fresh {
 			//elrec:coldpath amortized: the prefix list keeps its capacity across batches
 			prefixes = append(prefixes, pfx)
