@@ -73,7 +73,7 @@ type ReloadResponse struct {
 // maps to status codes a balancer can act on: 503 for ErrOverloaded and
 // ErrShutdown, 504 for ErrDeadline, 400 for invalid requests (including
 // anything but whitespace after the body's JSON value), 413 for a body over
-// maxBodyBytes.
+// maxBodyBytes, 500 for a NaN or ±Inf score (JSON cannot carry one).
 func (p *Pool) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/score", func(w http.ResponseWriter, r *http.Request) {
@@ -113,7 +113,7 @@ func (p *Pool) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	var req ReloadRequest
 	// An empty body means "reload the default path".
-	if r.Body != nil && !decodeBody(w, r, &req, true) {
+	if r.Body != nil && !decodeBody(w, r, &req) {
 		return
 	}
 	version, err := p.SwapFromCheckpoint(req.Path)
@@ -128,13 +128,24 @@ func (p *Pool) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ReloadResponse{Version: version})
 }
 
+// handle serves /score and /topk through the wire codec (wire.go). The
+// request's slices alias the pooled codec: the pool is done with them once
+// ScoreDeadline/TopKDeadline returns, and the codec goes back after the
+// response is written.
 func (p *Pool) handle(w http.ResponseWriter, r *http.Request, topK bool) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
 		return
 	}
+	c := codecs.Get().(*scoreCodec)
+	defer c.release()
+	err := c.readBody(w, r)
 	var req ScoreRequest
-	if !decodeBody(w, r, &req, false) {
+	if err == nil {
+		req, err = c.decode(c.body)
+	}
+	if err != nil {
+		writeBadBody(w, err)
 		return
 	}
 	ctx := serve.Context{Dense: req.Dense, Sparse: req.Sparse}
@@ -150,38 +161,37 @@ func (p *Pool) handle(w http.ResponseWriter, r *http.Request, topK bool) {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	if topK {
-		items, err := p.TopKDeadline(ctx, req.Candidates, req.K, timeout)
-		if err != nil {
-			writeError(w, err)
-			return
+		var items []serve.Scored
+		if items, err = p.TopKDeadline(ctx, req.Candidates, req.K, timeout); err == nil {
+			c.out, err = appendTopK(c.out[:0], items)
 		}
-		out := TopKResponse{Items: make([]ScoredItem, len(items))}
-		for i, s := range items {
-			out.Items[i] = ScoredItem{Item: s.Item, Score: s.Score}
+	} else {
+		var scores []float32
+		if scores, err = p.ScoreDeadline(ctx, req.Candidates, timeout); err == nil {
+			c.out, err = appendScores(c.out[:0], scores)
 		}
-		writeJSON(w, http.StatusOK, out)
-		return
 	}
-	scores, err := p.ScoreDeadline(ctx, req.Candidates, timeout)
 	if err != nil {
+		// A NaN or ±Inf score fails the encode before the status goes out:
+		// the client gets writeError's 500 naming it, not a 200 with an
+		// empty body.
 		writeError(w, err)
 		return
 	}
-	if scores == nil {
-		scores = []float32{}
-	}
-	writeJSON(w, http.StatusOK, ScoreResponse{Scores: scores})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(c.out) // a broken connection is the client's problem
 }
 
-// decodeBody decodes the request body — one JSON value, at most maxBodyBytes,
-// nothing but whitespace after it — into v. On failure it answers 413 for an
-// oversized body and 400 for anything else and returns false. emptyOK accepts
-// a body with no value at all, leaving v untouched.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, emptyOK bool) bool {
+// decodeBody decodes the /reload body — empty, or one JSON value of at most
+// maxBodyBytes with nothing but whitespace after it — into v with
+// encoding/json (the cold routes' codec). An empty body leaves v untouched.
+// On failure it answers as writeBadBody and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	err := dec.Decode(v)
 	switch {
-	case emptyOK && errors.Is(err, io.EOF):
+	case errors.Is(err, io.EOF):
 		return true
 	case err == nil:
 		// The value must be the whole body: the next token has to be a
@@ -193,13 +203,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, emptyOK b
 			err = errors.New("trailing data after the JSON value")
 		}
 	}
+	writeBadBody(w, err)
+	return false
+}
+
+// writeBadBody answers a body that could not be read or decoded: 413 over
+// maxBodyBytes, 400 for anything else.
+func writeBadBody(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, errorResponse{Error: "bad JSON: " + err.Error()})
-	return false
 }
 
 // writeError maps pool and serve errors to HTTP status codes.

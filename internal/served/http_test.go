@@ -3,6 +3,7 @@ package served
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -302,6 +303,36 @@ func TestHTTPErrorMapping(t *testing.T) {
 	rec = postJSON(t, h, "/score", ScoreRequest{Dense: ctx.Dense, Sparse: ctx.Sparse, Candidates: []int{1}})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close status %d want 503", rec.Code)
+	}
+}
+
+// TestHTTPNonFiniteScore pins the non-finite fix: JSON cannot carry a NaN
+// score, and the handlers used to send the 200 status before finding that
+// out, answering with an empty body. Now both routes answer 500 with an
+// error body naming the score.
+func TestHTTPNonFiniteScore(t *testing.T) {
+	m := poolModel(t)
+	top := m.Top.Params()
+	top[len(top)-1].Value.Data[0] = float32(math.NaN()) // the output layer's bias: every score is NaN
+	p, err := New(m, 1, 16, Options{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	h := p.Handler()
+	ctx := poolContext(0)
+	for _, path := range []string{"/score", "/topk"} {
+		rec := postJSON(t, h, path, ScoreRequest{Dense: ctx.Dense, Sparse: ctx.Sparse, Candidates: poolCandidates(0), K: 3})
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s with NaN scores: status %d want 500: %q", path, rec.Code, rec.Body.String())
+		}
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: error body %q does not decode: %v", path, rec.Body.String(), err)
+		}
+		if !strings.Contains(e.Error, "NaN") {
+			t.Fatalf("%s: error %q does not name the NaN score", path, e.Error)
+		}
 	}
 }
 

@@ -185,48 +185,6 @@ func TestGemmElementDependsOnRowColumnAndK(t *testing.T) {
 	}
 }
 
-// TestBatchedGemmMatchesSingleProducts: an entry of either batched entry
-// point has the bits of the same product computed alone, at 1, 2 and 4
-// workers.
-func TestBatchedGemmMatchesSingleProducts(t *testing.T) {
-	defer SetMaxWorkers(Workers())
-	rng := NewRNG(78)
-	for _, kd := range gemmKinds[:2] {
-		batched := BatchedMatMul
-		if kd.transA {
-			batched = BatchedMatMulTransA
-		}
-		for _, s := range [][3]int{{1, 1, 1}, {3, 5, 7}, {4, 64, 256}, {16, 64, 4}, {64, 16, 4}, {64, 4, 256}, {17, 33, 31}, {33, 257, 9}} {
-			m, k, n := s[0], s[1], s[2]
-			// Enough entries to cross parallelThreshold, so the batch really
-			// is split over the workers (except where that takes millions).
-			entries := parallelThreshold/(m*k*n) + 2
-			if entries > 1100 {
-				entries = 7
-			}
-			batch := make([]GemmBatch, entries)
-			want := make([][]float32, entries)
-			for i := range batch {
-				batch[i] = GemmBatch{A: unaligned(rng, m*k, 1), B: unaligned(rng, k*n, 3), C: unaligned(rng, m*n, 1)}
-				want[i] = make([]float32, m*n)
-				kd.run(m, k, n, batch[i].A, batch[i].B, want[i], false)
-			}
-			for _, workers := range []int{1, 2, 4} {
-				SetMaxWorkers(workers)
-				for i := range batch {
-					fillPattern(batch[i].C, i)
-				}
-				batched(m, k, n, batch)
-				for i := range batch {
-					if !bitsEqual(batch[i].C, want[i]) {
-						t.Fatalf("%s batched %dx%dx%d entry %d at %d workers differs from the single product", kd.name, m, k, n, i, workers)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestGemmNaNReachesEveryRow: IEEE 0·NaN is NaN, so a NaN in B[kk,j] must
 // reach C[i,j] for every row i — including rows (here all of them) whose
 // A[i,kk] is exactly 0 — and no other column. The portable kernels used to

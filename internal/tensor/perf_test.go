@@ -31,11 +31,6 @@ func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
 	fillSeq(b)
 	fillSeq(bt)
 
-	batch := make([]GemmBatch, 4)
-	for i := range batch {
-		batch[i] = GemmBatch{A: a[:4*8], B: b[:8*6], C: c[i*24 : i*24+24]}
-	}
-
 	kernels := []struct {
 		name string
 		run  func()
@@ -47,8 +42,6 @@ func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
 		{"GemmTransBInto-gram", func() { GemmTransBInto(27, 32, 27, a, a, c) }},
 		{"GemmInto-27x27x24", func() { GemmInto(27, 27, 24, a, b, c) }},
 		{"GemmTransAInto-48x8x24", func() { GemmTransAInto(48, 8, 24, a, b, c) }},
-		{"BatchedMatMul", func() { BatchedMatMul(4, 8, 6, batch) }},
-		{"BatchedMatMulTransA", func() { BatchedMatMulTransA(4, 8, 6, batch) }},
 		{"axpy", func() { axpy(0.5, bt, a[:len(bt)]) }},
 		{"AddTo", func() { AddTo(c[:100], a[:100]) }},
 	}

@@ -1,9 +1,10 @@
 // Package tensor provides the dense float32 linear-algebra kernels that the
 // rest of the repository builds on. It plays the role that cuBLAS plays in
-// the paper: plain GEMM, transposed GEMM variants, a batched GEMM with a
-// pointer-list interface mirroring cublasGemmBatchedEx, and element-wise
-// vector helpers. All kernels are deterministic and goroutine-parallel over
-// rows (or batch entries) where profitable.
+// the paper: plain GEMM, transposed GEMM variants (on Matrix values and on
+// caller-owned flat buffers), and element-wise vector helpers. Where the
+// paper issues one cublasGemmBatchedEx call over a pointer list, callers here
+// issue one product per owner (per sample, per G₂ slice). All kernels are
+// deterministic and goroutine-parallel over rows where profitable.
 package tensor
 
 import (
