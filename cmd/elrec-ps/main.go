@@ -23,13 +23,13 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"net"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/distps"
 	"repro/internal/obs"
 )
@@ -38,53 +38,57 @@ func main() {
 	os.Exit(run())
 }
 
+// options is elrec-ps's command line, defined on a flag set by newOptions.
+// The run spec's -steps and -batch are accepted for parity with
+// elrec-worker; a shard does not read them.
+type options struct {
+	spec                   core.RunSpec
+	id, shards             int
+	addr, dir, debugAddr   string
+	leaseTTL, drainTimeout time.Duration
+	logLevel               obs.Level
+}
+
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{spec: core.DefaultRunSpec()}
+	o.spec.Dataset, o.spec.DatasetScale, o.spec.LR, o.spec.Batch = "kaggle", 0.001, 0.5, 64
+	o.spec.RegisterFlags(fs)
+	fs.IntVar(&o.id, "id", 0, "this shard's index in [0, shards)")
+	fs.IntVar(&o.shards, "shards", 1, "total number of PS shards")
+	fs.StringVar(&o.addr, "addr", "localhost:7070", "listen address (use :0 for an ephemeral port)")
+	fs.StringVar(&o.dir, "dir", "", "durable state directory (checkpoints + fencing epoch); required")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 3*time.Second, "default trainer-lease duration")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "max wait for in-flight requests on shutdown")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug endpoint address (/metrics, /trace, /healthz, /readyz, pprof); empty disables")
+	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	return o
+}
+
 func run() int {
-	var (
-		id     = flag.Int("id", 0, "this shard's index in [0, shards)")
-		shards = flag.Int("shards", 1, "total number of PS shards")
-		addr   = flag.String("addr", "localhost:7070", "listen address (use :0 for an ephemeral port)")
-		dir    = flag.String("dir", "", "durable state directory (checkpoints + fencing epoch); required")
-
-		dataset      = flag.String("dataset", "kaggle", "dataset preset: avazu, kaggle or terabyte")
-		datasetScale = flag.Float64("dataset-scale", 0.001, "dataset cardinality multiplier")
-		dim          = flag.Int("dim", 16, "embedding dimension")
-		rank         = flag.Int("rank", 8, "TT rank (device tables)")
-		lr           = flag.Float64("lr", 0.5, "learning rate (scenario parity with workers)")
-		ttThreshold  = flag.Int("tt-threshold", 10_000, "min rows for device TT compression; smaller tables shard here")
-		queueDepth   = flag.Int("queue", 4, "worker pipeline queue depth (scenario parity)")
-
-		leaseTTL     = flag.Duration("lease-ttl", 3*time.Second, "default trainer-lease duration")
-		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "max wait for in-flight requests on shutdown")
-		debugAddr    = flag.String("debug-addr", "", "debug endpoint address (/metrics, /trace, /healthz, /readyz, pprof); empty disables")
-		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
-	)
+	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	log := obs.NewLogger(os.Stderr, level, nil)
-	if *dir == "" {
+	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
+	if o.dir == "" {
 		log.Error("missing -dir: a shard needs a durable state directory")
 		return 2
 	}
 
-	sc, err := distps.NewScenario(*dataset, *datasetScale, *dim, *rank, *ttThreshold, *lr, *queueDepth)
+	sc, err := distps.NewScenario(o.spec, 0) // a shard never reads the queue depth
 	if err != nil {
-		log.Error("invalid scenario flags", "err", err)
+		log.Error("invalid flags", "err", err)
 		return 2
 	}
+	log.Info("run spec", "spec", o.spec.JSON())
 
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(nil)
 	// Shard span ids live in a per-shard id space so a merged cluster trace
 	// never collides them with the worker's (base 0) or another shard's.
-	tracer.SetSpanIDBase(uint64(*id+1) << 48)
-	cfg := sc.ShardConfig(*id, *shards, *dir)
-	cfg.LeaseTTL = *leaseTTL
-	cfg.DrainTimeout = *drainTimeout
+	tracer.SetSpanIDBase(uint64(o.id+1) << 48)
+	cfg := sc.ShardConfig(o.id, o.shards, o.dir)
+	cfg.LeaseTTL = o.leaseTTL
+	cfg.DrainTimeout = o.drainTimeout
 	cfg.Metrics = reg
 	cfg.Trace = tracer
 	cfg.Log = log
@@ -95,8 +99,8 @@ func run() int {
 	}
 
 	var dbg *obs.DebugServer
-	if *debugAddr != "" {
-		dbg, err = obs.ServeWith(*debugAddr, reg, tracer, distps.ShardHandlers(shard))
+	if o.debugAddr != "" {
+		dbg, err = obs.ServeWith(o.debugAddr, reg, tracer, distps.ShardHandlers(shard))
 		if err != nil {
 			log.Error("debug endpoint failed", "err", err)
 			return 1
@@ -104,14 +108,14 @@ func run() int {
 		log.Info("debug endpoint up", "addr", dbg.Addr())
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		log.Error("listen failed", "addr", *addr, "err", err)
+		log.Error("listen failed", "addr", o.addr, "err", err)
 		return 1
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- shard.Serve(ln) }()
-	log.Info("shard serving", "id", *id, "shards", *shards, "addr", ln.Addr().String(),
+	log.Info("shard serving", "id", o.id, "shards", o.shards, "addr", ln.Addr().String(),
 		"tables", len(sc.HostSpecs()), "version", shard.Version(), "restored", shard.Restored())
 
 	sig := make(chan os.Signal, 1)
@@ -129,6 +133,6 @@ func run() int {
 		log.Warn("drain incomplete", "err", err)
 	}
 	_ = dbg.Shutdown(time.Second)
-	log.Info("shard stopped", "id", *id, "version", shard.Version())
+	log.Info("shard stopped", "id", o.id, "version", shard.Version())
 	return 0
 }

@@ -42,7 +42,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -51,86 +50,82 @@ import (
 	"time"
 
 	elrec "repro"
+	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/dlrm"
 	"repro/internal/obs"
 	"repro/internal/served"
 	"repro/internal/tensor"
-	"repro/internal/tt"
 )
 
 func main() {
 	os.Exit(run())
 }
 
-func run() int {
-	var (
-		addr      = flag.String("addr", "localhost:8080", "listen address (use :0 for an ephemeral port)")
-		replicas  = flag.Int("replicas", 4, "model replicas (concurrent scoring workers)")
-		queue     = flag.Int("queue", 256, "admission queue depth; a full queue sheds with 503")
-		coalesce  = flag.Int("coalesce", 8, "max requests merged into one micro-batch")
-		timeoutMS = flag.Int("timeout-ms", 0, "default per-request deadline in milliseconds (0: none)")
-		itemFeat  = flag.Int("item-feature", -1, "sparse feature carrying the candidate item id (-1: largest table)")
-		scoreBat  = flag.Int("score-batch", 64, "rows per scoring forward pass")
+// Rows per scoring forward pass and requests merged into one micro-batch.
+const (
+	scoreBatch = 64
+	coalesce   = 8
+)
 
-		dataset      = flag.String("dataset", "terabyte", "dataset preset: avazu, kaggle or terabyte")
-		datasetScale = flag.Float64("dataset-scale", 0.002, "dataset cardinality multiplier")
-		steps        = flag.Int("steps", 200, "startup training steps (ignored with -load)")
-		batch        = flag.Int("batch", 256, "startup training batch size")
-		dim          = flag.Int("dim", 16, "embedding dimension")
-		rank         = flag.Int("rank", 8, "TT rank")
-		lr           = flag.Float64("lr", 1.0, "learning rate for startup training")
-		ttThreshold  = flag.Int("tt-threshold", 10_000, "min rows for TT compression (-1 disables)")
-		loadPath     = flag.String("load", "", "load model weights saved by elrec-train -no-reorder -save instead of training")
-		savePath     = flag.String("save", "", "save the startup-trained model to this checkpoint (ignored with -load)")
-		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
-	)
+// options is elrec-serve's command line, defined on a flag set by newOptions.
+type options struct {
+	spec                       core.RunSpec
+	addr, load, save           string
+	replicas, queue, timeoutMS int
+	logLevel                   obs.Level
+}
+
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{spec: core.DefaultRunSpec()}
+	o.spec.RegisterFlags(fs)
+	fs.StringVar(&o.addr, "addr", "localhost:8080", "listen address (use :0 for an ephemeral port)")
+	fs.IntVar(&o.replicas, "replicas", 4, "model replicas (concurrent scoring workers)")
+	fs.IntVar(&o.queue, "queue", 256, "admission queue depth; a full queue sheds with 503")
+	fs.IntVar(&o.timeoutMS, "timeout-ms", 0, "default per-request deadline in milliseconds (0: none)")
+	fs.StringVar(&o.load, "load", "", "load model weights saved by elrec-train -no-reorder -save instead of training")
+	fs.StringVar(&o.save, "save", "", "save the startup-trained model to this checkpoint (ignored with -load)")
+	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	return o
+}
+
+func run() int {
+	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	log := obs.NewLogger(os.Stderr, level, nil)
+	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
 
-	spec, err := data.SpecByName(*dataset, *datasetScale)
+	spec, err := o.spec.Validate()
 	if err != nil {
 		log.Error("invalid flags", "err", err)
 		return 2
 	}
+	log.Info("run spec", "spec", o.spec.JSON())
 
-	// The factory rebuilds the serving architecture from flags; every
-	// checkpoint load (-load at startup, POST /reload afterwards)
-	// materializes into a fresh skeleton it returns, so the pool never
-	// aliases another process's (or the startup trainer's) memory.
-	factory := func() (*dlrm.Model, error) {
-		return buildModel(spec, *dim, *rank, *ttThreshold, float32(*lr))
-	}
-	item := *itemFeat
-	if item < 0 {
-		item = largestFeature(spec)
-	}
+	item := o.spec.ItemFeature()
 	reg := obs.NewRegistry()
 	opts := served.Options{
-		Replicas:    *replicas,
-		QueueDepth:  *queue,
-		MaxCoalesce: *coalesce,
-		Timeout:     time.Duration(*timeoutMS) * time.Millisecond,
+		Replicas:    o.replicas,
+		QueueDepth:  o.queue,
+		MaxCoalesce: coalesce,
+		Timeout:     time.Duration(o.timeoutMS) * time.Millisecond,
 		Metrics:     reg,
-		Factory:     factory,
+		// Every checkpoint load (-load at startup, POST /reload afterwards)
+		// materializes into a fresh skeleton built from the flags, so the
+		// pool never aliases another process's (or the startup trainer's)
+		// memory.
+		Factory: o.spec.Model,
 	}
 
 	var pool *served.Pool
-	if *loadPath != "" {
-		pool, err = served.NewFromCheckpoint(*loadPath, item, *scoreBat, opts)
+	if o.load != "" {
+		pool, err = served.NewFromCheckpoint(o.load, item, scoreBatch, opts)
 		if err != nil {
-			log.Error("load failed", "path", *loadPath, "err", err)
+			log.Error("load failed", "path", o.load, "err", err)
 			return 1
 		}
-		log.Info("model loaded", "path", *loadPath)
+		log.Info("model loaded", "path", o.load)
 	} else {
-		model, err := factory()
+		model, err := o.spec.Model()
 		if err != nil {
 			log.Error("model build failed", "err", err)
 			return 1
@@ -142,21 +137,21 @@ func run() int {
 		}
 		start := time.Now()
 		var loss float32
-		for it := 0; it < *steps; it++ {
-			loss = model.TrainStep(d.Batch(it, *batch))
+		for it := 0; it < o.spec.Steps; it++ {
+			loss = model.TrainStep(d.Batch(it, o.spec.Batch))
 		}
-		log.Info("startup training done", "steps", *steps, "final_loss", loss,
+		log.Info("startup training done", "steps", o.spec.Steps, "final_loss", loss,
 			"elapsed", time.Since(start).Round(time.Millisecond))
-		if *savePath != "" {
-			if err := elrec.SaveModel(*savePath, model); err != nil {
-				log.Error("save failed", "path", *savePath, "err", err)
+		if o.save != "" {
+			if err := elrec.SaveModel(o.save, model); err != nil {
+				log.Error("save failed", "path", o.save, "err", err)
 				return 1
 			}
-			log.Info("model saved", "path", *savePath)
+			log.Info("model saved", "path", o.save)
 		}
 		log.Info("serving model", "dataset", spec.Name, "tables", len(model.Tables),
 			"item_feature", item, "embedding_mb", float64(model.EmbeddingBytes())/1e6)
-		pool, err = served.New(model, item, *scoreBat, opts)
+		pool, err = served.New(model, item, scoreBatch, opts)
 		if err != nil {
 			log.Error("pool build failed", "err", err)
 			return 1
@@ -172,9 +167,9 @@ func run() int {
 	mux.Handle("/readyz", api)
 	mux.Handle("/", obs.Handler(reg, nil))
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		log.Error("listen failed", "addr", *addr, "err", err)
+		log.Error("listen failed", "addr", o.addr, "err", err)
 		return 1
 	}
 	srv := &http.Server{
@@ -185,7 +180,7 @@ func run() int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	log.Info("serving", "addr", ln.Addr().String(), "replicas", pool.Replicas(),
-		"queue", *queue, "coalesce", *coalesce, "kernels", tensor.KernelName())
+		"queue", o.queue, "coalesce", coalesce, "kernels", tensor.KernelName())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -212,33 +207,4 @@ func run() int {
 		"shed_overload", snap.Counter("serve_shed_overload"),
 		"shed_deadline", snap.Counter("serve_shed_deadline"))
 	return 0
-}
-
-// buildModel constructs the DLRM skeleton for spec (tables + towers) without
-// training it.
-func buildModel(spec data.Spec, dim, rank, ttThreshold int, lr float32) (*dlrm.Model, error) {
-	tables, _, err := dlrm.BuildTables(spec.TableRows, dlrm.TableSpec{
-		Dim: dim, Rank: rank, TTThreshold: ttThreshold, Opts: tt.EffOptions(), Seed: spec.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	cfg := dlrm.DefaultConfig(spec.NumDense, dim)
-	cfg.LR = lr
-	cfg.Seed = spec.Seed + 1
-	return dlrm.NewModel(cfg, tables)
-}
-
-// largestFeature picks the highest-cardinality sparse feature as the item
-// feature — the candidate-item table in every preset. Decided from the
-// dataset spec, not a model instance, because the pool may rebuild its model
-// from checkpoints the binary never holds directly.
-func largestFeature(spec data.Spec) int {
-	best := 0
-	for i, rows := range spec.TableRows {
-		if rows > spec.TableRows[best] {
-			best = i
-		}
-	}
-	return best
 }

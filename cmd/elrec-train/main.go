@@ -5,8 +5,8 @@
 // Usage:
 //
 //	elrec-train -dataset terabyte -dataset-scale 0.005 -steps 2000
-//	elrec-train -dataset kaggle -no-reorder -naive-tt   # TT-Rec ablation
-//	elrec-train -dataset avazu -tt-threshold -1         # uncompressed DLRM
+//	elrec-train -dataset kaggle -no-reorder -adagrad   # no reordering, Adagrad tables
+//	elrec-train -dataset avazu -tt-threshold -1        # uncompressed DLRM
 //
 // Observability: every run keeps a metrics registry (pipeline ps_*, TT
 // tt_* instruments). -debug-addr exposes it over HTTP while training:
@@ -49,10 +49,9 @@ import (
 	"time"
 
 	elrec "repro"
-	"repro/internal/data"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/tensor"
-	"repro/internal/tt"
 )
 
 func main() {
@@ -61,72 +60,70 @@ func main() {
 	os.Exit(run())
 }
 
+// evalBatches is the held-out evaluation length, in batches.
+const evalBatches = 10
+
+// options is elrec-train's command line, defined on a flag set by newOptions.
+type options struct {
+	spec                                  core.RunSpec
+	queue, lookahead, logEvery, ckptEvery int
+	noReorder, adagrad                    bool
+	hbmGB                                 float64
+	debugAddr, tracePath                  string
+	savePath, ckptPath, resume            string
+	logLevel                              obs.Level
+}
+
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{spec: core.DefaultRunSpec()}
+	o.spec.Steps, o.spec.Batch = 1000, 512
+	o.spec.RegisterFlags(fs)
+	fs.IntVar(&o.queue, "queue", 4, "pre-fetch/gradient queue depth (1 = sequential)")
+	fs.IntVar(&o.lookahead, "lookahead", 0, "data-pipeline planning window in batches (0 or 1 disables oracle prefetching)")
+	fs.BoolVar(&o.noReorder, "no-reorder", false, "disable locality-based index reordering")
+	fs.BoolVar(&o.adagrad, "adagrad", false, "use Adagrad for embedding tables instead of SGD")
+	fs.IntVar(&o.logEvery, "log-every", 100, "progress-line interval in steps")
+	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace and pprof on this address while training")
+	fs.StringVar(&o.tracePath, "trace", "", "write Chrome trace-event JSON of the pipeline stages to this path on exit")
+	fs.Float64Var(&o.hbmGB, "hbm-gb", -1, "override the device HBM capacity in GiB (<0: device default); small values force host placement and the pipelined trainer")
+	fs.StringVar(&o.savePath, "save", "", "save the trained model (weights only, for elrec-serve -load) to this path; needs -no-reorder and a device-resident model")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "write crash-consistent training checkpoints to this path")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "checkpoint interval in steps (requires -checkpoint)")
+	fs.StringVar(&o.resume, "resume", "", "resume training from a checkpoint written by -checkpoint")
+	return o
+}
+
 func run() int {
-	var (
-		dataset      = flag.String("dataset", "terabyte", "dataset: avazu, kaggle or terabyte")
-		datasetScale = flag.Float64("dataset-scale", 0.002, "dataset cardinality multiplier")
-		steps        = flag.Int("steps", 1000, "training steps")
-		batch        = flag.Int("batch", 512, "batch size")
-		dim          = flag.Int("dim", 16, "embedding dimension")
-		rank         = flag.Int("rank", 8, "TT rank")
-		lr           = flag.Float64("lr", 1.0, "learning rate")
-		ttThreshold  = flag.Int("tt-threshold", 10_000, "min rows for TT compression (-1 disables compression)")
-		queueDepth   = flag.Int("queue", 4, "pre-fetch/gradient queue depth (1 = sequential)")
-		lookahead    = flag.Int("lookahead", 0, "data-pipeline planning window in batches (0 or 1 disables oracle prefetching)")
-		noReorder    = flag.Bool("no-reorder", false, "disable locality-based index reordering")
-		adagrad      = flag.Bool("adagrad", false, "use Adagrad for embedding tables instead of SGD")
-		naiveTT      = flag.Bool("naive-tt", false, "use the TT-Rec baseline table instead of Eff-TT")
-		evalBatches  = flag.Int("eval", 10, "held-out evaluation batches")
-		logEvery     = flag.Int("log-every", 100, "progress-line interval in steps")
-		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address while training")
-		tracePath    = flag.String("trace", "", "write Chrome trace-event JSON of the pipeline stages to this path on exit")
-		hbmGB        = flag.Float64("hbm-gb", -1, "override the device HBM capacity in GiB (<0: device default); small values force host placement and the pipelined trainer")
-		savePath     = flag.String("save", "", "save the trained model (weights only, for elrec-serve -load) to this path; needs -no-reorder and a device-resident model")
-		ckptPath     = flag.String("checkpoint", "", "write crash-consistent training checkpoints to this path")
-		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint interval in steps (requires -checkpoint)")
-		resumePath   = flag.String("resume", "", "resume training from a checkpoint written by -checkpoint")
-	)
+	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	log := obs.NewLogger(os.Stderr, level, nil)
+	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
 
-	spec, err := data.SpecByName(*dataset, *datasetScale)
+	spec, err := o.spec.Validate()
+	if err == nil && o.logEvery < 1 {
+		err = fmt.Errorf("-log-every %d: must be at least 1", o.logEvery)
+	}
 	if err != nil {
 		log.Error("invalid flags", "err", err)
 		return 2
 	}
-	for _, f := range []struct {
-		name     string
-		val, min int
-	}{{"steps", *steps, 0}, {"batch", *batch, 1}, {"log-every", *logEvery, 1}, {"eval", *evalBatches, 0}} {
-		if f.val < f.min {
-			log.Error("invalid flags", "err", fmt.Errorf("-%s %d: must be at least %d", f.name, f.val, f.min))
-			return 2
-		}
-	}
+	log.Info("run spec", "spec", o.spec.JSON())
+	steps, batch := o.spec.Steps, o.spec.Batch
 
 	cfg := elrec.DefaultSystemConfig(spec)
-	cfg.Model.EmbDim = *dim
-	cfg.Model.LR = float32(*lr)
-	cfg.Rank = *rank
-	cfg.TTThreshold = *ttThreshold
-	cfg.QueueDepth = *queueDepth
-	cfg.Lookahead = *lookahead
-	cfg.Reorder = !*noReorder && *ttThreshold >= 0
-	cfg.Adagrad = *adagrad
-	if *naiveTT {
-		cfg.Opts = tt.NaiveOptions()
-	}
-	cfg.CheckpointPath = *ckptPath
-	cfg.CheckpointEvery = *ckptEvery
-	if *hbmGB >= 0 {
-		cfg.Device.HBMBytes = int64(*hbmGB * float64(1<<30))
+	cfg.Model.EmbDim = o.spec.Dim
+	cfg.Model.LR = float32(o.spec.LR)
+	cfg.Rank = o.spec.Rank
+	cfg.TTThreshold = o.spec.TTThreshold
+	cfg.QueueDepth = o.queue
+	cfg.Lookahead = o.lookahead
+	cfg.Reorder = !o.noReorder && o.spec.TTThreshold >= 0
+	cfg.Adagrad = o.adagrad
+	cfg.CheckpointPath = o.ckptPath
+	cfg.CheckpointEvery = o.ckptEvery
+	if o.hbmGB >= 0 {
+		cfg.Device.HBMBytes = int64(o.hbmGB * float64(1<<30))
 		cfg.HBMReserve = 0
 	}
 
@@ -136,7 +133,7 @@ func run() int {
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	var tracer *obs.Tracer
-	if *tracePath != "" || *debugAddr != "" {
+	if o.tracePath != "" || o.debugAddr != "" {
 		tracer = obs.NewTracer(nil)
 		cfg.Trace = tracer
 	}
@@ -147,7 +144,7 @@ func run() int {
 		return 1
 	}
 
-	if *savePath != "" {
+	if o.savePath != "" {
 		// Refuse before the first step, not after the last one.
 		if err := sys.CanSaveModel(); err != nil {
 			log.Error("invalid flags: -save", "err", err)
@@ -155,8 +152,8 @@ func run() int {
 		}
 	}
 
-	if *debugAddr != "" {
-		dbg, srvErr := obs.Serve(*debugAddr, reg, tracer)
+	if o.debugAddr != "" {
+		dbg, srvErr := obs.Serve(o.debugAddr, reg, tracer)
 		if srvErr != nil {
 			log.Error("debug endpoint failed", "err", srvErr)
 			return 1
@@ -164,17 +161,17 @@ func run() int {
 		defer dbg.Close()
 		log.Info("debug endpoint up", "addr", dbg.Addr())
 	}
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		defer func() {
-			if wErr := tracer.WriteChromeTraceFile(*tracePath); wErr != nil {
+			if wErr := tracer.WriteChromeTraceFile(o.tracePath); wErr != nil {
 				log.Error("trace export failed", "err", wErr)
 			} else {
-				log.Info("trace written", "path", *tracePath, "spans", len(tracer.Spans()))
+				log.Info("trace written", "path", o.tracePath, "spans", len(tracer.Spans()))
 			}
 		}()
 	}
 
-	log.Info("dataset", "name", spec.Name, "scale", *datasetScale,
+	log.Info("dataset", "name", spec.Name, "scale", o.spec.DatasetScale,
 		"tables", spec.NumTables(), "dense_features", spec.NumDense)
 	for i, p := range sys.Placements {
 		log.Debug("placement", "table", i, "rows", spec.TableRows[i], "where", p)
@@ -186,13 +183,13 @@ func run() int {
 		"pipelined", sys.Pipeline != nil)
 
 	start := 0
-	if *resumePath != "" {
-		start, err = sys.ResumeFrom(*resumePath)
+	if o.resume != "" {
+		start, err = sys.ResumeFrom(o.resume)
 		if err != nil {
 			log.Error("resume failed", "err", err)
 			return 1
 		}
-		log.Info("resumed", "path", *resumePath, "iteration", start)
+		log.Info("resumed", "path", o.resume, "iteration", start)
 	}
 
 	// Ctrl-C cancels the training context; the pipeline drains in-flight
@@ -201,15 +198,15 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Info("training", "steps", *steps-start, "batch", *batch, "kernels", tensor.KernelName())
+	log.Info("training", "steps", steps-start, "batch", batch, "kernels", tensor.KernelName())
 	done := start
-	for done < *steps {
-		chunk := *logEvery
-		if done+chunk > *steps {
-			chunk = *steps - done
+	for done < steps {
+		chunk := o.logEvery
+		if done+chunk > steps {
+			chunk = steps - done
 		}
 		chunkStart := time.Now()
-		res, trainErr := sys.TrainContext(ctx, done, chunk, *batch)
+		res, trainErr := sys.TrainContext(ctx, done, chunk, batch)
 		done += res.Completed
 		if res.Completed > 0 {
 			kv := []any{
@@ -228,12 +225,12 @@ func run() int {
 			} else {
 				log.Error("training failed", "err", trainErr)
 			}
-			if res.Resumable && *ckptPath != "" {
-				if err := sys.SaveCheckpoint(*ckptPath, res.NextIter); err != nil {
+			if res.Resumable && o.ckptPath != "" {
+				if err := sys.SaveCheckpoint(o.ckptPath, res.NextIter); err != nil {
 					log.Error("checkpoint at drain point failed", "err", err)
 					return 1
 				}
-				log.Info("state saved", "path", *ckptPath, "resume_iteration", res.NextIter)
+				log.Info("state saved", "path", o.ckptPath, "resume_iteration", res.NextIter)
 			} else if res.Resumable {
 				log.Info("resumable (rerun with -checkpoint to persist state)", "resume_iteration", res.NextIter)
 			}
@@ -241,14 +238,14 @@ func run() int {
 		}
 	}
 
-	acc, auc := sys.Evaluate(*steps+1, *evalBatches, *batch)
-	log.Info("held-out eval", "accuracy", acc, "auc", auc, "batches", *evalBatches)
-	if *savePath != "" {
-		if err := sys.SaveModel(*savePath); err != nil {
+	acc, auc := sys.Evaluate(steps+1, evalBatches, batch)
+	log.Info("held-out eval", "accuracy", acc, "auc", auc, "batches", evalBatches)
+	if o.savePath != "" {
+		if err := sys.SaveModel(o.savePath); err != nil {
 			log.Error("save failed", "err", err)
 			return 1
 		}
-		log.Info("model saved", "path", *savePath)
+		log.Info("model saved", "path", o.savePath)
 	}
 	if sys.Pipeline != nil {
 		st := sys.Pipeline.Stats()

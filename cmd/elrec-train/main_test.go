@@ -1,0 +1,49 @@
+package main
+
+import (
+	"flag"
+	"strings"
+	"testing"
+
+	"repro/internal/cmdtest"
+)
+
+func parse(args []string) (*flag.FlagSet, *options, error) {
+	fs := flag.NewFlagSet("elrec-train", flag.ContinueOnError)
+	o := newOptions(fs)
+	return fs, o, cmdtest.Parse(fs, args)
+}
+
+// TestDocumentedCommandLines parses every elrec-train command line of the
+// CI workflow, README and verify skill, and validates its run spec.
+func TestDocumentedCommandLines(t *testing.T) {
+	inv := cmdtest.Invocations(t, "../..", "elrec-train")
+	if len(inv) < 12 {
+		t.Fatalf("found %d elrec-train command lines, want at least 12", len(inv))
+	}
+	for _, c := range inv {
+		_, o, err := parse(c.Args)
+		if err == nil {
+			_, err = o.spec.Validate()
+		}
+		if err != nil {
+			t.Errorf("%s: elrec-train %s: %v", c.Where, strings.Join(c.Args, " "), err)
+		}
+	}
+}
+
+// TestDefaults pins the defaults of an empty command line.
+func TestDefaults(t *testing.T) {
+	fs, o, err := parse(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.spec.JSON(), `{"dataset":"terabyte","dataset_scale":0.002,"dim":16,"rank":8,"tt_threshold":10000,"lr":1,"steps":1000,"batch":512}`; got != want {
+		t.Errorf("spec = %s\nwant   %s", got, want)
+	}
+	want := "adagrad=false batch=512 checkpoint= checkpoint-every=0 dataset=terabyte dataset-scale=0.002 debug-addr= dim=16 hbm-gb=-1 " +
+		"log-every=100 log-level=INFO lookahead=0 lr=1 no-reorder=false queue=4 rank=8 resume= save= steps=1000 trace= tt-threshold=10000"
+	if got := cmdtest.Defaults(fs); got != want {
+		t.Errorf("flags = %s\nwant    %s", got, want)
+	}
+}

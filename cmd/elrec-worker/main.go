@@ -36,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/distps"
 	"repro/internal/obs"
@@ -47,50 +48,48 @@ func main() {
 	os.Exit(run())
 }
 
+// options is elrec-worker's command line, defined on a flag set by newOptions.
+type options struct {
+	spec                          core.RunSpec
+	id                            uint64
+	shards                        string
+	reference                     bool
+	queue, ckptEvery              int
+	ckptPath, debugAddr           string
+	leaseTTL, rpcTimeout, hbEvery time.Duration
+	logLevel                      obs.Level
+}
+
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{spec: core.DefaultRunSpec()}
+	o.spec.Dataset, o.spec.DatasetScale, o.spec.LR, o.spec.Batch = "kaggle", 0.001, 0.5, 64
+	o.spec.RegisterFlags(fs)
+	fs.Uint64Var(&o.id, "id", 1, "worker id (nonzero; distinct per worker)")
+	fs.StringVar(&o.shards, "shards", "localhost:7070", "comma-separated PS shard addresses, in shard-id order")
+	fs.BoolVar(&o.reference, "reference", false, "train single-process (no cluster) and print the reference hash")
+	fs.IntVar(&o.queue, "queue", 4, "pipeline pre-fetch queue depth")
+	fs.StringVar(&o.ckptPath, "checkpoint", "", "worker checkpoint file (enables coordinated checkpoints)")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "coordinated checkpoint interval in steps (0 disables)")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 3*time.Second, "trainer lease duration")
+	fs.DurationVar(&o.rpcTimeout, "rpc-timeout", 5*time.Second, "per-RPC deadline")
+	fs.DurationVar(&o.hbEvery, "heartbeat-every", time.Second, "shard liveness probe period (0 disables)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug endpoint address (/metrics, /trace, /cluster, /cluster/trace, /healthz, /readyz, pprof); empty disables")
+	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	return o
+}
+
 func run() int {
-	var (
-		id       = flag.Uint64("id", 1, "worker id (nonzero; distinct per worker)")
-		shardCSV = flag.String("shards", "localhost:7070", "comma-separated PS shard addresses, in shard-id order")
-		refMode  = flag.Bool("reference", false, "train single-process (no cluster) and print the reference hash")
-
-		dataset      = flag.String("dataset", "kaggle", "dataset preset: avazu, kaggle or terabyte")
-		datasetScale = flag.Float64("dataset-scale", 0.001, "dataset cardinality multiplier")
-		dim          = flag.Int("dim", 16, "embedding dimension")
-		rank         = flag.Int("rank", 8, "TT rank (device tables)")
-		lr           = flag.Float64("lr", 0.5, "learning rate")
-		ttThreshold  = flag.Int("tt-threshold", 10_000, "min rows for device TT compression; smaller tables live on the PS")
-		queueDepth   = flag.Int("queue", 4, "pipeline pre-fetch queue depth")
-
-		steps = flag.Int("steps", 200, "total training iterations")
-		batch = flag.Int("batch", 64, "batch size")
-
-		ckptPath  = flag.String("checkpoint", "", "worker checkpoint file (enables coordinated checkpoints)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "coordinated checkpoint interval in steps (0 disables)")
-
-		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "trainer lease duration")
-		rpcTimeout = flag.Duration("rpc-timeout", 5*time.Second, "per-RPC deadline")
-		hbEvery    = flag.Duration("heartbeat-every", time.Second, "shard liveness probe period (0 disables)")
-		debugAddr  = flag.String("debug-addr", "", "debug endpoint address (/metrics, /trace, /cluster, /cluster/trace, /healthz, /readyz, pprof); empty disables")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn or error")
-	)
+	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	log := obs.NewLogger(os.Stderr, level, nil)
+	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
 
-	if *steps < 0 || *batch <= 0 {
-		log.Error("invalid flags", "err", fmt.Errorf("-steps %d -batch %d: steps must not be negative, batch must be positive", *steps, *batch))
-		return 2
-	}
-	sc, err := distps.NewScenario(*dataset, *datasetScale, *dim, *rank, *ttThreshold, *lr, *queueDepth)
+	sc, err := distps.NewScenario(o.spec, o.queue)
 	if err != nil {
-		log.Error("invalid scenario flags", "err", err)
+		log.Error("invalid flags", "err", err)
 		return 2
 	}
+	log.Info("run spec", "spec", o.spec.JSON())
 	src, err := data.New(sc.Spec)
 	if err != nil {
 		log.Error("dataset build failed", "err", err)
@@ -103,10 +102,10 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *refMode {
+	if o.reference {
 		// No cluster to aggregate in reference mode: a plain debug endpoint.
-		if *debugAddr != "" {
-			dbg, derr := obs.Serve(*debugAddr, reg, tracer)
+		if o.debugAddr != "" {
+			dbg, derr := obs.Serve(o.debugAddr, reg, tracer)
 			if derr != nil {
 				log.Error("debug endpoint failed", "err", derr)
 				return 1
@@ -114,36 +113,9 @@ func run() int {
 			log.Info("debug endpoint up", "addr", dbg.Addr())
 			defer dbg.Shutdown(time.Second)
 		}
-		return runReference(ctx, sc, src, *steps, *batch, reg, tracer, log)
+		return runReference(ctx, sc, src, o.spec.Steps, o.spec.Batch, reg, tracer, log)
 	}
-	return runDistributed(ctx, sc, src, workerFlags{
-		id: *id, shards: splitAddrs(*shardCSV), steps: *steps, batch: *batch,
-		ckptPath: *ckptPath, ckptEvery: *ckptEvery,
-		leaseTTL: *leaseTTL, rpcTimeout: *rpcTimeout, hbEvery: *hbEvery,
-		debugAddr: *debugAddr,
-	}, reg, tracer, log)
-}
-
-type workerFlags struct {
-	id           uint64
-	shards       []string
-	steps, batch int
-	ckptPath     string
-	ckptEvery    int
-	leaseTTL     time.Duration
-	rpcTimeout   time.Duration
-	hbEvery      time.Duration
-	debugAddr    string
-}
-
-func splitAddrs(csv string) []string {
-	var out []string
-	for _, a := range strings.Split(csv, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
+	return runDistributed(ctx, sc, src, o, reg, tracer, log)
 }
 
 // runReference trains the identical scenario in one process — the oracle.
@@ -188,11 +160,12 @@ func runReference(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 // The debug endpoint starts after the worker exists: the /cluster and
 // /cluster/trace routes aggregate over the worker's shard client.
 func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
-	f workerFlags, reg *obs.Registry, tracer *obs.Tracer, log *obs.Logger) int {
+	o *options, reg *obs.Registry, tracer *obs.Tracer, log *obs.Logger) int {
+	shards := strings.FieldsFunc(o.shards, func(r rune) bool { return r == ',' || r == ' ' })
 	w, err := distps.NewWorker(distps.WorkerConfig{
-		ID: f.id, Shards: f.shards, Scenario: sc,
-		CheckpointPath: f.ckptPath, CheckpointEvery: f.ckptEvery,
-		LeaseTTL: f.leaseTTL, HeartbeatEvery: f.hbEvery, RPCTimeout: f.rpcTimeout,
+		ID: o.id, Shards: shards, Scenario: sc,
+		CheckpointPath: o.ckptPath, CheckpointEvery: o.ckptEvery,
+		LeaseTTL: o.leaseTTL, HeartbeatEvery: o.hbEvery, RPCTimeout: o.rpcTimeout,
 		Metrics: reg, Trace: tracer, Log: log,
 	})
 	if err != nil {
@@ -200,9 +173,9 @@ func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 		return 1
 	}
 	defer w.Close()
-	if f.debugAddr != "" {
-		dbg, derr := obs.ServeWith(f.debugAddr, reg, tracer,
-			distps.ClusterHandlers(w, reg, tracer, f.rpcTimeout))
+	if o.debugAddr != "" {
+		dbg, derr := obs.ServeWith(o.debugAddr, reg, tracer,
+			distps.ClusterHandlers(w, reg, tracer, o.rpcTimeout))
 		if derr != nil {
 			log.Error("debug endpoint failed", "err", derr)
 			return 1
@@ -211,7 +184,7 @@ func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 		defer dbg.Shutdown(time.Second)
 	}
 	start := time.Now()
-	res, err := w.Run(ctx, src, f.steps, f.batch)
+	res, err := w.Run(ctx, src, o.spec.Steps, o.spec.Batch)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			// SIGINT/SIGTERM: the in-flight batch drained and (with

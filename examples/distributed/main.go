@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/distps"
 	"repro/internal/obs"
@@ -35,7 +36,8 @@ const (
 )
 
 func main() {
-	sc, err := distps.NewScenario("kaggle", 0.0005, 8, 4, 2000, 0.5, 4)
+	sc, err := distps.NewScenario(core.RunSpec{Dataset: "kaggle", DatasetScale: 0.0005,
+		Dim: 8, Rank: 4, TTThreshold: 2000, LR: 0.5, Steps: steps, Batch: batch}, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

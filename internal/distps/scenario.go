@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dlrm"
 	"repro/internal/embedding"
@@ -39,21 +40,21 @@ type Scenario struct {
 	QueueDepth int
 }
 
-// NewScenario builds a Scenario from a dataset preset name, mirroring the
-// flag surface of the elrec-ps and elrec-worker binaries so both derive
-// identical configurations from identical flags.
-func NewScenario(dataset string, scale float64, dim, rank, ttThreshold int, lr float64, queueDepth int) (Scenario, error) {
-	spec, err := data.SpecByName(dataset, scale)
+// NewScenario builds the Scenario of the run spec elrec-ps and elrec-worker
+// both parse, seeded as core.RunSpec.Model seeds its TT tables and towers,
+// so identical flags give every participant identical configurations.
+// queueDepth ≤ 0 takes the default 4.
+func NewScenario(run core.RunSpec, queueDepth int) (Scenario, error) {
+	spec, err := run.Validate()
 	if err != nil {
 		return Scenario{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	model := dlrm.DefaultConfig(spec.NumDense, dim)
-	model.LR = float32(lr)
-	model.Seed = spec.Seed + 1
+	model := dlrm.DefaultConfig(spec.NumDense, run.Dim)
+	model.LR, model.Seed = float32(run.LR), spec.Seed+1
 	if queueDepth <= 0 {
 		queueDepth = 4
 	}
-	return Scenario{Spec: spec, Model: model, Rank: rank, TTThreshold: ttThreshold,
+	return Scenario{Spec: spec, Model: model, Rank: run.Rank, TTThreshold: run.TTThreshold,
 		Seed: spec.Seed, QueueDepth: queueDepth}, nil
 }
 

@@ -1,8 +1,7 @@
 // Package hw models the hardware the paper evaluates on. Real GPUs are not
 // available in this environment, so end-to-end comparisons combine two
-// ingredients: real, measured CPU compute time for every kernel, and a
-// simulated clock charging transfer time for every byte that would cross a
-// memory boundary (host↔device over PCIe, device↔device for all-reduce and
+// ingredients: real, measured CPU compute time for every kernel, and modelled
+// transfer time for every byte that would cross a memory boundary (host↔device over PCIe, device↔device for all-reduce and
 // model-parallel exchange). The systems being compared differ precisely in
 // where parameters live and how many bytes they move, so this cost model
 // preserves the paper's who-wins shape (Figures 11, 12, 13, 16) without
@@ -11,10 +10,8 @@ package hw
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -51,12 +48,6 @@ func TeslaV100() Device {
 // training throughput than the V100).
 func TeslaT4() Device {
 	return Device{Name: "Tesla T4", HBMBytes: 16 << 30, ComputeScale: 2.5}
-}
-
-// HostCPU is the measurement host itself (scale 1): host-side embedding
-// gathers and parameter-server updates are charged at measured time.
-func HostCPU() Device {
-	return Device{Name: "host CPU", HBMBytes: 192 << 30, ComputeScale: 1}
 }
 
 // SetHostWorkers bounds the parallelism of the measured host-side kernels
@@ -155,126 +146,4 @@ func AllToAllTime(l Link, n int, bytesPerPeer int64) time.Duration {
 	}
 	total := float64(n-1) * float64(bytesPerPeer)
 	return l.Latency*time.Duration(n-1) + time.Duration(total/l.BandwidthBps*float64(time.Second))
-}
-
-// SimClock accumulates simulated time from concurrent sources.
-type SimClock struct {
-	mu sync.Mutex
-	d  time.Duration
-}
-
-// Add charges d of simulated time.
-func (c *SimClock) Add(d time.Duration) {
-	if d < 0 {
-		//elrec:invariant simulator parameter contract: negative quantities are programming errors
-		panic("hw: negative simulated time")
-	}
-	c.mu.Lock()
-	c.d += d
-	c.mu.Unlock()
-}
-
-// Elapsed returns the accumulated simulated time.
-func (c *SimClock) Elapsed() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.d
-}
-
-// Reset clears the clock.
-func (c *SimClock) Reset() {
-	c.mu.Lock()
-	c.d = 0
-	c.mu.Unlock()
-}
-
-// Meter measures one experiment run: real compute time scaled by the device
-// speed plus simulated communication time. Overlappable communication (the
-// pipeline's prefetch) can be charged as overlapped, contributing only the
-// amount exceeding the concurrent compute window.
-type Meter struct {
-	Device Device
-	// Clock is the timestamp source Measure reads; nil uses the system
-	// clock. Tests inject a manual clock for deterministic measurements.
-	Clock obs.Clock
-
-	mu      sync.Mutex
-	compute time.Duration
-	comm    time.Duration
-}
-
-// NewMeter returns a meter for the given device.
-func NewMeter(dev Device) *Meter {
-	if dev.ComputeScale <= 0 {
-		//elrec:invariant simulator parameter contract: negative quantities are programming errors
-		panic("hw: device with non-positive compute scale")
-	}
-	return &Meter{Device: dev}
-}
-
-// AddCompute charges measured wall time, rescaled by the device speed.
-func (m *Meter) AddCompute(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.mu.Lock()
-	m.compute += time.Duration(float64(d) / m.Device.ComputeScale)
-	m.mu.Unlock()
-}
-
-// AddComm charges simulated serialized communication time.
-func (m *Meter) AddComm(d time.Duration) {
-	if d < 0 {
-		//elrec:invariant simulator parameter contract: negative quantities are programming errors
-		panic("hw: negative comm time")
-	}
-	m.mu.Lock()
-	m.comm += d
-	m.mu.Unlock()
-}
-
-// AddOverlappedComm charges communication that executes concurrently with a
-// compute window: only the excess beyond the window serializes.
-func (m *Meter) AddOverlappedComm(comm, window time.Duration) {
-	if comm > window {
-		m.AddComm(comm - window)
-	}
-}
-
-// Compute returns the accumulated (rescaled) compute time.
-func (m *Meter) Compute() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compute
-}
-
-// Comm returns the accumulated serialized communication time.
-func (m *Meter) Comm() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.comm
-}
-
-// Total returns modeled end-to-end time.
-func (m *Meter) Total() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compute + m.comm
-}
-
-// Throughput returns samples/second for n samples under the modeled time.
-func (m *Meter) Throughput(samples int) float64 {
-	t := m.Total()
-	if t <= 0 {
-		return 0
-	}
-	return float64(samples) / t.Seconds()
-}
-
-// Measure runs fn, charging its wall time as compute.
-func (m *Meter) Measure(fn func()) {
-	clock := obs.OrSystem(m.Clock)
-	start := clock.Now()
-	fn()
-	m.AddCompute(obs.Since(clock, start))
 }

@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -78,94 +77,6 @@ func TestAllToAllTime(t *testing.T) {
 	}
 }
 
-func TestSimClock(t *testing.T) {
-	var c SimClock
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Add(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Elapsed() != 1000*time.Microsecond {
-		t.Fatalf("SimClock = %v want 1ms", c.Elapsed())
-	}
-	c.Reset()
-	if c.Elapsed() != 0 {
-		t.Fatal("Reset did not clear clock")
-	}
-}
-
-func TestMeterComputeScaling(t *testing.T) {
-	fast := NewMeter(TeslaV100())
-	slow := NewMeter(TeslaT4())
-	host := NewMeter(HostCPU())
-	fast.AddCompute(100 * time.Millisecond)
-	slow.AddCompute(100 * time.Millisecond)
-	host.AddCompute(100 * time.Millisecond)
-	if slow.Compute() <= fast.Compute() {
-		t.Fatalf("T4 compute %v should exceed V100 %v", slow.Compute(), fast.Compute())
-	}
-	if host.Compute() <= slow.Compute() {
-		t.Fatalf("host compute %v should exceed T4 %v", host.Compute(), slow.Compute())
-	}
-	if host.Compute() != 100*time.Millisecond {
-		t.Fatalf("host compute %v should be unscaled", host.Compute())
-	}
-}
-
-func TestMeterTotalsAndThroughput(t *testing.T) {
-	m := NewMeter(HostCPU())
-	m.AddCompute(200 * time.Millisecond)
-	m.AddComm(300 * time.Millisecond)
-	if m.Total() != 500*time.Millisecond {
-		t.Fatalf("Total = %v", m.Total())
-	}
-	if th := m.Throughput(1000); th < 1999 || th > 2001 {
-		t.Fatalf("Throughput = %v want 2000", th)
-	}
-}
-
-func TestMeterOverlappedComm(t *testing.T) {
-	m := NewMeter(HostCPU())
-	m.AddOverlappedComm(100*time.Millisecond, 150*time.Millisecond)
-	if m.Comm() != 0 {
-		t.Fatal("fully overlapped comm should cost nothing")
-	}
-	m.AddOverlappedComm(200*time.Millisecond, 150*time.Millisecond)
-	if m.Comm() != 50*time.Millisecond {
-		t.Fatalf("excess comm = %v want 50ms", m.Comm())
-	}
-}
-
-func TestMeterMeasure(t *testing.T) {
-	m := NewMeter(HostCPU())
-	m.Measure(func() { time.Sleep(5 * time.Millisecond) })
-	if m.Compute() < 4*time.Millisecond {
-		t.Fatalf("Measure recorded %v", m.Compute())
-	}
-}
-
-func TestMeterZeroThroughput(t *testing.T) {
-	m := NewMeter(TeslaV100())
-	if m.Throughput(10) != 0 {
-		t.Fatal("empty meter should report zero throughput")
-	}
-}
-
-func TestNewMeterInvalidDevicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero compute scale accepted")
-		}
-	}()
-	NewMeter(Device{Name: "bad"})
-}
-
 func TestPSAccessTime(t *testing.T) {
 	if PSAccessTime(0) != 0 {
 		t.Fatal("zero rows should cost nothing")
@@ -194,28 +105,4 @@ func TestCollectiveOverhead(t *testing.T) {
 		}
 	}()
 	CollectiveOverhead(-1)
-}
-
-func TestSimClockNegativePanics(t *testing.T) {
-	var c SimClock
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative sim time accepted")
-		}
-	}()
-	c.Add(-time.Second)
-}
-
-func TestMeterNegativeCommPanics(t *testing.T) {
-	m := NewMeter(HostCPU())
-	m.AddCompute(-time.Second) // clamped, no panic
-	if m.Compute() != 0 {
-		t.Fatal("negative compute not clamped")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative comm accepted")
-		}
-	}()
-	m.AddComm(-time.Second)
 }

@@ -51,6 +51,14 @@ func ParseLevel(s string) (Level, error) {
 	return LevelInfo, fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", s)
 }
 
+// Set parses s as ParseLevel does, which makes a *Level a flag.Value: a
+// binary's -log-level refuses an unknown name while its flags are parsed.
+func (l *Level) Set(s string) error {
+	v, err := ParseLevel(s)
+	*l = v
+	return err
+}
+
 // Logger is a leveled key=value line logger (the log/slog text-handler
 // shape: time=... level=... msg=... k=v ...). It is safe for concurrent
 // use; every method on a nil *Logger is a no-op.

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"errors"
+	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -62,5 +64,18 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("loud"); err == nil {
 		t.Fatal("unknown level must error")
+	}
+}
+
+func TestLevelIsAFlagValue(t *testing.T) {
+	var level Level // the zero Level is info
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Var(&level, "log-level", "")
+	if err := fs.Parse([]string{"-log-level", "warn"}); err != nil || level != LevelWarn {
+		t.Fatalf("-log-level warn: %v, %v", level, err)
+	}
+	if err := fs.Parse([]string{"-log-level", "loud"}); err == nil {
+		t.Fatal("an unknown level parsed")
 	}
 }

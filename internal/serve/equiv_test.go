@@ -41,7 +41,7 @@ func equivModel(t *testing.T, rows []int) *dlrm.Model {
 // TestGroupedScoresMatchReplicatedBitForBit holds the one scoring path to its
 // oracle: for every request of a micro-batch, the grouped forward's scores
 // must equal, bit for bit, Predict over Batcher.Build of that request's
-// candidates taken -score-batch at a time — the replicated batch the context
+// candidates taken the batch size at a time — the replicated batch the context
 // side used to be recomputed on. Swept over the group count, candidate counts
 // around the chunk size mixed within one micro-batch (so chunks end inside
 // groups and span several), the chunk size, the item feature's position and

@@ -163,11 +163,11 @@ func (r *Ranker) Score(ctx Context, candidates []int) (scores []float32, err err
 
 // ScoreGroups scores already-validated requests in one grouped forward pass
 // (dlrm.Model.ScoreGroups): each group's context side is computed once and
-// its candidates are scored -score-batch rows at a time, into scores in
-// group then candidate order. It is the one scoring path — Score calls it
-// with a single group, served.Pool with a coalesced micro-batch — and the
-// steady state allocates nothing on an all-TT model. Scores are bit-identical
-// to Model.Predict over Batcher.Build of each request.
+// its candidates are scored batchSize (NewRanker's) rows at a time, into
+// scores in group then candidate order. It is the one scoring path — Score
+// calls it with a single group, served.Pool with a coalesced micro-batch —
+// and the steady state allocates nothing on an all-TT model. Scores are
+// bit-identical to Model.Predict over Batcher.Build of each request.
 //
 //elrec:rootctx pure compute: the only wait is tensor.ParallelFor joining a GEMM's row chunks, bounded by the product
 func (r *Ranker) ScoreGroups(groups []dlrm.ScoreGroup, scores []float32) {
