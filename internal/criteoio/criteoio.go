@@ -28,12 +28,6 @@ type Schema struct {
 	TableRows []int // hash range per categorical feature (26 for Criteo)
 }
 
-// CriteoSchema returns the standard 13+26 layout with the given hash range
-// per table.
-func CriteoSchema(tableRows []int) Schema {
-	return Schema{NumDense: 13, TableRows: tableRows}
-}
-
 // Validate reports whether the schema is usable.
 func (s Schema) Validate() error {
 	if s.NumDense < 0 {

@@ -81,8 +81,9 @@ func (s *ScoreScratch) prepare(g, rows, chunk, numDense, numTables int) {
 // bits.
 //
 // Context lookups must stay live across the chunks, which they do: a table
-// either owns its result until its own next Lookup (tt.Table) or returns a
-// fresh one (embedding.Bag), and only the item table is looked up again.
+// either owns its result until its own next Lookup (tt.Table, the ps host
+// adapter) or returns a fresh one (embedding.Bag), and only the item table
+// is looked up again.
 //
 //elrec:hotpath the one scoring path of serve.Ranker and served.Pool
 func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []ScoreGroup, scores []float32) {

@@ -60,6 +60,25 @@ func (u *Index) IDOf(key, next int) (id int, fresh bool) {
 	}
 }
 
+// Find returns key's id in the current set without recording it: the
+// read-only probe of a set built by IDOf (ps.Cache's id → slot lookup). Its
+// loop repeats IDOf's rather than sharing a helper, which would push IDOf
+// over the compiler's inlining budget; every dedup loop inlines IDOf.
+func (u *Index) Find(key int) (id int, ok bool) {
+	if len(u.key) == 0 {
+		return 0, false
+	}
+	mask := len(u.key) - 1
+	for s := int((uint64(key) * 0x9E3779B97F4A7C15) >> u.shift); ; s = (s + 1) & mask {
+		if u.stamp[s] != u.gen {
+			return 0, false
+		}
+		if u.key[s] == key {
+			return int(u.id[s]), true
+		}
+	}
+}
+
 // Unique returns the distinct values of indices in order of first occurrence
 // together with an inverse mapping: indices[p] == uniq[inverse[p]]. It is the
 // shared primitive behind in-advance gradient aggregation and the paper's

@@ -34,6 +34,19 @@ func checkUniq(t *testing.T, name string, u *Index, keys []int) {
 			t.Fatalf("%s: key %d at position %d: id %d fresh %v, want id %d fresh %v", name, k, p, got, fresh, want, !seen)
 		}
 	}
+	// Find reads the finished set back without adding to it.
+	for _, k := range keys {
+		if got, ok := u.Find(k); !ok || got != ref[k] {
+			t.Fatalf("%s: Find(%d) = %d, %v; want %d, true", name, k, got, ok, ref[k])
+		}
+	}
+	absent := -1
+	for _, seen := ref[absent]; seen; _, seen = ref[absent] {
+		absent--
+	}
+	if got, ok := u.Find(absent); ok {
+		t.Fatalf("%s: Find(%d) of an absent key = %d, true", name, absent, got)
+	}
 	uniq, inverse := Unique(keys)
 	if !slices.Equal(uniq, refUniq) || !slices.Equal(inverse, refInverse) {
 		t.Fatalf("%s: Unique = %v, %v; the map loop gives %v, %v", name, uniq, inverse, refUniq, refInverse)

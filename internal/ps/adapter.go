@@ -13,6 +13,9 @@ import (
 // Lookup pools the pre-fetched (cache-synced) unique rows; Update aggregates
 // the pooled gradient per unique row, publishes the post-update values to
 // the embedding cache, and leaves the gradient for the pipeline to push.
+//
+// Like tt.Table, the adapter owns what Lookup returns: the matrix stays
+// valid until the adapter's next Lookup, which overwrites it.
 type hostAdapter struct {
 	pipeline *Pipeline
 	slot     int
@@ -22,14 +25,17 @@ type hostAdapter struct {
 
 	current *hostRows
 	pending *gradRows
+
+	pooled  *tensor.Matrix // Lookup's result, reused by the next Lookup
+	updated *tensor.Matrix // Update's post-update rows, staged for Cache.Publish
 }
 
 var _ dlrm.Table = (*hostAdapter)(nil)
 
-// Lookup pools the current pre-fetched rows into per-sample embeddings.
-// Outside a pipeline step (inference/evaluation) it reads the host table
-// directly under its lock — the synchronous path a serving system would
-// take.
+// Lookup pools the current pre-fetched rows into per-sample embeddings, in
+// the adapter-owned result matrix. Outside a pipeline step
+// (inference/evaluation) it reads the host table directly under its lock —
+// the synchronous path a serving system would take.
 func (a *hostAdapter) Lookup(indices, offsets []int) *tensor.Matrix {
 	cur := a.current
 	if cur == nil {
@@ -49,7 +55,9 @@ func (a *hostAdapter) Lookup(indices, offsets []int) *tensor.Matrix {
 			a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
 		}()
 	}
-	out := tensor.New(len(offsets), a.dim)
+	out := tensor.Reuse(a.pooled, len(offsets), a.dim)
+	a.pooled = out
+	out.Zero()
 	for s := range offsets {
 		start := offsets[s]
 		end := len(indices)
@@ -91,7 +99,11 @@ func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr flo
 	}
 	// Publish post-update values: value − lr·grad (the worker's view of the
 	// row after this batch; the server applies the same delta to the host).
-	updated := cur.values.Clone()
+	// Publish copies the rows, so the staging matrix is reused; grads is not,
+	// since it rides the gradient queue to the apply stage.
+	updated := tensor.Reuse(a.updated, len(cur.uniq), a.dim)
+	a.updated = updated
+	copy(updated.Data, cur.values.Data)
 	tensor.Axpy(-lr, grads.Data, updated.Data)
 	a.pipeline.caches[a.slot].Publish(cur.uniq, updated, int(a.pipeline.trained.Load()), cur.nextUse)
 	a.pending = &gradRows{uniq: cur.uniq, grads: grads}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/embedding"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -28,11 +29,26 @@ import (
 // batch all move it), this is a pure function of the gather order, so every
 // schedule — pipelined, sequential, barrier-interrupted, resumed from a
 // checkpoint — syncs bit-identical values.
+//
+// Storage is one slot per live entry in dense arrays, so the sweep walks
+// contiguous memory and nothing is allocated per row; an embedding.Index maps
+// row ids to slots. The index has no delete: a sweep that evicts
+// swap-removes the dropped slots and rebuilds it over the survivors.
 type Cache struct {
 	dim int
 
-	mu      sync.Mutex
-	entries map[int]*cacheEntry // guarded by mu
+	mu sync.Mutex
+	// Slot s holds row ids[s]: its value values[s·dim:(s+1)·dim], push[s],
+	// the iteration whose gradient push makes the host copy catch up with the
+	// value, and nextUse[s], the absolute iteration of the entry's next
+	// planned use that will be served from the cache — the entry survives
+	// push-visibility eviction until that iteration has been synced; −1 means
+	// no promise. All four are len(ids) slots long.
+	ids     []int           // guarded by mu
+	push    []int           // guarded by mu
+	nextUse []int32         // guarded by mu
+	values  []float32       // guarded by mu
+	index   embedding.Index // row id → slot over ids; guarded by mu
 
 	// statistics
 	syncs, hits, misses, evictions int64 // guarded by mu
@@ -55,24 +71,13 @@ func (c *Cache) attachCounters(syncs, hits, misses, evictions *obs.Counter) {
 	c.mu.Unlock()
 }
 
-type cacheEntry struct {
-	value []float32
-	// push is the iteration whose gradient push makes the host copy catch up
-	// with value.
-	push int
-	// nextUse is the absolute iteration of the entry's next planned use that
-	// will be served from the cache: the entry survives push-visibility
-	// eviction until that iteration has been synced. -1 means no promise.
-	nextUse int32
-}
-
 // NewCache builds a cache for rows of the given dimension.
 func NewCache(dim int) *Cache {
 	if dim <= 0 {
 		//elrec:invariant cache wiring: dim is fixed by NewPipeline
 		panic(fmt.Sprintf("ps: invalid cache dim=%d", dim))
 	}
-	return &Cache{dim: dim, entries: make(map[int]*cacheEntry)}
+	return &Cache{dim: dim}
 }
 
 // checkShape panics unless rows holds one c.dim-wide row per id and every
@@ -86,24 +91,33 @@ func (c *Cache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bo
 	}
 }
 
+// row is slot s's value.
+//
+//elrec:locked mu called from the cache's locked methods only
+func (c *Cache) row(s int) []float32 { return c.values[s*c.dim : (s+1)*c.dim] }
+
 // Publish stores the post-update values of the rows trained at iteration
 // pushIter — the iteration whose gradient push will make the host copy catch
 // up with the cached value. nextUse[i] is the retention promise for ids[i]
-// (see cacheEntry.nextUse); nil promises nothing. Existing entries are
+// (see Cache.nextUse); nil promises nothing. Existing entries are
 // overwritten.
+//
+//elrec:hotpath cache admission on every training step: storing the trained rows must not allocate at steady state
 func (c *Cache) Publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []int32) {
 	c.checkShape("Publish", ids, rows, nil, nextUse)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reserve(len(c.ids) + len(ids))
 	for i, id := range ids {
-		e, ok := c.entries[id]
-		if !ok {
-			e = &cacheEntry{value: make([]float32, c.dim)}
-			c.entries[id] = e
+		s, fresh := c.index.IDOf(id, len(c.ids))
+		if fresh { // s == len(c.ids): reserve left room for it
+			c.ids, c.push, c.nextUse = c.ids[:s+1], c.push[:s+1], c.nextUse[:s+1]
+			c.values = c.values[:(s+1)*c.dim]
+			c.ids[s] = id
 		}
-		copy(e.value, rows.Row(i))
-		e.push = pushIter
-		e.nextUse = hint(nextUse, i)
+		copy(c.row(s), rows.Row(i))
+		c.push[s] = pushIter
+		c.nextUse[s] = hint(nextUse, i)
 	}
 }
 
@@ -113,6 +127,43 @@ func hint(nextUse []int32, i int) int32 {
 		return -1
 	}
 	return nextUse[i]
+}
+
+// reserve makes room for n live entries: slot arrays of capacity n and an
+// index at most half full. Once both have grown to the largest live set
+// seen, it only compares.
+//
+//elrec:locked mu called from Publish under the lock
+func (c *Cache) reserve(n int) {
+	if n > cap(c.ids) {
+		c.grow(n)
+	}
+	if n > c.index.Slots()/2 {
+		c.reindex(n)
+	}
+}
+
+// grow moves the live slots into arrays with room for at least n entries.
+//
+//elrec:coldpath amortized growth to the largest live set seen; steady state keeps the arrays
+//elrec:locked mu called from reserve under the lock
+func (c *Cache) grow(n int) {
+	n = max(n, 2*cap(c.ids))
+	c.ids = append(make([]int, 0, n), c.ids...)
+	c.push = append(make([]int, 0, n), c.push...)
+	c.nextUse = append(make([]int32, 0, n), c.nextUse...)
+	c.values = append(make([]float32, 0, n*c.dim), c.values...)
+}
+
+// reindex rebuilds the id → slot index over the live slots, sized for n
+// entries.
+//
+//elrec:locked mu called from Publish and Sync under the lock
+func (c *Cache) reindex(n int) {
+	c.index.Begin(n)
+	for s, id := range c.ids {
+		c.index.IDOf(id, s)
+	}
 }
 
 // Sync prepares the pre-fetched rows of batch iter for training. applied is
@@ -133,7 +184,10 @@ func hint(nextUse []int32, i int) int32 {
 // promise is absent or at or before iter — Belady's "farthest (or no) next
 // use" with an exact future access set, degenerating to plain push
 // visibility when nothing is planned. Serving runs first so an entry
-// promised to this batch is served, never evicted unserved.
+// promised to this batch is served, never evicted unserved. The sweep costs
+// O(live entries) over the slot arrays; when it evicted, the index is
+// rebuilt, sized for the survivors plus this batch's rows (what the step's
+// Publish may add).
 //
 //elrec:hotpath cache admission on every training step: serving and sweeping must not allocate at steady state
 func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
@@ -142,7 +196,7 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 	defer c.mu.Unlock()
 	for i, id := range ids {
 		gathered := fresh == nil || fresh[i]
-		e, ok := c.entries[id]
+		s, ok := c.index.Find(id)
 		if !ok {
 			if !gathered {
 				//elrec:coldpath broken-invariant error construction
@@ -150,19 +204,16 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 			}
 			continue
 		}
-		e.nextUse = hint(nextUse, i)
-		if gathered && e.push < applied {
+		c.nextUse[s] = hint(nextUse, i)
+		if gathered && c.push[s] < applied {
 			continue
 		}
-		copy(rows.Row(i), e.value)
+		copy(rows.Row(i), c.row(s))
 		patched++
 	}
-	evicted := 0
-	for id, e := range c.entries {
-		if e.push < applied && int(e.nextUse) <= iter { // −1 (no promise) is below every iteration
-			delete(c.entries, id)
-			evicted++
-		}
+	evicted := c.sweep(applied, iter)
+	if evicted > 0 {
+		c.reindex(len(c.ids) + len(ids))
 	}
 	c.syncs++
 	c.hits += int64(patched)
@@ -175,23 +226,45 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 	return patched, nil
 }
 
+// sweep swap-removes every entry whose push is host-visible and whose
+// promise is absent or at or before iter, and returns how many went. It
+// leaves the index stale; the caller rebuilds it.
+//
+//elrec:locked mu called from Sync under the lock
+func (c *Cache) sweep(applied, iter int) int {
+	live := len(c.ids)
+	for s := 0; s < live; {
+		if c.push[s] >= applied || int(c.nextUse[s]) > iter { // −1 (no promise) is below every iteration
+			s++
+			continue
+		}
+		live--
+		c.ids[s], c.push[s], c.nextUse[s] = c.ids[live], c.push[live], c.nextUse[live]
+		copy(c.row(s), c.row(live))
+	}
+	evicted := len(c.ids) - live
+	c.ids, c.push, c.nextUse = c.ids[:live], c.push[:live], c.nextUse[:live]
+	c.values = c.values[:live*c.dim]
+	return evicted
+}
+
 // Len returns the number of cached rows.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(c.ids)
 }
 
 // Lookup returns a copy of the cached row and whether it was present.
 func (c *Cache) Lookup(id int) ([]float32, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[id]
+	s, ok := c.index.Find(id)
 	if !ok {
 		return nil, false
 	}
 	out := make([]float32, c.dim)
-	copy(out, e.value)
+	copy(out, c.row(s))
 	return out, true
 }
 

@@ -1,6 +1,9 @@
 package ps
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -79,4 +82,148 @@ func TestCacheValidation(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// TestCacheZeroAllocSteadyState: once the slot arrays and the index have
+// grown to the largest live set, a training step's Sync and Publish allocate
+// nothing — batches half-overlapping the previous one, pushes landing two
+// steps behind, a quarter of the rows promised two batches ahead, so every
+// step serves, sweeps, evicts and rebuilds the index.
+func TestCacheZeroAllocSteadyState(t *testing.T) {
+	const dim, batch = 8, 64
+	c := NewCache(dim)
+	ids, next := make([]int, batch), make([]int32, batch)
+	rows := tensor.New(batch, dim)
+	iter := 0
+	step := func() {
+		for i := range ids {
+			ids[i] = iter*batch/2 + i
+			next[i] = -1
+			if i%4 == 0 {
+				next[i] = int32(iter + 2)
+			}
+		}
+		if _, err := c.Sync(iter-2, iter, ids, rows, nil, next); err != nil {
+			t.Fatal(err)
+		}
+		c.Publish(ids, rows, iter, next)
+		iter++
+	}
+	for range 50 {
+		step()
+	}
+	before := c.Stats()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("steady-state Sync+Publish allocated %v times per step, want 0", allocs)
+	}
+	if st := c.Stats(); st.Evictions == before.Evictions || st.Hits == before.Hits {
+		t.Fatalf("the measured steps never evicted or hit; the pin has no power: %+v → %+v", before, st)
+	}
+}
+
+// fuzzBytes feeds FuzzCacheMatchesReference's decoder; an exhausted input
+// reads as zeros.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+// FuzzCacheMatchesReference drives Cache and refCache — the map-based cache
+// it replaced, kept verbatim — through one generated schedule and requires
+// them to be indistinguishable after every call: patched counts and
+// ErrLookaheadMiss, the bits of every synced row, Len, Stats, and Lookup of
+// every id.
+//
+// Encoding: byte 0 sets dim = 1 + b%4, then one call per op byte b until the
+// input runs out. Bit 0 picks Publish (0) or Sync (1); bits 1–3 are the
+// number of ids n; bit 4 gives Sync a fresh slice (else nil); bit 5 gives a
+// nextUse slice (else nil). Publish reads its pushIter byte, Sync an advance
+// byte (applied += low nibble, iter += high nibble: both never decrease).
+// Then n id bytes (id = b%16), for Sync n fresh bytes (b&1) if flagged, and n
+// promise bytes (b−1: 0 is −1, no promise) if flagged. Inputs over 256
+// bytes are skipped. The committed seeds replay the hand-written cases of
+// cache_window_test.go.
+func FuzzCacheMatchesReference(f *testing.F) {
+	const idRange = 16
+	f.Fuzz(func(t *testing.T, input []byte) {
+		// With 16 ids the live set is tiny, so a longer schedule reaches no
+		// new state; capping it keeps the engine's minimisation of each new
+		// input (quadratic in its length) from eating the fuzz time.
+		if len(input) > 256 {
+			return
+		}
+		in := fuzzBytes(input)
+		dim := 1 + int(in.next()%4)
+		got, want := NewCache(dim), newRefCache(dim)
+		applied, iter := 0, 0
+		for op := 0; len(in) > 0; op++ {
+			b := in.next()
+			n := int(b>>1) & 7
+			arg := int(in.next())
+			if b&1 == 1 {
+				applied += arg & 15
+				iter += arg >> 4
+			}
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = int(in.next()) % idRange
+			}
+			var fresh []bool
+			if b&1 == 1 && b&0x10 != 0 {
+				fresh = make([]bool, n)
+				for i := range fresh {
+					fresh[i] = in.next()&1 == 1
+				}
+			}
+			var nextUse []int32
+			if b&0x20 != 0 {
+				nextUse = make([]int32, n)
+				for i := range nextUse {
+					nextUse[i] = int32(in.next()) - 1
+				}
+			}
+			// Distinct values per op and row: published rows positive,
+			// gathered rows negative, so a wrong patch shows in the bits.
+			gotRows, wantRows := tensor.New(n, dim), tensor.New(n, dim)
+			for i := range gotRows.Data {
+				v := float32(op*64+i) + 0.25
+				if b&1 == 1 {
+					v = -v
+				}
+				gotRows.Data[i], wantRows.Data[i] = v, v
+			}
+			if b&1 == 0 {
+				got.Publish(ids, gotRows, arg, nextUse)
+				want.Publish(ids, wantRows, arg, nextUse)
+			} else {
+				gp, gerr := got.Sync(applied, iter, ids, gotRows, fresh, nextUse)
+				wp, werr := want.Sync(applied, iter, ids, wantRows, fresh, nextUse)
+				if gp != wp || (gerr == nil) != (werr == nil) || (gerr != nil && (!errors.Is(gerr, ErrLookaheadMiss) || gerr.Error() != werr.Error())) {
+					t.Fatalf("op %d Sync(applied=%d, iter=%d, ids=%v, fresh=%v, nextUse=%v): patched %d err %v, reference %d err %v",
+						op, applied, iter, ids, fresh, nextUse, gp, gerr, wp, werr)
+				}
+				for i := range gotRows.Data {
+					if math.Float32bits(gotRows.Data[i]) != math.Float32bits(wantRows.Data[i]) {
+						t.Fatalf("op %d Sync: row element %d = %v, reference %v", op, i, gotRows.Data[i], wantRows.Data[i])
+					}
+				}
+			}
+			if got.Len() != want.Len() || got.Stats() != want.Stats() {
+				t.Fatalf("op %d: Len %d Stats %+v, reference Len %d Stats %+v", op, got.Len(), got.Stats(), want.Len(), want.Stats())
+			}
+			for id := range idRange {
+				gv, gok := got.Lookup(id)
+				wv, wok := want.Lookup(id)
+				if gok != wok || !slices.EqualFunc(gv, wv, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
+					t.Fatalf("op %d: Lookup(%d) = %v, %v; reference %v, %v", op, id, gv, gok, wv, wok)
+				}
+			}
+		}
+	})
 }

@@ -74,6 +74,23 @@ func TestStatsRegistryEquivalence(t *testing.T) {
 	if got, ok := snap.Gauges["ps_cache_hit_rate"]; !ok || got != st.CacheHitRate {
 		t.Errorf("registry ps_cache_hit_rate = %v (present=%v), Stats() says %v", got, ok, st.CacheHitRate)
 	}
+	// The histogram twins observe the readings their counters add up.
+	for name, total := range map[string]time.Duration{
+		"ps_gather_ns_hist": st.GatherTime,
+		"ps_train_ns_hist":  st.TrainTime,
+		"ps_apply_ns_hist":  st.ApplyTime,
+		"ps_stall_ns_hist":  st.StallTime,
+	} {
+		if h := snap.Histograms[name]; h.Count == 0 || h.Sum != float64(total) {
+			t.Errorf("registry %s count %d sum %v, its counter says %v", name, h.Count, h.Sum, total)
+		}
+	}
+	if n := snap.Histograms["ps_train_ns_hist"].Count; n != int64(st.Steps) {
+		t.Errorf("ps_train_ns_hist observed %d steps, Stats() says %d", n, st.Steps)
+	}
+	if got := snap.Gauges["ps_cache_entries"]; got <= 0 {
+		t.Errorf("ps_cache_entries = %v after a cache-hitting run, want > 0", got)
+	}
 }
 
 // TestCheckpointMetrics checks that periodic checkpoints record write

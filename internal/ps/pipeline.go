@@ -285,6 +285,14 @@ type pipelineMetrics struct {
 	// cacheHitRate is registry-owned (gauges are derived, not accumulated);
 	// nil when no registry is attached. Stats() recomputes and sets it.
 	cacheHitRate *obs.Gauge
+
+	// Registry-owned as well, nil (one nil check per record) when detached:
+	// the per-event distributions behind the gather/train/apply/stall
+	// counters, observed from the same clock readings, and the live cache
+	// entries summed over tables, set after each step's Syncs (the sweep's
+	// size).
+	gatherHist, trainHist, applyHist, stallHist *obs.Histogram
+	cacheEntries                                *obs.Gauge
 }
 
 // registerMetrics adopts the pipeline's instruments into r (no-op when r is
@@ -313,6 +321,11 @@ func (p *Pipeline) registerMetrics(r *obs.Registry) {
 	r.RegisterCounter("ps_lookahead_pinned_rows", &p.m.lookaheadPinned)
 	r.RegisterCounter("ps_prefetch_wait_ns", &p.m.prefetchWaitNS)
 	p.m.cacheHitRate = r.Gauge("ps_cache_hit_rate")
+	p.m.gatherHist = r.Histogram("ps_gather_ns_hist")
+	p.m.trainHist = r.Histogram("ps_train_ns_hist")
+	p.m.applyHist = r.Histogram("ps_apply_ns_hist")
+	p.m.stallHist = r.Histogram("ps_stall_ns_hist")
+	p.m.cacheEntries = r.Gauge("ps_cache_entries")
 }
 
 // NewPipeline builds the trainer. locs must list every embedding table in
@@ -443,7 +456,9 @@ func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan) (*host
 	sp := p.tracer.Begin("gather", "ps", tidPrefetch)
 	defer func() {
 		sp.End()
-		p.m.gatherNS.Add(int64(obs.Since(p.clock, start)))
+		d := obs.Since(p.clock, start)
+		p.m.gatherNS.Add(int64(d))
+		p.m.gatherHist.Observe(float64(d))
 	}()
 	hb := &hostBatch{iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: p.applied.Load(), plan: plan}
 	for h, pos := range p.hostIdx {
@@ -520,7 +535,9 @@ func (p *Pipeline) apply(g *gradPush) error {
 	sp := p.tracer.Begin("apply", "ps", tidApply)
 	defer func() {
 		sp.End()
-		p.m.applyNS.Add(int64(obs.Since(p.clock, start)))
+		d := obs.Since(p.clock, start)
+		p.m.applyNS.Add(int64(d))
+		p.m.applyHist.Observe(float64(d))
 	}()
 	for h, gr := range g.rows {
 		if len(gr.uniq) == 0 {
@@ -606,7 +623,9 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err er
 	sp := p.tracer.Begin("train", "ps", tidWorker)
 	defer func() {
 		sp.End()
-		p.m.trainNS.Add(int64(obs.Since(p.clock, start)))
+		d := obs.Since(p.clock, start)
+		p.m.trainNS.Add(int64(d))
+		p.m.trainHist.Observe(float64(d))
 	}()
 	var prefetched, pinned int64
 	for h := range hb.rows {
@@ -621,6 +640,13 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err er
 	}
 	p.m.bytesPrefetched.Add(prefetched)
 	p.m.lookaheadPinned.Add(pinned)
+	if g := p.m.cacheEntries; g != nil {
+		live := 0
+		for _, c := range p.caches {
+			live += c.Len()
+		}
+		g.Set(float64(live))
+	}
 	for h, ad := range p.adapters {
 		ad.current = &hb.rows[h]
 		ad.pending = nil

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dlrm"
+	"repro/internal/embedding"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
 	"repro/internal/tt"
@@ -210,6 +211,37 @@ func TestHostAdapterInferenceOutsideStep(t *testing.T) {
 		}
 	}()
 	p.adapters[0].Update([]int{1}, []int{0}, tensor.New(1, 8), 0.1)
+}
+
+// TestHostAdapterLookupZeroAllocSteadyState is TestCacheZeroAllocSteadyState's
+// twin for the pooling half of a step: inside a pipeline step, Lookup writes
+// the adapter-owned result and allocates nothing, and the pooled rows are the
+// host table's own Lookup to the bit.
+func TestHostAdapterLookupZeroAllocSteadyState(t *testing.T) {
+	spec := psSpec()
+	p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 1, Seed: 4}, allHostLocs(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indices, offsets := []int{3, 1, 3, 7, 1, 1, 250}, []int{0, 2, 2, 6}
+	uniq, inverse := embedding.Unique(indices)
+	values, err := p.stores[0].GatherRows(uniq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad := p.adapters[0]
+	ad.current = &hostRows{uniq: uniq, inverse: inverse, values: values}
+	first := ad.Lookup(indices, offsets)
+	if allocs := testing.AllocsPerRun(100, func() { ad.Lookup(indices, offsets) }); allocs != 0 {
+		t.Fatalf("in-step Lookup allocated %v times per call, want 0", allocs)
+	}
+	out := ad.Lookup(indices, offsets)
+	if out != first {
+		t.Fatal("Lookup did not reuse its result matrix")
+	}
+	if want := p.HostBag(0).Lookup(indices, offsets); out.MaxAbsDiff(want) != 0 {
+		t.Fatal("pooled rows differ from the host table's Lookup")
+	}
 }
 
 func TestHostAdapterAccessors(t *testing.T) {

@@ -80,6 +80,7 @@ func (p *Pipeline) injectFault(op faults.Op, iter, attempt int) error {
 	var stall *faults.Stall
 	if errors.As(err, &stall) {
 		p.m.stallNS.Add(int64(stall.D))
+		p.m.stallHist.Observe(float64(stall.D))
 		sp := p.tracer.Begin("stall", "fault", tidForOp(op))
 		p.sleep(stall.D)
 		sp.End()

@@ -166,19 +166,6 @@ func MatMul(dst, a, b *Matrix) {
 	gemmBlocked(a.Rows, k, n, a.Data, b.Data, dst.Data, false)
 }
 
-// MatMulAdd computes dst += a · b (accumulating into dst).
-func MatMulAdd(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
-		panic(fmt.Sprintf("tensor: MatMulAdd inner dims %d != %d", a.Cols, b.Rows))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
-		panic(fmt.Sprintf("tensor: MatMulAdd dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	gemmBlocked(a.Rows, a.Cols, b.Cols, a.Data, b.Data, dst.Data, true)
-}
-
 // MatMulTransA computes dst = aᵀ · b where a is stored untransposed.
 // dst shape must be a.Cols × b.Cols.
 func MatMulTransA(dst, a, b *Matrix) {
@@ -225,19 +212,6 @@ func MatMulTransB(dst, a, b *Matrix) {
 		return
 	}
 	gemmTransBBlocked(a.Rows, k, n, a.Data, b.Data, dst.Data, false)
-}
-
-// MatMulTransBAdd computes dst += a · bᵀ.
-func MatMulTransBAdd(dst, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
-		panic(fmt.Sprintf("tensor: MatMulTransBAdd inner dims %d != %d", a.Cols, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
-		panic(fmt.Sprintf("tensor: MatMulTransBAdd dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
-	}
-	gemmTransBBlocked(a.Rows, a.Cols, b.Rows, a.Data, b.Data, dst.Data, true)
 }
 
 // axpy computes y += a*x over equal-length, non-empty slices.

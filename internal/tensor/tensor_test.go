@@ -158,22 +158,6 @@ func TestMatMulShapePanics(t *testing.T) {
 	MatMul(New(2, 2), a, b)
 }
 
-func TestMatMulAddAccumulates(t *testing.T) {
-	r := NewRNG(4)
-	a := randomMatrix(r, 4, 5)
-	b := randomMatrix(r, 5, 6)
-	dst := randomMatrix(r, 4, 6)
-	before := dst.Clone()
-	MatMulAdd(dst, a, b)
-	prod := naiveMatMul(a, b)
-	for i := range dst.Data {
-		want := before.Data[i] + prod.Data[i]
-		if diff := float64(dst.Data[i] - want); math.Abs(diff) > 1e-4 {
-			t.Fatalf("MatMulAdd[%d] = %v want %v", i, dst.Data[i], want)
-		}
-	}
-}
-
 func TestMatMulTransA(t *testing.T) {
 	r := NewRNG(5)
 	a := randomMatrix(r, 6, 4) // aᵀ is 4x6
@@ -195,22 +179,6 @@ func TestMatMulTransB(t *testing.T) {
 	want := naiveMatMul(a, b.Transpose())
 	if d := got.MaxAbsDiff(want); d > 1e-4 {
 		t.Fatalf("MatMulTransB deviates by %v", d)
-	}
-}
-
-func TestMatMulTransBAdd(t *testing.T) {
-	r := NewRNG(7)
-	a := randomMatrix(r, 3, 4)
-	b := randomMatrix(r, 2, 4)
-	dst := randomMatrix(r, 3, 2)
-	before := dst.Clone()
-	MatMulTransBAdd(dst, a, b)
-	prod := naiveMatMul(a, b.Transpose())
-	for i := range dst.Data {
-		want := before.Data[i] + prod.Data[i]
-		if math.Abs(float64(dst.Data[i]-want)) > 1e-4 {
-			t.Fatalf("MatMulTransBAdd[%d] = %v want %v", i, dst.Data[i], want)
-		}
 	}
 }
 
@@ -434,14 +402,10 @@ func TestMaxAbsDiffShapePanics(t *testing.T) {
 
 func TestMatMulAddShapePanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { MatMulAdd(New(2, 2), New(2, 3), New(4, 2)) },
-		func() { MatMulAdd(New(3, 3), New(2, 3), New(3, 2)) },
 		func() { MatMulTransA(New(2, 2), New(3, 2), New(4, 2)) },
 		func() { MatMulTransA(New(3, 3), New(3, 2), New(3, 2)) },
 		func() { MatMulTransB(New(2, 2), New(2, 3), New(4, 4)) },
 		func() { MatMulTransB(New(3, 3), New(2, 3), New(4, 3)) },
-		func() { MatMulTransBAdd(New(3, 3), New(2, 3), New(4, 3)) },
-		func() { MatMulTransBAdd(New(2, 2), New(2, 3), New(4, 4)) },
 		func() { MatMulTransAAdd(New(3, 3), New(3, 2), New(3, 2)) },
 		func() { MatMulTransAAdd(New(2, 2), New(3, 2), New(4, 2)) },
 		func() { MatMul(New(2, 2), New(2, 3), New(3, 3)) },
