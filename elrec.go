@@ -25,6 +25,7 @@
 package elrec
 
 import (
+	"fmt"
 	"io"
 	"math"
 
@@ -85,6 +86,9 @@ func DecomposeTable(rows, dim, rank int, weights []float32) (*tt.Table, error) {
 	shape, err := tt.NewShape(rows, dim, rank)
 	if err != nil {
 		return nil, err
+	}
+	if len(weights) != rows*dim {
+		return nil, fmt.Errorf("elrec: DecomposeTable got %d weights for a %d×%d table, want %d", len(weights), rows, dim, rows*dim)
 	}
 	return tt.DecomposeDense(tensor.FromSlice(rows, dim, weights), shape)
 }

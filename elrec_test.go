@@ -1,6 +1,7 @@
 package elrec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,18 @@ func TestDecomposeTableRoundTrip(t *testing.T) {
 	}
 	if d := got.Materialize().MaxAbsDiff(dense); d > 1e-3 {
 		t.Fatalf("TT-SVD round trip error %v", d)
+	}
+}
+
+// TestDecomposeTableWrongWeightCount: the weights come from the caller, so a
+// slice that does not hold rows×dim values is an error naming both lengths,
+// not a panic.
+func TestDecomposeTableWrongWeightCount(t *testing.T) {
+	for _, n := range []int{0, 10, 60*8 - 1, 60*8 + 1} {
+		_, err := DecomposeTable(60, 8, 6, make([]float32, n))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d weights", n)) || !strings.Contains(err.Error(), "want 480") {
+			t.Fatalf("%d weights for a 60×8 table: err = %v", n, err)
+		}
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 // CtxFlow enforces the PR 1 cancellation contract interprocedurally:
 //
 //  1. Library code must not mint its own context: every call to
-//     context.Background() or context.TODO() outside cmd/, examples/ and
-//     internal/bench needs a line //elrec:rootctx annotation declaring it
-//     an audited root (a nil-ctx compatibility default, a detached
-//     background janitor).
+//     context.Background() or context.TODO() outside cmd/ and internal/bench
+//     needs a line //elrec:rootctx annotation declaring it an audited root
+//     (a nil-ctx compatibility default, a detached background janitor).
 //  2. Exported entry points of the blocking-surface packages (ps, distps,
 //     serve) that may block on in-process coordination — channel
 //     operations, time.Sleep, WaitGroup waits, transitively through the
@@ -30,7 +29,6 @@ var CtxFlow = &Analyzer{
 func ctxRootScope(pkgPath string) bool {
 	switch {
 	case strings.HasPrefix(pkgPath, ModulePath+"/cmd/"),
-		strings.HasPrefix(pkgPath, ModulePath+"/examples/"),
 		strings.HasPrefix(pkgPath, ModulePath+"/internal/bench"):
 		return false
 	}

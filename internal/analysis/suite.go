@@ -44,7 +44,7 @@ var goroutineOwnerPackages = map[string]bool{
 // packages are the public facade plus everything under internal/ except
 // internal/bench — the experiment harness is tool code (it renders
 // figures and tables for a human; panic-on-setup-error is its contract),
-// as are cmd/ and examples/ binaries.
+// as are the cmd/ binaries.
 func Applies(a *Analyzer, pkgPath string) bool {
 	if pkgPath != ModulePath && !strings.HasPrefix(pkgPath, ModulePath+"/") {
 		return false
@@ -66,15 +66,13 @@ func Applies(a *Analyzer, pkgPath string) bool {
 
 // clockFunnelPackage reports whether pkgPath must route wall-clock reads
 // through obs.Clock: everything except the clock's home (internal/obs) and
-// the binary entry points (cmd/, examples/), where raw wall time for
-// progress reporting and CLI timing is fine.
+// the binary entry points (cmd/), where raw wall time for progress
+// reporting and CLI timing is fine.
 func clockFunnelPackage(pkgPath string) bool {
 	switch {
 	case pkgPath == ModulePath+"/internal/obs":
 		return false
 	case strings.HasPrefix(pkgPath, ModulePath+"/cmd/"):
-		return false
-	case strings.HasPrefix(pkgPath, ModulePath+"/examples/"):
 		return false
 	}
 	return true

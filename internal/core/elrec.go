@@ -369,7 +369,7 @@ func (s *System) TrainContext(ctx context.Context, startIter, steps, batchSize i
 
 // Train is the legacy convenience wrapper: no cancellation, panics on a
 // pipeline fault (without an injector configured, faults cannot occur, so
-// the experiment harness and examples keep their simple shape).
+// the experiment harness and the facade's Examples keep their simple shape).
 func (s *System) Train(startIter, steps, batchSize int) *metrics.LossCurve {
 	//elrec:rootctx documented legacy API: Train has no cancellation by contract
 	res, err := s.TrainContext(context.Background(), startIter, steps, batchSize)

@@ -173,13 +173,6 @@ func TestMatrixMatMulFamilyMatchesReference(t *testing.T) {
 				t.Fatalf("MatMul: max diff %g", d)
 			}
 
-			at := a.Transpose() // k×m storage, logical A
-			dst.Zero()
-			MatMulTransA(dst, at, b)
-			if d := maxDiff(dst.Data, want); d > 1e-3 {
-				t.Fatalf("MatMulTransA: max diff %g", d)
-			}
-
 			bt := b.Transpose() // n×k storage, logical B
 			dst.Zero()
 			MatMulTransB(dst, a, bt)

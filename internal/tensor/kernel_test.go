@@ -161,7 +161,7 @@ func TestGemmElementDependsOnRowColumnAndK(t *testing.T) {
 			}
 
 			if kd.transA {
-				continue // MatMulTransA does not split rows; the batched form is below
+				continue // no TN entry point splits rows; TestStackedProducts has the stacked form
 			}
 			am := FromSlice(m, k, a[:m*k])
 			bm := FromSlice(k, n, b[:k*n])
@@ -241,7 +241,9 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 	const canary, pad = float32(-12345.5), 19
 	guarded := func(n int) (buf, inner []float32) {
 		buf = make([]float32, n+2*pad)
-		Fill(buf, canary)
+		for i := range buf {
+			buf[i] = canary
+		}
 		return buf, buf[pad : pad+n : pad+n]
 	}
 	intact := func(buf []float32, n int) bool {

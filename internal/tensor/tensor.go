@@ -166,20 +166,6 @@ func MatMul(dst, a, b *Matrix) {
 	gemmBlocked(a.Rows, k, n, a.Data, b.Data, dst.Data, false)
 }
 
-// MatMulTransA computes dst = aᵀ · b where a is stored untransposed.
-// dst shape must be a.Cols × b.Cols.
-func MatMulTransA(dst, a, b *Matrix) {
-	if a.Rows != b.Rows {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d != %d", a.Rows, b.Rows))
-	}
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
-		panic(fmt.Sprintf("tensor: MatMulTransA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	gemmTransABlocked(a.Cols, a.Rows, b.Cols, a.Data, b.Data, dst.Data, false)
-}
-
 // MatMulTransAAdd computes dst += aᵀ · b.
 func MatMulTransAAdd(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
@@ -347,12 +333,5 @@ func reluGradGo(dy, y, db []float32) {
 			g[j] = v
 			db[j] += v
 		}
-	}
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
 	}
 }

@@ -49,7 +49,9 @@ func TestAdagradStepsShrink(t *testing.T) {
 	tbl.EnableAdagrad()
 	indices, offsets := []int{5}, []int{0}
 	dOut := tensor.New(1, tbl.Dim())
-	tensor.Fill(dOut.Data, 1)
+	for i := range dOut.Data {
+		dOut.Data[i] = 1
+	}
 
 	norm := func(a, b [Dims]*tensor.Matrix) float64 {
 		var s float64

@@ -134,7 +134,9 @@ func TestCloneForServingIsReadOnly(t *testing.T) {
 		t.Fatalf("refused update still moved the shared cores by %v", d)
 	}
 
-	tensor.Fill(dOut.Data, 1)
+	for i := range dOut.Data {
+		dOut.Data[i] = 1
+	}
 	tbl.Lookup(indices, offsets)
 	tbl.Update(indices, offsets, dOut, 0.1)
 	if tbl.Cores[0].MaxAbsDiff(before) == 0 {

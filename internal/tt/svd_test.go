@@ -44,9 +44,9 @@ func TestSVDOrthogonality(t *testing.T) {
 	r.FillUniform(a.Data, 1)
 	u, _, v := SVD(a)
 	utu := tensor.New(6, 6)
-	tensor.MatMulTransA(utu, u, u)
+	tensor.GemmTransAInto(6, u.Rows, 6, u.Data, u.Data, utu.Data)
 	vtv := tensor.New(6, 6)
-	tensor.MatMulTransA(vtv, v, v)
+	tensor.GemmTransAInto(6, v.Rows, 6, v.Data, v.Data, vtv.Data)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			want := float32(0)
