@@ -53,7 +53,7 @@ type artifact struct {
 
 // hostInfo is what a timing in the artifact depends on besides the code:
 // two artifacts are comparable only when these agree. Kernels is the tensor
-// kernel family the run used ("avx2" or "portable").
+// kernel family the run used ("avx512", "avx2" or "portable").
 type hostInfo struct {
 	CPUModel   string `json:"cpu_model"`
 	NumCPU     int    `json:"num_cpu"`

@@ -47,6 +47,7 @@ func statsDelta(after, before ps.Stats) ps.Stats {
 		BackoffTime:         after.BackoffTime - before.BackoffTime,
 		StallTime:           after.StallTime - before.StallTime,
 		Checkpoints:         after.Checkpoints - before.Checkpoints,
+		CacheEntries:        after.CacheEntries, // a level, not a count
 	}
 	if lookups := d.CacheHits + d.CacheMisses; lookups > 0 {
 		d.CacheHitRate = float64(d.CacheHits) / float64(lookups)

@@ -22,23 +22,23 @@ func TTCore(sc Scale) *Result {
 	r := &Result{
 		ID:     "ttcore",
 		Title:  "compute-core hot paths (µs/op)",
-		Header: []string{"path", "us/op", "ops/s", "GFLOP/s"},
+		Header: []string{"path", "us/op", "ops/s", "GMAC/s"},
 	}
 
-	// flops is the path's floating-point operation count per op, 0 for the
-	// composite paths that have no single figure.
-	addRowFlops := func(name string, perOp time.Duration, flops float64) {
+	// macs is the path's multiply-add count per op, 0 for the composite
+	// paths that have no single figure.
+	addRowMACs := func(name string, perOp time.Duration, macs float64) {
 		us := float64(perOp.Nanoseconds()) / 1e3
-		opsPerSec, gflops := 0.0, "-"
+		opsPerSec, gmacs := 0.0, "-"
 		if perOp > 0 {
 			opsPerSec = float64(time.Second) / float64(perOp)
-			if flops > 0 {
-				gflops = fmt.Sprintf("%.1f", flops/float64(perOp.Nanoseconds()))
+			if macs > 0 {
+				gmacs = fmt.Sprintf("%.1f", macs/float64(perOp.Nanoseconds()))
 			}
 		}
-		r.AddRow(name, fmt.Sprintf("%.2f", us), fmt.Sprintf("%.0f", opsPerSec), gflops)
+		r.AddRow(name, fmt.Sprintf("%.2f", us), fmt.Sprintf("%.0f", opsPerSec), gmacs)
 	}
-	addRow := func(name string, perOp time.Duration) { addRowFlops(name, perOp, 0) }
+	addRow := func(name string, perOp time.Duration) { addRowMACs(name, perOp, 0) }
 	// addPassRows times a layer's whole-batch Forward and then its Backward,
 	// reps calls a sample, into the rows nameFmt names with "fwd" and "bwd".
 	addPassRows := func(nameFmt string, reps int, fwd, bwd func()) {
@@ -62,7 +62,9 @@ func TTCore(sc Scale) *Result {
 	// 64 (forward NN, backward TN and NT), and the default model's widest
 	// layer, the top tower's 415→64, at batch 128 (forward NT, dW TN, dx NN);
 	// then the stacked shapes: the interaction's per-sample Z·Zᵀ and S·Z over
-	// 27 features of width 64, and the TT products of a two-prefix G₂ group.
+	// 27 features of width 64, and the TT products of a two-prefix G₂ group
+	// and of a seven-prefix one (the forward fill, the backward dG₂ and c1 of
+	// one G₂ slice).
 	type gemm = func(m, k, n int, a, b, c []float32)
 	var gnn, gtn, gnt gemm = tensor.GemmInto, tensor.GemmTransAAddInto, tensor.GemmTransBAddInto
 	for _, g := range []struct {
@@ -75,6 +77,7 @@ func TTCore(sc Scale) *Result {
 		{"NT", gnt, 16, 4, 64}, {"NT", gnt, 4, 256, 64},
 		{"NT", gnt, 128, 415, 64}, {"TN", gtn, 64, 128, 415}, {"NN", gnn, 128, 64, 415},
 		{"NT", gnt, 27, 64, 27}, {"NN", gnn, 27, 27, 64}, {"NN", gnn, 8, 64, 256}, {"TN", gtn, 64, 8, 256},
+		{"NN", gnn, 28, 64, 256}, {"TN", gtn, 64, 28, 256}, {"NT", gnt, 28, 256, 64},
 	} {
 		a, b, c := make([]float32, g.m*g.k), make([]float32, g.k*g.n), make([]float32, g.m*g.n)
 		rng := tensor.NewRNG(13)
@@ -89,7 +92,7 @@ func TTCore(sc Scale) *Result {
 				}
 			})
 		}) / time.Duration(reps)
-		addRowFlops(fmt.Sprintf("kernel-%s-%dx%dx%d", g.kind, g.m, g.k, g.n), perOp, 2*float64(work))
+		addRowMACs(fmt.Sprintf("kernel-%s-%dx%dx%d", g.kind, g.m, g.k, g.n), perOp, float64(work))
 	}
 
 	// Raw GEMM kernels at an MLP-tower-like and a square shape.

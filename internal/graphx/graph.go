@@ -4,14 +4,9 @@
 package graphx
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
-
-// ErrAssignment reports a community assignment that does not match the
-// graph it is evaluated against. Compare with errors.Is.
-var ErrAssignment = errors.New("graphx: bad assignment")
 
 // Graph is an undirected weighted graph over nodes 0..N-1 with support for
 // accumulating parallel edges (repeated AddEdge calls sum their weights).
@@ -117,46 +112,4 @@ func (g *Graph) NumEdges() int {
 		}
 	}
 	return cnt / 2
-}
-
-// Modularity computes Newman's modularity Q of the node→community
-// assignment comm:
-//
-//	Q = Σ_c [ in_c/(2m) − (tot_c/(2m))² ]
-//
-// where in_c is twice the intra-community undirected weight (plus twice the
-// self loops) and tot_c the summed degrees.
-// Every accumulation visits nodes, neighbors and communities in a fixed
-// order (ascending node id via Neighbors, communities in first-appearance
-// order), so identical inputs give bit-identical Q — map iteration never
-// reaches a float sum.
-func Modularity(g *Graph, comm []int) (float64, error) {
-	if len(comm) != g.n {
-		return 0, fmt.Errorf("%w: assignment length %d != %d nodes", ErrAssignment, len(comm), g.n)
-	}
-	if g.m == 0 {
-		return 0, nil
-	}
-	in := map[int]float64{}
-	tot := map[int]float64{}
-	var order []int // communities in first-appearance order
-	for u := 0; u < g.n; u++ {
-		cu := comm[u]
-		if _, seen := tot[cu]; !seen {
-			order = append(order, cu)
-		}
-		tot[cu] += g.Degree(u)
-		in[cu] += 2 * g.loops[u]
-		g.Neighbors(u, func(v int, w float64) {
-			if comm[v] == cu {
-				in[cu] += w // each intra edge visited from both ends
-			}
-		})
-	}
-	m2 := 2 * g.m
-	var q float64
-	for _, c := range order {
-		q += in[c]/m2 - (tot[c]/m2)*(tot[c]/m2)
-	}
-	return q, nil
 }

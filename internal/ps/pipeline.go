@@ -127,6 +127,11 @@ type Stats struct {
 	// no lookups. Stats() also publishes it as the ps_cache_hit_rate gauge.
 	CacheHitRate float64
 
+	// CacheEntries is the live embedding-cache entries summed over host
+	// tables, read when Stats is called; Stats() also publishes it as the
+	// ps_cache_entries gauge.
+	CacheEntries int64
+
 	// Lookahead counters: windows planned, rows served from the pinned
 	// working set instead of being re-gathered, and the time the worker
 	// spent waiting for pre-fetched batches (the pipeline's prefetch stall).
@@ -290,7 +295,7 @@ type pipelineMetrics struct {
 	// the per-event distributions behind the gather/train/apply/stall
 	// counters, observed from the same clock readings, and the live cache
 	// entries summed over tables, set after each step's Syncs (the sweep's
-	// size).
+	// size) and by Stats().
 	gatherHist, trainHist, applyHist, stallHist *obs.Histogram
 	cacheEntries                                *obs.Gauge
 }
@@ -431,6 +436,10 @@ func (p *Pipeline) Stats() Stats {
 		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
 	}
 	p.m.cacheHitRate.Set(s.CacheHitRate)
+	for _, c := range p.caches {
+		s.CacheEntries += int64(c.Len())
+	}
+	p.m.cacheEntries.Set(float64(s.CacheEntries))
 	return s
 }
 

@@ -52,16 +52,6 @@ type Bijection struct {
 	Inverse []int32 // Inverse[new] = raw id
 }
 
-// Identity returns the identity bijection over n rows.
-func Identity(n int) *Bijection {
-	b := &Bijection{Forward: make([]int32, n), Inverse: make([]int32, n)}
-	for i := range b.Forward {
-		b.Forward[i] = int32(i)
-		b.Inverse[i] = int32(i)
-	}
-	return b
-}
-
 // Apply maps raw indices to reordered indices, returning a new slice.
 func (b *Bijection) Apply(indices []int) []int {
 	out := make([]int, len(indices))

@@ -23,7 +23,7 @@ func TestFrequencyOrder(t *testing.T) {
 }
 
 func TestIdentityBijection(t *testing.T) {
-	b := Identity(5)
+	b := identity(5)
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestIdentityBijection(t *testing.T) {
 }
 
 func TestApplyInPlace(t *testing.T) {
-	b := Identity(4)
+	b := identity(4)
 	b.Forward = []int32{1, 0, 3, 2}
 	b.Inverse = []int32{1, 0, 3, 2}
 	idx := []int{0, 2}
@@ -47,17 +47,17 @@ func TestApplyInPlace(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	b := Identity(3)
+	b := identity(3)
 	b.Forward[0] = 1 // duplicate
 	if b.Validate() == nil {
 		t.Fatal("duplicate new id accepted")
 	}
-	b = Identity(3)
+	b = identity(3)
 	b.Forward[0] = 5 // out of range
 	if b.Validate() == nil {
 		t.Fatal("out-of-range id accepted")
 	}
-	b = Identity(3)
+	b = identity(3)
 	b.Inverse[0] = 2 // inconsistent inverse
 	if b.Validate() == nil {
 		t.Fatal("inconsistent inverse accepted")
@@ -288,4 +288,14 @@ func TestBuildIsDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// identity is the identity bijection over n rows.
+func identity(n int) *Bijection {
+	b := &Bijection{Forward: make([]int32, n), Inverse: make([]int32, n)}
+	for i := range b.Forward {
+		b.Forward[i] = int32(i)
+		b.Inverse[i] = int32(i)
+	}
+	return b
 }

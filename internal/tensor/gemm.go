@@ -15,9 +15,13 @@ package tensor
 // differently (the assembly fuses each multiply-add, the Go kernels round as
 // the compiler emits them), see DESIGN.md §12.
 
-// KernelName names the kernel family this process runs: "avx2" for the
-// assembly, "portable" for the Go kernels.
+// KernelName names the kernel family this process runs: "avx512" or "avx2"
+// for the assembly (the widest tier the CPU supports; both give the same
+// bits), "portable" for the Go kernels.
 func KernelName() string {
+	if useAVX512 {
+		return "avx512"
+	}
 	if useAVX2 {
 		return "avx2"
 	}

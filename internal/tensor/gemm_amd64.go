@@ -8,6 +8,11 @@ package tensor
 // assembly.
 var useAVX2 = detectAVX2()
 
+// useAVX512 reports whether the products also take the 512-bit tier of
+// gemm_amd64.s: NN, TN, and NT with k ≥ ntDotMinK. Like useAVX2 it is
+// detected once; the two tiers give the same bits.
+var useAVX512 = useAVX2 && len(missingAVX512()) == 0
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -34,6 +39,33 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// missingAVX512 names the CPUID features (AVX-512F, DQ, BW and VL, the
+// x86-64-v4 set) and XCR0 state components (opmask, upper halves of ZMM0-15,
+// ZMM16-31) the 512-bit tier needs and this host lacks. Call it only where
+// detectAVX2 holds.
+func missingAVX512() []string {
+	_, ebx, _, _ := cpuid(7, 0)
+	xcr0, _ := xgetbv()
+	var missing []string
+	for _, f := range []struct {
+		have bool
+		name string
+	}{
+		{ebx&(1<<16) != 0, "CPUID.7.0:EBX.AVX512F"},
+		{ebx&(1<<17) != 0, "CPUID.7.0:EBX.AVX512DQ"},
+		{ebx&(1<<30) != 0, "CPUID.7.0:EBX.AVX512BW"},
+		{ebx&(1<<31) != 0, "CPUID.7.0:EBX.AVX512VL"},
+		{xcr0&(1<<5) != 0, "XCR0.opmask"},
+		{xcr0&(1<<6) != 0, "XCR0.ZMM_Hi256"},
+		{xcr0&(1<<7) != 0, "XCR0.Hi16_ZMM"},
+	} {
+		if !f.have {
+			missing = append(missing, f.name)
+		}
+	}
+	return missing
+}
+
 // gemmRowsAVX2 computes C (+)= A·B for m, k, n ≥ 1, where A's element (i, kk)
 // is a[i*aRow+kk*aK] and C is row-major with row stride ldc (in elements).
 // B is k×n row-major with row stride ldb or, with bTrans set (k ≤ 8 only,
@@ -48,6 +80,15 @@ func gemmRowsAVX2(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c 
 //
 //go:noescape
 func gemmDotAVX2(m, k, n int, a, b, c *float32, add bool)
+
+// gemmRowsAVX512 is gemmRowsAVX2 without bTrans for n a multiple of 16, and
+// gemmDotAVX512 is gemmDotAVX2 for even m: the 512-bit tier, same bits.
+//
+//go:noescape
+func gemmRowsAVX512(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, add bool)
+
+//go:noescape
+func gemmDotAVX512(m, k, n int, a, b, c *float32, add bool)
 
 //go:noescape
 func axpyAVX2(alpha float32, x, y *float32, n int)
@@ -69,27 +110,58 @@ func reluGradAVX2(dy, y, db *float32, rows, cols int)
 
 func gemmNNAsm(m, k, n int, a, b, c []float32, add bool) {
 	_, _, _ = a[m*k-1], b[k*n-1], c[m*n-1]
-	gemmRowsAVX2(m, k, n, &a[0], k, 1, &b[0], n, &c[0], n, add, false)
+	gemmRows(useAVX512, m, k, n, a, k, 1, b, c, add)
 }
 
 func gemmTNAsm(m, k, n int, a, b, c []float32, add bool) {
 	_, _, _ = a[k*m-1], b[k*n-1], c[m*n-1]
-	gemmRowsAVX2(m, k, n, &a[0], 1, m, &b[0], n, &c[0], n, add, false)
+	gemmRows(useAVX512, m, k, n, a, 1, m, b, c, add)
 }
 
 // ntDotMinK is the shortest B row the dot kernel takes. Below it a k-long
 // dot fills less than one vector and the per-output reduction dominates, so
-// the row-broadcast kernel runs instead, gathering B sixteen rows at a time
-// into its k×16 stack tile (which holds k ≤ 8). The choice reads k alone.
+// the AVX2 row-broadcast kernel runs instead, gathering B sixteen rows at a
+// time into its k×16 stack tile (which holds k ≤ 8). The choice reads k alone.
 const ntDotMinK = 8
 
 func gemmNTAsm(m, k, n int, a, b, c []float32, add bool) {
 	_, _, _ = a[m*k-1], b[n*k-1], c[m*n-1]
 	if k >= ntDotMinK {
-		gemmDotAVX2(m, k, n, &a[0], &b[0], &c[0], add)
+		gemmDot(useAVX512, m, k, n, a, b, c, add)
 		return
 	}
 	gemmRowsAVX2(m, k, n, &a[0], k, 1, &b[0], 0, &c[0], n, add, true)
+}
+
+// gemmRows and gemmDot run the row-broadcast or the dot kernel of the wide
+// tier or of AVX2; the tests call both tiers through them. The wide kernels
+// take whole 16-column strips and row pairs, so the last n mod 16 columns
+// and an odd last row run the AVX2 kernel, which gives them the same bits.
+// B and C are dense (ldb = ldc = n).
+func gemmRows(wide bool, m, k, n int, a []float32, aRow, aK int, b, c []float32, add bool) {
+	done := 0
+	if wide {
+		done = n &^ 15
+		if done > 0 {
+			gemmRowsAVX512(m, k, done, &a[0], aRow, aK, &b[0], n, &c[0], n, add)
+		}
+	}
+	if done < n {
+		gemmRowsAVX2(m, k, n-done, &a[0], aRow, aK, &b[done], n, &c[done], n, add, false)
+	}
+}
+
+func gemmDot(wide bool, m, k, n int, a, b, c []float32, add bool) {
+	if !wide {
+		gemmDotAVX2(m, k, n, &a[0], &b[0], &c[0], add)
+		return
+	}
+	if even := m &^ 1; even > 0 {
+		gemmDotAVX512(even, k, n, &a[0], &b[0], &c[0], add)
+	}
+	if m&1 != 0 {
+		gemmDotAVX2(1, k, n, &a[(m-1)*k], &b[0], &c[(m-1)*n], add)
+	}
 }
 
 func axpyAsm(alpha float32, x, y []float32) {

@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// AVX2/FMA kernels under every matrix product (DESIGN.md §12). Every output
-// element is S = fma(a[K-1], b[K-1], … fma(a[0], b[0], +0)) for the
-// row-broadcast kernel, or eight such lane chains reduced by one fixed tree
-// for the dot kernel, stored as S or C+S. Vector lanes are independent, so
-// the tile an element lands in (4-row or 1-row, 16/8/4/1 columns) never
+// AVX2/FMA kernels under every matrix product, and a 512-bit tier of the
+// two product kernels (DESIGN.md §12). Every output element is
+// S = fma(a[K-1], b[K-1], … fma(a[0], b[0], +0)) for the row-broadcast
+// kernels, or eight such lane chains reduced by one fixed tree for the dot
+// kernels, stored as S or C+S. Vector lanes are independent, so the tile an
+// element lands in (8-, 4- or 1-row, 32/16/8/4/1 columns, either tier) never
 // changes its bits: a result depends on its A row, its B column and k only.
 
 // ---------------------------------------------------------------------------
@@ -463,6 +464,324 @@ done:
 	RET
 
 // ---------------------------------------------------------------------------
+// 512-bit tier: the two product kernels again, sixteen lanes to a vector.
+// Each output is the FMA chain, or the eight lane chains and the reduction
+// tree, of its AVX2 twin above, so the tiers agree bit for bit on every
+// shape; only the tiling differs.
+// ---------------------------------------------------------------------------
+
+#define ZZERO4(C0, C1, C2, C3) \
+	VXORPS C0, C0, C0; \
+	VXORPS C1, C1, C1; \
+	VXORPS C2, C2, C2; \
+	VXORPS C3, C3, C3
+
+// Row-broadcast kernel, gemmRowsAVX2's contract without bTrans, for n a
+// multiple of 16: column strips of 32 (two vectors) and a last one of 16,
+// row tiles of 8, 4 and 1 rows. The caller hands the last n mod 16 columns
+// to gemmRowsAVX2, whose exact-width tiles give them the same bits: a
+// masked 64-byte access to a narrow row reaches into the next rows' bytes,
+// and a later load of those waits for the masked store to retire (m×16×4 in
+// add mode ran 3.5× slower than on AVX2).
+//
+// Register plan: gemmRowsAVX2's, except
+//   R11 A rows 4..7 during an 8-row tile's k loop (ldc bytes otherwise)
+//   Z0-Z15 accumulators   Z16, Z17 B   Z18-Z25 broadcast A
+
+// One k-step of one row: broadcast its A element, one FMA per B vector.
+#define ZFMA2(ADDR, T, C0, C1) \
+	VBROADCASTSS ADDR, T; \
+	VFMADD231PS  Z16, T, C0; \
+	VFMADD231PS  Z17, T, C1
+
+#define ZFMA1(ADDR, T, C0) \
+	VBROADCASTSS ADDR, T; \
+	VFMADD231PS  Z16, T, C0
+
+#define ZLOADB2 \
+	VMOVUPS (BX), Z16; \
+	VMOVUPS 64(BX), Z17
+
+#define ZLOADB1 VMOVUPS (BX), Z16
+
+#define ZNEXTK \
+	ADDQ R9, AX; \
+	ADDQ R10, BX; \
+	DECQ CX
+
+// The C row at BX plus the accumulators (ZADD*), or the accumulators stored
+// to it (ZST*); then BX moves to the next row.
+#define ZADD2(C0, C1) \
+	VADDPS (BX), C0, C0; \
+	VADDPS 64(BX), C1, C1; \
+	ADDQ   R11, BX
+
+#define ZST2(C0, C1) \
+	VMOVUPS C0, (BX); \
+	VMOVUPS C1, 64(BX); \
+	ADDQ    R11, BX
+
+#define ZADD1(C0) \
+	VADDPS (BX), C0, C0; \
+	ADDQ   R11, BX
+
+#define ZST1(C0) \
+	VMOVUPS C0, (BX); \
+	ADDQ    R11, BX
+
+// An 8-row tile's k loop walks rows 4..7 through R11; this restores ldc.
+#define ZLDC \
+	MOVQ ldc+72(FP), R11; \
+	SHLQ $2, R11
+
+#define ZNEXTROWS8 \
+	LEAQ (R12)(DX*8), R12; \
+	LEAQ (R13)(R11*8), R13; \
+	SUBQ $8, R14
+
+// func gemmRowsAVX512(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, add bool)
+TEXT ·gemmRowsAVX512(SB), NOSPLIT, $0-81
+	MOVQ aRow+32(FP), DX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), R8
+	MOVQ aK+40(FP), R9
+	SHLQ $2, R9
+	MOVQ ldb+56(FP), R10
+	SHLQ $2, R10
+	ZLDC
+	MOVQ b+48(FP), SI
+	MOVQ c+64(FP), DI
+	MOVQ n+16(FP), R15
+
+z32:
+	CMPQ R15, $32
+	JLT  z16
+	STRIPROWS
+
+z32r8:
+	CMPQ R14, $8
+	JLT  z32r4
+	ZZERO4(Z0, Z1, Z2, Z3)
+	ZZERO4(Z4, Z5, Z6, Z7)
+	ZZERO4(Z8, Z9, Z10, Z11)
+	ZZERO4(Z12, Z13, Z14, Z15)
+	TILEPTRS
+	LEAQ (AX)(DX*4), R11
+
+z32r8k:
+	ZLOADB2
+	ZFMA2((AX), Z18, Z0, Z1)
+	ZFMA2((AX)(DX*1), Z19, Z2, Z3)
+	ZFMA2((AX)(DX*2), Z20, Z4, Z5)
+	ZFMA2((AX)(R8*1), Z21, Z6, Z7)
+	ZFMA2((R11), Z22, Z8, Z9)
+	ZFMA2((R11)(DX*1), Z23, Z10, Z11)
+	ZFMA2((R11)(DX*2), Z24, Z12, Z13)
+	ZFMA2((R11)(R8*1), Z25, Z14, Z15)
+	ADDQ R9, R11
+	ZNEXTK
+	JNZ  z32r8k
+
+	ZLDC
+	MOVQ R13, BX
+	CMPB add+80(FP), $0
+	JEQ  z32r8st
+	ZADD2(Z0, Z1)
+	ZADD2(Z2, Z3)
+	ZADD2(Z4, Z5)
+	ZADD2(Z6, Z7)
+	ZADD2(Z8, Z9)
+	ZADD2(Z10, Z11)
+	ZADD2(Z12, Z13)
+	ZADD2(Z14, Z15)
+	MOVQ R13, BX
+
+z32r8st:
+	ZST2(Z0, Z1)
+	ZST2(Z2, Z3)
+	ZST2(Z4, Z5)
+	ZST2(Z6, Z7)
+	ZST2(Z8, Z9)
+	ZST2(Z10, Z11)
+	ZST2(Z12, Z13)
+	ZST2(Z14, Z15)
+	ZNEXTROWS8
+	JMP z32r8
+
+z32r4:
+	CMPQ R14, $4
+	JLT  z32r1
+	ZZERO4(Z0, Z1, Z2, Z3)
+	ZZERO4(Z4, Z5, Z6, Z7)
+	TILEPTRS
+
+z32r4k:
+	ZLOADB2
+	ZFMA2((AX), Z18, Z0, Z1)
+	ZFMA2((AX)(DX*1), Z19, Z2, Z3)
+	ZFMA2((AX)(DX*2), Z20, Z4, Z5)
+	ZFMA2((AX)(R8*1), Z21, Z6, Z7)
+	ZNEXTK
+	JNZ z32r4k
+
+	MOVQ R13, BX
+	CMPB add+80(FP), $0
+	JEQ  z32r4st
+	ZADD2(Z0, Z1)
+	ZADD2(Z2, Z3)
+	ZADD2(Z4, Z5)
+	ZADD2(Z6, Z7)
+	MOVQ R13, BX
+
+z32r4st:
+	ZST2(Z0, Z1)
+	ZST2(Z2, Z3)
+	ZST2(Z4, Z5)
+	ZST2(Z6, Z7)
+	NEXTROWS4
+
+z32r1:
+	TESTQ  R14, R14
+	JZ     z32end
+	VXORPS Z0, Z0, Z0
+	VXORPS Z1, Z1, Z1
+	TILEPTRS
+
+z32r1k:
+	ZLOADB2
+	ZFMA2((AX), Z18, Z0, Z1)
+	ZNEXTK
+	JNZ z32r1k
+
+	MOVQ R13, BX
+	CMPB add+80(FP), $0
+	JEQ  z32r1st
+	ZADD2(Z0, Z1)
+	MOVQ R13, BX
+
+z32r1st:
+	ZST2(Z0, Z1)
+	NEXTROW1
+	JMP z32r1
+
+z32end:
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $32, R15
+	JMP  z32
+
+z16:
+	TESTQ R15, R15
+	JZ    zdone
+	STRIPROWS
+
+z16r8:
+	CMPQ R14, $8
+	JLT  z16r4
+	ZZERO4(Z0, Z2, Z4, Z6)
+	ZZERO4(Z8, Z10, Z12, Z14)
+	TILEPTRS
+	LEAQ (AX)(DX*4), R11
+
+z16r8k:
+	ZLOADB1
+	ZFMA1((AX), Z18, Z0)
+	ZFMA1((AX)(DX*1), Z19, Z2)
+	ZFMA1((AX)(DX*2), Z20, Z4)
+	ZFMA1((AX)(R8*1), Z21, Z6)
+	ZFMA1((R11), Z22, Z8)
+	ZFMA1((R11)(DX*1), Z23, Z10)
+	ZFMA1((R11)(DX*2), Z24, Z12)
+	ZFMA1((R11)(R8*1), Z25, Z14)
+	ADDQ R9, R11
+	ZNEXTK
+	JNZ  z16r8k
+
+	ZLDC
+	MOVQ R13, BX
+	CMPB add+80(FP), $0
+	JEQ  z16r8st
+	ZADD1(Z0)
+	ZADD1(Z2)
+	ZADD1(Z4)
+	ZADD1(Z6)
+	ZADD1(Z8)
+	ZADD1(Z10)
+	ZADD1(Z12)
+	ZADD1(Z14)
+	MOVQ R13, BX
+
+z16r8st:
+	ZST1(Z0)
+	ZST1(Z2)
+	ZST1(Z4)
+	ZST1(Z6)
+	ZST1(Z8)
+	ZST1(Z10)
+	ZST1(Z12)
+	ZST1(Z14)
+	ZNEXTROWS8
+	JMP z16r8
+
+z16r4:
+	CMPQ R14, $4
+	JLT  z16r1
+	ZZERO4(Z0, Z2, Z4, Z6)
+	TILEPTRS
+
+z16r4k:
+	ZLOADB1
+	ZFMA1((AX), Z18, Z0)
+	ZFMA1((AX)(DX*1), Z19, Z2)
+	ZFMA1((AX)(DX*2), Z20, Z4)
+	ZFMA1((AX)(R8*1), Z21, Z6)
+	ZNEXTK
+	JNZ z16r4k
+
+	MOVQ R13, BX
+	CMPB add+80(FP), $0
+	JEQ  z16r4st
+	ZADD1(Z0)
+	ZADD1(Z2)
+	ZADD1(Z4)
+	ZADD1(Z6)
+	MOVQ R13, BX
+
+z16r4st:
+	ZST1(Z0)
+	ZST1(Z2)
+	ZST1(Z4)
+	ZST1(Z6)
+	NEXTROWS4
+
+z16r1:
+	TESTQ  R14, R14
+	JZ     zdone
+	VXORPS Z0, Z0, Z0
+	TILEPTRS
+
+z16r1k:
+	ZLOADB1
+	ZFMA1((AX), Z18, Z0)
+	ZNEXTK
+	JNZ z16r1k
+
+	MOVQ R13, BX
+	CMPB add+80(FP), $0
+	JEQ  z16r1st
+	ZADD1(Z0)
+	MOVQ R13, BX
+
+z16r1st:
+	ZST1(Z0)
+	NEXTROW1
+	JMP z16r1
+
+zdone:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
 // Dot kernel: C[m×n] (+)= A·Bᵀ with A m×k and B n×k both dense row-major,
 // so both operands stream along k and B is never transposed. Each output
 // owns one 8-lane accumulator (lane l sums k ≡ l mod 8, the last partial
@@ -512,6 +831,21 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $64
 	VADDPS TLO, ALO, ALO
 
 #define REDUCE1(A, ALO, TLO) REDUCE2(A, A, ALO, TLO)
+
+// X0 = [c0 c1 c2 c3], one column over four rows, accumulated into or stored
+// to the C column at DI, DI+ldc, BX, BX+ldc.
+#define ADDCOL4 \
+	VMOVSS    (DI), X8; \
+	VINSERTPS $0x10, (DI)(R11*1), X8, X8; \
+	VINSERTPS $0x20, (BX), X8, X8; \
+	VINSERTPS $0x30, (BX)(R11*1), X8, X8; \
+	VADDPS    X8, X0, X0
+
+#define STCOL4 \
+	VMOVSS     X0, (DI); \
+	VEXTRACTPS $1, X0, (DI)(R11*1); \
+	VEXTRACTPS $2, X0, (BX); \
+	VEXTRACTPS $3, X0, (BX)(R11*1)
 
 #define NTTILEPTRS \
 	MOVQ R12, AX; \
@@ -663,17 +997,10 @@ r4c1red:
 	LEAQ      (DI)(R11*2), BX
 	CMPB      add+48(FP), $0
 	JEQ       r4c1st
-	VMOVSS    (DI), X8
-	VINSERTPS $0x10, (DI)(R11*1), X8, X8
-	VINSERTPS $0x20, (BX), X8, X8
-	VINSERTPS $0x30, (BX)(R11*1), X8, X8
-	VADDPS    X8, X0, X0
+	ADDCOL4
 
 r4c1st:
-	VMOVSS     X0, (DI)
-	VEXTRACTPS $1, X0, (DI)(R11*1)
-	VEXTRACTPS $2, X0, (BX)
-	VEXTRACTPS $3, X0, (BX)(R11*1)
+	STCOL4
 
 r4end:
 	LEAQ (R12)(R10*4), R12
@@ -768,6 +1095,372 @@ r1end:
 	JMP  r1
 
 ntdone:
+	VZEROUPPER
+	RET
+
+// Dot kernel, gemmDotAVX2's contract for even m. A vector holds two outputs,
+// two A rows (one per 256-bit half) against one B row's 8-float block
+// broadcast to both halves: lane l of each half sums k ≡ l mod 8, the last
+// partial step loads zeros through K3 as VMASKMOVPS does, and each half is
+// reduced by gemmDotAVX2's tree. Tiles are 4 rows by 8, 4 and 1 columns,
+// then 2 rows by 4 and 1.
+//
+// Register plan: gemmDotAVX2's, except
+//   R9 B rows 4..7 of an 8-column tile (k mod 8 lives in K3 instead)
+//   SI B row block    Z0-Z15 accumulators (a row pair against B rows: in
+//   the 8-column tile Z0-Z3 and Z4-Z7 the first pair, Z8-Z15 the second;
+//   in the 4-column tiles Z0-Z3 the first pair, Z4-Z7 the second)
+//   Z16-Z19 B   Z20, Z21 A row pairs   Z22 scratch   K3 tail mask
+
+// ZMASK sets K to CX (0..7) leading ones; AX is clobbered.
+#define ZMASK(K) \
+	MOVL  $1, AX; \
+	SHLL  CX, AX; \
+	DECL  AX; \
+	KMOVW AX, K
+
+// VHADDPS B, A, A on each 128-bit chunk: [A0+A1, A2+A3, B0+B1, B2+B3].
+#define ZHADD(B, A, T) \
+	VSHUFPS $0xDD, B, A, T; \
+	VSHUFPS $0x88, B, A, A; \
+	VADDPS  T, A, A
+
+// REDUCE4 for two rows at once: A, B, C, E hold a row pair against four B
+// rows; YA becomes [row 0's four sums, row 1's four sums].
+#define ZREDUCE4(A, B, C, E, YA) \
+	ZHADD(B, A, Z22); \
+	ZHADD(E, C, Z22); \
+	ZHADD(C, A, Z22); \
+	VSHUFF32X4    $0xD8, A, A, A; \
+	VEXTRACTF32X8 $1, A, Y22; \
+	VADDPS        Y22, YA, YA
+
+// Load an A row pair, or a B block into both halves; the *TAIL forms read
+// only the K3 lanes.
+#define DLOADA(LO, HI, YV, ZV) \
+	VMOVUPS      LO, YV; \
+	VINSERTF32X8 $1, HI, ZV, ZV
+
+#define DLOADATAIL(LO, HI, YV, ZV) \
+	VMOVUPS.Z    LO, K3, YV; \
+	VMOVUPS.Z    HI, K3, Y22; \
+	VINSERTF32X8 $1, Y22, ZV, ZV
+
+#define DLOADBTAIL(ADDR, YV, ZV) \
+	VMOVUPS.Z    ADDR, K3, YV; \
+	VINSERTF32X8 $1, YV, ZV, ZV
+
+#define DFMA4(A, C0, C1, C2, C3) \
+	VFMADD231PS Z16, A, C0; \
+	VFMADD231PS Z17, A, C1; \
+	VFMADD231PS Z18, A, C2; \
+	VFMADD231PS Z19, A, C3
+
+// One C row pair's four columns at ROW0 and ROW1: accumulate into (Y15
+// scratch) and store YA = [row 0, row 1].
+#define DADDPAIR(ROW0, ROW1, YA) \
+	VMOVUPS     ROW0, X15; \
+	VINSERTF128 $1, ROW1, Y15, Y15; \
+	VADDPS      Y15, YA, YA
+
+#define DSTPAIR(ROW0, ROW1, YA, XA) \
+	VMOVUPS      XA, ROW0; \
+	VEXTRACTF128 $1, YA, ROW1
+
+// func gemmDotAVX512(m, k, n int, a, b, c *float32, add bool)
+TEXT ·gemmDotAVX512(SB), NOSPLIT, $0-49
+	MOVQ k+8(FP), R10
+	MOVQ R10, DX
+	SHRQ $3, DX
+	MOVQ R10, CX
+	SHLQ $2, R10
+	LEAQ (R10)(R10*2), R8
+	MOVQ n+16(FP), R11
+	SHLQ $2, R11
+	ANDQ $7, CX
+	ZMASK(K3)
+	MOVQ a+24(FP), R12
+	MOVQ c+40(FP), R13
+	MOVQ m+0(FP), R14
+
+d4:
+	CMPQ R14, $4
+	JLT  d2
+	MOVQ b+32(FP), SI
+	MOVQ R13, DI
+	MOVQ n+16(FP), R15
+
+d4c8:
+	CMPQ     R15, $8
+	JLT      d4c4
+	ZZERO4(Z0, Z1, Z2, Z3)
+	ZZERO4(Z4, Z5, Z6, Z7)
+	ZZERO4(Z8, Z9, Z10, Z11)
+	ZZERO4(Z12, Z13, Z14, Z15)
+	NTTILEPTRS
+	LEAQ     (BX)(R10*4), R9
+	TESTQ    CX, CX
+	JZ       d4c8tail
+
+d4c8k:
+	DLOADA((AX), (AX)(R10*1), Y20, Z20)
+	DLOADA((AX)(R10*2), (AX)(R8*1), Y21, Z21)
+	VBROADCASTF32X8 (BX), Z16
+	VBROADCASTF32X8 (BX)(R10*1), Z17
+	VBROADCASTF32X8 (BX)(R10*2), Z18
+	VBROADCASTF32X8 (BX)(R8*1), Z19
+	DFMA4(Z20, Z0, Z1, Z2, Z3)
+	DFMA4(Z21, Z8, Z9, Z10, Z11)
+	VBROADCASTF32X8 (R9), Z16
+	VBROADCASTF32X8 (R9)(R10*1), Z17
+	VBROADCASTF32X8 (R9)(R10*2), Z18
+	VBROADCASTF32X8 (R9)(R8*1), Z19
+	DFMA4(Z20, Z4, Z5, Z6, Z7)
+	DFMA4(Z21, Z12, Z13, Z14, Z15)
+	ADDQ            $32, AX
+	ADDQ            $32, BX
+	ADDQ            $32, R9
+	DECQ            CX
+	JNZ             d4c8k
+
+d4c8tail:
+	KORTESTW K3, K3
+	JZ       d4c8red
+	DLOADATAIL((AX), (AX)(R10*1), Y20, Z20)
+	DLOADATAIL((AX)(R10*2), (AX)(R8*1), Y21, Z21)
+	DLOADBTAIL((BX), Y16, Z16)
+	DLOADBTAIL((BX)(R10*1), Y17, Z17)
+	DLOADBTAIL((BX)(R10*2), Y18, Z18)
+	DLOADBTAIL((BX)(R8*1), Y19, Z19)
+	DFMA4(Z20, Z0, Z1, Z2, Z3)
+	DFMA4(Z21, Z8, Z9, Z10, Z11)
+	DLOADBTAIL((R9), Y16, Z16)
+	DLOADBTAIL((R9)(R10*1), Y17, Z17)
+	DLOADBTAIL((R9)(R10*2), Y18, Z18)
+	DLOADBTAIL((R9)(R8*1), Y19, Z19)
+	DFMA4(Z20, Z4, Z5, Z6, Z7)
+	DFMA4(Z21, Z12, Z13, Z14, Z15)
+
+d4c8red:
+	ZREDUCE4(Z0, Z1, Z2, Z3, Y0)
+	ZREDUCE4(Z4, Z5, Z6, Z7, Y4)
+	ZREDUCE4(Z8, Z9, Z10, Z11, Y8)
+	ZREDUCE4(Z12, Z13, Z14, Z15, Y12)
+	LEAQ (DI)(R11*2), BX
+	CMPB add+48(FP), $0
+	JEQ  d4c8st
+	DADDPAIR((DI), (DI)(R11*1), Y0)
+	DADDPAIR(16(DI), 16(DI)(R11*1), Y4)
+	DADDPAIR((BX), (BX)(R11*1), Y8)
+	DADDPAIR(16(BX), 16(BX)(R11*1), Y12)
+
+d4c8st:
+	DSTPAIR((DI), (DI)(R11*1), Y0, X0)
+	DSTPAIR(16(DI), 16(DI)(R11*1), Y4, X4)
+	DSTPAIR((BX), (BX)(R11*1), Y8, X8)
+	DSTPAIR(16(BX), 16(BX)(R11*1), Y12, X12)
+	LEAQ (SI)(R10*8), SI
+	ADDQ $32, DI
+	SUBQ $8, R15
+	JMP  d4c8
+
+d4c4:
+	CMPQ  R15, $4
+	JLT   d4c1
+	ZZERO4(Z0, Z1, Z2, Z3)
+	ZZERO4(Z4, Z5, Z6, Z7)
+	NTTILEPTRS
+	TESTQ CX, CX
+	JZ    d4c4tail
+
+d4c4k:
+	VBROADCASTF32X8 (BX), Z16
+	VBROADCASTF32X8 (BX)(R10*1), Z17
+	VBROADCASTF32X8 (BX)(R10*2), Z18
+	VBROADCASTF32X8 (BX)(R8*1), Z19
+	DLOADA((AX), (AX)(R10*1), Y20, Z20)
+	DLOADA((AX)(R10*2), (AX)(R8*1), Y21, Z21)
+	DFMA4(Z20, Z0, Z1, Z2, Z3)
+	DFMA4(Z21, Z4, Z5, Z6, Z7)
+	ADDQ            $32, AX
+	ADDQ            $32, BX
+	DECQ            CX
+	JNZ             d4c4k
+
+d4c4tail:
+	KORTESTW K3, K3
+	JZ    d4c4red
+	DLOADBTAIL((BX), Y16, Z16)
+	DLOADBTAIL((BX)(R10*1), Y17, Z17)
+	DLOADBTAIL((BX)(R10*2), Y18, Z18)
+	DLOADBTAIL((BX)(R8*1), Y19, Z19)
+	DLOADATAIL((AX), (AX)(R10*1), Y20, Z20)
+	DLOADATAIL((AX)(R10*2), (AX)(R8*1), Y21, Z21)
+	DFMA4(Z20, Z0, Z1, Z2, Z3)
+	DFMA4(Z21, Z4, Z5, Z6, Z7)
+
+d4c4red:
+	ZREDUCE4(Z0, Z1, Z2, Z3, Y0)
+	ZREDUCE4(Z4, Z5, Z6, Z7, Y4)
+	LEAQ (DI)(R11*2), BX
+	CMPB add+48(FP), $0
+	JEQ  d4c4st
+	DADDPAIR((DI), (DI)(R11*1), Y0)
+	DADDPAIR((BX), (BX)(R11*1), Y4)
+
+d4c4st:
+	DSTPAIR((DI), (DI)(R11*1), Y0, X0)
+	DSTPAIR((BX), (BX)(R11*1), Y4, X4)
+	LEAQ (SI)(R10*4), SI
+	ADDQ $16, DI
+	SUBQ $4, R15
+	JMP  d4c4
+
+d4c1:
+	TESTQ  R15, R15
+	JZ     d4end
+	VXORPS Z0, Z0, Z0
+	VXORPS Z1, Z1, Z1
+	NTTILEPTRS
+	TESTQ  CX, CX
+	JZ     d4c1tail
+
+d4c1k:
+	VBROADCASTF32X8 (BX), Z16
+	DLOADA((AX), (AX)(R10*1), Y20, Z20)
+	DLOADA((AX)(R10*2), (AX)(R8*1), Y21, Z21)
+	VFMADD231PS     Z16, Z20, Z0
+	VFMADD231PS     Z16, Z21, Z1
+	ADDQ            $32, AX
+	ADDQ            $32, BX
+	DECQ            CX
+	JNZ             d4c1k
+
+d4c1tail:
+	KORTESTW    K3, K3
+	JZ          d4c1red
+	DLOADBTAIL((BX), Y16, Z16)
+	DLOADATAIL((AX), (AX)(R10*1), Y20, Z20)
+	DLOADATAIL((AX)(R10*2), (AX)(R8*1), Y21, Z21)
+	VFMADD231PS Z16, Z20, Z0
+	VFMADD231PS Z16, Z21, Z1
+
+d4c1red:
+	// Rows i..i+3 in Y0, Y2, Y1, Y3, then gemmDotAVX2's one-column reduction.
+	VEXTRACTF32X8 $1, Z0, Y2
+	VEXTRACTF32X8 $1, Z1, Y3
+	REDUCE4(Y0, Y2, Y1, Y3, Y0, X0, X8)
+	LEAQ          (DI)(R11*2), BX
+	CMPB          add+48(FP), $0
+	JEQ           d4c1st
+	ADDCOL4
+
+d4c1st:
+	STCOL4
+	ADDQ R10, SI
+	ADDQ $4, DI
+	DECQ R15
+	JMP  d4c1
+
+d4end:
+	LEAQ (R12)(R10*4), R12
+	LEAQ (R13)(R11*4), R13
+	SUBQ $4, R14
+	JMP  d4
+
+d2:
+	TESTQ R14, R14
+	JZ    ddone
+	MOVQ  b+32(FP), SI
+	MOVQ  R13, DI
+	MOVQ  n+16(FP), R15
+
+d2c4:
+	CMPQ  R15, $4
+	JLT   d2c1
+	ZZERO4(Z0, Z1, Z2, Z3)
+	NTTILEPTRS
+	TESTQ CX, CX
+	JZ    d2c4tail
+
+d2c4k:
+	VBROADCASTF32X8 (BX), Z16
+	VBROADCASTF32X8 (BX)(R10*1), Z17
+	VBROADCASTF32X8 (BX)(R10*2), Z18
+	VBROADCASTF32X8 (BX)(R8*1), Z19
+	DLOADA((AX), (AX)(R10*1), Y20, Z20)
+	DFMA4(Z20, Z0, Z1, Z2, Z3)
+	ADDQ            $32, AX
+	ADDQ            $32, BX
+	DECQ            CX
+	JNZ             d2c4k
+
+d2c4tail:
+	KORTESTW K3, K3
+	JZ    d2c4red
+	DLOADBTAIL((BX), Y16, Z16)
+	DLOADBTAIL((BX)(R10*1), Y17, Z17)
+	DLOADBTAIL((BX)(R10*2), Y18, Z18)
+	DLOADBTAIL((BX)(R8*1), Y19, Z19)
+	DLOADATAIL((AX), (AX)(R10*1), Y20, Z20)
+	DFMA4(Z20, Z0, Z1, Z2, Z3)
+
+d2c4red:
+	ZREDUCE4(Z0, Z1, Z2, Z3, Y0)
+	CMPB add+48(FP), $0
+	JEQ  d2c4st
+	DADDPAIR((DI), (DI)(R11*1), Y0)
+
+d2c4st:
+	DSTPAIR((DI), (DI)(R11*1), Y0, X0)
+	LEAQ (SI)(R10*4), SI
+	ADDQ $16, DI
+	SUBQ $4, R15
+	JMP  d2c4
+
+d2c1:
+	TESTQ  R15, R15
+	JZ     ddone
+	VXORPS Z0, Z0, Z0
+	NTTILEPTRS
+	TESTQ  CX, CX
+	JZ     d2c1tail
+
+d2c1k:
+	VBROADCASTF32X8 (BX), Z16
+	DLOADA((AX), (AX)(R10*1), Y20, Z20)
+	VFMADD231PS     Z16, Z20, Z0
+	ADDQ            $32, AX
+	ADDQ            $32, BX
+	DECQ            CX
+	JNZ             d2c1k
+
+d2c1tail:
+	KORTESTW    K3, K3
+	JZ          d2c1red
+	DLOADBTAIL((BX), Y16, Z16)
+	DLOADATAIL((AX), (AX)(R10*1), Y20, Z20)
+	VFMADD231PS Z16, Z20, Z0
+
+d2c1red:
+	// X0 = [c_i, c_i+1, …]
+	VEXTRACTF32X8 $1, Z0, Y1
+	REDUCE2(Y0, Y1, X0, X8)
+	CMPB          add+48(FP), $0
+	JEQ           d2c1st
+	VMOVSS        (DI), X8
+	VINSERTPS     $0x10, (DI)(R11*1), X8, X8
+	VADDPS        X8, X0, X0
+
+d2c1st:
+	VMOVSS     X0, (DI)
+	VEXTRACTPS $1, X0, (DI)(R11*1)
+	ADDQ       R10, SI
+	ADDQ       $4, DI
+	DECQ       R15
+	JMP        d2c1
+
+ddone:
 	VZEROUPPER
 	RET
 

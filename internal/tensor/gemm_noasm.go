@@ -4,7 +4,10 @@ package tensor
 
 // Without the assembly the dispatch branches in gemm.go and tensor.go are
 // dead code the compiler removes; these stubs only let them type-check.
-const useAVX2 = false
+const (
+	useAVX2   = false
+	useAVX512 = false
+)
 
 func gemmNNAsm(m, k, n int, a, b, c []float32, add bool)      {}
 func gemmTNAsm(m, k, n int, a, b, c []float32, add bool)      {}

@@ -35,24 +35,22 @@ func guardedFloats(t *testing.T, max int) func(n int) []float32 {
 }
 
 // TestKernelsStayInsideTheirOperands runs every tail class of m, k and n
-// with each operand's last element on the last mapped float before an
-// unmapped page: a vector load, masked load or store that strays past
-// m·k, k·n or m·n elements kills the test binary with SIGSEGV.
+// (m mod 8 and n mod 32 included, the 512-bit tier's tiles) with each
+// operand's last element on the last mapped float before an unmapped page:
+// a vector load, masked load or store that strays past m·k, k·n or m·n
+// elements kills the test binary with SIGSEGV.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: the assembly never runs on this host")
 	}
 	const top = 17
-	aAt, bAt, cAt := guardedFloats(t, top*top), guardedFloats(t, top*top), guardedFloats(t, top*top)
-	for m := 1; m <= top; m++ {
-		for k := 1; k <= top; k++ {
-			for n := 1; n <= top; n++ {
-				a, b, c := aAt(m*k), bAt(k*n), cAt(m*n)
-				for _, kd := range gemmKinds {
-					kd.run(m, k, n, a, b, c, false)
-					kd.run(m, k, n, a, b, c, true)
-				}
-			}
+	aAt, bAt, cAt := guardedFloats(t, top*top), guardedFloats(t, top*wideTop), guardedFloats(t, top*wideTop)
+	for _, s := range tailShapes() {
+		m, k, n := s[0], s[1], s[2]
+		a, b, c := aAt(m*k), bAt(k*n), cAt(m*n)
+		for _, kd := range gemmKinds {
+			kd.run(m, k, n, a, b, c, false)
+			kd.run(m, k, n, a, b, c, true)
 		}
 	}
 	for n := 1; n <= 70; n++ {

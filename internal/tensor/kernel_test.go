@@ -233,6 +233,31 @@ func TestGemmNaNReachesEveryRow(t *testing.T) {
 	}
 }
 
+// wideTop is the widest n tailShapes reaches: every n mod 32 class past
+// one full 32-column strip.
+const wideTop = 64
+
+// tailShapes covers every tail class of both assembly tiers: m, k, n in
+// 1…17 (the 4/1 and 8/4/1 row tiles, the 16/8/4/1 column strips, every
+// k mod 8), and n in 18…wideTop (n mod 32 after a full strip) over every m
+// and the k classes that pick a kernel (k < 8 short-k NT, k ≥ 8 dot).
+func tailShapes() [][3]int {
+	var out [][3]int
+	for m := 1; m <= 17; m++ {
+		for k := 1; k <= 17; k++ {
+			for n := 1; n <= 17; n++ {
+				out = append(out, [3]int{m, k, n})
+			}
+		}
+		for _, k := range []int{1, 7, 8, 13} {
+			for n := 18; n <= wideTop; n++ {
+				out = append(out, [3]int{m, k, n})
+			}
+		}
+	}
+	return out
+}
+
 // TestKernelsWriteOnlyTheirOutput surrounds every output with canaries:
 // for each tail class of every dimension, the kernels must write exactly
 // c[:m·n] (axpy/AddTo exactly their vector, AddBias exactly y, ReLUGrad
@@ -255,15 +280,7 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 		return true
 	}
 	rng := NewRNG(79)
-	shapes := stackedShapes()
-	for m := 1; m <= 17; m++ {
-		for k := 1; k <= 17; k++ {
-			for n := 1; n <= 17; n++ {
-				shapes = append(shapes, [3]int{m, k, n})
-			}
-		}
-	}
-	for _, s := range shapes {
+	for _, s := range append(stackedShapes(), tailShapes()...) {
 		m, k, n := s[0], s[1], s[2]
 		a, b := unaligned(rng, m*k, 1), unaligned(rng, k*n, 3)
 		for _, kd := range gemmKinds {

@@ -13,7 +13,7 @@ func fillSeq(x []float32) {
 }
 
 // TestGemmKernelsZeroAllocSteadyState cross-checks hotalloc's static claim
-// at runtime: every kernel entry point (and so, on an AVX2 host, each of
+// at runtime: every kernel entry point (and so, on an AVX2 or AVX-512 host, each of
 // the four assembly routines: row-broadcast for NN and TN, dot and the
 // short-k tile for NT, axpy, addTo) runs without heap allocation.
 func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {

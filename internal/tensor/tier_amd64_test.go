@@ -1,0 +1,60 @@
+//go:build amd64 && !purego
+
+package tensor
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// TestWideKernelsMatchAVX2BitForBit holds the 512-bit tier to the AVX2 one:
+// for every invarianceShapes() product in every layout, store and add mode,
+// on unaligned operands, the two kernels write the same bits. NT products
+// with k < ntDotMinK take the same AVX2 kernel on both tiers and are skipped.
+func TestWideKernelsMatchAVX2BitForBit(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the assembly never runs on this host")
+	}
+	if missing := missingAVX512(); len(missing) > 0 {
+		t.Skipf("no 512-bit tier on this host: missing %s", strings.Join(missing, ", "))
+	}
+	layouts := []struct {
+		name string
+		run  func(wide bool, m, k, n int, a, b, c []float32, add bool)
+	}{
+		{"NN", func(wide bool, m, k, n int, a, b, c []float32, add bool) {
+			gemmRows(wide, m, k, n, a, k, 1, b, c, add)
+		}},
+		{"TN", func(wide bool, m, k, n int, a, b, c []float32, add bool) {
+			gemmRows(wide, m, k, n, a, 1, m, b, c, add)
+		}},
+		{"NT", gemmDot},
+	}
+	rng := NewRNG(83)
+	for _, s := range invarianceShapes() {
+		m, k, n := s[0], s[1], s[2]
+		if m == 0 || k == 0 || n == 0 {
+			continue
+		}
+		a, b := unaligned(rng, m*k, 1), unaligned(rng, k*n, 3)
+		c0 := unaligned(rng, m*n, 1)
+		for _, l := range layouts {
+			if l.name == "NT" && k < ntDotMinK {
+				continue
+			}
+			for _, add := range []bool{false, true} {
+				want := append(make([]float32, 3), c0...)[3:]
+				got := append(make([]float32, 1), c0...)[1:]
+				l.run(false, m, k, n, a, b, want, add)
+				l.run(true, m, k, n, a, b, got, add)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s %dx%dx%d add=%v: C[%d,%d] is %v on the wide tier, %v on AVX2",
+							l.name, m, k, n, add, i/n, i%n, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

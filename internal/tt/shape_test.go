@@ -1,6 +1,7 @@
 package tt
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -160,4 +161,26 @@ func TestShapeString(t *testing.T) {
 	if s.String() == "" {
 		t.Fatal("empty String()")
 	}
+}
+
+// NewShapeExplicit builds a Shape from explicit factors, validating them.
+func NewShapeExplicit(rows, dim int, rowF, colF [Dims]int, r1, r2 int) (Shape, error) {
+	prodR, prodC := 1, 1
+	for k := 0; k < Dims; k++ {
+		if rowF[k] <= 0 || colF[k] <= 0 {
+			return Shape{}, fmt.Errorf("tt: non-positive factor in %v / %v", rowF, colF)
+		}
+		prodR *= rowF[k]
+		prodC *= colF[k]
+	}
+	if prodR < rows {
+		return Shape{}, fmt.Errorf("tt: row factors %v product %d < rows %d", rowF, prodR, rows)
+	}
+	if prodC != dim {
+		return Shape{}, fmt.Errorf("tt: col factors %v product %d != dim %d", colF, prodC, dim)
+	}
+	if r1 <= 0 || r2 <= 0 {
+		return Shape{}, fmt.Errorf("tt: invalid ranks %d, %d", r1, r2)
+	}
+	return Shape{Rows: rows, Dim: dim, RowFactors: rowF, ColFactors: colF, R1: r1, R2: r2}, nil
 }
