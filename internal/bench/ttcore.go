@@ -66,7 +66,8 @@ func TTCore(sc Scale) *Result {
 	// and of a seven-prefix one (the forward fill, the backward dG₂ and c1 of
 	// one G₂ slice).
 	type gemm = func(m, k, n int, a, b, c []float32)
-	var gnn, gtn, gnt gemm = tensor.GemmInto, tensor.GemmTransAAddInto, tensor.GemmTransBAddInto
+	gtn := func(m, k, n int, a, b, c []float32) { tensor.GemmTransAAddInto(m, k, n, 1, a, b, c) }
+	var gnn, gnt gemm = tensor.GemmInto, tensor.GemmTransBAddInto
 	for _, g := range []struct {
 		kind    string
 		kernel  gemm
@@ -93,6 +94,38 @@ func TTCore(sc Scale) *Result {
 			})
 		}) / time.Duration(reps)
 		addRowMACs(fmt.Sprintf("kernel-%s-%dx%dx%d", g.kind, g.m, g.k, g.n), perOp, float64(work))
+	}
+
+	// One phase-2 visit of a G₂ slice as training runs it, at one and at two
+	// prefixes (most of train_tt's visits): c1 = [dP₁₂]·G₂[i₂]ᵀ, then the dG₂
+	// product [G₁]ᵀ·[dP₁₂] and its SGD update of G₂[i₂]. Successive visits
+	// stride through 400 distinct 64 KB slices (25.6 MB, many times a core's
+	// L2), so each one, as in training, finds its slice beyond L2, which the
+	// hot-operand kernel rows above never do.
+	{
+		const r, cols, n1, slices, stride, lr = 64, 256, 4, 400, 37, 0.05
+		g2 := make([]float32, slices*r*cols)
+		rng := tensor.NewRNG(14)
+		rng.FillUniform(g2, 1)
+		for _, k := range []int{1, 2} {
+			rows := k * n1
+			g1, dP, c1 := make([]float32, rows*r), make([]float32, rows*cols), make([]float32, rows*r)
+			rng.FillUniform(g1, 1)
+			rng.FillUniform(dP, 1e-3)
+			const reps = 4 * slices
+			next := 0
+			perOp := minOf(5, func() time.Duration {
+				return timeIt(func() {
+					for i := 0; i < reps; i++ {
+						slice := g2[next*r*cols : (next+1)*r*cols]
+						next = (next + stride) % slices
+						tensor.GemmTransBInto(rows, cols, r, dP, slice, c1)
+						tensor.GemmTransAAddInto(r, rows, cols, -lr, g1, dP, slice)
+					}
+				})
+			}) / reps
+			addRowMACs(fmt.Sprintf("slice-visit-%dprefix", k), perOp, float64(2*rows*r*cols))
+		}
 	}
 
 	// Raw GEMM kernels at an MLP-tower-like and a square shape.

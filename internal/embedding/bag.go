@@ -78,7 +78,7 @@ func (b *Bag) Lookup(indices, offsets []int) *tensor.Matrix {
 	batch := len(offsets)
 	out := tensor.New(batch, b.dim)
 	for s := 0; s < batch; s++ {
-		lo, hi := bagBounds(offsets, s, len(indices))
+		lo, hi := BagBounds(offsets, s, len(indices))
 		row := out.Row(s)
 		for _, idx := range indices[lo:hi] {
 			tensor.AddTo(row, b.Weights.Row(idx))
@@ -87,8 +87,9 @@ func (b *Bag) Lookup(indices, offsets []int) *tensor.Matrix {
 	return out
 }
 
-// bagBounds returns the [lo,hi) index range of sample s.
-func bagBounds(offsets []int, s, total int) (int, int) {
+// BagBounds returns the [lo,hi) index range of sample s of a bag batch:
+// offsets[s] up to the next sample's offset, or up to total for the last.
+func BagBounds(offsets []int, s, total int) (int, int) {
 	lo := offsets[s]
 	hi := total
 	if s+1 < len(offsets) {
@@ -116,7 +117,7 @@ func (b *Bag) Backward(indices, offsets []int, dOut *tensor.Matrix) *SparseGrad 
 	uniq, inverse := Unique(indices)
 	g := tensor.New(len(uniq), b.dim)
 	for s := range offsets {
-		lo, hi := bagBounds(offsets, s, len(indices))
+		lo, hi := BagBounds(offsets, s, len(indices))
 		src := dOut.Row(s)
 		for p := lo; p < hi; p++ {
 			tensor.AddTo(g.Row(inverse[p]), src)

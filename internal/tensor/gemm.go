@@ -57,22 +57,22 @@ func gemmBlocked(m, k, n int, a, b, c []float32, add bool) {
 		gemmNNAsm(m, k, n, a, b, c, add)
 		return
 	}
-	gemmRowsGo(m, k, n, a, k, 1, b, c, add)
+	gemmRowsGo(m, k, n, a, k, 1, b, c, 1, add)
 }
 
-// gemmTransABlocked computes c = aᵀ·b (add=false) or c += aᵀ·b (add=true)
-// where a is k×m row-major (so aᵀ is m×k), b is k×n and c is m×n.
+// gemmTransABlocked computes c = aᵀ·b (add=false) or c = alpha·aᵀ·b + c
+// (add=true) where a is k×m row-major (so aᵀ is m×k), b is k×n and c is m×n.
 //
 //elrec:hotpath GEMM entry point (TN)
-func gemmTransABlocked(m, k, n int, a, b, c []float32, add bool) {
+func gemmTransABlocked(m, k, n int, a, b, c []float32, alpha float32, add bool) {
 	if zeroDims(m, k, n, c, add) {
 		return
 	}
 	if useAVX2 {
-		gemmTNAsm(m, k, n, a, b, c, add)
+		gemmTNAsm(m, k, n, a, b, c, alpha, add)
 		return
 	}
-	gemmRowsGo(m, k, n, a, 1, m, b, c, add)
+	gemmRowsGo(m, k, n, a, 1, m, b, c, alpha, add)
 }
 
 // gemmTransBBlocked computes c = a·bᵀ (add=false) or c += a·bᵀ (add=true)
@@ -90,15 +90,17 @@ func gemmTransBBlocked(m, k, n int, a, b, c []float32, add bool) {
 	gemmDotGo(m, k, n, a, b, c, add)
 }
 
-// gemmRowsGo is the portable NN and TN kernel for m, k, n ≥ 1: c (+)= A·b
-// where A's element (i, kk) is a[i*aRow+kk*aK] (NN: aRow=k, aK=1; TN:
-// aRow=1, aK=m). Like the NT kernel below it is a 2×4 tile of dot products,
-// eight accumulators that stay in registers over the whole k loop, each
-// summed in ascending k and then added to c; B is read four floats to a row,
-// so nothing is packed or transposed.
-func gemmRowsGo(m, k, n int, a []float32, aRow, aK int, b, c []float32, add bool) {
+// gemmRowsGo is the portable NN and TN kernel for m, k, n ≥ 1: c = A·b, or
+// c = alpha·A·b + c with add set, where A's element (i, kk) is
+// a[i*aRow+kk*aK] (NN: aRow=k, aK=1; TN: aRow=1, aK=m). Like the NT kernel
+// below it is a 2×4 tile of dot products, eight accumulators that stay in
+// registers over the whole k loop, each summed in ascending k and then
+// scaled into c as axpyGo would; B is read four floats to a row, so nothing
+// is packed or transposed. Store mode is zero-then-accumulate at alpha = 1.
+func gemmRowsGo(m, k, n int, a []float32, aRow, aK int, b, c []float32, alpha float32, add bool) {
 	if !add {
 		clear(c[:m*n])
+		alpha = 1
 	}
 	i := 0
 	for ; i+2 <= m; i += 2 {
@@ -121,14 +123,14 @@ func gemmRowsGo(m, k, n int, a []float32, aRow, aK int, b, c []float32, add bool
 				s12 += av1 * bv[2]
 				s13 += av1 * bv[3]
 			}
-			c0[j+0] += s00
-			c0[j+1] += s01
-			c0[j+2] += s02
-			c0[j+3] += s03
-			c1[j+0] += s10
-			c1[j+1] += s11
-			c1[j+2] += s12
-			c1[j+3] += s13
+			c0[j+0] += alpha * s00
+			c0[j+1] += alpha * s01
+			c0[j+2] += alpha * s02
+			c0[j+3] += alpha * s03
+			c1[j+0] += alpha * s10
+			c1[j+1] += alpha * s11
+			c1[j+2] += alpha * s12
+			c1[j+3] += alpha * s13
 		}
 		for ; j < n; j++ {
 			var s0, s1 float32
@@ -137,8 +139,8 @@ func gemmRowsGo(m, k, n int, a []float32, aRow, aK int, b, c []float32, add bool
 				s0 += a0[kk*aK] * bv
 				s1 += a1[kk*aK] * bv
 			}
-			c0[j] += s0
-			c1[j] += s1
+			c0[j] += alpha * s0
+			c1[j] += alpha * s1
 		}
 	}
 	for ; i < m; i++ {
@@ -155,17 +157,17 @@ func gemmRowsGo(m, k, n int, a []float32, aRow, aK int, b, c []float32, add bool
 				s2 += av * bv[2]
 				s3 += av * bv[3]
 			}
-			c0[j+0] += s0
-			c0[j+1] += s1
-			c0[j+2] += s2
-			c0[j+3] += s3
+			c0[j+0] += alpha * s0
+			c0[j+1] += alpha * s1
+			c0[j+2] += alpha * s2
+			c0[j+3] += alpha * s3
 		}
 		for ; j < n; j++ {
 			var s float32
 			for kk := 0; kk < k; kk++ {
 				s += a0[kk*aK] * b[kk*n+j]
 			}
-			c0[j] += s
+			c0[j] += alpha * s
 		}
 	}
 }

@@ -66,14 +66,15 @@ func missingAVX512() []string {
 	return missing
 }
 
-// gemmRowsAVX2 computes C (+)= A·B for m, k, n ≥ 1, where A's element (i, kk)
-// is a[i*aRow+kk*aK] and C is row-major with row stride ldc (in elements).
-// B is k×n row-major with row stride ldb or, with bTrans set (k ≤ 8 only,
-// ldb unused), n×k dense. It reads and writes exactly the elements that
-// names.
+// gemmRowsAVX2 computes C = A·B or, with add set, C = α·A·B + C (one fused
+// multiply-add per element: the bits of Axpy(α) of the stored product, of
+// AddTo at α = 1) for m, k, n ≥ 1, where A's element (i, kk) is
+// a[i*aRow+kk*aK] and C is row-major with row stride ldc (in elements). B is
+// k×n row-major with row stride ldb or, with bTrans set (k ≤ 8 only, ldb
+// unused), n×k dense. It reads and writes exactly the elements that names.
 //
 //go:noescape
-func gemmRowsAVX2(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, add, bTrans bool)
+func gemmRowsAVX2(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, alpha float32, add, bTrans bool)
 
 // gemmDotAVX2 computes C (+)= A·Bᵀ for m, k, n ≥ 1 with A m×k, B n×k and C
 // m×n dense row-major.
@@ -85,7 +86,7 @@ func gemmDotAVX2(m, k, n int, a, b, c *float32, add bool)
 // gemmDotAVX512 is gemmDotAVX2 for even m: the 512-bit tier, same bits.
 //
 //go:noescape
-func gemmRowsAVX512(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, add bool)
+func gemmRowsAVX512(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, alpha float32, add bool)
 
 //go:noescape
 func gemmDotAVX512(m, k, n int, a, b, c *float32, add bool)
@@ -110,12 +111,12 @@ func reluGradAVX2(dy, y, db *float32, rows, cols int)
 
 func gemmNNAsm(m, k, n int, a, b, c []float32, add bool) {
 	_, _, _ = a[m*k-1], b[k*n-1], c[m*n-1]
-	gemmRows(useAVX512, m, k, n, a, k, 1, b, c, add)
+	gemmRows(useAVX512, m, k, n, a, k, 1, b, c, 1, add)
 }
 
-func gemmTNAsm(m, k, n int, a, b, c []float32, add bool) {
+func gemmTNAsm(m, k, n int, a, b, c []float32, alpha float32, add bool) {
 	_, _, _ = a[k*m-1], b[k*n-1], c[m*n-1]
-	gemmRows(useAVX512, m, k, n, a, 1, m, b, c, add)
+	gemmRows(useAVX512, m, k, n, a, 1, m, b, c, alpha, add)
 }
 
 // ntDotMinK is the shortest B row the dot kernel takes. Below it a k-long
@@ -130,7 +131,7 @@ func gemmNTAsm(m, k, n int, a, b, c []float32, add bool) {
 		gemmDot(useAVX512, m, k, n, a, b, c, add)
 		return
 	}
-	gemmRowsAVX2(m, k, n, &a[0], k, 1, &b[0], 0, &c[0], n, add, true)
+	gemmRowsAVX2(m, k, n, &a[0], k, 1, &b[0], 0, &c[0], n, 1, add, true)
 }
 
 // gemmRows and gemmDot run the row-broadcast or the dot kernel of the wide
@@ -138,16 +139,16 @@ func gemmNTAsm(m, k, n int, a, b, c []float32, add bool) {
 // take whole 16-column strips and row pairs, so the last n mod 16 columns
 // and an odd last row run the AVX2 kernel, which gives them the same bits.
 // B and C are dense (ldb = ldc = n).
-func gemmRows(wide bool, m, k, n int, a []float32, aRow, aK int, b, c []float32, add bool) {
+func gemmRows(wide bool, m, k, n int, a []float32, aRow, aK int, b, c []float32, alpha float32, add bool) {
 	done := 0
 	if wide {
 		done = n &^ 15
 		if done > 0 {
-			gemmRowsAVX512(m, k, done, &a[0], aRow, aK, &b[0], n, &c[0], n, add)
+			gemmRowsAVX512(m, k, done, &a[0], aRow, aK, &b[0], n, &c[0], n, alpha, add)
 		}
 	}
 	if done < n {
-		gemmRowsAVX2(m, k, n-done, &a[0], aRow, aK, &b[done], n, &c[done], n, add, false)
+		gemmRowsAVX2(m, k, n-done, &a[0], aRow, aK, &b[done], n, &c[done], n, alpha, add, false)
 	}
 }
 

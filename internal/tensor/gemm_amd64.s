@@ -6,12 +6,14 @@
 // two product kernels (DESIGN.md §12). Every output element is
 // S = fma(a[K-1], b[K-1], … fma(a[0], b[0], +0)) for the row-broadcast
 // kernels, or eight such lane chains reduced by one fixed tree for the dot
-// kernels, stored as S or C+S. Vector lanes are independent, so the tile an
-// element lands in (8-, 4- or 1-row, 32/16/8/4/1 columns, either tier) never
-// changes its bits: a result depends on its A row, its B column and k only.
+// kernels. The dot kernels store S or C+S; the row-broadcast kernels store S
+// or fma(α, S, C), one rounding, the bits of an Axpy(α) of S into C (α = 1 is
+// C+S exactly). Vector lanes are independent, so the tile an element lands in
+// (8-, 4- or 1-row, 32/16/8/4/1 columns, either tier) never changes its bits:
+// a result depends on its A row, its B column, k and α only.
 
 // ---------------------------------------------------------------------------
-// Row-broadcast kernel: C[m×n] (+)= A·B, serving NN (aRow=k, aK=1), TN
+// Row-broadcast kernel: C[m×n] = A·B or α·A·B + C, serving NN (aRow=k, aK=1), TN
 // (aRow=1, aK=m) and, with bTrans set, NT products whose k is too short for
 // the dot kernel below (k ≤ 8): B is then n×k, and each column strip is
 // gathered into a k×16 stack tile before its rows run, so B is transposed
@@ -24,6 +26,8 @@
 //   SI B strip       DI C strip        R15 columns left
 //   R12 A row block  R13 C tile        R14 rows left
 //   Y15 gather indices [0,k,…,7k] (bTrans only); Y14 gather mask
+//   Y13 / X13 α, broadcast in the add epilogue (the last A broadcast of the
+//   k loop otherwise)
 // ---------------------------------------------------------------------------
 
 // One k-step of a 4-row tile one vector wide: C0..C3 += A[4]·B.
@@ -48,16 +52,18 @@
 	ADDQ R9, AX; \
 	ADDQ R10, BX
 
-// C rows at R13, R13+ldc, … += / = four one-vector accumulators.
-#define ADDROWS4(ADD, C0, C1, C2, C3) \
+// Four one-vector accumulators become α·acc + the C rows at R13, R13+ldc, …
+// (FMAROWS4, FMA a 213-form multiply-add), or are stored to them.
+#define FMAROWS4(FMA, ALPHA, C0, C1, C2, C3) \
+	VBROADCASTSS alpha+80(FP), ALPHA; \
 	MOVQ R13, BX; \
-	ADD (BX), C0, C0; \
+	FMA (BX), ALPHA, C0; \
 	ADDQ R11, BX; \
-	ADD (BX), C1, C1; \
+	FMA (BX), ALPHA, C1; \
 	ADDQ R11, BX; \
-	ADD (BX), C2, C2; \
+	FMA (BX), ALPHA, C2; \
 	ADDQ R11, BX; \
-	ADD (BX), C3, C3
+	FMA (BX), ALPHA, C3
 
 #define STOREROWS4(MOV, C0, C1, C2, C3) \
 	MOVQ R13, BX; \
@@ -122,8 +128,8 @@ DATA lanes<>+24(SB)/4, $6
 DATA lanes<>+28(SB)/4, $7
 GLOBL lanes<>(SB), RODATA|NOPTR, $32
 
-// func gemmRowsAVX2(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, add, bTrans bool)
-TEXT ·gemmRowsAVX2(SB), NOSPLIT, $520-82
+// func gemmRowsAVX2(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, alpha float32, add, bTrans bool)
+TEXT ·gemmRowsAVX2(SB), NOSPLIT, $520-86
 	MOVQ aRow+32(FP), DX
 	SHLQ $2, DX
 	LEAQ (DX)(DX*2), R8
@@ -136,7 +142,7 @@ TEXT ·gemmRowsAVX2(SB), NOSPLIT, $520-82
 	MOVQ b+48(FP), SI
 	MOVQ c+64(FP), DI
 	MOVQ n+16(FP), R15
-	CMPB bTrans+81(FP), $0
+	CMPB bTrans+85(FP), $0
 	JEQ  w16
 	MOVQ SI, bsrc-520(SP)
 	MOVQ $64, R10
@@ -146,7 +152,7 @@ TEXT ·gemmRowsAVX2(SB), NOSPLIT, $520-82
 w16:
 	CMPQ R15, $16
 	JLT  w8
-	CMPB bTrans+81(FP), $0
+	CMPB bTrans+85(FP), $0
 	JEQ  w16rows
 	GATHERSTRIPHEAD
 	MOVQ CX, R12
@@ -200,20 +206,21 @@ w16r4k:
 	JNZ          w16r4k
 
 	MOVQ R13, BX
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w16r4st
-	VADDPS (BX), Y0, Y0
-	VADDPS 32(BX), Y1, Y1
-	ADDQ   R11, BX
-	VADDPS (BX), Y2, Y2
-	VADDPS 32(BX), Y3, Y3
-	ADDQ   R11, BX
-	VADDPS (BX), Y4, Y4
-	VADDPS 32(BX), Y5, Y5
-	ADDQ   R11, BX
-	VADDPS (BX), Y6, Y6
-	VADDPS 32(BX), Y7, Y7
-	MOVQ   R13, BX
+	VBROADCASTSS alpha+80(FP), Y13
+	VFMADD213PS  (BX), Y13, Y0
+	VFMADD213PS  32(BX), Y13, Y1
+	ADDQ         R11, BX
+	VFMADD213PS  (BX), Y13, Y2
+	VFMADD213PS  32(BX), Y13, Y3
+	ADDQ         R11, BX
+	VFMADD213PS  (BX), Y13, Y4
+	VFMADD213PS  32(BX), Y13, Y5
+	ADDQ         R11, BX
+	VFMADD213PS  (BX), Y13, Y6
+	VFMADD213PS  32(BX), Y13, Y7
+	MOVQ         R13, BX
 
 w16r4st:
 	VMOVUPS Y0, (BX)
@@ -248,10 +255,11 @@ w16r1k:
 	DECQ         CX
 	JNZ          w16r1k
 
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w16r1st
-	VADDPS (R13), Y0, Y0
-	VADDPS 32(R13), Y1, Y1
+	VBROADCASTSS alpha+80(FP), Y13
+	VFMADD213PS  (R13), Y13, Y0
+	VFMADD213PS  32(R13), Y13, Y1
 
 w16r1st:
 	VMOVUPS Y0, (R13)
@@ -268,7 +276,7 @@ w16end:
 w8:
 	CMPQ R15, $8
 	JLT  w4
-	CMPB bTrans+81(FP), $0
+	CMPB bTrans+85(FP), $0
 	JEQ  w8rows
 	GATHERSTRIPHEAD
 
@@ -297,9 +305,9 @@ w8r4k:
 	DECQ CX
 	JNZ  w8r4k
 
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w8r4st
-	ADDROWS4(VADDPS, Y0, Y1, Y2, Y3)
+	FMAROWS4(VFMADD213PS, Y13, Y0, Y1, Y2, Y3)
 
 w8r4st:
 	STOREROWS4(VMOVUPS, Y0, Y1, Y2, Y3)
@@ -317,9 +325,10 @@ w8r1k:
 	DECQ CX
 	JNZ  w8r1k
 
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w8r1st
-	VADDPS (R13), Y0, Y0
+	VBROADCASTSS alpha+80(FP), Y13
+	VFMADD213PS  (R13), Y13, Y0
 
 w8r1st:
 	VMOVUPS Y0, (R13)
@@ -334,7 +343,7 @@ w8end:
 w4:
 	CMPQ R15, $4
 	JLT  w1
-	CMPB bTrans+81(FP), $0
+	CMPB bTrans+85(FP), $0
 	JEQ  w4rows
 	GATHERSTRIPHEAD
 
@@ -363,9 +372,9 @@ w4r4k:
 	DECQ CX
 	JNZ  w4r4k
 
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w4r4st
-	ADDROWS4(VADDPS, X0, X1, X2, X3)
+	FMAROWS4(VFMADD213PS, X13, X0, X1, X2, X3)
 
 w4r4st:
 	STOREROWS4(VMOVUPS, X0, X1, X2, X3)
@@ -383,9 +392,10 @@ w4r1k:
 	DECQ CX
 	JNZ  w4r1k
 
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w4r1st
-	VADDPS (R13), X0, X0
+	VBROADCASTSS alpha+80(FP), X13
+	VFMADD213PS  (R13), X13, X0
 
 w4r1st:
 	VMOVUPS X0, (R13)
@@ -400,7 +410,7 @@ w4end:
 w1:
 	TESTQ R15, R15
 	JZ    done
-	CMPB  bTrans+81(FP), $0
+	CMPB  bTrans+85(FP), $0
 	JEQ   w1rows
 	// One column of Bᵀ is one contiguous row of B: read it in place.
 	MOVQ bsrc-520(SP), SI
@@ -424,9 +434,9 @@ w1r4k:
 	DECQ CX
 	JNZ  w1r4k
 
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w1r4st
-	ADDROWS4(VADDSS, X0, X1, X2, X3)
+	FMAROWS4(VFMADD213SS, X13, X0, X1, X2, X3)
 
 w1r4st:
 	STOREROWS4(VMOVSS, X0, X1, X2, X3)
@@ -444,9 +454,10 @@ w1r1k:
 	DECQ CX
 	JNZ  w1r1k
 
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  w1r1st
-	VADDSS (R13), X0, X0
+	VBROADCASTSS alpha+80(FP), X13
+	VFMADD213SS  (R13), X13, X0
 
 w1r1st:
 	VMOVSS X0, (R13)
@@ -486,7 +497,7 @@ done:
 //
 // Register plan: gemmRowsAVX2's, except
 //   R11 A rows 4..7 during an 8-row tile's k loop (ldc bytes otherwise)
-//   Z0-Z15 accumulators   Z16, Z17 B   Z18-Z25 broadcast A
+//   Z0-Z15 accumulators   Z16, Z17 B   Z18-Z25 broadcast A   Z26 α
 
 // One k-step of one row: broadcast its A element, one FMA per B vector.
 #define ZFMA2(ADDR, T, C0, C1) \
@@ -509,21 +520,21 @@ done:
 	ADDQ R10, BX; \
 	DECQ CX
 
-// The C row at BX plus the accumulators (ZADD*), or the accumulators stored
-// to it (ZST*); then BX moves to the next row.
-#define ZADD2(C0, C1) \
-	VADDPS (BX), C0, C0; \
-	VADDPS 64(BX), C1, C1; \
-	ADDQ   R11, BX
+// α times the accumulators plus the C row at BX, one rounding (ZACC*), or
+// the accumulators stored to it (ZST*); then BX moves to the next row.
+#define ZACC2(C0, C1) \
+	VFMADD213PS (BX), Z26, C0; \
+	VFMADD213PS 64(BX), Z26, C1; \
+	ADDQ        R11, BX
 
 #define ZST2(C0, C1) \
 	VMOVUPS C0, (BX); \
 	VMOVUPS C1, 64(BX); \
 	ADDQ    R11, BX
 
-#define ZADD1(C0) \
-	VADDPS (BX), C0, C0; \
-	ADDQ   R11, BX
+#define ZACC1(C0) \
+	VFMADD213PS (BX), Z26, C0; \
+	ADDQ        R11, BX
 
 #define ZST1(C0) \
 	VMOVUPS C0, (BX); \
@@ -539,8 +550,8 @@ done:
 	LEAQ (R13)(R11*8), R13; \
 	SUBQ $8, R14
 
-// func gemmRowsAVX512(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, add bool)
-TEXT ·gemmRowsAVX512(SB), NOSPLIT, $0-81
+// func gemmRowsAVX512(m, k, n int, a *float32, aRow, aK int, b *float32, ldb int, c *float32, ldc int, alpha float32, add bool)
+TEXT ·gemmRowsAVX512(SB), NOSPLIT, $0-85
 	MOVQ aRow+32(FP), DX
 	SHLQ $2, DX
 	LEAQ (DX)(DX*2), R8
@@ -552,6 +563,7 @@ TEXT ·gemmRowsAVX512(SB), NOSPLIT, $0-81
 	MOVQ b+48(FP), SI
 	MOVQ c+64(FP), DI
 	MOVQ n+16(FP), R15
+	VBROADCASTSS alpha+80(FP), Z26
 
 z32:
 	CMPQ R15, $32
@@ -584,16 +596,16 @@ z32r8k:
 
 	ZLDC
 	MOVQ R13, BX
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  z32r8st
-	ZADD2(Z0, Z1)
-	ZADD2(Z2, Z3)
-	ZADD2(Z4, Z5)
-	ZADD2(Z6, Z7)
-	ZADD2(Z8, Z9)
-	ZADD2(Z10, Z11)
-	ZADD2(Z12, Z13)
-	ZADD2(Z14, Z15)
+	ZACC2(Z0, Z1)
+	ZACC2(Z2, Z3)
+	ZACC2(Z4, Z5)
+	ZACC2(Z6, Z7)
+	ZACC2(Z8, Z9)
+	ZACC2(Z10, Z11)
+	ZACC2(Z12, Z13)
+	ZACC2(Z14, Z15)
 	MOVQ R13, BX
 
 z32r8st:
@@ -625,12 +637,12 @@ z32r4k:
 	JNZ z32r4k
 
 	MOVQ R13, BX
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  z32r4st
-	ZADD2(Z0, Z1)
-	ZADD2(Z2, Z3)
-	ZADD2(Z4, Z5)
-	ZADD2(Z6, Z7)
+	ZACC2(Z0, Z1)
+	ZACC2(Z2, Z3)
+	ZACC2(Z4, Z5)
+	ZACC2(Z6, Z7)
 	MOVQ R13, BX
 
 z32r4st:
@@ -654,9 +666,9 @@ z32r1k:
 	JNZ z32r1k
 
 	MOVQ R13, BX
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  z32r1st
-	ZADD2(Z0, Z1)
+	ZACC2(Z0, Z1)
 	MOVQ R13, BX
 
 z32r1st:
@@ -699,16 +711,16 @@ z16r8k:
 
 	ZLDC
 	MOVQ R13, BX
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  z16r8st
-	ZADD1(Z0)
-	ZADD1(Z2)
-	ZADD1(Z4)
-	ZADD1(Z6)
-	ZADD1(Z8)
-	ZADD1(Z10)
-	ZADD1(Z12)
-	ZADD1(Z14)
+	ZACC1(Z0)
+	ZACC1(Z2)
+	ZACC1(Z4)
+	ZACC1(Z6)
+	ZACC1(Z8)
+	ZACC1(Z10)
+	ZACC1(Z12)
+	ZACC1(Z14)
 	MOVQ R13, BX
 
 z16r8st:
@@ -739,12 +751,12 @@ z16r4k:
 	JNZ z16r4k
 
 	MOVQ R13, BX
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  z16r4st
-	ZADD1(Z0)
-	ZADD1(Z2)
-	ZADD1(Z4)
-	ZADD1(Z6)
+	ZACC1(Z0)
+	ZACC1(Z2)
+	ZACC1(Z4)
+	ZACC1(Z6)
 	MOVQ R13, BX
 
 z16r4st:
@@ -767,9 +779,9 @@ z16r1k:
 	JNZ z16r1k
 
 	MOVQ R13, BX
-	CMPB add+80(FP), $0
+	CMPB add+84(FP), $0
 	JEQ  z16r1st
-	ZADD1(Z0)
+	ZACC1(Z0)
 	MOVQ R13, BX
 
 z16r1st:

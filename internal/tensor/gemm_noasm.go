@@ -9,10 +9,10 @@ const (
 	useAVX512 = false
 )
 
-func gemmNNAsm(m, k, n int, a, b, c []float32, add bool)      {}
-func gemmTNAsm(m, k, n int, a, b, c []float32, add bool)      {}
-func gemmNTAsm(m, k, n int, a, b, c []float32, add bool)      {}
-func axpyAsm(alpha float32, x, y []float32)                   {}
-func addToAsm(dst, src []float32)                             {}
-func addBiasAsm(y, bias []float32, rows, cols int, relu bool) {}
-func reluGradAsm(dy, y, db []float32, rows, cols int)         {}
+func gemmNNAsm(m, k, n int, a, b, c []float32, add bool)                {}
+func gemmTNAsm(m, k, n int, a, b, c []float32, alpha float32, add bool) {}
+func gemmNTAsm(m, k, n int, a, b, c []float32, add bool)                {}
+func axpyAsm(alpha float32, x, y []float32)                             {}
+func addToAsm(dst, src []float32)                                       {}
+func addBiasAsm(y, bias []float32, rows, cols int, relu bool)           {}
+func reluGradAsm(dy, y, db []float32, rows, cols int)                   {}

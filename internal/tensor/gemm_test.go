@@ -111,7 +111,7 @@ func TestGemmTransABlockedMatchesReference(t *testing.T) {
 				seed := make([]float32, m*n+slack)
 				fillPattern(seed, 7)
 				acc := append([]float32(nil), seed...)
-				gemmTransABlocked(m, k, n, a, b, acc, true)
+				gemmTransABlocked(m, k, n, a, b, acc, 1, true)
 				for i := range want {
 					want[i] += seed[i]
 				}
@@ -208,7 +208,7 @@ func BenchmarkGemmBlocked128(b *testing.B) {
 func BenchmarkGemmTransABlocked(b *testing.B) {
 	x, y, z := benchOperands(128, 128, 128)
 	for i := 0; i < b.N; i++ {
-		gemmTransABlocked(128, 128, 128, x, y, z, true)
+		gemmTransABlocked(128, 128, 128, x, y, z, 1, true)
 	}
 }
 
@@ -249,7 +249,7 @@ func BenchmarkGemmShapes(b *testing.B) {
 				case "NN":
 					gemmBlocked(s.m, s.k, s.n, x, y, z, false)
 				case "TN":
-					gemmTransABlocked(s.m, s.k, s.n, x, y, z, true)
+					gemmTransABlocked(s.m, s.k, s.n, x, y, z, 1, true)
 				case "NT":
 					gemmTransBBlocked(s.m, s.k, s.n, x, y, z, true)
 				}

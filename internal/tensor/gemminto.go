@@ -17,16 +17,19 @@ func GemmTransAInto(m, k, n int, a, b, c []float32) {
 		//elrec:invariant raw-buffer GEMM contract: callers size their flat storage from the shapes they pass
 		panic("tensor: GemmTransAInto buffers too small")
 	}
-	gemmTransABlocked(m, k, n, a, b, c, false)
+	gemmTransABlocked(m, k, n, a, b, c, 1, false)
 }
 
-// GemmTransAAddInto computes c += aᵀ·b, shapes as GemmTransAInto.
-func GemmTransAAddInto(m, k, n int, a, b, c []float32) {
+// GemmTransAAddInto computes c = alpha·aᵀ·b + c, shapes as GemmTransAInto:
+// one fused multiply-add per element of c, so it writes exactly what
+// GemmTransAInto into scratch and Axpy(alpha) from there would (what AddTo
+// would at alpha = 1). With alpha = −lr it is an SGD step on c.
+func GemmTransAAddInto(m, k, n int, alpha float32, a, b, c []float32) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
 		//elrec:invariant raw-buffer GEMM contract: callers size their flat storage from the shapes they pass
 		panic("tensor: GemmTransAAddInto buffers too small")
 	}
-	gemmTransABlocked(m, k, n, a, b, c, true)
+	gemmTransABlocked(m, k, n, a, b, c, alpha, true)
 }
 
 // GemmTransBInto computes c = a·bᵀ where a is m×k, b is n×k row-major (bᵀ is

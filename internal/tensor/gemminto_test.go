@@ -19,7 +19,7 @@ func TestGemmTransAAddInto(t *testing.T) {
 	a := randomMatrix(r, 5, 3) // k×m, aᵀ: 3×5
 	b := randomMatrix(r, 5, 2)
 	c := make([]float32, 6)
-	GemmTransAAddInto(3, 5, 2, a.Data, b.Data, c)
+	GemmTransAAddInto(3, 5, 2, 1, a.Data, b.Data, c)
 	want := naiveMatMul(a.Transpose(), b)
 	if d := FromSlice(3, 2, c).MaxAbsDiff(want); d > 1e-4 {
 		t.Fatalf("GemmTransAAddInto deviates by %v", d)

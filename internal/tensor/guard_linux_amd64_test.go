@@ -52,6 +52,11 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 			kd.run(m, k, n, a, b, c, false)
 			kd.run(m, k, n, a, b, c, true)
 		}
+		for _, sk := range scaledKernels {
+			if sk.maxK == 0 || k <= sk.maxK {
+				sk.run(m, k, n, a, b, c, -0.05, true)
+			}
+		}
 	}
 	for n := 1; n <= 70; n++ {
 		x, y := aAt(n), bAt(n)

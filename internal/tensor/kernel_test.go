@@ -27,9 +27,36 @@ func portable(kernel func(m, k, n int, a, b, c []float32, add bool)) func(m, k, 
 }
 
 var gemmKinds = []gemmKind{
-	{"NN", false, false, gemmBlocked, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, k, 1, b, c, add) })},
-	{"TN", true, false, gemmTransABlocked, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, 1, m, b, c, add) })},
+	{"NN", false, false, gemmBlocked, portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, k, 1, b, c, 1, add) })},
+	{"TN", true, false, func(m, k, n int, a, b, c []float32, add bool) { gemmTransABlocked(m, k, n, a, b, c, 1, add) },
+		portable(func(m, k, n int, a, b, c []float32, add bool) { gemmRowsGo(m, k, n, a, 1, m, b, c, 1, add) })},
 	{"NT", false, true, gemmTransBBlocked, portable(gemmDotGo)},
+}
+
+// scaledKernel is one kernel whose add mode takes a scale, in one layout:
+// c = A·B (add false; alpha unused) or c = alpha·A·B + c (add true), for
+// m, k, n ≥ 1 and, when maxK > 0, k ≤ maxK. axpy is the level-1 kernel of
+// the same family, whose bits the add epilogue must give.
+type scaledKernel struct {
+	name string
+	maxK int
+	run  func(m, k, n int, a, b, c []float32, alpha float32, add bool)
+	axpy func(alpha float32, x, y []float32)
+}
+
+// scaledKernels are the TN entry point and the portable row-broadcast kernel
+// in both its layouts; tier_amd64_test.go adds each assembly tier the host
+// runs.
+var scaledKernels = []scaledKernel{
+	{"TN entry point", 0, func(m, k, n int, a, b, c []float32, alpha float32, add bool) {
+		gemmTransABlocked(m, k, n, a, b, c, alpha, add)
+	}, axpy},
+	{"portable NN", 0, func(m, k, n int, a, b, c []float32, alpha float32, add bool) {
+		gemmRowsGo(m, k, n, a, k, 1, b, c, alpha, add)
+	}, axpyGo},
+	{"portable TN", 0, func(m, k, n int, a, b, c []float32, alpha float32, add bool) {
+		gemmRowsGo(m, k, n, a, 1, m, b, c, alpha, add)
+	}, axpyGo},
 }
 
 // rowsOfA returns logical rows [lo,hi) of A in the kind's own layout: a
@@ -292,6 +319,15 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 				}
 			}
 		}
+		for _, sk := range scaledKernels {
+			if sk.maxK == 0 || k <= sk.maxK {
+				buf, c := guarded(m * n)
+				sk.run(m, k, n, a, b, c, -0.05, true)
+				if !intact(buf, m*n) {
+					t.Fatalf("%s %dx%dx%d α=-0.05 wrote outside c[:m*n]", sk.name, m, k, n)
+				}
+			}
+		}
 	}
 	for n := 1; n <= 70; n++ {
 		x := unaligned(rng, n, 1)
@@ -317,6 +353,48 @@ func TestKernelsWriteOnlyTheirOutput(t *testing.T) {
 			}
 			if !bitsEqual(bias, biasWas) || !bitsEqual(y, yWas) {
 				t.Fatalf("AddBias/ReLUGrad %dx%d wrote a read-only operand", rows, cols)
+			}
+		}
+	}
+}
+
+// TestScaledAddEpilogueMatchesAxpyBitForBit: the row-broadcast kernels' add
+// epilogue is one fused multiply-add, so C = α·A·B + C has exactly the bits
+// of A·B stored into scratch and then Axpy(α)'d into C — and at α = 1 of
+// AddTo — for every invarianceShapes() product, α ∈ {1, −0.05, 3}, on
+// unaligned operands, in every scaledKernels entry (each assembly tier the
+// host has, called directly, and the portable kernel).
+func TestScaledAddEpilogueMatchesAxpyBitForBit(t *testing.T) {
+	rng := NewRNG(84)
+	for _, s := range invarianceShapes() {
+		m, k, n := s[0], s[1], s[2]
+		if m == 0 || k == 0 || n == 0 {
+			continue
+		}
+		a, b, c0 := unaligned(rng, m*k, 1), unaligned(rng, k*n, 3), unaligned(rng, m*n, 1)
+		for _, sk := range scaledKernels {
+			if sk.maxK > 0 && k > sk.maxK {
+				continue
+			}
+			prod := unaligned(rng, m*n, 3)
+			sk.run(m, k, n, a, b, prod, 7, false)
+			for _, alpha := range []float32{1, -0.05, 3} {
+				got := append(make([]float32, 1), c0...)[1:]
+				sk.run(m, k, n, a, b, got, alpha, true)
+				check := func(oracle string, apply func(want []float32)) {
+					want := append(make([]float32, 3), c0...)[3:]
+					apply(want)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s %dx%dx%d α=%v: C[%d,%d] is %v, store then %s gives %v",
+								sk.name, m, k, n, alpha, i/n, i%n, got[i], oracle, want[i])
+						}
+					}
+				}
+				check("Axpy", func(want []float32) { sk.axpy(alpha, prod, want) })
+				if alpha == 1 {
+					check("AddTo", func(want []float32) { AddTo(want, prod) })
+				}
 			}
 		}
 	}

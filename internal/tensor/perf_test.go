@@ -36,7 +36,7 @@ func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
 		run  func()
 	}{
 		{"gemmBlocked", func() { gemmBlocked(m, k, n, a, b, c, false) }},
-		{"gemmTransABlocked", func() { gemmTransABlocked(m, k, n, a[:k*m], b, c, true) }},
+		{"gemmTransABlocked", func() { gemmTransABlocked(m, k, n, a[:k*m], b, c, 1, true) }},
 		{"gemmTransBBlocked", func() { gemmTransBBlocked(m, k, n, a, bt, c, false) }},
 		{"gemmTransBBlocked-short-k", func() { gemmTransBBlocked(m, 5, n, a, bt, c, true) }},
 		{"GemmTransBInto-gram", func() { GemmTransBInto(27, 32, 27, a, a, c) }},

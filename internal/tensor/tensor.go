@@ -176,7 +176,7 @@ func MatMulTransAAdd(dst, a, b *Matrix) {
 		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMulTransAAdd dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	gemmTransABlocked(a.Cols, a.Rows, b.Cols, a.Data, b.Data, dst.Data, true)
+	gemmTransABlocked(a.Cols, a.Rows, b.Cols, a.Data, b.Data, dst.Data, 1, true)
 }
 
 // MatMulTransB computes dst = a · bᵀ where b is stored untransposed.
@@ -206,6 +206,12 @@ func axpy(a float32, x, y []float32) {
 		axpyAsm(a, x, y)
 		return
 	}
+	axpyGo(a, x, y)
+}
+
+// axpyGo is axpy's portable kernel; gemmRowsGo's add epilogue writes the same
+// expression.
+func axpyGo(a float32, x, y []float32) {
 	_ = y[len(x)-1]
 	for i, xv := range x {
 		y[i] += a * xv

@@ -8,6 +8,34 @@ import (
 	"testing"
 )
 
+// The assembly tiers this host runs join scaledKernels, each called
+// directly: the row-broadcast kernel on AVX2 and, where the CPU has it, on
+// the 512-bit tier (through gemmRows, which hands the last n mod 16 columns
+// to AVX2 as every caller does), and AVX2's short-k NT form.
+func init() {
+	if !useAVX2 {
+		return
+	}
+	for _, wide := range []bool{false, true} {
+		if wide && len(missingAVX512()) > 0 {
+			continue
+		}
+		tier := map[bool]string{false: "avx2", true: "avx512"}[wide]
+		scaledKernels = append(scaledKernels,
+			scaledKernel{tier + " NN", 0, func(m, k, n int, a, b, c []float32, alpha float32, add bool) {
+				gemmRows(wide, m, k, n, a, k, 1, b, c, alpha, add)
+			}, axpyAsm},
+			scaledKernel{tier + " TN", 0, func(m, k, n int, a, b, c []float32, alpha float32, add bool) {
+				gemmRows(wide, m, k, n, a, 1, m, b, c, alpha, add)
+			}, axpyAsm})
+	}
+	scaledKernels = append(scaledKernels, scaledKernel{"avx2 short-k NT", ntDotMinK - 1,
+		func(m, k, n int, a, b, c []float32, alpha float32, add bool) {
+			_, _, _ = a[m*k-1], b[n*k-1], c[m*n-1]
+			gemmRowsAVX2(m, k, n, &a[0], k, 1, &b[0], 0, &c[0], n, alpha, add, true)
+		}, axpyAsm})
+}
+
 // TestWideKernelsMatchAVX2BitForBit holds the 512-bit tier to the AVX2 one:
 // for every invarianceShapes() product in every layout, store and add mode,
 // on unaligned operands, the two kernels write the same bits. NT products
@@ -24,10 +52,10 @@ func TestWideKernelsMatchAVX2BitForBit(t *testing.T) {
 		run  func(wide bool, m, k, n int, a, b, c []float32, add bool)
 	}{
 		{"NN", func(wide bool, m, k, n int, a, b, c []float32, add bool) {
-			gemmRows(wide, m, k, n, a, k, 1, b, c, add)
+			gemmRows(wide, m, k, n, a, k, 1, b, c, 1, add)
 		}},
 		{"TN", func(wide bool, m, k, n int, a, b, c []float32, add bool) {
-			gemmRows(wide, m, k, n, a, 1, m, b, c, add)
+			gemmRows(wide, m, k, n, a, 1, m, b, c, 1, add)
 		}},
 		{"NT", gemmDot},
 	}

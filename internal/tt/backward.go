@@ -3,6 +3,7 @@ package tt
 import (
 	"fmt"
 
+	"repro/internal/embedding"
 	"repro/internal/tensor"
 )
 
@@ -116,16 +117,16 @@ func (t *Table) backwardRange(cache *ForwardCache, workGrad *tensor.Matrix, grad
 		}
 
 		// dG₃[i₃] = P₁₂ᵀ · g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
-		zero(s.dG3)
-		tensor.GemmTransAAddInto(r2, n[0]*n[1], n[2], pref, g, s.dG3)
+		clear(s.dG3)
+		tensor.GemmTransAAddInto(r2, n[0]*n[1], n[2], 1, pref, g, s.dG3)
 		// dP₁₂ = g · G₃[i₃]ᵀ   (n₁n₂ × R₂).
-		zero(s.dP12)
+		clear(s.dP12)
 		tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, g, t.Slice3(i3), s.dP12)
 		// dG₂[i₂] = G₁[i₁]ᵀ · dP₁₂  (R₁ × n₂R₂), dP₁₂ viewed as n₁ × n₂R₂.
-		zero(s.dG2)
-		tensor.GemmTransAAddInto(r1, n[0], n[1]*r2, t.Slice1(i1), s.dP12, s.dG2)
+		clear(s.dG2)
+		tensor.GemmTransAAddInto(r1, n[0], n[1]*r2, 1, t.Slice1(i1), s.dP12, s.dG2)
 		// dG₁[i₁] = dP₁₂ · G₂[i₂]ᵀ  (n₁ × R₁).
-		zero(s.dG1)
+		clear(s.dG1)
 		tensor.GemmTransBAddInto(n[0], n[1]*r2, r1, s.dP12, t.Slice2(i2), s.dG1)
 
 		t.sinkLocked(gradBufs, 0, i1, s.dG1, lr)
@@ -170,11 +171,7 @@ func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int,
 	grads := cache.workGrad
 	grads.Zero()
 	for s := range cache.Offsets {
-		start := cache.Offsets[s]
-		end := len(cache.Indices)
-		if s+1 < len(cache.Offsets) {
-			end = cache.Offsets[s+1]
-		}
+		start, end := embedding.BagBounds(cache.Offsets, s, len(cache.Indices))
 		src := dOut.Row(s)
 		for p := start; p < end; p++ {
 			tensor.AddTo(grads.Row(workOf[p]), src)
@@ -190,22 +187,12 @@ func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) *te
 	cache.workGrad = tensor.Reuse(cache.workGrad, len(cache.Indices), t.Shape.Dim)
 	grads := cache.workGrad
 	for s := range cache.Offsets {
-		start := cache.Offsets[s]
-		end := len(cache.Indices)
-		if s+1 < len(cache.Offsets) {
-			end = cache.Offsets[s+1]
-		}
+		start, end := embedding.BagBounds(cache.Offsets, s, len(cache.Indices))
 		for p := start; p < end; p++ {
 			copy(grads.Row(p), dOut.Row(s))
 		}
 	}
 	return grads
-}
-
-func zero(x []float32) {
-	for i := range x {
-		x[i] = 0
-	}
 }
 
 // Lookup runs the forward pass through the table-owned arena cache and

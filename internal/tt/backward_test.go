@@ -126,7 +126,9 @@ var backwardConfigs = []struct {
 // TestBackwardFusedMatchesUnfused: the two-level backward reads every core
 // slice before writing it, so the fused update is exact mini-batch SGD —
 // after several steps on batches full of duplicates and shared slices its
-// cores equal the unfused path's up to float rounding, for SGD and Adagrad.
+// cores equal the unfused path's bit for bit, for SGD and Adagrad: G₂'s fused
+// SGD apply is the dG₂ product's epilogue, fma(−lr, dG₂, G₂), the rounding of
+// the unfused path's Axpy over its gradient buffer.
 func TestBackwardFusedMatchesUnfused(t *testing.T) {
 	indices, offsets := sharedSliceBatches(23, 6)
 	for _, cfg := range backwardConfigs {
@@ -142,8 +144,10 @@ func TestBackwardFusedMatchesUnfused(t *testing.T) {
 			}
 			fused, unfused := run(true), run(false)
 			for k := 0; k < Dims; k++ {
-				if d := fused.Cores[k].MaxAbsDiff(unfused.Cores[k]); d > 1e-5 {
-					t.Errorf("%s adagrad=%v: core %d fused/unfused differ by %v", cfg.name, adagrad, k, d)
+				for i, v := range fused.Cores[k].Data {
+					if w := unfused.Cores[k].Data[i]; math.Float32bits(v) != math.Float32bits(w) {
+						t.Fatalf("%s adagrad=%v: core %d element %d is %v fused, %v unfused", cfg.name, adagrad, k, i, v, w)
+					}
 				}
 			}
 		}

@@ -23,9 +23,11 @@ import "repro/internal/tensor"
 //  1. per unique prefix u: dP₁₂[u] = Σ_w g_w·G₃[i₃(w)]ᵀ over its work items
 //     in work-item order; each item keeps its small P₁₂ᵀ·g_w in c3[w];
 //  2. per unique i₂, whose prefixes are contiguous (sortByI2): one product
-//     [dP₁₂[u]]·G₂[i₂]ᵀ leaves every prefix's small share in c1[u], one
+//     [dP₁₂[u]]·G₂[i₂]ᵀ leaves every prefix's small share in c1[u], and one
 //     product [G₁[i₁(u)]]ᵀ·[dP₁₂[u]], its inner dimension running over the
-//     whole group, is dG₂[i₂], and G₂[i₂] is written once;
+//     whole group, is dG₂[i₂]; its epilogue writes G₂[i₂] once, as −lr·dG₂ +
+//     G₂ under fused SGD (the paper's fused TT-core update, with no dG₂
+//     buffer), and adds dG₂ into the gradient-buffer row when unfused;
 //  3. per unique i₁ and per unique i₃: the kept contributions are summed in
 //     prefix / work-item order and G₁[i₁] / G₃[i₃] is written once.
 //
@@ -36,7 +38,8 @@ import "repro/internal/tensor"
 // does not depend on how owners are chunked over executors (bit-identical
 // cores for every worker count), one optimizer apply per touched slice per
 // batch, and a fused update that is exact mini-batch SGD: it differs from the
-// unfused path only in the sink (core slice vs gradient-buffer row). The
+// unfused path only in the sink (core slice vs gradient-buffer row), bit for
+// bit the same cores. The
 // paper's CUDA kernel instead lets threads update shared slices with atomics
 // as they go; that is kept only as the per-occurrence baseline
 // (backwardPerOccurrence).
@@ -120,7 +123,7 @@ type twoLevelBwd struct {
 	g1   *tensor.Matrix // u → G₁[i₁(u)], a group's slices stacked into one operand
 	c1   *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
 	c3   *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
-	dG2  *tensor.Matrix // executor → the dG₂[i₂] it is working on (one slice-sized row each)
+	dG2  *tensor.Matrix // executor → the dG₂[i₂] it is working on, fused Adagrad only
 }
 
 // backwardTwoLevel runs the three phases for the batch in cache. gradBufs
@@ -134,23 +137,24 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradB
 	t.met.recordBackward(len(cache.Indices), len(b.workIdx), len(b.pfx))
 
 	m := t.Shape.RowFactors
-	sz := t.Shape.SliceSizes()
+	// Phase 2 loops over executors, executor p owning the groups i₂ ≡ p
+	// (mod parts): reordered indices put most prefixes in the lowest i₂, which
+	// striding spreads evenly. Only the fused Adagrad apply needs dG₂[i₂]
+	// materialized, in one slice-sized row per executor.
+	parts := min(tensor.Workers(), m[1])
+	if gradBufs[1] == nil && t.AdagradEnabled() {
+		b.dG2 = tensor.Reuse(b.dG2, parts, t.Shape.SliceSizes()[1])
+	}
 	if serialItems() {
-		b.dG2 = tensor.Reuse(b.dG2, 1, sz[1])
 		t.prefixPhase(cache, b, 0, len(b.pfx))
-		t.core2Phase(b, b.dG2.Row(0), 0, 1)
+		t.core2Phase(b, 0, 1)
 		t.core13Phase(b, 0, m[0]+m[2])
 		return
 	}
 	tensor.ParallelFor(len(b.pfx), func(lo, hi int) { t.prefixPhase(cache, b, lo, hi) })
-	// Phase 2 needs one dG₂ buffer per executor, so it loops over executors
-	// and executor p owns the groups i₂ ≡ p (mod parts): reordered indices
-	// put most prefixes in the lowest i₂, which striding spreads evenly.
-	parts := min(tensor.Workers(), m[1])
-	b.dG2 = tensor.Reuse(b.dG2, parts, sz[1])
 	tensor.ParallelFor(parts, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
-			t.core2Phase(b, b.dG2.Row(p), p, parts)
+			t.core2Phase(b, p, parts)
 		}
 	})
 	tensor.ParallelFor(m[0]+m[2], func(lo, hi int) { t.core13Phase(b, lo, hi) })
@@ -217,7 +221,7 @@ func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
 			t.computePrefix(b.pfx[u]/m2, b.pfx[u]%m2, p12)
 		}
 		dP12 := b.dP12.Row(u)
-		zero(dP12)
+		clear(dP12)
 		for _, w := range b.byPfx.of(u) {
 			g := b.workGrad.Row(w)
 			// dP₁₂[u] += g·G₃[i₃]ᵀ   (n₁n₂ × R₂).
@@ -230,9 +234,10 @@ func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
 
 // core2Phase is phase 2 for i₂ = first, first+stride, …: it owns those
 // G₂[i₂] and rows u of c1 and g1 for the prefixes u of their groups, and
-// reads G₁ and dP12. dG2 is the executor's slice-sized buffer. Both products
-// store: neither c1 nor dG2 is zeroed or read.
-func (t *Table) core2Phase(b *twoLevelBwd, dG2 []float32, first, stride int) {
+// reads G₁ and dP12. c1 is stored before G₂[i₂] is written; the dG₂ product
+// accumulates straight into its sink, except under fused Adagrad (which
+// needs dG₂²): that stores it into row first of b.dG2 and applies it there.
+func (t *Table) core2Phase(b *twoLevelBwd, first, stride int) {
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
 	sz0, psz := b.c1.Cols, b.dP12.Cols
@@ -248,8 +253,15 @@ func (t *Table) core2Phase(b *twoLevelBwd, dG2 []float32, first, stride int) {
 		// dG₂[i₂] = Σ_u G₁[i₁(u)]ᵀ·dP₁₂[u] = [G₁]ᵀ·[dP₁₂]   (R₁ × n₂R₂).
 		g1 := b.g1.Data[lo*sz0 : hi*sz0]
 		t.stackG1(g1, b.pfx[lo:hi])
-		tensor.GemmTransAInto(r1, rows, n[1]*r2, g1, dP12, dG2)
-		t.sinkGrad(b.gradBufs, 1, i2, dG2, b.lr)
+		switch {
+		case b.gradBufs[1] != nil:
+			tensor.GemmTransAAddInto(r1, rows, n[1]*r2, 1, g1, dP12, b.gradBufs[1].Row(i2))
+		case t.AdagradEnabled():
+			tensor.GemmTransAInto(r1, rows, n[1]*r2, g1, dP12, b.dG2.Row(first))
+			t.applyGradSlice(1, i2, b.dG2.Row(first), b.lr)
+		default:
+			tensor.GemmTransAAddInto(r1, rows, n[1]*r2, -b.lr, g1, dP12, t.Slice2(i2))
+		}
 	}
 }
 

@@ -189,11 +189,7 @@ func (t *Table) materializeRows(c *ForwardCache, scratch []float32, lo, hi int) 
 // poolRows sum-pools work-item rows into samples [lo,hi) of out.
 func (t *Table) poolRows(c *ForwardCache, out *tensor.Matrix, lo, hi int) {
 	for s := lo; s < hi; s++ {
-		start := c.Offsets[s]
-		end := len(c.Indices)
-		if s+1 < len(c.Offsets) {
-			end = c.Offsets[s+1]
-		}
+		start, end := embedding.BagBounds(c.Offsets, s, len(c.Indices))
 		row := out.Row(s)
 		if c.WorkOf == nil {
 			for p := start; p < end; p++ {

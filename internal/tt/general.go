@@ -231,11 +231,7 @@ func (t *GeneralTable) Lookup(indices, offsets []int) *tensor.Matrix {
 
 	out := tensor.New(len(offsets), t.Shape.Dim)
 	for s := range offsets {
-		start := offsets[s]
-		end := len(indices)
-		if s+1 < len(offsets) {
-			end = offsets[s+1]
-		}
+		start, end := embedding.BagBounds(offsets, s, len(indices))
 		row := out.Row(s)
 		for p := start; p < end; p++ {
 			tensor.AddTo(row, rows.Row(inverse[p]))
@@ -298,11 +294,7 @@ func (t *GeneralTable) Update(indices, offsets []int, dOut *tensor.Matrix, lr fl
 	uniq, inverse := embedding.Unique(indices)
 	grads := tensor.New(len(uniq), t.Shape.Dim)
 	for s := range offsets {
-		start := offsets[s]
-		end := len(indices)
-		if s+1 < len(offsets) {
-			end = offsets[s+1]
-		}
+		start, end := embedding.BagBounds(offsets, s, len(indices))
 		src := dOut.Row(s)
 		for p := start; p < end; p++ {
 			tensor.AddTo(grads.Row(inverse[p]), src)
@@ -386,7 +378,7 @@ func (t *GeneralTable) backwardRow(row int, g []float32, bufs []*tensor.Matrix) 
 		b := make([]float32, rowsB*rkNext)
 		tensor.GemmTransBAddInto(rowsB, mK, rkNext, g, rights[k+1], b)
 		// dG = L_{k-1}ᵀ · B  (R_{k-1} × n_k·R_k), accumulated per slice.
-		tensor.GemmTransAAddInto(rkPrev, n[k], nk*rkNext, lefts[k], b, bufs[k].Row(idx[k]))
+		tensor.GemmTransAAddInto(rkPrev, n[k], nk*rkNext, 1, lefts[k], b, bufs[k].Row(idx[k]))
 	}
 }
 

@@ -161,7 +161,7 @@ func TestForwardMapPathForLargePrefixSpace(t *testing.T) {
 	row := make([]float32, s.Dim)
 	// Reference via LookupRow (no full materialization at 100k rows).
 	lo := offsets[1]
-	zero(want)
+	clear(want)
 	for _, idx := range indices[offsets[0]:lo] {
 		tbl.LookupRow(idx, row)
 		tensor.AddTo(want, row)
