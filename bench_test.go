@@ -140,10 +140,11 @@ func BenchmarkEmbeddingBagLookup(b *testing.B) {
 
 func BenchmarkLouvain(b *testing.B) {
 	r := tensor.NewRNG(3)
-	g := graphx.NewGraph(2000)
+	gb := graphx.NewBuilder(2000, 20_000)
 	for e := 0; e < 20_000; e++ {
-		g.AddEdge(r.Intn(2000), r.Intn(2000), 1)
+		gb.AddEdge(r.Intn(2000), r.Intn(2000), 1)
 	}
+	g := gb.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		graphx.Louvain(g)

@@ -21,9 +21,10 @@ func mustQ(t *testing.T, g *Graph, comm []int) float64 {
 }
 
 func TestAddEdgeAccumulates(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 0, 2)
+	b := NewBuilder(3, 0)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 0, 2)
+	g := b.Graph()
 	if w := g.EdgeWeight(0, 1); w != 3 {
 		t.Fatalf("accumulated weight %v want 3", w)
 	}
@@ -33,8 +34,9 @@ func TestAddEdgeAccumulates(t *testing.T) {
 }
 
 func TestSelfLoop(t *testing.T) {
-	g := NewGraph(2)
-	g.AddEdge(0, 0, 2)
+	b := NewBuilder(2, 0)
+	b.AddEdge(0, 0, 2)
+	g := b.Graph()
 	if g.EdgeWeight(0, 0) != 2 {
 		t.Fatal("self loop weight wrong")
 	}
@@ -44,10 +46,11 @@ func TestSelfLoop(t *testing.T) {
 }
 
 func TestDegreeSum(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
-	g.AddEdge(2, 3, 3)
+	b := NewBuilder(4, 0)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 2)
+	b.AddEdge(2, 3, 3)
+	g := b.Graph()
 	var total float64
 	for u := 0; u < 4; u++ {
 		total += g.Degree(u)
@@ -58,12 +61,13 @@ func TestDegreeSum(t *testing.T) {
 }
 
 func TestAddEdgeValidation(t *testing.T) {
-	g := NewGraph(2)
+	b := NewBuilder(2, 0)
 	for _, c := range []func(){
-		func() { g.AddEdge(-1, 0, 1) },
-		func() { g.AddEdge(0, 2, 1) },
-		func() { g.AddEdge(0, 1, 0) },
-		func() { g.AddEdge(0, 1, -1) },
+		func() { b.AddEdge(-1, 0, 1) },
+		func() { b.AddEdge(0, 2, 1) },
+		func() { b.AddEdge(0, 1, 0) },
+		func() { b.AddEdge(0, 1, -1) },
+		func() { NewBuilder(-1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -77,20 +81,18 @@ func TestAddEdgeValidation(t *testing.T) {
 }
 
 func TestNumEdges(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 1, 1) // parallel: same edge
-	g.AddEdge(2, 3, 1)
-	g.AddEdge(1, 1, 1)
-	if n := g.NumEdges(); n != 3 {
+	b := NewBuilder(4, 0)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(0, 1, 1) // parallel: same edge
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(1, 1, 1)
+	if n := b.Graph().NumEdges(); n != 3 {
 		t.Fatalf("NumEdges = %d want 3", n)
 	}
 }
 
 func TestModularityAllOneCommunityIsZero(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(2, 3, 1)
+	g := graphOf(4, [][3]float64{{0, 1, 1}, {2, 3, 1}})
 	comm := []int{0, 0, 0, 0}
 	if q := mustQ(t, g, comm); math.Abs(q) > 1e-12 {
 		t.Fatalf("single community Q = %v want 0", q)
@@ -99,10 +101,7 @@ func TestModularityAllOneCommunityIsZero(t *testing.T) {
 
 func TestModularityPerfectSplit(t *testing.T) {
 	// Two disconnected cliques split correctly: Q = 1/2.
-	g := NewGraph(6)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
-		g.AddEdge(e[0], e[1], 1)
-	}
+	g := graphOf(6, [][3]float64{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}, {3, 4, 1}, {4, 5, 1}, {3, 5, 1}})
 	comm := []int{0, 0, 0, 1, 1, 1}
 	if q := mustQ(t, g, comm); math.Abs(q-0.5) > 1e-9 {
 		t.Fatalf("perfect split Q = %v want 0.5", q)
@@ -115,33 +114,33 @@ func TestModularityPerfectSplit(t *testing.T) {
 }
 
 func TestModularityEmptyGraph(t *testing.T) {
-	g := NewGraph(3)
+	g := NewBuilder(3, 0).Graph()
 	if q := mustQ(t, g, []int{0, 1, 2}); q != 0 {
 		t.Fatalf("empty graph Q = %v", q)
 	}
 }
 
 func TestModularityLengthError(t *testing.T) {
-	g := NewGraph(3)
+	g := NewBuilder(3, 0).Graph()
 	if _, err := Modularity(g, []int{0}); !errors.Is(err, ErrAssignment) {
 		t.Fatalf("wrong assignment length: got %v, want ErrAssignment", err)
 	}
 }
 
 func TestLouvainTwoCliques(t *testing.T) {
-	g := NewGraph(8)
+	b := NewBuilder(8, 0)
 	clique := func(nodes []int) {
 		for i := 0; i < len(nodes); i++ {
 			for j := i + 1; j < len(nodes); j++ {
-				g.AddEdge(nodes[i], nodes[j], 1)
+				b.AddEdge(nodes[i], nodes[j], 1)
 			}
 		}
 	}
 	clique([]int{0, 1, 2, 3})
 	clique([]int{4, 5, 6, 7})
-	g.AddEdge(3, 4, 0.1) // weak bridge
+	b.AddEdge(3, 4, 0.1) // weak bridge
 
-	comm := Louvain(g)
+	comm := Louvain(b.Graph())
 	if comm[0] != comm[1] || comm[1] != comm[2] || comm[2] != comm[3] {
 		t.Fatalf("first clique split: %v", comm)
 	}
@@ -154,10 +153,10 @@ func TestLouvainTwoCliques(t *testing.T) {
 }
 
 func TestLouvainEmptyAndSingleton(t *testing.T) {
-	if got := Louvain(NewGraph(0)); len(got) != 0 {
+	if got := Louvain(NewBuilder(0, 0).Graph()); len(got) != 0 {
 		t.Fatal("empty graph nonzero assignment")
 	}
-	got := Louvain(NewGraph(3)) // no edges: every node its own community
+	got := Louvain(NewBuilder(3, 0).Graph()) // no edges: every node its own community
 	seen := map[int]bool{}
 	for _, c := range got {
 		seen[c] = true
@@ -172,7 +171,7 @@ func TestLouvainImprovesModularity(t *testing.T) {
 	// trivial all-singletons and all-one-community assignments.
 	r := tensor.NewRNG(1)
 	const n, groups = 60, 4
-	g := NewGraph(n)
+	b := NewBuilder(n, 0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			sameGroup := i%groups == j%groups
@@ -181,10 +180,11 @@ func TestLouvainImprovesModularity(t *testing.T) {
 				p = 0.5
 			}
 			if r.Float64() < p {
-				g.AddEdge(i, j, 1)
+				b.AddEdge(i, j, 1)
 			}
 		}
 	}
+	g := b.Graph()
 	comm := Louvain(g)
 	q := mustQ(t, g, comm)
 
@@ -208,11 +208,11 @@ func TestLouvainImprovesModularity(t *testing.T) {
 }
 
 func TestLouvainAssignmentContiguous(t *testing.T) {
-	g := NewGraph(10)
+	b := NewBuilder(10, 0)
 	for i := 0; i < 9; i++ {
-		g.AddEdge(i, i+1, 1)
+		b.AddEdge(i, i+1, 1)
 	}
-	comm := Louvain(g)
+	comm := Louvain(b.Graph())
 	maxC := 0
 	seen := map[int]bool{}
 	for _, c := range comm {
@@ -235,12 +235,13 @@ func TestQuickLouvainValidPartition(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
 		n := 2 + r.Intn(30)
-		g := NewGraph(n)
+		b := NewBuilder(n, 0)
 		edges := r.Intn(60)
 		for e := 0; e < edges; e++ {
 			u, v := r.Intn(n), r.Intn(n)
-			g.AddEdge(u, v, 1+r.Float64())
+			b.AddEdge(u, v, 1+r.Float64())
 		}
+		g := b.Graph()
 		comm := Louvain(g)
 		if len(comm) != n {
 			return false
@@ -273,12 +274,12 @@ func TestQuickLouvainValidPartition(t *testing.T) {
 func TestLouvainDeterministic(t *testing.T) {
 	build := func() *Graph {
 		r := tensor.NewRNG(99)
-		g := NewGraph(80)
+		b := NewBuilder(80, 0)
 		for e := 0; e < 400; e++ {
 			u, v := r.Intn(80), r.Intn(80)
-			g.AddEdge(u, v, 1+r.Float64())
+			b.AddEdge(u, v, 1+r.Float64())
 		}
-		return g
+		return b.Graph()
 	}
 	a := Louvain(build())
 	for trial := 0; trial < 5; trial++ {
@@ -307,8 +308,8 @@ var ErrAssignment = errors.New("graphx: bad assignment")
 // order), so identical inputs give bit-identical Q — map iteration never
 // reaches a float sum.
 func Modularity(g *Graph, comm []int) (float64, error) {
-	if len(comm) != g.n {
-		return 0, fmt.Errorf("%w: assignment length %d != %d nodes", ErrAssignment, len(comm), g.n)
+	if len(comm) != g.numNodes() {
+		return 0, fmt.Errorf("%w: assignment length %d != %d nodes", ErrAssignment, len(comm), g.numNodes())
 	}
 	if g.m == 0 {
 		return 0, nil
@@ -316,7 +317,7 @@ func Modularity(g *Graph, comm []int) (float64, error) {
 	in := map[int]float64{}
 	tot := map[int]float64{}
 	var order []int // communities in first-appearance order
-	for u := 0; u < g.n; u++ {
+	for u := 0; u < g.numNodes(); u++ {
 		cu := comm[u]
 		if _, seen := tot[cu]; !seen {
 			order = append(order, cu)
@@ -335,4 +336,50 @@ func Modularity(g *Graph, comm []int) (float64, error) {
 		q += in[c]/m2 - (tot[c]/m2)*(tot[c]/m2)
 	}
 	return q, nil
+}
+
+// graphOf builds a graph from {u, v, w} triples in order.
+func graphOf(n int, edges [][3]float64) *Graph {
+	b := NewBuilder(n, len(edges))
+	for _, e := range edges {
+		b.AddEdge(int(e[0]), int(e[1]), e[2])
+	}
+	return b.Graph()
+}
+
+// TotalWeight returns the sum of undirected edge weights (self loops counted
+// once), the quantity m in the modularity definition.
+func (g *Graph) TotalWeight() float64 { return g.m }
+
+// EdgeWeight returns the weight of the undirected edge {u,v} (0 if absent).
+func (g *Graph) EdgeWeight(u, v int) float64 {
+	if u == v {
+		return g.loops[u]
+	}
+	for p := g.start[u]; p < g.start[u+1]; p++ {
+		if int(g.nbr[p]) == v {
+			return g.wt[p]
+		}
+	}
+	return 0
+}
+
+// Neighbors calls fn for every neighbor v of u (excluding self loops) in
+// ascending node order.
+func (g *Graph) Neighbors(u int, fn func(v int, w float64)) {
+	for p := g.start[u]; p < g.start[u+1]; p++ {
+		fn(int(g.nbr[p]), g.wt[p])
+	}
+}
+
+// NumEdges returns the number of distinct undirected edges (self loops
+// included).
+func (g *Graph) NumEdges() int {
+	cnt := 0
+	for u := 0; u < g.numNodes(); u++ {
+		if g.loops[u] > 0 {
+			cnt += 2 // halved below with the row entries
+		}
+	}
+	return (cnt + len(g.nbr)) / 2
 }

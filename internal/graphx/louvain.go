@@ -7,103 +7,118 @@ package graphx
 // It returns a community id per node, renumbered contiguously from 0 in
 // order of first appearance.
 func Louvain(g *Graph) []int {
+	n := g.numNodes()
 	// assignment maps original nodes to communities of the current level.
-	assignment := make([]int, g.NumNodes())
+	assignment := make([]int, n)
 	for i := range assignment {
 		assignment[i] = i
 	}
+	// Scratch for every level: levels only shrink.
+	s := &mover{
+		comm:   make([]int, n),
+		tot:    make([]float64, n),
+		weight: make([]float64, n),
+	}
+	remap := make([]int, n)
 	work := g
 	for {
-		comm, improved := localMoving(work)
+		comm, improved := s.localMoving(work)
 		if !improved {
 			break
 		}
-		// Renumber level communities contiguously.
-		remap := map[int]int{}
-		for _, c := range comm {
-			if _, ok := remap[c]; !ok {
-				remap[c] = len(remap)
-			}
-		}
-		for u := range comm {
-			comm[u] = remap[comm[u]]
-		}
+		k := renumber(comm, remap[:len(comm)])
 		// Project onto the original nodes.
 		for i := range assignment {
 			assignment[i] = comm[assignment[i]]
 		}
-		if len(remap) == work.NumNodes() {
+		if k == work.numNodes() {
 			break // no aggregation happened; fixed point
 		}
-		work = aggregate(work, comm, len(remap))
+		work = aggregate(work, comm, k)
 	}
-	// Final contiguous renumbering over original nodes.
-	remap := map[int]int{}
-	for i, c := range assignment {
-		nc, ok := remap[c]
-		if !ok {
-			nc = len(remap)
-			remap[c] = nc
-		}
-		assignment[i] = nc
-	}
+	renumber(assignment, remap)
 	return assignment
 }
 
+// renumber relabels ids, each in [0, len(remap)), contiguously from 0 in
+// order of first appearance, and returns the number of distinct ids.
+func renumber(ids, remap []int) int {
+	for i := range remap {
+		remap[i] = -1
+	}
+	k := 0
+	for i, c := range ids {
+		if remap[c] < 0 {
+			remap[c] = k
+			k++
+		}
+		ids[i] = remap[c]
+	}
+	return k
+}
+
+// mover holds Louvain phase 1's per-node state, sized for the first level.
+type mover struct {
+	comm   []int     // community of each node
+	tot    []float64 // Σ degrees per community
+	weight []float64 // weight from the current node into each community; zero between nodes
+	cands  []int     // communities whose weight entry is nonzero
+}
+
 // localMoving performs Louvain phase 1 on g: greedy node moves until no move
-// improves modularity. Returns the assignment and whether any move happened.
-func localMoving(g *Graph) (comm []int, improved bool) {
-	n := g.NumNodes()
-	comm = make([]int, n)
-	commTot := make([]float64, n) // Σ degrees per community
-	deg := make([]float64, n)
+// improves modularity. Returns the assignment, which aliases the mover's
+// scratch, and whether any move happened.
+func (s *mover) localMoving(g *Graph) (comm []int, improved bool) {
+	n := g.numNodes()
+	comm, tot, weight := s.comm[:n], s.tot[:n], s.weight[:n]
 	for u := 0; u < n; u++ {
 		comm[u] = u
-		deg[u] = g.Degree(u)
-		commTot[u] = deg[u]
+		tot[u] = g.deg[u]
 	}
-	m2 := 2 * g.TotalWeight()
+	m2 := 2 * g.m
 	if m2 == 0 {
 		return comm, false
 	}
 
-	neighWeight := make(map[int]float64)
-	var cands []int
 	for pass := 0; pass < 32; pass++ {
 		moves := 0
 		for u := 0; u < n; u++ {
-			cu := comm[u]
-			// Weights from u into each neighboring community. Candidates
-			// are visited in ascending community id so tie-breaking (and
-			// therefore the final partition) is deterministic.
-			clear(neighWeight)
-			cands = cands[:0]
-			g.Neighbors(u, func(v int, w float64) {
-				c := comm[v]
-				if _, ok := neighWeight[c]; !ok {
-					cands = append(cands, c)
+			cu, du := comm[u], g.deg[u]
+			// Weights from u into each neighboring community, summed in
+			// ascending neighbour order. Edge weights are positive, so a
+			// zero entry is a community not seen yet. Candidates are visited
+			// in ascending community id so tie-breaking (and therefore the
+			// final partition) is deterministic.
+			s.cands = s.cands[:0]
+			for p := g.start[u]; p < g.start[u+1]; p++ {
+				c := comm[g.nbr[p]]
+				if weight[c] == 0 {
+					s.cands = append(s.cands, c)
 				}
-				neighWeight[c] += w
-			})
-			sortInts(cands)
+				weight[c] += g.wt[p]
+			}
+			sortInts(s.cands)
 			// Remove u from its community.
-			commTot[cu] -= deg[u]
+			tot[cu] -= du
 			// Gain of joining community c: k_{u,c}/m − tot_c·k_u/(2m²);
 			// compare against rejoining cu.
-			best, bestGain := cu, neighWeight[cu]-commTot[cu]*deg[u]/m2
-			for _, c := range cands {
+			best, bestGain := cu, weight[cu]-tot[cu]*du/m2
+			for _, c := range s.cands {
 				if c == cu {
 					continue
 				}
-				gain := neighWeight[c] - commTot[c]*deg[u]/m2
+				gain := weight[c] - tot[c]*du/m2
 				if gain > bestGain+1e-12 {
 					best, bestGain = c, gain
 				}
 			}
-			commTot[best] += deg[u]
+			tot[best] += du
 			if best != cu {
 				comm[u] = best
 				moves++
+			}
+			for _, c := range s.cands {
+				weight[c] = 0
 			}
 		}
 		if moves == 0 {
@@ -127,22 +142,25 @@ func sortInts(xs []int) {
 // aggregate builds the level graph: one node per community, intra-community
 // weight becomes a self loop, inter-community weights sum.
 func aggregate(g *Graph, comm []int, numComm int) *Graph {
-	out := NewGraph(numComm)
-	for u := 0; u < g.NumNodes(); u++ {
-		cu := comm[u]
-		if w := g.EdgeWeight(u, u); w > 0 {
-			out.AddEdge(cu, cu, w)
-		}
-		g.Neighbors(u, func(v int, w float64) {
-			if u < v { // visit each undirected edge once
-				cv := comm[v]
-				if cu == cv {
-					out.AddEdge(cu, cu, w)
-				} else {
-					out.AddEdge(cu, cv, w)
-				}
+	cross := 0 // edges between communities: the ones the builder keeps
+	for u := 0; u < g.numNodes(); u++ {
+		for p := g.start[u]; p < g.start[u+1]; p++ {
+			if v := int(g.nbr[p]); u < v && comm[u] != comm[v] {
+				cross++
 			}
-		})
+		}
 	}
-	return out
+	b := NewBuilder(numComm, cross)
+	for u := 0; u < g.numNodes(); u++ {
+		cu := comm[u]
+		if w := g.loops[u]; w > 0 {
+			b.AddEdge(cu, cu, w)
+		}
+		for p := g.start[u]; p < g.start[u+1]; p++ {
+			if v := int(g.nbr[p]); u < v { // visit each undirected edge once
+				b.AddEdge(cu, comm[v], g.wt[p])
+			}
+		}
+	}
+	return b.Graph()
 }

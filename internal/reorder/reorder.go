@@ -9,13 +9,15 @@
 package reorder
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graphx"
 )
 
-// Config tunes bijection generation.
+// Config tunes bijection generation. Build refuses a HotRatio outside [0,1]
+// (NaN included) and negative caps.
 type Config struct {
 	// HotRatio is the fraction of table rows treated as hot (Algorithm 2's
 	// Hot_ratio); hot rows occupy the first ids, ordered by frequency, and
@@ -37,13 +39,24 @@ func DefaultConfig() Config {
 	return Config{HotRatio: 0.05}
 }
 
-func (c *Config) normalize() {
+// normalize validates c and fills in the defaults of its zero caps.
+func (c *Config) normalize() error {
+	if !(c.HotRatio >= 0 && c.HotRatio <= 1) { // NaN fails both
+		return fmt.Errorf("reorder: HotRatio %v outside [0,1]", c.HotRatio)
+	}
+	if c.MaxGraphNodes < 0 {
+		return fmt.Errorf("reorder: MaxGraphNodes %d is negative", c.MaxGraphNodes)
+	}
+	if c.MaxPairsPerBatch < 0 {
+		return fmt.Errorf("reorder: MaxPairsPerBatch %d is negative", c.MaxPairsPerBatch)
+	}
 	if c.MaxGraphNodes == 0 {
 		c.MaxGraphNodes = 1 << 20
 	}
 	if c.MaxPairsPerBatch == 0 {
 		c.MaxPairsPerBatch = 1 << 16
 	}
+	return nil
 }
 
 // Bijection is a permutation of one table's row ids.
@@ -92,92 +105,177 @@ func (b *Bijection) Validate() error {
 	return nil
 }
 
-// FrequencyOrder returns rank[idx] = frequency rank of row idx
-// (0 = most accessed; ties broken by row id for determinism). This is the
-// Fre_order input of Algorithm 2.
-func FrequencyOrder(counts []int64) []int {
-	order := make([]int, len(counts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if counts[order[a]] != counts[order[b]] {
-			return counts[order[a]] > counts[order[b]]
+// frequencyOrder returns rank[idx] = frequency rank of row idx: count
+// descending, ties by row id (0 = most accessed). This is the Fre_order
+// input of Algorithm 2. Only rows with a nonzero count are sorted; the
+// zero-count rows take the ranks between the positive and the negative
+// ones in id order.
+func frequencyOrder(counts []int64) []int32 {
+	pos, nonzero := 0, 0
+	for _, c := range counts {
+		if c > 0 {
+			pos++
 		}
-		return order[a] < order[b]
+		if c != 0 {
+			nonzero++
+		}
+	}
+	sorted := make([]int32, 0, nonzero)
+	for idx, c := range counts {
+		if c != 0 {
+			sorted = append(sorted, int32(idx))
+		}
+	}
+	slices.SortFunc(sorted, func(a, b int32) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	rank := make([]int, len(counts))
-	for r, idx := range order {
-		rank[idx] = r
+	rank := make([]int32, len(counts))
+	zeros := len(counts) - nonzero
+	for r, idx := range sorted {
+		if r >= pos {
+			r += zeros
+		}
+		rank[idx] = int32(r)
+	}
+	r := int32(pos)
+	for idx, c := range counts {
+		if c == 0 {
+			rank[idx] = r
+			r++
+		}
 	}
 	return rank
 }
 
-// BuildIndexGraph implements Algorithm 2: every batch contributes an edge
-// between each pair of distinct non-hot rows it touches (in frequency-rank
-// space shifted by the hot threshold). graphNodes is the number of non-hot
-// ranks participating.
-func BuildIndexGraph(rank []int, batches [][]int, hotCount, graphNodes, maxPairs int) *graphx.Graph {
-	g := graphx.NewGraph(graphNodes)
-	var nodes []int
+// buildIndexGraph implements Algorithm 2: every batch contributes an edge
+// between each pair of distinct non-hot rows it touches. Node = rank −
+// hotCount, for the first graphNodes non-hot ranks. The graph spans only
+// the nodes up to the highest one a batch touches: every later node would
+// be an isolated, weight-0 singleton that Build's community order leaves
+// where it is. It returns nil when no batch touches a node.
+func buildIndexGraph(rank []int32, batches [][]int, hotCount, graphNodes, maxPairs int) *graphx.Graph {
+	touched := 0
 	for _, batch := range batches {
-		nodes = nodes[:0]
-		seen := make(map[int]struct{}, len(batch))
 		for _, idx := range batch {
-			r := rank[idx]
-			// Hot rows (rank below the threshold) clamp to the front and
-			// generate no edges; ranks beyond the graph cap are skipped.
-			if r < hotCount || r >= hotCount+graphNodes {
-				continue
+			if node := int(rank[idx]) - hotCount; node >= 0 && node < graphNodes {
+				touched = max(touched, node+1)
 			}
-			node := r - hotCount
-			if _, ok := seen[node]; ok {
-				continue
-			}
-			seen[node] = struct{}{}
-			nodes = append(nodes, node)
 		}
-		addPairEdges(g, nodes, maxPairs)
 	}
-	return g
+	if touched == 0 {
+		return nil
+	}
+	// Each batch's distinct nodes in first-occurrence order, flattened, so
+	// the builder can be sized to the exact edge count.
+	seen := make([]int, touched) // 1 + the last batch that held the node
+	var nodes []int32
+	ends := make([]int, len(batches))
+	edges := 0
+	for bi, batch := range batches {
+		first := len(nodes)
+		for _, idx := range batch {
+			node := int(rank[idx]) - hotCount
+			if node < 0 || node >= touched || seen[node] == bi+1 {
+				continue
+			}
+			seen[node] = bi + 1
+			nodes = append(nodes, int32(node))
+		}
+		ends[bi] = len(nodes)
+		total, stride := pairStride(len(nodes)-first, maxPairs)
+		edges += (total + stride - 1) / stride
+	}
+	b := graphx.NewBuilder(touched, edges)
+	first := 0
+	for _, end := range ends {
+		addPairEdges(b, nodes[first:end], maxPairs)
+		first = end
+	}
+	return b.Graph()
+}
+
+// pairStride returns the number of pairs among k nodes and the stride that
+// keeps at most maxPairs (≥ 1) of them.
+func pairStride(k, maxPairs int) (total, stride int) {
+	total = k * (k - 1) / 2
+	stride = 1
+	if total > maxPairs {
+		stride = (total + maxPairs - 1) / maxPairs
+	}
+	return total, stride
 }
 
 // addPairEdges adds self-combination edges among nodes, deterministically
 // subsampling with a stride when the pair count exceeds maxPairs.
-func addPairEdges(g *graphx.Graph, nodes []int, maxPairs int) {
-	n := len(nodes)
-	total := n * (n - 1) / 2
-	if total == 0 {
-		return
-	}
-	stride := 1
-	if total > maxPairs {
-		stride = (total + maxPairs - 1) / maxPairs
-	}
+func addPairEdges(b *graphx.Builder, nodes []int32, maxPairs int) {
+	_, stride := pairStride(len(nodes), maxPairs)
 	pair := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	for i := range nodes {
+		for j := i + 1; j < len(nodes); j++ {
 			if pair%stride == 0 {
-				g.AddEdge(nodes[i], nodes[j], 1)
+				b.AddEdge(int(nodes[i]), int(nodes[j]), 1)
 			}
 			pair++
 		}
 	}
 }
 
+// communityOrder returns g's nodes ordered by (community weight desc,
+// community id, node): heavier communities land earlier; within a
+// community the hotter rows come first. A community's weight sums its
+// nodes' degrees in node order; the nodes are then counting-sorted.
+func communityOrder(g *graphx.Graph, comm []int) []int {
+	k := 0
+	for _, c := range comm {
+		k = max(k, c+1)
+	}
+	weight := make([]float64, k)
+	next := make([]int, k) // community size, then its next free position
+	for node, c := range comm {
+		weight[c] += g.Degree(node)
+		next[c]++
+	}
+	ids := make([]int, k)
+	for c := range ids {
+		ids[c] = c
+	}
+	slices.SortFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(weight[b], weight[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	pos := 0
+	for _, c := range ids {
+		size := next[c]
+		next[c] = pos
+		pos += size
+	}
+	order := make([]int, len(comm))
+	for node, c := range comm {
+		order[next[c]] = node
+		next[c]++
+	}
+	return order
+}
+
 // Build generates the index bijection of one table from its access counts
 // (global information) and a sample of batched indices (local information).
 // The pipeline is Figure 8: frequency ordering → index graph → community
-// detection → contiguous id assignment. Build runs offline; applying the
+// detection → contiguous id assignment. Build runs offline. Beyond the
+// bijection's two table-sized arrays, its time and memory follow the rows
+// with a nonzero count and the ranks the batches touch. Applying the
 // bijection at train time is a single array lookup per index.
 func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
-	cfg.normalize()
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
 	n := len(counts)
 	if n == 0 {
 		return nil, fmt.Errorf("reorder: empty counts")
-	}
-	if cfg.HotRatio < 0 || cfg.HotRatio > 1 {
-		return nil, fmt.Errorf("reorder: hot ratio %v outside [0,1]", cfg.HotRatio)
 	}
 	for bi, batch := range batches {
 		for _, idx := range batch {
@@ -187,59 +285,24 @@ func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 		}
 	}
 
-	rank := FrequencyOrder(counts)
+	// Forward starts as the frequency rank: hot ranks, the ranks beyond the
+	// graph cap and untouched graph ranks keep it as their new id.
+	bij := &Bijection{Forward: frequencyOrder(counts), Inverse: make([]int32, n)}
+	for raw, r := range bij.Forward {
+		bij.Inverse[r] = int32(raw)
+	}
 	hotCount := int(cfg.HotRatio * float64(n))
-	graphNodes := n - hotCount
-	if graphNodes > cfg.MaxGraphNodes {
-		graphNodes = cfg.MaxGraphNodes
+	graphNodes := min(n-hotCount, cfg.MaxGraphNodes)
+	g := buildIndexGraph(bij.Forward, batches, hotCount, graphNodes, cfg.MaxPairsPerBatch)
+	if g == nil {
+		return bij, nil
 	}
-
-	// newOfRank[r] = final id of the row holding frequency rank r.
-	newOfRank := make([]int32, n)
-	// Hot block: ids 0..hotCount-1 in frequency order.
-	for r := 0; r < hotCount; r++ {
-		newOfRank[r] = int32(r)
-	}
-	// Tail beyond the graph: keep frequency order.
-	for r := hotCount + graphNodes; r < n; r++ {
-		newOfRank[r] = int32(r)
-	}
-
-	if graphNodes > 0 {
-		g := BuildIndexGraph(rank, batches, hotCount, graphNodes, cfg.MaxPairsPerBatch)
-		comm := graphx.Louvain(g)
-
-		// Order nodes by (community weight desc, community id, rank asc):
-		// heavier communities land earlier; within a community the hotter
-		// rows come first.
-		weight := make(map[int]float64)
-		for node, c := range comm {
-			weight[c] += g.Degree(node)
-		}
-		nodes := make([]int, graphNodes)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		sort.SliceStable(nodes, func(a, b int) bool {
-			ca, cb := comm[nodes[a]], comm[nodes[b]]
-			if ca != cb {
-				if weight[ca] != weight[cb] {
-					return weight[ca] > weight[cb]
-				}
-				return ca < cb
-			}
-			return nodes[a] < nodes[b]
-		})
-		for seq, node := range nodes {
-			newOfRank[hotCount+node] = int32(hotCount + seq)
-		}
-	}
-
-	bij := &Bijection{Forward: make([]int32, n), Inverse: make([]int32, n)}
-	for raw := 0; raw < n; raw++ {
-		nw := newOfRank[rank[raw]]
-		bij.Forward[raw] = nw
-		bij.Inverse[nw] = int32(raw)
+	order := communityOrder(g, graphx.Louvain(g))
+	rawOfNode := slices.Clone(bij.Inverse[hotCount : hotCount+len(order)])
+	for seq, node := range order {
+		raw := rawOfNode[node]
+		bij.Forward[raw] = int32(hotCount + seq)
+		bij.Inverse[hotCount+seq] = raw
 	}
 	return bij, nil
 }

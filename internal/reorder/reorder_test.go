@@ -1,6 +1,8 @@
 package reorder
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,14 +12,23 @@ import (
 )
 
 func TestFrequencyOrder(t *testing.T) {
-	counts := []int64{5, 100, 5, 0, 50}
-	rank := FrequencyOrder(counts)
-	// idx 1 (100) -> rank 0, idx 4 (50) -> rank 1, idx 0/2 (5) -> 2,3 by id,
-	// idx 3 (0) -> rank 4.
-	want := []int{2, 0, 3, 4, 1}
-	for i := range want {
-		if rank[i] != want[i] {
-			t.Fatalf("rank = %v want %v", rank, want)
+	for _, tc := range []struct {
+		counts []int64
+		want   []int32
+	}{
+		// idx 1 (100) -> rank 0, idx 4 (50) -> rank 1, idx 0/2 (5) -> 2,3 by
+		// id, idx 3 (0) -> rank 4.
+		{[]int64{5, 100, 5, 0, 50}, []int32{2, 0, 3, 4, 1}},
+		// Zero counts sit between the positive and the negative ones, in id
+		// order; negative counts still rank by value.
+		{[]int64{0, -1, 3, 0, -5, 3, -1}, []int32{2, 4, 0, 3, 6, 1, 5}},
+		{[]int64{0, 0, 0}, []int32{0, 1, 2}},
+	} {
+		rank := frequencyOrder(tc.counts)
+		for i := range tc.want {
+			if rank[i] != tc.want[i] {
+				t.Fatalf("frequencyOrder(%v) = %v want %v", tc.counts, rank, tc.want)
+			}
 		}
 	}
 }
@@ -126,14 +137,26 @@ func TestBuildGroupsCooccurringIndices(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, nil, DefaultConfig()); err == nil {
-		t.Fatal("empty counts accepted")
-	}
-	if _, err := Build([]int64{1, 2}, nil, Config{HotRatio: 2}); err == nil {
-		t.Fatal("hot ratio > 1 accepted")
-	}
-	if _, err := Build([]int64{1, 2}, [][]int{{5}}, DefaultConfig()); err == nil {
-		t.Fatal("out-of-range batch index accepted")
+	ten := make([]int64, 10)
+	for _, tc := range []struct {
+		name    string
+		counts  []int64
+		batches [][]int
+		cfg     Config
+		want    string // substring of the error
+	}{
+		{"empty counts", nil, nil, DefaultConfig(), "empty counts"},
+		{"hot ratio above 1", []int64{1, 2}, nil, Config{HotRatio: 2}, "HotRatio"},
+		{"negative hot ratio", []int64{1, 2}, nil, Config{HotRatio: -0.5}, "HotRatio"},
+		{"NaN hot ratio", ten, nil, Config{HotRatio: math.NaN()}, "HotRatio"},
+		{"negative graph cap", ten, [][]int{{1, 2, 3}}, Config{MaxGraphNodes: -1}, "MaxGraphNodes"},
+		{"negative pair cap", ten, [][]int{{1, 2, 3}}, Config{MaxPairsPerBatch: -2}, "MaxPairsPerBatch"},
+		{"out-of-range batch index", []int64{1, 2}, [][]int{{5}}, DefaultConfig(), "index 5"},
+	} {
+		bij, err := Build(tc.counts, tc.batches, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Build = %v, %v; want an error naming %q", tc.name, bij, err, tc.want)
+		}
 	}
 }
 
