@@ -137,7 +137,8 @@ type System struct {
 	Pipeline   *ps.Pipeline // non-nil when any table lives on the host
 
 	// pipe is the underlying trainer even when no table spilled to host
-	// (Pipeline == nil); it carries the checkpoint machinery.
+	// (Pipeline == nil); it runs every step and carries the checkpoint
+	// machinery.
 	pipe   *ps.Pipeline
 	model  *dlrm.Model
 	source ps.BatchSource
@@ -271,10 +272,9 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 		Clock:      cfg.Clock,
 	}
 	if !anyHost {
-		// Fully device-resident systems train through the sequential loop in
-		// TrainContext, not the pipeline; registering the idle pipeline's
-		// instruments would shadow a live pipeline sharing the registry with
-		// permanently zero ps_* readings.
+		// A fully device-resident system has no server side to measure;
+		// registering its pipeline's instruments would shadow a live pipeline
+		// sharing the registry with ps_* readings that count no host traffic.
 		pcfg.Metrics = nil
 		pcfg.Trace = nil
 	}
@@ -326,45 +326,23 @@ func (s *System) Model() *dlrm.Model { return s.model }
 // Source returns the (remapped) batch source the system trains on.
 func (s *System) Source() ps.BatchSource { return s.source }
 
-// TrainContext runs steps batches through the system (via the pipeline
-// when host tables exist) with cancellation, fault handling and periodic
-// checkpointing. On cancellation or failure the pipeline drains gracefully
-// and the returned TrainResult carries the partial loss curve plus the
-// next resumable iteration; see ps.Pipeline.Train for the consistency
-// contract.
+// TrainContext runs steps batches through the system's pipeline with
+// cancellation, fault handling and periodic checkpointing. On cancellation
+// or failure the pipeline drains gracefully and the returned TrainResult
+// carries the partial loss curve plus the next resumable iteration; see
+// ps.Pipeline.Train for the consistency contract.
 func (s *System) TrainContext(ctx context.Context, startIter, steps, batchSize int) (*ps.TrainResult, error) {
 	if ctx == nil {
 		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default for direct System embedders
 	}
-	curve := &metrics.LossCurve{}
-	res := &ps.TrainResult{Curve: curve, NextIter: startIter, Resumable: true}
 	// Also with no steps to run: a caller that loops until its steps are
 	// done must see the cancellation, not zero progress and no error.
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return &ps.TrainResult{Curve: &metrics.LossCurve{}, NextIter: startIter, Resumable: true}, err
 	}
-	if s.Pipeline != nil {
-		return s.Pipeline.Train(ctx, s.source, startIter, steps, batchSize)
-	}
-	// Fully device-resident: a sequential timed loop (the hw cost model
-	// reads the per-op timing), with the same cancellation and checkpoint
-	// behaviour as the pipelined path.
-	for it := 0; it < steps; it++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		iter := startIter + it
-		loss := s.model.TrainStep(s.source.Batch(iter, batchSize))
-		curve.Add(iter, float64(loss))
-		res.Completed++
-		res.NextIter = iter + 1
-		if s.Cfg.CheckpointPath != "" && s.Cfg.CheckpointEvery > 0 && res.NextIter%s.Cfg.CheckpointEvery == 0 {
-			if err := s.SaveCheckpoint(s.Cfg.CheckpointPath, res.NextIter); err != nil {
-				return res, err
-			}
-		}
-	}
-	return res, nil
+	// A fully device-resident system trains on the same pipeline, which
+	// runs its sequential schedule when no table lives on the host.
+	return s.pipe.Train(ctx, s.source, startIter, steps, batchSize)
 }
 
 // Train is the legacy convenience wrapper: no cancellation, panics on a

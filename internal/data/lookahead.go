@@ -14,9 +14,7 @@ import (
 // embedding cache — it says, per table and per batch, which rows must be
 // gathered from the host store (first use in the window), which are served
 // from the pinned working set (reused within the window), and how long each
-// row's cache entry must survive (its next in-window use). Eviction under a
-// pin budget is Belady's algorithm run at plan time: the pin with the
-// farthest next use is dropped first.
+// row's cache entry must survive (its next in-window use).
 //
 // Pinning is strictly per window. The first use of a row in a window always
 // gathers fresh, even if the previous window used the row: whether a cache
@@ -32,13 +30,6 @@ type SparseSource interface {
 	BatchIndices(iter, size, table int) []int
 }
 
-// fullSource is the fallback for sources that can only produce complete
-// batches. The generated batches are cached on the plan so the training
-// loop does not generate them a second time.
-type fullSource interface {
-	Batch(iter, size int) *Batch
-}
-
 // LookaheadConfig sizes a Lookahead planner.
 type LookaheadConfig struct {
 	// Window is the number of batches planned together (must be > 1).
@@ -51,20 +42,16 @@ type LookaheadConfig struct {
 	// Rows gives, parallel to Tables, the id-space size of each table. It
 	// is validated, never allocated by: planning memory follows the window.
 	Rows []int
-	// Budget caps the number of simultaneously pinned rows per table
-	// (0 = unlimited). On overflow the pin with the farthest next use is
-	// evicted, Belady-style.
-	Budget int
 }
 
 // BatchAccess is one table's planned access pattern for one batch.
 // Uniq/Inverse are exactly embedding.Unique of the batch's index stream
 // (first-occurrence order). Fresh[i] is true when Uniq[i] must be gathered
-// from the backing store for this batch; a false entry is served from the
-// cache's pinned working set. NextUse[i] is the absolute iteration of the
-// next planned in-window use of Uniq[i] that will be served from the cache,
-// or -1 when the row's entry need not outlive ordinary push-visibility
-// expiry. FreshIDs/FreshPos are the Fresh subset of Uniq and its positions,
+// from the backing store for this batch — its first use in the window; a
+// false entry is served from the cache's pinned working set. NextUse[i] is
+// the absolute iteration of the next in-window use of Uniq[i], or -1 when
+// the row's entry need not outlive ordinary push-visibility expiry.
+// FreshIDs/FreshPos are the Fresh subset of Uniq and its positions,
 // precomputed so the gather path can address the store directly.
 type BatchAccess struct {
 	Uniq     []int
@@ -88,8 +75,7 @@ type WindowPlan struct {
 	Start, N int
 	Tables   []TableWindow
 
-	batches []*Batch // fallback mode only: cached full batches
-	owner   *Lookahead
+	owner *Lookahead
 }
 
 // Access returns table t's planned access for absolute iteration iter.
@@ -97,23 +83,11 @@ func (p *WindowPlan) Access(t, iter int) *BatchAccess {
 	return &p.Tables[t].Acc[iter-p.Start]
 }
 
-// BatchAt returns the cached full batch for iter, or nil when the source
-// supports per-table index streams and batches are generated by the caller.
-func (p *WindowPlan) BatchAt(iter int) *Batch {
-	if p.batches == nil {
-		return nil
-	}
-	return p.batches[iter-p.Start]
-}
-
 // Release returns the plan to its planner's pool. The caller must not touch
 // the plan (or any slice obtained from it) afterwards.
 func (p *WindowPlan) Release() {
 	if p == nil || p.owner == nil {
 		return
-	}
-	for i := range p.batches {
-		p.batches[i] = nil // drop batch storage; only plan scratch is pooled
 	}
 	p.owner.mu.Lock()
 	p.owner.free = append(p.owner.free, p)
@@ -127,20 +101,14 @@ func (p *WindowPlan) Release() {
 // table's row count. One scratch serves all tables: Advance plans them one
 // after another.
 type laScratch struct {
-	win    embedding.Index
-	uslot  []int32 // window slot of each batch's uniq rows, batch after batch
-	slot   []int32 // window slot → position in uslot of the row's latest use
-	next   []int32 // window slot → next-use iteration (backward pass), -1 when none
-	pinIdx []int32 // window slot → position in the pinned list, -1 when unpinned
-
-	// Pinned list, parallel slices: window slot, its promised next-use
-	// iteration, and the (batch, uniq slot) of the access that made the
-	// promise — needed to rewrite NextUse when the pin is evicted.
-	pinID, pinNext, pinFrom, pinSlot []int32
+	win   embedding.Index
+	uslot []int32 // window slot of each batch's uniq rows, batch after batch
+	slot  []int32 // window slot → position in uslot of the row's latest use
+	next  []int32 // window slot → next-use iteration (backward pass), -1 when none
 }
 
 // begin starts a window of at most ids index occurrences: no row has a
-// window slot, a next use or a pin yet.
+// window slot or a next use yet.
 //
 //elrec:coldpath amortized growth to the largest window seen; steady state reslices in place
 func (sc *laScratch) begin(ids int) {
@@ -148,11 +116,9 @@ func (sc *laScratch) begin(ids int) {
 	if cap(sc.slot) < ids {
 		sc.slot = make([]int32, ids)
 		sc.next = make([]int32, ids)
-		sc.pinIdx = make([]int32, ids)
 		sc.uslot = make([]int32, ids)
 	}
-	sc.slot, sc.next, sc.pinIdx, sc.uslot = sc.slot[:ids], sc.next[:ids], sc.pinIdx[:ids], sc.uslot[:ids]
-	sc.pinID, sc.pinNext, sc.pinFrom, sc.pinSlot = sc.pinID[:0], sc.pinNext[:0], sc.pinFrom[:0], sc.pinSlot[:0]
+	sc.slot, sc.next, sc.uslot = sc.slot[:ids], sc.next[:ids], sc.uslot[:ids]
 }
 
 // Lookahead plans windows of batches ahead of training. Advance may be
@@ -161,9 +127,8 @@ func (sc *laScratch) begin(ids int) {
 // happens-before edge for plan reuse. Each plan's contents are immutable
 // between Advance returning it and Release.
 type Lookahead struct {
-	cfg    LookaheadConfig
-	sparse SparseSource
-	full   fullSource
+	cfg LookaheadConfig
+	src SparseSource
 
 	scratch laScratch
 	ids     [][]int // per-batch index stream of the table being planned
@@ -172,10 +137,9 @@ type Lookahead struct {
 	free []*WindowPlan
 }
 
-// NewLookahead builds a planner over src, which must implement SparseSource
-// (fast path: per-table index streams) or the full-batch Batch method
-// (fallback: batches are generated once at plan time and cached on the
-// plan).
+// NewLookahead builds a planner over src, which must implement
+// SparseSource: the planner reads per-table index streams and never
+// materializes a batch.
 func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if cfg.Window < 2 {
 		return nil, fmt.Errorf("lookahead window %d: need at least 2 batches", cfg.Window)
@@ -186,12 +150,11 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if len(cfg.Tables) != len(cfg.Rows) {
 		return nil, fmt.Errorf("lookahead config: %d tables but %d row counts", len(cfg.Tables), len(cfg.Rows))
 	}
-	l := &Lookahead{cfg: cfg, ids: make([][]int, cfg.Window)}
-	l.sparse, _ = src.(SparseSource)
-	l.full, _ = src.(fullSource)
-	if l.sparse == nil && l.full == nil {
-		return nil, fmt.Errorf("lookahead source %T implements neither BatchIndices nor Batch", src)
+	sparse, ok := src.(SparseSource)
+	if !ok {
+		return nil, fmt.Errorf("lookahead source %T does not implement BatchIndices", src)
 	}
+	l := &Lookahead{cfg: cfg, src: sparse, ids: make([][]int, cfg.Window)}
 	for _, rows := range cfg.Rows {
 		if rows <= 0 {
 			return nil, fmt.Errorf("lookahead table rows %d: must be positive", rows)
@@ -210,27 +173,13 @@ func (l *Lookahead) Advance(start, n int) *WindowPlan {
 	}
 	plan := l.takePlan(n)
 	plan.Start, plan.N = start, n
-	if l.sparse == nil {
-		for j := 0; j < n; j++ {
-			plan.batches[j] = l.full.Batch(start+j, l.cfg.Batch)
-		}
-	}
 	for ti, pos := range l.cfg.Tables {
 		for j := 0; j < n; j++ {
-			l.ids[j] = l.tableIndices(plan, start+j, pos)
+			l.ids[j] = l.src.BatchIndices(start+j, l.cfg.Batch, pos)
 		}
 		l.planTable(ti, plan, start, n)
 	}
 	return plan
-}
-
-// tableIndices returns the index stream of table pos for iteration iter,
-// from the sparse source or the plan's cached batch.
-func (l *Lookahead) tableIndices(plan *WindowPlan, iter, pos int) []int {
-	if l.sparse != nil {
-		return l.sparse.BatchIndices(iter, l.cfg.Batch, pos)
-	}
-	return plan.batches[iter-plan.Start].Sparse[pos]
 }
 
 // takePlan pops a pooled plan or builds a fresh one, and sizes its per-table
@@ -250,9 +199,6 @@ func (l *Lookahead) takePlan(n int) *WindowPlan {
 			owner:  l,
 			Tables: make([]TableWindow, len(l.cfg.Tables)),
 		}
-		if l.sparse == nil {
-			plan.batches = make([]*Batch, l.cfg.Window)
-		}
 	}
 	for ti := range plan.Tables {
 		tw := &plan.Tables[ti]
@@ -264,12 +210,13 @@ func (l *Lookahead) takePlan(n int) *WindowPlan {
 	return plan
 }
 
-// planTable runs the three planning passes for table ti over the index
-// streams in l.ids[0:n]: uniq/inverse per batch (forward), raw next-use
-// linking (backward), then the pinning simulation that decides Fresh and
-// rewrites NextUse under the Belady budget (forward). The first pass gives
-// every distinct row of the window its window slot; the other two address
-// their per-row state through the slots it recorded in uslot.
+// planTable runs the two planning passes for table ti over the index
+// streams in l.ids[0:n]. The forward pass builds each batch's uniq/inverse
+// and hands every distinct row of the window its window slot; a row whose
+// slot it creates is on its first use in the window, so that uniq entry is
+// Fresh and joins FreshIDs/FreshPos. The backward pass links each uniq
+// entry to the row's next in-window use through the slots recorded in
+// uslot.
 //
 //elrec:hotpath lookahead window planning: oracle admission must not allocate at steady state
 func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
@@ -285,32 +232,38 @@ func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
 	slots, base := 0, 0 // window slots handed out; uslot offset of batch j
 	for j := 0; j < n; j++ {
 		acc := &tw.Acc[j]
-		acc.Uniq = acc.Uniq[:0]
-		acc.Inverse = acc.Inverse[:0]
+		acc.Uniq, acc.Inverse, acc.Fresh = acc.Uniq[:0], acc.Inverse[:0], acc.Fresh[:0]
+		acc.FreshIDs, acc.FreshPos = acc.FreshIDs[:0], acc.FreshPos[:0]
 		for _, id := range l.ids[j] {
 			w, fresh := sc.win.IDOf(id, slots)
 			if fresh {
 				slots++
-				sc.slot[w], sc.next[w], sc.pinIdx[w] = -1, -1, -1
+				sc.slot[w], sc.next[w] = -1, -1
 			}
 			if int(sc.slot[w]) < base { // last seen in an earlier batch, or never
-				sc.slot[w] = int32(base + len(acc.Uniq))
+				u := len(acc.Uniq)
+				sc.slot[w] = int32(base + u)
 				sc.uslot[sc.slot[w]] = int32(w)
 				//elrec:coldpath amortized: uniq storage keeps its capacity across windows
 				acc.Uniq = append(acc.Uniq, id)
+				//elrec:coldpath amortized: fresh-flag storage keeps its capacity across windows
+				acc.Fresh = append(acc.Fresh, fresh)
+				if fresh {
+					//elrec:coldpath amortized: fresh-id storage keeps its capacity across windows
+					acc.FreshIDs = append(acc.FreshIDs, id)
+					//elrec:coldpath amortized: fresh-pos storage keeps its capacity across windows
+					acc.FreshPos = append(acc.FreshPos, u)
+				}
 			}
 			//elrec:coldpath amortized: inverse storage keeps its capacity across windows
 			acc.Inverse = append(acc.Inverse, int(sc.slot[w])-base)
 		}
 		u := len(acc.Uniq)
 		base += u
-		if cap(acc.Fresh) < u {
-			//elrec:coldpath amortized per-batch flag growth
-			acc.Fresh = make([]bool, u)
+		if cap(acc.NextUse) < u {
 			//elrec:coldpath amortized per-batch next-use growth
 			acc.NextUse = make([]int32, u)
 		}
-		acc.Fresh = acc.Fresh[:u]
 		acc.NextUse = acc.NextUse[:u]
 	}
 
@@ -323,80 +276,4 @@ func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
 			sc.next[w] = int32(start + j)
 		}
 	}
-
-	for j := 0; j < n; j++ {
-		acc := &tw.Acc[j]
-		acc.FreshIDs = acc.FreshIDs[:0]
-		acc.FreshPos = acc.FreshPos[:0]
-		for i, id := range acc.Uniq {
-			w := sc.uslot[base+i]
-			acc.Fresh[i] = sc.pinIdx[w] < 0
-			if !acc.Fresh[i] {
-				sc.unpin(w) // the promise is consumed by this access
-			}
-			if acc.NextUse[i] >= 0 {
-				sc.pin(w, acc.NextUse[i], int32(j), int32(i))
-				if l.cfg.Budget > 0 && len(sc.pinID) > l.cfg.Budget {
-					sc.evictFarthest(tw)
-				}
-			}
-			if acc.Fresh[i] {
-				//elrec:coldpath amortized: fresh-id storage keeps its capacity across windows
-				acc.FreshIDs = append(acc.FreshIDs, id)
-				//elrec:coldpath amortized: fresh-pos storage keeps its capacity across windows
-				acc.FreshPos = append(acc.FreshPos, i)
-			}
-		}
-		base += len(acc.Uniq)
-	}
-}
-
-// pin records a promise to keep the cache entry of the row in window slot w
-// live until absolute iteration next; (fromJ, fromSlot) locate the access
-// making the promise.
-func (sc *laScratch) pin(w, next, fromJ, fromSlot int32) {
-	sc.pinIdx[w] = int32(len(sc.pinID))
-	//elrec:coldpath amortized: the pinned list keeps its capacity across windows
-	sc.pinID = append(sc.pinID, w)
-	//elrec:coldpath amortized pinned-list growth
-	sc.pinNext = append(sc.pinNext, next)
-	//elrec:coldpath amortized pinned-list growth
-	sc.pinFrom = append(sc.pinFrom, fromJ)
-	//elrec:coldpath amortized pinned-list growth
-	sc.pinSlot = append(sc.pinSlot, fromSlot)
-}
-
-// unpin removes window slot w from the pinned list by swap-removal.
-func (sc *laScratch) unpin(w int32) {
-	at := sc.pinIdx[w]
-	last := int32(len(sc.pinID) - 1)
-	if at != last {
-		moved := sc.pinID[last]
-		sc.pinID[at] = moved
-		sc.pinNext[at] = sc.pinNext[last]
-		sc.pinFrom[at] = sc.pinFrom[last]
-		sc.pinSlot[at] = sc.pinSlot[last]
-		sc.pinIdx[moved] = at
-	}
-	sc.pinID = sc.pinID[:last]
-	sc.pinNext = sc.pinNext[:last]
-	sc.pinFrom = sc.pinFrom[:last]
-	sc.pinSlot = sc.pinSlot[:last]
-	sc.pinIdx[w] = -1
-}
-
-// evictFarthest drops the pin with the farthest next use (Belady's choice:
-// the reference farthest in the future is the cheapest to re-gather) and
-// rewrites the promising access's NextUse to -1 so the cache will not
-// retain the row past ordinary expiry. The evicted row's later uses become
-// fresh gathers when the simulation reaches them.
-func (sc *laScratch) evictFarthest(tw *TableWindow) {
-	far := 0
-	for i := 1; i < len(sc.pinNext); i++ {
-		if sc.pinNext[i] > sc.pinNext[far] {
-			far = i
-		}
-	}
-	tw.Acc[sc.pinFrom[far]].NextUse[sc.pinSlot[far]] = -1
-	sc.unpin(sc.pinID[far])
 }

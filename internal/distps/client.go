@@ -20,54 +20,27 @@ import (
 // far below the payload cap (65536 rows × dim 64 × 4B ≈ 16 MB).
 const maxRowsPerRPC = 1 << 16
 
-// Backoff bounds transport-level retries: capped exponential backoff
-// starting at BaseDelay, doubling per attempt up to MaxDelay, for at most
-// MaxRetries retries after the first attempt.
-type Backoff struct {
-	MaxRetries int
-	BaseDelay  time.Duration
-	MaxDelay   time.Duration
-
-	// Sleep overrides the backoff wait; tests install a recorder driving an
-	// obs.Manual clock so a heavily faulted run finishes in microseconds.
-	Sleep func(time.Duration)
+// transportRetry fills the zero fields of a transport-level retry policy
+// with the transport defaults: 4 retries, 5ms→250ms (the pipeline's
+// gather/apply retries are a separate layer with ps.DefaultRetryPolicy).
+func transportRetry(r ps.RetryPolicy) ps.RetryPolicy {
+	if r.MaxRetries <= 0 {
+		r.MaxRetries = 4
+	}
+	if r.BaseDelay <= 0 {
+		r.BaseDelay = 5 * time.Millisecond
+	}
+	if r.MaxDelay <= 0 {
+		r.MaxDelay = 250 * time.Millisecond
+	}
+	return r
 }
 
-// DefaultBackoff is the production policy: 4 retries, 5ms→250ms.
-func DefaultBackoff() Backoff {
-	return Backoff{MaxRetries: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
-}
-
-func (b Backoff) withDefaults() Backoff {
-	d := DefaultBackoff()
-	if b.MaxRetries <= 0 {
-		b.MaxRetries = d.MaxRetries
-	}
-	if b.BaseDelay <= 0 {
-		b.BaseDelay = d.BaseDelay
-	}
-	if b.MaxDelay <= 0 {
-		b.MaxDelay = d.MaxDelay
-	}
-	return b
-}
-
-// Delay returns the backoff before retry `attempt` (0-based), capped.
-func (b Backoff) Delay(attempt int) time.Duration {
-	if attempt > 30 {
-		return b.MaxDelay
-	}
-	d := b.BaseDelay << uint(attempt)
-	if d <= 0 || d > b.MaxDelay {
-		d = b.MaxDelay
-	}
-	return d
-}
-
-// sleep waits d or until ctx is cancelled, whichever comes first.
-func (b Backoff) sleep(ctx context.Context, d time.Duration) error {
-	if b.Sleep != nil {
-		b.Sleep(d)
+// sleepRetry waits d through r's Sleep hook, or until ctx is cancelled,
+// whichever comes first.
+func sleepRetry(ctx context.Context, r ps.RetryPolicy, d time.Duration) error {
+	if r.Sleep != nil {
+		r.Sleep(d)
 		return ctx.Err()
 	}
 	t := time.NewTimer(d)
@@ -97,8 +70,9 @@ type ClientConfig struct {
 	// LeaseTTL is requested on acquire/renew (default: shard's default).
 	LeaseTTL time.Duration
 
-	Retry      Backoff
-	MaxPayload int
+	// Retry bounds transport retries; zero fields take transportRetry's
+	// defaults.
+	Retry ps.RetryPolicy
 
 	Clock   obs.Clock     // drives latency measurement; nil = system
 	Metrics *obs.Registry // distps_* client instruments; nil = off
@@ -138,7 +112,7 @@ type shardConn struct {
 // trainer.
 type Client struct {
 	cfg   ClientConfig
-	retry Backoff
+	retry ps.RetryPolicy
 	ring  *Ring
 	clock obs.Clock
 	trace *obs.Tracer
@@ -172,12 +146,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
 	}
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
-	}
 	c := &Client{
 		cfg:     cfg,
-		retry:   cfg.Retry.withDefaults(),
+		retry:   transportRetry(cfg.Retry),
 		ring:    NewRing(len(cfg.Shards)),
 		clock:   obs.OrSystem(cfg.Clock),
 		trace:   cfg.Trace,
@@ -264,7 +235,7 @@ func (sc *shardConn) exchangeLocked(c *Client, typ uint8, payload []byte, tctx o
 		return Frame{}, err
 	}
 	c.m.bytesOut.Add(int64(headerSize + len(payload)))
-	f, err := ReadFrame(sc.br, c.cfg.MaxPayload)
+	f, err := ReadFrame(sc.br, DefaultMaxPayload)
 	if err != nil {
 		sc.poisonLocked()
 		return Frame{}, err
@@ -432,7 +403,7 @@ func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte)
 			return nil, fmt.Errorf("%w: shard %d %s after %d attempts: %w", ErrRPCFailed, shard, msgName(typ), attempt+1, last)
 		}
 		c.m.retries.Inc()
-		if err := c.retry.sleep(ctx, c.retry.Delay(attempt)); err != nil {
+		if err := sleepRetry(ctx, c.retry, c.retry.Delay(attempt)); err != nil {
 			return nil, fmt.Errorf("shard %d %s: %w", shard, msgName(typ), err)
 		}
 	}

@@ -82,17 +82,22 @@ func (sc Scenario) ttSpec() dlrm.TableSpec {
 
 // tableLocs builds the pipeline placement. stores == nil places host
 // tables in local memory (the single-process reference); otherwise each
-// host table is backed by the store the callback returns.
+// host table is backed by the store the callback returns. Only the TT
+// tables are built here: a host table's rows belong to the pipeline or the
+// shards.
 func (sc Scenario) tableLocs(stores func(TableSpec) ps.HostStore) ([]ps.TableLoc, error) {
-	tables, _, err := dlrm.BuildTables(sc.Spec.TableRows, sc.ttSpec())
-	if err != nil {
-		return nil, err
-	}
 	locs := make([]ps.TableLoc, len(sc.Spec.TableRows))
 	for i, rows := range sc.Spec.TableRows {
 		switch {
 		case sc.useTT(rows):
-			locs[i] = ps.TableLoc{Device: tables[i]}
+			// Table i alone, seeded as dlrm.BuildTables seeds position i.
+			spec := sc.ttSpec()
+			spec.Seed += uint64(i) * 7919
+			tables, _, err := dlrm.BuildTables([]int{rows}, spec)
+			if err != nil {
+				return nil, fmt.Errorf("table %d: %w", i, err)
+			}
+			locs[i] = ps.TableLoc{Device: tables[0]}
 		case stores != nil:
 			locs[i] = ps.TableLoc{Store: stores(TableSpec{Index: i, Rows: rows})}
 		default:

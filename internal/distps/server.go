@@ -98,6 +98,15 @@ func (t *shardTable) applyDelta(rows []int, delta []float32) error {
 	return nil
 }
 
+const (
+	// retainVersions is how many checkpoint versions a shard keeps; the
+	// coordinated-checkpoint protocol needs at least 2.
+	retainVersions = 3
+	// idleTimeout closes connections with no traffic; heartbeats keep live
+	// clients under it.
+	idleTimeout = 2 * time.Minute
+)
+
 // ShardConfig configures one PS shard server.
 type ShardConfig struct {
 	ID        int // this shard's index in [0, NumShards)
@@ -113,24 +122,13 @@ type ShardConfig struct {
 	// the fencing-epoch file.
 	Dir string
 
-	// Retain bounds how many checkpoint versions are kept (default 3; the
-	// coordinated-checkpoint protocol needs at least 2).
-	Retain int
-
 	// LeaseTTL is the default trainer-lease duration when a lease request
 	// carries none (default 3s).
 	LeaseTTL time.Duration
 
-	// IdleTimeout closes connections with no traffic (default 2m);
-	// heartbeats keep live clients under it.
-	IdleTimeout time.Duration
-
 	// DrainTimeout bounds how long Close waits for in-flight requests
 	// before force-closing connections (default 5s).
 	DrainTimeout time.Duration
-
-	// MaxPayload caps a single frame's payload (default DefaultMaxPayload).
-	MaxPayload int
 
 	Clock   obs.Clock     // drives lease/liveness decisions; nil = system
 	Metrics *obs.Registry // per-shard distps_shard<ID>_* and distps_srv_* instruments; nil = off
@@ -219,20 +217,11 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("%w: shard needs a durable state directory", ErrBadRequest)
 	}
-	if cfg.Retain < 2 {
-		cfg.Retain = 3
-	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 3 * time.Second
 	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 2 * time.Minute
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
-	}
-	if cfg.MaxPayload <= 0 {
-		cfg.MaxPayload = DefaultMaxPayload
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -473,8 +462,8 @@ func (s *Shard) writeCheckpointLocked(v int64) error {
 	s.version = v
 	s.m.version.Set(float64(v))
 	s.m.checkpoints.Inc()
-	if versions := s.listVersions(); len(versions) > s.cfg.Retain {
-		for _, old := range versions[:len(versions)-s.cfg.Retain] {
+	if versions := s.listVersions(); len(versions) > retainVersions {
+		for _, old := range versions[:len(versions)-retainVersions] {
 			if rerr := os.Remove(s.ckptPath(old)); rerr != nil {
 				s.log.Warn("distps: pruning old checkpoint", "shard", s.cfg.ID, "version", old, "err", rerr)
 			}
@@ -826,8 +815,8 @@ func (s *Shard) handleConn(c net.Conn, ce *connEntry) {
 		// Socket deadlines are kernel wall time by nature; the injected
 		// obs.Clock drives only lease and liveness decisions.
 		//elrec:wallclock socket idle deadline is enforced by the kernel against wall time
-		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		f, err := ReadFrame(br, s.cfg.MaxPayload)
+		c.SetReadDeadline(time.Now().Add(idleTimeout))
+		f, err := ReadFrame(br, DefaultMaxPayload)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.log.Debug("distps: read frame", "shard", s.cfg.ID, "err", err)

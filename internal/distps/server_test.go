@@ -12,6 +12,7 @@ import (
 	"repro/internal/dlrm"
 	"repro/internal/embedding"
 	"repro/internal/obs"
+	"repro/internal/ps"
 	"repro/internal/tensor"
 )
 
@@ -73,8 +74,8 @@ func serveShard(s *Shard, ln net.Listener) {
 
 // fastBackoff retries aggressively with instant sleeps so fault tests
 // finish in milliseconds.
-func fastBackoff() Backoff {
-	return Backoff{MaxRetries: 6, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
+func fastBackoff() ps.RetryPolicy {
+	return ps.RetryPolicy{MaxRetries: 6, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond,
 		Sleep: func(time.Duration) {}}
 }
 
@@ -450,8 +451,13 @@ func TestShardRejectsForeignRows(t *testing.T) {
 	_ = shards
 }
 
+// TestBackoffDelayCaps: the transport policy's zero value takes 4 retries,
+// 5ms→250ms, and its delays double up to the cap.
 func TestBackoffDelayCaps(t *testing.T) {
-	b := Backoff{MaxRetries: 10, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
+	b := transportRetry(ps.RetryPolicy{})
+	if b.MaxRetries != 4 || b.BaseDelay != 5*time.Millisecond || b.MaxDelay != 250*time.Millisecond {
+		t.Fatalf("transport defaults %+v, want 4 retries, 5ms→250ms", b)
+	}
 	want := []time.Duration{
 		5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond,
 		40 * time.Millisecond, 80 * time.Millisecond, 160 * time.Millisecond,
@@ -484,7 +490,7 @@ func TestRetryBackoffSequenceDeterministic(t *testing.T) {
 	var slept []time.Duration
 	cfg := sc.ClientConfig(1, []string{addr})
 	cfg.Timeout = time.Second
-	cfg.Retry = Backoff{MaxRetries: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 8 * time.Millisecond,
+	cfg.Retry = ps.RetryPolicy{MaxRetries: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 8 * time.Millisecond,
 		Sleep: func(d time.Duration) { slept = append(slept, d) }}
 	c, err := NewClient(cfg)
 	if err != nil {

@@ -13,6 +13,11 @@ import (
 	"repro/internal/ps"
 )
 
+// maxRecoveries bounds consecutive failed recovery rounds before Run gives
+// up. Waiting for the trainer lease does not count — a standby worker blocks
+// on the lease indefinitely by design.
+const maxRecoveries = 8
+
 // WorkerConfig configures a trainer worker.
 type WorkerConfig struct {
 	// ID identifies this worker to the lease authority; must be nonzero
@@ -27,19 +32,13 @@ type WorkerConfig struct {
 	CheckpointPath  string
 	CheckpointEvery int
 
-	LeaseTTL       time.Duration // trainer lease duration (0: shard default)
-	RenewEvery     time.Duration // lease renewal period (0: LeaseTTL/3, min 10ms)
+	LeaseTTL       time.Duration // trainer lease duration (0: shard default); renewed every LeaseTTL/3, at least 10ms apart
 	HeartbeatEvery time.Duration // shard liveness probes (0: disabled)
 	StandbyPoll    time.Duration // wait between lease attempts (0: 100ms)
 
 	RPCTimeout    time.Duration
-	Retry         Backoff        // transport retries
+	Retry         ps.RetryPolicy // transport retries and recovery-round waits
 	PipelineRetry ps.RetryPolicy // pipeline-level gather/apply retries
-
-	// MaxRecoveries bounds consecutive failed recovery rounds before Run
-	// gives up (0: 8). Waiting for the trainer lease does not count — a
-	// standby worker blocks on the lease indefinitely by design.
-	MaxRecoveries int
 
 	// Sleep overrides recovery/standby waits (tests make them instant).
 	Sleep func(time.Duration)
@@ -106,9 +105,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.CheckpointEvery < 0 || (cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "") {
 		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", ErrBadRequest, cfg.CheckpointEvery)
-	}
-	if cfg.MaxRecoveries <= 0 {
-		cfg.MaxRecoveries = 8
 	}
 	if cfg.StandbyPoll <= 0 {
 		cfg.StandbyPoll = 100 * time.Millisecond
@@ -190,17 +186,11 @@ func (w *Worker) buildPipeline(ctx context.Context) (*ps.Pipeline, error) {
 // the shards is what protects the data, and the trainer finds out through
 // its next fenced RPC.
 func (w *Worker) startRenewal(ctx context.Context) func() {
-	every := w.cfg.RenewEvery
-	if every <= 0 {
-		ttl := w.cfg.LeaseTTL
-		if ttl <= 0 {
-			ttl = 3 * time.Second
-		}
-		every = ttl / 3
-		if every < 10*time.Millisecond {
-			every = 10 * time.Millisecond
-		}
+	ttl := w.cfg.LeaseTTL
+	if ttl <= 0 {
+		ttl = 3 * time.Second
 	}
+	every := max(ttl/3, 10*time.Millisecond)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	spawn(func() {
@@ -277,13 +267,13 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 			res.Recoveries++
 			w.m.recoveries.Inc()
 			w.cfg.Log.Warn("distps: recovery round failed", "worker", w.cfg.ID, "stage", stage, "attempt", recoveries, "err", err)
-			return recoveries <= w.cfg.MaxRecoveries
+			return recoveries <= maxRecoveries
 		}
 		if _, err := w.client.HelloAll(ctx); err != nil {
 			if !fail("hello", err) {
 				return res, err
 			}
-			w.sleep(w.cfg.Retry.Delay(recoveries))
+			w.sleep(w.client.retry.Delay(recoveries))
 			continue
 		}
 		p, err := w.buildPipeline(ctx)
@@ -303,7 +293,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 			if !fail("restore", err) {
 				return res, err
 			}
-			w.sleep(w.cfg.Retry.Delay(recoveries))
+			w.sleep(w.client.retry.Delay(recoveries))
 			continue
 		}
 		res.NextIter = v
@@ -341,6 +331,6 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 		if !fail("train", terr) {
 			return res, terr
 		}
-		w.sleep(w.cfg.Retry.Delay(recoveries))
+		w.sleep(w.client.retry.Delay(recoveries))
 	}
 }

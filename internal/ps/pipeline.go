@@ -26,9 +26,9 @@ const (
 )
 
 // BatchSource produces training batches; data.Dataset satisfies it, and the
-// core package wraps it with the index-reordering bijection. Sources that
-// additionally implement data.SparseSource let the lookahead planner read
-// per-table index streams without materializing full batches.
+// core package wraps it with the index-reordering bijection. Lookahead
+// planning additionally needs data.SparseSource, per-table index streams
+// (both of those implement it).
 type BatchSource interface {
 	Batch(iter, size int) *data.Batch
 }
@@ -75,16 +75,11 @@ type Config struct {
 	// plans the exact sparse access set of the next Lookahead batches
 	// (data.Lookahead) and uses it for oracle cache admission — rows reused
 	// within the window are gathered once and served from the pinned working
-	// set and rows with no future reference expire Belady-style. Only host
-	// tables are planned. 0 or 1 plans nothing: every row is gathered every
-	// batch and entries expire by push visibility alone. Training is
-	// bit-exact for every setting.
+	// set and rows with no later reference in the window expire by push
+	// visibility. Only host tables are planned. 0 or 1 plans nothing: every
+	// row is gathered every batch and entries expire by push visibility
+	// alone. Training is bit-exact for every setting.
 	Lookahead int
-
-	// LookaheadBudget caps simultaneously pinned rows per host table within
-	// a window (0 = unlimited); on overflow the plan evicts the pin with the
-	// farthest next use.
-	LookaheadBudget int
 
 	// Faults injects deterministic failures into the gather/apply/worker
 	// paths; nil (production) injects nothing.
@@ -350,8 +345,8 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 	if cfg.Checkpoint.Every < 0 || (cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Path == "") {
 		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", ErrInvalidConfig, cfg.Checkpoint.Every)
 	}
-	if cfg.Lookahead < 0 || cfg.LookaheadBudget < 0 {
-		return nil, fmt.Errorf("%w: lookahead window %d / budget %d must be non-negative", ErrInvalidConfig, cfg.Lookahead, cfg.LookaheadBudget)
+	if cfg.Lookahead < 0 {
+		return nil, fmt.Errorf("%w: lookahead window %d must be non-negative", ErrInvalidConfig, cfg.Lookahead)
 	}
 	p := &Pipeline{cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.OrSystem(cfg.Clock), tracer: cfg.Trace}
 	p.registerMetrics(cfg.Metrics)
@@ -507,13 +502,7 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSi
 			hb, err = nil, fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, iter, recoveredErr(r))
 		}
 	}()
-	var b *data.Batch
-	if plan != nil {
-		b = plan.BatchAt(iter) // non-nil only when the planner cached full batches
-	}
-	if b == nil {
-		b = d.Batch(iter, batchSize)
-	}
+	b := d.Batch(iter, batchSize)
 	for attempt := 0; ; attempt++ {
 		ferr := p.injectFault(faults.OpGather, iter, attempt)
 		if ferr == nil {
@@ -752,7 +741,8 @@ func (p *Pipeline) spawn(wg *sync.WaitGroup, fail *failSlot, stage string, fn fu
 // queue concurrently with worker compute; with QueueDepth == 1 the pipeline
 // degrades to strictly sequential gather → train → apply on one thread (the
 // EL-Rec (Sequential) baseline — the worker waits for the server each step,
-// exactly as §VI-C describes). Both schedules produce bit-identical
+// exactly as §VI-C describes). A pipeline with no host table always runs the
+// sequential schedule: there is no server work to overlap. Both schedules produce bit-identical
 // parameters: the embedding cache guarantees the worker always computes on
 // up-to-date rows.
 //
@@ -786,7 +776,7 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 		return fail(res, lerr, true)
 	}
 
-	if p.cfg.QueueDepth == 1 {
+	if p.cfg.QueueDepth == 1 || len(p.stores) == 0 {
 		for iter := startIter; iter < startIter+steps; iter++ {
 			if err := ctx.Err(); err != nil {
 				return res, err

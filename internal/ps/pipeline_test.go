@@ -3,6 +3,7 @@ package ps
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -321,15 +322,27 @@ func TestPipelineLookaheadWithDeviceTTBitExact(t *testing.T) {
 	}
 }
 
-// TestNewPipelineLookaheadValidation: negative knobs are config errors.
+// TestNewPipelineLookaheadValidation: a negative window is a config error,
+// and so is lookahead over a source the planner cannot read per table.
 func TestNewPipelineLookaheadValidation(t *testing.T) {
 	spec := psSpec()
-	for _, cfg := range []Config{
-		{Model: psModelCfg(), QueueDepth: 1, Lookahead: -1},
-		{Model: psModelCfg(), QueueDepth: 1, LookaheadBudget: -1},
-	} {
-		if _, err := NewPipeline(cfg, allHostLocs(spec)); !errors.Is(err, ErrInvalidConfig) {
-			t.Fatalf("config %+v: got %v, want ErrInvalidConfig", cfg, err)
-		}
+	cfg := Config{Model: psModelCfg(), QueueDepth: 1, Lookahead: -1}
+	if _, err := NewPipeline(cfg, allHostLocs(spec)); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("config %+v: got %v, want ErrInvalidConfig", cfg, err)
+	}
+	d, _ := data.New(spec)
+	p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 1, Lookahead: 4}, allHostLocs(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Train(context.Background(), batchOnly{d}, 0, 4, 8)
+	if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "ps.batchOnly") || res.Completed != 0 {
+		t.Fatalf("lookahead over a batch-only source: completed %d, err %v; want ErrInvalidConfig naming ps.batchOnly", res.Completed, err)
 	}
 }
+
+// batchOnly hides Dataset.BatchIndices: it can feed the pipeline, not the
+// lookahead planner.
+type batchOnly struct{ d *data.Dataset }
+
+func (b batchOnly) Batch(iter, size int) *data.Batch { return b.d.Batch(iter, size) }

@@ -8,9 +8,11 @@ import (
 	"repro/internal/faults"
 )
 
-// RetryPolicy bounds how transient gather/apply faults are retried: capped
+// RetryPolicy bounds how transient failures are retried: capped
 // exponential backoff starting at BaseDelay, doubling per attempt up to
-// MaxDelay, for at most MaxRetries retries after the first attempt.
+// MaxDelay, for at most MaxRetries retries after the first attempt. The
+// pipeline retries gather/apply faults under one; distps's transport
+// retries RPCs under another, with its own defaults.
 type RetryPolicy struct {
 	MaxRetries int
 	BaseDelay  time.Duration
@@ -42,8 +44,8 @@ func (r RetryPolicy) withDefaults() RetryPolicy {
 	return r
 }
 
-// delay is the backoff before retry `attempt` (0-based), capped at MaxDelay.
-func (r RetryPolicy) delay(attempt int) time.Duration {
+// Delay is the backoff before retry `attempt` (0-based), capped at MaxDelay.
+func (r RetryPolicy) Delay(attempt int) time.Duration {
 	if attempt > 30 {
 		return r.MaxDelay
 	}
@@ -105,7 +107,7 @@ func (p *Pipeline) sleep(d time.Duration) {
 // cancellation (used on the gather side; the apply side passes nil because
 // pending gradients must land even during a cancelled drain).
 func (p *Pipeline) backoff(ctx context.Context, tid, attempt int) error {
-	d := p.retry.delay(attempt)
+	d := p.retry.Delay(attempt)
 	p.m.retries.Inc()
 	p.m.backoffNS.Add(int64(d))
 	p.tracer.Instant("retry", "fault", tid)

@@ -74,36 +74,6 @@ func TestPipelineEquivalenceSparseTables(t *testing.T) {
 	}
 }
 
-// TestPipelineLookaheadBudgetBitExact: a constrained pin budget changes only
-// the gather schedule (evicted pins re-gather), never trained values.
-func TestPipelineLookaheadBudgetBitExact(t *testing.T) {
-	spec := sparseSpec()
-	d, _ := data.New(spec)
-	run := func(budget int) *Pipeline {
-		p, err := NewPipeline(Config{
-			Model: psModelCfg(), QueueDepth: 4, Seed: 4,
-			Lookahead: 8, LookaheadBudget: budget,
-		}, allHostLocs(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustTrain(t, p, d, 0, 120, 32)
-		return p
-	}
-	free := run(0)
-	tight := run(5) // far below the window working set: constant eviction
-	for h := 0; h < free.NumHostTables(); h++ {
-		if diff := free.HostBag(h).Weights.MaxAbsDiff(tight.HostBag(h).Weights); diff != 0 {
-			t.Fatalf("host table %d differs by %v under a tight pin budget", h, diff)
-		}
-	}
-	fs, ts := free.Stats(), tight.Stats()
-	if ts.LookaheadPinnedRows >= fs.LookaheadPinnedRows {
-		t.Fatalf("tight budget pinned %d rows, unlimited pinned %d — budget not enforced",
-			ts.LookaheadPinnedRows, fs.LookaheadPinnedRows)
-	}
-}
-
 // TestPipelineLookaheadStats: with lookahead on, the plan must dedup gathers
 // across batches — fewer bytes gathered, rows served from the pinned working
 // set — and the lookahead instruments must move. The hit counters are

@@ -28,11 +28,7 @@ func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize 
 	if p.cfg.Lookahead <= 1 || len(p.stores) == 0 {
 		return w, nil
 	}
-	cfg := data.LookaheadConfig{
-		Window: p.cfg.Lookahead,
-		Batch:  batchSize,
-		Budget: p.cfg.LookaheadBudget,
-	}
+	cfg := data.LookaheadConfig{Window: p.cfg.Lookahead, Batch: batchSize}
 	for h, pos := range p.hostIdx {
 		cfg.Tables = append(cfg.Tables, pos)
 		cfg.Rows = append(cfg.Rows, p.stores[h].NumRows())
