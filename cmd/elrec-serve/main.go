@@ -46,6 +46,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -137,8 +138,10 @@ func run() int {
 		}
 		start := time.Now()
 		var loss float32
+		var b *data.Batch // one batch, regenerated in place every step
 		for it := 0; it < o.spec.Steps; it++ {
-			loss = model.TrainStep(d.Batch(it, o.spec.Batch))
+			b = d.BatchInto(b, it, o.spec.Batch)
+			loss = model.TrainStep(b)
 		}
 		log.Info("startup training done", "steps", o.spec.Steps, "final_loss", loss,
 			"elapsed", time.Since(start).Round(time.Millisecond))
@@ -156,6 +159,13 @@ func run() int {
 			log.Error("pool build failed", "err", err)
 			return 1
 		}
+		// The trainer's batch-sized scratch (tens of MB at -batch 2048) is
+		// unreachable now that the replicas hold their own. Collect it
+		// before serving: otherwise serving's first heap goal is twice
+		// whatever the last start-up cycle saw live, which is the trainer or
+		// not depending on where that cycle happened to fall, and the
+		// server's peak RSS takes one of two values from run to run.
+		runtime.GC()
 	}
 
 	mux := http.NewServeMux()

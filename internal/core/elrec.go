@@ -20,6 +20,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/ps"
 	"repro/internal/reorder"
@@ -139,9 +140,10 @@ type System struct {
 	// pipe is the underlying trainer even when no table spilled to host
 	// (Pipeline == nil); it runs every step and carries the checkpoint
 	// machinery.
-	pipe   *ps.Pipeline
-	model  *dlrm.Model
-	source ps.BatchSource
+	pipe      *ps.Pipeline
+	model     *dlrm.Model
+	source    ps.BatchSource
+	evalBatch *data.Batch // Evaluate's batch, regenerated in place per held-out batch
 
 	// DeviceBytes / HostBytes are the embedding parameter footprints after
 	// placement.
@@ -185,19 +187,17 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 		if cfg.ProfileBatches <= 0 || cfg.ProfileBatchSize <= 0 {
 			return nil, fmt.Errorf("core: reordering requires profile batches")
 		}
-		batches := make([]*data.Batch, cfg.ProfileBatches)
-		for it := range batches {
-			batches[it] = d.Batch(it, cfg.ProfileBatchSize)
-		}
+		// Reordering reads only the compressed tables' columns of the
+		// profiled batches, so only those streams are generated.
 		for i := range rows {
 			if !isTT[i] {
 				continue
 			}
 			counts := make([]int64, rows[i])
-			cols := make([][]int, len(batches))
-			for bi, b := range batches {
-				cols[bi] = b.Sparse[i]
-				for _, idx := range b.Sparse[i] {
+			cols := make([][]int, cfg.ProfileBatches)
+			for it := range cols {
+				cols[it] = d.BatchIndices(it, cfg.ProfileBatchSize, i)
+				for _, idx := range cols[it] {
 					counts[idx]++
 				}
 			}
@@ -298,12 +298,17 @@ type remappedSource struct {
 	bijections []*reorder.Bijection
 }
 
-// Batch generates batch iter and remaps its sparse indices.
-func (r *remappedSource) Batch(iter, size int) *data.Batch {
-	b := r.d.Batch(iter, size)
+// Batch generates batch iter into a fresh batch and remaps its sparse
+// indices.
+func (r *remappedSource) Batch(iter, size int) *data.Batch { return r.BatchInto(nil, iter, size) }
+
+// BatchInto generates batch iter into dst (nil: a fresh batch) and remaps
+// its sparse indices in place.
+func (r *remappedSource) BatchInto(dst *data.Batch, iter, size int) *data.Batch {
+	b := r.d.BatchInto(dst, iter, size)
 	for t, bij := range r.bijections {
 		if bij != nil {
-			b.Sparse[t] = bij.Apply(b.Sparse[t])
+			bij.ApplyInPlace(b.Sparse[t])
 		}
 	}
 	return b
@@ -403,13 +408,18 @@ func (s *System) CanSaveModel() error {
 }
 
 // Evaluate computes held-out accuracy and AUC over batches starting at
-// startIter.
+// startIter. The held-out batches are generated into one reused batch and
+// scored into result slices sized once, so beyond those results (and the
+// metrics' own sort) a call on a device-resident system allocates a
+// constant.
 func (s *System) Evaluate(startIter, batches, batchSize int) (acc, auc float64) {
-	var probs, labels []float32
+	n := max(batches, 0) * batchSize
+	probs, labels := make([]float32, n), make([]float32, n)
 	for it := 0; it < batches; it++ {
-		b := s.source.Batch(startIter+it, batchSize)
-		probs = append(probs, s.model.Predict(b)...)
-		labels = append(labels, b.Labels...)
+		s.evalBatch = s.source.BatchInto(s.evalBatch, startIter+it, batchSize)
+		at := it * batchSize
+		nn.SigmoidInto(probs[at:at+batchSize], s.model.Forward(s.evalBatch).Data)
+		copy(labels[at:], s.evalBatch.Labels)
 	}
 	return metrics.Accuracy(probs, labels, 0.5), metrics.AUC(probs, labels)
 }

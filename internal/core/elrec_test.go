@@ -5,12 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/dlrm"
 	"repro/internal/hw"
+	"repro/internal/reorder"
 	"repro/internal/tt"
 )
 
@@ -246,6 +248,50 @@ func TestRemappedSourcePermutesSparseOnly(t *testing.T) {
 	}
 	if !diff {
 		t.Fatal("bijection is identity; remap test has no power")
+	}
+}
+
+// TestProfileFromIndexStreamsMatchesFullBatches: Build profiles reordering
+// from the compressed tables' index streams alone (Dataset.BatchIndices).
+// Its bijections must be the ones the full profiled batches give, on the
+// single-valued and the multi-hot schema.
+func TestProfileFromIndexStreamsMatchesFullBatches(t *testing.T) {
+	for _, multiHot := range []int{0, 3} {
+		cfg := coreConfig()
+		cfg.Data.MultiHot = multiHot
+		sys, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := make([]*data.Batch, cfg.ProfileBatches)
+		for it := range batches {
+			batches[it] = sys.Dataset.Batch(it, cfg.ProfileBatchSize)
+		}
+		compared := 0
+		for i, got := range sys.Bijections {
+			if got == nil {
+				continue
+			}
+			counts := make([]int64, cfg.Data.TableRows[i])
+			cols := make([][]int, len(batches))
+			for bi, b := range batches {
+				cols[bi] = b.Sparse[i]
+				for _, idx := range b.Sparse[i] {
+					counts[idx]++
+				}
+			}
+			want, err := reorder.Build(counts, cols, cfg.ReorderCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Forward, want.Forward) || !slices.Equal(got.Inverse, want.Inverse) {
+				t.Fatalf("multi-hot %d, table %d: bijection differs from the full-batch profile's", multiHot, i)
+			}
+			compared++
+		}
+		if compared != 2 {
+			t.Fatalf("multi-hot %d: compared %d bijections, want the 2 TT tables'", multiHot, compared)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/embedding"
@@ -370,4 +371,65 @@ func TestMultiHotBatches(t *testing.T) {
 	if spec.MultiHot = -1; spec.Validate() == nil {
 		t.Fatal("negative MultiHot accepted")
 	}
+}
+
+// sameBatch reports the first difference between two batches, bit for bit.
+func sameBatch(t *testing.T, what string, got, want *Batch) {
+	t.Helper()
+	if got.Dense.Rows != want.Dense.Rows || got.Dense.Cols != want.Dense.Cols {
+		t.Fatalf("%s: dense %dx%d, want %dx%d", what, got.Dense.Rows, got.Dense.Cols, want.Dense.Rows, want.Dense.Cols)
+	}
+	for i, v := range want.Dense.Data {
+		if math.Float32bits(got.Dense.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("%s: dense[%d] = %v, want %v", what, i, got.Dense.Data[i], v)
+		}
+	}
+	if len(got.Labels) != len(want.Labels) || len(got.Offsets) != len(want.Offsets) || len(got.Sparse) != len(want.Sparse) {
+		t.Fatalf("%s: shape differs", what)
+	}
+	for i := range want.Labels {
+		if got.Labels[i] != want.Labels[i] || got.Offsets[i] != want.Offsets[i] {
+			t.Fatalf("%s: sample %d label/offset differs", what, i)
+		}
+	}
+	for tb := range want.Sparse {
+		if len(got.Sparse[tb]) != len(want.Sparse[tb]) {
+			t.Fatalf("%s: table %d has %d indices, want %d", what, tb, len(got.Sparse[tb]), len(want.Sparse[tb]))
+		}
+		for i, v := range want.Sparse[tb] {
+			if got.Sparse[tb][i] != v {
+				t.Fatalf("%s: table %d index %d = %d, want %d", what, tb, i, got.Sparse[tb][i], v)
+			}
+		}
+	}
+}
+
+// TestBatchIntoMatchesBatchZeroAlloc: generating into one reused batch gives
+// Batch's output bit for bit — across sizes that grow and shrink the
+// buffers, on the single-valued and the multi-hot schema, and after the
+// batch held another dataset's batch — and, once the batch has held one of
+// this size, costs no allocation over iterations never generated before.
+func TestBatchIntoMatchesBatchZeroAlloc(t *testing.T) {
+	multi := smallSpec()
+	multi.MultiHot, multi.Seed = 3, 8
+	var dst *Batch
+	for _, spec := range []Spec{smallSpec(), multi} {
+		d, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, size := range []int{64, 7, 128, 128, 1} {
+			dst = d.BatchInto(dst, 40+k, size)
+			sameBatch(t, spec.Name, dst, d.Batch(40+k, size))
+		}
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	d, _ := New(smallSpec())
+	dst = d.BatchInto(nil, 0, 128)
+	iter := 1000
+	if allocs := testing.AllocsPerRun(100, func() { iter++; d.BatchInto(dst, iter, 128) }); allocs != 0 {
+		t.Fatalf("BatchInto over fresh iterations allocated %v times per batch, want 0", allocs)
+	}
+	sameBatch(t, "after the allocation count", dst, d.Batch(iter, 128))
 }

@@ -55,34 +55,68 @@ type Batch struct {
 	Sparse  [][]int        // per table: batch·K indices
 	Offsets []int          // bag starts: s·K
 	Labels  []float32
+
+	gen *generator // the generator scratch BatchInto reuses with this batch
 }
 
 // Size returns the number of samples in the batch.
 func (b *Batch) Size() int { return len(b.Labels) }
 
-// Batch deterministically generates batch number iter with the given size.
-func (d *Dataset) Batch(iter, size int) *Batch {
+// generator is the scratch one batch's generation needs: a single math/rand
+// generator re-seeded per stream, and each table's group Zipf built once
+// against it. Seed puts the generator's source in exactly the state
+// NewSource(seed) builds, so every draw is the one a fresh generator makes.
+type generator struct {
+	d      *Dataset
+	r      *rand.Rand
+	zipf   []*rand.Zipf // per table, over its groups
+	active []int        // a stream's active groups
+}
+
+// newGenerator builds d's generator scratch.
+//
+//elrec:coldpath once per reused batch; BatchInto's steady state re-seeds it
+func (d *Dataset) newGenerator() *generator {
+	g := &generator{d: d, r: rand.New(rand.NewSource(0)), active: make([]int, d.Spec.ActiveGroups)} //nolint:gosec // deterministic synthetic data
+	g.zipf = make([]*rand.Zipf, len(d.groups))
+	for t, n := range d.groups {
+		g.zipf[t] = rand.NewZipf(g.r, d.Spec.ZipfS, d.Spec.ZipfV, uint64(n-1))
+	}
+	return g
+}
+
+// Batch deterministically generates batch number iter with the given size,
+// into a fresh Batch: BatchInto(nil, iter, size).
+func (d *Dataset) Batch(iter, size int) *Batch { return d.BatchInto(nil, iter, size) }
+
+// BatchInto generates batch number iter with the given size into dst,
+// reusing its storage and the generator scratch it carries, and returns
+// it; a nil dst gets a fresh Batch. The result is the batch Batch(iter,
+// size) returns, and once dst has held a batch of this size from this
+// dataset, generating into it allocates nothing.
+func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 	if size <= 0 {
 		//elrec:invariant batch size is validated at every config entry point
 		panic("data: non-positive batch size")
 	}
 	spec := d.Spec
 	bag := spec.BagSize()
-	b := &Batch{
-		Dense:   tensor.New(size, spec.NumDense),
-		Sparse:  make([][]int, spec.NumTables()),
-		Offsets: make([]int, size),
-		Labels:  make([]float32, size),
+	b := dst
+	if b == nil {
+		b = &Batch{}
 	}
+	b.prepare(d, size)
 	for s := range b.Offsets {
 		b.Offsets[s] = s * bag
 	}
-
-	r := rand.New(rand.NewSource(int64(mix(spec.Seed, uint64(iter), 0xBA7C4)))) //nolint:gosec // deterministic synthetic data
-
+	g := b.gen
 	for t := range b.Sparse {
-		b.Sparse[t] = d.BatchIndices(iter, size, t)
+		g.r.Seed(d.streamSeed(iter, t))
+		d.drawIndices(b.Sparse[t], g.r, g.zipf[t], g.active, t)
 	}
+
+	r := g.r
+	r.Seed(int64(mix(spec.Seed, uint64(iter), 0xBA7C4)))
 
 	// Dense features: standard normal.
 	for i := range b.Dense.Data {
@@ -130,6 +164,7 @@ func (d *Dataset) Batch(iter, size int) *Batch {
 			logit += denseWeight(spec.Seed, f) * float64(b.Dense.At(s, f))
 		}
 		p := 1 / (1 + math.Exp(-logit))
+		b.Labels[s] = 0
 		if r.Float64() < p {
 			b.Labels[s] = 1
 		}
@@ -137,29 +172,67 @@ func (d *Dataset) Batch(iter, size int) *Batch {
 	return b
 }
 
+// prepare shapes b for a batch of n samples from d, keeping every buffer that
+// is large enough and the generator scratch when it is d's.
+//
+//elrec:coldpath amortized growth; a reused batch of one size keeps its buffers
+func (b *Batch) prepare(d *Dataset, n int) {
+	spec := d.Spec
+	if b.gen == nil || b.gen.d != d {
+		b.gen = d.newGenerator()
+	}
+	b.Dense = tensor.Reuse(b.Dense, n, spec.NumDense)
+	if len(b.Sparse) != spec.NumTables() {
+		b.Sparse = make([][]int, spec.NumTables())
+	}
+	for t := range b.Sparse {
+		b.Sparse[t] = resize(b.Sparse[t], n*spec.BagSize())
+	}
+	b.Offsets = resize(b.Offsets, n)
+	if cap(b.Labels) < n {
+		b.Labels = make([]float32, n)
+	}
+	b.Labels = b.Labels[:n]
+}
+
+// resize returns buf with length n, reusing its storage when it fits.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
+// streamSeed is the seed of table t's index stream of batch iter.
+func (d *Dataset) streamSeed(iter, t int) int64 {
+	return int64(mix(d.Spec.Seed, uint64(iter), 0x7AB1E0+uint64(t)))
+}
+
 // BatchIndices deterministically generates only table t's indices of batch
 // iter (size·BagSize of them) — each (iter, table) pair has its own RNG
 // stream, so per-table statistics (access counts, unique-index counts)
 // never pay for the other 25 tables. Batch composes these same streams, so
 // BatchIndices(i, n, t) equals Batch(i, n).Sparse[t].
-//
-// The batch concentrates on ActiveGroups hot groups with probability
-// Locality and falls back to the global Zipf distribution otherwise.
 func (d *Dataset) BatchIndices(iter, size, t int) []int {
 	spec := d.Spec
-	size *= spec.BagSize()
-	r := rand.New(rand.NewSource(int64(mix(spec.Seed, uint64(iter), 0x7AB1E0+uint64(t))))) //nolint:gosec // deterministic synthetic data
-	rows := spec.TableRows[t]
-	g := d.groups[t]
-	groupZipf := rand.NewZipf(r, spec.ZipfS, spec.ZipfV, uint64(g-1))
+	r := rand.New(rand.NewSource(d.streamSeed(iter, t))) //nolint:gosec // deterministic synthetic data
+	out := make([]int, size*spec.BagSize())
+	d.drawIndices(out, r, rand.NewZipf(r, spec.ZipfS, spec.ZipfV, uint64(d.groups[t]-1)), make([]int, spec.ActiveGroups), t)
+	return out
+}
 
-	active := make([]int, spec.ActiveGroups)
+// drawIndices fills out with table t's index stream from r, which is seeded
+// for the stream; groupZipf draws from r over t's groups and active is
+// ActiveGroups of scratch. The batch concentrates on ActiveGroups hot
+// groups with probability Locality and falls back to the global Zipf
+// distribution otherwise.
+func (d *Dataset) drawIndices(out []int, r *rand.Rand, groupZipf *rand.Zipf, active []int, t int) {
+	spec := d.Spec
+	rows := spec.TableRows[t]
 	for i := range active {
 		active[i] = int(groupZipf.Uint64())
 	}
-
-	out := make([]int, size)
-	for s := 0; s < size; s++ {
+	for s := range out {
 		var grp int
 		if r.Float64() < spec.Locality {
 			grp = active[r.Intn(len(active))]
@@ -178,7 +251,6 @@ func (d *Dataset) BatchIndices(iter, size, t int) []int {
 		ordered := lo + off
 		out[s] = int(d.scatter[t][ordered])
 	}
-	return out
 }
 
 // zipfGuard is the relative half-width of the band around each boundary

@@ -31,8 +31,14 @@ const sanityCap = 1 << 28
 
 type enc struct{ buf []byte }
 
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) bool(v bool)  { e.u8(map[bool]uint8{false: 0, true: 1}[v]) }
+func (e *enc) u8(v uint8) { e.buf = append(e.buf, v) }
+func (e *enc) bool(v bool) {
+	if v {
+		e.u8(1)
+		return
+	}
+	e.u8(0)
+}
 func (e *enc) u32(v uint32) { e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
 func (e *enc) u64(v uint64) {
 	e.u32(uint32(v))

@@ -15,23 +15,24 @@ var ErrNotServable = errors.New("dlrm: table not servable")
 
 // CloneForServing returns a read-path replica of the model for concurrent
 // inference. The clone owns every piece of mutable forward state — MLP layer
-// scratch, interaction buffers, the per-step lookup slice, and each Eff-TT
-// table's arena and prefix memo — while sharing only data that is immutable
-// or self-serialized during serving:
+// scratch, interaction buffers, the per-step lookup slice and each table's
+// lookup scratch — while sharing only parameters that stay immutable while
+// it serves:
 //
 //   - dense MLP parameters are deep-copied (nn.MLP.Clone), so the clone's
 //     Forward never touches the source's layer buffers;
 //   - *tt.Table becomes an arena-owning replica over shared read-only cores
 //     (tt.Table.CloneForServing), the only place prefix products are kept
 //     across batches;
-//   - *embedding.Bag / *embedding.AdagradBag are shared as-is: their Lookup
-//     is read-only and allocates fresh output.
+//   - *embedding.Bag and *embedding.AdagradBag become a Bag view
+//     (embedding.Bag.View): shared Weights, scratch of its own. Serving
+//     needs no optimizer state.
 //
-// Serving scores a clone through ScoreGroups, whose scratch (ScoreScratch)
-// belongs to the caller — serve.Ranker, one per clone — not to the model.
-// ScoreGroups holds each context table's Lookup result across the chunks of
-// a micro-batch; every table kind above allows it: a tt.Table replica owns
-// its result until its own next Lookup, the others return fresh rows.
+// Every table kind follows one contract, so a replica's tables all do: a
+// Lookup result is table-owned and stays valid until that table's next
+// Lookup. ScoreGroups relies on it to hold each context table's result
+// across the chunks of a micro-batch; its scratch (ScoreScratch) belongs to
+// the caller — serve.Ranker, one per clone — not to the model.
 //
 // Any other table type yields ErrNotServable. The sharing contract is
 // read-only: while any clone serves traffic, neither the source model nor any
@@ -43,13 +44,15 @@ func (m *Model) CloneForServing() (*Model, error) {
 		switch tbl := t.(type) {
 		case *tt.Table:
 			tables[i] = tbl.CloneForServing()
-		case *embedding.Bag, *embedding.AdagradBag:
-			tables[i] = t
+		case *embedding.Bag:
+			tables[i] = tbl.View()
+		case *embedding.AdagradBag:
+			tables[i] = tbl.View()
 		default:
 			return nil, fmt.Errorf("%w: table %d is %T", ErrNotServable, i, t)
 		}
 	}
-	return &Model{
+	c := &Model{
 		Cfg:         m.Cfg,
 		Bottom:      m.Bottom.Clone(),
 		Top:         m.Top.Clone(),
@@ -57,5 +60,7 @@ func (m *Model) CloneForServing() (*Model, error) {
 		Tables:      tables,
 		opt:         nn.NewSGD(m.Cfg.LR),
 		clock:       m.clock,
-	}, nil
+	}
+	c.params = c.MLPParams()
+	return c, nil
 }

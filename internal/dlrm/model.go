@@ -18,7 +18,9 @@ import (
 
 // Table is the embedding-table abstraction: sum-pooling lookup over
 // indices/offsets bags and a combined backward+SGD update.
-// embedding.Bag, tt.Table and the baseline executors all satisfy it.
+// embedding.Bag, tt.Table and the baseline executors all satisfy it. The
+// table-scratch contract: Lookup's result is table-owned and stays valid
+// until that table's next Lookup, so a step holds one result per table.
 type Table interface {
 	Lookup(indices, offsets []int) *tensor.Matrix
 	Update(indices, offsets []int, dOut *tensor.Matrix, lr float32)
@@ -57,10 +59,12 @@ type Model struct {
 	Interaction *nn.Interaction
 	Tables      []Table
 
-	opt    *nn.SGD
-	timing Timing
-	clock  obs.Clock        // timestamp source for TrainStep's Timing split; never nil
-	embs   []*tensor.Matrix // per-step lookup results, slice reused across steps
+	opt     *nn.SGD
+	params  []*nn.Param // MLPParams, collected once for ApplyStep
+	timing  Timing
+	clock   obs.Clock        // timestamp source for TrainStep's Timing split; never nil
+	embs    []*tensor.Matrix // per-step lookup results, slice reused across steps
+	dLogits *tensor.Matrix   // the loss gradient, reused across steps
 }
 
 // SetClock replaces the timestamp source TrainStep measures against
@@ -98,6 +102,7 @@ func NewModel(cfg Config, tables []Table) (*Model, error) {
 		opt:         nn.NewSGD(cfg.LR),
 		clock:       obs.System(),
 	}
+	m.params = m.MLPParams()
 	return m, nil
 }
 
@@ -143,7 +148,7 @@ func (m *Model) Predict(b *data.Batch) []float32 {
 
 // ApplyStep applies the accumulated MLP gradients with SGD and clears them.
 func (m *Model) ApplyStep() {
-	m.opt.Step(m.MLPParams())
+	m.opt.Step(m.params)
 }
 
 // TrainStep is one training step: forward, loss, backward, every table's
@@ -167,7 +172,8 @@ func (m *Model) TrainStep(b *data.Batch) float32 {
 	t2 := clock.Now()
 	x := m.Interaction.Forward(z0, embs)
 	logits := m.Top.Forward(x)
-	loss, dLogits := nn.BCEWithLogits(logits, b.Labels)
+	loss, dLogits := nn.BCEWithLogitsInto(m.dLogits, logits, b.Labels)
+	m.dLogits = dLogits
 	dx := m.Top.Backward(dLogits)
 	dDense, dEmbs := m.Interaction.Backward(dx)
 	m.Bottom.Backward(dDense)

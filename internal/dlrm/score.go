@@ -80,9 +80,8 @@ func (s *ScoreScratch) prepare(g, rows, chunk, numDense, numTables int) {
 // per-item k-range: that would change the summation order and with it the
 // bits.
 //
-// Context lookups must stay live across the chunks, which they do: a table
-// either owns its result until its own next Lookup (tt.Table, the ps host
-// adapter) or returns a fresh one (embedding.Bag), and only the item table
+// Context lookups must stay live across the chunks, which they do: every
+// table owns its result until its own next Lookup, and only the item table
 // is looked up again.
 //
 //elrec:hotpath the one scoring path of serve.Ranker and served.Pool
@@ -115,7 +114,7 @@ func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []Sc
 	z0 := m.Bottom.Forward(s.dense)
 	for t, tbl := range m.Tables {
 		if t != itemFeature {
-			s.embs[t] = tbl.Lookup(s.sparse[t], s.offsets[:len(groups)]) //elrec:coldpath table-owned arena (tt.Table) or fresh by contract (embedding.Bag); pinned by the AllocsPerRun tests
+			s.embs[t] = tbl.Lookup(s.sparse[t], s.offsets[:len(groups)]) //elrec:coldpath an interface call the analyzer cannot follow; every table kind looks up into its own scratch, pinned by the AllocsPerRun tests
 		}
 	}
 	s.tmpl, s.ctx = m.Interaction.ForwardShared(s.tmpl, s.ctx, z0, s.embs, itemFeature)

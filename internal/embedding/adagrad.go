@@ -27,13 +27,13 @@ func NewAdagradBag(bag *Bag) *AdagradBag {
 	}
 }
 
-// Update aggregates the batch gradient per unique row and applies the
-// Adagrad update to exactly those rows.
+// Update aggregates the batch gradient per unique row, in the Bag's
+// table-owned scratch, and applies the Adagrad update to exactly those rows.
 func (a *AdagradBag) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
-	g := a.Backward(indices, offsets, dOut)
+	g := a.aggregate(indices, offsets, dOut)
 	dim := a.Dim()
-	for i, r := range g.Rows {
-		grow := g.Grads.Row(i)
+	for i, r := range a.uniq {
+		grow := g.Row(i)
 		wrow := a.Weights.Row(r)
 		arow := a.accum[r*dim : (r+1)*dim]
 		for j, gv := range grow {

@@ -8,6 +8,7 @@ package embedding
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -15,9 +16,20 @@ import (
 // Bag is a dense embedding table with sum pooling over per-sample index
 // bags. Batches use the PyTorch indices+offsets encoding: offsets[i] is the
 // start of sample i's indices; sample i owns indices[offsets[i]:offsets[i+1]].
+//
+// Bag follows the table-scratch contract every dlrm.Table kind shares:
+// Lookup pools into a table-owned matrix that stays valid until the table's
+// next Lookup, and Update deduplicates and aggregates in table-owned
+// scratch, so a steady-state step allocates nothing. Lookup and Update are
+// therefore serialized per Bag; concurrent readers take a View each.
 type Bag struct {
 	rows, dim int
 	Weights   *tensor.Matrix // rows × dim
+
+	out  *tensor.Matrix // Lookup's result, overwritten by the next Lookup
+	seen Index          // Update's dedup of the batch's indices
+	uniq []int          // unique rows in first-occurrence order
+	grad *tensor.Matrix // row u: the summed gradient of uniq[u]
 }
 
 // NewBag allocates a rows×dim table initialized uniformly in
@@ -72,19 +84,27 @@ func validate(rows int, indices, offsets []int) {
 
 // Lookup returns the batch×dim matrix of sum-pooled embeddings. offsets has
 // one entry per sample (its start in indices); the final sample extends to
-// len(indices).
+// len(indices). The result is table-owned: it stays valid until this Bag's
+// next Lookup, which overwrites it.
 func (b *Bag) Lookup(indices, offsets []int) *tensor.Matrix {
 	validate(b.rows, indices, offsets)
-	batch := len(offsets)
-	out := tensor.New(batch, b.dim)
-	for s := 0; s < batch; s++ {
+	b.out = tensor.Reuse(b.out, len(offsets), b.dim)
+	b.out.Zero()
+	for s := range offsets {
 		lo, hi := BagBounds(offsets, s, len(indices))
-		row := out.Row(s)
+		row := b.out.Row(s)
 		for _, idx := range indices[lo:hi] {
 			tensor.AddTo(row, b.Weights.Row(idx))
 		}
 	}
-	return out
+	return b.out
+}
+
+// View returns a Bag over the same Weights with scratch of its own: a
+// serving replica looks up through its view while other replicas use
+// theirs. Updating through any of them changes the rows all of them read.
+func (b *Bag) View() *Bag {
+	return &Bag{rows: b.rows, dim: b.dim, Weights: b.Weights}
 }
 
 // BagBounds returns the [lo,hi) index range of sample s of a bag batch:
@@ -107,42 +127,59 @@ type SparseGrad struct {
 
 // Backward computes the sparse gradient of the sum-pooled lookup: the
 // gradient of row r is the sum of dOut rows of every (sample, occurrence)
-// of r in the batch, pre-aggregated over unique indices.
+// of r in the batch, pre-aggregated over unique indices. The result is
+// fresh, for callers that need the gradient itself (the tests' oracle of
+// Update); training calls Update, which applies the same sums without
+// materializing them.
 func (b *Bag) Backward(indices, offsets []int, dOut *tensor.Matrix) *SparseGrad {
+	g := b.aggregate(indices, offsets, dOut)
+	return &SparseGrad{Rows: slices.Clone(b.uniq), Grads: g.Clone()}
+}
+
+// aggregate sums dOut per unique row of the batch into b.grad, row u holding
+// the gradient of b.uniq[u]: each row is summed from zero over the batch's
+// occurrences in position order. The scratch is sized to what bounds the
+// unique rows of any batch of this size — its occurrences, or the table's
+// rows when fewer — so a stream of batches of one size grows it once.
+func (b *Bag) aggregate(indices, offsets []int, dOut *tensor.Matrix) *tensor.Matrix {
 	validate(b.rows, indices, offsets)
 	if dOut.Rows != len(offsets) || dOut.Cols != b.dim {
 		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic(fmt.Sprintf("embedding: Backward grad %dx%d want %dx%d", dOut.Rows, dOut.Cols, len(offsets), b.dim))
 	}
-	uniq, inverse := Unique(indices)
-	g := tensor.New(len(uniq), b.dim)
+	bound := min(len(indices), b.rows)
+	b.seen.Begin(bound)
+	if cap(b.uniq) < bound {
+		//elrec:coldpath amortized growth to the largest batch seen
+		b.uniq = make([]int, 0, bound)
+	}
+	b.uniq = b.uniq[:0]
+	b.grad = tensor.Reuse(b.grad, bound, b.dim)
 	for s := range offsets {
 		lo, hi := BagBounds(offsets, s, len(indices))
 		src := dOut.Row(s)
-		for p := lo; p < hi; p++ {
-			tensor.AddTo(g.Row(inverse[p]), src)
+		for _, idx := range indices[lo:hi] {
+			u, fresh := b.seen.IDOf(idx, len(b.uniq))
+			row := b.grad.Row(u)
+			if fresh {
+				b.uniq = append(b.uniq, idx) // within the capacity reserved above
+				clear(row)
+			}
+			tensor.AddTo(row, src)
 		}
 	}
-	return &SparseGrad{Rows: uniq, Grads: g}
+	b.grad.Rows, b.grad.Data = len(b.uniq), b.grad.Data[:len(b.uniq)*b.dim]
+	return b.grad
 }
 
-// ApplySGD applies Weights[r] -= lr·grad[r] for every row in the sparse
-// gradient.
-func (b *Bag) ApplySGD(g *SparseGrad, lr float32) {
-	for i, r := range g.Rows {
-		tensor.Axpy(-lr, g.Grads.Row(i), b.Weights.Row(r))
-	}
-}
-
-// Step is the convenience Backward+ApplySGD used by training loops.
-func (b *Bag) Step(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
-	b.ApplySGD(b.Backward(indices, offsets, dOut), lr)
-}
-
-// Update is Step under the name the DLRM table interface expects, making
-// Bag a drop-in peer of the TT tables.
+// Update applies one SGD step for the batch: Weights[r] −= lr·Σ dOut over
+// the occurrences of r, with the sums of Backward applied in its row order,
+// so the bits are those of applying Backward's gradient row by row.
 func (b *Bag) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
-	b.Step(indices, offsets, dOut, lr)
+	g := b.aggregate(indices, offsets, dOut)
+	for u, r := range b.uniq {
+		tensor.Axpy(-lr, g.Row(u), b.Weights.Row(r))
+	}
 }
 
 // GatherRows copies the given rows into a fresh len(rows)×dim matrix; used

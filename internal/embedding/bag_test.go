@@ -2,6 +2,8 @@ package embedding
 
 import (
 	"math"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -142,7 +144,7 @@ func TestApplySGDUpdatesOnlyTouchedRows(t *testing.T) {
 	indices := []int{2}
 	offsets := []int{0}
 	dOut := tensor.FromSlice(1, 2, []float32{1, -1})
-	b.Step(indices, offsets, dOut, 0.5)
+	b.Update(indices, offsets, dOut, 0.5)
 	for r := 0; r < 6; r++ {
 		for j := 0; j < 2; j++ {
 			want := before.At(r, j)
@@ -241,8 +243,8 @@ func TestQuickUniqueInverse(t *testing.T) {
 	}
 }
 
-// Property: Backward+ApplySGD equals a dense gradient-descent step on the
-// materialized table.
+// Property: Update equals a dense gradient-descent step on the materialized
+// table.
 func TestQuickSparseStepMatchesDense(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
@@ -264,7 +266,7 @@ func TestQuickSparseStepMatchesDense(t *testing.T) {
 		r.FillUniform(dOut.Data, 1)
 
 		const lr = 0.1
-		b.Step(indices, offsets, dOut, lr)
+		b.Update(indices, offsets, dOut, lr)
 
 		// Dense reference: accumulate full-table gradient then subtract.
 		full := tensor.New(rows, dim)
@@ -283,5 +285,143 @@ func TestQuickSparseStepMatchesDense(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// zipfishBatch draws a batch of n single-index bags over rows whose ids
+// repeat, as a training stream's do.
+func zipfishBatch(r *tensor.RNG, rows, n int) (indices, offsets []int) {
+	indices, offsets = make([]int, n), make([]int, n)
+	for s := range indices {
+		indices[s] = r.Intn(1 + r.Intn(rows))
+		offsets[s] = s
+	}
+	return indices, offsets
+}
+
+// oracleGrad is the per-row batch gradient computed independently of the
+// Bag's scratch: Unique's first-occurrence rows, each summed from a fresh
+// zero row over its occurrences in position order.
+func oracleGrad(indices, offsets []int, dOut *tensor.Matrix) ([]int, *tensor.Matrix) {
+	uniq, inverse := Unique(indices)
+	g := tensor.New(len(uniq), dOut.Cols)
+	for s := range offsets {
+		lo, hi := BagBounds(offsets, s, len(indices))
+		for p := lo; p < hi; p++ {
+			tensor.AddTo(g.Row(inverse[p]), dOut.Row(s))
+		}
+	}
+	return uniq, g
+}
+
+// TestUpdateMatchesBackwardBitForBit pins Backward to an independent
+// gradient oracle and Update (SGD and AdagradBag's) to that gradient
+// applied row by row in its order, bit for bit, over a stream of batches of
+// changing size and bag shape on one Bag, so the scratch is reused both
+// grown and shrunk.
+func TestUpdateMatchesBackwardBitForBit(t *testing.T) {
+	const rows, dim, lr = 50, 5, 0.3
+	r := tensor.NewRNG(11)
+	b := NewBag(rows, dim, tensor.NewRNG(12))
+	ref := b.Weights.Clone()
+	ada := NewAdagradBag(NewBag(rows, dim, tensor.NewRNG(12)))
+	adaRef, accum := ada.Weights.Clone(), make([]float32, rows*dim)
+	for step, n := range []int{40, 7, 64, 1, 33, 64} {
+		indices, offsets := zipfishBatch(r, rows, n)
+		if step%2 == 1 { // multi-index bags: two samples share the batch
+			offsets = []int{0, n / 2}
+		}
+		dOut := tensor.New(len(offsets), dim)
+		r.FillUniform(dOut.Data, 1)
+		dOut.Data[0] = float32(math.Copysign(0, -1)) // a −0 gradient must keep its bits
+
+		uniq, grads := oracleGrad(indices, offsets, dOut)
+		got := b.Backward(indices, offsets, dOut)
+		if !slices.Equal(got.Rows, uniq) || !bitsEqual(got.Grads.Data, grads.Data) {
+			t.Fatalf("step %d: Backward differs from the oracle gradient", step)
+		}
+		for i, row := range uniq {
+			tensor.Axpy(-lr, grads.Row(i), ref.Row(row))
+			wrow, arow := adaRef.Row(row), accum[row*dim:(row+1)*dim]
+			for j, gv := range grads.Row(i) {
+				arow[j] += gv * gv
+				wrow[j] -= lr * gv / float32(math.Sqrt(float64(arow[j])+float64(ada.Eps)))
+			}
+		}
+		b.Update(indices, offsets, dOut, lr)
+		ada.Update(indices, offsets, dOut, lr)
+		if !bitsEqual(b.Weights.Data, ref.Data) {
+			t.Fatalf("step %d: Update differs from the oracle gradient's SGD step", step)
+		}
+		if !bitsEqual(ada.Weights.Data, adaRef.Data) {
+			t.Fatalf("step %d: AdagradBag.Update differs from the oracle gradient's Adagrad step", step)
+		}
+	}
+}
+
+// bitsEqual reports whether two float slices hold the same bits.
+func bitsEqual(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBagLookupUpdateZeroAllocFreshBatches is the table-scratch contract at
+// runtime: once a Bag has seen one batch of the stream's size, a
+// Lookup/Update step on batches it has never seen allocates nothing, even
+// when a batch has more unique rows than any before it.
+func TestBagLookupUpdateZeroAllocFreshBatches(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const rows, dim, n = 1000, 8, 128
+	r := tensor.NewRNG(13)
+	b := NewBag(rows, dim, tensor.NewRNG(14))
+	a := NewAdagradBag(NewBag(rows, dim, tensor.NewRNG(14)))
+	batches := make([][]int, 101)
+	var offsets []int
+	for i := range batches {
+		batches[i], offsets = zipfishBatch(r, rows, n)
+	}
+	for i := range batches[0] { // the warm-up batch repeats one row: its dedup is tiny
+		batches[0][i] = 3
+	}
+	dOut := tensor.New(n, dim)
+	r.FillUniform(dOut.Data, 1)
+	step := func(k int) {
+		out := b.Lookup(batches[k], offsets)
+		b.Update(batches[k], offsets, out, 0.01)
+		a.Lookup(batches[k], offsets)
+		a.Update(batches[k], offsets, dOut, 0.01)
+	}
+	step(0)
+	k := 0 // AllocsPerRun makes one untimed run first: batches 1..100 are all fresh
+	if allocs := testing.AllocsPerRun(len(batches)-2, func() { k++; step(k) }); allocs != 0 {
+		t.Fatalf("Lookup/Update over fresh batches allocated %v times per step, want 0", allocs)
+	}
+}
+
+// TestBagViewSharesWeightsNotScratch: a view reads the same rows as its
+// source and sees its updates, but its Lookup result is its own, so the
+// source's stays valid across the view's lookups.
+func TestBagViewSharesWeightsNotScratch(t *testing.T) {
+	b := newTestBag(10, 3, 15)
+	v := b.View()
+	src := b.Lookup([]int{1, 2}, []int{0, 1})
+	want := src.Clone()
+	got := v.Lookup([]int{7}, []int{0})
+	if got == src {
+		t.Fatal("view returned the source's Lookup matrix")
+	}
+	if src.MaxAbsDiff(want) != 0 {
+		t.Fatal("a view's Lookup overwrote the source's result")
+	}
+	b.Update([]int{7}, []int{0}, tensor.FromSlice(1, 3, []float32{1, 1, 1}), 1)
+	if v.Lookup([]int{7}, []int{0}).At(0, 0) != b.Weights.At(7, 0) {
+		t.Fatal("view does not read the source's updated rows")
 	}
 }

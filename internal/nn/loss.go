@@ -14,6 +14,13 @@ import (
 //	loss = max(z,0) − z·y + log(1 + exp(−|z|))
 //	dz   = (σ(z) − y) / batch
 func BCEWithLogits(logits *tensor.Matrix, labels []float32) (float32, *tensor.Matrix) {
+	return BCEWithLogitsInto(nil, logits, labels)
+}
+
+// BCEWithLogitsInto is BCEWithLogits writing the gradient into grad's
+// storage (tensor.Reuse: a nil or too-small grad is replaced), so a training
+// loop that passes back the matrix it got allocates nothing per step.
+func BCEWithLogitsInto(grad, logits *tensor.Matrix, labels []float32) (float32, *tensor.Matrix) {
 	if logits.Cols != 1 {
 		//elrec:invariant the top MLP ends in a single output column
 		panic(shapeErr("BCEWithLogits expects batch×1 logits, got %dx%d", logits.Rows, logits.Cols))
@@ -23,10 +30,10 @@ func BCEWithLogits(logits *tensor.Matrix, labels []float32) (float32, *tensor.Ma
 		panic(shapeErr("BCEWithLogits %d logits vs %d labels", logits.Rows, len(labels)))
 	}
 	n := logits.Rows
+	grad = tensor.Reuse(grad, n, 1) // every element is written below
 	if n == 0 {
-		return 0, tensor.New(0, 1)
+		return 0, grad
 	}
-	grad := tensor.New(n, 1)
 	var total float64
 	inv := 1 / float32(n)
 	for i := 0; i < n; i++ {

@@ -209,11 +209,13 @@ type cancelAtIter struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelAtIter) Batch(iter, size int) *data.Batch {
+func (c *cancelAtIter) Batch(iter, size int) *data.Batch { return c.BatchInto(nil, iter, size) }
+
+func (c *cancelAtIter) BatchInto(dst *data.Batch, iter, size int) *data.Batch {
 	if iter == c.at {
 		c.cancel()
 	}
-	return c.inner.Batch(iter, size)
+	return c.inner.BatchInto(dst, iter, size)
 }
 
 // TestPipelineShutdownMidTraining is the shutdown satellite: cancel at a

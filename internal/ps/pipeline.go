@@ -26,11 +26,14 @@ const (
 )
 
 // BatchSource produces training batches; data.Dataset satisfies it, and the
-// core package wraps it with the index-reordering bijection. Lookahead
+// core package wraps it with the index-reordering bijection. Batch returns a
+// fresh batch; BatchInto generates the same batch into dst's storage (a nil
+// dst gets a fresh one), which is how Train generates its batches. Lookahead
 // planning additionally needs data.SparseSource, per-table index streams
 // (both of those implement it).
 type BatchSource interface {
 	Batch(iter, size int) *data.Batch
+	BatchInto(dst *data.Batch, iter, size int) *data.Batch
 }
 
 // TableLoc places one embedding table: resident on the device (Device
@@ -180,6 +183,9 @@ type hostBatch struct {
 	// gathered is a lower bound on the number of gradient pushes that were
 	// visible in the host tables when the rows were read; the cache uses it
 	// to decide which published entries the gathered values already cover.
+	// It is taken when the prefetch of the batch starts, before the batch is
+	// generated: any earlier value is as safe, since a cache entry holds the
+	// bits its push leaves in the host table.
 	gathered int64
 	// plan is the lookahead window plan this batch was gathered under (nil
 	// for an unplanned batch). The gradient push of the window's final batch
@@ -210,6 +216,7 @@ type gradPush struct {
 	rows  []gradRows
 	donec chan struct{}    // closed once handled (used for drain barriers)
 	plan  *data.WindowPlan // non-nil on a window's last push: released after apply
+	batch *data.Batch      // the trained batch, recycled for a later gather after apply
 }
 
 type gradRows struct {
@@ -244,6 +251,12 @@ type Pipeline struct {
 
 	clock  obs.Clock   // timestamp source for all stage timing; never nil
 	tracer *obs.Tracer // stage-span recorder; nil disables tracing
+
+	// spare holds batches no stage references any more, kept across Train
+	// calls for the gathers to regenerate into (takeBatch, recycleBatch).
+	// Every batch in flight sits in one of the two queues or one of the
+	// three stages, which bounds what it has to hold.
+	spare chan *data.Batch
 
 	// m holds the pipeline-owned instruments behind Stats(). Counter
 	// updates are atomic, so writers on three goroutines need no lock and
@@ -348,7 +361,10 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 	if cfg.Lookahead < 0 {
 		return nil, fmt.Errorf("%w: lookahead window %d must be non-negative", ErrInvalidConfig, cfg.Lookahead)
 	}
-	p := &Pipeline{cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.OrSystem(cfg.Clock), tracer: cfg.Trace}
+	p := &Pipeline{
+		cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.OrSystem(cfg.Clock), tracer: cfg.Trace,
+		spare: make(chan *data.Batch, 2*cfg.QueueDepth+3),
+	}
 	p.registerMetrics(cfg.Metrics)
 	tables := make([]dlrm.Table, len(locs))
 	for i, loc := range locs {
@@ -455,7 +471,8 @@ func (p *Pipeline) HostBag(i int) *embedding.Bag { return p.hostBags[i] }
 // and only the rows whose first in-window use this is (acc.FreshIDs) are
 // read — the cross-batch dedup; the other rows' slots stay zero until
 // Cache.Sync fills them on the worker, where their presence is guaranteed.
-func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan) (*hostBatch, error) {
+// applied is the push count read when the prefetch began (hostBatch.gathered).
+func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan, applied int64) (*hostBatch, error) {
 	start := p.clock.Now()
 	sp := p.tracer.Begin("gather", "ps", tidPrefetch)
 	defer func() {
@@ -464,7 +481,7 @@ func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan) (*host
 		p.m.gatherNS.Add(int64(d))
 		p.m.gatherHist.Observe(float64(d))
 	}()
-	hb := &hostBatch{iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: p.applied.Load(), plan: plan}
+	hb := &hostBatch{iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: applied, plan: plan}
 	for h, pos := range p.hostIdx {
 		hr := &hb.rows[h]
 		var read, readPos []int // the rows read from the store and their slots in uniq
@@ -492,21 +509,48 @@ func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan) (*host
 	return hb, nil
 }
 
-// gatherBatch is the fault-tolerant gather: it generates the batch, retries
-// injected transient faults with capped backoff, and converts panics from
-// the data or embedding layers into errors so a faulty pre-fetcher cannot
-// wedge the pipeline.
-func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSize int, plan *data.WindowPlan) (hb *hostBatch, err error) {
+// takeBatch returns a spare batch to generate into, nil when there is none.
+func (p *Pipeline) takeBatch() *data.Batch {
+	select {
+	case b := <-p.spare:
+		return b
+	default:
+		return nil
+	}
+}
+
+// recycleBatch returns a batch no stage references any more to the spares.
+// The pipelined schedule recycles through the gradient queue: it is FIFO,
+// so once a push has been applied the worker is done with its batch.
+func (p *Pipeline) recycleBatch(b *data.Batch) {
+	if b == nil {
+		return
+	}
+	select {
+	case p.spare <- b:
+	default:
+	}
+}
+
+// gatherBatch is the fault-tolerant gather: it generates the batch into dst
+// (nil: a fresh one), retries injected transient faults with capped backoff,
+// and converts panics from the data or embedding layers into errors so a
+// faulty pre-fetcher cannot wedge the pipeline.
+func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSize int, plan *data.WindowPlan, dst *data.Batch) (hb *hostBatch, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			hb, err = nil, fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, iter, recoveredErr(r))
 		}
 	}()
-	b := d.Batch(iter, batchSize)
+	// Read before generating: when a step trains faster than a batch is
+	// generated, a count read after generation already covers every earlier
+	// push, and a queue-depth-4 run reads no row through the cache at all.
+	applied := p.applied.Load()
+	b := d.BatchInto(dst, iter, batchSize)
 	for attempt := 0; ; attempt++ {
 		ferr := p.injectFault(faults.OpGather, iter, attempt)
 		if ferr == nil {
-			hb, gerr := p.gather(iter, b, plan)
+			hb, gerr := p.gather(iter, b, plan, applied)
 			if gerr == nil {
 				return hb, nil
 			}
@@ -650,7 +694,7 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err er
 		ad.pending = nil
 	}
 	loss = p.model.TrainStep(hb.batch)
-	push = &gradPush{iter: hb.iter, rows: make([]gradRows, len(p.adapters)), donec: make(chan struct{})}
+	push = &gradPush{iter: hb.iter, rows: make([]gradRows, len(p.adapters)), donec: make(chan struct{}), batch: hb.batch}
 	if pl := hb.plan; pl != nil && hb.iter == pl.Start+pl.N-1 {
 		push.plan = pl
 	}
@@ -777,6 +821,8 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 	}
 
 	if p.cfg.QueueDepth == 1 || len(p.stores) == 0 {
+		batch := p.takeBatch() // one batch, regenerated in place every step
+		defer func() { p.recycleBatch(batch) }()
 		for iter := startIter; iter < startIter+steps; iter++ {
 			if err := ctx.Err(); err != nil {
 				return res, err
@@ -786,7 +832,7 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 			// gather: record it as prefetch stall so depth-1 runs expose the
 			// same lookahead win the pipelined queue wait does.
 			waitStart := p.clock.Now()
-			hb, err := p.gatherBatch(ctx, d, iter, batchSize, plan)
+			hb, err := p.gatherBatch(ctx, d, iter, batchSize, plan, batch)
 			p.m.prefetchWaitNS.Add(int64(obs.Since(p.clock, waitStart)))
 			if err != nil {
 				if cerr := ctx.Err(); cerr != nil {
@@ -794,6 +840,7 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 				}
 				return res, err
 			}
+			batch = hb.batch
 			loss, push, err := p.trainOne(hb)
 			if err != nil {
 				return fail(res, err, faults.IsInjected(err))
@@ -826,7 +873,7 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 			if ctx.Err() != nil {
 				return
 			}
-			hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter))
+			hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter), p.takeBatch())
 			if err != nil {
 				// A gather failure leaves state consistent (the batch never
 				// reached the worker); pure cancellation is reported by
@@ -857,6 +904,7 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 				async.set(err, false)
 				broken = true
 			}
+			p.recycleBatch(g.batch)
 		}
 	})
 

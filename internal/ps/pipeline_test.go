@@ -346,3 +346,7 @@ func TestNewPipelineLookaheadValidation(t *testing.T) {
 type batchOnly struct{ d *data.Dataset }
 
 func (b batchOnly) Batch(iter, size int) *data.Batch { return b.d.Batch(iter, size) }
+
+func (b batchOnly) BatchInto(dst *data.Batch, iter, size int) *data.Batch {
+	return b.d.BatchInto(dst, iter, size)
+}

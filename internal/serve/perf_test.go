@@ -13,8 +13,9 @@ import (
 // the scoring path at runtime: once the scratch has grown to the working
 // shape, the grouped forward scores a micro-batch — several contexts, chunks
 // that end inside a group — without heap allocation, and so does the
-// replicated oracle's batch assembly. The model is all-TT: Eff-TT lookups run
-// in arena scratch, while dense-table lookups allocate rows by contract.
+// replicated oracle's batch assembly. Table 0 is an embedding.Bag context
+// table and table 1 the Eff-TT item table: both look up into table-owned
+// scratch.
 func TestScoringZeroAllocSteadyState(t *testing.T) {
 	old := tensor.Workers()
 	tensor.SetMaxWorkers(1)
@@ -22,7 +23,7 @@ func TestScoringZeroAllocSteadyState(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	tables, _, err := dlrm.BuildTables(serveSpec().TableRows,
-		dlrm.TableSpec{Dim: 8, Rank: 4, TTThreshold: 0, Opts: tt.EffOptions(), Seed: 3})
+		dlrm.TableSpec{Dim: 8, Rank: 4, TTThreshold: 1000, Opts: tt.EffOptions(), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

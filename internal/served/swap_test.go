@@ -319,42 +319,56 @@ func TestReadyFlipsDuringSwapAndClose(t *testing.T) {
 
 // TestReplicaScoreZeroAllocSteadyState cross-checks hotalloc's static claim
 // at runtime: once replica scratch has grown to the working shape, scoring a
-// coalesced micro-batch through the grouped forward allocates nothing. Uses
-// an all-TT model — Eff-TT lookups run in arena scratch, while dense-table
-// lookups allocate rows by contract.
+// coalesced micro-batch through the grouped forward allocates nothing. The
+// model is poolModel's mix: table 0 is an embedding.Bag context table, table
+// 1 the Eff-TT item table, and both look up into replica-owned scratch. Two
+// replicas then score concurrently (under -race in CI), and every score must
+// have the bits of the sequential one.
 func TestReplicaScoreZeroAllocSteadyState(t *testing.T) {
 	old := tensor.Workers()
 	tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	tables, _, err := dlrm.BuildTables(poolSpec().TableRows,
-		dlrm.TableSpec{Dim: 8, Rank: 4, TTThreshold: 0, Opts: tt.EffOptions(), Seed: 3})
+	m := poolModel(t)
+	p, err := newPool(m, 1, 16, Options{Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := dlrm.NewModel(dlrm.Config{
-		NumDense: 3, EmbDim: 8, BottomSizes: []int{8}, TopSizes: []int{8}, LR: 1.0, Seed: 4,
-	}, tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := newPool(m, 1, 16, Options{Replicas: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range p.workers {
+		for i := 0; i < 4; i++ {
+			ctx := poolContext(i)
+			w.rep.groups = append(w.rep.groups, dlrm.ScoreGroup{Dense: ctx.Dense, Sparse: ctx.Sparse, Items: poolCandidates(i)})
+		}
 	}
 	r := p.workers[0].rep
-
-	for i := 0; i < 4; i++ {
-		ctx := poolContext(i)
-		r.groups = append(r.groups, dlrm.ScoreGroup{Dense: ctx.Dense, Sparse: ctx.Sparse, Items: poolCandidates(i)})
-	}
-
-	r.score() // warmup: grows the scratch to the micro-batch shape
+	want := append([]float32(nil), r.score()...) // warmup: grows the scratch to the micro-batch shape
 	allocs := testing.AllocsPerRun(20, func() {
 		r.score()
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state score allocated %v times per call, want 0", allocs)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, len(p.workers))
+	for k, w := range p.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				for i, got := range w.rep.score() {
+					if got != want[i] {
+						errs <- fmt.Errorf("replica %d iter %d score %d: %v, sequential %v", k, iter, i, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -356,7 +356,7 @@ func TestBackwardAggWithoutForwardDedup(t *testing.T) {
 func TestGroupsSort(t *testing.T) {
 	key := []int{3, 0, 3, 1, 3, 0, 5}
 	var g groups
-	g.build(6, key)
+	g.build(6, key, 0)
 	want := [][]int{{1, 5}, {3}, {}, {0, 2, 4}, {}, {6}}
 	for k, w := range want {
 		got := g.of(k)
@@ -383,7 +383,7 @@ func TestSortByI2(t *testing.T) {
 		prefixOf[w] = uniq[u]
 	}
 	var g groups
-	g.sortByI2(m2, uniq, ids)
+	g.sortByI2(m2, uniq, ids, 0)
 	for i, want := range []int{13, 8, 3, 4, 24, 9, 14} {
 		if uniq[i] != want {
 			t.Fatalf("sorted prefixes %v: position %d want %d", uniq, i, want)
@@ -399,7 +399,7 @@ func TestSortByI2(t *testing.T) {
 			t.Fatalf("work item %d addresses prefix %d after the sort, %d before", w, uniq[u], prefixOf[w])
 		}
 	}
-	g.sortByI2(m2, nil, nil) // an empty batch leaves every group empty
+	g.sortByI2(m2, nil, nil, 0) // an empty batch leaves every group empty
 	if g.start[m2] != 0 {
 		t.Fatalf("empty sort: group starts %v", g.start[:m2+1])
 	}

@@ -52,9 +52,10 @@ type groups struct {
 	key   []int // sortByI2's scratch
 }
 
-// build sorts the items by key[item] ∈ [0,numKeys).
-func (g *groups) build(numKeys int, key []int) {
-	g.start = growInts(g.start, numKeys+1)
+// build sorts the items by key[item] ∈ [0,numKeys); bound bounds len(key)
+// and, where the keys are the batch's prefixes, numKeys (growInts).
+func (g *groups) build(numKeys int, key []int, bound int) {
+	g.start = growInts(g.start, numKeys+1, max(numKeys, bound)+1)
 	for k := range g.start {
 		g.start[k] = 0
 	}
@@ -64,7 +65,7 @@ func (g *groups) build(numKeys int, key []int) {
 	for k := 0; k < numKeys; k++ {
 		g.start[k+1] += g.start[k]
 	}
-	g.items = growInts(g.items, len(key))
+	g.items = growInts(g.items, len(key), bound)
 	// Place using start[k] as key k's cursor, which leaves start[k] at the
 	// end of group k; shifting by one restores the group starts.
 	for item, k := range key {
@@ -85,12 +86,12 @@ func (g *groups) of(k int) []int { return g.items[g.start[k]:g.start[k+1]] }
 // prefixes of G₂[i₂], still in first-occurrence order, so every row set
 // indexed by the new numbers (reuse buffer, dP₁₂, c1) is one contiguous
 // stacked operand per slice. items is left holding a copy of uniq.
-func (g *groups) sortByI2(m2 int, uniq, ids []int) {
-	g.key = growInts(g.key, len(uniq))
+func (g *groups) sortByI2(m2 int, uniq, ids []int, bound int) {
+	g.key = growInts(g.key, len(uniq), bound)
 	for u, pfx := range uniq {
 		g.key[u] = pfx % m2
 	}
-	g.build(m2, g.key)
+	g.build(m2, g.key, bound)
 	for pos, u := range g.items {
 		g.key[u], g.items[pos] = pos, uniq[u]
 	}
@@ -166,16 +167,16 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradB
 // sizes the scratch.
 func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 	m := t.Shape.RowFactors
-	items := len(b.workIdx)
-	b.pfxOf = growInts(b.pfxOf, items)
-	b.pfx = t.dedupPrefixes(c, b.workIdx, b.pfxOf, b.pfx[:0])
-	b.i2.sortByI2(m[1], b.pfx, b.pfxOf)
+	items, bound := len(b.workIdx), len(c.Indices)
+	b.pfxOf = growInts(b.pfxOf, items, bound)
+	b.pfx = t.dedupPrefixes(c, b.workIdx, b.pfxOf, b.pfx)
+	b.i2.sortByI2(m[1], b.pfx, b.pfxOf, bound)
 	prefixes := len(b.pfx)
 
 	if c.PrefixBuf != nil {
 		// Forward work item fw is backward work item fw when the forward
 		// deduplicated, and occurrence fw's unique index otherwise.
-		b.pfxSlot = growInts(b.pfxSlot, prefixes)
+		b.pfxSlot = growInts(b.pfxSlot, prefixes, bound)
 		for fw, slot := range c.PrefixSlots {
 			w := fw
 			if !t.Opts.DedupIndices {
@@ -184,26 +185,26 @@ func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 			b.pfxSlot[b.pfxOf[w]] = slot
 		}
 	} else {
-		b.p12 = tensor.Reuse(b.p12, prefixes, t.Shape.PrefixSize())
+		b.p12 = reuseRows(b.p12, prefixes, t.Shape.PrefixSize(), bound)
 	}
 
-	b.byPfx.build(prefixes, b.pfxOf)
-	b.key = growInts(b.key, items)
+	b.byPfx.build(prefixes, b.pfxOf, bound)
+	b.key = growInts(b.key, items, bound)
 	for w, idx := range b.workIdx {
 		b.key[w] = idx % m[2]
 	}
-	b.byI3.build(m[2], b.key)
-	b.key = growInts(b.key, prefixes)
+	b.byI3.build(m[2], b.key, bound)
+	b.key = growInts(b.key, prefixes, bound)
 	for u, pfx := range b.pfx {
 		b.key[u] = pfx / m[1]
 	}
-	b.byI1.build(m[0], b.key)
+	b.byI1.build(m[0], b.key, bound)
 
 	sz := t.Shape.SliceSizes()
-	b.dP12 = tensor.Reuse(b.dP12, prefixes, t.Shape.PrefixSize())
-	b.g1 = tensor.Reuse(b.g1, prefixes, sz[0])
-	b.c1 = tensor.Reuse(b.c1, prefixes, sz[0])
-	b.c3 = tensor.Reuse(b.c3, items, sz[2])
+	b.dP12 = reuseRows(b.dP12, prefixes, t.Shape.PrefixSize(), bound)
+	b.g1 = reuseRows(b.g1, prefixes, sz[0], bound)
+	b.c1 = reuseRows(b.c1, prefixes, sz[0], bound)
+	b.c3 = reuseRows(b.c3, items, sz[2], bound)
 }
 
 // prefixPhase is phase 1 for unique prefixes [lo,hi): it owns rows u of

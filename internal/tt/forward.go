@@ -49,15 +49,36 @@ type ForwardCache struct {
 	tl         twoLevelBwd // two-level backward (InAdvanceAgg)
 }
 
-// growInts returns buf resized to n, reusing its storage when it fits.
+// growInts returns buf resized to n, reusing its storage when it fits. A
+// grown buffer gets a quarter more room than n, capped at bound — the
+// batch's occurrence count, which bounds every per-batch set (work items,
+// prefixes) — so a stream of batches stops growing its scratch after a few
+// steps instead of chasing every new high-water mark, while the live set
+// stays near what the batches need (a large batch touches far fewer unique
+// rows than it has occurrences).
 //
 //elrec:coldpath amortized scratch growth; steady state reslices in place
-func growInts(buf []int, n int) []int {
+func growInts(buf []int, n, bound int) []int {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]int, n, headroom(n, bound))
 	}
 	return buf[:n]
 }
+
+// reuseRows is tensor.Reuse for an r×c matrix whose row count is bounded by
+// bound: grown storage holds headroom(r, bound) rows, as growInts.
+//
+//elrec:coldpath amortized scratch growth; steady state reslices in place
+func reuseRows(m *tensor.Matrix, r, c, bound int) *tensor.Matrix {
+	if m == nil || cap(m.Data) < r*c {
+		m = tensor.New(headroom(r, bound), c)
+	}
+	return tensor.Reuse(m, r, c)
+}
+
+// headroom is the capacity a per-batch buffer grows to when n elements do
+// not fit: n plus a quarter, but never past bound (nor below n).
+func headroom(n, bound int) int { return max(n, min(n+n/4, bound)) }
 
 // growFloats returns buf resized to n, reusing its storage when it fits.
 //
@@ -134,7 +155,7 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 	}
 
 	// Materialize one row per work item.
-	c.Rows = tensor.Reuse(c.Rows, len(c.WorkIdx), t.Shape.Dim)
+	c.Rows = reuseRows(c.Rows, len(c.WorkIdx), t.Shape.Dim, len(indices))
 	prefixScratchSize := 0
 	if c.PrefixBuf == nil {
 		prefixScratchSize = t.Shape.PrefixSize()
@@ -209,12 +230,12 @@ func (t *Table) poolRows(c *ForwardCache, out *tensor.Matrix, lo, hi int) {
 // forward did not.
 func (c *ForwardCache) dedupRows() (workIdx, workOf []int) {
 	c.seen.Begin(len(c.Indices))
-	c.workIdxBuf = c.workIdxBuf[:0]
-	c.workOfBuf = growInts(c.workOfBuf, len(c.Indices))
+	c.workIdxBuf = growInts(c.workIdxBuf, len(c.Indices), 0)[:0]
+	c.workOfBuf = growInts(c.workOfBuf, len(c.Indices), 0)
 	for p, idx := range c.Indices {
 		u, fresh := c.seen.IDOf(idx, len(c.workIdxBuf))
 		if fresh {
-			//elrec:coldpath amortized: the work-item buffer keeps its capacity across batches
+			//elrec:coldpath never grows: the capacity reserved above is the batch's occurrence count
 			c.workIdxBuf = append(c.workIdxBuf, idx)
 		}
 		c.workOfBuf[p] = u
@@ -229,7 +250,7 @@ func (c *ForwardCache) dedupRows() (workIdx, workOf []int) {
 // table, and any table's concurrent-safe Forward) computes the batch's own
 // unique prefixes.
 func (t *Table) fillPrefixBuffer(c *ForwardCache) {
-	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx))
+	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx), len(c.Indices))
 	if m := t.memo; m != nil && m.slotOf != nil && c == t.arena {
 		t.fillFromMemo(c, m)
 		return
@@ -246,12 +267,12 @@ func (t *Table) fillPrefixBuffer(c *ForwardCache) {
 // streams once per slice instead of once per prefix, and each buffer row has
 // the bits of its own n₁-row product (m-independence, DESIGN.md §12).
 func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
-	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes[:0])
+	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes)
 	m2 := t.Shape.RowFactors[1]
-	c.i2.sortByI2(m2, c.prefixes, c.PrefixSlots)
+	c.i2.sortByI2(m2, c.prefixes, c.PrefixSlots, len(c.Indices))
 
-	c.PrefixBuf = tensor.Reuse(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize())
-	c.g1 = tensor.Reuse(c.g1, len(c.prefixes), t.Shape.SliceSizes()[0])
+	c.PrefixBuf = reuseRows(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize(), len(c.Indices))
+	c.g1 = reuseRows(c.g1, len(c.prefixes), t.Shape.SliceSizes()[0], len(c.Indices))
 	if tensor.Parallel(len(c.prefixes) * t.Shape.R1 * t.Shape.PrefixSize()) {
 		// Executor p owns the slices i₂ ≡ p (mod parts), as in the backward.
 		parts := min(tensor.Workers(), m2)
@@ -293,15 +314,17 @@ func (t *Table) stackG1(dst []float32, prefixes []int) {
 
 // dedupPrefixes writes into ids[w] the batch-local dense id of work item w's
 // prefix, ids being handed out in first-occurrence order (Algorithm 1's
-// Buf_flag/Buf_idx), and returns the unique prefixes appended to prefixes.
-// The forward's batch-local reuse buffer and the two-level backward share it.
+// Buf_flag/Buf_idx), and returns the unique prefixes in prefixes' storage,
+// grown as growInts grows it. The forward's batch-local reuse buffer and the
+// two-level backward share it.
 func (t *Table) dedupPrefixes(c *ForwardCache, workIdx, ids, prefixes []int) []int {
 	c.seen.Begin(len(workIdx))
+	prefixes = growInts(prefixes, len(workIdx), len(c.Indices))[:0]
 	for w, idx := range workIdx {
 		pfx := t.Shape.Prefix(idx)
 		u, fresh := c.seen.IDOf(pfx, len(prefixes))
 		if fresh {
-			//elrec:coldpath amortized: the prefix list keeps its capacity across batches
+			//elrec:coldpath never grows: the capacity reserved above holds a prefix per work item
 			prefixes = append(prefixes, pfx)
 		}
 		ids[w] = u

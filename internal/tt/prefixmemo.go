@@ -110,11 +110,19 @@ func (m *prefixMemo) claimSlot() int {
 	return n
 }
 
-// growBuf doubles the product storage, preserving memoised rows byte for
+// growBuf grows the product storage by a quarter (at least 64 rows, and
+// not past the budget while under it), preserving memoised rows byte for
 // byte (hits must stay bit-exact across growth). Growth only happens inside
-// the scan, before any row pointer is taken for the miss products.
+// the scan, before any row pointer is taken for the miss products. Which
+// requests a replica serves depends on timing, so the step at which its memo
+// grows does too; with quarter steps the buffer never exceeds what the memo
+// holds by more than a quarter, whichever side of a step a run ends on.
 func (m *prefixMemo) growBuf() {
-	nm := tensor.New(2*m.buf.Rows, m.buf.Cols)
+	rows := m.buf.Rows + max(m.buf.Rows/4, 64)
+	if m.buf.Rows < m.budget {
+		rows = min(rows, m.budget)
+	}
+	nm := tensor.New(rows, m.buf.Cols)
 	copy(nm.Data, m.buf.Data)
 	m.buf = nm
 }

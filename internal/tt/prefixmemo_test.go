@@ -112,6 +112,33 @@ func TestPrefixCacheEvictionRecycling(t *testing.T) {
 	}
 }
 
+// TestPrefixMemoGrowsByQuarterToBudget pins growBuf's steps: a quarter of
+// the rows (at least 64), stopping at the budget while under it and going
+// past it only when every slot is live, with memoised rows kept bit for bit.
+func TestPrefixMemoGrowsByQuarterToBudget(t *testing.T) {
+	m := newTestTable(t, 509).CloneForServing().memo
+	m.budget = 700
+	var rows []int
+	for len(m.key) < m.budget {
+		s := m.claimSlot()
+		m.lastUse[s] = m.seq
+		m.buf.Row(s)[0] = float32(s)
+		if len(rows) == 0 || rows[len(rows)-1] != m.buf.Rows {
+			rows = append(rows, m.buf.Rows)
+		}
+	}
+	m.claimSlot() // every slot is live this batch: grows past the budget
+	rows = append(rows, m.buf.Rows)
+	if want := []int{64, 128, 192, 256, 320, 400, 500, 625, 700, 875}; fmt.Sprint(rows) != fmt.Sprint(want) {
+		t.Fatalf("buffer rows %v, want %v", rows, want)
+	}
+	for s := 0; s < m.budget; s++ {
+		if got := m.buf.Row(s)[0]; got != float32(s) {
+			t.Fatalf("slot %d holds %v after growth, want %d", s, got, s)
+		}
+	}
+}
+
 // TestCloneMemoOverflowMatchesSourceForward: over a recurring skewed stream
 // whose working set overflows a shrunken budget — hits, recycling and
 // growth past the budget all occur — every clone Lookup equals the source
@@ -154,7 +181,8 @@ func TestCloneMemoOverflowMatchesSourceForward(t *testing.T) {
 
 // TestTrainableTableRunsBatchLocalBuffer: a trainable table keeps no product
 // across batches — it has no memo, records no memo traffic, and its arena
-// reuse buffer holds exactly the current batch's unique prefixes.
+// reuse buffer holds exactly the current batch's unique prefixes, in storage
+// sized to the batches, not to a memo.
 func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
 	tbl := newTestTable(t, 530)
 	hits, misses := cacheCounters(tbl)
@@ -179,7 +207,9 @@ func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
 	if h, m := hits.Value(), misses.Value(); h+m != 0 {
 		t.Fatalf("trainable table recorded memo traffic: hits=%d misses=%d", h, m)
 	}
-	if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.PrefixSize(); got > maxUnique {
+	// Storage follows the batches: the largest one's unique prefixes plus
+	// growInts' quarter of headroom, never a memo's budget.
+	if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.PrefixSize(); got > headroom(maxUnique, maxUnique*2) {
 		t.Fatalf("arena reuse buffer has room for %d prefixes, the largest batch had %d", got, maxUnique)
 	}
 }
