@@ -8,17 +8,13 @@
 //
 // Usage:
 //
-//	elrec-lint [-only name[,name...]] [-list] [-json] [-baseline file] [packages]
+//	elrec-lint [-only name[,name...]] [-list] [-json] [packages]
 //
 // With no packages, ./... is assumed. -only restricts the run to a subset
 // of analyzers; -list prints the suite and exits. -json emits the findings
 // as a JSON array (file/line/col/analyzer/message) instead of text, for CI
-// artifacts and tooling. -baseline suppresses findings recorded in the
-// given baseline file (same JSON schema; positions are ignored when
-// matching so unrelated edits don't resurrect suppressed findings);
-// -write-baseline rewrites that file from the current findings and exits 0.
-// A timing line (load/analyze wall clock) always goes to stderr so CI logs
-// track the suite's cost.
+// artifacts and tooling. A timing line (load/analyze wall clock) always goes
+// to stderr so CI logs track the suite's cost.
 package main
 
 import (
@@ -41,21 +37,12 @@ type finding struct {
 	Message  string `json:"message"`
 }
 
-// key identifies a finding for baseline matching: analyzer + file + message,
-// deliberately excluding the position so that edits elsewhere in the file do
-// not resurrect a suppressed finding.
-func (f finding) key() string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text")
-	baselinePath := flag.String("baseline", "", "suppress findings recorded in this baseline file")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file from the current findings and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: elrec-lint [-only name,...] [-list] [-json] [-baseline file [-write-baseline]] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: elrec-lint [-only name,...] [-list] [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,10 +69,6 @@ func main() {
 			picked = append(picked, a)
 		}
 		suite = picked
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "elrec-lint: -write-baseline requires -baseline")
-		os.Exit(2)
 	}
 
 	patterns := flag.Args()
@@ -120,29 +103,6 @@ func main() {
 		})
 	}
 
-	if *writeBaseline {
-		if err := writeBaselineFile(*baselinePath, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "elrec-lint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "elrec-lint: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return
-	}
-	if *baselinePath != "" {
-		suppressed, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "elrec-lint:", err)
-			os.Exit(2)
-		}
-		kept := findings[:0]
-		for _, f := range findings {
-			if !suppressed[f.key()] {
-				kept = append(kept, f)
-			}
-		}
-		findings = kept
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -159,30 +119,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "elrec-lint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// loadBaseline reads a baseline file into a suppression set.
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var fs []finding
-	if err := json.Unmarshal(data, &fs); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	out := make(map[string]bool, len(fs))
-	for _, f := range fs {
-		out[f.key()] = true
-	}
-	return out, nil
-}
-
-// writeBaselineFile writes the findings as an indented JSON array.
-func writeBaselineFile(path string, fs []finding) error {
-	data, err := json.MarshalIndent(fs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -27,7 +27,6 @@ package elrec
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -67,16 +66,18 @@ func NaiveOptions() Options { return tt.NaiveOptions() }
 // NewEmbeddingBag: identical Lookup/Update semantics at a fraction of the
 // memory.
 func NewEffTTEmbeddingBag(rows, dim, rank int, seed uint64) (*tt.Table, error) {
-	shape, err := tt.NewShape(rows, dim, rank)
+	tbl, err := dlrm.TableSpec{Dim: dim, Rank: rank, Opts: tt.EffOptions(), Seed: seed}.Table(0, rows)
 	if err != nil {
 		return nil, err
 	}
-	return tt.NewTable(shape, tensor.NewRNG(seed), math.Sqrt(1/float64(rows))), nil
+	return tbl.(*tt.Table), nil
 }
 
 // NewEmbeddingBag builds an uncompressed rows×dim embedding bag.
 func NewEmbeddingBag(rows, dim int, seed uint64) *embedding.Bag {
-	return embedding.NewBag(rows, dim, tensor.NewRNG(seed))
+	// A dense table has no error path: embedding.NewBag panics on a bad shape.
+	tbl, _ := dlrm.TableSpec{Dim: dim, TTThreshold: -1, Seed: seed}.Table(0, rows)
+	return tbl.(*embedding.Bag)
 }
 
 // DecomposeTable TT-decomposes an existing dense table (rows×dim, row-major)

@@ -285,6 +285,7 @@ func timeDataParallelTT(spec data.Spec, d *data.Dataset, sc Scale, n int) (compu
 func timeModelParallelDense(spec data.Spec, d *data.Dataset, sc Scale, n int) (compute, comm time.Duration) {
 	tables := make([]dlrm.Table, spec.NumTables())
 	shards := make([]*baselines.RowSharded, 0, spec.NumTables())
+	dense := dlrm.TableSpec{Dim: sc.EmbDim, TTThreshold: -1, Seed: 17}
 	for i, rows := range spec.TableRows {
 		if n > 1 && rows >= n {
 			sh, err := baselines.NewRowSharded(rows, sc.EmbDim, n, rngFor(17+uint64(i)))
@@ -294,7 +295,11 @@ func timeModelParallelDense(spec data.Spec, d *data.Dataset, sc Scale, n int) (c
 			tables[i] = sh
 			shards = append(shards, sh)
 		} else {
-			tables[i] = dlrm.MustDenseTable(rows, sc.EmbDim, 17+uint64(i)*7919)
+			tbl, err := dense.Table(i, rows)
+			if err != nil {
+				panic(err)
+			}
+			tables[i] = tbl
 		}
 	}
 	model, err := dlrm.NewModel(modelConfig(spec, sc), tables)

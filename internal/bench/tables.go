@@ -48,12 +48,13 @@ func Table3(sc Scale) *Result {
 		Title:  "embedding footprint: uncompressed vs Eff-TT",
 		Header: []string{"dataset", "dense MB", "TT MB", "compression", "tables compressed"},
 	}
+	rule := dlrm.TableSpec{TTThreshold: sc.TTThresholdRows}
 	for _, spec := range datasets(sc) {
 		var denseBytes, ttBytes int64
 		compressed := 0
 		for _, rows := range spec.TableRows {
 			denseBytes += int64(rows) * int64(sc.EmbDim) * 4
-			if rows >= sc.TTThresholdRows {
+			if rule.Compressed(rows) {
 				shape, err := tt.NewShape(rows, sc.EmbDim, sc.Rank)
 				if err != nil {
 					panic(err)

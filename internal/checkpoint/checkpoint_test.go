@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dlrm"
+	"repro/internal/embedding"
 	"repro/internal/tensor"
 	"repro/internal/tt"
 )
@@ -269,7 +270,7 @@ func TestGeneralTTRefused(t *testing.T) {
 
 	// A dense-bag file: the table record is the last thing in it, one kind
 	// byte followed by the 300×16 matrix (two int64 dimensions + the data).
-	bag := build(dlrm.MustDenseTable(300, 16, 2))
+	bag := build(embedding.NewBag(300, 16, tensorRNG(2)))
 	var buf bytes.Buffer
 	if err := SaveModel(&buf, bag); err != nil {
 		t.Fatal(err)

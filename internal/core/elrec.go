@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/data"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ps"
 	"repro/internal/reorder"
-	"repro/internal/tensor"
 	"repro/internal/tt"
 )
 
@@ -176,11 +174,10 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 	s.Bijections = make([]*reorder.Bijection, len(rows))
 	s.Placements = make([]Placement, len(rows))
 
-	// Decide compression per table.
-	isTT := make([]bool, len(rows))
-	for i, r := range rows {
-		isTT[i] = cfg.TTThreshold >= 0 && r >= cfg.TTThreshold
-	}
+	// dlrm.TableSpec owns compression, table kind and seeds; placement,
+	// Adagrad and instruments are this function's.
+	spec := dlrm.TableSpec{Dim: cfg.Model.EmbDim, Rank: cfg.Rank, TTThreshold: cfg.TTThreshold,
+		Opts: cfg.Opts, Seed: cfg.Seed}
 
 	// Profile + reorder the compressed tables.
 	if cfg.Reorder {
@@ -189,11 +186,11 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 		}
 		// Reordering reads only the compressed tables' columns of the
 		// profiled batches, so only those streams are generated.
-		for i := range rows {
-			if !isTT[i] {
+		for i, r := range rows {
+			if !spec.Compressed(r) {
 				continue
 			}
-			counts := make([]int64, rows[i])
+			counts := make([]int64, r)
 			cols := make([][]int, cfg.ProfileBatches)
 			for it := range cols {
 				cols[it] = d.BatchIndices(it, cfg.ProfileBatchSize, i)
@@ -214,36 +211,39 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 	budget := cfg.Device.HBMBytes - cfg.HBMReserve
 	locs := make([]ps.TableLoc, len(rows))
 	for i, r := range rows {
-		if isTT[i] {
-			shape, err := tt.NewShape(r, cfg.Model.EmbDim, cfg.Rank)
-			if err != nil {
-				return nil, fmt.Errorf("core: table %d: %w", i, err)
-			}
-			tbl := tt.NewTable(shape, tensor.NewRNG(cfg.Seed+uint64(i)*7919), math.Sqrt(1/float64(r)))
-			tbl.Opts = cfg.Opts
-			if cfg.Adagrad {
-				tbl.EnableAdagrad()
-			}
-			if cfg.Metrics != nil {
-				tbl.AttachMetrics(cfg.Metrics)
-			}
-			locs[i] = ps.TableLoc{Device: tbl}
-			s.Placements[i] = PlaceTTDevice
-			budget -= tbl.FootprintBytes()
-			s.DeviceBytes += tbl.FootprintBytes()
+		if !spec.Compressed(r) {
+			continue
 		}
+		t, err := spec.Table(i, r)
+		if err != nil {
+			return nil, fmt.Errorf("core: table %d: %w", i, err)
+		}
+		tbl := t.(*tt.Table)
+		if cfg.Adagrad {
+			tbl.EnableAdagrad()
+		}
+		if cfg.Metrics != nil {
+			tbl.AttachMetrics(cfg.Metrics)
+		}
+		locs[i] = ps.TableLoc{Device: tbl}
+		s.Placements[i] = PlaceTTDevice
+		budget -= tbl.FootprintBytes()
+		s.DeviceBytes += tbl.FootprintBytes()
 	}
 	if budget < 0 {
 		return nil, fmt.Errorf("core: TT tables alone exceed the HBM budget by %d bytes", -budget)
 	}
 	anyHost := false
 	for i, r := range rows {
-		if isTT[i] {
+		if spec.Compressed(r) {
 			continue
 		}
 		bytes := int64(r) * int64(cfg.Model.EmbDim) * 4
 		if bytes <= budget {
-			var bag dlrm.Table = dlrm.MustDenseTable(r, cfg.Model.EmbDim, cfg.Seed+uint64(i)*7919)
+			bag, err := spec.Table(i, r)
+			if err != nil {
+				return nil, fmt.Errorf("core: table %d: %w", i, err)
+			}
 			if cfg.Adagrad {
 				bag = embedding.NewAdagradBag(bag.(*embedding.Bag))
 			}

@@ -82,8 +82,7 @@ func (s RunSpec) JSON() string {
 
 // Model builds the untrained model elrec-serve trains at start-up and fills
 // from every checkpoint it loads: Eff-TT tables from TTThreshold rows up,
-// seeded from the dataset's seed as dlrm.BuildTables does, and towers
-// (dlrm.DefaultConfig) seeded one past it — distps.Scenario's rule too.
+// built by dlrm.TableSpec from the dataset's seed, and Towers' towers.
 func (s RunSpec) Model() (*dlrm.Model, error) {
 	d, err := s.Validate()
 	if err != nil {
@@ -95,9 +94,17 @@ func (s RunSpec) Model() (*dlrm.Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	return dlrm.NewModel(s.Towers(d), tables)
+}
+
+// Towers is the spec's dense-tower configuration over its dataset d
+// (Validate's result): dlrm.DefaultConfig at the spec's dim and LR, seeded
+// one past the dataset's seed. It is the one tower rule: RunSpec.Model and
+// distps.NewScenario both take it.
+func (s RunSpec) Towers(d data.Spec) dlrm.Config {
 	cfg := dlrm.DefaultConfig(d.NumDense, s.Dim)
 	cfg.LR, cfg.Seed = float32(s.LR), d.Seed+1
-	return dlrm.NewModel(cfg, tables)
+	return cfg
 }
 
 // ItemFeature is the sparse feature carrying the candidate item: the

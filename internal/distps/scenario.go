@@ -34,50 +34,46 @@ type Scenario struct {
 	TTThreshold int
 
 	// Seed drives host-table initialization (shards and the reference both
-	// derive table i's RNG as Seed + i*104729) and the TT table seeds.
+	// draw table i from ps.HostRNG(Seed, i)) and the TT tables' seeds
+	// (dlrm.TableSpec.Table).
 	Seed uint64
 
 	QueueDepth int
 }
 
 // NewScenario builds the Scenario of the run spec elrec-ps and elrec-worker
-// both parse, seeded as core.RunSpec.Model seeds its TT tables and towers,
-// so identical flags give every participant identical configurations.
+// both parse, with core.RunSpec.Towers' towers and RunSpec.Model's table
+// seed, so identical flags give every participant identical configurations.
 // queueDepth ≤ 0 takes the default 4.
 func NewScenario(run core.RunSpec, queueDepth int) (Scenario, error) {
 	spec, err := run.Validate()
 	if err != nil {
 		return Scenario{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	model := dlrm.DefaultConfig(spec.NumDense, run.Dim)
-	model.LR, model.Seed = float32(run.LR), spec.Seed+1
 	if queueDepth <= 0 {
 		queueDepth = 4
 	}
-	return Scenario{Spec: spec, Model: model, Rank: run.Rank, TTThreshold: run.TTThreshold,
+	return Scenario{Spec: spec, Model: run.Towers(spec), Rank: run.Rank, TTThreshold: run.TTThreshold,
 		Seed: spec.Seed, QueueDepth: queueDepth}, nil
 }
 
-// useTT reports whether a table of the given cardinality is TT-compressed
-// on the device (the BuildTables rule).
-func (sc Scenario) useTT(rows int) bool {
-	return sc.TTThreshold >= 0 && rows >= sc.TTThreshold
+// tableSpec is the run's table construction rule (dlrm.TableSpec): which
+// tables are TT-compressed on the device, and their seeds.
+func (sc Scenario) tableSpec() dlrm.TableSpec {
+	return dlrm.TableSpec{Dim: sc.Model.EmbDim, Rank: sc.Rank, TTThreshold: sc.TTThreshold,
+		Opts: tt.EffOptions(), Seed: sc.Seed}
 }
 
 // HostSpecs lists the host-placed (sharded) tables, in model order.
 func (sc Scenario) HostSpecs() []TableSpec {
 	var out []TableSpec
+	spec := sc.tableSpec()
 	for i, rows := range sc.Spec.TableRows {
-		if !sc.useTT(rows) {
+		if !spec.Compressed(rows) {
 			out = append(out, TableSpec{Index: i, Rows: rows})
 		}
 	}
 	return out
-}
-
-func (sc Scenario) ttSpec() dlrm.TableSpec {
-	return dlrm.TableSpec{Dim: sc.Model.EmbDim, Rank: sc.Rank, TTThreshold: sc.TTThreshold,
-		Opts: tt.EffOptions(), Seed: sc.Seed}
 }
 
 // tableLocs builds the pipeline placement. stores == nil places host
@@ -87,17 +83,15 @@ func (sc Scenario) ttSpec() dlrm.TableSpec {
 // shards.
 func (sc Scenario) tableLocs(stores func(TableSpec) ps.HostStore) ([]ps.TableLoc, error) {
 	locs := make([]ps.TableLoc, len(sc.Spec.TableRows))
+	spec := sc.tableSpec()
 	for i, rows := range sc.Spec.TableRows {
 		switch {
-		case sc.useTT(rows):
-			// Table i alone, seeded as dlrm.BuildTables seeds position i.
-			spec := sc.ttSpec()
-			spec.Seed += uint64(i) * 7919
-			tables, _, err := dlrm.BuildTables([]int{rows}, spec)
+		case spec.Compressed(rows):
+			tbl, err := spec.Table(i, rows)
 			if err != nil {
 				return nil, fmt.Errorf("table %d: %w", i, err)
 			}
-			locs[i] = ps.TableLoc{Device: tables[0]}
+			locs[i] = ps.TableLoc{Device: tbl}
 		case stores != nil:
 			locs[i] = ps.TableLoc{Store: stores(TableSpec{Index: i, Rows: rows})}
 		default:

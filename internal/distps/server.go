@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -18,8 +17,9 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/embedding"
 	"repro/internal/obs"
-	"repro/internal/tensor"
+	"repro/internal/ps"
 )
 
 // spawn starts fn on a new goroutine. The gospawn analyzer requires every
@@ -31,10 +31,10 @@ func spawn(fn func()) { go fn() }
 // rows the consistent-hash ring assigns to the shard, packed densely.
 //
 // Initialization is bit-exact with the single-process reference: NewBag
-// fills its rows×dim matrix from one sequential RNG stream, so the shard
-// streams the same generator row by row and keeps only the rows it owns —
-// every participant derives identical values without ever materializing
-// the full table.
+// fills its rows×dim matrix from one sequential RNG stream (ps.HostRNG, at
+// embedding.InitScale), so the shard streams the same generator row by row
+// and keeps only the rows it owns — every participant derives identical
+// values without ever materializing the full table.
 type shardTable struct {
 	spec  TableSpec
 	dim   int
@@ -46,8 +46,8 @@ type shardTable struct {
 // newShardTable builds the shard-local slice of table spec for shardID.
 func newShardTable(spec TableSpec, dim int, seed uint64, ring *Ring, shardID int) *shardTable {
 	t := &shardTable{spec: spec, dim: dim, slots: make(map[int]int)}
-	rng := tensor.NewRNG(seed + uint64(spec.Index)*104729)
-	scale := float32(math.Sqrt(1 / float64(spec.Rows)))
+	rng := ps.HostRNG(seed, spec.Index)
+	scale := embedding.InitScale(spec.Rows)
 	row := make([]float32, dim)
 	for r := 0; r < spec.Rows; r++ {
 		rng.FillUniform(row, scale)

@@ -96,7 +96,7 @@ func newTestClient(t *testing.T, sc Scenario, addrs []string, workerID uint64) *
 // referenceBag rebuilds host table spec's full init-time contents the way
 // the single-process pipeline does.
 func referenceBag(sc Scenario, spec TableSpec) *embedding.Bag {
-	return embedding.NewBag(spec.Rows, sc.Model.EmbDim, tensor.NewRNG(sc.Seed+uint64(spec.Index)*104729))
+	return embedding.NewBag(spec.Rows, sc.Model.EmbDim, ps.HostRNG(sc.Seed, spec.Index))
 }
 
 func TestShardPartitionsEveryRowExactlyOnce(t *testing.T) {

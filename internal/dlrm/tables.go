@@ -22,37 +22,53 @@ type TableSpec struct {
 	Seed        uint64
 }
 
+// Compressed reports whether the spec TT-compresses a table of rows rows.
+// It is the one compression rule: every builder of a run's tables asks it.
+func (s TableSpec) Compressed(rows int) bool {
+	return s.TTThreshold >= 0 && rows >= s.TTThreshold
+}
+
+// Table builds table i of the spec, a rows×Dim table: an Eff-TT table with
+// the spec's Opts when Compressed(rows) (TT-Rec's sampled-Gaussian init,
+// σ = √(1/rows)), otherwise a dense Bag; both draw from a generator seeded
+// by Seed and i. It is the one constructor of a run's tables, so every module
+// that rebuilds table i — core.Build, the distributed reference and workers,
+// serving — gets the same bits.
+func (s TableSpec) Table(i, rows int) (Table, error) {
+	rng := tensor.NewRNG(s.Seed + uint64(i)*7919)
+	if !s.Compressed(rows) {
+		return embedding.NewBag(rows, s.Dim, rng), nil
+	}
+	shape, err := tt.NewShape(rows, s.Dim, s.Rank)
+	if err != nil {
+		return nil, err
+	}
+	tbl := tt.NewTable(shape, rng, math.Sqrt(1/float64(rows)))
+	tbl.Opts = s.Opts
+	return tbl, nil
+}
+
 // BuildTables constructs one table per cardinality in rows following the
-// spec. Returns the tables plus how many of them are TT-compressed.
+// spec (Table(i, rows[i])). Returns the tables plus how many of them are
+// TT-compressed.
 func BuildTables(rows []int, spec TableSpec) ([]Table, int, error) {
 	if spec.Dim <= 0 {
 		return nil, 0, fmt.Errorf("dlrm: invalid embedding dim %d", spec.Dim)
 	}
-	tables := make([]Table, 0, len(rows))
+	tables := make([]Table, len(rows))
 	compressed := 0
 	for i, r := range rows {
 		if r <= 0 {
 			return nil, 0, fmt.Errorf("dlrm: table %d has %d rows", i, r)
 		}
-		useTT := spec.TTThreshold >= 0 && r >= spec.TTThreshold
-		if useTT {
-			shape, err := tt.NewShape(r, spec.Dim, spec.Rank)
-			if err != nil {
-				return nil, 0, fmt.Errorf("dlrm: table %d: %w", i, err)
-			}
-			tbl := tt.NewTable(shape, tensor.NewRNG(spec.Seed+uint64(i)*7919), math.Sqrt(1/float64(r)))
-			tbl.Opts = spec.Opts
-			tables = append(tables, tbl)
-			compressed++
-		} else {
-			tables = append(tables, embedding.NewBag(r, spec.Dim, tensor.NewRNG(spec.Seed+uint64(i)*7919)))
+		tbl, err := spec.Table(i, r)
+		if err != nil {
+			return nil, 0, fmt.Errorf("dlrm: table %d: %w", i, err)
 		}
+		if spec.Compressed(r) {
+			compressed++
+		}
+		tables[i] = tbl
 	}
 	return tables, compressed, nil
-}
-
-// MustDenseTable builds one uncompressed table (a convenience for placement
-// code that has already validated its inputs).
-func MustDenseTable(rows, dim int, seed uint64) Table {
-	return embedding.NewBag(rows, dim, tensor.NewRNG(seed))
 }

@@ -32,16 +32,22 @@ type Bag struct {
 	grad *tensor.Matrix // row u: the summed gradient of uniq[u]
 }
 
+// InitScale is the bound of a rows-row table's uniform initialisation,
+// √(1/rows), mirroring the DLRM reference. It is the one owner of that rule:
+// NewBag and a PS shard initialising its rows of a host table both use it.
+func InitScale(rows int) float32 {
+	return float32(math.Sqrt(1 / float64(rows)))
+}
+
 // NewBag allocates a rows×dim table initialized uniformly in
-// [-√(1/rows), √(1/rows)], mirroring the DLRM reference initialization.
+// [-InitScale(rows), InitScale(rows)], one row after another from rng.
 func NewBag(rows, dim int, rng *tensor.RNG) *Bag {
 	if rows <= 0 || dim <= 0 {
 		//elrec:invariant table shape comes from validated configs
 		panic(fmt.Sprintf("embedding: invalid table shape %dx%d", rows, dim))
 	}
 	b := &Bag{rows: rows, dim: dim, Weights: tensor.New(rows, dim)}
-	scale := float32(math.Sqrt(1 / float64(rows)))
-	rng.FillUniform(b.Weights.Data, scale)
+	rng.FillUniform(b.Weights.Data, InitScale(rows))
 	return b
 }
 

@@ -249,16 +249,6 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.mu.Unlock()
 }
 
-// RegisterHistogram adopts an externally owned histogram under name.
-func (r *Registry) RegisterHistogram(name string, h *Histogram) {
-	if r == nil || h == nil {
-		return
-	}
-	r.mu.Lock()
-	r.hists[name] = h
-	r.mu.Unlock()
-}
-
 // Snapshot is a consistent-enough point-in-time view of every instrument:
 // each instrument is read atomically, though the set is not a global
 // atomic cut (concurrent updates may land between reads — fine for

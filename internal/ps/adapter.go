@@ -99,8 +99,8 @@ func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr flo
 	}
 	// Publish post-update values: value − lr·grad (the worker's view of the
 	// row after this batch; the server applies the same delta to the host).
-	// Publish copies the rows, so the staging matrix is reused; grads is not,
-	// since it rides the gradient queue to the apply stage.
+	// Publish copies the rows, so the staging matrix is reused; grads is not:
+	// it rides the gradient queue to apply, which scales it into the delta.
 	updated := tensor.Reuse(a.updated, len(cur.uniq), a.dim)
 	a.updated = updated
 	copy(updated.Data, cur.values.Data)

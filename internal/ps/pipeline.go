@@ -65,6 +65,13 @@ type CheckpointConfig struct {
 	Coordinate func(nextIter int) error
 }
 
+// HostRNG is the generator that initialises host table i (its position in
+// the model) under seed. It is the one host seed rule: a local host bag
+// (embedding.NewBag) and a PS shard streaming the same rows both draw from it.
+func HostRNG(seed uint64, table int) *tensor.RNG {
+	return tensor.NewRNG(seed + uint64(table)*104729)
+}
+
 // Config configures a pipeline trainer.
 type Config struct {
 	Model dlrm.Config
@@ -72,7 +79,8 @@ type Config struct {
 	// Depth 1 degrades the pipeline to sequential execution (the EL-Rec
 	// (Sequential) baseline of Figure 16).
 	QueueDepth int
-	Seed       uint64
+	// Seed initialises the host tables: table i draws from HostRNG(Seed, i).
+	Seed uint64
 
 	// Lookahead is the data-pipeline window size in batches: the pre-fetcher
 	// plans the exact sparse access set of the next Lookahead batches
@@ -390,7 +398,7 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 				}
 				store = loc.Store
 			} else {
-				bag = embedding.NewBag(loc.HostRows, cfg.Model.EmbDim, tensor.NewRNG(cfg.Seed+uint64(i)*104729))
+				bag = embedding.NewBag(loc.HostRows, cfg.Model.EmbDim, HostRNG(cfg.Seed, i))
 				store = &localStore{p: p, slot: slot, rows: loc.HostRows, dim: cfg.Model.EmbDim}
 			}
 			cache := NewCache(cfg.Model.EmbDim)
@@ -585,9 +593,10 @@ func (p *Pipeline) apply(g *gradPush) error {
 		if len(gr.uniq) == 0 {
 			continue
 		}
-		delta := gr.grads.Clone()
-		tensor.Scale(-p.cfg.Model.LR, delta.Data)
-		if err := p.stores[h].ApplyDelta(gr.uniq, delta); err != nil {
+		// The push owns grads (hostAdapter.Update allocates them per step
+		// and nothing reads them after apply): they become the delta in place.
+		tensor.Scale(-p.cfg.Model.LR, gr.grads.Data)
+		if err := p.stores[h].ApplyDelta(gr.uniq, gr.grads); err != nil {
 			// The push may have landed on some tables (or shards) but not
 			// others; the caller reports training state as torn rather than
 			// re-applying (a blind retry would double-count whatever did

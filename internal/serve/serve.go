@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/dlrm"
-	"repro/internal/obs"
 )
 
 // Typed errors for programmatic handling: a serving layer distinguishes bad
@@ -42,38 +41,6 @@ type Ranker struct {
 	// scratch is the grouped-forward state reused across calls; it is what
 	// makes the Ranker single-goroutine.
 	scratch dlrm.ScoreScratch
-
-	// met holds the serving instruments; the zero value (not attached) makes
-	// every record path a no-op.
-	met serveMetrics
-}
-
-// serveMetrics instruments the scoring path: request/error counts, the
-// per-request latency distribution and the candidate-set size distribution.
-type serveMetrics struct {
-	attached bool
-	clock    obs.Clock
-
-	requests   *obs.Counter
-	errors     *obs.Counter
-	candidates *obs.Counter
-	latencyNS  *obs.Histogram // per-Score latency, nanoseconds
-	batchSize  *obs.Histogram // candidates per Score call
-}
-
-// AttachMetrics wires the ranker's instruments to reg under serve_* names,
-// measuring latency against clock (nil: the system clock). A nil registry
-// detaches, returning the ranker to the zero-cost path.
-func (r *Ranker) AttachMetrics(reg *obs.Registry, clock obs.Clock) {
-	r.met = serveMetrics{
-		attached:   reg != nil,
-		clock:      obs.OrSystem(clock),
-		requests:   reg.Counter("serve_requests"),
-		errors:     reg.Counter("serve_errors"),
-		candidates: reg.Counter("serve_candidates"),
-		latencyNS:  reg.Histogram("serve_score_latency_ns"),
-		batchSize:  reg.Histogram("serve_batch_size"),
-	}
 }
 
 // NewRanker wraps a trained model. itemFeature selects which sparse feature
@@ -130,31 +97,13 @@ func (r *Ranker) ValidateCandidates(candidates []int) error {
 // Score returns the CTR probability of each candidate item for the context,
 // in candidate order.
 //
-// serve_requests counts every call and serve_errors every rejection, but the
-// traffic-volume instruments (serve_candidates, serve_batch_size) record only
-// after validation passes, so rejected requests cannot inflate them.
-//
 //elrec:rootctx pure compute: the only wait is tensor.ParallelFor joining a GEMM's row chunks, bounded by the product
-func (r *Ranker) Score(ctx Context, candidates []int) (scores []float32, err error) {
-	if r.met.attached {
-		start := r.met.clock.Now()
-		r.met.requests.Inc()
-		defer func() {
-			r.met.latencyNS.Observe(float64(obs.Since(r.met.clock, start)))
-			if err != nil {
-				r.met.errors.Inc()
-			}
-		}()
-	}
+func (r *Ranker) Score(ctx Context, candidates []int) ([]float32, error) {
 	if err := r.Validate(ctx); err != nil {
 		return nil, err
 	}
 	if err := r.ValidateCandidates(candidates); err != nil {
 		return nil, err
-	}
-	if r.met.attached {
-		r.met.candidates.Add(int64(len(candidates)))
-		r.met.batchSize.Observe(float64(len(candidates)))
 	}
 	out := make([]float32, len(candidates))
 	r.ScoreGroups([]dlrm.ScoreGroup{{Dense: ctx.Dense, Sparse: ctx.Sparse, Items: candidates}}, out)

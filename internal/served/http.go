@@ -32,17 +32,6 @@ type ScoreResponse struct {
 	Scores []float32 `json:"scores"`
 }
 
-// TopKResponse is the JSON body answering /topk.
-type TopKResponse struct {
-	Items []ScoredItem `json:"items"`
-}
-
-// ScoredItem mirrors serve.Scored with stable JSON field names.
-type ScoredItem struct {
-	Item  int     `json:"item"`
-	Score float32 `json:"score"`
-}
-
 // maxBodyBytes caps every POST body. The pool's scratch grows to the largest
 // request it has scored and never shrinks, so an unbounded body would let one
 // request size a replica for good; a 128-candidate /score body is about 1 kB.

@@ -181,10 +181,8 @@ type HydrateRequest struct {
 }
 
 // poolMetrics instruments the pool. Zero value (no registry): every record
-// path is a nil-safe no-op. The request/error counters reuse the
-// serve.Ranker names — a node runs either the single-goroutine Ranker or
-// the pool, so dashboards read serve_requests/serve_errors the same way for
-// both.
+// path is a nil-safe no-op. The pool is the only owner of the serve_*
+// names.
 type poolMetrics struct {
 	requests     *obs.Counter   // serve_requests: admission attempts
 	errors       *obs.Counter   // serve_errors: error responses (incl. sheds)

@@ -42,7 +42,8 @@ import (
 //     empty request.
 //
 // The writers emit what json.NewEncoder(w).Encode writes for ScoreResponse
-// and TopKResponse, byte for byte, and refuse a NaN or ±Inf score as it does.
+// and for {"items":[{"item":…,"score":…},…]}, byte for byte, and refuse a
+// NaN or ±Inf score as it does.
 
 // maxDepth is encoding/json's nesting cap: open arrays and objects, the
 // request object included.
@@ -598,9 +599,9 @@ func appendScores(dst []byte, scores []float32) ([]byte, error) {
 	return append(dst, "]}\n"...), nil
 }
 
-// appendTopK appends the /topk body for items: what
-// json.NewEncoder(w).Encode(TopKResponse{…}) writes for the same items in a
-// non-nil slice. A NaN or ±Inf score is an error, as there.
+// appendTopK appends the /topk body for items: what json.NewEncoder(w).Encode
+// writes for a struct holding the items as a non-nil slice under "items",
+// each an {"item","score"} object. A NaN or ±Inf score is an error, as there.
 func appendTopK(dst []byte, items []serve.Scored) ([]byte, error) {
 	dst = append(dst, `{"items":[`...)
 	for i, it := range items {

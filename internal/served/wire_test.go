@@ -16,6 +16,18 @@ import (
 	"repro/internal/serve"
 )
 
+// TopKResponse is the /topk body as encoding/json types: the oracle
+// appendTopK's bytes are checked against.
+type TopKResponse struct {
+	Items []ScoredItem `json:"items"`
+}
+
+// ScoredItem mirrors serve.Scored with the /topk body's field names.
+type ScoredItem struct {
+	Item  int     `json:"item"`
+	Score float32 `json:"score"`
+}
+
 // parentDecode is the rule the /score and /topk bodies followed before the
 // wire codec, and its oracle: json.Decoder.Decode into a zero ScoreRequest,
 // then nothing but whitespace to the end (Token() == io.EOF).
