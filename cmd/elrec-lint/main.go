@@ -1,7 +1,7 @@
 // Command elrec-lint is the project's static-analysis multichecker: it
 // loads the packages matching the given go-list patterns and applies the
-// ten invariant analyzers (nopanic, determinism, locksafe, gospawn,
-// errcmp, obsclock, hotalloc, lockorder, ctxflow, wireexhaustive) from
+// nine invariant analyzers (nopanic, determinism, locksafe, gospawn,
+// errcmp, obsclock, hotalloc, lockorder, ctxflow) from
 // internal/analysis. Diagnostics print one per line as
 // file:line:col: message [analyzer]; the exit status is 1 when any
 // diagnostic is reported, 2 on a load or internal failure.

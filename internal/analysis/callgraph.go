@@ -13,8 +13,7 @@ import (
 // calls and method sets resolved through go/types, conservative on
 // interface and func-value calls) over which analyzers propagate
 // per-function facts bottom-up in strongly-connected-component order. The
-// hotalloc, lockorder and ctxflow analyzers are built on it; wireexhaustive
-// uses the whole-program view without the graph.
+// hotalloc, lockorder and ctxflow analyzers are built on it.
 
 // FuncNode is one module function with a body: a call-graph vertex.
 // Function literals are attributed to their enclosing declaration — a

@@ -87,7 +87,7 @@ type clientMetrics struct {
 	hbMisses   *obs.Counter
 	bytesIn    *obs.Counter             // distps_rpc_bytes_in (frames received, header+payload)
 	bytesOut   *obs.Counter             // distps_rpc_bytes_out (frames sent)
-	latency    map[uint8]*obs.Histogram // request type -> RPC latency (ns)
+	latency    [msgTypes]*obs.Histogram // request type -> RPC latency (ns)
 	up         []*obs.Gauge             // per shard: 1 = last heartbeat answered
 	offset     []*obs.Gauge             // per shard: estimated clock offset (ns, shard - worker)
 }
@@ -163,10 +163,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		hbMisses:   r.Counter("distps_heartbeat_misses"),
 		bytesIn:    r.Counter("distps_rpc_bytes_in"),
 		bytesOut:   r.Counter("distps_rpc_bytes_out"),
-		latency:    make(map[uint8]*obs.Histogram),
 	}
-	for _, typ := range []uint8{msgHello, msgGather, msgPush, msgCheckpoint, msgRestore, msgHeartbeat, msgLease, msgStats} {
-		c.m.latency[typ] = r.Histogram("distps_rpc_" + msgName(typ) + "_ns")
+	for t, row := range rpcs {
+		if row.serve != nil {
+			c.m.latency[t] = r.Histogram("distps_rpc_" + row.name + "_ns")
+		}
 	}
 	for i, addr := range cfg.Shards {
 		c.conns = append(c.conns, &shardConn{index: i, addr: addr})
@@ -317,32 +318,6 @@ func checkReply(f Frame, want uint8) ([]byte, error) {
 	return f.Payload, nil
 }
 
-// responseFor maps each request type to the response type that
-// acknowledges it: the client-side half of the wire contract. Adding a
-// frame type without extending this switch fails lint.
-func responseFor(typ uint8) uint8 {
-	//elrec:wireswitch requests
-	switch typ {
-	case msgHello:
-		return msgHelloAck
-	case msgGather:
-		return msgRows
-	case msgPush:
-		return msgPushAck
-	case msgCheckpoint:
-		return msgCheckpointAck
-	case msgRestore:
-		return msgRestoreAck
-	case msgHeartbeat:
-		return msgHeartbeatAck
-	case msgLease:
-		return msgLeaseAck
-	case msgStats:
-		return msgStatsAck
-	}
-	return msgError
-}
-
 // retryable classifies errors: transport faults (connection, deadline,
 // frame corruption) and a draining shard are worth retrying — the request
 // payload is idempotent by construction. Typed application rejections are
@@ -363,12 +338,12 @@ func retryable(err error) bool {
 
 // call is the retrying RPC: the payload is reused verbatim across attempts
 // (pushes carry their seq, so replays dedupe server-side). The expected
-// response type is derived from the request type via responseFor. ctx
+// response type is the request's ackFor. ctx
 // cancellation aborts between attempts and during backoff; an in-flight
 // socket exchange still runs to its own deadline.
 func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte) ([]byte, error) {
 	sc := c.conns[shard]
-	want := responseFor(typ)
+	want := ackFor(typ)
 	var last error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -469,23 +444,31 @@ func (c *Client) Push(ctx context.Context, shard int, seq uint64, table int, row
 // remote half of the coordinated checkpoint: the worker's local state file
 // is only written after every shard acked.
 func (c *Client) CheckpointAll(ctx context.Context, v int64) error {
-	m := versionMsg{Epoch: c.epoch.Load(), Version: v}
-	for i := range c.conns {
-		if _, err := c.call(ctx, i, msgCheckpoint, m.encode()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.versionAll(ctx, msgCheckpoint, v)
 }
 
 // RestoreAll tells every shard to reload durable version v. Restoring the
 // whole set — not just a restarted shard — rolls back any shard that
 // applied pushes past the checkpoint before a crash tore the run.
 func (c *Client) RestoreAll(ctx context.Context, v int64) error {
+	return c.versionAll(ctx, msgRestore, v)
+}
+
+// versionAll sends a checkpoint or restore of version v to every shard in
+// turn. A shard whose ack names another version is a protocol violation.
+func (c *Client) versionAll(ctx context.Context, typ uint8, v int64) error {
 	m := versionMsg{Epoch: c.epoch.Load(), Version: v}
 	for i := range c.conns {
-		if _, err := c.call(ctx, i, msgRestore, m.encode()); err != nil {
+		body, err := c.call(ctx, i, typ, m.encode())
+		if err != nil {
 			return err
+		}
+		ack, err := decodeVersionAck(body)
+		if err != nil {
+			return err
+		}
+		if ack.Version != v {
+			return fmt.Errorf("%w: shard %d %s acked version %d, want %d", ErrBadFrame, i, msgName(typ), ack.Version, v)
 		}
 	}
 	return nil
@@ -612,9 +595,6 @@ func (c *Client) RenewLease(ctx context.Context) error {
 // distps_shard<i>_up gauges and the heartbeat-miss counter until ctx is
 // cancelled or Close is called.
 func (c *Client) StartHeartbeats(ctx context.Context, every time.Duration) {
-	if ctx == nil {
-		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default, matching Worker.Run
-	}
 	if every <= 0 {
 		every = time.Second
 	}
@@ -672,9 +652,6 @@ func (c *Client) Close() error {
 // captures the training run's context at construction — a new store is
 // built per run, alongside the pipeline it feeds.
 func (c *Client) Store(ctx context.Context, spec TableSpec) ps.HostStore {
-	if ctx == nil {
-		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default, matching Worker.Run
-	}
 	return &remoteStore{c: c, spec: spec, ctx: ctx}
 }
 

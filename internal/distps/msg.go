@@ -23,10 +23,6 @@ type TableSpec struct {
 	Rows  int
 }
 
-// sanityCap bounds decoded element counts so a structurally corrupt count
-// cannot drive a huge allocation before the payload-length check catches it.
-const sanityCap = 1 << 28
-
 // --- cursor helpers --------------------------------------------------------
 
 type enc struct{ buf []byte }
@@ -103,11 +99,14 @@ func (d *dec) u64() uint64 {
 
 func (d *dec) i64() int64 { return int64(d.u64()) }
 
+// count reads an element count. Every counted element takes at least one
+// payload byte, so a count above the bytes left is corrupt: it is refused
+// before it can size an allocation.
 func (d *dec) count() int {
 	n := int(d.u32())
-	if n < 0 || n > sanityCap {
+	if n < 0 || n > len(d.buf)-d.off {
 		if d.err == nil {
-			d.err = fmt.Errorf("%w: element count %d out of range", ErrBadFrame, n)
+			d.err = fmt.Errorf("%w: element count %d exceeds the %d bytes left", ErrBadFrame, n, len(d.buf)-d.off)
 		}
 		return 0
 	}
@@ -116,6 +115,10 @@ func (d *dec) count() int {
 
 func (d *dec) f32s(n int) []float32 {
 	if d.err != nil {
+		return nil
+	}
+	if n > (len(d.buf)-d.off)/4 {
+		d.fail()
 		return nil
 	}
 	out := make([]float32, n)
@@ -628,30 +631,4 @@ func codeFor(err error) uint8 {
 		return codeBadRequest
 	}
 	return codeInternal
-}
-
-// msgName names a message type for error text.
-func msgName(t uint8) string {
-	//elrec:wireswitch all
-	switch t {
-	case msgHello, msgHelloAck:
-		return "hello"
-	case msgGather, msgRows:
-		return "gather"
-	case msgPush, msgPushAck:
-		return "push"
-	case msgCheckpoint, msgCheckpointAck:
-		return "checkpoint"
-	case msgRestore, msgRestoreAck:
-		return "restore"
-	case msgHeartbeat, msgHeartbeatAck:
-		return "heartbeat"
-	case msgLease, msgLeaseAck:
-		return "lease"
-	case msgStats, msgStatsAck:
-		return "stats"
-	case msgError:
-		return "error"
-	}
-	return fmt.Sprintf("type-%d", t)
 }

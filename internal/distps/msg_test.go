@@ -1,32 +1,26 @@
 package distps
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 )
 
-// codecs lists every message with a non-trivial payload, its encoder and a
-// type-erased decoder, so round-trip and truncation checks cover the whole
-// wire surface from one table.
-func codecs() []struct {
+// codec is one message, its encoding and a type-erased decoder.
+type codec struct {
 	name   string
 	msg    any
 	bytes  []byte
 	decode func([]byte) (any, error)
-} {
-	wrap := func(name string, m any, b []byte, d func([]byte) (any, error)) struct {
-		name   string
-		msg    any
-		bytes  []byte
-		decode func([]byte) (any, error)
-	} {
-		return struct {
-			name   string
-			msg    any
-			bytes  []byte
-			decode func([]byte) (any, error)
-		}{name, m, b, d}
+}
+
+// codecs lists every message with a non-trivial payload, its encoder and a
+// type-erased decoder, so round-trip and truncation checks cover the whole
+// wire surface from one table.
+func codecs() []codec {
+	wrap := func(name string, m interface{ encode() []byte }, d func([]byte) (any, error)) codec {
+		return codec{name, m, m.encode(), d}
 	}
 	hello := helloMsg{WorkerID: 7, Epoch: 3, Seed: 99, Dim: 8,
 		Tables: []TableSpec{{Index: 0, Rows: 96}, {Index: 2, Rows: 64}}}
@@ -41,26 +35,31 @@ func codecs() []struct {
 	hbAck := heartbeatAck{Version: 20, Restored: true, Draining: true, Epoch: 9}
 	lease := leaseMsg{WorkerID: 12, Renew: true, Epoch: 9, TTLMS: 3000}
 	lAck := leaseAck{Epoch: 10}
+	stats := statsMsg{MaxSpans: 64}
+	sAck := statsAck{ShardID: 1, NowUnixNanos: 1_700_000_000_000_000_000, EpochUnixNanos: 1_699_999_999_000_000_000,
+		Dropped: 3, MetricsJSON: `{"counters":{"distps_srv_bytes_in":76}}`,
+		Threads: map[int]string{101: "conn1", 7: "main"},
+		Spans: []spanRec{
+			{Name: "handle:gather", Cat: "rpc", TID: 101, Start: 1500, Dur: 20, Trace: 1 << 48, ID: 2<<48 + 1, Parent: 1 << 48},
+			{Name: "", Cat: "", TID: 7, Start: -1, Dur: 0},
+		}}
 	em := errMsg{Code: codeFenced, Msg: "stale epoch"}
-	return []struct {
-		name   string
-		msg    any
-		bytes  []byte
-		decode func([]byte) (any, error)
-	}{
-		wrap("hello", hello, hello.encode(), func(b []byte) (any, error) { return decodeHello(b) }),
-		wrap("helloAck", hAck, hAck.encode(), func(b []byte) (any, error) { return decodeHelloAck(b) }),
-		wrap("gather", gather, gather.encode(), func(b []byte) (any, error) { return decodeGather(b) }),
-		wrap("rows", rows, rows.encode(), func(b []byte) (any, error) { return decodeRows(b) }),
-		wrap("push", push, push.encode(), func(b []byte) (any, error) { return decodePush(b) }),
-		wrap("pushAck", pAck, pAck.encode(), func(b []byte) (any, error) { return decodePushAck(b) }),
-		wrap("version", ver, ver.encode(), func(b []byte) (any, error) { return decodeVersion(b) }),
-		wrap("versionAck", vAck, vAck.encode(), func(b []byte) (any, error) { return decodeVersionAck(b) }),
-		wrap("heartbeat", hb, hb.encode(), func(b []byte) (any, error) { return decodeHeartbeat(b) }),
-		wrap("heartbeatAck", hbAck, hbAck.encode(), func(b []byte) (any, error) { return decodeHeartbeatAck(b) }),
-		wrap("lease", lease, lease.encode(), func(b []byte) (any, error) { return decodeLease(b) }),
-		wrap("leaseAck", lAck, lAck.encode(), func(b []byte) (any, error) { return decodeLeaseAck(b) }),
-		wrap("err", em, em.encode(), func(b []byte) (any, error) { return decodeErr(b) }),
+	return []codec{
+		wrap("hello", hello, func(b []byte) (any, error) { return decodeHello(b) }),
+		wrap("helloAck", hAck, func(b []byte) (any, error) { return decodeHelloAck(b) }),
+		wrap("gather", gather, func(b []byte) (any, error) { return decodeGather(b) }),
+		wrap("rows", rows, func(b []byte) (any, error) { return decodeRows(b) }),
+		wrap("push", push, func(b []byte) (any, error) { return decodePush(b) }),
+		wrap("pushAck", pAck, func(b []byte) (any, error) { return decodePushAck(b) }),
+		wrap("version", ver, func(b []byte) (any, error) { return decodeVersion(b) }),
+		wrap("versionAck", vAck, func(b []byte) (any, error) { return decodeVersionAck(b) }),
+		wrap("heartbeat", hb, func(b []byte) (any, error) { return decodeHeartbeat(b) }),
+		wrap("heartbeatAck", hbAck, func(b []byte) (any, error) { return decodeHeartbeatAck(b) }),
+		wrap("lease", lease, func(b []byte) (any, error) { return decodeLease(b) }),
+		wrap("leaseAck", lAck, func(b []byte) (any, error) { return decodeLeaseAck(b) }),
+		wrap("stats", stats, func(b []byte) (any, error) { return decodeStats(b) }),
+		wrap("statsAck", sAck, func(b []byte) (any, error) { return decodeStatsAck(b) }),
+		wrap("err", em, func(b []byte) (any, error) { return decodeErr(b) }),
 	}
 }
 
@@ -118,8 +117,34 @@ func TestErrorCodeMapping(t *testing.T) {
 func TestDecodeRejectsInsaneCounts(t *testing.T) {
 	var e enc
 	e.u32(uint32(2))       // table
-	e.u32(uint32(1 << 30)) // row count far beyond sanityCap
+	e.u32(uint32(1 << 30)) // row count far beyond the payload
 	if _, err := decodeGather(e.buf); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("insane count: err = %v, want ErrBadFrame", err)
 	}
+}
+
+// FuzzMessageRoundTrip feeds arbitrary payloads to every decoder of the
+// codecs table: none may panic, and whatever decodes must be a fixed point
+// of encode → decode. The comparison is on the encodings, which are
+// bit-exact where reflect.DeepEqual is not (a NaN is not equal to itself).
+func FuzzMessageRoundTrip(f *testing.F) {
+	table := codecs()
+	f.Fuzz(func(t *testing.T, which uint8, b []byte) {
+		c := table[int(which)%len(table)]
+		m, err := c.decode(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: err = %v, want ErrBadFrame", c.name, err)
+			}
+			return
+		}
+		once := m.(interface{ encode() []byte }).encode()
+		m2, err := c.decode(once)
+		if err != nil {
+			t.Fatalf("%s: re-decoding its own encoding: %v", c.name, err)
+		}
+		if twice := m2.(interface{ encode() []byte }).encode(); !bytes.Equal(once, twice) {
+			t.Fatalf("%s: encode → decode is not a fixed point:\n%x\n%x", c.name, once, twice)
+		}
+	})
 }

@@ -161,7 +161,7 @@ type shardMetrics struct {
 	// Server-side RPC telemetry. The distps_srv_* names carry no shard
 	// prefix: each shard owns its registry, and the cluster view keys the
 	// merged table by shard, so the names stay comparable across shards.
-	srvNS    map[uint8]*obs.Histogram // per request type, distps_srv_<name>_ns
+	srvNS    [msgTypes]*obs.Histogram // per request type, distps_srv_<name>_ns
 	bytesIn  *obs.Counter             // distps_srv_bytes_in (frames received, header+payload)
 	bytesOut *obs.Counter             // distps_srv_bytes_out (frames sent)
 	inflight *obs.Gauge               // distps_srv_inflight (requests between decode and flush)
@@ -251,19 +251,14 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		epoch:         r.Gauge(prefix + "epoch"),
 		draining:      r.Gauge(prefix + "draining"),
 		conns:         r.Gauge(prefix + "conns"),
-		srvNS: map[uint8]*obs.Histogram{
-			msgHello:      r.Histogram("distps_srv_hello_ns"),
-			msgGather:     r.Histogram("distps_srv_gather_ns"),
-			msgPush:       r.Histogram("distps_srv_push_ns"),
-			msgCheckpoint: r.Histogram("distps_srv_checkpoint_ns"),
-			msgRestore:    r.Histogram("distps_srv_restore_ns"),
-			msgHeartbeat:  r.Histogram("distps_srv_heartbeat_ns"),
-			msgLease:      r.Histogram("distps_srv_lease_ns"),
-			msgStats:      r.Histogram("distps_srv_stats_ns"),
-		},
-		bytesIn:  r.Counter("distps_srv_bytes_in"),
-		bytesOut: r.Counter("distps_srv_bytes_out"),
-		inflight: r.Gauge("distps_srv_inflight"),
+		bytesIn:       r.Counter("distps_srv_bytes_in"),
+		bytesOut:      r.Counter("distps_srv_bytes_out"),
+		inflight:      r.Gauge("distps_srv_inflight"),
+	}
+	for t, row := range rpcs {
+		if row.serve != nil {
+			s.m.srvNS[t] = r.Histogram("distps_srv_" + row.name + "_ns")
+		}
 	}
 	for _, spec := range cfg.Tables {
 		if spec.Rows <= 0 {
@@ -846,115 +841,32 @@ func (s *Shard) handleConn(c net.Conn, ce *connEntry) {
 	}
 }
 
-// dispatch decodes and executes one request, mapping handler errors to
-// msgError responses. Every request runs under a handle:<type> span linked
-// to the caller's trace context from the frame header, and its service
-// time lands in the per-type distps_srv_<name>_ns histogram.
+// dispatch serves one request through its rpcs row, mapping handler errors
+// to msgError responses; a type with no row is refused. Every request runs
+// under a handle:<name> span linked to the caller's trace context from the
+// frame header, and its service time lands in the per-type
+// distps_srv_<name>_ns histogram.
 func (s *Shard) dispatch(f Frame, tid int) (uint8, []byte) {
 	s.m.requests.Inc()
 	s.m.inflight.Set(float64(s.inflight.Add(1)))
 	sp := s.trace.BeginChild("handle:"+msgName(f.Type), "rpc", tid,
 		obs.TraceContext{Trace: f.Trace, Span: f.Span})
-	start := s.clock.Now()
-	payload, rtype, err := s.handle(f)
-	s.m.srvNS[f.Type].Observe(float64(s.clock.Now().Sub(start)))
+	var payload []byte
+	var err error
+	if row, ok := lookup(f.Type); ok {
+		start := s.clock.Now()
+		payload, err = row.serve(s, f.Payload)
+		s.m.srvNS[f.Type].Observe(float64(s.clock.Now().Sub(start)))
+	} else {
+		err = fmt.Errorf("%w: unexpected message %s", ErrBadRequest, msgName(f.Type))
+	}
 	sp.End()
 	s.m.inflight.Set(float64(s.inflight.Add(-1)))
 	if err != nil {
 		s.m.errors.Inc()
 		return msgError, errMsg{Code: codeFor(err), Msg: err.Error()}.encode()
 	}
-	return rtype, payload
-}
-
-func (s *Shard) handle(f Frame) ([]byte, uint8, error) {
-	bad := func(err error) ([]byte, uint8, error) {
-		return nil, 0, fmt.Errorf("%w: %s: %w", ErrBadRequest, msgName(f.Type), err)
-	}
-	//elrec:wireswitch requests
-	switch f.Type {
-	case msgHello:
-		m, err := decodeHello(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.hello(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgHelloAck, nil
-	case msgGather:
-		m, err := decodeGather(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.gather(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgRows, nil
-	case msgPush:
-		m, err := decodePush(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.push(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgPushAck, nil
-	case msgCheckpoint:
-		m, err := decodeVersion(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.checkpointRPC(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgCheckpointAck, nil
-	case msgRestore:
-		m, err := decodeVersion(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.restoreRPC(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgRestoreAck, nil
-	case msgHeartbeat:
-		m, err := decodeHeartbeat(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.heartbeat(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgHeartbeatAck, nil
-	case msgLease:
-		m, err := decodeLease(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.leaseRPC(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgLeaseAck, nil
-	case msgStats:
-		m, err := decodeStats(f.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		ack, err := s.statsRPC(m)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack.encode(), msgStatsAck, nil
-	}
-	return nil, 0, fmt.Errorf("%w: unexpected message %s", ErrBadRequest, msgName(f.Type))
+	return ackFor(f.Type), payload
 }
 
 // Close drains the shard: new requests are rejected with ErrDraining, the

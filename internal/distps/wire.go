@@ -42,13 +42,8 @@ const (
 )
 
 // Message types. Requests are odd, their success responses follow at the
-// next value; msgError answers any request. The wireexhaustive analyzer
-// reads this block (and the odd-is-a-request convention) and requires
-// every //elrec:wireswitch dispatch/decode switch to handle its role's
-// full constant set — adding a type here without wiring both sides of the
-// protocol fails lint.
-//
-//elrec:wiretypes
+// next value (ackFor); msgError answers any request. msgTypes is one past
+// the last type: it sizes the rpcs table.
 const (
 	msgHello         = uint8(1)
 	msgHelloAck      = uint8(2)
@@ -67,7 +62,76 @@ const (
 	msgError         = uint8(15)
 	msgStats         = uint8(17)
 	msgStatsAck      = uint8(18)
+	msgTypes         = uint8(19)
 )
+
+// rpc is one request type's row of the protocol: the name its error text,
+// spans and distps_{rpc,srv}_<name>_ns histograms carry, and the shard
+// handler that decodes its payload, serves it and encodes the reply.
+type rpc struct {
+	name  string
+	serve func(s *Shard, payload []byte) ([]byte, error)
+}
+
+// rpcs is the protocol, one row per request type. The shard dispatches
+// through it, msgName reads names from it, and both ends register their
+// per-RPC histograms by ranging over it: a new RPC is one constant above
+// and one row here.
+var rpcs = [msgTypes]rpc{
+	msgHello:      newRPC("hello", decodeHello, (*Shard).hello),
+	msgGather:     newRPC("gather", decodeGather, (*Shard).gather),
+	msgPush:       newRPC("push", decodePush, (*Shard).push),
+	msgCheckpoint: newRPC("checkpoint", decodeVersion, (*Shard).checkpointRPC),
+	msgRestore:    newRPC("restore", decodeVersion, (*Shard).restoreRPC),
+	msgHeartbeat:  newRPC("heartbeat", decodeHeartbeat, (*Shard).heartbeat),
+	msgLease:      newRPC("lease", decodeLease, (*Shard).leaseRPC),
+	msgStats:      newRPC("stats", decodeStats, (*Shard).statsRPC),
+}
+
+// newRPC builds a protocol row from a payload decoder and the shard method
+// that serves the decoded request. A payload that does not decode is the
+// caller's fault: ErrBadRequest, naming the RPC.
+func newRPC[Req any, Ack interface{ encode() []byte }](name string, decode func([]byte) (Req, error),
+	serve func(*Shard, Req) (Ack, error)) rpc {
+	return rpc{name: name, serve: func(s *Shard, payload []byte) ([]byte, error) {
+		m, err := decode(payload)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %s: %w", ErrBadRequest, name, err)
+		}
+		ack, err := serve(s, m)
+		if err != nil {
+			return nil, err
+		}
+		return ack.encode(), nil
+	}}
+}
+
+// lookup returns request type t's row, if it has one.
+func lookup(t uint8) (rpc, bool) {
+	if t >= msgTypes || rpcs[t].serve == nil {
+		return rpc{}, false
+	}
+	return rpcs[t], true
+}
+
+// ackFor is the type of a request's success response.
+func ackFor(req uint8) uint8 { return req + 1 }
+
+// msgName names a message type: a request its row's name, a response its
+// request's, msgError "error".
+func msgName(t uint8) string {
+	if t == msgError {
+		return "error"
+	}
+	req := t
+	if t%2 == 0 {
+		req = t - 1
+	}
+	if r, ok := lookup(req); ok {
+		return r.name
+	}
+	return fmt.Sprintf("type-%d", t)
+}
 
 // Frame is one decoded wire frame. Trace and Span carry the sender's
 // trace context (zero when untraced); a response echoes the request's.

@@ -123,3 +123,40 @@ func TestReadRawFramePreservesBytes(t *testing.T) {
 		t.Fatalf("after last frame: %v, want io.EOF", err)
 	}
 }
+
+// FuzzReadFrame: ReadFrame never panics on arbitrary bytes, and a frame it
+// accepts re-encodes to exactly the bytes it consumed; ReadFrame of
+// WriteFrame(f) is f for any field values.
+func FuzzReadFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, typ uint8, reqID, trace, span uint64, payload, raw []byte) {
+		want := Frame{Type: typ, ReqID: reqID, Trace: trace, Span: span, Payload: payload}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrame(bufio.NewReader(&buf), 0)
+		if err != nil {
+			t.Fatalf("ReadFrame(WriteFrame(%+v)): %v", want, err)
+		}
+		if got.Type != want.Type || got.ReqID != want.ReqID || got.Trace != want.Trace ||
+			got.Span != want.Span || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("round trip: got %+v, want %+v", got, want)
+		}
+
+		// A small cap keeps a hostile length field from sizing a large buffer.
+		parsed, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)), 1<<16)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, io.EOF) {
+				t.Fatalf("ReadFrame(%x): err = %v, want ErrBadFrame or io.EOF", raw, err)
+			}
+			return
+		}
+		buf.Reset()
+		if err := WriteFrame(&buf, parsed); err != nil {
+			t.Fatal(err)
+		}
+		if n := buf.Len(); !bytes.Equal(buf.Bytes(), raw[:n]) {
+			t.Fatalf("accepted frame re-encodes to %x, read from %x", buf.Bytes(), raw[:n])
+		}
+	})
+}

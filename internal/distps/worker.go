@@ -233,9 +233,6 @@ func (w *Worker) loadLocalVersion(p *ps.Pipeline) (int, error) {
 // global iteration count reaches steps, when ctx is cancelled (graceful:
 // the in-flight batch drains), or when recovery stops making progress.
 func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) (*RunResult, error) {
-	if ctx == nil {
-		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default for direct Worker embedders
-	}
 	if w.cfg.HeartbeatEvery > 0 {
 		w.client.StartHeartbeats(ctx, w.cfg.HeartbeatEvery)
 	}
