@@ -120,8 +120,8 @@ func run() int {
 	cfg.Lookahead = o.lookahead
 	cfg.Reorder = !o.noReorder && o.spec.TTThreshold >= 0
 	cfg.Adagrad = o.adagrad
-	cfg.CheckpointPath = o.ckptPath
-	cfg.CheckpointEvery = o.ckptEvery
+	cfg.Checkpoint.Path = o.ckptPath
+	cfg.Checkpoint.Every = o.ckptEvery
 	if o.hbmGB >= 0 {
 		cfg.Device.HBMBytes = int64(o.hbmGB * float64(1<<30))
 		cfg.HBMReserve = 0

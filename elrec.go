@@ -241,7 +241,7 @@ func LoadModel(path string, m *dlrm.Model) error { return checkpoint.LoadFile(pa
 // context: cancellation drains the pipeline gracefully (in-flight batch
 // finishes, every queued gradient is applied) and the returned TrainResult
 // carries the partial loss curve plus the next resumable iteration.
-// SystemConfig.CheckpointPath/CheckpointEvery enable periodic atomic
+// SystemConfig.Checkpoint.Path/Every enable periodic atomic
 // training checkpoints; System.SaveCheckpoint and System.ResumeFrom persist
 // and restore them, and a resumed run is bit-identical to one that never
 // stopped.

@@ -439,6 +439,15 @@ func readTTInto(r io.Reader, tbl *tt.Table) error {
 	if err := binary.Read(r, binary.LittleEndian, &hasAdagrad); err != nil {
 		return err
 	}
+	// Like the dense bags' kind byte, the flag refuses an optimizer mismatch:
+	// an SGD table resumed into an Adagrad one would restart its
+	// accumulators from zero.
+	switch {
+	case hasAdagrad > 1:
+		return fmt.Errorf("%w: TT Adagrad flag %d", ErrCorruptCheckpoint, hasAdagrad)
+	case hasAdagrad == 0 && tbl.AdagradEnabled():
+		return fmt.Errorf("checkpoint: TT table without Adagrad state, model expects Adagrad")
+	}
 	if hasAdagrad == 1 {
 		tbl.EnableAdagrad()
 		for k := 0; k < tt.Dims; k++ {

@@ -245,6 +245,46 @@ func TestLoadRejectsWrongVersionAndKind(t *testing.T) {
 	}
 }
 
+// TestTTAdagradFlagOutOfRangeIsCorrupt: a TT table's Adagrad flag is 0 or
+// 1; any other byte is a corrupt file, not "no Adagrad state".
+func TestTTAdagradFlagOutOfRangeIsCorrupt(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, buildModel(t, 27)); err != nil {
+		t.Fatal(err)
+	}
+	// The TT table is the last record and has no Adagrad state, so its
+	// flag is the file's last byte.
+	raw := buf.Bytes()
+	if raw[len(raw)-1] != 0 {
+		t.Fatalf("last byte is %d, expected the TT table's Adagrad flag 0", raw[len(raw)-1])
+	}
+	for _, flag := range []byte{2, 0xFF} {
+		raw[len(raw)-1] = flag
+		if err := LoadModel(bytes.NewReader(raw), buildModel(t, 28)); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("Adagrad flag %d: err = %v, want ErrCorruptCheckpoint", flag, err)
+		}
+	}
+}
+
+// TestTTAdagradMismatchRefused: an SGD TT table does not load into an
+// Adagrad one (it would continue from zero accumulators). Like the dense
+// bags' kind mismatch, that is an architecture mismatch, not corruption.
+func TestTTAdagradMismatchRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, buildModel(t, 29)); err != nil {
+		t.Fatal(err)
+	}
+	dst := buildModel(t, 30)
+	dst.Tables[1].(*tt.Table).EnableAdagrad()
+	err := LoadModel(bytes.NewReader(buf.Bytes()), dst)
+	if err == nil {
+		t.Fatal("an SGD TT table loaded into an Adagrad-enabled one")
+	}
+	if errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("err = %v: an optimizer mismatch is not a corrupt file", err)
+	}
+}
+
 // TestGeneralTTRefused: the arbitrary-order table is an experiment and test
 // oracle, not a checkpointable kind. A model that holds one is refused on
 // both sides, and the kind byte it used to be written under (2) stays

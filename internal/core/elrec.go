@@ -16,11 +16,9 @@ import (
 	"repro/internal/data"
 	"repro/internal/dlrm"
 	"repro/internal/embedding"
-	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/ps"
 	"repro/internal/reorder"
 	"repro/internal/tt"
@@ -36,10 +34,14 @@ const (
 	PlaceHost        Placement = "host"         // uncompressed, host memory via PS
 )
 
-// Config configures a full EL-Rec system over one dataset.
+// Config configures a full EL-Rec system over one dataset: the pipeline run
+// (ps.Config, embedded: model, queue depth, lookahead, seed, faults, retry,
+// checkpoints, metrics, trace) plus what Build decides before a pipeline
+// exists — the dataset, compression, reordering, optimiser and placement.
 type Config struct {
-	Data  data.Spec
-	Model dlrm.Config
+	ps.Config
+
+	Data data.Spec
 
 	// Rank is the TT rank; TTThreshold is the minimum row count for a table
 	// to be TT-compressed (the paper compresses tables above 1M rows).
@@ -60,50 +62,10 @@ type Config struct {
 	// keep SGD (the parameter server applies raw gradient deltas).
 	Adagrad bool
 
-	// QueueDepth sets the pre-fetch/gradient queue capacity when host
-	// placement is needed (1 = sequential).
-	QueueDepth int
-
-	// Lookahead sets the data-pipeline window size in batches: the
-	// pre-fetcher plans the exact sparse access set of the next Lookahead
-	// batches and uses it for oracle cache admission and cross-batch dedup
-	// on host tables (rows reused within a window are gathered once). 0 or 1
-	// disables the lookahead. Training is bit-exact for every setting.
-	Lookahead int
-
-	// Faults injects deterministic failures into the pipeline trainer
-	// (tests/chaos runs); nil trains fault-free.
-	Faults faults.Injector
-
-	// Retry bounds transient-fault retries in the pipeline; zero fields
-	// take ps defaults.
-	Retry ps.RetryPolicy
-
-	// CheckpointPath / CheckpointEvery enable periodic crash-consistent
-	// training-state checkpoints: the full state is written atomically to
-	// CheckpointPath every CheckpointEvery completed iterations.
-	CheckpointPath  string
-	CheckpointEvery int
-
 	// Device provides the HBM budget for placement; HBMReserve is held back
 	// for activations and optimizer state.
 	Device     hw.Device
 	HBMReserve int64
-
-	Seed uint64
-
-	// Metrics, when non-nil, receives the system's instruments: the
-	// pipeline's ps_* counters and the TT tables' tt_* counters/gauges.
-	// Nil disables export at near-zero cost.
-	Metrics *obs.Registry
-
-	// Trace, when non-nil, records pipeline stage spans for Chrome trace
-	// export (chrome://tracing / Perfetto).
-	Trace *obs.Tracer
-
-	// Clock supplies timestamps for stage timing; nil uses the system
-	// clock. It never influences numeric results — only measurements.
-	Clock obs.Clock
 }
 
 // DefaultConfig returns a ready-to-train configuration for a dataset spec.
@@ -111,8 +73,8 @@ func DefaultConfig(spec data.Spec) Config {
 	model := dlrm.DefaultConfig(spec.NumDense, 16)
 	model.LR = 1.0
 	return Config{
+		Config:           ps.Config{Model: model, QueueDepth: 4, Seed: 7},
 		Data:             spec,
-		Model:            model,
 		Rank:             8,
 		TTThreshold:      10_000,
 		Opts:             tt.EffOptions(),
@@ -120,10 +82,8 @@ func DefaultConfig(spec data.Spec) Config {
 		ReorderCfg:       reorder.DefaultConfig(),
 		ProfileBatches:   16,
 		ProfileBatchSize: 512,
-		QueueDepth:       4,
 		Device:           hw.TeslaV100(),
 		HBMReserve:       1 << 30,
-		Seed:             7,
 	}
 }
 
@@ -259,18 +219,7 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 		}
 	}
 
-	pcfg := ps.Config{
-		Model:      cfg.Model,
-		QueueDepth: cfg.QueueDepth,
-		Lookahead:  cfg.Lookahead,
-		Seed:       cfg.Seed,
-		Faults:     cfg.Faults,
-		Retry:      cfg.Retry,
-		Checkpoint: ps.CheckpointConfig{Path: cfg.CheckpointPath, Every: cfg.CheckpointEvery},
-		Metrics:    cfg.Metrics,
-		Trace:      cfg.Trace,
-		Clock:      cfg.Clock,
-	}
+	pcfg := cfg.Config
 	if !anyHost {
 		// A fully device-resident system has no server side to measure;
 		// registering its pipeline's instruments would shadow a live pipeline
@@ -287,7 +236,6 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 	}
 	s.pipe = pipe
 	s.model = pipe.Model()
-	s.model.SetClock(cfg.Clock)
 	s.source = &remappedSource{d: d, bijections: s.Bijections}
 	return s, nil
 }
@@ -337,9 +285,6 @@ func (s *System) Source() ps.BatchSource { return s.source }
 // carries the partial loss curve plus the next resumable iteration; see
 // ps.Pipeline.Train for the consistency contract.
 func (s *System) TrainContext(ctx context.Context, startIter, steps, batchSize int) (*ps.TrainResult, error) {
-	if ctx == nil {
-		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default for direct System embedders
-	}
 	// Also with no steps to run: a caller that loops until its steps are
 	// done must see the cancellation, not zero progress and no error.
 	if err := ctx.Err(); err != nil {
@@ -365,7 +310,7 @@ func (s *System) Train(startIter, steps, batchSize int) *metrics.LossCurve {
 
 // SaveCheckpoint atomically persists the full training state (model,
 // optimizer state, host tables, iteration counter) to path. Call between
-// Train invocations, or rely on Cfg.CheckpointPath/CheckpointEvery for
+// Train invocations, or rely on Cfg.Checkpoint.Path/Every for
 // periodic checkpoints inside Train.
 func (s *System) SaveCheckpoint(path string, nextIter int) error {
 	return s.pipe.SaveCheckpoint(path, nextIter)

@@ -36,23 +36,6 @@ func transportRetry(r ps.RetryPolicy) ps.RetryPolicy {
 	return r
 }
 
-// sleepRetry waits d through r's Sleep hook, or until ctx is cancelled,
-// whichever comes first.
-func sleepRetry(ctx context.Context, r ps.RetryPolicy, d time.Duration) error {
-	if r.Sleep != nil {
-		r.Sleep(d)
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // ClientConfig configures a shard-set client.
 type ClientConfig struct {
 	WorkerID uint64
@@ -74,7 +57,6 @@ type ClientConfig struct {
 	// defaults.
 	Retry ps.RetryPolicy
 
-	Clock   obs.Clock     // drives latency measurement; nil = system
 	Metrics *obs.Registry // distps_* client instruments; nil = off
 	Trace   *obs.Tracer   // per-attempt RPC spans, propagated to shards; nil = off
 	Log     *obs.Logger   // nil = silent
@@ -150,7 +132,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg:     cfg,
 		retry:   transportRetry(cfg.Retry),
 		ring:    NewRing(len(cfg.Shards)),
-		clock:   obs.OrSystem(cfg.Clock),
+		clock:   obs.System(),
 		trace:   cfg.Trace,
 		log:     cfg.Log,
 		offsets: make([]atomic.Int64, len(cfg.Shards)),
@@ -224,7 +206,7 @@ func (sc *shardConn) poisonLocked() {
 func (sc *shardConn) exchangeLocked(c *Client, typ uint8, payload []byte, tctx obs.TraceContext) (Frame, error) {
 	sc.reqID++
 	id := sc.reqID
-	// Socket deadlines are kernel wall time by nature; the injected clock
+	// Socket deadlines are kernel wall time by nature; the client's clock
 	// drives only latency measurement and lease logic.
 	//elrec:wallclock socket I/O deadline is enforced by the kernel against wall time
 	if err := sc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout)); err != nil {
@@ -378,7 +360,7 @@ func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte)
 			return nil, fmt.Errorf("%w: shard %d %s after %d attempts: %w", ErrRPCFailed, shard, msgName(typ), attempt+1, last)
 		}
 		c.m.retries.Inc()
-		if err := sleepRetry(ctx, c.retry, c.retry.Delay(attempt)); err != nil {
+		if err := c.retry.Wait(ctx, c.retry.Delay(attempt)); err != nil {
 			return nil, fmt.Errorf("shard %d %s: %w", shard, msgName(typ), err)
 		}
 	}
@@ -489,7 +471,7 @@ type ShardStatus struct {
 // ts − (t0 + (t1−t0)/2), i.e. the shard clock minus the local clock
 // assuming symmetric network delay. The midpoint is computed as
 // t0 + (t1−t0)/2 — never (t0+t1)/2, which overflows int64 for the
-// near-minimal UnixNanos a zeroed test clock reports.
+// near-minimal UnixNanos a zero time.Time reports.
 func (c *Client) Heartbeat(ctx context.Context, shard int) (ShardStatus, error) {
 	if err := ctx.Err(); err != nil {
 		return ShardStatus{}, err

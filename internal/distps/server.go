@@ -130,7 +130,6 @@ type ShardConfig struct {
 	// before force-closing connections (default 5s).
 	DrainTimeout time.Duration
 
-	Clock   obs.Clock     // drives lease/liveness decisions; nil = system
 	Metrics *obs.Registry // per-shard distps_shard<ID>_* and distps_srv_* instruments; nil = off
 	Trace   *obs.Tracer   // handler spans + the msgStats span export; nil = off
 	Log     *obs.Logger   // nil = silent
@@ -229,7 +228,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	s := &Shard{
 		cfg:     cfg,
 		ring:    NewRing(cfg.NumShards),
-		clock:   obs.OrSystem(cfg.Clock),
+		clock:   obs.System(),
 		log:     cfg.Log,
 		trace:   cfg.Trace,
 		tables:  make(map[int]*shardTable),
@@ -807,7 +806,7 @@ func (s *Shard) handleConn(c net.Conn, ce *connEntry) {
 	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(c)
 	for {
-		// Socket deadlines are kernel wall time by nature; the injected
+		// Socket deadlines are kernel wall time by nature; the shard's
 		// obs.Clock drives only lease and liveness decisions.
 		//elrec:wallclock socket idle deadline is enforced by the kernel against wall time
 		c.SetReadDeadline(time.Now().Add(idleTimeout))

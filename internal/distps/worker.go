@@ -43,7 +43,6 @@ type WorkerConfig struct {
 	// Sleep overrides recovery/standby waits (tests make them instant).
 	Sleep func(time.Duration)
 
-	Clock   obs.Clock
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
 	Log     *obs.Logger
@@ -113,7 +112,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	ccfg.Timeout = cfg.RPCTimeout
 	ccfg.LeaseTTL = cfg.LeaseTTL
 	ccfg.Retry = cfg.Retry
-	ccfg.Clock = cfg.Clock
 	ccfg.Metrics = cfg.Metrics
 	ccfg.Trace = cfg.Trace
 	ccfg.Log = cfg.Log
@@ -162,7 +160,6 @@ func (w *Worker) buildPipeline(ctx context.Context) (*ps.Pipeline, error) {
 	pcfg.Retry = w.cfg.PipelineRetry
 	pcfg.Metrics = w.cfg.Metrics
 	pcfg.Trace = w.cfg.Trace
-	pcfg.Clock = w.cfg.Clock
 	if w.cfg.CheckpointEvery > 0 {
 		pcfg.Checkpoint = ps.CheckpointConfig{
 			Path:  w.cfg.CheckpointPath,

@@ -6,9 +6,11 @@
 // Two rules keep instrumentation determinism-safe and near-zero-cost:
 //
 //   - Every wall-clock read outside this package and the command binaries
-//     goes through an injected Clock (the obsclock analyzer enforces it),
-//     so numeric packages stay free of direct time.Now/time.Since calls
-//     and tests can drive timing-dependent code with a Manual clock.
+//     goes through a Clock (the obsclock analyzer enforces it), so numeric
+//     packages stay free of direct time.Now/time.Since calls. Most read
+//     System(); the tracer, the logger, served.Options and
+//     dlrm.Model.SetClock take an injected one, so tests can drive their
+//     timing with a Manual clock.
 //
 //   - Every instrument is nil-safe: methods on a nil *Counter, *Gauge,
 //     *Histogram, *Tracer or *Logger are no-ops, so instrumented hot paths

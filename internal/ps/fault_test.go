@@ -116,24 +116,29 @@ func TestGatherRetriesExhausted(t *testing.T) {
 // TestApplyRetriesExhaustedNotResumable checks the one genuinely fatal
 // transient path: if a gradient push cannot be applied even after retries,
 // the host tables no longer reflect every trained batch, so the result must
-// say "restore from checkpoint".
+// say "restore from checkpoint" — at both queue depths. The sequential
+// schedule stops before counting the step whose push failed.
 func TestApplyRetriesExhaustedNotResumable(t *testing.T) {
 	spec := psSpec()
 	d, _ := data.New(spec)
-	// Fail every apply attempt at iter >= 5 by exhausting MaxFaults budget
-	// precisely: apply attempts 4 per iter (1 + 3 retries).
+	// Every apply attempt fails (1 + 3 retries per push).
 	inj := faults.NewSeeded(faults.Config{Seed: 1, ApplyFailProb: 1.0})
-	p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 2, Seed: 4,
-		Faults: inj, Retry: fastRetry()}, allHostLocs(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Train(context.Background(), d, 0, 10, 32)
-	if !errors.Is(err, ErrApplyFailed) {
-		t.Fatalf("err = %v, want ErrApplyFailed", err)
-	}
-	if res.Resumable || res.NextIter != -1 {
-		t.Fatalf("exhausted apply retries must not be resumable: %+v", res)
+	for _, depth := range []int{1, 4} {
+		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: depth, Seed: 4,
+			Faults: inj, Retry: fastRetry()}, allHostLocs(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Train(context.Background(), d, 0, 10, 32)
+		if !errors.Is(err, ErrApplyFailed) || !faults.IsInjected(err) {
+			t.Fatalf("depth %d: err = %v, want ErrApplyFailed wrapping the injected sentinel", depth, err)
+		}
+		if res.Resumable || res.NextIter != -1 {
+			t.Fatalf("depth %d: exhausted apply retries must not be resumable: %+v", depth, res)
+		}
+		if depth == 1 && res.Completed != 0 {
+			t.Fatalf("depth 1: the first push failed, yet Completed = %d", res.Completed)
+		}
 	}
 }
 
@@ -158,10 +163,10 @@ func (o *onceWorkerFault) Fault(op faults.Op, iter, attempt int) error {
 	return &faults.WorkerFault{Iter: iter}
 }
 
-// TestWorkerFaultDrainsAndResumes injects a worker panic mid-run: Train
-// must surface ErrWorkerFault (not deadlock), the drain must leave the
-// parameters consistent at the reported NextIter, and resuming from there
-// must converge bit-exactly to an uninterrupted run.
+// TestWorkerFaultDrainsAndResumes injects a worker panic mid-run at both
+// queue depths: Train must surface ErrWorkerFault (not deadlock), the drain
+// must leave the parameters consistent at the reported NextIter, and
+// resuming from there must converge bit-exactly to an uninterrupted run.
 func TestWorkerFaultDrainsAndResumes(t *testing.T) {
 	spec := psSpec()
 	d, _ := data.New(spec)
@@ -172,32 +177,34 @@ func TestWorkerFaultDrainsAndResumes(t *testing.T) {
 	}
 	mustTrain(t, clean, d, 0, steps, batch)
 
-	p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 4, Seed: 4,
-		Faults: &onceWorkerFault{at: faultAt}, Retry: fastRetry()}, allHostLocs(spec))
-	if err != nil {
-		t.Fatal(err)
+	for _, depth := range []int{1, 4} {
+		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: depth, Seed: 4,
+			Faults: &onceWorkerFault{at: faultAt}, Retry: fastRetry()}, allHostLocs(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		var res *TrainResult
+		var terr error
+		go func() {
+			defer close(done)
+			res, terr = p.Train(context.Background(), d, 0, steps, batch)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("depth %d: worker fault deadlocked the pipeline", depth)
+		}
+		if !errors.Is(terr, ErrWorkerFault) || !faults.IsInjected(terr) {
+			t.Fatalf("depth %d: err = %v, want ErrWorkerFault wrapping the injected sentinel", depth, terr)
+		}
+		if !res.Resumable || res.Completed != faultAt || res.NextIter != faultAt {
+			t.Fatalf("depth %d: worker fault at %d: %+v", depth, faultAt, res)
+		}
+		// Resume the same pipeline where it left off; the fault fired once.
+		mustTrain(t, p, d, res.NextIter, steps-res.Completed, batch)
+		assertParamsEqual(t, clean, p, "resume after worker fault")
 	}
-	done := make(chan struct{})
-	var res *TrainResult
-	var terr error
-	go func() {
-		defer close(done)
-		res, terr = p.Train(context.Background(), d, 0, steps, batch)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker fault deadlocked the pipeline")
-	}
-	if !errors.Is(terr, ErrWorkerFault) || !faults.IsInjected(terr) {
-		t.Fatalf("err = %v, want ErrWorkerFault wrapping the injected sentinel", terr)
-	}
-	if !res.Resumable || res.Completed != faultAt || res.NextIter != faultAt {
-		t.Fatalf("worker fault at %d: %+v", faultAt, res)
-	}
-	// Resume the same pipeline where it left off; the fault fired once.
-	mustTrain(t, p, d, res.NextIter, steps-res.Completed, batch)
-	assertParamsEqual(t, clean, p, "resume after worker fault")
 }
 
 // cancelAtIter cancels ctx the moment the pre-fetcher asks for iteration

@@ -112,10 +112,6 @@ type Config struct {
 	// stage spans plus stall/backoff intervals and retry markers for
 	// Chrome trace export. Nil disables tracing at near-zero cost.
 	Trace *obs.Tracer
-
-	// Clock supplies timestamps for all stage timing; nil uses the system
-	// clock. Tests inject a manual clock to make timing deterministic.
-	Clock obs.Clock
 }
 
 // Stats aggregates pipeline counters for the experiment harness: the byte
@@ -370,7 +366,7 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 		return nil, fmt.Errorf("%w: lookahead window %d must be non-negative", ErrInvalidConfig, cfg.Lookahead)
 	}
 	p := &Pipeline{
-		cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.OrSystem(cfg.Clock), tracer: cfg.Trace,
+		cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.System(), tracer: cfg.Trace,
 		spare: make(chan *data.Batch, 2*cfg.QueueDepth+3),
 	}
 	p.registerMetrics(cfg.Metrics)
@@ -528,8 +524,9 @@ func (p *Pipeline) takeBatch() *data.Batch {
 }
 
 // recycleBatch returns a batch no stage references any more to the spares.
-// The pipelined schedule recycles through the gradient queue: it is FIFO,
-// so once a push has been applied the worker is done with its batch.
+// Both schedules recycle a batch once its push has been applied; in the
+// pipelined one the gradient queue is FIFO, so by then the worker is done
+// with it.
 func (p *Pipeline) recycleBatch(b *data.Batch) {
 	if b == nil {
 		return
@@ -556,7 +553,7 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSi
 	applied := p.applied.Load()
 	b := d.BatchInto(dst, iter, batchSize)
 	for attempt := 0; ; attempt++ {
-		ferr := p.injectFault(faults.OpGather, iter, attempt)
+		ferr := p.injectFault(ctx, faults.OpGather, iter, attempt)
 		if ferr == nil {
 			hb, gerr := p.gather(iter, b, plan, applied)
 			if gerr == nil {
@@ -612,10 +609,10 @@ func (p *Pipeline) apply(g *gradPush) error {
 }
 
 // applyPush is the fault-tolerant apply: transient faults retry with
-// backoff (never aborted by cancellation — a cancelled drain still has to
-// land every pending gradient), panics become errors, and g.donec is
-// always closed so drain barriers cannot hang.
-func (p *Pipeline) applyPush(g *gradPush) (err error) {
+// backoff under ctx (Train passes one that is never cancelled — a cancelled
+// drain still has to land every pending gradient), panics become errors,
+// and g.donec is always closed so drain barriers cannot hang.
+func (p *Pipeline) applyPush(ctx context.Context, g *gradPush) (err error) {
 	defer close(g.donec)
 	defer func() {
 		if r := recover(); r != nil {
@@ -623,7 +620,7 @@ func (p *Pipeline) applyPush(g *gradPush) (err error) {
 		}
 	}()
 	for attempt := 0; ; attempt++ {
-		ferr := p.injectFault(faults.OpApply, g.iter, attempt)
+		ferr := p.injectFault(ctx, faults.OpApply, g.iter, attempt)
 		if ferr == nil {
 			if aerr := p.apply(g); aerr != nil {
 				return fmt.Errorf("%w: iter %d: %w", ErrApplyFailed, g.iter, aerr)
@@ -637,7 +634,7 @@ func (p *Pipeline) applyPush(g *gradPush) (err error) {
 		if attempt >= p.retry.MaxRetries {
 			return fmt.Errorf("%w: iter %d after %d attempts: %w", ErrApplyFailed, g.iter, attempt+1, ferr)
 		}
-		p.backoff(nil, tidApply, attempt)
+		p.backoff(ctx, tidApply, attempt)
 	}
 }
 
@@ -789,15 +786,17 @@ func (p *Pipeline) spawn(wg *sync.WaitGroup, fail *failSlot, stage string, fn fu
 }
 
 // Train runs steps batches of the given size from the dataset through the
-// pipeline and returns the loss curve. With QueueDepth > 1 a pre-fetch
-// goroutine keeps the queue full and a server goroutine drains the gradient
-// queue concurrently with worker compute; with QueueDepth == 1 the pipeline
-// degrades to strictly sequential gather → train → apply on one thread (the
+// pipeline and returns the loss curve. Both schedules run one worker loop
+// (gather → train → push, count, checkpoint) and differ only in where a
+// batch comes from and where its gradients go. With QueueDepth > 1 a
+// pre-fetch goroutine keeps the queue full and a server goroutine drains the
+// gradient queue concurrently with worker compute; with QueueDepth == 1 the
+// worker gathers and applies inline, strictly sequential on one thread (the
 // EL-Rec (Sequential) baseline — the worker waits for the server each step,
 // exactly as §VI-C describes). A pipeline with no host table always runs the
-// sequential schedule: there is no server work to overlap. Both schedules produce bit-identical
-// parameters: the embedding cache guarantees the worker always computes on
-// up-to-date rows.
+// sequential schedule: there is no server work to overlap. Both schedules
+// produce bit-identical parameters: the embedding cache guarantees the
+// worker always computes on up-to-date rows.
 //
 // Cancellation and faults drain gracefully: the pre-fetcher stops, the
 // in-flight batch finishes, every pushed gradient is applied, and the
@@ -808,144 +807,136 @@ func (p *Pipeline) spawn(wg *sync.WaitGroup, fail *failSlot, stage string, fn fu
 // set, the full training state is atomically persisted every Every steps at
 // a drain barrier.
 func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, batchSize int) (*TrainResult, error) {
-	if ctx == nil {
-		ctx = context.Background() //elrec:rootctx nil-ctx compatibility default for direct Pipeline embedders
-	}
 	p.tracer.SetThreadName(tidPrefetch, "prefetch")
 	p.tracer.SetThreadName(tidWorker, "worker")
 	p.tracer.SetThreadName(tidApply, "apply")
 	curve := &metrics.LossCurve{}
 	res := &TrainResult{Curve: curve, NextIter: startIter, Resumable: true}
-	fail := func(res *TrainResult, err error, resumable bool) (*TrainResult, error) {
-		res.Resumable = resumable
-		if !resumable {
-			res.NextIter = -1
-		}
-		return res, err
-	}
 
 	ws, lerr := p.newWindowSchedule(d, startIter, steps, batchSize)
 	if lerr != nil {
-		return fail(res, lerr, true)
+		return res, lerr
 	}
-
-	if p.cfg.QueueDepth == 1 || len(p.stores) == 0 {
-		batch := p.takeBatch() // one batch, regenerated in place every step
-		defer func() { p.recycleBatch(batch) }()
-		for iter := startIter; iter < startIter+steps; iter++ {
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-			plan := ws.planFor(iter)
-			// In the sequential schedule the worker waits out the entire
-			// gather: record it as prefetch stall so depth-1 runs expose the
-			// same lookahead win the pipelined queue wait does.
-			waitStart := p.clock.Now()
-			hb, err := p.gatherBatch(ctx, d, iter, batchSize, plan, batch)
-			p.m.prefetchWaitNS.Add(int64(obs.Since(p.clock, waitStart)))
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return res, cerr
-				}
-				return res, err
-			}
-			batch = hb.batch
-			loss, push, err := p.trainOne(hb)
-			if err != nil {
-				return fail(res, err, faults.IsInjected(err))
-			}
-			curve.Add(iter, float64(loss))
-			if err := p.applyPush(push); err != nil {
-				return fail(res, err, false)
-			}
-			p.m.steps.Inc()
-			res.Completed++
-			res.NextIter = iter + 1
-			if p.checkpointDue(res.NextIter) {
-				if err := p.writeCheckpoint(res.NextIter); err != nil {
-					return res, err
-				}
-			}
-		}
-		return res, nil
-	}
-
-	prefetchQ := make(chan *hostBatch, p.cfg.QueueDepth)
-	gradQ := make(chan *gradPush, p.cfg.QueueDepth)
-	stop := make(chan struct{})
+	// The apply side must land every pushed gradient even during a cancelled
+	// drain, so its backoff waits never end early.
+	applyCtx := context.WithoutCancel(ctx)
 	var async failSlot
-	var wg sync.WaitGroup
+	// gatherAt gathers batch iter into a spare batch: nil on failure, which
+	// leaves state consistent (the batch never reached the worker) and is
+	// recorded unless it is the run's own cancellation.
+	gatherAt := func(iter int) *hostBatch {
+		hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter), p.takeBatch())
+		if err != nil && ctx.Err() == nil {
+			async.set(err, true)
+		}
+		return hb
+	}
+	// applyOne lands one push and recycles its batch; false once it failed,
+	// which leaves the host tables torn.
+	applyOne := func(g *gradPush) bool {
+		err := p.applyPush(applyCtx, g)
+		p.recycleBatch(g.batch)
+		if err != nil {
+			async.set(err, false)
+		}
+		return err == nil
+	}
 
-	p.spawn(&wg, &async, "prefetch", func() { // pre-fetcher (server pull side)
-		defer close(prefetchQ)
-		for iter := startIter; iter < startIter+steps; iter++ {
-			if ctx.Err() != nil {
-				return
+	// next hands the worker its next batch (false: none left, or the run
+	// stopped); push hands its gradients to the server (false: the apply
+	// failed); drain waits until every pushed gradient has been applied.
+	var next func() (*hostBatch, bool)
+	var push func(*gradPush) bool
+	drain := func() {}
+	if p.cfg.QueueDepth == 1 || len(p.stores) == 0 {
+		iter := startIter
+		next = func() (*hostBatch, bool) {
+			if iter >= startIter+steps {
+				return nil, false
 			}
-			hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter), p.takeBatch())
-			if err != nil {
-				// A gather failure leaves state consistent (the batch never
-				// reached the worker); pure cancellation is reported by
-				// Train itself.
-				if ctx.Err() == nil {
-					async.set(err, true)
+			hb := gatherAt(iter)
+			iter++
+			return hb, hb != nil
+		}
+		push = applyOne
+	} else {
+		prefetchQ := make(chan *hostBatch, p.cfg.QueueDepth)
+		gradQ := make(chan *gradPush, p.cfg.QueueDepth)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		p.spawn(&wg, &async, "prefetch", func() { // pre-fetcher (server pull side)
+			defer close(prefetchQ)
+			for iter := startIter; iter < startIter+steps && ctx.Err() == nil; iter++ {
+				hb := gatherAt(iter)
+				if hb == nil {
+					return
 				}
-				return
+				select {
+				case prefetchQ <- hb:
+				case <-stop:
+					return
+				case <-ctx.Done():
+					return
+				}
 			}
+		})
+		p.spawn(&wg, &async, "apply", func() { // server apply side: drains even after cancel or failure
+			broken := false
+			for g := range gradQ {
+				if broken {
+					close(g.donec)
+					continue
+				}
+				broken = !applyOne(g)
+			}
+		})
+		next = func() (*hostBatch, bool) {
 			select {
-			case prefetchQ <- hb:
-			case <-stop:
-				return
+			case hb, ok := <-prefetchQ: // !ok: every step gathered, or the pre-fetcher aborted
+				return hb, ok
 			case <-ctx.Done():
-				return
+				return nil, false
 			}
 		}
-	})
-
-	p.spawn(&wg, &async, "apply", func() { // server apply side: drains even after cancel or failure
-		broken := false
-		for g := range gradQ {
-			if broken {
-				close(g.donec)
-				continue
-			}
-			if err := p.applyPush(g); err != nil {
-				async.set(err, false)
-				broken = true
-			}
-			p.recycleBatch(g.batch)
+		push = func(g *gradPush) bool {
+			sp := p.tracer.Begin("push", "ps", tidWorker)
+			gradQ <- g
+			sp.End()
+			return true
 		}
-	})
+		// Graceful drain: stop the pre-fetcher, close the gradient queue
+		// after the last push, and wait until the server has applied
+		// everything.
+		drain = func() {
+			close(stop)
+			close(gradQ)
+			wg.Wait()
+		}
+	}
 
-worker:
 	for {
-		if err, _ := async.get(); err != nil {
+		if err, _ := async.get(); err != nil || ctx.Err() != nil {
 			break
 		}
-		if ctx.Err() != nil {
-			break
-		}
-		var hb *hostBatch
-		var ok bool
+		// The worker's wait for its batch — in the sequential schedule the
+		// whole gather, window planning included — is the prefetch stall, so
+		// depth-1 runs expose the same lookahead win the pipelined queue wait
+		// does.
 		waitStart := p.clock.Now()
-		select {
-		case hb, ok = <-prefetchQ:
-		case <-ctx.Done():
-			break worker
-		}
+		hb, ok := next()
 		p.m.prefetchWaitNS.Add(int64(obs.Since(p.clock, waitStart)))
-		if !ok { // pre-fetcher finished (all steps gathered) or aborted
+		if !ok {
 			break
 		}
-		loss, push, err := p.trainOne(hb)
+		loss, g, err := p.trainOne(hb)
 		if err != nil {
 			async.set(err, faults.IsInjected(err))
 			break
 		}
 		curve.Add(hb.iter, float64(loss))
-		psp := p.tracer.Begin("push", "ps", tidWorker)
-		gradQ <- push
-		psp.End()
+		if !push(g) {
+			break
+		}
 		p.m.steps.Inc()
 		res.Completed++
 		res.NextIter = hb.iter + 1
@@ -954,7 +945,7 @@ worker:
 			// closes donec in order, so once this push has landed every
 			// earlier one has too, and host tables exactly reflect
 			// NextIter iterations of training.
-			<-push.donec
+			<-g.donec
 			if ferr, _ := async.get(); ferr != nil {
 				break
 			}
@@ -964,18 +955,14 @@ worker:
 			}
 		}
 	}
-
-	// Graceful drain: stop the pre-fetcher, close the gradient queue after
-	// the last push, and wait until the server has applied everything.
-	close(stop)
-	close(gradQ)
-	wg.Wait()
+	drain()
 
 	if err, resumable := async.get(); err != nil {
-		return fail(res, err, resumable)
-	}
-	if err := ctx.Err(); err != nil {
+		res.Resumable = resumable
+		if !resumable {
+			res.NextIter = -1
+		}
 		return res, err
 	}
-	return res, nil
+	return res, ctx.Err()
 }

@@ -24,6 +24,22 @@ type RetryPolicy struct {
 	Sleep func(time.Duration)
 }
 
+// Wait serves one delay d — through the Sleep hook, or a timer that ctx's
+// cancellation cuts short — and returns ctx's error.
+func (r RetryPolicy) Wait(ctx context.Context, d time.Duration) error {
+	if r.Sleep != nil {
+		r.Sleep(d)
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	return ctx.Err()
+}
+
 // DefaultRetryPolicy is the production policy: 3 retries, 1ms→50ms backoff.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond}
@@ -69,9 +85,9 @@ func tidForOp(op faults.Op) int {
 }
 
 // injectFault consults the configured injector for one attempt. Stalls are
-// served in place (the operation proceeds after the delay); transient
-// faults are counted and returned for the retry loop.
-func (p *Pipeline) injectFault(op faults.Op, iter, attempt int) error {
+// served in place under ctx (the operation proceeds after the delay);
+// transient faults are counted and returned for the retry loop.
+func (p *Pipeline) injectFault(ctx context.Context, op faults.Op, iter, attempt int) error {
 	if p.cfg.Faults == nil {
 		return nil
 	}
@@ -84,7 +100,7 @@ func (p *Pipeline) injectFault(op faults.Op, iter, attempt int) error {
 		p.m.stallNS.Add(int64(stall.D))
 		p.m.stallHist.Observe(float64(stall.D))
 		sp := p.tracer.Begin("stall", "fault", tidForOp(op))
-		p.sleep(stall.D)
+		_ = p.retry.Wait(ctx, stall.D) // cancellation ends the stall; the caller reads ctx itself
 		sp.End()
 		return nil
 	}
@@ -93,19 +109,8 @@ func (p *Pipeline) injectFault(op faults.Op, iter, attempt int) error {
 	return err
 }
 
-// sleep waits for d via the retry policy's hook (or a real sleep).
-func (p *Pipeline) sleep(d time.Duration) {
-	if p.retry.Sleep != nil {
-		p.retry.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // backoff records and serves the delay before retry `attempt`, traced as a
-// backoff span on stage thread tid. A non-nil ctx aborts the wait on
-// cancellation (used on the gather side; the apply side passes nil because
-// pending gradients must land even during a cancelled drain).
+// backoff span on stage thread tid, and returns ctx's error.
 func (p *Pipeline) backoff(ctx context.Context, tid, attempt int) error {
 	d := p.retry.Delay(attempt)
 	p.m.retries.Inc()
@@ -113,21 +118,5 @@ func (p *Pipeline) backoff(ctx context.Context, tid, attempt int) error {
 	p.tracer.Instant("retry", "fault", tid)
 	sp := p.tracer.Begin("backoff", "fault", tid)
 	defer sp.End()
-	if p.retry.Sleep != nil {
-		p.retry.Sleep(d)
-	} else if ctx == nil {
-		time.Sleep(d)
-	} else {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	if ctx != nil {
-		return ctx.Err()
-	}
-	return nil
+	return p.retry.Wait(ctx, d)
 }
