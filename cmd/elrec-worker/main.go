@@ -164,8 +164,8 @@ func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 	shards := strings.FieldsFunc(o.shards, func(r rune) bool { return r == ',' || r == ' ' })
 	w, err := distps.NewWorker(distps.WorkerConfig{
 		ID: o.id, Shards: shards, Scenario: sc,
-		CheckpointPath: o.ckptPath, CheckpointEvery: o.ckptEvery,
-		LeaseTTL: o.leaseTTL, HeartbeatEvery: o.hbEvery, RPCTimeout: o.rpcTimeout,
+		Checkpoint: ps.CheckpointConfig{Path: o.ckptPath, Every: o.ckptEvery}, LeaseTTL: o.leaseTTL,
+		HeartbeatEvery: o.hbEvery, RPCTimeout: o.rpcTimeout,
 		Metrics: reg, Trace: tracer, Log: log,
 	})
 	if err != nil {

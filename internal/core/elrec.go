@@ -145,7 +145,9 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 			return nil, fmt.Errorf("core: reordering requires profile batches")
 		}
 		// Reordering reads only the compressed tables' columns of the
-		// profiled batches, so only those streams are generated.
+		// profiled batches, so only those streams are generated, all
+		// through one generator.
+		var gen data.Generator
 		for i, r := range rows {
 			if !spec.Compressed(r) {
 				continue
@@ -153,7 +155,7 @@ func BuildWithDataset(cfg Config, d *data.Dataset) (*System, error) {
 			counts := make([]int64, r)
 			cols := make([][]int, cfg.ProfileBatches)
 			for it := range cols {
-				cols[it] = d.BatchIndices(it, cfg.ProfileBatchSize, i)
+				cols[it] = d.IndicesInto(&gen, nil, it, cfg.ProfileBatchSize, i)
 				for _, idx := range cols[it] {
 					counts[idx]++
 				}
@@ -262,11 +264,11 @@ func (r *remappedSource) BatchInto(dst *data.Batch, iter, size int) *data.Batch 
 	return b
 }
 
-// BatchIndices generates one table's index stream for batch iter with the
-// same remapping Batch applies, so the lookahead planner (data.SparseSource)
-// sees exactly the ids the pipeline will train on.
-func (r *remappedSource) BatchIndices(iter, size, t int) []int {
-	ids := r.d.BatchIndices(iter, size, t)
+// IndicesInto draws one table's index stream for batch iter into dst
+// through g, with the same remapping Batch applies, so the lookahead planner
+// (data.SparseSource) sees exactly the ids the pipeline will train on.
+func (r *remappedSource) IndicesInto(g *data.Generator, dst []int, iter, size, t int) []int {
+	ids := r.d.IndicesInto(g, dst, iter, size, t)
 	if bij := r.bijections[t]; bij != nil {
 		bij.ApplyInPlace(ids)
 	}

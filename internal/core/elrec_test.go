@@ -252,7 +252,7 @@ func TestRemappedSourcePermutesSparseOnly(t *testing.T) {
 }
 
 // TestProfileFromIndexStreamsMatchesFullBatches: Build profiles reordering
-// from the compressed tables' index streams alone (Dataset.BatchIndices).
+// from the compressed tables' index streams alone (Dataset.IndicesInto).
 // Its bijections must be the ones the full profiled batches give, on the
 // single-valued and the multi-hot schema.
 func TestProfileFromIndexStreamsMatchesFullBatches(t *testing.T) {

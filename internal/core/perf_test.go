@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/hw"
 	"repro/internal/tensor"
 )
 
@@ -21,24 +22,54 @@ func allocatedBytes(fn func()) int64 {
 // TestTrainEvaluateBytesIndependentOfBatchSize pins what a device-resident
 // system allocates once a first 100-step call has settled its scratch at a
 // batch size: the next 100-step TrainContext call allocates per step only
-// the pipeline's bookkeeping (the queue elements and the loss curve), and an
-// Evaluate call per held-out batch only its per-sample results —
+// the pipeline's bookkeeping (the loss curve and the call's own set-up), and
+// an Evaluate call per held-out batch only its per-sample results —
 // probabilities, labels and AUC's sort index and ranks, 24 bytes a sample.
-// Both generate into one reused batch, so neither per-step figure may grow
+// Both generate into reused storage, so neither per-step figure may grow
 // with the batch size.
 func TestTrainEvaluateBytesIndependentOfBatchSize(t *testing.T) {
+	checkTrainEvaluateBytes(t, coreConfig(), 100)
+}
+
+// TestHostTrainEvaluateZeroAllocRecycledSlabs is the same contract on a
+// host-placed system — no TT table, an HBM budget that fits no table, so
+// every table trains through the parameter-server pipeline — pipelined with
+// lookahead and sequential: a step's batch, gathered rows and gradients
+// travel in a recycled step slab, the planner draws its streams into reused
+// buffers and is kept across calls, and an out-of-step lookup gathers into
+// adapter-owned scratch.
+func TestHostTrainEvaluateZeroAllocRecycledSlabs(t *testing.T) {
+	for _, depth := range []struct{ queue, lookahead int }{{4, 16}, {1, 0}} {
+		cfg := coreConfig()
+		cfg.TTThreshold = -1
+		cfg.Reorder = false
+		cfg.Device = hw.Device{Name: "none", HBMBytes: 16, ComputeScale: 1}
+		cfg.HBMReserve = 0
+		cfg.QueueDepth, cfg.Lookahead = depth.queue, depth.lookahead
+		t.Logf("queue depth %d, lookahead %d", depth.queue, depth.lookahead)
+		checkTrainEvaluateBytes(t, cfg, 400)
+	}
+}
+
+// checkTrainEvaluateBytes runs the allocation contract above on systems
+// built from cfg, at batch 32 and 256, after a first call of warmup steps.
+func checkTrainEvaluateBytes(t *testing.T, cfg Config, warmup int) {
+	t.Helper()
 	old := tensor.Workers()
 	tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	const warmup, steps, evalBatches, resultBytesPerSample = 100, 100, 8, 24
+	const steps, evalBatches, resultBytesPerSample = 100, 8, 24
 	const perStepBound = 1024
 	ctx := context.Background()
 	for _, batch := range []int{32, 256} {
-		sys, err := Build(coreConfig())
+		sys, err := Build(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if host := sys.Pipeline != nil; host != (cfg.TTThreshold < 0) {
+			t.Fatalf("TT threshold %d built a system with host tables = %v", cfg.TTThreshold, host)
 		}
 		if _, err := sys.TrainContext(ctx, 0, warmup, batch); err != nil {
 			t.Fatal(err)

@@ -330,6 +330,49 @@ func TestBatchIndicesMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestIndicesIntoMatchesBatchIndices: the reused-generator stream is
+// BatchIndices and Batch(i, n).Sparse[t] for every table, over iterations
+// and sizes that grow and shrink the buffer, on the single-valued and the
+// multi-hot schema. One generator draws every table in turn, in an order
+// that interleaves tables and iterations, so a stream can only depend on
+// its own (iter, table) seed.
+func TestIndicesIntoMatchesBatchIndices(t *testing.T) {
+	multi := smallSpec()
+	multi.MultiHot, multi.Seed = 3, 8
+	for _, spec := range []Spec{smallSpec(), multi} {
+		d, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g Generator
+		var dst []int
+		for k, size := range []int{64, 7, 128, 1, 33} {
+			iter := 11*k + 3
+			b := d.Batch(iter, size)
+			tables := spec.NumTables()
+			for j := range tables {
+				tb := (j*7 + k) % tables // interleaved: not table order, and shifted per iteration
+				dst = d.IndicesInto(&g, dst, iter, size, tb)
+				if !equalInts(dst, d.BatchIndices(iter, size, tb)) || !equalInts(dst, b.Sparse[tb]) {
+					t.Fatalf("%s: iter %d size %d table %d: IndicesInto disagrees with BatchIndices / Batch", spec.Name, iter, size, tb)
+				}
+			}
+		}
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	d, _ := New(smallSpec())
+	var g Generator
+	dst := d.IndicesInto(&g, nil, 0, 128, 0)
+	iter := 1000
+	if allocs := testing.AllocsPerRun(100, func() {
+		iter++
+		dst = d.IndicesInto(&g, dst, iter, 128, iter%d.Spec.NumTables())
+	}); allocs != 0 {
+		t.Fatalf("IndicesInto over fresh streams allocated %v times per stream, want 0", allocs)
+	}
+}
+
 func TestMultiHotBatches(t *testing.T) {
 	spec := smallSpec()
 	spec.MultiHot = 3

@@ -56,33 +56,37 @@ type Batch struct {
 	Offsets []int          // bag starts: s·K
 	Labels  []float32
 
-	gen *generator // the generator scratch BatchInto reuses with this batch
+	gen Generator // the generator scratch BatchInto reuses with this batch
 }
 
 // Size returns the number of samples in the batch.
 func (b *Batch) Size() int { return len(b.Labels) }
 
-// generator is the scratch one batch's generation needs: a single math/rand
+// Generator is the scratch index-stream generation needs: a single math/rand
 // generator re-seeded per stream, and each table's group Zipf built once
-// against it. Seed puts the generator's source in exactly the state
+// against it. Seeding puts the generator's source in exactly the state
 // NewSource(seed) builds, so every draw is the one a fresh generator makes.
-type generator struct {
+// The zero value is ready to use; it binds to the dataset it first draws
+// for, and a generator serves one goroutine at a time.
+type Generator struct {
 	d      *Dataset
 	r      *rand.Rand
 	zipf   []*rand.Zipf // per table, over its groups
 	active []int        // a stream's active groups
 }
 
-// newGenerator builds d's generator scratch.
+// bind makes g d's generator, building its scratch unless it already is.
 //
-//elrec:coldpath once per reused batch; BatchInto's steady state re-seeds it
-func (d *Dataset) newGenerator() *generator {
-	g := &generator{d: d, r: rand.New(rand.NewSource(0)), active: make([]int, d.Spec.ActiveGroups)} //nolint:gosec // deterministic synthetic data
+//elrec:coldpath once per generator and dataset; the steady state only compares
+func (g *Generator) bind(d *Dataset) {
+	if g.d == d {
+		return
+	}
+	g.d, g.r, g.active = d, rand.New(rand.NewSource(0)), make([]int, d.Spec.ActiveGroups) //nolint:gosec // deterministic synthetic data
 	g.zipf = make([]*rand.Zipf, len(d.groups))
 	for t, n := range d.groups {
 		g.zipf[t] = rand.NewZipf(g.r, d.Spec.ZipfS, d.Spec.ZipfV, uint64(n-1))
 	}
-	return g
 }
 
 // Batch deterministically generates batch number iter with the given size,
@@ -109,10 +113,9 @@ func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 	for s := range b.Offsets {
 		b.Offsets[s] = s * bag
 	}
-	g := b.gen
+	g := &b.gen
 	for t := range b.Sparse {
-		g.r.Seed(d.streamSeed(iter, t))
-		d.drawIndices(b.Sparse[t], g.r, g.zipf[t], g.active, t)
+		b.Sparse[t] = d.IndicesInto(g, b.Sparse[t], iter, size, t)
 	}
 
 	r := g.r
@@ -178,15 +181,10 @@ func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 //elrec:coldpath amortized growth; a reused batch of one size keeps its buffers
 func (b *Batch) prepare(d *Dataset, n int) {
 	spec := d.Spec
-	if b.gen == nil || b.gen.d != d {
-		b.gen = d.newGenerator()
-	}
+	b.gen.bind(d)
 	b.Dense = tensor.Reuse(b.Dense, n, spec.NumDense)
 	if len(b.Sparse) != spec.NumTables() {
 		b.Sparse = make([][]int, spec.NumTables())
-	}
-	for t := range b.Sparse {
-		b.Sparse[t] = resize(b.Sparse[t], n*spec.BagSize())
 	}
 	b.Offsets = resize(b.Offsets, n)
 	if cap(b.Labels) < n {
@@ -196,6 +194,8 @@ func (b *Batch) prepare(d *Dataset, n int) {
 }
 
 // resize returns buf with length n, reusing its storage when it fits.
+//
+//elrec:coldpath amortized growth; a stream of one size keeps its buffer
 func resize(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
@@ -209,16 +209,33 @@ func (d *Dataset) streamSeed(iter, t int) int64 {
 }
 
 // BatchIndices deterministically generates only table t's indices of batch
-// iter (size·BagSize of them) — each (iter, table) pair has its own RNG
-// stream, so per-table statistics (access counts, unique-index counts)
-// never pay for the other 25 tables. Batch composes these same streams, so
-// BatchIndices(i, n, t) equals Batch(i, n).Sparse[t].
+// iter (size·BagSize of them) into a fresh slice with a fresh source — each
+// (iter, table) pair has its own RNG stream, so per-table statistics never
+// pay for the other 25 tables. It equals IndicesInto, which Batch composes,
+// so BatchIndices(i, n, t) equals Batch(i, n).Sparse[t].
 func (d *Dataset) BatchIndices(iter, size, t int) []int {
 	spec := d.Spec
 	r := rand.New(rand.NewSource(d.streamSeed(iter, t))) //nolint:gosec // deterministic synthetic data
 	out := make([]int, size*spec.BagSize())
 	d.drawIndices(out, r, rand.NewZipf(r, spec.ZipfS, spec.ZipfV, uint64(d.groups[t]-1)), make([]int, spec.ActiveGroups), t)
 	return out
+}
+
+// IndicesInto draws table t's index stream of batch iter — BatchIndices(iter,
+// size, t) — into dst's storage through g, and returns it. It is the one
+// path every reused-generator stream takes (BatchInto's tables, the
+// lookahead planner, the access statistics and the reordering profile), and
+// once g has drawn for d and dst has held a stream of this size it
+// allocates nothing.
+//
+//elrec:hotpath per-table stream draw of the lookahead planner: re-seeds the caller's generator in place
+func (d *Dataset) IndicesInto(g *Generator, dst []int, iter, size, t int) []int {
+	g.bind(d)
+	dst = resize(dst, size*d.Spec.BagSize())
+	//elrec:coldpath math/rand source call: re-seeding the generator's source in place allocates nothing
+	g.r.Seed(d.streamSeed(iter, t))
+	d.drawIndices(dst, g.r, g.zipf[t], g.active, t)
+	return dst
 }
 
 // drawIndices fills out with table t's index stream from r, which is seeded
@@ -230,13 +247,17 @@ func (d *Dataset) drawIndices(out []int, r *rand.Rand, groupZipf *rand.Zipf, act
 	spec := d.Spec
 	rows := spec.TableRows[t]
 	for i := range active {
+		//elrec:coldpath math/rand source call: a Zipf draw allocates nothing
 		active[i] = int(groupZipf.Uint64())
 	}
 	for s := range out {
 		var grp int
+		//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 		if r.Float64() < spec.Locality {
+			//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 			grp = active[r.Intn(len(active))]
 		} else {
+			//elrec:coldpath math/rand source call: a Zipf draw allocates nothing
 			grp = int(groupZipf.Uint64())
 		}
 		lo := grp * spec.GroupSize
@@ -310,6 +331,7 @@ func (z smallZipf) sample(r *rand.Rand, n int) int {
 		return 0
 	}
 	for {
+		//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 		u := r.Float64()
 		if u == 0 {
 			continue
@@ -318,7 +340,9 @@ func (z smallZipf) sample(r *rand.Rand, n int) int {
 			return k
 		}
 		// Fall back to uniform tail occasionally to guarantee progress.
+		//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 		if r.Float64() < 0.1 {
+			//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 			return r.Intn(n)
 		}
 	}

@@ -23,11 +23,12 @@ import (
 // only on window contents so that training is bit-exact at any queue depth.
 
 // SparseSource produces one table's sparse index stream for one batch
-// without materializing the full batch. *Dataset implements it; wrappers
-// that remap ids (reordering bijections) implement it by remapping the
-// underlying stream.
+// without materializing the full batch, into dst's storage and through the
+// caller's generator g (see Dataset.IndicesInto). *Dataset implements it;
+// wrappers that remap ids (reordering bijections) implement it by remapping
+// the underlying stream in place.
 type SparseSource interface {
-	BatchIndices(iter, size, table int) []int
+	IndicesInto(g *Generator, dst []int, iter, size, table int) []int
 }
 
 // LookaheadConfig sizes a Lookahead planner.
@@ -121,6 +122,27 @@ func (sc *laScratch) begin(ids int) {
 	sc.slot, sc.next, sc.uslot = sc.slot[:ids], sc.next[:ids], sc.uslot[:ids]
 }
 
+// reserve sizes acc for a batch of n ids with at most bound distinct rows:
+// Inverse holds n entries and the per-row arrays room for bound, so the
+// planner writes them in place. Storage is sized to the bound, not grown to
+// each new high-water mark, so a plan's storage converges on its first
+// window of a batch size.
+//
+//elrec:coldpath amortized growth to the largest batch seen; steady state reslices in place
+func (acc *BatchAccess) reserve(n, bound int) {
+	if cap(acc.Inverse) < n {
+		acc.Inverse = make([]int, n)
+	}
+	if cap(acc.Uniq) < bound || cap(acc.Fresh) < bound || cap(acc.NextUse) < bound ||
+		cap(acc.FreshIDs) < bound || cap(acc.FreshPos) < bound {
+		acc.Uniq, acc.Fresh, acc.NextUse = make([]int, bound), make([]bool, bound), make([]int32, bound)
+		acc.FreshIDs, acc.FreshPos = make([]int, bound), make([]int, bound)
+	}
+	acc.Inverse = acc.Inverse[:n]
+	acc.Uniq, acc.Fresh, acc.NextUse = acc.Uniq[:bound], acc.Fresh[:bound], acc.NextUse[:bound]
+	acc.FreshIDs, acc.FreshPos = acc.FreshIDs[:bound], acc.FreshPos[:bound]
+}
+
 // Lookahead plans windows of batches ahead of training. Advance may be
 // called from a different goroutine than Release (the pipeline's prefetcher
 // advances, the apply loop releases); the pool mutex provides the
@@ -130,16 +152,17 @@ type Lookahead struct {
 	cfg LookaheadConfig
 	src SparseSource
 
+	gen     Generator // the one generator every planned stream is drawn through
 	scratch laScratch
-	ids     [][]int // per-batch index stream of the table being planned
+	ids     [][]int // per-batch index stream of the table being planned, storage reused
 
 	mu   sync.Mutex
 	free []*WindowPlan
 }
 
 // NewLookahead builds a planner over src, which must implement
-// SparseSource: the planner reads per-table index streams and never
-// materializes a batch.
+// SparseSource: the planner draws per-table index streams through its own
+// generator into reused buffers and never materializes a batch.
 func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if cfg.Window < 2 {
 		return nil, fmt.Errorf("lookahead window %d: need at least 2 batches", cfg.Window)
@@ -152,7 +175,7 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	}
 	sparse, ok := src.(SparseSource)
 	if !ok {
-		return nil, fmt.Errorf("lookahead source %T does not implement BatchIndices", src)
+		return nil, fmt.Errorf("lookahead source %T does not implement IndicesInto", src)
 	}
 	l := &Lookahead{cfg: cfg, src: sparse, ids: make([][]int, cfg.Window)}
 	for _, rows := range cfg.Rows {
@@ -165,7 +188,8 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 
 // Advance plans the window of n batches starting at absolute iteration
 // start (n may be smaller than the configured window for the tail of a
-// run). The returned plan is valid until Release.
+// run). The returned plan is valid until Release. Once plan storage and the
+// stream buffers have grown to the working set, it allocates nothing.
 func (l *Lookahead) Advance(start, n int) *WindowPlan {
 	if n < 1 || n > l.cfg.Window {
 		//elrec:invariant the pipeline truncates n to the remaining steps, never beyond the window
@@ -175,7 +199,7 @@ func (l *Lookahead) Advance(start, n int) *WindowPlan {
 	plan.Start, plan.N = start, n
 	for ti, pos := range l.cfg.Tables {
 		for j := 0; j < n; j++ {
-			l.ids[j] = l.src.BatchIndices(start+j, l.cfg.Batch, pos)
+			l.ids[j] = l.src.IndicesInto(&l.gen, l.ids[j], start+j, l.cfg.Batch, pos)
 		}
 		l.planTable(ti, plan, start, n)
 	}
@@ -214,9 +238,10 @@ func (l *Lookahead) takePlan(n int) *WindowPlan {
 // streams in l.ids[0:n]. The forward pass builds each batch's uniq/inverse
 // and hands every distinct row of the window its window slot; a row whose
 // slot it creates is on its first use in the window, so that uniq entry is
-// Fresh and joins FreshIDs/FreshPos. The backward pass links each uniq
-// entry to the row's next in-window use through the slots recorded in
-// uslot.
+// Fresh and joins FreshIDs/FreshPos; a batch has at most min(ids, rows)
+// distinct rows, which is what reserve sizes for. The backward pass links
+// each uniq entry to the row's next in-window use through the slots
+// recorded in uslot.
 //
 //elrec:hotpath lookahead window planning: oracle admission must not allocate at steady state
 func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
@@ -232,39 +257,30 @@ func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
 	slots, base := 0, 0 // window slots handed out; uslot offset of batch j
 	for j := 0; j < n; j++ {
 		acc := &tw.Acc[j]
-		acc.Uniq, acc.Inverse, acc.Fresh = acc.Uniq[:0], acc.Inverse[:0], acc.Fresh[:0]
-		acc.FreshIDs, acc.FreshPos = acc.FreshIDs[:0], acc.FreshPos[:0]
-		for _, id := range l.ids[j] {
+		ids := l.ids[j]
+		acc.reserve(len(ids), min(len(ids), l.cfg.Rows[ti]))
+		u, k := 0, 0 // the batch's uniq and fresh entries so far
+		for p, id := range ids {
 			w, fresh := sc.win.IDOf(id, slots)
 			if fresh {
 				slots++
 				sc.slot[w], sc.next[w] = -1, -1
 			}
 			if int(sc.slot[w]) < base { // last seen in an earlier batch, or never
-				u := len(acc.Uniq)
 				sc.slot[w] = int32(base + u)
 				sc.uslot[sc.slot[w]] = int32(w)
-				//elrec:coldpath amortized: uniq storage keeps its capacity across windows
-				acc.Uniq = append(acc.Uniq, id)
-				//elrec:coldpath amortized: fresh-flag storage keeps its capacity across windows
-				acc.Fresh = append(acc.Fresh, fresh)
+				acc.Uniq[u], acc.Fresh[u] = id, fresh
 				if fresh {
-					//elrec:coldpath amortized: fresh-id storage keeps its capacity across windows
-					acc.FreshIDs = append(acc.FreshIDs, id)
-					//elrec:coldpath amortized: fresh-pos storage keeps its capacity across windows
-					acc.FreshPos = append(acc.FreshPos, u)
+					acc.FreshIDs[k], acc.FreshPos[k] = id, u
+					k++
 				}
+				u++
 			}
-			//elrec:coldpath amortized: inverse storage keeps its capacity across windows
-			acc.Inverse = append(acc.Inverse, int(sc.slot[w])-base)
+			acc.Inverse[p] = int(sc.slot[w]) - base
 		}
-		u := len(acc.Uniq)
+		acc.Uniq, acc.Fresh, acc.NextUse = acc.Uniq[:u], acc.Fresh[:u], acc.NextUse[:u]
+		acc.FreshIDs, acc.FreshPos = acc.FreshIDs[:k], acc.FreshPos[:k]
 		base += u
-		if cap(acc.NextUse) < u {
-			//elrec:coldpath amortized per-batch next-use growth
-			acc.NextUse = make([]int32, u)
-		}
-		acc.NextUse = acc.NextUse[:u]
 	}
 
 	for j := n - 1; j >= 0; j-- {

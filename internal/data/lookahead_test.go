@@ -31,13 +31,14 @@ func lookaheadTestSpec() Spec {
 }
 
 // fixedSource is a canned SparseSource over explicit per-batch id streams:
-// ids[iter][table]. It allocates nothing per call, which also makes it the
-// subject of the steady-state allocation test.
+// ids[iter][table], returned as they are (dst and the generator go unused).
+// It allocates nothing per call, which also makes it the subject of the
+// steady-state allocation test.
 type fixedSource struct {
 	ids [][][]int
 }
 
-func (f *fixedSource) BatchIndices(iter, size, table int) []int {
+func (f *fixedSource) IndicesInto(_ *Generator, _ []int, iter, size, table int) []int {
 	return f.ids[iter][table]
 }
 
@@ -273,11 +274,12 @@ func decodeLookaheadInput(in []byte) (rows []int, window, start int, sizes []int
 	}
 }
 
-// streamsOf reads table ti's index streams for [start, start+n) from src.
+// streamsOf reads table ti's index streams for [start, start+n) from src,
+// each into fresh storage through a fresh generator.
 func streamsOf(src SparseSource, start, n, size, ti int) [][]int {
 	streams := make([][]int, n)
 	for j := range streams {
-		streams[j] = src.BatchIndices(start+j, size, ti)
+		streams[j] = src.IndicesInto(&Generator{}, nil, start+j, size, ti)
 	}
 	return streams
 }
@@ -290,11 +292,10 @@ type spreadSource struct {
 	rows []int
 }
 
-func (s *spreadSource) BatchIndices(iter, size, table int) []int {
-	src := s.d.BatchIndices(iter, size, table)
+func (s *spreadSource) IndicesInto(g *Generator, dst []int, iter, size, table int) []int {
+	ids := s.d.IndicesInto(g, dst, iter, size, table)
 	have, want := s.d.Spec.TableRows[table], s.rows[table]
-	ids := make([]int, len(src))
-	for i, id := range src {
+	for i, id := range ids {
 		if want >= have {
 			ids[i] = id * (want / have)
 		} else {
@@ -373,7 +374,7 @@ func TestLookaheadShortWindow(t *testing.T) {
 	plan.Release()
 }
 
-// batchOnly hides Dataset.BatchIndices: a source the planner must refuse.
+// batchOnly hides Dataset.IndicesInto: a source the planner must refuse.
 type batchOnly struct{ d *Dataset }
 
 func (b batchOnly) Batch(iter, size int) *Batch { return b.d.Batch(iter, size) }
@@ -395,7 +396,7 @@ func TestLookaheadConfigValidation(t *testing.T) {
 	// A source that can only build whole batches is refused by name.
 	_, err := NewLookahead(batchOnly{}, LookaheadConfig{Window: 2, Batch: 1})
 	if err == nil || !strings.Contains(err.Error(), "data.batchOnly") {
-		t.Errorf("a source without BatchIndices: got %v, want an error naming data.batchOnly", err)
+		t.Errorf("a source without IndicesInto: got %v, want an error naming data.batchOnly", err)
 	}
 }
 
@@ -466,6 +467,44 @@ func TestLookaheadZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state Advance allocated %v times per window, want 0", allocs)
 	}
+}
+
+// TestLookaheadZeroAllocDatasetStreams is the planner's allocation contract
+// with stream generation included: over the dataset itself as the source,
+// Advance draws every table's streams through the planner's one generator
+// into its reused buffers, so once a round of windows has grown the storage
+// a steady-state Advance+Release allocates nothing, and its plans still
+// match the reference planner.
+func TestLookaheadZeroAllocDatasetStreams(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	d, err := New(lookaheadTestSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, batch = 4, 32
+	cfg := LookaheadConfig{Window: window, Batch: batch, Rows: d.Spec.TableRows}
+	for ti := range d.Spec.TableRows {
+		cfg.Tables = append(cfg.Tables, ti)
+	}
+	la, err := NewLookahead(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := 0; start < 16*window; start += window {
+		la.Advance(start, window).Release()
+	}
+	start := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		la.Advance(start, window).Release()
+		start += window
+	}); allocs != 0 {
+		t.Fatalf("steady-state Advance over dataset streams allocated %v times per window, want 0", allocs)
+	}
+	plan := la.Advance(start, window)
+	for ti := range cfg.Tables {
+		checkPlanAgainstReference(t, "dataset streams", plan, ti, streamsOf(d, start, window, batch, ti))
+	}
+	plan.Release()
 }
 
 func equalInts(a, b []int) bool {

@@ -11,8 +11,11 @@ import (
 // input to frequency-based index ordering.
 func (d *Dataset) AccessCounts(table, batches, batchSize int) []int64 {
 	counts := make([]int64, d.Spec.TableRows[table])
+	var g Generator
+	var ids []int
 	for it := 0; it < batches; it++ {
-		for _, idx := range d.BatchIndices(it, batchSize, table) {
+		ids = d.IndicesInto(&g, ids, it, batchSize, table)
+		for _, idx := range ids {
 			counts[idx]++
 		}
 	}
@@ -56,8 +59,13 @@ func CumulativeAccessCurve(counts []int64, points []float64) []float64 {
 // of unique indices per batch for table t at the given batch size.
 func (d *Dataset) AvgUniquePerBatch(table, batches, batchSize int) float64 {
 	var total int
+	var g Generator
+	var ids []int
+	var seen embedding.Index
+	var uniq, inverse []int
 	for it := 0; it < batches; it++ {
-		uniq, _ := embedding.Unique(d.BatchIndices(it, batchSize, table))
+		ids = d.IndicesInto(&g, ids, it, batchSize, table)
+		uniq, inverse = seen.UniqueInto(ids, uniq, inverse)
 		total += len(uniq)
 	}
 	return float64(total) / float64(batches)

@@ -664,24 +664,27 @@ func (s *remoteStore) group(uniq []int) (rows [][]int, pos [][]int) {
 	return rows, pos
 }
 
-// GatherRows fetches the current value of each requested row.
-func (s *remoteStore) GatherRows(uniq []int) (*tensor.Matrix, error) {
+// GatherRows fetches the current value of each requested row into dst,
+// row ids[k] into dst.Row(at[k]) (dst.Row(k) when at is nil).
+func (s *remoteStore) GatherRows(ids, at []int, dst *tensor.Matrix) error {
 	dim := s.c.cfg.Dim
-	out := tensor.New(len(uniq), dim)
-	rows, pos := s.group(uniq)
+	rows, pos := s.group(ids)
 	for sh := range rows {
 		if len(rows[sh]) == 0 {
 			continue
 		}
 		values, err := s.c.Gather(s.ctx, sh, s.spec.Index, rows[sh])
 		if err != nil {
-			return nil, fmt.Errorf("table %d shard %d: %w", s.spec.Index, sh, err)
+			return fmt.Errorf("table %d shard %d: %w", s.spec.Index, sh, err)
 		}
 		for j, p := range pos[sh] {
-			copy(out.Row(p), values[j*dim:(j+1)*dim])
+			if at != nil {
+				p = at[p]
+			}
+			copy(dst.Row(p), values[j*dim:(j+1)*dim])
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ApplyDelta scatters the pre-scaled delta across the owning shards.

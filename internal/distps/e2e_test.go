@@ -153,9 +153,9 @@ func TestDistributedMatchesReference(t *testing.T) {
 }
 
 // TestShardKillRecoverySameWorker kills and restarts shard 1 right after
-// the coordinated checkpoint commits version 20 (the exact point
-// AfterCheckpoint pins). The restarted shard refuses traffic until
-// restored, so the worker's next gather fails; the recovery loop
+// the coordinated checkpoint commits version 20 (the exact point the
+// checkpoint's Coordinate hook pins). The restarted shard refuses traffic
+// until restored, so the worker's next gather fails; the recovery loop
 // re-acquires the lease, rolls every shard back to version 20, and resumes
 // — with a final state bit-identical to a run that never crashed.
 func TestShardKillRecoverySameWorker(t *testing.T) {
@@ -177,18 +177,18 @@ func TestShardKillRecoverySameWorker(t *testing.T) {
 	})
 
 	cfg := testWorkerConfig(sc, 1, addrs)
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "worker.ckpt")
-	cfg.CheckpointEvery = every
+	cfg.Checkpoint = ps.CheckpointConfig{Path: filepath.Join(t.TempDir(), "worker.ckpt"), Every: every}
 	killed := false
-	cfg.AfterCheckpoint = func(v int64) {
+	cfg.Checkpoint.Coordinate = func(v int) error {
 		if v != every || killed {
-			return
+			return nil
 		}
 		killed = true
 		mu.Lock()
 		defer mu.Unlock()
 		shards[1].Close()
 		shards[1], _ = bootShard(t, sc, 1, 2, dirs[1], addrs[1])
+		return nil
 	}
 	w, err := NewWorker(cfg)
 	if err != nil {
@@ -202,7 +202,7 @@ func TestShardKillRecoverySameWorker(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if !killed {
-		t.Fatal("AfterCheckpoint hook never fired; no shard was killed")
+		t.Fatal("the checkpoint's Coordinate hook never fired; no shard was killed")
 	}
 	if res.Recoveries == 0 {
 		t.Fatal("worker finished without a recovery despite the shard kill")
@@ -261,8 +261,7 @@ func TestKillAndRejoinTwoWorkers(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "worker.ckpt")
 	newCfg := func(id uint64) WorkerConfig {
 		cfg := testWorkerConfig(sc, id, workerAddrs)
-		cfg.CheckpointPath = ckpt
-		cfg.CheckpointEvery = every
+		cfg.Checkpoint = ps.CheckpointConfig{Path: ckpt, Every: every}
 		cfg.LeaseTTL = 150 * time.Millisecond
 		cfg.RPCTimeout = 500 * time.Millisecond
 		cfg.Sleep = nil // standby polling must follow the real lease clock
@@ -273,9 +272,9 @@ func TestKillAndRejoinTwoWorkers(t *testing.T) {
 	defer cancelA()
 	cfgA := newCfg(1)
 	killed := false
-	cfgA.AfterCheckpoint = func(v int64) {
+	cfgA.Checkpoint.Coordinate = func(v int) error {
 		if v != 2*every || killed {
-			return
+			return nil
 		}
 		killed = true
 		mu.Lock()
@@ -283,6 +282,7 @@ func TestKillAndRejoinTwoWorkers(t *testing.T) {
 		shards[1], _ = bootShard(t, sc, 1, 2, dirs[1], addrs[1])
 		mu.Unlock()
 		cancelA() // A dies with the shard commit done but the run unfinished
+		return nil
 	}
 	a, err := NewWorker(cfgA)
 	if err != nil {

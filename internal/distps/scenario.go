@@ -139,7 +139,11 @@ func GatherFullTable(store ps.HostStore, spec TableSpec) (*tensor.Matrix, error)
 	for i := range rows {
 		rows[i] = i
 	}
-	return store.GatherRows(rows)
+	out := tensor.New(spec.Rows, store.Dim())
+	if err := store.GatherRows(rows, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // HashState returns a stable FNV-1a/64 fingerprint of the full training

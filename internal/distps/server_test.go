@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -137,6 +138,15 @@ func TestGatherMatchesReferenceInit(t *testing.T) {
 	}
 }
 
+// gatherRows gathers rows through store into a fresh matrix, in order.
+func gatherRows(store ps.HostStore, rows []int) (*tensor.Matrix, error) {
+	out := tensor.New(len(rows), store.Dim())
+	if err := store.GatherRows(rows, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestPushApplyAndDedup(t *testing.T) {
 	sc := testScenario()
 	shards, addrs := startShards(t, sc, 2, nil)
@@ -147,9 +157,24 @@ func TestPushApplyAndDedup(t *testing.T) {
 	spec := sc.HostSpecs()[0]
 	store := c.Store(context.Background(), spec)
 	rows := []int{0, 5, 17}
-	before, err := store.GatherRows(rows)
+	before, err := gatherRows(store, rows)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Gathering into positions scatters row k into dst.Row(at[k]) and
+	// leaves the other rows alone.
+	scattered := tensor.New(len(rows)+1, sc.Model.EmbDim)
+	scattered.Row(0)[0] = 42
+	if err := store.GatherRows(rows, []int{3, 1, 2}, scattered); err != nil {
+		t.Fatal(err)
+	}
+	for k, at := range []int{3, 1, 2} {
+		if !slices.Equal(scattered.Row(at), before.Row(k)) {
+			t.Fatalf("row %d gathered into slot %d differs from the in-order gather", rows[k], at)
+		}
+	}
+	if scattered.Row(0)[0] != 42 {
+		t.Fatal("a gather into positions wrote a row it was not given")
 	}
 	delta := tensor.New(len(rows), sc.Model.EmbDim)
 	for i := range delta.Data {
@@ -158,7 +183,7 @@ func TestPushApplyAndDedup(t *testing.T) {
 	if err := store.ApplyDelta(rows, delta); err != nil {
 		t.Fatalf("ApplyDelta: %v", err)
 	}
-	after, err := store.GatherRows(rows)
+	after, err := gatherRows(store, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +204,14 @@ func TestPushApplyAndDedup(t *testing.T) {
 	if err := c.Push(context.Background(), shard, seq, spec.Index, rows[:1], one); err != nil {
 		t.Fatalf("push: %v", err)
 	}
-	applied, err := store.GatherRows(rows[:1])
+	applied, err := gatherRows(store, rows[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Push(context.Background(), shard, seq, spec.Index, rows[:1], one); err != nil {
 		t.Fatalf("replayed push: %v", err)
 	}
-	replayed, err := store.GatherRows(rows[:1])
+	replayed, err := gatherRows(store, rows[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +297,7 @@ func TestCheckpointRestoreRollsBack(t *testing.T) {
 	if err := store.ApplyDelta(rows, delta); err != nil {
 		t.Fatal(err)
 	}
-	atCheckpoint, err := store.GatherRows(rows)
+	atCheckpoint, err := gatherRows(store, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +310,7 @@ func TestCheckpointRestoreRollsBack(t *testing.T) {
 	if err := c.RestoreAll(context.Background(), 7); err != nil {
 		t.Fatalf("RestoreAll: %v", err)
 	}
-	got, err := store.GatherRows(rows)
+	got, err := gatherRows(store, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +358,7 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 	if err := c.CheckpointAll(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	want, err := store.GatherRows([]int{0})
+	want, err := gatherRows(store, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,13 +384,13 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 	}
 	serveShard(s2, ln2)
 
-	if _, err := store.GatherRows([]int{0}); !errors.Is(err, ErrNotRestored) {
+	if _, err := gatherRows(store, []int{0}); !errors.Is(err, ErrNotRestored) {
 		t.Fatalf("gather before restore: %v, want ErrNotRestored", err)
 	}
 	if err := c.RestoreAll(context.Background(), 5); err != nil {
 		t.Fatalf("RestoreAll after restart: %v", err)
 	}
-	got, err := store.GatherRows([]int{0})
+	got, err := gatherRows(store, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}

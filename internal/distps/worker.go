@@ -26,11 +26,14 @@ type WorkerConfig struct {
 	Shards   []string
 	Scenario Scenario
 
-	// CheckpointPath/CheckpointEvery enable coordinated checkpoints: every
-	// Every iterations the shards commit the version first, then the local
-	// file is written (the commit point).
-	CheckpointPath  string
-	CheckpointEvery int
+	// Checkpoint enables coordinated checkpoints: every Every iterations
+	// the shards commit the version first, then the local file at Path is
+	// written (the commit point). Its Coordinate, when set, runs on the
+	// training goroutine between the two, right after the shards committed
+	// version nextIter; fault tests use it to kill and restart shards at an
+	// exactly reproducible point in the protocol, and an error aborts the
+	// checkpoint.
+	Checkpoint ps.CheckpointConfig
 
 	LeaseTTL       time.Duration // trainer lease duration (0: shard default); renewed every LeaseTTL/3, at least 10ms apart
 	HeartbeatEvery time.Duration // shard liveness probes (0: disabled)
@@ -46,12 +49,6 @@ type WorkerConfig struct {
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
 	Log     *obs.Logger
-
-	// AfterCheckpoint, when set, runs on the training goroutine right after
-	// the shards committed version v, before the worker's local file is
-	// written. Fault tests use it to kill and restart shards at an exactly
-	// reproducible point in the protocol.
-	AfterCheckpoint func(version int64)
 }
 
 // RunResult summarizes a Run: the loss curve of the final training round,
@@ -102,8 +99,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if len(cfg.Scenario.HostSpecs()) == 0 {
 		return nil, fmt.Errorf("%w: scenario places no tables on the parameter server", ErrBadRequest)
 	}
-	if cfg.CheckpointEvery < 0 || (cfg.CheckpointEvery > 0 && cfg.CheckpointPath == "") {
-		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", ErrBadRequest, cfg.CheckpointEvery)
+	if ck := cfg.Checkpoint; ck.Every < 0 || (ck.Every > 0 && ck.Path == "") {
+		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", ErrBadRequest, ck.Every)
 	}
 	if cfg.StandbyPoll <= 0 {
 		cfg.StandbyPoll = 100 * time.Millisecond
@@ -160,16 +157,16 @@ func (w *Worker) buildPipeline(ctx context.Context) (*ps.Pipeline, error) {
 	pcfg.Retry = w.cfg.PipelineRetry
 	pcfg.Metrics = w.cfg.Metrics
 	pcfg.Trace = w.cfg.Trace
-	if w.cfg.CheckpointEvery > 0 {
+	if ck := w.cfg.Checkpoint; ck.Every > 0 {
 		pcfg.Checkpoint = ps.CheckpointConfig{
-			Path:  w.cfg.CheckpointPath,
-			Every: w.cfg.CheckpointEvery,
+			Path:  ck.Path,
+			Every: ck.Every,
 			Coordinate: func(nextIter int) error {
 				if err := w.client.CheckpointAll(ctx, int64(nextIter)); err != nil {
 					return err
 				}
-				if w.cfg.AfterCheckpoint != nil {
-					w.cfg.AfterCheckpoint(int64(nextIter))
+				if ck.Coordinate != nil {
+					return ck.Coordinate(nextIter)
 				}
 				return nil
 			},
@@ -213,16 +210,17 @@ func (w *Worker) startRenewal(ctx context.Context) func() {
 // loadLocalVersion reads the worker's checkpoint into p, returning the
 // next iteration (0 when no checkpoint exists yet).
 func (w *Worker) loadLocalVersion(p *ps.Pipeline) (int, error) {
-	if w.cfg.CheckpointPath == "" {
+	path := w.cfg.Checkpoint.Path
+	if path == "" {
 		return 0, nil
 	}
-	if _, err := os.Stat(w.cfg.CheckpointPath); err != nil {
+	if _, err := os.Stat(path); err != nil {
 		if os.IsNotExist(err) {
 			return 0, nil
 		}
 		return 0, err
 	}
-	return p.LoadCheckpoint(w.cfg.CheckpointPath)
+	return p.LoadCheckpoint(path)
 }
 
 // Run trains `steps` total iterations of batch-size `batch` from src,

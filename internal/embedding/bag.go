@@ -188,18 +188,30 @@ func (b *Bag) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
 	}
 }
 
-// GatherRows copies the given rows into a fresh len(rows)×dim matrix; used
-// by the parameter server to service pre-fetch requests.
+// GatherRows copies the given rows into a fresh len(rows)×dim matrix:
+// GatherRowsInto over a new one.
 func (b *Bag) GatherRows(rows []int) *tensor.Matrix {
 	out := tensor.New(len(rows), b.dim)
-	for i, r := range rows {
+	b.GatherRowsInto(out, rows, nil)
+	return out
+}
+
+// GatherRowsInto copies row rows[k] of the table into dst.Row(at[k]) (into
+// dst.Row(k) when at is nil) and leaves dst's other rows alone; the
+// parameter server services pre-fetch requests through it into the
+// caller's storage.
+func (b *Bag) GatherRowsInto(dst *tensor.Matrix, rows, at []int) {
+	for k, r := range rows {
 		if r < 0 || r >= b.rows {
 			//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 			panic(fmt.Sprintf("embedding: GatherRows index %d out of range", r))
 		}
-		copy(out.Row(i), b.Weights.Row(r))
+		to := k
+		if at != nil {
+			to = at[k]
+		}
+		copy(dst.Row(to), b.Weights.Row(r))
 	}
-	return out
 }
 
 // ScatterAdd adds delta rows into the table at the given row ids; used by

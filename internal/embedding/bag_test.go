@@ -169,6 +169,21 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Into positions: row rows[k] lands in dst.Row(at[k]); other rows keep
+	// what they held.
+	dst := tensor.New(4, 3)
+	dst.Set(0, 0, -7)
+	b.GatherRowsInto(dst, rows, []int{3, 1, 2})
+	for k, at := range []int{3, 1, 2} {
+		for j := 0; j < 3; j++ {
+			if dst.At(at, j) != got.At(k, j) {
+				t.Fatalf("GatherRowsInto put row %d's column %d wrong in slot %d", rows[k], j, at)
+			}
+		}
+	}
+	if dst.At(0, 0) != -7 {
+		t.Fatal("GatherRowsInto wrote a row it was not given")
+	}
 	// ScatterAdd of zeros is identity; of deltas adds.
 	delta := tensor.New(3, 3)
 	delta.Set(1, 2, 5)

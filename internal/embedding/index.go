@@ -82,18 +82,34 @@ func (u *Index) Find(key int) (id int, ok bool) {
 // Unique returns the distinct values of indices in order of first occurrence
 // together with an inverse mapping: indices[p] == uniq[inverse[p]]. It is the
 // shared primitive behind in-advance gradient aggregation and the paper's
-// Figure 4(b) statistic.
+// Figure 4(b) statistic. The result is fresh; Index.UniqueInto is the same
+// dedup into reused storage.
 func Unique(indices []int) (uniq []int, inverse []int) {
-	uniq = make([]int, 0, len(indices))
-	inverse = make([]int, len(indices))
 	var seen Index
-	seen.Begin(len(indices))
-	for p, idx := range indices {
-		u, fresh := seen.IDOf(idx, len(uniq))
-		if fresh {
-			uniq = append(uniq, idx)
-		}
-		inverse[p] = u
+	return seen.UniqueInto(indices, nil, nil)
+}
+
+// UniqueInto is Unique(indices) through u, into the storage of uniq and
+// inverse: storage shorter than len(indices) is replaced by new, so once it
+// has held a set of n indices, deduplicating n or fewer allocates nothing.
+// The index is free again when UniqueInto returns; the result lives in the
+// caller's storage.
+func (u *Index) UniqueInto(indices, uniq, inverse []int) ([]int, []int) {
+	n := len(indices)
+	u.Begin(n)
+	if cap(uniq) < n || cap(inverse) < n {
+		//elrec:coldpath amortized growth to the largest index set seen
+		uniq, inverse = make([]int, n), make([]int, n)
 	}
-	return uniq, inverse
+	uniq, inverse = uniq[:n], inverse[:n]
+	k := 0
+	for p, idx := range indices {
+		id, fresh := u.IDOf(idx, k)
+		if fresh {
+			uniq[k] = idx
+			k++
+		}
+		inverse[p] = id
+	}
+	return uniq[:k], inverse
 }

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/dlrm"
 	"repro/internal/embedding"
@@ -13,6 +14,7 @@ import (
 // Lookup pools the pre-fetched (cache-synced) unique rows; Update aggregates
 // the pooled gradient per unique row, publishes the post-update values to
 // the embedding cache, and leaves the gradient for the pipeline to push.
+// Inside a pipeline step both work in the step slab's rows (hostBatch).
 //
 // Like tt.Table, the adapter owns what Lookup returns: the matrix stays
 // valid until the adapter's next Lookup, which overwrites it.
@@ -23,11 +25,11 @@ type hostAdapter struct {
 	dim      int
 	lr       float32
 
-	current *hostRows
-	pending *gradRows
+	current *hostRows // the step slab's rows of this table; nil outside a pipeline step
 
-	pooled  *tensor.Matrix // Lookup's result, reused by the next Lookup
-	updated *tensor.Matrix // Update's post-update rows, staged for Cache.Publish
+	pooled *tensor.Matrix  // Lookup's result, reused by the next Lookup
+	seen   embedding.Index // an out-of-step Lookup's dedup
+	eval   hostRows        // an out-of-step Lookup's unique and gathered rows, reused by the next one
 }
 
 var _ dlrm.Table = (*hostAdapter)(nil)
@@ -35,78 +37,89 @@ var _ dlrm.Table = (*hostAdapter)(nil)
 // Lookup pools the current pre-fetched rows into per-sample embeddings, in
 // the adapter-owned result matrix. Outside a pipeline step
 // (inference/evaluation) it reads the host table directly under its lock —
-// the synchronous path a serving system would take.
+// the synchronous path a serving system would take — into adapter-owned
+// scratch, so a held-out batch costs no allocation once the scratch has
+// grown to the batch.
+//
+//elrec:hotpath in-step pooling of the pre-fetched rows on every training step
 func (a *hostAdapter) Lookup(indices, offsets []int) *tensor.Matrix {
 	cur := a.current
-	if cur == nil {
-		uniq, inverse := embedding.Unique(indices)
-		values, err := a.pipeline.stores[a.slot].GatherRows(uniq)
-		if err != nil {
-			// Lookup is a dlrm.Table method and cannot return an error; an
-			// unreachable remote store outside a pipeline step surfaces as a
-			// typed panic exactly like the adapter-misuse invariant.
-			//elrec:invariant typed ErrStoreUnavailable panic: synchronous lookups have no error channel; pipeline steps never take this path
-			panic(fmt.Errorf("%w: host table %d: %w", ErrStoreUnavailable, a.slot, err))
-		}
-		cur = &hostRows{uniq: uniq, inverse: inverse, values: values}
+	inStep := cur != nil
+	var start time.Time
+	if inStep {
+		//elrec:coldpath interface-dispatched clock read
+		start = a.pipeline.clock.Now()
 	} else {
-		start := a.pipeline.clock.Now()
-		defer func() {
-			a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
-		}()
+		//elrec:coldpath out-of-step read for evaluation: an interface-dispatched store gather
+		cur = a.readRows(indices)
 	}
 	out := tensor.Reuse(a.pooled, len(offsets), a.dim)
 	a.pooled = out
 	out.Zero()
 	for s := range offsets {
-		start := offsets[s]
-		end := len(indices)
-		if s+1 < len(offsets) {
-			end = offsets[s+1]
-		}
+		lo, hi := embedding.BagBounds(offsets, s, len(indices))
 		row := out.Row(s)
-		for pos := start; pos < end; pos++ {
-			tensor.AddTo(row, cur.values.Row(cur.inverse[pos]))
+		for _, u := range cur.inverse[lo:hi] {
+			tensor.AddTo(row, cur.values.Row(u))
 		}
+	}
+	if inStep {
+		//elrec:coldpath interface-dispatched clock read
+		a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
 	}
 	return out
 }
 
-// Update aggregates dOut per unique row, publishes updated values to the
-// cache, and stages the gradient push. Outside a pipeline step it panics
-// with a typed error; the pipeline's recover machinery converts that into
-// an ErrAdapterMisuse-wrapped failure instead of a crash.
+// readRows deduplicates an out-of-step batch's indices and gathers their
+// rows from the store, both into the adapter's eval scratch.
+func (a *hostAdapter) readRows(indices []int) *hostRows {
+	r := &a.eval
+	r.uniq, r.inverse = a.seen.UniqueInto(indices, r.uniq, r.inverse)
+	r.values = tensor.ReuseRows(r.values, len(r.uniq), a.dim, len(indices))
+	if err := a.pipeline.stores[a.slot].GatherRows(r.uniq, nil, r.values); err != nil {
+		// Lookup is a dlrm.Table method and cannot return an error; an
+		// unreachable remote store outside a pipeline step surfaces as a
+		// typed panic exactly like the adapter-misuse invariant.
+		//elrec:invariant typed ErrStoreUnavailable panic: synchronous lookups have no error channel; pipeline steps never take this path
+		panic(fmt.Errorf("%w: host table %d: %w", ErrStoreUnavailable, a.slot, err))
+	}
+	return r
+}
+
+// Update aggregates dOut per unique row into the step slab's gradient
+// matrix, overwrites the slab's gathered rows with their post-update values
+// and publishes those to the cache; the gradient rides the slab to apply.
+// Outside a pipeline step it panics with a typed error; the pipeline's
+// recover machinery converts that into an ErrAdapterMisuse-wrapped failure
+// instead of a crash.
+//
+//elrec:hotpath host-table gradient aggregation and cache publication on every training step
 func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
 	cur := a.current
 	if cur == nil {
 		//elrec:invariant typed ErrAdapterMisuse panic: the pipeline recover boundary converts it to an error
 		panic(fmt.Errorf("%w: host table %d updated outside a pipeline step", ErrAdapterMisuse, a.slot))
 	}
+	//elrec:coldpath interface-dispatched clock read
 	start := a.pipeline.clock.Now()
-	defer func() {
-		a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
-	}()
-	grads := tensor.New(len(cur.uniq), a.dim)
+	grads := tensor.ReuseRows(cur.grads, len(cur.uniq), a.dim, len(indices))
+	cur.grads = grads
+	grads.Zero()
 	for s := range offsets {
-		start := offsets[s]
-		end := len(indices)
-		if s+1 < len(offsets) {
-			end = offsets[s+1]
-		}
-		for pos := start; pos < end; pos++ {
-			tensor.AddTo(grads.Row(cur.inverse[pos]), dOut.Row(s))
+		lo, hi := embedding.BagBounds(offsets, s, len(indices))
+		for _, u := range cur.inverse[lo:hi] {
+			tensor.AddTo(grads.Row(u), dOut.Row(s))
 		}
 	}
 	// Publish post-update values: value − lr·grad (the worker's view of the
 	// row after this batch; the server applies the same delta to the host).
-	// Publish copies the rows, so the staging matrix is reused; grads is not:
-	// it rides the gradient queue to apply, which scales it into the delta.
-	updated := tensor.Reuse(a.updated, len(cur.uniq), a.dim)
-	a.updated = updated
-	copy(updated.Data, cur.values.Data)
-	tensor.Axpy(-lr, grads.Data, updated.Data)
-	a.pipeline.caches[a.slot].Publish(cur.uniq, updated, int(a.pipeline.trained.Load()), cur.nextUse)
-	a.pending = &gradRows{uniq: cur.uniq, grads: grads}
+	// Nothing reads the gathered values after this step's Update, so they
+	// take the update in place; Publish copies them into the cache.
+	tensor.Axpy(-lr, grads.Data, cur.values.Data)
+	a.pipeline.caches[a.slot].Publish(cur.uniq, cur.values, int(a.pipeline.trained.Load()), cur.nextUse)
+	cur.updated = true
+	//elrec:coldpath interface-dispatched clock read
+	a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
 }
 
 // NumRows returns the host table's row count.

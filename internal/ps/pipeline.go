@@ -178,8 +178,15 @@ type TrainResult struct {
 	Resumable bool
 }
 
-// hostBatch is one pre-fetch queue element: the training batch plus the
-// gathered unique host-table rows.
+// hostBatch is the pipeline's in-flight unit, one recycled step slab: the
+// training batch, each host table's gathered rows and aggregated gradient,
+// and what apply needs to retire the step. The gather takes a slab
+// (takeSlab) and fills it, the worker syncs, trains and pushes it, and apply
+// lands its gradients and recycles it (recycleSlab). Every stage hands the
+// slab on through a queue and reads nothing of it afterwards: once pushed, a
+// step belongs to apply, and once applied, to the next gather. All of its
+// storage is reused — matrices grow with a quarter of headroom
+// (tensor.ReuseRows) — so a steady-state step allocates nothing.
 type hostBatch struct {
 	iter  int
 	batch *data.Batch
@@ -192,40 +199,40 @@ type hostBatch struct {
 	// bits its push leaves in the host table.
 	gathered int64
 	// plan is the lookahead window plan this batch was gathered under (nil
-	// for an unplanned batch). The gradient push of the window's final batch
-	// carries the plan so the apply stage can release it once no consumer can
-	// still reference the plan's slices.
+	// for an unplanned batch). Apply releases it after the window's final
+	// batch, once no consumer can still reference the plan's slices.
 	plan *data.WindowPlan
+	// donec, when non-nil, is closed once apply has handled the step. The
+	// worker makes it for a step it must wait for (a checkpoint's drain
+	// barrier) and waits on its own copy: the slab itself may be reused by
+	// then.
+	donec chan struct{}
 }
 
-// hostRows carries the unique rows of one host table for one batch. For a
-// planned batch, fresh/nextUse alias the window plan's access arrays (valid
-// until the plan is released): fresh[i] marks rows gathered from the store
-// (the remaining rows are served from the cache, left zero in values until
-// Cache.Sync fills them), and nextUse[i] is the retention promise forwarded
-// to Cache.Publish. An unplanned batch gathers every row and promises
-// nothing: both are nil. freshN counts gathered rows.
+// hostRows carries one host table's rows for one step. uniq/inverse are the
+// batch's dedup. For a planned batch they and fresh/nextUse alias the window
+// plan's access arrays (valid until the plan is released): fresh[i] marks
+// rows gathered from the store (the remaining rows are served from the
+// cache, which Cache.Sync copies into values), and nextUse[i] is the
+// retention promise forwarded to Cache.Publish. An unplanned batch
+// deduplicates into the slab's ownUniq/ownInverse, gathers every row and
+// promises nothing: fresh and nextUse are nil. freshN counts gathered rows.
+//
+// values (len(uniq) × dim) and grads are the slab's storage: the gather
+// fills values, Update aggregates the step's gradient into grads and
+// overwrites values with the post-update rows it publishes, and apply turns
+// grads into the delta in place. updated records that Update ran this step.
 type hostRows struct {
 	uniq    []int
 	inverse []int
-	values  *tensor.Matrix // len(uniq) × dim
+	values  *tensor.Matrix
+	grads   *tensor.Matrix
 	fresh   []bool
 	nextUse []int32
 	freshN  int
-}
+	updated bool
 
-// gradPush is one gradient queue element.
-type gradPush struct {
-	iter  int
-	rows  []gradRows
-	donec chan struct{}    // closed once handled (used for drain barriers)
-	plan  *data.WindowPlan // non-nil on a window's last push: released after apply
-	batch *data.Batch      // the trained batch, recycled for a later gather after apply
-}
-
-type gradRows struct {
-	uniq  []int
-	grads *tensor.Matrix // aggregated per unique row
+	ownUniq, ownInverse []int
 }
 
 // Pipeline trains a DLRM whose embedding layer is split between device
@@ -256,11 +263,23 @@ type Pipeline struct {
 	clock  obs.Clock   // timestamp source for all stage timing; never nil
 	tracer *obs.Tracer // stage-span recorder; nil disables tracing
 
-	// spare holds batches no stage references any more, kept across Train
-	// calls for the gathers to regenerate into (takeBatch, recycleBatch).
-	// Every batch in flight sits in one of the two queues or one of the
-	// three stages, which bounds what it has to hold.
-	spare chan *data.Batch
+	// seen is the gather's dedup of an unplanned batch. Batches are gathered
+	// one at a time (by the pre-fetcher, or inline by the sequential worker),
+	// so one index serves every slab and table.
+	seen embedding.Index
+
+	// la is the lookahead planner of the last Train call, laSrc and laBatch
+	// the source and batch size it plans for (see planner); only Train
+	// touches them.
+	la      *data.Lookahead
+	laSrc   BatchSource
+	laBatch int
+
+	// spare holds the step slabs no stage references, kept across Train
+	// calls for the gathers to fill (takeSlab, recycleSlab). A pipeline owns
+	// exactly cap(spare) slabs (see slabs): Train tops the pool up to that
+	// before it starts, so slabs a failed call dropped are replaced.
+	spare chan *hostBatch
 
 	// m holds the pipeline-owned instruments behind Stats(). Counter
 	// updates are atomic, so writers on three goroutines need no lock and
@@ -367,7 +386,6 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.System(), tracer: cfg.Trace,
-		spare: make(chan *data.Batch, 2*cfg.QueueDepth+3),
 	}
 	p.registerMetrics(cfg.Metrics)
 	tables := make([]dlrm.Table, len(locs))
@@ -411,6 +429,7 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 		}
 	}
 	p.hostMu = make([]sync.RWMutex, len(p.hostBags))
+	p.spare = make(chan *hostBatch, p.slabs())
 	model, err := dlrm.NewModel(cfg.Model, tables)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
@@ -468,15 +487,15 @@ func (p *Pipeline) NumHostTables() int { return len(p.hostBags) }
 //elrec:locked hostMu caller synchronizes: test/evaluation hook, never raced against Train
 func (p *Pipeline) HostBag(i int) *embedding.Bag { return p.hostBags[i] }
 
-// gather assembles the pre-fetch payload for one batch: the unique rows of
-// every host table, read from its store (the server-side embedding lookup
-// of the PS architecture — an in-process bag under a lock, or a remote
-// shard fan-out). Under a plan the batch's uniq/inverse come from the plan
-// and only the rows whose first in-window use this is (acc.FreshIDs) are
-// read — the cross-batch dedup; the other rows' slots stay zero until
-// Cache.Sync fills them on the worker, where their presence is guaranteed.
-// applied is the push count read when the prefetch began (hostBatch.gathered).
-func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan, applied int64) (*hostBatch, error) {
+// gather fills the slab's rows for its batch: the unique rows of every host
+// table, read from its store (the server-side embedding lookup of the PS
+// architecture — an in-process bag under a lock, or a remote shard fan-out)
+// straight into the slab's value matrix. Under a plan the batch's
+// uniq/inverse come from the plan and only the rows whose first in-window
+// use this is (acc.FreshIDs) are read, each into its slot (acc.FreshPos) —
+// the cross-batch dedup; Cache.Sync fills the other rows on the worker,
+// where their presence is guaranteed.
+func (p *Pipeline) gather(hb *hostBatch) error {
 	start := p.clock.Now()
 	sp := p.tracer.Begin("gather", "ps", tidPrefetch)
 	defer func() {
@@ -485,79 +504,99 @@ func (p *Pipeline) gather(iter int, b *data.Batch, plan *data.WindowPlan, applie
 		p.m.gatherNS.Add(int64(d))
 		p.m.gatherHist.Observe(float64(d))
 	}()
-	hb := &hostBatch{iter: iter, batch: b, rows: make([]hostRows, len(p.stores)), gathered: applied, plan: plan}
 	for h, pos := range p.hostIdx {
 		hr := &hb.rows[h]
-		var read, readPos []int // the rows read from the store and their slots in uniq
-		if plan != nil {
-			acc := plan.Access(h, iter)
-			*hr = hostRows{uniq: acc.Uniq, inverse: acc.Inverse, fresh: acc.Fresh, nextUse: acc.NextUse}
-			read, readPos = acc.FreshIDs, acc.FreshPos
+		ids := hb.batch.Sparse[pos]
+		var read, at []int // the rows read from the store and their slots in uniq (nil: in order)
+		if plan := hb.plan; plan != nil {
+			acc := plan.Access(h, hb.iter)
+			hr.uniq, hr.inverse, hr.fresh, hr.nextUse = acc.Uniq, acc.Inverse, acc.Fresh, acc.NextUse
+			read, at = acc.FreshIDs, acc.FreshPos
 		} else {
-			hr.uniq, hr.inverse = embedding.Unique(b.Sparse[pos])
+			hr.ownUniq, hr.ownInverse = p.seen.UniqueInto(ids, hr.ownUniq, hr.ownInverse)
+			hr.uniq, hr.inverse = hr.ownUniq, hr.ownInverse
+			hr.fresh, hr.nextUse = nil, nil
 			read = hr.uniq
 		}
-		values, err := p.stores[h].GatherRows(read)
-		if err != nil {
-			return nil, fmt.Errorf("host table %d: %w", h, err)
+		hr.values = tensor.ReuseRows(hr.values, len(hr.uniq), p.cfg.Model.EmbDim, len(ids))
+		if err := p.stores[h].GatherRows(read, at, hr.values); err != nil {
+			return fmt.Errorf("host table %d: %w", h, err)
 		}
-		if len(read) < len(hr.uniq) {
-			full := tensor.New(len(hr.uniq), p.cfg.Model.EmbDim)
-			for k, at := range readPos {
-				copy(full.Row(at), values.Row(k))
-			}
-			values = full
-		}
-		hr.values, hr.freshN = values, len(read)
+		hr.freshN, hr.updated = len(read), false
 	}
-	return hb, nil
+	return nil
 }
 
-// takeBatch returns a spare batch to generate into, nil when there is none.
-func (p *Pipeline) takeBatch() *data.Batch {
+// pipelined reports whether Train runs the pipelined schedule: a queue
+// deeper than one and a host table whose server work can overlap.
+func (p *Pipeline) pipelined() bool { return p.cfg.QueueDepth > 1 && len(p.stores) > 0 }
+
+// slabs is how many step slabs the pipeline owns: one for the sequential
+// schedule, and for the pipelined one the queue depth plus one each for
+// the pre-fetcher, the worker and apply. That is every slab the pipeline
+// holds while the pre-fetch queue is full, so the pre-fetcher waits for a
+// slab only while pushes queue up behind a slow apply, and the fixed set
+// converges on its storage instead of growing new slabs when a step's
+// timing shifts.
+func (p *Pipeline) slabs() int {
+	if !p.pipelined() {
+		return 1
+	}
+	return p.cfg.QueueDepth + 3
+}
+
+// topUpSlabs refills the spare pool with empty slabs up to the pipeline's
+// count. Between Train calls no stage holds a slab, so every slab still
+// owned is in the pool; only those a failed call dropped are replaced.
+func (p *Pipeline) topUpSlabs() {
+	for len(p.spare) < cap(p.spare) {
+		p.spare <- &hostBatch{rows: make([]hostRows, len(p.stores))}
+	}
+}
+
+// takeSlab returns a spare step slab to fill, waiting until apply recycles
+// one; nil once stop is closed first (a nil stop never is).
+func (p *Pipeline) takeSlab(stop <-chan struct{}) *hostBatch {
 	select {
-	case b := <-p.spare:
-		return b
-	default:
+	case hb := <-p.spare:
+		return hb
+	case <-stop:
 		return nil
 	}
 }
 
-// recycleBatch returns a batch no stage references any more to the spares.
-// Both schedules recycle a batch once its push has been applied; in the
+// recycleSlab returns a slab no stage references any more to the spares.
+// Both schedules recycle a slab once its push has been handled; in the
 // pipelined one the gradient queue is FIFO, so by then the worker is done
 // with it.
-func (p *Pipeline) recycleBatch(b *data.Batch) {
-	if b == nil {
-		return
-	}
+func (p *Pipeline) recycleSlab(hb *hostBatch) {
 	select {
-	case p.spare <- b:
+	case p.spare <- hb:
 	default:
 	}
 }
 
-// gatherBatch is the fault-tolerant gather: it generates the batch into dst
-// (nil: a fresh one), retries injected transient faults with capped backoff,
-// and converts panics from the data or embedding layers into errors so a
-// faulty pre-fetcher cannot wedge the pipeline.
-func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSize int, plan *data.WindowPlan, dst *data.Batch) (hb *hostBatch, err error) {
+// gatherBatch is the fault-tolerant gather: it generates batch iter into the
+// slab, retries injected transient faults with capped backoff, and converts
+// panics from the data or embedding layers into errors so a faulty
+// pre-fetcher cannot wedge the pipeline.
+func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, hb *hostBatch, batchSize int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			hb, err = nil, fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, iter, recoveredErr(r))
+			err = fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, hb.iter, recoveredErr(r))
 		}
 	}()
 	// Read before generating: when a step trains faster than a batch is
 	// generated, a count read after generation already covers every earlier
 	// push, and a queue-depth-4 run reads no row through the cache at all.
-	applied := p.applied.Load()
-	b := d.BatchInto(dst, iter, batchSize)
+	hb.gathered = p.applied.Load()
+	hb.batch = d.BatchInto(hb.batch, hb.iter, batchSize)
 	for attempt := 0; ; attempt++ {
-		ferr := p.injectFault(ctx, faults.OpGather, iter, attempt)
+		ferr := p.injectFault(ctx, faults.OpGather, hb.iter, attempt)
 		if ferr == nil {
-			hb, gerr := p.gather(iter, b, plan, applied)
+			gerr := p.gather(hb)
 			if gerr == nil {
-				return hb, nil
+				return nil
 			}
 			// A failed store gather is retryable in place: reads have no
 			// side effects, so the same attempt loop that absorbs injected
@@ -565,10 +604,10 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSi
 			ferr = gerr
 		}
 		if attempt >= p.retry.MaxRetries {
-			return nil, fmt.Errorf("%w: iter %d after %d attempts: %w", ErrGatherFailed, iter, attempt+1, ferr)
+			return fmt.Errorf("%w: iter %d after %d attempts: %w", ErrGatherFailed, hb.iter, attempt+1, ferr)
 		}
 		if berr := p.backoff(ctx, tidPrefetch, attempt); berr != nil {
-			return nil, fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, iter, berr)
+			return fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, hb.iter, berr)
 		}
 	}
 }
@@ -577,7 +616,7 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, iter, batchSi
 // host tables, then advance the applied-push counter that retires cache
 // entries (their life cycle ends once the host copy is provably visible to
 // gathers).
-func (p *Pipeline) apply(g *gradPush) error {
+func (p *Pipeline) apply(hb *hostBatch) error {
 	start := p.clock.Now()
 	sp := p.tracer.Begin("apply", "ps", tidApply)
 	defer func() {
@@ -586,14 +625,15 @@ func (p *Pipeline) apply(g *gradPush) error {
 		p.m.applyNS.Add(int64(d))
 		p.m.applyHist.Observe(float64(d))
 	}()
-	for h, gr := range g.rows {
-		if len(gr.uniq) == 0 {
+	for h := range hb.rows {
+		hr := &hb.rows[h]
+		if len(hr.uniq) == 0 {
 			continue
 		}
-		// The push owns grads (hostAdapter.Update allocates them per step
-		// and nothing reads them after apply): they become the delta in place.
-		tensor.Scale(-p.cfg.Model.LR, gr.grads.Data)
-		if err := p.stores[h].ApplyDelta(gr.uniq, gr.grads); err != nil {
+		// Nothing reads the step's gradient after apply: it becomes the
+		// delta in place.
+		tensor.Scale(-p.cfg.Model.LR, hr.grads.Data)
+		if err := p.stores[h].ApplyDelta(hr.uniq, hr.grads); err != nil {
 			// The push may have landed on some tables (or shards) but not
 			// others; the caller reports training state as torn rather than
 			// re-applying (a blind retry would double-count whatever did
@@ -608,51 +648,58 @@ func (p *Pipeline) apply(g *gradPush) error {
 	return nil
 }
 
+// handled closes the step's donec, if the worker waits on one.
+func (hb *hostBatch) handled() {
+	if hb.donec != nil {
+		close(hb.donec)
+	}
+}
+
 // applyPush is the fault-tolerant apply: transient faults retry with
 // backoff under ctx (Train passes one that is never cancelled — a cancelled
 // drain still has to land every pending gradient), panics become errors,
-// and g.donec is always closed so drain barriers cannot hang.
-func (p *Pipeline) applyPush(ctx context.Context, g *gradPush) (err error) {
-	defer close(g.donec)
+// and the step's donec is always closed so drain barriers cannot hang.
+func (p *Pipeline) applyPush(ctx context.Context, hb *hostBatch) (err error) {
+	defer hb.handled()
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: iter %d: %w", ErrApplyFailed, g.iter, recoveredErr(r))
+			err = fmt.Errorf("%w: iter %d: %w", ErrApplyFailed, hb.iter, recoveredErr(r))
 		}
 	}()
 	for attempt := 0; ; attempt++ {
-		ferr := p.injectFault(ctx, faults.OpApply, g.iter, attempt)
+		ferr := p.injectFault(ctx, faults.OpApply, hb.iter, attempt)
 		if ferr == nil {
-			if aerr := p.apply(g); aerr != nil {
-				return fmt.Errorf("%w: iter %d: %w", ErrApplyFailed, g.iter, aerr)
+			if aerr := p.apply(hb); aerr != nil {
+				return fmt.Errorf("%w: iter %d: %w", ErrApplyFailed, hb.iter, aerr)
 			}
 			// The gradient queue is FIFO, so when a window's last push has
 			// been applied no earlier consumer can still hold the plan's
 			// slices: it is safe to recycle the plan for a future window.
-			g.plan.Release()
+			if pl := hb.plan; pl != nil && hb.iter == pl.Start+pl.N-1 {
+				pl.Release()
+			}
 			return nil
 		}
 		if attempt >= p.retry.MaxRetries {
-			return fmt.Errorf("%w: iter %d after %d attempts: %w", ErrApplyFailed, g.iter, attempt+1, ferr)
+			return fmt.Errorf("%w: iter %d after %d attempts: %w", ErrApplyFailed, hb.iter, attempt+1, ferr)
 		}
 		p.backoff(ctx, tidApply, attempt)
 	}
 }
 
-// trainOne runs the worker side for one pre-fetched batch: cache-sync the
-// pre-fetched rows (Step 1 of Figure 9), run forward/backward (the adapters
-// capture host-table gradients), and return the gradient push. Panics —
+// trainOne runs the worker side for one pre-fetched step: cache-sync the
+// pre-fetched rows (Step 1 of Figure 9) and run forward/backward, which
+// leaves every host table's gradient in the slab for the push. Panics —
 // injected worker faults and genuine model faults alike — are converted to
 // errors so a crashing worker cannot deadlock the queues.
-func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err error) {
+func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			loss, push = 0, nil
+			loss = 0
 			err = fmt.Errorf("%w: iter %d: %w", ErrWorkerFault, hb.iter, recoveredErr(r))
 		}
-		if err != nil {
-			for _, ad := range p.adapters {
-				ad.current, ad.pending = nil, nil
-			}
+		for _, ad := range p.adapters {
+			ad.current = nil
 		}
 	}()
 	if p.cfg.Faults != nil {
@@ -679,7 +726,7 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err er
 	for h := range hb.rows {
 		hr := &hb.rows[h]
 		if _, serr := p.caches[h].Sync(int(hb.gathered), hb.iter, hr.uniq, hr.values, hr.fresh, hr.nextUse); serr != nil {
-			return 0, nil, fmt.Errorf("%w: iter %d: %w", ErrWorkerFault, hb.iter, serr)
+			return 0, fmt.Errorf("%w: iter %d: %w", ErrWorkerFault, hb.iter, serr)
 		}
 		// Only gathered rows crossed the host→device link; the rest were
 		// deduplicated across batches and served from the cache.
@@ -697,25 +744,19 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, push *gradPush, err er
 	}
 	for h, ad := range p.adapters {
 		ad.current = &hb.rows[h]
-		ad.pending = nil
 	}
 	loss = p.model.TrainStep(hb.batch)
-	push = &gradPush{iter: hb.iter, rows: make([]gradRows, len(p.adapters)), donec: make(chan struct{}), batch: hb.batch}
-	if pl := hb.plan; pl != nil && hb.iter == pl.Start+pl.N-1 {
-		push.plan = pl
-	}
 	var pushed int64
-	for h, ad := range p.adapters {
-		if ad.pending == nil {
-			return 0, nil, fmt.Errorf("%w: host table %d did not receive an update at iter %d", ErrAdapterMisuse, h, hb.iter)
+	for h := range hb.rows {
+		hr := &hb.rows[h]
+		if !hr.updated {
+			return 0, fmt.Errorf("%w: host table %d did not receive an update at iter %d", ErrAdapterMisuse, h, hb.iter)
 		}
-		push.rows[h] = *ad.pending
-		pushed += int64(len(ad.pending.uniq)) * int64(p.cfg.Model.EmbDim) * 4
-		ad.current, ad.pending = nil, nil
+		pushed += int64(len(hr.uniq)) * int64(p.cfg.Model.EmbDim) * 4
 	}
 	p.m.bytesPushed.Add(pushed)
 	p.trained.Add(1)
-	return loss, push, nil
+	return loss, nil
 }
 
 // checkpointDue reports whether a periodic checkpoint fires at nextIter.
@@ -821,21 +862,30 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 	// drain, so its backoff waits never end early.
 	applyCtx := context.WithoutCancel(ctx)
 	var async failSlot
-	// gatherAt gathers batch iter into a spare batch: nil on failure, which
-	// leaves state consistent (the batch never reached the worker) and is
-	// recorded unless it is the run's own cancellation.
-	gatherAt := func(iter int) *hostBatch {
-		hb, err := p.gatherBatch(ctx, d, iter, batchSize, ws.planFor(iter), p.takeBatch())
-		if err != nil && ctx.Err() == nil {
-			async.set(err, true)
+	p.topUpSlabs()
+	// gatherAt gathers batch iter into a spare step slab: nil on failure,
+	// which leaves state consistent (the batch never reached the worker) and
+	// is recorded unless it is the run's own cancellation, and nil when stop
+	// closes while it waits for a slab.
+	gatherAt := func(iter int, stop <-chan struct{}) *hostBatch {
+		hb := p.takeSlab(stop)
+		if hb == nil {
+			return nil
+		}
+		hb.iter, hb.plan, hb.donec = iter, ws.planFor(iter), nil
+		if err := p.gatherBatch(ctx, d, hb, batchSize); err != nil {
+			if ctx.Err() == nil {
+				async.set(err, true)
+			}
+			return nil
 		}
 		return hb
 	}
-	// applyOne lands one push and recycles its batch; false once it failed,
+	// applyOne lands one push and recycles its slab; false once it failed,
 	// which leaves the host tables torn.
-	applyOne := func(g *gradPush) bool {
-		err := p.applyPush(applyCtx, g)
-		p.recycleBatch(g.batch)
+	applyOne := func(hb *hostBatch) bool {
+		err := p.applyPush(applyCtx, hb)
+		p.recycleSlab(hb)
 		if err != nil {
 			async.set(err, false)
 		}
@@ -846,28 +896,28 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 	// stopped); push hands its gradients to the server (false: the apply
 	// failed); drain waits until every pushed gradient has been applied.
 	var next func() (*hostBatch, bool)
-	var push func(*gradPush) bool
+	var push func(*hostBatch) bool
 	drain := func() {}
-	if p.cfg.QueueDepth == 1 || len(p.stores) == 0 {
+	if !p.pipelined() {
 		iter := startIter
 		next = func() (*hostBatch, bool) {
 			if iter >= startIter+steps {
 				return nil, false
 			}
-			hb := gatherAt(iter)
+			hb := gatherAt(iter, nil) // the one slab is back in the pool: applyOne recycled it
 			iter++
 			return hb, hb != nil
 		}
 		push = applyOne
 	} else {
 		prefetchQ := make(chan *hostBatch, p.cfg.QueueDepth)
-		gradQ := make(chan *gradPush, p.cfg.QueueDepth)
+		gradQ := make(chan *hostBatch, p.cfg.QueueDepth)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		p.spawn(&wg, &async, "prefetch", func() { // pre-fetcher (server pull side)
 			defer close(prefetchQ)
 			for iter := startIter; iter < startIter+steps && ctx.Err() == nil; iter++ {
-				hb := gatherAt(iter)
+				hb := gatherAt(iter, stop)
 				if hb == nil {
 					return
 				}
@@ -882,12 +932,15 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 		})
 		p.spawn(&wg, &async, "apply", func() { // server apply side: drains even after cancel or failure
 			broken := false
-			for g := range gradQ {
+			for hb := range gradQ {
 				if broken {
-					close(g.donec)
+					// Still recycled: the pre-fetcher may be waiting for a
+					// slab until the worker sees the failure and stops.
+					hb.handled()
+					p.recycleSlab(hb)
 					continue
 				}
-				broken = !applyOne(g)
+				broken = !applyOne(hb)
 			}
 		})
 		next = func() (*hostBatch, bool) {
@@ -898,9 +951,9 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 				return nil, false
 			}
 		}
-		push = func(g *gradPush) bool {
+		push = func(hb *hostBatch) bool {
 			sp := p.tracer.Begin("push", "ps", tidWorker)
-			gradQ <- g
+			gradQ <- hb
 			sp.End()
 			return true
 		}
@@ -928,24 +981,31 @@ func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, b
 		if !ok {
 			break
 		}
-		loss, g, err := p.trainOne(hb)
+		loss, err := p.trainOne(hb)
 		if err != nil {
 			async.set(err, faults.IsInjected(err))
 			break
 		}
-		curve.Add(hb.iter, float64(loss))
-		if !push(g) {
+		iter := hb.iter
+		curve.Add(iter, float64(loss))
+		if p.checkpointDue(iter + 1) {
+			hb.donec = make(chan struct{})
+		}
+		done := hb.donec
+		// From the push on the slab is apply's, which recycles it once
+		// applied: nothing below may read hb.
+		if !push(hb) {
 			break
 		}
 		p.m.steps.Inc()
 		res.Completed++
-		res.NextIter = hb.iter + 1
-		if p.checkpointDue(res.NextIter) {
+		res.NextIter = iter + 1
+		if done != nil {
 			// Drain barrier: the gradient queue is FIFO and the server
 			// closes donec in order, so once this push has landed every
 			// earlier one has too, and host tables exactly reflect
 			// NextIter iterations of training.
-			<-g.donec
+			<-done
 			if ferr, _ := async.get(); ferr != nil {
 				break
 			}

@@ -3,6 +3,8 @@ package ps
 import (
 	"context"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -121,6 +123,56 @@ func TestPipelineMatchesSequentialExactly(t *testing.T) {
 	}
 }
 
+// TestPipelineZeroAllocRecycledSlabs: a depth-4 pipeline with lookahead
+// trains on a fixed set of QueueDepth+3 step slabs. Each is recycled after
+// its apply, over calls that start mid-window, so a slab carries the rows,
+// gradients and plan of earlier steps into every later gather. Its
+// parameters must still equal a sequential, unplanned run's bit for bit —
+// a stale row or gradient a recycled slab let through would show — and
+// once a warm-up call has grown the slabs, the planner and the cache, a
+// further call allocates only per-call bookkeeping.
+func TestPipelineZeroAllocRecycledSlabs(t *testing.T) {
+	old := tensor.Workers()
+	tensor.SetMaxWorkers(1)
+	defer tensor.SetMaxWorkers(old)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	spec := psSpec()
+	d, err := data.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch, warmup, steps = 64, 300, 100
+	build := func(depth, lookahead int) *Pipeline {
+		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: depth, Lookahead: lookahead, Seed: 4}, allHostLocs(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	pipe, seq := build(4, 16), build(1, 0)
+	for _, calls := range [][2]int{{0, 37}, {37, warmup - 37}} { // the second call starts mid-window
+		mustTrain(t, pipe, d, calls[0], calls[1], batch)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustTrain(t, pipe, d, warmup, steps, batch)
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+	if perStep > 512 {
+		t.Errorf("pipelined Train allocated %d bytes per step after warm-up, want at most 512", perStep)
+	}
+	t.Logf("pipelined Train: %d B/step, %d GC cycles", perStep, after.NumGC-before.NumGC)
+	if got, want := len(pipe.spare), 4+3; got != want {
+		t.Errorf("%d step slabs in the pool between calls, want %d", got, want)
+	}
+	mustTrain(t, seq, d, 0, warmup+steps, batch)
+	assertParamsEqual(t, seq, pipe, "recycled slabs")
+	if st := pipe.Stats(); st.LookaheadPinnedRows == 0 || st.CacheHits == 0 {
+		t.Fatalf("no pinned rows (%d) or cache hits (%d): the recycled slabs never carried planned rows", st.LookaheadPinnedRows, st.CacheHits)
+	}
+}
+
 func TestPipelineCacheActuallyNeeded(t *testing.T) {
 	// The same workload, but with the cache sabotaged (lifecycle so large
 	// nothing evicts is fine; instead verify staleness exists by counting
@@ -226,8 +278,8 @@ func TestHostAdapterLookupZeroAllocSteadyState(t *testing.T) {
 	}
 	indices, offsets := []int{3, 1, 3, 7, 1, 1, 250}, []int{0, 2, 2, 6}
 	uniq, inverse := embedding.Unique(indices)
-	values, err := p.stores[0].GatherRows(uniq)
-	if err != nil {
+	values := tensor.New(len(uniq), 8)
+	if err := p.stores[0].GatherRows(uniq, nil, values); err != nil {
 		t.Fatal(err)
 	}
 	ad := p.adapters[0]

@@ -12,9 +12,12 @@ import (
 //
 // Semantics the pipeline relies on:
 //
-//   - GatherRows returns a fresh len(uniq)×Dim matrix holding the current
-//     value of each requested row. It may be called concurrently with
-//     ApplyDelta; the store serializes internally.
+//   - GatherRows gathers into the caller's storage: the current value of
+//     row ids[k] lands in dst.Row(at[k]) (dst.Row(k) when at is nil), and
+//     no other row of dst is written. The caller owns dst — the pipeline
+//     passes its step slab's value matrix, the adapter its evaluation
+//     scratch — and the store must not keep it past the call. It may be
+//     called concurrently with ApplyDelta; the store serializes internally.
 //   - ApplyDelta adds delta (len(uniq)×Dim, already scaled by −lr) into the
 //     addressed rows and must be fully applied — and visible to any
 //     subsequent GatherRows — before it returns. The pipeline's freshness
@@ -25,7 +28,7 @@ import (
 //     (ErrApplyFailed, restore from checkpoint) rather than retrying, so
 //     any internal retries must deduplicate their own replays.
 type HostStore interface {
-	GatherRows(uniq []int) (*tensor.Matrix, error)
+	GatherRows(ids, at []int, dst *tensor.Matrix) error
 	ApplyDelta(uniq []int, delta *tensor.Matrix) error
 	NumRows() int
 	Dim() int
@@ -43,12 +46,12 @@ type localStore struct {
 
 var _ HostStore = (*localStore)(nil)
 
-// GatherRows reads the requested rows under the table's read lock.
-func (s *localStore) GatherRows(uniq []int) (*tensor.Matrix, error) {
+// GatherRows reads the requested rows into dst under the table's read lock.
+func (s *localStore) GatherRows(ids, at []int, dst *tensor.Matrix) error {
 	s.p.hostMu[s.slot].RLock()
-	values := s.p.hostBags[s.slot].GatherRows(uniq)
+	s.p.hostBags[s.slot].GatherRowsInto(dst, ids, at)
 	s.p.hostMu[s.slot].RUnlock()
-	return values, nil
+	return nil
 }
 
 // ApplyDelta scatters the pre-scaled delta into the table under its write

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/data"
 )
@@ -28,6 +29,24 @@ func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize 
 	if p.cfg.Lookahead <= 1 || len(p.stores) == 0 {
 		return w, nil
 	}
+	la, err := p.planner(d, batchSize)
+	if err != nil {
+		return nil, err
+	}
+	w.la = la
+	return w, nil
+}
+
+// planner returns the lookahead planner over d at this batch size. It is
+// kept for the next Train call over the same source and batch size, so the
+// plan pool, scratch and stream buffers the first windows grew serve every
+// later call instead of being rebuilt per call. Reuse is safe: a call's
+// prefetcher has stopped before Train returns, and a plan a failed call
+// never released is simply not reused.
+func (p *Pipeline) planner(d BatchSource, batchSize int) (*data.Lookahead, error) {
+	if p.la != nil && p.laBatch == batchSize && reflect.TypeOf(d).Comparable() && p.laSrc == d {
+		return p.la, nil
+	}
 	cfg := data.LookaheadConfig{Window: p.cfg.Lookahead, Batch: batchSize}
 	for h, pos := range p.hostIdx {
 		cfg.Tables = append(cfg.Tables, pos)
@@ -37,8 +56,8 @@ func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize 
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 	}
-	w.la = la
-	return w, nil
+	p.la, p.laSrc, p.laBatch = la, d, batchSize
+	return la, nil
 }
 
 // planFor returns the plan batch iter is gathered under (nil: unplanned),

@@ -17,3 +17,20 @@ func Reuse(m *Matrix, r, c int) *Matrix {
 	m.Data = m.Data[:r*c]
 	return m
 }
+
+// ReuseRows is Reuse for an r×c matrix whose row count is bounded by bound
+// (a batch's occurrence count bounds every per-batch row set): storage that
+// has to grow gets Headroom(r, bound) rows, so a stream of batches stops
+// growing it after a few steps instead of chasing every new high-water mark.
+//
+//elrec:coldpath amortized scratch growth; steady state reslices in place
+func ReuseRows(m *Matrix, r, c, bound int) *Matrix {
+	if m == nil || cap(m.Data) < r*c {
+		m = New(Headroom(r, bound), c)
+	}
+	return Reuse(m, r, c)
+}
+
+// Headroom is the capacity a per-batch buffer grows to when n elements do
+// not fit: n plus a quarter, but never past bound (nor below n).
+func Headroom(n, bound int) int { return max(n, min(n+n/4, bound)) }

@@ -167,7 +167,7 @@ func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int,
 	if !t.Opts.DedupIndices {
 		workIdx, workOf = cache.dedupRows()
 	}
-	cache.workGrad = reuseRows(cache.workGrad, len(workIdx), t.Shape.Dim, len(cache.Indices))
+	cache.workGrad = tensor.ReuseRows(cache.workGrad, len(workIdx), t.Shape.Dim, len(cache.Indices))
 	grads := cache.workGrad
 	grads.Zero()
 	for s := range cache.Offsets {

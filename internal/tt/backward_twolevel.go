@@ -185,7 +185,7 @@ func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 			b.pfxSlot[b.pfxOf[w]] = slot
 		}
 	} else {
-		b.p12 = reuseRows(b.p12, prefixes, t.Shape.PrefixSize(), bound)
+		b.p12 = tensor.ReuseRows(b.p12, prefixes, t.Shape.PrefixSize(), bound)
 	}
 
 	b.byPfx.build(prefixes, b.pfxOf, bound)
@@ -201,10 +201,10 @@ func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 	b.byI1.build(m[0], b.key, bound)
 
 	sz := t.Shape.SliceSizes()
-	b.dP12 = reuseRows(b.dP12, prefixes, t.Shape.PrefixSize(), bound)
-	b.g1 = reuseRows(b.g1, prefixes, sz[0], bound)
-	b.c1 = reuseRows(b.c1, prefixes, sz[0], bound)
-	b.c3 = reuseRows(b.c3, items, sz[2], bound)
+	b.dP12 = tensor.ReuseRows(b.dP12, prefixes, t.Shape.PrefixSize(), bound)
+	b.g1 = tensor.ReuseRows(b.g1, prefixes, sz[0], bound)
+	b.c1 = tensor.ReuseRows(b.c1, prefixes, sz[0], bound)
+	b.c3 = tensor.ReuseRows(b.c3, items, sz[2], bound)
 }
 
 // prefixPhase is phase 1 for unique prefixes [lo,hi): it owns rows u of

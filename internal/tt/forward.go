@@ -50,35 +50,20 @@ type ForwardCache struct {
 }
 
 // growInts returns buf resized to n, reusing its storage when it fits. A
-// grown buffer gets a quarter more room than n, capped at bound — the
-// batch's occurrence count, which bounds every per-batch set (work items,
-// prefixes) — so a stream of batches stops growing its scratch after a few
-// steps instead of chasing every new high-water mark, while the live set
-// stays near what the batches need (a large batch touches far fewer unique
-// rows than it has occurrences).
+// grown buffer gets tensor.Headroom: a quarter more room than n, capped at
+// bound — the batch's occurrence count, which bounds every per-batch set
+// (work items, prefixes) — so a stream of batches stops growing its scratch
+// after a few steps, while the live set stays near what the batches need (a
+// large batch touches far fewer unique rows than it has occurrences).
+// Matrices grow by the same rule through tensor.ReuseRows.
 //
 //elrec:coldpath amortized scratch growth; steady state reslices in place
 func growInts(buf []int, n, bound int) []int {
 	if cap(buf) < n {
-		return make([]int, n, headroom(n, bound))
+		return make([]int, n, tensor.Headroom(n, bound))
 	}
 	return buf[:n]
 }
-
-// reuseRows is tensor.Reuse for an r×c matrix whose row count is bounded by
-// bound: grown storage holds headroom(r, bound) rows, as growInts.
-//
-//elrec:coldpath amortized scratch growth; steady state reslices in place
-func reuseRows(m *tensor.Matrix, r, c, bound int) *tensor.Matrix {
-	if m == nil || cap(m.Data) < r*c {
-		m = tensor.New(headroom(r, bound), c)
-	}
-	return tensor.Reuse(m, r, c)
-}
-
-// headroom is the capacity a per-batch buffer grows to when n elements do
-// not fit: n plus a quarter, but never past bound (nor below n).
-func headroom(n, bound int) int { return max(n, min(n+n/4, bound)) }
 
 // growFloats returns buf resized to n, reusing its storage when it fits.
 //
@@ -155,7 +140,7 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 	}
 
 	// Materialize one row per work item.
-	c.Rows = reuseRows(c.Rows, len(c.WorkIdx), t.Shape.Dim, len(indices))
+	c.Rows = tensor.ReuseRows(c.Rows, len(c.WorkIdx), t.Shape.Dim, len(indices))
 	prefixScratchSize := 0
 	if c.PrefixBuf == nil {
 		prefixScratchSize = t.Shape.PrefixSize()
@@ -271,8 +256,8 @@ func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
 	m2 := t.Shape.RowFactors[1]
 	c.i2.sortByI2(m2, c.prefixes, c.PrefixSlots, len(c.Indices))
 
-	c.PrefixBuf = reuseRows(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize(), len(c.Indices))
-	c.g1 = reuseRows(c.g1, len(c.prefixes), t.Shape.SliceSizes()[0], len(c.Indices))
+	c.PrefixBuf = tensor.ReuseRows(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize(), len(c.Indices))
+	c.g1 = tensor.ReuseRows(c.g1, len(c.prefixes), t.Shape.SliceSizes()[0], len(c.Indices))
 	if tensor.Parallel(len(c.prefixes) * t.Shape.R1 * t.Shape.PrefixSize()) {
 		// Executor p owns the slices i₂ ≡ p (mod parts), as in the backward.
 		parts := min(tensor.Workers(), m2)

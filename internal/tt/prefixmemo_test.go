@@ -209,7 +209,7 @@ func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
 	}
 	// Storage follows the batches: the largest one's unique prefixes plus
 	// growInts' quarter of headroom, never a memo's budget.
-	if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.PrefixSize(); got > headroom(maxUnique, maxUnique*2) {
+	if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.PrefixSize(); got > tensor.Headroom(maxUnique, maxUnique*2) {
 		t.Fatalf("arena reuse buffer has room for %d prefixes, the largest batch had %d", got, maxUnique)
 	}
 }
