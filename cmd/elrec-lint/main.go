@@ -1,8 +1,7 @@
 // Command elrec-lint is the project's static-analysis multichecker: it
 // loads the packages matching the given go-list patterns and applies the
-// nine invariant analyzers (nopanic, determinism, locksafe, gospawn,
-// errcmp, obsclock, hotalloc, lockorder, ctxflow) from
-// internal/analysis. Diagnostics print one per line as
+// eight invariant analyzers (nopanic, determinism, locksafe, gospawn,
+// errcmp, obsclock, lockorder, ctxflow) from internal/analysis. Diagnostics print one per line as
 // file:line:col: message [analyzer]; the exit status is 1 when any
 // diagnostic is reported, 2 on a load or internal failure.
 //
@@ -21,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -49,9 +49,7 @@ func main() {
 
 	suite := analysis.Suite()
 	if *list {
-		for _, a := range suite {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
+		printSuite(os.Stdout, suite)
 		return
 	}
 	if *only != "" {
@@ -118,5 +116,12 @@ func main() {
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "elrec-lint: %d finding(s)\n", len(findings))
 		os.Exit(1)
+	}
+}
+
+// printSuite is -list: one line per analyzer, its name and its doc.
+func printSuite(w io.Writer, suite []*analysis.Analyzer) {
+	for _, a := range suite {
+		fmt.Fprintf(w, "%-16s %s\n", a.Name, a.Doc)
 	}
 }

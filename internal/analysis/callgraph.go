@@ -10,10 +10,10 @@ import (
 
 // This file grows the framework from an intraprocedural AST walker into a
 // facts-based interprocedural engine: a module-local call graph (static
-// calls and method sets resolved through go/types, conservative on
-// interface and func-value calls) over which analyzers propagate
+// calls and method sets resolved through go/types; calls through interface
+// methods and func values are not edges) over which analyzers propagate
 // per-function facts bottom-up in strongly-connected-component order. The
-// hotalloc, lockorder and ctxflow analyzers are built on it.
+// lockorder and ctxflow analyzers are built on it.
 
 // FuncNode is one module function with a body: a call-graph vertex.
 // Function literals are attributed to their enclosing declaration — a
@@ -29,13 +29,10 @@ type FuncNode struct {
 	File *ast.File
 
 	// Calls are the statically resolved module-internal call sites, in
-	// source order. External and Dynamic record what the graph is
-	// conservative about: calls into packages analyzed signature-only
-	// (the standard library) and calls through func values or interface
-	// methods, respectively.
+	// source order. External records the calls into packages analyzed
+	// signature-only (the standard library).
 	Calls    []CallSite
 	External []ExternCall
-	Dynamic  []DynCall
 }
 
 // CallSite is one statically resolved call to another module function.
@@ -55,16 +52,6 @@ type ExternCall struct {
 	Async bool
 }
 
-// DynCall is a call the graph cannot resolve statically: through a func
-// value, or an interface method (the conservative frontier).
-type DynCall struct {
-	Call *ast.CallExpr
-	// Iface is the interface method being invoked, when known (nil for
-	// plain func-value calls).
-	Iface *types.Func
-	Async bool
-}
-
 // DisplayName renders the function compactly for diagnostics:
 // (*tt.Table).Lookup, tensor.ParallelFor.
 func (n *FuncNode) DisplayName() string {
@@ -79,9 +66,6 @@ type Program struct {
 	Packages []*Package
 	Fset     *token.FileSet
 	ByObj    map[*types.Func]*FuncNode
-	// Stubs are the module's body-less function declarations: routines
-	// implemented in assembly. They are leaves of the call graph.
-	Stubs map[*types.Func]*ast.FuncDecl
 	// Nodes in deterministic order (package path, then position).
 	Nodes []*FuncNode
 
@@ -95,7 +79,6 @@ type Program struct {
 func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
 		ByObj:      map[*types.Func]*FuncNode{},
-		Stubs:      map[*types.Func]*ast.FuncDecl{},
 		directives: map[*ast.File]map[int][]directive{},
 	}
 	p.Packages = append(p.Packages, pkgs...)
@@ -111,11 +94,7 @@ func BuildProgram(pkgs []*Package) *Program {
 					continue
 				}
 				obj, ok := pkg.TypesInfo.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				if fn.Body == nil {
-					p.Stubs[obj] = fn
+				if !ok || fn.Body == nil { // a body-less declaration is an assembly routine
 					continue
 				}
 				node := &FuncNode{Obj: obj, Decl: fn, Pkg: pkg, File: file}
@@ -142,36 +121,23 @@ func (p *Program) resolveCalls(node *FuncNode) {
 		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 			return true // conversion, not a call
 		}
+		// Builtins are inspected syntactically by analyzers; an immediately
+		// invoked literal's body is already part of this node's subtree; a
+		// call through a func value or an interface method is no edge.
 		switch fun := fun.(type) {
 		case *ast.Ident:
-			switch obj := info.Uses[fun].(type) {
-			case *types.Func:
+			if obj, ok := info.Uses[fun].(*types.Func); ok {
 				p.addCall(node, obj, call, async)
-			case *types.Builtin:
-				// builtins are inspected syntactically by analyzers
-			default:
-				if obj != nil { // func-typed var/param/field
-					node.Dynamic = append(node.Dynamic, DynCall{Call: call, Async: async})
-				}
 			}
 		case *ast.SelectorExpr:
 			obj, ok := info.Uses[fun.Sel].(*types.Func)
 			if !ok {
-				node.Dynamic = append(node.Dynamic, DynCall{Call: call, Async: async})
 				return true
 			}
-			if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-				if types.IsInterface(sel.Recv().Underlying()) {
-					node.Dynamic = append(node.Dynamic, DynCall{Call: call, Iface: obj, Async: async})
-					return true
-				}
+			if sel, ok := info.Selections[fun]; ok && sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv().Underlying()) {
+				return true
 			}
 			p.addCall(node, obj, call, async)
-		case *ast.FuncLit:
-			// Immediately invoked literal: its body is already part of
-			// this node's subtree.
-		default:
-			node.Dynamic = append(node.Dynamic, DynCall{Call: call, Async: async})
 		}
 		return true
 	})

@@ -5,13 +5,13 @@ import "strings"
 // ModulePath is the import-path root of this module.
 const ModulePath = "repro"
 
-// Suite returns the nine project analyzers in reporting order: the six
-// intraprocedural passes, then the three interprocedural ones built on the
+// Suite returns the eight project analyzers in reporting order: the six
+// intraprocedural passes, then the two interprocedural ones built on the
 // call-graph facts engine (which scope themselves, see each analyzer).
 func Suite() []*Analyzer {
 	return []*Analyzer{
 		NoPanic, Determinism, LockSafe, GoSpawn, ErrCmp, ObsClock,
-		HotAlloc, LockOrder, CtxFlow,
+		LockOrder, CtxFlow,
 	}
 }
 

@@ -7,16 +7,16 @@ import (
 	"testing"
 
 	"repro/internal/hw"
-	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 )
 
-// allocatedBytes returns the heap bytes fn allocates.
-func allocatedBytes(fn func()) int64 {
+// allocated returns the heap bytes and the number of allocations fn makes.
+func allocated(fn func()) (bytes, mallocs int64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return int64(after.TotalAlloc - before.TotalAlloc)
+	return int64(after.TotalAlloc - before.TotalAlloc), int64(after.Mallocs - before.Mallocs)
 }
 
 // TestTrainEvaluateBytesIndependentOfBatchSize pins what a device-resident
@@ -52,13 +52,21 @@ func TestHostTrainEvaluateZeroAllocRecycledSlabs(t *testing.T) {
 }
 
 // checkTrainEvaluateBytes runs the allocation contract above on systems
-// built from cfg, at batch 32 and 256, after a first call of warmup steps.
+// built from cfg, at batch 32 and 256, after a first call of warmup steps,
+// at one worker and at the host's width.
 func checkTrainEvaluateBytes(t *testing.T, cfg Config, warmup int) {
 	t.Helper()
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	workertest.Each(t, func(workers int) {
+		t.Logf("%d workers", workers)
+		checkTrainEvaluateBytesAt(t, cfg, warmup)
+	})
+}
+
+// checkTrainEvaluateBytesAt is checkTrainEvaluateBytes at the current worker
+// count.
+func checkTrainEvaluateBytesAt(t *testing.T, cfg Config, warmup int) {
+	t.Helper()
 
 	const steps, evalBatches, resultBytesPerSample = 100, 8, 24
 	const perStepBound = 1024
@@ -76,7 +84,7 @@ func checkTrainEvaluateBytes(t *testing.T, cfg Config, warmup int) {
 		}
 		sys.Evaluate(1<<20, 2, batch)
 
-		trainBytes := allocatedBytes(func() {
+		trainBytes, trainMallocs := allocated(func() {
 			if _, err := sys.TrainContext(ctx, warmup, steps, batch); err != nil {
 				t.Fatal(err)
 			}
@@ -84,10 +92,13 @@ func checkTrainEvaluateBytes(t *testing.T, cfg Config, warmup int) {
 		if perStep := trainBytes / steps; perStep > perStepBound {
 			t.Errorf("batch %d: TrainContext allocated %d bytes per step, want at most %d", batch, perStep, perStepBound)
 		}
-		evalBytes := allocatedBytes(func() { sys.Evaluate(1<<20, evalBatches, batch) })
+		if trainMallocs >= steps {
+			t.Errorf("batch %d: TrainContext made %d allocations in %d steps: a step allocates", batch, trainMallocs, steps)
+		}
+		evalBytes, _ := allocated(func() { sys.Evaluate(1<<20, evalBatches, batch) })
 		if perBatch := (evalBytes - resultBytesPerSample*evalBatches*int64(batch)) / evalBatches; perBatch > perStepBound {
 			t.Errorf("batch %d: Evaluate allocated %d bytes per batch beyond its results, want at most %d", batch, perBatch, perStepBound)
 		}
-		t.Logf("batch %d: TrainContext %d B/step, Evaluate %d B/batch", batch, trainBytes/steps, evalBytes/evalBatches)
+		t.Logf("batch %d: TrainContext %d B/step (%d allocations per call), Evaluate %d B/batch", batch, trainBytes/steps, trainMallocs, evalBytes/evalBatches)
 	}
 }

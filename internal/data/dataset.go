@@ -76,8 +76,6 @@ type Generator struct {
 }
 
 // bind makes g d's generator, building its scratch unless it already is.
-//
-//elrec:coldpath once per generator and dataset; the steady state only compares
 func (g *Generator) bind(d *Dataset) {
 	if g.d == d {
 		return
@@ -177,8 +175,6 @@ func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 
 // prepare shapes b for a batch of n samples from d, keeping every buffer that
 // is large enough and the generator scratch when it is d's.
-//
-//elrec:coldpath amortized growth; a reused batch of one size keeps its buffers
 func (b *Batch) prepare(d *Dataset, n int) {
 	spec := d.Spec
 	b.gen.bind(d)
@@ -194,8 +190,6 @@ func (b *Batch) prepare(d *Dataset, n int) {
 }
 
 // resize returns buf with length n, reusing its storage when it fits.
-//
-//elrec:coldpath amortized growth; a stream of one size keeps its buffer
 func resize(buf []int, n int) []int {
 	if cap(buf) < n {
 		return make([]int, n)
@@ -227,12 +221,9 @@ func (d *Dataset) BatchIndices(iter, size, t int) []int {
 // lookahead planner, the access statistics and the reordering profile), and
 // once g has drawn for d and dst has held a stream of this size it
 // allocates nothing.
-//
-//elrec:hotpath per-table stream draw of the lookahead planner: re-seeds the caller's generator in place
 func (d *Dataset) IndicesInto(g *Generator, dst []int, iter, size, t int) []int {
 	g.bind(d)
 	dst = resize(dst, size*d.Spec.BagSize())
-	//elrec:coldpath math/rand source call: re-seeding the generator's source in place allocates nothing
 	g.r.Seed(d.streamSeed(iter, t))
 	d.drawIndices(dst, g.r, g.zipf[t], g.active, t)
 	return dst
@@ -247,17 +238,13 @@ func (d *Dataset) drawIndices(out []int, r *rand.Rand, groupZipf *rand.Zipf, act
 	spec := d.Spec
 	rows := spec.TableRows[t]
 	for i := range active {
-		//elrec:coldpath math/rand source call: a Zipf draw allocates nothing
 		active[i] = int(groupZipf.Uint64())
 	}
 	for s := range out {
 		var grp int
-		//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 		if r.Float64() < spec.Locality {
-			//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 			grp = active[r.Intn(len(active))]
 		} else {
-			//elrec:coldpath math/rand source call: a Zipf draw allocates nothing
 			grp = int(groupZipf.Uint64())
 		}
 		lo := grp * spec.GroupSize
@@ -331,7 +318,6 @@ func (z smallZipf) sample(r *rand.Rand, n int) int {
 		return 0
 	}
 	for {
-		//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 		u := r.Float64()
 		if u == 0 {
 			continue
@@ -340,9 +326,7 @@ func (z smallZipf) sample(r *rand.Rand, n int) int {
 			return k
 		}
 		// Fall back to uniform tail occasionally to guarantee progress.
-		//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 		if r.Float64() < 0.1 {
-			//elrec:coldpath math/rand source call: a uniform draw allocates nothing
 			return r.Intn(n)
 		}
 	}

@@ -110,8 +110,6 @@ type laScratch struct {
 
 // begin starts a window of at most ids index occurrences: no row has a
 // window slot or a next use yet.
-//
-//elrec:coldpath amortized growth to the largest window seen; steady state reslices in place
 func (sc *laScratch) begin(ids int) {
 	sc.win.Begin(ids)
 	if cap(sc.slot) < ids {
@@ -127,8 +125,6 @@ func (sc *laScratch) begin(ids int) {
 // planner writes them in place. Storage is sized to the bound, not grown to
 // each new high-water mark, so a plan's storage converges on its first
 // window of a batch size.
-//
-//elrec:coldpath amortized growth to the largest batch seen; steady state reslices in place
 func (acc *BatchAccess) reserve(n, bound int) {
 	if cap(acc.Inverse) < n {
 		acc.Inverse = make([]int, n)
@@ -208,8 +204,6 @@ func (l *Lookahead) Advance(start, n int) *WindowPlan {
 
 // takePlan pops a pooled plan or builds a fresh one, and sizes its per-table
 // access lists for an n-batch window.
-//
-//elrec:coldpath pool refill and first-window growth; steady state pops a sized plan
 func (l *Lookahead) takePlan(n int) *WindowPlan {
 	l.mu.Lock()
 	var plan *WindowPlan
@@ -242,8 +236,6 @@ func (l *Lookahead) takePlan(n int) *WindowPlan {
 // distinct rows, which is what reserve sizes for. The backward pass links
 // each uniq entry to the row's next in-window use through the slots
 // recorded in uslot.
-//
-//elrec:hotpath lookahead window planning: oracle admission must not allocate at steady state
 func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
 	sc := &l.scratch
 	tw := &plan.Tables[ti]

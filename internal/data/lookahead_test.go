@@ -400,13 +400,13 @@ func TestLookaheadConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLookaheadZeroAllocSteadyState enforces the hot-path contract checked
-// statically by the hotalloc analyzer: once plan storage has grown to the
-// working set, Advance+Release over a non-allocating source performs zero
-// heap allocations per window. What it does allocate until then follows the
-// window, not the table: the third table declares 2²⁶ rows and its ids span
-// them, and building the planner plus the first window stays within 160
-// bytes per planned id (about 90 at the time of writing).
+// TestLookaheadZeroAllocSteadyState enforces the hot-path contract: once
+// plan storage has grown to the working set, Advance+Release over a
+// non-allocating source performs zero heap allocations per window. What it
+// does allocate until then follows the window, not the table: the third
+// table declares 2²⁶ rows and its ids span them, and building the planner
+// plus the first window stays within 160 bytes per planned id (about 90 at
+// the time of writing).
 func TestLookaheadZeroAllocSteadyState(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
-	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 	"repro/internal/tt"
 )
 
@@ -13,14 +13,11 @@ import (
 // contract at the train_tt benchmark's table mix — Terabyte at scale 0.01,
 // five Eff-TT tables and 21 embedding.Bag tables, dim = rank = 64, batch 128:
 // after the benchmark's eight warm-up steps, TrainStep on 100 batches it has
-// never seen allocates nothing. Every table kind looks up into its own
-// scratch, and per-batch scratch grows with headroom (tt's growInts) or to
-// its bound (a Bag's), so fresh batches with more unique rows or prefixes
-// than any before them still fit.
+// never seen allocates nothing, at one worker and at the host's width. Every
+// table kind looks up into its own scratch, and per-batch scratch grows with
+// headroom (tt's growInts) or to its bound (a Bag's), so fresh batches with
+// more unique rows or prefixes than any before them still fit.
 func TestTrainStepZeroAllocFreshBatches(t *testing.T) {
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	spec := data.TerabyteSpec(0.01)
@@ -41,21 +38,25 @@ func TestTrainStepZeroAllocFreshBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight warm-up steps, AllocsPerRun's untimed run, then 100 counted ones.
+	// At each worker count: eight warm-up steps, AllocsPerRun's untimed
+	// run, then 100 counted ones, all on batches not seen before.
 	const warmup = 8
-	batches := make([]*data.Batch, warmup+101)
+	batches := make([]*data.Batch, 2*(warmup+101))
 	for i := range batches {
 		batches[i] = d.Batch(i, 128)
 	}
-	for _, b := range batches[:warmup] {
-		m.TrainStep(b)
-	}
-	k := warmup - 1
-	allocs := testing.AllocsPerRun(len(batches)-warmup-1, func() {
-		k++
-		m.TrainStep(batches[k])
+	k := -1
+	workertest.Each(t, func(workers int) {
+		for range warmup {
+			k++
+			m.TrainStep(batches[k])
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			k++
+			m.TrainStep(batches[k])
+		})
+		if allocs != 0 {
+			t.Fatalf("TrainStep on fresh batches allocated %v times per step at %d workers, want 0", allocs, workers)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("TrainStep on fresh batches allocated %v times per step, want 0", allocs)
-	}
 }

@@ -33,8 +33,6 @@ type ScoreScratch struct {
 // prepare sizes the scratch for g groups of rows candidate rows in total,
 // scored at most chunk rows at a time over numDense dense and numTables
 // sparse features.
-//
-//elrec:coldpath amortized scratch growth; a steady stream of same-shaped micro-batches reuses every buffer
 func (s *ScoreScratch) prepare(g, rows, chunk, numDense, numTables int) {
 	s.dense = tensor.Reuse(s.dense, g, numDense)
 	if len(s.sparse) != numTables {
@@ -83,8 +81,6 @@ func (s *ScoreScratch) prepare(g, rows, chunk, numDense, numTables int) {
 // Context lookups must stay live across the chunks, which they do: every
 // table owns its result until its own next Lookup, and only the item table
 // is looked up again.
-//
-//elrec:hotpath the one scoring path of serve.Ranker and served.Pool
 func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []ScoreGroup, scores []float32) {
 	rows := 0
 	for i := range groups {
@@ -114,14 +110,14 @@ func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []Sc
 	z0 := m.Bottom.Forward(s.dense)
 	for t, tbl := range m.Tables {
 		if t != itemFeature {
-			s.embs[t] = tbl.Lookup(s.sparse[t], s.offsets[:len(groups)]) //elrec:coldpath an interface call the analyzer cannot follow; every table kind looks up into its own scratch, pinned by the AllocsPerRun tests
+			s.embs[t] = tbl.Lookup(s.sparse[t], s.offsets[:len(groups)])
 		}
 	}
 	s.tmpl, s.ctx = m.Interaction.ForwardShared(s.tmpl, s.ctx, z0, s.embs, itemFeature)
 
 	for lo := 0; lo < rows; lo += chunk {
 		hi := min(lo+chunk, rows)
-		item := m.Tables[itemFeature].Lookup(s.items[lo:hi], s.offsets[:hi-lo]) //elrec:coldpath as the context lookups above
+		item := m.Tables[itemFeature].Lookup(s.items[lo:hi], s.offsets[:hi-lo])
 		s.x = m.Interaction.FillVarying(s.x, s.tmpl, s.ctx, itemFeature, item, s.group[lo:hi])
 		logits := m.Top.Forward(s.x)
 		nn.SigmoidInto(scores[lo:hi], logits.Data)

@@ -156,7 +156,6 @@ func (b *Bag) aggregate(indices, offsets []int, dOut *tensor.Matrix) *tensor.Mat
 	bound := min(len(indices), b.rows)
 	b.seen.Begin(bound)
 	if cap(b.uniq) < bound {
-		//elrec:coldpath amortized growth to the largest batch seen
 		b.uniq = make([]int, 0, bound)
 	}
 	b.uniq = b.uniq[:0]

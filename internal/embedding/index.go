@@ -35,8 +35,6 @@ func (u *Index) Begin(n int) {
 func (u *Index) Slots() int { return len(u.key) }
 
 // grow replaces the table by an empty one of the first power of two ≥ want.
-//
-//elrec:coldpath amortized growth to the largest key set seen; steady state keeps the table
 func (u *Index) grow(want int) {
 	log2 := bits.Len(uint(want - 1))
 	u.key = make([]int, 1<<log2)
@@ -98,7 +96,6 @@ func (u *Index) UniqueInto(indices, uniq, inverse []int) ([]int, []int) {
 	n := len(indices)
 	u.Begin(n)
 	if cap(uniq) < n || cap(inverse) < n {
-		//elrec:coldpath amortized growth to the largest index set seen
 		uniq, inverse = make([]int, n), make([]int, n)
 	}
 	uniq, inverse = uniq[:n], inverse[:n]

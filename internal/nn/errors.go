@@ -20,15 +20,11 @@ var (
 )
 
 // shapeErr builds an ErrShape-wrapped error for panicking shape checks.
-//
-//elrec:coldpath only ever the argument of a panic
 func shapeErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrShape, fmt.Sprintf(format, args...))
 }
 
 // usageErr builds an ErrUsage-wrapped error for panicking protocol checks.
-//
-//elrec:coldpath only ever the argument of a panic
 func usageErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrUsage, fmt.Sprintf(format, args...))
 }

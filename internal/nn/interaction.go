@@ -178,7 +178,7 @@ func (it *Interaction) FillVarying(out, tmpl, ctx *tensor.Matrix, vary int, item
 	out = tensor.Reuse(out, item.Rows, it.OutputDim())
 	f, d, v := it.NumTables+1, it.Dim, vary+1
 	if len(it.pairs) < item.Rows*it.NumTables {
-		it.pairs = make([]float32, item.Rows*it.NumTables) //elrec:coldpath amortized scratch growth to the largest chunk
+		it.pairs = make([]float32, item.Rows*it.NumTables)
 	}
 	for lo, hi := 0, 0; lo < item.Rows; lo = hi {
 		g := group[lo]

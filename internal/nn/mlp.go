@@ -29,8 +29,6 @@ func NewMLP(sizes []int, rng *tensor.RNG) *MLP {
 }
 
 // Forward runs the batch through every layer.
-//
-//elrec:hotpath dense tower forward: one GEMM and one epilogue per layer
 func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range m.layers {
 		x = l.Forward(x)
@@ -40,8 +38,6 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward propagates the output gradient through every layer in reverse.
 // dy is only read.
-//
-//elrec:hotpath dense tower backward: one epilogue and two GEMMs per layer
 func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		dy = m.layers[i].Backward(dy)

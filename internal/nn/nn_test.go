@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 )
 
 // numericGrad estimates d(loss)/d(x[idx]) by central differences where loss
@@ -415,12 +416,9 @@ func TestMLPMatchesUnfusedTowerBitForBit(t *testing.T) {
 	}
 }
 
-// TestMLPZeroAllocSteadyState cross-checks the //elrec:hotpath claim on
-// (*MLP).Forward and Backward at runtime. One worker: a ParallelFor dispatch
-// allocates its closure.
+// TestMLPZeroAllocSteadyState: once warm, (*MLP).Forward and Backward
+// allocate nothing, at one worker and at the host's width.
 func TestMLPZeroAllocSteadyState(t *testing.T) {
-	defer tensor.SetMaxWorkers(tensor.Workers())
-	tensor.SetMaxWorkers(1)
 	rng := tensor.NewRNG(13)
 	m := NewMLP([]int{383, 64, 32, 1}, rng)
 	x, dy := tensor.New(128, 383), tensor.New(128, 1)
@@ -430,8 +428,10 @@ func TestMLPZeroAllocSteadyState(t *testing.T) {
 		m.Forward(x)
 		m.Backward(dy)
 	}
-	step()
-	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Fatalf("steady-state Forward+Backward allocates %v times per step", allocs)
-	}
+	workertest.Each(t, func(workers int) {
+		step()
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Fatalf("steady-state Forward+Backward allocates %v times per step at %d workers", allocs, workers)
+		}
+	})
 }

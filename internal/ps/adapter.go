@@ -40,17 +40,13 @@ var _ dlrm.Table = (*hostAdapter)(nil)
 // the synchronous path a serving system would take — into adapter-owned
 // scratch, so a held-out batch costs no allocation once the scratch has
 // grown to the batch.
-//
-//elrec:hotpath in-step pooling of the pre-fetched rows on every training step
 func (a *hostAdapter) Lookup(indices, offsets []int) *tensor.Matrix {
 	cur := a.current
 	inStep := cur != nil
 	var start time.Time
 	if inStep {
-		//elrec:coldpath interface-dispatched clock read
 		start = a.pipeline.clock.Now()
 	} else {
-		//elrec:coldpath out-of-step read for evaluation: an interface-dispatched store gather
 		cur = a.readRows(indices)
 	}
 	out := tensor.Reuse(a.pooled, len(offsets), a.dim)
@@ -64,7 +60,6 @@ func (a *hostAdapter) Lookup(indices, offsets []int) *tensor.Matrix {
 		}
 	}
 	if inStep {
-		//elrec:coldpath interface-dispatched clock read
 		a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
 	}
 	return out
@@ -92,15 +87,12 @@ func (a *hostAdapter) readRows(indices []int) *hostRows {
 // Outside a pipeline step it panics with a typed error; the pipeline's
 // recover machinery converts that into an ErrAdapterMisuse-wrapped failure
 // instead of a crash.
-//
-//elrec:hotpath host-table gradient aggregation and cache publication on every training step
 func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
 	cur := a.current
 	if cur == nil {
 		//elrec:invariant typed ErrAdapterMisuse panic: the pipeline recover boundary converts it to an error
 		panic(fmt.Errorf("%w: host table %d updated outside a pipeline step", ErrAdapterMisuse, a.slot))
 	}
-	//elrec:coldpath interface-dispatched clock read
 	start := a.pipeline.clock.Now()
 	grads := tensor.ReuseRows(cur.grads, len(cur.uniq), a.dim, len(indices))
 	cur.grads = grads
@@ -118,7 +110,6 @@ func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr flo
 	tensor.Axpy(-lr, grads.Data, cur.values.Data)
 	a.pipeline.caches[a.slot].Publish(cur.uniq, cur.values, int(a.pipeline.trained.Load()), cur.nextUse)
 	cur.updated = true
-	//elrec:coldpath interface-dispatched clock read
 	a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
 }
 

@@ -101,8 +101,6 @@ func (c *Cache) row(s int) []float32 { return c.values[s*c.dim : (s+1)*c.dim] }
 // up with the cached value. nextUse[i] is the retention promise for ids[i]
 // (see Cache.nextUse); nil promises nothing. Existing entries are
 // overwritten.
-//
-//elrec:hotpath cache admission on every training step: storing the trained rows must not allocate at steady state
 func (c *Cache) Publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []int32) {
 	c.checkShape("Publish", ids, rows, nil, nextUse)
 	c.mu.Lock()
@@ -145,7 +143,6 @@ func (c *Cache) reserve(n int) {
 
 // grow moves the live slots into arrays with room for at least n entries.
 //
-//elrec:coldpath amortized growth to the largest live set seen; steady state keeps the arrays
 //elrec:locked mu called from reserve under the lock
 func (c *Cache) grow(n int) {
 	n = max(n, 2*cap(c.ids))
@@ -188,8 +185,6 @@ func (c *Cache) reindex(n int) {
 // O(live entries) over the slot arrays; when it evicted, the index is
 // rebuilt, sized for the survivors plus this batch's rows (what the step's
 // Publish may add).
-//
-//elrec:hotpath cache admission on every training step: serving and sweeping must not allocate at steady state
 func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
 	c.checkShape("Sync", ids, rows, fresh, nextUse)
 	c.mu.Lock()
@@ -199,7 +194,6 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 		s, ok := c.index.Find(id)
 		if !ok {
 			if !gathered {
-				//elrec:coldpath broken-invariant error construction
 				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", ErrLookaheadMiss, id, iter)
 			}
 			continue

@@ -13,6 +13,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 	"repro/internal/tt"
 )
 
@@ -130,12 +131,19 @@ func TestPipelineMatchesSequentialExactly(t *testing.T) {
 // parameters must still equal a sequential, unplanned run's bit for bit —
 // a stale row or gradient a recycled slab let through would show — and
 // once a warm-up call has grown the slabs, the planner and the cache, a
-// further call allocates only per-call bookkeeping.
+// further call allocates only per-call bookkeeping — at one worker and at the
+// host's width.
 func TestPipelineZeroAllocRecycledSlabs(t *testing.T) {
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	workertest.Each(t, func(workers int) {
+		t.Logf("%d workers", workers)
+		checkRecycledSlabs(t)
+	})
+}
+
+// checkRecycledSlabs runs TestPipelineZeroAllocRecycledSlabs at the current
+// worker count.
+func checkRecycledSlabs(t *testing.T) {
 
 	spec := psSpec()
 	d, err := data.New(spec)
@@ -158,11 +166,14 @@ func TestPipelineZeroAllocRecycledSlabs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	mustTrain(t, pipe, d, warmup, steps, batch)
 	runtime.ReadMemStats(&after)
-	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+	perStep, mallocs := (after.TotalAlloc-before.TotalAlloc)/steps, after.Mallocs-before.Mallocs
 	if perStep > 512 {
 		t.Errorf("pipelined Train allocated %d bytes per step after warm-up, want at most 512", perStep)
 	}
-	t.Logf("pipelined Train: %d B/step, %d GC cycles", perStep, after.NumGC-before.NumGC)
+	if mallocs >= steps {
+		t.Errorf("pipelined Train made %d allocations in %d steps: a step allocates", mallocs, steps)
+	}
+	t.Logf("pipelined Train: %d B/step, %d allocations per call, %d GC cycles", perStep, mallocs, after.NumGC-before.NumGC)
 	if got, want := len(pipe.spare), 4+3; got != want {
 		t.Errorf("%d step slabs in the pool between calls, want %d", got, want)
 	}

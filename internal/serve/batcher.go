@@ -29,8 +29,6 @@ func (r *Ranker) NewBatcher() *Batcher {
 
 // prepare resizes the scratch to n rows over numDense dense and numTables
 // sparse features, reusing prior capacity.
-//
-//elrec:coldpath amortized scratch growth; a steady stream of same-shaped batches reuses every buffer
 func (b *Batcher) prepare(n, numDense, numTables int) *data.Batch {
 	b.dense = tensor.Reuse(b.dense, n, numDense)
 	if cap(b.offsets) < n {
@@ -59,8 +57,6 @@ func (b *Batcher) prepare(n, numDense, numTables int) *data.Batch {
 
 // Build replicates ctx across len(candidates) rows, varying the item
 // feature.
-//
-//elrec:hotpath batch assembly into grown scratch does not allocate
 func (b *Batcher) Build(ctx Context, candidates []int) *data.Batch {
 	n := len(candidates)
 	out := b.prepare(n, len(ctx.Dense), len(ctx.Sparse))

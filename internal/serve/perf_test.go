@@ -5,21 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/dlrm"
-	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 	"repro/internal/tt"
 )
 
-// TestScoringZeroAllocSteadyState cross-checks hotalloc's static claim for
-// the scoring path at runtime: once the scratch has grown to the working
+// TestScoringZeroAllocSteadyState: once the scratch has grown to the working
 // shape, the grouped forward scores a micro-batch — several contexts, chunks
 // that end inside a group — without heap allocation, and so does the
-// replicated oracle's batch assembly. Table 0 is an embedding.Bag context
-// table and table 1 the Eff-TT item table: both look up into table-owned
-// scratch.
+// replicated oracle's batch assembly, at one worker and at the host's width.
+// Table 0 is an embedding.Bag context table and table 1 the Eff-TT item
+// table: both look up into table-owned scratch.
 func TestScoringZeroAllocSteadyState(t *testing.T) {
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	tables, _, err := dlrm.BuildTables(serveSpec().TableRows,
@@ -46,21 +42,23 @@ func TestScoringZeroAllocSteadyState(t *testing.T) {
 	}
 	scores := make([]float32, 8+7+6)
 
-	r.ScoreGroups(groups, scores) // warmup: grows the scratch to the micro-batch shape
-	allocs := testing.AllocsPerRun(20, func() {
-		r.ScoreGroups(groups, scores)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state ScoreGroups allocated %v times per call, want 0", allocs)
-	}
-
 	b := r.NewBatcher()
 	ctx := testContext()
-	b.Build(ctx, candidates) // warmup: grows the scratch to batch shape
-	allocs = testing.AllocsPerRun(20, func() {
-		b.Build(ctx, candidates)
+	workertest.Each(t, func(workers int) {
+		r.ScoreGroups(groups, scores) // warmup: grows the scratch to the micro-batch shape
+		allocs := testing.AllocsPerRun(20, func() {
+			r.ScoreGroups(groups, scores)
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state ScoreGroups allocated %v times per call at %d workers, want 0", allocs, workers)
+		}
+
+		b.Build(ctx, candidates) // warmup: grows the scratch to batch shape
+		allocs = testing.AllocsPerRun(20, func() {
+			b.Build(ctx, candidates)
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Build allocated %v times per call at %d workers, want 0", allocs, workers)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Build allocated %v times per call, want 0", allocs)
-	}
 }

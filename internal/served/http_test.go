@@ -383,3 +383,59 @@ func TestHTTPBodyLimits(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeBody holds the /reload body decoder to its contract on any
+// input: it never panics; it accepts a body exactly when the body is at
+// most maxBodyBytes and is either blank (the default path) or one JSON value
+// json.Unmarshal accepts into a ReloadRequest, with nothing but whitespace
+// after it; what it accepts names the path json.Unmarshal decodes, and
+// re-encoded decodes to that path again; a rejection answers 413 only for a
+// body over the limit, 400 otherwise. near ≠ 0 pads the body with spaces to
+// within two bytes of the limit, either side.
+func FuzzDecodeBody(f *testing.F) {
+	for _, body := range []string{
+		``, ` `, `{}`, `null`, `{"path":"/tmp/x.ckpt"}`, `{"PATH":"a"}`,
+		`{"path":"a"} x`, `{"path":"a"}{}`, `{"path":5}`, `[`, "{\"path\":\"a\"}\r\n",
+	} {
+		f.Add([]byte(body), int8(0))
+		f.Add([]byte(body), int8(1))
+		f.Add([]byte(body), int8(3))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, near int8) {
+		if near != 0 {
+			if n := maxBodyBytes + int(near)%3; len(body) < n {
+				body = append(body, bytes.Repeat([]byte{' '}, n-len(body))...)
+			}
+		}
+		var want ReloadRequest
+		blank := len(bytes.TrimLeft(body, " \t\r\n")) == 0
+		wantOK := len(body) <= maxBodyBytes && (blank || json.Unmarshal(body, &want) == nil)
+
+		rec := httptest.NewRecorder()
+		var got ReloadRequest
+		ok := decodeBody(rec, httptest.NewRequest(http.MethodPost, "/reload", bytes.NewReader(body)), &got)
+		if ok != wantOK {
+			t.Fatalf("%d-byte body: decodeBody = %v, json.Unmarshal says %v", len(body), ok, wantOK)
+		}
+		if !ok {
+			if rec.Code == http.StatusRequestEntityTooLarge && len(body) <= maxBodyBytes {
+				t.Fatalf("%d-byte body answered 413 under the %d-byte limit", len(body), maxBodyBytes)
+			}
+			if rec.Code != http.StatusRequestEntityTooLarge && rec.Code != http.StatusBadRequest {
+				t.Fatalf("rejected body answered %d, want 400 or 413", rec.Code)
+			}
+			return
+		}
+		if got != want {
+			t.Fatalf("decoded %+v, json.Unmarshal %+v", got, want)
+		}
+		buf, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again ReloadRequest
+		if err := json.Unmarshal(buf, &again); err != nil || again != got {
+			t.Fatalf("re-encoded %s decodes to %+v (%v), want %+v", buf, again, err, got)
+		}
+	})
+}

@@ -539,18 +539,16 @@ func (p *Pool) process(r *replica, reqs []*request) {
 
 // score runs r.groups through the replica Ranker's grouped forward into the
 // pooled scores scratch and returns it resliced to the row count. Steady
-// state allocates nothing (the AllocsPerRun test pins it; elrec-lint's
-// hotalloc pass keeps the scratch management honest): the scratch grows once
-// to the high-water row count, then every micro-batch reuses it.
-//
-//elrec:hotpath
+// state allocates nothing (TestReplicaScoreZeroAllocSteadyState pins it): the
+// scratch grows once to the high-water row count, then every micro-batch
+// reuses it.
 func (r *replica) score() []float32 {
 	rows := 0
 	for i := range r.groups {
 		rows += len(r.groups[i].Items)
 	}
 	if cap(r.scores) < rows {
-		r.scores = make([]float32, rows) //elrec:coldpath amortized scratch growth to the high-water micro-batch size
+		r.scores = make([]float32, rows)
 	}
 	scores := r.scores[:rows]
 	r.ranker.ScoreGroups(r.groups, scores)

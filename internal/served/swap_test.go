@@ -14,7 +14,7 @@ import (
 	"repro/internal/dlrm"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 	"repro/internal/tt"
 )
 
@@ -317,17 +317,14 @@ func TestReadyFlipsDuringSwapAndClose(t *testing.T) {
 	}
 }
 
-// TestReplicaScoreZeroAllocSteadyState cross-checks hotalloc's static claim
-// at runtime: once replica scratch has grown to the working shape, scoring a
-// coalesced micro-batch through the grouped forward allocates nothing. The
+// TestReplicaScoreZeroAllocSteadyState: once replica scratch has grown to
+// the working shape, scoring a coalesced micro-batch through the grouped
+// forward allocates nothing, at one worker and at the host's width. The
 // model is poolModel's mix: table 0 is an embedding.Bag context table, table
 // 1 the Eff-TT item table, and both look up into replica-owned scratch. Two
 // replicas then score concurrently (under -race in CI), and every score must
 // have the bits of the sequential one.
 func TestReplicaScoreZeroAllocSteadyState(t *testing.T) {
-	old := tensor.Workers()
-	tensor.SetMaxWorkers(1)
-	defer tensor.SetMaxWorkers(old)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	m := poolModel(t)
@@ -343,12 +340,15 @@ func TestReplicaScoreZeroAllocSteadyState(t *testing.T) {
 	}
 	r := p.workers[0].rep
 	want := append([]float32(nil), r.score()...) // warmup: grows the scratch to the micro-batch shape
-	allocs := testing.AllocsPerRun(20, func() {
+	workertest.Each(t, func(workers int) {
 		r.score()
+		allocs := testing.AllocsPerRun(20, func() {
+			r.score()
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state score allocated %v times per call at %d workers, want 0", allocs, workers)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state score allocated %v times per call, want 0", allocs)
-	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(p.workers))

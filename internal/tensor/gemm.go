@@ -47,8 +47,6 @@ func zeroDims(m, k, n int, c []float32, add bool) bool {
 // gemmBlocked computes c = a·b (add=false) or c += a·b (add=true) for
 // row-major buffers: a is m×k, b is k×n, c is m×n. Buffers may be longer
 // than required; c must not alias a or b.
-//
-//elrec:hotpath GEMM entry point (NN)
 func gemmBlocked(m, k, n int, a, b, c []float32, add bool) {
 	if zeroDims(m, k, n, c, add) {
 		return
@@ -62,8 +60,6 @@ func gemmBlocked(m, k, n int, a, b, c []float32, add bool) {
 
 // gemmTransABlocked computes c = aᵀ·b (add=false) or c = alpha·aᵀ·b + c
 // (add=true) where a is k×m row-major (so aᵀ is m×k), b is k×n and c is m×n.
-//
-//elrec:hotpath GEMM entry point (TN)
 func gemmTransABlocked(m, k, n int, a, b, c []float32, alpha float32, add bool) {
 	if zeroDims(m, k, n, c, add) {
 		return
@@ -77,8 +73,6 @@ func gemmTransABlocked(m, k, n int, a, b, c []float32, alpha float32, add bool) 
 
 // gemmTransBBlocked computes c = a·bᵀ (add=false) or c += a·bᵀ (add=true)
 // where a is m×k, b is n×k row-major (bᵀ is k×n) and c is m×n.
-//
-//elrec:hotpath GEMM entry point (NT)
 func gemmTransBBlocked(m, k, n int, a, b, c []float32, add bool) {
 	if zeroDims(m, k, n, c, add) {
 		return

@@ -272,9 +272,7 @@ func BenchmarkGemmSplit(b *testing.B) {
 			b.Run(fmt.Sprintf("macs=%d/workers=%d", m*kn*kn, workers), func(b *testing.B) {
 				SetMaxWorkers(workers)
 				for i := 0; i < b.N; i++ {
-					ParallelFor(m, func(lo, hi int) {
-						gemmTransBBlocked(hi-lo, kn, kn, x[lo*kn:], y, z[lo*kn:], false)
-					})
+					splitRows(m, kn, kn, x, y, z, true)
 				}
 			})
 		}

@@ -49,12 +49,21 @@ func SetMaxWorkers(n int) {
 // every executor (pool workers plus the caller) increments ticket to claim
 // the next contiguous chunk until the range is exhausted, so a slow chunk
 // never idles the other executors.
+//
+// Headers are recycled: refs counts the caller plus every offer of the job
+// still queued or running on a worker, and the last release returns the
+// header to freeJobs. A stale offer (a worker dequeuing a job whose chunks
+// are all claimed) therefore never sees a reused header, and because the
+// offer queue is only as deep as the host is wide, stale offers keep at most
+// that many headers from the free list.
 type poolJob struct {
-	body   func(lo, hi int)
+	body   func(ctx any, lo, hi int)
+	ctx    any
 	n      int
 	chunk  int
 	ticket atomic.Int64   // next unclaimed chunk index
 	wg     sync.WaitGroup // counts unfinished chunks
+	refs   atomic.Int32   // the caller plus its outstanding offers
 }
 
 // run claims and executes chunks until none remain. Safe to call from any
@@ -67,19 +76,50 @@ func (j *poolJob) run() {
 		if lo >= j.n {
 			return
 		}
-		hi := lo + j.chunk
-		if hi > j.n {
-			hi = j.n
-		}
-		j.body(lo, hi) //elrec:coldpath body closures are checked at their hot creation sites
+		j.body(j.ctx, lo, min(lo+j.chunk, j.n))
 		j.wg.Done()
 	}
 }
 
-// poolJobs feeds the persistent workers. The buffer bounds how many offers
-// a burst of ParallelFor calls can park; stale entries for completed jobs
-// cost one ticket check when dequeued.
-var poolJobs = make(chan *poolJob, 64)
+// release drops one reference and recycles the header with the last one.
+func (j *poolJob) release() {
+	if j.refs.Add(-1) == 0 {
+		j.body, j.ctx = nil, nil
+		freeJobs.put(j)
+	}
+}
+
+// freeList recycles *T values through a buffered channel: get takes one or
+// makes one, put keeps one while there is room. Neither allocates once the
+// list holds as many values as its users have in flight.
+type freeList[T any] chan *T
+
+func (f freeList[T]) get() *T {
+	select {
+	case x := <-f:
+		return x
+	default:
+		return new(T)
+	}
+}
+
+func (f freeList[T]) put(x *T) {
+	select {
+	case f <- x:
+	default:
+	}
+}
+
+// poolJobs feeds the persistent workers. Its depth bounds how many offers a
+// burst of ParallelFor calls can park, and so how many headers stale offers
+// can hold; a full queue sends the caller to run the chunks itself.
+var poolJobs = make(chan *poolJob, runtime.GOMAXPROCS(0))
+
+// freeJobs holds the released headers. A process has at most its nested and
+// concurrent dispatches plus the offer queue's stale headers out at once, a
+// few per executor; 64 keeps every one of them, and a header released into
+// a full list is left to the collector.
+var freeJobs = make(freeList[poolJob], 64)
 
 // pool tracks the lazily-started persistent workers that replace the old
 // per-call goroutine spawning.
@@ -91,8 +131,6 @@ var pool struct {
 // ensureWorkers lazily tops the pool up to want persistent workers. Workers
 // are never torn down: they block on poolJobs between dispatches, which is
 // free, and keeping them avoids respawn churn when MaxWorkers oscillates.
-//
-//elrec:coldpath one-time worker-pool warm-up; steady state finds the pool already spawned
 func ensureWorkers(want int) {
 	pool.mu.Lock()
 	for pool.spawned < want {
@@ -100,46 +138,48 @@ func ensureWorkers(want int) {
 		go func() {
 			for j := range poolJobs {
 				j.run()
+				j.release()
 			}
 		}()
 	}
 	pool.mu.Unlock()
 }
 
-// ParallelFor splits [0,n) into contiguous chunks and invokes body(lo,hi) on
-// each chunk, blocking until all chunks complete. body must be safe to run
-// concurrently on disjoint ranges. With n <= 1 or a single worker the call
-// runs inline. Chunks execute on a persistent worker pool; the caller
-// always participates, so a saturated pool degrades to inline execution
-// rather than queueing behind other dispatches, and nested ParallelFor
-// calls cannot deadlock.
-//
-//elrec:hotpath fan-out driver for every blocked kernel
-func ParallelFor(n int, body func(lo, hi int)) {
-	workers := Workers()
-	if workers > n {
-		workers = n
-	}
+// ParallelFor splits [0,n) into contiguous chunks and invokes body(ctx,lo,hi)
+// on each chunk, blocking until all chunks complete. body must be safe to run
+// concurrently on disjoint ranges; it takes its state through ctx, so a body
+// that is a plain function (one capturing nothing) and a pointer ctx make the
+// dispatch allocation-free at every worker count. With n <= 1 or a single
+// worker the call runs body(ctx,0,n) inline. Chunks execute on a persistent
+// worker pool; the caller always participates, so a saturated pool degrades
+// to inline execution rather than queueing behind other dispatches, and
+// nested ParallelFor calls cannot deadlock.
+func ParallelFor(n int, ctx any, body func(ctx any, lo, hi int)) {
+	workers := min(Workers(), n)
 	if workers <= 1 {
 		if n > 0 {
-			body(0, n) //elrec:coldpath body closures are checked at their hot creation sites
+			body(ctx, 0, n)
 		}
 		return
 	}
 	chunk := (n + workers - 1) / workers
-	numChunks := (n + chunk - 1) / chunk
-	//elrec:coldpath one job header per parallel dispatch; the zero-alloc contract is the serial (workers=1) path
-	j := &poolJob{body: body, n: n, chunk: chunk}
-	j.wg.Add(numChunks)
+	j := freeJobs.get()
+	j.body, j.ctx, j.n, j.chunk = body, ctx, n, chunk
+	j.ticket.Store(0)
+	j.refs.Store(1)
+	j.wg.Add((n + chunk - 1) / chunk)
 	ensureWorkers(workers - 1)
 offer:
 	for i := 1; i < workers; i++ {
+		j.refs.Add(1)
 		select {
 		case poolJobs <- j:
-		default:
-			break offer // queue full: every worker is busy, go help instead
+		default: // queue full: every worker is busy, go help instead
+			j.refs.Add(-1)
+			break offer
 		}
 	}
 	j.run()
 	j.wg.Wait()
+	j.release()
 }

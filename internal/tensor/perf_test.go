@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 )
@@ -12,14 +13,15 @@ func fillSeq(x []float32) {
 	}
 }
 
-// TestGemmKernelsZeroAllocSteadyState cross-checks hotalloc's static claim
-// at runtime: every kernel entry point (and so, on an AVX2 or AVX-512 host, each of
-// the four assembly routines: row-broadcast for NN and TN, dot and the
-// short-k tile for NT, axpy, addTo) runs without heap allocation.
+// TestGemmKernelsZeroAllocSteadyState: every kernel entry point (and so, on
+// an AVX2 or AVX-512 host, each of the four assembly routines: row-broadcast
+// for NN and TN, dot and the short-k tile for NT, axpy, addTo) runs without
+// heap allocation, and so do MatMul's and MatMulTransB's row splits — at one
+// worker, where ParallelFor runs them inline, and at the host's width (at
+// least two), where it dispatches them over the pool through a recycled job
+// header.
 func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
-	old := Workers()
-	SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
+	defer SetMaxWorkers(Workers())
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	const m, k, n = 48, 32, 24
@@ -30,6 +32,10 @@ func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
 	fillSeq(a)
 	fillSeq(b)
 	fillSeq(bt)
+	// 256·128·128 multiply-adds is parallelThreshold: the products split.
+	x, w, y := New(256, 128), New(128, 128), New(256, 128)
+	fillSeq(x.Data)
+	fillSeq(w.Data)
 
 	kernels := []struct {
 		name string
@@ -44,11 +50,17 @@ func TestGemmKernelsZeroAllocSteadyState(t *testing.T) {
 		{"GemmTransAInto-48x8x24", func() { GemmTransAInto(48, 8, 24, a, b, c) }},
 		{"axpy", func() { axpy(0.5, bt, a[:len(bt)]) }},
 		{"AddTo", func() { AddTo(c[:100], a[:100]) }},
+		{"MatMul-split", func() { MatMul(y, x, w) }},
+		{"MatMulTransB-split", func() { MatMulTransB(y, x, w) }},
 	}
 	for _, tc := range kernels {
 		t.Run(tc.name, func(t *testing.T) {
-			if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
-				t.Fatalf("%s allocated %v times per call, want 0", tc.name, allocs)
+			for _, workers := range []int{1, max(2, runtime.NumCPU())} {
+				SetMaxWorkers(workers)
+				tc.run() // warm-up: the pool's workers, headers and splits
+				if allocs := testing.AllocsPerRun(20, tc.run); allocs != 0 {
+					t.Fatalf("%s allocated %v times per call at %d workers, want 0", tc.name, allocs, workers)
+				}
 			}
 		})
 	}

@@ -10,7 +10,6 @@ func Reuse(m *Matrix, r, c int) *Matrix {
 		panic("tensor: Reuse with negative shape")
 	}
 	if m == nil || cap(m.Data) < r*c {
-		//elrec:coldpath capacity growth; the steady state reuses m's storage
 		return New(r, c)
 	}
 	m.Rows, m.Cols = r, c
@@ -22,8 +21,6 @@ func Reuse(m *Matrix, r, c int) *Matrix {
 // (a batch's occurrence count bounds every per-batch row set): storage that
 // has to grow gets Headroom(r, bound) rows, so a stream of batches stops
 // growing it after a few steps instead of chasing every new high-water mark.
-//
-//elrec:coldpath amortized scratch growth; steady state reslices in place
 func ReuseRows(m *Matrix, r, c, bound int) *Matrix {
 	if m == nil || cap(m.Data) < r*c {
 		m = New(Headroom(r, bound), c)

@@ -158,9 +158,7 @@ func MatMul(dst, a, b *Matrix) {
 	}
 	k, n := a.Cols, b.Cols
 	if Parallel(a.Rows * k * n) {
-		ParallelFor(a.Rows, func(lo, hi int) {
-			gemmBlocked(hi-lo, k, n, a.Data[lo*k:], b.Data, dst.Data[lo*n:], false)
-		})
+		splitRows(a.Rows, k, n, a.Data, b.Data, dst.Data, false)
 		return
 	}
 	gemmBlocked(a.Rows, k, n, a.Data, b.Data, dst.Data, false)
@@ -192,12 +190,45 @@ func MatMulTransB(dst, a, b *Matrix) {
 	}
 	k, n := a.Cols, b.Rows
 	if Parallel(a.Rows * k * n) {
-		ParallelFor(a.Rows, func(lo, hi int) {
-			gemmTransBBlocked(hi-lo, k, n, a.Data[lo*k:], b.Data, dst.Data[lo*n:], false)
-		})
+		splitRows(a.Rows, k, n, a.Data, b.Data, dst.Data, true)
 		return
 	}
 	gemmTransBBlocked(a.Rows, k, n, a.Data, b.Data, dst.Data, false)
+}
+
+// rowSplit is one MatMul/MatMulTransB row split: c = a·b (or a·bᵀ) with a
+// m×k and c m×n, each chunk of rows one product. Splits are recycled like
+// ParallelFor's job headers, so a split allocates nothing once warm.
+type rowSplit struct {
+	a, b, c []float32
+	k, n    int
+	transB  bool
+}
+
+// freeSplits holds the released splits. One is out per MatMul/MatMulTransB
+// in flight, so per training or serving goroutine; as with freeJobs, 64 is
+// more than that, and a split released into a full list is left to the
+// collector.
+var freeSplits = make(freeList[rowSplit], 64)
+
+// splitRows runs the product over the worker pool, one row chunk each.
+func splitRows(m, k, n int, a, b, c []float32, transB bool) {
+	s := freeSplits.get()
+	*s = rowSplit{a: a, b: b, c: c, k: k, n: n, transB: transB}
+	ParallelFor(m, s, productRows)
+	*s = rowSplit{}
+	freeSplits.put(s)
+}
+
+// productRows computes rows [lo,hi) of a rowSplit's product.
+func productRows(ctx any, lo, hi int) {
+	s := ctx.(*rowSplit)
+	a, c := s.a[lo*s.k:], s.c[lo*s.n:]
+	if s.transB {
+		gemmTransBBlocked(hi-lo, s.k, s.n, a, s.b, c, false)
+	} else {
+		gemmBlocked(hi-lo, s.k, s.n, a, s.b, c, false)
+	}
 }
 
 // axpy computes y += a*x over equal-length, non-empty slices.

@@ -269,7 +269,7 @@ func TestParallelForCoversRange(t *testing.T) {
 		seen := make([]int32, n)
 		var mu chan struct{} = make(chan struct{}, 1)
 		mu <- struct{}{}
-		ParallelFor(n, func(lo, hi int) {
+		ParallelFor(n, nil, func(_ any, lo, hi int) {
 			<-mu
 			for i := lo; i < hi; i++ {
 				seen[i]++
@@ -289,7 +289,7 @@ func TestParallelForSingleWorker(t *testing.T) {
 	SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
 	count := 0
-	ParallelFor(10, func(lo, hi int) { count += hi - lo })
+	ParallelFor(10, &count, func(ctx any, lo, hi int) { *ctx.(*int) += hi - lo })
 	if count != 10 {
 		t.Fatalf("single-worker ParallelFor covered %d of 10", count)
 	}
@@ -325,11 +325,7 @@ func TestParallelForPoolConcurrentDispatch(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
 				n := 97
 				seen := make([]int32, n)
-				ParallelFor(n, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&seen[i], 1)
-					}
-				})
+				ParallelFor(n, seen, countVisits)
 				for i := range seen {
 					if seen[i] != 1 {
 						t.Errorf("index %d visited %d times", i, seen[i])
@@ -340,6 +336,91 @@ func TestParallelForPoolConcurrentDispatch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// countVisits is a ParallelFor body that counts each index of its range in
+// ctx, a []int32.
+func countVisits(ctx any, lo, hi int) {
+	seen := ctx.([]int32)
+	for i := lo; i < hi; i++ {
+		atomic.AddInt32(&seen[i], 1)
+	}
+}
+
+// stressCase is one dispatch of TestParallelForRecycledHeadersStress: the
+// visit count of each index, and the dispatch each index nests (nil for
+// none).
+type stressCase struct {
+	seen  []int32
+	inner []*stressCase
+}
+
+// stressBody counts the chunk's indices and runs each index's nested
+// dispatch.
+func stressBody(ctx any, lo, hi int) {
+	c := ctx.(*stressCase)
+	for i := lo; i < hi; i++ {
+		atomic.AddInt32(&c.seen[i], 1)
+		if c.inner != nil {
+			ParallelFor(len(c.inner[i].seen), c.inner[i], stressBody)
+		}
+	}
+}
+
+// check reports an index of c, or of a dispatch it nests, that did not run
+// exactly once, and counts c's dispatches into dispatches.
+func (c *stressCase) check(t *testing.T, dispatches *atomic.Int64) bool {
+	dispatches.Add(1)
+	for i, v := range c.seen {
+		if v != 1 {
+			t.Errorf("index %d of %d ran %d times", i, len(c.seen), v)
+			return false
+		}
+	}
+	for _, in := range c.inner {
+		if !in.check(t, dispatches) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestParallelForRecycledHeadersStress drives the recycled job headers
+// hard: at four workers, four goroutines dispatch concurrently, every other
+// dispatch nesting one dispatch per index, so headers are released by
+// callers and by stale offers in every order. Each index of every dispatch
+// must run exactly once — a header reused while an offer of its previous job
+// was still queued would run a chunk twice or skip one. Under -race this
+// also vets the reference counting.
+func TestParallelForRecycledHeadersStress(t *testing.T) {
+	defer SetMaxWorkers(Workers())
+	SetMaxWorkers(4)
+	const goroutines, iters = 4, 1000
+	var dispatches atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < iters; iter++ {
+				c := &stressCase{seen: make([]int32, 1+(iter+g)%9)}
+				if iter%2 == 1 {
+					c.inner = make([]*stressCase, len(c.seen))
+					for i := range c.inner {
+						c.inner[i] = &stressCase{seen: make([]int32, 1+(iter+i)%7)}
+					}
+				}
+				ParallelFor(len(c.seen), c, stressBody)
+				if !c.check(t, &dispatches) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := dispatches.Load(); n < 10_000 {
+		t.Fatalf("%d dispatches, want at least 10 000", n)
+	}
 }
 
 func TestEqualToleranceAndShape(t *testing.T) {

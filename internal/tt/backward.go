@@ -7,7 +7,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// bwScratch holds the per-executor intermediates of one work item of the
+// bwScratch holds one part's intermediates of a work item of the
 // per-occurrence baseline backward.
 type bwScratch struct {
 	p12, dP12, dG1, dG2, dG3 []float32
@@ -52,117 +52,123 @@ func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
 		panic(fmt.Sprintf("tt: Backward grad %dx%d want %dx%d", dOut.Rows, dOut.Cols, len(cache.Offsets), t.Shape.Dim))
 	}
 
-	var gradBufs [Dims]*tensor.Matrix
+	cache.gradBufs, cache.lr = [Dims]*tensor.Matrix{}, lr
 	if !t.Opts.FusedUpdate {
-		gradBufs = t.gradBuffers()
+		cache.gradBufs = t.gradBuffers()
 	}
 	if t.Opts.InAdvanceAgg {
-		t.backwardTwoLevel(cache, dOut, gradBufs, lr)
+		t.backwardTwoLevel(cache, dOut)
 	} else {
-		t.backwardPerOccurrence(cache, dOut, gradBufs, lr)
+		t.backwardPerOccurrence(cache, dOut)
 	}
 
 	if !t.Opts.FusedUpdate {
 		// Separate optimizer sweep over the full core buffers: the extra
 		// read-modify-write traffic the fused path avoids.
 		if t.AdagradEnabled() {
-			t.adagradSweep(gradBufs, lr)
+			t.adagradSweep(cache.gradBufs, lr)
 		} else {
 			for k := 0; k < Dims; k++ {
-				tensor.Axpy(-lr, gradBufs[k].Data, t.Cores[k].Data)
+				tensor.Axpy(-lr, cache.gradBufs[k].Data, t.Cores[k].Data)
 			}
 		}
 	}
 }
 
 // backwardPerOccurrence is the TT-Rec baseline of Figures 14/17/18: one full
-// chain per index occurrence, work items spread over the executors, shared
-// slices updated hogwild under stripe locks (the paper's kernel uses
-// atomics). Only a single executor makes it reproducible.
-func (t *Table) backwardPerOccurrence(cache *ForwardCache, dOut *tensor.Matrix, gradBufs [Dims]*tensor.Matrix, lr float32) {
-	workGrad := t.perOccurrenceGrads(cache, dOut)
+// chain per index occurrence, the occurrences split into parts over the
+// executors, each with its own scratch, and shared slices updated hogwild
+// under stripe locks (the paper's kernel uses atomics). Only a single
+// executor makes it reproducible.
+func (t *Table) backwardPerOccurrence(cache *ForwardCache, dOut *tensor.Matrix) {
+	t.perOccurrenceGrads(cache, dOut)
 	items := len(cache.Indices)
 	t.met.recordBackward(items, items, items)
-	if serialItems() {
-		cache.bw.ensure(t)
-		t.backwardRange(cache, workGrad, gradBufs, &cache.bw, lr, 0, items)
-		return
+	cache.parts = min(tensor.Workers(), items)
+	if len(cache.bw) < cache.parts {
+		cache.bw = append(cache.bw, make([]bwScratch, cache.parts-len(cache.bw))...)
 	}
-	tensor.ParallelFor(items, func(lo, hi int) {
-		var s bwScratch
-		s.ensure(t)
-		t.backwardRange(cache, workGrad, gradBufs, &s, lr, lo, hi)
-	})
+	for p := range cache.parts {
+		cache.bw[p].ensure(t)
+	}
+	tensor.ParallelFor(cache.parts, cache, backwardRange)
 }
 
-// backwardRange runs the chain-rule multiplications and the core update for
-// index occurrences [lo,hi). s provides the per-executor scratch.
-func (t *Table) backwardRange(cache *ForwardCache, workGrad *tensor.Matrix, gradBufs [Dims]*tensor.Matrix, s *bwScratch, lr float32, lo, hi int) {
+// backwardRange is a ParallelFor body over a *ForwardCache: part p of
+// [lo,hi) runs the chain-rule multiplications and the core update for its
+// index occurrences in its own scratch.
+func backwardRange(ctx any, lo, hi int) {
+	c := ctx.(*ForwardCache)
+	t := c.t
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
-	for p := lo; p < hi; p++ {
-		g := workGrad.Row(p)
-		i1, i2, i3 := t.Shape.FactorIndex(cache.Indices[p])
+	for part := lo; part < hi; part++ {
+		s := &c.bw[part]
+		first, end := c.part(part, len(c.Indices))
+		for p := first; p < end; p++ {
+			g := c.workGrad.Row(p)
+			i1, i2, i3 := t.Shape.FactorIndex(c.Indices[p])
 
-		// Fetch or recompute the forward intermediate P₁₂.
-		pref := s.p12
-		if cache.PrefixBuf == nil {
-			t.computePrefix(i1, i2, pref)
-		} else {
-			fw := p // forward work item of occurrence p
-			if cache.WorkOf != nil {
-				fw = cache.WorkOf[p]
+			// Fetch or recompute the forward intermediate P₁₂.
+			pref := s.p12
+			if c.PrefixBuf == nil {
+				t.computePrefix(i1, i2, pref)
+			} else {
+				fw := p // forward work item of occurrence p
+				if c.WorkOf != nil {
+					fw = c.WorkOf[p]
+				}
+				pref = c.PrefixBuf.Row(c.PrefixSlots[fw])
 			}
-			pref = cache.PrefixBuf.Row(cache.PrefixSlots[fw])
+
+			// dG₃[i₃] = P₁₂ᵀ · g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
+			clear(s.dG3)
+			tensor.GemmTransAAddInto(r2, n[0]*n[1], n[2], 1, pref, g, s.dG3)
+			// dP₁₂ = g · G₃[i₃]ᵀ   (n₁n₂ × R₂).
+			clear(s.dP12)
+			tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, g, t.Slice3(i3), s.dP12)
+			// dG₂[i₂] = G₁[i₁]ᵀ · dP₁₂  (R₁ × n₂R₂), dP₁₂ viewed as n₁ × n₂R₂.
+			clear(s.dG2)
+			tensor.GemmTransAAddInto(r1, n[0], n[1]*r2, 1, t.Slice1(i1), s.dP12, s.dG2)
+			// dG₁[i₁] = dP₁₂ · G₂[i₂]ᵀ  (n₁ × R₁).
+			clear(s.dG1)
+			tensor.GemmTransBAddInto(n[0], n[1]*r2, r1, s.dP12, t.Slice2(i2), s.dG1)
+
+			t.sinkLocked(c, 0, i1, s.dG1)
+			t.sinkLocked(c, 1, i2, s.dG2)
+			t.sinkLocked(c, 2, i3, s.dG3)
 		}
-
-		// dG₃[i₃] = P₁₂ᵀ · g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
-		clear(s.dG3)
-		tensor.GemmTransAAddInto(r2, n[0]*n[1], n[2], 1, pref, g, s.dG3)
-		// dP₁₂ = g · G₃[i₃]ᵀ   (n₁n₂ × R₂).
-		clear(s.dP12)
-		tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, g, t.Slice3(i3), s.dP12)
-		// dG₂[i₂] = G₁[i₁]ᵀ · dP₁₂  (R₁ × n₂R₂), dP₁₂ viewed as n₁ × n₂R₂.
-		clear(s.dG2)
-		tensor.GemmTransAAddInto(r1, n[0], n[1]*r2, 1, t.Slice1(i1), s.dP12, s.dG2)
-		// dG₁[i₁] = dP₁₂ · G₂[i₂]ᵀ  (n₁ × R₁).
-		clear(s.dG1)
-		tensor.GemmTransBAddInto(n[0], n[1]*r2, r1, s.dP12, t.Slice2(i2), s.dG1)
-
-		t.sinkLocked(gradBufs, 0, i1, s.dG1, lr)
-		t.sinkLocked(gradBufs, 1, i2, s.dG2, lr)
-		t.sinkLocked(gradBufs, 2, i3, s.dG3, lr)
 	}
 }
 
 // sinkLocked is sinkGrad under the row's stripe lock, for the baseline's
 // executors that share slices.
-func (t *Table) sinkLocked(gradBufs [Dims]*tensor.Matrix, k, row int, grad []float32, lr float32) {
+func (t *Table) sinkLocked(c *ForwardCache, k, row int, grad []float32) {
 	mu := t.lockFor(k, row)
 	mu.Lock()
-	t.sinkGrad(gradBufs, k, row, grad, lr)
+	t.sinkGrad(c, k, row, grad)
 	mu.Unlock()
 }
 
 // sinkGrad delivers a gradient for slice row of core k: the optimizer apply
-// on the core itself when the update is fused (gradBufs[k] nil), an add into
-// the gradient-buffer row the optimizer sweep reads otherwise. The caller
-// owns the slice while it runs.
-func (t *Table) sinkGrad(gradBufs [Dims]*tensor.Matrix, k, row int, grad []float32, lr float32) {
-	if buf := gradBufs[k]; buf != nil {
+// on the core itself when the update is fused (c.gradBufs[k] nil), an add
+// into the gradient-buffer row the optimizer sweep reads otherwise. The
+// caller owns the slice while it runs.
+func (t *Table) sinkGrad(c *ForwardCache, k, row int, grad []float32) {
+	if buf := c.gradBufs[k]; buf != nil {
 		tensor.AddTo(buf.Row(row), grad)
 		return
 	}
-	t.applyGradSlice(k, row, grad, lr)
+	t.applyGradSlice(k, row, grad, c.lr)
 }
 
 // aggregateGrads computes one aggregated gradient row per unique index of
-// the batch (in-advance gradient aggregation) and returns the unique
-// indices, the occurrence→unique map and the rows. When the forward pass
-// already deduplicated, its unique structure is reused; otherwise it is
+// the batch (in-advance gradient aggregation) into cache.workGrad and
+// returns the unique indices and the occurrence→unique map. When the forward
+// pass already deduplicated, its unique structure is reused; otherwise it is
 // built here. The gradient matrix lives in the cache arena, so steady-state
 // batches reuse its storage.
-func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int, []int, *tensor.Matrix) {
+func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int, []int) {
 	workIdx, workOf := cache.WorkIdx, cache.WorkOf
 	if !t.Opts.DedupIndices {
 		workIdx, workOf = cache.dedupRows()
@@ -177,22 +183,20 @@ func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int,
 			tensor.AddTo(grads.Row(workOf[p]), src)
 		}
 	}
-	return workIdx, workOf, grads
+	return workIdx, workOf
 }
 
 // perOccurrenceGrads materializes one gradient row per index occurrence
 // (no aggregation): occurrence p of sample s receives a copy of dOut[s].
 // The copy is the point — TT-Rec stores per-row gradients before reducing.
-func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) *tensor.Matrix {
+func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) {
 	cache.workGrad = tensor.Reuse(cache.workGrad, len(cache.Indices), t.Shape.Dim)
-	grads := cache.workGrad
 	for s := range cache.Offsets {
 		start, end := embedding.BagBounds(cache.Offsets, s, len(cache.Indices))
 		for p := start; p < end; p++ {
-			copy(grads.Row(p), dOut.Row(s))
+			copy(cache.workGrad.Row(p), dOut.Row(s))
 		}
 	}
-	return grads
 }
 
 // Lookup runs the forward pass through the table-owned arena cache and
@@ -201,11 +205,8 @@ func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) *te
 // by the Table protocol and reuses every intermediate across batches —
 // including the returned matrix, which is only valid until the next Lookup
 // on this table — making steady-state training steps allocation-free.
-//
-//elrec:hotpath steady-state TT embedding lookup (paper: zero-alloc training step)
 func (t *Table) Lookup(indices, offsets []int) *tensor.Matrix {
 	if t.arena == nil {
-		//elrec:coldpath one-time arena construction on the first Lookup
 		t.arena = &ForwardCache{}
 	}
 	out := t.forwardInto(t.arena, indices, offsets)
@@ -216,8 +217,6 @@ func (t *Table) Lookup(indices, offsets []int) *tensor.Matrix {
 // Update applies gradients for the most recent Lookup batch. The batch
 // description must match that Lookup call; if it does not (or no Lookup ran)
 // the forward pass is run again for the batch given here.
-//
-//elrec:hotpath steady-state TT embedding update
 func (t *Table) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
 	if t.lastCache == nil || !sameBatch(t.lastCache, indices, offsets) {
 		t.Lookup(indices, offsets)

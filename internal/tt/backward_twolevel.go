@@ -17,8 +17,8 @@ import "repro/internal/tensor"
 // prefix — the backward counterpart of Algorithm 1's reuse buffer, a second
 // aggregation level the paper's backward (and TT-Rec's) does not have.
 //
-// Execution is three phases, each one loop over owners that runs inline on
-// one executor and through tensor.ParallelFor on several:
+// Execution is three phases, each one tensor.ParallelFor over owners (inline
+// on one executor):
 //
 //  1. per unique prefix u: dP₁₂[u] = Σ_w g_w·G₃[i₃(w)]ᵀ over its work items
 //     in work-item order; each item keeps its small P₁₂ᵀ·g_w in c3[w];
@@ -104,10 +104,7 @@ func (g *groups) sortByI2(m2 int, uniq, ids []int, bound int) {
 // twoLevelBwd is the state of one two-level backward call. It lives in the
 // forward cache, so the arena path reuses every buffer across batches.
 type twoLevelBwd struct {
-	workIdx  []int          // unique indices of the batch (the work items)
-	workGrad *tensor.Matrix // aggregated gradient row per work item
-	gradBufs [Dims]*tensor.Matrix
-	lr       float32
+	workIdx []int // unique indices of the batch (the work items)
 
 	pfx     []int // unique prefix u → prefix value i₁·m₂+i₂, sorted by i₂
 	pfxOf   []int // work item → u
@@ -124,41 +121,30 @@ type twoLevelBwd struct {
 	g1   *tensor.Matrix // u → G₁[i₁(u)], a group's slices stacked into one operand
 	c1   *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
 	c3   *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
-	dG2  *tensor.Matrix // executor → the dG₂[i₂] it is working on, fused Adagrad only
+	dG2  *tensor.Matrix // part → the dG₂[i₂] it is working on, fused Adagrad only
 }
 
-// backwardTwoLevel runs the three phases for the batch in cache. gradBufs
-// holds the unfused sinks (nil entries when the update is fused).
-func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix, gradBufs [Dims]*tensor.Matrix, lr float32) {
+// backwardTwoLevel runs the three phases for the batch in cache, whose
+// workGrad holds the aggregated gradient row of each work item.
+func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix) {
 	b := &cache.tl
 	var workOf []int
-	b.workIdx, workOf, b.workGrad = t.aggregateGrads(cache, dOut)
-	b.gradBufs, b.lr = gradBufs, lr
+	b.workIdx, workOf = t.aggregateGrads(cache, dOut)
 	t.groupWork(cache, b, workOf)
 	t.met.recordBackward(len(cache.Indices), len(b.workIdx), len(b.pfx))
 
 	m := t.Shape.RowFactors
-	// Phase 2 loops over executors, executor p owning the groups i₂ ≡ p
-	// (mod parts): reordered indices put most prefixes in the lowest i₂, which
-	// striding spreads evenly. Only the fused Adagrad apply needs dG₂[i₂]
-	// materialized, in one slice-sized row per executor.
-	parts := min(tensor.Workers(), m[1])
-	if gradBufs[1] == nil && t.AdagradEnabled() {
-		b.dG2 = tensor.Reuse(b.dG2, parts, t.Shape.SliceSizes()[1])
+	// Phase 2 loops over parts, part p owning the groups i₂ ≡ p (mod parts):
+	// reordered indices put most prefixes in the lowest i₂, which striding
+	// spreads evenly. Only the fused Adagrad apply needs dG₂[i₂]
+	// materialized, in one slice-sized row per part.
+	cache.parts = min(tensor.Workers(), m[1])
+	if cache.gradBufs[1] == nil && t.AdagradEnabled() {
+		b.dG2 = tensor.Reuse(b.dG2, cache.parts, t.Shape.SliceSizes()[1])
 	}
-	if serialItems() {
-		t.prefixPhase(cache, b, 0, len(b.pfx))
-		t.core2Phase(b, 0, 1)
-		t.core13Phase(b, 0, m[0]+m[2])
-		return
-	}
-	tensor.ParallelFor(len(b.pfx), func(lo, hi int) { t.prefixPhase(cache, b, lo, hi) })
-	tensor.ParallelFor(parts, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			t.core2Phase(b, p, parts)
-		}
-	})
-	tensor.ParallelFor(m[0]+m[2], func(lo, hi int) { t.core13Phase(b, lo, hi) })
+	tensor.ParallelFor(len(b.pfx), cache, prefixPhase)
+	tensor.ParallelFor(cache.parts, cache, core2Phase)
+	tensor.ParallelFor(m[0]+m[2], cache, core13Phase)
 }
 
 // groupWork dedups the prefixes of the work items and sorts them by i₂,
@@ -207,9 +193,12 @@ func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 	b.c3 = tensor.ReuseRows(b.c3, items, sz[2], bound)
 }
 
-// prefixPhase is phase 1 for unique prefixes [lo,hi): it owns rows u of
-// p12/dP12 and rows w of c3 for the work items w of u, and only reads cores.
-func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
+// prefixPhase is phase 1, a ParallelFor body over a *ForwardCache, for
+// unique prefixes [lo,hi): it owns rows u of p12/dP12 and rows w of c3 for
+// the work items w of u, and only reads cores.
+func prefixPhase(ctx any, lo, hi int) {
+	c := ctx.(*ForwardCache)
+	t, b := c.t, &c.tl
 	n := t.Shape.ColFactors
 	r2 := t.Shape.R2
 	m2, m3 := t.Shape.RowFactors[1], t.Shape.RowFactors[2]
@@ -224,7 +213,7 @@ func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
 		dP12 := b.dP12.Row(u)
 		clear(dP12)
 		for _, w := range b.byPfx.of(u) {
-			g := b.workGrad.Row(w)
+			g := c.workGrad.Row(w)
 			// dP₁₂[u] += g·G₃[i₃]ᵀ   (n₁n₂ × R₂).
 			tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, g, t.Slice3(b.workIdx[w]%m3), dP12)
 			// c3[w] = P₁₂ᵀ·g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
@@ -233,50 +222,57 @@ func (t *Table) prefixPhase(c *ForwardCache, b *twoLevelBwd, lo, hi int) {
 	}
 }
 
-// core2Phase is phase 2 for i₂ = first, first+stride, …: it owns those
-// G₂[i₂] and rows u of c1 and g1 for the prefixes u of their groups, and
-// reads G₁ and dP12. c1 is stored before G₂[i₂] is written; the dG₂ product
-// accumulates straight into its sink, except under fused Adagrad (which
-// needs dG₂²): that stores it into row first of b.dG2 and applies it there.
-func (t *Table) core2Phase(b *twoLevelBwd, first, stride int) {
+// core2Phase is phase 2, a ParallelFor body over a *ForwardCache: part p of
+// [lo,hi) owns G₂[i₂] for i₂ = p, p+parts, … and rows u of c1 and g1 for the
+// prefixes u of their groups, and reads G₁ and dP12. c1 is stored before
+// G₂[i₂] is written; the dG₂ product accumulates straight into its sink,
+// except under fused Adagrad (which needs dG₂²): that stores it into row p
+// of b.dG2 and applies it there.
+func core2Phase(ctx any, lo, hi int) {
+	c := ctx.(*ForwardCache)
+	t, b := c.t, &c.tl
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
 	sz0, psz := b.c1.Cols, b.dP12.Cols
-	for i2 := first; i2 < t.Shape.RowFactors[1]; i2 += stride {
-		lo, hi := b.i2.start[i2], b.i2.start[i2+1]
-		if lo == hi {
-			continue
-		}
-		// The group's dP₁₂ stacked: (k·n₁) × n₂R₂ for its k prefixes.
-		rows, dP12 := (hi-lo)*n[0], b.dP12.Data[lo*psz:hi*psz]
-		// c1[u] = dP₁₂[u]·G₂[i₂]ᵀ for every u of the group   (k·n₁ × R₁).
-		tensor.GemmTransBInto(rows, n[1]*r2, r1, dP12, t.Slice2(i2), b.c1.Data[lo*sz0:hi*sz0])
-		// dG₂[i₂] = Σ_u G₁[i₁(u)]ᵀ·dP₁₂[u] = [G₁]ᵀ·[dP₁₂]   (R₁ × n₂R₂).
-		g1 := b.g1.Data[lo*sz0 : hi*sz0]
-		t.stackG1(g1, b.pfx[lo:hi])
-		switch {
-		case b.gradBufs[1] != nil:
-			tensor.GemmTransAAddInto(r1, rows, n[1]*r2, 1, g1, dP12, b.gradBufs[1].Row(i2))
-		case t.AdagradEnabled():
-			tensor.GemmTransAInto(r1, rows, n[1]*r2, g1, dP12, b.dG2.Row(first))
-			t.applyGradSlice(1, i2, b.dG2.Row(first), b.lr)
-		default:
-			tensor.GemmTransAAddInto(r1, rows, n[1]*r2, -b.lr, g1, dP12, t.Slice2(i2))
+	for p := lo; p < hi; p++ {
+		for i2 := p; i2 < t.Shape.RowFactors[1]; i2 += c.parts {
+			first, end := b.i2.start[i2], b.i2.start[i2+1]
+			if first == end {
+				continue
+			}
+			// The group's dP₁₂ stacked: (k·n₁) × n₂R₂ for its k prefixes.
+			rows, dP12 := (end-first)*n[0], b.dP12.Data[first*psz:end*psz]
+			// c1[u] = dP₁₂[u]·G₂[i₂]ᵀ for every u of the group   (k·n₁ × R₁).
+			tensor.GemmTransBInto(rows, n[1]*r2, r1, dP12, t.Slice2(i2), b.c1.Data[first*sz0:end*sz0])
+			// dG₂[i₂] = Σ_u G₁[i₁(u)]ᵀ·dP₁₂[u] = [G₁]ᵀ·[dP₁₂]   (R₁ × n₂R₂).
+			g1 := b.g1.Data[first*sz0 : end*sz0]
+			t.stackG1(g1, b.pfx[first:end])
+			switch {
+			case c.gradBufs[1] != nil:
+				tensor.GemmTransAAddInto(r1, rows, n[1]*r2, 1, g1, dP12, c.gradBufs[1].Row(i2))
+			case t.AdagradEnabled():
+				tensor.GemmTransAInto(r1, rows, n[1]*r2, g1, dP12, b.dG2.Row(p))
+				t.applyGradSlice(1, i2, b.dG2.Row(p), c.lr)
+			default:
+				tensor.GemmTransAAddInto(r1, rows, n[1]*r2, -c.lr, g1, dP12, t.Slice2(i2))
+			}
 		}
 	}
 }
 
-// core13Phase is phase 3 for owners [lo,hi) of the concatenated slice list
-// (G₁ slices first, then G₃ slices): each owner sums its kept contributions
-// into the first one's row, in prefix / work-item order, and writes its
-// slice once.
-func (t *Table) core13Phase(b *twoLevelBwd, lo, hi int) {
+// core13Phase is phase 3, a ParallelFor body over a *ForwardCache, for
+// owners [lo,hi) of the concatenated slice list (G₁ slices first, then G₃
+// slices): each owner sums its kept contributions into the first one's row,
+// in prefix / work-item order, and writes its slice once.
+func core13Phase(ctx any, lo, hi int) {
+	c := ctx.(*ForwardCache)
+	t, b := c.t, &c.tl
 	m1 := t.Shape.RowFactors[0]
 	for o := lo; o < hi; o++ {
 		if o < m1 {
-			t.reduceAndSink(b, 0, o, b.c1, b.byI1.of(o))
+			t.reduceAndSink(c, 0, o, b.c1, b.byI1.of(o))
 		} else {
-			t.reduceAndSink(b, 2, o-m1, b.c3, b.byI3.of(o-m1))
+			t.reduceAndSink(c, 2, o-m1, b.c3, b.byI3.of(o-m1))
 		}
 	}
 }
@@ -284,7 +280,7 @@ func (t *Table) core13Phase(b *twoLevelBwd, lo, hi int) {
 // reduceAndSink sums the listed rows of contrib into the first of them, in
 // list order, and delivers the sum as the batch gradient of slice row of
 // core k — the one sinkGrad call that slice gets this batch.
-func (t *Table) reduceAndSink(b *twoLevelBwd, k, row int, contrib *tensor.Matrix, rows []int) {
+func (t *Table) reduceAndSink(c *ForwardCache, k, row int, contrib *tensor.Matrix, rows []int) {
 	if len(rows) == 0 {
 		return
 	}
@@ -292,5 +288,5 @@ func (t *Table) reduceAndSink(b *twoLevelBwd, k, row int, contrib *tensor.Matrix
 	for _, r := range rows[1:] {
 		tensor.AddTo(sum, contrib.Row(r))
 	}
-	t.sinkGrad(b.gradBufs, k, row, sum, b.lr)
+	t.sinkGrad(c, k, row, sum)
 }

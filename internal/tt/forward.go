@@ -43,10 +43,23 @@ type ForwardCache struct {
 	i2         groups         // their runs per G₂ slice
 	g1         *tensor.Matrix // prefix → G₁[i₁], a run's slices stacked into one operand
 	out        *tensor.Matrix
-	p12        []float32 // serial-path prefix recompute scratch
 	workGrad   *tensor.Matrix
-	bw         bwScratch   // per-occurrence baseline backward
 	tl         twoLevelBwd // two-level backward (InAdvanceAgg)
+
+	// The running pass's dispatch state: tensor.ParallelFor hands its bodies
+	// the cache, and they find here the table, the executors the current
+	// phase is split over, each part's scratch and the backward's sinks.
+	t        *Table
+	parts    int
+	p12      []float32   // one prefix recompute row per part, when there is no reuse buffer
+	bw       []bwScratch // per part, of the per-occurrence baseline backward
+	gradBufs [Dims]*tensor.Matrix
+	lr       float32
+}
+
+// part returns the range [lo,hi) of n items that part p of c.parts owns.
+func (c *ForwardCache) part(p, n int) (lo, hi int) {
+	return p * n / c.parts, (p + 1) * n / c.parts
 }
 
 // growInts returns buf resized to n, reusing its storage when it fits. A
@@ -56,8 +69,6 @@ type ForwardCache struct {
 // after a few steps, while the live set stays near what the batches need (a
 // large batch touches far fewer unique rows than it has occurrences).
 // Matrices grow by the same rule through tensor.ReuseRows.
-//
-//elrec:coldpath amortized scratch growth; steady state reslices in place
 func growInts(buf []int, n, bound int) []int {
 	if cap(buf) < n {
 		return make([]int, n, tensor.Headroom(n, bound))
@@ -66,8 +77,6 @@ func growInts(buf []int, n, bound int) []int {
 }
 
 // growFloats returns buf resized to n, reusing its storage when it fits.
-//
-//elrec:coldpath amortized scratch growth; steady state reslices in place
 func growFloats(buf []float32, n int) []float32 {
 	if cap(buf) < n {
 		return make([]float32, n)
@@ -114,7 +123,7 @@ func (t *Table) validateBatch(indices, offsets []int) {
 // The serialized Lookup/Update path runs the same code on the table-owned
 // cache instead (see Lookup).
 func (t *Table) Forward(indices, offsets []int) (*tensor.Matrix, *ForwardCache) {
-	c := &ForwardCache{} //elrec:coldpath fresh cache per call is Forward's contract; the hot path is Lookup's arena
+	c := &ForwardCache{}
 	out := t.forwardInto(c, indices, offsets)
 	return out, c
 }
@@ -123,7 +132,7 @@ func (t *Table) Forward(indices, offsets []int) (*tensor.Matrix, *ForwardCache) 
 // already holds.
 func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Matrix {
 	t.validateBatch(indices, offsets)
-	c.Indices, c.Offsets = indices, offsets
+	c.t, c.Indices, c.Offsets = t, indices, offsets
 
 	if t.Opts.DedupIndices {
 		c.WorkIdx, c.WorkOf = c.dedupRows()
@@ -139,64 +148,52 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 		c.PrefixSlots, c.PrefixBuf = nil, nil
 	}
 
-	// Materialize one row per work item.
+	// Materialize one row per work item, the items split into parts that
+	// each own a row of prefix scratch when there is no reuse buffer.
 	c.Rows = tensor.ReuseRows(c.Rows, len(c.WorkIdx), t.Shape.Dim, len(indices))
-	prefixScratchSize := 0
+	c.parts = min(tensor.Workers(), len(c.WorkIdx))
 	if c.PrefixBuf == nil {
-		prefixScratchSize = t.Shape.PrefixSize()
+		c.p12 = growFloats(c.p12, c.parts*t.Shape.PrefixSize())
 	}
-	if serialItems() {
-		c.p12 = growFloats(c.p12, prefixScratchSize)
-		t.materializeRows(c, c.p12, 0, len(c.WorkIdx))
-	} else {
-		tensor.ParallelFor(len(c.WorkIdx), func(lo, hi int) {
-			var scratch []float32
-			if prefixScratchSize > 0 {
-				//elrec:coldpath per-chunk prefix scratch only when ReusePrefix is off
-				scratch = make([]float32, prefixScratchSize)
-			}
-			t.materializeRows(c, scratch, lo, hi)
-		})
-	}
+	tensor.ParallelFor(c.parts, c, materializeRows)
 
 	// Pool work-item rows into per-sample embeddings.
 	c.out = tensor.Reuse(c.out, len(offsets), t.Shape.Dim)
 	c.out.Zero()
-	if serialItems() {
-		t.poolRows(c, c.out, 0, len(offsets))
-	} else {
-		tensor.ParallelFor(len(offsets), func(lo, hi int) {
-			t.poolRows(c, c.out, lo, hi)
-		})
-	}
+	tensor.ParallelFor(len(offsets), c, poolRows)
 	return c.out
 }
 
-// serialItems reports whether per-item loops should run inline: whenever
-// the worker pool is down to one executor, so the hot path skips closure and
-// dispatch costs entirely.
-func serialItems() bool { return tensor.Workers() <= 1 }
-
-// materializeRows computes embedding rows for work items [lo,hi). scratch
-// holds one prefix product when no reuse buffer is available.
-func (t *Table) materializeRows(c *ForwardCache, scratch []float32, lo, hi int) {
-	for w := lo; w < hi; w++ {
-		i1, i2, i3 := t.Shape.FactorIndex(c.WorkIdx[w])
-		p12 := scratch
-		if c.PrefixBuf != nil {
-			p12 = c.PrefixBuf.Row(c.PrefixSlots[w])
-		} else {
-			t.computePrefix(i1, i2, p12)
+// materializeRows is a ParallelFor body over a *ForwardCache: it computes
+// the embedding rows of the work items of parts [lo,hi), each part
+// recomputing prefixes in its own p12 row when there is no reuse buffer.
+func materializeRows(ctx any, lo, hi int) {
+	c := ctx.(*ForwardCache)
+	t := c.t
+	psz := t.Shape.PrefixSize()
+	for p := lo; p < hi; p++ {
+		first, end := c.part(p, len(c.WorkIdx))
+		for w := first; w < end; w++ {
+			i1, i2, i3 := t.Shape.FactorIndex(c.WorkIdx[w])
+			var p12 []float32
+			if c.PrefixBuf != nil {
+				p12 = c.PrefixBuf.Row(c.PrefixSlots[w])
+			} else {
+				p12 = c.p12[p*psz : (p+1)*psz]
+				t.computePrefix(i1, i2, p12)
+			}
+			t.rowFromPrefix(p12, i3, c.Rows.Row(w))
 		}
-		t.rowFromPrefix(p12, i3, c.Rows.Row(w))
 	}
 }
 
-// poolRows sum-pools work-item rows into samples [lo,hi) of out.
-func (t *Table) poolRows(c *ForwardCache, out *tensor.Matrix, lo, hi int) {
+// poolRows is a ParallelFor body over a *ForwardCache: it sum-pools
+// work-item rows into samples [lo,hi) of the output.
+func poolRows(ctx any, lo, hi int) {
+	c := ctx.(*ForwardCache)
 	for s := lo; s < hi; s++ {
 		start, end := embedding.BagBounds(c.Offsets, s, len(c.Indices))
-		row := out.Row(s)
+		row := c.out.Row(s)
 		if c.WorkOf == nil {
 			for p := start; p < end; p++ {
 				tensor.AddTo(row, c.Rows.Row(p))
@@ -220,7 +217,6 @@ func (c *ForwardCache) dedupRows() (workIdx, workOf []int) {
 	for p, idx := range c.Indices {
 		u, fresh := c.seen.IDOf(idx, len(c.workIdxBuf))
 		if fresh {
-			//elrec:coldpath never grows: the capacity reserved above is the batch's occurrence count
 			c.workIdxBuf = append(c.workIdxBuf, idx)
 		}
 		c.workOfBuf[p] = u
@@ -258,33 +254,33 @@ func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
 
 	c.PrefixBuf = tensor.ReuseRows(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize(), len(c.Indices))
 	c.g1 = tensor.ReuseRows(c.g1, len(c.prefixes), t.Shape.SliceSizes()[0], len(c.Indices))
+	// Part p owns the slices i₂ ≡ p (mod parts), as in the backward.
+	c.parts = 1
 	if tensor.Parallel(len(c.prefixes) * t.Shape.R1 * t.Shape.PrefixSize()) {
-		// Executor p owns the slices i₂ ≡ p (mod parts), as in the backward.
-		parts := min(tensor.Workers(), m2)
-		tensor.ParallelFor(parts, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				t.fillSlices(c, p, parts)
-			}
-		})
-	} else {
-		t.fillSlices(c, 0, 1)
+		c.parts = min(tensor.Workers(), m2)
 	}
+	tensor.ParallelFor(c.parts, c, fillSlices)
 	t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
 }
 
-// fillSlices computes the reuse-buffer rows of the prefixes of i₂ = first,
-// first+stride, …; it owns those rows of PrefixBuf and g1.
-func (t *Table) fillSlices(c *ForwardCache, first, stride int) {
+// fillSlices is a ParallelFor body over a *ForwardCache: part p of [lo,hi)
+// computes the reuse-buffer rows of the prefixes of i₂ = p, p+parts, …; it
+// owns those rows of PrefixBuf and g1.
+func fillSlices(ctx any, lo, hi int) {
+	c := ctx.(*ForwardCache)
+	t := c.t
 	n := t.Shape.ColFactors
 	sz0, psz := c.g1.Cols, c.PrefixBuf.Cols
-	for i2 := first; i2 < t.Shape.RowFactors[1]; i2 += stride {
-		lo, hi := c.i2.start[i2], c.i2.start[i2+1]
-		if lo == hi {
-			continue
+	for p := lo; p < hi; p++ {
+		for i2 := p; i2 < t.Shape.RowFactors[1]; i2 += c.parts {
+			first, end := c.i2.start[i2], c.i2.start[i2+1]
+			if first == end {
+				continue
+			}
+			g1 := c.g1.Data[first*sz0 : end*sz0]
+			t.stackG1(g1, c.prefixes[first:end])
+			tensor.GemmInto((end-first)*n[0], t.Shape.R1, n[1]*t.Shape.R2, g1, t.Slice2(i2), c.PrefixBuf.Data[first*psz:end*psz])
 		}
-		g1 := c.g1.Data[lo*sz0 : hi*sz0]
-		t.stackG1(g1, c.prefixes[lo:hi])
-		tensor.GemmInto((hi-lo)*n[0], t.Shape.R1, n[1]*t.Shape.R2, g1, t.Slice2(i2), c.PrefixBuf.Data[lo*psz:hi*psz])
 	}
 }
 
@@ -309,7 +305,6 @@ func (t *Table) dedupPrefixes(c *ForwardCache, workIdx, ids, prefixes []int) []i
 		pfx := t.Shape.Prefix(idx)
 		u, fresh := c.seen.IDOf(pfx, len(prefixes))
 		if fresh {
-			//elrec:coldpath never grows: the capacity reserved above holds a prefix per work item
 			prefixes = append(prefixes, pfx)
 		}
 		ids[w] = u

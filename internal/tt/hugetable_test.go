@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 )
 
 // hugeTable is a table past every size the stamped dedup used to cap at
@@ -27,17 +28,18 @@ func hugeTable(t *testing.T) *Table {
 // rows the steady-state step allocates nothing and the dedup scratch is sized
 // to the batch — no per-row or per-prefix array, no allocating fallback.
 func TestHugeTableLookupUpdateZeroAllocBatchSizedScratch(t *testing.T) {
-	serialWorkers(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	tbl := hugeTable(t)
 	indices, offsets := randomBatch(tensor.NewRNG(911), tbl.NumRows(), 64, 4)
 	dOut := tensor.New(len(offsets), tbl.Dim())
-	for i := 0; i < 3; i++ {
-		trainOneStep(tbl, indices, offsets, dOut, 0.01)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { trainOneStep(tbl, indices, offsets, dOut, 0.01) }); allocs != 0 {
-		t.Fatalf("steady-state step on a 2²³-row table allocated %v times, want 0", allocs)
-	}
+	workertest.Each(t, func(workers int) {
+		for i := 0; i < 3; i++ {
+			trainOneStep(tbl, indices, offsets, dOut, 0.01)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { trainOneStep(tbl, indices, offsets, dOut, 0.01) }); allocs != 0 {
+			t.Fatalf("steady-state step on a 2²³-row table allocated %v times at %d workers, want 0", allocs, workers)
+		}
+	})
 	if got := tbl.arena.seen.Slots(); got > 4*len(indices) {
 		t.Fatalf("dedup table has %d slots for a batch of %d indices, want ≤ %d", got, len(indices), 4*len(indices))
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 )
 
 // trainOneStep runs one Lookup/Update cycle — the steady-state training
@@ -17,12 +18,9 @@ func trainOneStep(tbl *Table, indices, offsets []int, dOut *tensor.Matrix, lr fl
 
 // TestLookupUpdateZeroAllocSteadyState pins the tentpole allocation
 // contract: after warmup, a full Eff-TT Lookup/Update training step through
-// the arena cache performs zero heap allocations.
+// the arena cache performs zero heap allocations, at one worker and at the
+// host's width.
 func TestLookupUpdateZeroAllocSteadyState(t *testing.T) {
-	serialWorkers(t)
-	// The pack pool and arena survive GC in practice, but a collection in
-	// the middle of AllocsPerRun could empty the sync.Pool and charge a
-	// refill to one run; pause GC for a stable count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	tbl := newTestTable(t, 400)
@@ -30,16 +28,18 @@ func TestLookupUpdateZeroAllocSteadyState(t *testing.T) {
 	indices, offsets := randomBatch(r, tbl.NumRows(), 16, 5)
 	dOut := tensor.New(len(offsets), tbl.Dim())
 
-	// Warmup: grows every arena buffer to batch size.
-	for i := 0; i < 3; i++ {
-		trainOneStep(tbl, indices, offsets, dOut, 0.01)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		trainOneStep(tbl, indices, offsets, dOut, 0.01)
+	workertest.Each(t, func(workers int) {
+		// Warmup: grows every arena buffer to batch size.
+		for i := 0; i < 3; i++ {
+			trainOneStep(tbl, indices, offsets, dOut, 0.01)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			trainOneStep(tbl, indices, offsets, dOut, 0.01)
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Lookup/Update allocated %v times per step at %d workers, want 0", allocs, workers)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Lookup/Update allocated %v times per step, want 0", allocs)
-	}
 }
 
 // TestForwardZeroAllocVariantsSteadyState checks the arena path stays
@@ -47,7 +47,6 @@ func TestLookupUpdateZeroAllocSteadyState(t *testing.T) {
 // prefix buffer, the no-dedup identity WorkOf and the backward's own
 // per-prefix P₁₂ scratch (no reuse buffer).
 func TestForwardZeroAllocVariantsSteadyState(t *testing.T) {
-	serialWorkers(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	cases := []struct {
@@ -65,15 +64,17 @@ func TestForwardZeroAllocVariantsSteadyState(t *testing.T) {
 			r := tensor.NewRNG(403)
 			indices, offsets := randomBatch(r, tbl.NumRows(), 16, 5)
 			dOut := tensor.New(len(offsets), tbl.Dim())
-			for i := 0; i < 3; i++ {
-				trainOneStep(tbl, indices, offsets, dOut, 0.01)
-			}
-			allocs := testing.AllocsPerRun(20, func() {
-				trainOneStep(tbl, indices, offsets, dOut, 0.01)
+			workertest.Each(t, func(workers int) {
+				for i := 0; i < 3; i++ {
+					trainOneStep(tbl, indices, offsets, dOut, 0.01)
+				}
+				allocs := testing.AllocsPerRun(20, func() {
+					trainOneStep(tbl, indices, offsets, dOut, 0.01)
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state step allocated %v times at %d workers, want 0", allocs, workers)
+				}
 			})
-			if allocs != 0 {
-				t.Fatalf("steady-state step allocated %v times, want 0", allocs)
-			}
 		})
 	}
 }

@@ -64,7 +64,6 @@ func (t *Table) fillFromMemo(c *ForwardCache, m *prefixMemo) {
 			s = m.claimSlot()
 			m.slotOf[pfx] = int32(s + 1)
 			m.key[s] = pfx
-			//elrec:coldpath amortized: the miss list keeps its capacity across batches
 			c.prefixes = append(c.prefixes, s)
 		} else if m.lastUse[s] != m.seq {
 			hits++ // first sight this batch of a product an earlier batch left
@@ -85,8 +84,6 @@ func (t *Table) fillFromMemo(c *ForwardCache, m *prefixMemo) {
 // claimSlot returns a free slot: a fresh one while under budget, a recycled
 // one (round-robin over slots idle this batch) at budget, or growth past
 // budget when every slot is live in the current batch.
-//
-//elrec:coldpath miss-path slot bookkeeping; growth is amortized by the budget and a stable working set stops missing
 func (m *prefixMemo) claimSlot() int {
 	n := len(m.key)
 	if n >= m.budget {

@@ -309,7 +309,6 @@ func (t *Table) lockFor(k, row int) *sync.Mutex {
 func (t *Table) gradBuffers() [Dims]*tensor.Matrix {
 	for k := 0; k < Dims; k++ {
 		if t.grads[k] == nil {
-			//elrec:coldpath first-use accumulator construction; later batches zero in place
 			t.grads[k] = tensor.New(t.Cores[k].Rows, t.Cores[k].Cols)
 		} else {
 			t.grads[k].Zero()

@@ -26,8 +26,8 @@ func newTestTable(t *testing.T, seed uint64) *Table {
 // serialWorkers pins the worker pool to one executor for the rest of the
 // test. The per-occurrence baseline backward applies slice updates in
 // whatever order its goroutines reach them, so tests that compare its bits
-// need it; so do the AllocsPerRun tests (dispatch closures allocate). The
-// Eff-TT forward and two-level backward are worker-count-invariant.
+// need it. The Eff-TT forward and two-level backward are
+// worker-count-invariant.
 func serialWorkers(t *testing.T) {
 	t.Helper()
 	old := tensor.Workers()
