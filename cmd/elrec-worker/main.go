@@ -50,14 +50,14 @@ func main() {
 
 // options is elrec-worker's command line, defined on a flag set by newOptions.
 type options struct {
-	spec                          core.RunSpec
-	id                            uint64
-	shards                        string
-	reference                     bool
-	queue, ckptEvery              int
-	ckptPath, debugAddr           string
-	leaseTTL, rpcTimeout, hbEvery time.Duration
-	logLevel                      obs.Level
+	spec                 core.RunSpec
+	id                   uint64
+	shards               string
+	reference            bool
+	queue, ckptEvery     int
+	ckptPath, debugAddr  string
+	leaseTTL, rpcTimeout time.Duration
+	logLevel             obs.Level
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -72,7 +72,6 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "coordinated checkpoint interval in steps (0 disables)")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 3*time.Second, "trainer lease duration")
 	fs.DurationVar(&o.rpcTimeout, "rpc-timeout", 5*time.Second, "per-RPC deadline")
-	fs.DurationVar(&o.hbEvery, "heartbeat-every", time.Second, "shard liveness probe period (0 disables)")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug endpoint address (/metrics, /trace, /cluster, /cluster/trace, /healthz, /readyz, pprof); empty disables")
 	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
 	return o
@@ -165,8 +164,8 @@ func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 	w, err := distps.NewWorker(distps.WorkerConfig{
 		ID: o.id, Shards: shards, Scenario: sc,
 		Checkpoint: ps.CheckpointConfig{Path: o.ckptPath, Every: o.ckptEvery}, LeaseTTL: o.leaseTTL,
-		HeartbeatEvery: o.hbEvery, RPCTimeout: o.rpcTimeout,
-		Metrics: reg, Trace: tracer, Log: log,
+		RPCTimeout: o.rpcTimeout,
+		Metrics:    reg, Trace: tracer, Log: log,
 	})
 	if err != nil {
 		log.Error("worker build failed", "err", err)

@@ -41,7 +41,7 @@ func TestDefaults(t *testing.T) {
 	if got, want := o.spec.JSON(), `{"dataset":"kaggle","dataset_scale":0.001,"dim":16,"rank":8,"tt_threshold":10000,"lr":0.5,"steps":200,"batch":64}`; got != want {
 		t.Errorf("spec = %s\nwant   %s", got, want)
 	}
-	want := "batch=64 checkpoint= checkpoint-every=0 dataset=kaggle dataset-scale=0.001 debug-addr= dim=16 heartbeat-every=1s id=1 lease-ttl=3s " +
+	want := "batch=64 checkpoint= checkpoint-every=0 dataset=kaggle dataset-scale=0.001 debug-addr= dim=16 id=1 lease-ttl=3s " +
 		"log-level=INFO lr=0.5 queue=4 rank=8 reference=false rpc-timeout=5s shards=localhost:7070 steps=200 tt-threshold=10000"
 	if got := cmdtest.Defaults(fs); got != want {
 		t.Errorf("flags = %s\nwant    %s", got, want)

@@ -26,11 +26,9 @@ package elrec
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/criteoio"
 	"repro/internal/data"
 	"repro/internal/dlrm"
 	"repro/internal/embedding"
@@ -156,17 +154,6 @@ func DefaultSystemConfig(spec DatasetSpec) SystemConfig { return core.DefaultCon
 // construction with HBM-aware placement, and the pipeline when host memory
 // is needed.
 func BuildSystem(cfg SystemConfig) (*System, error) { return core.Build(cfg) }
-
-// CriteoSchema describes the on-disk Criteo TSV layout (13 integer + 26
-// categorical features) with a hash range per table.
-type CriteoSchema = criteoio.Schema
-
-// NewCriteoReader streams training batches from real Criteo-format TSV data
-// (label \t integer features \t hex categorical features): categorical
-// values hash into each table's range, integers get the log(1+x) transform.
-func NewCriteoReader(r io.Reader, schema CriteoSchema) (*criteoio.Reader, error) {
-	return criteoio.NewReader(r, schema)
-}
 
 // Ranker scores candidate items against a user context and returns the
 // top-k, the ranking-stage inference pattern.

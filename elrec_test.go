@@ -207,17 +207,3 @@ func TestSystemSaveModelNeedsRawIds(t *testing.T) {
 	}
 }
 
-func TestCriteoReaderFacade(t *testing.T) {
-	schema := CriteoSchema{NumDense: 1, TableRows: []int{16, 16}}
-	r, err := NewCriteoReader(strings.NewReader("1\t5\tab\tcd\n0\t\tab\t\n"), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.ReadBatch(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Size() != 2 || len(b.Sparse) != 2 {
-		t.Fatalf("batch %d samples, %d tables", b.Size(), len(b.Sparse))
-	}
-}

@@ -30,7 +30,7 @@ var deterministicPackages = map[string]bool{
 // and therefore must route every `go` statement through their
 // panic-converting spawn helper: the pipeline trainer (ps), the serving
 // replica pool (served), the distributed parameter server (distps, whose
-// shard accept loops and heartbeat tickers outlive individual requests),
+// shard accept loops and lease-renewal tickers outlive individual requests),
 // and the fault proxy (faults), whose callers block on response channels
 // or socket reads that a crashed bare goroutine would never answer.
 var goroutineOwnerPackages = map[string]bool{

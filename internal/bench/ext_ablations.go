@@ -42,7 +42,7 @@ func ExtOptim(sc Scale) *Result {
 			panic(err)
 		}
 		curve := sys.Train(0, sc.TrainSteps, sc.Batch)
-		return curve.Smoothed(maxInt(1, sc.TrainSteps/10))
+		return curve.Smoothed(max(1, sc.TrainSteps/10))
 	}
 	sgd := run(false)
 	ada := run(true)

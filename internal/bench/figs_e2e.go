@@ -325,7 +325,7 @@ func timeModelParallelDense(spec data.Spec, d *data.Dataset, sc Scale, n int) (c
 		fwd += sh.Traffic.ForwardBytes
 		bwd += sh.Traffic.BackwardBytes
 	}
-	perPeer := (fwd - fwd0 + bwd - bwd0) / int64(maxInt(1, n-1)) / int64(maxInt(1, sc.Steps*n))
+	perPeer := (fwd - fwd0 + bwd - bwd0) / int64(max(1, n-1)) / int64(max(1, sc.Steps*n))
 	perStep := hw.AllToAllTime(nvlink, n, perPeer)*2 + hw.AllReduceTime(nvlink, n, model.MLPBytes())
 	if n > 1 {
 		// The DLRM reference implementation exchanges embeddings with a
@@ -442,11 +442,4 @@ func Fig16(sc Scale) *Result {
 	r.AddNote("largest table TT on device, %d tables on host; paper: pipeline 2.44x over DLRM, 1.30x over sequential",
 		spec.NumTables()-1)
 	return r
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

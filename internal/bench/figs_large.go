@@ -77,7 +77,7 @@ func Fig13(sc Scale) *Result {
 				panic(err)
 			}
 			wall := measure(sh, w.raw)
-			perPeer := (sh.Traffic.ForwardBytes + sh.Traffic.BackwardBytes) / int64(maxInt(1, n-1)) / int64(sc.Steps+sc.WarmSteps)
+			perPeer := (sh.Traffic.ForwardBytes + sh.Traffic.BackwardBytes) / int64(max(1, n-1)) / int64(sc.Steps+sc.WarmSteps)
 			compute := time.Duration(float64(wall) / float64(n) / dev.ComputeScale)
 			perStep := hw.AllToAllTime(nvlink, n, perPeer)*2 + hw.CollectiveOverhead(2)
 			comm := perStep * time.Duration(sc.Steps)
@@ -93,7 +93,7 @@ func Fig13(sc Scale) *Result {
 				panic(err)
 			}
 			wall := measure(sh, w.raw)
-			perPeer := (sh.Traffic.ForwardBytes + sh.Traffic.BackwardBytes) / int64(maxInt(1, n-1)) / int64(sc.Steps+sc.WarmSteps)
+			perPeer := (sh.Traffic.ForwardBytes + sh.Traffic.BackwardBytes) / int64(max(1, n-1)) / int64(sc.Steps+sc.WarmSteps)
 			compute := time.Duration(float64(wall) / float64(n) / dev.ComputeScale)
 			perStep := hw.AllToAllTime(nvlink, n, perPeer)*2 + hw.CollectiveOverhead(2)
 			comm := perStep * time.Duration(sc.Steps)

@@ -250,7 +250,7 @@ func (d *Dataset) drawIndices(out []int, r *rand.Rand, groupZipf *rand.Zipf, act
 		lo := grp * spec.GroupSize
 		span := spec.GroupSize
 		if lo >= rows {
-			lo, span = 0, minInt(spec.GroupSize, rows)
+			lo, span = 0, min(spec.GroupSize, rows)
 		} else if lo+span > rows {
 			span = rows - lo
 		}
@@ -367,15 +367,5 @@ func denseWeight(seed uint64, f int) float64 {
 
 // mix is a splitmix64-style hash combiner.
 func mix(a, b, c uint64) uint64 {
-	z := a ^ (b * 0x9e3779b97f4a7c15) ^ (c * 0xbf58476d1ce4e5b9)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return tensor.Mix64(a ^ (b * 0x9e3779b97f4a7c15) ^ (c * 0xbf58476d1ce4e5b9))
 }

@@ -66,12 +66,11 @@ type ClientConfig struct {
 type clientMetrics struct {
 	retries    *obs.Counter
 	reconnects *obs.Counter
-	hbMisses   *obs.Counter
 	bytesIn    *obs.Counter             // distps_rpc_bytes_in (frames received, header+payload)
 	bytesOut   *obs.Counter             // distps_rpc_bytes_out (frames sent)
 	latency    [msgTypes]*obs.Histogram // request type -> RPC latency (ns)
-	up         []*obs.Gauge             // per shard: 1 = last heartbeat answered
-	offset     []*obs.Gauge             // per shard: estimated clock offset (ns, shard - worker)
+	up         []*obs.Gauge             // per shard: 1 = the last RPC attempt got a reply
+	offset     []*obs.Gauge             // per shard: clock offset from the last Stats (ns, shard - worker)
 }
 
 // shardConn is one lazily-dialed connection to one shard. A connection
@@ -89,9 +88,9 @@ type shardConn struct {
 }
 
 // Client talks to the full shard set: per-call deadlines, capped-backoff
-// retries with idempotent request payloads, heartbeat liveness, and a
-// ps.HostStore adapter per table that plugs the shards into the pipeline
-// trainer.
+// retries with idempotent request payloads, per-shard liveness read off
+// every RPC attempt, and a ps.HostStore adapter per table that plugs the
+// shards into the pipeline trainer.
 type Client struct {
 	cfg   ClientConfig
 	retry ps.RetryPolicy
@@ -101,20 +100,10 @@ type Client struct {
 	log   *obs.Logger
 	m     clientMetrics
 
-	// offsets[i] is the latest NTP-style estimate of shard i's wall clock
-	// minus this process's, in nanoseconds, refreshed by every heartbeat.
-	// The merged cluster trace subtracts it to place shard timelines on the
-	// worker's clock.
-	offsets []atomic.Int64
-
 	epoch atomic.Uint64 // current lease epoch (fencing token)
 	seq   atomic.Uint64 // push seq within the current epoch
 
 	conns []*shardConn
-
-	hbOnce sync.Once
-	hbStop chan struct{}
-	hbWG   sync.WaitGroup
 }
 
 // NewClient builds the client; connections are dialed on first use.
@@ -129,20 +118,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.Timeout = 5 * time.Second
 	}
 	c := &Client{
-		cfg:     cfg,
-		retry:   transportRetry(cfg.Retry),
-		ring:    NewRing(len(cfg.Shards)),
-		clock:   obs.System(),
-		trace:   cfg.Trace,
-		log:     cfg.Log,
-		offsets: make([]atomic.Int64, len(cfg.Shards)),
-		hbStop:  make(chan struct{}),
+		cfg:   cfg,
+		retry: transportRetry(cfg.Retry),
+		ring:  NewRing(len(cfg.Shards)),
+		clock: obs.System(),
+		trace: cfg.Trace,
+		log:   cfg.Log,
 	}
 	r := cfg.Metrics
 	c.m = clientMetrics{
 		retries:    r.Counter("distps_rpc_retries"),
 		reconnects: r.Counter("distps_reconnects"),
-		hbMisses:   r.Counter("distps_heartbeat_misses"),
 		bytesIn:    r.Counter("distps_rpc_bytes_in"),
 		bytesOut:   r.Counter("distps_rpc_bytes_out"),
 	}
@@ -162,13 +148,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // rpcTID is the trace lane for RPCs against one shard.
 func rpcTID(shard int) int { return 10 + shard }
-
-// ShardOffset returns the latest clock-offset estimate for one shard
-// (shard wall clock minus this process's, nanoseconds; 0 until the first
-// heartbeat lands).
-func (c *Client) ShardOffset(shard int) int64 {
-	return c.offsets[shard].Load()
-}
 
 // Ring exposes the row-placement function (shared with the shards).
 func (c *Client) Ring() *Ring { return c.ring }
@@ -320,7 +299,9 @@ func retryable(err error) bool {
 
 // call is the retrying RPC: the payload is reused verbatim across attempts
 // (pushes carry their seq, so replays dedupe server-side). The expected
-// response type is the request's ackFor. ctx
+// response type is the request's ackFor. Each attempt's transport outcome
+// sets the shard's distps_shard<i>_up gauge: 1 when a reply frame came
+// back (a typed rejection included), 0 when none did. ctx
 // cancellation aborts between attempts and during backoff; an in-flight
 // socket exchange still runs to its own deadline.
 func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte) ([]byte, error) {
@@ -338,7 +319,10 @@ func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte)
 		sp := c.trace.BeginTrace(msgName(typ), "rpc", rpcTID(shard))
 		f, err := sc.roundTrip(c, typ, payload, sp.Context())
 		sp.End()
-		if err == nil {
+		if err != nil {
+			c.m.up[shard].Set(0)
+		} else {
+			c.m.up[shard].Set(1)
 			var body []byte
 			body, err = checkReply(f, want)
 			if err == nil {
@@ -368,23 +352,20 @@ func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte)
 
 // --- RPC surface -----------------------------------------------------------
 
-// HelloAll dials and validates every shard, returning their statuses.
-func (c *Client) HelloAll(ctx context.Context) ([]ShardStatus, error) {
+// HelloAll dials and validates every shard.
+func (c *Client) HelloAll(ctx context.Context) error {
 	hello := helloMsg{WorkerID: c.cfg.WorkerID, Epoch: c.epoch.Load(), Seed: c.cfg.Seed,
 		Dim: c.cfg.Dim, Tables: c.cfg.Tables}
-	out := make([]ShardStatus, len(c.conns))
 	for i := range c.conns {
 		body, err := c.call(ctx, i, msgHello, hello.encode())
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ack, err := decodeHelloAck(body)
-		if err != nil {
-			return nil, err
+		if _, err := decodeHelloAck(body); err != nil {
+			return err
 		}
-		out[i] = ShardStatus{Version: ack.Version, Restored: ack.Restored, Epoch: ack.Epoch}
 	}
-	return out, nil
+	return nil
 }
 
 // Gather fetches the given rows of one table from one shard.
@@ -456,56 +437,22 @@ func (c *Client) versionAll(ctx context.Context, typ uint8, v int64) error {
 	return nil
 }
 
-// ShardStatus is a shard's self-reported liveness state.
-type ShardStatus struct {
-	Version  int64
-	Restored bool
-	Draining bool
-	Epoch    uint64
-}
-
-// Heartbeat probes one shard (single attempt, no retries — liveness wants
-// the truth, not persistence). Each successful heartbeat doubles as an
-// NTP-style clock-offset sample: with t0/t1 the local send/receive
-// instants and ts the shard clock when the ack was built, the estimate is
-// ts − (t0 + (t1−t0)/2), i.e. the shard clock minus the local clock
-// assuming symmetric network delay. The midpoint is computed as
-// t0 + (t1−t0)/2 — never (t0+t1)/2, which overflows int64 for the
-// near-minimal UnixNanos a zero time.Time reports.
-func (c *Client) Heartbeat(ctx context.Context, shard int) (ShardStatus, error) {
-	if err := ctx.Err(); err != nil {
-		return ShardStatus{}, err
-	}
-	sc := c.conns[shard]
-	sp := c.trace.BeginTrace("heartbeat", "rpc", rpcTID(shard))
-	t0 := c.clock.Now()
-	f, err := sc.roundTrip(c, msgHeartbeat,
-		heartbeatMsg{WorkerID: c.cfg.WorkerID, SendUnixNanos: t0.UnixNano()}.encode(), sp.Context())
-	t1 := c.clock.Now()
-	sp.End()
-	if err != nil {
-		return ShardStatus{}, err
-	}
-	body, err := checkReply(f, msgHeartbeatAck)
-	if err != nil {
-		return ShardStatus{}, err
-	}
-	ack, err := decodeHeartbeatAck(body)
-	if err != nil {
-		return ShardStatus{}, err
-	}
-	t0n, t1n := t0.UnixNano(), t1.UnixNano()
-	offset := ack.NowUnixNanos - (t0n + (t1n-t0n)/2)
-	c.offsets[shard].Store(offset)
-	c.m.offset[shard].Set(float64(offset))
-	return ShardStatus{Version: ack.Version, Restored: ack.Restored, Draining: ack.Draining, Epoch: ack.Epoch}, nil
-}
-
 // Stats fetches one shard's observability snapshot: its metrics registry,
 // thread table, and up to maxSpans most-recent completed spans (0 = all
 // retained). Stats is served even by an unrestored or draining shard.
+//
+// The exchange doubles as an NTP-style clock-offset sample: with t0/t1 the
+// local send/receive instants and ts the shard clock when the ack was
+// built, the estimate is ts − (t0 + (t1−t0)/2), the shard clock minus the
+// local clock assuming symmetric network delay; ts was read somewhere in
+// [t0, t1], so the error is at most (t1−t0)/2. The midpoint is computed as
+// t0 + (t1−t0)/2 — never (t0+t1)/2, which overflows int64 for the
+// near-minimal UnixNanos a zero time.Time reports. The estimate also sets
+// the distps_shard<i>_clock_offset_ns gauge.
 func (c *Client) Stats(ctx context.Context, shard, maxSpans int) (ShardStats, error) {
+	t0 := c.clock.Now().UnixNano()
 	body, err := c.call(ctx, shard, msgStats, statsMsg{MaxSpans: maxSpans}.encode())
+	t1 := c.clock.Now().UnixNano()
 	if err != nil {
 		return ShardStats{}, err
 	}
@@ -515,7 +462,7 @@ func (c *Client) Stats(ctx context.Context, shard, maxSpans int) (ShardStats, er
 	}
 	st := ShardStats{
 		ShardID:        ack.ShardID,
-		NowUnixNanos:   ack.NowUnixNanos,
+		ClockOffsetNS:  ack.NowUnixNanos - (t0 + (t1-t0)/2),
 		EpochUnixNanos: ack.EpochUnixNanos,
 		Dropped:        ack.Dropped,
 		Threads:        ack.Threads,
@@ -531,13 +478,14 @@ func (c *Client) Stats(ctx context.Context, shard, maxSpans int) (ShardStats, er
 			return ShardStats{}, fmt.Errorf("%w: shard %d metrics snapshot: %w", ErrBadFrame, shard, err)
 		}
 	}
+	c.m.offset[shard].Set(float64(st.ClockOffsetNS))
 	return st, nil
 }
 
 // ShardStats is one shard's decoded observability snapshot.
 type ShardStats struct {
 	ShardID        int
-	NowUnixNanos   int64 // shard wall clock when the snapshot was built
+	ClockOffsetNS  int64 // shard clock − local clock, estimated from this exchange
 	EpochUnixNanos int64 // shard tracer epoch (span Starts are relative to it)
 	Dropped        int64 // span-ring overwrites on the shard
 	Metrics        obs.Snapshot
@@ -573,50 +521,8 @@ func (c *Client) RenewLease(ctx context.Context) error {
 	return err
 }
 
-// StartHeartbeats probes every shard each interval, maintaining the
-// distps_shard<i>_up gauges and the heartbeat-miss counter until ctx is
-// cancelled or Close is called.
-func (c *Client) StartHeartbeats(ctx context.Context, every time.Duration) {
-	if every <= 0 {
-		every = time.Second
-	}
-	c.hbOnce.Do(func() {
-		for i := range c.conns {
-			shard := i
-			c.hbWG.Add(1)
-			spawn(func() {
-				defer c.hbWG.Done()
-				t := time.NewTicker(every)
-				defer t.Stop()
-				for {
-					select {
-					case <-c.hbStop:
-						return
-					case <-ctx.Done():
-						return
-					case <-t.C:
-						if _, err := c.Heartbeat(ctx, shard); err != nil {
-							c.m.hbMisses.Inc()
-							c.m.up[shard].Set(0)
-						} else {
-							c.m.up[shard].Set(1)
-						}
-					}
-				}
-			})
-		}
-	})
-}
-
-// Close stops heartbeats and closes every connection.
+// Close closes every connection.
 func (c *Client) Close() error {
-	c.hbOnce.Do(func() {}) // never started: keep the Once consumed
-	select {
-	case <-c.hbStop:
-	default:
-		close(c.hbStop)
-	}
-	c.hbWG.Wait()
 	for _, sc := range c.conns {
 		sc.mu.Lock()
 		//elrec:lockorder net.Conn.Close does not block

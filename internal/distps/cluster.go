@@ -22,7 +22,7 @@ import (
 type ShardView struct {
 	Shard         int          `json:"shard"`
 	Err           string       `json:"err,omitempty"`
-	ClockOffsetNS int64        `json:"clock_offset_ns"` // shard clock − worker clock
+	ClockOffsetNS int64        `json:"clock_offset_ns"` // shard clock − worker clock, from this scrape's Stats
 	Metrics       obs.Snapshot `json:"metrics"`
 	Spans         int          `json:"spans"`
 	Dropped       int64        `json:"dropped"`
@@ -50,11 +50,12 @@ func ClusterStats(ctx context.Context, c *Client, reg *obs.Registry, tr *obs.Tra
 		Worker: WorkerView{Metrics: reg.Snapshot(), Spans: len(tr.Spans()), Dropped: tr.Dropped()},
 	}
 	for i := range c.conns {
-		sv := ShardView{Shard: i, ClockOffsetNS: c.ShardOffset(i)}
+		sv := ShardView{Shard: i}
 		st, err := c.Stats(ctx, i, 0)
 		if err != nil {
 			sv.Err = err.Error()
 		} else {
+			sv.ClockOffsetNS = st.ClockOffsetNS
 			sv.Metrics = st.Metrics
 			sv.Spans = len(st.Spans)
 			sv.Dropped = st.Dropped
@@ -66,10 +67,11 @@ func ClusterStats(ctx context.Context, c *Client, reg *obs.Registry, tr *obs.Tra
 
 // WriteClusterTrace fetches every shard's recent spans and writes one
 // merged Chrome trace: the worker's own timeline as pid 1, shard i as
-// pid 2+i, with each shard's epoch shifted by the heartbeat-estimated
-// clock offset so all timelines sit on the worker's clock. workerEpochNS
-// is the worker tracer's epoch on the worker's wall clock (pass
-// tr.Epoch().UnixNano() measured by the same clock the client uses).
+// pid 2+i, with each shard's epoch shifted by the clock offset estimated
+// from that same Stats exchange, so all timelines sit on the worker's
+// clock. workerEpochNS is the worker tracer's epoch on the worker's wall
+// clock (pass tr.Epoch().UnixNano() measured by the same clock the client
+// uses).
 // Unreachable shards are skipped; the worker's timeline always appears.
 func WriteClusterTrace(ctx context.Context, w io.Writer, c *Client, tr *obs.Tracer, workerEpochNS int64) error {
 	procs := []obs.ProcessTrace{{
@@ -91,7 +93,7 @@ func WriteClusterTrace(ctx context.Context, w io.Writer, c *Client, tr *obs.Trac
 			PID:  2 + i,
 			// Subtracting the offset (shard − worker) moves the shard's
 			// epoch onto the worker's clock.
-			EpochNS: st.EpochUnixNanos - c.ShardOffset(i),
+			EpochNS: st.EpochUnixNanos - st.ClockOffsetNS,
 			Spans:   st.Spans,
 			Threads: st.Threads,
 		})

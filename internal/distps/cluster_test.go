@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -43,11 +45,8 @@ func TestStatsRPCRoundTrip(t *testing.T) {
 	_, c := tracedShards(t, sc, 1)
 	ctx := context.Background()
 
-	if _, err := c.HelloAll(ctx); err != nil {
+	if err := c.HelloAll(ctx); err != nil {
 		t.Fatalf("HelloAll: %v", err)
-	}
-	if _, err := c.Heartbeat(ctx, 0); err != nil {
-		t.Fatalf("Heartbeat: %v", err)
 	}
 
 	st, err := c.Stats(ctx, 0, 0)
@@ -57,15 +56,13 @@ func TestStatsRPCRoundTrip(t *testing.T) {
 	if st.ShardID != 0 {
 		t.Fatalf("ShardID = %d, want 0", st.ShardID)
 	}
-	if st.NowUnixNanos == 0 || st.EpochUnixNanos == 0 {
-		t.Fatalf("timestamps missing: now=%d epoch=%d", st.NowUnixNanos, st.EpochUnixNanos)
+	if st.EpochUnixNanos == 0 {
+		t.Fatal("tracer epoch missing")
 	}
-	// The hello and heartbeat we just sent must show up in the shard's own
-	// server-side telemetry.
-	for _, h := range []string{"distps_srv_hello_ns", "distps_srv_heartbeat_ns"} {
-		if got := st.Metrics.Histograms[h].Count; got == 0 {
-			t.Fatalf("%s count = 0, want the RPCs this test sent", h)
-		}
+	// The hello we just sent must show up in the shard's own server-side
+	// telemetry.
+	if got := st.Metrics.Histograms["distps_srv_hello_ns"].Count; got == 0 {
+		t.Fatal("distps_srv_hello_ns count = 0, want the hello this test sent")
 	}
 	if st.Metrics.Counters["distps_srv_bytes_in"] == 0 || st.Metrics.Counters["distps_srv_bytes_out"] == 0 {
 		t.Fatalf("server byte counters empty: %v", st.Metrics.Counters)
@@ -101,7 +98,7 @@ func TestStatsRPCRoundTrip(t *testing.T) {
 	}
 
 	// Client-side satellites of the same conversation: byte counters and
-	// the heartbeat-estimated clock offset gauge.
+	// the clock offset gauge the Stats exchange set.
 	snap := c.cfg.Metrics.Snapshot()
 	if snap.Counters["distps_rpc_bytes_in"] == 0 || snap.Counters["distps_rpc_bytes_out"] == 0 {
 		t.Fatalf("client byte counters empty: %v", snap.Counters)
@@ -118,7 +115,7 @@ func TestClusterStatsKeepsDeadShardVisible(t *testing.T) {
 	sc := testScenario()
 	shards, c := tracedShards(t, sc, 2)
 	ctx := context.Background()
-	if _, err := c.HelloAll(ctx); err != nil {
+	if err := c.HelloAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	shards[1].Close()
@@ -136,6 +133,129 @@ func TestClusterStatsKeepsDeadShardVisible(t *testing.T) {
 	}
 	if view.Shards[1].Err == "" {
 		t.Fatal("dead shard must appear with Err set, not silently vanish")
+	}
+}
+
+// skewedClock is the system clock shifted by a fixed amount: a host whose
+// wall clock is off by d.
+type skewedClock struct{ d time.Duration }
+
+func (c skewedClock) Now() time.Time { return time.Now().Add(c.d) }
+
+// TestClockOffsetFromStats: with shard 0's clock (and its tracer's) an hour
+// ahead, the Stats exchange every scrape makes measures the skew. The
+// offset /cluster reports and the distps_shard0_clock_offset_ns gauge read
+// +1 h, and shard 1 (on the worker's clock) 0, each within half the
+// scrape's duration (the estimate's error is at most half its own round
+// trip, which the scrape contains). The merged trace subtracts the offset:
+// the shard's handle:hello span lands inside the worker's hello span.
+func TestClockOffsetFromStats(t *testing.T) {
+	sc := testScenario()
+	const skew = time.Hour
+	addrs := make([]string, 2)
+	for i := range addrs {
+		cfg := sc.ShardConfig(i, 2, t.TempDir())
+		cfg.DrainTimeout = 50 * time.Millisecond
+		var clock obs.Clock
+		if i == 0 {
+			clock = skewedClock{skew}
+		}
+		cfg.Trace = obs.NewTracer(clock)
+		cfg.Trace.SetSpanIDBase(uint64(i+1) << 48)
+		s, err := NewShard(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clock != nil {
+			s.clock = clock
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveShard(s, ln)
+		t.Cleanup(func() { s.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	ccfg := sc.ClientConfig(1, addrs)
+	ccfg.Timeout = 2 * time.Second
+	ccfg.Retry = fastBackoff()
+	ccfg.Metrics = obs.NewRegistry()
+	ccfg.Trace = obs.NewTracer(nil)
+	c, err := NewClient(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ctx := context.Background()
+	if err := c.HelloAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	near := func(what string, got, want int64, bound time.Duration) {
+		t.Helper()
+		if d := got - want; d < -int64(bound) || d > int64(bound) {
+			t.Fatalf("%s = %v, want %v ± %v", what, time.Duration(got), time.Duration(want), bound)
+		}
+	}
+	start := time.Now()
+	view := ClusterStats(ctx, c, obs.NewRegistry(), obs.NewTracer(nil))
+	bound := time.Since(start) / 2
+	gauges := c.cfg.Metrics.Snapshot().Gauges
+	for i, want := range []time.Duration{skew, 0} {
+		if view.Shards[i].Err != "" {
+			t.Fatalf("shard %d: %s", i, view.Shards[i].Err)
+		}
+		near(fmt.Sprintf("shard %d ClockOffsetNS", i), view.Shards[i].ClockOffsetNS, int64(want), bound)
+		near(fmt.Sprintf("distps_shard%d_clock_offset_ns", i),
+			int64(gauges[fmt.Sprintf("distps_shard%d_clock_offset_ns", i)]), int64(want), bound)
+	}
+
+	var buf bytes.Buffer
+	start = time.Now()
+	if err := WriteClusterTrace(ctx, &buf, c, ccfg.Trace, ccfg.Trace.Epoch().UnixNano()); err != nil {
+		t.Fatal(err)
+	}
+	slackUS := float64(time.Since(start)/2)/float64(time.Microsecond) + 1
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TS   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			PID  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	type window struct{ from, to float64 }
+	hellos := map[string]window{} // worker hello span id -> its extent
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.PID == 1 && ev.Name == "hello" {
+			id, _ := ev.Args["span"].(string)
+			hellos[id] = window{ev.TS, ev.TS + ev.Dur}
+		}
+	}
+	placed := false
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" || ev.PID != 2 || ev.Name != "handle:hello" {
+			continue
+		}
+		parent, _ := ev.Args["parent"].(string)
+		w, ok := hellos[parent]
+		if !ok {
+			continue
+		}
+		if ev.TS < w.from-slackUS || ev.TS > w.to+slackUS {
+			t.Fatalf("shard 0's handle:hello at %.0fµs lies outside its worker hello span [%.0f, %.0f]µs ± %.0fµs",
+				ev.TS, w.from, w.to, slackUS)
+		}
+		placed = true
+	}
+	if !placed {
+		t.Fatal("no shard 0 handle:hello span linked to a worker hello span in the merged trace")
 	}
 }
 

@@ -103,15 +103,12 @@ func instantSleep(time.Duration) {}
 func testWorkerConfig(sc Scenario, id uint64, shards []string) WorkerConfig {
 	return WorkerConfig{
 		ID: id, Shards: shards, Scenario: sc,
-		LeaseTTL:    time.Second,
-		RPCTimeout:  2 * time.Second,
-		StandbyPoll: 5 * time.Millisecond,
-		Retry:       fastBackoff(),
-		PipelineRetry: ps.RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond,
-			MaxDelay: 2 * time.Millisecond, Sleep: instantSleep},
-		Sleep:   instantSleep,
-		Metrics: obs.NewRegistry(),
-		Trace:   obs.NewTracer(nil),
+		LeaseTTL:   time.Second,
+		RPCTimeout: 2 * time.Second,
+		Retry:      fastBackoff(),
+		Sleep:      instantSleep,
+		Metrics:    obs.NewRegistry(),
+		Trace:      obs.NewTracer(nil),
 	}
 }
 

@@ -9,7 +9,7 @@
 //   - server.go      — the Shard: owned-row storage, idempotent mutating
 //     RPCs, epoch fencing, durable versioned checkpoints, lease authority;
 //   - client.go      — the Client: per-call deadlines, capped-backoff
-//     retries with stable request ids, heartbeat liveness, and a
+//     retries with stable request ids, per-shard liveness gauges, and a
 //     ps.HostStore adapter that plugs shards into the pipeline trainer;
 //   - worker.go      — the trainer driver: lease-gated active/standby
 //     workers, coordinated checkpoints and crash-consistent recovery

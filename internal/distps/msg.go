@@ -205,28 +205,24 @@ func decodeHello(b []byte) (helloMsg, error) {
 	return m, d.done()
 }
 
+// helloAck names the shard the connection reached, so a client that dialed
+// the wrong address (or a differently sized cluster) fails before any data
+// flows.
 type helloAck struct {
 	ShardID   int
 	NumShards int
-	Version   int64 // latest durable checkpoint version
-	Restored  bool
-	Epoch     uint64 // highest lease epoch the shard has seen
 }
 
 func (m helloAck) encode() []byte {
 	var e enc
 	e.u32(uint32(m.ShardID))
 	e.u32(uint32(m.NumShards))
-	e.i64(m.Version)
-	e.bool(m.Restored)
-	e.u64(m.Epoch)
 	return e.buf
 }
 
 func decodeHelloAck(b []byte) (helloAck, error) {
 	d := dec{buf: b}
-	m := helloAck{ShardID: int(d.u32()), NumShards: int(d.u32()), Version: d.i64(),
-		Restored: d.bool(), Epoch: d.u64()}
+	m := helloAck{ShardID: int(d.u32()), NumShards: int(d.u32())}
 	return m, d.done()
 }
 
@@ -360,55 +356,6 @@ func decodeVersionAck(b []byte) (versionAck, error) {
 	return m, d.done()
 }
 
-// --- heartbeat -------------------------------------------------------------
-
-// heartbeatMsg carries the sender's wall-clock send instant so the ack can
-// be used for NTP-style clock-offset estimation: the client combines its
-// own send/receive instants with the shard's NowUnixNanos to place the
-// shard's timeline on the worker's clock when merging traces.
-type heartbeatMsg struct {
-	WorkerID      uint64
-	SendUnixNanos int64
-}
-
-func (m heartbeatMsg) encode() []byte {
-	var e enc
-	e.u64(m.WorkerID)
-	e.i64(m.SendUnixNanos)
-	return e.buf
-}
-
-func decodeHeartbeat(b []byte) (heartbeatMsg, error) {
-	d := dec{buf: b}
-	m := heartbeatMsg{WorkerID: d.u64(), SendUnixNanos: d.i64()}
-	return m, d.done()
-}
-
-type heartbeatAck struct {
-	Version      int64
-	Restored     bool
-	Draining     bool
-	Epoch        uint64
-	NowUnixNanos int64 // shard wall clock when the ack was built
-}
-
-func (m heartbeatAck) encode() []byte {
-	var e enc
-	e.i64(m.Version)
-	e.bool(m.Restored)
-	e.bool(m.Draining)
-	e.u64(m.Epoch)
-	e.i64(m.NowUnixNanos)
-	return e.buf
-}
-
-func decodeHeartbeatAck(b []byte) (heartbeatAck, error) {
-	d := dec{buf: b}
-	m := heartbeatAck{Version: d.i64(), Restored: d.bool(), Draining: d.bool(), Epoch: d.u64(),
-		NowUnixNanos: d.i64()}
-	return m, d.done()
-}
-
 // --- stats -----------------------------------------------------------------
 
 // statsMsg asks a shard for its observability state: metrics snapshot plus
@@ -434,8 +381,9 @@ func decodeStats(b []byte) (statsMsg, error) {
 // statsAck is a shard's observability snapshot. MetricsJSON is the shard
 // registry's Snapshot in its canonical sorted-JSON form (the same bytes
 // the shard's own /metrics endpoint serves); spans are relative to
-// EpochUnixNanos on the shard's clock, and NowUnixNanos lets the caller
-// sanity-check offset estimates. Threads maps span TIDs to lane names.
+// EpochUnixNanos on the shard's clock, and NowUnixNanos, the shard's clock
+// when the ack was built, is the caller's clock-offset sample (Client.Stats).
+// Threads maps span TIDs to lane names.
 type statsAck struct {
 	ShardID        int
 	NowUnixNanos   int64

@@ -24,15 +24,13 @@ func codecs() []codec {
 	}
 	hello := helloMsg{WorkerID: 7, Epoch: 3, Seed: 99, Dim: 8,
 		Tables: []TableSpec{{Index: 0, Rows: 96}, {Index: 2, Rows: 64}}}
-	hAck := helloAck{ShardID: 1, NumShards: 2, Version: 40, Restored: true, Epoch: 5}
+	hAck := helloAck{ShardID: 1, NumShards: 2}
 	gather := gatherMsg{Table: 2, Rows: []int{5, 1, 63}}
 	rows := rowsMsg{Dim: 2, Values: []float32{1.5, -2.25, 0, 3e7}}
 	push := pushMsg{Epoch: 4, Seq: 19, Table: 1, Rows: []int{0, 9}, Dim: 2, Delta: []float32{0.5, -1, 2, -4}}
 	pAck := pushAck{Applied: true}
 	ver := versionMsg{Epoch: 4, Version: -60}
 	vAck := versionAck{Version: 60}
-	hb := heartbeatMsg{WorkerID: 12}
-	hbAck := heartbeatAck{Version: 20, Restored: true, Draining: true, Epoch: 9}
 	lease := leaseMsg{WorkerID: 12, Renew: true, Epoch: 9, TTLMS: 3000}
 	lAck := leaseAck{Epoch: 10}
 	stats := statsMsg{MaxSpans: 64}
@@ -53,8 +51,6 @@ func codecs() []codec {
 		wrap("pushAck", pAck, func(b []byte) (any, error) { return decodePushAck(b) }),
 		wrap("version", ver, func(b []byte) (any, error) { return decodeVersion(b) }),
 		wrap("versionAck", vAck, func(b []byte) (any, error) { return decodeVersionAck(b) }),
-		wrap("heartbeat", hb, func(b []byte) (any, error) { return decodeHeartbeat(b) }),
-		wrap("heartbeatAck", hbAck, func(b []byte) (any, error) { return decodeHeartbeatAck(b) }),
 		wrap("lease", lease, func(b []byte) (any, error) { return decodeLease(b) }),
 		wrap("leaseAck", lAck, func(b []byte) (any, error) { return decodeLeaseAck(b) }),
 		wrap("stats", stats, func(b []byte) (any, error) { return decodeStats(b) }),

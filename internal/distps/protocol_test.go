@@ -13,7 +13,7 @@ import (
 
 // rpcNames are the protocol's RPC names in type order: what the error
 // text, the spans and the per-RPC histograms carry.
-var rpcNames = []string{"hello", "gather", "push", "checkpoint", "restore", "heartbeat", "lease", "stats"}
+var rpcNames = []string{"hello", "gather", "push", "checkpoint", "restore", "lease", "stats"}
 
 // TestProtocolTable holds the rpcs table to the wire convention and the
 // shard's dispatch to the table, over every possible type byte: each odd
@@ -65,7 +65,7 @@ func TestProtocolTable(t *testing.T) {
 			t.Fatalf("no handle:%s span among %v", name, handled)
 		}
 	}
-	if msgName(msgStatsAck) != "stats" || msgName(msgError) != "error" || msgName(16) != "type-16" || msgName(0) != "type-0" {
+	if msgName(msgStatsAck) != "stats" || msgName(msgError) != "error" || msgName(14) != "type-14" || msgName(0) != "type-0" {
 		t.Fatal("msgName does not name responses after their requests")
 	}
 }
@@ -77,7 +77,7 @@ func TestProtocolInstruments(t *testing.T) {
 	sc := testScenario()
 	shards, c := tracedShards(t, sc, 1)
 	ctx := context.Background()
-	if _, err := c.HelloAll(ctx); err != nil {
+	if err := c.HelloAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AcquireLease(ctx); err != nil {
@@ -97,9 +97,6 @@ func TestProtocolInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.RestoreAll(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Heartbeat(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Stats(ctx, 0, 0); err != nil {
@@ -161,7 +158,7 @@ func TestVersionAckMismatchFails(t *testing.T) {
 					}
 					reply := versionAck{Version: 41}.encode()
 					if f.Type == msgHello {
-						reply = helloAck{NumShards: 1, Restored: true}.encode()
+						reply = helloAck{NumShards: 1}.encode()
 					}
 					if WriteFrame(conn, Frame{Type: ackFor(f.Type), ReqID: f.ReqID, Payload: reply}) != nil {
 						return

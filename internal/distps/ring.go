@@ -1,6 +1,10 @@
 package distps
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/tensor"
+)
 
 // ringVnodes is the number of virtual nodes per shard. 64 points per shard
 // keeps the worst-case row imbalance small at the shard counts this package
@@ -25,16 +29,6 @@ type ringPoint struct {
 	shard int
 }
 
-// mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit hash.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // NewRing builds the ring for n shards (n >= 1).
 func NewRing(n int) *Ring {
 	if n < 1 {
@@ -44,7 +38,7 @@ func NewRing(n int) *Ring {
 	for s := 0; s < n; s++ {
 		for v := 0; v < ringVnodes; v++ {
 			// Salt the vnode key away from the row key space.
-			h := mix64(0x5ead0000_00000000 ^ uint64(s)<<20 ^ uint64(v))
+			h := tensor.Mix64(0x5ead0000_00000000 ^ uint64(s)<<20 ^ uint64(v))
 			r.points = append(r.points, ringPoint{hash: h, shard: s})
 		}
 	}
@@ -66,7 +60,7 @@ func (r *Ring) Shards() int { return r.shards }
 // Owner returns the shard that owns row `row` of model table `table`: the
 // first ring point at or after the key's hash, wrapping around.
 func (r *Ring) Owner(table, row int) int {
-	h := mix64(mix64(uint64(table)+0x9e3779b97f4a7c15) ^ uint64(row))
+	h := tensor.Mix64(tensor.Mix64(uint64(table)+0x9e3779b97f4a7c15) ^ uint64(row))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0

@@ -102,8 +102,8 @@ const (
 	// retainVersions is how many checkpoint versions a shard keeps; the
 	// coordinated-checkpoint protocol needs at least 2.
 	retainVersions = 3
-	// idleTimeout closes connections with no traffic; heartbeats keep live
-	// clients under it.
+	// idleTimeout closes connections with no traffic; a client whose
+	// connection timed out re-dials on its next RPC.
 	idleTimeout = 2 * time.Minute
 )
 
@@ -576,7 +576,7 @@ func (s *Shard) hello(m helloMsg) (helloAck, error) {
 	if err := s.learnEpochLocked(m.Epoch); err != nil {
 		return helloAck{}, err
 	}
-	return helloAck{ShardID: s.cfg.ID, NumShards: s.cfg.NumShards, Version: s.version, Restored: s.restored, Epoch: s.maxEpoch}, nil
+	return helloAck{ShardID: s.cfg.ID, NumShards: s.cfg.NumShards}, nil
 }
 
 func (s *Shard) gather(m gatherMsg) (rowsMsg, error) {
@@ -676,13 +676,6 @@ func (s *Shard) restoreRPC(m versionMsg) (versionAck, error) {
 		return versionAck{}, err
 	}
 	return versionAck{Version: m.Version}, nil
-}
-
-func (s *Shard) heartbeat(heartbeatMsg) (heartbeatAck, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return heartbeatAck{Version: s.version, Restored: s.restored, Draining: s.draining,
-		Epoch: s.maxEpoch, NowUnixNanos: s.clock.Now().UnixNano()}, nil
 }
 
 // statsRPC exports the shard's observability state. It deliberately takes

@@ -118,7 +118,7 @@ func TestGatherMatchesReferenceInit(t *testing.T) {
 	sc := testScenario()
 	_, addrs := startShards(t, sc, 2, nil)
 	c := newTestClient(t, sc, addrs, 1)
-	if _, err := c.HelloAll(context.Background()); err != nil {
+	if err := c.HelloAll(context.Background()); err != nil {
 		t.Fatalf("HelloAll: %v", err)
 	}
 	for _, spec := range sc.HostSpecs() {
@@ -254,7 +254,7 @@ func TestLeaseFencingRejectsStaleWorker(t *testing.T) {
 	}
 	// HelloAll propagates the new epoch to every shard (what worker.Run does
 	// right after acquiring); from then on A's traffic is fenced everywhere.
-	if _, err := b.HelloAll(context.Background()); err != nil {
+	if err := b.HelloAll(context.Background()); err != nil {
 		t.Fatalf("B HelloAll: %v", err)
 	}
 	// ...and A's traffic is fenced everywhere once a shard learns of B: a
@@ -411,25 +411,54 @@ func TestHelloRejectsSpecMismatch(t *testing.T) {
 	bad := sc
 	bad.Model.EmbDim = 16 // worker disagrees about the embedding dimension
 	c := newTestClient(t, bad, addrs, 1)
-	if _, err := c.HelloAll(context.Background()); !errors.Is(err, ErrSpecMismatch) {
+	if err := c.HelloAll(context.Background()); !errors.Is(err, ErrSpecMismatch) {
 		t.Fatalf("HelloAll with wrong dim: %v, want ErrSpecMismatch", err)
 	}
 }
 
-func TestHeartbeatReportsLiveness(t *testing.T) {
+// TestShardUpFollowsRPCOutcome: distps_shard<i>_up is read off ordinary
+// RPCs — 0 once the shard is killed and an RPC to it fails, 1 again once it
+// restarts and an RPC succeeds — while the other shard's gauge stays 1.
+func TestShardUpFollowsRPCOutcome(t *testing.T) {
 	sc := testScenario()
-	shards, addrs := startShards(t, sc, 1, nil)
+	dirs := []string{t.TempDir(), t.TempDir()}
+	shards := make([]*Shard, 2)
+	addrs := make([]string, 2)
+	for i := range shards {
+		shards[i], addrs[i] = bootShard(t, sc, i, 2, dirs[i], "127.0.0.1:0")
+	}
+	t.Cleanup(func() {
+		for _, s := range shards {
+			s.Close()
+		}
+	})
 	c := newTestClient(t, sc, addrs, 1)
-	st, err := c.Heartbeat(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("Heartbeat: %v", err)
+	ctx := context.Background()
+	up := func() [2]float64 {
+		g := c.cfg.Metrics.Snapshot().Gauges
+		return [2]float64{g["distps_shard0_up"], g["distps_shard1_up"]}
 	}
-	if !st.Restored || st.Draining {
-		t.Fatalf("heartbeat status %+v, want restored and not draining", st)
+	if err := c.HelloAll(ctx); err != nil {
+		t.Fatal(err)
 	}
-	shards[0].Close()
-	if _, err := c.Heartbeat(context.Background(), 0); err == nil {
-		t.Fatal("heartbeat to a dead shard must fail")
+	if got := up(); got != [2]float64{1, 1} {
+		t.Fatalf("after HelloAll: up = %v, want [1 1]", got)
+	}
+
+	shards[1].Close()
+	if _, err := c.Stats(ctx, 1, 0); !errors.Is(err, ErrRPCFailed) {
+		t.Fatalf("Stats against a killed shard: %v, want ErrRPCFailed", err)
+	}
+	if got := up(); got != [2]float64{1, 0} {
+		t.Fatalf("after a failed RPC to the killed shard: up = %v, want [1 0]", got)
+	}
+
+	shards[1], _ = bootShard(t, sc, 1, 2, dirs[1], addrs[1])
+	if _, err := c.Stats(ctx, 1, 0); err != nil {
+		t.Fatalf("Stats against the restarted shard: %v", err)
+	}
+	if got := up(); got != [2]float64{1, 1} {
+		t.Fatalf("after an RPC to the restarted shard: up = %v, want [1 1]", got)
 	}
 }
 
@@ -443,7 +472,7 @@ func TestDeadShardExhaustsRetries(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	c := newTestClient(t, sc, []string{addr}, 1)
-	if _, err := c.HelloAll(context.Background()); !errors.Is(err, ErrRPCFailed) {
+	if err := c.HelloAll(context.Background()); !errors.Is(err, ErrRPCFailed) {
 		t.Fatalf("HelloAll against a dead shard: %v, want ErrRPCFailed", err)
 	}
 	if got := c.m.retries.Value(); got != int64(fastBackoff().MaxRetries) {
@@ -522,7 +551,7 @@ func TestRetryBackoffSequenceDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.HelloAll(context.Background()); !errors.Is(err, ErrRPCFailed) {
+	if err := c.HelloAll(context.Background()); !errors.Is(err, ErrRPCFailed) {
 		t.Fatalf("HelloAll: %v, want ErrRPCFailed", err)
 	}
 	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,

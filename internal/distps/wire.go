@@ -12,7 +12,7 @@ import (
 //
 //	offset size field
 //	0      4    magic     0xE17D15F5
-//	4      1    version   wire protocol version (2)
+//	4      1    version   wire protocol version (3)
 //	5      1    type      message type (msg* constants)
 //	6      4    length    payload byte count
 //	10     8    reqID     request id (responses echo the request's)
@@ -26,6 +26,9 @@ import (
 // the worker-side RPC span in a merged Chrome trace, and responses echo
 // both ids back. Carrying them in the header (not the payload) keeps
 // propagation uniform across all message types, including msgError.
+// Version 3 dropped the liveness-probe pair (types 11 and 12) and
+// renumbered the types after it, so a peer of another version fails at
+// the header, not at a mis-typed payload.
 //
 // The checksum turns a corrupted-in-flight payload into a typed
 // ErrBadFrame instead of a silent mis-decode; a truncated frame surfaces
@@ -33,7 +36,7 @@ import (
 // poisoned and the caller retries on a fresh one.
 const (
 	frameMagic  = uint32(0xE17D15F5)
-	wireVersion = uint8(2)
+	wireVersion = uint8(3)
 	headerSize  = 38
 
 	// DefaultMaxPayload bounds a single frame's payload; larger gathers
@@ -55,14 +58,12 @@ const (
 	msgCheckpointAck = uint8(8)
 	msgRestore       = uint8(9)
 	msgRestoreAck    = uint8(10)
-	msgHeartbeat     = uint8(11)
-	msgHeartbeatAck  = uint8(12)
-	msgLease         = uint8(13)
-	msgLeaseAck      = uint8(14)
-	msgError         = uint8(15)
-	msgStats         = uint8(17)
-	msgStatsAck      = uint8(18)
-	msgTypes         = uint8(19)
+	msgLease         = uint8(11)
+	msgLeaseAck      = uint8(12)
+	msgError         = uint8(13)
+	msgStats         = uint8(15)
+	msgStatsAck      = uint8(16)
+	msgTypes         = uint8(17)
 )
 
 // rpc is one request type's row of the protocol: the name its error text,
@@ -83,7 +84,6 @@ var rpcs = [msgTypes]rpc{
 	msgPush:       newRPC("push", decodePush, (*Shard).push),
 	msgCheckpoint: newRPC("checkpoint", decodeVersion, (*Shard).checkpointRPC),
 	msgRestore:    newRPC("restore", decodeVersion, (*Shard).restoreRPC),
-	msgHeartbeat:  newRPC("heartbeat", decodeHeartbeat, (*Shard).heartbeat),
 	msgLease:      newRPC("lease", decodeLease, (*Shard).leaseRPC),
 	msgStats:      newRPC("stats", decodeStats, (*Shard).statsRPC),
 }

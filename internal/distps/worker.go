@@ -13,10 +13,14 @@ import (
 	"repro/internal/ps"
 )
 
-// maxRecoveries bounds consecutive failed recovery rounds before Run gives
-// up. Waiting for the trainer lease does not count — a standby worker blocks
-// on the lease indefinitely by design.
-const maxRecoveries = 8
+const (
+	// maxRecoveries bounds consecutive failed recovery rounds before Run
+	// gives up. Waiting for the trainer lease does not count — a standby
+	// worker blocks on the lease indefinitely by design.
+	maxRecoveries = 8
+	// standbyPoll is the wait between a standby worker's lease attempts.
+	standbyPoll = 100 * time.Millisecond
+)
 
 // WorkerConfig configures a trainer worker.
 type WorkerConfig struct {
@@ -35,15 +39,14 @@ type WorkerConfig struct {
 	// checkpoint.
 	Checkpoint ps.CheckpointConfig
 
-	LeaseTTL       time.Duration // trainer lease duration (0: shard default); renewed every LeaseTTL/3, at least 10ms apart
-	HeartbeatEvery time.Duration // shard liveness probes (0: disabled)
-	StandbyPoll    time.Duration // wait between lease attempts (0: 100ms)
+	LeaseTTL time.Duration // trainer lease duration (0: shard default); renewed every LeaseTTL/3, at least 10ms apart
 
-	RPCTimeout    time.Duration
-	Retry         ps.RetryPolicy // transport retries and recovery-round waits
-	PipelineRetry ps.RetryPolicy // pipeline-level gather/apply retries
+	RPCTimeout time.Duration
+	Retry      ps.RetryPolicy // transport retries and recovery-round waits
 
-	// Sleep overrides recovery/standby waits (tests make them instant).
+	// Sleep overrides the recovery and standby waits and the pipeline's
+	// gather/apply backoff, which otherwise runs ps.DefaultRetryPolicy
+	// (tests make them instant).
 	Sleep func(time.Duration)
 
 	Metrics *obs.Registry
@@ -102,9 +105,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if ck := cfg.Checkpoint; ck.Every < 0 || (ck.Every > 0 && ck.Path == "") {
 		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", ErrBadRequest, ck.Every)
 	}
-	if cfg.StandbyPoll <= 0 {
-		cfg.StandbyPoll = 100 * time.Millisecond
-	}
 	ccfg := cfg.Scenario.ClientConfig(cfg.ID, cfg.Shards)
 	ccfg.Timeout = cfg.RPCTimeout
 	ccfg.LeaseTTL = cfg.LeaseTTL
@@ -154,7 +154,7 @@ func (w *Worker) buildPipeline(ctx context.Context) (*ps.Pipeline, error) {
 		return nil, err
 	}
 	pcfg := w.cfg.Scenario.PipelineConfig()
-	pcfg.Retry = w.cfg.PipelineRetry
+	pcfg.Retry = ps.RetryPolicy{Sleep: w.cfg.Sleep}
 	pcfg.Metrics = w.cfg.Metrics
 	pcfg.Trace = w.cfg.Trace
 	if ck := w.cfg.Checkpoint; ck.Every > 0 {
@@ -228,9 +228,6 @@ func (w *Worker) loadLocalVersion(p *ps.Pipeline) (int, error) {
 // global iteration count reaches steps, when ctx is cancelled (graceful:
 // the in-flight batch drains), or when recovery stops making progress.
 func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) (*RunResult, error) {
-	if w.cfg.HeartbeatEvery > 0 {
-		w.client.StartHeartbeats(ctx, w.cfg.HeartbeatEvery)
-	}
 	res := &RunResult{}
 	recoveries := 0 // consecutive failed rounds; reset on progress
 	for {
@@ -244,7 +241,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 			if !errors.Is(err, ErrLeaseHeld) {
 				w.cfg.Log.Warn("distps: lease acquisition failed", "worker", w.cfg.ID, "err", err)
 			}
-			w.sleep(w.cfg.StandbyPoll)
+			w.sleep(standbyPoll)
 			continue
 		}
 		w.m.epoch.Set(float64(epoch))
@@ -261,7 +258,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 			w.cfg.Log.Warn("distps: recovery round failed", "worker", w.cfg.ID, "stage", stage, "attempt", recoveries, "err", err)
 			return recoveries <= maxRecoveries
 		}
-		if _, err := w.client.HelloAll(ctx); err != nil {
+		if err := w.client.HelloAll(ctx); err != nil {
 			if !fail("hello", err) {
 				return res, err
 			}

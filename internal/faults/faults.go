@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // Op names an injection point inside the pipeline.
@@ -193,15 +195,8 @@ func chance(seed uint64, op Op, iter, attempt int, salt uint64) float64 {
 	for _, c := range []byte(op) {
 		h = (h ^ uint64(c)) * 0x100000001B3
 	}
-	h = mix(h ^ uint64(int64(iter)))
-	h = mix(h ^ uint64(int64(attempt))<<32)
+	h = tensor.Mix64(h ^ uint64(int64(iter)))
+	h = tensor.Mix64(h ^ uint64(int64(attempt))<<32)
 	// 53 bits of mantissa.
 	return float64(h>>11) / float64(1<<53)
-}
-
-// mix is the splitmix64 finalizer.
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/tensor"
 )
 
 // Dir names a forwarding direction through the proxy.
@@ -162,7 +164,7 @@ func (s *ProxySchedule) decide(dir Dir, idx int) Verdict {
 		for _, c := range []byte(dir) {
 			h = (h ^ uint64(c)) * 0x100000001B3
 		}
-		h = mix(h ^ uint64(int64(idx)))
+		h = tensor.Mix64(h ^ uint64(int64(idx)))
 		return float64(h>>11) / float64(1<<53)
 	}
 	switch {

@@ -1,5 +1,7 @@
 package graphx
 
+import "slices"
+
 // Louvain runs the modularity-based community detection of Blondel et al.
 // (the algorithm the paper cites for index reordering): repeated local
 // moving of nodes to the neighboring community with the best modularity
@@ -97,7 +99,7 @@ func (s *mover) localMoving(g *Graph) (comm []int, improved bool) {
 				}
 				weight[c] += g.wt[p]
 			}
-			sortInts(s.cands)
+			slices.Sort(s.cands)
 			// Remove u from its community.
 			tot[cu] -= du
 			// Gain of joining community c: k_{u,c}/m − tot_c·k_u/(2m²);
@@ -127,16 +129,6 @@ func (s *mover) localMoving(g *Graph) (comm []int, improved bool) {
 		improved = true
 	}
 	return comm, improved
-}
-
-// sortInts sorts a small int slice (insertion sort: candidate lists are
-// typically tiny).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // aggregate builds the level graph: one node per community, intra-community

@@ -3,6 +3,7 @@ package graphx
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -127,7 +128,7 @@ func refLocalMoving(g *refGraph) (comm []int, improved bool) {
 				}
 				neighWeight[c] += w
 			})
-			sortInts(cands)
+			slices.Sort(cands)
 			commTot[cu] -= deg[u]
 			best, bestGain := cu, neighWeight[cu]-commTot[cu]*deg[u]/m2
 			for _, c := range cands {

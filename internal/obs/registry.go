@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 	"sync"
@@ -253,64 +252,12 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 // each instrument is read atomically, though the set is not a global
 // atomic cut (concurrent updates may land between reads — fine for
 // monitoring). Its JSON form sorts instrument names so scrapes are
-// deterministic and diffable; that ordering is contractual (MarshalJSON),
-// not an accident of the encoder.
+// deterministic and diffable: encoding/json writes map keys in sorted
+// order.
 type Snapshot struct {
 	Counters   map[string]int64            `json:"counters"`
 	Gauges     map[string]float64          `json:"gauges"`
 	Histograms map[string]HistogramSummary `json:"histograms"`
-}
-
-// marshalSorted renders one name→value section as a JSON object with keys
-// in ascending name order.
-func marshalSorted[V any](m map[string]V) ([]byte, error) {
-	names := make([]string, 0, len(m))
-	//elrec:orderless keys are sorted immediately below
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	buf := []byte{'{'}
-	for i, name := range names {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		k, err := json.Marshal(name)
-		if err != nil {
-			return nil, err
-		}
-		v, err := json.Marshal(m[name])
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, k...)
-		buf = append(buf, ':')
-		buf = append(buf, v...)
-	}
-	return append(buf, '}'), nil
-}
-
-// MarshalJSON emits the snapshot with instrument names in sorted order in
-// every section, so two scrapes of identical state are byte-identical.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	counters, err := marshalSorted(s.Counters)
-	if err != nil {
-		return nil, err
-	}
-	gauges, err := marshalSorted(s.Gauges)
-	if err != nil {
-		return nil, err
-	}
-	hists, err := marshalSorted(s.Histograms)
-	if err != nil {
-		return nil, err
-	}
-	buf := append([]byte(`{"counters":`), counters...)
-	buf = append(buf, `,"gauges":`...)
-	buf = append(buf, gauges...)
-	buf = append(buf, `,"histograms":`...)
-	buf = append(buf, hists...)
-	return append(buf, '}'), nil
 }
 
 // Counter returns the named counter's value in the snapshot (0 if absent).

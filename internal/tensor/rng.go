@@ -21,7 +21,13 @@ func NewRNG(seed uint64) *RNG {
 // Uint64 returns the next 64 pseudo-random bits (splitmix64).
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return Mix64(r.state)
+}
+
+// Mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
+// hash. Every seeded hash in the repository (data streams, ring placement,
+// fault schedules) runs through it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
