@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/embedding"
+	"repro/internal/tensor/workertest"
 )
 
 func smallSpec() Spec {
@@ -451,8 +452,17 @@ func sameBatch(t *testing.T, what string, got, want *Batch) {
 // Batch's output bit for bit — across sizes that grow and shrink the
 // buffers, on the single-valued and the multi-hot schema, and after the
 // batch held another dataset's batch — and, once the batch has held one of
-// this size, costs no allocation over iterations never generated before.
+// this size, costs no allocation over iterations never generated before; at
+// one worker and at the host's width, where executors draw the tables'
+// streams.
 func TestBatchIntoMatchesBatchZeroAlloc(t *testing.T) {
+	workertest.Each(t, func(workers int) {
+		t.Logf("%d workers", workers)
+		testBatchIntoMatchesBatchZeroAlloc(t)
+	})
+}
+
+func testBatchIntoMatchesBatchZeroAlloc(t *testing.T) {
 	multi := smallSpec()
 	multi.MultiHot, multi.Seed = 3, 8
 	var dst *Batch

@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -56,7 +57,30 @@ type Batch struct {
 	Offsets []int          // bag starts: s·K
 	Labels  []float32
 
-	gen Generator // the generator scratch BatchInto reuses with this batch
+	draw streamDraw // the stream stage BatchInto reuses with this batch
+}
+
+// streamDraw is BatchInto's stream stage: min(Workers(), tables) executors
+// claim tables from next and draw their streams, each through its own
+// generator. A stream is seeded by its (iter, table) pair alone, so no bit
+// depends on the executor. gens[0] then draws the dense features and labels.
+type streamDraw struct {
+	d    *Dataset
+	iter int
+	next atomic.Int64
+	gens []Generator
+}
+
+// drawStreams is the stream stage's body for the batch in ctx: executor p
+// claims tables until none is left.
+func drawStreams(ctx any, lo, hi int) {
+	b := ctx.(*Batch)
+	w := &b.draw
+	for p := lo; p < hi; p++ {
+		for t := int(w.next.Add(1)) - 1; t < len(b.Sparse); t = int(w.next.Add(1)) - 1 {
+			b.Sparse[t] = w.d.IndicesInto(&w.gens[p], b.Sparse[t], w.iter, len(b.Labels), t)
+		}
+	}
 }
 
 // Size returns the number of samples in the batch.
@@ -111,12 +135,17 @@ func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 	for s := range b.Offsets {
 		b.Offsets[s] = s * bag
 	}
-	g := &b.gen
-	for t := range b.Sparse {
-		b.Sparse[t] = d.IndicesInto(g, b.Sparse[t], iter, size, t)
+	w := &b.draw
+	n := min(tensor.Workers(), len(b.Sparse))
+	for len(w.gens) < n {
+		w.gens = append(w.gens, Generator{})
 	}
+	w.d, w.iter = d, iter
+	w.next.Store(0)
+	tensor.ParallelFor(n, b, drawStreams)
 
-	r := g.r
+	w.gens[0].bind(d)
+	r := w.gens[0].r
 	r.Seed(int64(mix(spec.Seed, uint64(iter), 0xBA7C4)))
 
 	// Dense features: standard normal.
@@ -174,10 +203,9 @@ func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 }
 
 // prepare shapes b for a batch of n samples from d, keeping every buffer that
-// is large enough and the generator scratch when it is d's.
+// is large enough.
 func (b *Batch) prepare(d *Dataset, n int) {
 	spec := d.Spec
-	b.gen.bind(d)
 	b.Dense = tensor.Reuse(b.Dense, n, spec.NumDense)
 	if len(b.Sparse) != spec.NumTables() {
 		b.Sparse = make([][]int, spec.NumTables())

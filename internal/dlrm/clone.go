@@ -60,6 +60,7 @@ func (m *Model) CloneForServing() (*Model, error) {
 		Tables:      tables,
 		opt:         nn.NewSGD(m.Cfg.LR),
 		clock:       m.clock,
+		order:       m.order,
 	}
 	c.params = c.MLPParams()
 	return c, nil

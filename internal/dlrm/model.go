@@ -9,11 +9,14 @@ package dlrm
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
+	"repro/internal/tt"
 )
 
 // Table is the embedding-table abstraction: sum-pooling lookup over
@@ -65,6 +68,57 @@ type Model struct {
 	clock   obs.Clock        // timestamp source for TrainStep's Timing split; never nil
 	embs    []*tensor.Matrix // per-step lookup results, slice reused across steps
 	dLogits *tensor.Matrix   // the loss gradient, reused across steps
+	order   []int            // the table stage's claim order (claimOrder)
+	stage   tableStage
+}
+
+// claimOrder is the order the table stage claims tables in, longest first:
+// Eff-TT tables by falling row count, then the others by index.
+func claimOrder(tables []Table) []int {
+	var tts, rest []int
+	for i, t := range tables {
+		if _, ok := t.(*tt.Table); ok {
+			tts = append(tts, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	slices.SortStableFunc(tts, func(a, b int) int { return tables[b].NumRows() - tables[a].NumRows() })
+	return append(tts, rest...)
+}
+
+// tableStage is one pass of every table's Lookup (dEmbs nil) or Update over
+// a batch. The tables are independent and each owns its scratch, so
+// min(Workers(), tables) executors claim them from next in claim order; a
+// table's own ParallelFors then see every executor busy and run inline.
+type tableStage struct {
+	b     *data.Batch
+	dEmbs []*tensor.Matrix
+	next  atomic.Int64
+}
+
+// runTables runs b's table stage: every Lookup into m.embs, or with dEmbs
+// every Update.
+func (m *Model) runTables(b *data.Batch, dEmbs []*tensor.Matrix) {
+	s := &m.stage
+	s.b, s.dEmbs = b, dEmbs
+	s.next.Store(0)
+	tensor.ParallelFor(min(tensor.Workers(), len(m.Tables)), m, tableStageBody)
+}
+
+// tableStageBody is one executor of the model's table stage: it claims and
+// runs tables until none is left.
+func tableStageBody(ctx any, _, _ int) {
+	m := ctx.(*Model)
+	s, b := &m.stage, m.stage.b
+	for k := int(s.next.Add(1)) - 1; k < len(m.order); k = int(s.next.Add(1)) - 1 {
+		t := m.order[k]
+		if s.dEmbs == nil {
+			m.embs[t] = m.Tables[t].Lookup(b.Sparse[t], b.Offsets)
+		} else {
+			m.Tables[t].Update(b.Sparse[t], b.Offsets, s.dEmbs[t], m.Cfg.LR)
+		}
+	}
 }
 
 // SetClock replaces the timestamp source TrainStep measures against
@@ -101,6 +155,7 @@ func NewModel(cfg Config, tables []Table) (*Model, error) {
 		Tables:      tables,
 		opt:         nn.NewSGD(cfg.LR),
 		clock:       obs.System(),
+		order:       claimOrder(tables),
 	}
 	m.params = m.MLPParams()
 	return m, nil
@@ -128,15 +183,13 @@ func (m *Model) Forward(b *data.Batch) *tensor.Matrix {
 	return m.Top.Forward(x)
 }
 
-// lookups runs every table's Lookup for the batch into the model's reused
-// result slice.
+// lookups runs every table's Lookup for the batch, as one table stage, into
+// the model's reused result slice.
 func (m *Model) lookups(b *data.Batch) []*tensor.Matrix {
 	if m.embs == nil {
 		m.embs = make([]*tensor.Matrix, len(m.Tables))
 	}
-	for t, tbl := range m.Tables {
-		m.embs[t] = tbl.Lookup(b.Sparse[t], b.Offsets)
-	}
+	m.runTables(b, nil)
 	return m.embs
 }
 
@@ -155,7 +208,7 @@ func (m *Model) ApplyStep() {
 // Update (tables own their sparse optimizers) and the MLPs' SGD step. It
 // returns the batch loss and adds the step's embed/dense wall-time split to
 // the model's Timing accumulator, measured against the model's clock (see
-// SetClock).
+// SetClock). The lookups and the updates each run as one table stage.
 func (m *Model) TrainStep(b *data.Batch) float32 {
 	if err := m.checkBatch(b); err != nil {
 		//elrec:invariant batch/model agreement; the pipeline recover boundary converts this to ErrWorkerFault
@@ -179,9 +232,7 @@ func (m *Model) TrainStep(b *data.Batch) float32 {
 	m.Bottom.Backward(dDense)
 
 	t3 := clock.Now()
-	for t, tbl := range m.Tables {
-		tbl.Update(b.Sparse[t], b.Offsets, dEmbs[t], m.Cfg.LR)
-	}
+	m.runTables(b, dEmbs)
 
 	t4 := clock.Now()
 	m.ApplyStep()

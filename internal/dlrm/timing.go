@@ -7,7 +7,8 @@ import "time"
 // interaction, loss). The experiment harness charges the two components to
 // different compute locations under the hw model — for the PS-style DLRM
 // baseline the embedding side runs on the host while the dense side runs on
-// the device.
+// the device. Both are wall time: Embed is the lookup and update table
+// stages' wall time, not the sum of their tables' times.
 type Timing struct {
 	Embed time.Duration
 	Dense time.Duration

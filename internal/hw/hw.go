@@ -51,10 +51,10 @@ func TeslaT4() Device {
 }
 
 // SetHostWorkers bounds the parallelism of the measured host-side kernels
-// (the tensor worker pool). Benchmarks pin this to 1 for stable,
-// reproducible numbers, or raise it to emulate a wider host; it funnels
-// through the tensor package's race-safe setter so it can be flipped while
-// kernels are running.
+// (the tensor worker pool). Benchmarks pin this to 1 for stable timings, or
+// raise it to emulate a wider host; trained bits do not depend on it. It
+// funnels through the tensor package's race-safe setter so it can be flipped
+// while kernels are running.
 func SetHostWorkers(n int) {
 	tensor.SetMaxWorkers(n)
 }

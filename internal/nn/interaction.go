@@ -28,20 +28,55 @@ type Interaction struct {
 	out    *tensor.Matrix
 	dDense *tensor.Matrix
 	dEmbs  []*tensor.Matrix
+	dy     *tensor.Matrix // Backward's upstream gradient, for the executors
 
-	// One sample's scratch: z its stacked features, gram Z·Zᵀ (forward) or S
-	// (backward), (T+1)×(T+1), dz S·Z; pairs holds FillVarying's two products
-	// for one run of rows.
-	z, gram, dz, pairs []float32
+	// parts[p] is the scratch of the executor running the batch's part p;
+	// parts[0] also serves ForwardShared. split sets n and sample.
+	parts  []sampleScratch
+	n      int
+	sample func(it *Interaction, sc *sampleScratch, s int)
+	// pairs holds FillVarying's two products for one run of rows.
+	pairs []float32
 }
+
+// sampleScratch is one sample's scratch: z its stacked features, gram Z·Zᵀ
+// (forward) or S (backward), (T+1)×(T+1), dz S·Z.
+type sampleScratch struct{ z, gram, dz []float32 }
 
 // NewInteraction returns an interaction layer over numTables embeddings of
 // width dim.
 func NewInteraction(dim, numTables int) *Interaction {
-	f := numTables + 1
-	return &Interaction{
-		Dim: dim, NumTables: numTables,
-		z: make([]float32, f*dim), gram: make([]float32, f*f), dz: make([]float32, f*dim),
+	return &Interaction{Dim: dim, NumTables: numTables}
+}
+
+// scratch returns part p's scratch, first growing the layer's to p+1 parts.
+func (it *Interaction) scratch(p int) *sampleScratch {
+	f := it.NumTables + 1
+	for len(it.parts) <= p {
+		it.parts = append(it.parts, sampleScratch{
+			z: make([]float32, f*it.Dim), gram: make([]float32, f*f), dz: make([]float32, f*it.Dim),
+		})
+	}
+	return &it.parts[p]
+}
+
+// split runs sample over the batch in min(Workers(), batch) contiguous
+// parts, one executor per part on the part's own scratch. A sample's
+// arithmetic does not depend on its part, so neither do the bits.
+func (it *Interaction) split(batch int, sample func(it *Interaction, sc *sampleScratch, s int)) {
+	it.n, it.sample = min(tensor.Workers(), batch), sample
+	it.scratch(max(it.n-1, 0))
+	tensor.ParallelFor(it.n, it, runParts)
+}
+
+// runParts is split's executor body over parts [lo, hi).
+func runParts(ctx any, lo, hi int) {
+	it := ctx.(*Interaction)
+	batch := it.dense.Rows
+	for p := lo; p < hi; p++ {
+		for s := p * batch / it.n; s < (p+1)*batch/it.n; s++ {
+			it.sample(it, &it.parts[p], s)
+		}
 	}
 }
 
@@ -65,13 +100,14 @@ func (it *Interaction) pack(z []float32, dense *tensor.Matrix, embs []*tensor.Ma
 }
 
 // featuresInto writes the interaction features of one sample into row: its
-// dense vector, then the strict lower triangle of Z·Zᵀ row by row.
-func (it *Interaction) featuresInto(row, z []float32) {
+// dense vector, then the strict lower triangle of Z·Zᵀ (into gram) row by
+// row.
+func (it *Interaction) featuresInto(row, z, gram []float32) {
 	f := it.NumTables + 1
-	tensor.GemmTransBInto(f, it.Dim, f, z, z, it.gram)
+	tensor.GemmTransBInto(f, it.Dim, f, z, z, gram)
 	pos := copy(row, z[:it.Dim])
 	for i := 1; i < f; i++ {
-		pos += copy(row[pos:pos+i], it.gram[i*f:])
+		pos += copy(row[pos:pos+i], gram[i*f:])
 	}
 }
 
@@ -96,11 +132,14 @@ func (it *Interaction) Forward(dense *tensor.Matrix, embs []*tensor.Matrix) *ten
 	it.dense, it.embs = dense, embs
 
 	it.out = tensor.Reuse(it.out, batch, it.OutputDim()) // every element is written below
-	for s := 0; s < batch; s++ {
-		it.pack(it.z, dense, embs, s)
-		it.featuresInto(it.out.Row(s), it.z)
-	}
+	it.split(batch, (*Interaction).forwardSample)
 	return it.out
+}
+
+// forwardSample writes sample s's row of Forward's output.
+func (it *Interaction) forwardSample(sc *sampleScratch, s int) {
+	it.pack(sc.z, it.dense, it.embs, s)
+	it.featuresInto(it.out.Row(s), sc.z, sc.gram)
 }
 
 // Backward returns gradients for the dense tower output and each embedding
@@ -123,27 +162,31 @@ func (it *Interaction) Backward(dy *tensor.Matrix) (dDense *tensor.Matrix, dEmbs
 	for i := range it.dEmbs {
 		it.dEmbs[i] = tensor.Reuse(it.dEmbs[i], batch, it.Dim)
 	}
-	f, d, sym := it.NumTables+1, it.Dim, it.gram
-	for s := 0; s < batch; s++ {
-		// dZ = S·Z: feature i collects g(i,j)·z_j over every pair it is in.
-		row := dy.Row(s)
-		pos := d
-		for i := 0; i < f; i++ {
-			for j := 0; j < i; j++ {
-				sym[i*f+j], sym[j*f+i] = row[pos], row[pos]
-				pos++
-			}
-			sym[i*f+i] = 0
-		}
-		it.pack(it.z, it.dense, it.embs, s)
-		tensor.GemmInto(f, f, d, sym, it.z, it.dz)
-		tensor.AddTo(it.dz[:d], row[:d])
-		copy(it.dDense.Row(s), it.dz)
-		for t, de := range it.dEmbs {
-			copy(de.Row(s), it.dz[(t+1)*d:])
-		}
-	}
+	it.dy = dy
+	it.split(batch, (*Interaction).backwardSample)
 	return it.dDense, it.dEmbs
+}
+
+// backwardSample writes sample s's rows of Backward's gradients.
+func (it *Interaction) backwardSample(sc *sampleScratch, s int) {
+	// dZ = S·Z: feature i collects g(i,j)·z_j over every pair it is in.
+	f, d, sym := it.NumTables+1, it.Dim, sc.gram
+	row := it.dy.Row(s)
+	pos := d
+	for i := 0; i < f; i++ {
+		for j := 0; j < i; j++ {
+			sym[i*f+j], sym[j*f+i] = row[pos], row[pos]
+			pos++
+		}
+		sym[i*f+i] = 0
+	}
+	it.pack(sc.z, it.dense, it.embs, s)
+	tensor.GemmInto(f, f, d, sym, sc.z, sc.dz)
+	tensor.AddTo(sc.dz[:d], row[:d])
+	copy(it.dDense.Row(s), sc.dz)
+	for t, de := range it.dEmbs {
+		copy(de.Row(s), sc.dz[(t+1)*d:])
+	}
 }
 
 // ForwardShared is the once-per-group half of a forward pass in which every
@@ -157,11 +200,12 @@ func (it *Interaction) Backward(dy *tensor.Matrix) (dDense *tensor.Matrix, dEmbs
 func (it *Interaction) ForwardShared(tmpl, ctx, dense *tensor.Matrix, embs []*tensor.Matrix, vary int) (*tensor.Matrix, *tensor.Matrix) {
 	tmpl = tensor.Reuse(tmpl, dense.Rows, it.OutputDim())
 	ctx = tensor.Reuse(ctx, dense.Rows, (it.NumTables+1)*it.Dim)
+	gram := it.scratch(0).gram
 	for g := 0; g < dense.Rows; g++ {
 		z := ctx.Row(g)
 		it.pack(z, dense, embs, g)
 		clear(z[(vary+1)*it.Dim : (vary+2)*it.Dim])
-		it.featuresInto(tmpl.Row(g), z)
+		it.featuresInto(tmpl.Row(g), z, gram)
 	}
 	return tmpl, ctx
 }

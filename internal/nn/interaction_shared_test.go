@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 )
 
 // TestSharedInteractionMatchesForwardBitForBit: ForwardShared once per group
@@ -14,11 +15,14 @@ import (
 // and last, with an empty group, with chunks that start inside a group, and
 // with NaN, ±Inf and −0 among the inputs (equal bits, not equal values:
 // 0 != −0 here; a NaN must meet a NaN, but its sign and payload are outside
-// the kernels' m-independence rule, DESIGN.md §12).
+// the kernels' m-independence rule, DESIGN.md §12) — with Forward at one
+// worker and at the host's width.
 func TestSharedInteractionMatchesForwardBitForBit(t *testing.T) {
-	for _, sh := range interactionShapes {
-		testSharedInteraction(t, sh.dim, sh.tables)
-	}
+	workertest.Each(t, func(int) {
+		for _, sh := range interactionShapes {
+			testSharedInteraction(t, sh.dim, sh.tables)
+		}
+	})
 }
 
 func testSharedInteraction(t *testing.T, dim, numTables int) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/tensor"
+	"repro/internal/tensor/workertest"
 )
 
 // interactionShapes are the generated shapes of the interaction tests: one
@@ -53,8 +54,13 @@ func refInteraction(dim int, z [][]float32, dy []float32) (out []float64, dz [][
 // per-pair float64 reference, and the reference's gradient against central
 // differences of its own forward, over the generated shapes — batch 5 and
 // then batch 1 on the same layer, so the second pass runs on scratch and
-// layer-owned results the first one left behind.
+// layer-owned results the first one left behind — at one worker and at the
+// host's width, where the batch splits over executors.
 func TestInteractionMatchesPerPairReference(t *testing.T) {
+	workertest.Each(t, func(int) { testInteractionMatchesPerPairReference(t) })
+}
+
+func testInteractionMatchesPerPairReference(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	random := func(rows, cols int) *tensor.Matrix {
 		m := tensor.New(rows, cols)
@@ -124,4 +130,55 @@ func TestInteractionBackwardBeforeForwardPanics(t *testing.T) {
 	}()
 	it := NewInteraction(4, 2)
 	it.Backward(tensor.New(1, it.OutputDim()))
+}
+
+// TestInteractionSplitBitForBitZeroAlloc: at four workers Forward and
+// Backward split the batch into four parts — uneven at 7 and 33 samples,
+// fewer parts than workers at 1 — and must write exactly the bits of the
+// one-worker pass; after one warm-up pass at a width, a pass allocates
+// nothing.
+func TestInteractionSplitBitForBitZeroAlloc(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.Workers())
+	const dim, tables = 16, 26
+	rng := tensor.NewRNG(21)
+	random := func(rows, cols int) *tensor.Matrix {
+		m := tensor.New(rows, cols)
+		rng.FillNormal(m.Data, 1)
+		return m
+	}
+	for _, batch := range []int{1, 7, 33, 128} {
+		dense, embs := random(batch, dim), make([]*tensor.Matrix, tables)
+		for i := range embs {
+			embs[i] = random(batch, dim)
+		}
+		dy := random(batch, NewInteraction(dim, tables).OutputDim())
+		var want []*tensor.Matrix
+		for _, workers := range []int{1, 4} {
+			tensor.SetMaxWorkers(workers)
+			it := NewInteraction(dim, tables)
+			var got []*tensor.Matrix
+			pass := func() {
+				out := it.Forward(dense, embs)
+				dDense, dEmbs := it.Backward(dy)
+				got = append(append(got[:0], out, dDense), dEmbs...)
+			}
+			pass()
+			if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+				t.Fatalf("batch %d: a Forward+Backward pass allocated %v times at %d workers", batch, allocs, workers)
+			}
+			if want == nil {
+				for _, m := range got {
+					want = append(want, tensor.FromSlice(m.Rows, m.Cols, append([]float32(nil), m.Data...)))
+				}
+				continue
+			}
+			for k, m := range got {
+				for i, v := range m.Data {
+					if math.Float32bits(v) != math.Float32bits(want[k].Data[i]) {
+						t.Fatalf("batch %d, result %d, element %d: %v at %d workers, %v at one", batch, k, i, v, workers, want[k].Data[i])
+					}
+				}
+			}
+		}
+	}
 }

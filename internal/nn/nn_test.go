@@ -175,7 +175,14 @@ func TestInteractionForwardKnown(t *testing.T) {
 	}
 }
 
+// TestInteractionGradCheck: the layer's gradients against central
+// differences, at one worker and at the host's width, where the two samples
+// run on two executors.
 func TestInteractionGradCheck(t *testing.T) {
+	workertest.Each(t, func(int) { testInteractionGradCheck(t) })
+}
+
+func testInteractionGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	it := NewInteraction(4, 3)
 	dense := tensor.New(2, 4)

@@ -141,10 +141,12 @@ type Stats struct {
 	LookaheadPinnedRows int64
 	PrefetchWait        time.Duration
 
-	// Wall-time split for the hw cost model: GatherTime and ApplyTime are
-	// host-side parameter-server work, TrainTime is worker-side compute,
-	// and AdapterTime is the share of TrainTime spent pooling and
-	// aggregating host-table rows (CPU-side work in the PS architecture).
+	// Time split for the hw cost model: GatherTime and ApplyTime are
+	// host-side parameter-server work, TrainTime is worker-side compute (all
+	// three wall time), and AdapterTime sums every host table's pooling and
+	// aggregation time (CPU-side work in the PS architecture): above one
+	// worker the table stage runs adapters at once, so it can exceed the
+	// wall time they took.
 	GatherTime  time.Duration
 	ApplyTime   time.Duration
 	TrainTime   time.Duration

@@ -26,6 +26,12 @@ func Parallel(work int) bool { return work >= parallelThreshold && Workers() > 1
 // running kernels.
 var maxWorkers atomic.Int64
 
+// busy counts the executors running a dispatch's chunks. A ParallelFor that
+// starts while Workers() of them are busy (one nested in another's body,
+// like a table's own dispatches inside a table stage) runs inline instead of
+// offering chunks no executor is free to take.
+var busy atomic.Int64
+
 func init() {
 	maxWorkers.Store(int64(runtime.GOMAXPROCS(0)))
 }
@@ -70,6 +76,8 @@ type poolJob struct {
 // number of goroutines; late arrivals (a worker dequeuing a finished job)
 // see no tickets and return immediately.
 func (j *poolJob) run() {
+	busy.Add(1)
+	defer busy.Add(-1)
 	for {
 		t := int(j.ticket.Add(1)) - 1
 		lo := t * j.chunk
@@ -149,14 +157,14 @@ func ensureWorkers(want int) {
 // on each chunk, blocking until all chunks complete. body must be safe to run
 // concurrently on disjoint ranges; it takes its state through ctx, so a body
 // that is a plain function (one capturing nothing) and a pointer ctx make the
-// dispatch allocation-free at every worker count. With n <= 1 or a single
-// worker the call runs body(ctx,0,n) inline. Chunks execute on a persistent
-// worker pool; the caller always participates, so a saturated pool degrades
-// to inline execution rather than queueing behind other dispatches, and
-// nested ParallelFor calls cannot deadlock.
+// dispatch allocation-free at every worker count. With n <= 1, a single
+// worker or every executor busy the call runs body(ctx,0,n) inline. Chunks
+// execute on a persistent worker pool; the caller always participates, so a
+// saturated pool degrades to inline execution rather than queueing behind
+// other dispatches, and nested ParallelFor calls cannot deadlock.
 func ParallelFor(n int, ctx any, body func(ctx any, lo, hi int)) {
 	workers := min(Workers(), n)
-	if workers <= 1 {
+	if workers <= 1 || busy.Load() >= int64(Workers()) {
 		if n > 0 {
 			body(ctx, 0, n)
 		}

@@ -154,10 +154,29 @@ func (m *tableMetrics) recordForward(indices, workItems int) {
 	}
 	m.indices.Add(int64(indices))
 	m.workItems.Add(int64(workItems))
-	if w := m.workItems.Value(); w > 0 {
-		m.dedupRatio.Set(float64(m.indices.Value()) / float64(w))
+	setRatio(m.dedupRatio, m.indices, m.workItems, quotient)
+}
+
+// setRatio sets g to ratio(num, den) of the counters' current values (den >
+// 0) and reads them again after the store: if either moved, a concurrent
+// recorder may have stored an older quotient after this one, so it stores
+// again. The last store to land therefore read the final counts: once every
+// recorder has returned, g is its counters' ratio, whatever the interleaving
+// of tables recording at once. The ratios are quotient and hitRate, 1 − n/d.
+func setRatio(g *obs.Gauge, num, den *obs.Counter, ratio func(n, d float64) float64) {
+	n, d := num.Value(), den.Value()
+	for d > 0 {
+		g.Set(ratio(float64(n), float64(d)))
+		n2, d2 := num.Value(), den.Value()
+		if n2 == n && d2 == d {
+			return
+		}
+		n, d = n2, d2
 	}
 }
+
+func quotient(n, d float64) float64 { return n / d }
+func hitRate(n, d float64) float64  { return 1 - n/d }
 
 // recordPrefix accumulates one reuse-buffer fill and refreshes the
 // cumulative prefix-hit-rate gauge: the share of prefix-stage work items
@@ -173,9 +192,7 @@ func (m *tableMetrics) recordPrefix(workItems, uniquePrefixes int) {
 		m.gemmLaunches.Inc()
 	}
 	m.gemmOps.Add(int64(uniquePrefixes))
-	if w := m.prefixWork.Value(); w > 0 {
-		m.prefixHitRate.Set(1 - float64(m.uniquePrefixes.Value())/float64(w))
-	}
+	setRatio(m.prefixHitRate, m.uniquePrefixes, m.prefixWork, hitRate)
 }
 
 // recordPrefixCache accumulates one batch's outcome on a serving clone's
@@ -201,12 +218,8 @@ func (m *tableMetrics) recordBackward(rows, workRows, prefixWork int) {
 	m.backwardRows.Add(int64(rows))
 	m.backwardWork.Add(int64(workRows))
 	m.backwardPairs.Add(int64(prefixWork))
-	if w := m.backwardWork.Value(); w > 0 {
-		m.backwardAgg.Set(float64(m.backwardRows.Value()) / float64(w))
-		if p := m.backwardPairs.Value(); p > 0 {
-			m.backwardPfx.Set(float64(w) / float64(p))
-		}
-	}
+	setRatio(m.backwardAgg, m.backwardRows, m.backwardWork, quotient)
+	setRatio(m.backwardPfx, m.backwardWork, m.backwardPairs, quotient)
 }
 
 // NewTable allocates a table for the given shape with Eff-TT options and
