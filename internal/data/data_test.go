@@ -454,7 +454,7 @@ func sameBatch(t *testing.T, what string, got, want *Batch) {
 // batch held another dataset's batch — and, once the batch has held one of
 // this size, costs no allocation over iterations never generated before; at
 // one worker and at the host's width, where executors draw the tables'
-// streams.
+// streams and every executor's generator is bound by the first batch.
 func TestBatchIntoMatchesBatchZeroAlloc(t *testing.T) {
 	workertest.Each(t, func(workers int) {
 		t.Logf("%d workers", workers)
@@ -480,6 +480,11 @@ func testBatchIntoMatchesBatchZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	d, _ := New(smallSpec())
 	dst = d.BatchInto(nil, 0, 128)
+	for p := range dst.draw.gens {
+		if dst.draw.gens[p].d != d {
+			t.Fatalf("executor %d's generator is unbound after the first batch: it would be built in whichever later batch the executor first claims a stream", p)
+		}
+	}
 	iter := 1000
 	if allocs := testing.AllocsPerRun(100, func() { iter++; d.BatchInto(dst, iter, 128) }); allocs != 0 {
 		t.Fatalf("BatchInto over fresh iterations allocated %v times per batch, want 0", allocs)

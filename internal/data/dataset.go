@@ -140,11 +140,16 @@ func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 	for len(w.gens) < n {
 		w.gens = append(w.gens, Generator{})
 	}
+	// Bound here, not by the first stream an executor happens to claim: an
+	// executor that claims none for many batches would otherwise build its
+	// generator's scratch in some later step.
+	for p := range w.gens[:n] {
+		w.gens[p].bind(d)
+	}
 	w.d, w.iter = d, iter
 	w.next.Store(0)
 	tensor.ParallelFor(n, b, drawStreams)
 
-	w.gens[0].bind(d)
 	r := w.gens[0].r
 	r.Seed(int64(mix(spec.Seed, uint64(iter), 0xBA7C4)))
 

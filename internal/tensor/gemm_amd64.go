@@ -105,6 +105,12 @@ func addBiasAVX2(y, bias *float32, rows, cols int, relu bool)
 //go:noescape
 func reluGradAVX2(dy, y, db *float32, rows, cols int)
 
+// boxMullerAVX2 writes out[i] = float32(boxMuller(u1[i], u2[i]))·std for
+// i < n, n a positive multiple of 4, u1 ∈ [2⁻⁵³, 1) and u2 ∈ [0, 1).
+//
+//go:noescape
+func boxMullerAVX2(u1, u2 *float64, out *float32, n int, std float32)
+
 // The slice-taking wrappers below are what the dispatchers in gemm.go and
 // tensor.go call. Each asserts the extent the assembly will touch (so a short
 // buffer panics here instead of faulting there) and needs m, k, n ≥ 1.
@@ -183,4 +189,10 @@ func addBiasAsm(y, bias []float32, rows, cols int, relu bool) {
 func reluGradAsm(dy, y, db []float32, rows, cols int) {
 	_, _, _ = dy[rows*cols-1], y[rows*cols-1], db[cols-1]
 	reluGradAVX2(&dy[0], &y[0], &db[0], rows, cols)
+}
+
+func boxMullerAsm(u1, u2 []float64, out []float32, std float32) {
+	n := len(out)
+	_, _ = u1[n-1], u2[n-1]
+	boxMullerAVX2(&u1[0], &u2[0], &out[0], n, std)
 }

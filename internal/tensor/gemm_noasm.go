@@ -16,3 +16,4 @@ func axpyAsm(alpha float32, x, y []float32)                             {}
 func addToAsm(dst, src []float32)                                       {}
 func addBiasAsm(y, bias []float32, rows, cols int, relu bool)           {}
 func reluGradAsm(dy, y, db []float32, rows, cols int)                   {}
+func boxMullerAsm(u1, u2 []float64, out []float32, std float32)         {}

@@ -38,7 +38,8 @@ func guardedFloats(t *testing.T, max int) func(n int) []float32 {
 // (m mod 8 and n mod 32 included, the 512-bit tier's tiles) with each
 // operand's last element on the last mapped float before an unmapped page:
 // a vector load, masked load or store that strays past m·k, k·n or m·n
-// elements kills the test binary with SIGSEGV.
+// elements kills the test binary with SIGSEGV. The Box–Muller kernel's u1,
+// u2 and out end against a page too, at every length it takes up to 68.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: the assembly never runs on this host")
@@ -70,4 +71,16 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 			ReLUGrad(FromSlice(rows, cols, dy), FromSlice(rows, cols, y), v)
 		}
 	}
+	for n := 4; n <= 68; n += 4 {
+		u1, u2, out := float64s(aAt(2*n)), float64s(bAt(2*n)), cAt(n)
+		for i := range n {
+			u1[i], u2[i] = 1-float64(i+1)/128, float64(i)/128
+		}
+		boxMullerAsm(u1, u2, out, 0.5)
+	}
+}
+
+// float64s views an even-length float32 slice as float64s.
+func float64s(f []float32) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(&f[0])), len(f)/2)
 }

@@ -98,9 +98,19 @@ func (j *poolJob) release() {
 }
 
 // freeList recycles *T values through a buffered channel: get takes one or
-// makes one, put keeps one while there is room. Neither allocates once the
-// list holds as many values as its users have in flight.
+// makes one, put keeps one while there is room. A list starts full
+// (newFreeList), so get allocates only while more values are out than the
+// list holds.
 type freeList[T any] chan *T
+
+// newFreeList returns a list holding n fresh values.
+func newFreeList[T any](n int) freeList[T] {
+	f := make(freeList[T], n)
+	for range n {
+		f <- new(T)
+	}
+	return f
+}
 
 func (f freeList[T]) get() *T {
 	select {
@@ -125,9 +135,10 @@ var poolJobs = make(chan *poolJob, runtime.GOMAXPROCS(0))
 
 // freeJobs holds the released headers. A process has at most its nested and
 // concurrent dispatches plus the offer queue's stale headers out at once, a
-// few per executor; 64 keeps every one of them, and a header released into
-// a full list is left to the collector.
-var freeJobs = make(freeList[poolJob], 64)
+// few per executor; 64 covers every one of them from the start, so no step
+// allocates one when its dispatches first nest deeper than before, and a
+// header released into a full list is left to the collector.
+var freeJobs = newFreeList[poolJob](64)
 
 // pool tracks the lazily-started persistent workers that replace the old
 // per-call goroutine spawning.

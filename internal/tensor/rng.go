@@ -2,9 +2,10 @@ package tensor
 
 import "math"
 
-// RNG is a small, fast, deterministic pseudo-random generator
-// (xoshiro256**-style splitmix64 stream). Every stochastic component in the
-// repository draws from an explicitly seeded RNG so experiments are
+// RNG is a small, fast, deterministic pseudo-random generator: splitmix64,
+// the Mix64 finalizer over a Weyl counter that steps by the golden-ratio
+// constant, so its whole state is one uint64. Every stochastic component in
+// the repository draws from an explicitly seeded RNG so experiments are
 // reproducible run to run.
 type RNG struct {
 	state uint64
@@ -55,14 +56,23 @@ func (r *RNG) Intn(n int) int {
 // NormFloat64 returns a standard normal variate (Box-Muller; one value per
 // call, the pair's second half is discarded to keep state minimal).
 func (r *RNG) NormFloat64() float64 {
+	return boxMuller(r.nonzeroFloat64(), r.Float64())
+}
+
+// nonzeroFloat64 is Float64 drawn again while it is zero: NormFloat64's u1,
+// in [2⁻⁵³, 1).
+func (r *RNG) nonzeroFloat64() float64 {
 	for {
-		u1 := r.Float64()
-		if u1 == 0 {
-			continue
+		if u := r.Float64(); u != 0 {
+			return u
 		}
-		u2 := r.Float64()
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	}
+}
+
+// boxMuller is NormFloat64's transform of one uniform pair; boxMullerAsm
+// evaluates it four pairs at a time with the same bits.
+func boxMuller(u1, u2 float64) float64 {
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // Perm returns a pseudo-random permutation of [0,n).
@@ -85,8 +95,27 @@ func (r *RNG) FillUniform(x []float32, scale float32) {
 	}
 }
 
-// FillNormal fills x with normal values of the given standard deviation.
+// normBlock is how many uniform pairs FillNormal draws, on the stack,
+// before the vector kernel transforms them.
+const normBlock = 256
+
+// FillNormal fills x with normal values of the given standard deviation:
+// x[i] = float32(NormFloat64())·std in draw order, bit for bit. With AVX2 the
+// transform runs four elements at a time (boxMullerAsm) and the last
+// len(x) mod 4 elements run the loop below.
 func (r *RNG) FillNormal(x []float32, std float32) {
+	if useAVX2 {
+		var u1, u2 [normBlock]float64
+		for len(x) >= 4 {
+			n := min(len(x)&^3, normBlock)
+			for i := range n {
+				u1[i] = r.nonzeroFloat64()
+				u2[i] = r.Float64()
+			}
+			boxMullerAsm(u1[:n], u2[:n], x[:n], std)
+			x = x[n:]
+		}
+	}
 	for i := range x {
 		x[i] = float32(r.NormFloat64()) * std
 	}

@@ -209,7 +209,7 @@ type rowSplit struct {
 // in flight, so per training or serving goroutine; as with freeJobs, 64 is
 // more than that, and a split released into a full list is left to the
 // collector.
-var freeSplits = make(freeList[rowSplit], 64)
+var freeSplits = newFreeList[rowSplit](64)
 
 // splitRows runs the product over the worker pool, one row chunk each.
 func splitRows(m, k, n int, a, b, c []float32, transB bool) {
