@@ -236,7 +236,8 @@ func metricDirection(name string) int {
 // numeric cells get old/new/delta columns, and rows present in only one
 // artifact are reported as added/removed. With failAbove ≥ 0, any tracked
 // hot-path metric (see metricDirection) that regresses by more than that
-// percentage turns the comparison into an error — the CI regression gate.
+// percentage turns the comparison into an error. It is a manual tool: no
+// CI step runs it.
 func compareArtifacts(w io.Writer, oldPath, newPath string, failAbove float64) error {
 	oldA, err := readArtifact(oldPath)
 	if err != nil {

@@ -29,10 +29,12 @@ var deterministicPackages = map[string]bool{
 // goroutineOwnerPackages are the packages that own long-lived goroutines
 // and therefore must route every `go` statement through their
 // panic-converting spawn helper: the pipeline trainer (ps), the serving
-// replica pool (served), the distributed parameter server (distps, whose
+// replica pool (served) and the distributed parameter server (distps, whose
 // shard accept loops and lease-renewal tickers outlive individual requests),
-// and the fault proxy (faults), whose callers block on response channels
-// or socket reads that a crashed bare goroutine would never answer.
+// whose callers block on response channels or socket reads that a crashed
+// bare goroutine would never answer. The fault injector (faults) starts no
+// goroutine now; it stays in scope so that any goroutine it grows goes
+// through a spawn helper too.
 var goroutineOwnerPackages = map[string]bool{
 	ModulePath + "/internal/ps":     true,
 	ModulePath + "/internal/served": true,

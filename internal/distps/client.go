@@ -204,9 +204,8 @@ func (sc *shardConn) exchangeLocked(c *Client, typ uint8, payload []byte, tctx o
 	}
 	c.m.bytesIn.Add(int64(headerSize + len(f.Payload)))
 	if f.ReqID != id {
-		// A stale or duplicated frame desynchronized the stream (e.g. the
-		// fault proxy duplicated a response); nothing on this connection can
-		// be trusted anymore.
+		// The stream is desynchronised (a stale, duplicated or misrouted
+		// response): nothing more on this connection can be trusted.
 		sc.poisonLocked()
 		return Frame{}, fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, f.ReqID, id)
 	}

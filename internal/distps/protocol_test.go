@@ -8,7 +8,10 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // rpcNames are the protocol's RPC names in type order: what the error
@@ -132,16 +135,15 @@ func TestProtocolInstruments(t *testing.T) {
 	}
 }
 
-// TestVersionAckMismatchFails: a shard that acks a checkpoint or restore
-// of another version than the one asked for fails the coordinated call.
-func TestVersionAckMismatchFails(t *testing.T) {
+// fakeShard serves scripted replies on a loopback listener, each request
+// frame answered by reply(request), and returns its address.
+func fakeShard(t *testing.T, reply func(Frame) Frame) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	// The fake shard answers Hello as shard 0 of 1 and acks everything else
-	// as version 41.
 	spawn(func() {
 		for {
 			conn, err := ln.Accept()
@@ -156,18 +158,29 @@ func TestVersionAckMismatchFails(t *testing.T) {
 					if err != nil {
 						return
 					}
-					reply := versionAck{Version: 41}.encode()
-					if f.Type == msgHello {
-						reply = helloAck{NumShards: 1}.encode()
-					}
-					if WriteFrame(conn, Frame{Type: ackFor(f.Type), ReqID: f.ReqID, Payload: reply}) != nil {
+					if WriteFrame(conn, reply(f)) != nil {
 						return
 					}
 				}
 			})
 		}
 	})
-	c := newTestClient(t, testScenario(), []string{ln.Addr().String()}, 1)
+	return ln.Addr().String()
+}
+
+// TestVersionAckMismatchFails: a shard that acks a checkpoint or restore
+// of another version than the one asked for fails the coordinated call.
+func TestVersionAckMismatchFails(t *testing.T) {
+	// The fake shard answers Hello as shard 0 of 1 and acks everything else
+	// as version 41.
+	addr := fakeShard(t, func(f Frame) Frame {
+		reply := versionAck{Version: 41}.encode()
+		if f.Type == msgHello {
+			reply = helloAck{NumShards: 1}.encode()
+		}
+		return Frame{Type: ackFor(f.Type), ReqID: f.ReqID, Payload: reply}
+	})
+	c := newTestClient(t, testScenario(), []string{addr}, 1)
 	ctx := context.Background()
 	if err := c.CheckpointAll(ctx, 41); err != nil {
 		t.Fatalf("matching ack: %v", err)
@@ -178,5 +191,44 @@ func TestVersionAckMismatchFails(t *testing.T) {
 		if err := call(ctx, 42); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("%s(42) acked as 41: err = %v, want ErrBadFrame", name, err)
 		}
+	}
+}
+
+// TestReqIDMismatchPoisonsConnection: a response that carries another
+// request's id fails the exchange with ErrBadFrame and poisons the
+// connection, so the next exchange redials (distps_reconnects goes up) and
+// succeeds.
+func TestReqIDMismatchPoisonsConnection(t *testing.T) {
+	// The fake shard answers Hello as shard 0 of 1, the first other request
+	// under the wrong id, and every later one under its own.
+	var skewed atomic.Bool
+	addr := fakeShard(t, func(f Frame) Frame {
+		if f.Type == msgHello {
+			return Frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: helloAck{NumShards: 1}.encode()}
+		}
+		id := f.ReqID
+		if !skewed.Swap(true) {
+			id++
+		}
+		return Frame{Type: ackFor(f.Type), ReqID: id}
+	})
+	c := newTestClient(t, testScenario(), []string{addr}, 1)
+	reconnects := c.cfg.Metrics.Counter("distps_reconnects")
+	sc := c.conns[0]
+	if _, err := sc.roundTrip(c, msgStats, nil, obs.TraceContext{}); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("mismatched response id: err = %v, want ErrBadFrame", err)
+	}
+	if n := reconnects.Value(); n != 1 {
+		t.Fatalf("distps_reconnects = %d after the first exchange, want 1", n)
+	}
+	f, err := sc.roundTrip(c, msgStats, nil, obs.TraceContext{})
+	if err != nil {
+		t.Fatalf("exchange after the mismatch: %v", err)
+	}
+	if f.Type != msgStatsAck {
+		t.Fatalf("reply type %s, want %s", msgName(f.Type), msgName(msgStatsAck))
+	}
+	if n := reconnects.Value(); n != 2 {
+		t.Fatalf("distps_reconnects = %d, want 2: the poisoned connection was reused", n)
 	}
 }

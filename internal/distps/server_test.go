@@ -425,7 +425,7 @@ func TestShardUpFollowsRPCOutcome(t *testing.T) {
 	shards := make([]*Shard, 2)
 	addrs := make([]string, 2)
 	for i := range shards {
-		shards[i], addrs[i] = bootShard(t, sc, i, 2, dirs[i], "127.0.0.1:0")
+		shards[i], addrs[i] = bootShard(t, sc, i, 2, dirs[i], "127.0.0.1:0", nil)
 	}
 	t.Cleanup(func() {
 		for _, s := range shards {
@@ -453,7 +453,7 @@ func TestShardUpFollowsRPCOutcome(t *testing.T) {
 		t.Fatalf("after a failed RPC to the killed shard: up = %v, want [1 0]", got)
 	}
 
-	shards[1], _ = bootShard(t, sc, 1, 2, dirs[1], addrs[1])
+	shards[1], _ = bootShard(t, sc, 1, 2, dirs[1], addrs[1], nil)
 	if _, err := c.Stats(ctx, 1, 0); err != nil {
 		t.Fatalf("Stats against the restarted shard: %v", err)
 	}

@@ -210,27 +210,3 @@ func ReadFrame(r *bufio.Reader, maxPayload int) (Frame, error) {
 	}
 	return f, nil
 }
-
-// ReadRawFrame reads one whole frame — header and payload — and returns
-// its raw bytes without validating the checksum. The fault-injection
-// socket proxy uses it to split a TCP stream into frames it can drop,
-// duplicate, delay or truncate deterministically.
-func ReadRawFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != frameMagic {
-		return nil, fmt.Errorf("%w: magic %#x", ErrBadFrame, m)
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[6:]))
-	if n > DefaultMaxPayload {
-		return nil, fmt.Errorf("%w: payload %d exceeds cap", ErrBadFrame, n)
-	}
-	buf := make([]byte, headerSize+n)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[headerSize:]); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}

@@ -94,36 +94,6 @@ func TestFramePayloadCap(t *testing.T) {
 	}
 }
 
-func TestReadRawFramePreservesBytes(t *testing.T) {
-	var buf bytes.Buffer
-	frames := []Frame{
-		{Type: msgHello, ReqID: 1, Payload: []byte("one")},
-		{Type: msgGather, ReqID: 2, Payload: nil},
-		{Type: msgPush, ReqID: 3, Payload: bytes.Repeat([]byte{9}, 300)},
-	}
-	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	whole := append([]byte(nil), buf.Bytes()...)
-	br := bufio.NewReader(&buf)
-	var rejoined []byte
-	for range frames {
-		raw, err := ReadRawFrame(br)
-		if err != nil {
-			t.Fatalf("ReadRawFrame: %v", err)
-		}
-		rejoined = append(rejoined, raw...)
-	}
-	if !bytes.Equal(rejoined, whole) {
-		t.Fatal("raw frames do not reassemble the original byte stream")
-	}
-	if _, err := ReadRawFrame(br); !errors.Is(err, io.EOF) {
-		t.Fatalf("after last frame: %v, want io.EOF", err)
-	}
-}
-
 // FuzzReadFrame: ReadFrame never panics on arbitrary bytes, and a frame it
 // accepts re-encodes to exactly the bytes it consumed; ReadFrame of
 // WriteFrame(f) is f for any field values.
