@@ -6,14 +6,14 @@
 package checkpoint
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 
+	"repro/internal/codec"
 	"repro/internal/dlrm"
 	"repro/internal/embedding"
 	"repro/internal/tensor"
@@ -38,25 +38,12 @@ const (
 )
 
 // ErrCorruptCheckpoint reports that a checkpoint file is truncated or not
-// a checkpoint at all (bad magic, impossible version, or an EOF in the
-// middle of a record). Restores distinguish it from architecture-mismatch
+// a checkpoint at all: bad magic, an impossible version, a field no writer
+// produces (a TT Adagrad flag above 1, a negative next iteration), or a
+// file that ends inside a record or runs on past its body. Restores distinguish it from architecture-mismatch
 // errors: a corrupt file calls for falling back to an older checkpoint,
 // a mismatch calls for fixing the model configuration.
 var ErrCorruptCheckpoint = errors.New("checkpoint: corrupt or truncated checkpoint")
-
-// corrupt classifies decode errors: an EOF (clean or mid-record) while
-// restoring means the file ends before the format says it should — a torn
-// or truncated checkpoint — and is wrapped in ErrCorruptCheckpoint.
-// Shape/kind mismatches and I/O errors pass through unchanged.
-func corrupt(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("%w: %w", ErrCorruptCheckpoint, err)
-	}
-	return err
-}
 
 // TableResolver substitutes a model table with its checkpointable backing
 // store before serialization. The pipeline trainer uses it to map its
@@ -75,14 +62,12 @@ type TrainState struct {
 // (the trainable kinds); baseline executors and pipeline adapters need a
 // TableResolver (see SaveTraining) that maps them to their backing store.
 func SaveModel(w io.Writer, m *dlrm.Model) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, magic); err != nil {
+	e := codec.NewWriter(w)
+	writeHeader(e, magic)
+	if err := writeModelBody(e, m, nil); err != nil {
 		return err
 	}
-	if err := writeModelBody(bw, m, nil); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return e.Flush()
 }
 
 // LoadModel restores state saved by SaveModel into a model with the same
@@ -91,14 +76,10 @@ func SaveModel(w io.Writer, m *dlrm.Model) error {
 // clean checkpoint (a concatenation, a torn rename, a partially overwritten
 // file) and are rejected with ErrCorruptCheckpoint.
 func LoadModel(r io.Reader, m *dlrm.Model) error {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, magic); err != nil {
-		return err
-	}
-	if err := corrupt(readModelBody(br, m, nil)); err != nil {
-		return err
-	}
-	return expectEOF(br)
+	d := codec.NewReader(r)
+	readHeader(d, magic)
+	readModelBody(d, m, nil)
+	return verdict(d)
 }
 
 // SaveTraining writes a training-state checkpoint: the iteration counter
@@ -106,72 +87,59 @@ func LoadModel(r io.Reader, m *dlrm.Model) error {
 // optimizer state). resolve maps wrapper tables to their backing store and
 // may be nil.
 func SaveTraining(w io.Writer, m *dlrm.Model, resolve TableResolver, st TrainState) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, trainMagic); err != nil {
+	e := codec.NewWriter(w)
+	writeHeader(e, trainMagic)
+	e.I64(int64(st.NextIter))
+	if err := writeModelBody(e, m, resolve); err != nil {
 		return err
 	}
-	if err := writeInt(bw, st.NextIter); err != nil {
-		return err
-	}
-	if err := writeModelBody(bw, m, resolve); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return e.Flush()
 }
 
 // LoadTraining restores a checkpoint saved by SaveTraining and returns the
 // recorded training state. Like LoadModel, it requires EOF after the body:
-// trailing bytes are rejected with ErrCorruptCheckpoint.
+// trailing bytes are rejected with ErrCorruptCheckpoint, and so is a
+// negative next iteration, which no run writes.
 func LoadTraining(r io.Reader, m *dlrm.Model, resolve TableResolver) (TrainState, error) {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, trainMagic); err != nil {
+	d := codec.NewReader(r)
+	readHeader(d, trainMagic)
+	next := d.I64()
+	if next < 0 {
+		d.Fail(fmt.Errorf("%w: next iteration %d", ErrCorruptCheckpoint, next))
+	}
+	readModelBody(d, m, resolve)
+	if err := verdict(d); err != nil {
 		return TrainState{}, err
 	}
-	next, err := readInt(br)
-	if err != nil {
-		return TrainState{}, corrupt(err)
-	}
-	if err := readModelBody(br, m, resolve); err != nil {
-		return TrainState{}, corrupt(err)
-	}
-	if err := expectEOF(br); err != nil {
-		return TrainState{}, err
-	}
-	return TrainState{NextIter: next}, nil
+	return TrainState{NextIter: int(next)}, nil
 }
 
-// expectEOF rejects bytes after the checkpoint body. A format that reads
-// exactly what it wrote would otherwise silently accept a concatenated or
-// torn-rename file as "the prefix parsed fine" — the same class of
-// corruption the truncation checks catch at the other end of the file.
-func expectEOF(br *bufio.Reader) error {
-	if _, err := br.ReadByte(); err == nil {
-		return fmt.Errorf("%w: trailing bytes after checkpoint body", ErrCorruptCheckpoint)
-	} else if !errors.Is(err, io.EOF) {
-		return err
+// verdict is a load's result: the cursor's first error, with a file that
+// ends early, runs on past its body or is otherwise malformed reported as
+// ErrCorruptCheckpoint. The format's own corruption checks (magic,
+// version, flags) already wrap it; an architecture mismatch or an I/O
+// error is returned as it is.
+func verdict(d *codec.Dec) error {
+	err := d.Done()
+	if errors.Is(err, codec.ErrMalformed) {
+		return fmt.Errorf("%w: %w", ErrCorruptCheckpoint, err)
 	}
-	return nil
+	return err
 }
 
 // writeModelBody serializes the dense parameters and tables (post-resolve).
-func writeModelBody(bw *bufio.Writer, m *dlrm.Model, resolve TableResolver) error {
+func writeModelBody(e *codec.Enc, m *dlrm.Model, resolve TableResolver) error {
 	params := m.MLPParams()
-	if err := writeInt(bw, len(params)); err != nil {
-		return err
-	}
+	e.I64(int64(len(params)))
 	for _, p := range params {
-		if err := writeMatrix(bw, p.Value); err != nil {
-			return fmt.Errorf("checkpoint: param %s: %w", p.Name, err)
-		}
+		encodeMatrix(e, p.Value)
 	}
-	if err := writeInt(bw, len(m.Tables)); err != nil {
-		return err
-	}
+	e.I64(int64(len(m.Tables)))
 	for i, table := range m.Tables {
 		if resolve != nil {
 			table = resolve(i, table)
 		}
-		if err := writeTable(bw, i, table); err != nil {
+		if err := writeTable(e, i, table); err != nil {
 			return err
 		}
 	}
@@ -179,67 +147,58 @@ func writeModelBody(bw *bufio.Writer, m *dlrm.Model, resolve TableResolver) erro
 }
 
 // readModelBody restores what writeModelBody wrote.
-func readModelBody(br *bufio.Reader, m *dlrm.Model, resolve TableResolver) error {
-	nParams, err := readInt(br)
-	if err != nil {
-		return err
-	}
+func readModelBody(d *codec.Dec, m *dlrm.Model, resolve TableResolver) {
 	params := m.MLPParams()
-	if nParams != len(params) {
-		return fmt.Errorf("checkpoint: %d dense parameters in file, model has %d", nParams, len(params))
+	if n := d.I64(); n != int64(len(params)) {
+		d.Fail(fmt.Errorf("checkpoint: %d dense parameters in file, model has %d", n, len(params)))
 	}
 	for _, p := range params {
-		if err := readMatrixInto(br, p.Value); err != nil {
-			return fmt.Errorf("checkpoint: param %s: %w", p.Name, err)
-		}
+		decodeMatrix(d, p.Value, "param "+p.Name)
 	}
-	nTables, err := readInt(br)
-	if err != nil {
-		return err
-	}
-	if nTables != len(m.Tables) {
-		return fmt.Errorf("checkpoint: %d tables in file, model has %d", nTables, len(m.Tables))
+	if n := d.I64(); n != int64(len(m.Tables)) {
+		d.Fail(fmt.Errorf("checkpoint: %d tables in file, model has %d", n, len(m.Tables)))
 	}
 	for i, table := range m.Tables {
 		if resolve != nil {
 			table = resolve(i, table)
 		}
-		if err := readTable(br, i, table); err != nil {
-			return err
-		}
+		readTable(d, i, table)
 	}
-	return nil
 }
 
 // writeTable serializes one (resolved) embedding table. A nil table (the
 // resolver's "rows live on a remote shard" answer) writes only a skip
 // marker: the shard checkpoints those rows itself, and the restore side
 // must resolve the same table to nil.
-func writeTable(bw *bufio.Writer, i int, table dlrm.Table) error {
-	if table == nil {
-		return bw.WriteByte(kindRemote)
-	}
+func writeTable(e *codec.Enc, i int, table dlrm.Table) error {
 	switch tbl := table.(type) {
+	case nil:
+		e.U8(kindRemote)
 	case *embedding.Bag:
-		if err := bw.WriteByte(kindBag); err != nil {
-			return err
-		}
-		if err := writeMatrix(bw, tbl.Weights); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
-		}
+		e.U8(kindBag)
+		encodeMatrix(e, tbl.Weights)
 	case *embedding.AdagradBag:
-		if err := bw.WriteByte(kindAdagradBag); err != nil {
-			return err
-		}
-		if err := writeAdagradBag(bw, tbl); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
+		// The dense bag, then its Adagrad accumulator (the optimizer state).
+		e.U8(kindAdagradBag)
+		encodeMatrix(e, tbl.Weights)
+		e.I64(int64(tbl.NumRows()))
+		e.I64(int64(tbl.Dim()))
+		for r := 0; r < tbl.NumRows(); r++ {
+			e.F32s(tbl.AccumRow(r))
 		}
 	case *tt.Table:
-		if err := bw.WriteByte(kindTT); err != nil {
-			return err
+		e.U8(kindTT)
+		for _, v := range ttShape(tbl.Shape) {
+			e.I64(int64(v))
 		}
-		if err := writeTT(bw, tbl); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
+		for k := 0; k < tt.Dims; k++ {
+			encodeMatrix(e, tbl.Cores[k])
+		}
+		e.Bool(tbl.AdagradEnabled())
+		if tbl.AdagradEnabled() {
+			for k := 0; k < tt.Dims; k++ {
+				encodeMatrix(e, tbl.AdagradAccum(k))
+			}
 		}
 	default:
 		return fmt.Errorf("checkpoint: table %d has unsupported type %T", i, table)
@@ -248,46 +207,35 @@ func writeTable(bw *bufio.Writer, i int, table dlrm.Table) error {
 }
 
 // readTable restores one (resolved) embedding table.
-func readTable(br *bufio.Reader, i int, table dlrm.Table) error {
-	kind, err := br.ReadByte()
-	if err != nil {
-		return err
-	}
-	if table == nil {
-		if kind != kindRemote {
-			return fmt.Errorf("checkpoint: table %d kind %d, model expects a remote-table marker", i, kind)
+func readTable(d *codec.Dec, i int, table dlrm.Table) {
+	kind := d.U8()
+	expect := func(want uint8, what string) {
+		if kind != want {
+			d.Fail(fmt.Errorf("checkpoint: table %d kind %d, model expects %s", i, kind, what))
 		}
-		return nil
 	}
-	if kind == kindRemote {
-		return fmt.Errorf("checkpoint: table %d is a remote-table marker, model expects local state", i)
-	}
+	what := "table " + strconv.Itoa(i)
 	switch tbl := table.(type) {
+	case nil:
+		expect(kindRemote, "a remote-table marker")
 	case *embedding.Bag:
-		if kind != kindBag {
-			return fmt.Errorf("checkpoint: table %d kind %d, model expects dense bag", i, kind)
-		}
-		if err := readMatrixInto(br, tbl.Weights); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
-		}
+		expect(kindBag, "dense bag")
+		decodeMatrix(d, tbl.Weights, what)
 	case *embedding.AdagradBag:
-		if kind != kindAdagradBag {
-			return fmt.Errorf("checkpoint: table %d kind %d, model expects Adagrad bag", i, kind)
+		expect(kindAdagradBag, "Adagrad bag")
+		decodeMatrix(d, tbl.Weights, what)
+		if rows, dim := d.I64(), d.I64(); rows != int64(tbl.NumRows()) || dim != int64(tbl.Dim()) {
+			d.Fail(fmt.Errorf("checkpoint: %s: Adagrad accumulator %dx%d in file, model has %dx%d", what, rows, dim, tbl.NumRows(), tbl.Dim()))
 		}
-		if err := readAdagradBagInto(br, tbl); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
+		for r := 0; r < tbl.NumRows(); r++ {
+			d.F32sInto(tbl.AccumRow(r))
 		}
 	case *tt.Table:
-		if kind != kindTT {
-			return fmt.Errorf("checkpoint: table %d kind %d, model expects TT table", i, kind)
-		}
-		if err := readTTInto(br, tbl); err != nil {
-			return fmt.Errorf("checkpoint: table %d: %w", i, err)
-		}
+		expect(kindTT, "TT table")
+		readTT(d, tbl, what)
 	default:
-		return fmt.Errorf("checkpoint: table %d has unsupported type %T", i, table)
+		d.Fail(fmt.Errorf("checkpoint: table %d has unsupported type %T", i, table))
 	}
-	return nil
 }
 
 // SaveFile writes the model to path crash-consistently: the bytes land in a
@@ -384,185 +332,64 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// --- TT section ------------------------------------------------------------
-
-func writeTT(w io.Writer, tbl *tt.Table) error {
-	s := tbl.Shape
-	header := []int{s.Rows, s.Dim, s.RowFactors[0], s.RowFactors[1], s.RowFactors[2],
+// ttShape lists the shape fields a TT record starts with, in file order.
+func ttShape(s tt.Shape) [10]int {
+	return [10]int{s.Rows, s.Dim, s.RowFactors[0], s.RowFactors[1], s.RowFactors[2],
 		s.ColFactors[0], s.ColFactors[1], s.ColFactors[2], s.R1, s.R2}
-	for _, v := range header {
-		if err := writeInt(w, v); err != nil {
-			return err
-		}
-	}
-	for k := 0; k < tt.Dims; k++ {
-		if err := writeMatrix(w, tbl.Cores[k]); err != nil {
-			return err
-		}
-	}
-	hasAdagrad := uint8(0)
-	if tbl.AdagradEnabled() {
-		hasAdagrad = 1
-	}
-	if err := binary.Write(w, binary.LittleEndian, hasAdagrad); err != nil {
-		return err
-	}
-	if hasAdagrad == 1 {
-		for k := 0; k < tt.Dims; k++ {
-			if err := writeMatrix(w, tbl.AdagradAccum(k)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
-func readTTInto(r io.Reader, tbl *tt.Table) error {
-	s := tbl.Shape
-	want := []int{s.Rows, s.Dim, s.RowFactors[0], s.RowFactors[1], s.RowFactors[2],
-		s.ColFactors[0], s.ColFactors[1], s.ColFactors[2], s.R1, s.R2}
-	for i, w := range want {
-		got, err := readInt(r)
-		if err != nil {
-			return err
-		}
-		if got != w {
-			return fmt.Errorf("checkpoint: TT shape field %d is %d, model has %d", i, got, w)
+// readTT restores a TT record: the shape, which must be the model's, the
+// three cores, and the Adagrad flag with the accumulators it announces.
+func readTT(d *codec.Dec, tbl *tt.Table, what string) {
+	for i, want := range ttShape(tbl.Shape) {
+		if got := d.I64(); got != int64(want) {
+			d.Fail(fmt.Errorf("checkpoint: %s: TT shape field %d is %d, model has %d", what, i, got, want))
 		}
 	}
 	for k := 0; k < tt.Dims; k++ {
-		if err := readMatrixInto(r, tbl.Cores[k]); err != nil {
-			return err
-		}
-	}
-	var hasAdagrad uint8
-	if err := binary.Read(r, binary.LittleEndian, &hasAdagrad); err != nil {
-		return err
+		decodeMatrix(d, tbl.Cores[k], what)
 	}
 	// Like the dense bags' kind byte, the flag refuses an optimizer mismatch:
 	// an SGD table resumed into an Adagrad one would restart its
 	// accumulators from zero.
-	switch {
-	case hasAdagrad > 1:
-		return fmt.Errorf("%w: TT Adagrad flag %d", ErrCorruptCheckpoint, hasAdagrad)
-	case hasAdagrad == 0 && tbl.AdagradEnabled():
-		return fmt.Errorf("checkpoint: TT table without Adagrad state, model expects Adagrad")
-	}
-	if hasAdagrad == 1 {
+	switch flag := d.U8(); {
+	case flag > 1:
+		d.Fail(fmt.Errorf("%w: TT Adagrad flag %d", ErrCorruptCheckpoint, flag))
+	case flag == 0 && tbl.AdagradEnabled():
+		d.Fail(fmt.Errorf("checkpoint: %s: TT table without Adagrad state, model expects Adagrad", what))
+	case flag == 1:
 		tbl.EnableAdagrad()
 		for k := 0; k < tt.Dims; k++ {
-			if err := readMatrixInto(r, tbl.AdagradAccum(k)); err != nil {
-				return err
-			}
+			decodeMatrix(d, tbl.AdagradAccum(k), what)
 		}
 	}
-	return nil
 }
 
-// --- primitives -------------------------------------------------------------
-
-func writeHeader(w io.Writer, wantMagic uint32) error {
-	if err := binary.Write(w, binary.LittleEndian, wantMagic); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, version)
+func writeHeader(e *codec.Enc, m uint32) {
+	e.U32(m)
+	e.U32(version)
 }
 
-func readHeader(r io.Reader, wantMagic uint32) error {
-	var m, v uint32
-	if err := binary.Read(r, binary.LittleEndian, &m); err != nil {
-		return corrupt(fmt.Errorf("checkpoint: reading magic: %w", err))
+func readHeader(d *codec.Dec, want uint32) {
+	if m := d.U32(); m != want {
+		d.Fail(fmt.Errorf("%w: bad magic %#x (not a checkpoint file of the expected kind?)", ErrCorruptCheckpoint, m))
 	}
-	if m != wantMagic {
-		return fmt.Errorf("%w: bad magic %#x (not a checkpoint file of the expected kind?)", ErrCorruptCheckpoint, m)
+	if v := d.U32(); v < 1 || v > version {
+		d.Fail(fmt.Errorf("%w: unsupported version %d", ErrCorruptCheckpoint, v))
 	}
-	if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-		return corrupt(fmt.Errorf("checkpoint: reading version: %w", err))
-	}
-	if v < 1 || v > version {
-		return fmt.Errorf("checkpoint: unsupported version %d", v)
-	}
-	return nil
 }
 
-// writeAdagradBag serializes a dense bag plus its Adagrad accumulator (the
-// optimizer state).
-func writeAdagradBag(w io.Writer, bag *embedding.AdagradBag) error {
-	if err := writeMatrix(w, bag.Weights); err != nil {
-		return err
-	}
-	rows, dim := bag.NumRows(), bag.Dim()
-	if err := writeInt(w, rows); err != nil {
-		return err
-	}
-	if err := writeInt(w, dim); err != nil {
-		return err
-	}
-	for r := 0; r < rows; r++ {
-		if err := binary.Write(w, binary.LittleEndian, bag.AccumRow(r)); err != nil {
-			return err
-		}
-	}
-	return nil
+// encodeMatrix writes a matrix record: rows and cols as i64, then the data.
+func encodeMatrix(e *codec.Enc, m *tensor.Matrix) {
+	e.I64(int64(m.Rows))
+	e.I64(int64(m.Cols))
+	e.F32s(m.Data)
 }
 
-// readAdagradBagInto restores a dense bag and its Adagrad accumulator.
-func readAdagradBagInto(r io.Reader, bag *embedding.AdagradBag) error {
-	if err := readMatrixInto(r, bag.Weights); err != nil {
-		return err
+// decodeMatrix reads a matrix record into m, whose shape it must have.
+func decodeMatrix(d *codec.Dec, m *tensor.Matrix, what string) {
+	if rows, cols := d.I64(), d.I64(); rows != int64(m.Rows) || cols != int64(m.Cols) {
+		d.Fail(fmt.Errorf("checkpoint: %s: matrix %dx%d in file, model has %dx%d", what, rows, cols, m.Rows, m.Cols))
 	}
-	rows, err := readInt(r)
-	if err != nil {
-		return err
-	}
-	dim, err := readInt(r)
-	if err != nil {
-		return err
-	}
-	if rows != bag.NumRows() || dim != bag.Dim() {
-		return fmt.Errorf("checkpoint: Adagrad accumulator %dx%d in file, model has %dx%d", rows, dim, bag.NumRows(), bag.Dim())
-	}
-	for row := 0; row < rows; row++ {
-		if err := binary.Read(r, binary.LittleEndian, bag.AccumRow(row)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeInt(w io.Writer, v int) error {
-	return binary.Write(w, binary.LittleEndian, int64(v))
-}
-
-func readInt(r io.Reader) (int, error) {
-	var v int64
-	if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-		return 0, err
-	}
-	return int(v), nil
-}
-
-func writeMatrix(w io.Writer, m *tensor.Matrix) error {
-	if err := writeInt(w, m.Rows); err != nil {
-		return err
-	}
-	if err := writeInt(w, m.Cols); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, m.Data)
-}
-
-func readMatrixInto(r io.Reader, m *tensor.Matrix) error {
-	rows, err := readInt(r)
-	if err != nil {
-		return err
-	}
-	cols, err := readInt(r)
-	if err != nil {
-		return err
-	}
-	if rows != m.Rows || cols != m.Cols {
-		return fmt.Errorf("checkpoint: matrix %dx%d in file, model has %dx%d", rows, cols, m.Rows, m.Cols)
-	}
-	return binary.Read(r, binary.LittleEndian, m.Data)
+	d.F32sInto(m.Data)
 }

@@ -224,8 +224,8 @@ func TestLoadRejectsWrongVersionAndKind(t *testing.T) {
 	// Corrupt the version field (bytes 4..8).
 	raw := append([]byte(nil), buf.Bytes()...)
 	raw[4] = 0xFF
-	if err := LoadModel(bytes.NewReader(raw), m); err == nil {
-		t.Fatal("wrong version accepted")
+	if err := LoadModel(bytes.NewReader(raw), m); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("wrong version: err = %v, want ErrCorruptCheckpoint", err)
 	}
 	// Swap the first table kind byte: find it right after the MLP params.
 	// Easier: load into a model whose table kinds are swapped.
@@ -240,8 +240,8 @@ func TestLoadRejectsWrongVersionAndKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadModel(bytes.NewReader(buf.Bytes()), allTT); err == nil {
-		t.Fatal("mismatched table kind accepted")
+	if err := LoadModel(bytes.NewReader(buf.Bytes()), allTT); err == nil || errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("mismatched table kind: err = %v, want an architecture mismatch", err)
 	}
 }
 

@@ -2,6 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,6 +62,22 @@ func TestTrainingFileAtomicRoundTrip(t *testing.T) {
 	}
 	if _, err := SaveTrainingFile(filepath.Join(t.TempDir(), "no", "dir", "x.ckpt"), src, nil, TrainState{}); err == nil {
 		t.Fatal("save to bad path succeeded")
+	}
+}
+
+// TestTrainingRejectsNegativeIteration: no run writes a negative next
+// iteration, so a file that holds one is corrupt.
+func TestTrainingRejectsNegativeIteration(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveTraining(&buf, buildModel(t, 35), nil, TrainState{NextIter: 8}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	for _, next := range []int64{-1, math.MinInt64} {
+		binary.LittleEndian.PutUint64(raw[8:], uint64(next)) // the iteration follows the 8-byte header
+		if _, err := LoadTraining(bytes.NewReader(raw), buildModel(t, 36), nil); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("next iteration %d: err = %v, want ErrCorruptCheckpoint", next, err)
+		}
 	}
 }
 

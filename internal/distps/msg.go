@@ -3,16 +3,17 @@ package distps
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
+
+	"repro/internal/codec"
 )
 
 // Message payload formats. Every payload is a flat little-endian record
-// built with the enc/dec cursors below; the frame layer (wire.go) already
+// built with internal/codec's cursors; the frame layer (wire.go) already
 // guarantees integrity (checksum) and bounds (max payload), so decoders
-// here only validate structure. A structural mismatch wraps ErrBadFrame:
-// it means wire-version skew or a corrupted peer, and the connection is
-// not trustworthy afterwards.
+// here only validate structure. done wraps a structural mismatch in
+// ErrBadFrame: it means wire-version skew or a corrupted peer, and the
+// connection is not trustworthy afterwards.
 
 // TableSpec identifies one host-placed (overflow) embedding table by its
 // model position and cardinality. Workers and shards must agree on the
@@ -23,146 +24,13 @@ type TableSpec struct {
 	Rows  int
 }
 
-// --- cursor helpers --------------------------------------------------------
-
-type enc struct{ buf []byte }
-
-func (e *enc) u8(v uint8) { e.buf = append(e.buf, v) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-		return
+// done is a payload decode's verdict: the cursor's first error, trailing
+// bytes included, as ErrBadFrame.
+func done(d *codec.Dec) error {
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadFrame, err)
 	}
-	e.u8(0)
-}
-func (e *enc) u32(v uint32) { e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24)) }
-func (e *enc) u64(v uint64) {
-	e.u32(uint32(v))
-	e.u32(uint32(v >> 32))
-}
-func (e *enc) i64(v int64) { e.u64(uint64(v)) }
-func (e *enc) f32s(v []float32) {
-	for _, f := range v {
-		e.u32(math.Float32bits(f))
-	}
-}
-func (e *enc) ints(v []int) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u64(uint64(int64(x)))
-	}
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-type dec struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: truncated payload record", ErrBadFrame)
-	}
-}
-
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) bool() bool { return d.u8() != 0 }
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	b := d.buf[d.off:]
-	d.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (d *dec) u64() uint64 {
-	lo := d.u32()
-	hi := d.u32()
-	return uint64(lo) | uint64(hi)<<32
-}
-
-func (d *dec) i64() int64 { return int64(d.u64()) }
-
-// count reads an element count. Every counted element takes at least one
-// payload byte, so a count above the bytes left is corrupt: it is refused
-// before it can size an allocation.
-func (d *dec) count() int {
-	n := int(d.u32())
-	if n < 0 || n > len(d.buf)-d.off {
-		if d.err == nil {
-			d.err = fmt.Errorf("%w: element count %d exceeds the %d bytes left", ErrBadFrame, n, len(d.buf)-d.off)
-		}
-		return 0
-	}
-	return n
-}
-
-func (d *dec) f32s(n int) []float32 {
-	if d.err != nil {
-		return nil
-	}
-	if n > (len(d.buf)-d.off)/4 {
-		d.fail()
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(d.u32())
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (d *dec) ints() []int {
-	n := d.count()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(int64(d.u64()))
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (d *dec) str() string {
-	n := d.count()
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-// done returns the accumulated decode error, also rejecting trailing bytes.
-func (d *dec) done() error {
-	if d.err == nil && d.off != len(d.buf) {
-		d.err = fmt.Errorf("%w: %d trailing payload bytes", ErrBadFrame, len(d.buf)-d.off)
-	}
-	return d.err
+	return nil
 }
 
 // --- hello -----------------------------------------------------------------
@@ -179,30 +47,30 @@ type helloMsg struct {
 }
 
 func (m helloMsg) encode() []byte {
-	var e enc
-	e.u64(m.WorkerID)
-	e.u64(m.Epoch)
-	e.u64(m.Seed)
-	e.u32(uint32(m.Dim))
-	e.u32(uint32(len(m.Tables)))
+	var e codec.Enc
+	e.U64(m.WorkerID)
+	e.U64(m.Epoch)
+	e.U64(m.Seed)
+	e.U32(uint32(m.Dim))
+	e.U32(uint32(len(m.Tables)))
 	for _, t := range m.Tables {
-		e.u32(uint32(t.Index))
-		e.u64(uint64(t.Rows))
+		e.U32(uint32(t.Index))
+		e.U64(uint64(t.Rows))
 	}
-	return e.buf
+	return e.Buf
 }
 
 func decodeHello(b []byte) (helloMsg, error) {
-	d := dec{buf: b}
-	m := helloMsg{WorkerID: d.u64(), Epoch: d.u64(), Seed: d.u64(), Dim: int(d.u32())}
-	n := d.count()
-	if d.err == nil {
+	d := codec.NewDec(b)
+	m := helloMsg{WorkerID: d.U64(), Epoch: d.U64(), Seed: d.U64(), Dim: int(d.U32())}
+	n := d.Count(12) // a u32 and a u64
+	if d.Err() == nil {
 		m.Tables = make([]TableSpec, n)
 		for i := range m.Tables {
-			m.Tables[i] = TableSpec{Index: int(d.u32()), Rows: int(int64(d.u64()))}
+			m.Tables[i] = TableSpec{Index: int(d.U32()), Rows: int(int64(d.U64()))}
 		}
 	}
-	return m, d.done()
+	return m, done(d)
 }
 
 // helloAck names the shard the connection reached, so a client that dialed
@@ -214,16 +82,16 @@ type helloAck struct {
 }
 
 func (m helloAck) encode() []byte {
-	var e enc
-	e.u32(uint32(m.ShardID))
-	e.u32(uint32(m.NumShards))
-	return e.buf
+	var e codec.Enc
+	e.U32(uint32(m.ShardID))
+	e.U32(uint32(m.NumShards))
+	return e.Buf
 }
 
 func decodeHelloAck(b []byte) (helloAck, error) {
-	d := dec{buf: b}
-	m := helloAck{ShardID: int(d.u32()), NumShards: int(d.u32())}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := helloAck{ShardID: int(d.U32()), NumShards: int(d.U32())}
+	return m, done(d)
 }
 
 // --- gather / rows ---------------------------------------------------------
@@ -238,16 +106,16 @@ type gatherMsg struct {
 }
 
 func (m gatherMsg) encode() []byte {
-	var e enc
-	e.u32(uint32(m.Table))
-	e.ints(m.Rows)
-	return e.buf
+	var e codec.Enc
+	e.U32(uint32(m.Table))
+	e.Ints(m.Rows)
+	return e.Buf
 }
 
 func decodeGather(b []byte) (gatherMsg, error) {
-	d := dec{buf: b}
-	m := gatherMsg{Table: int(d.u32()), Rows: d.ints()}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := gatherMsg{Table: int(d.U32()), Rows: d.Ints()}
+	return m, done(d)
 }
 
 type rowsMsg struct {
@@ -256,18 +124,18 @@ type rowsMsg struct {
 }
 
 func (m rowsMsg) encode() []byte {
-	var e enc
-	e.u32(uint32(m.Dim))
-	e.u32(uint32(len(m.Values)))
-	e.f32s(m.Values)
-	return e.buf
+	var e codec.Enc
+	e.U32(uint32(m.Dim))
+	e.U32(uint32(len(m.Values)))
+	e.F32s(m.Values)
+	return e.Buf
 }
 
 func decodeRows(b []byte) (rowsMsg, error) {
-	d := dec{buf: b}
-	m := rowsMsg{Dim: int(d.u32())}
-	m.Values = d.f32s(d.count())
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := rowsMsg{Dim: int(d.U32())}
+	m.Values = d.F32s(d.Count(4))
+	return m, done(d)
 }
 
 // --- push ------------------------------------------------------------------
@@ -287,21 +155,21 @@ type pushMsg struct {
 }
 
 func (m pushMsg) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.u64(m.Seq)
-	e.u32(uint32(m.Table))
-	e.ints(m.Rows)
-	e.u32(uint32(m.Dim))
-	e.f32s(m.Delta)
-	return e.buf
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.U64(m.Seq)
+	e.U32(uint32(m.Table))
+	e.Ints(m.Rows)
+	e.U32(uint32(m.Dim))
+	e.F32s(m.Delta)
+	return e.Buf
 }
 
 func decodePush(b []byte) (pushMsg, error) {
-	d := dec{buf: b}
-	m := pushMsg{Epoch: d.u64(), Seq: d.u64(), Table: int(d.u32()), Rows: d.ints(), Dim: int(d.u32())}
-	m.Delta = d.f32s(len(m.Rows) * m.Dim)
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := pushMsg{Epoch: d.U64(), Seq: d.U64(), Table: int(d.U32()), Rows: d.Ints(), Dim: int(d.U32())}
+	m.Delta = d.F32s(len(m.Rows) * m.Dim)
+	return m, done(d)
 }
 
 type pushAck struct {
@@ -309,15 +177,15 @@ type pushAck struct {
 }
 
 func (m pushAck) encode() []byte {
-	var e enc
-	e.bool(m.Applied)
-	return e.buf
+	var e codec.Enc
+	e.Bool(m.Applied)
+	return e.Buf
 }
 
 func decodePushAck(b []byte) (pushAck, error) {
-	d := dec{buf: b}
-	m := pushAck{Applied: d.bool()}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := pushAck{Applied: d.Bool()}
+	return m, done(d)
 }
 
 // --- checkpoint / restore --------------------------------------------------
@@ -328,16 +196,16 @@ type versionMsg struct {
 }
 
 func (m versionMsg) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	e.i64(m.Version)
-	return e.buf
+	var e codec.Enc
+	e.U64(m.Epoch)
+	e.I64(m.Version)
+	return e.Buf
 }
 
 func decodeVersion(b []byte) (versionMsg, error) {
-	d := dec{buf: b}
-	m := versionMsg{Epoch: d.u64(), Version: d.i64()}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := versionMsg{Epoch: d.U64(), Version: d.I64()}
+	return m, done(d)
 }
 
 type versionAck struct {
@@ -345,15 +213,15 @@ type versionAck struct {
 }
 
 func (m versionAck) encode() []byte {
-	var e enc
-	e.i64(m.Version)
-	return e.buf
+	var e codec.Enc
+	e.I64(m.Version)
+	return e.Buf
 }
 
 func decodeVersionAck(b []byte) (versionAck, error) {
-	d := dec{buf: b}
-	m := versionAck{Version: d.i64()}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := versionAck{Version: d.I64()}
+	return m, done(d)
 }
 
 // --- stats -----------------------------------------------------------------
@@ -367,15 +235,15 @@ type statsMsg struct {
 }
 
 func (m statsMsg) encode() []byte {
-	var e enc
-	e.u32(uint32(m.MaxSpans))
-	return e.buf
+	var e codec.Enc
+	e.U32(uint32(m.MaxSpans))
+	return e.Buf
 }
 
 func decodeStats(b []byte) (statsMsg, error) {
-	d := dec{buf: b}
-	m := statsMsg{MaxSpans: int(d.u32())}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := statsMsg{MaxSpans: int(d.U32())}
+	return m, done(d)
 }
 
 // statsAck is a shard's observability snapshot. MetricsJSON is the shard
@@ -407,58 +275,58 @@ type spanRec struct {
 }
 
 func (m statsAck) encode() []byte {
-	var e enc
-	e.u32(uint32(m.ShardID))
-	e.i64(m.NowUnixNanos)
-	e.i64(m.EpochUnixNanos)
-	e.i64(m.Dropped)
-	e.str(m.MetricsJSON)
+	var e codec.Enc
+	e.U32(uint32(m.ShardID))
+	e.I64(m.NowUnixNanos)
+	e.I64(m.EpochUnixNanos)
+	e.I64(m.Dropped)
+	e.Str(m.MetricsJSON)
 	tids := make([]int, 0, len(m.Threads))
 	//elrec:orderless keys are sorted immediately below
 	for tid := range m.Threads {
 		tids = append(tids, tid)
 	}
 	sort.Ints(tids)
-	e.u32(uint32(len(tids)))
+	e.U32(uint32(len(tids)))
 	for _, tid := range tids {
-		e.u32(uint32(tid))
-		e.str(m.Threads[tid])
+		e.U32(uint32(tid))
+		e.Str(m.Threads[tid])
 	}
-	e.u32(uint32(len(m.Spans)))
+	e.U32(uint32(len(m.Spans)))
 	for _, s := range m.Spans {
-		e.str(s.Name)
-		e.str(s.Cat)
-		e.u32(uint32(s.TID))
-		e.i64(s.Start)
-		e.i64(s.Dur)
-		e.u64(s.Trace)
-		e.u64(s.ID)
-		e.u64(s.Parent)
+		e.Str(s.Name)
+		e.Str(s.Cat)
+		e.U32(uint32(s.TID))
+		e.I64(s.Start)
+		e.I64(s.Dur)
+		e.U64(s.Trace)
+		e.U64(s.ID)
+		e.U64(s.Parent)
 	}
-	return e.buf
+	return e.Buf
 }
 
 func decodeStatsAck(b []byte) (statsAck, error) {
-	d := dec{buf: b}
-	m := statsAck{ShardID: int(d.u32()), NowUnixNanos: d.i64(), EpochUnixNanos: d.i64(),
-		Dropped: d.i64(), MetricsJSON: d.str()}
-	nThreads := d.count()
-	if d.err == nil && nThreads > 0 {
+	d := codec.NewDec(b)
+	m := statsAck{ShardID: int(d.U32()), NowUnixNanos: d.I64(), EpochUnixNanos: d.I64(),
+		Dropped: d.I64(), MetricsJSON: d.Str()}
+	nThreads := d.Count(8) // a u32 and a string
+	if d.Err() == nil && nThreads > 0 {
 		m.Threads = make(map[int]string, nThreads)
 		for i := 0; i < nThreads; i++ {
-			tid := int(d.u32())
-			m.Threads[tid] = d.str()
+			tid := int(d.U32())
+			m.Threads[tid] = d.Str()
 		}
 	}
-	nSpans := d.count()
-	if d.err == nil {
+	nSpans := d.Count(52) // two strings (≥ 4 bytes each), a u32, five 64-bit fields
+	if d.Err() == nil {
 		m.Spans = make([]spanRec, nSpans)
 		for i := range m.Spans {
-			m.Spans[i] = spanRec{Name: d.str(), Cat: d.str(), TID: int(d.u32()),
-				Start: d.i64(), Dur: d.i64(), Trace: d.u64(), ID: d.u64(), Parent: d.u64()}
+			m.Spans[i] = spanRec{Name: d.Str(), Cat: d.Str(), TID: int(d.U32()),
+				Start: d.I64(), Dur: d.I64(), Trace: d.U64(), ID: d.U64(), Parent: d.U64()}
 		}
 	}
-	return m, d.done()
+	return m, done(d)
 }
 
 // --- lease -----------------------------------------------------------------
@@ -476,18 +344,18 @@ type leaseMsg struct {
 }
 
 func (m leaseMsg) encode() []byte {
-	var e enc
-	e.u64(m.WorkerID)
-	e.bool(m.Renew)
-	e.u64(m.Epoch)
-	e.u64(m.TTLMS)
-	return e.buf
+	var e codec.Enc
+	e.U64(m.WorkerID)
+	e.Bool(m.Renew)
+	e.U64(m.Epoch)
+	e.U64(m.TTLMS)
+	return e.Buf
 }
 
 func decodeLease(b []byte) (leaseMsg, error) {
-	d := dec{buf: b}
-	m := leaseMsg{WorkerID: d.u64(), Renew: d.bool(), Epoch: d.u64(), TTLMS: d.u64()}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := leaseMsg{WorkerID: d.U64(), Renew: d.Bool(), Epoch: d.U64(), TTLMS: d.U64()}
+	return m, done(d)
 }
 
 type leaseAck struct {
@@ -495,15 +363,15 @@ type leaseAck struct {
 }
 
 func (m leaseAck) encode() []byte {
-	var e enc
-	e.u64(m.Epoch)
-	return e.buf
+	var e codec.Enc
+	e.U64(m.Epoch)
+	return e.Buf
 }
 
 func decodeLeaseAck(b []byte) (leaseAck, error) {
-	d := dec{buf: b}
-	m := leaseAck{Epoch: d.u64()}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := leaseAck{Epoch: d.U64()}
+	return m, done(d)
 }
 
 // --- error -----------------------------------------------------------------
@@ -527,16 +395,16 @@ type errMsg struct {
 }
 
 func (m errMsg) encode() []byte {
-	var e enc
-	e.u8(m.Code)
-	e.str(m.Msg)
-	return e.buf
+	var e codec.Enc
+	e.U8(m.Code)
+	e.Str(m.Msg)
+	return e.Buf
 }
 
 func decodeErr(b []byte) (errMsg, error) {
-	d := dec{buf: b}
-	m := errMsg{Code: d.u8(), Msg: d.str()}
-	return m, d.done()
+	d := codec.NewDec(b)
+	m := errMsg{Code: d.U8(), Msg: d.Str()}
+	return m, done(d)
 }
 
 // sentinelFor maps a wire error code back to the package sentinel.

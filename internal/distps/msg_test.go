@@ -5,10 +5,12 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/codec"
 )
 
-// codec is one message, its encoding and a type-erased decoder.
-type codec struct {
+// msgCase is one message, its encoding and a type-erased decoder.
+type msgCase struct {
 	name   string
 	msg    any
 	bytes  []byte
@@ -18,9 +20,9 @@ type codec struct {
 // codecs lists every message with a non-trivial payload, its encoder and a
 // type-erased decoder, so round-trip and truncation checks cover the whole
 // wire surface from one table.
-func codecs() []codec {
-	wrap := func(name string, m interface{ encode() []byte }, d func([]byte) (any, error)) codec {
-		return codec{name, m, m.encode(), d}
+func codecs() []msgCase {
+	wrap := func(name string, m interface{ encode() []byte }, d func([]byte) (any, error)) msgCase {
+		return msgCase{name, m, m.encode(), d}
 	}
 	hello := helloMsg{WorkerID: 7, Epoch: 3, Seed: 99, Dim: 8,
 		Tables: []TableSpec{{Index: 0, Rows: 96}, {Index: 2, Rows: 64}}}
@@ -42,7 +44,7 @@ func codecs() []codec {
 			{Name: "", Cat: "", TID: 7, Start: -1, Dur: 0},
 		}}
 	em := errMsg{Code: codeFenced, Msg: "stale epoch"}
-	return []codec{
+	return []msgCase{
 		wrap("hello", hello, func(b []byte) (any, error) { return decodeHello(b) }),
 		wrap("helloAck", hAck, func(b []byte) (any, error) { return decodeHelloAck(b) }),
 		wrap("gather", gather, func(b []byte) (any, error) { return decodeGather(b) }),
@@ -111,10 +113,10 @@ func TestErrorCodeMapping(t *testing.T) {
 }
 
 func TestDecodeRejectsInsaneCounts(t *testing.T) {
-	var e enc
-	e.u32(uint32(2))       // table
-	e.u32(uint32(1 << 30)) // row count far beyond the payload
-	if _, err := decodeGather(e.buf); !errors.Is(err, ErrBadFrame) {
+	var e codec.Enc
+	e.U32(uint32(2))       // table
+	e.U32(uint32(1 << 30)) // row count far beyond the payload
+	if _, err := decodeGather(e.Buf); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("insane count: err = %v, want ErrBadFrame", err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/codec"
 	"repro/internal/embedding"
 	"repro/internal/obs"
 	"repro/internal/ps"
@@ -392,19 +393,18 @@ func (s *Shard) loadEpochFile() error {
 	if len(b) != 8 {
 		return fmt.Errorf("%w: epoch file has %d bytes", checkpoint.ErrCorruptCheckpoint, len(b))
 	}
-	d := dec{buf: b}
-	s.maxEpoch = d.u64()
-	return d.done()
+	s.maxEpoch = codec.NewDec(b).U64()
+	return nil
 }
 
 // persistEpochLocked makes the fencing watermark durable.
 //
 //elrec:locked mu callers hold s.mu (lease/push handlers) or own the unpublished shard
 func (s *Shard) persistEpochLocked() error {
-	var e enc
-	e.u64(s.maxEpoch)
+	var e codec.Enc
+	e.U64(s.maxEpoch)
 	_, err := checkpoint.WriteFileAtomic(s.epochPath(), func(w io.Writer) error {
-		_, werr := w.Write(e.buf)
+		_, werr := w.Write(e.Buf)
 		return werr
 	})
 	if err != nil {
@@ -420,35 +420,34 @@ func (s *Shard) persistEpochLocked() error {
 //
 //elrec:locked mu the checkpoint handler holds s.mu; first boot owns the unpublished shard
 func (s *Shard) writeCheckpointLocked(v int64) error {
-	var e enc
-	e.u32(shardCkptMagic)
-	e.u8(shardCkptVer)
-	e.u32(uint32(s.cfg.ID))
-	e.u32(uint32(s.cfg.NumShards))
-	e.u32(uint32(s.cfg.Dim))
-	e.u64(s.cfg.Seed)
-	e.i64(v)
-	e.u32(uint32(len(s.lastSeq)))
 	epochs := make([]uint64, 0, len(s.lastSeq))
 	for ep := range s.lastSeq {
 		epochs = append(epochs, ep)
 	}
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	for _, ep := range epochs {
-		e.u64(ep)
-		e.u64(s.lastSeq[ep])
-	}
-	e.u32(uint32(len(s.cfg.Tables)))
-	for _, spec := range s.cfg.Tables {
-		t := s.tables[spec.Index]
-		e.u32(uint32(spec.Index))
-		e.u64(uint64(spec.Rows))
-		e.u32(uint32(len(t.rows)))
-		e.f32s(t.data)
-	}
 	_, err := checkpoint.WriteFileAtomic(s.ckptPath(v), func(w io.Writer) error {
-		_, werr := w.Write(e.buf)
-		return werr
+		e := codec.NewWriter(w)
+		e.U32(shardCkptMagic)
+		e.U8(shardCkptVer)
+		e.U32(uint32(s.cfg.ID))
+		e.U32(uint32(s.cfg.NumShards))
+		e.U32(uint32(s.cfg.Dim))
+		e.U64(s.cfg.Seed)
+		e.I64(v)
+		e.U32(uint32(len(epochs)))
+		for _, ep := range epochs {
+			e.U64(ep)
+			e.U64(s.lastSeq[ep])
+		}
+		e.U32(uint32(len(s.cfg.Tables)))
+		for _, spec := range s.cfg.Tables {
+			t := s.tables[spec.Index]
+			e.U32(uint32(spec.Index))
+			e.U64(uint64(spec.Rows))
+			e.U32(uint32(len(t.rows)))
+			e.F32s(t.data)
+		}
+		return e.Flush()
 	})
 	if err != nil {
 		return fmt.Errorf("%w: writing shard checkpoint v%d: %w", ErrInternal, v, err)
@@ -477,52 +476,45 @@ func (s *Shard) restoreLocked(v int64) error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrInternal, err)
 	}
-	corrupt := func(err error) error {
-		return fmt.Errorf("%w: shard checkpoint v%d: %w", checkpoint.ErrCorruptCheckpoint, v, err)
+	d := codec.NewDec(b)
+	if m := d.U32(); m != shardCkptMagic {
+		d.Fail(fmt.Errorf("bad magic %#x", m))
 	}
-	d := dec{buf: b}
-	if m := d.u32(); m != shardCkptMagic && d.err == nil {
-		return corrupt(fmt.Errorf("bad magic %#x", m))
+	if fv := d.U8(); fv != shardCkptVer {
+		d.Fail(fmt.Errorf("format version %d", fv))
 	}
-	if fv := d.u8(); fv != shardCkptVer && d.err == nil {
-		return corrupt(fmt.Errorf("format version %d", fv))
-	}
-	id, n, dim := int(d.u32()), int(d.u32()), int(d.u32())
-	seed := d.u64()
-	fileV := d.i64()
-	if d.err == nil && (id != s.cfg.ID || n != s.cfg.NumShards || dim != s.cfg.Dim || seed != s.cfg.Seed || fileV != v) {
+	id, n, dim := int(d.U32()), int(d.U32()), int(d.U32())
+	seed := d.U64()
+	fileV := d.I64()
+	if d.Err() == nil && (id != s.cfg.ID || n != s.cfg.NumShards || dim != s.cfg.Dim || seed != s.cfg.Seed || fileV != v) {
 		return fmt.Errorf("%w: checkpoint identity (shard %d/%d dim %d seed %d v%d) does not match this shard", ErrSpecMismatch, id, n, dim, seed, fileV)
 	}
-	nw := int(d.u32())
+	nw := d.Count(16) // a writer's epoch and its last sequence number
 	lastSeq := make(map[uint64]uint64, nw)
-	for i := 0; i < nw && d.err == nil; i++ {
-		w := d.u64()
-		lastSeq[w] = d.u64()
+	for i := 0; i < nw; i++ {
+		w := d.U64()
+		lastSeq[w] = d.U64()
 	}
-	nt := int(d.u32())
-	if d.err == nil && nt != len(s.cfg.Tables) {
-		return corrupt(fmt.Errorf("%d tables, want %d", nt, len(s.cfg.Tables)))
+	nt := d.Count(16) // a table's index, row count and owned-row count
+	if nt != len(s.cfg.Tables) {
+		d.Fail(fmt.Errorf("%d tables, want %d", nt, len(s.cfg.Tables)))
 	}
-	fresh := make(map[int]*shardTable, nt)
-	for i := 0; i < nt && d.err == nil; i++ {
-		idx := int(d.u32())
-		rows := int(int64(d.u64()))
-		owned := int(d.u32())
+	fresh := make(map[int]*shardTable, len(s.cfg.Tables))
+	for i := 0; i < nt && d.Err() == nil; i++ {
+		idx, rows, owned := int(d.U32()), int(d.I64()), int(d.U32())
 		spec, ok := s.tables[idx]
-		if !ok || spec.spec.Rows != rows {
+		switch {
+		case d.Err() != nil:
+		case !ok || spec.spec.Rows != rows:
 			return fmt.Errorf("%w: checkpoint table %d (%d rows) unknown to this shard", ErrSpecMismatch, idx, rows)
+		case owned != len(spec.rows):
+			d.Fail(fmt.Errorf("table %d has %d owned rows, ring says %d", idx, owned, len(spec.rows)))
+		default:
+			fresh[idx] = &shardTable{spec: spec.spec, dim: s.cfg.Dim, slots: spec.slots, rows: spec.rows, data: d.F32s(owned * s.cfg.Dim)}
 		}
-		if owned != len(spec.rows) {
-			return corrupt(fmt.Errorf("table %d has %d owned rows, ring says %d", idx, owned, len(spec.rows)))
-		}
-		data := d.f32s(owned * s.cfg.Dim)
-		if d.err != nil {
-			break
-		}
-		fresh[idx] = &shardTable{spec: spec.spec, dim: s.cfg.Dim, slots: spec.slots, rows: spec.rows, data: data}
 	}
-	if err := d.done(); err != nil {
-		return corrupt(err)
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("%w: shard checkpoint v%d: %w", checkpoint.ErrCorruptCheckpoint, v, err)
 	}
 	for idx, t := range fresh {
 		s.tables[idx] = t

@@ -2,10 +2,11 @@ package distps
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/codec"
 )
 
 // Frame layout (all little-endian):
@@ -157,17 +158,16 @@ func fnv1a32(b []byte) uint32 {
 // cannot interleave partial frames on the same connection — callers still
 // serialize writers per connection, this just keeps the failure mode sane).
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := make([]byte, headerSize+len(f.Payload))
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	buf[4] = wireVersion
-	buf[5] = f.Type
-	binary.LittleEndian.PutUint32(buf[6:], uint32(len(f.Payload)))
-	binary.LittleEndian.PutUint64(buf[10:], f.ReqID)
-	binary.LittleEndian.PutUint64(buf[18:], f.Trace)
-	binary.LittleEndian.PutUint64(buf[26:], f.Span)
-	binary.LittleEndian.PutUint32(buf[34:], fnv1a32(f.Payload))
-	copy(buf[headerSize:], f.Payload)
-	_, err := w.Write(buf)
+	e := codec.Enc{Buf: make([]byte, 0, headerSize+len(f.Payload))}
+	e.U32(frameMagic)
+	e.U8(wireVersion)
+	e.U8(f.Type)
+	e.U32(uint32(len(f.Payload)))
+	e.U64(f.ReqID)
+	e.U64(f.Trace)
+	e.U64(f.Span)
+	e.U32(fnv1a32(f.Payload))
+	_, err := w.Write(append(e.Buf, f.Payload...))
 	return err
 }
 
@@ -185,27 +185,25 @@ func ReadFrame(r *bufio.Reader, maxPayload int) (Frame, error) {
 		}
 		return Frame{}, fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err)
 	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != frameMagic {
+	d := codec.NewDec(hdr[:])
+	if m := d.U32(); m != frameMagic {
 		return Frame{}, fmt.Errorf("%w: magic %#x", ErrBadFrame, m)
 	}
-	if v := hdr[4]; v != wireVersion {
+	if v := d.U8(); v != wireVersion {
 		return Frame{}, fmt.Errorf("%w: wire version %d (want %d)", ErrBadFrame, v, wireVersion)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[6:]))
+	f := Frame{Type: d.U8()}
+	n := int(d.U32())
 	if n > maxPayload {
 		return Frame{}, fmt.Errorf("%w: payload %d exceeds cap %d", ErrBadFrame, n, maxPayload)
 	}
-	f := Frame{
-		Type:    hdr[5],
-		ReqID:   binary.LittleEndian.Uint64(hdr[10:]),
-		Trace:   binary.LittleEndian.Uint64(hdr[18:]),
-		Span:    binary.LittleEndian.Uint64(hdr[26:]),
-		Payload: make([]byte, n),
-	}
+	f.ReqID, f.Trace, f.Span = d.U64(), d.U64(), d.U64()
+	sum := d.U32()
+	f.Payload = make([]byte, n)
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
 		return Frame{}, fmt.Errorf("%w: truncated payload: %w", ErrBadFrame, err)
 	}
-	if sum := binary.LittleEndian.Uint32(hdr[34:]); sum != fnv1a32(f.Payload) {
+	if sum != fnv1a32(f.Payload) {
 		return Frame{}, fmt.Errorf("%w: payload checksum mismatch", ErrBadFrame)
 	}
 	return f, nil
