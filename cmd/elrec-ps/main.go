@@ -23,6 +23,7 @@ package main
 
 import (
 	"flag"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -46,7 +47,7 @@ type options struct {
 	id, shards             int
 	addr, dir, debugAddr   string
 	leaseTTL, drainTimeout time.Duration
-	logLevel               obs.Level
+	logLevel               slog.Level
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -60,7 +61,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 3*time.Second, "default trainer-lease duration")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "max wait for in-flight requests on shutdown")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug endpoint address (/metrics, /trace, /healthz, /readyz, pprof); empty disables")
-	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	fs.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
 	return o
 }
 
@@ -68,7 +69,7 @@ func run() int {
 	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 	if o.dir == "" {
 		log.Error("missing -dir: a shard needs a durable state directory")
 		return 2

@@ -42,6 +42,7 @@ package main
 import (
 	"context"
 	"flag"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -73,7 +74,7 @@ type options struct {
 	spec                       core.RunSpec
 	addr, load, save           string
 	replicas, queue, timeoutMS int
-	logLevel                   obs.Level
+	logLevel                   slog.Level
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -85,7 +86,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.timeoutMS, "timeout-ms", 0, "default per-request deadline in milliseconds (0: none)")
 	fs.StringVar(&o.load, "load", "", "load model weights saved by elrec-train -no-reorder -save instead of training")
 	fs.StringVar(&o.save, "save", "", "save the startup-trained model to this checkpoint (ignored with -load)")
-	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	fs.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
 	return o
 }
 
@@ -93,7 +94,7 @@ func run() int {
 	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	spec, err := o.spec.Validate()
 	if err != nil {

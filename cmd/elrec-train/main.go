@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -71,7 +72,7 @@ type options struct {
 	hbmGB                                 float64
 	debugAddr, tracePath                  string
 	savePath, ckptPath, resume            string
-	logLevel                              obs.Level
+	logLevel                              slog.Level
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -83,7 +84,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.noReorder, "no-reorder", false, "disable locality-based index reordering")
 	fs.BoolVar(&o.adagrad, "adagrad", false, "use Adagrad for embedding tables instead of SGD")
 	fs.IntVar(&o.logEvery, "log-every", 100, "progress-line interval in steps")
-	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	fs.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace and pprof on this address while training")
 	fs.StringVar(&o.tracePath, "trace", "", "write Chrome trace-event JSON of the pipeline stages to this path on exit")
 	fs.Float64Var(&o.hbmGB, "hbm-gb", -1, "override the device HBM capacity in GiB (<0: device default); small values force host placement and the pipelined trainer")
@@ -98,7 +99,7 @@ func run() int {
 	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	spec, err := o.spec.Validate()
 	if err == nil && o.logEvery < 1 {

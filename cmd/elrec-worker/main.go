@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -57,7 +58,7 @@ type options struct {
 	queue, ckptEvery     int
 	ckptPath, debugAddr  string
 	leaseTTL, rpcTimeout time.Duration
-	logLevel             obs.Level
+	logLevel             slog.Level
 }
 
 func newOptions(fs *flag.FlagSet) *options {
@@ -73,7 +74,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 3*time.Second, "trainer lease duration")
 	fs.DurationVar(&o.rpcTimeout, "rpc-timeout", 5*time.Second, "per-RPC deadline")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "debug endpoint address (/metrics, /trace, /cluster, /cluster/trace, /healthz, /readyz, pprof); empty disables")
-	fs.Var(&o.logLevel, "log-level", "log level: debug, info (the default), warn or error")
+	fs.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
 	return o
 }
 
@@ -81,7 +82,7 @@ func run() int {
 	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	log := obs.NewLogger(os.Stderr, o.logLevel, nil)
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	sc, err := distps.NewScenario(o.spec, o.queue)
 	if err != nil {
@@ -119,7 +120,7 @@ func run() int {
 
 // runReference trains the identical scenario in one process — the oracle.
 func runReference(ctx context.Context, sc distps.Scenario, src *data.Dataset,
-	steps, batch int, reg *obs.Registry, tracer *obs.Tracer, log *obs.Logger) int {
+	steps, batch int, reg *obs.Registry, tracer *obs.Tracer, log *slog.Logger) int {
 	locs, err := sc.ReferenceLocs()
 	if err != nil {
 		log.Error("reference placement failed", "err", err)
@@ -159,7 +160,7 @@ func runReference(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 // The debug endpoint starts after the worker exists: the /cluster and
 // /cluster/trace routes aggregate over the worker's shard client.
 func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
-	o *options, reg *obs.Registry, tracer *obs.Tracer, log *obs.Logger) int {
+	o *options, reg *obs.Registry, tracer *obs.Tracer, log *slog.Logger) int {
 	shards := strings.FieldsFunc(o.shards, func(r rune) bool { return r == ',' || r == ' ' })
 	w, err := distps.NewWorker(distps.WorkerConfig{
 		ID: o.id, Shards: shards, Scenario: sc,

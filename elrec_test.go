@@ -206,4 +206,3 @@ func TestSystemSaveModelNeedsRawIds(t *testing.T) {
 		}
 	}
 }
-

@@ -1,59 +1,40 @@
-// Package analysis is a self-contained static-analysis framework plus the
-// six project-specific analyzers (nopanic, determinism, locksafe, gospawn,
-// errcmp, obsclock) that machine-check the invariants PR 1 established:
-// panic-free library code, deterministic numeric paths, lock-guarded shared
-// state, panic-converting goroutine spawns, errors.Is-based sentinel
-// handling and wall-clock reads funnelled through the injected obs.Clock.
-//
-// The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
-// Pass, Diagnostic) so the suite can migrate to the upstream framework —
-// and its multichecker/unitchecker drivers — without touching analyzer
-// code. The local implementation exists because this module builds with
-// the standard library only.
+// Package analysis is a self-contained static-analysis engine plus the
+// project-specific analyzers (see Suite) that machine-check invariants no
+// runtime test catches a violation of: lock-guarded shared state,
+// goroutines born in a spawn helper, errors.Is-based sentinel handling,
+// wall-clock reads funnelled through the injected obs.Clock, an acyclic
+// lock order and cancellable blocking entry points. It builds with the
+// standard library only.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Analyzer describes one static-analysis pass. Exactly one of Run and
-// RunProgram is set: Run analyzes one package at a time; RunProgram
-// analyzes the whole loaded module at once over the interprocedural call
-// graph (Pass.Program), scoping itself to the packages it cares about.
+// Analyzer describes one static-analysis pass. The driver runs it once per
+// package its row of the scope table admits (see Applies).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and on the command line.
 	Name string
 	// Doc is the one-paragraph help text.
 	Doc string
-	// Run applies the analyzer to one package.
-	Run func(*Pass) error
-	// RunProgram applies the analyzer to the whole program.
-	RunProgram func(*Pass) error
+	run func(*pass)
 }
 
-// Pass carries everything Run needs to analyze one package: syntax, type
-// information and a diagnostic sink. For program analyzers (RunProgram),
-// the per-package fields are nil and Program carries the whole module.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-	// Program is the whole-module call-graph view; set only for program
-	// analyzers.
-	Program *Program
+// pass is one analyzer's run on one package: the package's syntax and type
+// information, the whole loaded program (call graph, facts, directives)
+// and a diagnostic sink.
+type pass struct {
+	*Package
+	analyzer *Analyzer
+	prog     *program
+	applies  func(rule, pkgPath string) bool
 
 	diagnostics []Diagnostic
-	// directives caches per-file //elrec: directive positions, lazily built.
-	directives map[*ast.File]map[int][]directive
 }
 
 // Diagnostic is one finding.
@@ -68,38 +49,39 @@ func (d Diagnostic) String() string {
 }
 
 // Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *pass) reportf(pos token.Pos, format string, args ...any) {
 	p.diagnostics = append(p.diagnostics, Diagnostic{
-		Analyzer: p.Analyzer.Name,
+		Analyzer: p.analyzer.Name,
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
+// inScope reports whether the scope table's row rule admits the package
+// under analysis; with no table (the analysistest harness) every row does.
+func (p *pass) inScope(rule string) bool {
+	return p.applies == nil || p.applies(rule, p.PkgPath)
+}
+
 // directive is one parsed //elrec:<name> <args> comment.
 type directive struct {
-	name string // e.g. "invariant", "orderless", "locked"
+	name string // e.g. "locked", "wallclock", "rootctx"
 	args string // trailing free text (reason, mutex name, ...)
 }
 
-// DirectivePrefix introduces the project's analyzer escape-hatch comments:
-// //elrec:invariant <reason>, //elrec:orderless <reason>,
-// //elrec:locked <mu> [reason].
-const DirectivePrefix = "elrec:"
+// directivePrefix introduces the project's analyzer escape-hatch comments:
+// //elrec:locked <mu> [reason], //elrec:wallclock <reason>, ...
+const directivePrefix = "elrec:"
 
-// parseDirectives indexes every //elrec: comment of f by the line it ends
-// on, so analyzers can ask whether a node is annotated (same line or the
-// line immediately above — both the trailing-comment and the
-// preceding-comment styles).
+// parseDirectives indexes every //elrec: comment of f by its line.
 func parseDirectives(fset *token.FileSet, f *ast.File) map[int][]directive {
 	out := map[int][]directive{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			text := strings.TrimPrefix(c.Text, "//")
-			if !strings.HasPrefix(text, DirectivePrefix) {
+			text, ok := strings.CutPrefix(c.Text, "//"+directivePrefix)
+			if !ok {
 				continue
 			}
-			text = strings.TrimPrefix(text, DirectivePrefix)
 			name, args, _ := strings.Cut(text, " ")
 			line := fset.Position(c.End()).Line
 			out[line] = append(out[line], directive{name: name, args: strings.TrimSpace(args)})
@@ -108,22 +90,24 @@ func parseDirectives(fset *token.FileSet, f *ast.File) map[int][]directive {
 	return out
 }
 
-// directiveFor returns the //elrec:<name> directive annotating node, if
-// any: on the node's first line, the line above it, or — so annotations
-// survive gofmt moving them onto an enclosing declaration — any line of
-// the doc comment attached to the enclosing function declaration when
-// decl is non-nil.
-func (p *Pass) directiveFor(file *ast.File, node ast.Node, name string) (directive, bool) {
-	if p.directives == nil {
-		p.directives = map[*ast.File]map[int][]directive{}
+// directive returns the //elrec:<name> directive annotating node. A
+// function declaration is annotated by a directive anywhere in its doc
+// comment; any other node by one on its first line or on the line above
+// (the trailing-comment and the preceding-comment styles).
+func (p *program) directive(node ast.Node, name string) (directive, bool) {
+	tf := p.fset.File(node.Pos())
+	byLine := p.directives[tf]
+	line := tf.Line(node.Pos())
+	lines := []int{line, line - 1}
+	if fn, ok := node.(*ast.FuncDecl); ok {
+		lines = nil
+		if fn.Doc != nil {
+			for l := tf.Line(fn.Doc.Pos()); l <= tf.Line(fn.Doc.End()); l++ {
+				lines = append(lines, l)
+			}
+		}
 	}
-	byLine, ok := p.directives[file]
-	if !ok {
-		byLine = parseDirectives(p.Fset, file)
-		p.directives[file] = byLine
-	}
-	line := p.Fset.Position(node.Pos()).Line
-	for _, l := range []int{line, line - 1} {
+	for _, l := range lines {
 		for _, d := range byLine[l] {
 			if d.name == name {
 				return d, true
@@ -133,107 +117,23 @@ func (p *Pass) directiveFor(file *ast.File, node ast.Node, name string) (directi
 	return directive{}, false
 }
 
-// fileOf returns the *ast.File of the pass containing pos.
-func (p *Pass) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// funcDirective reports whether the function declaration enclosing pos (if
-// any) carries //elrec:<name> in its doc comment, returning its args.
-func (p *Pass) funcDirective(file *ast.File, fn *ast.FuncDecl, name string) (directive, bool) {
-	if fn == nil || fn.Doc == nil {
-		return directive{}, false
-	}
-	for _, c := range fn.Doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		if !strings.HasPrefix(text, DirectivePrefix) {
-			continue
-		}
-		dname, args, _ := strings.Cut(strings.TrimPrefix(text, DirectivePrefix), " ")
-		if dname == name {
-			return directive{name: dname, args: strings.TrimSpace(args)}, true
-		}
-	}
-	return directive{}, false
-}
-
-// RunAnalyzers applies every analyzer to every package (subject to each
-// analyzer's package filter, see Suite) and returns the combined
-// diagnostics sorted by position. Per-package passes run concurrently on a
-// bounded worker pool (syntax trees and types.Info are read-only here;
-// each pass has its own directive cache and diagnostic sink); program
-// analyzers then run sequentially over one shared call-graph Program,
-// whose fact store and directive cache are built lazily without locking.
-// The final position sort makes the output order deterministic either way.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, applies func(a *Analyzer, pkgPath string) bool) ([]Diagnostic, error) {
-	type unit struct {
-		a   *Analyzer
-		pkg *Package
-	}
-	var units []unit
-	var programAnalyzers []*Analyzer
+// RunAnalyzers applies every analyzer to every package that applies admits
+// (nil admits all, which is how the analysistest harness runs an analyzer
+// on its golden package) and returns the combined diagnostics sorted by
+// position. The passes run one after another over one shared program.
+func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, applies func(rule, pkgPath string) bool) []Diagnostic {
+	prog := buildProgram(pkgs)
+	var out []Diagnostic
 	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			programAnalyzers = append(programAnalyzers, a)
-			continue
-		}
 		for _, pkg := range pkgs {
-			if applies != nil && !applies(a, pkg.PkgPath) {
+			if applies != nil && !applies(a.Name, pkg.PkgPath) {
 				continue
 			}
-			units = append(units, unit{a, pkg})
+			p := &pass{Package: pkg, analyzer: a, prog: prog, applies: applies}
+			a.run(p)
+			out = append(out, p.diagnostics...)
 		}
 	}
-
-	results := make([][]Diagnostic, len(units))
-	errs := make([]error, len(units))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, u := range units {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, u unit) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			pass := &Pass{
-				Analyzer:  u.a,
-				Fset:      u.pkg.Fset,
-				Files:     u.pkg.Files,
-				Pkg:       u.pkg.Types,
-				TypesInfo: u.pkg.TypesInfo,
-			}
-			if err := u.a.Run(pass); err != nil {
-				errs[i] = fmt.Errorf("analysis: %s on %s: %w", u.a.Name, u.pkg.PkgPath, err)
-				return
-			}
-			results[i] = pass.diagnostics
-		}(i, u)
-	}
-	wg.Wait()
-	var out []Diagnostic
-	for i := range units {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out = append(out, results[i]...)
-	}
-
-	if len(programAnalyzers) > 0 && len(pkgs) > 0 {
-		prog := BuildProgram(pkgs)
-		for _, a := range programAnalyzers {
-			pass := &Pass{Analyzer: a, Fset: prog.Fset, Program: prog}
-			if err := a.RunProgram(pass); err != nil {
-				return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
-			}
-			out = append(out, pass.diagnostics...)
-		}
-	}
-
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -245,7 +145,10 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, applies func(a *Analyz
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return out[i].Analyzer < out[j].Analyzer
+		if out[i].Analyzer != out[j].Analyzer {
+			return out[i].Analyzer < out[j].Analyzer
+		}
+		return out[i].Message < out[j].Message
 	})
-	return out, nil
+	return out
 }

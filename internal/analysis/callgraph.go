@@ -4,90 +4,85 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// This file grows the framework from an intraprocedural AST walker into a
-// facts-based interprocedural engine: a module-local call graph (static
-// calls and method sets resolved through go/types; calls through interface
-// methods and func values are not edges) over which analyzers propagate
-// per-function facts bottom-up in strongly-connected-component order. The
-// lockorder and ctxflow analyzers are built on it.
+// The program's call graph is module-local: static calls and method sets
+// are resolved through go/types; calls through interface methods and func
+// values are not edges. Per-function facts (facts.go) propagate over it
+// bottom-up in strongly-connected-component order. The lockorder and
+// ctxflow analyzers are built on it.
 
-// FuncNode is one module function with a body: a call-graph vertex.
+// funcNode is one module function with a body: a call-graph vertex.
 // Function literals are attributed to their enclosing declaration — a
 // closure's statements belong to the function that wrote it — except that
 // subtrees handed to a goroutine (a `go` statement, or a function literal
 // passed to a panic-converting spawn helper) are marked asynchronous, so
 // analyzers can exclude work that does not run on the caller's own
 // control flow.
-type FuncNode struct {
-	Obj  *types.Func
-	Decl *ast.FuncDecl
-	Pkg  *Package
-	File *ast.File
+type funcNode struct {
+	obj  *types.Func
+	decl *ast.FuncDecl
+	pkg  *Package
 
-	// Calls are the statically resolved module-internal call sites, in
-	// source order. External records the calls into packages analyzed
+	// calls are the statically resolved module-internal call sites, in
+	// source order. external records the calls into packages analyzed
 	// signature-only (the standard library).
-	Calls    []CallSite
-	External []ExternCall
+	calls    []callSite
+	external []externCall
 }
 
-// CallSite is one statically resolved call to another module function.
-type CallSite struct {
-	Callee *FuncNode
-	Call   *ast.CallExpr
-	// Async marks a call that runs on a spawned goroutine rather than the
-	// caller's own control flow.
-	Async bool
+// callSite is one statically resolved call to another module function.
+// async marks a call that runs on a spawned goroutine rather than the
+// caller's own control flow.
+type callSite struct {
+	callee *funcNode
+	call   *ast.CallExpr
+	async  bool
 }
 
-// ExternCall is a call whose target has no analyzable body here (standard
+// externCall is a call whose target has no analyzable body here (standard
 // library, signature-only dependency).
-type ExternCall struct {
-	Fn    *types.Func
-	Call  *ast.CallExpr
-	Async bool
+type externCall struct {
+	fn    *types.Func
+	call  *ast.CallExpr
+	async bool
 }
 
-// DisplayName renders the function compactly for diagnostics:
+// displayName renders the function compactly for diagnostics:
 // (*tt.Table).Lookup, tensor.ParallelFor.
-func (n *FuncNode) DisplayName() string {
-	full := n.Obj.FullName()
-	full = strings.ReplaceAll(full, ModulePath+"/internal/", "")
-	full = strings.ReplaceAll(full, ModulePath+"/", "")
+func (n *funcNode) displayName() string {
+	full := n.obj.FullName()
+	full = strings.ReplaceAll(full, modulePath+"/internal/", "")
+	full = strings.ReplaceAll(full, modulePath+"/", "")
 	return full
 }
 
-// Program is the whole-module view interprocedural analyzers run on.
-type Program struct {
-	Packages []*Package
-	Fset     *token.FileSet
-	ByObj    map[*types.Func]*FuncNode
-	// Nodes in deterministic order (package path, then position).
-	Nodes []*FuncNode
-
-	directives map[*ast.File]map[int][]directive
-	facts      *Facts
+// program is the whole loaded module every pass sees: its call graph, the
+// per-function facts over it and the //elrec: directive index.
+type program struct {
+	fset  *token.FileSet
+	byObj map[*types.Func]*funcNode
+	// nodes in package order (Load sorts by import path), then source
+	// order.
+	nodes []*funcNode
+	// directives indexes each file's //elrec: comments by line.
+	directives map[*token.File]map[int][]directive
+	memo       *facts // built on first use by facts()
 }
 
-// BuildProgram links the packages (all type-checked by one shared loader,
+// buildProgram links the packages (all type-checked by one shared loader,
 // so *types.Func identities agree across package boundaries) into a call
 // graph.
-func BuildProgram(pkgs []*Package) *Program {
-	p := &Program{
-		ByObj:      map[*types.Func]*FuncNode{},
-		directives: map[*ast.File]map[int][]directive{},
+func buildProgram(pkgs []*Package) *program {
+	p := &program{
+		byObj:      map[*types.Func]*funcNode{},
+		directives: map[*token.File]map[int][]directive{},
 	}
-	p.Packages = append(p.Packages, pkgs...)
-	sort.Slice(p.Packages, func(i, j int) bool { return p.Packages[i].PkgPath < p.Packages[j].PkgPath })
-	if len(pkgs) > 0 {
-		p.Fset = pkgs[0].Fset
-	}
-	for _, pkg := range p.Packages {
+	for _, pkg := range pkgs {
+		p.fset = pkg.Fset
 		for _, file := range pkg.Files {
+			p.directives[pkg.Fset.File(file.Pos())] = parseDirectives(pkg.Fset, file)
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok {
@@ -97,22 +92,22 @@ func BuildProgram(pkgs []*Package) *Program {
 				if !ok || fn.Body == nil { // a body-less declaration is an assembly routine
 					continue
 				}
-				node := &FuncNode{Obj: obj, Decl: fn, Pkg: pkg, File: file}
-				p.ByObj[obj] = node
-				p.Nodes = append(p.Nodes, node)
+				node := &funcNode{obj: obj, decl: fn, pkg: pkg}
+				p.byObj[obj] = node
+				p.nodes = append(p.nodes, node)
 			}
 		}
 	}
-	for _, node := range p.Nodes {
+	for _, node := range p.nodes {
 		p.resolveCalls(node)
 	}
 	return p
 }
 
 // resolveCalls fills node's call lists from its body.
-func (p *Program) resolveCalls(node *FuncNode) {
-	info := node.Pkg.TypesInfo
-	walkAsync(node.Decl.Body, func(n ast.Node, async bool) bool {
+func (p *program) resolveCalls(node *funcNode) {
+	info := node.pkg.TypesInfo
+	walkAsync(node.decl.Body, func(n ast.Node, async bool) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -143,12 +138,12 @@ func (p *Program) resolveCalls(node *FuncNode) {
 	})
 }
 
-func (p *Program) addCall(node *FuncNode, obj *types.Func, call *ast.CallExpr, async bool) {
-	if target, ok := p.ByObj[obj]; ok {
-		node.Calls = append(node.Calls, CallSite{Callee: target, Call: call, Async: async})
+func (p *program) addCall(node *funcNode, obj *types.Func, call *ast.CallExpr, async bool) {
+	if target, ok := p.byObj[obj]; ok {
+		node.calls = append(node.calls, callSite{callee: target, call: call, async: async})
 		return
 	}
-	node.External = append(node.External, ExternCall{Fn: obj, Call: call, Async: async})
+	node.external = append(node.external, externCall{fn: obj, call: call, async: async})
 }
 
 // walkAsync walks root in source order, reporting for each node whether it
@@ -201,39 +196,33 @@ func isSpawnCall(call *ast.CallExpr) bool {
 	return false
 }
 
-// SCCs returns the call graph's strongly connected components in
-// bottom-up (callee-first) order: by the time a component is visited,
-// every component it calls into has already been visited. Fact
-// propagation iterates this order once.
-func (p *Program) SCCs() [][]*FuncNode {
-	// Tarjan, iterative over the deterministic node order.
-	index := map[*FuncNode]int{}
-	low := map[*FuncNode]int{}
-	onStack := map[*FuncNode]bool{}
-	var stack []*FuncNode
-	var sccs [][]*FuncNode
-	next := 0
-
-	var strongconnect func(v *FuncNode)
-	strongconnect = func(v *FuncNode) {
-		index[v] = next
-		low[v] = next
-		next++
+// sccs returns the strongly connected components of the graph over nodes
+// (visited in the given order) and succ, by Tarjan's algorithm: in reverse
+// topological order of the condensation, so a component comes after every
+// component it reaches. Over the call graph that is callee-first, the
+// order fact propagation needs.
+func sccs[T comparable](nodes []T, succ func(T) []T) [][]T {
+	index := map[T]int{}
+	low := map[T]int{}
+	onStack := map[T]bool{}
+	var stack []T
+	var out [][]T
+	var strongconnect func(v T)
+	strongconnect = func(v T) {
+		index[v] = len(index)
+		low[v] = index[v]
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, cs := range v.Calls {
-			w := cs.Callee
+		for _, w := range succ(v) {
 			if _, seen := index[w]; !seen {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
-			var scc []*FuncNode
+			var scc []T
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -243,82 +232,13 @@ func (p *Program) SCCs() [][]*FuncNode {
 					break
 				}
 			}
-			sccs = append(sccs, scc)
+			out = append(out, scc)
 		}
 	}
-	for _, n := range p.Nodes {
+	for _, n := range nodes {
 		if _, seen := index[n]; !seen {
 			strongconnect(n)
 		}
 	}
-	// Tarjan emits components in reverse topological order of the
-	// condensation — exactly callee-first.
-	return sccs
-}
-
-// fileFor locates the package and file containing pos.
-func (p *Program) fileFor(pos token.Pos) (*Package, *ast.File) {
-	for _, pkg := range p.Packages {
-		for _, f := range pkg.Files {
-			if f.FileStart <= pos && pos < f.FileEnd {
-				return pkg, f
-			}
-		}
-	}
-	return nil, nil
-}
-
-// LineDirective reports the //elrec:<name> directive annotating the line
-// of pos (same line or the line above), program-wide.
-func (p *Program) LineDirective(pos token.Pos, name string) (directive, bool) {
-	_, file := p.fileFor(pos)
-	if file == nil {
-		return directive{}, false
-	}
-	byLine, ok := p.directives[file]
-	if !ok {
-		byLine = parseDirectives(p.Fset, file)
-		p.directives[file] = byLine
-	}
-	line := p.Fset.Position(pos).Line
-	for _, l := range []int{line, line - 1} {
-		for _, d := range byLine[l] {
-			if d.name == name {
-				return d, true
-			}
-		}
-	}
-	return directive{}, false
-}
-
-// FuncDirective reports the //elrec:<name> directive in node's doc
-// comment.
-func (p *Program) FuncDirective(n *FuncNode, name string) (directive, bool) {
-	return docDirective(n.Decl.Doc, name)
-}
-
-// docDirective scans a doc comment group for //elrec:<name>.
-func docDirective(doc *ast.CommentGroup, name string) (directive, bool) {
-	if doc == nil {
-		return directive{}, false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		if !strings.HasPrefix(text, DirectivePrefix) {
-			continue
-		}
-		dname, args, _ := strings.Cut(strings.TrimPrefix(text, DirectivePrefix), " ")
-		if dname == name {
-			return directive{name: dname, args: strings.TrimSpace(args)}, true
-		}
-	}
-	return directive{}, false
-}
-
-// modulePackage reports whether pkgPath belongs to this module. Packages
-// loaded standalone by the analysistest harness (import path with no
-// slash, outside the module) are treated as in scope by the analyzers'
-// package filters, so golden packages exercise the same checks.
-func modulePackage(pkgPath string) bool {
-	return pkgPath == ModulePath || strings.HasPrefix(pkgPath, ModulePath+"/")
+	return out
 }

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/types"
-	"strings"
-)
+import "go/types"
 
 // CtxFlow enforces the PR 1 cancellation contract interprocedurally:
 //
@@ -19,80 +16,53 @@ import (
 //     calls are deadline-governed. Close is exempt (io.Closer's contract
 //     has no context). A deliberate exception carries //elrec:rootctx on
 //     the function's doc comment.
+//
+// Check 2 holds only where the scope table's ctxEntryRule row admits the
+// package.
 var CtxFlow = &Analyzer{
-	Name:       "ctxflow",
-	Doc:        "exported blocking entry points must accept context; no context.Background in library code",
-	RunProgram: runCtxFlow,
+	Name: "ctxflow",
+	Doc:  "exported blocking entry points must accept context; no context.Background in library code",
+	run:  runCtxFlow,
 }
 
-// ctxRootScope: packages where minting a root context is normal.
-func ctxRootScope(pkgPath string) bool {
-	switch {
-	case strings.HasPrefix(pkgPath, ModulePath+"/cmd/"),
-		strings.HasPrefix(pkgPath, ModulePath+"/internal/bench"):
-		return false
-	}
-	return true
-}
-
-// ctxEntryScope: packages whose exported blocking API must take ctx — the
-// training pipeline, the distributed parameter server and the serving
-// front end, plus standalone analysistest packages.
-func ctxEntryScope(pkgPath string) bool {
-	switch pkgPath {
-	case ModulePath + "/internal/ps",
-		ModulePath + "/internal/distps",
-		ModulePath + "/internal/serve":
-		return true
-	}
-	return !modulePackage(pkgPath)
-}
-
-func runCtxFlow(pass *Pass) error {
-	prog := pass.Program
-	facts := prog.Facts()
-
-	for _, n := range prog.Nodes {
+func runCtxFlow(pass *pass) {
+	facts := pass.prog.facts()
+	entry := pass.inScope(ctxEntryRule)
+	for _, n := range pass.prog.nodes {
+		if n.pkg != pass.Package {
+			continue
+		}
 		// Check 1: context.Background()/TODO() in library code.
-		if ctxRootScope(n.Pkg.PkgPath) {
-			for _, ec := range n.External {
-				fn := ec.Fn
-				if fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-					continue
-				}
-				if fn.Name() != "Background" && fn.Name() != "TODO" {
-					continue
-				}
-				if _, ok := prog.LineDirective(ec.Call.Pos(), "rootctx"); ok {
-					continue
-				}
-				pass.Reportf(ec.Call.Pos(), "context.%s() in library code: accept the caller's context (or annotate //elrec:rootctx <reason> for an audited root)", fn.Name())
+		for _, ec := range n.external {
+			fn := ec.fn
+			if fn.Pkg() == nil || fn.Pkg().Path() != "context" {
+				continue
 			}
+			if fn.Name() != "Background" && fn.Name() != "TODO" {
+				continue
+			}
+			if _, ok := pass.prog.directive(ec.call, "rootctx"); ok {
+				continue
+			}
+			pass.reportf(ec.call.Pos(), "context.%s() in library code: accept the caller's context (or annotate //elrec:rootctx <reason> for an audited root)", fn.Name())
 		}
 
 		// Check 2: exported blocking entry points must accept ctx.
-		if !ctxEntryScope(n.Pkg.PkgPath) {
+		if !entry || !n.decl.Name.IsExported() || !exportedReceiver(n.obj) {
 			continue
 		}
-		if !n.Decl.Name.IsExported() || !exportedReceiver(n.Obj) {
-			continue
-		}
-		if n.Decl.Name.Name == "Close" {
+		if n.decl.Name.Name == "Close" {
 			continue // io.Closer's contract has no context parameter
 		}
-		bf := facts.Block[n]
-		if bf.Kind&BlockChan == 0 {
+		bf := facts.block[n]
+		if bf.kind&blockChan == 0 || hasContextParam(n.obj) {
 			continue
 		}
-		if hasContextParam(n.Obj) {
+		if _, ok := pass.prog.directive(n.decl, "rootctx"); ok {
 			continue
 		}
-		if _, ok := prog.FuncDirective(n, "rootctx"); ok {
-			continue
-		}
-		pass.Reportf(n.Decl.Name.Pos(), "exported %s may block (%s) but does not accept a context.Context", n.DisplayName(), bf.Witness)
+		pass.reportf(n.decl.Name.Pos(), "exported %s may block (%s) but does not accept a context.Context", n.displayName(), bf.witness)
 	}
-	return nil
 }
 
 // exportedReceiver reports whether fn is a plain function or a method on

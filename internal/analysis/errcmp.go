@@ -19,10 +19,10 @@ var ErrCmp = &Analyzer{
 	Name: "errcmp",
 	Doc: "sentinel errors must be compared with errors.Is/errors.As, " +
 		"never == or message matching",
-	Run: runErrCmp,
+	run: runErrCmp,
 }
 
-func runErrCmp(pass *Pass) error {
+func runErrCmp(pass *pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -36,25 +36,24 @@ func runErrCmp(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
-func (p *Pass) checkErrCompare(be *ast.BinaryExpr) {
+func (p *pass) checkErrCompare(be *ast.BinaryExpr) {
 	if p.isNil(be.X) || p.isNil(be.Y) {
 		return
 	}
 	if p.isSentinelError(be.X) || p.isSentinelError(be.Y) {
-		p.Reportf(be.OpPos, "sentinel error compared with %s: use errors.Is", be.Op)
+		p.reportf(be.OpPos, "sentinel error compared with %s: use errors.Is", be.Op)
 		return
 	}
 	if p.isErrorMessageCall(be.X) || p.isErrorMessageCall(be.Y) {
-		p.Reportf(be.OpPos, "error message compared with %s: use errors.Is on the sentinel instead", be.Op)
+		p.reportf(be.OpPos, "error message compared with %s: use errors.Is on the sentinel instead", be.Op)
 	}
 }
 
 // checkStringMatch flags strings.Contains/HasPrefix/HasSuffix over an
 // err.Error() result.
-func (p *Pass) checkStringMatch(call *ast.CallExpr) {
+func (p *pass) checkStringMatch(call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -81,20 +80,20 @@ func (p *Pass) checkStringMatch(call *ast.CallExpr) {
 			return !leaked
 		})
 		if leaked {
-			p.Reportf(call.Pos(), "matching on err.Error() text: use errors.Is/errors.As on the sentinel instead")
+			p.reportf(call.Pos(), "matching on err.Error() text: use errors.Is/errors.As on the sentinel instead")
 			return
 		}
 	}
 }
 
-func (p *Pass) isNil(e ast.Expr) bool {
+func (p *pass) isNil(e ast.Expr) bool {
 	tv, ok := p.TypesInfo.Types[e]
 	return ok && tv.IsNil()
 }
 
 // isSentinelError reports whether e references a package-level variable of
 // type error — the sentinel pattern.
-func (p *Pass) isSentinelError(e ast.Expr) bool {
+func (p *pass) isSentinelError(e ast.Expr) bool {
 	var obj types.Object
 	switch e := e.(type) {
 	case *ast.Ident:
@@ -116,7 +115,7 @@ func (p *Pass) isSentinelError(e ast.Expr) bool {
 
 // isErrorMessageCall reports whether e is a call of the error interface's
 // Error method (or a method named Error() string on an error type).
-func (p *Pass) isErrorMessageCall(e ast.Expr) bool {
+func (p *pass) isErrorMessageCall(e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return false

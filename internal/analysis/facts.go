@@ -12,137 +12,139 @@ import (
 // entry point block?) and lockorder (which locks can a call acquire, and
 // can it block while they are held?).
 
-// BlockKind classifies how a function may block.
-type BlockKind uint8
+// blockKind classifies how a function may block.
+type blockKind uint8
 
 const (
-	// BlockChan: channel operations, select without default, time.Sleep,
+	// blockChan: channel operations, select without default, time.Sleep,
 	// WaitGroup/Cond Wait — unbounded waits on in-process coordination.
-	BlockChan BlockKind = 1 << iota
-	// BlockNet: network I/O — dials, accepts, reads and writes on net
+	blockChan blockKind = 1 << iota
+	// blockNet: network I/O — dials, accepts, reads and writes on net
 	// connections (deadline-governed in this tree, but still I/O a lock
 	// must never be held across).
-	BlockNet
+	blockNet
 )
 
-// BlockFact is the may-block fact of one function: what kinds of blocking
+// blockFact is the may-block fact of one function: what kinds of blocking
 // it can perform, with one human-readable witness for diagnostics.
-type BlockFact struct {
-	Kind    BlockKind
-	Witness string // e.g. "channel receive", "time.Sleep", "call to roundTrip"
+type blockFact struct {
+	kind    blockKind
+	witness string // e.g. "channel receive", "time.Sleep", "call to roundTrip"
 }
 
-// Facts is the program-wide fact store.
-type Facts struct {
-	// Block[n] is n's may-block fact (zero Kind: proven non-blocking
+// facts is the program-wide fact store.
+type facts struct {
+	// block[n] is n's may-block fact (zero kind: proven non-blocking
 	// modulo the conservative frontier).
-	Block map[*FuncNode]BlockFact
-	// Acquires[n] maps each lock object n may acquire (transitively,
-	// excluding spawned goroutines) to one acquisition site.
-	Acquires map[*FuncNode]map[types.Object]token.Pos
+	block map[*funcNode]blockFact
+	// acquires[n] is the set of lock objects n may acquire (transitively,
+	// excluding spawned goroutines).
+	acquires map[*funcNode]map[types.Object]bool
 }
 
-// Facts computes (once) and returns the program's fact store. Not safe for
-// concurrent first use; the driver runs program analyzers sequentially.
-func (p *Program) Facts() *Facts {
-	if p.facts != nil {
-		return p.facts
+// facts computes (once) and returns the program's fact store.
+func (p *program) facts() *facts {
+	if p.memo != nil {
+		return p.memo
 	}
-	f := &Facts{
-		Block:    map[*FuncNode]BlockFact{},
-		Acquires: map[*FuncNode]map[types.Object]token.Pos{},
+	f := &facts{
+		block:    map[*funcNode]blockFact{},
+		acquires: map[*funcNode]map[types.Object]bool{},
 	}
 	// Direct facts per function.
-	for _, n := range p.Nodes {
-		f.Block[n] = directBlockFact(n)
-		f.Acquires[n] = directAcquires(n)
+	for _, n := range p.nodes {
+		f.block[n] = directBlockFact(n)
+		f.acquires[n] = directAcquires(n)
 	}
 	// Propagate bottom-up: callees first, components unioned to a fixed
 	// point trivially (one union suffices because SCC members share one
 	// merged fact).
-	for _, scc := range p.SCCs() {
-		merged := BlockFact{}
-		acq := map[types.Object]token.Pos{}
-		inSCC := map[*FuncNode]bool{}
+	succ := func(n *funcNode) []*funcNode {
+		var out []*funcNode
+		for _, cs := range n.calls {
+			out = append(out, cs.callee)
+		}
+		return out
+	}
+	for _, scc := range sccs(p.nodes, succ) {
+		merged := blockFact{}
+		acq := map[types.Object]bool{}
+		inSCC := map[*funcNode]bool{}
 		for _, n := range scc {
 			inSCC[n] = true
 		}
 		for _, n := range scc {
-			merged = mergeBlock(merged, f.Block[n], "")
-			for obj, pos := range f.Acquires[n] {
-				if _, ok := acq[obj]; !ok {
-					acq[obj] = pos
-				}
+			merged = mergeBlock(merged, f.block[n], "")
+			for obj := range f.acquires[n] {
+				acq[obj] = true
 			}
-			for _, cs := range n.Calls {
-				if cs.Async || inSCC[cs.Callee] {
+			for _, cs := range n.calls {
+				if cs.async || inSCC[cs.callee] {
 					continue
 				}
-				cb := f.Block[cs.Callee]
-				merged = mergeBlock(merged, cb, "call to "+cs.Callee.DisplayName())
-				for obj := range f.Acquires[cs.Callee] {
-					if _, ok := acq[obj]; !ok {
-						acq[obj] = cs.Call.Pos()
-					}
+				cb := f.block[cs.callee]
+				merged = mergeBlock(merged, cb, "call to "+cs.callee.displayName())
+				for obj := range f.acquires[cs.callee] {
+					acq[obj] = true
 				}
 			}
 		}
 		for _, n := range scc {
-			f.Block[n] = merged
-			f.Acquires[n] = acq
+			f.block[n] = merged
+			f.acquires[n] = acq
 		}
 	}
-	p.facts = f
+	p.memo = f
 	return f
 }
 
-func mergeBlock(into, from BlockFact, viaWitness string) BlockFact {
-	if from.Kind == 0 {
+func mergeBlock(into, from blockFact, viaWitness string) blockFact {
+	if from.kind == 0 {
 		return into
 	}
-	if into.Kind == 0 {
-		w := from.Witness
+	if into.kind == 0 {
+		w := from.witness
 		if viaWitness != "" {
 			w = viaWitness
 		}
-		return BlockFact{Kind: from.Kind, Witness: w}
+		return blockFact{kind: from.kind, witness: w}
 	}
-	into.Kind |= from.Kind
+	into.kind |= from.kind
 	return into
 }
 
 // directBlockFact scans one function body (excluding spawned-goroutine
 // subtrees) for blocking operations.
-func directBlockFact(n *FuncNode) BlockFact {
-	var fact BlockFact
-	info := n.Pkg.TypesInfo
-	nonBlockingComms := selectDefaultComms(n.Decl.Body)
-	walkAsync(n.Decl.Body, func(node ast.Node, async bool) bool {
-		if async || fact.Kind == BlockChan|BlockNet {
+func directBlockFact(n *funcNode) blockFact {
+	var fact blockFact
+	info := n.pkg.TypesInfo
+	nonBlockingComms := selectDefaultComms(n.decl.Body)
+	walkAsync(n.decl.Body, func(node ast.Node, async bool) bool {
+		if async || fact.kind == blockChan|blockNet {
 			return !async
 		}
 		switch node := node.(type) {
 		case *ast.SendStmt:
 			if !nonBlockingComms[node.Pos()] {
-				fact = mergeBlock(fact, BlockFact{BlockChan, "channel send"}, "")
+				fact = mergeBlock(fact, blockFact{blockChan, "channel send"}, "")
 			}
 		case *ast.UnaryExpr:
 			if node.Op == token.ARROW && !nonBlockingComms[node.Pos()] {
-				fact = mergeBlock(fact, BlockFact{BlockChan, "channel receive"}, "")
+				fact = mergeBlock(fact, blockFact{blockChan, "channel receive"}, "")
 			}
 		case *ast.SelectStmt:
 			if !selectHasDefault(node) {
-				fact = mergeBlock(fact, BlockFact{BlockChan, "select"}, "")
+				fact = mergeBlock(fact, blockFact{blockChan, "select"}, "")
 			}
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[node.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					fact = mergeBlock(fact, BlockFact{BlockChan, "range over channel"}, "")
+					fact = mergeBlock(fact, blockFact{blockChan, "range over channel"}, "")
 				}
 			}
 		case *ast.CallExpr:
 			if k, why := externalBlockKind(info, node); k != 0 {
-				fact = mergeBlock(fact, BlockFact{k, why}, "")
+				fact = mergeBlock(fact, blockFact{k, why}, "")
 			}
 		}
 		return true
@@ -195,7 +197,7 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 // blocking surface of the standard library: time.Sleep, WaitGroup/Cond
 // Wait, and anything in package net (including interface methods on
 // net.Conn/net.Listener, which resolve to the net package).
-func externalBlockKind(info *types.Info, call *ast.CallExpr) (BlockKind, string) {
+func externalBlockKind(info *types.Info, call *ast.CallExpr) (blockKind, string) {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -212,17 +214,17 @@ func externalBlockKind(info *types.Info, call *ast.CallExpr) (BlockKind, string)
 	switch fn.Pkg().Path() {
 	case "time":
 		if fn.Name() == "Sleep" {
-			return BlockChan, "time.Sleep"
+			return blockChan, "time.Sleep"
 		}
 	case "sync":
 		if fn.Name() == "Wait" {
 			recv := recvTypeName(fn)
 			if recv == "WaitGroup" || recv == "Cond" {
-				return BlockChan, "sync." + recv + ".Wait"
+				return blockChan, "sync." + recv + ".Wait"
 			}
 		}
 	case "net":
-		return BlockNet, "net." + fn.Name()
+		return blockNet, "net." + fn.Name()
 	}
 	return 0, ""
 }
@@ -246,10 +248,10 @@ func recvTypeName(fn *types.Func) string {
 
 // directAcquires scans one function body (excluding spawned goroutines)
 // for mutex acquisitions, keyed by the lock's declared object.
-func directAcquires(n *FuncNode) map[types.Object]token.Pos {
-	out := map[types.Object]token.Pos{}
-	info := n.Pkg.TypesInfo
-	walkAsync(n.Decl.Body, func(node ast.Node, async bool) bool {
+func directAcquires(n *funcNode) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	info := n.pkg.TypesInfo
+	walkAsync(n.decl.Body, func(node ast.Node, async bool) bool {
 		if async {
 			return false
 		}
@@ -258,9 +260,7 @@ func directAcquires(n *FuncNode) map[types.Object]token.Pos {
 			return true
 		}
 		if obj, _, ok := lockAcquisition(info, call); ok {
-			if _, seen := out[obj]; !seen {
-				out[obj] = call.Pos()
-			}
+			out[obj] = true
 		}
 		return true
 	})

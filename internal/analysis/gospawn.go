@@ -11,16 +11,15 @@ import (
 // fault-tolerance contract — Train returns an error, queues drain, state
 // stays checkpoint-consistent — only holds if no code path can start a
 // bare goroutine. The driver applies this analyzer to the goroutine-owning
-// packages (internal/ps and the internal/served replica pool, whose spawn
-// ties worker lifetime to the drain barrier).
+// packages named in its row of the scope table (suite.go).
 var GoSpawn = &Analyzer{
 	Name: "gospawn",
 	Doc: "every `go` statement must route through the panic-converting " +
 		"spawn helper",
-	Run: runGoSpawn,
+	run: runGoSpawn,
 }
 
-func runGoSpawn(pass *Pass) error {
+func runGoSpawn(pass *pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -30,11 +29,10 @@ func runGoSpawn(pass *Pass) error {
 			inSpawn := fn.Name.Name == "spawn"
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok && !inSpawn {
-					pass.Reportf(g.Pos(), "bare go statement: route goroutines through the panic-converting spawn helper")
+					pass.reportf(g.Pos(), "bare go statement: route goroutines through the panic-converting spawn helper")
 				}
 				return true
 			})
 		}
 	}
-	return nil
 }

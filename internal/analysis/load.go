@@ -23,10 +23,8 @@ import (
 // analysis.
 type Package struct {
 	PkgPath   string
-	Dir       string
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Types     *types.Package
 	TypesInfo *types.Info
 }
 
@@ -59,11 +57,8 @@ func NewLoader() *Loader {
 type listedPkg struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -272,27 +267,11 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
 			continue
 		}
 		info := newInfo()
-		files, err := l.parseFiles(lp.Dir, lp.GoFiles)
-		if err != nil {
+		if _, err := l.checkListed(lp, false, info); err != nil {
 			return nil, err
 		}
-		cfg := &types.Config{
-			Importer: importerFor{l},
-			Sizes:    types.SizesFor("gc", runtime.GOARCH),
-		}
-		pkg, err := cfg.Check(lp.ImportPath, l.fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: type-checking %s: %v", lp.ImportPath, err)
-		}
-		l.checked[lp.ImportPath] = pkg
-		out = append(out, &Package{
-			PkgPath:   lp.ImportPath,
-			Dir:       lp.Dir,
-			Fset:      l.fset,
-			Files:     files,
-			Types:     pkg,
-			TypesInfo: info,
-		})
+		files, _ := l.parseFiles(lp.Dir, lp.GoFiles) // parsed and cached by checkListed
+		out = append(out, &Package{PkgPath: lp.ImportPath, Fset: l.fset, Files: files, TypesInfo: info})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	return out, nil
@@ -327,18 +306,10 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
 	pkgPath := filepath.Base(dir)
-	pkg, err := cfg.Check(pkgPath, l.fset, files, info)
-	if err != nil {
+	if _, err := cfg.Check(pkgPath, l.fset, files, info); err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", dir, err)
 	}
-	return &Package{
-		PkgPath:   pkgPath,
-		Dir:       dir,
-		Fset:      l.fset,
-		Files:     files,
-		Types:     pkg,
-		TypesInfo: info,
-	}, nil
+	return &Package{PkgPath: pkgPath, Fset: l.fset, Files: files, TypesInfo: info}, nil
 }
 
 // enforce importer interface compliance at compile time.

@@ -12,7 +12,7 @@ import (
 //
 //  1. The lock-acquisition-order graph — an edge A→B whenever some
 //     function acquires B while holding A, directly or through a callee's
-//     transitive Acquires fact — must be acyclic. A cycle means two
+//     transitive acquires fact — must be acyclic. A cycle means two
 //     executions can acquire the same pair of locks in opposite orders.
 //  2. No lock may be held across a blocking operation: channel sends and
 //     receives, select without default, time.Sleep, WaitGroup/Cond Wait,
@@ -23,24 +23,17 @@ import (
 // p.hostMu[h] is one lock "hostMu"), matching locksafe. A site that is
 // intentional — e.g. a condition-variable pattern — is suppressed with a
 // line //elrec:lockorder <reason> directive.
+//
+// The order graph is built per package, which finds every cycle as long as
+// no mutex is reachable by name outside its package (none is: every mutex
+// in the module is an unexported field or variable). Then a lock is taken only by its
+// own package's code, an edge A→B needs B's package to be A's or one A's
+// imports, and so every edge of a cycle comes from the one package whose
+// locks form it.
 var LockOrder = &Analyzer{
-	Name:       "lockorder",
-	Doc:        "lock acquisition order must be acyclic; no lock held across blocking operations",
-	RunProgram: runLockOrder,
-}
-
-// lockOrderScope reports whether pkgPath is subject to lock-order
-// checking: the lock-striped module packages, plus standalone test
-// packages loaded by the analysistest harness.
-func lockOrderScope(pkgPath string) bool {
-	switch pkgPath {
-	case ModulePath + "/internal/ps",
-		ModulePath + "/internal/distps",
-		ModulePath + "/internal/served",
-		ModulePath + "/internal/tt":
-		return true
-	}
-	return !modulePackage(pkgPath)
+	Name: "lockorder",
+	Doc:  "lock acquisition order must be acyclic; no lock held across blocking operations",
+	run:  runLockOrder,
 }
 
 // lockEdge is one observed A-held-while-acquiring-B event.
@@ -49,19 +42,15 @@ type lockEdge struct {
 	pos      token.Pos
 }
 
-func runLockOrder(pass *Pass) error {
-	prog := pass.Program
-	facts := prog.Facts()
-
+func runLockOrder(pass *pass) {
+	facts := pass.prog.facts()
 	var edges []lockEdge
-	for _, n := range prog.Nodes {
-		if !lockOrderScope(n.Pkg.PkgPath) {
-			continue
+	for _, n := range pass.prog.nodes {
+		if n.pkg == pass.Package {
+			edges = append(edges, simulateLocks(pass, n, facts)...)
 		}
-		edges = append(edges, simulateLocks(pass, n, facts)...)
 	}
-	reportLockCycles(pass, prog, edges)
-	return nil
+	reportLockCycles(pass, edges)
 }
 
 // heldLock is one entry of the simulated held-lock stack.
@@ -74,9 +63,8 @@ type heldLock struct {
 // simulateLocks walks n's body in source order (excluding spawned
 // goroutines) maintaining a held-lock stack, reporting blocking-while-held
 // and re-acquisition, and returning the acquisition-order edges observed.
-func simulateLocks(pass *Pass, n *FuncNode, facts *Facts) []lockEdge {
-	prog := pass.Program
-	info := n.Pkg.TypesInfo
+func simulateLocks(pass *pass, n *funcNode, facts *facts) []lockEdge {
+	info := n.pkg.TypesInfo
 	var held []heldLock
 	var edges []lockEdge
 
@@ -84,55 +72,55 @@ func simulateLocks(pass *Pass, n *FuncNode, facts *Facts) []lockEdge {
 	// position; a deferred Unlock therefore keeps the lock held for the
 	// rest of the simulation.
 	deferred := map[*ast.CallExpr]bool{}
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		if d, ok := node.(*ast.DeferStmt); ok {
 			deferred[d.Call] = true
 		}
 		return true
 	})
-	nonBlockingComms := selectDefaultComms(n.Decl.Body)
-	staticCalls := map[*ast.CallExpr]*FuncNode{}
-	for _, cs := range n.Calls {
-		if !cs.Async {
-			staticCalls[cs.Call] = cs.Callee
+	nonBlockingComms := selectDefaultComms(n.decl.Body)
+	staticCalls := map[*ast.CallExpr]*funcNode{}
+	for _, cs := range n.calls {
+		if !cs.async {
+			staticCalls[cs.call] = cs.callee
 		}
 	}
 
-	suppressed := func(pos token.Pos) bool {
-		_, ok := prog.LineDirective(pos, "lockorder")
+	suppressed := func(node ast.Node) bool {
+		_, ok := pass.prog.directive(node, "lockorder")
 		return ok
 	}
-	reportBlocked := func(pos token.Pos, what string) {
-		if suppressed(pos) {
+	reportBlocked := func(node ast.Node, what string) {
+		if suppressed(node) {
 			return
 		}
 		top := held[len(held)-1]
-		pass.Reportf(pos, "lock %s held across blocking operation: %s (in %s; acquired at %s)",
-			lockDisplayName(top.obj), what, n.DisplayName(), prog.Fset.Position(top.pos))
+		pass.reportf(node.Pos(), "lock %s held across blocking operation: %s (in %s; acquired at %s)",
+			lockDisplayName(top.obj), what, n.displayName(), pass.Fset.Position(top.pos))
 	}
 
-	walkAsync(n.Decl.Body, func(node ast.Node, async bool) bool {
+	walkAsync(n.decl.Body, func(node ast.Node, async bool) bool {
 		if async {
 			return false
 		}
 		switch node := node.(type) {
 		case *ast.SendStmt:
 			if len(held) > 0 && !nonBlockingComms[node.Pos()] {
-				reportBlocked(node.Pos(), "channel send")
+				reportBlocked(node, "channel send")
 			}
 		case *ast.UnaryExpr:
 			if node.Op == token.ARROW && len(held) > 0 && !nonBlockingComms[node.Pos()] {
-				reportBlocked(node.Pos(), "channel receive")
+				reportBlocked(node, "channel receive")
 			}
 		case *ast.SelectStmt:
 			if len(held) > 0 && !selectHasDefault(node) {
-				reportBlocked(node.Pos(), "select")
+				reportBlocked(node, "select")
 			}
 		case *ast.RangeStmt:
 			if len(held) > 0 {
 				if tv, ok := info.Types[node.X]; ok {
 					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						reportBlocked(node.Pos(), "range over channel")
+						reportBlocked(node, "range over channel")
 					}
 				}
 			}
@@ -146,19 +134,17 @@ func simulateLocks(pass *Pass, n *FuncNode, facts *Facts) []lockEdge {
 
 // lockCallSim handles one call expression during the lock simulation:
 // acquisitions, releases, blocking externals and callee facts.
-func lockCallSim(pass *Pass, n *FuncNode, call *ast.CallExpr, info *types.Info, facts *Facts,
-	staticCalls map[*ast.CallExpr]*FuncNode, deferred map[*ast.CallExpr]bool,
-	held *[]heldLock, suppressed func(token.Pos) bool) []lockEdge {
-
-	prog := pass.Program
+func lockCallSim(pass *pass, n *funcNode, call *ast.CallExpr, info *types.Info, facts *facts,
+	staticCalls map[*ast.CallExpr]*funcNode, deferred map[*ast.CallExpr]bool,
+	held *[]heldLock, suppressed func(ast.Node) bool) []lockEdge {
 
 	if obj, write, ok := lockAcquisition(info, call); ok {
 		var edges []lockEdge
 		for _, h := range *held {
 			if h.obj == obj {
-				if !(!h.write && !write) && !suppressed(call.Pos()) {
-					pass.Reportf(call.Pos(), "lock %s acquired while already held (in %s; first acquired at %s)",
-						lockDisplayName(obj), n.DisplayName(), prog.Fset.Position(h.pos))
+				if !(!h.write && !write) && !suppressed(call) {
+					pass.reportf(call.Pos(), "lock %s acquired while already held (in %s; first acquired at %s)",
+						lockDisplayName(obj), n.displayName(), pass.Fset.Position(h.pos))
 				}
 				continue
 			}
@@ -189,14 +175,14 @@ func lockCallSim(pass *Pass, n *FuncNode, call *ast.CallExpr, info *types.Info, 
 
 	if callee, ok := staticCalls[call]; ok {
 		var edges []lockEdge
-		for lock := range facts.Acquires[callee] {
+		for lock := range facts.acquires[callee] {
 			heldSame := false
 			for _, h := range *held {
 				if h.obj == lock {
 					heldSame = true
-					if !suppressed(call.Pos()) {
-						pass.Reportf(call.Pos(), "lock %s held when calling %s, which may acquire it again (in %s)",
-							lockDisplayName(lock), callee.DisplayName(), n.DisplayName())
+					if !suppressed(call) {
+						pass.reportf(call.Pos(), "lock %s held when calling %s, which may acquire it again (in %s)",
+							lockDisplayName(lock), callee.displayName(), n.displayName())
 					}
 				}
 			}
@@ -206,110 +192,62 @@ func lockCallSim(pass *Pass, n *FuncNode, call *ast.CallExpr, info *types.Info, 
 				}
 			}
 		}
-		if bf := facts.Block[callee]; bf.Kind != 0 && !suppressed(call.Pos()) {
+		if bf := facts.block[callee]; bf.kind != 0 && !suppressed(call) {
 			top := (*held)[len(*held)-1]
-			pass.Reportf(call.Pos(), "lock %s held across call to %s, which may block (%s) (in %s)",
-				lockDisplayName(top.obj), callee.DisplayName(), bf.Witness, n.DisplayName())
+			pass.reportf(call.Pos(), "lock %s held across call to %s, which may block (%s) (in %s)",
+				lockDisplayName(top.obj), callee.displayName(), bf.witness, n.displayName())
 		}
 		return edges
 	}
 
-	if k, why := externalBlockKind(info, call); k != 0 && !suppressed(call.Pos()) {
+	if k, why := externalBlockKind(info, call); k != 0 && !suppressed(call) {
 		top := (*held)[len(*held)-1]
-		pass.Reportf(call.Pos(), "lock %s held across blocking operation: %s (in %s; acquired at %s)",
-			lockDisplayName(top.obj), why, n.DisplayName(), prog.Fset.Position(top.pos))
+		pass.reportf(call.Pos(), "lock %s held across blocking operation: %s (in %s; acquired at %s)",
+			lockDisplayName(top.obj), why, n.displayName(), pass.Fset.Position(top.pos))
 	}
 	return nil
 }
 
-// reportLockCycles finds strongly connected components of the global
-// acquisition-order graph and reports each once, deterministically, at
-// the earliest witness position of an in-cycle edge.
-func reportLockCycles(pass *Pass, prog *Program, edges []lockEdge) {
+// reportLockCycles finds the strongly connected components of the
+// acquisition-order graph and reports each once, deterministically, at the
+// earliest witness position of an in-cycle edge.
+func reportLockCycles(pass *pass, edges []lockEdge) {
 	adj := map[types.Object]map[types.Object]token.Pos{}
 	var locks []types.Object
-	seen := map[types.Object]bool{}
-	addLock := func(o types.Object) {
-		if !seen[o] {
-			seen[o] = true
-			locks = append(locks, o)
-		}
-	}
 	for _, e := range edges {
-		addLock(e.from)
-		addLock(e.to)
-		if adj[e.from] == nil {
-			adj[e.from] = map[types.Object]token.Pos{}
+		for _, o := range []types.Object{e.from, e.to} {
+			if adj[o] == nil {
+				adj[o] = map[types.Object]token.Pos{}
+				locks = append(locks, o)
+			}
 		}
 		if _, ok := adj[e.from][e.to]; !ok {
 			adj[e.from][e.to] = e.pos
 		}
 	}
-	sort.Slice(locks, func(i, j int) bool { return lockDisplayName(locks[i]) < lockDisplayName(locks[j]) })
-
-	// Tarjan over the lock graph.
-	index := map[types.Object]int{}
-	low := map[types.Object]int{}
-	onStack := map[types.Object]bool{}
-	var stack []types.Object
-	next := 0
-	var sccs [][]types.Object
-	var strongconnect func(v types.Object)
-	strongconnect = func(v types.Object) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		var succs []types.Object
+	byName := func(s []types.Object) {
+		sort.Slice(s, func(i, j int) bool { return lockDisplayName(s[i]) < lockDisplayName(s[j]) })
+	}
+	byName(locks)
+	succ := func(v types.Object) []types.Object {
+		var out []types.Object
 		for w := range adj[v] {
-			succs = append(succs, w)
+			out = append(out, w)
 		}
-		sort.Slice(succs, func(i, j int) bool { return lockDisplayName(succs[i]) < lockDisplayName(succs[j]) })
-		for _, w := range succs {
-			if _, ok := index[w]; !ok {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []types.Object
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
+		byName(out)
+		return out
 	}
-	for _, l := range locks {
-		if _, ok := index[l]; !ok {
-			strongconnect(l)
-		}
-	}
-
-	for _, scc := range sccs {
-		selfLoop := len(scc) == 1 && func() bool { _, ok := adj[scc[0]][scc[0]]; return ok }()
-		if len(scc) < 2 && !selfLoop {
+	for _, scc := range sccs(locks, succ) {
+		if _, selfLoop := adj[scc[0]][scc[0]]; len(scc) < 2 && !selfLoop {
 			continue
 		}
 		names := make([]string, len(scc))
+		inSCC := map[types.Object]bool{}
 		for i, o := range scc {
 			names[i] = lockDisplayName(o)
-		}
-		sort.Strings(names)
-		inSCC := map[types.Object]bool{}
-		for _, o := range scc {
 			inSCC[o] = true
 		}
+		sort.Strings(names)
 		// Earliest witness among in-cycle edges.
 		var at token.Pos
 		for _, from := range scc {
@@ -317,13 +255,13 @@ func reportLockCycles(pass *Pass, prog *Program, edges []lockEdge) {
 				if !inSCC[to] {
 					continue
 				}
-				if at == token.NoPos || prog.Fset.Position(pos).Filename < prog.Fset.Position(at).Filename ||
-					(prog.Fset.Position(pos).Filename == prog.Fset.Position(at).Filename && pos < at) {
+				if at == token.NoPos || pass.Fset.Position(pos).Filename < pass.Fset.Position(at).Filename ||
+					(pass.Fset.Position(pos).Filename == pass.Fset.Position(at).Filename && pos < at) {
 					at = pos
 				}
 			}
 		}
-		pass.Reportf(at, "lock acquisition order cycle: %s", joinCycle(names))
+		pass.reportf(at, "lock acquisition order cycle: %s", joinCycle(names))
 	}
 }
 

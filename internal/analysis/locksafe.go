@@ -21,15 +21,15 @@ var LockSafe = &Analyzer{
 	Name: "locksafe",
 	Doc: "fields commented `guarded by <mu>` may only be accessed with " +
 		"that mutex held (or under //elrec:locked <mu>)",
-	Run: runLockSafe,
+	run: runLockSafe,
 }
 
 var guardedRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 
-func runLockSafe(pass *Pass) error {
+func runLockSafe(pass *pass) {
 	guarded := collectGuardedFields(pass)
 	if len(guarded) == 0 {
-		return nil
+		return
 	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -37,15 +37,14 @@ func runLockSafe(pass *Pass) error {
 			if !ok || fn.Body == nil {
 				continue
 			}
-			pass.checkGuardedAccesses(file, fn, guarded)
+			pass.checkGuardedAccesses(fn, guarded)
 		}
 	}
-	return nil
 }
 
 // collectGuardedFields maps each annotated struct-field object to the name
 // of the mutex guarding it.
-func collectGuardedFields(pass *Pass) map[types.Object]string {
+func collectGuardedFields(pass *pass) map[types.Object]string {
 	out := map[types.Object]string{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -84,12 +83,12 @@ func guardedMutex(field *ast.Field) string {
 }
 
 // checkGuardedAccesses verifies every guarded-field access in fn.
-func (p *Pass) checkGuardedAccesses(file *ast.File, fn *ast.FuncDecl, guarded map[types.Object]string) {
+func (p *pass) checkGuardedAccesses(fn *ast.FuncDecl, guarded map[types.Object]string) {
 	locked := lockCallsIn(fn.Body)
-	if d, ok := p.funcDirective(file, fn, "locked"); ok {
+	if d, ok := p.prog.directive(fn, "locked"); ok {
 		mu, _, _ := strings.Cut(d.args, " ")
 		if mu == "" {
-			p.Reportf(fn.Pos(), "//elrec:locked annotation requires a mutex name")
+			p.reportf(fn.Pos(), "//elrec:locked annotation requires a mutex name")
 		} else {
 			locked[mu] = true
 		}
@@ -105,7 +104,7 @@ func (p *Pass) checkGuardedAccesses(file *ast.File, fn *ast.FuncDecl, guarded ma
 			return true
 		}
 		if !locked[mu] {
-			p.Reportf(sel.Sel.Pos(), "%s is guarded by %s, but %s neither locks it nor declares //elrec:locked %s",
+			p.reportf(sel.Sel.Pos(), "%s is guarded by %s, but %s neither locks it nor declares //elrec:locked %s",
 				sel.Sel.Name, mu, fn.Name.Name, mu)
 		}
 		return true

@@ -17,10 +17,10 @@ var ObsClock = &Analyzer{
 	Name: "obsclock",
 	Doc: "forbids direct time.Now/time.Since outside internal/obs and the " +
 		"cmds: measure against an injected obs.Clock",
-	Run: runObsClock,
+	run: runObsClock,
 }
 
-func runObsClock(pass *Pass) error {
+func runObsClock(pass *pass) {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -42,15 +42,14 @@ func runObsClock(pass *Pass) error {
 			if sel.Sel.Name != "Now" && sel.Sel.Name != "Since" {
 				return true
 			}
-			if d, ok := pass.directiveFor(file, call, "wallclock"); ok {
+			if d, ok := pass.prog.directive(call, "wallclock"); ok {
 				if d.args == "" {
-					pass.Reportf(call.Pos(), "//elrec:wallclock annotation requires a reason")
+					pass.reportf(call.Pos(), "//elrec:wallclock annotation requires a reason")
 				}
 				return true
 			}
-			pass.Reportf(call.Pos(), "direct time.%s outside internal/obs: measure against an injected obs.Clock (or annotate //elrec:wallclock <reason>)", sel.Sel.Name)
+			pass.reportf(call.Pos(), "direct time.%s outside internal/obs: measure against an injected obs.Clock (or annotate //elrec:wallclock <reason>)", sel.Sel.Name)
 			return true
 		})
 	}
-	return nil
 }

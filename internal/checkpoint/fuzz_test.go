@@ -10,30 +10,40 @@ import (
 	"repro/internal/tt"
 )
 
-// fuzzSkeleton is the model the checkpoint fuzz targets decode into: one
-// table of every checkpointable kind — a dense Bag, an AdagradBag, a TT
-// table with Adagrad and one without — and a last Bag that fuzzResolve turns
-// into a remote-table marker in the training envelope.
-func fuzzSkeleton(t testing.TB) *dlrm.Model {
+// skeleton builds the model the checkpoint tests decode into: one table of
+// every checkpointable kind — a dense Bag, an AdagradBag, a TT table with
+// Adagrad and one without — and a last Bag that fuzzResolve turns into a
+// remote-table marker in the training envelope. Tables have dim
+// embedding columns and bagRows, bagRows−1, ttRows, ttRows and bagRows−2
+// rows.
+func skeleton(t testing.TB, numDense, dim, ttRows, bagRows int) *dlrm.Model {
 	t.Helper()
-	shape, err := tt.NewShape(27, 8, 2)
+	shape, err := tt.NewShape(ttRows, dim, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ttAdagrad := tt.NewTable(shape, tensorRNG(3), 0.1)
 	ttAdagrad.EnableAdagrad()
-	m, err := dlrm.NewModel(dlrm.Config{NumDense: 2, EmbDim: 8, LR: 0.5, Seed: 1}, []dlrm.Table{
-		embedding.NewBag(6, 8, tensorRNG(1)),
-		embedding.NewAdagradBag(embedding.NewBag(5, 8, tensorRNG(2))),
+	m, err := dlrm.NewModel(dlrm.Config{NumDense: numDense, EmbDim: dim, LR: 0.5, Seed: 1}, []dlrm.Table{
+		embedding.NewBag(bagRows, dim, tensorRNG(1)),
+		embedding.NewAdagradBag(embedding.NewBag(bagRows-1, dim, tensorRNG(2))),
 		ttAdagrad,
 		tt.NewTable(shape, tensorRNG(4), 0.1),
-		embedding.NewBag(4, 8, tensorRNG(5)),
+		embedding.NewBag(bagRows-2, dim, tensorRNG(5)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
+
+// goldenSkeleton is the shape testdata/*.golden were written at.
+func goldenSkeleton(t testing.TB) *dlrm.Model { return skeleton(t, 2, 8, 27, 6) }
+
+// fuzzSkeleton is the fuzz targets' model: the smallest skeleton, so a
+// valid file (the seeds' base) is a few hundred bytes and the fuzz engine
+// spends its time mutating inputs rather than minimising them.
+func fuzzSkeleton(t testing.TB) *dlrm.Model { return skeleton(t, 1, 1, 2, 3) }
 
 // fuzzResolve checkpoints the skeleton's last table on a (notional) remote
 // shard.

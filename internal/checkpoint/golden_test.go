@@ -14,13 +14,13 @@ import (
 // goldenIter is the next iteration testdata/training.golden records.
 const goldenIter = 17
 
-// goldenModel is fuzzSkeleton with every float it checkpoints — dense
+// goldenModel is goldenSkeleton with every float it checkpoints — dense
 // parameters, table weights, TT cores and both kinds of Adagrad
 // accumulator — overwritten by one exactly representable sequence, so the
 // golden files pin every record's bytes and a load into a fresh skeleton
 // has something to restore.
 func goldenModel(t testing.TB) *dlrm.Model {
-	m := fuzzSkeleton(t)
+	m := goldenSkeleton(t)
 	seq := 0
 	fill := func(v []float32) {
 		for i := range v {
@@ -90,7 +90,7 @@ func TestGoldenFiles(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("%s: the writer's %d bytes differ from the %d golden bytes", c.file, got.Len(), len(want))
 		}
-		m := fuzzSkeleton(t)
+		m := goldenSkeleton(t)
 		if err := c.load(want, m); err != nil {
 			t.Fatalf("%s: %v", c.file, err)
 		}

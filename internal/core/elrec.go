@@ -304,7 +304,6 @@ func (s *System) Train(startIter, steps, batchSize int) *metrics.LossCurve {
 	//elrec:rootctx documented legacy API: Train has no cancellation by contract
 	res, err := s.TrainContext(context.Background(), startIter, steps, batchSize)
 	if err != nil {
-		//elrec:invariant documented legacy API: without a fault injector TrainContext cannot fail
 		panic(err)
 	}
 	return res.Curve

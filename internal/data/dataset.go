@@ -122,7 +122,6 @@ func (d *Dataset) Batch(iter, size int) *Batch { return d.BatchInto(nil, iter, s
 // dataset, generating into it allocates nothing.
 func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 	if size <= 0 {
-		//elrec:invariant batch size is validated at every config entry point
 		panic("data: non-positive batch size")
 	}
 	spec := d.Spec

@@ -188,7 +188,6 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 // stream buffers have grown to the working set, it allocates nothing.
 func (l *Lookahead) Advance(start, n int) *WindowPlan {
 	if n < 1 || n > l.cfg.Window {
-		//elrec:invariant the pipeline truncates n to the remaining steps, never beyond the window
 		panic(fmt.Sprintf("lookahead: Advance(%d, %d) outside window size %d", start, n, l.cfg.Window))
 	}
 	plan := l.takePlan(n)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -59,7 +60,7 @@ type ClientConfig struct {
 
 	Metrics *obs.Registry // distps_* client instruments; nil = off
 	Trace   *obs.Tracer   // per-attempt RPC spans, propagated to shards; nil = off
-	Log     *obs.Logger   // nil = silent
+	Log     *slog.Logger  // nil = silent
 }
 
 // clientMetrics are the client-side instruments (nil instruments no-op).
@@ -97,7 +98,7 @@ type Client struct {
 	ring  *Ring
 	clock obs.Clock
 	trace *obs.Tracer
-	log   *obs.Logger
+	log   *slog.Logger
 	m     clientMetrics
 
 	epoch atomic.Uint64 // current lease epoch (fencing token)
@@ -123,7 +124,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		ring:  NewRing(len(cfg.Shards)),
 		clock: obs.System(),
 		trace: cfg.Trace,
-		log:   cfg.Log,
+		log:   orDiscard(cfg.Log),
 	}
 	r := cfg.Metrics
 	c.m = clientMetrics{
@@ -222,7 +223,6 @@ func (sc *shardConn) roundTrip(c *Client, typ uint8, payload []byte, tctx obs.Tr
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	if sc.conn == nil {
-		//elrec:wallclock dial timeout is enforced by the kernel against wall time
 		//elrec:lockorder per-connection mutex serializes deadline-bounded dial
 		conn, err := net.DialTimeout("tcp", sc.addr, c.cfg.Timeout)
 		if err != nil {

@@ -282,7 +282,6 @@ func (m statsAck) encode() []byte {
 	e.I64(m.Dropped)
 	e.Str(m.MetricsJSON)
 	tids := make([]int, 0, len(m.Threads))
-	//elrec:orderless keys are sorted immediately below
 	for tid := range m.Threads {
 		tids = append(tids, tid)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -27,6 +28,14 @@ import (
 // goroutine in this package to be born inside a function literally named
 // spawn, so ownership stays auditable at one choke point.
 func spawn(fn func()) { go fn() }
+
+// orDiscard returns l, or a logger that writes nothing when l is nil.
+func orDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	return l
+}
 
 // shardTable holds this shard's slice of one overflow embedding table: the
 // rows the consistent-hash ring assigns to the shard, packed densely.
@@ -133,7 +142,7 @@ type ShardConfig struct {
 
 	Metrics *obs.Registry // per-shard distps_shard<ID>_* and distps_srv_* instruments; nil = off
 	Trace   *obs.Tracer   // handler spans + the msgStats span export; nil = off
-	Log     *obs.Logger   // nil = silent
+	Log     *slog.Logger  // nil = silent
 }
 
 // leaseState is the trainer lease granted by the lease-authority shard.
@@ -175,7 +184,7 @@ type Shard struct {
 	cfg   ShardConfig
 	ring  *Ring
 	clock obs.Clock
-	log   *obs.Logger
+	log   *slog.Logger
 	m     shardMetrics
 
 	mu       sync.Mutex
@@ -230,7 +239,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		cfg:     cfg,
 		ring:    NewRing(cfg.NumShards),
 		clock:   obs.System(),
-		log:     cfg.Log,
+		log:     orDiscard(cfg.Log),
 		trace:   cfg.Trace,
 		tables:  make(map[int]*shardTable),
 		lastSeq: make(map[uint64]uint64),

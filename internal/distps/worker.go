@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"sync/atomic"
 	"time"
@@ -51,7 +52,7 @@ type WorkerConfig struct {
 
 	Metrics *obs.Registry
 	Trace   *obs.Tracer
-	Log     *obs.Logger
+	Log     *slog.Logger // nil = silent
 }
 
 // RunResult summarizes a Run: the loss curve of the final training round,
@@ -111,6 +112,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	ccfg.Retry = cfg.Retry
 	ccfg.Metrics = cfg.Metrics
 	ccfg.Trace = cfg.Trace
+	cfg.Log = orDiscard(cfg.Log)
 	ccfg.Log = cfg.Log
 	client, err := NewClient(ccfg)
 	if err != nil {

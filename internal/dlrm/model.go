@@ -175,7 +175,6 @@ func (m *Model) checkBatch(b *data.Batch) error {
 // Forward computes logits (batch×1) for a batch.
 func (m *Model) Forward(b *data.Batch) *tensor.Matrix {
 	if err := m.checkBatch(b); err != nil {
-		//elrec:invariant batch/model agreement; the pipeline recover boundary converts this to ErrWorkerFault
 		panic(err)
 	}
 	z0 := m.Bottom.Forward(b.Dense)
@@ -211,7 +210,6 @@ func (m *Model) ApplyStep() {
 // SetClock). The lookups and the updates each run as one table stage.
 func (m *Model) TrainStep(b *data.Batch) float32 {
 	if err := m.checkBatch(b); err != nil {
-		//elrec:invariant batch/model agreement; the pipeline recover boundary converts this to ErrWorkerFault
 		panic(err)
 	}
 	// Six clock reads cut the step into dense, embed, dense, embed, dense.

@@ -87,7 +87,6 @@ func (m *Model) ScoreGroups(s *ScoreScratch, itemFeature, chunk int, groups []Sc
 		rows += len(groups[i].Items)
 	}
 	if rows != len(scores) {
-		//elrec:invariant the caller sizes scores from the same groups
 		panic("dlrm: ScoreGroups scores length does not match the item count")
 	}
 	if rows == 0 {

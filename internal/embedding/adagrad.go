@@ -46,7 +46,6 @@ func (a *AdagradBag) Update(indices, offsets []int, dOut *tensor.Matrix, lr floa
 // AccumRow returns the accumulator of one row (for tests/checkpoints).
 func (a *AdagradBag) AccumRow(r int) []float32 {
 	if r < 0 || r >= a.NumRows() {
-		//elrec:invariant row comes from an in-range unique list built by the gather
 		panic(fmt.Sprintf("embedding: AccumRow %d out of range", r))
 	}
 	return a.accum[r*a.Dim() : (r+1)*a.Dim()]

@@ -43,7 +43,6 @@ func InitScale(rows int) float32 {
 // [-InitScale(rows), InitScale(rows)], one row after another from rng.
 func NewBag(rows, dim int, rng *tensor.RNG) *Bag {
 	if rows <= 0 || dim <= 0 {
-		//elrec:invariant table shape comes from validated configs
 		panic(fmt.Sprintf("embedding: invalid table shape %dx%d", rows, dim))
 	}
 	b := &Bag{rows: rows, dim: dim, Weights: tensor.New(rows, dim)}
@@ -63,26 +62,21 @@ func (b *Bag) FootprintBytes() int64 { return int64(b.rows) * int64(b.dim) * 4 }
 // validate panics when a batch description is malformed.
 func validate(rows int, indices, offsets []int) {
 	if len(offsets) == 0 {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic("embedding: empty offsets")
 	}
 	if offsets[0] != 0 {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic(fmt.Sprintf("embedding: offsets[0] = %d want 0", offsets[0]))
 	}
 	for i := 1; i < len(offsets); i++ {
 		if offsets[i] < offsets[i-1] {
-			//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 			panic(fmt.Sprintf("embedding: offsets not monotone at %d", i))
 		}
 	}
 	if offsets[len(offsets)-1] > len(indices) {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic(fmt.Sprintf("embedding: last offset %d exceeds %d indices", offsets[len(offsets)-1], len(indices)))
 	}
 	for i, idx := range indices {
 		if idx < 0 || idx >= rows {
-			//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 			panic(fmt.Sprintf("embedding: index %d at position %d out of [0,%d)", idx, i, rows))
 		}
 	}
@@ -150,7 +144,6 @@ func (b *Bag) Backward(indices, offsets []int, dOut *tensor.Matrix) *SparseGrad 
 func (b *Bag) aggregate(indices, offsets []int, dOut *tensor.Matrix) *tensor.Matrix {
 	validate(b.rows, indices, offsets)
 	if dOut.Rows != len(offsets) || dOut.Cols != b.dim {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic(fmt.Sprintf("embedding: Backward grad %dx%d want %dx%d", dOut.Rows, dOut.Cols, len(offsets), b.dim))
 	}
 	bound := min(len(indices), b.rows)
@@ -202,7 +195,6 @@ func (b *Bag) GatherRows(rows []int) *tensor.Matrix {
 func (b *Bag) GatherRowsInto(dst *tensor.Matrix, rows, at []int) {
 	for k, r := range rows {
 		if r < 0 || r >= b.rows {
-			//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 			panic(fmt.Sprintf("embedding: GatherRows index %d out of range", r))
 		}
 		to := k
@@ -217,7 +209,6 @@ func (b *Bag) GatherRowsInto(dst *tensor.Matrix, rows, at []int) {
 // the parameter server to apply pushed gradients (delta is already −lr·g).
 func (b *Bag) ScatterAdd(rows []int, delta *tensor.Matrix) {
 	if delta.Rows != len(rows) || delta.Cols != b.dim {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic("embedding: ScatterAdd shape mismatch")
 	}
 	for i, r := range rows {

@@ -48,7 +48,6 @@ type Builder struct {
 // edgeCap AddEdge calls between distinct nodes without growing.
 func NewBuilder(n, edgeCap int) *Builder {
 	if n < 0 || n > 1<<31-1 {
-		//elrec:invariant construction contract: node counts derive from validated table sizes
 		panic(fmt.Sprintf("graphx: node count %d outside [0, 2^31)", n))
 	}
 	return &Builder{
@@ -62,11 +61,9 @@ func NewBuilder(n, edgeCap int) *Builder {
 func (b *Builder) AddEdge(u, v int, w float64) {
 	g := &b.g
 	if n := g.numNodes(); u < 0 || u >= n || v < 0 || v >= n {
-		//elrec:invariant hot-path bounds contract: reorder.Build validates every index before graph construction
 		panic(fmt.Sprintf("graphx: edge (%d,%d) outside %d nodes", u, v, n))
 	}
 	if w <= 0 {
-		//elrec:invariant co-occurrence weights are positive by construction
 		panic(fmt.Sprintf("graphx: non-positive edge weight %v", w))
 	}
 	g.m += w
@@ -89,7 +86,6 @@ func (b *Builder) Graph() *Graph {
 	g := &b.g
 	n := g.numNodes()
 	if len(b.edges) > math.MaxInt32/2 {
-		//elrec:invariant directed entries are indexed by int32; reorder caps the pairs per batch
 		panic(fmt.Sprintf("graphx: %d edges exceed 2^30", len(b.edges)))
 	}
 	start := make([]int, n+1) // start[u+1] counts u's entries, then prefix-summed

@@ -74,7 +74,6 @@ type Link struct {
 // TransferTime returns the modeled time to move the given bytes.
 func (l Link) TransferTime(bytes int64) time.Duration {
 	if bytes < 0 {
-		//elrec:invariant simulator parameter contract: negative quantities are programming errors
 		panic(fmt.Sprintf("hw: negative transfer size %d", bytes))
 	}
 	if bytes == 0 {
@@ -107,7 +106,6 @@ const PSRowLatency = 800 * time.Nanosecond
 // given number of embedding rows through the parameter server.
 func PSAccessTime(rows int64) time.Duration {
 	if rows < 0 {
-		//elrec:invariant simulator parameter contract: negative quantities are programming errors
 		panic("hw: negative row count")
 	}
 	return PSRowLatency * time.Duration(rows)
@@ -131,7 +129,6 @@ const CollectiveLaunch = 50 * time.Microsecond
 // CollectiveOverhead returns the fixed cost of count collective operators.
 func CollectiveOverhead(count int) time.Duration {
 	if count < 0 {
-		//elrec:invariant simulator parameter contract: negative quantities are programming errors
 		panic("hw: negative collective count")
 	}
 	return CollectiveLaunch * time.Duration(count)

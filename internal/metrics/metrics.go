@@ -12,7 +12,6 @@ import (
 // threshold (the paper's Table IV metric, threshold 0.5).
 func Accuracy(probs, labels []float32, threshold float32) float64 {
 	if len(probs) != len(labels) {
-		//elrec:invariant probs and labels are produced together by the evaluation loop
 		panic(fmt.Sprintf("metrics: %d probs vs %d labels", len(probs), len(labels)))
 	}
 	if len(probs) == 0 {
@@ -35,7 +34,6 @@ func Accuracy(probs, labels []float32, threshold float32) float64 {
 // handling ties by average rank. Returns 0.5 when a class is absent.
 func AUC(probs, labels []float32) float64 {
 	if len(probs) != len(labels) {
-		//elrec:invariant probs and labels are produced together by the evaluation loop
 		panic(fmt.Sprintf("metrics: %d probs vs %d labels", len(probs), len(labels)))
 	}
 	n := len(probs)

@@ -115,17 +115,14 @@ func (it *Interaction) featuresInto(row, z, gram []float32) {
 // matrix per table (each batch×dim) and returns the interaction features.
 func (it *Interaction) Forward(dense *tensor.Matrix, embs []*tensor.Matrix) *tensor.Matrix {
 	if len(embs) != it.NumTables {
-		//elrec:invariant the model gathers one embedding per table it was built with
 		panic(shapeErr("Interaction expected %d embedding tables, got %d", it.NumTables, len(embs)))
 	}
 	if dense.Cols != it.Dim {
-		//elrec:invariant dense width is fixed by the bottom MLP output size
 		panic(shapeErr("Interaction dense width %d want %d", dense.Cols, it.Dim))
 	}
 	batch := dense.Rows
 	for i, e := range embs {
 		if e.Rows != batch || e.Cols != it.Dim {
-			//elrec:invariant embedding lookups are batch x dim by construction
 			panic(shapeErr("Interaction emb[%d] is %dx%d want %dx%d", i, e.Rows, e.Cols, batch, it.Dim))
 		}
 	}
@@ -147,12 +144,10 @@ func (it *Interaction) forwardSample(sc *sampleScratch, s int) {
 // matrices are layer-owned and overwritten by the next Backward.
 func (it *Interaction) Backward(dy *tensor.Matrix) (dDense *tensor.Matrix, dEmbs []*tensor.Matrix) {
 	if it.dense == nil {
-		//elrec:invariant the training step always runs Forward before Backward
 		panic(usageErr("Interaction Backward before Forward"))
 	}
 	batch := it.dense.Rows
 	if dy.Rows != batch || dy.Cols != it.OutputDim() {
-		//elrec:invariant the upstream gradient mirrors the Forward output shape
 		panic(shapeErr("Interaction backward grad %dx%d want %dx%d", dy.Rows, dy.Cols, batch, it.OutputDim()))
 	}
 	it.dDense = tensor.Reuse(it.dDense, batch, it.Dim)

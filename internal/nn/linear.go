@@ -37,7 +37,6 @@ func NewLinear(in, out int, rng *tensor.RNG) *Linear {
 // by the next Forward.
 func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != l.In {
-		//elrec:invariant layer widths are chained at MLP construction
 		panic(shapeErr("Linear forward input width %d want %d", x.Cols, l.In))
 	}
 	l.x = x
@@ -54,11 +53,9 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // an MLP's output layer has no clamp.
 func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
-		//elrec:invariant the training step always runs Forward before Backward
 		panic(usageErr("Linear Backward before Forward"))
 	}
 	if dy.Rows != l.x.Rows || dy.Cols != l.Out {
-		//elrec:invariant the upstream gradient mirrors the Forward output shape
 		panic(shapeErr("Linear backward grad %dx%d want %dx%d", dy.Rows, dy.Cols, l.x.Rows, l.Out))
 	}
 	db := l.B.Grad.Data

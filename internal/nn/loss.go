@@ -22,11 +22,9 @@ func BCEWithLogits(logits *tensor.Matrix, labels []float32) (float32, *tensor.Ma
 // loop that passes back the matrix it got allocates nothing per step.
 func BCEWithLogitsInto(grad, logits *tensor.Matrix, labels []float32) (float32, *tensor.Matrix) {
 	if logits.Cols != 1 {
-		//elrec:invariant the top MLP ends in a single output column
 		panic(shapeErr("BCEWithLogits expects batch×1 logits, got %dx%d", logits.Rows, logits.Cols))
 	}
 	if logits.Rows != len(labels) {
-		//elrec:invariant logits and labels come from the same batch
 		panic(shapeErr("BCEWithLogits %d logits vs %d labels", logits.Rows, len(labels)))
 	}
 	n := logits.Rows
@@ -60,7 +58,6 @@ func SigmoidSlice(logits []float32) []float32 {
 // bit-identical to SigmoidSlice.
 func SigmoidInto(dst, logits []float32) {
 	if len(dst) != len(logits) {
-		//elrec:invariant caller sizes dst to logits; serving scratch is resliced to the row count
 		panic(shapeErr("SigmoidInto dst len %d, logits len %d", len(dst), len(logits)))
 	}
 	for i, v := range logits {

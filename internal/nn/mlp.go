@@ -16,7 +16,6 @@ type MLP struct {
 // 256, 64] builds three Linear layers.
 func NewMLP(sizes []int, rng *tensor.RNG) *MLP {
 	if len(sizes) < 2 {
-		//elrec:invariant model construction: layer sizes are fixed in the DLRM config
 		panic(usageErr("MLP needs at least 2 sizes, got %v", sizes))
 	}
 	m := &MLP{Sizes: append([]int(nil), sizes...)}

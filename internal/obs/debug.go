@@ -48,7 +48,6 @@ func HandlerWith(reg *Registry, tr *Tracer, extra map[string]http.HandlerFunc) h
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	extraPaths := make([]string, 0, len(extra))
-	//elrec:orderless paths are sorted immediately below
 	for path := range extra {
 		extraPaths = append(extraPaths, path)
 	}

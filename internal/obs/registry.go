@@ -275,30 +275,24 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
-	//elrec:orderless copying one map into another is order-independent
 	for name, c := range r.counters {
 		counters[name] = c
 	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
-	//elrec:orderless copying one map into another is order-independent
 	for name, g := range r.gauges {
 		gauges[name] = g
 	}
 	hists := make(map[string]*Histogram, len(r.hists))
-	//elrec:orderless copying one map into another is order-independent
 	for name, h := range r.hists {
 		hists[name] = h
 	}
 	r.mu.Unlock()
-	//elrec:orderless map insertion result is order-independent
 	for name, c := range counters {
 		s.Counters[name] = c.Value()
 	}
-	//elrec:orderless map insertion result is order-independent
 	for name, g := range gauges {
 		s.Gauges[name] = g.Value()
 	}
-	//elrec:orderless map insertion result is order-independent
 	for name, h := range hists {
 		s.Histograms[name] = h.Summary()
 	}
@@ -312,17 +306,14 @@ func (r *Registry) Reset() {
 	}
 	r.mu.Lock()
 	counters := make([]*Counter, 0, len(r.counters))
-	//elrec:orderless collecting map values for order-independent reset
 	for _, c := range r.counters {
 		counters = append(counters, c)
 	}
 	gauges := make([]*Gauge, 0, len(r.gauges))
-	//elrec:orderless collecting map values for order-independent reset
 	for _, g := range r.gauges {
 		gauges = append(gauges, g)
 	}
 	hists := make([]*Histogram, 0, len(r.hists))
-	//elrec:orderless collecting map values for order-independent reset
 	for _, h := range r.hists {
 		hists = append(hists, h)
 	}

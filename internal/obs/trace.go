@@ -179,7 +179,6 @@ func (t *Tracer) Threads() map[int]string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make(map[int]string, len(t.threads))
-	//elrec:orderless copying one map into another is order-independent
 	for tid, name := range t.threads {
 		out[tid] = name
 	}
@@ -378,7 +377,6 @@ func flowEvents(placed []placedSpan) []traceEvent {
 // ascending tid order.
 func threadNameEvents(pid int, threads map[int]string) []traceEvent {
 	tids := make([]int, 0, len(threads))
-	//elrec:orderless keys are sorted immediately below
 	for tid := range threads {
 		tids = append(tids, tid)
 	}
@@ -407,7 +405,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.spans.ordered()
 	insts := t.inst.ordered()
 	names := make(map[int]string, len(t.threads))
-	//elrec:orderless copying one map into another is order-independent
 	for tid, name := range t.threads {
 		names[tid] = name
 	}

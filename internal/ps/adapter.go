@@ -75,7 +75,6 @@ func (a *hostAdapter) readRows(indices []int) *hostRows {
 		// Lookup is a dlrm.Table method and cannot return an error; an
 		// unreachable remote store outside a pipeline step surfaces as a
 		// typed panic exactly like the adapter-misuse invariant.
-		//elrec:invariant typed ErrStoreUnavailable panic: synchronous lookups have no error channel; pipeline steps never take this path
 		panic(fmt.Errorf("%w: host table %d: %w", ErrStoreUnavailable, a.slot, err))
 	}
 	return r
@@ -90,7 +89,6 @@ func (a *hostAdapter) readRows(indices []int) *hostRows {
 func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
 	cur := a.current
 	if cur == nil {
-		//elrec:invariant typed ErrAdapterMisuse panic: the pipeline recover boundary converts it to an error
 		panic(fmt.Errorf("%w: host table %d updated outside a pipeline step", ErrAdapterMisuse, a.slot))
 	}
 	start := a.pipeline.clock.Now()

@@ -74,7 +74,6 @@ func (c *Cache) attachCounters(syncs, hits, misses, evictions *obs.Counter) {
 // NewCache builds a cache for rows of the given dimension.
 func NewCache(dim int) *Cache {
 	if dim <= 0 {
-		//elrec:invariant cache wiring: dim is fixed by NewPipeline
 		panic(fmt.Sprintf("ps: invalid cache dim=%d", dim))
 	}
 	return &Cache{dim: dim}
@@ -85,7 +84,6 @@ func NewCache(dim int) *Cache {
 func (c *Cache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) {
 	if rows.Rows != len(ids) || rows.Cols != c.dim ||
 		(fresh != nil && len(fresh) != len(ids)) || (nextUse != nil && len(nextUse) != len(ids)) {
-		//elrec:invariant ids, rows and hints are built pairwise by the gather/update paths
 		panic(fmt.Sprintf("ps: %s %d ids vs %dx%d rows (dim %d), %d fresh flags, %d hints",
 			op, len(ids), rows.Rows, rows.Cols, c.dim, len(fresh), len(nextUse)))
 	}

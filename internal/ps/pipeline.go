@@ -712,7 +712,6 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, err error) {
 			// raised here, before any model state is touched, and exercise
 			// the same recover path that protects the queues from a real
 			// worker crash.
-			//elrec:invariant injected fault: deliberately exercises trainOne's recover boundary
 			panic(ferr)
 		}
 	}

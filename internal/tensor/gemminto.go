@@ -4,7 +4,6 @@ package tensor
 // callers that manage their own flat storage.
 func GemmInto(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		//elrec:invariant raw-buffer GEMM contract: callers size their flat storage from the shapes they pass
 		panic("tensor: GemmInto buffers too small")
 	}
 	gemmBlocked(m, k, n, a, b, c, false)
@@ -14,7 +13,6 @@ func GemmInto(m, k, n int, a, b, c []float32) {
 // k×n and c is m×n; every element of c is overwritten.
 func GemmTransAInto(m, k, n int, a, b, c []float32) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
-		//elrec:invariant raw-buffer GEMM contract: callers size their flat storage from the shapes they pass
 		panic("tensor: GemmTransAInto buffers too small")
 	}
 	gemmTransABlocked(m, k, n, a, b, c, 1, false)
@@ -26,7 +24,6 @@ func GemmTransAInto(m, k, n int, a, b, c []float32) {
 // would at alpha = 1). With alpha = −lr it is an SGD step on c.
 func GemmTransAAddInto(m, k, n int, alpha float32, a, b, c []float32) {
 	if len(a) < k*m || len(b) < k*n || len(c) < m*n {
-		//elrec:invariant raw-buffer GEMM contract: callers size their flat storage from the shapes they pass
 		panic("tensor: GemmTransAAddInto buffers too small")
 	}
 	gemmTransABlocked(m, k, n, a, b, c, alpha, true)
@@ -37,7 +34,6 @@ func GemmTransAAddInto(m, k, n int, alpha float32, a, b, c []float32) {
 // same buffer (a Gram matrix).
 func GemmTransBInto(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
-		//elrec:invariant raw-buffer GEMM contract: callers size their flat storage from the shapes they pass
 		panic("tensor: GemmTransBInto buffers too small")
 	}
 	gemmTransBBlocked(m, k, n, a, b, c, false)
@@ -46,7 +42,6 @@ func GemmTransBInto(m, k, n int, a, b, c []float32) {
 // GemmTransBAddInto computes c += a·bᵀ, shapes as GemmTransBInto.
 func GemmTransBAddInto(m, k, n int, a, b, c []float32) {
 	if len(a) < m*k || len(b) < n*k || len(c) < m*n {
-		//elrec:invariant raw-buffer GEMM contract: callers size their flat storage from the shapes they pass
 		panic("tensor: GemmTransBAddInto buffers too small")
 	}
 	gemmTransBBlocked(m, k, n, a, b, c, true)

@@ -6,7 +6,6 @@ package tensor
 // storage must call Zero. The returned matrix aliases m's buffer.
 func Reuse(m *Matrix, r, c int) *Matrix {
 	if r < 0 || c < 0 {
-		//elrec:invariant matrix shape contract: dimensions are validated upstream
 		panic("tensor: Reuse with negative shape")
 	}
 	if m == nil || cap(m.Data) < r*c {

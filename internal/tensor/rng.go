@@ -47,7 +47,6 @@ func (r *RNG) Float32() float32 {
 // Intn returns a uniform value in [0,n). n must be positive.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
-		//elrec:invariant API contract: n must be positive
 		panic("tensor: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))

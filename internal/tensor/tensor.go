@@ -22,7 +22,6 @@ type Matrix struct {
 // New returns a zeroed rows×cols matrix.
 func New(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
@@ -32,7 +31,6 @@ func New(rows, cols int) *Matrix {
 // length must be exactly rows*cols.
 func FromSlice(rows, cols int, data []float32) *Matrix {
 	if len(data) != rows*cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: FromSlice length %d != %d*%d", len(data), rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
@@ -64,7 +62,6 @@ func (m *Matrix) Clone() *Matrix {
 // CopyFrom copies src into m. Shapes must match.
 func (m *Matrix) CopyFrom(src *Matrix) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %dx%d <- %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
 	copy(m.Data, src.Data)
@@ -74,7 +71,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 // rows*cols must equal the current element count.
 func (m *Matrix) Reshape(rows, cols int) *Matrix {
 	if rows*cols != m.Rows*m.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: Reshape %dx%d -> %dx%d changes element count", m.Rows, m.Cols, rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: m.Data}
@@ -114,7 +110,6 @@ func (m *Matrix) Equal(other *Matrix, tol float32) bool {
 // and other, panicking on shape mismatch.
 func (m *Matrix) MaxAbsDiff(other *Matrix) float32 {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
 	var max float32
@@ -149,11 +144,9 @@ func (m *Matrix) String() string {
 // parallel when the problem is large enough.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", a.Cols, b.Rows))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMul dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
 	k, n := a.Cols, b.Cols
@@ -167,11 +160,9 @@ func MatMul(dst, a, b *Matrix) {
 // MatMulTransAAdd computes dst += aᵀ · b.
 func MatMulTransAAdd(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMulTransAAdd inner dims %d != %d", a.Rows, b.Rows))
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMulTransAAdd dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	gemmTransABlocked(a.Cols, a.Rows, b.Cols, a.Data, b.Data, dst.Data, 1, true)
@@ -181,11 +172,9 @@ func MatMulTransAAdd(dst, a, b *Matrix) {
 // dst shape must be a.Rows × b.Rows.
 func MatMulTransB(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d != %d", a.Cols, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: MatMulTransB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
 	k, n := a.Cols, b.Rows
@@ -263,7 +252,6 @@ func dotGo(x, y []float32) float32 {
 // Axpy computes y += a*x for vectors exposed as slices.
 func Axpy(a float32, x, y []float32) {
 	if len(x) != len(y) {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
 	if len(x) == 0 {
@@ -282,7 +270,6 @@ func Scale(a float32, x []float32) {
 // AddTo computes dst += src element-wise.
 func AddTo(dst, src []float32) {
 	if len(dst) != len(src) {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: AddTo length mismatch %d != %d", len(dst), len(src)))
 	}
 	if len(src) == 0 {
@@ -304,7 +291,6 @@ func AddTo(dst, src []float32) {
 // the portable loop give the same bits.
 func AddBias(y *Matrix, bias []float32, relu bool) {
 	if len(bias) != y.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: AddBias bias length %d != %d columns", len(bias), y.Cols))
 	}
 	if len(y.Data) == 0 {
@@ -323,7 +309,6 @@ func AddBias(y *Matrix, bias []float32, relu bool) {
 // a per-row AddTo(db, row) makes).
 func ReLUGrad(dy, y *Matrix, db []float32) {
 	if dy.Rows != y.Rows || dy.Cols != y.Cols || len(db) != y.Cols {
-		//elrec:invariant kernel shape contract: operands are sized at construction; an error return would poison every hot-path caller
 		panic(fmt.Sprintf("tensor: ReLUGrad dy %dx%d, y %dx%d, db %d", dy.Rows, dy.Cols, y.Rows, y.Cols, len(db)))
 	}
 	if len(y.Data) == 0 {

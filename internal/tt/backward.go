@@ -40,15 +40,12 @@ func (s *bwScratch) ensure(t *Table) {
 // (batch×Dim).
 func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
 	if t.memo != nil {
-		//elrec:invariant CloneForServing contract: a clone's cores are shared with every other replica and its memo holds products of them
 		panic("tt: Backward on a serving clone: serving clones are read-only; train the source and re-clone")
 	}
 	if cache == nil {
-		//elrec:invariant Table protocol: Update mirrors the preceding Lookup
 		panic("tt: Backward with nil cache")
 	}
 	if dOut.Rows != len(cache.Offsets) || dOut.Cols != t.Shape.Dim {
-		//elrec:invariant Table protocol: Update mirrors the preceding Lookup
 		panic(fmt.Sprintf("tt: Backward grad %dx%d want %dx%d", dOut.Rows, dOut.Cols, len(cache.Offsets), t.Shape.Dim))
 	}
 

@@ -88,26 +88,21 @@ func growFloats(buf []float32, n int) []float32 {
 // embedding.Bag's validation.
 func (t *Table) validateBatch(indices, offsets []int) {
 	if len(offsets) == 0 {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic("tt: empty offsets")
 	}
 	if offsets[0] != 0 {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic(fmt.Sprintf("tt: offsets[0] = %d want 0", offsets[0]))
 	}
 	for i := 1; i < len(offsets); i++ {
 		if offsets[i] < offsets[i-1] {
-			//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 			panic(fmt.Sprintf("tt: offsets not monotone at %d", i))
 		}
 	}
 	if offsets[len(offsets)-1] > len(indices) {
-		//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 		panic(fmt.Sprintf("tt: last offset %d exceeds %d indices", offsets[len(offsets)-1], len(indices)))
 	}
 	for p, idx := range indices {
 		if idx < 0 || idx >= t.Shape.Rows {
-			//elrec:invariant bag layout contract: offsets and indices are validated by the data layer
 			panic(fmt.Sprintf("tt: index %d at position %d out of [0,%d)", idx, p, t.Shape.Rows))
 		}
 	}

@@ -144,7 +144,6 @@ type GeneralTable struct {
 // near targetStd (0 = default 0.05).
 func NewGeneralTable(shape GeneralShape, rng *tensor.RNG, targetStd float64) *GeneralTable {
 	if err := shape.Validate(); err != nil {
-		//elrec:invariant shape pre-validated by callers; Shape.Validate is the error-returning path
 		panic(err)
 	}
 	if targetStd <= 0 {
@@ -194,11 +193,9 @@ func (t *GeneralTable) extendLeft(k int, left []float32, slice []float32, dst []
 // LookupRow materializes one row.
 func (t *GeneralTable) LookupRow(i int, dst []float32) {
 	if i < 0 || i >= t.Shape.Rows {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic(fmt.Sprintf("tt: general LookupRow index %d out of [0,%d)", i, t.Shape.Rows))
 	}
 	if len(dst) != t.Shape.Dim {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic(fmt.Sprintf("tt: general LookupRow dst len %d want %d", len(dst), t.Shape.Dim))
 	}
 	idx := t.Shape.FactorIndex(i)
@@ -288,7 +285,6 @@ func (t *GeneralTable) uniqueRows(uniq []int) *tensor.Matrix {
 func (t *GeneralTable) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
 	t.validate(indices, offsets)
 	if dOut.Rows != len(offsets) || dOut.Cols != t.Shape.Dim {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic(fmt.Sprintf("tt: general Update grad %dx%d want %dx%d", dOut.Rows, dOut.Cols, len(offsets), t.Shape.Dim))
 	}
 	uniq, inverse := embedding.Unique(indices)
@@ -384,26 +380,21 @@ func (t *GeneralTable) backwardRow(row int, g []float32, bufs []*tensor.Matrix) 
 
 func (t *GeneralTable) validate(indices, offsets []int) {
 	if len(offsets) == 0 {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic("tt: general table empty offsets")
 	}
 	if offsets[0] != 0 {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic("tt: general table offsets[0] != 0")
 	}
 	for i := 1; i < len(offsets); i++ {
 		if offsets[i] < offsets[i-1] {
-			//elrec:invariant index bounds/shape contract: inputs are validated upstream
 			panic("tt: general table offsets not monotone")
 		}
 	}
 	if offsets[len(offsets)-1] > len(indices) {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic("tt: general table last offset exceeds indices")
 	}
 	for _, idx := range indices {
 		if idx < 0 || idx >= t.Shape.Rows {
-			//elrec:invariant index bounds/shape contract: inputs are validated upstream
 			panic(fmt.Sprintf("tt: general table index %d out of [0,%d)", idx, t.Shape.Rows))
 		}
 	}

@@ -228,7 +228,6 @@ func (m *tableMetrics) recordBackward(rows, workRows, prefixWork int) {
 // reference initialization at the bench scales used here).
 func NewTable(shape Shape, rng *tensor.RNG, targetStd float64) *Table {
 	if err := shape.Validate(); err != nil {
-		//elrec:invariant shape pre-validated by callers; Shape.Validate is the error-returning path
 		panic(err)
 	}
 	if targetStd <= 0 {
@@ -282,11 +281,9 @@ func (t *Table) rowFromPrefix(p12 []float32, i3 int, dst []float32) {
 // single-index reference the tests compare the batched paths against.
 func (t *Table) LookupRow(i int, dst []float32) {
 	if i < 0 || i >= t.Shape.Rows {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic(fmt.Sprintf("tt: LookupRow index %d out of [0,%d)", i, t.Shape.Rows))
 	}
 	if len(dst) != t.Shape.Dim {
-		//elrec:invariant index bounds/shape contract: inputs are validated upstream
 		panic(fmt.Sprintf("tt: LookupRow dst len %d want %d", len(dst), t.Shape.Dim))
 	}
 	i1, i2, i3 := t.Shape.FactorIndex(i)
