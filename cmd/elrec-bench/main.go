@@ -101,16 +101,15 @@ func main() {
 		workers      = flag.Int("workers", 0, "bound host-side kernel parallelism (0 keeps GOMAXPROCS)")
 		compare      = flag.Bool("compare", false, "compare two BENCH_<id>.json artifacts: elrec-bench -compare old.json new.json")
 		lookahead    = flag.Int("lookahead", -1, "override: pipeline lookahead window for pipecache (0 disables planning, -1 keeps the scale default)")
-		failAbove    = flag.Float64("fail-above", -1, "with -compare: exit nonzero when any tracked hot-path metric regresses by more than this percentage")
 	)
 	flag.Parse()
 
 	if *compare {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: elrec-bench -compare [-fail-above pct] old.json new.json")
+			fmt.Fprintln(os.Stderr, "usage: elrec-bench -compare old.json new.json")
 			os.Exit(2)
 		}
-		if err := compareArtifacts(os.Stdout, flag.Arg(0), flag.Arg(1), *failAbove); err != nil {
+		if err := compareArtifacts(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -212,33 +211,11 @@ func numCell(s string) (float64, bool) {
 	return v, err == nil
 }
 
-// metricDirection classifies a metric row by name for regression gating:
-// +1 when larger values are better (hit rates, throughput), -1 when smaller
-// values are better (times, transfer volume, evictions, losses), 0 when the
-// metric is informational and not gated.
-func metricDirection(name string) int {
-	n := strings.ToLower(name)
-	for _, frag := range []string{"hit", "rate", "steps_per", "/s", "throughput", "speedup"} {
-		if strings.Contains(n, frag) {
-			return 1
-		}
-	}
-	for _, frag := range []string{"_ms", "_ns", "time", "stall", "wait", "bytes", "evict", "miss", "loss"} {
-		if strings.Contains(n, frag) {
-			return -1
-		}
-	}
-	return 0
-}
-
 // compareArtifacts prints per-metric deltas between two artifacts of the
 // same experiment. Rows are matched by their first cell (the metric name);
 // numeric cells get old/new/delta columns, and rows present in only one
-// artifact are reported as added/removed. With failAbove ≥ 0, any tracked
-// hot-path metric (see metricDirection) that regresses by more than that
-// percentage turns the comparison into an error. It is a manual tool: no
-// CI step runs it.
-func compareArtifacts(w io.Writer, oldPath, newPath string, failAbove float64) error {
+// artifact are reported as added/removed.
+func compareArtifacts(w io.Writer, oldPath, newPath string) error {
 	oldA, err := readArtifact(oldPath)
 	if err != nil {
 		return err
@@ -258,7 +235,6 @@ func compareArtifacts(w io.Writer, oldPath, newPath string, failAbove float64) e
 			oldRows[r[0]] = r
 		}
 	}
-	var regressions []string
 	for _, nr := range newA.Rows {
 		if len(nr) == 0 {
 			continue
@@ -270,7 +246,6 @@ func compareArtifacts(w io.Writer, oldPath, newPath string, failAbove float64) e
 		}
 		matched[nr[0]] = true
 		fmt.Fprintf(w, "%-24s", nr[0])
-		dir := metricDirection(nr[0])
 		for col := 1; col < len(nr) && col < len(or); col++ {
 			ov, oldNum := numCell(or[col])
 			nv, newNum := numCell(nr[col])
@@ -289,14 +264,6 @@ func compareArtifacts(w io.Writer, oldPath, newPath string, failAbove float64) e
 				pct = (nv - ov) / ov * 100
 			}
 			fmt.Fprintf(w, "  %s: %.2f -> %.2f (%+.1f%%)", name, ov, nv, pct)
-			if failAbove >= 0 && dir != 0 && ov != 0 {
-				// A regression is movement against the metric's direction.
-				worse := -float64(dir) * pct
-				if worse > failAbove {
-					regressions = append(regressions,
-						fmt.Sprintf("%s %s %.2f -> %.2f (%+.1f%%)", nr[0], name, ov, nv, pct))
-				}
-			}
 		}
 		fmt.Fprintln(w)
 	}
@@ -304,10 +271,6 @@ func compareArtifacts(w io.Writer, oldPath, newPath string, failAbove float64) e
 		if len(r) > 0 && !matched[r[0]] {
 			fmt.Fprintf(w, "%-24s (removed)\n", r[0])
 		}
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("bench compare: %d metric(s) regressed beyond %.1f%%:\n  %s",
-			len(regressions), failAbove, strings.Join(regressions, "\n  "))
 	}
 	return nil
 }

@@ -17,7 +17,7 @@ import (
 // Function literals are attributed to their enclosing declaration — a
 // closure's statements belong to the function that wrote it — except that
 // subtrees handed to a goroutine (a `go` statement, or a function literal
-// passed to a panic-converting spawn helper) are marked asynchronous, so
+// passed to the package's spawn helper) are marked asynchronous, so
 // analyzers can exclude work that does not run on the caller's own
 // control flow.
 type funcNode struct {
@@ -149,7 +149,7 @@ func (p *program) addCall(node *funcNode, obj *types.Func, call *ast.CallExpr, a
 // walkAsync walks root in source order, reporting for each node whether it
 // executes asynchronously with respect to the enclosing function: inside a
 // `go` statement, or inside a function literal passed to a spawn helper
-// (the project's panic-converting goroutine entry, enforced by gospawn).
+// (the package's goroutine entry, enforced by gospawn).
 func walkAsync(root ast.Node, fn func(n ast.Node, async bool) bool) {
 	var asyncRanges []asyncRange
 	ast.Inspect(root, func(n ast.Node) bool {

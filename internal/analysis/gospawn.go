@@ -4,19 +4,19 @@ import (
 	"go/ast"
 )
 
-// GoSpawn pins down how pipeline goroutines are born: every `go`
-// statement in the package must live inside the panic-converting spawn
-// helper (a function named spawn), so a panicking goroutine is always
-// converted into a recorded failure instead of killing the process. The
-// fault-tolerance contract — Train returns an error, queues drain, state
-// stays checkpoint-consistent — only holds if no code path can start a
-// bare goroutine. The driver applies this analyzer to the goroutine-owning
-// packages named in its row of the scope table (suite.go).
+// GoSpawn pins down how long-lived goroutines are born: every `go`
+// statement in the package must live inside the package's spawn helper (a
+// function named spawn), so no code path starts a goroutine around what
+// that helper guarantees. The guarantee is each package's own: ps's helper
+// joins the stage's WaitGroup and recovers a panic into the pipeline's
+// recorded failure, served's joins Close's drain barrier, and distps's is
+// a plain `go fn()`, the one place a guarantee would be added.
+// RunAnalyzers applies this analyzer to the goroutine-owning packages named
+// in its row of the scope table (suite.go).
 var GoSpawn = &Analyzer{
 	Name: "gospawn",
-	Doc: "every `go` statement must route through the panic-converting " +
-		"spawn helper",
-	run: runGoSpawn,
+	Doc:  "every `go` statement must route through the package's spawn helper",
+	run:  runGoSpawn,
 }
 
 func runGoSpawn(pass *pass) {
@@ -29,7 +29,7 @@ func runGoSpawn(pass *pass) {
 			inSpawn := fn.Name.Name == "spawn"
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok && !inSpawn {
-					pass.reportf(g.Pos(), "bare go statement: route goroutines through the panic-converting spawn helper")
+					pass.reportf(g.Pos(), "bare go statement: route goroutines through the package's spawn helper")
 				}
 				return true
 			})

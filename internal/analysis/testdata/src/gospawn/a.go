@@ -1,5 +1,5 @@
 // Package gospawn exercises the gospawn analyzer: every go statement must
-// live inside the panic-converting spawn helper.
+// live inside the package's spawn helper.
 package gospawn
 
 import "sync"

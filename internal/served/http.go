@@ -117,10 +117,10 @@ func (p *Pool) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ReloadResponse{Version: version})
 }
 
-// handle serves /score and /topk through the wire codec (wire.go). The
-// request's slices alias the pooled codec: the pool is done with them once
-// ScoreDeadline/TopKDeadline returns, and the codec goes back after the
-// response is written.
+// handle serves /score and /topk through the wire codec (wire.go). A
+// fast-path request's slices alias the pooled codec: the pool is done with
+// them once ScoreDeadline/TopKDeadline returns, and the codec goes back
+// after the response is written.
 func (p *Pool) handle(w http.ResponseWriter, r *http.Request, topK bool) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST only"})
@@ -173,27 +173,35 @@ func (p *Pool) handle(w http.ResponseWriter, r *http.Request, topK bool) {
 }
 
 // decodeBody decodes the /reload body — empty, or one JSON value of at most
-// maxBodyBytes with nothing but whitespace after it — into v with
-// encoding/json (the cold routes' codec). An empty body leaves v untouched.
-// On failure it answers as writeBadBody and returns false.
+// maxBodyBytes by decodeJSON — into v. An empty body leaves v untouched. On
+// failure it answers as writeBadBody and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	err := dec.Decode(v)
+	err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	if err != nil && !errors.Is(err, io.EOF) {
+		writeBadBody(w, err)
+		return false
+	}
+	return true
+}
+
+// decodeJSON is the one definition of a request body on every route: one
+// JSON value decoded into v by encoding/json, with nothing but whitespace
+// after it. An empty body is io.EOF, which only /reload accepts.
+func decodeJSON(r io.Reader, v interface{}) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	// The value must be the whole body: the next token has to be a clean
+	// end of input.
+	_, err := dec.Token()
 	switch {
 	case errors.Is(err, io.EOF):
-		return true
+		return nil
 	case err == nil:
-		// The value must be the whole body: the next token has to be a
-		// clean end of input.
-		if _, err = dec.Token(); errors.Is(err, io.EOF) {
-			return true
-		}
-		if err == nil {
-			err = errors.New("trailing data after the JSON value")
-		}
+		return errors.New("trailing data after the JSON value")
 	}
-	writeBadBody(w, err)
-	return false
+	return err
 }
 
 // writeBadBody answers a body that could not be read or decoded: 413 over

@@ -332,6 +332,54 @@ func TestScoreCodecZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestScoreCodecFastPathTakesMarshalOutput: every body json.Marshal (and
+// json.Encoder, with its newline) writes for a ScoreRequest — each slice
+// nil, empty or filled, K and TimeoutMS zero and set, dense values at
+// encoding/json's format edges — decodes on the fast path to what the
+// parent rule decodes, allocating nothing once the scratch is warm. Of
+// codecCases, the fast path takes only the rows in that form: exact keys,
+// no whitespace, numbers only. Every other row goes to encoding/json.
+func TestScoreCodecFastPathTakesMarshalOutput(t *testing.T) {
+	edges := []float32{0, float32(math.Copysign(0, -1)), 1e-45, 1e-7, 1e21, math.MaxFloat32, -math.MaxFloat32}
+	ids := []int{0, 7, 1 << 40, -3}
+	c := new(scoreCodec)
+	for _, dense := range [][]float32{nil, {}, edges} {
+		for _, sparse := range [][]int{nil, {}, ids} {
+			for _, candidates := range [][]int{nil, {}, ids[:2]} {
+				for _, n := range []int{0, 5} {
+					body, err := json.Marshal(ScoreRequest{Dense: dense, Sparse: sparse, Candidates: candidates, K: n, TimeoutMS: 2 * n})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, b := range [][]byte{body, append(body, '\n')} {
+						want, err := parentDecode(b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, ok := c.fast(b)
+						if !ok || !sameRequest(got, want) {
+							t.Fatalf("body %q: fast path took it %v as %+v, encoding/json decodes %+v", b, ok, got, want)
+						}
+						if allocs := testing.AllocsPerRun(10, func() { c.fast(b) }); allocs != 0 {
+							t.Fatalf("body %q: %v allocations per fast decode, want 0", b, allocs)
+						}
+					}
+				}
+			}
+		}
+	}
+	fast := map[string]bool{
+		"canonical": true, "empty-object": true,
+		"int-negative-zero": true, "int-max": true,
+		"float-max": true, "float-underflow": true, "float-negative-zero": true, "float-long": true,
+	}
+	for _, tc := range codecCases {
+		if _, ok := c.fast([]byte(tc.body)); ok != fast[tc.name] {
+			t.Errorf("%s: fast path took it %v, want %v", tc.name, ok, fast[tc.name])
+		}
+	}
+}
+
 // FuzzDecodeScoreRequest: the codec and the parent rule agree on every
 // body — accept or refuse, and when both accept, every field. The corpus
 // under testdata/fuzz carries codecCases.
