@@ -9,8 +9,8 @@ import (
 // function named spawn), so no code path starts a goroutine around what
 // that helper guarantees. The guarantee is each package's own: ps's helper
 // joins the stage's WaitGroup and recovers a panic into the pipeline's
-// recorded failure, served's joins Close's drain barrier, and distps's is
-// a plain `go fn()`, the one place a guarantee would be added.
+// recorded failure, served's joins Close's drain barrier, and distps's
+// recovers a panic and logs it with the goroutine's name and owner.
 // RunAnalyzers applies this analyzer to the goroutine-owning packages named
 // in its row of the scope table (suite.go).
 var GoSpawn = &Analyzer{

@@ -211,6 +211,20 @@ func TTCore(sc Scale) *Result {
 		})/reps)
 	}
 
+	// Table initialisation, one call per op: FillUniform over 1 M floats
+	// (what fills every host and dense table and the MLP weights) and
+	// FillNormal over 64 K (every TT core; BenchmarkFillNormal's size).
+	{
+		x := make([]float32, 1<<20)
+		rng := tensor.NewRNG(19)
+		addRow("fill-uniform-1M", minOf(5, func() time.Duration {
+			return timeIt(func() { rng.FillUniform(x, 0.01) })
+		}))
+		addRow("fill-normal-64K", minOf(5, func() time.Duration {
+			return timeIt(func() { rng.FillNormal(x[:1<<16], 0.02) })
+		}))
+	}
+
 	// TT table paths over the standard single-table workload.
 	w := newTableWorkload(rows, sc.Steps, sc.Batch, 1004)
 	dOut := gradFor(sc.Batch, sc.EmbDim, 7)

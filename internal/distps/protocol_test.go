@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"log/slog"
 	"net"
 	"reflect"
 	"sort"
@@ -144,13 +145,13 @@ func fakeShard(t *testing.T, reply func(Frame) Frame) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	spawn(func() {
+	spawn(slog.Default(), "fake shard accept loop", func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			spawn(func() {
+			spawn(slog.Default(), "fake shard connection", func() {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for {

@@ -26,8 +26,19 @@ import (
 
 // spawn starts fn on a new goroutine. The gospawn analyzer requires every
 // goroutine in this package to be born inside a function literally named
-// spawn, so ownership stays auditable at one choke point.
-func spawn(fn func()) { go fn() }
+// spawn, so ownership stays auditable at one choke point. A panic in fn ends
+// its goroutine, not the process: spawn recovers it and logs it at Error
+// with the goroutine's name and attrs (the shard or worker id).
+func spawn(log *slog.Logger, name string, fn func(), attrs ...any) {
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				log.Error("distps: goroutine panic", append([]any{"goroutine", name, "panic", fmt.Sprint(r)}, attrs...)...)
+			}
+		}()
+		fn()
+	}()
+}
 
 // orDiscard returns l, or a logger that writes nothing when l is nil.
 func orDiscard(l *slog.Logger) *slog.Logger {
@@ -42,9 +53,9 @@ func orDiscard(l *slog.Logger) *slog.Logger {
 //
 // Initialization is bit-exact with the single-process reference: NewBag
 // fills its rows×dim matrix from one sequential RNG stream (ps.HostRNG, at
-// embedding.InitScale), so the shard streams the same generator row by row
-// and keeps only the rows it owns — every participant derives identical
-// values without ever materializing the full table.
+// embedding.InitScale), so the shard jumps that generator to each owned
+// row's first draw (RNG.Skip) and fills only that row — every participant
+// derives identical values without drawing or materializing the full table.
 type shardTable struct {
 	spec  TableSpec
 	dim   int
@@ -56,17 +67,20 @@ type shardTable struct {
 // newShardTable builds the shard-local slice of table spec for shardID.
 func newShardTable(spec TableSpec, dim int, seed uint64, ring *Ring, shardID int) *shardTable {
 	t := &shardTable{spec: spec, dim: dim, slots: make(map[int]int)}
+	for r := 0; r < spec.Rows; r++ {
+		if ring.Owner(spec.Index, r) == shardID {
+			t.slots[r] = len(t.rows)
+			t.rows = append(t.rows, r)
+		}
+	}
+	t.data = make([]float32, len(t.rows)*dim)
 	rng := ps.HostRNG(seed, spec.Index)
 	scale := embedding.InitScale(spec.Rows)
-	row := make([]float32, dim)
-	for r := 0; r < spec.Rows; r++ {
-		rng.FillUniform(row, scale)
-		if ring.Owner(spec.Index, r) != shardID {
-			continue
-		}
-		t.slots[r] = len(t.rows)
-		t.rows = append(t.rows, r)
-		t.data = append(t.data, row...)
+	next := 0 // the row rng's next draw starts
+	for slot, r := range t.rows {
+		rng.Skip(uint64((r - next) * dim))
+		rng.FillUniform(t.data[slot*dim:(slot+1)*dim], scale)
+		next = r + 1
 	}
 	return t
 }
@@ -776,10 +790,10 @@ func (s *Shard) Serve(ln net.Listener) error {
 		s.m.conns.Set(float64(len(s.conns)))
 		s.mu.Unlock()
 		s.wg.Add(1)
-		spawn(func() {
+		spawn(s.log, "connection handler", func() {
 			defer s.wg.Done()
 			s.handleConn(c, ce)
-		})
+		}, "shard", s.cfg.ID)
 	}
 }
 
@@ -890,10 +904,10 @@ func (s *Shard) Close() error {
 		c.Close()
 	}
 	done := make(chan struct{})
-	spawn(func() {
+	spawn(s.log, "drain waiter", func() {
+		defer close(done)
 		s.wg.Wait()
-		close(done)
-	})
+	}, "shard", s.cfg.ID)
 	select {
 	case <-done:
 	case <-time.After(s.cfg.DrainTimeout):

@@ -70,7 +70,7 @@ func startShards(t *testing.T, sc Scenario, n int, mutate func(*ShardConfig)) ([
 
 // serveShard runs the accept loop on its own goroutine.
 func serveShard(s *Shard, ln net.Listener) {
-	spawn(func() { s.Serve(ln) })
+	spawn(s.log, "accept loop", func() { s.Serve(ln) }, "shard", s.cfg.ID)
 }
 
 // fastBackoff retries aggressively with instant sleeps so fault tests

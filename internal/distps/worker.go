@@ -180,7 +180,8 @@ func (w *Worker) buildPipeline(ctx context.Context) (*ps.Pipeline, error) {
 // startRenewal keeps the trainer lease alive while training runs. Renewal
 // failures are only logged: if the lease is truly lost, epoch fencing on
 // the shards is what protects the data, and the trainer finds out through
-// its next fenced RPC.
+// its next fenced RPC. A panic in the renewal goroutine ends renewal the
+// same way: spawn logs it, and the lease lapses under the same fencing.
 func (w *Worker) startRenewal(ctx context.Context) func() {
 	ttl := w.cfg.LeaseTTL
 	if ttl <= 0 {
@@ -189,7 +190,7 @@ func (w *Worker) startRenewal(ctx context.Context) func() {
 	every := max(ttl/3, 10*time.Millisecond)
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	spawn(func() {
+	spawn(w.cfg.Log, "lease renewal", func() {
 		defer close(done)
 		t := time.NewTicker(every)
 		defer t.Stop()
@@ -205,7 +206,7 @@ func (w *Worker) startRenewal(ctx context.Context) func() {
 				}
 			}
 		}
-	})
+	}, "worker", w.cfg.ID)
 	return func() { close(stop); <-done }
 }
 

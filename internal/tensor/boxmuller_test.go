@@ -5,9 +5,6 @@ import (
 	"testing"
 )
 
-// golden is the Weyl increment RNG.Uint64 adds to its state before each draw.
-const golden = 0x9e3779b97f4a7c15
-
 // normalLoop is FillNormal's oracle: the per-element loop.
 func normalLoop(r *RNG, x []float32, std float32) {
 	for i := range x {
@@ -270,4 +267,24 @@ func BenchmarkFillNormal(b *testing.B) {
 		r.FillNormal(x, 0.02)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/elt")
+}
+
+// BenchmarkFillUniform reports FillUniform's cost per element at 1 M
+// elements and at 36.7 M, the train_host workload's eight host tables
+// (147 MB) in one slice.
+func BenchmarkFillUniform(b *testing.B) {
+	for _, n := range []struct {
+		name string
+		elts int
+	}{{"1M", 1 << 20}, {"36.7M", 36_700_000}} {
+		b.Run(n.name, func(b *testing.B) {
+			x := make([]float32, n.elts)
+			r := NewRNG(1)
+			b.ResetTimer()
+			for range b.N {
+				r.FillUniform(x, 0.01)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/elt")
+		})
+	}
 }

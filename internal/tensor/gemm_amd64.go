@@ -111,6 +111,17 @@ func reluGradAVX2(dy, y, db *float32, rows, cols int)
 //go:noescape
 func boxMullerAVX2(u1, u2 *float64, out *float32, n int, std float32)
 
+// uniformAVX512 and uniformPairsAVX512 (splitmix_amd64.s) compute eight
+// splitmix64 draws per vector from the RNG state: FillUniform's values for n
+// elements, and Float64 pairs at counters 2i+1 and 2i+2 for n pairs; n is a
+// positive multiple of 8. The state itself is the caller's to advance.
+//
+//go:noescape
+func uniformAVX512(state uint64, x *float32, n int, scale float32)
+
+//go:noescape
+func uniformPairsAVX512(state uint64, u1, u2 *float64, n int)
+
 // The slice-taking wrappers below are what the dispatchers in gemm.go and
 // tensor.go call. Each asserts the extent the assembly will touch (so a short
 // buffer panics here instead of faulting there) and needs m, k, n ≥ 1.
@@ -195,4 +206,16 @@ func boxMullerAsm(u1, u2 []float64, out []float32, std float32) {
 	n := len(out)
 	_, _ = u1[n-1], u2[n-1]
 	boxMullerAVX2(&u1[0], &u2[0], &out[0], n, std)
+}
+
+func uniformAsm(state uint64, x []float32, scale float32) {
+	uniformAVX512(state, &x[0], len(x), scale)
+}
+
+// uniformPairsAsm fills the first n pairs, n ≥ 1, rounded up to a multiple
+// of 8.
+func uniformPairsAsm(state uint64, u1, u2 *[normBlock]float64, n int) {
+	n = (n + 7) &^ 7
+	_ = u1[n-1]
+	uniformPairsAVX512(state, &u1[0], &u2[0], n)
 }

@@ -17,3 +17,5 @@ func addToAsm(dst, src []float32)                                       {}
 func addBiasAsm(y, bias []float32, rows, cols int, relu bool)           {}
 func reluGradAsm(dy, y, db []float32, rows, cols int)                   {}
 func boxMullerAsm(u1, u2 []float64, out []float32, std float32)         {}
+func uniformAsm(state uint64, x []float32, scale float32)               {}
+func uniformPairsAsm(state uint64, u1, u2 *[normBlock]float64, n int)   {}

@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"strings"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -39,7 +40,9 @@ func guardedFloats(t *testing.T, max int) func(n int) []float32 {
 // operand's last element on the last mapped float before an unmapped page:
 // a vector load, masked load or store that strays past m·k, k·n or m·n
 // elements kills the test binary with SIGSEGV. The Box–Muller kernel's u1,
-// u2 and out end against a page too, at every length it takes up to 68.
+// u2 and out end against a page too, at every length it takes up to 68, and
+// so do the splitmix64 kernels' outputs: uniformAsm's x at every length it
+// takes up to 72, and uniformPairsAsm's full blocks.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: the assembly never runs on this host")
@@ -78,6 +81,16 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 		}
 		boxMullerAsm(u1, u2, out, 0.5)
 	}
+	if missing := missingAVX512(); len(missing) > 0 {
+		t.Logf("splitmix64 kernels not run: missing %s", strings.Join(missing, ", "))
+		return
+	}
+	for n := 8; n <= 72; n += 8 {
+		uniformAsm(uint64(n), aAt(n), 0.5)
+	}
+	u1 := (*[normBlock]float64)(float64s(aAt(2 * normBlock)))
+	u2 := (*[normBlock]float64)(float64s(bAt(2 * normBlock)))
+	uniformPairsAsm(5, u1, u2, normBlock)
 }
 
 // float64s views an even-length float32 slice as float64s.

@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator: splitmix64,
 // the Mix64 finalizer over a Weyl counter that steps by the golden-ratio
@@ -10,6 +13,10 @@ import "math"
 type RNG struct {
 	state uint64
 }
+
+// golden is the Weyl increment γ: the state after draw k of a stream seeded
+// s is s + k·γ, so any draw can be computed without the ones before it.
+const golden = 0x9e3779b97f4a7c15
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
@@ -21,8 +28,14 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next 64 pseudo-random bits (splitmix64).
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	return Mix64(r.state)
+}
+
+// Skip advances the generator past n draws without making them: after
+// Skip(n) it draws what it would have drawn after n calls of Uint64.
+func (r *RNG) Skip(n uint64) {
+	r.state += n * golden
 }
 
 // Mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
@@ -87,8 +100,23 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// FillUniform fills x with uniform values in [-scale, scale].
+// fillChunk bounds one uniformAsm call, so a large table is filled in
+// calls of about 30 µs each rather than one that cannot be preempted.
+const fillChunk = 1 << 16
+
+// FillUniform fills x with uniform values in [-scale, scale]:
+// x[i] = (2·Float32() − 1)·scale in draw order, bit for bit. With AVX-512 the
+// values are computed eight at a time from their counters (uniformAsm) and
+// the last len(x) mod 8 elements run the loop below.
 func (r *RNG) FillUniform(x []float32, scale float32) {
+	if useAVX512 {
+		for len(x) >= 8 {
+			n := min(len(x)&^7, fillChunk)
+			uniformAsm(r.state, x[:n], scale)
+			r.Skip(uint64(n))
+			x = x[n:]
+		}
+	}
 	for i := range x {
 		x[i] = (2*r.Float32() - 1) * scale
 	}
@@ -107,16 +135,32 @@ func (r *RNG) FillNormal(x []float32, std float32) {
 		var u1, u2 [normBlock]float64
 		for len(x) >= 4 {
 			n := min(len(x)&^3, normBlock)
-			for i := range n {
-				u1[i] = r.nonzeroFloat64()
-				u2[i] = r.Float64()
-			}
+			r.uniformPairs(&u1, &u2, n)
 			boxMullerAsm(u1[:n], u2[:n], x[:n], std)
 			x = x[n:]
 		}
 	}
 	for i := range x {
 		x[i] = float32(r.NormFloat64()) * std
+	}
+}
+
+// uniformPairs draws NormFloat64's first n uniform pairs, u1[i] =
+// nonzeroFloat64() and u2[i] = Float64(). With AVX-512 the lanes compute all
+// n from their counters (uniformPairsAsm); a zero u1 among them would have
+// been redrawn, shifting every later counter, so that block is drawn again
+// by the loop from the saved state.
+func (r *RNG) uniformPairs(u1, u2 *[normBlock]float64, n int) {
+	if useAVX512 {
+		uniformPairsAsm(r.state, u1, u2, n)
+		if !slices.Contains(u1[:n], 0) {
+			r.Skip(uint64(2 * n))
+			return
+		}
+	}
+	for i := range n {
+		u1[i] = r.nonzeroFloat64()
+		u2[i] = r.Float64()
 	}
 }
 

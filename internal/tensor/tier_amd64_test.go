@@ -86,3 +86,38 @@ func TestWideKernelsMatchAVX2BitForBit(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitmixLanesMatchScalarDraws calls the two splitmix64 kernels
+// directly and wants RNG's scalar bits: uniformAsm's (2·Float32() − 1)·scale
+// over 8 to 512 elements, and uniformPairsAsm's Float64 pairs at counters
+// 2i+1 and 2i+2 for every n up to normBlock, each element of a block rounded
+// up to eight lanes included.
+func TestSplitmixLanesMatchScalarDraws(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the assembly never runs on this host")
+	}
+	if missing := missingAVX512(); len(missing) > 0 {
+		t.Skipf("no 512-bit tier on this host: missing %s", strings.Join(missing, ", "))
+	}
+	for _, seed := range []uint64{1, 0xfeedface, ^uint64(0)} {
+		for n := 8; n <= 512; n += 8 {
+			got, want := make([]float32, n), make([]float32, n)
+			r := RNG{state: seed}
+			uniformAsm(seed, got, -0.3)
+			uniformLoop(&r, want, -0.3)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("state %#x n=%d: lane %d gives %#08x, Float32 %#08x", seed, n, i%8, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+		for n := 1; n <= normBlock; n++ {
+			var u1, u2 [normBlock]float64
+			uniformPairsAsm(seed, &u1, &u2, n)
+			r := RNG{state: seed}
+			for i := range (n + 7) &^ 7 {
+				if w1, w2 := r.Float64(), r.Float64(); u1[i] != w1 || u2[i] != w2 {
+					t.Fatalf("state %#x n=%d: pair %d is (%v, %v), Float64 draws (%v, %v)", seed, n, i, u1[i], u2[i], w1, w2)
+				}
+			}
+		}
+	}
+}
