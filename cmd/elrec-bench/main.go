@@ -154,7 +154,7 @@ func main() {
 	reg := obs.NewRegistry()
 	sc.Metrics = reg
 	if *debugAddr != "" {
-		dbg, err := obs.Serve(*debugAddr, reg, nil)
+		dbg, err := obs.Serve(*debugAddr, reg, nil, nil, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -101,7 +101,7 @@ func run() int {
 
 	var dbg *obs.DebugServer
 	if o.debugAddr != "" {
-		dbg, err = obs.ServeWith(o.debugAddr, reg, tracer, distps.ShardHandlers(shard))
+		dbg, err = obs.Serve(o.debugAddr, reg, tracer, shard.Ready, nil)
 		if err != nil {
 			log.Error("debug endpoint failed", "err", err)
 			return 1

@@ -174,9 +174,7 @@ func run() int {
 	mux.Handle("/score", api)
 	mux.Handle("/topk", api)
 	mux.Handle("/reload", api)
-	mux.Handle("/healthz", api)
-	mux.Handle("/readyz", api)
-	mux.Handle("/", obs.Handler(reg, nil))
+	mux.Handle("/", obs.Handler(reg, nil, pool.Ready, nil))
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {

@@ -154,7 +154,7 @@ func run() int {
 	}
 
 	if o.debugAddr != "" {
-		dbg, srvErr := obs.Serve(o.debugAddr, reg, tracer)
+		dbg, srvErr := obs.Serve(o.debugAddr, reg, tracer, nil, nil)
 		if srvErr != nil {
 			log.Error("debug endpoint failed", "err", srvErr)
 			return 1

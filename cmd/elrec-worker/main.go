@@ -105,7 +105,7 @@ func run() int {
 	if o.reference {
 		// No cluster to aggregate in reference mode: a plain debug endpoint.
 		if o.debugAddr != "" {
-			dbg, derr := obs.Serve(o.debugAddr, reg, tracer)
+			dbg, derr := obs.Serve(o.debugAddr, reg, tracer, nil, nil)
 			if derr != nil {
 				log.Error("debug endpoint failed", "err", derr)
 				return 1
@@ -174,7 +174,7 @@ func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 	}
 	defer w.Close()
 	if o.debugAddr != "" {
-		dbg, derr := obs.ServeWith(o.debugAddr, reg, tracer,
+		dbg, derr := obs.Serve(o.debugAddr, reg, tracer, w.Active,
 			distps.ClusterHandlers(w, reg, tracer, o.rpcTimeout))
 		if derr != nil {
 			log.Error("debug endpoint failed", "err", derr)

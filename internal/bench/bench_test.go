@@ -71,9 +71,9 @@ func TestResultFormatting(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	skipUnderRace(t)
-	r := Table2(Quick())
+	r := table2(Quick())
 	if len(r.Rows) != 3 {
-		t.Fatalf("Table2 has %d rows", len(r.Rows))
+		t.Fatalf("table2 has %d rows", len(r.Rows))
 	}
 	// Terabyte full-scale footprint in the paper's ~59 GB regime.
 	var tbGB float64
@@ -89,7 +89,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestTable3CompressionAboveOne(t *testing.T) {
 	skipUnderRace(t)
-	r := Table3(Quick())
+	r := table3(Quick())
 	for _, row := range r.Rows {
 		if c := cellFloat(t, row[3]); c <= 1 {
 			t.Fatalf("%s compression %.2f not > 1", row[0], c)
@@ -99,7 +99,7 @@ func TestTable3CompressionAboveOne(t *testing.T) {
 
 func TestFig4aMonotoneToOne(t *testing.T) {
 	skipUnderRace(t)
-	r := Fig4a(Quick())
+	r := fig4a(Quick())
 	for _, row := range r.Rows {
 		prev := 0.0
 		for _, cell := range row[1:] {
@@ -120,7 +120,7 @@ func TestFig4aMonotoneToOne(t *testing.T) {
 
 func TestFig4bUniqueBelowBatch(t *testing.T) {
 	skipUnderRace(t)
-	r := Fig4b(Quick())
+	r := fig4b(Quick())
 	sizes := []float64{512, 1024, 2048, 4096, 8192}
 	for _, row := range r.Rows {
 		prev := 0.0
@@ -142,7 +142,7 @@ func TestFig11ELRecWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end comparison skipped in -short")
 	}
-	r := Fig11(Quick(), hw.TeslaV100())
+	r := fig11(Quick(), hw.TeslaV100())
 	for _, row := range r.Rows {
 		fae := cellFloat(t, row[5])
 		ttrec := cellFloat(t, row[6])
@@ -168,9 +168,9 @@ func TestFig11ELRecWins(t *testing.T) {
 
 func TestFig13ShapeAndOOM(t *testing.T) {
 	skipUnderRace(t)
-	r := Fig13(Quick())
+	r := fig13(Quick())
 	if len(r.Rows) != 3 {
-		t.Fatalf("Fig13 has %d rows", len(r.Rows))
+		t.Fatalf("fig13 has %d rows", len(r.Rows))
 	}
 	// Single device: only EL-Rec runs.
 	if r.Rows[0][2] != "OOM" || r.Rows[0][3] != "OOM" {
@@ -198,7 +198,7 @@ func TestFig13ShapeAndOOM(t *testing.T) {
 
 func TestFig14AllOptimizationsMatter(t *testing.T) {
 	skipUnderRace(t)
-	r := Fig14(Quick())
+	r := fig14(Quick())
 	for _, row := range r.Rows {
 		full := cellFloat(t, row[1])
 		if full <= 0 {
@@ -222,9 +222,9 @@ func TestFig14AllOptimizationsMatter(t *testing.T) {
 
 func TestFig16PipelineBeatsSequential(t *testing.T) {
 	skipUnderRace(t)
-	r := Fig16(Quick())
+	r := fig16(Quick())
 	if len(r.Rows) != 3 {
-		t.Fatalf("Fig16 has %d rows", len(r.Rows))
+		t.Fatalf("fig16 has %d rows", len(r.Rows))
 	}
 	seqSpd := cellFloat(t, r.Rows[1][2])
 	pipeSpd := cellFloat(t, r.Rows[2][2])
@@ -238,7 +238,7 @@ func TestFig16PipelineBeatsSequential(t *testing.T) {
 
 func TestFig17ReuseSpeedsUpLookup(t *testing.T) {
 	skipUnderRace(t)
-	r := Fig17(Quick())
+	r := fig17(Quick())
 	last := r.Rows[len(r.Rows)-1]
 	if spd := cellFloat(t, last[4]); spd <= 1 {
 		t.Fatalf("reuse speedup %.2f at largest batch", spd)
@@ -256,7 +256,7 @@ func TestFig17ReuseSpeedsUpLookup(t *testing.T) {
 
 func TestFig18AggregationSpeedsUpBackward(t *testing.T) {
 	skipUnderRace(t)
-	r := Fig18(Quick())
+	r := fig18(Quick())
 	last := r.Rows[len(r.Rows)-1]
 	naive := cellFloat(t, last[1])
 	agg := cellFloat(t, last[3])
@@ -273,7 +273,7 @@ func TestFig12MultiGPUShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-GPU comparison skipped in -short")
 	}
-	r := Fig12(Quick())
+	r := fig12(Quick())
 	d1 := cellFloat(t, r.Rows[0][1])
 	e1 := cellFloat(t, r.Rows[1][1])
 	d4 := cellFloat(t, r.Rows[0][2])
@@ -293,7 +293,7 @@ func TestTable4AccuracyParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("accuracy training skipped in -short")
 	}
-	r := Table4(Quick())
+	r := table4(Quick())
 	for _, row := range r.Rows {
 		dlrmAcc := cellFloat(t, row[1])
 		elrecAcc := cellFloat(t, row[4])
@@ -311,7 +311,7 @@ func TestFig15CurvesCoincide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence training skipped in -short")
 	}
-	r := Fig15(Quick())
+	r := fig15(Quick())
 	first := r.Rows[0]
 	last := r.Rows[len(r.Rows)-1]
 	for col := 1; col <= 3; col++ {
@@ -328,7 +328,7 @@ func TestFig15CurvesCoincide(t *testing.T) {
 
 func TestExtHotRatioImprovesSharing(t *testing.T) {
 	skipUnderRace(t)
-	r := ExtHotRatio(Quick())
+	r := extHotRatio(Quick())
 	if len(r.Rows) < 3 {
 		t.Fatalf("ext-hotratio has %d rows", len(r.Rows))
 	}
@@ -342,7 +342,7 @@ func TestExtHotRatioImprovesSharing(t *testing.T) {
 
 func TestExtTTDepthTradeoff(t *testing.T) {
 	skipUnderRace(t)
-	r := ExtTTDepth(Quick())
+	r := extTTDepth(Quick())
 	if len(r.Rows) != 3 {
 		t.Fatalf("ext-ttdepth has %d rows", len(r.Rows))
 	}
@@ -364,7 +364,7 @@ func TestExtOptimBothConverge(t *testing.T) {
 	}
 	sc := Quick()
 	sc.TrainSteps = 150
-	r := ExtOptim(sc)
+	r := extOptim(sc)
 	first := r.Rows[0]
 	last := r.Rows[len(r.Rows)-1]
 	for col := 1; col <= 2; col++ {
@@ -403,7 +403,7 @@ func TestPipeCacheLookaheadBeatsLC(t *testing.T) {
 	la := Quick()
 	la.Lookahead = 8
 	la.Steps = 24
-	rb, rl := PipeCache(base), PipeCache(la)
+	rb, rl := pipeCache(base), pipeCache(la)
 	if hb, hl := cellFloat(t, cell(rb, "seq_cache_hit_rate")), cellFloat(t, cell(rl, "seq_cache_hit_rate")); hl <= hb {
 		t.Fatalf("lookahead hit rate %.4f not above LC baseline %.4f", hl, hb)
 	}
@@ -427,7 +427,7 @@ func BenchmarkPipecache(b *testing.B) {
 			sc := Quick()
 			sc.Lookahead = look
 			for i := 0; i < b.N; i++ {
-				PipeCache(sc)
+				pipeCache(sc)
 			}
 		})
 	}

@@ -9,10 +9,10 @@ import (
 	"repro/internal/reorder"
 )
 
-// ExtOptim is an extension experiment: SGD vs Adagrad convergence of the
+// extOptim is an extension experiment: SGD vs Adagrad convergence of the
 // full EL-Rec system (the paper trains with SGD; production DLRM commonly
 // uses Adagrad for embeddings).
-func ExtOptim(sc Scale) *Result {
+func extOptim(sc Scale) *Result {
 	spec := data.KaggleSpec(sc.DatasetScale)
 	d, err := data.New(spec)
 	if err != nil {
@@ -55,10 +55,10 @@ func ExtOptim(sc Scale) *Result {
 	return r
 }
 
-// ExtHotRatio is an extension experiment: how the reordering hyperparameter
+// extHotRatio is an extension experiment: how the reordering hyperparameter
 // Hot_ratio (Algorithm 2) affects the prefix sharing the Eff-TT reuse buffer
 // feeds on, measured as unique TT prefixes per held-out batch.
-func ExtHotRatio(sc Scale) *Result {
+func extHotRatio(sc Scale) *Result {
 	rows := scaledRows(2_000_000, sc, 8192)
 	spec := singleTableSpec(rows, 3003)
 	d, err := data.New(spec)

@@ -8,12 +8,12 @@ import (
 	"repro/internal/tt"
 )
 
-// ExtTTDepth is an extension experiment beyond the paper: it sweeps the
+// extTTDepth is an extension experiment beyond the paper: it sweeps the
 // number of TT cores d (the paper and TT-Rec fix d = 3; TT-Rec's appendix
 // discusses d = 4) and reports the compression/latency trade-off of the
 // general-d table — deeper factorization compresses harder but multiplies
 // the lookup chain length.
-func ExtTTDepth(sc Scale) *Result {
+func extTTDepth(sc Scale) *Result {
 	rows := scaledRows(5_000_000, sc, 20_000)
 	r := &Result{
 		ID:     "ext-ttdepth",

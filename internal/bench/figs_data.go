@@ -6,10 +6,10 @@ import (
 	"repro/internal/data"
 )
 
-// Fig4a regenerates Figure 4(a): the cumulative access percentage covered by
+// fig4a regenerates Figure 4(a): the cumulative access percentage covered by
 // the most popular fraction of embedding rows, per dataset — the power-law
 // skew the Eff-TT optimizations exploit.
-func Fig4a(sc Scale) *Result {
+func fig4a(sc Scale) *Result {
 	points := []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.00}
 	r := &Result{
 		ID:     "fig4a",
@@ -40,9 +40,9 @@ func Fig4a(sc Scale) *Result {
 	return r
 }
 
-// Fig4b regenerates Figure 4(b): batch size vs the average number of unique
+// fig4b regenerates Figure 4(b): batch size vs the average number of unique
 // indices per batch — the gap that in-advance gradient aggregation exploits.
-func Fig4b(sc Scale) *Result {
+func fig4b(sc Scale) *Result {
 	batchSizes := []int{512, 1024, 2048, 4096, 8192}
 	r := &Result{
 		ID:     "fig4b",

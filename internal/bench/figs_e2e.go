@@ -79,10 +79,10 @@ func pipelineTime(st ps.Stats, dev hw.Device, dim int, overlapped bool) time.Dur
 	return deviceT + hostT + commT
 }
 
-// Fig11 regenerates Figure 11: end-to-end single-GPU training speedup of
+// fig11 regenerates Figure 11: end-to-end single-GPU training speedup of
 // EL-Rec over DLRM (CPU+GPU), FAE and TT-Rec on the three datasets. rank
 // follows the paper: full rank on the V100, half on the T4.
-func Fig11(sc Scale, dev hw.Device) *Result {
+func fig11(sc Scale, dev hw.Device) *Result {
 	rank := sc.Rank
 	if dev.Name == hw.TeslaT4().Name {
 		rank = sc.Rank / 2
@@ -208,10 +208,10 @@ func timeOnDevice(spec data.Spec, d *data.Dataset, sc Scale, dev hw.Device, rank
 	return time.Duration(float64(sys.Model().Timing().Total()) / dev.ComputeScale)
 }
 
-// Fig12 regenerates Figure 12: training throughput of EL-Rec vs DLRM with 1
+// fig12 regenerates Figure 12: training throughput of EL-Rec vs DLRM with 1
 // and 4 GPUs. EL-Rec replicates TT tables (data parallel, tiny all-reduce);
 // DLRM shards its uncompressed tables (model parallel, all-to-all).
-func Fig12(sc Scale) *Result {
+func fig12(sc Scale) *Result {
 	spec := data.KaggleSpec(sc.DatasetScale)
 	d, err := data.New(spec)
 	if err != nil {
@@ -337,9 +337,9 @@ func timeModelParallelDense(spec data.Spec, d *data.Dataset, sc Scale, n int) (c
 	return compute, comm
 }
 
-// Fig15 regenerates Figure 15: the training-loss convergence of DLRM,
+// fig15 regenerates Figure 15: the training-loss convergence of DLRM,
 // TT-Rec and EL-Rec on the terabyte-like dataset.
-func Fig15(sc Scale) *Result {
+func fig15(sc Scale) *Result {
 	spec := data.TerabyteSpec(sc.DatasetScale)
 	d, err := data.New(spec)
 	if err != nil {
@@ -378,45 +378,18 @@ func Fig15(sc Scale) *Result {
 	return r
 }
 
-// Fig16 regenerates Figure 16: pipeline vs sequential vs DLRM when the
+// fig16 regenerates Figure 16: pipeline vs sequential vs DLRM when the
 // largest table is TT-compressed on the device and the rest stay in host
 // memory.
-func Fig16(sc Scale) *Result {
+func fig16(sc Scale) *Result {
 	spec := data.TerabyteSpec(sc.DatasetScale)
 	d, err := data.New(spec)
 	if err != nil {
 		panic(err)
 	}
 	dev := hw.TeslaV100()
-	largest := 0
-	for t, rows := range spec.TableRows {
-		if rows > spec.TableRows[largest] {
-			largest = t
-		}
-	}
 	run := func(queueDepth int, ttLargest bool) ps.Stats {
-		locs := make([]ps.TableLoc, spec.NumTables())
-		for i, rows := range spec.TableRows {
-			if ttLargest && i == largest {
-				shape, err := tt.NewShape(rows, sc.EmbDim, sc.Rank)
-				if err != nil {
-					panic(err)
-				}
-				tbl := tt.NewTable(shape, rngFor(99), 0.05)
-				tbl.Opts = tt.EffOptions()
-				locs[i] = ps.TableLoc{Device: tbl}
-			} else {
-				locs[i] = ps.TableLoc{HostRows: rows}
-			}
-		}
-		p, err := ps.NewPipeline(ps.Config{Model: modelConfig(spec, sc), QueueDepth: queueDepth, Seed: 3,
-			Metrics: sc.Metrics}, locs)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := p.Train(context.Background(), d, 0, sc.WarmSteps, sc.Batch); err != nil {
-			panic(err)
-		}
+		p := fig16Pipeline(sc, d, ttLargest, ps.Config{QueueDepth: queueDepth, Metrics: sc.Metrics})
 		before := p.Stats()
 		if _, err := p.Train(context.Background(), d, sc.WarmSteps, sc.Steps, sc.Batch); err != nil {
 			panic(err)
@@ -442,4 +415,41 @@ func Fig16(sc Scale) *Result {
 	r.AddNote("largest table TT on device, %d tables on host; paper: pipeline 2.44x over DLRM, 1.30x over sequential",
 		spec.NumTables()-1)
 	return r
+}
+
+// fig16Pipeline builds Figure 16's system over d and trains it through the
+// sc.WarmSteps warm-up steps. Every table lives on the host behind the
+// parameter server, except that with ttLargest the largest one is Eff-TT on
+// the device. cfg supplies the queue depth, lookahead and registry; the
+// model and the seeds are the figure's.
+func fig16Pipeline(sc Scale, d *data.Dataset, ttLargest bool, cfg ps.Config) *ps.Pipeline {
+	spec := d.Spec
+	largest := 0
+	for t, rows := range spec.TableRows {
+		if rows > spec.TableRows[largest] {
+			largest = t
+		}
+	}
+	locs := make([]ps.TableLoc, spec.NumTables())
+	for i, rows := range spec.TableRows {
+		locs[i] = ps.TableLoc{HostRows: rows}
+		if ttLargest && i == largest {
+			shape, err := tt.NewShape(rows, sc.EmbDim, sc.Rank)
+			if err != nil {
+				panic(err)
+			}
+			tbl := tt.NewTable(shape, rngFor(99), 0.05)
+			tbl.Opts = tt.EffOptions()
+			locs[i] = ps.TableLoc{Device: tbl}
+		}
+	}
+	cfg.Model, cfg.Seed = modelConfig(spec, sc), 3
+	p, err := ps.NewPipeline(cfg, locs)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := p.Train(context.Background(), d, 0, sc.WarmSteps, sc.Batch); err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -14,13 +14,13 @@ import (
 // rngFor returns a deterministic generator for a bench component.
 func rngFor(seed uint64) *tensor.RNG { return tensor.NewRNG(seed) }
 
-// Fig13 regenerates Figure 13: training throughput of one very large
+// fig13 regenerates Figure 13: training throughput of one very large
 // embedding table (the paper's 40M×128, ~19 GB — exceeding one GPU's 16 GB)
 // under EL-Rec (TT, data parallel), HugeCTR (row sharding, model parallel)
 // and TorchRec (column sharding, model parallel) across device counts.
 // Placement feasibility (OOM) is judged at the paper's full-scale footprint;
 // compute is measured at the harness scale.
-func Fig13(sc Scale) *Result {
+func fig13(sc Scale) *Result {
 	const fullRows, fullDim = 40_000_000, 128
 	fullBytes := int64(fullRows) * fullDim * 4
 	rows := scaledRows(fullRows, sc, 50_000)

@@ -7,10 +7,9 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/ps"
-	"repro/internal/tt"
 )
 
-// PipeCache measures the data-pipeline cache on the Figure 16 workload
+// pipeCache measures the data-pipeline cache on the Figure 16 workload
 // (largest table TT-compressed on the device, the rest in host memory behind
 // the parameter server). Scale.Lookahead selects the window size: 0 runs the
 // unplanned push-visibility cache, N≥2 turns on lookahead planning — oracle
@@ -37,7 +36,7 @@ import (
 // apply before the next gather and reproduces its counters exactly.
 //
 // pinned_rows and windows are informational (zero without lookahead).
-func PipeCache(sc Scale) *Result {
+func pipeCache(sc Scale) *Result {
 	pipe := pipeCacheRun(sc, 4)
 	seq := pipeCacheRun(sc, 1)
 
@@ -76,47 +75,15 @@ type pipeCacheResult struct {
 // runs the measured steps. Only the depth-4 run adopts the scale's metrics
 // registry so the two schedules' instruments do not collide.
 func pipeCacheRun(sc Scale, depth int) pipeCacheResult {
-	spec := data.TerabyteSpec(sc.DatasetScale)
-	d, err := data.New(spec)
+	d, err := data.New(data.TerabyteSpec(sc.DatasetScale))
 	if err != nil {
 		panic(err)
 	}
-	largest := 0
-	for t, rows := range spec.TableRows {
-		if rows > spec.TableRows[largest] {
-			largest = t
-		}
-	}
-	locs := make([]ps.TableLoc, spec.NumTables())
-	for i, rows := range spec.TableRows {
-		if i == largest {
-			shape, err := tt.NewShape(rows, sc.EmbDim, sc.Rank)
-			if err != nil {
-				panic(err)
-			}
-			tbl := tt.NewTable(shape, rngFor(99), 0.05)
-			tbl.Opts = tt.EffOptions()
-			locs[i] = ps.TableLoc{Device: tbl}
-		} else {
-			locs[i] = ps.TableLoc{HostRows: rows}
-		}
-	}
-	cfg := ps.Config{
-		Model:      modelConfig(spec, sc),
-		QueueDepth: depth,
-		Seed:       3,
-		Lookahead:  sc.Lookahead,
-	}
+	cfg := ps.Config{QueueDepth: depth, Lookahead: sc.Lookahead}
 	if depth > 1 {
 		cfg.Metrics = sc.Metrics
 	}
-	p, err := ps.NewPipeline(cfg, locs)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := p.Train(context.Background(), d, 0, sc.WarmSteps, sc.Batch); err != nil {
-		panic(err)
-	}
+	p := fig16Pipeline(sc, d, true, cfg)
 	before := p.Stats()
 	var out pipeCacheResult
 	out.wall = timeIt(func() {

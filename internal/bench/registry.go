@@ -7,31 +7,31 @@ import (
 	"repro/internal/hw"
 )
 
-// Runner regenerates one table or figure at the given scale.
-type Runner func(Scale) *Result
+// runner regenerates one table or figure at the given scale.
+type runner func(Scale) *Result
 
 // registry maps experiment ids to their runners.
-var registry = map[string]Runner{
-	"table2":       Table2,
-	"table3":       Table3,
-	"table4":       Table4,
-	"fig4a":        Fig4a,
-	"fig4b":        Fig4b,
-	"fig11":        func(sc Scale) *Result { return Fig11(sc, hw.TeslaV100()) },
-	"fig11-t4":     func(sc Scale) *Result { return Fig11(sc, hw.TeslaT4()) },
-	"fig12":        Fig12,
-	"fig13":        Fig13,
-	"fig14":        Fig14,
-	"fig15":        Fig15,
-	"fig16":        Fig16,
-	"fig17":        Fig17,
-	"fig18":        Fig18,
-	"ttcore":       TTCore,
-	"servecore":    ServeCore,
-	"pipecache":    PipeCache,
-	"ext-ttdepth":  ExtTTDepth,
-	"ext-optim":    ExtOptim,
-	"ext-hotratio": ExtHotRatio,
+var registry = map[string]runner{
+	"table2":       table2,
+	"table3":       table3,
+	"table4":       table4,
+	"fig4a":        fig4a,
+	"fig4b":        fig4b,
+	"fig11":        func(sc Scale) *Result { return fig11(sc, hw.TeslaV100()) },
+	"fig11-t4":     func(sc Scale) *Result { return fig11(sc, hw.TeslaT4()) },
+	"fig12":        fig12,
+	"fig13":        fig13,
+	"fig14":        fig14,
+	"fig15":        fig15,
+	"fig16":        fig16,
+	"fig17":        fig17,
+	"fig18":        fig18,
+	"ttcore":       ttCore,
+	"servecore":    serveCore,
+	"pipecache":    pipeCache,
+	"ext-ttdepth":  extTTDepth,
+	"ext-optim":    extOptim,
+	"ext-hotratio": extHotRatio,
 }
 
 // Run executes the experiment with the given id.

@@ -19,7 +19,7 @@ import (
 // overlappable across replicas because it blocks without burning CPU.
 const serveFetchRTT = 5 * time.Millisecond
 
-// ServeCore measures ranking-stage serving throughput through the replica
+// serveCore measures ranking-stage serving throughput through the replica
 // pool at 1, 4 and 8 replicas under a fixed closed-loop client population,
 // against the single-goroutine serial Ranker baseline. Two workload profiles
 // at 8 candidates per request: "cpu" is pure local scoring — on a single-CPU
@@ -32,7 +32,7 @@ const serveFetchRTT = 5 * time.Millisecond
 // the model forward rather than the per-request overhead sets the rate. Not a
 // paper artifact — it records the serving front end's scaling trajectory
 // across PRs, the way ttcore does for the compute core.
-func ServeCore(sc Scale) *Result {
+func serveCore(sc Scale) *Result {
 	spec := data.TerabyteSpec(sc.DatasetScale)
 	d, err := data.New(spec)
 	if err != nil {

@@ -10,10 +10,10 @@ import (
 	"repro/internal/tt"
 )
 
-// Table2 regenerates Table II: the dataset statistics. Rows are printed at
+// table2 regenerates Table II: the dataset statistics. Rows are printed at
 // the synthetic scale plus the full-scale (scale=1) footprint the paper
 // reports (59.2 GB for Criteo Terabyte at dim 128).
-func Table2(sc Scale) *Result {
+func table2(sc Scale) *Result {
 	r := &Result{
 		ID:     "table2",
 		Title:  "dataset statistics",
@@ -39,10 +39,10 @@ func Table2(sc Scale) *Result {
 	return r
 }
 
-// Table3 regenerates Table III: embedding-table footprint of the
+// table3 regenerates Table III: embedding-table footprint of the
 // uncompressed model vs the Eff-TT model (compressing tables above the
 // threshold, keeping small tables dense, as §VI-A describes).
-func Table3(sc Scale) *Result {
+func table3(sc Scale) *Result {
 	r := &Result{
 		ID:     "table3",
 		Title:  "embedding footprint: uncompressed vs Eff-TT",
@@ -77,10 +77,10 @@ func Table3(sc Scale) *Result {
 	return r
 }
 
-// Table4 regenerates Table IV: held-out prediction accuracy of DLRM, TT-Rec,
+// table4 regenerates Table IV: held-out prediction accuracy of DLRM, TT-Rec,
 // FAE and EL-Rec on the three datasets — the tensorization must cost at most
 // a fraction of a point of accuracy.
-func Table4(sc Scale) *Result {
+func table4(sc Scale) *Result {
 	r := &Result{
 		ID:     "table4",
 		Title:  "prediction accuracy (%)",

@@ -11,13 +11,13 @@ import (
 	"repro/internal/tt"
 )
 
-// TTCore measures the compute-core hot paths directly, one row per path, so
+// ttCore measures the compute-core hot paths directly, one row per path, so
 // kernel-level changes show up as per-row deltas between two BENCH_ttcore
 // artifacts (elrec-bench -compare). Unlike the figure experiments it is not
 // a paper artifact: it exists to record before/after trajectories of the
 // blocked GEMM kernels, the zero-allocation TT step and, on its own row, the
 // serving clone's cross-batch prefix memo.
-func TTCore(sc Scale) *Result {
+func ttCore(sc Scale) *Result {
 	rows := scaledRows(5_000_000, sc, 20_000)
 	r := &Result{
 		ID:     "ttcore",

@@ -95,7 +95,7 @@ type shardConn struct {
 type Client struct {
 	cfg   ClientConfig
 	retry ps.RetryPolicy
-	ring  *Ring
+	ring  *hashRing
 	clock obs.Clock
 	trace *obs.Tracer
 	log   *slog.Logger
@@ -107,13 +107,13 @@ type Client struct {
 	conns []*shardConn
 }
 
-// NewClient builds the client; connections are dialed on first use.
-func NewClient(cfg ClientConfig) (*Client, error) {
+// newClient builds the client; connections are dialed on first use.
+func newClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Shards) == 0 {
-		return nil, fmt.Errorf("%w: no shard addresses", ErrBadRequest)
+		return nil, fmt.Errorf("%w: no shard addresses", errBadRequest)
 	}
 	if cfg.Dim <= 0 || len(cfg.Tables) == 0 {
-		return nil, fmt.Errorf("%w: client needs a positive dim and at least one table", ErrBadRequest)
+		return nil, fmt.Errorf("%w: client needs a positive dim and at least one table", errBadRequest)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
@@ -121,7 +121,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:   cfg,
 		retry: transportRetry(cfg.Retry),
-		ring:  NewRing(len(cfg.Shards)),
+		ring:  newHashRing(len(cfg.Shards)),
 		clock: obs.System(),
 		trace: cfg.Trace,
 		log:   orDiscard(cfg.Log),
@@ -149,9 +149,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 
 // rpcTID is the trace lane for RPCs against one shard.
 func rpcTID(shard int) int { return 10 + shard }
-
-// Ring exposes the row-placement function (shared with the shards).
-func (c *Client) Ring() *Ring { return c.ring }
 
 // Epoch returns the current lease epoch.
 func (c *Client) Epoch() uint64 { return c.epoch.Load() }
@@ -183,7 +180,7 @@ func (sc *shardConn) poisonLocked() {
 // connection. Any failure poisons the connection.
 //
 //elrec:locked mu roundTrip holds sc.mu across dial + exchange
-func (sc *shardConn) exchangeLocked(c *Client, typ uint8, payload []byte, tctx obs.TraceContext) (Frame, error) {
+func (sc *shardConn) exchangeLocked(c *Client, typ uint8, payload []byte, tctx obs.TraceContext) (frame, error) {
 	sc.reqID++
 	id := sc.reqID
 	// Socket deadlines are kernel wall time by nature; the client's clock
@@ -191,31 +188,31 @@ func (sc *shardConn) exchangeLocked(c *Client, typ uint8, payload []byte, tctx o
 	//elrec:wallclock socket I/O deadline is enforced by the kernel against wall time
 	if err := sc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout)); err != nil {
 		sc.poisonLocked()
-		return Frame{}, err
+		return frame{}, err
 	}
-	if err := WriteFrame(sc.conn, Frame{Type: typ, ReqID: id, Trace: tctx.Trace, Span: tctx.Span, Payload: payload}); err != nil {
+	if err := writeFrame(sc.conn, frame{Type: typ, ReqID: id, Trace: tctx.Trace, Span: tctx.Span, Payload: payload}); err != nil {
 		sc.poisonLocked()
-		return Frame{}, err
+		return frame{}, err
 	}
 	c.m.bytesOut.Add(int64(headerSize + len(payload)))
-	f, err := ReadFrame(sc.br, DefaultMaxPayload)
+	f, err := readFrame(sc.br, defaultMaxPayload)
 	if err != nil {
 		sc.poisonLocked()
-		return Frame{}, err
+		return frame{}, err
 	}
 	c.m.bytesIn.Add(int64(headerSize + len(f.Payload)))
 	if f.ReqID != id {
 		// The stream is desynchronised (a stale, duplicated or misrouted
 		// response): nothing more on this connection can be trusted.
 		sc.poisonLocked()
-		return Frame{}, fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, f.ReqID, id)
+		return frame{}, fmt.Errorf("%w: response id %d for request %d", errBadFrame, f.ReqID, id)
 	}
 	return f, nil
 }
 
 // roundTrip runs one exchange, dialing (and re-validating the spec via
 // Hello) if the connection is down.
-func (sc *shardConn) roundTrip(c *Client, typ uint8, payload []byte, tctx obs.TraceContext) (Frame, error) {
+func (sc *shardConn) roundTrip(c *Client, typ uint8, payload []byte, tctx obs.TraceContext) (frame, error) {
 	// sc.mu exists precisely to serialize this connection's dial and
 	// request/response exchange: holding it across the socket I/O is the
 	// invariant, not a bug. The I/O is deadline-bounded (dial timeout,
@@ -226,7 +223,7 @@ func (sc *shardConn) roundTrip(c *Client, typ uint8, payload []byte, tctx obs.Tr
 		//elrec:lockorder per-connection mutex serializes deadline-bounded dial
 		conn, err := net.DialTimeout("tcp", sc.addr, c.cfg.Timeout)
 		if err != nil {
-			return Frame{}, err
+			return frame{}, err
 		}
 		sc.conn = conn
 		sc.br = bufio.NewReader(conn)
@@ -239,23 +236,23 @@ func (sc *shardConn) roundTrip(c *Client, typ uint8, payload []byte, tctx obs.Tr
 		//elrec:lockorder per-connection mutex serializes deadline-bounded exchange
 		f, err := sc.exchangeLocked(c, msgHello, hello.encode(), tctx)
 		if err != nil {
-			return Frame{}, err
+			return frame{}, err
 		}
 		body, err := checkReply(f, msgHelloAck)
 		if err != nil {
-			return Frame{}, err
+			return frame{}, err
 		}
 		ack, err := decodeHelloAck(body)
 		if err != nil {
 			//elrec:lockorder net.Conn.Close does not block
 			sc.poisonLocked()
-			return Frame{}, err
+			return frame{}, err
 		}
 		if ack.ShardID != sc.index || ack.NumShards != len(c.cfg.Shards) {
 			//elrec:lockorder net.Conn.Close does not block
 			sc.poisonLocked()
-			return Frame{}, fmt.Errorf("%w: dialed shard %d/%d, reached %d/%d",
-				ErrSpecMismatch, sc.index, len(c.cfg.Shards), ack.ShardID, ack.NumShards)
+			return frame{}, fmt.Errorf("%w: dialed shard %d/%d, reached %d/%d",
+				errSpecMismatch, sc.index, len(c.cfg.Shards), ack.ShardID, ack.NumShards)
 		}
 	}
 	//elrec:lockorder per-connection mutex serializes deadline-bounded exchange
@@ -264,7 +261,7 @@ func (sc *shardConn) roundTrip(c *Client, typ uint8, payload []byte, tctx obs.Tr
 
 // checkReply unwraps a response frame: msgError becomes the matching typed
 // sentinel, a wrong type is a protocol violation.
-func checkReply(f Frame, want uint8) ([]byte, error) {
+func checkReply(f frame, want uint8) ([]byte, error) {
 	if f.Type == msgError {
 		em, derr := decodeErr(f.Payload)
 		if derr != nil {
@@ -273,7 +270,7 @@ func checkReply(f Frame, want uint8) ([]byte, error) {
 		return nil, fmt.Errorf("%w (remote: %s)", sentinelFor(em.Code), em.Msg)
 	}
 	if f.Type != want {
-		return nil, fmt.Errorf("%w: reply type %s, want %s", ErrBadFrame, msgName(f.Type), msgName(want))
+		return nil, fmt.Errorf("%w: reply type %s, want %s", errBadFrame, msgName(f.Type), msgName(want))
 	}
 	return f.Payload, nil
 }
@@ -285,12 +282,12 @@ func checkReply(f Frame, want uint8) ([]byte, error) {
 // and an unrestored shard only becomes useful after an explicit Restore.
 func retryable(err error) bool {
 	switch {
-	case errors.Is(err, ErrFenced),
-		errors.Is(err, ErrSpecMismatch),
-		errors.Is(err, ErrBadRequest),
-		errors.Is(err, ErrLeaseHeld),
-		errors.Is(err, ErrNoCheckpoint),
-		errors.Is(err, ErrNotRestored):
+	case errors.Is(err, errFenced),
+		errors.Is(err, errSpecMismatch),
+		errors.Is(err, errBadRequest),
+		errors.Is(err, errLeaseHeld),
+		errors.Is(err, errNoCheckpoint),
+		errors.Is(err, errNotRestored):
 		return false
 	}
 	return true
@@ -328,7 +325,7 @@ func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte)
 				c.m.latency[typ].Observe(float64(obs.Since(c.clock, start)))
 				return body, nil
 			}
-			if errors.Is(err, ErrBadFrame) {
+			if errors.Is(err, errBadFrame) {
 				sc.mu.Lock()
 				//elrec:lockorder net.Conn.Close does not block
 				sc.poisonLocked()
@@ -340,7 +337,7 @@ func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte)
 			return nil, fmt.Errorf("shard %d %s: %w", shard, msgName(typ), err)
 		}
 		if attempt >= c.retry.MaxRetries {
-			return nil, fmt.Errorf("%w: shard %d %s after %d attempts: %w", ErrRPCFailed, shard, msgName(typ), attempt+1, last)
+			return nil, fmt.Errorf("%w: shard %d %s after %d attempts: %w", errRPCFailed, shard, msgName(typ), attempt+1, last)
 		}
 		c.m.retries.Inc()
 		if err := c.retry.Wait(ctx, c.retry.Delay(attempt)); err != nil {
@@ -382,7 +379,7 @@ func (c *Client) Gather(ctx context.Context, shard, table int, rows []int) ([]fl
 		}
 		if m.Dim != c.cfg.Dim || len(m.Values) != (end-off)*c.cfg.Dim {
 			return nil, fmt.Errorf("%w: gather returned %d values of dim %d for %d rows",
-				ErrBadFrame, len(m.Values), m.Dim, end-off)
+				errBadFrame, len(m.Values), m.Dim, end-off)
 		}
 		out = append(out, m.Values...)
 	}
@@ -430,7 +427,7 @@ func (c *Client) versionAll(ctx context.Context, typ uint8, v int64) error {
 			return err
 		}
 		if ack.Version != v {
-			return fmt.Errorf("%w: shard %d %s acked version %d, want %d", ErrBadFrame, i, msgName(typ), ack.Version, v)
+			return fmt.Errorf("%w: shard %d %s acked version %d, want %d", errBadFrame, i, msgName(typ), ack.Version, v)
 		}
 	}
 	return nil
@@ -474,7 +471,7 @@ func (c *Client) Stats(ctx context.Context, shard, maxSpans int) (ShardStats, er
 	}
 	if ack.MetricsJSON != "" {
 		if err := json.Unmarshal([]byte(ack.MetricsJSON), &st.Metrics); err != nil {
-			return ShardStats{}, fmt.Errorf("%w: shard %d metrics snapshot: %w", ErrBadFrame, shard, err)
+			return ShardStats{}, fmt.Errorf("%w: shard %d metrics snapshot: %w", errBadFrame, shard, err)
 		}
 	}
 	c.m.offset[shard].Set(float64(st.ClockOffsetNS))

@@ -41,11 +41,11 @@ type ClusterView struct {
 	Shards []ShardView `json:"shards"`
 }
 
-// ClusterStats fetches every shard's observability snapshot over msgStats
+// clusterStats fetches every shard's observability snapshot over msgStats
 // and merges it with the worker's own registry and tracer. Per-shard
 // failures are recorded in the view, not returned: the cluster view must
 // stay useful exactly when part of the cluster is down.
-func ClusterStats(ctx context.Context, c *Client, reg *obs.Registry, tr *obs.Tracer) ClusterView {
+func clusterStats(ctx context.Context, c *Client, reg *obs.Registry, tr *obs.Tracer) ClusterView {
 	view := ClusterView{
 		Worker: WorkerView{Metrics: reg.Snapshot(), Spans: len(tr.Spans()), Dropped: tr.Dropped()},
 	}
@@ -65,23 +65,14 @@ func ClusterStats(ctx context.Context, c *Client, reg *obs.Registry, tr *obs.Tra
 	return view
 }
 
-// WriteClusterTrace fetches every shard's recent spans and writes one
-// merged Chrome trace: the worker's own timeline as pid 1, shard i as
-// pid 2+i, with each shard's epoch shifted by the clock offset estimated
-// from that same Stats exchange, so all timelines sit on the worker's
-// clock. workerEpochNS is the worker tracer's epoch on the worker's wall
-// clock (pass tr.Epoch().UnixNano() measured by the same clock the client
-// uses).
-// Unreachable shards are skipped; the worker's timeline always appears.
-func WriteClusterTrace(ctx context.Context, w io.Writer, c *Client, tr *obs.Tracer, workerEpochNS int64) error {
-	procs := []obs.ProcessTrace{{
-		Name:    "worker",
-		PID:     1,
-		EpochNS: workerEpochNS,
-		Spans:   tr.Spans(),
-		Threads: tr.Threads(),
-		Inst:    tr.Instants(),
-	}}
+// writeClusterTrace fetches every shard's recent spans and writes one
+// merged Chrome trace: the worker's own timeline (tr.Process) as pid 1,
+// shard i as pid 2+i, with each shard's epoch shifted by the clock offset
+// estimated from that same Stats exchange, so all timelines sit on the
+// worker's clock. Unreachable shards are skipped; the worker's timeline
+// always appears.
+func writeClusterTrace(ctx context.Context, w io.Writer, c *Client, tr *obs.Tracer) error {
+	procs := []obs.ProcessTrace{tr.Process("worker", 1)}
 	for i := range c.conns {
 		st, err := c.Stats(ctx, i, 0)
 		if err != nil {
@@ -102,12 +93,10 @@ func WriteClusterTrace(ctx context.Context, w io.Writer, c *Client, tr *obs.Trac
 }
 
 // ClusterHandlers returns the worker's cluster-view debug routes, for
-// mounting via obs.ServeWith:
+// mounting via obs.Serve:
 //
 //	/cluster        merged per-shard metrics + worker metrics (JSON)
 //	/cluster/trace  offset-corrected merged Chrome trace (JSON)
-//	/healthz        process liveness (always 200 once serving)
-//	/readyz         200 while the worker holds the lease and trains
 //
 // The scrape timeout bounds how long a dead shard can stall a request.
 //
@@ -125,45 +114,14 @@ func ClusterHandlers(w *Worker, reg *obs.Registry, tr *obs.Tracer, scrapeTimeout
 			enc := json.NewEncoder(rw)
 			enc.SetIndent("", "  ")
 			// The connection is gone on encode failure; nothing to report to.
-			_ = enc.Encode(ClusterStats(ctx, c, reg, tr))
+			_ = enc.Encode(clusterStats(ctx, c, reg, tr))
 		},
 		"/cluster/trace": func(rw http.ResponseWriter, r *http.Request) {
 			ctx, cancel := context.WithTimeout(r.Context(), scrapeTimeout)
 			defer cancel()
 			rw.Header().Set("Content-Type", "application/json")
 			rw.Header().Set("Content-Disposition", `attachment; filename="elrec-cluster-trace.json"`)
-			_ = WriteClusterTrace(ctx, rw, c, tr, tr.Epoch().UnixNano())
-		},
-		"/healthz": healthzHandler,
-		"/readyz": func(rw http.ResponseWriter, r *http.Request) {
-			writeReady(rw, w.Active())
+			_ = writeClusterTrace(ctx, rw, c, tr)
 		},
 	}
-}
-
-// ShardHandlers returns a PS shard's health routes for obs.ServeWith:
-// /healthz is process liveness, /readyz reflects restore/drain state (an
-// unrestored shard answers 503 until the trainer restores it).
-func ShardHandlers(s *Shard) map[string]http.HandlerFunc {
-	return map[string]http.HandlerFunc{
-		"/healthz": healthzHandler,
-		"/readyz": func(rw http.ResponseWriter, r *http.Request) {
-			writeReady(rw, s.Ready())
-		},
-	}
-}
-
-func healthzHandler(rw http.ResponseWriter, _ *http.Request) {
-	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(rw, "ok")
-}
-
-func writeReady(rw http.ResponseWriter, ready bool) {
-	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !ready {
-		rw.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(rw, "not ready")
-		return
-	}
-	fmt.Fprintln(rw, "ready")
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func tracedShards(t *testing.T, sc Scenario, n int) ([]*Shard, *Client) {
 	ccfg.Retry = fastBackoff()
 	ccfg.Metrics = obs.NewRegistry()
 	ccfg.Trace = obs.NewTracer(nil)
-	c, err := NewClient(ccfg)
+	c, err := newClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestClusterStatsKeepsDeadShardVisible(t *testing.T) {
 	shards[1].Close()
 
 	reg, tr := obs.NewRegistry(), obs.NewTracer(nil)
-	view := ClusterStats(ctx, c, reg, tr)
+	view := clusterStats(ctx, c, reg, tr)
 	if len(view.Shards) != 2 {
 		t.Fatalf("view has %d shards, want 2", len(view.Shards))
 	}
@@ -182,7 +183,7 @@ func TestClockOffsetFromStats(t *testing.T) {
 	ccfg.Retry = fastBackoff()
 	ccfg.Metrics = obs.NewRegistry()
 	ccfg.Trace = obs.NewTracer(nil)
-	c, err := NewClient(ccfg)
+	c, err := newClient(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestClockOffsetFromStats(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	view := ClusterStats(ctx, c, obs.NewRegistry(), obs.NewTracer(nil))
+	view := clusterStats(ctx, c, obs.NewRegistry(), obs.NewTracer(nil))
 	bound := time.Since(start) / 2
 	gauges := c.cfg.Metrics.Snapshot().Gauges
 	for i, want := range []time.Duration{skew, 0} {
@@ -213,7 +214,7 @@ func TestClockOffsetFromStats(t *testing.T) {
 
 	var buf bytes.Buffer
 	start = time.Now()
-	if err := WriteClusterTrace(ctx, &buf, c, ccfg.Trace, ccfg.Trace.Epoch().UnixNano()); err != nil {
+	if err := writeClusterTrace(ctx, &buf, c, ccfg.Trace); err != nil {
 		t.Fatal(err)
 	}
 	slackUS := float64(time.Since(start)/2)/float64(time.Microsecond) + 1
@@ -284,9 +285,8 @@ func TestClusterTraceFromLiveRun(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	epoch := wcfg.Trace.Epoch().UnixNano()
-	if err := WriteClusterTrace(context.Background(), &buf, w.Client(), wcfg.Trace, epoch); err != nil {
-		t.Fatalf("WriteClusterTrace: %v", err)
+	if err := writeClusterTrace(context.Background(), &buf, w.Client(), wcfg.Trace); err != nil {
+		t.Fatalf("writeClusterTrace: %v", err)
 	}
 	var doc struct {
 		TraceEvents []struct {
@@ -350,27 +350,29 @@ func TestClusterTraceFromLiveRun(t *testing.T) {
 	}
 }
 
-// TestClusterAndHealthHandlers checks the HTTP surface: /cluster serves
-// the merged JSON view, /healthz answers 200, and /readyz reflects
-// worker/shard readiness with 200 vs 503.
+// TestClusterAndHealthHandlers checks the HTTP surface a worker and a shard
+// mount on the obs debug mux: /cluster serves the merged JSON view,
+// /healthz answers 200, and /readyz reflects worker/shard readiness with
+// 200 vs 503.
 func TestClusterAndHealthHandlers(t *testing.T) {
 	sc := testScenario()
 	shards, _ := tracedShards(t, sc, 1)
+	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
 
 	// Shard side: a fresh (first-boot) shard is restored → ready.
-	sh := ShardHandlers(shards[0])
+	sh := obs.Handler(nil, nil, shards[0].Ready, nil)
 	for path, wantCode := range map[string]int{"/healthz": 200, "/readyz": 200} {
-		rec := httptest.NewRecorder()
-		sh[path](rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != wantCode {
+		if rec := get(sh, path); rec.Code != wantCode {
 			t.Fatalf("shard %s = %d, want %d", path, rec.Code, wantCode)
 		}
 	}
 	// Drain the shard: /readyz must flip to 503 while /healthz stays 200.
 	shards[0].Close()
-	rec := httptest.NewRecorder()
-	sh["/readyz"](rec, httptest.NewRequest("GET", "/readyz", nil))
-	if rec.Code != 503 {
+	if rec := get(sh, "/readyz"); rec.Code != 503 {
 		t.Fatalf("closed shard /readyz = %d, want 503", rec.Code)
 	}
 
@@ -387,20 +389,16 @@ func TestClusterAndHealthHandlers(t *testing.T) {
 	}
 	t.Cleanup(func() { w.Close() })
 
-	wh := ClusterHandlers(w, wcfg.Metrics, wcfg.Trace, time.Second)
-	rec = httptest.NewRecorder()
-	wh["/healthz"](rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 200 {
+	wh := obs.Handler(wcfg.Metrics, wcfg.Trace, w.Active,
+		ClusterHandlers(w, wcfg.Metrics, wcfg.Trace, time.Second))
+	if rec := get(wh, "/healthz"); rec.Code != 200 {
 		t.Fatalf("worker /healthz = %d, want 200", rec.Code)
 	}
-	rec = httptest.NewRecorder()
-	wh["/readyz"](rec, httptest.NewRequest("GET", "/readyz", nil))
-	if rec.Code != 503 {
+	if rec := get(wh, "/readyz"); rec.Code != 503 {
 		t.Fatalf("idle worker /readyz = %d, want 503", rec.Code)
 	}
 
-	rec = httptest.NewRecorder()
-	wh["/cluster"](rec, httptest.NewRequest("GET", "/cluster", nil))
+	rec := get(wh, "/cluster")
 	if rec.Code != 200 {
 		t.Fatalf("/cluster = %d, want 200", rec.Code)
 	}
@@ -417,8 +415,7 @@ func TestClusterAndHealthHandlers(t *testing.T) {
 		}
 	}
 
-	rec = httptest.NewRecorder()
-	wh["/cluster/trace"](rec, httptest.NewRequest("GET", "/cluster/trace", nil))
+	rec = get(wh, "/cluster/trace")
 	if rec.Code != 200 {
 		t.Fatalf("/cluster/trace = %d, want 200", rec.Code)
 	}

@@ -150,7 +150,7 @@ func (l dropListener) Accept() (net.Conn, error) {
 }
 
 // dropConn loses a write by reporting it written. Shard.handleConn writes
-// each response as one Write (WriteFrame into a bufio.Writer it flushes),
+// each response as one Write (writeFrame into a bufio.Writer it flushes),
 // so a write is a whole frame: the client sees no reply, times out, redials
 // and retries, and the shard's push dedup absorbs the replay.
 type dropConn struct {

@@ -23,45 +23,45 @@ import "errors"
 
 // Typed errors; callers branch with errors.Is.
 var (
-	// ErrBadFrame reports a malformed frame: wrong magic, oversized
+	// errBadFrame reports a malformed frame: wrong magic, oversized
 	// payload, checksum mismatch, or a truncated read mid-frame.
-	ErrBadFrame = errors.New("distps: bad frame")
+	errBadFrame = errors.New("distps: bad frame")
 
-	// ErrRPCFailed reports an RPC that failed after exhausting its
+	// errRPCFailed reports an RPC that failed after exhausting its
 	// retries (connection refused, deadline exceeded, connection killed
 	// mid-exchange).
-	ErrRPCFailed = errors.New("distps: rpc failed")
+	errRPCFailed = errors.New("distps: rpc failed")
 
-	// ErrFenced reports a mutating RPC rejected because its lease epoch is
+	// errFenced reports a mutating RPC rejected because its lease epoch is
 	// older than one the shard has already seen — the caller lost the
 	// trainer lease and must stand down (its state may be stale).
-	ErrFenced = errors.New("distps: fenced: stale lease epoch")
+	errFenced = errors.New("distps: fenced: stale lease epoch")
 
-	// ErrLeaseHeld reports a lease acquisition denied because another
+	// errLeaseHeld reports a lease acquisition denied because another
 	// worker holds an unexpired trainer lease.
-	ErrLeaseHeld = errors.New("distps: trainer lease held by another worker")
+	errLeaseHeld = errors.New("distps: trainer lease held by another worker")
 
-	// ErrNotRestored reports a data RPC against a shard that has not yet
+	// errNotRestored reports a data RPC against a shard that has not yet
 	// materialized its tables (no Restore received since it started).
-	ErrNotRestored = errors.New("distps: shard not restored")
+	errNotRestored = errors.New("distps: shard not restored")
 
-	// ErrNoCheckpoint reports a Restore for a version the shard has no
+	// errNoCheckpoint reports a Restore for a version the shard has no
 	// durable checkpoint file for.
-	ErrNoCheckpoint = errors.New("distps: no checkpoint for requested version")
+	errNoCheckpoint = errors.New("distps: no checkpoint for requested version")
 
-	// ErrSpecMismatch reports a Hello whose table spec disagrees with the
+	// errSpecMismatch reports a Hello whose table spec disagrees with the
 	// state the shard already holds.
-	ErrSpecMismatch = errors.New("distps: worker/shard spec mismatch")
+	errSpecMismatch = errors.New("distps: worker/shard spec mismatch")
 
-	// ErrDraining reports an RPC rejected because the shard is shutting
+	// errDraining reports an RPC rejected because the shard is shutting
 	// down gracefully.
-	ErrDraining = errors.New("distps: shard draining")
+	errDraining = errors.New("distps: shard draining")
 
-	// ErrBadRequest reports a structurally invalid request (unknown table,
+	// errBadRequest reports a structurally invalid request (unknown table,
 	// row not owned by the shard, shape mismatch).
-	ErrBadRequest = errors.New("distps: bad request")
+	errBadRequest = errors.New("distps: bad request")
 
-	// ErrInternal reports a recovered panic or invariant violation inside
+	// errInternal reports a recovered panic or invariant violation inside
 	// the transport machinery.
-	ErrInternal = errors.New("distps: internal fault")
+	errInternal = errors.New("distps: internal fault")
 )

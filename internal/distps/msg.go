@@ -12,7 +12,7 @@ import (
 // built with internal/codec's cursors; the frame layer (wire.go) already
 // guarantees integrity (checksum) and bounds (max payload), so decoders
 // here only validate structure. done wraps a structural mismatch in
-// ErrBadFrame: it means wire-version skew or a corrupted peer, and the
+// errBadFrame: it means wire-version skew or a corrupted peer, and the
 // connection is not trustworthy afterwards.
 
 // TableSpec identifies one host-placed (overflow) embedding table by its
@@ -25,10 +25,10 @@ type TableSpec struct {
 }
 
 // done is a payload decode's verdict: the cursor's first error, trailing
-// bytes included, as ErrBadFrame.
+// bytes included, as errBadFrame.
 func done(d *codec.Dec) error {
 	if err := d.Done(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadFrame, err)
+		return fmt.Errorf("%w: %w", errBadFrame, err)
 	}
 	return nil
 }
@@ -410,39 +410,39 @@ func decodeErr(b []byte) (errMsg, error) {
 func sentinelFor(code uint8) error {
 	switch code {
 	case codeFenced:
-		return ErrFenced
+		return errFenced
 	case codeLeaseHeld:
-		return ErrLeaseHeld
+		return errLeaseHeld
 	case codeNotRestored:
-		return ErrNotRestored
+		return errNotRestored
 	case codeNoCheckpoint:
-		return ErrNoCheckpoint
+		return errNoCheckpoint
 	case codeSpecMismatch:
-		return ErrSpecMismatch
+		return errSpecMismatch
 	case codeDraining:
-		return ErrDraining
+		return errDraining
 	case codeBadRequest:
-		return ErrBadRequest
+		return errBadRequest
 	}
-	return ErrInternal
+	return errInternal
 }
 
 // codeFor maps a shard-side sentinel to its wire code.
 func codeFor(err error) uint8 {
 	switch {
-	case errors.Is(err, ErrFenced):
+	case errors.Is(err, errFenced):
 		return codeFenced
-	case errors.Is(err, ErrLeaseHeld):
+	case errors.Is(err, errLeaseHeld):
 		return codeLeaseHeld
-	case errors.Is(err, ErrNotRestored):
+	case errors.Is(err, errNotRestored):
 		return codeNotRestored
-	case errors.Is(err, ErrNoCheckpoint):
+	case errors.Is(err, errNoCheckpoint):
 		return codeNoCheckpoint
-	case errors.Is(err, ErrSpecMismatch):
+	case errors.Is(err, errSpecMismatch):
 		return codeSpecMismatch
-	case errors.Is(err, ErrDraining):
+	case errors.Is(err, errDraining):
 		return codeDraining
-	case errors.Is(err, ErrBadRequest):
+	case errors.Is(err, errBadRequest):
 		return codeBadRequest
 	}
 	return codeInternal

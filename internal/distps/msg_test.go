@@ -80,20 +80,20 @@ func TestMessageRoundTrip(t *testing.T) {
 func TestMessageTruncation(t *testing.T) {
 	for _, c := range codecs() {
 		for cut := 0; cut < len(c.bytes); cut++ {
-			if _, err := c.decode(c.bytes[:cut]); !errors.Is(err, ErrBadFrame) {
-				t.Errorf("%s cut at %d/%d: err = %v, want ErrBadFrame", c.name, cut, len(c.bytes), err)
+			if _, err := c.decode(c.bytes[:cut]); !errors.Is(err, errBadFrame) {
+				t.Errorf("%s cut at %d/%d: err = %v, want errBadFrame", c.name, cut, len(c.bytes), err)
 			}
 		}
 		padded := append(append([]byte(nil), c.bytes...), 0xAA)
-		if _, err := c.decode(padded); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s with trailing byte: err = %v, want ErrBadFrame", c.name, err)
+		if _, err := c.decode(padded); !errors.Is(err, errBadFrame) {
+			t.Errorf("%s with trailing byte: err = %v, want errBadFrame", c.name, err)
 		}
 	}
 }
 
 func TestErrorCodeMapping(t *testing.T) {
-	sentinels := []error{ErrFenced, ErrLeaseHeld, ErrNotRestored, ErrNoCheckpoint,
-		ErrSpecMismatch, ErrDraining, ErrBadRequest, ErrInternal}
+	sentinels := []error{errFenced, errLeaseHeld, errNotRestored, errNoCheckpoint,
+		errSpecMismatch, errDraining, errBadRequest, errInternal}
 	for _, want := range sentinels {
 		code := codeFor(want)
 		if got := sentinelFor(code); !errors.Is(got, want) {
@@ -101,14 +101,14 @@ func TestErrorCodeMapping(t *testing.T) {
 		}
 	}
 	// Wrapped errors keep their code; unknown errors degrade to internal.
-	if codeFor(errors.Join(ErrFenced, errors.New("ctx"))) != codeFenced {
-		t.Error("wrapped ErrFenced lost its code")
+	if codeFor(errors.Join(errFenced, errors.New("ctx"))) != codeFenced {
+		t.Error("wrapped errFenced lost its code")
 	}
 	if codeFor(errors.New("mystery")) != codeInternal {
 		t.Error("unknown error should map to codeInternal")
 	}
-	if !errors.Is(sentinelFor(200), ErrInternal) {
-		t.Error("unknown code should map to ErrInternal")
+	if !errors.Is(sentinelFor(200), errInternal) {
+		t.Error("unknown code should map to errInternal")
 	}
 }
 
@@ -116,8 +116,8 @@ func TestDecodeRejectsInsaneCounts(t *testing.T) {
 	var e codec.Enc
 	e.U32(uint32(2))       // table
 	e.U32(uint32(1 << 30)) // row count far beyond the payload
-	if _, err := decodeGather(e.Buf); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("insane count: err = %v, want ErrBadFrame", err)
+	if _, err := decodeGather(e.Buf); !errors.Is(err, errBadFrame) {
+		t.Fatalf("insane count: err = %v, want errBadFrame", err)
 	}
 }
 
@@ -131,8 +131,8 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		c := table[int(which)%len(table)]
 		m, err := c.decode(b)
 		if err != nil {
-			if !errors.Is(err, ErrBadFrame) {
-				t.Fatalf("%s: err = %v, want ErrBadFrame", c.name, err)
+			if !errors.Is(err, errBadFrame) {
+				t.Fatalf("%s: err = %v, want errBadFrame", c.name, err)
 			}
 			return
 		}

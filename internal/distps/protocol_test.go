@@ -41,7 +41,7 @@ func TestProtocolTable(t *testing.T) {
 			}
 			names = append(names, row.name)
 		}
-		rtype, body := s.dispatch(Frame{Type: typ}, 0)
+		rtype, body := s.dispatch(frame{Type: typ}, 0)
 		if rtype != msgError {
 			t.Fatalf("type %d with an empty payload answered type %d, want msgError", typ, rtype)
 		}
@@ -53,8 +53,8 @@ func TestProtocolTable(t *testing.T) {
 		if request {
 			want = ": " + row.name + ": "
 		}
-		if !errors.Is(sentinelFor(em.Code), ErrBadRequest) || !strings.Contains(em.Msg, want) {
-			t.Fatalf("type %d: refused with code %d %q, want ErrBadRequest containing %q", typ, em.Code, em.Msg, want)
+		if !errors.Is(sentinelFor(em.Code), errBadRequest) || !strings.Contains(em.Msg, want) {
+			t.Fatalf("type %d: refused with code %d %q, want errBadRequest containing %q", typ, em.Code, em.Msg, want)
 		}
 	}
 	if !reflect.DeepEqual(names, rpcNames) {
@@ -138,7 +138,7 @@ func TestProtocolInstruments(t *testing.T) {
 
 // fakeShard serves scripted replies on a loopback listener, each request
 // frame answered by reply(request), and returns its address.
-func fakeShard(t *testing.T, reply func(Frame) Frame) string {
+func fakeShard(t *testing.T, reply func(frame) frame) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -155,11 +155,11 @@ func fakeShard(t *testing.T, reply func(Frame) Frame) string {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for {
-					f, err := ReadFrame(br, 0)
+					f, err := readFrame(br, 0)
 					if err != nil {
 						return
 					}
-					if WriteFrame(conn, reply(f)) != nil {
+					if writeFrame(conn, reply(f)) != nil {
 						return
 					}
 				}
@@ -174,12 +174,12 @@ func fakeShard(t *testing.T, reply func(Frame) Frame) string {
 func TestVersionAckMismatchFails(t *testing.T) {
 	// The fake shard answers Hello as shard 0 of 1 and acks everything else
 	// as version 41.
-	addr := fakeShard(t, func(f Frame) Frame {
+	addr := fakeShard(t, func(f frame) frame {
 		reply := versionAck{Version: 41}.encode()
 		if f.Type == msgHello {
 			reply = helloAck{NumShards: 1}.encode()
 		}
-		return Frame{Type: ackFor(f.Type), ReqID: f.ReqID, Payload: reply}
+		return frame{Type: ackFor(f.Type), ReqID: f.ReqID, Payload: reply}
 	})
 	c := newTestClient(t, testScenario(), []string{addr}, 1)
 	ctx := context.Background()
@@ -189,35 +189,35 @@ func TestVersionAckMismatchFails(t *testing.T) {
 	for name, call := range map[string]func(context.Context, int64) error{
 		"CheckpointAll": c.CheckpointAll, "RestoreAll": c.RestoreAll,
 	} {
-		if err := call(ctx, 42); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("%s(42) acked as 41: err = %v, want ErrBadFrame", name, err)
+		if err := call(ctx, 42); !errors.Is(err, errBadFrame) {
+			t.Fatalf("%s(42) acked as 41: err = %v, want errBadFrame", name, err)
 		}
 	}
 }
 
 // TestReqIDMismatchPoisonsConnection: a response that carries another
-// request's id fails the exchange with ErrBadFrame and poisons the
+// request's id fails the exchange with errBadFrame and poisons the
 // connection, so the next exchange redials (distps_reconnects goes up) and
 // succeeds.
 func TestReqIDMismatchPoisonsConnection(t *testing.T) {
 	// The fake shard answers Hello as shard 0 of 1, the first other request
 	// under the wrong id, and every later one under its own.
 	var skewed atomic.Bool
-	addr := fakeShard(t, func(f Frame) Frame {
+	addr := fakeShard(t, func(f frame) frame {
 		if f.Type == msgHello {
-			return Frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: helloAck{NumShards: 1}.encode()}
+			return frame{Type: msgHelloAck, ReqID: f.ReqID, Payload: helloAck{NumShards: 1}.encode()}
 		}
 		id := f.ReqID
 		if !skewed.Swap(true) {
 			id++
 		}
-		return Frame{Type: ackFor(f.Type), ReqID: id}
+		return frame{Type: ackFor(f.Type), ReqID: id}
 	})
 	c := newTestClient(t, testScenario(), []string{addr}, 1)
 	reconnects := c.cfg.Metrics.Counter("distps_reconnects")
 	sc := c.conns[0]
-	if _, err := sc.roundTrip(c, msgStats, nil, obs.TraceContext{}); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("mismatched response id: err = %v, want ErrBadFrame", err)
+	if _, err := sc.roundTrip(c, msgStats, nil, obs.TraceContext{}); !errors.Is(err, errBadFrame) {
+		t.Fatalf("mismatched response id: err = %v, want errBadFrame", err)
 	}
 	if n := reconnects.Value(); n != 1 {
 		t.Fatalf("distps_reconnects = %d after the first exchange, want 1", n)

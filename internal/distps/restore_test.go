@@ -103,8 +103,8 @@ func checkRestore(t testing.TB, s *Shard, b []byte) error {
 	before := snapshot(s)
 	alloc, err := restoreFile(t, s, goldenVersion, b)
 	if err != nil {
-		if !errors.Is(err, checkpoint.ErrCorruptCheckpoint) && !errors.Is(err, ErrSpecMismatch) {
-			t.Fatalf("restore of %d bytes: err = %v, want ErrCorruptCheckpoint or ErrSpecMismatch", len(b), err)
+		if !errors.Is(err, checkpoint.ErrCorruptCheckpoint) && !errors.Is(err, errSpecMismatch) {
+			t.Fatalf("restore of %d bytes: err = %v, want ErrCorruptCheckpoint or errSpecMismatch", len(b), err)
 		}
 		if !snapshot(s).equal(before) {
 			t.Fatalf("a failed restore (%v) changed the shard", err)
@@ -183,7 +183,7 @@ func TestShardRestoreRefusesHugeCounts(t *testing.T) {
 
 // FuzzShardRestore writes arbitrary bytes as a shard's checkpoint and
 // restores it: the verdict is nil, ErrCorruptCheckpoint or
-// ErrSpecMismatch; a failed restore leaves the tables, writer entries and
+// errSpecMismatch; a failed restore leaves the tables, writer entries and
 // version as they were; and the restore allocates within allocBound of
 // the file's size.
 func FuzzShardRestore(f *testing.F) {

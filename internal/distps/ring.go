@@ -11,7 +11,7 @@ import (
 // targets (single digits) while the ring stays tiny.
 const ringVnodes = 64
 
-// Ring is the consistent-hash map from (table, row) keys to shard ids. It
+// hashRing is the consistent-hash map from (table, row) keys to shard ids. It
 // is a pure function of the shard count, so every worker and every shard
 // computes an identical ring without any coordination — there is no shard
 // map to distribute, and an observer that knows only N can locate any row.
@@ -19,7 +19,7 @@ const ringVnodes = 64
 // Consistent hashing (rather than row % N) keeps the door open for
 // elastic reshards: adding a shard moves ~1/N of the rows instead of
 // nearly all of them.
-type Ring struct {
+type hashRing struct {
 	shards int
 	points []ringPoint // sorted by hash, ascending
 }
@@ -29,12 +29,12 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds the ring for n shards (n >= 1).
-func NewRing(n int) *Ring {
+// newHashRing builds the ring for n shards (n >= 1).
+func newHashRing(n int) *hashRing {
 	if n < 1 {
 		n = 1
 	}
-	r := &Ring{shards: n, points: make([]ringPoint, 0, n*ringVnodes)}
+	r := &hashRing{shards: n, points: make([]ringPoint, 0, n*ringVnodes)}
 	for s := 0; s < n; s++ {
 		for v := 0; v < ringVnodes; v++ {
 			// Salt the vnode key away from the row key space.
@@ -55,11 +55,11 @@ func NewRing(n int) *Ring {
 }
 
 // Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
+func (r *hashRing) Shards() int { return r.shards }
 
 // Owner returns the shard that owns row `row` of model table `table`: the
 // first ring point at or after the key's hash, wrapping around.
-func (r *Ring) Owner(table, row int) int {
+func (r *hashRing) Owner(table, row int) int {
 	h := tensor.Mix64(tensor.Mix64(uint64(table)+0x9e3779b97f4a7c15) ^ uint64(row))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {

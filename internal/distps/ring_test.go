@@ -3,7 +3,7 @@ package distps
 import "testing"
 
 func TestRingDeterministic(t *testing.T) {
-	a, b := NewRing(3), NewRing(3)
+	a, b := newHashRing(3), newHashRing(3)
 	for table := 0; table < 4; table++ {
 		for row := 0; row < 500; row++ {
 			if a.Owner(table, row) != b.Owner(table, row) {
@@ -15,7 +15,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingCoversAllShards(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
-		r := NewRing(n)
+		r := newHashRing(n)
 		if r.Shards() != n {
 			t.Fatalf("Shards() = %d, want %d", r.Shards(), n)
 		}
@@ -40,7 +40,7 @@ func TestRingCoversAllShards(t *testing.T) {
 // n to n+1 shards moves roughly 1/(n+1) of the keys, not most of them.
 func TestRingRebalanceBound(t *testing.T) {
 	const rows = 4000
-	r3, r4 := NewRing(3), NewRing(4)
+	r3, r4 := newHashRing(3), newHashRing(4)
 	moved := 0
 	for row := 0; row < rows; row++ {
 		if r3.Owner(1, row) != r4.Owner(1, row) {
@@ -54,7 +54,7 @@ func TestRingRebalanceBound(t *testing.T) {
 }
 
 func TestRingTablesHashIndependently(t *testing.T) {
-	r := NewRing(4)
+	r := newHashRing(4)
 	same := 0
 	const rows = 1000
 	for row := 0; row < rows; row++ {

@@ -78,7 +78,7 @@ func TestConstructionRulesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			const shards = 3
-			ring := NewRing(shards)
+			ring := newHashRing(shards)
 			for h, spec := range sc.HostSpecs() {
 				bag := pipe.HostBag(h)
 				owned := 0

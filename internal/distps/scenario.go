@@ -48,7 +48,7 @@ type Scenario struct {
 func NewScenario(run core.RunSpec, queueDepth int) (Scenario, error) {
 	spec, err := run.Validate()
 	if err != nil {
-		return Scenario{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return Scenario{}, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	if queueDepth <= 0 {
 		queueDepth = 4
@@ -154,12 +154,12 @@ func GatherFullTable(store ps.HostStore, spec TableSpec) (*tensor.Matrix, error)
 // equal fingerprints mean bit-identical parameters.
 func HashState(p *ps.Pipeline, host []TableSpec, hostValues []*tensor.Matrix) (uint64, error) {
 	if len(host) != len(hostValues) {
-		return 0, fmt.Errorf("%w: %d host specs, %d value matrices", ErrBadRequest, len(host), len(hostValues))
+		return 0, fmt.Errorf("%w: %d host specs, %d value matrices", errBadRequest, len(host), len(hostValues))
 	}
 	slot := make(map[int]int, len(host))
 	for h, spec := range host {
 		if hostValues[h] == nil || hostValues[h].Rows != spec.Rows {
-			return 0, fmt.Errorf("%w: host table %d values missing or mis-shaped", ErrBadRequest, spec.Index)
+			return 0, fmt.Errorf("%w: host table %d values missing or mis-shaped", errBadRequest, spec.Index)
 		}
 		slot[spec.Index] = h
 	}

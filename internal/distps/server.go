@@ -65,7 +65,7 @@ type shardTable struct {
 }
 
 // newShardTable builds the shard-local slice of table spec for shardID.
-func newShardTable(spec TableSpec, dim int, seed uint64, ring *Ring, shardID int) *shardTable {
+func newShardTable(spec TableSpec, dim int, seed uint64, ring *hashRing, shardID int) *shardTable {
 	t := &shardTable{spec: spec, dim: dim, slots: make(map[int]int)}
 	for r := 0; r < spec.Rows; r++ {
 		if ring.Owner(spec.Index, r) == shardID {
@@ -92,7 +92,7 @@ func (t *shardTable) gatherValues(rows []int) ([]float32, error) {
 	for i, r := range rows {
 		slot, ok := t.slots[r]
 		if !ok {
-			return nil, fmt.Errorf("%w: table %d row %d not owned by this shard", ErrBadRequest, t.spec.Index, r)
+			return nil, fmt.Errorf("%w: table %d row %d not owned by this shard", errBadRequest, t.spec.Index, r)
 		}
 		copy(out[i*t.dim:(i+1)*t.dim], t.data[slot*t.dim:(slot+1)*t.dim])
 	}
@@ -104,11 +104,11 @@ func (t *shardTable) gatherValues(rows []int) ([]float32, error) {
 // cannot leave a half-applied push behind.
 func (t *shardTable) applyDelta(rows []int, delta []float32) error {
 	if len(delta) != len(rows)*t.dim {
-		return fmt.Errorf("%w: table %d delta has %d values for %d rows × dim %d", ErrBadRequest, t.spec.Index, len(delta), len(rows), t.dim)
+		return fmt.Errorf("%w: table %d delta has %d values for %d rows × dim %d", errBadRequest, t.spec.Index, len(delta), len(rows), t.dim)
 	}
 	for _, r := range rows {
 		if _, ok := t.slots[r]; !ok {
-			return fmt.Errorf("%w: table %d row %d not owned by this shard", ErrBadRequest, t.spec.Index, r)
+			return fmt.Errorf("%w: table %d row %d not owned by this shard", errBadRequest, t.spec.Index, r)
 		}
 	}
 	for i, r := range rows {
@@ -196,7 +196,7 @@ type shardMetrics struct {
 // trainer lease.
 type Shard struct {
 	cfg   ShardConfig
-	ring  *Ring
+	ring  *hashRing
 	clock obs.Clock
 	log   *slog.Logger
 	m     shardMetrics
@@ -228,17 +228,17 @@ type connEntry struct {
 // NewShard builds the shard, materializes its owned rows, and establishes
 // durable state: a fresh shard (empty Dir) writes checkpoint version 0 and
 // serves immediately; a restarted shard (checkpoint files present) refuses
-// data RPCs with ErrNotRestored until the trainer tells it which version
+// data RPCs with errNotRestored until the trainer tells it which version
 // to reload — its in-memory init values are stale by definition.
 func NewShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.NumShards < 1 || cfg.ID < 0 || cfg.ID >= cfg.NumShards {
-		return nil, fmt.Errorf("%w: shard id %d of %d", ErrBadRequest, cfg.ID, cfg.NumShards)
+		return nil, fmt.Errorf("%w: shard id %d of %d", errBadRequest, cfg.ID, cfg.NumShards)
 	}
 	if cfg.Dim <= 0 || len(cfg.Tables) == 0 {
-		return nil, fmt.Errorf("%w: shard needs a positive dim and at least one table", ErrBadRequest)
+		return nil, fmt.Errorf("%w: shard needs a positive dim and at least one table", errBadRequest)
 	}
 	if cfg.Dir == "" {
-		return nil, fmt.Errorf("%w: shard needs a durable state directory", ErrBadRequest)
+		return nil, fmt.Errorf("%w: shard needs a durable state directory", errBadRequest)
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 3 * time.Second
@@ -251,7 +251,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	}
 	s := &Shard{
 		cfg:     cfg,
-		ring:    NewRing(cfg.NumShards),
+		ring:    newHashRing(cfg.NumShards),
 		clock:   obs.System(),
 		log:     orDiscard(cfg.Log),
 		trace:   cfg.Trace,
@@ -285,10 +285,10 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	}
 	for _, spec := range cfg.Tables {
 		if spec.Rows <= 0 {
-			return nil, fmt.Errorf("%w: table %d has %d rows", ErrBadRequest, spec.Index, spec.Rows)
+			return nil, fmt.Errorf("%w: table %d has %d rows", errBadRequest, spec.Index, spec.Rows)
 		}
 		if _, dup := s.tables[spec.Index]; dup {
-			return nil, fmt.Errorf("%w: duplicate table index %d", ErrBadRequest, spec.Index)
+			return nil, fmt.Errorf("%w: duplicate table index %d", errBadRequest, spec.Index)
 		}
 		s.tables[spec.Index] = newShardTable(spec, cfg.Dim, cfg.Seed, s.ring, cfg.ID)
 	}
@@ -431,7 +431,7 @@ func (s *Shard) persistEpochLocked() error {
 		return werr
 	})
 	if err != nil {
-		return fmt.Errorf("%w: persisting epoch: %w", ErrInternal, err)
+		return fmt.Errorf("%w: persisting epoch: %w", errInternal, err)
 	}
 	s.m.epoch.Set(float64(s.maxEpoch))
 	return nil
@@ -473,7 +473,7 @@ func (s *Shard) writeCheckpointLocked(v int64) error {
 		return e.Flush()
 	})
 	if err != nil {
-		return fmt.Errorf("%w: writing shard checkpoint v%d: %w", ErrInternal, v, err)
+		return fmt.Errorf("%w: writing shard checkpoint v%d: %w", errInternal, v, err)
 	}
 	s.version = v
 	s.m.version.Set(float64(v))
@@ -494,10 +494,10 @@ func (s *Shard) writeCheckpointLocked(v int64) error {
 func (s *Shard) restoreLocked(v int64) error {
 	b, err := os.ReadFile(s.ckptPath(v))
 	if os.IsNotExist(err) {
-		return fmt.Errorf("%w: shard %d version %d", ErrNoCheckpoint, s.cfg.ID, v)
+		return fmt.Errorf("%w: shard %d version %d", errNoCheckpoint, s.cfg.ID, v)
 	}
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrInternal, err)
+		return fmt.Errorf("%w: %w", errInternal, err)
 	}
 	d := codec.NewDec(b)
 	if m := d.U32(); m != shardCkptMagic {
@@ -510,7 +510,7 @@ func (s *Shard) restoreLocked(v int64) error {
 	seed := d.U64()
 	fileV := d.I64()
 	if d.Err() == nil && (id != s.cfg.ID || n != s.cfg.NumShards || dim != s.cfg.Dim || seed != s.cfg.Seed || fileV != v) {
-		return fmt.Errorf("%w: checkpoint identity (shard %d/%d dim %d seed %d v%d) does not match this shard", ErrSpecMismatch, id, n, dim, seed, fileV)
+		return fmt.Errorf("%w: checkpoint identity (shard %d/%d dim %d seed %d v%d) does not match this shard", errSpecMismatch, id, n, dim, seed, fileV)
 	}
 	nw := d.Count(16) // a writer's epoch and its last sequence number
 	lastSeq := make(map[uint64]uint64, nw)
@@ -529,7 +529,7 @@ func (s *Shard) restoreLocked(v int64) error {
 		switch {
 		case d.Err() != nil:
 		case !ok || spec.spec.Rows != rows:
-			return fmt.Errorf("%w: checkpoint table %d (%d rows) unknown to this shard", ErrSpecMismatch, idx, rows)
+			return fmt.Errorf("%w: checkpoint table %d (%d rows) unknown to this shard", errSpecMismatch, idx, rows)
 		case owned != len(spec.rows):
 			d.Fail(fmt.Errorf("table %d has %d owned rows, ring says %d", idx, owned, len(spec.rows)))
 		default:
@@ -569,7 +569,7 @@ func (s *Shard) learnEpochLocked(e uint64) error {
 func (s *Shard) fenceLocked(e uint64) error {
 	if e < s.maxEpoch {
 		s.m.fenced.Inc()
-		return fmt.Errorf("%w: epoch %d, shard has seen %d", ErrFenced, e, s.maxEpoch)
+		return fmt.Errorf("%w: epoch %d, shard has seen %d", errFenced, e, s.maxEpoch)
 	}
 	return nil
 }
@@ -581,11 +581,11 @@ func (s *Shard) hello(m helloMsg) (helloAck, error) {
 	defer s.mu.Unlock()
 	if m.Dim != s.cfg.Dim || m.Seed != s.cfg.Seed || len(m.Tables) != len(s.cfg.Tables) {
 		return helloAck{}, fmt.Errorf("%w: worker (dim %d seed %d %d tables) vs shard (dim %d seed %d %d tables)",
-			ErrSpecMismatch, m.Dim, m.Seed, len(m.Tables), s.cfg.Dim, s.cfg.Seed, len(s.cfg.Tables))
+			errSpecMismatch, m.Dim, m.Seed, len(m.Tables), s.cfg.Dim, s.cfg.Seed, len(s.cfg.Tables))
 	}
 	for i, t := range m.Tables {
 		if t != s.cfg.Tables[i] {
-			return helloAck{}, fmt.Errorf("%w: table %d is %+v on the worker, %+v on the shard", ErrSpecMismatch, i, t, s.cfg.Tables[i])
+			return helloAck{}, fmt.Errorf("%w: table %d is %+v on the worker, %+v on the shard", errSpecMismatch, i, t, s.cfg.Tables[i])
 		}
 	}
 	if err := s.learnEpochLocked(m.Epoch); err != nil {
@@ -598,14 +598,14 @@ func (s *Shard) gather(m gatherMsg) (rowsMsg, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return rowsMsg{}, ErrDraining
+		return rowsMsg{}, errDraining
 	}
 	if !s.restored {
-		return rowsMsg{}, ErrNotRestored
+		return rowsMsg{}, errNotRestored
 	}
 	t, ok := s.tables[m.Table]
 	if !ok {
-		return rowsMsg{}, fmt.Errorf("%w: unknown table %d", ErrBadRequest, m.Table)
+		return rowsMsg{}, fmt.Errorf("%w: unknown table %d", errBadRequest, m.Table)
 	}
 	values, err := t.gatherValues(m.Rows)
 	if err != nil {
@@ -619,10 +619,10 @@ func (s *Shard) push(m pushMsg) (pushAck, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return pushAck{}, ErrDraining
+		return pushAck{}, errDraining
 	}
 	if !s.restored {
-		return pushAck{}, ErrNotRestored
+		return pushAck{}, errNotRestored
 	}
 	if err := s.learnEpochLocked(m.Epoch); err != nil {
 		return pushAck{}, err
@@ -631,11 +631,11 @@ func (s *Shard) push(m pushMsg) (pushAck, error) {
 		return pushAck{}, err
 	}
 	if m.Dim != s.cfg.Dim {
-		return pushAck{}, fmt.Errorf("%w: push dim %d, shard dim %d", ErrBadRequest, m.Dim, s.cfg.Dim)
+		return pushAck{}, fmt.Errorf("%w: push dim %d, shard dim %d", errBadRequest, m.Dim, s.cfg.Dim)
 	}
 	t, ok := s.tables[m.Table]
 	if !ok {
-		return pushAck{}, fmt.Errorf("%w: unknown table %d", ErrBadRequest, m.Table)
+		return pushAck{}, fmt.Errorf("%w: unknown table %d", errBadRequest, m.Table)
 	}
 	// Dedup is keyed by lease epoch: the lease guarantees a single writer
 	// per epoch, and that writer allocates seqs from one atomic counter, so
@@ -658,10 +658,10 @@ func (s *Shard) checkpointRPC(m versionMsg) (versionAck, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return versionAck{}, ErrDraining
+		return versionAck{}, errDraining
 	}
 	if !s.restored {
-		return versionAck{}, ErrNotRestored
+		return versionAck{}, errNotRestored
 	}
 	if err := s.learnEpochLocked(m.Epoch); err != nil {
 		return versionAck{}, err
@@ -679,7 +679,7 @@ func (s *Shard) restoreRPC(m versionMsg) (versionAck, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return versionAck{}, ErrDraining
+		return versionAck{}, errDraining
 	}
 	if err := s.learnEpochLocked(m.Epoch); err != nil {
 		return versionAck{}, err
@@ -700,7 +700,7 @@ func (s *Shard) restoreRPC(m versionMsg) (versionAck, error) {
 func (s *Shard) statsRPC(m statsMsg) (statsAck, error) {
 	metricsJSON, err := json.Marshal(s.cfg.Metrics.Snapshot())
 	if err != nil {
-		return statsAck{}, fmt.Errorf("%w: encoding metrics snapshot: %w", ErrInternal, err)
+		return statsAck{}, fmt.Errorf("%w: encoding metrics snapshot: %w", errInternal, err)
 	}
 	spans := s.trace.Spans()
 	if m.MaxSpans > 0 && len(spans) > m.MaxSpans {
@@ -734,13 +734,13 @@ func (s *Shard) leaseRPC(m leaseMsg) (leaseAck, error) {
 	if m.Renew {
 		if s.lease.holder != m.WorkerID || s.lease.epoch != m.Epoch || !now.Before(s.lease.expiry) {
 			return leaseAck{}, fmt.Errorf("%w: renew by worker %d epoch %d (lease: worker %d epoch %d)",
-				ErrLeaseHeld, m.WorkerID, m.Epoch, s.lease.holder, s.lease.epoch)
+				errLeaseHeld, m.WorkerID, m.Epoch, s.lease.holder, s.lease.epoch)
 		}
 		s.lease.expiry = now.Add(ttl)
 		return leaseAck{Epoch: s.lease.epoch}, nil
 	}
 	if s.lease.holder != 0 && s.lease.holder != m.WorkerID && now.Before(s.lease.expiry) {
-		return leaseAck{}, fmt.Errorf("%w: worker %d holds the lease", ErrLeaseHeld, s.lease.holder)
+		return leaseAck{}, fmt.Errorf("%w: worker %d holds the lease", errLeaseHeld, s.lease.holder)
 	}
 	// Every acquisition — including re-acquisition by the same worker —
 	// bumps the fencing epoch: the new holder must out-fence any of its own
@@ -763,7 +763,7 @@ func (s *Shard) Serve(ln net.Listener) error {
 	if s.draining {
 		s.mu.Unlock()
 		ln.Close()
-		return ErrDraining
+		return errDraining
 	}
 	s.ln = ln
 	s.mu.Unlock()
@@ -818,7 +818,7 @@ func (s *Shard) handleConn(c net.Conn, ce *connEntry) {
 		// obs.Clock drives only lease and liveness decisions.
 		//elrec:wallclock socket idle deadline is enforced by the kernel against wall time
 		c.SetReadDeadline(time.Now().Add(idleTimeout))
-		f, err := ReadFrame(br, DefaultMaxPayload)
+		f, err := readFrame(br, defaultMaxPayload)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				s.log.Debug("distps: read frame", "shard", s.cfg.ID, "err", err)
@@ -830,7 +830,7 @@ func (s *Shard) handleConn(c net.Conn, ce *connEntry) {
 		rtype, payload := s.dispatch(f, ce.tid)
 		// The response echoes the request's trace context so the client can
 		// associate it without extra bookkeeping.
-		werr := WriteFrame(bw, Frame{Type: rtype, ReqID: f.ReqID, Trace: f.Trace, Span: f.Span, Payload: payload})
+		werr := writeFrame(bw, frame{Type: rtype, ReqID: f.ReqID, Trace: f.Trace, Span: f.Span, Payload: payload})
 		if werr == nil {
 			werr = bw.Flush()
 		}
@@ -853,7 +853,7 @@ func (s *Shard) handleConn(c net.Conn, ce *connEntry) {
 // under a handle:<name> span linked to the caller's trace context from the
 // frame header, and its service time lands in the per-type
 // distps_srv_<name>_ns histogram.
-func (s *Shard) dispatch(f Frame, tid int) (uint8, []byte) {
+func (s *Shard) dispatch(f frame, tid int) (uint8, []byte) {
 	s.m.requests.Inc()
 	s.m.inflight.Set(float64(s.inflight.Add(1)))
 	sp := s.trace.BeginChild("handle:"+msgName(f.Type), "rpc", tid,
@@ -865,7 +865,7 @@ func (s *Shard) dispatch(f Frame, tid int) (uint8, []byte) {
 		payload, err = row.serve(s, f.Payload)
 		s.m.srvNS[f.Type].Observe(float64(s.clock.Now().Sub(start)))
 	} else {
-		err = fmt.Errorf("%w: unexpected message %s", ErrBadRequest, msgName(f.Type))
+		err = fmt.Errorf("%w: unexpected message %s", errBadRequest, msgName(f.Type))
 	}
 	sp.End()
 	s.m.inflight.Set(float64(s.inflight.Add(-1)))
@@ -876,7 +876,7 @@ func (s *Shard) dispatch(f Frame, tid int) (uint8, []byte) {
 	return ackFor(f.Type), payload
 }
 
-// Close drains the shard: new requests are rejected with ErrDraining, the
+// Close drains the shard: new requests are rejected with errDraining, the
 // listener stops, in-flight requests get DrainTimeout to finish (idle
 // connections close immediately), then everything is force-closed. Safe to
 // call more than once.

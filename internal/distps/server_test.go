@@ -86,7 +86,7 @@ func newTestClient(t *testing.T, sc Scenario, addrs []string, workerID uint64) *
 	cfg.Timeout = 2 * time.Second
 	cfg.Retry = fastBackoff()
 	cfg.Metrics = obs.NewRegistry()
-	c, err := NewClient(cfg)
+	c, err := newClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func TestLeaseFencingRejectsStaleWorker(t *testing.T) {
 		t.Fatalf("A acquire: %v", err)
 	}
 	// While A's lease is live, B cannot take it.
-	if _, err := b.AcquireLease(context.Background()); !errors.Is(err, ErrLeaseHeld) {
-		t.Fatalf("B acquire under A's lease: %v, want ErrLeaseHeld", err)
+	if _, err := b.AcquireLease(context.Background()); !errors.Is(err, errLeaseHeld) {
+		t.Fatalf("B acquire under A's lease: %v, want errLeaseHeld", err)
 	}
 	// After the TTL lapses B takes over with a higher epoch...
 	time.Sleep(80 * time.Millisecond)
@@ -261,12 +261,12 @@ func TestLeaseFencingRejectsStaleWorker(t *testing.T) {
 	// push with A's stale epoch is rejected, not applied.
 	spec := sc.HostSpecs()[0]
 	delta := tensor.New(1, sc.Model.EmbDim)
-	if err := c0Push(a, spec, delta); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale push: %v, want ErrFenced", err)
+	if err := c0Push(a, spec, delta); !errors.Is(err, errFenced) {
+		t.Fatalf("stale push: %v, want errFenced", err)
 	}
 	// A's renewal fails too — it no longer holds the lease.
-	if err := a.RenewLease(context.Background()); !errors.Is(err, ErrLeaseHeld) {
-		t.Fatalf("stale renew: %v, want ErrLeaseHeld", err)
+	if err := a.RenewLease(context.Background()); !errors.Is(err, errLeaseHeld) {
+		t.Fatalf("stale renew: %v, want errLeaseHeld", err)
 	}
 	// B, the rightful holder, still trains.
 	if err := c0Push(b, spec, delta); err != nil {
@@ -320,8 +320,8 @@ func TestCheckpointRestoreRollsBack(t *testing.T) {
 		}
 	}
 	// Restoring a version nobody checkpointed is a typed failure.
-	if err := c.RestoreAll(context.Background(), 99); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("RestoreAll(99): %v, want ErrNoCheckpoint", err)
+	if err := c.RestoreAll(context.Background(), 99); !errors.Is(err, errNoCheckpoint) {
+		t.Fatalf("RestoreAll(99): %v, want errNoCheckpoint", err)
 	}
 }
 
@@ -384,8 +384,8 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 	}
 	serveShard(s2, ln2)
 
-	if _, err := gatherRows(store, []int{0}); !errors.Is(err, ErrNotRestored) {
-		t.Fatalf("gather before restore: %v, want ErrNotRestored", err)
+	if _, err := gatherRows(store, []int{0}); !errors.Is(err, errNotRestored) {
+		t.Fatalf("gather before restore: %v, want errNotRestored", err)
 	}
 	if err := c.RestoreAll(context.Background(), 5); err != nil {
 		t.Fatalf("RestoreAll after restart: %v", err)
@@ -411,8 +411,8 @@ func TestHelloRejectsSpecMismatch(t *testing.T) {
 	bad := sc
 	bad.Model.EmbDim = 16 // worker disagrees about the embedding dimension
 	c := newTestClient(t, bad, addrs, 1)
-	if err := c.HelloAll(context.Background()); !errors.Is(err, ErrSpecMismatch) {
-		t.Fatalf("HelloAll with wrong dim: %v, want ErrSpecMismatch", err)
+	if err := c.HelloAll(context.Background()); !errors.Is(err, errSpecMismatch) {
+		t.Fatalf("HelloAll with wrong dim: %v, want errSpecMismatch", err)
 	}
 }
 
@@ -446,8 +446,8 @@ func TestShardUpFollowsRPCOutcome(t *testing.T) {
 	}
 
 	shards[1].Close()
-	if _, err := c.Stats(ctx, 1, 0); !errors.Is(err, ErrRPCFailed) {
-		t.Fatalf("Stats against a killed shard: %v, want ErrRPCFailed", err)
+	if _, err := c.Stats(ctx, 1, 0); !errors.Is(err, errRPCFailed) {
+		t.Fatalf("Stats against a killed shard: %v, want errRPCFailed", err)
 	}
 	if got := up(); got != [2]float64{1, 0} {
 		t.Fatalf("after a failed RPC to the killed shard: up = %v, want [1 0]", got)
@@ -472,8 +472,8 @@ func TestDeadShardExhaustsRetries(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	c := newTestClient(t, sc, []string{addr}, 1)
-	if err := c.HelloAll(context.Background()); !errors.Is(err, ErrRPCFailed) {
-		t.Fatalf("HelloAll against a dead shard: %v, want ErrRPCFailed", err)
+	if err := c.HelloAll(context.Background()); !errors.Is(err, errRPCFailed) {
+		t.Fatalf("HelloAll against a dead shard: %v, want errRPCFailed", err)
 	}
 	if got := c.m.retries.Value(); got != int64(fastBackoff().MaxRetries) {
 		t.Fatalf("retry counter = %d, want %d", got, fastBackoff().MaxRetries)
@@ -499,8 +499,8 @@ func TestShardRejectsForeignRows(t *testing.T) {
 	if foreign < 0 {
 		t.Skip("shard 0 owns every row at this seed")
 	}
-	if _, err := c.Gather(context.Background(), 0, spec.Index, []int{foreign}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("foreign gather: %v, want ErrBadRequest", err)
+	if _, err := c.Gather(context.Background(), 0, spec.Index, []int{foreign}); !errors.Is(err, errBadRequest) {
+		t.Fatalf("foreign gather: %v, want errBadRequest", err)
 	}
 	_ = shards
 }
@@ -546,13 +546,13 @@ func TestRetryBackoffSequenceDeterministic(t *testing.T) {
 	cfg.Timeout = time.Second
 	cfg.Retry = ps.RetryPolicy{MaxRetries: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 8 * time.Millisecond,
 		Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	c, err := NewClient(cfg)
+	c, err := newClient(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.HelloAll(context.Background()); !errors.Is(err, ErrRPCFailed) {
-		t.Fatalf("HelloAll: %v, want ErrRPCFailed", err)
+	if err := c.HelloAll(context.Background()); !errors.Is(err, errRPCFailed) {
+		t.Fatalf("HelloAll: %v, want errRPCFailed", err)
 	}
 	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,
 		8 * time.Millisecond, 8 * time.Millisecond}

@@ -32,17 +32,17 @@ import (
 // the header, not at a mis-typed payload.
 //
 // The checksum turns a corrupted-in-flight payload into a typed
-// ErrBadFrame instead of a silent mis-decode; a truncated frame surfaces
-// as ErrBadFrame via io.ErrUnexpectedEOF. Either way the connection is
+// errBadFrame instead of a silent mis-decode; a truncated frame surfaces
+// as errBadFrame via io.ErrUnexpectedEOF. Either way the connection is
 // poisoned and the caller retries on a fresh one.
 const (
 	frameMagic  = uint32(0xE17D15F5)
 	wireVersion = uint8(3)
 	headerSize  = 38
 
-	// DefaultMaxPayload bounds a single frame's payload; larger gathers
+	// defaultMaxPayload bounds a single frame's payload; larger gathers
 	// and pushes must be split by the caller (the client chunks by rows).
-	DefaultMaxPayload = 64 << 20
+	defaultMaxPayload = 64 << 20
 )
 
 // Message types. Requests are odd, their success responses follow at the
@@ -91,13 +91,13 @@ var rpcs = [msgTypes]rpc{
 
 // newRPC builds a protocol row from a payload decoder and the shard method
 // that serves the decoded request. A payload that does not decode is the
-// caller's fault: ErrBadRequest, naming the RPC.
+// caller's fault: errBadRequest, naming the RPC.
 func newRPC[Req any, Ack interface{ encode() []byte }](name string, decode func([]byte) (Req, error),
 	serve func(*Shard, Req) (Ack, error)) rpc {
 	return rpc{name: name, serve: func(s *Shard, payload []byte) ([]byte, error) {
 		m, err := decode(payload)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %w", ErrBadRequest, name, err)
+			return nil, fmt.Errorf("%w: %s: %w", errBadRequest, name, err)
 		}
 		ack, err := serve(s, m)
 		if err != nil {
@@ -134,9 +134,9 @@ func msgName(t uint8) string {
 	return fmt.Sprintf("type-%d", t)
 }
 
-// Frame is one decoded wire frame. Trace and Span carry the sender's
+// frame is one decoded wire frame. Trace and Span carry the sender's
 // trace context (zero when untraced); a response echoes the request's.
-type Frame struct {
+type frame struct {
 	Type    uint8
 	ReqID   uint64
 	Trace   uint64
@@ -153,11 +153,11 @@ func fnv1a32(b []byte) uint32 {
 	return h
 }
 
-// WriteFrame encodes f to w in one Write call (the header and payload are
+// writeFrame encodes f to w in one Write call (the header and payload are
 // assembled into a single buffer so a concurrent writer on another frame
 // cannot interleave partial frames on the same connection — callers still
 // serialize writers per connection, this just keeps the failure mode sane).
-func WriteFrame(w io.Writer, f Frame) error {
+func writeFrame(w io.Writer, f frame) error {
 	e := codec.Enc{Buf: make([]byte, 0, headerSize+len(f.Payload))}
 	e.U32(frameMagic)
 	e.U8(wireVersion)
@@ -171,40 +171,40 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return err
 }
 
-// ReadFrame decodes one frame from r, rejecting payloads above maxPayload
-// (<= 0 uses DefaultMaxPayload). Truncation, bad magic, a wire-version
-// skew and checksum mismatches all return errors wrapping ErrBadFrame.
-func ReadFrame(r *bufio.Reader, maxPayload int) (Frame, error) {
+// readFrame decodes one frame from r, rejecting payloads above maxPayload
+// (<= 0 uses defaultMaxPayload). Truncation, bad magic, a wire-version
+// skew and checksum mismatches all return errors wrapping errBadFrame.
+func readFrame(r *bufio.Reader, maxPayload int) (frame, error) {
 	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
+		maxPayload = defaultMaxPayload
 	}
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return Frame{}, io.EOF // clean close between frames
+			return frame{}, io.EOF // clean close between frames
 		}
-		return Frame{}, fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err)
+		return frame{}, fmt.Errorf("%w: truncated header: %w", errBadFrame, err)
 	}
 	d := codec.NewDec(hdr[:])
 	if m := d.U32(); m != frameMagic {
-		return Frame{}, fmt.Errorf("%w: magic %#x", ErrBadFrame, m)
+		return frame{}, fmt.Errorf("%w: magic %#x", errBadFrame, m)
 	}
 	if v := d.U8(); v != wireVersion {
-		return Frame{}, fmt.Errorf("%w: wire version %d (want %d)", ErrBadFrame, v, wireVersion)
+		return frame{}, fmt.Errorf("%w: wire version %d (want %d)", errBadFrame, v, wireVersion)
 	}
-	f := Frame{Type: d.U8()}
+	f := frame{Type: d.U8()}
 	n := int(d.U32())
 	if n > maxPayload {
-		return Frame{}, fmt.Errorf("%w: payload %d exceeds cap %d", ErrBadFrame, n, maxPayload)
+		return frame{}, fmt.Errorf("%w: payload %d exceeds cap %d", errBadFrame, n, maxPayload)
 	}
 	f.ReqID, f.Trace, f.Span = d.U64(), d.U64(), d.U64()
 	sum := d.U32()
 	f.Payload = make([]byte, n)
 	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		return Frame{}, fmt.Errorf("%w: truncated payload: %w", ErrBadFrame, err)
+		return frame{}, fmt.Errorf("%w: truncated payload: %w", errBadFrame, err)
 	}
 	if sum != fnv1a32(f.Payload) {
-		return Frame{}, fmt.Errorf("%w: payload checksum mismatch", ErrBadFrame)
+		return frame{}, fmt.Errorf("%w: payload checksum mismatch", errBadFrame)
 	}
 	return f, nil
 }

@@ -95,16 +95,16 @@ func (w *Worker) Active() bool { return w.active.Load() }
 // NewWorker validates cfg and builds the (lazily connecting) client.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == 0 {
-		return nil, fmt.Errorf("%w: worker id must be nonzero", ErrBadRequest)
+		return nil, fmt.Errorf("%w: worker id must be nonzero", errBadRequest)
 	}
 	if len(cfg.Shards) == 0 {
-		return nil, fmt.Errorf("%w: no shard addresses", ErrBadRequest)
+		return nil, fmt.Errorf("%w: no shard addresses", errBadRequest)
 	}
 	if len(cfg.Scenario.HostSpecs()) == 0 {
-		return nil, fmt.Errorf("%w: scenario places no tables on the parameter server", ErrBadRequest)
+		return nil, fmt.Errorf("%w: scenario places no tables on the parameter server", errBadRequest)
 	}
 	if ck := cfg.Checkpoint; ck.Every < 0 || (ck.Every > 0 && ck.Path == "") {
-		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", ErrBadRequest, ck.Every)
+		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", errBadRequest, ck.Every)
 	}
 	ccfg := cfg.Scenario.ClientConfig(cfg.ID, cfg.Shards)
 	ccfg.Timeout = cfg.RPCTimeout
@@ -114,7 +114,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	ccfg.Trace = cfg.Trace
 	cfg.Log = orDiscard(cfg.Log)
 	ccfg.Log = cfg.Log
-	client, err := NewClient(ccfg)
+	client, err := newClient(ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +241,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 		// the active worker's lease lapses.
 		epoch, err := w.client.AcquireLease(ctx)
 		if err != nil {
-			if !errors.Is(err, ErrLeaseHeld) {
+			if !errors.Is(err, errLeaseHeld) {
 				w.cfg.Log.Warn("distps: lease acquisition failed", "worker", w.cfg.ID, "err", err)
 			}
 			w.sleep(standbyPoll)
@@ -278,7 +278,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 			return res, err // a corrupt local checkpoint needs the operator
 		}
 		if err := w.client.RestoreAll(ctx, int64(v)); err != nil {
-			if errors.Is(err, ErrFenced) {
+			if errors.Is(err, errFenced) {
 				w.cfg.Log.Info("distps: fenced during restore; standing down", "worker", w.cfg.ID)
 				continue
 			}
@@ -314,7 +314,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 		if ctx.Err() != nil {
 			return res, ctx.Err()
 		}
-		if errors.Is(terr, ErrFenced) {
+		if errors.Is(terr, errFenced) {
 			// Another worker out-fenced us: stand down to the lease loop
 			// without counting a recovery — the cluster is healthy.
 			w.cfg.Log.Info("distps: fenced during training; standing down", "worker", w.cfg.ID)

@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection layer of the
-// pipeline trainer. Production code runs with a nil (or Nop) injector and
-// pays one interface call per operation; tests construct a Seeded injector
-// that decides — as a pure function of (seed, operation, iteration,
+// pipeline trainer. Production code runs with a nil injector, which injects
+// nothing and costs one nil check per operation; tests construct a Seeded
+// injector that decides — as a pure function of (seed, operation, iteration,
 // attempt) — whether a parameter-server gather or apply transiently fails,
 // whether the server stalls, and whether the worker panics. Because the
 // decision does not depend on goroutine interleaving, a faulty run is
@@ -94,13 +94,6 @@ func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
 type Injector interface {
 	Fault(op Op, iter, attempt int) error
 }
-
-// Nop injects nothing; it is the production injector (a nil Injector is
-// treated the same way).
-type Nop struct{}
-
-// Fault never faults.
-func (Nop) Fault(Op, int, int) error { return nil }
 
 // Config parameterizes a Seeded injector. Probabilities are per attempt in
 // [0, 1].

@@ -6,15 +6,6 @@ import (
 	"time"
 )
 
-func TestNopNeverFaults(t *testing.T) {
-	var n Nop
-	for iter := 0; iter < 100; iter++ {
-		if err := n.Fault(OpGather, iter, 0); err != nil {
-			t.Fatalf("Nop injected %v", err)
-		}
-	}
-}
-
 func TestSeededDeterministic(t *testing.T) {
 	cfg := Config{Seed: 42, GatherFailProb: 0.3, ApplyFailProb: 0.2, StallProb: 0.1, StallFor: time.Millisecond}
 	a, b := NewSeeded(cfg), NewSeeded(cfg)

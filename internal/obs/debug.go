@@ -15,20 +15,18 @@ import (
 //
 //	/metrics       JSON snapshot of the registry (Snapshot shape)
 //	/trace         Chrome trace-event JSON of the tracer (load in Perfetto)
+//	/healthz       process liveness: 200 {"status":"ok"}
+//	/readyz        200 {"status":"ready"} while ready() holds, else
+//	               503 {"status":"not ready"}
 //	/debug/pprof/  the standard runtime profiles
 //	/              a plain-text index of the above
 //
 // reg and tr may be nil; the corresponding endpoints then serve empty
-// documents, so a partially wired binary still exposes pprof.
-func Handler(reg *Registry, tr *Tracer) http.Handler {
-	return HandlerWith(reg, tr, nil)
-}
-
-// HandlerWith is Handler plus caller-supplied routes (path → handler),
-// letting a binary mount extra endpoints — /healthz, /cluster — on the
-// same debug mux. Extra routes are listed in the index and may not shadow
-// the built-in paths.
-func HandlerWith(reg *Registry, tr *Tracer, extra map[string]http.HandlerFunc) http.Handler {
+// documents, so a partially wired binary still exposes pprof. A nil ready
+// makes /readyz answer as /healthz does. extra mounts caller-supplied
+// routes (path → handler) — /cluster on a worker — on the same mux; they
+// are listed in the index and may not shadow the built-in paths.
+func Handler(reg *Registry, tr *Tracer, ready func() bool, extra map[string]http.HandlerFunc) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -42,6 +40,19 @@ func HandlerWith(reg *Registry, tr *Tracer, extra map[string]http.HandlerFunc) h
 		w.Header().Set("Content-Disposition", `attachment; filename="elrec-trace.json"`)
 		_ = tr.WriteChromeTrace(w)
 	})
+	healthz := func(w http.ResponseWriter, r *http.Request) { writeStatus(w, http.StatusOK, "ok") }
+	mux.HandleFunc("/healthz", healthz)
+	if ready == nil {
+		mux.HandleFunc("/readyz", healthz)
+	} else {
+		mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+			if !ready() {
+				writeStatus(w, http.StatusServiceUnavailable, "not ready")
+				return
+			}
+			writeStatus(w, http.StatusOK, "ready")
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -64,12 +75,24 @@ func HandlerWith(reg *Registry, tr *Tracer, extra map[string]http.HandlerFunc) h
 		fmt.Fprintln(w, "elrec debug endpoint")
 		fmt.Fprintln(w, "  /metrics       metrics registry snapshot (JSON)")
 		fmt.Fprintln(w, "  /trace         Chrome trace-event JSON (open in ui.perfetto.dev)")
+		fmt.Fprintln(w, "  /healthz       liveness, /readyz readiness (JSON status)")
 		fmt.Fprintln(w, "  /debug/pprof/  runtime profiles")
 		for _, path := range extraPaths {
 			fmt.Fprintf(w, "  %s\n", path)
 		}
 	})
 	return mux
+}
+
+// writeStatus answers a health route: {"status":status} as JSON.
+func writeStatus(w http.ResponseWriter, code int, status string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	// A fixed-shape body cannot fail to encode; a broken connection is the
+	// client's problem.
+	_ = json.NewEncoder(w).Encode(struct {
+		Status string `json:"status"`
+	}{status})
 }
 
 // DebugServer is a running debug endpoint.
@@ -113,21 +136,16 @@ func (d *DebugServer) Shutdown(timeout time.Duration) error {
 	return nil
 }
 
-// Serve binds addr and serves the debug endpoint on a background
-// goroutine until Close. The server carries header/idle timeouts so a
-// stalled or idle debug client cannot pin connections forever.
-func Serve(addr string, reg *Registry, tr *Tracer) (*DebugServer, error) {
-	return ServeWith(addr, reg, tr, nil)
-}
-
-// ServeWith is Serve with caller-supplied extra routes (see HandlerWith).
-func ServeWith(addr string, reg *Registry, tr *Tracer, extra map[string]http.HandlerFunc) (*DebugServer, error) {
+// Serve binds addr and serves Handler(reg, tr, ready, extra) on a
+// background goroutine until Close. The server carries header/idle timeouts
+// so a stalled or idle debug client cannot pin connections forever.
+func Serve(addr string, reg *Registry, tr *Tracer, ready func() bool, extra map[string]http.HandlerFunc) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug endpoint: %w", err)
 	}
 	srv := &http.Server{
-		Handler:           HandlerWith(reg, tr, extra),
+		Handler:           Handler(reg, tr, ready, extra),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}

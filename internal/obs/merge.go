@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"sort"
 	"time"
 )
 
@@ -30,20 +32,21 @@ type Instant struct {
 	At   time.Duration // relative to the process's epoch
 }
 
-// Instants returns a copy of the retained instant events in recording
-// order, in the exported Instant shape.
-func (t *Tracer) Instants() []Instant {
+// Process snapshots the tracer as one process of a merged trace: its
+// retained spans, instants and thread names, anchored at its epoch in Unix
+// nanoseconds on its own clock. A nil tracer gives a process with no events.
+func (t *Tracer) Process(name string, pid int) ProcessTrace {
+	p := ProcessTrace{Name: name, PID: pid}
 	if t == nil {
-		return nil
+		return p
 	}
+	p.EpochNS = t.epoch.UnixNano()
 	t.mu.Lock()
-	insts := t.inst.ordered()
-	t.mu.Unlock()
-	out := make([]Instant, len(insts))
-	for i, in := range insts {
-		out[i] = Instant{Name: in.name, Cat: in.cat, TID: in.tid, At: in.at}
-	}
-	return out
+	defer t.mu.Unlock()
+	p.Spans = t.spans.ordered()
+	p.Threads = maps.Clone(t.threads)
+	p.Inst = t.inst.ordered()
+	return p
 }
 
 // WriteMergedChromeTrace writes one Chrome trace spanning several
@@ -106,4 +109,101 @@ func WriteMergedChromeTrace(w io.Writer, procs []ProcessTrace) error {
 		events = []traceEvent{}
 	}
 	return json.NewEncoder(w).Encode(map[string]any{"traceEvents": events})
+}
+
+// traceEvent is one Chrome trace-event JSON object. Timestamps and
+// durations are microseconds; ph X is a complete span, i an instant event,
+// M metadata (process/thread names), s/f a flow arrow between two slices.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	PID  int            `json:"pid"`
+	TID  int            `json:"tid"`
+	ID   uint64         `json:"id,omitempty"` // flow-event binding id
+	BP   string         `json:"bp,omitempty"` // flow binding point ("e": enclosing slice)
+	S    string         `json:"s,omitempty"`  // instant-event scope
+	Args map[string]any `json:"args,omitempty"`
+}
+
+// usOf converts a duration to Chrome trace microseconds.
+func usOf(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
+// spanEvent renders one complete-span event at absolute timestamp ts (µs).
+func spanEvent(sp Span, pid int, ts float64) traceEvent {
+	ev := traceEvent{
+		Name: sp.Name, Cat: sp.Cat, Ph: "X", PID: pid, TID: sp.TID,
+		TS: ts, Dur: usOf(sp.Dur),
+	}
+	if sp.Trace != 0 || sp.ID != 0 {
+		ev.Args = map[string]any{
+			"trace": fmt.Sprintf("%#x", sp.Trace),
+			"span":  fmt.Sprintf("%#x", sp.ID),
+		}
+		if sp.Parent != 0 {
+			ev.Args["parent"] = fmt.Sprintf("%#x", sp.Parent)
+		}
+	}
+	return ev
+}
+
+// placedSpan is a span located in the merged (or single-process) event
+// set: its process and its absolute timestamp in trace microseconds.
+type placedSpan struct {
+	span Span
+	pid  int
+	ts   float64
+}
+
+// flowEvents emits one Chrome flow arrow (ph s → ph f) for every span
+// whose Parent resolves to another placed span's ID: the arrow starts
+// inside the parent slice and lands on the child slice. The child's own id
+// binds the pair, so a parent with several children (RPC retries) gets one
+// arrow per child.
+func flowEvents(placed []placedSpan) []traceEvent {
+	byID := make(map[uint64]placedSpan, len(placed))
+	for _, p := range placed {
+		if p.span.ID != 0 {
+			byID[p.span.ID] = p
+		}
+	}
+	var out []traceEvent
+	for _, child := range placed {
+		if child.span.Parent == 0 {
+			continue
+		}
+		parent, ok := byID[child.span.Parent]
+		if !ok {
+			continue
+		}
+		out = append(out, traceEvent{
+			Name: "rpc", Cat: "flow", Ph: "s", PID: parent.pid, TID: parent.span.TID,
+			TS: parent.ts, ID: child.span.ID,
+		})
+		out = append(out, traceEvent{
+			Name: "rpc", Cat: "flow", Ph: "f", BP: "e", PID: child.pid, TID: child.span.TID,
+			TS: child.ts, ID: child.span.ID,
+		})
+	}
+	return out
+}
+
+// threadNameEvents renders thread-name metadata for one process, in
+// ascending tid order.
+func threadNameEvents(pid int, threads map[int]string) []traceEvent {
+	tids := make([]int, 0, len(threads))
+	for tid := range threads {
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	out := make([]traceEvent, 0, len(tids))
+	for _, tid := range tids {
+		out = append(out, traceEvent{
+			Name: "thread_name", Ph: "M", PID: pid, TID: tid,
+			Args: map[string]any{"name": threads[tid]},
+		})
+	}
+	return out
 }

@@ -1,11 +1,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,16 +94,8 @@ type Tracer struct {
 	mu      sync.Mutex
 	cap     int            // guarded by mu; ring capacity
 	spans   ring[Span]     // guarded by mu
-	inst    ring[instant]  // guarded by mu
+	inst    ring[Instant]  // guarded by mu
 	threads map[int]string // guarded by mu
-}
-
-// instant is one zero-duration marker event (a retry, an injected fault).
-type instant struct {
-	name string
-	cat  string
-	tid  int
-	at   time.Duration
 }
 
 // NewTracer returns a tracer whose epoch is the clock's current reading
@@ -178,11 +169,7 @@ func (t *Tracer) Threads() map[int]string {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[int]string, len(t.threads))
-	for tid, name := range t.threads {
-		out[tid] = name
-	}
-	return out
+	return maps.Clone(t.threads)
 }
 
 // SpanHandle is an open span returned by Begin/BeginTrace/BeginChild; End
@@ -269,7 +256,7 @@ func (t *Tracer) Instant(name, cat string, tid int) {
 	}
 	at := t.clock.Now().Sub(t.epoch)
 	t.mu.Lock()
-	t.inst.add(t.cap, instant{name: name, cat: cat, tid: tid, at: at})
+	t.inst.add(t.cap, Instant{Name: name, Cat: cat, TID: tid, At: at})
 	t.mu.Unlock()
 }
 
@@ -294,139 +281,14 @@ func (t *Tracer) Dropped() int64 {
 	return t.spans.dropped + t.inst.dropped
 }
 
-// traceEvent is one Chrome trace-event JSON object. Timestamps and
-// durations are microseconds; ph X is a complete span, i an instant event,
-// M metadata (process/thread names), s/f a flow arrow between two slices.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	ID   uint64         `json:"id,omitempty"` // flow-event binding id
-	BP   string         `json:"bp,omitempty"` // flow binding point ("e": enclosing slice)
-	S    string         `json:"s,omitempty"`  // instant-event scope
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// usOf converts a duration to Chrome trace microseconds.
-func usOf(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// spanEvent renders one complete-span event at absolute timestamp ts (µs).
-func spanEvent(sp Span, pid int, ts float64) traceEvent {
-	ev := traceEvent{
-		Name: sp.Name, Cat: sp.Cat, Ph: "X", PID: pid, TID: sp.TID,
-		TS: ts, Dur: usOf(sp.Dur),
-	}
-	if sp.Trace != 0 || sp.ID != 0 {
-		ev.Args = map[string]any{
-			"trace": fmt.Sprintf("%#x", sp.Trace),
-			"span":  fmt.Sprintf("%#x", sp.ID),
-		}
-		if sp.Parent != 0 {
-			ev.Args["parent"] = fmt.Sprintf("%#x", sp.Parent)
-		}
-	}
-	return ev
-}
-
-// placedSpan is a span located in the merged (or single-process) event
-// set: its process and its absolute timestamp in trace microseconds.
-type placedSpan struct {
-	span Span
-	pid  int
-	ts   float64
-}
-
-// flowEvents emits one Chrome flow arrow (ph s → ph f) for every span
-// whose Parent resolves to another placed span's ID: the arrow starts
-// inside the parent slice and lands on the child slice. The child's own id
-// binds the pair, so a parent with several children (RPC retries) gets one
-// arrow per child.
-func flowEvents(placed []placedSpan) []traceEvent {
-	byID := make(map[uint64]placedSpan, len(placed))
-	for _, p := range placed {
-		if p.span.ID != 0 {
-			byID[p.span.ID] = p
-		}
-	}
-	var out []traceEvent
-	for _, child := range placed {
-		if child.span.Parent == 0 {
-			continue
-		}
-		parent, ok := byID[child.span.Parent]
-		if !ok {
-			continue
-		}
-		out = append(out, traceEvent{
-			Name: "rpc", Cat: "flow", Ph: "s", PID: parent.pid, TID: parent.span.TID,
-			TS: parent.ts, ID: child.span.ID,
-		})
-		out = append(out, traceEvent{
-			Name: "rpc", Cat: "flow", Ph: "f", BP: "e", PID: child.pid, TID: child.span.TID,
-			TS: child.ts, ID: child.span.ID,
-		})
-	}
-	return out
-}
-
-// threadNameEvents renders thread-name metadata for one process, in
-// ascending tid order.
-func threadNameEvents(pid int, threads map[int]string) []traceEvent {
-	tids := make([]int, 0, len(threads))
-	for tid := range threads {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	out := make([]traceEvent, 0, len(tids))
-	for _, tid := range tids {
-		out = append(out, traceEvent{
-			Name: "thread_name", Ph: "M", PID: pid, TID: tid,
-			Args: map[string]any{"name": threads[tid]},
-		})
-	}
-	return out
-}
-
-// WriteChromeTrace writes the recorded events as a Chrome trace-event JSON
-// object ({"traceEvents": [...]}), loadable by chrome://tracing and
-// ui.perfetto.dev. Parent links that resolve within this tracer are
-// rendered as flow arrows; links whose parent lives in another process
-// only materialize in WriteMergedChromeTrace.
+// WriteChromeTrace writes the tracer as a one-process Chrome trace
+// ({"traceEvents": [...]}, loadable by chrome://tracing and
+// ui.perfetto.dev): WriteMergedChromeTrace over Process("elrec", 1), so the
+// trace opens at its earliest event. Parent links that resolve within this
+// tracer are rendered as flow arrows; links whose parent lives in another
+// process only materialize in a merge that includes that process.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[]}`)
-		return err
-	}
-	t.mu.Lock()
-	spans := t.spans.ordered()
-	insts := t.inst.ordered()
-	names := make(map[int]string, len(t.threads))
-	for tid, name := range t.threads {
-		names[tid] = name
-	}
-	t.mu.Unlock()
-
-	events := make([]traceEvent, 0, len(spans)+len(insts)+len(names))
-	events = append(events, threadNameEvents(1, names)...)
-	placed := make([]placedSpan, 0, len(spans))
-	for _, sp := range spans {
-		p := placedSpan{span: sp, pid: 1, ts: usOf(sp.Start)}
-		placed = append(placed, p)
-		events = append(events, spanEvent(sp, 1, p.ts))
-	}
-	for _, in := range insts {
-		events = append(events, traceEvent{
-			Name: in.name, Cat: in.cat, Ph: "i", PID: 1, TID: in.tid, S: "t",
-			TS: usOf(in.at),
-		})
-	}
-	events = append(events, flowEvents(placed)...)
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
+	return WriteMergedChromeTrace(w, []ProcessTrace{t.Process("elrec", 1)})
 }
 
 // WriteChromeTraceFile writes the trace to a file at path.

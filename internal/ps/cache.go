@@ -50,24 +50,18 @@ type Cache struct {
 	values  []float32       // guarded by mu
 	index   embedding.Index // row id → slot over ids; guarded by mu
 
-	// statistics
-	syncs, hits, misses, evictions int64 // guarded by mu
-
-	// shared mirrors the local statistics into pipeline-owned aggregate
-	// counters (summed across all caches of one pipeline); each field is a
-	// nil-safe obs instrument, so a standalone cache pays only nil checks.
-	shared struct {
-		syncs, hits, misses, evictions *obs.Counter
-	}
+	// Sync statistics: calls, patched rows (hits), unpatched rows (misses)
+	// and evicted entries. NewCache gives the cache counters of its own; the
+	// pipeline points all its caches at the same four, which then read the
+	// cross-table sum behind Stats().
+	syncs, hits, misses, evictions *obs.Counter // guarded by mu
 }
 
-// attachCounters mirrors this cache's statistics into externally owned
-// aggregate counters (nil counters are no-ops). The pipeline attaches the
-// same four instruments to every one of its caches, so the registry view is
-// the cross-table sum — exactly what Stats() reports.
+// attachCounters points this cache's statistics at externally owned
+// counters.
 func (c *Cache) attachCounters(syncs, hits, misses, evictions *obs.Counter) {
 	c.mu.Lock()
-	c.shared.syncs, c.shared.hits, c.shared.misses, c.shared.evictions = syncs, hits, misses, evictions
+	c.syncs, c.hits, c.misses, c.evictions = syncs, hits, misses, evictions
 	c.mu.Unlock()
 }
 
@@ -76,7 +70,8 @@ func NewCache(dim int) *Cache {
 	if dim <= 0 {
 		panic(fmt.Sprintf("ps: invalid cache dim=%d", dim))
 	}
-	return &Cache{dim: dim}
+	return &Cache{dim: dim, syncs: new(obs.Counter), hits: new(obs.Counter),
+		misses: new(obs.Counter), evictions: new(obs.Counter)}
 }
 
 // checkShape panics unless rows holds one c.dim-wide row per id and every
@@ -207,14 +202,10 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 	if evicted > 0 {
 		c.reindex(len(c.ids) + len(ids))
 	}
-	c.syncs++
-	c.hits += int64(patched)
-	c.misses += int64(len(ids) - patched)
-	c.evictions += int64(evicted)
-	c.shared.syncs.Inc()
-	c.shared.hits.Add(int64(patched))
-	c.shared.misses.Add(int64(len(ids) - patched))
-	c.shared.evictions.Add(int64(evicted))
+	c.syncs.Inc()
+	c.hits.Add(int64(patched))
+	c.misses.Add(int64(len(ids) - patched))
+	c.evictions.Add(int64(evicted))
 	return patched, nil
 }
 
@@ -258,17 +249,4 @@ func (c *Cache) Lookup(id int) ([]float32, bool) {
 	out := make([]float32, c.dim)
 	copy(out, c.row(s))
 	return out, true
-}
-
-// CacheStats is one cache's counter snapshot: sync calls, patched rows
-// (hits), unpatched rows (misses) and evicted entries.
-type CacheStats struct {
-	Syncs, Hits, Misses, Evictions int64
-}
-
-// Stats returns a consistent snapshot of the cache counters.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Syncs: c.syncs, Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
 }

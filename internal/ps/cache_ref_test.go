@@ -9,8 +9,8 @@ import (
 
 // refCache is the map-based Cache this package shipped before the cache moved
 // onto slot arrays, kept as FuzzCacheMatchesReference's oracle. Its code is
-// that Cache's, renamed (refCache, refEntry, newRefCache) and without the
-// shared-counter mirror; hint and CacheStats are the package's own.
+// that Cache's, renamed (refCache, refEntry, newRefCache), counting in
+// plain ints; hint is the package's own.
 type refCache struct {
 	dim int
 
@@ -128,8 +128,21 @@ func (c *refCache) Lookup(id int) ([]float32, bool) {
 }
 
 // Stats returns a consistent snapshot of the cache counters.
-func (c *refCache) Stats() CacheStats {
+func (c *refCache) Stats() cacheCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Syncs: c.syncs, Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+	return cacheCounts{Syncs: c.syncs, Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+}
+
+// cacheCounts is one cache's statistics: Sync calls, patched rows (hits),
+// unpatched rows (misses) and evicted entries.
+type cacheCounts struct {
+	Syncs, Hits, Misses, Evictions int64
+}
+
+// countsOf reads c's statistics from its counters.
+func countsOf(c *Cache) cacheCounts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return cacheCounts{Syncs: c.syncs.Value(), Hits: c.hits.Value(), Misses: c.misses.Value(), Evictions: c.evictions.Value()}
 }

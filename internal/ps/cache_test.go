@@ -52,7 +52,7 @@ func TestCacheSyncPatchesOnlyCached(t *testing.T) {
 	if vals.At(1, 0) != 2 {
 		t.Fatal("uncached row modified")
 	}
-	st := c.Stats()
+	st := countsOf(c)
 	if st.Syncs != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats syncs=%d hits=%d misses=%d", st.Syncs, st.Hits, st.Misses)
 	}
@@ -112,11 +112,11 @@ func TestCacheZeroAllocSteadyState(t *testing.T) {
 	for range 50 {
 		step()
 	}
-	before := c.Stats()
+	before := countsOf(c)
 	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
 		t.Fatalf("steady-state Sync+Publish allocated %v times per step, want 0", allocs)
 	}
-	if st := c.Stats(); st.Evictions == before.Evictions || st.Hits == before.Hits {
+	if st := countsOf(c); st.Evictions == before.Evictions || st.Hits == before.Hits {
 		t.Fatalf("the measured steps never evicted or hit; the pin has no power: %+v → %+v", before, st)
 	}
 }
@@ -214,8 +214,8 @@ func FuzzCacheMatchesReference(f *testing.F) {
 					}
 				}
 			}
-			if got.Len() != want.Len() || got.Stats() != want.Stats() {
-				t.Fatalf("op %d: Len %d Stats %+v, reference Len %d Stats %+v", op, got.Len(), got.Stats(), want.Len(), want.Stats())
+			if got.Len() != want.Len() || countsOf(got) != want.Stats() {
+				t.Fatalf("op %d: Len %d Stats %+v, reference Len %d Stats %+v", op, got.Len(), countsOf(got), want.Len(), want.Stats())
 			}
 			for id := range idRange {
 				gv, gok := got.Lookup(id)

@@ -101,7 +101,7 @@ func TestCacheSyncTable(t *testing.T) {
 			if patched != tc.wantPatched || out.At(0, 0) != want {
 				t.Fatalf("patched=%d row=%v, want patched=%d row of %vs", patched, out.Row(0), tc.wantPatched, want)
 			}
-			st := c.Stats()
+			st := countsOf(c)
 			if st.Hits != int64(tc.wantPatched) || st.Misses != int64(1-tc.wantPatched) {
 				t.Fatalf("hits=%d misses=%d, want %d/%d", st.Hits, st.Misses, tc.wantPatched, 1-tc.wantPatched)
 			}
@@ -152,9 +152,9 @@ func TestCacheNilMeansDefault(t *testing.T) {
 		tensor.Scale(-1, trained.Data)
 		implicit.Publish(ids, trained, iter, nil)
 		explicit.Publish(ids, trained, iter, noHints)
-		if implicit.Len() != explicit.Len() || !reflect.DeepEqual(implicit.Stats(), explicit.Stats()) {
+		if implicit.Len() != explicit.Len() || !reflect.DeepEqual(countsOf(implicit), countsOf(explicit)) {
 			t.Fatalf("iter %d: nil args %d entries %+v, explicit %d entries %+v",
-				iter, implicit.Len(), implicit.Stats(), explicit.Len(), explicit.Stats())
+				iter, implicit.Len(), countsOf(implicit), explicit.Len(), countsOf(explicit))
 		}
 		// The server trails the worker by up to three pushes.
 		if applied < iter+1 && rng.Intn(3) > 0 {
@@ -164,7 +164,7 @@ func TestCacheNilMeansDefault(t *testing.T) {
 			applied = iter - 2
 		}
 	}
-	if st := implicit.Stats(); st.Hits == 0 || st.Evictions == 0 {
+	if st := countsOf(implicit); st.Hits == 0 || st.Evictions == 0 {
 		t.Fatalf("schedule never hit or evicted; property has no power: %+v", st)
 	}
 }

@@ -143,7 +143,7 @@ func TestApplyRetriesExhaustedNotResumable(t *testing.T) {
 }
 
 // onceWorkerFault injects exactly one worker panic at iteration at, then
-// behaves like Nop — the "worker crashed once, restart it" scenario.
+// injects nothing — the "worker crashed once, restart it" scenario.
 type onceWorkerFault struct {
 	at    int
 	mu    sync.Mutex

@@ -55,12 +55,12 @@ type ReloadResponse struct {
 
 // Handler exposes the pool over HTTP JSON: POST /score returns calibrated
 // CTRs in candidate order, POST /topk the ranked top k, POST /reload
-// hot-swaps in a new checkpoint and returns the new model version. GET
-// /healthz answers 200 while the process lives; GET /readyz answers 200
-// only when the pool is serving a stable version (503 mid-swap and after
-// Close) so load balancers route around a node that is reloading. Shedding
-// maps to status codes a balancer can act on: 503 for ErrOverloaded and
-// ErrShutdown, 504 for ErrDeadline, 400 for invalid requests (including
+// hot-swaps in a new checkpoint and returns the new model version. The
+// health routes live on the debug mux: obs.Handler with p.Ready answers
+// /readyz 200 only while the pool serves a stable version (503 mid-swap and
+// after Close), so load balancers route around a node that is reloading.
+// Shedding maps to status codes a balancer can act on: 503 for ErrOverloaded
+// and ErrShutdown, 504 for ErrDeadline, 400 for invalid requests (including
 // anything but whitespace after the body's JSON value), 413 for a body over
 // maxBodyBytes, 500 for a NaN or ±Inf score (JSON cannot carry one).
 func (p *Pool) Handler() http.Handler {
@@ -72,22 +72,7 @@ func (p *Pool) Handler() http.Handler {
 		p.handle(w, r, true)
 	})
 	mux.HandleFunc("/reload", p.handleReload)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, statusResponse{Status: "ok"})
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !p.Ready() {
-			writeJSON(w, http.StatusServiceUnavailable, statusResponse{Status: "not ready"})
-			return
-		}
-		writeJSON(w, http.StatusOK, statusResponse{Status: "ready"})
-	})
 	return mux
-}
-
-// statusResponse is the JSON body of /healthz and /readyz.
-type statusResponse struct {
-	Status string `json:"status"`
 }
 
 // handleReload serves POST /reload: swap the pool to the checkpoint named

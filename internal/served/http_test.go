@@ -120,9 +120,9 @@ func TestHTTPNegativeTimeoutRejected(t *testing.T) {
 }
 
 // TestHTTPReload exercises the admin surface end to end: /healthz and
-// /readyz answer, POST /reload (explicit path, then empty body for the
-// default path) bumps the version, scoring works before and after, and the
-// failure mappings (404 missing file, 405 GET) hold.
+// /readyz answer on the obs debug mux, POST /reload (explicit path, then
+// empty body for the default path) bumps the version, scoring works before
+// and after, and the failure mappings (404 missing file, 405 GET) hold.
 func TestHTTPReload(t *testing.T) {
 	v1, v2 := saveVersions(t)
 	p, err := NewFromCheckpoint(v1, 1, 16, Options{Replicas: 2, Factory: poolFactory()})
@@ -131,15 +131,16 @@ func TestHTTPReload(t *testing.T) {
 	}
 	defer p.Close()
 	h := p.Handler()
+	health := obs.Handler(nil, nil, p.Ready, nil)
 	ctx := poolContext(0)
 	score := func() *httptest.ResponseRecorder {
 		return postJSON(t, h, "/score", ScoreRequest{Dense: ctx.Dense, Sparse: ctx.Sparse, Candidates: poolCandidates(0)})
 	}
 
-	if rec := getPath(t, h, "/healthz"); rec.Code != http.StatusOK {
+	if rec := getPath(t, health, "/healthz"); rec.Code != http.StatusOK {
 		t.Fatalf("/healthz status %d want 200", rec.Code)
 	}
-	if rec := getPath(t, h, "/readyz"); rec.Code != http.StatusOK {
+	if rec := getPath(t, health, "/readyz"); rec.Code != http.StatusOK {
 		t.Fatalf("/readyz status %d want 200", rec.Code)
 	}
 	if rec := score(); rec.Code != http.StatusOK {
@@ -223,6 +224,7 @@ func TestHTTPReadyzFlipsMidSwap(t *testing.T) {
 	}
 	defer p.Close()
 	h := p.Handler()
+	health := obs.Handler(nil, nil, p.Ready, nil)
 	ctx := poolContext(0)
 
 	var wg sync.WaitGroup
@@ -244,7 +246,7 @@ func TestHTTPReadyzFlipsMidSwap(t *testing.T) {
 
 	// The swap cannot hand off until the worker leaves Hydrate, so poll
 	// until readiness drops (it flips as soon as Swap enters distribution).
-	for getPath(t, h, "/readyz").Code != http.StatusServiceUnavailable {
+	for getPath(t, health, "/readyz").Code != http.StatusServiceUnavailable {
 		select {
 		case <-swapped:
 			t.Fatal("swap completed while its worker was parked in Hydrate")
@@ -252,13 +254,13 @@ func TestHTTPReadyzFlipsMidSwap(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if rec := getPath(t, h, "/healthz"); rec.Code != http.StatusOK {
+	if rec := getPath(t, health, "/healthz"); rec.Code != http.StatusOK {
 		t.Fatal("/healthz must stay 200 mid-swap")
 	}
 
 	close(release)
 	wg.Wait()
-	if rec := getPath(t, h, "/readyz"); rec.Code != http.StatusOK {
+	if rec := getPath(t, health, "/readyz"); rec.Code != http.StatusOK {
 		t.Fatalf("/readyz after swap status %d want 200", rec.Code)
 	}
 	if p.Version() != 2 {

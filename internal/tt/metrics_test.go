@@ -28,7 +28,6 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 		"tt_prefix_work":           3, // all three work items hit the prefix stage
 		"tt_unique_prefixes":       2, // prefixes {0, 1}
 		"tt_batched_gemm_launches": 1,
-		"tt_batched_gemm_ops":      2, // one GEMM per unique prefix
 	}
 	for name, want := range wantCounters {
 		if got := snap.Counter(name); got != want {
@@ -69,8 +68,8 @@ func TestPrefixGemmLaunchOnlyWhenRun(t *testing.T) {
 	if got := snap.Counter("tt_batched_gemm_launches"); got != 1 {
 		t.Errorf("tt_batched_gemm_launches = %d want 1", got)
 	}
-	if got := snap.Counter("tt_batched_gemm_ops"); got != 2 {
-		t.Errorf("tt_batched_gemm_ops = %d want 2", got)
+	if got := snap.Counter("tt_unique_prefixes"); got != 2 {
+		t.Errorf("tt_unique_prefixes = %d want 2", got)
 	}
 	if got := snap.Counter("tt_prefix_cache_hits"); got != 2 {
 		t.Errorf("tt_prefix_cache_hits = %d want 2", got)

@@ -104,8 +104,7 @@ type tableMetrics struct {
 	workItems      *obs.Counter // rows actually computed (unique under dedup)
 	prefixWork     *obs.Counter // work items entering the prefix stage
 	uniquePrefixes *obs.Counter // distinct prefixes materialized per batch
-	gemmLaunches   *obs.Counter // batched-GEMM kernel launches
-	gemmOps        *obs.Counter // individual GEMMs inside those launches
+	gemmLaunches   *obs.Counter // batched-GEMM kernel launches, one GEMM per unique prefix inside
 
 	backwardRows  *obs.Counter // gradient occurrences entering Backward
 	backwardWork  *obs.Counter // gradient rows after in-advance aggregation
@@ -133,7 +132,6 @@ func (t *Table) AttachMetrics(r *obs.Registry) {
 		prefixWork:     r.Counter("tt_prefix_work"),
 		uniquePrefixes: r.Counter("tt_unique_prefixes"),
 		gemmLaunches:   r.Counter("tt_batched_gemm_launches"),
-		gemmOps:        r.Counter("tt_batched_gemm_ops"),
 		backwardRows:   r.Counter("tt_backward_rows"),
 		backwardWork:   r.Counter("tt_backward_work"),
 		backwardPairs:  r.Counter("tt_backward_prefix_work"),
@@ -191,7 +189,6 @@ func (m *tableMetrics) recordPrefix(workItems, uniquePrefixes int) {
 		// No launch when a serving clone's memo held every prefix.
 		m.gemmLaunches.Inc()
 	}
-	m.gemmOps.Add(int64(uniquePrefixes))
 	setRatio(m.prefixHitRate, m.uniquePrefixes, m.prefixWork, hitRate)
 }
 
