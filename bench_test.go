@@ -95,7 +95,7 @@ func BenchmarkEffTTLookup(b *testing.B) {
 	tbl, indices, offsets := benchTable(b, tt.EffOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.Forward(indices, offsets)
+		tbl.Lookup(indices, offsets)
 	}
 }
 
@@ -103,7 +103,7 @@ func BenchmarkNaiveTTLookup(b *testing.B) {
 	tbl, indices, offsets := benchTable(b, tt.NaiveOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.Forward(indices, offsets)
+		tbl.Lookup(indices, offsets)
 	}
 }
 
@@ -113,8 +113,8 @@ func BenchmarkEffTTBackward(b *testing.B) {
 	tensor.NewRNG(2).FillUniform(dOut.Data, 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, cache := tbl.Forward(indices, offsets)
-		tbl.Backward(cache, dOut, 1e-4)
+		tbl.Lookup(indices, offsets)
+		tbl.Update(indices, offsets, dOut, 1e-4)
 	}
 }
 
@@ -124,8 +124,8 @@ func BenchmarkNaiveTTBackward(b *testing.B) {
 	tensor.NewRNG(2).FillUniform(dOut.Data, 0.1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, cache := tbl.Forward(indices, offsets)
-		tbl.Backward(cache, dOut, 1e-4)
+		tbl.Lookup(indices, offsets)
+		tbl.Update(indices, offsets, dOut, 1e-4)
 	}
 }
 

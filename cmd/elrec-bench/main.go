@@ -16,13 +16,20 @@
 // -debug-addr serves /metrics, /trace and pprof while the sweep runs; the
 // registry is reset at the start of each experiment, so the endpoint and
 // the artifact both report the experiment in progress.
+//
+// An override of 0 keeps the -scale preset's value (-lookahead: -1). A
+// negative override, -lookahead below -1, a non-finite -dataset-scale, an
+// unknown -scale or a positional argument exits 2 with an "invalid flags"
+// line before any experiment runs.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -87,85 +94,128 @@ func readHostInfo() hostInfo {
 }
 
 func main() {
-	var (
-		exps         = flag.String("exp", "all", "comma-separated experiment ids, or 'all' (known: "+strings.Join(bench.List(), ", ")+")")
-		scaleName    = flag.String("scale", "default", "base scale: quick or default")
-		datasetScale = flag.Float64("dataset-scale", 0, "override: dataset cardinality multiplier")
-		batch        = flag.Int("batch", 0, "override: batch size")
-		steps        = flag.Int("steps", 0, "override: measured steps per configuration")
-		dim          = flag.Int("dim", 0, "override: embedding dimension")
-		rank         = flag.Int("rank", 0, "override: TT rank")
-		trainSteps   = flag.Int("train-steps", 0, "override: steps for accuracy/convergence experiments")
-		jsonDir      = flag.String("json-dir", ".", "directory for BENCH_<id>.json artifacts ('' disables)")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics and pprof on this address while the sweep runs")
-		workers      = flag.Int("workers", 0, "bound host-side kernel parallelism (0 keeps GOMAXPROCS)")
-		compare      = flag.Bool("compare", false, "compare two BENCH_<id>.json artifacts: elrec-bench -compare old.json new.json")
-		lookahead    = flag.Int("lookahead", -1, "override: pipeline lookahead window for pipecache (0 disables planning, -1 keeps the scale default)")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: elrec-bench -compare old.json new.json")
-			os.Exit(2)
-		}
-		if err := compareArtifacts(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *workers > 0 {
-		hw.SetHostWorkers(*workers)
-	}
+// options is elrec-bench's command line, defined on a flag set by newOptions.
+// A zero override keeps the -scale preset's value, and so does -lookahead -1.
+type options struct {
+	exps, scale, jsonDir, debugAddr                         string
+	datasetScale                                            float64
+	batch, steps, dim, rank, trainSteps, workers, lookahead int
+	compare                                                 bool
+}
 
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.exps, "exp", "all", "comma-separated experiment ids, or 'all' (known: "+strings.Join(bench.List(), ", ")+")")
+	fs.StringVar(&o.scale, "scale", "default", "base scale: quick or default")
+	fs.Float64Var(&o.datasetScale, "dataset-scale", 0, "override: dataset cardinality multiplier")
+	fs.IntVar(&o.batch, "batch", 0, "override: batch size")
+	fs.IntVar(&o.steps, "steps", 0, "override: measured steps per configuration")
+	fs.IntVar(&o.dim, "dim", 0, "override: embedding dimension")
+	fs.IntVar(&o.rank, "rank", 0, "override: TT rank")
+	fs.IntVar(&o.trainSteps, "train-steps", 0, "override: steps for accuracy/convergence experiments")
+	fs.StringVar(&o.jsonDir, "json-dir", ".", "directory for BENCH_<id>.json artifacts ('' disables)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics and pprof on this address while the sweep runs")
+	fs.IntVar(&o.workers, "workers", 0, "bound host-side kernel parallelism (0 keeps GOMAXPROCS)")
+	fs.BoolVar(&o.compare, "compare", false, "compare two BENCH_<id>.json artifacts: elrec-bench -compare old.json new.json")
+	fs.IntVar(&o.lookahead, "lookahead", -1, "override: pipeline lookahead window for pipecache (0 disables planning, -1 keeps the scale default)")
+	return o
+}
+
+// benchScale returns the -scale preset with the overrides applied, or an
+// error naming the first flag out of range: an override below 0, a
+// non-finite -dataset-scale, -lookahead below -1 or -workers below 0.
+func (o *options) benchScale() (bench.Scale, error) {
 	var sc bench.Scale
-	switch *scaleName {
+	switch o.scale {
 	case "quick":
 		sc = bench.Quick()
 	case "default":
 		sc = bench.Default()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q (want quick or default)\n", *scaleName)
-		os.Exit(2)
+		return sc, fmt.Errorf("unknown scale %q (want quick or default)", o.scale)
 	}
-	if *datasetScale > 0 {
-		sc.DatasetScale = *datasetScale
+	if !(o.datasetScale >= 0 && o.datasetScale <= math.MaxFloat64) {
+		return sc, fmt.Errorf("-dataset-scale %v: want a positive finite value, or 0 to keep the scale's", o.datasetScale)
 	}
-	if *batch > 0 {
-		sc.Batch = *batch
+	if o.workers < 0 {
+		return sc, fmt.Errorf("-workers %d: want 0 (keep GOMAXPROCS) or more", o.workers)
 	}
-	if *steps > 0 {
-		sc.Steps = *steps
+	if o.datasetScale > 0 {
+		sc.DatasetScale = o.datasetScale
 	}
-	if *dim > 0 {
-		sc.EmbDim = *dim
+	for _, f := range []struct {
+		name     string
+		v, floor int // v == floor keeps the scale's value; below it is refused
+		dst      *int
+	}{
+		{"batch", o.batch, 0, &sc.Batch}, {"steps", o.steps, 0, &sc.Steps}, {"dim", o.dim, 0, &sc.EmbDim},
+		{"rank", o.rank, 0, &sc.Rank}, {"train-steps", o.trainSteps, 0, &sc.TrainSteps},
+		{"lookahead", o.lookahead, -1, &sc.Lookahead},
+	} {
+		if f.v < f.floor {
+			return sc, fmt.Errorf("-%s %d: want %d (keep the default) or more", f.name, f.v, f.floor)
+		}
+		if f.v > f.floor {
+			*f.dst = f.v
+		}
 	}
-	if *rank > 0 {
-		sc.Rank = *rank
+	return sc, nil
+}
+
+// run is elrec-bench on args, returning the exit code: 2 for a command line
+// it refuses, before any experiment runs.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("elrec-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := newOptions(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	if *trainSteps > 0 {
-		sc.TrainSteps = *trainSteps
+
+	if o.compare {
+		if fs.NArg() != 2 {
+			fmt.Fprintln(stderr, "usage: elrec-bench -compare old.json new.json")
+			return 2
+		}
+		if err := compareArtifacts(stdout, fs.Arg(0), fs.Arg(1)); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
 	}
-	if *lookahead >= 0 {
-		sc.Lookahead = *lookahead
+	sc, err := o.benchScale()
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("positional arguments %q (only -compare takes any)", fs.Args())
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "invalid flags:", err)
+		return 2
+	}
+	if o.workers > 0 {
+		hw.SetHostWorkers(o.workers)
 	}
 
 	reg := obs.NewRegistry()
 	sc.Metrics = reg
-	if *debugAddr != "" {
-		dbg, err := obs.Serve(*debugAddr, reg, nil, nil, nil)
+	if o.debugAddr != "" {
+		dbg, err := obs.Serve(o.debugAddr, reg, nil, nil, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer dbg.Close()
-		fmt.Fprintf(os.Stderr, "debug endpoint up on %s\n", dbg.Addr())
+		fmt.Fprintf(stderr, "debug endpoint up on %s\n", dbg.Addr())
 	}
 
 	ids := bench.List()
-	if *exps != "all" {
-		ids = strings.Split(*exps, ",")
+	if o.exps != "all" {
+		ids = strings.Split(o.exps, ",")
 	}
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
@@ -173,19 +223,20 @@ func main() {
 		start := time.Now()
 		res, err := bench.Run(id, sc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		elapsed := time.Since(start)
-		res.Fprint(os.Stdout)
-		fmt.Printf("(%s regenerated in %v)\n\n", id, elapsed.Round(time.Millisecond))
-		if *jsonDir != "" {
-			if err := writeArtifact(*jsonDir, res, sc, elapsed, reg.Snapshot()); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+		res.Fprint(stdout)
+		fmt.Fprintf(stdout, "(%s regenerated in %v)\n\n", id, elapsed.Round(time.Millisecond))
+		if o.jsonDir != "" {
+			if err := writeArtifact(o.jsonDir, res, sc, elapsed, reg.Snapshot()); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 		}
 	}
+	return 0
 }
 
 // readArtifact loads one BENCH_<id>.json file.

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -46,7 +47,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:], os.Stdout))
 }
 
 // options is elrec-worker's command line, defined on a flag set by newOptions.
@@ -78,9 +79,12 @@ func newOptions(fs *flag.FlagSet) *options {
 	return o
 }
 
-func run() int {
-	o := newOptions(flag.CommandLine)
-	flag.Parse()
+// run is elrec-worker on args, parsed on fs; the result line goes to stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) int {
+	o := newOptions(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
@@ -113,14 +117,14 @@ func run() int {
 			log.Info("debug endpoint up", "addr", dbg.Addr())
 			defer dbg.Shutdown(time.Second)
 		}
-		return runReference(ctx, sc, src, o.spec.Steps, o.spec.Batch, reg, tracer, log)
+		return runReference(ctx, sc, src, o.spec.Steps, o.spec.Batch, reg, tracer, log, stdout)
 	}
-	return runDistributed(ctx, sc, src, o, reg, tracer, log)
+	return runDistributed(ctx, sc, src, o, reg, tracer, log, stdout)
 }
 
 // runReference trains the identical scenario in one process — the oracle.
 func runReference(ctx context.Context, sc distps.Scenario, src *data.Dataset,
-	steps, batch int, reg *obs.Registry, tracer *obs.Tracer, log *slog.Logger) int {
+	steps, batch int, reg *obs.Registry, tracer *obs.Tracer, log *slog.Logger, stdout io.Writer) int {
 	locs, err := sc.ReferenceLocs()
 	if err != nil {
 		log.Error("reference placement failed", "err", err)
@@ -152,7 +156,7 @@ func runReference(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 	}
 	log.Info("reference run done", "steps", res.Completed,
 		"elapsed", time.Since(start).Round(time.Millisecond))
-	printResult(hash, res.Curve.Losses, res.Completed, 0)
+	printResult(stdout, hash, res.Curve.Losses, res.Completed, 0)
 	return 0
 }
 
@@ -160,7 +164,7 @@ func runReference(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 // The debug endpoint starts after the worker exists: the /cluster and
 // /cluster/trace routes aggregate over the worker's shard client.
 func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
-	o *options, reg *obs.Registry, tracer *obs.Tracer, log *slog.Logger) int {
+	o *options, reg *obs.Registry, tracer *obs.Tracer, log *slog.Logger, stdout io.Writer) int {
 	shards := strings.FieldsFunc(o.shards, func(r rune) bool { return r == ',' || r == ' ' })
 	w, err := distps.NewWorker(distps.WorkerConfig{
 		ID: o.id, Shards: shards, Scenario: sc,
@@ -219,17 +223,17 @@ func runDistributed(ctx context.Context, sc distps.Scenario, src *data.Dataset,
 	if res.Curve != nil {
 		losses = res.Curve.Losses
 	}
-	printResult(hash, losses, res.Completed, res.Recoveries)
+	printResult(stdout, hash, losses, res.Completed, res.Recoveries)
 	return 0
 }
 
 // printResult emits the machine-greppable result line the CI smoke test
 // compares across runs.
-func printResult(hash uint64, losses []float64, completed, recoveries int) {
+func printResult(w io.Writer, hash uint64, losses []float64, completed, recoveries int) {
 	loss := "n/a"
 	if len(losses) > 0 {
 		loss = fmt.Sprintf("%.9g", losses[len(losses)-1])
 	}
-	fmt.Printf("final_hash=%016x final_loss=%s completed=%d recoveries=%d\n",
+	fmt.Fprintf(w, "final_hash=%016x final_loss=%s completed=%d recoveries=%d\n",
 		hash, loss, completed, recoveries)
 }

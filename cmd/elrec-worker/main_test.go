@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/cmdtest"
+	"repro/internal/tensor"
 )
 
 func parse(args []string) (*flag.FlagSet, *options, error) {
@@ -45,5 +48,30 @@ func TestDefaults(t *testing.T) {
 		"log-level=INFO lr=0.5 queue=4 rank=8 reference=false rpc-timeout=5s shards=localhost:7070 steps=200 tt-threshold=10000"
 	if got := cmdtest.Defaults(fs); got != want {
 		t.Errorf("flags = %s\nwant    %s", got, want)
+	}
+}
+
+// TestReferenceHash pins the final_hash of CI's distributed-smoke reference
+// run for each kernel family measured: every bit-exactness test compares
+// two runs with each other, so a change that moves both alike shows here.
+// The hash is the same at any worker count; a GOARCH/family pair with no
+// measured hash logs its own and skips.
+func TestReferenceHash(t *testing.T) {
+	args := strings.Fields("-reference -dataset kaggle -dataset-scale 0.0005 -dim 8 -rank 4 -tt-threshold 2000 -lr 0.5 -steps 400 -batch 32 -log-level warn")
+	var out bytes.Buffer
+	if code := run(flag.NewFlagSet("elrec-worker", flag.ContinueOnError), args, &out); code != 0 {
+		t.Fatalf("elrec-worker %s: exit %d", strings.Join(args, " "), code)
+	}
+	hash, _, _ := strings.Cut(strings.TrimPrefix(out.String(), "final_hash="), " ")
+	want := map[string]string{
+		"amd64/avx512":   "3cd429e3e8d69fc0",
+		"amd64/avx2":     "3cd429e3e8d69fc0",
+		"amd64/portable": "6b955788b9765758",
+	}[runtime.GOARCH+"/"+tensor.KernelName()]
+	if want == "" {
+		t.Skipf("no reference hash measured for %s/%s; this run: %s", runtime.GOARCH, tensor.KernelName(), out.String())
+	}
+	if hash != want {
+		t.Errorf("%s kernels: final_hash=%s, want %s (%s)", tensor.KernelName(), hash, want, strings.TrimSpace(out.String()))
 	}
 }

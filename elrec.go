@@ -25,8 +25,6 @@
 package elrec
 
 import (
-	"fmt"
-
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -38,7 +36,6 @@ import (
 	"repro/internal/reorder"
 	"repro/internal/serve"
 	"repro/internal/served"
-	"repro/internal/tensor"
 	"repro/internal/tt"
 )
 
@@ -76,20 +73,6 @@ func NewEmbeddingBag(rows, dim int, seed uint64) *embedding.Bag {
 	// A dense table has no error path: embedding.NewBag panics on a bad shape.
 	tbl, _ := dlrm.TableSpec{Dim: dim, TTThreshold: -1, Seed: seed}.Table(0, rows)
 	return tbl.(*embedding.Bag)
-}
-
-// DecomposeTable TT-decomposes an existing dense table (rows×dim, row-major)
-// into an Eff-TT bag with the given rank via truncated TT-SVD — the
-// "initialize from a pretrained table" path.
-func DecomposeTable(rows, dim, rank int, weights []float32) (*tt.Table, error) {
-	shape, err := tt.NewShape(rows, dim, rank)
-	if err != nil {
-		return nil, err
-	}
-	if len(weights) != rows*dim {
-		return nil, fmt.Errorf("elrec: DecomposeTable got %d weights for a %d×%d table, want %d", len(weights), rows, dim, rows*dim)
-	}
-	return tt.DecomposeDense(tensor.FromSlice(rows, dim, weights), shape)
 }
 
 // DatasetSpec describes a synthetic CTR dataset; Avazu, Kaggle and Terabyte

@@ -1,7 +1,6 @@
 package elrec
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -31,34 +30,6 @@ func TestNewEffTTEmbeddingBagBadDim(t *testing.T) {
 	// an invalid rank instead to exercise the error path.
 	if _, err := NewEffTTEmbeddingBag(100, 16, 0, 1); err == nil {
 		t.Fatal("zero rank accepted")
-	}
-}
-
-func TestDecomposeTableRoundTrip(t *testing.T) {
-	const rows, dim, rank = 60, 8, 6
-	src, err := NewEffTTEmbeddingBag(rows, dim, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense := src.Materialize()
-	got, err := DecomposeTable(rows, dim, rank, dense.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.Materialize().MaxAbsDiff(dense); d > 1e-3 {
-		t.Fatalf("TT-SVD round trip error %v", d)
-	}
-}
-
-// TestDecomposeTableWrongWeightCount: the weights come from the caller, so a
-// slice that does not hold rows×dim values is an error naming both lengths,
-// not a panic.
-func TestDecomposeTableWrongWeightCount(t *testing.T) {
-	for _, n := range []int{0, 10, 60*8 - 1, 60*8 + 1} {
-		_, err := DecomposeTable(60, 8, 6, make([]float32, n))
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d weights", n)) || !strings.Contains(err.Error(), "want 480") {
-			t.Fatalf("%d weights for a 60×8 table: err = %v", n, err)
-		}
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"os"
-	"path/filepath"
 
 	elrec "repro"
 )
@@ -96,80 +94,6 @@ func ExampleBuildReordering() {
 	// Output:
 	// bijection over 8192 rows, valid: true
 	// unique TT prefixes over 10 held-out batches: 998 -> 685
-}
-
-// TT-SVD initialisation (the TT-Rec path): decompose an already-trained dense
-// table at increasing rank, then checkpoint the compressed model and restore
-// it into a fresh one.
-func ExampleDecomposeTable() {
-	const rows, dim = 1024, 16
-	// A stand-in for a pretrained table with tensor-train structure: a
-	// materialised rank-4 TT table plus a little noise.
-	dense := elrec.NewEmbeddingBag(rows, dim, 7)
-	weights := dense.Weights.Data
-	src, err := elrec.NewEffTTEmbeddingBag(rows, dim, 4, 8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, v := range src.Materialize().Data {
-		weights[i] = v + 0.002*weights[i]
-	}
-	for _, rank := range []int{2, 4, 8} {
-		tbl, err := elrec.DecomposeTable(rows, dim, rank, weights)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var num, den float64
-		for i, v := range tbl.Materialize().Data {
-			num += float64(v-weights[i]) * float64(v-weights[i])
-			den += float64(weights[i]) * float64(weights[i])
-		}
-		fmt.Printf("rank %d: %4d bytes (%2dx smaller), relative error %.3f\n",
-			rank, tbl.FootprintBytes(), dense.FootprintBytes()/tbl.FootprintBytes(), num/den)
-	}
-
-	// Checkpoint a rank-8 decomposition in a model and restore it into a
-	// fresh one.
-	tbl, err := elrec.DecomposeTable(rows, dim, 8, weights)
-	if err != nil {
-		log.Fatal(err)
-	}
-	model := func(table elrec.EmbeddingBag) *elrec.DLRMModel {
-		m, err := elrec.NewDLRM(elrec.ModelConfig{
-			NumDense: 4, EmbDim: dim, BottomSizes: []int{16}, TopSizes: []int{16}, LR: 0.5, Seed: 1,
-		}, []elrec.EmbeddingBag{table})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return m
-	}
-	dir, err := os.MkdirTemp("", "elrec-example")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "model.ckpt")
-	if err := elrec.SaveModel(path, model(tbl)); err != nil {
-		log.Fatal(err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fresh, err := elrec.NewEffTTEmbeddingBag(rows, dim, 8, 123)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := elrec.LoadModel(path, model(fresh)); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("checkpoint: %d bytes; restored table equals the saved one: %v\n",
-		info.Size(), fresh.Materialize().MaxAbsDiff(tbl.Materialize()) == 0)
-	// Output:
-	// rank 2:  832 bytes (78x smaller), relative error 0.582
-	// rank 4: 2304 bytes (28x smaller), relative error 0.009
-	// rank 8: 7168 bytes ( 9x smaller), relative error 0.000
-	// checkpoint: 10078 bytes; restored table equals the saved one: true
 }
 
 // Ranking candidate items for one user context with a trained, compressed

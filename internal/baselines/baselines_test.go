@@ -75,11 +75,11 @@ func TestFAEClassification(t *testing.T) {
 	if fae.ColdBytes == 0 {
 		t.Fatal("cold samples must account transfer bytes")
 	}
-	if fae.HotSetRows() == 0 || fae.HotSetRows() >= 700 {
-		t.Fatalf("hot set size %d implausible", fae.HotSetRows())
+	if fae.hotSetRows() == 0 || fae.hotSetRows() >= 700 {
+		t.Fatalf("hot set size %d implausible", fae.hotSetRows())
 	}
 	t.Logf("hot=%d cold=%d samples (%.0f%% cold), hot rows=%d", fae.HotSamples, fae.ColdSamples,
-		100*float64(fae.ColdSamples)/float64(fae.HotSamples+fae.ColdSamples), fae.HotSetRows())
+		100*float64(fae.ColdSamples)/float64(fae.HotSamples+fae.ColdSamples), fae.hotSetRows())
 }
 
 func TestFAEHotBatchDetection(t *testing.T) {
@@ -96,10 +96,10 @@ func TestFAEHotBatchDetection(t *testing.T) {
 	}
 	fae, _ := NewFAE(m, counts, 1.0)
 	b := d.Batch(0, 32)
-	if !fae.IsHot(b) {
+	if !fae.isHot(b) {
 		t.Fatal("batch cold although all rows are hot")
 	}
-	if !fae.SampleIsHot(b, 0) {
+	if !fae.sampleIsHot(b, 0) {
 		t.Fatal("sample cold although all rows are hot")
 	}
 }
@@ -131,7 +131,7 @@ func TestRowShardedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyWeightsToSharded(ref, sh.SetRow)
+	copyWeightsToSharded(ref, sh.setRow)
 
 	r := tensor.NewRNG(9)
 	for step := 0; step < 5; step++ {
@@ -147,7 +147,7 @@ func TestRowShardedMatchesReference(t *testing.T) {
 		sh.Update(indices, offsets, dOut, 0.1)
 	}
 	for i := 0; i < rows; i++ {
-		got := sh.RowAt(i)
+		got := sh.rowAt(i)
 		for j := 0; j < dim; j++ {
 			if math.Abs(float64(got[j]-ref.Weights.At(i, j))) > 1e-6 {
 				t.Fatalf("row %d col %d: %v vs %v", i, j, got[j], ref.Weights.At(i, j))
@@ -166,7 +166,7 @@ func TestColShardedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyWeightsToSharded(ref, sh.SetRow)
+	copyWeightsToSharded(ref, sh.setRow)
 
 	r := tensor.NewRNG(19)
 	for step := 0; step < 5; step++ {
@@ -182,7 +182,7 @@ func TestColShardedMatchesReference(t *testing.T) {
 		sh.Update(indices, offsets, dOut, 0.1)
 	}
 	for i := 0; i < rows; i++ {
-		got := sh.RowAt(i)
+		got := sh.rowAt(i)
 		for j := 0; j < dim; j++ {
 			if math.Abs(float64(got[j]-ref.Weights.At(i, j))) > 1e-6 {
 				t.Fatalf("row %d col %d: %v vs %v", i, j, got[j], ref.Weights.At(i, j))
@@ -233,11 +233,11 @@ func TestTrafficGrowsWithDevices(t *testing.T) {
 
 func TestPerDeviceBytes(t *testing.T) {
 	sh, _ := NewRowSharded(1000, 16, 4, tensor.NewRNG(3))
-	if sh.PerDeviceBytes() != sh.FootprintBytes()/4 {
+	if sh.perDeviceBytes() != sh.FootprintBytes()/4 {
 		t.Fatal("row-sharded per-device bytes wrong")
 	}
 	ch, _ := NewColSharded(1000, 16, 4, tensor.NewRNG(3))
-	if ch.PerDeviceBytes() != ch.FootprintBytes()/4 {
+	if ch.perDeviceBytes() != ch.FootprintBytes()/4 {
 		t.Fatal("col-sharded per-device bytes wrong")
 	}
 }

@@ -70,8 +70,8 @@ func NewFAE(model *dlrm.Model, counts [][]int64, hotFrac float64) (*FAE, error) 
 	return f, nil
 }
 
-// IsHot reports whether every sparse index of the batch is in the hot sets.
-func (f *FAE) IsHot(b *data.Batch) bool {
+// isHot reports whether every sparse index of the batch is in the hot sets.
+func (f *FAE) isHot(b *data.Batch) bool {
 	for t, col := range b.Sparse {
 		set := f.hotSet[t]
 		for _, idx := range col {
@@ -83,8 +83,8 @@ func (f *FAE) IsHot(b *data.Batch) bool {
 	return true
 }
 
-// SampleIsHot reports whether sample s of the batch touches only hot rows.
-func (f *FAE) SampleIsHot(b *data.Batch, s int) bool {
+// sampleIsHot reports whether sample s of the batch touches only hot rows.
+func (f *FAE) sampleIsHot(b *data.Batch, s int) bool {
 	for t := range b.Sparse {
 		if _, ok := f.hotSet[t][b.Sparse[t][s]]; !ok {
 			return false
@@ -103,7 +103,7 @@ func (f *FAE) TrainBatch(b *data.Batch) (loss float32, coldFrac float64) {
 	cold := 0
 	coldOf := make([]bool, b.Size())
 	for s := 0; s < b.Size(); s++ {
-		if f.SampleIsHot(b, s) {
+		if f.sampleIsHot(b, s) {
 			f.HotSamples++
 		} else {
 			f.ColdSamples++
@@ -124,8 +124,8 @@ func (f *FAE) TrainBatch(b *data.Batch) (loss float32, coldFrac float64) {
 	return f.Model.TrainStep(b), float64(cold) / float64(b.Size())
 }
 
-// HotSetRows returns the total hot rows cached on the device (HBM cost).
-func (f *FAE) HotSetRows() int {
+// hotSetRows returns the total hot rows cached on the device (HBM cost).
+func (f *FAE) hotSetRows() int {
 	n := 0
 	for _, s := range f.hotSet {
 		n += len(s)

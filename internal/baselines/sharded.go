@@ -111,17 +111,17 @@ func (r *RowSharded) Dim() int { return r.dim }
 // table; sharding spreads it, per-device share is FootprintBytes()/n).
 func (r *RowSharded) FootprintBytes() int64 { return int64(r.rows) * int64(r.dim) * 4 }
 
-// PerDeviceBytes returns the HBM cost per device.
-func (r *RowSharded) PerDeviceBytes() int64 { return r.FootprintBytes() / int64(r.n) }
+// perDeviceBytes returns the HBM cost per device.
+func (r *RowSharded) perDeviceBytes() int64 { return r.FootprintBytes() / int64(r.n) }
 
-// SetRow overwrites a logical row (test helper for equivalence checks).
-func (r *RowSharded) SetRow(idx int, vals []float32) {
+// setRow overwrites a logical row (test helper for equivalence checks).
+func (r *RowSharded) setRow(idx int, vals []float32) {
 	shard, local := r.shardOf(idx)
 	copy(r.shards[shard].Weights.Row(local), vals)
 }
 
-// RowAt returns a copy of a logical row.
-func (r *RowSharded) RowAt(idx int) []float32 {
+// rowAt returns a copy of a logical row.
+func (r *RowSharded) rowAt(idx int) []float32 {
 	shard, local := r.shardOf(idx)
 	out := make([]float32, r.dim)
 	copy(out, r.shards[shard].Weights.Row(local))
@@ -201,19 +201,19 @@ func (c *ColSharded) Dim() int { return c.dim }
 // FootprintBytes returns total storage across shards.
 func (c *ColSharded) FootprintBytes() int64 { return int64(c.rows) * int64(c.dim) * 4 }
 
-// PerDeviceBytes returns the HBM cost per device.
-func (c *ColSharded) PerDeviceBytes() int64 { return c.FootprintBytes() / int64(c.n) }
+// perDeviceBytes returns the HBM cost per device.
+func (c *ColSharded) perDeviceBytes() int64 { return c.FootprintBytes() / int64(c.n) }
 
-// SetRow overwrites a logical row across shards (test helper).
-func (c *ColSharded) SetRow(idx int, vals []float32) {
+// setRow overwrites a logical row across shards (test helper).
+func (c *ColSharded) setRow(idx int, vals []float32) {
 	for sh, bag := range c.shards {
 		start := c.colStart[sh]
 		copy(bag.Weights.Row(idx), vals[start:start+bag.Dim()])
 	}
 }
 
-// RowAt returns a copy of a logical row assembled from the shards.
-func (c *ColSharded) RowAt(idx int) []float32 {
+// rowAt returns a copy of a logical row assembled from the shards.
+func (c *ColSharded) rowAt(idx int) []float32 {
 	out := make([]float32, c.dim)
 	for sh, bag := range c.shards {
 		copy(out[c.colStart[sh]:], bag.Weights.Row(idx))

@@ -59,8 +59,8 @@ func TestRegistry(t *testing.T) {
 
 func TestResultFormatting(t *testing.T) {
 	r := &Result{ID: "x", Title: "t", Header: []string{"a", "bb"}}
-	r.AddRow("1", "2")
-	r.AddNote("n=%d", 3)
+	r.addRow("1", "2")
+	r.addNote("n=%d", 3)
 	out := r.String()
 	for _, want := range []string{"== x: t ==", "a", "bb", "note: n=3"} {
 		if !strings.Contains(out, want) {

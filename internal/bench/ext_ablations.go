@@ -49,9 +49,9 @@ func extOptim(sc Scale) *Result {
 	points := 8
 	for p := 1; p <= points; p++ {
 		i := p*sc.TrainSteps/points - 1
-		r.AddRow(fmt.Sprintf("%d", i+1), f2(sgd[i]), f2(ada[i]))
+		r.addRow(fmt.Sprintf("%d", i+1), f2(sgd[i]), f2(ada[i]))
 	}
-	r.AddNote("kaggle-like, batch %d, %d steps; SGD lr 1.0, Adagrad lr 0.05; extension — not a paper figure", sc.Batch, sc.TrainSteps)
+	r.addNote("kaggle-like, batch %d, %d steps; SGD lr 1.0, Adagrad lr 0.05; extension — not a paper figure", sc.Batch, sc.TrainSteps)
 	return r
 }
 
@@ -101,7 +101,7 @@ func extHotRatio(sc Scale) *Result {
 		Title:  "index reordering: unique TT prefixes vs Hot_ratio",
 		Header: []string{"hot ratio", "unique prefixes / 10 batches", "reduction"},
 	}
-	r.AddRow("no reorder", fmt.Sprintf("%d", baseline), "-")
+	r.addRow("no reorder", fmt.Sprintf("%d", baseline), "-")
 	for _, hot := range []float64{0, 0.01, 0.05, 0.20, 0.50} {
 		bij, err := reorder.Build(counts, batches, reorder.Config{HotRatio: hot})
 		if err != nil {
@@ -111,9 +111,9 @@ func extHotRatio(sc Scale) *Result {
 		for _, col := range heldOut {
 			total += uniquePrefixes(bij.Apply(col))
 		}
-		r.AddRow(fmt.Sprintf("%.2f", hot), fmt.Sprintf("%d", total),
+		r.addRow(fmt.Sprintf("%.2f", hot), fmt.Sprintf("%d", total),
 			fmt.Sprintf("%.1f%%", 100*(1-float64(total)/float64(baseline))))
 	}
-	r.AddNote("table %d rows, batch %d, m3=%d; extension — sweeps Algorithm 2's Hot_ratio", rows, sc.Batch, m3)
+	r.addNote("table %d rows, batch %d, m3=%d; extension — sweeps Algorithm 2's Hot_ratio", rows, sc.Batch, m3)
 	return r
 }

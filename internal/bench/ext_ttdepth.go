@@ -38,12 +38,12 @@ func extTTDepth(sc Scale) *Result {
 			})
 		})
 		per := float64(elapsed.Microseconds()) / 1000 / float64(len(w.raw))
-		r.AddRow(fmt.Sprintf("%d", depth),
+		r.addRow(fmt.Sprintf("%d", depth),
 			fmt.Sprintf("%d", shape.NumParams()/1000),
 			fx(shape.CompressionRatio()),
 			f2(per),
 			f2(denseMB))
 	}
-	r.AddNote("table %d rows, dim %d, rank %d, batch %d; extension — not a paper figure", rows, sc.EmbDim, sc.Rank, sc.Batch)
+	r.addNote("table %d rows, dim %d, rank %d, batch %d; extension — not a paper figure", rows, sc.EmbDim, sc.Rank, sc.Batch)
 	return r
 }

@@ -34,9 +34,9 @@ func fig4a(sc Scale) *Result {
 		for _, v := range curve {
 			row = append(row, f2(v*100))
 		}
-		r.AddRow(row...)
+		r.addRow(row...)
 	}
-	r.AddNote("largest table per dataset, 30 batches of %d", sc.Batch)
+	r.addNote("largest table per dataset, 30 batches of %d", sc.Batch)
 	return r
 }
 
@@ -58,8 +58,8 @@ func fig4b(sc Scale) *Result {
 		for _, bs := range batchSizes {
 			row = append(row, fmt.Sprintf("%.0f", d.AvgUniqueAllTables(5, bs)))
 		}
-		r.AddRow(row...)
+		r.addRow(row...)
 	}
-	r.AddNote("averaged over all tables, 5 batches per point; unique count ≪ batch size throughout")
+	r.addNote("averaged over all tables, 5 batches per point; unique count ≪ batch size throughout")
 	return r
 }

@@ -57,7 +57,7 @@ func statsDelta(after, before ps.Stats) ps.Stats {
 
 // pipelineTime converts one pipeline run's stats into modeled time on the
 // given device: worker compute scaled to the device; server work at host
-// speed plus the per-row parameter-server overhead (hw.PSRowLatency); PCIe
+// speed plus the per-row parameter-server overhead (hw.psRowLatency); PCIe
 // transfer for the queue traffic. Overlapped projects the pipelined
 // schedule, where the server side hides behind worker compute and only the
 // longer of the two bounds the step (Figure 9); otherwise the two sides
@@ -111,13 +111,13 @@ func fig11(sc Scale, dev hw.Device) *Result {
 		thr := func(t time.Duration) string {
 			return fmt.Sprintf("%.0f/s", float64(samples)/t.Seconds())
 		}
-		r.AddRow(spec.Name,
+		r.addRow(spec.Name,
 			thr(tDLRM), thr(tFAE), thr(tTTRec), thr(tELRec),
 			fx(float64(tDLRM)/float64(tFAE)),
 			fx(float64(tDLRM)/float64(tTTRec)),
 			fx(float64(tDLRM)/float64(tELRec)))
 	}
-	r.AddNote("batch %d, dim %d, rank %d, %d measured steps; paper: EL-Rec 3x over DLRM, 1.5x over FAE, 1.4x over TT-Rec (V100)",
+	r.addNote("batch %d, dim %d, rank %d, %d measured steps; paper: EL-Rec 3x over DLRM, 1.5x over FAE, 1.4x over TT-Rec (V100)",
 		sc.Batch, sc.EmbDim, rank, sc.Steps)
 	return r
 }
@@ -236,10 +236,10 @@ func fig12(sc Scale) *Result {
 	}
 	e1, e4 := thr(elrec1, elrecComm1, 1), thr(elrec4, elrecComm4, 4)
 	d1, d4 := thr(dlrm1, dlrmComm1, 1), thr(dlrm4, dlrmComm4, 4)
-	r.AddRow("DLRM", fmt.Sprintf("%.0f", d1), fmt.Sprintf("%.0f", d4), fx(d4/d1))
-	r.AddRow("EL-Rec", fmt.Sprintf("%.0f", e1), fmt.Sprintf("%.0f", e4), fx(e4/e1))
-	r.AddRow("EL-Rec/DLRM", fx(e1/d1), fx(e4/d4), "")
-	r.AddNote("kaggle-like dataset, batch %d; paper: DLRM slightly ahead at 1 GPU, EL-Rec up to 1.4x ahead at 4 GPUs", sc.Batch)
+	r.addRow("DLRM", fmt.Sprintf("%.0f", d1), fmt.Sprintf("%.0f", d4), fx(d4/d1))
+	r.addRow("EL-Rec", fmt.Sprintf("%.0f", e1), fmt.Sprintf("%.0f", e4), fx(e4/e1))
+	r.addRow("EL-Rec/DLRM", fx(e1/d1), fx(e4/d4), "")
+	r.addNote("kaggle-like dataset, batch %d; paper: DLRM slightly ahead at 1 GPU, EL-Rec up to 1.4x ahead at 4 GPUs", sc.Batch)
 	return r
 }
 
@@ -372,9 +372,9 @@ func fig15(sc Scale) *Result {
 	points := 10
 	for p := 1; p <= points; p++ {
 		i := p*sc.TrainSteps/points - 1
-		r.AddRow(fmt.Sprintf("%d", i+1), f2(dl[i]), f2(tr[i]), f2(el[i]))
+		r.addRow(fmt.Sprintf("%d", i+1), f2(dl[i]), f2(tr[i]), f2(el[i]))
 	}
-	r.AddNote("batch %d; paper: the three curves coincide — tensorization does not slow convergence", sc.Batch)
+	r.addNote("batch %d; paper: the three curves coincide — tensorization does not slow convergence", sc.Batch)
 	return r
 }
 
@@ -409,10 +409,10 @@ func fig16(sc Scale) *Result {
 		Title:  "pipeline training throughput (samples/s)",
 		Header: []string{"system", "throughput", "speedup vs DLRM"},
 	}
-	r.AddRow("DLRM", fmt.Sprintf("%.0f", samples/tDLRM.Seconds()), fx(1))
-	r.AddRow("EL-Rec (Sequential)", fmt.Sprintf("%.0f", samples/tSeq.Seconds()), fx(float64(tDLRM)/float64(tSeq)))
-	r.AddRow("EL-Rec (Pipeline)", fmt.Sprintf("%.0f", samples/tPipe.Seconds()), fx(float64(tDLRM)/float64(tPipe)))
-	r.AddNote("largest table TT on device, %d tables on host; paper: pipeline 2.44x over DLRM, 1.30x over sequential",
+	r.addRow("DLRM", fmt.Sprintf("%.0f", samples/tDLRM.Seconds()), fx(1))
+	r.addRow("EL-Rec (Sequential)", fmt.Sprintf("%.0f", samples/tSeq.Seconds()), fx(float64(tDLRM)/float64(tSeq)))
+	r.addRow("EL-Rec (Pipeline)", fmt.Sprintf("%.0f", samples/tPipe.Seconds()), fx(float64(tDLRM)/float64(tPipe)))
+	r.addNote("largest table TT on device, %d tables on host; paper: pipeline 2.44x over DLRM, 1.30x over sequential",
 		spec.NumTables()-1)
 	return r
 }

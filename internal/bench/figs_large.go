@@ -99,9 +99,9 @@ func fig13(sc Scale) *Result {
 			comm := perStep * time.Duration(sc.Steps)
 			row = append(row, fmt.Sprintf("%.0f", samples/(compute+comm).Seconds()))
 		}
-		r.AddRow(row...)
+		r.addRow(row...)
 	}
-	r.AddNote("19 GB full-scale table exceeds one 16 GB GPU: sharded systems need >=2 devices, EL-Rec fits on one")
-	r.AddNote("paper: EL-Rec 1.07x over HugeCTR, 1.35x over TorchRec at 4 GPUs")
+	r.addNote("19 GB full-scale table exceeds one 16 GB GPU: sharded systems need >=2 devices, EL-Rec fits on one")
+	r.addNote("paper: EL-Rec 1.07x over HugeCTR, 1.35x over TorchRec at 4 GPUs")
 	return r
 }

@@ -137,13 +137,13 @@ func fig17(sc Scale) *Result {
 		per := func(d time.Duration) float64 {
 			return float64(d.Microseconds()) / 1000 / float64(len(w.raw))
 		}
-		r.AddRow(fmt.Sprintf("%d", bs),
+		r.addRow(fmt.Sprintf("%d", bs),
 			f2(per(tNaive)), f2(per(tReuse)), f2(per(tReorder)),
 			fx(float64(tNaive)/float64(tReuse)),
 			fx(float64(tNaive)/float64(tReorder)))
 	}
-	r.AddNote("table %d rows, dim %d, rank %d; paper: 1.83x average, growing with batch size", rows, sc.EmbDim, sc.Rank)
-	r.AddNote("+reuse is Algorithm 1's per-batch reuse buffer: no prefix product is kept from one batch to the next")
+	r.addNote("table %d rows, dim %d, rank %d; paper: 1.83x average, growing with batch size", rows, sc.EmbDim, sc.Rank)
+	r.addNote("+reuse is Algorithm 1's per-batch reuse buffer: no prefix product is kept from one batch to the next")
 	return r
 }
 
@@ -176,11 +176,11 @@ func fig18(sc Scale) *Result {
 		per := func(d time.Duration) float64 {
 			return float64(d.Microseconds()) / 1000 / float64(len(w.raw))
 		}
-		r.AddRow(fmt.Sprintf("%d", bs),
+		r.addRow(fmt.Sprintf("%d", bs),
 			f2(per(tNaive)), f2(per(tFused)), f2(per(tAgg)), f2(per(tReorder)),
 			fx(float64(tNaive)/float64(tReorder)))
 	}
-	r.AddNote("table %d rows, dim %d, rank %d; paper: 1.70x average (1.47x-2.10x)", rows, sc.EmbDim, sc.Rank)
+	r.addNote("table %d rows, dim %d, rank %d; paper: 1.70x average (1.47x-2.10x)", rows, sc.EmbDim, sc.Rank)
 	return r
 }
 
@@ -243,14 +243,14 @@ func fig14(sc Scale) *Result {
 		drop := func(d time.Duration) string {
 			return fmt.Sprintf("%.0f%%", 100*(1-float64(full)/float64(d)))
 		}
-		r.AddRow(fmt.Sprintf("%dM", base/1_000_000),
+		r.addRow(fmt.Sprintf("%dM", base/1_000_000),
 			fmt.Sprintf("%.0f", tp(full)),
 			fmt.Sprintf("%.0f", tp(noReuse)),
 			fmt.Sprintf("%.0f", tp(noAgg)),
 			fmt.Sprintf("%.0f", tp(noReorder)),
 			drop(noReuse), drop(noAgg), drop(noReorder))
 	}
-	r.AddNote("rows scaled by %g (floor 10k); paper: agg −52%%, reorder −13%%, reuse −10%%", sc.DatasetScale)
+	r.addNote("rows scaled by %g (floor 10k); paper: agg −52%%, reorder −13%%, reuse −10%%", sc.DatasetScale)
 	return r
 }
 

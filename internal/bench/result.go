@@ -22,13 +22,13 @@ type Result struct {
 	Notes  []string
 }
 
-// AddRow appends one formatted row.
-func (r *Result) AddRow(cells ...string) {
+// addRow appends one formatted row.
+func (r *Result) addRow(cells ...string) {
 	r.Rows = append(r.Rows, cells)
 }
 
-// AddNote appends a formatted note line.
-func (r *Result) AddNote(format string, args ...any) {
+// addNote appends a formatted note line.
+func (r *Result) addNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 

@@ -163,14 +163,14 @@ func serveCore(sc Scale) *Result {
 	}
 	for _, prof := range profiles {
 		rate := runSerial(prof.hydrate != nil, prof.cands)
-		r.AddRow(prof.name+"/serial", "1", "1", fmt.Sprintf("%.0f", rate), "", "")
+		r.addRow(prof.name+"/serial", "1", "1", fmt.Sprintf("%.0f", rate), "", "")
 		var baseRate float64
 		for _, replicas := range prof.replicas {
 			rate, coalesce := runPool(replicas, prof.hydrate, prof.cands)
 			if replicas == 1 {
 				baseRate = rate
 			}
-			r.AddRow(fmt.Sprintf("%s/pool-%dr", prof.name, replicas),
+			r.addRow(fmt.Sprintf("%s/pool-%dr", prof.name, replicas),
 				fmt.Sprintf("%d", replicas),
 				fmt.Sprintf("%d", clients),
 				fmt.Sprintf("%.0f", rate),
@@ -179,10 +179,10 @@ func serveCore(sc Scale) *Result {
 		}
 	}
 
-	r.AddNote("%d requests of %d candidates each (cpu-128c: %d), %d closed-loop clients; dataset %s, dim %d, rank %d, %s kernels",
+	r.addNote("%d requests of %d candidates each (cpu-128c: %d), %d closed-loop clients; dataset %s, dim %d, rank %d, %s kernels",
 		totalReqs, candidatesPerReq, candidatesLarge, clients, spec.Name, sc.EmbDim, sc.Rank, tensor.KernelName())
-	r.AddNote("speedup is relative to the 1-replica pool within each profile; serial is the no-pool baseline")
-	r.AddNote("fetch5ms adds a %v batched remote-feature hydration stall per micro-batch (served.Options.Hydrate); "+
+	r.addNote("speedup is relative to the 1-replica pool within each profile; serial is the no-pool baseline")
+	r.addNote("fetch5ms adds a %v batched remote-feature hydration stall per micro-batch (served.Options.Hydrate); "+
 		"cpu is pure local scoring and compute-bound on a single-CPU host", serveFetchRTT)
 	return r
 }

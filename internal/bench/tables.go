@@ -26,7 +26,7 @@ func table2(sc Scale) *Result {
 		data.KaggleSpec(sc.DatasetScale),
 	}
 	for i, spec := range scaled {
-		r.AddRow(
+		r.addRow(
 			spec.Name,
 			fmt.Sprintf("%d", spec.Samples),
 			fmt.Sprintf("%d", spec.NumDense),
@@ -35,7 +35,7 @@ func table2(sc Scale) *Result {
 			f2(float64(full[i].EmbeddingBytes(128))/1e9),
 		)
 	}
-	r.AddNote("cardinalities scaled by %g; paper reports 59.2 GB for Terabyte at dim 128", sc.DatasetScale)
+	r.addNote("cardinalities scaled by %g; paper reports 59.2 GB for Terabyte at dim 128", sc.DatasetScale)
 	return r
 }
 
@@ -65,7 +65,7 @@ func table3(sc Scale) *Result {
 				ttBytes += int64(rows) * int64(sc.EmbDim) * 4
 			}
 		}
-		r.AddRow(
+		r.addRow(
 			spec.Name,
 			f2(float64(denseBytes)/1e6),
 			f2(float64(ttBytes)/1e6),
@@ -73,7 +73,7 @@ func table3(sc Scale) *Result {
 			fmt.Sprintf("%d/%d", compressed, spec.NumTables()),
 		)
 	}
-	r.AddNote("dim=%d rank=%d threshold=%d rows (paper compresses tables above 1M rows)", sc.EmbDim, sc.Rank, sc.TTThresholdRows)
+	r.addNote("dim=%d rank=%d threshold=%d rows (paper compresses tables above 1M rows)", sc.EmbDim, sc.Rank, sc.TTThresholdRows)
 	return r
 }
 
@@ -146,11 +146,11 @@ func table4(sc Scale) *Result {
 		accD, aucD := dlrmSys.Evaluate(evalStart, 10, sc.Batch)
 		accT, _ := ttrecSys.Evaluate(evalStart, 10, sc.Batch)
 		accE, aucE := elrecSys.Evaluate(evalStart, 10, sc.Batch)
-		r.AddRow(spec.Name,
+		r.addRow(spec.Name,
 			f2(accD*100), f2(accT*100), f2(faeAcc), f2(accE*100),
 			f2(aucD), f2(aucE))
 	}
-	r.AddNote("%d training steps, batch %d, dim %d, rank %d; paper finds <0.1pp accuracy loss at full scale",
+	r.addNote("%d training steps, batch %d, dim %d, rank %d; paper finds <0.1pp accuracy loss at full scale",
 		sc.TrainSteps, sc.Batch, sc.EmbDim, sc.Rank)
 	return r
 }

@@ -36,7 +36,7 @@ func ttCore(sc Scale) *Result {
 				gmacs = fmt.Sprintf("%.1f", macs/float64(perOp.Nanoseconds()))
 			}
 		}
-		r.AddRow(name, fmt.Sprintf("%.2f", us), fmt.Sprintf("%.0f", opsPerSec), gmacs)
+		r.addRow(name, fmt.Sprintf("%.2f", us), fmt.Sprintf("%.0f", opsPerSec), gmacs)
 	}
 	addRow := func(name string, perOp time.Duration) { addRowMACs(name, perOp, 0) }
 	// addPassRows times a layer's whole-batch Forward and then its Backward,
@@ -283,7 +283,7 @@ func ttCore(sc Scale) *Result {
 	}
 	addRow("dlrm-train-step", stepTime())
 
-	r.AddNote("table %d rows, dim %d, rank %d, batch %d (-r64 rows: dim %d, rank %d, batch %d, reordered indices); ops/s is per-path calls per second", rows, sc.EmbDim, sc.Rank, sc.Batch, r64, r64, r64Batch)
-	r.AddNote("kernel-* rows: one serial call, m×k×n with the kind's operand layout, %s kernels", tensor.KernelName())
+	r.addNote("table %d rows, dim %d, rank %d, batch %d (-r64 rows: dim %d, rank %d, batch %d, reordered indices); ops/s is per-path calls per second", rows, sc.EmbDim, sc.Rank, sc.Batch, r64, r64, r64Batch)
+	r.addNote("kernel-* rows: one serial call, m×k×n with the kind's operand layout, %s kernels", tensor.KernelName())
 	return r
 }

@@ -96,11 +96,11 @@ func SaveTraining(w io.Writer, m *dlrm.Model, resolve TableResolver, st TrainSta
 	return e.Flush()
 }
 
-// LoadTraining restores a checkpoint saved by SaveTraining and returns the
+// loadTraining restores a checkpoint saved by SaveTraining and returns the
 // recorded training state. Like LoadModel, it requires EOF after the body:
 // trailing bytes are rejected with ErrCorruptCheckpoint, and so is a
 // negative next iteration, which no run writes.
-func LoadTraining(r io.Reader, m *dlrm.Model, resolve TableResolver) (TrainState, error) {
+func loadTraining(r io.Reader, m *dlrm.Model, resolve TableResolver) (TrainState, error) {
 	d := codec.NewReader(r)
 	readHeader(d, trainMagic)
 	next := d.I64()
@@ -270,7 +270,7 @@ func LoadTrainingFile(path string, m *dlrm.Model, resolve TableResolver) (TrainS
 		return TrainState{}, err
 	}
 	defer f.Close()
-	return LoadTraining(f, m, resolve)
+	return loadTraining(f, m, resolve)
 }
 
 // WriteFileAtomic runs write against path+".tmp", fsyncs the file, renames

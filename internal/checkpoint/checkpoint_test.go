@@ -372,7 +372,7 @@ func TestLoadTruncationTable(t *testing.T) {
 	}
 	for _, tc := range cuts {
 		dst := buildModel(t, 22)
-		_, err := LoadTraining(bytes.NewReader(whole[:tc.n]), dst, nil)
+		_, err := loadTraining(bytes.NewReader(whole[:tc.n]), dst, nil)
 		if err == nil {
 			t.Errorf("%s (%d/%d bytes): truncated checkpoint accepted", tc.name, tc.n, len(whole))
 			continue
@@ -383,7 +383,7 @@ func TestLoadTruncationTable(t *testing.T) {
 	}
 	// The untruncated file still loads, and the trailer survives.
 	dst := buildModel(t, 23)
-	st, err := LoadTraining(bytes.NewReader(whole), dst, nil)
+	st, err := loadTraining(bytes.NewReader(whole), dst, nil)
 	if err != nil {
 		t.Fatalf("full load after truncation sweep: %v", err)
 	}
@@ -397,7 +397,7 @@ func TestLoadTruncationTable(t *testing.T) {
 	for _, extra := range [][]byte{{0x00}, {0xFF, 0xFE}, append([]byte(nil), whole[:32]...)} {
 		dst := buildModel(t, 24)
 		glued := append(append([]byte(nil), whole...), extra...)
-		_, err := LoadTraining(bytes.NewReader(glued), dst, nil)
+		_, err := loadTraining(bytes.NewReader(glued), dst, nil)
 		if err == nil {
 			t.Errorf("%d trailing bytes accepted", len(extra))
 			continue

@@ -101,7 +101,7 @@ func FuzzLoadTraining(f *testing.F) {
 		var st TrainState
 		checkFixedPoint(t, in,
 			func(b []byte, m *dlrm.Model) (err error) {
-				st, err = LoadTraining(bytes.NewReader(b), m, fuzzResolve)
+				st, err = loadTraining(bytes.NewReader(b), m, fuzzResolve)
 				return err
 			},
 			func(w *bytes.Buffer, m *dlrm.Model) error { return SaveTraining(w, m, fuzzResolve, st) })

@@ -71,7 +71,7 @@ func TestGoldenFiles(t *testing.T) {
 				return SaveTraining(w, m, fuzzResolve, TrainState{NextIter: goldenIter})
 			},
 			func(b []byte, m *dlrm.Model) error {
-				st, err := LoadTraining(bytes.NewReader(b), m, fuzzResolve)
+				st, err := loadTraining(bytes.NewReader(b), m, fuzzResolve)
 				if err == nil && st.NextIter != goldenIter {
 					t.Errorf("training.golden: NextIter = %d, want %d", st.NextIter, goldenIter)
 				}

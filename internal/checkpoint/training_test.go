@@ -26,7 +26,7 @@ func TestTrainingRoundTripRestoresStateAndIter(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := buildModel(t, 31)
-	st, err := LoadTraining(bytes.NewReader(buf.Bytes()), dst, nil)
+	st, err := loadTraining(bytes.NewReader(buf.Bytes()), dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTrainingRejectsNegativeIteration(t *testing.T) {
 	raw := buf.Bytes()
 	for _, next := range []int64{-1, math.MinInt64} {
 		binary.LittleEndian.PutUint64(raw[8:], uint64(next)) // the iteration follows the 8-byte header
-		if _, err := LoadTraining(bytes.NewReader(raw), buildModel(t, 36), nil); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, err := loadTraining(bytes.NewReader(raw), buildModel(t, 36), nil); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Errorf("next iteration %d: err = %v, want ErrCorruptCheckpoint", next, err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestTrainingRejectsModelEnvelope(t *testing.T) {
 	if err := SaveTraining(&training, m, nil, TrainState{NextIter: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTraining(bytes.NewReader(model.Bytes()), m, nil); err == nil {
+	if _, err := loadTraining(bytes.NewReader(model.Bytes()), m, nil); err == nil {
 		t.Fatal("model file accepted as a training checkpoint")
 	}
 	if err := LoadModel(bytes.NewReader(training.Bytes()), m); err == nil {
@@ -128,7 +128,7 @@ func TestAdagradBagRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst, dstBag := build(41)
-	if _, err := LoadTraining(bytes.NewReader(buf.Bytes()), dst, nil); err != nil {
+	if _, err := loadTraining(bytes.NewReader(buf.Bytes()), dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if diff := dstBag.Weights.MaxAbsDiff(srcBag.Weights); diff != 0 {
@@ -182,7 +182,7 @@ func TestResolverSubstitutesTables(t *testing.T) {
 		}
 		return tbl
 	}
-	st, err := LoadTraining(bytes.NewReader(buf.Bytes()), m2, resolve2)
+	st, err := loadTraining(bytes.NewReader(buf.Bytes()), m2, resolve2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMixedTTTrainingCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := buildModel(t, 61)
-	if _, err := LoadTraining(bytes.NewReader(buf.Bytes()), dst, nil); err != nil {
+	if _, err := loadTraining(bytes.NewReader(buf.Bytes()), dst, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !dst.Tables[1].(*tt.Table).AdagradEnabled() {

@@ -22,12 +22,12 @@ import (
 // visibility, which is timing-dependent, and gather decisions must depend
 // only on window contents so that training is bit-exact at any queue depth.
 
-// SparseSource produces one table's sparse index stream for one batch
+// sparseSource produces one table's sparse index stream for one batch
 // without materializing the full batch, into dst's storage and through the
 // caller's generator g (see Dataset.IndicesInto). *Dataset implements it;
 // wrappers that remap ids (reordering bijections) implement it by remapping
 // the underlying stream in place.
-type SparseSource interface {
+type sparseSource interface {
 	IndicesInto(g *Generator, dst []int, iter, size, table int) []int
 }
 
@@ -146,7 +146,7 @@ func (acc *BatchAccess) reserve(n, bound int) {
 // between Advance returning it and Release.
 type Lookahead struct {
 	cfg LookaheadConfig
-	src SparseSource
+	src sparseSource
 
 	gen     Generator // the one generator every planned stream is drawn through
 	scratch laScratch
@@ -157,7 +157,7 @@ type Lookahead struct {
 }
 
 // NewLookahead builds a planner over src, which must implement
-// SparseSource: the planner draws per-table index streams through its own
+// sparseSource: the planner draws per-table index streams through its own
 // generator into reused buffers and never materializes a batch.
 func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if cfg.Window < 2 {
@@ -169,7 +169,7 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if len(cfg.Tables) != len(cfg.Rows) {
 		return nil, fmt.Errorf("lookahead config: %d tables but %d row counts", len(cfg.Tables), len(cfg.Rows))
 	}
-	sparse, ok := src.(SparseSource)
+	sparse, ok := src.(sparseSource)
 	if !ok {
 		return nil, fmt.Errorf("lookahead source %T does not implement IndicesInto", src)
 	}

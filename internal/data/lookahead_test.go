@@ -30,7 +30,7 @@ func lookaheadTestSpec() Spec {
 	}
 }
 
-// fixedSource is a canned SparseSource over explicit per-batch id streams:
+// fixedSource is a canned sparseSource over explicit per-batch id streams:
 // ids[iter][table], returned as they are (dst and the generator go unused).
 // It allocates nothing per call, which also makes it the subject of the
 // steady-state allocation test.
@@ -123,7 +123,7 @@ func TestLookaheadPlanEquivalence(t *testing.T) {
 	type window struct{ start, n int }
 	inputs := []struct {
 		name    string
-		src     SparseSource // nil: the dataset's streams spread over rows
+		src     sparseSource // nil: the dataset's streams spread over rows
 		rows    []int
 		window  int
 		batch   int
@@ -276,7 +276,7 @@ func decodeLookaheadInput(in []byte) (rows []int, window, start int, sizes []int
 
 // streamsOf reads table ti's index streams for [start, start+n) from src,
 // each into fresh storage through a fresh generator.
-func streamsOf(src SparseSource, start, n, size, ti int) [][]int {
+func streamsOf(src sparseSource, start, n, size, ti int) [][]int {
 	streams := make([][]int, n)
 	for j := range streams {
 		streams[j] = src.IndicesInto(&Generator{}, nil, start+j, size, ti)

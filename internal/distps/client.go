@@ -23,7 +23,7 @@ const maxRowsPerRPC = 1 << 16
 
 // transportRetry fills the zero fields of a transport-level retry policy
 // with the transport defaults: 4 retries, 5ms→250ms (the pipeline's
-// gather/apply retries are a separate layer with ps.DefaultRetryPolicy).
+// gather/apply retries are a separate layer with ps.defaultRetryPolicy).
 func transportRetry(r ps.RetryPolicy) ps.RetryPolicy {
 	if r.MaxRetries <= 0 {
 		r.MaxRetries = 4
@@ -150,12 +150,9 @@ func newClient(cfg ClientConfig) (*Client, error) {
 // rpcTID is the trace lane for RPCs against one shard.
 func rpcTID(shard int) int { return 10 + shard }
 
-// Epoch returns the current lease epoch.
-func (c *Client) Epoch() uint64 { return c.epoch.Load() }
-
-// SetEpoch installs a lease epoch obtained elsewhere and resets the push
+// setEpoch installs a lease epoch obtained elsewhere and resets the push
 // seq space (seqs are monotone within an epoch).
-func (c *Client) SetEpoch(e uint64) {
+func (c *Client) setEpoch(e uint64) {
 	c.epoch.Store(e)
 	c.seq.Store(0)
 }
@@ -348,8 +345,8 @@ func (c *Client) call(ctx context.Context, shard int, typ uint8, payload []byte)
 
 // --- RPC surface -----------------------------------------------------------
 
-// HelloAll dials and validates every shard.
-func (c *Client) HelloAll(ctx context.Context) error {
+// helloAll dials and validates every shard.
+func (c *Client) helloAll(ctx context.Context) error {
 	hello := helloMsg{WorkerID: c.cfg.WorkerID, Epoch: c.epoch.Load(), Seed: c.cfg.Seed,
 		Dim: c.cfg.Dim, Tables: c.cfg.Tables}
 	for i := range c.conns {
@@ -364,8 +361,8 @@ func (c *Client) HelloAll(ctx context.Context) error {
 	return nil
 }
 
-// Gather fetches the given rows of one table from one shard.
-func (c *Client) Gather(ctx context.Context, shard, table int, rows []int) ([]float32, error) {
+// gather fetches the given rows of one table from one shard.
+func (c *Client) gather(ctx context.Context, shard, table int, rows []int) ([]float32, error) {
 	out := make([]float32, 0, len(rows)*c.cfg.Dim)
 	for off := 0; off < len(rows); off += maxRowsPerRPC {
 		end := min(off+maxRowsPerRPC, len(rows))
@@ -399,17 +396,17 @@ func (c *Client) Push(ctx context.Context, shard int, seq uint64, table int, row
 	return err
 }
 
-// CheckpointAll asks every shard to make version v durable. It is the
+// checkpointAll asks every shard to make version v durable. It is the
 // remote half of the coordinated checkpoint: the worker's local state file
 // is only written after every shard acked.
-func (c *Client) CheckpointAll(ctx context.Context, v int64) error {
+func (c *Client) checkpointAll(ctx context.Context, v int64) error {
 	return c.versionAll(ctx, msgCheckpoint, v)
 }
 
-// RestoreAll tells every shard to reload durable version v. Restoring the
+// restoreAll tells every shard to reload durable version v. Restoring the
 // whole set — not just a restarted shard — rolls back any shard that
 // applied pushes past the checkpoint before a crash tore the run.
-func (c *Client) RestoreAll(ctx context.Context, v int64) error {
+func (c *Client) restoreAll(ctx context.Context, v int64) error {
 	return c.versionAll(ctx, msgRestore, v)
 }
 
@@ -433,7 +430,7 @@ func (c *Client) versionAll(ctx context.Context, typ uint8, v int64) error {
 	return nil
 }
 
-// Stats fetches one shard's observability snapshot: its metrics registry,
+// stats fetches one shard's observability snapshot: its metrics registry,
 // thread table, and up to maxSpans most-recent completed spans (0 = all
 // retained). Stats is served even by an unrestored or draining shard.
 //
@@ -445,7 +442,7 @@ func (c *Client) versionAll(ctx context.Context, typ uint8, v int64) error {
 // t0 + (t1−t0)/2 — never (t0+t1)/2, which overflows int64 for the
 // near-minimal UnixNanos a zero time.Time reports. The estimate also sets
 // the distps_shard<i>_clock_offset_ns gauge.
-func (c *Client) Stats(ctx context.Context, shard, maxSpans int) (ShardStats, error) {
+func (c *Client) stats(ctx context.Context, shard, maxSpans int) (ShardStats, error) {
 	t0 := c.clock.Now().UnixNano()
 	body, err := c.call(ctx, shard, msgStats, statsMsg{MaxSpans: maxSpans}.encode())
 	t1 := c.clock.Now().UnixNano()
@@ -489,9 +486,9 @@ type ShardStats struct {
 	Spans          []obs.Span
 }
 
-// AcquireLease acquires the trainer lease from the lease-authority shard
+// acquireLease acquires the trainer lease from the lease-authority shard
 // (shard 0), installs the granted epoch, and returns it.
-func (c *Client) AcquireLease(ctx context.Context) (uint64, error) {
+func (c *Client) acquireLease(ctx context.Context) (uint64, error) {
 	m := leaseMsg{WorkerID: c.cfg.WorkerID, TTLMS: uint64(c.cfg.LeaseTTL / time.Millisecond)}
 	body, err := c.call(ctx, 0, msgLease, m.encode())
 	if err != nil {
@@ -501,12 +498,12 @@ func (c *Client) AcquireLease(ctx context.Context) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.SetEpoch(ack.Epoch)
+	c.setEpoch(ack.Epoch)
 	return ack.Epoch, nil
 }
 
-// RenewLease extends the currently held lease.
-func (c *Client) RenewLease(ctx context.Context) error {
+// renewLease extends the currently held lease.
+func (c *Client) renewLease(ctx context.Context) error {
 	m := leaseMsg{WorkerID: c.cfg.WorkerID, Renew: true, Epoch: c.epoch.Load(),
 		TTLMS: uint64(c.cfg.LeaseTTL / time.Millisecond)}
 	body, err := c.call(ctx, 0, msgLease, m.encode())
@@ -559,7 +556,7 @@ func (s *remoteStore) group(uniq []int) (rows [][]int, pos [][]int) {
 	rows = make([][]int, n)
 	pos = make([][]int, n)
 	for i, r := range uniq {
-		o := s.c.ring.Owner(s.spec.Index, r)
+		o := s.c.ring.owner(s.spec.Index, r)
 		rows[o] = append(rows[o], r)
 		pos[o] = append(pos[o], i)
 	}
@@ -575,7 +572,7 @@ func (s *remoteStore) GatherRows(ids, at []int, dst *tensor.Matrix) error {
 		if len(rows[sh]) == 0 {
 			continue
 		}
-		values, err := s.c.Gather(s.ctx, sh, s.spec.Index, rows[sh])
+		values, err := s.c.gather(s.ctx, sh, s.spec.Index, rows[sh])
 		if err != nil {
 			return fmt.Errorf("table %d shard %d: %w", s.spec.Index, sh, err)
 		}

@@ -51,7 +51,7 @@ func clusterStats(ctx context.Context, c *Client, reg *obs.Registry, tr *obs.Tra
 	}
 	for i := range c.conns {
 		sv := ShardView{Shard: i}
-		st, err := c.Stats(ctx, i, 0)
+		st, err := c.stats(ctx, i, 0)
 		if err != nil {
 			sv.Err = err.Error()
 		} else {
@@ -74,7 +74,7 @@ func clusterStats(ctx context.Context, c *Client, reg *obs.Registry, tr *obs.Tra
 func writeClusterTrace(ctx context.Context, w io.Writer, c *Client, tr *obs.Tracer) error {
 	procs := []obs.ProcessTrace{tr.Process("worker", 1)}
 	for i := range c.conns {
-		st, err := c.Stats(ctx, i, 0)
+		st, err := c.stats(ctx, i, 0)
 		if err != nil {
 			c.log.Warn("distps: cluster trace: shard unreachable", "shard", i, "err", err)
 			continue

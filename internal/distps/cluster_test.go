@@ -24,7 +24,7 @@ func tracedShards(t *testing.T, sc Scenario, n int) ([]*Shard, *Client) {
 		cfg.Trace = obs.NewTracer(nil)
 		cfg.Trace.SetSpanIDBase(uint64(cfg.ID+1) << 48)
 	})
-	ccfg := sc.ClientConfig(1, addrs)
+	ccfg := sc.clientConfig(1, addrs)
 	ccfg.Timeout = 2 * time.Second
 	ccfg.Retry = fastBackoff()
 	ccfg.Metrics = obs.NewRegistry()
@@ -46,11 +46,11 @@ func TestStatsRPCRoundTrip(t *testing.T) {
 	_, c := tracedShards(t, sc, 1)
 	ctx := context.Background()
 
-	if err := c.HelloAll(ctx); err != nil {
+	if err := c.helloAll(ctx); err != nil {
 		t.Fatalf("HelloAll: %v", err)
 	}
 
-	st, err := c.Stats(ctx, 0, 0)
+	st, err := c.stats(ctx, 0, 0)
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestStatsRPCRoundTrip(t *testing.T) {
 
 	// A bounded window really bounds: ask for one span, get at most one,
 	// and the shard reports what fell off.
-	st1, err := c.Stats(ctx, 0, 1)
+	st1, err := c.stats(ctx, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestClusterStatsKeepsDeadShardVisible(t *testing.T) {
 	sc := testScenario()
 	shards, c := tracedShards(t, sc, 2)
 	ctx := context.Background()
-	if err := c.HelloAll(ctx); err != nil {
+	if err := c.helloAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	shards[1].Close()
@@ -178,7 +178,7 @@ func TestClockOffsetFromStats(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		addrs[i] = ln.Addr().String()
 	}
-	ccfg := sc.ClientConfig(1, addrs)
+	ccfg := sc.clientConfig(1, addrs)
 	ccfg.Timeout = 2 * time.Second
 	ccfg.Retry = fastBackoff()
 	ccfg.Metrics = obs.NewRegistry()
@@ -189,7 +189,7 @@ func TestClockOffsetFromStats(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 	ctx := context.Background()
-	if err := c.HelloAll(ctx); err != nil {
+	if err := c.helloAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 

@@ -81,29 +81,29 @@ func TestProtocolInstruments(t *testing.T) {
 	sc := testScenario()
 	shards, c := tracedShards(t, sc, 1)
 	ctx := context.Background()
-	if err := c.HelloAll(ctx); err != nil {
+	if err := c.helloAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AcquireLease(ctx); err != nil {
+	if _, err := c.acquireLease(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RenewLease(ctx); err != nil {
+	if err := c.renewLease(ctx); err != nil {
 		t.Fatal(err)
 	}
 	table := c.cfg.Tables[0].Index
-	if _, err := c.Gather(ctx, 0, table, []int{1, 2}); err != nil {
+	if _, err := c.gather(ctx, 0, table, []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Push(ctx, 0, c.nextSeq(), table, []int{1}, make([]float32, sc.Model.EmbDim)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CheckpointAll(ctx, 1); err != nil {
+	if err := c.checkpointAll(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestoreAll(ctx, 1); err != nil {
+	if err := c.restoreAll(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Stats(ctx, 0, 0); err != nil {
+	if _, err := c.stats(ctx, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,11 +183,11 @@ func TestVersionAckMismatchFails(t *testing.T) {
 	})
 	c := newTestClient(t, testScenario(), []string{addr}, 1)
 	ctx := context.Background()
-	if err := c.CheckpointAll(ctx, 41); err != nil {
+	if err := c.checkpointAll(ctx, 41); err != nil {
 		t.Fatalf("matching ack: %v", err)
 	}
 	for name, call := range map[string]func(context.Context, int64) error{
-		"CheckpointAll": c.CheckpointAll, "RestoreAll": c.RestoreAll,
+		"CheckpointAll": c.checkpointAll, "RestoreAll": c.restoreAll,
 	} {
 		if err := call(ctx, 42); !errors.Is(err, errBadFrame) {
 			t.Fatalf("%s(42) acked as 41: err = %v, want errBadFrame", name, err)

@@ -199,7 +199,7 @@ func FuzzShardRestore(f *testing.F) {
 }
 
 // TestTornShardCheckpointRefused: a restarted shard whose checkpoint was
-// cut short refuses RestoreAll to that version. No older version is tried:
+// cut short refuses restoreAll to that version. No older version is tried:
 // the shard stays unrestored, with its in-memory state untouched, and the
 // worker's recovery round fails and is retried.
 func TestTornShardCheckpointRefused(t *testing.T) {
@@ -235,7 +235,7 @@ func TestTornShardCheckpointRefused(t *testing.T) {
 	if before.restored {
 		t.Fatal("a restarted shard came up restored")
 	}
-	if err := c.RestoreAll(context.Background(), 4); err == nil {
+	if err := c.restoreAll(context.Background(), 4); err == nil {
 		t.Fatal("RestoreAll of a torn checkpoint succeeded")
 	}
 	if !snapshot(s2).equal(before) {

@@ -54,12 +54,9 @@ func newHashRing(n int) *hashRing {
 	return r
 }
 
-// Shards returns the shard count the ring was built for.
-func (r *hashRing) Shards() int { return r.shards }
-
-// Owner returns the shard that owns row `row` of model table `table`: the
+// owner returns the shard that owns row `row` of model table `table`: the
 // first ring point at or after the key's hash, wrapping around.
-func (r *hashRing) Owner(table, row int) int {
+func (r *hashRing) owner(table, row int) int {
 	h := tensor.Mix64(tensor.Mix64(uint64(table)+0x9e3779b97f4a7c15) ^ uint64(row))
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {

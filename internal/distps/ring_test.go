@@ -6,7 +6,7 @@ func TestRingDeterministic(t *testing.T) {
 	a, b := newHashRing(3), newHashRing(3)
 	for table := 0; table < 4; table++ {
 		for row := 0; row < 500; row++ {
-			if a.Owner(table, row) != b.Owner(table, row) {
+			if a.owner(table, row) != b.owner(table, row) {
 				t.Fatalf("ring owners diverge at (%d, %d)", table, row)
 			}
 		}
@@ -16,13 +16,13 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingCoversAllShards(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		r := newHashRing(n)
-		if r.Shards() != n {
-			t.Fatalf("Shards() = %d, want %d", r.Shards(), n)
+		if r.shards != n {
+			t.Fatalf("shards = %d, want %d", r.shards, n)
 		}
 		counts := make([]int, n)
 		const rows = 2000
 		for row := 0; row < rows; row++ {
-			o := r.Owner(0, row)
+			o := r.owner(0, row)
 			if o < 0 || o >= n {
 				t.Fatalf("owner %d out of range [0, %d)", o, n)
 			}
@@ -43,7 +43,7 @@ func TestRingRebalanceBound(t *testing.T) {
 	r3, r4 := newHashRing(3), newHashRing(4)
 	moved := 0
 	for row := 0; row < rows; row++ {
-		if r3.Owner(1, row) != r4.Owner(1, row) {
+		if r3.owner(1, row) != r4.owner(1, row) {
 			moved++
 		}
 	}
@@ -58,7 +58,7 @@ func TestRingTablesHashIndependently(t *testing.T) {
 	same := 0
 	const rows = 1000
 	for row := 0; row < rows; row++ {
-		if r.Owner(0, row) == r.Owner(1, row) {
+		if r.owner(0, row) == r.owner(1, row) {
 			same++
 		}
 	}

@@ -107,9 +107,9 @@ func (sc Scenario) ReferenceLocs() ([]ps.TableLoc, error) {
 	return sc.tableLocs(nil)
 }
 
-// RemoteLocs places every host table behind the shard-set client. ctx
+// remoteLocs places every host table behind the shard-set client. ctx
 // bounds every RPC the resulting stores issue (see Client.Store).
-func (sc Scenario) RemoteLocs(ctx context.Context, c *Client) ([]ps.TableLoc, error) {
+func (sc Scenario) remoteLocs(ctx context.Context, c *Client) ([]ps.TableLoc, error) {
 	return sc.tableLocs(func(spec TableSpec) ps.HostStore { return c.Store(ctx, spec) })
 }
 
@@ -124,8 +124,8 @@ func (sc Scenario) ShardConfig(id, numShards int, dir string) ShardConfig {
 		Tables: sc.HostSpecs(), Dir: dir}
 }
 
-// ClientConfig derives a worker's client configuration.
-func (sc Scenario) ClientConfig(workerID uint64, shards []string) ClientConfig {
+// clientConfig derives a worker's client configuration.
+func (sc Scenario) clientConfig(workerID uint64, shards []string) ClientConfig {
 	return ClientConfig{WorkerID: workerID, Shards: shards, Dim: sc.Model.EmbDim,
 		Seed: sc.Seed, Tables: sc.HostSpecs()}
 }

@@ -68,7 +68,7 @@ type shardTable struct {
 func newShardTable(spec TableSpec, dim int, seed uint64, ring *hashRing, shardID int) *shardTable {
 	t := &shardTable{spec: spec, dim: dim, slots: make(map[int]int)}
 	for r := 0; r < spec.Rows; r++ {
-		if ring.Owner(spec.Index, r) == shardID {
+		if ring.owner(spec.Index, r) == shardID {
 			t.slots[r] = len(t.rows)
 			t.rows = append(t.rows, r)
 		}
@@ -329,8 +329,8 @@ func (s *Shard) Version() int64 {
 	return s.version
 }
 
-// MaxEpoch returns the highest lease epoch the shard has seen.
-func (s *Shard) MaxEpoch() uint64 {
+// highestEpoch returns the highest lease epoch the shard has seen.
+func (s *Shard) highestEpoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.maxEpoch
@@ -344,9 +344,9 @@ func (s *Shard) Ready() bool {
 	return s.restored && !s.draining
 }
 
-// OwnedRows returns how many rows of table index this shard owns (tests
+// ownedRows returns how many rows of table index this shard owns (tests
 // use it to assert the ring actually spread the tables).
-func (s *Shard) OwnedRows(index int) int {
+func (s *Shard) ownedRows(index int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[index]

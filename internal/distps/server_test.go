@@ -82,7 +82,7 @@ func fastBackoff() ps.RetryPolicy {
 
 func newTestClient(t *testing.T, sc Scenario, addrs []string, workerID uint64) *Client {
 	t.Helper()
-	cfg := sc.ClientConfig(workerID, addrs)
+	cfg := sc.clientConfig(workerID, addrs)
 	cfg.Timeout = 2 * time.Second
 	cfg.Retry = fastBackoff()
 	cfg.Metrics = obs.NewRegistry()
@@ -106,7 +106,7 @@ func TestShardPartitionsEveryRowExactlyOnce(t *testing.T) {
 	for _, spec := range sc.HostSpecs() {
 		total := 0
 		for _, s := range shards {
-			total += s.OwnedRows(spec.Index)
+			total += s.ownedRows(spec.Index)
 		}
 		if total != spec.Rows {
 			t.Errorf("table %d: shards own %d rows in total, want %d", spec.Index, total, spec.Rows)
@@ -118,7 +118,7 @@ func TestGatherMatchesReferenceInit(t *testing.T) {
 	sc := testScenario()
 	_, addrs := startShards(t, sc, 2, nil)
 	c := newTestClient(t, sc, addrs, 1)
-	if err := c.HelloAll(context.Background()); err != nil {
+	if err := c.helloAll(context.Background()); err != nil {
 		t.Fatalf("HelloAll: %v", err)
 	}
 	for _, spec := range sc.HostSpecs() {
@@ -151,7 +151,7 @@ func TestPushApplyAndDedup(t *testing.T) {
 	sc := testScenario()
 	shards, addrs := startShards(t, sc, 2, nil)
 	c := newTestClient(t, sc, addrs, 1)
-	if _, err := c.AcquireLease(context.Background()); err != nil {
+	if _, err := c.acquireLease(context.Background()); err != nil {
 		t.Fatalf("AcquireLease: %v", err)
 	}
 	spec := sc.HostSpecs()[0]
@@ -195,7 +195,7 @@ func TestPushApplyAndDedup(t *testing.T) {
 
 	// A byte-identical replay of an already-applied push (a transport retry)
 	// must ack without reapplying.
-	shard := c.ring.Owner(spec.Index, rows[0])
+	shard := c.ring.owner(spec.Index, rows[0])
 	seq := c.nextSeq()
 	one := make([]float32, sc.Model.EmbDim)
 	for j := range one {
@@ -236,25 +236,25 @@ func TestLeaseFencingRejectsStaleWorker(t *testing.T) {
 	})
 	a := newTestClient(t, sc, addrs, 1)
 	b := newTestClient(t, sc, addrs, 2)
-	if _, err := a.AcquireLease(context.Background()); err != nil {
+	if _, err := a.acquireLease(context.Background()); err != nil {
 		t.Fatalf("A acquire: %v", err)
 	}
 	// While A's lease is live, B cannot take it.
-	if _, err := b.AcquireLease(context.Background()); !errors.Is(err, errLeaseHeld) {
+	if _, err := b.acquireLease(context.Background()); !errors.Is(err, errLeaseHeld) {
 		t.Fatalf("B acquire under A's lease: %v, want errLeaseHeld", err)
 	}
 	// After the TTL lapses B takes over with a higher epoch...
 	time.Sleep(80 * time.Millisecond)
-	epochB, err := b.AcquireLease(context.Background())
+	epochB, err := b.acquireLease(context.Background())
 	if err != nil {
 		t.Fatalf("B acquire after expiry: %v", err)
 	}
-	if epochB <= 0 || epochB <= a.Epoch() {
-		t.Fatalf("B epoch %d does not out-fence A epoch %d", epochB, a.Epoch())
+	if epochB <= 0 || epochB <= a.epoch.Load() {
+		t.Fatalf("B epoch %d does not out-fence A epoch %d", epochB, a.epoch.Load())
 	}
-	// HelloAll propagates the new epoch to every shard (what worker.Run does
+	// helloAll propagates the new epoch to every shard (what worker.Run does
 	// right after acquiring); from then on A's traffic is fenced everywhere.
-	if err := b.HelloAll(context.Background()); err != nil {
+	if err := b.helloAll(context.Background()); err != nil {
 		t.Fatalf("B HelloAll: %v", err)
 	}
 	// ...and A's traffic is fenced everywhere once a shard learns of B: a
@@ -265,7 +265,7 @@ func TestLeaseFencingRejectsStaleWorker(t *testing.T) {
 		t.Fatalf("stale push: %v, want errFenced", err)
 	}
 	// A's renewal fails too — it no longer holds the lease.
-	if err := a.RenewLease(context.Background()); !errors.Is(err, errLeaseHeld) {
+	if err := a.renewLease(context.Background()); !errors.Is(err, errLeaseHeld) {
 		t.Fatalf("stale renew: %v, want errLeaseHeld", err)
 	}
 	// B, the rightful holder, still trains.
@@ -276,7 +276,7 @@ func TestLeaseFencingRejectsStaleWorker(t *testing.T) {
 
 // c0Push pushes a one-row delta to row 0's owner through client c.
 func c0Push(c *Client, spec TableSpec, delta *tensor.Matrix) error {
-	shard := c.ring.Owner(spec.Index, 0)
+	shard := c.ring.owner(spec.Index, 0)
 	return c.Push(context.Background(), shard, c.nextSeq(), spec.Index, []int{0}, delta.Row(0))
 }
 
@@ -284,7 +284,7 @@ func TestCheckpointRestoreRollsBack(t *testing.T) {
 	sc := testScenario()
 	_, addrs := startShards(t, sc, 2, nil)
 	c := newTestClient(t, sc, addrs, 1)
-	if _, err := c.AcquireLease(context.Background()); err != nil {
+	if _, err := c.acquireLease(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	spec := sc.HostSpecs()[0]
@@ -301,13 +301,13 @@ func TestCheckpointRestoreRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CheckpointAll(context.Background(), 7); err != nil {
+	if err := c.checkpointAll(context.Background(), 7); err != nil {
 		t.Fatalf("CheckpointAll: %v", err)
 	}
 	if err := store.ApplyDelta(rows, delta); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestoreAll(context.Background(), 7); err != nil {
+	if err := c.restoreAll(context.Background(), 7); err != nil {
 		t.Fatalf("RestoreAll: %v", err)
 	}
 	got, err := gatherRows(store, rows)
@@ -320,7 +320,7 @@ func TestCheckpointRestoreRollsBack(t *testing.T) {
 		}
 	}
 	// Restoring a version nobody checkpointed is a typed failure.
-	if err := c.RestoreAll(context.Background(), 99); !errors.Is(err, errNoCheckpoint) {
+	if err := c.restoreAll(context.Background(), 99); !errors.Is(err, errNoCheckpoint) {
 		t.Fatalf("RestoreAll(99): %v, want errNoCheckpoint", err)
 	}
 }
@@ -345,7 +345,7 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 	addr := ln.Addr().String()
 
 	c := newTestClient(t, sc, []string{addr}, 1)
-	if _, err := c.AcquireLease(context.Background()); err != nil {
+	if _, err := c.acquireLease(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	spec := sc.HostSpecs()[0]
@@ -355,7 +355,7 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 	if err := store.ApplyDelta([]int{0}, delta); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CheckpointAll(context.Background(), 5); err != nil {
+	if err := c.checkpointAll(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	want, err := gatherRows(store, []int{0})
@@ -387,7 +387,7 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 	if _, err := gatherRows(store, []int{0}); !errors.Is(err, errNotRestored) {
 		t.Fatalf("gather before restore: %v, want errNotRestored", err)
 	}
-	if err := c.RestoreAll(context.Background(), 5); err != nil {
+	if err := c.restoreAll(context.Background(), 5); err != nil {
 		t.Fatalf("RestoreAll after restart: %v", err)
 	}
 	got, err := gatherRows(store, []int{0})
@@ -400,7 +400,7 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 		}
 	}
 	// The fencing watermark survived the restart via the epoch file.
-	if s2.MaxEpoch() == 0 {
+	if s2.highestEpoch() == 0 {
 		t.Fatal("restarted shard forgot the fencing epoch")
 	}
 }
@@ -411,7 +411,7 @@ func TestHelloRejectsSpecMismatch(t *testing.T) {
 	bad := sc
 	bad.Model.EmbDim = 16 // worker disagrees about the embedding dimension
 	c := newTestClient(t, bad, addrs, 1)
-	if err := c.HelloAll(context.Background()); !errors.Is(err, errSpecMismatch) {
+	if err := c.helloAll(context.Background()); !errors.Is(err, errSpecMismatch) {
 		t.Fatalf("HelloAll with wrong dim: %v, want errSpecMismatch", err)
 	}
 }
@@ -438,7 +438,7 @@ func TestShardUpFollowsRPCOutcome(t *testing.T) {
 		g := c.cfg.Metrics.Snapshot().Gauges
 		return [2]float64{g["distps_shard0_up"], g["distps_shard1_up"]}
 	}
-	if err := c.HelloAll(ctx); err != nil {
+	if err := c.helloAll(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := up(); got != [2]float64{1, 1} {
@@ -446,7 +446,7 @@ func TestShardUpFollowsRPCOutcome(t *testing.T) {
 	}
 
 	shards[1].Close()
-	if _, err := c.Stats(ctx, 1, 0); !errors.Is(err, errRPCFailed) {
+	if _, err := c.stats(ctx, 1, 0); !errors.Is(err, errRPCFailed) {
 		t.Fatalf("Stats against a killed shard: %v, want errRPCFailed", err)
 	}
 	if got := up(); got != [2]float64{1, 0} {
@@ -454,7 +454,7 @@ func TestShardUpFollowsRPCOutcome(t *testing.T) {
 	}
 
 	shards[1], _ = bootShard(t, sc, 1, 2, dirs[1], addrs[1], nil)
-	if _, err := c.Stats(ctx, 1, 0); err != nil {
+	if _, err := c.stats(ctx, 1, 0); err != nil {
 		t.Fatalf("Stats against the restarted shard: %v", err)
 	}
 	if got := up(); got != [2]float64{1, 1} {
@@ -472,7 +472,7 @@ func TestDeadShardExhaustsRetries(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	c := newTestClient(t, sc, []string{addr}, 1)
-	if err := c.HelloAll(context.Background()); !errors.Is(err, errRPCFailed) {
+	if err := c.helloAll(context.Background()); !errors.Is(err, errRPCFailed) {
 		t.Fatalf("HelloAll against a dead shard: %v, want errRPCFailed", err)
 	}
 	if got := c.m.retries.Value(); got != int64(fastBackoff().MaxRetries) {
@@ -484,14 +484,14 @@ func TestShardRejectsForeignRows(t *testing.T) {
 	sc := testScenario()
 	shards, addrs := startShards(t, sc, 2, nil)
 	c := newTestClient(t, sc, addrs, 1)
-	if _, err := c.AcquireLease(context.Background()); err != nil {
+	if _, err := c.acquireLease(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	spec := sc.HostSpecs()[0]
 	// Find a row shard 0 does not own and ask it anyway.
 	foreign := -1
 	for r := 0; r < spec.Rows; r++ {
-		if c.ring.Owner(spec.Index, r) != 0 {
+		if c.ring.owner(spec.Index, r) != 0 {
 			foreign = r
 			break
 		}
@@ -499,7 +499,7 @@ func TestShardRejectsForeignRows(t *testing.T) {
 	if foreign < 0 {
 		t.Skip("shard 0 owns every row at this seed")
 	}
-	if _, err := c.Gather(context.Background(), 0, spec.Index, []int{foreign}); !errors.Is(err, errBadRequest) {
+	if _, err := c.gather(context.Background(), 0, spec.Index, []int{foreign}); !errors.Is(err, errBadRequest) {
 		t.Fatalf("foreign gather: %v, want errBadRequest", err)
 	}
 	_ = shards
@@ -542,7 +542,7 @@ func TestRetryBackoffSequenceDeterministic(t *testing.T) {
 	ln.Close()
 
 	var slept []time.Duration
-	cfg := sc.ClientConfig(1, []string{addr})
+	cfg := sc.clientConfig(1, []string{addr})
 	cfg.Timeout = time.Second
 	cfg.Retry = ps.RetryPolicy{MaxRetries: 5, BaseDelay: 2 * time.Millisecond, MaxDelay: 8 * time.Millisecond,
 		Sleep: func(d time.Duration) { slept = append(slept, d) }}
@@ -551,7 +551,7 @@ func TestRetryBackoffSequenceDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.HelloAll(context.Background()); !errors.Is(err, errRPCFailed) {
+	if err := c.helloAll(context.Background()); !errors.Is(err, errRPCFailed) {
 		t.Fatalf("HelloAll: %v, want errRPCFailed", err)
 	}
 	want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,

@@ -46,7 +46,7 @@ type WorkerConfig struct {
 	Retry      ps.RetryPolicy // transport retries and recovery-round waits
 
 	// Sleep overrides the recovery and standby waits and the pipeline's
-	// gather/apply backoff, which otherwise runs ps.DefaultRetryPolicy
+	// gather/apply backoff, which otherwise runs ps.defaultRetryPolicy
 	// (tests make them instant).
 	Sleep func(time.Duration)
 
@@ -106,7 +106,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if ck := cfg.Checkpoint; ck.Every < 0 || (ck.Every > 0 && ck.Path == "") {
 		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", errBadRequest, ck.Every)
 	}
-	ccfg := cfg.Scenario.ClientConfig(cfg.ID, cfg.Shards)
+	ccfg := cfg.Scenario.clientConfig(cfg.ID, cfg.Shards)
 	ccfg.Timeout = cfg.RPCTimeout
 	ccfg.LeaseTTL = cfg.LeaseTTL
 	ccfg.Retry = cfg.Retry
@@ -151,7 +151,7 @@ func (w *Worker) sleep(d time.Duration) {
 // recovery round builds a new one: caches, adapters and queue state from a
 // torn round must not leak into the restored run.
 func (w *Worker) buildPipeline(ctx context.Context) (*ps.Pipeline, error) {
-	locs, err := w.cfg.Scenario.RemoteLocs(ctx, w.client)
+	locs, err := w.cfg.Scenario.remoteLocs(ctx, w.client)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func (w *Worker) buildPipeline(ctx context.Context) (*ps.Pipeline, error) {
 			Path:  ck.Path,
 			Every: ck.Every,
 			Coordinate: func(nextIter int) error {
-				if err := w.client.CheckpointAll(ctx, int64(nextIter)); err != nil {
+				if err := w.client.checkpointAll(ctx, int64(nextIter)); err != nil {
 					return err
 				}
 				if ck.Coordinate != nil {
@@ -201,7 +201,7 @@ func (w *Worker) startRenewal(ctx context.Context) func() {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if err := w.client.RenewLease(ctx); err != nil {
+				if err := w.client.renewLease(ctx); err != nil {
 					w.cfg.Log.Warn("distps: lease renewal failed", "worker", w.cfg.ID, "err", err)
 				}
 			}
@@ -239,7 +239,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 		}
 		// Phase 1: become the trainer. A standby worker parks here until
 		// the active worker's lease lapses.
-		epoch, err := w.client.AcquireLease(ctx)
+		epoch, err := w.client.acquireLease(ctx)
 		if err != nil {
 			if !errors.Is(err, errLeaseHeld) {
 				w.cfg.Log.Warn("distps: lease acquisition failed", "worker", w.cfg.ID, "err", err)
@@ -261,7 +261,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 			w.cfg.Log.Warn("distps: recovery round failed", "worker", w.cfg.ID, "stage", stage, "attempt", recoveries, "err", err)
 			return recoveries <= maxRecoveries
 		}
-		if err := w.client.HelloAll(ctx); err != nil {
+		if err := w.client.helloAll(ctx); err != nil {
 			if !fail("hello", err) {
 				return res, err
 			}
@@ -277,7 +277,7 @@ func (w *Worker) Run(ctx context.Context, src ps.BatchSource, steps, batch int) 
 		if err != nil {
 			return res, err // a corrupt local checkpoint needs the operator
 		}
-		if err := w.client.RestoreAll(ctx, int64(v)); err != nil {
+		if err := w.client.restoreAll(ctx, int64(v)); err != nil {
 			if errors.Is(err, errFenced) {
 				w.cfg.Log.Info("distps: fenced during restore; standing down", "worker", w.cfg.ID)
 				continue

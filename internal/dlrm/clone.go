@@ -9,9 +9,9 @@ import (
 	"repro/internal/tt"
 )
 
-// ErrNotServable reports a table type CloneForServing does not know how to
+// errNotServable reports a table type CloneForServing does not know how to
 // replicate safely for concurrent inference.
-var ErrNotServable = errors.New("dlrm: table not servable")
+var errNotServable = errors.New("dlrm: table not servable")
 
 // CloneForServing returns a read-path replica of the model for concurrent
 // inference. The clone owns every piece of mutable forward state — MLP layer
@@ -34,7 +34,7 @@ var ErrNotServable = errors.New("dlrm: table not servable")
 // across the chunks of a micro-batch; its scratch (ScoreScratch) belongs to
 // the caller — serve.Ranker, one per clone — not to the model.
 //
-// Any other table type yields ErrNotServable. The sharing contract is
+// Any other table type yields errNotServable. The sharing contract is
 // read-only: while any clone serves traffic, neither the source model nor any
 // clone may train (Update/Backward; a *tt.Table replica panics if asked to).
 // Train a new version and re-clone to update.
@@ -49,7 +49,7 @@ func (m *Model) CloneForServing() (*Model, error) {
 		case *embedding.AdagradBag:
 			tables[i] = tbl.View()
 		default:
-			return nil, fmt.Errorf("%w: table %d is %T", ErrNotServable, i, t)
+			return nil, fmt.Errorf("%w: table %d is %T", errNotServable, i, t)
 		}
 	}
 	c := &Model{

@@ -133,7 +133,7 @@ func TestCloneForServingRejectsUnknownTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CloneForServing(); !errors.Is(err, ErrNotServable) {
+	if _, err := m.CloneForServing(); !errors.Is(err, errNotServable) {
 		t.Fatalf("want ErrNotServable, got %v", err)
 	}
 }

@@ -36,22 +36,22 @@ const (
 // from genuine faults.
 var ErrInjected = errors.New("faults: injected fault")
 
-// Transient is an injected, retryable failure of one gather/apply attempt.
-type Transient struct {
+// transient is an injected, retryable failure of one gather/apply attempt.
+type transient struct {
 	Op      Op
 	Iter    int
 	Attempt int
 }
 
-func (e *Transient) Error() string {
+func (e *transient) Error() string {
 	return fmt.Sprintf("faults: transient %s fault at iter %d (attempt %d)", e.Op, e.Iter, e.Attempt)
 }
 
 // Unwrap marks the fault as injected.
-func (e *Transient) Unwrap() error { return ErrInjected }
+func (e *transient) Unwrap() error { return ErrInjected }
 
 // Temporary reports that the fault is retryable.
-func (e *Transient) Temporary() bool { return true }
+func (e *transient) Temporary() bool { return true }
 
 // Stall asks the injection site to sleep for D before proceeding — the
 // slow-server scenario. It is not a failure: the operation continues after
@@ -87,7 +87,7 @@ func (e *WorkerFault) Unwrap() error { return ErrInjected }
 func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
 
 // Injector decides, per attempt, whether an operation faults. Fault returns
-// nil for success, a *Transient (retryable) or *WorkerFault (fatal) to
+// nil for success, a *transient (retryable) or *WorkerFault (fatal) to
 // fail the attempt, or a *Stall to delay it. Implementations must be safe
 // for concurrent use: the pipeline consults the injector from the
 // pre-fetcher, server and worker goroutines.
@@ -173,7 +173,7 @@ func (s *Seeded) Fault(op Op, iter, attempt int) error {
 	if capped {
 		return nil
 	}
-	return &Transient{Op: op, Iter: iter, Attempt: attempt}
+	return &transient{Op: op, Iter: iter, Attempt: attempt}
 }
 
 // Salts keep the stall and failure decision streams independent.

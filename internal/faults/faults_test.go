@@ -32,7 +32,7 @@ func TestSeededDeterministic(t *testing.T) {
 func TestSeededFaultTypesAndSentinel(t *testing.T) {
 	s := NewSeeded(Config{Seed: 7, GatherFailProb: 1})
 	err := s.Fault(OpGather, 3, 1)
-	var tr *Transient
+	var tr *transient
 	if !errors.As(err, &tr) {
 		t.Fatalf("want *Transient, got %T (%v)", err, err)
 	}

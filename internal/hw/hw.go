@@ -38,7 +38,7 @@ func (d Device) Fits(bytes, reserve int64) bool {
 // compute scale is a calibration constant: the effective speedup of the GPU
 // over the measurement host for DLRM's mix of small GEMMs and scattered
 // embedding access (far below peak-FLOP ratios), chosen together with
-// PSRowLatency so the paper's single-GPU anchor ratios (Figure 11: EL-Rec
+// psRowLatency so the paper's single-GPU anchor ratios (Figure 11: EL-Rec
 // ≈3x DLRM, ≈1.5x FAE) land in the right regime.
 func TeslaV100() Device {
 	return Device{Name: "Tesla V100", HBMBytes: 16 << 30, ComputeScale: 6}
@@ -94,13 +94,13 @@ func NVLinkPair() Link {
 	return Link{Name: "NVLink", BandwidthBps: 45e9, Latency: 5 * time.Microsecond}
 }
 
-// PSRowLatency is the modeled host-side cost per embedding row accessed
+// psRowLatency is the modeled host-side cost per embedding row accessed
 // through the parameter server (hash lookup, framework dispatch, optimizer
 // state) on top of the raw copy our Go implementation measures. Real PS
 // stacks (the Python/Gloo path the paper's DLRM baseline runs) pay on the
 // order of a microsecond per row; this constant is the second half of the
 // Figure 11 calibration.
-const PSRowLatency = 800 * time.Nanosecond
+const psRowLatency = 800 * time.Nanosecond
 
 // PSAccessTime returns the modeled host-side overhead for touching the
 // given number of embedding rows through the parameter server.
@@ -108,7 +108,7 @@ func PSAccessTime(rows int64) time.Duration {
 	if rows < 0 {
 		panic("hw: negative row count")
 	}
-	return PSRowLatency * time.Duration(rows)
+	return psRowLatency * time.Duration(rows)
 }
 
 // AllReduceTime returns the modeled time of a ring all-reduce of the given
@@ -121,17 +121,17 @@ func AllReduceTime(l Link, n int, bytes int64) time.Duration {
 	return l.Latency*time.Duration(2*(n-1)) + time.Duration(eff/l.BandwidthBps*float64(time.Second))
 }
 
-// CollectiveLaunch is the modeled fixed cost of issuing one collective
+// collectiveLaunch is the modeled fixed cost of issuing one collective
 // operator (kernel launch + NCCL synchronization), the overhead that makes
 // per-table model-parallel exchanges expensive even when payloads are small.
-const CollectiveLaunch = 50 * time.Microsecond
+const collectiveLaunch = 50 * time.Microsecond
 
 // CollectiveOverhead returns the fixed cost of count collective operators.
 func CollectiveOverhead(count int) time.Duration {
 	if count < 0 {
 		panic("hw: negative collective count")
 	}
-	return CollectiveLaunch * time.Duration(count)
+	return collectiveLaunch * time.Duration(count)
 }
 
 // AllToAllTime returns the modeled time of an all-to-all exchange where each

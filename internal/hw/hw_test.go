@@ -81,7 +81,7 @@ func TestPSAccessTime(t *testing.T) {
 	if PSAccessTime(0) != 0 {
 		t.Fatal("zero rows should cost nothing")
 	}
-	if PSAccessTime(1000) != 1000*PSRowLatency {
+	if PSAccessTime(1000) != 1000*psRowLatency {
 		t.Fatalf("PSAccessTime(1000) = %v", PSAccessTime(1000))
 	}
 	defer func() {
@@ -96,7 +96,7 @@ func TestCollectiveOverhead(t *testing.T) {
 	if CollectiveOverhead(0) != 0 {
 		t.Fatal("zero collectives should cost nothing")
 	}
-	if CollectiveOverhead(3) != 3*CollectiveLaunch {
+	if CollectiveOverhead(3) != 3*collectiveLaunch {
 		t.Fatalf("CollectiveOverhead(3) = %v", CollectiveOverhead(3))
 	}
 	defer func() {

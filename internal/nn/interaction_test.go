@@ -124,8 +124,8 @@ func testInteractionMatchesPerPairReference(t *testing.T) {
 
 func TestInteractionBackwardBeforeForwardPanics(t *testing.T) {
 	defer func() {
-		if err, _ := recover().(error); !errors.Is(err, ErrUsage) {
-			t.Fatalf("Backward before Forward: recovered %v, want ErrUsage", err)
+		if err, _ := recover().(error); !errors.Is(err, errUsage) {
+			t.Fatalf("Backward before Forward: recovered %v, want errUsage", err)
 		}
 	}()
 	it := NewInteraction(4, 2)

@@ -6,11 +6,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Linear is a fully connected layer computing y = x·Wᵀ + b for a batch of
+// linear is a fully connected layer computing y = x·Wᵀ + b for a batch of
 // row vectors, matching torch.nn.Linear's weight layout (W is out×in). As a
 // hidden layer of an MLP it also owns the activation that follows it,
 // y = max(x·Wᵀ + b, 0): one product and one pass over y in each direction.
-type Linear struct {
+type linear struct {
 	In, Out int
 	W       *Param // Out × In
 	B       *Param // 1 × Out
@@ -20,22 +20,22 @@ type Linear struct {
 	y, dx *tensor.Matrix // layer-owned output/input-grad buffers, reused per step
 }
 
-// NewLinear constructs a Linear layer with Xavier-initialized weights.
-func NewLinear(in, out int, rng *tensor.RNG) *Linear {
-	l := &Linear{
+// newLinear constructs a linear layer with Xavier-initialized weights.
+func newLinear(in, out int, rng *tensor.RNG) *linear {
+	l := &linear{
 		In:  in,
 		Out: out,
-		W:   NewParam(fmt.Sprintf("linear%dx%d.W", out, in), out, in),
-		B:   NewParam(fmt.Sprintf("linear%dx%d.b", out, in), 1, out),
+		W:   newParam(fmt.Sprintf("linear%dx%d.W", out, in), out, in),
+		B:   newParam(fmt.Sprintf("linear%dx%d.b", out, in), 1, out),
 	}
 	tensor.XavierInit(l.W.Value, rng)
 	return l
 }
 
-// Forward computes y = x·Wᵀ + b, clamped at zero in a hidden layer, and
-// caches x for Backward. The returned matrix is layer-owned and overwritten
-// by the next Forward.
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
+// forward computes y = x·Wᵀ + b, clamped at zero in a hidden layer, and
+// caches x for backward. The returned matrix is layer-owned and overwritten
+// by the next forward.
+func (l *linear) forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != l.In {
 		panic(shapeErr("Linear forward input width %d want %d", x.Cols, l.In))
 	}
@@ -47,11 +47,11 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
-// Backward accumulates dW += dyᵀ·x and db += Σᵢ dyᵢ, and returns dx = dy·W.
+// backward accumulates dW += dyᵀ·x and db += Σᵢ dyᵢ, and returns dx = dy·W.
 // A hidden layer first zeroes dy in place wherever its output was clamped:
 // there dy is the next layer's dx scratch, never a caller's matrix, because
 // an MLP's output layer has no clamp.
-func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (l *linear) backward(dy *tensor.Matrix) *tensor.Matrix {
 	if l.x == nil {
 		panic(usageErr("Linear Backward before Forward"))
 	}

@@ -4,23 +4,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// MLP is a stack of Linear layers, every one but the last clamped at zero
+// MLP is a stack of linear layers, every one but the last clamped at zero
 // (ReLU), matching the bottom/top MLP towers of the DLRM reference
 // implementation. The last layer's output is the raw logit.
 type MLP struct {
 	Sizes  []int
-	layers []*Linear
+	layers []*linear
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes = [13, 512,
-// 256, 64] builds three Linear layers.
+// 256, 64] builds three linear layers.
 func NewMLP(sizes []int, rng *tensor.RNG) *MLP {
 	if len(sizes) < 2 {
 		panic(usageErr("MLP needs at least 2 sizes, got %v", sizes))
 	}
 	m := &MLP{Sizes: append([]int(nil), sizes...)}
 	for i := 0; i+1 < len(sizes); i++ {
-		l := NewLinear(sizes[i], sizes[i+1], rng)
+		l := newLinear(sizes[i], sizes[i+1], rng)
 		l.relu = i+2 < len(sizes)
 		m.layers = append(m.layers, l)
 	}
@@ -30,7 +30,7 @@ func NewMLP(sizes []int, rng *tensor.RNG) *MLP {
 // Forward runs the batch through every layer.
 func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range m.layers {
-		x = l.Forward(x)
+		x = l.forward(x)
 	}
 	return x
 }
@@ -39,7 +39,7 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 // dy is only read.
 func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	for i := len(m.layers) - 1; i >= 0; i-- {
-		dy = m.layers[i].Backward(dy)
+		dy = m.layers[i].backward(dy)
 	}
 	return dy
 }
@@ -53,9 +53,9 @@ func (m *MLP) Params() []*Param {
 	return out
 }
 
-// NumParams returns the total trainable element count, used for footprint
+// numParams returns the total trainable element count, used for footprint
 // accounting in the experiment harness.
-func (m *MLP) NumParams() int {
+func (m *MLP) numParams() int {
 	var n int
 	for _, p := range m.Params() {
 		n += len(p.Value.Data)
@@ -70,7 +70,7 @@ func (m *MLP) NumParams() int {
 func (m *MLP) Clone() *MLP {
 	c := &MLP{Sizes: append([]int(nil), m.Sizes...)}
 	for _, l := range m.layers {
-		c.layers = append(c.layers, &Linear{In: l.In, Out: l.Out, W: l.W.clone(), B: l.B.clone(), relu: l.relu})
+		c.layers = append(c.layers, &linear{In: l.In, Out: l.Out, W: l.W.clone(), B: l.B.clone(), relu: l.relu})
 	}
 	return c
 }

@@ -33,11 +33,11 @@ func scalarLoss(m *tensor.Matrix) float64 {
 
 func TestLinearForwardKnownValues(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	l := NewLinear(2, 3, rng)
+	l := newLinear(2, 3, rng)
 	l.W.Value.CopyFrom(tensor.FromSlice(3, 2, []float32{1, 2, 3, 4, 5, 6}))
 	l.B.Value.CopyFrom(tensor.FromSlice(1, 3, []float32{0.5, -0.5, 1}))
 	x := tensor.FromSlice(1, 2, []float32{1, 1})
-	y := l.Forward(x)
+	y := l.forward(x)
 	want := []float32{3.5, 6.5, 12}
 	for i, v := range want {
 		if math.Abs(float64(y.Data[i]-v)) > 1e-6 {
@@ -48,13 +48,13 @@ func TestLinearForwardKnownValues(t *testing.T) {
 
 func TestLinearGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	l := NewLinear(4, 3, rng)
+	l := newLinear(4, 3, rng)
 	x := tensor.New(5, 4)
 	rng.FillUniform(x.Data, 1)
 
-	eval := func() float64 { return scalarLoss(l.Forward(x)) }
-	y := l.Forward(x)
-	dx := l.Backward(y) // d(0.5 Σy²)/dy = y
+	eval := func() float64 { return scalarLoss(l.forward(x)) }
+	y := l.forward(x)
+	dx := l.backward(y) // d(0.5 Σy²)/dy = y
 
 	// Check input gradient.
 	for _, idx := range []int{0, 7, 19} {
@@ -80,25 +80,25 @@ func TestLinearGradCheck(t *testing.T) {
 }
 
 func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
-	l := NewLinear(2, 2, tensor.NewRNG(3))
+	l := newLinear(2, 2, tensor.NewRNG(3))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Backward before Forward did not panic")
 		}
 	}()
-	l.Backward(tensor.New(1, 2))
+	l.backward(tensor.New(1, 2))
 }
 
 // TestReLU: known values through a clamped layer. Forward clamps the
 // biased product at zero; Backward masks dy where the output was clamped
 // before it reaches db, dW and dx.
 func TestReLU(t *testing.T) {
-	l := NewLinear(2, 2, tensor.NewRNG(1))
+	l := newLinear(2, 2, tensor.NewRNG(1))
 	l.relu = true
 	l.W.Value.CopyFrom(tensor.FromSlice(2, 2, []float32{1, 0, 0, 1}))
 	l.B.Value.CopyFrom(tensor.FromSlice(1, 2, []float32{0.5, -1}))
 	x := tensor.FromSlice(2, 2, []float32{-1, 3, -0.5, 1})
-	y := l.Forward(x) // pre-activation [-0.5 2; 0 0]
+	y := l.forward(x) // pre-activation [-0.5 2; 0 0]
 	want := []float32{0, 2, 0, 0}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -106,7 +106,7 @@ func TestReLU(t *testing.T) {
 		}
 	}
 	dy := tensor.FromSlice(2, 2, []float32{5, 7, 5, 7})
-	dx := l.Backward(dy)
+	dx := l.backward(dy)
 	for name, c := range map[string][2][]float32{
 		"dx": {dx.Data, {0, 7, 0, 0}},
 		"db": {l.B.Grad.Data, {0, 7}},
@@ -149,7 +149,7 @@ func TestMLPShapesAndGradCheck(t *testing.T) {
 func TestMLPNumParams(t *testing.T) {
 	m := NewMLP([]int{3, 5, 1}, tensor.NewRNG(8))
 	want := 3*5 + 5 + 5*1 + 1
-	if got := m.NumParams(); got != want {
+	if got := m.numParams(); got != want {
 		t.Fatalf("NumParams = %d want %d", got, want)
 	}
 }
@@ -260,7 +260,7 @@ func TestBCEEmptyBatch(t *testing.T) {
 }
 
 func TestSGDStep(t *testing.T) {
-	p := NewParam("p", 1, 3)
+	p := newParam("p", 1, 3)
 	copy(p.Value.Data, []float32{1, 2, 3})
 	copy(p.Grad.Data, []float32{1, 1, 1})
 	NewSGD(0.5).Step([]*Param{p})
@@ -302,7 +302,7 @@ func TestSigmoidSlice(t *testing.T) {
 	}
 }
 
-// unfusedTower is the dense tower as it ran before Linear owned its
+// unfusedTower is the dense tower as it ran before linear owned its
 // activation, kept as the fused tower's oracle: per layer a product, one
 // bias AddTo per row, then a separate ReLU pass that branches per element,
 // records a []bool mask and writes a second buffer; backward masks into a

@@ -15,8 +15,8 @@ type Param struct {
 	Grad  *tensor.Matrix
 }
 
-// NewParam allocates a parameter and a zeroed gradient of the same shape.
-func NewParam(name string, rows, cols int) *Param {
+// newParam allocates a parameter and a zeroed gradient of the same shape.
+func newParam(name string, rows, cols int) *Param {
 	return &Param{
 		Name:  name,
 		Value: tensor.New(rows, cols),

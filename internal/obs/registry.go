@@ -122,8 +122,8 @@ type HistogramSummary struct {
 	P99   float64 `json:"p99"`
 }
 
-// Summary digests the histogram (zero summary on a nil or empty histogram).
-func (h *Histogram) Summary() HistogramSummary {
+// summary digests the histogram (zero summary on a nil or empty histogram).
+func (h *Histogram) summary() HistogramSummary {
 	if h == nil {
 		return HistogramSummary{}
 	}
@@ -294,7 +294,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range hists {
-		s.Histograms[name] = h.Summary()
+		s.Histograms[name] = h.summary()
 	}
 	return s
 }

@@ -23,7 +23,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	g.Set(3)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Summary().Count != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.summary().Count != 0 {
 		t.Fatalf("nil instruments must read zero")
 	}
 	s := r.Snapshot()
@@ -94,7 +94,7 @@ func TestHistogramQuantilesAgainstSortedReference(t *testing.T) {
 		rank := int(math.Ceil(q * float64(len(ref))))
 		return ref[rank-1]
 	}
-	s := h.Summary()
+	s := h.summary()
 	if s.Count != int64(len(vals)) {
 		t.Fatalf("count = %d, want %d", s.Count, len(vals))
 	}
@@ -121,7 +121,7 @@ func TestHistogramRingKeepsRecentSamples(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Observe(float64(i))
 	}
-	s := h.Summary()
+	s := h.summary()
 	if s.Count != int64(n) || s.Min != 0 || s.Max != float64(n-1) {
 		t.Fatalf("exact stats must cover the full stream: %+v", s)
 	}

@@ -75,7 +75,7 @@ func (a *hostAdapter) readRows(indices []int) *hostRows {
 		// Lookup is a dlrm.Table method and cannot return an error; an
 		// unreachable remote store outside a pipeline step surfaces as a
 		// typed panic exactly like the adapter-misuse invariant.
-		panic(fmt.Errorf("%w: host table %d: %w", ErrStoreUnavailable, a.slot, err))
+		panic(fmt.Errorf("%w: host table %d: %w", errStoreUnavailable, a.slot, err))
 	}
 	return r
 }
@@ -84,12 +84,12 @@ func (a *hostAdapter) readRows(indices []int) *hostRows {
 // matrix, overwrites the slab's gathered rows with their post-update values
 // and publishes those to the cache; the gradient rides the slab to apply.
 // Outside a pipeline step it panics with a typed error; the pipeline's
-// recover machinery converts that into an ErrAdapterMisuse-wrapped failure
+// recover machinery converts that into an errAdapterMisuse-wrapped failure
 // instead of a crash.
 func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) {
 	cur := a.current
 	if cur == nil {
-		panic(fmt.Errorf("%w: host table %d updated outside a pipeline step", ErrAdapterMisuse, a.slot))
+		panic(fmt.Errorf("%w: host table %d updated outside a pipeline step", errAdapterMisuse, a.slot))
 	}
 	start := a.pipeline.clock.Now()
 	grads := tensor.ReuseRows(cur.grads, len(cur.uniq), a.dim, len(indices))
@@ -101,12 +101,12 @@ func (a *hostAdapter) Update(indices, offsets []int, dOut *tensor.Matrix, lr flo
 			tensor.AddTo(grads.Row(u), dOut.Row(s))
 		}
 	}
-	// Publish post-update values: value − lr·grad (the worker's view of the
+	// publish post-update values: value − lr·grad (the worker's view of the
 	// row after this batch; the server applies the same delta to the host).
 	// Nothing reads the gathered values after this step's Update, so they
-	// take the update in place; Publish copies them into the cache.
+	// take the update in place; publish copies them into the cache.
 	tensor.Axpy(-lr, grads.Data, cur.values.Data)
-	a.pipeline.caches[a.slot].Publish(cur.uniq, cur.values, int(a.pipeline.trained.Load()), cur.nextUse)
+	a.pipeline.caches[a.slot].publish(cur.uniq, cur.values, int(a.pipeline.trained.Load()), cur.nextUse)
 	cur.updated = true
 	a.pipeline.m.adapterNS.Add(int64(obs.Since(a.pipeline.clock, start)))
 }

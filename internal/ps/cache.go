@@ -15,7 +15,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Cache is the GPU-side embedding cache of §V-B. It keeps the most recent
+// cache is the GPU-side embedding cache of §V-B. It keeps the most recent
 // worker-side value of every embedding row that still has a gradient push in
 // flight, so pre-fetched (possibly stale) rows can be patched before use, and
 // — under a lookahead plan — of every row the plan promises to serve from
@@ -34,7 +34,7 @@ import (
 // contiguous memory and nothing is allocated per row; an embedding.Index maps
 // row ids to slots. The index has no delete: a sweep that evicts
 // swap-removes the dropped slots and rebuilds it over the survivors.
-type Cache struct {
+type cache struct {
 	dim int
 
 	mu sync.Mutex
@@ -51,7 +51,7 @@ type Cache struct {
 	index   embedding.Index // row id → slot over ids; guarded by mu
 
 	// Sync statistics: calls, patched rows (hits), unpatched rows (misses)
-	// and evicted entries. NewCache gives the cache counters of its own; the
+	// and evicted entries. newCache gives the cache counters of its own; the
 	// pipeline points all its caches at the same four, which then read the
 	// cross-table sum behind Stats().
 	syncs, hits, misses, evictions *obs.Counter // guarded by mu
@@ -59,24 +59,24 @@ type Cache struct {
 
 // attachCounters points this cache's statistics at externally owned
 // counters.
-func (c *Cache) attachCounters(syncs, hits, misses, evictions *obs.Counter) {
+func (c *cache) attachCounters(syncs, hits, misses, evictions *obs.Counter) {
 	c.mu.Lock()
 	c.syncs, c.hits, c.misses, c.evictions = syncs, hits, misses, evictions
 	c.mu.Unlock()
 }
 
-// NewCache builds a cache for rows of the given dimension.
-func NewCache(dim int) *Cache {
+// newCache builds a cache for rows of the given dimension.
+func newCache(dim int) *cache {
 	if dim <= 0 {
 		panic(fmt.Sprintf("ps: invalid cache dim=%d", dim))
 	}
-	return &Cache{dim: dim, syncs: new(obs.Counter), hits: new(obs.Counter),
+	return &cache{dim: dim, syncs: new(obs.Counter), hits: new(obs.Counter),
 		misses: new(obs.Counter), evictions: new(obs.Counter)}
 }
 
 // checkShape panics unless rows holds one c.dim-wide row per id and every
 // non-nil per-row argument is len(ids) long.
-func (c *Cache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) {
+func (c *cache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) {
 	if rows.Rows != len(ids) || rows.Cols != c.dim ||
 		(fresh != nil && len(fresh) != len(ids)) || (nextUse != nil && len(nextUse) != len(ids)) {
 		panic(fmt.Sprintf("ps: %s %d ids vs %dx%d rows (dim %d), %d fresh flags, %d hints",
@@ -87,15 +87,15 @@ func (c *Cache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bo
 // row is slot s's value.
 //
 //elrec:locked mu called from the cache's locked methods only
-func (c *Cache) row(s int) []float32 { return c.values[s*c.dim : (s+1)*c.dim] }
+func (c *cache) row(s int) []float32 { return c.values[s*c.dim : (s+1)*c.dim] }
 
-// Publish stores the post-update values of the rows trained at iteration
+// publish stores the post-update values of the rows trained at iteration
 // pushIter — the iteration whose gradient push will make the host copy catch
 // up with the cached value. nextUse[i] is the retention promise for ids[i]
-// (see Cache.nextUse); nil promises nothing. Existing entries are
+// (see cache.nextUse); nil promises nothing. Existing entries are
 // overwritten.
-func (c *Cache) Publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []int32) {
-	c.checkShape("Publish", ids, rows, nil, nextUse)
+func (c *cache) publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []int32) {
+	c.checkShape("publish", ids, rows, nil, nextUse)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reserve(len(c.ids) + len(ids))
@@ -124,8 +124,8 @@ func hint(nextUse []int32, i int) int32 {
 // index at most half full. Once both have grown to the largest live set
 // seen, it only compares.
 //
-//elrec:locked mu called from Publish under the lock
-func (c *Cache) reserve(n int) {
+//elrec:locked mu called from publish under the lock
+func (c *cache) reserve(n int) {
 	if n > cap(c.ids) {
 		c.grow(n)
 	}
@@ -137,7 +137,7 @@ func (c *Cache) reserve(n int) {
 // grow moves the live slots into arrays with room for at least n entries.
 //
 //elrec:locked mu called from reserve under the lock
-func (c *Cache) grow(n int) {
+func (c *cache) grow(n int) {
 	n = max(n, 2*cap(c.ids))
 	c.ids = append(make([]int, 0, n), c.ids...)
 	c.push = append(make([]int, 0, n), c.push...)
@@ -148,22 +148,22 @@ func (c *Cache) grow(n int) {
 // reindex rebuilds the id → slot index over the live slots, sized for n
 // entries.
 //
-//elrec:locked mu called from Publish and Sync under the lock
-func (c *Cache) reindex(n int) {
+//elrec:locked mu called from publish and sync under the lock
+func (c *cache) reindex(n int) {
 	c.index.Begin(n)
 	for s, id := range c.ids {
 		c.index.IDOf(id, s)
 	}
 }
 
-// Sync prepares the pre-fetched rows of batch iter for training. applied is
+// sync prepares the pre-fetched rows of batch iter for training. applied is
 // the number of gradient pushes already visible in the host tables when the
 // batch was gathered. Rows with fresh[i] true (all of them when fresh is nil)
 // were gathered from the host store and are patched from entries the gather
 // cannot have seen (push ≥ applied: the read-after-write fix of Figure 10);
 // rows with fresh[i] false were skipped by the gather and are served wholly
 // from the cache — the plan only skips rows published earlier under a promise
-// that the sweep below honours, so a missing entry is ErrLookaheadMiss.
+// that the sweep below honours, so a missing entry is errLookaheadMiss.
 // Entries of the batch's rows adopt nextUse[i] as their new promise.
 //
 // A hit means the cache supplied bits the host gather did not: an entry
@@ -177,9 +177,9 @@ func (c *Cache) reindex(n int) {
 // promised to this batch is served, never evicted unserved. The sweep costs
 // O(live entries) over the slot arrays; when it evicted, the index is
 // rebuilt, sized for the survivors plus this batch's rows (what the step's
-// Publish may add).
-func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
-	c.checkShape("Sync", ids, rows, fresh, nextUse)
+// publish may add).
+func (c *cache) sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
+	c.checkShape("sync", ids, rows, fresh, nextUse)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, id := range ids {
@@ -187,7 +187,7 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 		s, ok := c.index.Find(id)
 		if !ok {
 			if !gathered {
-				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", ErrLookaheadMiss, id, iter)
+				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", errLookaheadMiss, id, iter)
 			}
 			continue
 		}
@@ -213,8 +213,8 @@ func (c *Cache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []
 // promise is absent or at or before iter, and returns how many went. It
 // leaves the index stale; the caller rebuilds it.
 //
-//elrec:locked mu called from Sync under the lock
-func (c *Cache) sweep(applied, iter int) int {
+//elrec:locked mu called from sync under the lock
+func (c *cache) sweep(applied, iter int) int {
 	live := len(c.ids)
 	for s := 0; s < live; {
 		if c.push[s] >= applied || int(c.nextUse[s]) > iter { // −1 (no promise) is below every iteration
@@ -232,14 +232,14 @@ func (c *Cache) sweep(applied, iter int) int {
 }
 
 // Len returns the number of cached rows.
-func (c *Cache) Len() int {
+func (c *cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.ids)
 }
 
 // Lookup returns a copy of the cached row and whether it was present.
-func (c *Cache) Lookup(id int) ([]float32, bool) {
+func (c *cache) Lookup(id int) ([]float32, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.index.Find(id)

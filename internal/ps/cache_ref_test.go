@@ -7,9 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// refCache is the map-based Cache this package shipped before the cache moved
+// refCache is the map-based cache this package shipped before the cache moved
 // onto slot arrays, kept as FuzzCacheMatchesReference's oracle. Its code is
-// that Cache's, renamed (refCache, refEntry, newRefCache), counting in
+// that cache's, renamed (refCache, refEntry, newRefCache), counting in
 // plain ints; hint is the package's own.
 type refCache struct {
 	dim int
@@ -72,7 +72,7 @@ func (c *refCache) Publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse
 }
 
 // Sync prepares the pre-fetched rows of batch iter for training; see
-// Cache.Sync, whose contract this is.
+// cache.sync, whose contract this is.
 func (c *refCache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
 	c.checkShape("Sync", ids, rows, fresh, nextUse)
 	c.mu.Lock()
@@ -82,7 +82,7 @@ func (c *refCache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh
 		e, ok := c.entries[id]
 		if !ok {
 			if !gathered {
-				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", ErrLookaheadMiss, id, iter)
+				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", errLookaheadMiss, id, iter)
 			}
 			continue
 		}
@@ -141,7 +141,7 @@ type cacheCounts struct {
 }
 
 // countsOf reads c's statistics from its counters.
-func countsOf(c *Cache) cacheCounts {
+func countsOf(c *cache) cacheCounts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cacheCounts{Syncs: c.syncs.Value(), Hits: c.hits.Value(), Misses: c.misses.Value(), Evictions: c.evictions.Value()}

@@ -20,8 +20,8 @@ func rowsOf(vals ...float32) *tensor.Matrix {
 }
 
 func TestCachePublishLookup(t *testing.T) {
-	c := NewCache(2)
-	c.Publish([]int{7}, rowsOf(1.5), 0, nil)
+	c := newCache(2)
+	c.publish([]int{7}, rowsOf(1.5), 0, nil)
 	got, ok := c.Lookup(7)
 	if !ok || got[0] != 1.5 || got[1] != 1.5 {
 		t.Fatalf("Lookup = %v, %v", got, ok)
@@ -32,17 +32,17 @@ func TestCachePublishLookup(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	c.Publish([]int{7}, rowsOf(5), 1, nil)
+	c.publish([]int{7}, rowsOf(5), 1, nil)
 	if got, _ := c.Lookup(7); got[0] != 5 || c.Len() != 1 {
 		t.Fatalf("re-publish did not overwrite in place: %v, Len %d", got, c.Len())
 	}
 }
 
 func TestCacheSyncPatchesOnlyCached(t *testing.T) {
-	c := NewCache(2)
-	c.Publish([]int{5}, rowsOf(9), 0, nil)
+	c := newCache(2)
+	c.publish([]int{5}, rowsOf(9), 0, nil)
 	vals := rowsOf(1, 2)
-	patched, err := c.Sync(0, 1, []int{5, 6}, vals, nil, nil)
+	patched, err := c.sync(0, 1, []int{5, 6}, vals, nil, nil)
 	if err != nil || patched != 1 {
 		t.Fatalf("patched %d rows (err %v) want 1", patched, err)
 	}
@@ -62,16 +62,16 @@ func TestCacheSyncPatchesOnlyCached(t *testing.T) {
 // width panic; nil fresh and nextUse are valid (see TestCacheNilMeansDefault).
 func TestCacheValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewCache(0) },
-		func() { NewCache(2).Publish([]int{1}, rowsOf(), 0, nil) },
-		func() { NewCache(2).Publish([]int{1}, tensor.New(1, 1), 0, nil) }, // wrong dim
-		func() { NewCache(2).Publish([]int{1}, rowsOf(1), 0, []int32{}) },
-		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(), nil, nil) },                  //nolint:errcheck
-		func() { NewCache(2).Sync(0, 0, []int{1}, tensor.New(1, 3), nil, nil) },          //nolint:errcheck
-		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), []bool{}, []int32{-1}) },    //nolint:errcheck
-		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), []bool{true}, []int32{}) },  //nolint:errcheck
-		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), nil, []int32{-1, -1}) },     //nolint:errcheck
-		func() { NewCache(2).Sync(0, 0, []int{1}, rowsOf(0), []bool{true, false}, nil) }, //nolint:errcheck
+		func() { newCache(0) },
+		func() { newCache(2).publish([]int{1}, rowsOf(), 0, nil) },
+		func() { newCache(2).publish([]int{1}, tensor.New(1, 1), 0, nil) }, // wrong dim
+		func() { newCache(2).publish([]int{1}, rowsOf(1), 0, []int32{}) },
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(), nil, nil) },                  //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, tensor.New(1, 3), nil, nil) },          //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{}, []int32{-1}) },    //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true}, []int32{}) },  //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), nil, []int32{-1, -1}) },     //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true, false}, nil) }, //nolint:errcheck
 	} {
 		func() {
 			defer func() {
@@ -85,13 +85,13 @@ func TestCacheValidation(t *testing.T) {
 }
 
 // TestCacheZeroAllocSteadyState: once the slot arrays and the index have
-// grown to the largest live set, a training step's Sync and Publish allocate
+// grown to the largest live set, a training step's sync and publish allocate
 // nothing — batches half-overlapping the previous one, pushes landing two
 // steps behind, a quarter of the rows promised two batches ahead, so every
 // step serves, sweeps, evicts and rebuilds the index.
 func TestCacheZeroAllocSteadyState(t *testing.T) {
 	const dim, batch = 8, 64
-	c := NewCache(dim)
+	c := newCache(dim)
 	ids, next := make([]int, batch), make([]int32, batch)
 	rows := tensor.New(batch, dim)
 	iter := 0
@@ -103,10 +103,10 @@ func TestCacheZeroAllocSteadyState(t *testing.T) {
 				next[i] = int32(iter + 2)
 			}
 		}
-		if _, err := c.Sync(iter-2, iter, ids, rows, nil, next); err != nil {
+		if _, err := c.sync(iter-2, iter, ids, rows, nil, next); err != nil {
 			t.Fatal(err)
 		}
-		c.Publish(ids, rows, iter, next)
+		c.publish(ids, rows, iter, next)
 		iter++
 	}
 	for range 50 {
@@ -134,16 +134,16 @@ func (b *fuzzBytes) next() byte {
 	return v
 }
 
-// FuzzCacheMatchesReference drives Cache and refCache — the map-based cache
+// FuzzCacheMatchesReference drives cache and refCache — the map-based cache
 // it replaced, kept verbatim — through one generated schedule and requires
 // them to be indistinguishable after every call: patched counts and
-// ErrLookaheadMiss, the bits of every synced row, Len, Stats, and Lookup of
+// errLookaheadMiss, the bits of every synced row, Len, Stats, and Lookup of
 // every id.
 //
 // Encoding: byte 0 sets dim = 1 + b%4, then one call per op byte b until the
-// input runs out. Bit 0 picks Publish (0) or Sync (1); bits 1–3 are the
+// input runs out. Bit 0 picks publish (0) or sync (1); bits 1–3 are the
 // number of ids n; bit 4 gives Sync a fresh slice (else nil); bit 5 gives a
-// nextUse slice (else nil). Publish reads its pushIter byte, Sync an advance
+// nextUse slice (else nil). publish reads its pushIter byte, sync an advance
 // byte (applied += low nibble, iter += high nibble: both never decrease).
 // Then n id bytes (id = b%16), for Sync n fresh bytes (b&1) if flagged, and n
 // promise bytes (b−1: 0 is −1, no promise) if flagged. Inputs over 256
@@ -160,7 +160,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		}
 		in := fuzzBytes(input)
 		dim := 1 + int(in.next()%4)
-		got, want := NewCache(dim), newRefCache(dim)
+		got, want := newCache(dim), newRefCache(dim)
 		applied, iter := 0, 0
 		for op := 0; len(in) > 0; op++ {
 			b := in.next()
@@ -199,12 +199,12 @@ func FuzzCacheMatchesReference(f *testing.F) {
 				gotRows.Data[i], wantRows.Data[i] = v, v
 			}
 			if b&1 == 0 {
-				got.Publish(ids, gotRows, arg, nextUse)
+				got.publish(ids, gotRows, arg, nextUse)
 				want.Publish(ids, wantRows, arg, nextUse)
 			} else {
-				gp, gerr := got.Sync(applied, iter, ids, gotRows, fresh, nextUse)
+				gp, gerr := got.sync(applied, iter, ids, gotRows, fresh, nextUse)
 				wp, werr := want.Sync(applied, iter, ids, wantRows, fresh, nextUse)
-				if gp != wp || (gerr == nil) != (werr == nil) || (gerr != nil && (!errors.Is(gerr, ErrLookaheadMiss) || gerr.Error() != werr.Error())) {
+				if gp != wp || (gerr == nil) != (werr == nil) || (gerr != nil && (!errors.Is(gerr, errLookaheadMiss) || gerr.Error() != werr.Error())) {
 					t.Fatalf("op %d Sync(applied=%d, iter=%d, ids=%v, fresh=%v, nextUse=%v): patched %d err %v, reference %d err %v",
 						op, applied, iter, ids, fresh, nextUse, gp, gerr, wp, werr)
 				}

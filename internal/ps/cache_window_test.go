@@ -10,9 +10,9 @@ import (
 
 // mustSync drives Sync with per-call literal slices; out receives the
 // patched rows.
-func mustSync(t *testing.T, c *Cache, applied, iter int, ids []int, out *tensor.Matrix, fresh []bool, next []int32) int {
+func mustSync(t *testing.T, c *cache, applied, iter int, ids []int, out *tensor.Matrix, fresh []bool, next []int32) int {
 	t.Helper()
-	patched, err := c.Sync(applied, iter, ids, out, fresh, next)
+	patched, err := c.sync(applied, iter, ids, out, fresh, next)
 	if err != nil {
 		t.Fatalf("Sync(applied=%d, iter=%d): %v", applied, iter, err)
 	}
@@ -23,8 +23,8 @@ func mustSync(t *testing.T, c *Cache, applied, iter int, ids []int, out *tensor.
 // served to a batch that skipped the host gather (fresh=false), and serving
 // adopts the batch's own hint for the entry.
 func TestCacheSyncServesPinned(t *testing.T) {
-	c := NewCache(2)
-	c.Publish([]int{7}, rowsOf(42), 0, []int32{3})
+	c := newCache(2)
+	c.publish([]int{7}, rowsOf(42), 0, []int32{3})
 
 	out := rowsOf(0)
 	patched := mustSync(t, c, 0, 3, []int{7}, out, []bool{false}, []int32{-1})
@@ -34,15 +34,15 @@ func TestCacheSyncServesPinned(t *testing.T) {
 }
 
 // TestCacheSyncMissIsError: a pinned row with no cache entry is an invariant
-// violation surfaced as ErrLookaheadMiss, not a silent zero row.
+// violation surfaced as errLookaheadMiss, not a silent zero row.
 func TestCacheSyncMissIsError(t *testing.T) {
-	c := NewCache(2)
-	_, err := c.Sync(0, 5, []int{9}, rowsOf(0), []bool{false}, []int32{-1})
-	if !errors.Is(err, ErrLookaheadMiss) {
+	c := newCache(2)
+	_, err := c.sync(0, 5, []int{9}, rowsOf(0), []bool{false}, []int32{-1})
+	if !errors.Is(err, errLookaheadMiss) {
 		t.Fatalf("got %v, want ErrLookaheadMiss", err)
 	}
 	// A fresh row's absence is an ordinary miss, not an error.
-	if _, err := c.Sync(0, 5, []int{9}, rowsOf(0), []bool{true}, []int32{-1}); err != nil {
+	if _, err := c.sync(0, 5, []int{9}, rowsOf(0), []bool{true}, []int32{-1}); err != nil {
 		t.Fatalf("fresh miss errored: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestCacheSyncTable(t *testing.T) {
 	cases := []struct {
 		name        string
 		push        int     // entry's gradient-push iteration
-		promise     []int32 // Publish's nextUse (nil: no promise)
+		promise     []int32 // publish's nextUse (nil: no promise)
 		applied     int     // host-visible pushes at sync time
 		iter        int     // batch being served
 		id          int     // the batch's one row: 1 (the entry's) or 2
@@ -90,8 +90,8 @@ func TestCacheSyncTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCache(2)
-			c.Publish([]int{1}, rowsOf(entryVal), tc.push, tc.promise)
+			c := newCache(2)
+			c.publish([]int{1}, rowsOf(entryVal), tc.push, tc.promise)
 			out := rowsOf(gatheredVal)
 			patched := mustSync(t, c, tc.applied, tc.iter, []int{tc.id}, out, tc.fresh, tc.next)
 			want := float32(gatheredVal)
@@ -122,7 +122,7 @@ func TestCacheSyncTable(t *testing.T) {
 // with overlapping rows and an advancing applied counter.
 func TestCacheNilMeansDefault(t *testing.T) {
 	rng := tensor.NewRNG(12)
-	implicit, explicit := NewCache(2), NewCache(2)
+	implicit, explicit := newCache(2), newCache(2)
 	applied := 0
 	for iter := 0; iter < 200; iter++ {
 		n := 1 + rng.Intn(6)
@@ -150,8 +150,8 @@ func TestCacheNilMeansDefault(t *testing.T) {
 		}
 		trained := rowsOf(gathered...)
 		tensor.Scale(-1, trained.Data)
-		implicit.Publish(ids, trained, iter, nil)
-		explicit.Publish(ids, trained, iter, noHints)
+		implicit.publish(ids, trained, iter, nil)
+		explicit.publish(ids, trained, iter, noHints)
 		if implicit.Len() != explicit.Len() || !reflect.DeepEqual(countsOf(implicit), countsOf(explicit)) {
 			t.Fatalf("iter %d: nil args %d entries %+v, explicit %d entries %+v",
 				iter, implicit.Len(), countsOf(implicit), explicit.Len(), countsOf(explicit))
@@ -175,8 +175,8 @@ func TestCacheNilMeansDefault(t *testing.T) {
 // leaving nothing for the next window (whose plan gathers the row fresh).
 func TestCacheSyncEdgeExpiry(t *testing.T) {
 	const edge = 7
-	c := NewCache(2)
-	c.Publish([]int{3}, rowsOf(30), 4, []int32{edge})
+	c := newCache(2)
+	c.publish([]int{3}, rowsOf(30), 4, []int32{edge})
 
 	// Before the edge, host visibility alone must not evict the pin.
 	mustSync(t, c, 6, 6, []int{8}, rowsOf(0), []bool{true}, []int32{-1})
@@ -200,8 +200,8 @@ func TestCacheSyncEdgeExpiry(t *testing.T) {
 // hint re-arms its protection — a row used in three batches of one window
 // rides the cache through all of them on one gather.
 func TestCacheSyncChainedPromises(t *testing.T) {
-	c := NewCache(2)
-	c.Publish([]int{5}, rowsOf(50), 0, []int32{2})
+	c := newCache(2)
+	c.publish([]int{5}, rowsOf(50), 0, []int32{2})
 
 	// Batch 2 serves the pin and promises batch 4.
 	mustSync(t, c, 1, 2, []int{5}, rowsOf(0), []bool{false}, []int32{4})
@@ -224,9 +224,9 @@ func TestCacheSyncChainedPromises(t *testing.T) {
 // its retention promise, so stale promises from an earlier window cannot
 // outlive the plan that made them.
 func TestCachePublishNilClearsPromise(t *testing.T) {
-	c := NewCache(2)
-	c.Publish([]int{1}, rowsOf(10), 0, []int32{50})
-	c.Publish([]int{1}, rowsOf(11), 1, nil)
+	c := newCache(2)
+	c.publish([]int{1}, rowsOf(10), 0, []int32{50})
+	c.publish([]int{1}, rowsOf(11), 1, nil)
 	// Push visible, promise cleared: plain sweep evicts.
 	mustSync(t, c, 2, 0, []int{2}, rowsOf(0), nil, nil)
 	if _, ok := c.Lookup(1); ok {

@@ -27,10 +27,10 @@ func fastRetry() RetryPolicy {
 // tables and MLP parameters.
 func assertParamsEqual(t *testing.T, want, got *Pipeline, label string) {
 	t.Helper()
-	if want.NumHostTables() != got.NumHostTables() {
-		t.Fatalf("%s: host table count %d vs %d", label, want.NumHostTables(), got.NumHostTables())
+	if want.numHostTables() != got.numHostTables() {
+		t.Fatalf("%s: host table count %d vs %d", label, want.numHostTables(), got.numHostTables())
 	}
-	for h := 0; h < want.NumHostTables(); h++ {
+	for h := 0; h < want.numHostTables(); h++ {
 		if d := want.HostBag(h).Weights.MaxAbsDiff(got.HostBag(h).Weights); d != 0 {
 			t.Fatalf("%s: host table %d differs by %v", label, h, d)
 		}
@@ -87,7 +87,7 @@ func TestFaultInjectionBitExact(t *testing.T) {
 }
 
 // TestGatherRetriesExhausted checks that a persistent gather fault turns
-// into an ErrGatherFailed after MaxRetries, that the result remains
+// into an errGatherFailed after MaxRetries, that the result remains
 // resumable (the failed batch never reached the worker), and that completed
 // parameters match a clean run of the completed prefix.
 func TestGatherRetriesExhausted(t *testing.T) {
@@ -101,7 +101,7 @@ func TestGatherRetriesExhausted(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := p.Train(context.Background(), d, 0, 20, 32)
-		if !errors.Is(err, ErrGatherFailed) {
+		if !errors.Is(err, errGatherFailed) {
 			t.Fatalf("depth %d: err = %v, want ErrGatherFailed", depth, err)
 		}
 		if !faults.IsInjected(err) {
@@ -130,7 +130,7 @@ func TestApplyRetriesExhaustedNotResumable(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := p.Train(context.Background(), d, 0, 10, 32)
-		if !errors.Is(err, ErrApplyFailed) || !faults.IsInjected(err) {
+		if !errors.Is(err, errApplyFailed) || !faults.IsInjected(err) {
 			t.Fatalf("depth %d: err = %v, want ErrApplyFailed wrapping the injected sentinel", depth, err)
 		}
 		if res.Resumable || res.NextIter != -1 {
@@ -164,7 +164,7 @@ func (o *onceWorkerFault) Fault(op faults.Op, iter, attempt int) error {
 }
 
 // TestWorkerFaultDrainsAndResumes injects a worker panic mid-run at both
-// queue depths: Train must surface ErrWorkerFault (not deadlock), the drain
+// queue depths: Train must surface errWorkerFault (not deadlock), the drain
 // must leave the parameters consistent at the reported NextIter, and
 // resuming from there must converge bit-exactly to an uninterrupted run.
 func TestWorkerFaultDrainsAndResumes(t *testing.T) {
@@ -195,7 +195,7 @@ func TestWorkerFaultDrainsAndResumes(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("depth %d: worker fault deadlocked the pipeline", depth)
 		}
-		if !errors.Is(terr, ErrWorkerFault) || !faults.IsInjected(terr) {
+		if !errors.Is(terr, errWorkerFault) || !faults.IsInjected(terr) {
 			t.Fatalf("depth %d: err = %v, want ErrWorkerFault wrapping the injected sentinel", depth, terr)
 		}
 		if !res.Resumable || res.Completed != faultAt || res.NextIter != faultAt {
@@ -368,7 +368,7 @@ func TestKillAndResumeBitExact(t *testing.T) {
 }
 
 // TestCheckpointFailureSurfaces checks that an unwritable checkpoint path
-// becomes a typed ErrCheckpointFailed instead of a panic or a silent skip.
+// becomes a typed errCheckpointFailed instead of a panic or a silent skip.
 func TestCheckpointFailureSurfaces(t *testing.T) {
 	spec := psSpec()
 	d, _ := data.New(spec)
@@ -380,7 +380,7 @@ func TestCheckpointFailureSurfaces(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := p.Train(context.Background(), d, 0, 10, 32)
-		if !errors.Is(err, ErrCheckpointFailed) {
+		if !errors.Is(err, errCheckpointFailed) {
 			t.Fatalf("depth %d: err = %v, want ErrCheckpointFailed", depth, err)
 		}
 		if !res.Resumable {

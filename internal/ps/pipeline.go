@@ -29,7 +29,7 @@ const (
 // core package wraps it with the index-reordering bijection. Batch returns a
 // fresh batch; BatchInto generates the same batch into dst's storage (a nil
 // dst gets a fresh one), which is how Train generates its batches. Lookahead
-// planning additionally needs data.SparseSource, per-table index streams
+// planning additionally needs data.sparseSource, per-table index streams
 // (both of those implement it).
 type BatchSource interface {
 	Batch(iter, size int) *data.Batch
@@ -215,8 +215,8 @@ type hostBatch struct {
 // batch's dedup. For a planned batch they and fresh/nextUse alias the window
 // plan's access arrays (valid until the plan is released): fresh[i] marks
 // rows gathered from the store (the remaining rows are served from the
-// cache, which Cache.Sync copies into values), and nextUse[i] is the
-// retention promise forwarded to Cache.Publish. An unplanned batch
+// cache, which cache.sync copies into values), and nextUse[i] is the
+// retention promise forwarded to cache.publish. An unplanned batch
 // deduplicates into the slab's ownUniq/ownInverse, gathers every row and
 // promises nothing: fresh and nextUse are nil. freshN counts gathered rows.
 //
@@ -244,7 +244,7 @@ type Pipeline struct {
 	cfg    Config
 	retry  RetryPolicy
 	model  *dlrm.Model
-	caches []*Cache
+	caches []*cache
 
 	hostBags []*embedding.Bag // local parameter-server state; guarded by hostMu (per-table); nil entry = remote store
 	hostMu   []sync.RWMutex
@@ -372,19 +372,19 @@ func (p *Pipeline) registerMetrics(r *obs.Registry) {
 //elrec:locked hostMu construction: the pipeline is unpublished until NewPipeline returns
 func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 	if cfg.QueueDepth <= 0 {
-		return nil, fmt.Errorf("%w: queue depth %d must be positive", ErrInvalidConfig, cfg.QueueDepth)
+		return nil, fmt.Errorf("%w: queue depth %d must be positive", errInvalidConfig, cfg.QueueDepth)
 	}
 	if cfg.Model.EmbDim <= 0 {
-		return nil, fmt.Errorf("%w: embedding dim %d must be positive", ErrInvalidConfig, cfg.Model.EmbDim)
+		return nil, fmt.Errorf("%w: embedding dim %d must be positive", errInvalidConfig, cfg.Model.EmbDim)
 	}
 	if len(locs) == 0 {
-		return nil, fmt.Errorf("%w: no tables", ErrInvalidConfig)
+		return nil, fmt.Errorf("%w: no tables", errInvalidConfig)
 	}
 	if cfg.Checkpoint.Every < 0 || (cfg.Checkpoint.Every > 0 && cfg.Checkpoint.Path == "") {
-		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", ErrInvalidConfig, cfg.Checkpoint.Every)
+		return nil, fmt.Errorf("%w: checkpoint interval %d without a path", errInvalidConfig, cfg.Checkpoint.Every)
 	}
 	if cfg.Lookahead < 0 {
-		return nil, fmt.Errorf("%w: lookahead window %d must be non-negative", ErrInvalidConfig, cfg.Lookahead)
+		return nil, fmt.Errorf("%w: lookahead window %d must be non-negative", errInvalidConfig, cfg.Lookahead)
 	}
 	p := &Pipeline{
 		cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.System(), tracer: cfg.Trace,
@@ -399,7 +399,7 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 			}
 		}
 		if placements > 1 {
-			return nil, fmt.Errorf("%w: table %d has more than one placement", ErrInvalidConfig, i)
+			return nil, fmt.Errorf("%w: table %d has more than one placement", errInvalidConfig, i)
 		}
 		switch {
 		case loc.Device != nil:
@@ -410,14 +410,14 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 			var bag *embedding.Bag
 			if loc.Store != nil {
 				if loc.Store.Dim() != cfg.Model.EmbDim {
-					return nil, fmt.Errorf("%w: table %d store dim %d, model dim %d", ErrInvalidConfig, i, loc.Store.Dim(), cfg.Model.EmbDim)
+					return nil, fmt.Errorf("%w: table %d store dim %d, model dim %d", errInvalidConfig, i, loc.Store.Dim(), cfg.Model.EmbDim)
 				}
 				store = loc.Store
 			} else {
 				bag = embedding.NewBag(loc.HostRows, cfg.Model.EmbDim, HostRNG(cfg.Seed, i))
 				store = &localStore{p: p, slot: slot, rows: loc.HostRows, dim: cfg.Model.EmbDim}
 			}
-			cache := NewCache(cfg.Model.EmbDim)
+			cache := newCache(cfg.Model.EmbDim)
 			cache.attachCounters(&p.m.cacheSyncs, &p.m.cacheHits, &p.m.cacheMisses, &p.m.cacheEvictions)
 			ad := &hostAdapter{pipeline: p, slot: slot, rows: store.NumRows(), dim: cfg.Model.EmbDim, lr: cfg.Model.LR}
 			p.hostBags = append(p.hostBags, bag)
@@ -427,14 +427,14 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 			p.adapters = append(p.adapters, ad)
 			tables[i] = ad
 		default:
-			return nil, fmt.Errorf("%w: table %d has no placement", ErrInvalidConfig, i)
+			return nil, fmt.Errorf("%w: table %d has no placement", errInvalidConfig, i)
 		}
 	}
 	p.hostMu = make([]sync.RWMutex, len(p.hostBags))
 	p.spare = make(chan *hostBatch, p.slabs())
 	model, err := dlrm.NewModel(cfg.Model, tables)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+		return nil, fmt.Errorf("%w: %w", errInvalidConfig, err)
 	}
 	p.model = model
 	return p, nil
@@ -479,10 +479,10 @@ func (p *Pipeline) Stats() Stats {
 	return s
 }
 
-// NumHostTables returns how many tables live in host memory.
+// numHostTables returns how many tables live in host memory.
 //
 //elrec:locked hostMu placement is immutable after NewPipeline; only the slice length is read
-func (p *Pipeline) NumHostTables() int { return len(p.hostBags) }
+func (p *Pipeline) numHostTables() int { return len(p.hostBags) }
 
 // HostBag exposes host table i (for tests and post-training inspection).
 //
@@ -495,7 +495,7 @@ func (p *Pipeline) HostBag(i int) *embedding.Bag { return p.hostBags[i] }
 // straight into the slab's value matrix. Under a plan the batch's
 // uniq/inverse come from the plan and only the rows whose first in-window
 // use this is (acc.FreshIDs) are read, each into its slot (acc.FreshPos) —
-// the cross-batch dedup; Cache.Sync fills the other rows on the worker,
+// the cross-batch dedup; cache.sync fills the other rows on the worker,
 // where their presence is guaranteed.
 func (p *Pipeline) gather(hb *hostBatch) error {
 	start := p.clock.Now()
@@ -585,7 +585,7 @@ func (p *Pipeline) recycleSlab(hb *hostBatch) {
 func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, hb *hostBatch, batchSize int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, hb.iter, recoveredErr(r))
+			err = fmt.Errorf("%w: iter %d: %w", errGatherFailed, hb.iter, recoveredErr(r))
 		}
 	}()
 	// Read before generating: when a step trains faster than a batch is
@@ -606,10 +606,10 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, hb *hostBatch
 			ferr = gerr
 		}
 		if attempt >= p.retry.MaxRetries {
-			return fmt.Errorf("%w: iter %d after %d attempts: %w", ErrGatherFailed, hb.iter, attempt+1, ferr)
+			return fmt.Errorf("%w: iter %d after %d attempts: %w", errGatherFailed, hb.iter, attempt+1, ferr)
 		}
 		if berr := p.backoff(ctx, tidPrefetch, attempt); berr != nil {
-			return fmt.Errorf("%w: iter %d: %w", ErrGatherFailed, hb.iter, berr)
+			return fmt.Errorf("%w: iter %d: %w", errGatherFailed, hb.iter, berr)
 		}
 	}
 }
@@ -665,14 +665,14 @@ func (p *Pipeline) applyPush(ctx context.Context, hb *hostBatch) (err error) {
 	defer hb.handled()
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: iter %d: %w", ErrApplyFailed, hb.iter, recoveredErr(r))
+			err = fmt.Errorf("%w: iter %d: %w", errApplyFailed, hb.iter, recoveredErr(r))
 		}
 	}()
 	for attempt := 0; ; attempt++ {
 		ferr := p.injectFault(ctx, faults.OpApply, hb.iter, attempt)
 		if ferr == nil {
 			if aerr := p.apply(hb); aerr != nil {
-				return fmt.Errorf("%w: iter %d: %w", ErrApplyFailed, hb.iter, aerr)
+				return fmt.Errorf("%w: iter %d: %w", errApplyFailed, hb.iter, aerr)
 			}
 			// The gradient queue is FIFO, so when a window's last push has
 			// been applied no earlier consumer can still hold the plan's
@@ -683,7 +683,7 @@ func (p *Pipeline) applyPush(ctx context.Context, hb *hostBatch) (err error) {
 			return nil
 		}
 		if attempt >= p.retry.MaxRetries {
-			return fmt.Errorf("%w: iter %d after %d attempts: %w", ErrApplyFailed, hb.iter, attempt+1, ferr)
+			return fmt.Errorf("%w: iter %d after %d attempts: %w", errApplyFailed, hb.iter, attempt+1, ferr)
 		}
 		p.backoff(ctx, tidApply, attempt)
 	}
@@ -698,7 +698,7 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			loss = 0
-			err = fmt.Errorf("%w: iter %d: %w", ErrWorkerFault, hb.iter, recoveredErr(r))
+			err = fmt.Errorf("%w: iter %d: %w", errWorkerFault, hb.iter, recoveredErr(r))
 		}
 		for _, ad := range p.adapters {
 			ad.current = nil
@@ -726,8 +726,8 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, err error) {
 	var prefetched, pinned int64
 	for h := range hb.rows {
 		hr := &hb.rows[h]
-		if _, serr := p.caches[h].Sync(int(hb.gathered), hb.iter, hr.uniq, hr.values, hr.fresh, hr.nextUse); serr != nil {
-			return 0, fmt.Errorf("%w: iter %d: %w", ErrWorkerFault, hb.iter, serr)
+		if _, serr := p.caches[h].sync(int(hb.gathered), hb.iter, hr.uniq, hr.values, hr.fresh, hr.nextUse); serr != nil {
+			return 0, fmt.Errorf("%w: iter %d: %w", errWorkerFault, hb.iter, serr)
 		}
 		// Only gathered rows crossed the host→device link; the rest were
 		// deduplicated across batches and served from the cache.
@@ -751,7 +751,7 @@ func (p *Pipeline) trainOne(hb *hostBatch) (loss float32, err error) {
 	for h := range hb.rows {
 		hr := &hb.rows[h]
 		if !hr.updated {
-			return 0, fmt.Errorf("%w: host table %d did not receive an update at iter %d", ErrAdapterMisuse, h, hb.iter)
+			return 0, fmt.Errorf("%w: host table %d did not receive an update at iter %d", errAdapterMisuse, h, hb.iter)
 		}
 		pushed += int64(len(hr.uniq)) * int64(p.cfg.Model.EmbDim) * 4
 	}
@@ -780,7 +780,7 @@ func (p *Pipeline) writeCheckpoint(nextIter int) error {
 	}
 	sp.End()
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrCheckpointFailed, err)
+		return fmt.Errorf("%w: %w", errCheckpointFailed, err)
 	}
 	p.m.checkpoints.Inc()
 	return nil
@@ -820,7 +820,7 @@ func (p *Pipeline) spawn(wg *sync.WaitGroup, fail *failSlot, stage string, fn fu
 		defer wg.Done()
 		defer func() {
 			if r := recover(); r != nil {
-				fail.set(fmt.Errorf("%w: %s: %w", ErrPipelineFault, stage, recoveredErr(r)), false)
+				fail.set(fmt.Errorf("%w: %s: %w", errPipelineFault, stage, recoveredErr(r)), false)
 			}
 		}()
 		fn()
@@ -845,7 +845,7 @@ func (p *Pipeline) spawn(wg *sync.WaitGroup, fail *failSlot, stage string, fn fu
 // returned TrainResult carries the partial loss curve plus the next
 // resumable iteration. Transient gather/apply faults (from cfg.Faults)
 // retry under cfg.Retry before becoming errors; worker panics surface as
-// ErrWorkerFault instead of deadlocking the queues. When cfg.Checkpoint is
+// errWorkerFault instead of deadlocking the queues. When cfg.Checkpoint is
 // set, the full training state is atomically persisted every Every steps at
 // a drain barrier.
 func (p *Pipeline) Train(ctx context.Context, d BatchSource, startIter, steps, batchSize int) (*TrainResult, error) {

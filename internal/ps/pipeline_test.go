@@ -65,7 +65,7 @@ func TestNewPipelineValidation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s accepted", name)
 		}
-		if !errors.Is(err, ErrInvalidConfig) {
+		if !errors.Is(err, errInvalidConfig) {
 			t.Fatalf("%s: error %v does not wrap ErrInvalidConfig", name, err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestPipelineMatchesSequentialExactly(t *testing.T) {
 	pipe := run(4)
 
 	// Host tables bit-equal.
-	for h := 0; h < seq.NumHostTables(); h++ {
+	for h := 0; h < seq.numHostTables(); h++ {
 		if d := seq.HostBag(h).Weights.MaxAbsDiff(pipe.HostBag(h).Weights); d != 0 {
 			t.Fatalf("host table %d differs by %v between sequential and pipelined", h, d)
 		}
@@ -232,8 +232,8 @@ func TestPipelineWithDeviceTTTable(t *testing.T) {
 	if late >= early {
 		t.Fatalf("mixed-placement pipeline did not reduce loss: %v -> %v", early, late)
 	}
-	if p.NumHostTables() != 1 {
-		t.Fatalf("NumHostTables = %d", p.NumHostTables())
+	if p.numHostTables() != 1 {
+		t.Fatalf("NumHostTables = %d", p.numHostTables())
 	}
 }
 
@@ -270,7 +270,7 @@ func TestHostAdapterInferenceOutsideStep(t *testing.T) {
 			t.Fatal("adapter update outside pipeline step did not panic")
 		}
 		err, ok := r.(error)
-		if !ok || !errors.Is(err, ErrAdapterMisuse) {
+		if !ok || !errors.Is(err, errAdapterMisuse) {
 			t.Fatalf("recovered %v; want error wrapping ErrAdapterMisuse", r)
 		}
 	}()
@@ -345,8 +345,8 @@ func TestPipelineAllDeviceTables(t *testing.T) {
 	if st.BytesPrefetched != 0 || st.BytesPushed != 0 {
 		t.Fatalf("device-only pipeline moved bytes: %+v", st)
 	}
-	if p.NumHostTables() != 0 {
-		t.Fatalf("NumHostTables = %d", p.NumHostTables())
+	if p.numHostTables() != 0 {
+		t.Fatalf("NumHostTables = %d", p.numHostTables())
 	}
 }
 
@@ -390,7 +390,7 @@ func TestPipelineLookaheadWithDeviceTTBitExact(t *testing.T) {
 func TestNewPipelineLookaheadValidation(t *testing.T) {
 	spec := psSpec()
 	cfg := Config{Model: psModelCfg(), QueueDepth: 1, Lookahead: -1}
-	if _, err := NewPipeline(cfg, allHostLocs(spec)); !errors.Is(err, ErrInvalidConfig) {
+	if _, err := NewPipeline(cfg, allHostLocs(spec)); !errors.Is(err, errInvalidConfig) {
 		t.Fatalf("config %+v: got %v, want ErrInvalidConfig", cfg, err)
 	}
 	d, _ := data.New(spec)
@@ -399,7 +399,7 @@ func TestNewPipelineLookaheadValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := p.Train(context.Background(), batchOnly{d}, 0, 4, 8)
-	if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), "ps.batchOnly") || res.Completed != 0 {
+	if !errors.Is(err, errInvalidConfig) || !strings.Contains(err.Error(), "ps.batchOnly") || res.Completed != 0 {
 		t.Fatalf("lookahead over a batch-only source: completed %d, err %v; want ErrInvalidConfig naming ps.batchOnly", res.Completed, err)
 	}
 }

@@ -40,14 +40,14 @@ func (r RetryPolicy) Wait(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
-// DefaultRetryPolicy is the production policy: 3 retries, 1ms→50ms backoff.
-func DefaultRetryPolicy() RetryPolicy {
+// defaultRetryPolicy is the production policy: 3 retries, 1ms→50ms backoff.
+func defaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond}
 }
 
 // withDefaults fills zero fields.
 func (r RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
+	d := defaultRetryPolicy()
 	if r.MaxRetries <= 0 {
 		r.MaxRetries = d.MaxRetries
 	}

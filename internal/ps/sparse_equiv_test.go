@@ -51,7 +51,7 @@ func TestPipelineEquivalenceSparseTables(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, curve := run(tc.depth, tc.lookahead)
 			t.Logf("stats: %+v", p.Stats())
-			for h := 0; h < ref.NumHostTables(); h++ {
+			for h := 0; h < ref.numHostTables(); h++ {
 				if diff := ref.HostBag(h).Weights.MaxAbsDiff(p.HostBag(h).Weights); diff != 0 {
 					t.Fatalf("host table %d differs by %v", h, diff)
 				}

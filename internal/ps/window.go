@@ -54,7 +54,7 @@ func (p *Pipeline) planner(d BatchSource, batchSize int) (*data.Lookahead, error
 	}
 	la, err := data.NewLookahead(d, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+		return nil, fmt.Errorf("%w: %w", errInvalidConfig, err)
 	}
 	p.la, p.laSrc, p.laBatch = la, d, batchSize
 	return la, nil

@@ -48,8 +48,8 @@ type ReloadRequest struct {
 	Path string `json:"path,omitempty"`
 }
 
-// ReloadResponse is the JSON body answering a successful /reload.
-type ReloadResponse struct {
+// reloadResponse is the JSON body answering a successful /reload.
+type reloadResponse struct {
 	Version int64 `json:"version"`
 }
 
@@ -99,7 +99,7 @@ func (p *Pool) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ReloadResponse{Version: version})
+	writeJSON(w, http.StatusOK, reloadResponse{Version: version})
 }
 
 // handle serves /score and /topk through the wire codec (wire.go). A

@@ -151,7 +151,7 @@ func TestHTTPReload(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/reload status %d: %s", rec.Code, rec.Body.String())
 	}
-	var rr ReloadResponse
+	var rr reloadResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
 		t.Fatal(err)
 	}

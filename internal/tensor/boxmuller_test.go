@@ -8,7 +8,7 @@ import (
 // normalLoop is FillNormal's oracle: the per-element loop.
 func normalLoop(r *RNG, x []float32, std float32) {
 	for i := range x {
-		x[i] = float32(r.NormFloat64()) * std
+		x[i] = float32(r.normFloat64()) * std
 	}
 }
 
@@ -39,7 +39,7 @@ func checkFillNormal(t *testing.T, r RNG, n int, std float32) {
 	}
 }
 
-// TestFillNormalMatchesPerElementLoop: FillNormal is float32(NormFloat64())·std
+// TestFillNormalMatchesPerElementLoop: FillNormal is float32(normFloat64())·std
 // element by element, bit for bit and in draw order, at every tail class,
 // around the 256-pair block and at a length of many blocks.
 func TestFillNormalMatchesPerElementLoop(t *testing.T) {
@@ -96,7 +96,7 @@ func TestInvertMix64(t *testing.T) {
 }
 
 // TestFillNormalRedrawsZeroU1: an RNG built so that the u1 of element pos
-// draws 0 (a Uint64 below 2¹¹) takes NormFloat64's retry in FillNormal too,
+// draws 0 (a Uint64 below 2¹¹) takes normFloat64's retry in FillNormal too,
 // mid-block, on either side of the block boundary and in the scalar tail:
 // same bits as the loop, and exactly one extra draw.
 func TestFillNormalRedrawsZeroU1(t *testing.T) {

@@ -173,7 +173,7 @@ func TestMatrixMatMulFamilyMatchesReference(t *testing.T) {
 				t.Fatalf("MatMul: max diff %g", d)
 			}
 
-			bt := b.Transpose() // n×k storage, logical B
+			bt := b.transpose() // n×k storage, logical B
 			dst.Zero()
 			MatMulTransB(dst, a, bt)
 			if d := maxDiff(dst.Data, want); d > 1e-3 {

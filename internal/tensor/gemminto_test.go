@@ -20,7 +20,7 @@ func TestGemmTransAAddInto(t *testing.T) {
 	b := randomMatrix(r, 5, 2)
 	c := make([]float32, 6)
 	GemmTransAAddInto(3, 5, 2, 1, a.Data, b.Data, c)
-	want := naiveMatMul(a.Transpose(), b)
+	want := naiveMatMul(a.transpose(), b)
 	if d := FromSlice(3, 2, c).MaxAbsDiff(want); d > 1e-4 {
 		t.Fatalf("GemmTransAAddInto deviates by %v", d)
 	}
@@ -32,7 +32,7 @@ func TestGemmTransBAddInto(t *testing.T) {
 	b := randomMatrix(r, 2, 3) // n×k, bᵀ: 3×2
 	c := make([]float32, 8)
 	GemmTransBAddInto(4, 3, 2, a.Data, b.Data, c)
-	want := naiveMatMul(a, b.Transpose())
+	want := naiveMatMul(a, b.transpose())
 	if d := FromSlice(4, 2, c).MaxAbsDiff(want); d > 1e-4 {
 		t.Fatalf("GemmTransBAddInto deviates by %v", d)
 	}

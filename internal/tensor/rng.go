@@ -52,8 +52,8 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform value in [0,1).
-func (r *RNG) Float32() float32 {
+// float32 returns a uniform value in [0,1).
+func (r *RNG) float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
 }
 
@@ -65,13 +65,13 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// NormFloat64 returns a standard normal variate (Box-Muller; one value per
+// normFloat64 returns a standard normal variate (Box-Muller; one value per
 // call, the pair's second half is discarded to keep state minimal).
-func (r *RNG) NormFloat64() float64 {
+func (r *RNG) normFloat64() float64 {
 	return boxMuller(r.nonzeroFloat64(), r.Float64())
 }
 
-// nonzeroFloat64 is Float64 drawn again while it is zero: NormFloat64's u1,
+// nonzeroFloat64 is Float64 drawn again while it is zero: normFloat64's u1,
 // in [2⁻⁵³, 1).
 func (r *RNG) nonzeroFloat64() float64 {
 	for {
@@ -81,14 +81,14 @@ func (r *RNG) nonzeroFloat64() float64 {
 	}
 }
 
-// boxMuller is NormFloat64's transform of one uniform pair; boxMullerAsm
+// boxMuller is normFloat64's transform of one uniform pair; boxMullerAsm
 // evaluates it four pairs at a time with the same bits.
 func boxMuller(u1, u2 float64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a pseudo-random permutation of [0,n).
-func (r *RNG) Perm(n int) []int {
+// perm returns a pseudo-random permutation of [0,n).
+func (r *RNG) perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
 		p[i] = i
@@ -105,7 +105,7 @@ func (r *RNG) Perm(n int) []int {
 const fillChunk = 1 << 16
 
 // FillUniform fills x with uniform values in [-scale, scale]:
-// x[i] = (2·Float32() − 1)·scale in draw order, bit for bit. With AVX-512 the
+// x[i] = (2·float32() − 1)·scale in draw order, bit for bit. With AVX-512 the
 // values are computed eight at a time from their counters (uniformAsm) and
 // the last len(x) mod 8 elements run the loop below.
 func (r *RNG) FillUniform(x []float32, scale float32) {
@@ -118,7 +118,7 @@ func (r *RNG) FillUniform(x []float32, scale float32) {
 		}
 	}
 	for i := range x {
-		x[i] = (2*r.Float32() - 1) * scale
+		x[i] = (2*r.float32() - 1) * scale
 	}
 }
 
@@ -127,7 +127,7 @@ func (r *RNG) FillUniform(x []float32, scale float32) {
 const normBlock = 256
 
 // FillNormal fills x with normal values of the given standard deviation:
-// x[i] = float32(NormFloat64())·std in draw order, bit for bit. With AVX2 the
+// x[i] = float32(normFloat64())·std in draw order, bit for bit. With AVX2 the
 // transform runs four elements at a time (boxMullerAsm) and the last
 // len(x) mod 4 elements run the loop below.
 func (r *RNG) FillNormal(x []float32, std float32) {
@@ -141,11 +141,11 @@ func (r *RNG) FillNormal(x []float32, std float32) {
 		}
 	}
 	for i := range x {
-		x[i] = float32(r.NormFloat64()) * std
+		x[i] = float32(r.normFloat64()) * std
 	}
 }
 
-// uniformPairs draws NormFloat64's first n uniform pairs, u1[i] =
+// uniformPairs draws normFloat64's first n uniform pairs, u1[i] =
 // nonzeroFloat64() and u2[i] = Float64(). With AVX-512 the lanes compute all
 // n from their counters (uniformPairsAsm); a zero u1 among them would have
 // been redrawn, shifting every later counter, so that block is drawn again

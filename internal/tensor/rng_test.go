@@ -34,7 +34,7 @@ func TestFloat64Range(t *testing.T) {
 func TestFloat32Range(t *testing.T) {
 	r := NewRNG(2)
 	for i := 0; i < 1000; i++ {
-		v := r.Float32()
+		v := r.float32()
 		if v < 0 || v >= 1 {
 			t.Fatalf("Float32 out of range: %v", v)
 		}
@@ -62,7 +62,7 @@ func TestNormFloat64Moments(t *testing.T) {
 	const n = 20000
 	var sum, sumsq float64
 	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
+		v := r.normFloat64()
 		sum += v
 		sumsq += v * v
 	}
@@ -78,7 +78,7 @@ func TestNormFloat64Moments(t *testing.T) {
 
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(5)
-	p := r.Perm(50)
+	p := r.perm(50)
 	seen := make([]bool, 50)
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
@@ -124,7 +124,7 @@ func TestXavierInitScale(t *testing.T) {
 // uniformLoop is FillUniform's oracle: the per-element loop.
 func uniformLoop(r *RNG, x []float32, scale float32) {
 	for i := range x {
-		x[i] = (2*r.Float32() - 1) * scale
+		x[i] = (2*r.float32() - 1) * scale
 	}
 }
 
@@ -146,7 +146,7 @@ func checkFillUniform(t *testing.T, r RNG, n, offset int, scale float32) {
 	}
 }
 
-// TestFillUniformMatchesPerElementLoop: FillUniform is (2·Float32() − 1)·scale
+// TestFillUniformMatchesPerElementLoop: FillUniform is (2·float32() − 1)·scale
 // element by element, bit for bit and in draw order, at every tail class of
 // the eight-lane kernel, around 256, across fillChunk and from unaligned
 // starts; scale 1e-40 makes every product subnormal, 0 every one zero.

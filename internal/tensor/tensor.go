@@ -67,17 +67,17 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// Reshape returns a view of m with new dimensions sharing the same data.
+// reshape returns a view of m with new dimensions sharing the same data.
 // rows*cols must equal the current element count.
-func (m *Matrix) Reshape(rows, cols int) *Matrix {
+func (m *Matrix) reshape(rows, cols int) *Matrix {
 	if rows*cols != m.Rows*m.Cols {
-		panic(fmt.Sprintf("tensor: Reshape %dx%d -> %dx%d changes element count", m.Rows, m.Cols, rows, cols))
+		panic(fmt.Sprintf("tensor: reshape %dx%d -> %dx%d changes element count", m.Rows, m.Cols, rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: m.Data}
 }
 
-// Transpose returns a newly allocated transpose of m.
-func (m *Matrix) Transpose() *Matrix {
+// transpose returns a newly allocated transpose of m.
+func (m *Matrix) transpose() *Matrix {
 	out := New(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
@@ -88,9 +88,9 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// Equal reports whether m and other have the same shape and all elements
+// equal reports whether m and other have the same shape and all elements
 // within tol of each other.
-func (m *Matrix) Equal(other *Matrix, tol float32) bool {
+func (m *Matrix) equal(other *Matrix, tol float32) bool {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		return false
 	}
@@ -125,8 +125,8 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float32 {
 	return max
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
+// frobeniusNorm returns the Frobenius norm of m.
+func (m *Matrix) frobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
 		s += float64(v) * float64(v)
@@ -285,7 +285,7 @@ func AddTo(dst, src []float32) {
 }
 
 // AddBias adds bias to every row of y in place and, with relu set, clamps the
-// sum at zero: y[i][j] = max(y[i][j]+bias[j], 0), the epilogue of a Linear
+// sum at zero: y[i][j] = max(y[i][j]+bias[j], 0), the epilogue of an nn linear
 // layer's forward product. The clamp is the comparison v > 0 ? v : 0, so a
 // NaN sum and −0 both become +0. Like ReLUGrad it is exact: the assembly and
 // the portable loop give the same bits.
@@ -303,7 +303,7 @@ func AddBias(y *Matrix, bias []float32, relu bool) {
 	addBiasGo(y.Data, bias, relu)
 }
 
-// ReLUGrad is the backward epilogue of a clamped Linear layer, whose output
+// ReLUGrad is the backward epilogue of a clamped nn linear layer, whose output
 // y = max(·, 0) is its own mask: it zeroes dy in place wherever y > 0 does
 // not hold and adds the masked rows to db, in ascending row order (the sums
 // a per-row AddTo(db, row) makes).

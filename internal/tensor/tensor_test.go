@@ -84,7 +84,7 @@ func TestCloneIndependent(t *testing.T) {
 func TestReshapeSharesData(t *testing.T) {
 	m := New(2, 6)
 	m.Set(0, 5, 3)
-	v := m.Reshape(4, 3)
+	v := m.reshape(4, 3)
 	if v.At(1, 2) != 3 {
 		t.Fatalf("Reshape view lost element: got %v", v.At(1, 2))
 	}
@@ -100,13 +100,13 @@ func TestReshapeBadCountPanics(t *testing.T) {
 			t.Fatal("Reshape changing element count did not panic")
 		}
 	}()
-	New(2, 3).Reshape(4, 2)
+	New(2, 3).reshape(4, 2)
 }
 
 func TestTranspose(t *testing.T) {
 	r := NewRNG(1)
 	m := randomMatrix(r, 5, 7)
-	tr := m.Transpose()
+	tr := m.transpose()
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			if tr.At(j, i) != m.At(i, j) {
@@ -114,8 +114,8 @@ func TestTranspose(t *testing.T) {
 			}
 		}
 	}
-	back := tr.Transpose()
-	if !back.Equal(m, 0) {
+	back := tr.transpose()
+	if !back.equal(m, 0) {
 		t.Fatal("double transpose is not identity")
 	}
 }
@@ -164,7 +164,7 @@ func TestMatMulTransB(t *testing.T) {
 	b := randomMatrix(r, 5, 4) // bᵀ is 4x5
 	got := New(6, 5)
 	MatMulTransB(got, a, b)
-	want := naiveMatMul(a, b.Transpose())
+	want := naiveMatMul(a, b.transpose())
 	if d := got.MaxAbsDiff(want); d > 1e-4 {
 		t.Fatalf("MatMulTransB deviates by %v", d)
 	}
@@ -177,7 +177,7 @@ func TestMatMulTransAAdd(t *testing.T) {
 	dst := randomMatrix(r, 3, 2)
 	before := dst.Clone()
 	MatMulTransAAdd(dst, a, b)
-	prod := naiveMatMul(a.Transpose(), b)
+	prod := naiveMatMul(a.transpose(), b)
 	for i := range dst.Data {
 		want := before.Data[i] + prod.Data[i]
 		if math.Abs(float64(dst.Data[i]-want)) > 1e-4 {
@@ -218,7 +218,7 @@ func TestAxpyEmptyAndMismatch(t *testing.T) {
 
 func TestFrobeniusNorm(t *testing.T) {
 	m := FromSlice(1, 2, []float32{3, 4})
-	if n := m.FrobeniusNorm(); math.Abs(n-5) > 1e-9 {
+	if n := m.frobeniusNorm(); math.Abs(n-5) > 1e-9 {
 		t.Fatalf("FrobeniusNorm = %v want 5", n)
 	}
 }
@@ -256,8 +256,8 @@ func TestQuickMatMulTransposeIdentity(t *testing.T) {
 		ab := New(m, n)
 		MatMul(ab, a, b)
 		btat := New(n, m)
-		MatMul(btat, b.Transpose(), a.Transpose())
-		return ab.Transpose().MaxAbsDiff(btat) < 1e-4
+		MatMul(btat, b.transpose(), a.transpose())
+		return ab.transpose().MaxAbsDiff(btat) < 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -426,13 +426,13 @@ func TestParallelForRecycledHeadersStress(t *testing.T) {
 func TestEqualToleranceAndShape(t *testing.T) {
 	a := FromSlice(1, 2, []float32{1, 2})
 	b := FromSlice(1, 2, []float32{1.0005, 2})
-	if !a.Equal(b, 1e-3) {
+	if !a.equal(b, 1e-3) {
 		t.Fatal("Equal should hold within tolerance")
 	}
-	if a.Equal(b, 1e-5) {
+	if a.equal(b, 1e-5) {
 		t.Fatal("Equal should fail below tolerance")
 	}
-	if a.Equal(New(2, 1), 1) {
+	if a.equal(New(2, 1), 1) {
 		t.Fatal("Equal should fail on shape mismatch")
 	}
 }

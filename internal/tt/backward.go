@@ -14,15 +14,15 @@ type bwScratch struct {
 }
 
 func (s *bwScratch) ensure(t *Table) {
-	sz := t.Shape.SliceSizes()
-	s.p12 = growFloats(s.p12, t.Shape.PrefixSize())
-	s.dP12 = growFloats(s.dP12, t.Shape.PrefixSize())
+	sz := t.Shape.sliceSizes()
+	s.p12 = growFloats(s.p12, t.Shape.prefixSize())
+	s.dP12 = growFloats(s.dP12, t.Shape.prefixSize())
 	s.dG1 = growFloats(s.dG1, sz[0])
 	s.dG2 = growFloats(s.dG2, sz[1])
 	s.dG3 = growFloats(s.dG3, sz[2])
 }
 
-// Backward computes TT-core gradients for the batch described by cache and
+// backward computes TT-core gradients for the batch described by cache and
 // applies the update with learning rate lr. The executed path follows
 // t.Opts:
 //
@@ -38,7 +38,7 @@ func (s *bwScratch) ensure(t *Table) {
 //
 // dOut is the gradient of the loss w.r.t. the pooled batch output
 // (batch×Dim).
-func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
+func (t *Table) backward(cache *forwardCache, dOut *tensor.Matrix, lr float32) {
 	if t.memo != nil {
 		panic("tt: Backward on a serving clone: serving clones are read-only; train the source and re-clone")
 	}
@@ -77,7 +77,7 @@ func (t *Table) Backward(cache *ForwardCache, dOut *tensor.Matrix, lr float32) {
 // executors, each with its own scratch, and shared slices updated hogwild
 // under stripe locks (the paper's kernel uses atomics). Only a single
 // executor makes it reproducible.
-func (t *Table) backwardPerOccurrence(cache *ForwardCache, dOut *tensor.Matrix) {
+func (t *Table) backwardPerOccurrence(cache *forwardCache, dOut *tensor.Matrix) {
 	t.perOccurrenceGrads(cache, dOut)
 	items := len(cache.Indices)
 	t.met.recordBackward(items, items, items)
@@ -91,11 +91,11 @@ func (t *Table) backwardPerOccurrence(cache *ForwardCache, dOut *tensor.Matrix) 
 	tensor.ParallelFor(cache.parts, cache, backwardRange)
 }
 
-// backwardRange is a ParallelFor body over a *ForwardCache: part p of
+// backwardRange is a ParallelFor body over a *forwardCache: part p of
 // [lo,hi) runs the chain-rule multiplications and the core update for its
 // index occurrences in its own scratch.
 func backwardRange(ctx any, lo, hi int) {
-	c := ctx.(*ForwardCache)
+	c := ctx.(*forwardCache)
 	t := c.t
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
@@ -104,7 +104,7 @@ func backwardRange(ctx any, lo, hi int) {
 		first, end := c.part(part, len(c.Indices))
 		for p := first; p < end; p++ {
 			g := c.workGrad.Row(p)
-			i1, i2, i3 := t.Shape.FactorIndex(c.Indices[p])
+			i1, i2, i3 := t.Shape.factorIndex(c.Indices[p])
 
 			// Fetch or recompute the forward intermediate P₁₂.
 			pref := s.p12
@@ -140,7 +140,7 @@ func backwardRange(ctx any, lo, hi int) {
 
 // sinkLocked is sinkGrad under the row's stripe lock, for the baseline's
 // executors that share slices.
-func (t *Table) sinkLocked(c *ForwardCache, k, row int, grad []float32) {
+func (t *Table) sinkLocked(c *forwardCache, k, row int, grad []float32) {
 	mu := t.lockFor(k, row)
 	mu.Lock()
 	t.sinkGrad(c, k, row, grad)
@@ -151,7 +151,7 @@ func (t *Table) sinkLocked(c *ForwardCache, k, row int, grad []float32) {
 // on the core itself when the update is fused (c.gradBufs[k] nil), an add
 // into the gradient-buffer row the optimizer sweep reads otherwise. The
 // caller owns the slice while it runs.
-func (t *Table) sinkGrad(c *ForwardCache, k, row int, grad []float32) {
+func (t *Table) sinkGrad(c *forwardCache, k, row int, grad []float32) {
 	if buf := c.gradBufs[k]; buf != nil {
 		tensor.AddTo(buf.Row(row), grad)
 		return
@@ -165,7 +165,7 @@ func (t *Table) sinkGrad(c *ForwardCache, k, row int, grad []float32) {
 // pass already deduplicated, its unique structure is reused; otherwise it is
 // built here. The gradient matrix lives in the cache arena, so steady-state
 // batches reuse its storage.
-func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int, []int) {
+func (t *Table) aggregateGrads(cache *forwardCache, dOut *tensor.Matrix) ([]int, []int) {
 	workIdx, workOf := cache.WorkIdx, cache.WorkOf
 	if !t.Opts.DedupIndices {
 		workIdx, workOf = cache.dedupRows()
@@ -186,7 +186,7 @@ func (t *Table) aggregateGrads(cache *ForwardCache, dOut *tensor.Matrix) ([]int,
 // perOccurrenceGrads materializes one gradient row per index occurrence
 // (no aggregation): occurrence p of sample s receives a copy of dOut[s].
 // The copy is the point — TT-Rec stores per-row gradients before reducing.
-func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) {
+func (t *Table) perOccurrenceGrads(cache *forwardCache, dOut *tensor.Matrix) {
 	cache.workGrad = tensor.Reuse(cache.workGrad, len(cache.Indices), t.Shape.Dim)
 	for s := range cache.Offsets {
 		start, end := embedding.BagBounds(cache.Offsets, s, len(cache.Indices))
@@ -198,13 +198,13 @@ func (t *Table) perOccurrenceGrads(cache *ForwardCache, dOut *tensor.Matrix) {
 
 // Lookup runs the forward pass through the table-owned arena cache and
 // retains it for a following Update call, satisfying the embedding-table
-// interface the DLRM model consumes. Unlike Forward, Lookup is serialized
+// interface the DLRM model consumes. Unlike forward, Lookup is serialized
 // by the Table protocol and reuses every intermediate across batches —
 // including the returned matrix, which is only valid until the next Lookup
 // on this table — making steady-state training steps allocation-free.
 func (t *Table) Lookup(indices, offsets []int) *tensor.Matrix {
 	if t.arena == nil {
-		t.arena = &ForwardCache{}
+		t.arena = &forwardCache{}
 	}
 	out := t.forwardInto(t.arena, indices, offsets)
 	t.lastCache = t.arena
@@ -220,10 +220,10 @@ func (t *Table) Update(indices, offsets []int, dOut *tensor.Matrix, lr float32) 
 	}
 	cache := t.lastCache
 	t.lastCache = nil
-	t.Backward(cache, dOut, lr)
+	t.backward(cache, dOut, lr)
 }
 
-func sameBatch(c *ForwardCache, indices, offsets []int) bool {
+func sameBatch(c *forwardCache, indices, offsets []int) bool {
 	if len(c.Indices) != len(indices) || len(c.Offsets) != len(offsets) {
 		return false
 	}

@@ -126,7 +126,7 @@ type twoLevelBwd struct {
 
 // backwardTwoLevel runs the three phases for the batch in cache, whose
 // workGrad holds the aggregated gradient row of each work item.
-func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix) {
+func (t *Table) backwardTwoLevel(cache *forwardCache, dOut *tensor.Matrix) {
 	b := &cache.tl
 	var workOf []int
 	b.workIdx, workOf = t.aggregateGrads(cache, dOut)
@@ -140,7 +140,7 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix) {
 	// materialized, in one slice-sized row per part.
 	cache.parts = min(tensor.Workers(), m[1])
 	if cache.gradBufs[1] == nil && t.AdagradEnabled() {
-		b.dG2 = tensor.Reuse(b.dG2, cache.parts, t.Shape.SliceSizes()[1])
+		b.dG2 = tensor.Reuse(b.dG2, cache.parts, t.Shape.sliceSizes()[1])
 	}
 	tensor.ParallelFor(len(b.pfx), cache, prefixPhase)
 	tensor.ParallelFor(cache.parts, cache, core2Phase)
@@ -151,7 +151,7 @@ func (t *Table) backwardTwoLevel(cache *ForwardCache, dOut *tensor.Matrix) {
 // recovers each prefix's reuse-buffer row from the forward's PrefixSlots,
 // counting-sorts work items by prefix and by i₃ and prefixes by i₁, and
 // sizes the scratch.
-func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
+func (t *Table) groupWork(c *forwardCache, b *twoLevelBwd, workOf []int) {
 	m := t.Shape.RowFactors
 	items, bound := len(b.workIdx), len(c.Indices)
 	b.pfxOf = growInts(b.pfxOf, items, bound)
@@ -171,7 +171,7 @@ func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 			b.pfxSlot[b.pfxOf[w]] = slot
 		}
 	} else {
-		b.p12 = tensor.ReuseRows(b.p12, prefixes, t.Shape.PrefixSize(), bound)
+		b.p12 = tensor.ReuseRows(b.p12, prefixes, t.Shape.prefixSize(), bound)
 	}
 
 	b.byPfx.build(prefixes, b.pfxOf, bound)
@@ -186,18 +186,18 @@ func (t *Table) groupWork(c *ForwardCache, b *twoLevelBwd, workOf []int) {
 	}
 	b.byI1.build(m[0], b.key, bound)
 
-	sz := t.Shape.SliceSizes()
-	b.dP12 = tensor.ReuseRows(b.dP12, prefixes, t.Shape.PrefixSize(), bound)
+	sz := t.Shape.sliceSizes()
+	b.dP12 = tensor.ReuseRows(b.dP12, prefixes, t.Shape.prefixSize(), bound)
 	b.g1 = tensor.ReuseRows(b.g1, prefixes, sz[0], bound)
 	b.c1 = tensor.ReuseRows(b.c1, prefixes, sz[0], bound)
 	b.c3 = tensor.ReuseRows(b.c3, items, sz[2], bound)
 }
 
-// prefixPhase is phase 1, a ParallelFor body over a *ForwardCache, for
+// prefixPhase is phase 1, a ParallelFor body over a *forwardCache, for
 // unique prefixes [lo,hi): it owns rows u of p12/dP12 and rows w of c3 for
 // the work items w of u, and only reads cores.
 func prefixPhase(ctx any, lo, hi int) {
-	c := ctx.(*ForwardCache)
+	c := ctx.(*forwardCache)
 	t, b := c.t, &c.tl
 	n := t.Shape.ColFactors
 	r2 := t.Shape.R2
@@ -222,14 +222,14 @@ func prefixPhase(ctx any, lo, hi int) {
 	}
 }
 
-// core2Phase is phase 2, a ParallelFor body over a *ForwardCache: part p of
+// core2Phase is phase 2, a ParallelFor body over a *forwardCache: part p of
 // [lo,hi) owns G₂[i₂] for i₂ = p, p+parts, … and rows u of c1 and g1 for the
 // prefixes u of their groups, and reads G₁ and dP12. c1 is stored before
 // G₂[i₂] is written; the dG₂ product accumulates straight into its sink,
 // except under fused Adagrad (which needs dG₂²): that stores it into row p
 // of b.dG2 and applies it there.
 func core2Phase(ctx any, lo, hi int) {
-	c := ctx.(*ForwardCache)
+	c := ctx.(*forwardCache)
 	t, b := c.t, &c.tl
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
@@ -260,12 +260,12 @@ func core2Phase(ctx any, lo, hi int) {
 	}
 }
 
-// core13Phase is phase 3, a ParallelFor body over a *ForwardCache, for
+// core13Phase is phase 3, a ParallelFor body over a *forwardCache, for
 // owners [lo,hi) of the concatenated slice list (G₁ slices first, then G₃
 // slices): each owner sums its kept contributions into the first one's row,
 // in prefix / work-item order, and writes its slice once.
 func core13Phase(ctx any, lo, hi int) {
-	c := ctx.(*ForwardCache)
+	c := ctx.(*forwardCache)
 	t, b := c.t, &c.tl
 	m1 := t.Shape.RowFactors[0]
 	for o := lo; o < hi; o++ {
@@ -280,7 +280,7 @@ func core13Phase(ctx any, lo, hi int) {
 // reduceAndSink sums the listed rows of contrib into the first of them, in
 // list order, and delivers the sum as the batch gradient of slice row of
 // core k — the one sinkGrad call that slice gets this batch.
-func (t *Table) reduceAndSink(c *ForwardCache, k, row int, contrib *tensor.Matrix, rows []int) {
+func (t *Table) reduceAndSink(c *forwardCache, k, row int, contrib *tensor.Matrix, rows []int) {
 	if len(rows) == 0 {
 		return
 	}

@@ -103,7 +103,7 @@ func TestCloneForServingConcurrentLookups(t *testing.T) {
 	}
 }
 
-// TestCloneForServingIsReadOnly: Backward and Update on a clone panic with
+// TestCloneForServingIsReadOnly: backward and Update on a clone panic with
 // the contract's name instead of writing cores other replicas read (and
 // leaving stale products in the clone's memo); the source stays trainable.
 func TestCloneForServingIsReadOnly(t *testing.T) {
@@ -127,8 +127,8 @@ func TestCloneForServingIsReadOnly(t *testing.T) {
 		clone.Update(indices, offsets, dOut, 0.1)
 	})
 	mustPanic("Backward", func() {
-		_, cache := clone.Forward(indices, offsets)
-		clone.Backward(cache, dOut, 0.1)
+		_, cache := clone.forward(indices, offsets)
+		clone.backward(cache, dOut, 0.1)
 	})
 	if d := tbl.Cores[0].MaxAbsDiff(before); d != 0 {
 		t.Fatalf("refused update still moved the shared cores by %v", d)

@@ -7,14 +7,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// ForwardCache carries the intermediates of one Forward call into the
-// matching Backward call: the batch description, the unique-index structure
+// forwardCache carries the intermediates of one forward call into the
+// matching backward call: the batch description, the unique-index structure
 // (when deduplication ran), and the reuse buffer of first-two-core products
 // (when prefix reuse ran). Every scratch buffer grows to the batch and is
 // reused by the next forwardInto on the same cache, so the table-owned arena
 // (the Lookup/Update path) allocates nothing in steady state; a cache from
-// Forward runs the same code and is simply used once.
-type ForwardCache struct {
+// forward runs the same code and is simply used once.
+type forwardCache struct {
 	Indices []int
 	Offsets []int
 
@@ -58,7 +58,7 @@ type ForwardCache struct {
 }
 
 // part returns the range [lo,hi) of n items that part p of c.parts owns.
-func (c *ForwardCache) part(p, n int) (lo, hi int) {
+func (c *forwardCache) part(p, n int) (lo, hi int) {
 	return p * n / c.parts, (p + 1) * n / c.parts
 }
 
@@ -108,24 +108,24 @@ func (t *Table) validateBatch(indices, offsets []int) {
 	}
 }
 
-// Forward computes the sum-pooled embeddings of a batch (batch×Dim) and the
-// cache consumed by Backward. The executed path follows t.Opts: with
+// forward computes the sum-pooled embeddings of a batch (batch×Dim) and the
+// cache consumed by backward. The executed path follows t.Opts: with
 // DedupIndices each unique row is computed once; with ReusePrefix the
 // products of the first two cores are computed once per unique prefix via a
 // single batched GEMM over prepared pointer lists (Algorithm 1).
 //
-// Forward is safe for concurrent use: every call gets a cache of its own.
+// forward is safe for concurrent use: every call gets a cache of its own.
 // The serialized Lookup/Update path runs the same code on the table-owned
 // cache instead (see Lookup).
-func (t *Table) Forward(indices, offsets []int) (*tensor.Matrix, *ForwardCache) {
-	c := &ForwardCache{}
+func (t *Table) forward(indices, offsets []int) (*tensor.Matrix, *forwardCache) {
+	c := &forwardCache{}
 	out := t.forwardInto(c, indices, offsets)
 	return out, c
 }
 
 // forwardInto runs the forward pass through c, reusing whatever scratch c
 // already holds.
-func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Matrix {
+func (t *Table) forwardInto(c *forwardCache, indices, offsets []int) *tensor.Matrix {
 	t.validateBatch(indices, offsets)
 	c.t, c.Indices, c.Offsets = t, indices, offsets
 
@@ -148,7 +148,7 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 	c.Rows = tensor.ReuseRows(c.Rows, len(c.WorkIdx), t.Shape.Dim, len(indices))
 	c.parts = min(tensor.Workers(), len(c.WorkIdx))
 	if c.PrefixBuf == nil {
-		c.p12 = growFloats(c.p12, c.parts*t.Shape.PrefixSize())
+		c.p12 = growFloats(c.p12, c.parts*t.Shape.prefixSize())
 	}
 	tensor.ParallelFor(c.parts, c, materializeRows)
 
@@ -159,17 +159,17 @@ func (t *Table) forwardInto(c *ForwardCache, indices, offsets []int) *tensor.Mat
 	return c.out
 }
 
-// materializeRows is a ParallelFor body over a *ForwardCache: it computes
+// materializeRows is a ParallelFor body over a *forwardCache: it computes
 // the embedding rows of the work items of parts [lo,hi), each part
 // recomputing prefixes in its own p12 row when there is no reuse buffer.
 func materializeRows(ctx any, lo, hi int) {
-	c := ctx.(*ForwardCache)
+	c := ctx.(*forwardCache)
 	t := c.t
-	psz := t.Shape.PrefixSize()
+	psz := t.Shape.prefixSize()
 	for p := lo; p < hi; p++ {
 		first, end := c.part(p, len(c.WorkIdx))
 		for w := first; w < end; w++ {
-			i1, i2, i3 := t.Shape.FactorIndex(c.WorkIdx[w])
+			i1, i2, i3 := t.Shape.factorIndex(c.WorkIdx[w])
 			var p12 []float32
 			if c.PrefixBuf != nil {
 				p12 = c.PrefixBuf.Row(c.PrefixSlots[w])
@@ -182,10 +182,10 @@ func materializeRows(ctx any, lo, hi int) {
 	}
 }
 
-// poolRows is a ParallelFor body over a *ForwardCache: it sum-pools
+// poolRows is a ParallelFor body over a *forwardCache: it sum-pools
 // work-item rows into samples [lo,hi) of the output.
 func poolRows(ctx any, lo, hi int) {
-	c := ctx.(*ForwardCache)
+	c := ctx.(*forwardCache)
 	for s := lo; s < hi; s++ {
 		start, end := embedding.BagBounds(c.Offsets, s, len(c.Indices))
 		row := c.out.Row(s)
@@ -205,7 +205,7 @@ func poolRows(ctx any, lo, hi int) {
 // the occurrence → unique-position map, in c's buffers. The forward runs it
 // under DedupIndices; the backward's in-advance aggregation runs it when the
 // forward did not.
-func (c *ForwardCache) dedupRows() (workIdx, workOf []int) {
+func (c *forwardCache) dedupRows() (workIdx, workOf []int) {
 	c.seen.Begin(len(c.Indices))
 	c.workIdxBuf = growInts(c.workIdxBuf, len(c.Indices), 0)[:0]
 	c.workOfBuf = growInts(c.workOfBuf, len(c.Indices), 0)
@@ -223,9 +223,9 @@ func (c *ForwardCache) dedupRows() (workIdx, workOf []int) {
 // the batch's work items. One fact selects the path: the serialized arena
 // Lookup of a serving clone — whose cores never change — resolves prefixes
 // against the clone's cross-batch memo; everything else (every trainable
-// table, and any table's concurrent-safe Forward) computes the batch's own
+// table, and any table's concurrent-safe forward) computes the batch's own
 // unique prefixes.
-func (t *Table) fillPrefixBuffer(c *ForwardCache) {
+func (t *Table) fillPrefixBuffer(c *forwardCache) {
 	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx), len(c.Indices))
 	if m := t.memo; m != nil && m.slotOf != nil && c == t.arena {
 		t.fillFromMemo(c, m)
@@ -242,27 +242,27 @@ func (t *Table) fillPrefixBuffer(c *ForwardCache) {
 // stacked as the A operand — G₂[i₂], the one operand outside the cache,
 // streams once per slice instead of once per prefix, and each buffer row has
 // the bits of its own n₁-row product (m-independence, DESIGN.md §12).
-func (t *Table) fillPrefixBatchLocal(c *ForwardCache) {
+func (t *Table) fillPrefixBatchLocal(c *forwardCache) {
 	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes)
 	m2 := t.Shape.RowFactors[1]
 	c.i2.sortByI2(m2, c.prefixes, c.PrefixSlots, len(c.Indices))
 
-	c.PrefixBuf = tensor.ReuseRows(c.PrefixBuf, len(c.prefixes), t.Shape.PrefixSize(), len(c.Indices))
-	c.g1 = tensor.ReuseRows(c.g1, len(c.prefixes), t.Shape.SliceSizes()[0], len(c.Indices))
+	c.PrefixBuf = tensor.ReuseRows(c.PrefixBuf, len(c.prefixes), t.Shape.prefixSize(), len(c.Indices))
+	c.g1 = tensor.ReuseRows(c.g1, len(c.prefixes), t.Shape.sliceSizes()[0], len(c.Indices))
 	// Part p owns the slices i₂ ≡ p (mod parts), as in the backward.
 	c.parts = 1
-	if tensor.Parallel(len(c.prefixes) * t.Shape.R1 * t.Shape.PrefixSize()) {
+	if tensor.Parallel(len(c.prefixes) * t.Shape.R1 * t.Shape.prefixSize()) {
 		c.parts = min(tensor.Workers(), m2)
 	}
 	tensor.ParallelFor(c.parts, c, fillSlices)
 	t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
 }
 
-// fillSlices is a ParallelFor body over a *ForwardCache: part p of [lo,hi)
+// fillSlices is a ParallelFor body over a *forwardCache: part p of [lo,hi)
 // computes the reuse-buffer rows of the prefixes of i₂ = p, p+parts, …; it
 // owns those rows of PrefixBuf and g1.
 func fillSlices(ctx any, lo, hi int) {
-	c := ctx.(*ForwardCache)
+	c := ctx.(*forwardCache)
 	t := c.t
 	n := t.Shape.ColFactors
 	sz0, psz := c.g1.Cols, c.PrefixBuf.Cols
@@ -293,11 +293,11 @@ func (t *Table) stackG1(dst []float32, prefixes []int) {
 // Buf_flag/Buf_idx), and returns the unique prefixes in prefixes' storage,
 // grown as growInts grows it. The forward's batch-local reuse buffer and the
 // two-level backward share it.
-func (t *Table) dedupPrefixes(c *ForwardCache, workIdx, ids, prefixes []int) []int {
+func (t *Table) dedupPrefixes(c *forwardCache, workIdx, ids, prefixes []int) []int {
 	c.seen.Begin(len(workIdx))
 	prefixes = growInts(prefixes, len(workIdx), len(c.Indices))[:0]
 	for w, idx := range workIdx {
-		pfx := t.Shape.Prefix(idx)
+		pfx := t.Shape.prefix(idx)
 		u, fresh := c.seen.IDOf(pfx, len(prefixes))
 		if fresh {
 			prefixes = append(prefixes, pfx)

@@ -46,26 +46,26 @@ func NewGeneralShape(rows, dim, d, rank int) (GeneralShape, error) {
 	}, nil
 }
 
-// D returns the number of cores.
-func (s GeneralShape) D() int { return len(s.RowFactors) }
+// d returns the number of cores.
+func (s GeneralShape) d() int { return len(s.RowFactors) }
 
 // rank returns R_k with the R₀ = R_d = 1 convention.
 func (s GeneralShape) rank(k int) int {
-	if k <= 0 || k >= s.D() {
+	if k <= 0 || k >= s.d() {
 		return 1
 	}
 	return s.Ranks[k-1]
 }
 
-// SliceSize returns the float count of one slice of core k (0-based):
+// sliceSize returns the float count of one slice of core k (0-based):
 // R_k × n_{k+1} × R_{k+1} in 1-based terms.
-func (s GeneralShape) SliceSize(k int) int {
+func (s GeneralShape) sliceSize(k int) int {
 	return s.rank(k) * s.ColFactors[k] * s.rank(k+1)
 }
 
-// FactorIndex splits a row index into d TT indices (Equation 3).
-func (s GeneralShape) FactorIndex(i int) []int {
-	d := s.D()
+// factorIndex splits a row index into d TT indices (Equation 3).
+func (s GeneralShape) factorIndex(i int) []int {
+	d := s.d()
 	out := make([]int, d)
 	for k := d - 1; k >= 0; k-- {
 		out[k] = i % s.RowFactors[k]
@@ -77,8 +77,8 @@ func (s GeneralShape) FactorIndex(i int) []int {
 // NumParams returns the trainable float count.
 func (s GeneralShape) NumParams() int {
 	total := 0
-	for k := 0; k < s.D(); k++ {
-		total += s.RowFactors[k] * s.SliceSize(k)
+	for k := 0; k < s.d(); k++ {
+		total += s.RowFactors[k] * s.sliceSize(k)
 	}
 	return total
 }
@@ -91,9 +91,9 @@ func (s GeneralShape) CompressionRatio() float64 {
 	return float64(s.Rows) * float64(s.Dim) * 4 / float64(s.FootprintBytes())
 }
 
-// Validate reports whether the shape is consistent.
-func (s GeneralShape) Validate() error {
-	d := s.D()
+// validate reports whether the shape is consistent.
+func (s GeneralShape) validate() error {
+	d := s.d()
 	if d < 2 || len(s.ColFactors) != d || len(s.Ranks) != d-1 {
 		return fmt.Errorf("tt: inconsistent general shape %+v", s)
 	}
@@ -130,12 +130,12 @@ func (s GeneralShape) Validate() error {
 // It is not a product table: it exists for the ext-ttdepth experiment
 // (compression and cost as d grows) and as the independent d = 3 oracle the
 // tests hold Table against. The facade does not construct it, the checkpoint
-// codec refuses it and dlrm.Model.CloneForServing returns ErrNotServable for
+// codec refuses it and dlrm.Model.CloneForServing refuses it for
 // it; none of Table's optimizations (arena, stacked products, two-level
 // backward) apply here.
 type GeneralTable struct {
 	Shape GeneralShape
-	// Cores[k] has RowFactors[k] rows of SliceSize(k) floats; slice layout
+	// Cores[k] has RowFactors[k] rows of sliceSize(k) floats; slice layout
 	// is R_k × (n_{k+1}·R_{k+1}) row-major, matching the 3-core Table.
 	Cores []*tensor.Matrix
 }
@@ -143,13 +143,13 @@ type GeneralTable struct {
 // NewGeneralTable allocates random cores scaled so materialized rows land
 // near targetStd (0 = default 0.05).
 func NewGeneralTable(shape GeneralShape, rng *tensor.RNG, targetStd float64) *GeneralTable {
-	if err := shape.Validate(); err != nil {
+	if err := shape.validate(); err != nil {
 		panic(err)
 	}
 	if targetStd <= 0 {
 		targetStd = 0.05
 	}
-	d := shape.D()
+	d := shape.d()
 	prodRanks := 1.0
 	for _, r := range shape.Ranks {
 		prodRanks *= float64(r)
@@ -157,7 +157,7 @@ func NewGeneralTable(shape GeneralShape, rng *tensor.RNG, targetStd float64) *Ge
 	sigma := math.Pow(targetStd*targetStd/prodRanks, 1/(2*float64(d)))
 	t := &GeneralTable{Shape: shape, Cores: make([]*tensor.Matrix, d)}
 	for k := 0; k < d; k++ {
-		t.Cores[k] = tensor.New(shape.RowFactors[k], shape.SliceSize(k))
+		t.Cores[k] = tensor.New(shape.RowFactors[k], shape.sliceSize(k))
 		rng.FillNormal(t.Cores[k].Data, float32(sigma))
 	}
 	return t
@@ -174,7 +174,7 @@ func (t *GeneralTable) FootprintBytes() int64 { return t.Shape.FootprintBytes() 
 
 // leftSizes returns N_k = n₁·..·n_k for k = 0..d.
 func (t *GeneralTable) leftSizes() []int {
-	d := t.Shape.D()
+	d := t.Shape.d()
 	out := make([]int, d+1)
 	out[0] = 1
 	for k := 0; k < d; k++ {
@@ -190,18 +190,18 @@ func (t *GeneralTable) extendLeft(k int, left []float32, slice []float32, dst []
 	tensor.GemmInto(n[k], t.Shape.rank(k), t.Shape.ColFactors[k]*t.Shape.rank(k+1), left, slice, dst)
 }
 
-// LookupRow materializes one row.
-func (t *GeneralTable) LookupRow(i int, dst []float32) {
+// lookupRow materializes one row.
+func (t *GeneralTable) lookupRow(i int, dst []float32) {
 	if i < 0 || i >= t.Shape.Rows {
 		panic(fmt.Sprintf("tt: general LookupRow index %d out of [0,%d)", i, t.Shape.Rows))
 	}
 	if len(dst) != t.Shape.Dim {
 		panic(fmt.Sprintf("tt: general LookupRow dst len %d want %d", len(dst), t.Shape.Dim))
 	}
-	idx := t.Shape.FactorIndex(i)
+	idx := t.Shape.factorIndex(i)
 	n := t.leftSizes()
 	cur := []float32{1}
-	for k := 0; k < t.Shape.D(); k++ {
+	for k := 0; k < t.Shape.d(); k++ {
 		next := make([]float32, n[k+1]*t.Shape.rank(k+1))
 		t.extendLeft(k, cur, t.Cores[k].Row(idx[k]), next)
 		cur = next
@@ -209,11 +209,11 @@ func (t *GeneralTable) LookupRow(i int, dst []float32) {
 	copy(dst, cur)
 }
 
-// Materialize reconstructs the full logical table.
-func (t *GeneralTable) Materialize() *tensor.Matrix {
+// materialize reconstructs the full logical table.
+func (t *GeneralTable) materialize() *tensor.Matrix {
 	out := tensor.New(t.Shape.Rows, t.Shape.Dim)
 	for i := 0; i < t.Shape.Rows; i++ {
-		t.LookupRow(i, out.Row(i))
+		t.lookupRow(i, out.Row(i))
 	}
 	return out
 }
@@ -241,7 +241,7 @@ func (t *GeneralTable) Lookup(indices, offsets []int) *tensor.Matrix {
 // products shared by the longest common TT-index prefix between
 // consecutive indices in sorted order.
 func (t *GeneralTable) uniqueRows(uniq []int) *tensor.Matrix {
-	d := t.Shape.D()
+	d := t.Shape.d()
 	n := t.leftSizes()
 	rows := tensor.New(len(uniq), t.Shape.Dim)
 
@@ -258,7 +258,7 @@ func (t *GeneralTable) uniqueRows(uniq []int) *tensor.Matrix {
 	}
 	var prevIdx []int
 	for _, u := range order {
-		idx := t.Shape.FactorIndex(uniq[u])
+		idx := t.Shape.factorIndex(uniq[u])
 		// Longest common prefix with the previous index.
 		common := 0
 		if prevIdx != nil {
@@ -299,7 +299,7 @@ func (t *GeneralTable) Update(indices, offsets []int, dOut *tensor.Matrix, lr fl
 	// Accumulate exact batch gradients into core-shaped buffers, then apply
 	// one SGD step (the unfused discipline; the specialized Table offers the
 	// fused variant).
-	bufs := make([]*tensor.Matrix, t.Shape.D())
+	bufs := make([]*tensor.Matrix, t.Shape.d())
 	for k := range bufs {
 		bufs[k] = tensor.New(t.Cores[k].Rows, t.Cores[k].Cols)
 	}
@@ -318,8 +318,8 @@ func (t *GeneralTable) Update(indices, offsets []int, dOut *tensor.Matrix, lr fl
 //
 //	dG_k = L_{k-1}ᵀ · reshape(g·Rt_kᵀ, N_{k-1} × n_k·R_k)
 func (t *GeneralTable) backwardRow(row int, g []float32, bufs []*tensor.Matrix) {
-	d := t.Shape.D()
-	idx := t.Shape.FactorIndex(row)
+	d := t.Shape.d()
+	idx := t.Shape.factorIndex(row)
 	n := t.leftSizes()
 
 	// Left partial products L_0..L_{d-1}.

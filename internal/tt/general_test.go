@@ -23,11 +23,11 @@ func TestGeneralShapeValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		if s.D() != d {
-			t.Fatalf("D() = %d want %d", s.D(), d)
+		if s.d() != d {
+			t.Fatalf("D() = %d want %d", s.d(), d)
 		}
 		prod := 1
 		for _, f := range s.ColFactors {
@@ -45,7 +45,7 @@ func TestGeneralFactorIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1, 2499, 4999} {
-		idx := s.FactorIndex(i)
+		idx := s.factorIndex(i)
 		back := 0
 		for k, f := range s.RowFactors {
 			back = back*f + idx[k]
@@ -68,12 +68,12 @@ func TestGeneralMatchesSpecializedD3(t *testing.T) {
 		ColFactors: spec.ColFactors[:],
 		Ranks:      []int{spec.R1, spec.R2},
 	}
-	if err := gshape.Validate(); err != nil {
+	if err := gshape.validate(); err != nil {
 		t.Fatal(err)
 	}
 	g := &GeneralTable{Shape: gshape, Cores: tbl3.Cores[:]}
 	a := tbl3.Materialize()
-	b := g.Materialize()
+	b := g.materialize()
 	if d := a.MaxAbsDiff(b); d > 1e-5 {
 		t.Fatalf("general d=3 deviates from specialized by %v", d)
 	}
@@ -150,7 +150,7 @@ func TestGeneralLookupMatchesMaterialize(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := NewGeneralTable(s, tensor.NewRNG(71), 0.1)
-		mat := g.Materialize()
+		mat := g.materialize()
 		r := tensor.NewRNG(72)
 		indices, offsets := randomBatch(r, 300, 12, 3)
 		got := g.Lookup(indices, offsets)
@@ -178,7 +178,7 @@ func TestGeneralBackwardGradCheck(t *testing.T) {
 		return sum
 	}
 
-	before := make([]*tensor.Matrix, s.D())
+	before := make([]*tensor.Matrix, s.d())
 	for k := range before {
 		before[k] = g.Cores[k].Clone()
 	}
@@ -186,12 +186,12 @@ func TestGeneralBackwardGradCheck(t *testing.T) {
 	g.Update(indices, offsets, out, 1.0) // lr=1: cores move by -grad
 
 	const h = 1e-3
-	for k := 0; k < s.D(); k++ {
+	for k := 0; k < s.d(); k++ {
 		probes := []int{0, len(before[k].Data) / 2, len(before[k].Data) - 1}
 		for _, pi := range probes {
 			analytic := float64(before[k].Data[pi] - g.Cores[k].Data[pi])
 			// Numeric gradient on a pristine copy.
-			probe := &GeneralTable{Shape: s, Cores: make([]*tensor.Matrix, s.D())}
+			probe := &GeneralTable{Shape: s, Cores: make([]*tensor.Matrix, s.d())}
 			for kk := range probe.Cores {
 				probe.Cores[kk] = before[kk].Clone()
 			}
@@ -272,8 +272,8 @@ func TestGeneralValidationPanics(t *testing.T) {
 	for _, c := range []func(){
 		func() { g.Lookup([]int{1}, nil) },
 		func() { g.Lookup([]int{50}, []int{0}) },
-		func() { g.LookupRow(-1, make([]float32, 8)) },
-		func() { g.LookupRow(0, make([]float32, 3)) },
+		func() { g.lookupRow(-1, make([]float32, 8)) },
+		func() { g.lookupRow(0, make([]float32, 3)) },
 		func() { g.Update([]int{1}, []int{0}, tensor.New(2, 8), 0.1) },
 	} {
 		func() {
@@ -300,7 +300,7 @@ func TestQuickGeneralLookupAgainstMaterialized(t *testing.T) {
 			return true
 		}
 		g := NewGeneralTable(s, tensor.NewRNG(seed+1), 0.1)
-		mat := g.Materialize()
+		mat := g.materialize()
 		indices, offsets := randomBatch(r, rows, 1+r.Intn(6), 3)
 		got := g.Lookup(indices, offsets)
 		want := refLookup(mat, indices, offsets)

@@ -18,8 +18,8 @@ func hugeTable(t *testing.T) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumPrefixes() <= prefixDenseCap {
-		t.Fatalf("%d prefixes: not past prefixDenseCap", s.NumPrefixes())
+	if s.numPrefixes() <= prefixDenseCap {
+		t.Fatalf("%d prefixes: not past prefixDenseCap", s.numPrefixes())
 	}
 	return NewTable(s, tensor.NewRNG(910), 0.1)
 }
@@ -68,7 +68,7 @@ func TestHugeTableLookupUpdateZeroAllocBatchSizedScratch(t *testing.T) {
 
 // TestUpdateAfterLookupOfDifferentBatch: Update describes batch B after a
 // Lookup of batch A (or after no Lookup at all). It must train on B — bit for
-// bit what Forward+Backward of B does — not on the arena's leftovers of A.
+// bit what forward+backward of B does — not on the arena's leftovers of A.
 func TestUpdateAfterLookupOfDifferentBatch(t *testing.T) {
 	r := tensor.NewRNG(920)
 	for _, opts := range []Options{
@@ -89,8 +89,8 @@ func TestUpdateAfterLookupOfDifferentBatch(t *testing.T) {
 			}
 			got.Update(idxB, offB, dOut, 0.05)
 
-			_, cache := want.Forward(idxB, offB)
-			want.Backward(cache, dOut, 0.05)
+			_, cache := want.forward(idxB, offB)
+			want.backward(cache, dOut, 0.05)
 			for k := 0; k < Dims; k++ {
 				requireSameBits(t, "core after mismatched Update", got.Cores[k], want.Cores[k])
 			}

@@ -10,7 +10,7 @@ import (
 
 // TestForwardMetricsKnownBatch checks the exported counters and ratio
 // gauges against a hand-computed batch. testShape has RowFactors {4,5,5},
-// so Prefix(idx) = idx/5: indices 0 and 1 share prefix 0, index 7 has
+// so prefix(idx) = idx/5: indices 0 and 1 share prefix 0, index 7 has
 // prefix 1.
 func TestForwardMetricsKnownBatch(t *testing.T) {
 	tbl := newTestTable(t, 3)
@@ -19,11 +19,11 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 
 	indices := []int{0, 0, 1, 1, 7, 7}
 	offsets := []int{0, 3}
-	tbl.Forward(indices, offsets)
+	tbl.forward(indices, offsets)
 
 	snap := reg.Snapshot()
 	wantCounters := map[string]int64{
-		"tt_indices":               6, // occurrences entering Forward
+		"tt_indices":               6, // occurrences entering forward
 		"tt_work_items":            3, // unique rows {0, 1, 7}
 		"tt_prefix_work":           3, // all three work items hit the prefix stage
 		"tt_unique_prefixes":       2, // prefixes {0, 1}
@@ -43,7 +43,7 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 
 	// A second identical batch doubles the counters; the cumulative ratios
 	// are unchanged.
-	tbl.Forward(indices, offsets)
+	tbl.forward(indices, offsets)
 	snap = reg.Snapshot()
 	if got := snap.Counter("tt_indices"); got != 12 {
 		t.Errorf("tt_indices after second batch = %d want 12", got)
@@ -132,8 +132,8 @@ func TestForwardMetricsSharedAcrossTables(t *testing.T) {
 	a.AttachMetrics(reg)
 	b.AttachMetrics(reg)
 
-	a.Forward([]int{0, 0}, []int{0})
-	b.Forward([]int{1, 2, 3}, []int{0})
+	a.forward([]int{0, 0}, []int{0})
+	b.forward([]int{1, 2, 3}, []int{0})
 
 	if got := reg.Snapshot().Counter("tt_indices"); got != 5 {
 		t.Fatalf("aggregated tt_indices = %d want 5", got)
@@ -144,10 +144,10 @@ func TestForwardMetricsSharedAcrossTables(t *testing.T) {
 // stay no-ops (and do not panic).
 func TestForwardMetricsDetached(t *testing.T) {
 	tbl := newTestTable(t, 6)
-	tbl.Forward([]int{0, 1}, []int{0}) // never attached
+	tbl.forward([]int{0, 1}, []int{0}) // never attached
 
 	tbl.AttachMetrics(nil) // explicit nil registry
-	tbl.Forward([]int{0, 1}, []int{0})
+	tbl.forward([]int{0, 1}, []int{0})
 }
 
 // benchTable builds a larger table for the instrumentation-overhead
@@ -183,7 +183,7 @@ func BenchmarkForwardInstrumentation(b *testing.B) {
 		tbl := benchTable(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tbl.Forward(indices, offsets)
+			tbl.forward(indices, offsets)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
@@ -191,7 +191,7 @@ func BenchmarkForwardInstrumentation(b *testing.B) {
 		tbl.AttachMetrics(obs.NewRegistry())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tbl.Forward(indices, offsets)
+			tbl.forward(indices, offsets)
 		}
 	})
 }

@@ -84,7 +84,7 @@ func TestForwardZeroAllocVariantsSteadyState(t *testing.T) {
 func TestIdentityWorkOfSkipped(t *testing.T) {
 	tbl := newTestTable(t, 404)
 	tbl.Opts = Options{ReusePrefix: true}
-	_, cache := tbl.Forward([]int{3, 3, 9}, []int{0, 2})
+	_, cache := tbl.forward([]int{3, 3, 9}, []int{0, 2})
 	if cache.WorkOf != nil {
 		t.Fatalf("WorkOf should be nil (identity) without dedup, got len %d", len(cache.WorkOf))
 	}
@@ -122,6 +122,6 @@ func BenchmarkForwardEff(b *testing.B) {
 	indices, offsets := randomBatch(r, tbl.NumRows(), 256, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.Forward(indices, offsets)
+		tbl.forward(indices, offsets)
 	}
 }

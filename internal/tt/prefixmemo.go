@@ -7,7 +7,7 @@ import "repro/internal/tensor"
 // trainable table rewrites every core slice a batch touches in that batch's
 // update, so a product kept across steps is never valid again and training
 // runs Algorithm 1's reuse buffer per batch (fillPrefixBatchLocal). A
-// clone's cores never change — Backward on a clone panics — so a memoised
+// clone's cores never change — backward on a clone panics — so a memoised
 // product stays valid for the clone's whole life and carries no version: a
 // hit returns bytes the same GEMM kernel computed from the same two
 // slices, bit-exact with recomputing. A new model version is served by fresh
@@ -15,7 +15,7 @@ import "repro/internal/tensor"
 //
 // The memo is consulted on the arena (Lookup) path only, which the Table
 // protocol serializes per clone, so it takes no lock; a clone's
-// concurrent-safe Forward allocates a batch-local buffer like any table's.
+// concurrent-safe forward allocates a batch-local buffer like any table's.
 
 // prefixMemoBudgetBytes is the soft cap on memoised product storage; beyond
 // it the memo recycles slots not used by the current batch instead of
@@ -41,10 +41,10 @@ type prefixMemo struct {
 }
 
 func newPrefixMemo(s Shape) *prefixMemo {
-	m := &prefixMemo{budget: max(prefixMemoBudgetBytes/(4*s.PrefixSize()), 64)}
-	if s.NumPrefixes() <= prefixDenseCap {
-		m.slotOf = make([]int32, s.NumPrefixes())
-		m.buf = tensor.New(64, s.PrefixSize())
+	m := &prefixMemo{budget: max(prefixMemoBudgetBytes/(4*s.prefixSize()), 64)}
+	if s.numPrefixes() <= prefixDenseCap {
+		m.slotOf = make([]int32, s.numPrefixes())
+		m.buf = tensor.New(64, s.prefixSize())
 	}
 	return m
 }
@@ -53,12 +53,12 @@ func newPrefixMemo(s Shape) *prefixMemo {
 // products are hits; absent ones are assigned slots and computed after the
 // scan (slot storage may grow during the scan, so row pointers are only taken
 // once it is done).
-func (t *Table) fillFromMemo(c *ForwardCache, m *prefixMemo) {
+func (t *Table) fillFromMemo(c *forwardCache, m *prefixMemo) {
 	m.seq++
 	c.prefixes = c.prefixes[:0] // slots to compute this batch
 	hits := 0
 	for w, idx := range c.WorkIdx {
-		pfx := t.Shape.Prefix(idx)
+		pfx := t.Shape.prefix(idx)
 		s := int(m.slotOf[pfx]) - 1
 		if s < 0 {
 			s = m.claimSlot()

@@ -54,7 +54,7 @@ func TestPrefixCacheHitsAcrossBatches(t *testing.T) {
 
 // TestPrefixCacheBitExactAgainstRecompute pins the hit contract: a clone's
 // Lookup, cold or served from memoised products, is bit-identical to the
-// batch-local recompute (fresh-cache Forward) on the source — across model
+// batch-local recompute (fresh-cache forward) on the source — across model
 // versions produced the supported way, by training the source and
 // re-cloning.
 func TestPrefixCacheBitExactAgainstRecompute(t *testing.T) {
@@ -66,7 +66,7 @@ func TestPrefixCacheBitExactAgainstRecompute(t *testing.T) {
 	for version := 0; version < 4; version++ {
 		clone := tbl.CloneForServing()
 		hits, _ := cacheCounters(clone)
-		want, _ := tbl.Forward(indices, offsets) // batch-local prefixes
+		want, _ := tbl.forward(indices, offsets) // batch-local prefixes
 		requireSameBits(t, fmt.Sprintf("version %d cold lookup", version), clone.Lookup(indices, offsets), want)
 		requireSameBits(t, fmt.Sprintf("version %d warm lookup", version), clone.Lookup(indices, offsets), want)
 		if hits.Value() == 0 {
@@ -142,7 +142,7 @@ func TestPrefixMemoGrowsByQuarterToBudget(t *testing.T) {
 // TestCloneMemoOverflowMatchesSourceForward: over a recurring skewed stream
 // whose working set overflows a shrunken budget — hits, recycling and
 // growth past the budget all occur — every clone Lookup equals the source
-// table's fresh-cache Forward bit for bit.
+// table's fresh-cache forward bit for bit.
 func TestCloneMemoOverflowMatchesSourceForward(t *testing.T) {
 	tbl, _, _ := cloneTestTable(t) // 256 prefixes
 	clone := tbl.CloneForServing()
@@ -161,7 +161,7 @@ func TestCloneMemoOverflowMatchesSourceForward(t *testing.T) {
 			offsets[i] = i
 		}
 		slots, missed := len(clone.memo.key), misses.Value()
-		want, _ := tbl.Forward(indices, offsets)
+		want, _ := tbl.forward(indices, offsets)
 		requireSameBits(t, fmt.Sprintf("step %d", step), clone.Lookup(indices, offsets), want)
 		if slots >= clone.memo.budget && misses.Value() > missed {
 			if len(clone.memo.key) > slots {
@@ -192,7 +192,7 @@ func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
 		indices, offsets := randomBatch(r, tbl.NumRows(), 2+step, 4)
 		unique := map[int]bool{}
 		for _, idx := range indices {
-			unique[tbl.Shape.Prefix(idx)] = true
+			unique[tbl.Shape.prefix(idx)] = true
 		}
 		maxUnique = max(maxUnique, len(unique))
 		out := tbl.Lookup(indices, offsets)
@@ -209,14 +209,14 @@ func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
 	}
 	// Storage follows the batches: the largest one's unique prefixes plus
 	// growInts' quarter of headroom, never a memo's budget.
-	if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.PrefixSize(); got > tensor.Headroom(maxUnique, maxUnique*2) {
+	if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.prefixSize(); got > tensor.Headroom(maxUnique, maxUnique*2) {
 		t.Fatalf("arena reuse buffer has room for %d prefixes, the largest batch had %d", got, maxUnique)
 	}
 }
 
 // TestArenaTrainingMatchesFreshCacheTraining: the serialized arena path
 // (Lookup/Update, scratch reused across batches) is the same computation as
-// the fresh-cache path (Forward/Backward) — after several steps the cores
+// the fresh-cache path (forward/backward) — after several steps the cores
 // are bit-identical, for 1, 2 and 4 workers, fused and unfused, SGD and
 // Adagrad.
 func TestArenaTrainingMatchesFreshCacheTraining(t *testing.T) {
@@ -238,8 +238,8 @@ func TestArenaTrainingMatchesFreshCacheTraining(t *testing.T) {
 				arena := trainSteps(newTbl(), indices, offsets, 0.05)
 				fresh := newTbl()
 				for s := range indices {
-					out, cache := fresh.Forward(indices[s], offsets[s])
-					fresh.Backward(cache, out.Clone(), 0.05)
+					out, cache := fresh.forward(indices[s], offsets[s])
+					fresh.backward(cache, out.Clone(), 0.05)
 				}
 				for k := 0; k < Dims; k++ {
 					if d := arena.Cores[k].MaxAbsDiff(fresh.Cores[k]); d != 0 {

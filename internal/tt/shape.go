@@ -39,11 +39,11 @@ type Shape struct {
 // rank. Row factors are chosen near the cube root of rows (padding up);
 // column factors must divide dim exactly into three balanced factors.
 func NewShape(rows, dim, rank int) (Shape, error) {
-	return NewShapeRanks(rows, dim, rank, rank)
+	return newShapeRanks(rows, dim, rank, rank)
 }
 
-// NewShapeRanks is NewShape with independent ranks R₁ and R₂.
-func NewShapeRanks(rows, dim, r1, r2 int) (Shape, error) {
+// newShapeRanks is NewShape with independent ranks R₁ and R₂.
+func newShapeRanks(rows, dim, r1, r2 int) (Shape, error) {
 	if rows <= 0 || dim <= 0 {
 		return Shape{}, fmt.Errorf("tt: invalid table shape %dx%d", rows, dim)
 	}
@@ -64,31 +64,31 @@ func NewShapeRanks(rows, dim, r1, r2 int) (Shape, error) {
 	}, nil
 }
 
-// PaddedRows returns m₁·m₂·m₃, the row capacity of the TT representation.
-func (s Shape) PaddedRows() int {
+// paddedRows returns m₁·m₂·m₃, the row capacity of the TT representation.
+func (s Shape) paddedRows() int {
 	return s.RowFactors[0] * s.RowFactors[1] * s.RowFactors[2]
 }
 
-// FactorIndex splits a row index into its TT indices per Equation 3.
-func (s Shape) FactorIndex(i int) (i1, i2, i3 int) {
+// factorIndex splits a row index into its TT indices per Equation 3.
+func (s Shape) factorIndex(i int) (i1, i2, i3 int) {
 	m2, m3 := s.RowFactors[1], s.RowFactors[2]
 	return i / (m2 * m3), (i / m3) % m2, i % m3
 }
 
-// JoinIndex is the inverse of FactorIndex.
-func (s Shape) JoinIndex(i1, i2, i3 int) int {
+// joinIndex is the inverse of factorIndex.
+func (s Shape) joinIndex(i1, i2, i3 int) int {
 	return (i1*s.RowFactors[1]+i2)*s.RowFactors[2] + i3
 }
 
-// Prefix returns the reuse-buffer key of index i: the combined (i₁,i₂)
+// prefix returns the reuse-buffer key of index i: the combined (i₁,i₂)
 // coordinate, i.e. i / m₃ exactly as Algorithm 1 computes Buf_idx.
-func (s Shape) Prefix(i int) int { return i / s.RowFactors[2] }
+func (s Shape) prefix(i int) int { return i / s.RowFactors[2] }
 
-// NumPrefixes returns m₁·m₂, the size of the prefix space.
-func (s Shape) NumPrefixes() int { return s.RowFactors[0] * s.RowFactors[1] }
+// numPrefixes returns m₁·m₂, the size of the prefix space.
+func (s Shape) numPrefixes() int { return s.RowFactors[0] * s.RowFactors[1] }
 
-// SliceSizes returns the float count of one slice of each core.
-func (s Shape) SliceSizes() [Dims]int {
+// sliceSizes returns the float count of one slice of each core.
+func (s Shape) sliceSizes() [Dims]int {
 	n := s.ColFactors
 	return [Dims]int{
 		n[0] * s.R1,
@@ -97,15 +97,15 @@ func (s Shape) SliceSizes() [Dims]int {
 	}
 }
 
-// PrefixSize returns the float count of one reuse-buffer entry
+// prefixSize returns the float count of one reuse-buffer entry
 // (n₁ × n₂·R₂, the product of the first two cores).
-func (s Shape) PrefixSize() int {
+func (s Shape) prefixSize() int {
 	return s.ColFactors[0] * s.ColFactors[1] * s.R2
 }
 
-// NumParams returns the total number of trainable floats across the cores.
-func (s Shape) NumParams() int {
-	sz := s.SliceSizes()
+// numParams returns the total number of trainable floats across the cores.
+func (s Shape) numParams() int {
+	sz := s.sliceSizes()
 	total := 0
 	for k := 0; k < Dims; k++ {
 		total += s.RowFactors[k] * sz[k]
@@ -114,22 +114,22 @@ func (s Shape) NumParams() int {
 }
 
 // FootprintBytes returns the parameter storage size of the TT cores.
-func (s Shape) FootprintBytes() int64 { return int64(s.NumParams()) * 4 }
+func (s Shape) FootprintBytes() int64 { return int64(s.numParams()) * 4 }
 
-// CompressionRatio returns (uncompressed bytes) / (TT bytes) for the
+// compressionRatio returns (uncompressed bytes) / (TT bytes) for the
 // logical table, the quantity Table III reports.
-func (s Shape) CompressionRatio() float64 {
+func (s Shape) compressionRatio() float64 {
 	raw := float64(s.Rows) * float64(s.Dim) * 4
 	return raw / float64(s.FootprintBytes())
 }
 
-// Validate reports whether the shape is internally consistent.
-func (s Shape) Validate() error {
+// validate reports whether the shape is internally consistent.
+func (s Shape) validate() error {
 	if s.Rows <= 0 || s.Dim <= 0 || s.R1 <= 0 || s.R2 <= 0 {
 		return fmt.Errorf("tt: invalid shape %+v", s)
 	}
-	if s.PaddedRows() < s.Rows {
-		return fmt.Errorf("tt: padded rows %d < rows %d", s.PaddedRows(), s.Rows)
+	if s.paddedRows() < s.Rows {
+		return fmt.Errorf("tt: padded rows %d < rows %d", s.paddedRows(), s.Rows)
 	}
 	prod := s.ColFactors[0] * s.ColFactors[1] * s.ColFactors[2]
 	if prod != s.Dim {

@@ -13,14 +13,14 @@ func TestNewShapeBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PaddedRows() < 1000 {
-		t.Fatalf("padded rows %d < 1000", s.PaddedRows())
+	if s.paddedRows() < 1000 {
+		t.Fatalf("padded rows %d < 1000", s.paddedRows())
 	}
 	prod := s.ColFactors[0] * s.ColFactors[1] * s.ColFactors[2]
 	if prod != 16 {
 		t.Fatalf("col factors %v product %d", s.ColFactors, prod)
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,12 +82,12 @@ func TestExactFactors3Balanced(t *testing.T) {
 
 func TestFactorIndexRoundTrip(t *testing.T) {
 	s, _ := NewShape(5000, 8, 4)
-	for _, i := range []int{0, 1, 999, 4999, s.PaddedRows() - 1} {
-		i1, i2, i3 := s.FactorIndex(i)
+	for _, i := range []int{0, 1, 999, 4999, s.paddedRows() - 1} {
+		i1, i2, i3 := s.factorIndex(i)
 		if i1 < 0 || i1 >= s.RowFactors[0] || i2 < 0 || i2 >= s.RowFactors[1] || i3 < 0 || i3 >= s.RowFactors[2] {
 			t.Fatalf("FactorIndex(%d) = (%d,%d,%d) out of range %v", i, i1, i2, i3, s.RowFactors)
 		}
-		if back := s.JoinIndex(i1, i2, i3); back != i {
+		if back := s.joinIndex(i1, i2, i3); back != i {
 			t.Fatalf("JoinIndex(FactorIndex(%d)) = %d", i, back)
 		}
 	}
@@ -102,8 +102,8 @@ func TestQuickFactorIndexRoundTrip(t *testing.T) {
 			return false
 		}
 		i := r.Intn(rows)
-		i1, i2, i3 := s.FactorIndex(i)
-		return s.JoinIndex(i1, i2, i3) == i && s.Prefix(i) == i/s.RowFactors[2]
+		i1, i2, i3 := s.factorIndex(i)
+		return s.joinIndex(i1, i2, i3) == i && s.prefix(i) == i/s.RowFactors[2]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestQuickFactorIndexRoundTrip(t *testing.T) {
 func TestPrefixMatchesFirstTwoFactors(t *testing.T) {
 	s, _ := NewShape(1000, 8, 4)
 	for i := 0; i < 1000; i += 37 {
-		i1, i2, _ := s.FactorIndex(i)
-		if s.Prefix(i) != i1*s.RowFactors[1]+i2 {
+		i1, i2, _ := s.factorIndex(i)
+		if s.prefix(i) != i1*s.RowFactors[1]+i2 {
 			t.Fatalf("Prefix(%d) inconsistent with FactorIndex", i)
 		}
 	}
@@ -125,22 +125,22 @@ func TestShapeSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sz := s.SliceSizes()
+	sz := s.sliceSizes()
 	if sz[0] != 2*4 || sz[1] != 4*2*4 || sz[2] != 4*2 {
 		t.Fatalf("SliceSizes = %v", sz)
 	}
-	if s.PrefixSize() != 2*2*4 {
-		t.Fatalf("PrefixSize = %d", s.PrefixSize())
+	if s.prefixSize() != 2*2*4 {
+		t.Fatalf("PrefixSize = %d", s.prefixSize())
 	}
 	wantParams := 10*8 + 10*32 + 10*8
-	if s.NumParams() != wantParams {
-		t.Fatalf("NumParams = %d want %d", s.NumParams(), wantParams)
+	if s.numParams() != wantParams {
+		t.Fatalf("NumParams = %d want %d", s.numParams(), wantParams)
 	}
 	if s.FootprintBytes() != int64(wantParams)*4 {
 		t.Fatalf("FootprintBytes = %d", s.FootprintBytes())
 	}
-	if s.NumPrefixes() != 100 {
-		t.Fatalf("NumPrefixes = %d", s.NumPrefixes())
+	if s.numPrefixes() != 100 {
+		t.Fatalf("NumPrefixes = %d", s.numPrefixes())
 	}
 }
 
@@ -151,7 +151,7 @@ func TestCompressionRatioLargeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := s.CompressionRatio(); r < 100 {
+	if r := s.compressionRatio(); r < 100 {
 		t.Fatalf("compression ratio %v unexpectedly small", r)
 	}
 }

@@ -35,11 +35,11 @@ func TestStackedPrefixBufMatchesComputePrefix(t *testing.T) {
 	for _, dedup := range []bool{true, false} {
 		tbl := newTestTable(t, 42)
 		tbl.Opts = Options{DedupIndices: dedup, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: true}
-		want := make([]float32, tbl.Shape.PrefixSize())
-		check := func(name string, c *ForwardCache) {
+		want := make([]float32, tbl.Shape.prefixSize())
+		check := func(name string, c *forwardCache) {
 			t.Helper()
 			for w, idx := range c.WorkIdx {
-				i1, i2, _ := tbl.Shape.FactorIndex(idx)
+				i1, i2, _ := tbl.Shape.factorIndex(idx)
 				tbl.computePrefix(i1, i2, want)
 				for i, v := range c.PrefixBuf.Row(c.PrefixSlots[w]) {
 					if math.Float32bits(v) != math.Float32bits(want[i]) {
@@ -49,7 +49,7 @@ func TestStackedPrefixBufMatchesComputePrefix(t *testing.T) {
 			}
 		}
 		for _, b := range stackedBatches() {
-			_, c := tbl.Forward(b.indices, b.offsets)
+			_, c := tbl.forward(b.indices, b.offsets)
 			check(b.name+" fresh", c)
 			tbl.Lookup(b.indices, b.offsets)
 			check(b.name+" arena", tbl.arena)
@@ -72,13 +72,13 @@ func TestStackedFillWorkerCountInvariant(t *testing.T) {
 	var ref, refBuf *tensor.Matrix
 	for _, workers := range []int{1, 2, 4} {
 		tensor.SetMaxWorkers(workers)
-		out, c := tbl.Forward(indices, offsets)
-		if !tensor.Parallel(len(c.prefixes)*shape.R1*shape.PrefixSize()) && workers > 1 {
+		out, c := tbl.forward(indices, offsets)
+		if !tensor.Parallel(len(c.prefixes)*shape.R1*shape.prefixSize()) && workers > 1 {
 			t.Fatalf("%d prefixes do not reach the dispatch gate", len(c.prefixes))
 		}
 		if ref == nil {
 			ref, refBuf = out, c.PrefixBuf
-			want := make([]float32, shape.PrefixSize())
+			want := make([]float32, shape.prefixSize())
 			for u, pfx := range c.prefixes {
 				tbl.computePrefix(pfx/shape.RowFactors[1], pfx%shape.RowFactors[1], want)
 				for i, v := range c.PrefixBuf.Row(u) {
@@ -108,14 +108,14 @@ func refCoreGrads(tbl *Table, indices, offsets []int, dOut *tensor.Matrix) [Dims
 	for k := range grads {
 		grads[k] = make([]float64, len(tbl.Cores[k].Data))
 	}
-	sz := tbl.Shape.SliceSizes()
+	sz := tbl.Shape.sliceSizes()
 	for s := range offsets {
 		end := len(indices)
 		if s+1 < len(offsets) {
 			end = offsets[s+1]
 		}
 		for _, idx := range indices[offsets[s]:end] {
-			i1, i2, i3 := tbl.Shape.FactorIndex(idx)
+			i1, i2, i3 := tbl.Shape.factorIndex(idx)
 			g1, g2, g3 := tbl.Slice1(i1), tbl.Slice2(i2), tbl.Slice3(i3)
 			for a := 0; a < n[0]; a++ {
 				for b := 0; b < n[1]; b++ {

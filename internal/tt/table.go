@@ -58,7 +58,7 @@ type Table struct {
 	Shape Shape
 	Opts  Options
 	// Cores[k] stores one slice per row: Cores[k] has RowFactors[k] rows of
-	// SliceSizes()[k] floats each.
+	// sliceSizes()[k] floats each.
 	Cores [Dims]*tensor.Matrix
 
 	locks [Dims][lockStripes]sync.Mutex
@@ -72,15 +72,15 @@ type Table struct {
 	adagrad [Dims]*tensor.Matrix
 
 	// lastCache retains the most recent Lookup's forward cache for Update.
-	lastCache *ForwardCache
+	lastCache *forwardCache
 
 	// arena is the table-owned forward cache the Lookup/Update path reuses
-	// across batches (see ForwardCache), allocated on first Lookup.
-	arena *ForwardCache
+	// across batches (see forwardCache), allocated on first Lookup.
+	arena *forwardCache
 
 	// memo is non-nil exactly on the read-only replicas CloneForServing
 	// returns: it keeps prefix products across batches (prefixmemo.go) and
-	// marks the table as one Backward must refuse. Trainable tables run
+	// marks the table as one backward must refuse. Trainable tables run
 	// Algorithm 1's reuse buffer per batch on their arena.
 	memo *prefixMemo
 
@@ -100,13 +100,13 @@ type Table struct {
 type tableMetrics struct {
 	attached bool
 
-	indices        *obs.Counter // index occurrences entering Forward
+	indices        *obs.Counter // index occurrences entering forward
 	workItems      *obs.Counter // rows actually computed (unique under dedup)
 	prefixWork     *obs.Counter // work items entering the prefix stage
 	uniquePrefixes *obs.Counter // distinct prefixes materialized per batch
 	gemmLaunches   *obs.Counter // batched-GEMM kernel launches, one GEMM per unique prefix inside
 
-	backwardRows  *obs.Counter // gradient occurrences entering Backward
+	backwardRows  *obs.Counter // gradient occurrences entering backward
 	backwardWork  *obs.Counter // gradient rows after in-advance aggregation
 	backwardPairs *obs.Counter // dG₁/dG₂ contraction pairs run: one per unique prefix (per row on the baseline)
 
@@ -144,7 +144,7 @@ func (t *Table) AttachMetrics(r *obs.Registry) {
 	}
 }
 
-// recordForward accumulates one Forward call's dedup split and refreshes
+// recordForward accumulates one forward call's dedup split and refreshes
 // the cumulative dedup-ratio gauge.
 func (m *tableMetrics) recordForward(indices, workItems int) {
 	if !m.attached {
@@ -203,7 +203,7 @@ func (m *tableMetrics) recordPrefixCache(hits, misses int) {
 	m.cacheMisses.Add(int64(misses))
 }
 
-// recordBackward accumulates one Backward call's two aggregation levels and
+// recordBackward accumulates one backward call's two aggregation levels and
 // refreshes their ratio gauges (§III-B): occurrences per aggregated gradient
 // row, and aggregated rows per pair of rank-sized contractions (dG₁, dG₂)
 // actually run — prefixWork is the batch's unique prefixes with
@@ -224,14 +224,14 @@ func (m *tableMetrics) recordBackward(rows, workRows, prefixWork int) {
 // targetStd (pass 0 for the default 0.05, roughly matching the DLRM
 // reference initialization at the bench scales used here).
 func NewTable(shape Shape, rng *tensor.RNG, targetStd float64) *Table {
-	if err := shape.Validate(); err != nil {
+	if err := shape.validate(); err != nil {
 		panic(err)
 	}
 	if targetStd <= 0 {
 		targetStd = 0.05
 	}
 	t := &Table{Shape: shape, Opts: EffOptions()}
-	sz := shape.SliceSizes()
+	sz := shape.sliceSizes()
 	// Var(row element) ≈ R₁·R₂·σ₁²σ₂²σ₃²; pick equal per-core σ so the
 	// product of the three cores lands on targetStd.
 	sigma := math.Pow(targetStd*targetStd/float64(shape.R1*shape.R2), 1.0/6.0)
@@ -261,7 +261,7 @@ func (t *Table) Slice2(i2 int) []float32 { return t.Cores[1].Row(i2) }
 func (t *Table) Slice3(i3 int) []float32 { return t.Cores[2].Row(i3) }
 
 // computePrefix writes G₁[i₁]·G₂[i₂] into dst (n₁ × n₂R₂ row-major,
-// PrefixSize() floats).
+// prefixSize() floats).
 func (t *Table) computePrefix(i1, i2 int, dst []float32) {
 	n := t.Shape.ColFactors
 	tensor.GemmInto(n[0], t.Shape.R1, n[1]*t.Shape.R2, t.Slice1(i1), t.Slice2(i2), dst)
@@ -283,21 +283,21 @@ func (t *Table) LookupRow(i int, dst []float32) {
 	if len(dst) != t.Shape.Dim {
 		panic(fmt.Sprintf("tt: LookupRow dst len %d want %d", len(dst), t.Shape.Dim))
 	}
-	i1, i2, i3 := t.Shape.FactorIndex(i)
-	p12 := make([]float32, t.Shape.PrefixSize())
+	i1, i2, i3 := t.Shape.factorIndex(i)
+	p12 := make([]float32, t.Shape.prefixSize())
 	t.computePrefix(i1, i2, p12)
 	t.rowFromPrefix(p12, i3, dst)
 }
 
 // Materialize reconstructs the full logical table (Rows × Dim); for tests
-// and TT-SVD round trips only — it defeats the compression.
+// only — it defeats the compression.
 func (t *Table) Materialize() *tensor.Matrix {
 	out := tensor.New(t.Shape.Rows, t.Shape.Dim)
-	p12 := make([]float32, t.Shape.PrefixSize())
+	p12 := make([]float32, t.Shape.prefixSize())
 	lastPrefix := -1
 	for i := 0; i < t.Shape.Rows; i++ {
-		i1, i2, i3 := t.Shape.FactorIndex(i)
-		if pfx := t.Shape.Prefix(i); pfx != lastPrefix {
+		i1, i2, i3 := t.Shape.factorIndex(i)
+		if pfx := t.Shape.prefix(i); pfx != lastPrefix {
 			t.computePrefix(i1, i2, p12)
 			lastPrefix = pfx
 		}
