@@ -19,8 +19,8 @@
 //
 // An override of 0 keeps the -scale preset's value (-lookahead: -1). A
 // negative override, -lookahead below -1, a non-finite -dataset-scale, an
-// unknown -scale or a positional argument exits 2 with an "invalid flags"
-// line before any experiment runs.
+// unknown -scale or -exp id or a positional argument exits 2 with an
+// "invalid flags" line before any experiment runs.
 package main
 
 import (
@@ -33,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -124,6 +125,21 @@ func newOptions(fs *flag.FlagSet) *options {
 	return o
 }
 
+// experiments returns the -exp ids, refusing one bench.List does not name.
+func (o *options) experiments() ([]string, error) {
+	if o.exps == "all" {
+		return bench.List(), nil
+	}
+	ids := strings.Split(o.exps, ",")
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		if !slices.Contains(bench.List(), ids[i]) {
+			return nil, fmt.Errorf("-exp %q: unknown experiment", ids[i])
+		}
+	}
+	return ids, nil
+}
+
 // benchScale returns the -scale preset with the overrides applied, or an
 // error naming the first flag out of range: an override below 0, a
 // non-finite -dataset-scale, -lookahead below -1 or -workers below 0.
@@ -190,6 +206,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	sc, err := o.benchScale()
+	var ids []string
+	if err == nil {
+		ids, err = o.experiments()
+	}
 	if err == nil && fs.NArg() > 0 {
 		err = fmt.Errorf("positional arguments %q (only -compare takes any)", fs.Args())
 	}
@@ -213,12 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "debug endpoint up on %s\n", dbg.Addr())
 	}
 
-	ids := bench.List()
-	if o.exps != "all" {
-		ids = strings.Split(o.exps, ",")
-	}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		reg.Reset()
 		start := time.Now()
 		res, err := bench.Run(id, sc)

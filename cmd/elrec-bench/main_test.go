@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cmdtest"
 )
 
@@ -40,10 +38,8 @@ func TestDocumentedCommandLines(t *testing.T) {
 			err = fmt.Errorf("positional arguments %q", fs.Args())
 		default:
 			_, err = o.benchScale()
-			for _, id := range strings.Split(o.exps, ",") {
-				if o.exps != "all" && !slices.Contains(bench.List(), id) {
-					t.Errorf("%s: elrec-bench %s: unknown experiment %q", c.Where, strings.Join(c.Args, " "), id)
-				}
+			if err == nil {
+				_, err = o.experiments()
 			}
 		}
 		if err != nil {
@@ -64,15 +60,16 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-// TestInvalidFlagsExitTwo: an override out of range exits 2 with an
-// "invalid flags" line and runs no experiment (table3 would print a table).
+// TestInvalidFlagsExitTwo: an override out of range, a positional argument
+// or an unknown -exp id exits 2 with an "invalid flags" line and runs no
+// experiment (table3 and table2 would print a table).
 func TestInvalidFlagsExitTwo(t *testing.T) {
 	base := []string{"-exp", "table3", "-scale", "quick", "-json-dir", ""}
 	for _, bad := range [][]string{
 		{"-batch", "-5", "-dim", "-3", "-rank", "0", "-dataset-scale", "-1"},
 		{"-batch", "-1"}, {"-steps", "-1"}, {"-dim", "-1"}, {"-rank", "-1"}, {"-train-steps", "-1"},
 		{"-workers", "-1"}, {"-lookahead", "-2"}, {"-dataset-scale", "-0.5"}, {"-dataset-scale", "NaN"},
-		{"-dataset-scale", "+Inf"}, {"-scale", "huge"}, {"table2"},
+		{"-dataset-scale", "+Inf"}, {"-scale", "huge"}, {"table2"}, {"-exp", "table2,nope"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(append(append([]string{}, base...), bad...), &stdout, &stderr); code != 2 {

@@ -23,6 +23,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -36,7 +37,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:], os.Stderr))
 }
 
 // options is elrec-ps's command line, defined on a flag set by newOptions.
@@ -65,19 +66,24 @@ func newOptions(fs *flag.FlagSet) *options {
 	return o
 }
 
-func run() int {
-	o := newOptions(flag.CommandLine)
-	flag.Parse()
-
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
-	if o.dir == "" {
-		log.Error("missing -dir: a shard needs a durable state directory")
+// run is elrec-ps on args, parsed on fs; the log goes to stderr.
+func run(fs *flag.FlagSet, args []string, stderr io.Writer) int {
+	o := newOptions(fs)
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: o.logLevel}))
 	sc, err := distps.NewScenario(o.spec, 0) // a shard never reads the queue depth
+	if err == nil {
+		err = core.CheckArgs(fs)
+	}
 	if err != nil {
 		log.Error("invalid flags", "err", err)
+		return 2
+	}
+	if o.dir == "" {
+		log.Error("missing -dir: a shard needs a durable state directory")
 		return 2
 	}
 	log.Info("run spec", "spec", o.spec.JSON())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"strings"
 	"testing"
@@ -45,5 +46,16 @@ func TestDefaults(t *testing.T) {
 		"log-level=INFO lr=0.5 rank=8 shards=1 steps=200 tt-threshold=10000"
 	if got := cmdtest.Defaults(fs); got != want {
 		t.Errorf("flags = %s\nwant    %s", got, want)
+	}
+}
+
+// TestStrayWordExitsTwo: flag parsing stops at a positional argument, so
+// elrec-ps refuses one with exit 2 and an invalid-flags line before it runs;
+// without the check this command line would fail to listen and exit 1.
+func TestStrayWordExitsTwo(t *testing.T) {
+	args := strings.Fields("-dir " + t.TempDir() + " -addr 127.0.0.1:99999 stray")
+	var stderr bytes.Buffer
+	if code := run(flag.NewFlagSet("elrec-ps", flag.ContinueOnError), args, &stderr); code != 2 || !strings.Contains(stderr.String(), "invalid flags") {
+		t.Fatalf("elrec-ps %s: exit %d, log %q; want exit 2 and an invalid flags line", strings.Join(args, " "), code, stderr.String())
 	}
 }

@@ -42,6 +42,7 @@ package main
 import (
 	"context"
 	"flag"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -60,7 +61,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:], os.Stderr))
 }
 
 // Rows per scoring forward pass and requests merged into one micro-batch.
@@ -90,13 +91,19 @@ func newOptions(fs *flag.FlagSet) *options {
 	return o
 }
 
-func run() int {
-	o := newOptions(flag.CommandLine)
-	flag.Parse()
+// run is elrec-serve on args, parsed on fs; the log goes to stderr.
+func run(fs *flag.FlagSet, args []string, stderr io.Writer) int {
+	o := newOptions(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	spec, err := o.spec.Validate()
+	if err == nil {
+		err = core.CheckArgs(fs)
+	}
 	if err != nil {
 		log.Error("invalid flags", "err", err)
 		return 2

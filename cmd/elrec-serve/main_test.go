@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"regexp"
@@ -71,5 +72,16 @@ func TestBenchmarkFlagsRegistered(t *testing.T) {
 		if fs.Lookup(n[1]) == nil {
 			t.Errorf("benchmark/serve.go passes -%s, which elrec-serve does not define", n[1])
 		}
+	}
+}
+
+// TestStrayWordExitsTwo: flag parsing stops at a positional argument, so
+// elrec-serve refuses one with exit 2 and an invalid-flags line before it runs;
+// without the check this command line would fail to load the model and exit 1.
+func TestStrayWordExitsTwo(t *testing.T) {
+	args := strings.Fields("-load /nonexistent/model.bin stray -steps 0")
+	var stderr bytes.Buffer
+	if code := run(flag.NewFlagSet("elrec-serve", flag.ContinueOnError), args, &stderr); code != 2 || !strings.Contains(stderr.String(), "invalid flags") {
+		t.Fatalf("elrec-serve %s: exit %d, log %q; want exit 2 and an invalid flags line", strings.Join(args, " "), code, stderr.String())
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -58,7 +59,7 @@ import (
 func main() {
 	// Exit via a return code so deferred cleanup (trace export, debug
 	// endpoint shutdown) runs before the process ends.
-	os.Exit(run())
+	os.Exit(run(flag.CommandLine, os.Args[1:], os.Stderr))
 }
 
 // evalBatches is the held-out evaluation length, in batches.
@@ -95,13 +96,19 @@ func newOptions(fs *flag.FlagSet) *options {
 	return o
 }
 
-func run() int {
-	o := newOptions(flag.CommandLine)
-	flag.Parse()
+// run is elrec-train on args, parsed on fs; the log goes to stderr.
+func run(fs *flag.FlagSet, args []string, stderr io.Writer) int {
+	o := newOptions(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	spec, err := o.spec.Validate()
+	if err == nil {
+		err = core.CheckArgs(fs)
+	}
 	if err == nil && o.logEvery < 1 {
 		err = fmt.Errorf("-log-every %d: must be at least 1", o.logEvery)
 	}

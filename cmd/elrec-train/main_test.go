@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"strings"
 	"testing"
@@ -45,5 +46,16 @@ func TestDefaults(t *testing.T) {
 		"log-every=100 log-level=INFO lookahead=0 lr=1 no-reorder=false queue=4 rank=8 resume= save= steps=1000 trace= tt-threshold=10000"
 	if got := cmdtest.Defaults(fs); got != want {
 		t.Errorf("flags = %s\nwant    %s", got, want)
+	}
+}
+
+// TestStrayWordExitsTwo: flag parsing stops at a positional argument, so
+// elrec-train refuses one with exit 2 and an invalid-flags line before it runs;
+// without the check this command line would train one step and exit 0.
+func TestStrayWordExitsTwo(t *testing.T) {
+	args := strings.Fields("-dataset-scale 0.0005 -steps 1 -batch 8 stray -batch 0")
+	var stderr bytes.Buffer
+	if code := run(flag.NewFlagSet("elrec-train", flag.ContinueOnError), args, &stderr); code != 2 || !strings.Contains(stderr.String(), "invalid flags") {
+		t.Fatalf("elrec-train %s: exit %d, log %q; want exit 2 and an invalid flags line", strings.Join(args, " "), code, stderr.String())
 	}
 }

@@ -47,7 +47,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(flag.CommandLine, os.Args[1:], os.Stdout))
+	os.Exit(run(flag.CommandLine, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // options is elrec-worker's command line, defined on a flag set by newOptions.
@@ -79,16 +79,20 @@ func newOptions(fs *flag.FlagSet) *options {
 	return o
 }
 
-// run is elrec-worker on args, parsed on fs; the result line goes to stdout.
-func run(fs *flag.FlagSet, args []string, stdout io.Writer) int {
+// run is elrec-worker on args, parsed on fs; the result line goes to
+// stdout and the log to stderr.
+func run(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) int {
 	o := newOptions(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
+	log := slog.New(slog.NewTextHandler(stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	sc, err := distps.NewScenario(o.spec, o.queue)
+	if err == nil {
+		err = core.CheckArgs(fs)
+	}
 	if err != nil {
 		log.Error("invalid flags", "err", err)
 		return 2

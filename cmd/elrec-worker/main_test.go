@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -59,7 +61,7 @@ func TestDefaults(t *testing.T) {
 func TestReferenceHash(t *testing.T) {
 	args := strings.Fields("-reference -dataset kaggle -dataset-scale 0.0005 -dim 8 -rank 4 -tt-threshold 2000 -lr 0.5 -steps 400 -batch 32 -log-level warn")
 	var out bytes.Buffer
-	if code := run(flag.NewFlagSet("elrec-worker", flag.ContinueOnError), args, &out); code != 0 {
+	if code := run(flag.NewFlagSet("elrec-worker", flag.ContinueOnError), args, &out, os.Stderr); code != 0 {
 		t.Fatalf("elrec-worker %s: exit %d", strings.Join(args, " "), code)
 	}
 	hash, _, _ := strings.Cut(strings.TrimPrefix(out.String(), "final_hash="), " ")
@@ -73,5 +75,16 @@ func TestReferenceHash(t *testing.T) {
 	}
 	if hash != want {
 		t.Errorf("%s kernels: final_hash=%s, want %s (%s)", tensor.KernelName(), hash, want, strings.TrimSpace(out.String()))
+	}
+}
+
+// TestStrayWordExitsTwo: flag parsing stops at a positional argument, so
+// elrec-worker refuses one with exit 2 and an invalid-flags line before it runs;
+// without the check this command line would train one step and exit 0.
+func TestStrayWordExitsTwo(t *testing.T) {
+	args := strings.Fields("-reference -dataset-scale 0.0005 -steps 1 -batch 8 stray -batch 0")
+	var stderr bytes.Buffer
+	if code := run(flag.NewFlagSet("elrec-worker", flag.ContinueOnError), args, io.Discard, &stderr); code != 2 || !strings.Contains(stderr.String(), "invalid flags") {
+		t.Fatalf("elrec-worker %s: exit %d, log %q; want exit 2 and an invalid flags line", strings.Join(args, " "), code, stderr.String())
 	}
 }

@@ -44,9 +44,8 @@ type callSite struct {
 // externCall is a call whose target has no analyzable body here (standard
 // library, signature-only dependency).
 type externCall struct {
-	fn    *types.Func
-	call  *ast.CallExpr
-	async bool
+	fn   *types.Func
+	call *ast.CallExpr
 }
 
 // displayName renders the function compactly for diagnostics:
@@ -143,7 +142,7 @@ func (p *program) addCall(node *funcNode, obj *types.Func, call *ast.CallExpr, a
 		node.calls = append(node.calls, callSite{callee: target, call: call, async: async})
 		return
 	}
-	node.external = append(node.external, externCall{fn: obj, call: call, async: async})
+	node.external = append(node.external, externCall{fn: obj, call: call})
 }
 
 // walkAsync walks root in source order, reporting for each node whether it

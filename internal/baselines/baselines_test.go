@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -75,11 +74,15 @@ func TestFAEClassification(t *testing.T) {
 	if fae.ColdBytes == 0 {
 		t.Fatal("cold samples must account transfer bytes")
 	}
-	if fae.hotSetRows() == 0 || fae.hotSetRows() >= 700 {
-		t.Fatalf("hot set size %d implausible", fae.hotSetRows())
+	hotRows := 0
+	for _, set := range fae.hotSet {
+		hotRows += len(set)
+	}
+	if hotRows == 0 || hotRows >= 700 {
+		t.Fatalf("hot set size %d implausible", hotRows)
 	}
 	t.Logf("hot=%d cold=%d samples (%.0f%% cold), hot rows=%d", fae.HotSamples, fae.ColdSamples,
-		100*float64(fae.ColdSamples)/float64(fae.HotSamples+fae.ColdSamples), fae.hotSetRows())
+		100*float64(fae.ColdSamples)/float64(fae.HotSamples+fae.ColdSamples), hotRows)
 }
 
 func TestFAEHotBatchDetection(t *testing.T) {
@@ -96,11 +99,10 @@ func TestFAEHotBatchDetection(t *testing.T) {
 	}
 	fae, _ := NewFAE(m, counts, 1.0)
 	b := d.Batch(0, 32)
-	if !fae.isHot(b) {
-		t.Fatal("batch cold although all rows are hot")
-	}
-	if !fae.sampleIsHot(b, 0) {
-		t.Fatal("sample cold although all rows are hot")
+	for s := 0; s < b.Size(); s++ {
+		if !fae.sampleIsHot(b, s) {
+			t.Fatalf("sample %d cold although all rows are hot", s)
+		}
 	}
 }
 
@@ -109,10 +111,13 @@ func referenceBag(rows, dim int, seed uint64) *embedding.Bag {
 	return embedding.NewBag(rows, dim, tensor.NewRNG(seed))
 }
 
-func copyWeightsToSharded(ref *embedding.Bag, set func(idx int, vals []float32)) {
-	for i := 0; i < ref.NumRows(); i++ {
-		set(i, ref.Weights.Row(i))
+// tableRows reads every row of tbl through its Lookup, one bag per row.
+func tableRows(tbl dlrm.Table) *tensor.Matrix {
+	ids := make([]int, tbl.NumRows())
+	for i := range ids {
+		ids[i] = i
 	}
+	return tbl.Lookup(ids, ids)
 }
 
 func randomBatch(r *tensor.RNG, rows, batch int) (indices, offsets []int) {
@@ -131,7 +136,7 @@ func TestRowShardedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyWeightsToSharded(ref, sh.setRow)
+	ref.Weights.CopyFrom(tableRows(sh))
 
 	r := tensor.NewRNG(9)
 	for step := 0; step < 5; step++ {
@@ -146,13 +151,8 @@ func TestRowShardedMatchesReference(t *testing.T) {
 		ref.Update(indices, offsets, dOut, 0.1)
 		sh.Update(indices, offsets, dOut, 0.1)
 	}
-	for i := 0; i < rows; i++ {
-		got := sh.rowAt(i)
-		for j := 0; j < dim; j++ {
-			if math.Abs(float64(got[j]-ref.Weights.At(i, j))) > 1e-6 {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, got[j], ref.Weights.At(i, j))
-			}
-		}
+	if d := tableRows(sh).MaxAbsDiff(ref.Weights); d > 1e-6 {
+		t.Fatalf("rows differ by %v after training", d)
 	}
 	if sh.Traffic.ForwardBytes == 0 || sh.Traffic.BackwardBytes == 0 {
 		t.Fatal("row-sharded traffic not accounted")
@@ -166,7 +166,7 @@ func TestColShardedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyWeightsToSharded(ref, sh.setRow)
+	ref.Weights.CopyFrom(tableRows(sh))
 
 	r := tensor.NewRNG(19)
 	for step := 0; step < 5; step++ {
@@ -181,13 +181,8 @@ func TestColShardedMatchesReference(t *testing.T) {
 		ref.Update(indices, offsets, dOut, 0.1)
 		sh.Update(indices, offsets, dOut, 0.1)
 	}
-	for i := 0; i < rows; i++ {
-		got := sh.rowAt(i)
-		for j := 0; j < dim; j++ {
-			if math.Abs(float64(got[j]-ref.Weights.At(i, j))) > 1e-6 {
-				t.Fatalf("row %d col %d: %v vs %v", i, j, got[j], ref.Weights.At(i, j))
-			}
-		}
+	if d := tableRows(sh).MaxAbsDiff(ref.Weights); d > 1e-6 {
+		t.Fatalf("rows differ by %v after training", d)
 	}
 	if sh.Traffic.ForwardBytes == 0 || sh.Traffic.BackwardBytes == 0 {
 		t.Fatal("col-sharded traffic not accounted")
@@ -228,16 +223,5 @@ func TestTrafficGrowsWithDevices(t *testing.T) {
 	}
 	if !(colAt(2) < colAt(4)) {
 		t.Fatal("col-sharded all-gather traffic should grow with device count")
-	}
-}
-
-func TestPerDeviceBytes(t *testing.T) {
-	sh, _ := NewRowSharded(1000, 16, 4, tensor.NewRNG(3))
-	if sh.perDeviceBytes() != sh.FootprintBytes()/4 {
-		t.Fatal("row-sharded per-device bytes wrong")
-	}
-	ch, _ := NewColSharded(1000, 16, 4, tensor.NewRNG(3))
-	if ch.perDeviceBytes() != ch.FootprintBytes()/4 {
-		t.Fatal("col-sharded per-device bytes wrong")
 	}
 }

@@ -70,19 +70,6 @@ func NewFAE(model *dlrm.Model, counts [][]int64, hotFrac float64) (*FAE, error) 
 	return f, nil
 }
 
-// isHot reports whether every sparse index of the batch is in the hot sets.
-func (f *FAE) isHot(b *data.Batch) bool {
-	for t, col := range b.Sparse {
-		set := f.hotSet[t]
-		for _, idx := range col {
-			if _, ok := set[idx]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // sampleIsHot reports whether sample s of the batch touches only hot rows.
 func (f *FAE) sampleIsHot(b *data.Batch, s int) bool {
 	for t := range b.Sparse {
@@ -122,13 +109,4 @@ func (f *FAE) TrainBatch(b *data.Batch) (loss float32, coldFrac float64) {
 		f.ColdBytes += 2 * int64(len(seen)) * dim * 4
 	}
 	return f.Model.TrainStep(b), float64(cold) / float64(b.Size())
-}
-
-// hotSetRows returns the total hot rows cached on the device (HBM cost).
-func (f *FAE) hotSetRows() int {
-	n := 0
-	for _, s := range f.hotSet {
-		n += len(s)
-	}
-	return n
 }

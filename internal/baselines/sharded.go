@@ -111,23 +111,6 @@ func (r *RowSharded) Dim() int { return r.dim }
 // table; sharding spreads it, per-device share is FootprintBytes()/n).
 func (r *RowSharded) FootprintBytes() int64 { return int64(r.rows) * int64(r.dim) * 4 }
 
-// perDeviceBytes returns the HBM cost per device.
-func (r *RowSharded) perDeviceBytes() int64 { return r.FootprintBytes() / int64(r.n) }
-
-// setRow overwrites a logical row (test helper for equivalence checks).
-func (r *RowSharded) setRow(idx int, vals []float32) {
-	shard, local := r.shardOf(idx)
-	copy(r.shards[shard].Weights.Row(local), vals)
-}
-
-// rowAt returns a copy of a logical row.
-func (r *RowSharded) rowAt(idx int) []float32 {
-	shard, local := r.shardOf(idx)
-	out := make([]float32, r.dim)
-	copy(out, r.shards[shard].Weights.Row(local))
-	return out
-}
-
 // ColSharded is a TorchRec-style column-wise sharded embedding table: every
 // device holds all rows but only dim/n of the columns. Each pooled lookup
 // must gather the other devices' column slices (all-gather), and the
@@ -200,23 +183,3 @@ func (c *ColSharded) Dim() int { return c.dim }
 
 // FootprintBytes returns total storage across shards.
 func (c *ColSharded) FootprintBytes() int64 { return int64(c.rows) * int64(c.dim) * 4 }
-
-// perDeviceBytes returns the HBM cost per device.
-func (c *ColSharded) perDeviceBytes() int64 { return c.FootprintBytes() / int64(c.n) }
-
-// setRow overwrites a logical row across shards (test helper).
-func (c *ColSharded) setRow(idx int, vals []float32) {
-	for sh, bag := range c.shards {
-		start := c.colStart[sh]
-		copy(bag.Weights.Row(idx), vals[start:start+bag.Dim()])
-	}
-}
-
-// rowAt returns a copy of a logical row assembled from the shards.
-func (c *ColSharded) rowAt(idx int) []float32 {
-	out := make([]float32, c.dim)
-	for sh, bag := range c.shards {
-		copy(out[c.colStart[sh]:], bag.Weights.Row(idx))
-	}
-	return out
-}

@@ -13,6 +13,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // sources are globs, relative to the module root, of the files read for
@@ -97,10 +99,7 @@ func Parse(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("positional arguments %q", fs.Args())
-	}
-	return nil
+	return core.CheckArgs(fs)
 }
 
 // Defaults lists every flag defined on fs as name=default, in name order.

@@ -45,6 +45,16 @@ func (s *RunSpec) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Batch, "batch", s.Batch, "batch size")
 }
 
+// CheckArgs refuses the words left on fs after parsing. No binary takes
+// positional arguments, and flag parsing stops at the first word that is not
+// a flag, so a stray word would silently drop every flag after it.
+func CheckArgs(fs *flag.FlagSet) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("core: positional arguments %q: every setting is a flag", fs.Args())
+	}
+	return nil
+}
+
 // Validate refuses a spec no run can use and returns its dataset. The scale
 // must be positive: the presets clamp every table to at least 4 rows, so a
 // zero or negative one would quietly build a model of 4-row tables.

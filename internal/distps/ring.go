@@ -20,7 +20,6 @@ const ringVnodes = 64
 // elastic reshards: adding a shard moves ~1/N of the rows instead of
 // nearly all of them.
 type hashRing struct {
-	shards int
 	points []ringPoint // sorted by hash, ascending
 }
 
@@ -34,7 +33,7 @@ func newHashRing(n int) *hashRing {
 	if n < 1 {
 		n = 1
 	}
-	r := &hashRing{shards: n, points: make([]ringPoint, 0, n*ringVnodes)}
+	r := &hashRing{points: make([]ringPoint, 0, n*ringVnodes)}
 	for s := 0; s < n; s++ {
 		for v := 0; v < ringVnodes; v++ {
 			// Salt the vnode key away from the row key space.

@@ -16,8 +16,8 @@ func TestRingDeterministic(t *testing.T) {
 func TestRingCoversAllShards(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		r := newHashRing(n)
-		if r.shards != n {
-			t.Fatalf("shards = %d, want %d", r.shards, n)
+		if len(r.points) != n*ringVnodes {
+			t.Fatalf("%d ring points, want %d per shard", len(r.points), ringVnodes)
 		}
 		counts := make([]int, n)
 		const rows = 2000

@@ -329,31 +329,12 @@ func (s *Shard) Version() int64 {
 	return s.version
 }
 
-// highestEpoch returns the highest lease epoch the shard has seen.
-func (s *Shard) highestEpoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxEpoch
-}
-
 // Ready reports whether the shard is serving data RPCs: restored and not
 // draining. The /readyz endpoint exposes it.
 func (s *Shard) Ready() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.restored && !s.draining
-}
-
-// ownedRows returns how many rows of table index this shard owns (tests
-// use it to assert the ring actually spread the tables).
-func (s *Shard) ownedRows(index int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[index]
-	if !ok {
-		return 0
-	}
-	return len(t.rows)
 }
 
 // --- durable state ---------------------------------------------------------

@@ -106,7 +106,11 @@ func TestShardPartitionsEveryRowExactlyOnce(t *testing.T) {
 	for _, spec := range sc.HostSpecs() {
 		total := 0
 		for _, s := range shards {
-			total += s.ownedRows(spec.Index)
+			s.mu.Lock()
+			if tbl := s.tables[spec.Index]; tbl != nil {
+				total += len(tbl.rows)
+			}
+			s.mu.Unlock()
 		}
 		if total != spec.Rows {
 			t.Errorf("table %d: shards own %d rows in total, want %d", spec.Index, total, spec.Rows)
@@ -400,7 +404,10 @@ func TestRestartedShardRequiresRestore(t *testing.T) {
 		}
 	}
 	// The fencing watermark survived the restart via the epoch file.
-	if s2.highestEpoch() == 0 {
+	s2.mu.Lock()
+	epoch := s2.maxEpoch
+	s2.mu.Unlock()
+	if epoch == 0 {
 		t.Fatal("restarted shard forgot the fencing epoch")
 	}
 }

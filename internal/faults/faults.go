@@ -50,9 +50,6 @@ func (e *transient) Error() string {
 // Unwrap marks the fault as injected.
 func (e *transient) Unwrap() error { return ErrInjected }
 
-// Temporary reports that the fault is retryable.
-func (e *transient) Temporary() bool { return true }
-
 // Stall asks the injection site to sleep for D before proceeding — the
 // slow-server scenario. It is not a failure: the operation continues after
 // the delay.

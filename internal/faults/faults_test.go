@@ -42,9 +42,6 @@ func TestSeededFaultTypesAndSentinel(t *testing.T) {
 	if !IsInjected(err) || !errors.Is(err, ErrInjected) {
 		t.Fatal("transient fault does not wrap ErrInjected")
 	}
-	if !tr.Temporary() {
-		t.Fatal("transient fault not temporary")
-	}
 
 	s = NewSeeded(Config{Seed: 7, StallProb: 1, StallFor: 5 * time.Millisecond})
 	err = s.Fault(OpApply, 0, 0)

@@ -53,16 +53,6 @@ func (m *MLP) Params() []*Param {
 	return out
 }
 
-// numParams returns the total trainable element count, used for footprint
-// accounting in the experiment harness.
-func (m *MLP) numParams() int {
-	var n int
-	for _, p := range m.Params() {
-		n += len(p.Value.Data)
-	}
-	return n
-}
-
 // Clone returns a deep copy of the MLP: same layer stack, copied parameter
 // values, fresh gradient accumulators and fresh layer-owned scratch buffers.
 // Because every mutable buffer is per-clone, a clone's Forward never races

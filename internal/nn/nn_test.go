@@ -146,14 +146,6 @@ func TestMLPShapesAndGradCheck(t *testing.T) {
 	}
 }
 
-func TestMLPNumParams(t *testing.T) {
-	m := NewMLP([]int{3, 5, 1}, tensor.NewRNG(8))
-	want := 3*5 + 5 + 5*1 + 1
-	if got := m.numParams(); got != want {
-		t.Fatalf("NumParams = %d want %d", got, want)
-	}
-}
-
 func TestInteractionOutputDim(t *testing.T) {
 	it := NewInteraction(8, 3) // 4 features -> 6 pairs
 	if got := it.OutputDim(); got != 8+6 {

@@ -23,7 +23,6 @@ type hostAdapter struct {
 	slot     int
 	rows     int
 	dim      int
-	lr       float32
 
 	current *hostRows // the step slab's rows of this table; nil outside a pipeline step
 

@@ -237,16 +237,3 @@ func (c *cache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.ids)
 }
-
-// Lookup returns a copy of the cached row and whether it was present.
-func (c *cache) Lookup(id int) ([]float32, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.index.Find(id)
-	if !ok {
-		return nil, false
-	}
-	out := make([]float32, c.dim)
-	copy(out, c.row(s))
-	return out, true
-}

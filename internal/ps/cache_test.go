@@ -227,3 +227,17 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// Lookup returns a copy of the cached row and whether it was present: the
+// tests' view of one entry (the pipeline reads rows only through sync).
+func (c *cache) Lookup(id int) ([]float32, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.index.Find(id)
+	if !ok {
+		return nil, false
+	}
+	out := make([]float32, c.dim)
+	copy(out, c.row(s))
+	return out, true
+}

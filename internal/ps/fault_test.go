@@ -27,10 +27,10 @@ func fastRetry() RetryPolicy {
 // tables and MLP parameters.
 func assertParamsEqual(t *testing.T, want, got *Pipeline, label string) {
 	t.Helper()
-	if want.numHostTables() != got.numHostTables() {
-		t.Fatalf("%s: host table count %d vs %d", label, want.numHostTables(), got.numHostTables())
+	if len(want.hostBags) != len(got.hostBags) {
+		t.Fatalf("%s: host table count %d vs %d", label, len(want.hostBags), len(got.hostBags))
 	}
-	for h := 0; h < want.numHostTables(); h++ {
+	for h := 0; h < len(want.hostBags); h++ {
 		if d := want.HostBag(h).Weights.MaxAbsDiff(got.HostBag(h).Weights); d != 0 {
 			t.Fatalf("%s: host table %d differs by %v", label, h, d)
 		}

@@ -419,7 +419,7 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 			}
 			cache := newCache(cfg.Model.EmbDim)
 			cache.attachCounters(&p.m.cacheSyncs, &p.m.cacheHits, &p.m.cacheMisses, &p.m.cacheEvictions)
-			ad := &hostAdapter{pipeline: p, slot: slot, rows: store.NumRows(), dim: cfg.Model.EmbDim, lr: cfg.Model.LR}
+			ad := &hostAdapter{pipeline: p, slot: slot, rows: store.NumRows(), dim: cfg.Model.EmbDim}
 			p.hostBags = append(p.hostBags, bag)
 			p.stores = append(p.stores, store)
 			p.caches = append(p.caches, cache)
@@ -478,11 +478,6 @@ func (p *Pipeline) Stats() Stats {
 	p.m.cacheEntries.Set(float64(s.CacheEntries))
 	return s
 }
-
-// numHostTables returns how many tables live in host memory.
-//
-//elrec:locked hostMu placement is immutable after NewPipeline; only the slice length is read
-func (p *Pipeline) numHostTables() int { return len(p.hostBags) }
 
 // HostBag exposes host table i (for tests and post-training inspection).
 //

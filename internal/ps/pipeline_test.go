@@ -106,7 +106,7 @@ func TestPipelineMatchesSequentialExactly(t *testing.T) {
 	pipe := run(4)
 
 	// Host tables bit-equal.
-	for h := 0; h < seq.numHostTables(); h++ {
+	for h := 0; h < len(seq.hostBags); h++ {
 		if d := seq.HostBag(h).Weights.MaxAbsDiff(pipe.HostBag(h).Weights); d != 0 {
 			t.Fatalf("host table %d differs by %v between sequential and pipelined", h, d)
 		}
@@ -232,8 +232,8 @@ func TestPipelineWithDeviceTTTable(t *testing.T) {
 	if late >= early {
 		t.Fatalf("mixed-placement pipeline did not reduce loss: %v -> %v", early, late)
 	}
-	if p.numHostTables() != 1 {
-		t.Fatalf("NumHostTables = %d", p.numHostTables())
+	if len(p.hostBags) != 1 {
+		t.Fatalf("%d host tables", len(p.hostBags))
 	}
 }
 
@@ -345,8 +345,8 @@ func TestPipelineAllDeviceTables(t *testing.T) {
 	if st.BytesPrefetched != 0 || st.BytesPushed != 0 {
 		t.Fatalf("device-only pipeline moved bytes: %+v", st)
 	}
-	if p.numHostTables() != 0 {
-		t.Fatalf("NumHostTables = %d", p.numHostTables())
+	if len(p.hostBags) != 0 {
+		t.Fatalf("%d host tables", len(p.hostBags))
 	}
 }
 

@@ -242,8 +242,8 @@ func New(model *dlrm.Model, itemFeature, batchSize int, opts Options) (*Pool, er
 	return p, nil
 }
 
-// newPool builds the pool without starting workers (tests drive serveOne
-// and process synchronously against a stopped pool).
+// newPool builds the pool without starting workers (tests hand queued
+// requests to serveAdmitted synchronously against a stopped pool).
 func newPool(model *dlrm.Model, itemFeature, batchSize int, opts Options) (*Pool, error) {
 	opts = opts.withDefaults()
 	p := &Pool{
@@ -422,18 +422,6 @@ func (p *Pool) run(w *worker) {
 			p.serveAdmitted(w.rep, req)
 		}
 	}
-}
-
-// serveOne blocks for one request and serves one micro-batch on r.
-// Returns false once the queue is closed and fully drained. Tests drive it
-// synchronously against a stopped pool; the live path is run's select.
-func (p *Pool) serveOne(r *replica) bool {
-	req, ok := <-p.queue
-	if !ok {
-		return false
-	}
-	p.serveAdmitted(r, req)
-	return true
 }
 
 // serveAdmitted coalesces whatever else is waiting behind req (up to

@@ -185,9 +185,7 @@ func TestPoolDeadlineSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(5 * time.Millisecond)
-	if !p.serveOne(p.workers[0].rep) {
-		t.Fatal("serveOne reported a closed queue")
-	}
+	p.serveAdmitted(p.workers[0].rep, <-p.queue)
 	resp := <-expired.done
 	if !errors.Is(resp.err, ErrDeadline) {
 		t.Fatalf("expired request: err = %v, want ErrDeadline", resp.err)
@@ -205,7 +203,7 @@ func TestPoolDeadlineSheds(t *testing.T) {
 }
 
 // TestPoolCoalescesWaitingRequests: with requests already queued, one
-// serveOne call must merge them into a single micro-batch whose scores
+// serveAdmitted call must merge them into a single micro-batch whose scores
 // match the serial path row for row.
 func TestPoolCoalescesWaitingRequests(t *testing.T) {
 	m := poolModel(t)
@@ -225,9 +223,7 @@ func TestPoolCoalescesWaitingRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !p.serveOne(p.workers[0].rep) {
-		t.Fatal("serveOne reported a closed queue")
-	}
+	p.serveAdmitted(p.workers[0].rep, <-p.queue)
 	for i, req := range reqs {
 		resp := <-req.done
 		if resp.err != nil {
@@ -266,7 +262,7 @@ func TestPoolCoalescesWaitingRequests(t *testing.T) {
 	if err := p.admit(invalid); err != nil {
 		t.Fatal(err)
 	}
-	p.serveOne(p.workers[0].rep)
+	p.serveAdmitted(p.workers[0].rep, <-p.queue)
 	if resp := <-invalid.done; !errors.Is(resp.err, serve.ErrInvalidCandidate) {
 		t.Fatalf("invalid candidate: err = %v", resp.err)
 	}
@@ -309,9 +305,7 @@ func TestPoolHydrateStage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !p.serveOne(p.workers[0].rep) {
-		t.Fatal("serveOne reported a closed queue")
-	}
+	p.serveAdmitted(p.workers[0].rep, <-p.queue)
 	if len(batches) != 1 || len(batches[0]) != 2 {
 		t.Fatalf("hydrate saw %d batches of %d, want one batch of 2", len(batches), len(batches[0]))
 	}
@@ -345,9 +339,7 @@ func TestPoolHydrateStage(t *testing.T) {
 	if err := p.admit(bad); err != nil {
 		t.Fatal(err)
 	}
-	if !p.serveOne(p.workers[0].rep) {
-		t.Fatal("serveOne reported a closed queue")
-	}
+	p.serveAdmitted(p.workers[0].rep, <-p.queue)
 	resp := <-bad.done
 	if !errors.Is(resp.err, fail) {
 		t.Fatalf("hydrate failure: err = %v, want wrapped %v", resp.err, fail)

@@ -87,19 +87,6 @@ func boxMuller(u1, u2 float64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// perm returns a pseudo-random permutation of [0,n).
-func (r *RNG) perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // fillChunk bounds one uniformAsm call, so a large table is filled in
 // calls of about 30 µs each rather than one that cannot be preempted.
 const fillChunk = 1 << 16

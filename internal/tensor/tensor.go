@@ -67,15 +67,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// reshape returns a view of m with new dimensions sharing the same data.
-// rows*cols must equal the current element count.
-func (m *Matrix) reshape(rows, cols int) *Matrix {
-	if rows*cols != m.Rows*m.Cols {
-		panic(fmt.Sprintf("tensor: reshape %dx%d -> %dx%d changes element count", m.Rows, m.Cols, rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: m.Data}
-}
-
 // transpose returns a newly allocated transpose of m.
 func (m *Matrix) transpose() *Matrix {
 	out := New(m.Cols, m.Rows)
@@ -86,24 +77,6 @@ func (m *Matrix) transpose() *Matrix {
 		}
 	}
 	return out
-}
-
-// equal reports whether m and other have the same shape and all elements
-// within tol of each other.
-func (m *Matrix) equal(other *Matrix, tol float32) bool {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		d := v - other.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxAbsDiff returns the maximum absolute element-wise difference between m
@@ -123,15 +96,6 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float32 {
 		}
 	}
 	return max
-}
-
-// frobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) frobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // String renders small matrices for debugging.

@@ -29,8 +29,7 @@ func TestAdagradFusedMatchesUnfusedDisjointSlices(t *testing.T) {
 		tbl := NewTable(shape, tensor.NewRNG(61), 0.1)
 		tbl.EnableAdagrad()
 		tbl.Opts = Options{DedupIndices: true, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: fused}
-		out, cache := tbl.forward(indices, offsets)
-		tbl.backward(cache, out, 0.1)
+		tbl.Update(indices, offsets, tbl.Lookup(indices, offsets), 0.1)
 		return tbl
 	}
 	fused, unfused := run(true), run(false)
@@ -69,17 +68,14 @@ func TestAdagradStepsShrink(t *testing.T) {
 		return out
 	}
 	s0 := snap()
-	_, cache := tbl.forward(indices, offsets)
-	tbl.backward(cache, dOut, 0.5)
+	tbl.Update(indices, offsets, dOut, 0.5)
 	s1 := snap()
 	// Run several more steps so accumulators grow, then compare step sizes.
 	for i := 0; i < 5; i++ {
-		_, cache = tbl.forward(indices, offsets)
-		tbl.backward(cache, dOut, 0.5)
+		tbl.Update(indices, offsets, dOut, 0.5)
 	}
 	s2 := snap()
-	_, cache = tbl.forward(indices, offsets)
-	tbl.backward(cache, dOut, 0.5)
+	tbl.Update(indices, offsets, dOut, 0.5)
 	s3 := snap()
 	if norm(s2, s3) >= norm(s0, s1) {
 		t.Fatalf("Adagrad step did not shrink: first %v later %v", norm(s0, s1), norm(s2, s3))
@@ -95,7 +91,7 @@ func TestAdagradConverges(t *testing.T) {
 	indices, offsets := []int{3, 17, 42}, []int{0, 1, 2}
 
 	lossAt := func() float64 {
-		out, _ := tbl.forward(indices, offsets)
+		out := tbl.Lookup(indices, offsets)
 		var s float64
 		for i, v := range out.Data {
 			d := float64(v) - float64(target.Data[i%tbl.Dim()])
@@ -105,12 +101,12 @@ func TestAdagradConverges(t *testing.T) {
 	}
 	initial := lossAt()
 	for step := 0; step < 1500; step++ {
-		out, cache := tbl.forward(indices, offsets)
+		out := tbl.Lookup(indices, offsets)
 		dOut := tensor.New(out.Rows, out.Cols)
 		for i := range out.Data {
 			dOut.Data[i] = 2 * (out.Data[i] - target.Data[i%tbl.Dim()])
 		}
-		tbl.backward(cache, dOut, 0.05)
+		tbl.Update(indices, offsets, dOut, 0.05)
 	}
 	if final := lossAt(); final > initial*0.1 {
 		t.Fatalf("Adagrad training did not converge: %v -> %v", initial, final)

@@ -198,10 +198,10 @@ func (t *Table) perOccurrenceGrads(cache *forwardCache, dOut *tensor.Matrix) {
 
 // Lookup runs the forward pass through the table-owned arena cache and
 // retains it for a following Update call, satisfying the embedding-table
-// interface the DLRM model consumes. Unlike forward, Lookup is serialized
-// by the Table protocol and reuses every intermediate across batches —
-// including the returned matrix, which is only valid until the next Lookup
-// on this table — making steady-state training steps allocation-free.
+// interface the DLRM model consumes. It is the table's one forward entry.
+// It reuses every intermediate across batches — including the returned
+// matrix, which is only valid until the next Lookup on this table — making
+// steady-state training steps allocation-free.
 func (t *Table) Lookup(indices, offsets []int) *tensor.Matrix {
 	if t.arena == nil {
 		t.arena = &forwardCache{}

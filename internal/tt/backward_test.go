@@ -9,7 +9,7 @@ import (
 
 // lossOf computes 0.5·Σ out² for a batch so that dLoss/dOut = out.
 func lossOf(tbl *Table, indices, offsets []int) float64 {
-	out, _ := tbl.forward(indices, offsets)
+	out := tbl.Lookup(indices, offsets)
 	var s float64
 	for _, v := range out.Data {
 		s += 0.5 * float64(v) * float64(v)
@@ -31,8 +31,7 @@ func TestBackwardGradCheck(t *testing.T) {
 	for k := 0; k < Dims; k++ {
 		before[k] = tbl.Cores[k].Clone()
 	}
-	out, cache := tbl.forward(indices, offsets)
-	tbl.backward(cache, out, lr)
+	tbl.Update(indices, offsets, tbl.Lookup(indices, offsets), lr)
 
 	const h = 1e-3
 	for k := 0; k < Dims; k++ {
@@ -71,12 +70,10 @@ func TestBackwardAggregationEquivalence(t *testing.T) {
 		return tbl
 	}
 	a, b := makeTbl(true), makeTbl(false)
-	outA, cacheA := a.forward(indices, offsets)
-	_, cacheB := b.forward(indices, offsets)
-	dOut := tensor.New(outA.Rows, outA.Cols)
+	dOut := tensor.New(len(offsets), a.Dim())
 	r.FillUniform(dOut.Data, 1)
-	a.backward(cacheA, dOut, 0.1)
-	b.backward(cacheB, dOut, 0.1)
+	a.Update(indices, offsets, dOut, 0.1)
+	b.Update(indices, offsets, dOut, 0.1)
 	for k := 0; k < Dims; k++ {
 		if d := a.Cores[k].MaxAbsDiff(b.Cores[k]); d > 1e-4 {
 			t.Fatalf("core %d differs by %v between aggregated and per-occurrence backward", k, d)
@@ -198,13 +195,11 @@ func TestBackwardTwoLevelMatchesPerOccurrence(t *testing.T) {
 	tensor.NewRNG(34).FillUniform(dOut.Data, 1)
 	base := newTestTable(t, 35)
 	base.Opts = NaiveOptions()
-	_, cache := base.forward(indices[0], offsets[0])
-	base.backward(cache, dOut, 0.1)
+	base.Update(indices[0], offsets[0], dOut, 0.1)
 	for _, cfg := range backwardConfigs {
 		tbl := newTestTable(t, 35)
 		tbl.Opts = cfg.opts
-		_, cache := tbl.forward(indices[0], offsets[0])
-		tbl.backward(cache, dOut, 0.1)
+		tbl.Update(indices[0], offsets[0], dOut, 0.1)
 		for k := 0; k < Dims; k++ {
 			if d := tbl.Cores[k].MaxAbsDiff(base.Cores[k]); d > 1e-4 {
 				t.Errorf("%s: core %d differs by %v from the per-occurrence baseline", cfg.name, k, d)
@@ -224,7 +219,7 @@ func TestBackwardFusedConverges(t *testing.T) {
 	indices, offsets := []int{3, 17, 42}, []int{0, 1, 2}
 
 	lossAt := func() float64 {
-		out, _ := tbl.forward(indices, offsets)
+		out := tbl.Lookup(indices, offsets)
 		var s float64
 		for i, v := range out.Data {
 			d := float64(v) - float64(target.Data[i%tbl.Dim()])
@@ -234,12 +229,12 @@ func TestBackwardFusedConverges(t *testing.T) {
 	}
 	initial := lossAt()
 	for step := 0; step < 2500; step++ {
-		out, cache := tbl.forward(indices, offsets)
+		out := tbl.Lookup(indices, offsets)
 		dOut := tensor.New(out.Rows, out.Cols)
 		for i := range out.Data {
 			dOut.Data[i] = 2 * (out.Data[i] - target.Data[i%tbl.Dim()])
 		}
-		tbl.backward(cache, dOut, 0.01)
+		tbl.Update(indices, offsets, dOut, 0.01)
 	}
 	final := lossAt()
 	if final > initial*0.1 {
@@ -257,13 +252,12 @@ func TestBackwardMatchesEmbeddingGradientFirstOrder(t *testing.T) {
 	indices, offsets := []int{10, 20}, []int{0, 1}
 
 	matBefore := tbl.Materialize()
-	out, cache := tbl.forward(indices, offsets)
-	dOut := tensor.New(out.Rows, out.Cols)
+	dOut := tensor.New(len(offsets), tbl.Dim())
 	rng := tensor.NewRNG(27)
 	rng.FillUniform(dOut.Data, 1)
 
 	const lr = 1e-4
-	tbl.backward(cache, dOut, lr)
+	tbl.Update(indices, offsets, dOut, lr)
 	matAfter := tbl.Materialize()
 
 	// Rows 10 and 20 should each move by ≈ -lr · J·Jᵀ-weighted gradient;
@@ -294,7 +288,7 @@ func TestBackwardMatchesEmbeddingGradientFirstOrder(t *testing.T) {
 
 func TestBackwardValidation(t *testing.T) {
 	tbl := newTestTable(t, 28)
-	_, cache := tbl.forward([]int{1}, []int{0})
+	tbl.Lookup([]int{1}, []int{0})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -308,7 +302,7 @@ func TestBackwardValidation(t *testing.T) {
 			t.Fatal("bad grad shape did not panic")
 		}
 	}()
-	tbl.backward(cache, tensor.New(2, tbl.Dim()), 0.1)
+	tbl.backward(tbl.arena, tensor.New(2, tbl.Dim()), 0.1)
 }
 
 // TestBackwardNoPrefixBufferPath exercises backward when the forward pass
@@ -318,8 +312,7 @@ func TestBackwardNoPrefixBufferPath(t *testing.T) {
 		tbl := newTestTable(t, 29)
 		tbl.Opts = Options{DedupIndices: true, ReusePrefix: reuse, InAdvanceAgg: true, FusedUpdate: false}
 		indices, offsets := []int{5, 6, 7, 5}, []int{0, 2}
-		out, cache := tbl.forward(indices, offsets)
-		tbl.backward(cache, out, 0.1)
+		tbl.Update(indices, offsets, tbl.Lookup(indices, offsets), 0.1)
 		return tbl
 	}
 	a, b := run(true), run(false)
@@ -341,10 +334,9 @@ func TestBackwardAggWithoutForwardDedup(t *testing.T) {
 	alt.Opts = Options{DedupIndices: false, ReusePrefix: true, InAdvanceAgg: true, FusedUpdate: false}
 
 	indices, offsets := []int{8, 8, 9, 33}, []int{0, 2}
-	outR, cacheR := ref.forward(indices, offsets)
-	_, cacheA := alt.forward(indices, offsets)
-	ref.backward(cacheR, outR, 0.1)
-	alt.backward(cacheA, outR, 0.1)
+	dOut := ref.Lookup(indices, offsets).Clone()
+	ref.Update(indices, offsets, dOut, 0.1)
+	alt.Update(indices, offsets, dOut, 0.1)
 	for k := 0; k < Dims; k++ {
 		if d := ref.Cores[k].MaxAbsDiff(alt.Cores[k]); d > 1e-4 {
 			t.Fatalf("core %d differs by %v", k, d)

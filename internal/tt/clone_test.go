@@ -127,8 +127,8 @@ func TestCloneForServingIsReadOnly(t *testing.T) {
 		clone.Update(indices, offsets, dOut, 0.1)
 	})
 	mustPanic("Backward", func() {
-		_, cache := clone.forward(indices, offsets)
-		clone.backward(cache, dOut, 0.1)
+		clone.Lookup(indices, offsets)
+		clone.backward(clone.arena, dOut, 0.1)
 	})
 	if d := tbl.Cores[0].MaxAbsDiff(before); d != 0 {
 		t.Fatalf("refused update still moved the shared cores by %v", d)

@@ -10,10 +10,9 @@ import (
 // forwardCache carries the intermediates of one forward call into the
 // matching backward call: the batch description, the unique-index structure
 // (when deduplication ran), and the reuse buffer of first-two-core products
-// (when prefix reuse ran). Every scratch buffer grows to the batch and is
-// reused by the next forwardInto on the same cache, so the table-owned arena
-// (the Lookup/Update path) allocates nothing in steady state; a cache from
-// forward runs the same code and is simply used once.
+// (when prefix reuse ran). A table owns one, its arena: every scratch buffer
+// grows to the batch and is reused by the next Lookup, so steady-state
+// Lookup/Update allocates nothing.
 type forwardCache struct {
 	Indices []int
 	Offsets []int
@@ -108,23 +107,11 @@ func (t *Table) validateBatch(indices, offsets []int) {
 	}
 }
 
-// forward computes the sum-pooled embeddings of a batch (batch×Dim) and the
-// cache consumed by backward. The executed path follows t.Opts: with
-// DedupIndices each unique row is computed once; with ReusePrefix the
-// products of the first two cores are computed once per unique prefix via a
-// single batched GEMM over prepared pointer lists (Algorithm 1).
-//
-// forward is safe for concurrent use: every call gets a cache of its own.
-// The serialized Lookup/Update path runs the same code on the table-owned
-// cache instead (see Lookup).
-func (t *Table) forward(indices, offsets []int) (*tensor.Matrix, *forwardCache) {
-	c := &forwardCache{}
-	out := t.forwardInto(c, indices, offsets)
-	return out, c
-}
-
-// forwardInto runs the forward pass through c, reusing whatever scratch c
-// already holds.
+// forwardInto computes the sum-pooled embeddings of a batch (batch×Dim)
+// through c, reusing whatever scratch c already holds. The executed path
+// follows t.Opts: with DedupIndices each unique row is computed once; with
+// ReusePrefix the products of the first two cores are computed once per
+// unique prefix (Algorithm 1).
 func (t *Table) forwardInto(c *forwardCache, indices, offsets []int) *tensor.Matrix {
 	t.validateBatch(indices, offsets)
 	c.t, c.Indices, c.Offsets = t, indices, offsets
@@ -220,14 +207,12 @@ func (c *forwardCache) dedupRows() (workIdx, workOf []int) {
 }
 
 // fillPrefixBuffer populates the reuse buffer of first-two-core products for
-// the batch's work items. One fact selects the path: the serialized arena
-// Lookup of a serving clone — whose cores never change — resolves prefixes
-// against the clone's cross-batch memo; everything else (every trainable
-// table, and any table's concurrent-safe forward) computes the batch's own
-// unique prefixes.
+// the batch's work items. One fact selects the path: a serving clone — whose
+// cores never change — resolves prefixes against its cross-batch memo; every
+// trainable table computes the batch's own unique prefixes.
 func (t *Table) fillPrefixBuffer(c *forwardCache) {
 	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx), len(c.Indices))
-	if m := t.memo; m != nil && m.slotOf != nil && c == t.arena {
+	if m := t.memo; m != nil && m.slotOf != nil {
 		t.fillFromMemo(c, m)
 		return
 	}

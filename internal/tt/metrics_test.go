@@ -19,7 +19,7 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 
 	indices := []int{0, 0, 1, 1, 7, 7}
 	offsets := []int{0, 3}
-	tbl.forward(indices, offsets)
+	tbl.Lookup(indices, offsets)
 
 	snap := reg.Snapshot()
 	wantCounters := map[string]int64{
@@ -43,7 +43,7 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 
 	// A second identical batch doubles the counters; the cumulative ratios
 	// are unchanged.
-	tbl.forward(indices, offsets)
+	tbl.Lookup(indices, offsets)
 	snap = reg.Snapshot()
 	if got := snap.Counter("tt_indices"); got != 12 {
 		t.Errorf("tt_indices after second batch = %d want 12", got)
@@ -132,8 +132,8 @@ func TestForwardMetricsSharedAcrossTables(t *testing.T) {
 	a.AttachMetrics(reg)
 	b.AttachMetrics(reg)
 
-	a.forward([]int{0, 0}, []int{0})
-	b.forward([]int{1, 2, 3}, []int{0})
+	a.Lookup([]int{0, 0}, []int{0})
+	b.Lookup([]int{1, 2, 3}, []int{0})
 
 	if got := reg.Snapshot().Counter("tt_indices"); got != 5 {
 		t.Fatalf("aggregated tt_indices = %d want 5", got)
@@ -144,10 +144,10 @@ func TestForwardMetricsSharedAcrossTables(t *testing.T) {
 // stay no-ops (and do not panic).
 func TestForwardMetricsDetached(t *testing.T) {
 	tbl := newTestTable(t, 6)
-	tbl.forward([]int{0, 1}, []int{0}) // never attached
+	tbl.Lookup([]int{0, 1}, []int{0}) // never attached
 
 	tbl.AttachMetrics(nil) // explicit nil registry
-	tbl.forward([]int{0, 1}, []int{0})
+	tbl.Lookup([]int{0, 1}, []int{0})
 }
 
 // benchTable builds a larger table for the instrumentation-overhead
@@ -183,7 +183,7 @@ func BenchmarkForwardInstrumentation(b *testing.B) {
 		tbl := benchTable(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tbl.forward(indices, offsets)
+			tbl.Lookup(indices, offsets)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
@@ -191,7 +191,7 @@ func BenchmarkForwardInstrumentation(b *testing.B) {
 		tbl.AttachMetrics(obs.NewRegistry())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tbl.forward(indices, offsets)
+			tbl.Lookup(indices, offsets)
 		}
 	})
 }

@@ -84,7 +84,8 @@ func TestForwardZeroAllocVariantsSteadyState(t *testing.T) {
 func TestIdentityWorkOfSkipped(t *testing.T) {
 	tbl := newTestTable(t, 404)
 	tbl.Opts = Options{ReusePrefix: true}
-	_, cache := tbl.forward([]int{3, 3, 9}, []int{0, 2})
+	tbl.Lookup([]int{3, 3, 9}, []int{0, 2})
+	cache := tbl.arena
 	if cache.WorkOf != nil {
 		t.Fatalf("WorkOf should be nil (identity) without dedup, got len %d", len(cache.WorkOf))
 	}
@@ -111,7 +112,7 @@ func BenchmarkLookupUpdateStep(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardEff measures the concurrent-safe fresh-cache forward path.
+// BenchmarkForwardEff measures the steady-state Eff-TT forward pass.
 func BenchmarkForwardEff(b *testing.B) {
 	shape, err := NewShape(50000, 32, 16)
 	if err != nil {
@@ -122,6 +123,6 @@ func BenchmarkForwardEff(b *testing.B) {
 	indices, offsets := randomBatch(r, tbl.NumRows(), 256, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.forward(indices, offsets)
+		tbl.Lookup(indices, offsets)
 	}
 }

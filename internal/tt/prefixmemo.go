@@ -13,9 +13,8 @@ import "repro/internal/tensor"
 // slices, bit-exact with recomputing. A new model version is served by fresh
 // clones (Pool.Swap), which start with an empty memo.
 //
-// The memo is consulted on the arena (Lookup) path only, which the Table
-// protocol serializes per clone, so it takes no lock; a clone's
-// concurrent-safe forward allocates a batch-local buffer like any table's.
+// A table serves one goroutine at a time (concurrent serving runs one clone
+// per goroutine), so the memo takes no lock.
 
 // prefixMemoBudgetBytes is the soft cap on memoised product storage; beyond
 // it the memo recycles slots not used by the current batch instead of

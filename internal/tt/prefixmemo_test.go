@@ -54,7 +54,7 @@ func TestPrefixCacheHitsAcrossBatches(t *testing.T) {
 
 // TestPrefixCacheBitExactAgainstRecompute pins the hit contract: a clone's
 // Lookup, cold or served from memoised products, is bit-identical to the
-// batch-local recompute (fresh-cache forward) on the source — across model
+// batch-local recompute (the Lookup of the source) — across model
 // versions produced the supported way, by training the source and
 // re-cloning.
 func TestPrefixCacheBitExactAgainstRecompute(t *testing.T) {
@@ -66,7 +66,7 @@ func TestPrefixCacheBitExactAgainstRecompute(t *testing.T) {
 	for version := 0; version < 4; version++ {
 		clone := tbl.CloneForServing()
 		hits, _ := cacheCounters(clone)
-		want, _ := tbl.forward(indices, offsets) // batch-local prefixes
+		want := tbl.Lookup(indices, offsets) // batch-local prefixes
 		requireSameBits(t, fmt.Sprintf("version %d cold lookup", version), clone.Lookup(indices, offsets), want)
 		requireSameBits(t, fmt.Sprintf("version %d warm lookup", version), clone.Lookup(indices, offsets), want)
 		if hits.Value() == 0 {
@@ -142,7 +142,7 @@ func TestPrefixMemoGrowsByQuarterToBudget(t *testing.T) {
 // TestCloneMemoOverflowMatchesSourceForward: over a recurring skewed stream
 // whose working set overflows a shrunken budget — hits, recycling and
 // growth past the budget all occur — every clone Lookup equals the source
-// table's fresh-cache forward bit for bit.
+// source table's Lookup bit for bit.
 func TestCloneMemoOverflowMatchesSourceForward(t *testing.T) {
 	tbl, _, _ := cloneTestTable(t) // 256 prefixes
 	clone := tbl.CloneForServing()
@@ -161,7 +161,7 @@ func TestCloneMemoOverflowMatchesSourceForward(t *testing.T) {
 			offsets[i] = i
 		}
 		slots, missed := len(clone.memo.key), misses.Value()
-		want, _ := tbl.forward(indices, offsets)
+		want := tbl.Lookup(indices, offsets)
 		requireSameBits(t, fmt.Sprintf("step %d", step), clone.Lookup(indices, offsets), want)
 		if slots >= clone.memo.budget && misses.Value() > missed {
 			if len(clone.memo.key) > slots {
@@ -214,11 +214,10 @@ func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
 	}
 }
 
-// TestArenaTrainingMatchesFreshCacheTraining: the serialized arena path
-// (Lookup/Update, scratch reused across batches) is the same computation as
-// the fresh-cache path (forward/backward) — after several steps the cores
-// are bit-identical, for 1, 2 and 4 workers, fused and unfused, SGD and
-// Adagrad.
+// TestArenaTrainingMatchesFreshCacheTraining: Lookup/Update with scratch
+// reused across batches is the same computation as with a fresh arena per
+// batch — after several steps the cores are bit-identical, for 1, 2 and 4
+// workers, fused and unfused, SGD and Adagrad.
 func TestArenaTrainingMatchesFreshCacheTraining(t *testing.T) {
 	old := tensor.Workers()
 	defer tensor.SetMaxWorkers(old)
@@ -238,8 +237,9 @@ func TestArenaTrainingMatchesFreshCacheTraining(t *testing.T) {
 				arena := trainSteps(newTbl(), indices, offsets, 0.05)
 				fresh := newTbl()
 				for s := range indices {
-					out, cache := fresh.forward(indices[s], offsets[s])
-					fresh.backward(cache, out.Clone(), 0.05)
+					fresh.arena = nil // a fresh cache for every batch
+					out := fresh.Lookup(indices[s], offsets[s])
+					fresh.Update(indices[s], offsets[s], out.Clone(), 0.05)
 				}
 				for k := 0; k < Dims; k++ {
 					if d := arena.Cores[k].MaxAbsDiff(fresh.Cores[k]); d != 0 {

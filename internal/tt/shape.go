@@ -75,11 +75,6 @@ func (s Shape) factorIndex(i int) (i1, i2, i3 int) {
 	return i / (m2 * m3), (i / m3) % m2, i % m3
 }
 
-// joinIndex is the inverse of factorIndex.
-func (s Shape) joinIndex(i1, i2, i3 int) int {
-	return (i1*s.RowFactors[1]+i2)*s.RowFactors[2] + i3
-}
-
 // prefix returns the reuse-buffer key of index i: the combined (i₁,i₂)
 // coordinate, i.e. i / m₃ exactly as Algorithm 1 computes Buf_idx.
 func (s Shape) prefix(i int) int { return i / s.RowFactors[2] }
@@ -115,13 +110,6 @@ func (s Shape) numParams() int {
 
 // FootprintBytes returns the parameter storage size of the TT cores.
 func (s Shape) FootprintBytes() int64 { return int64(s.numParams()) * 4 }
-
-// compressionRatio returns (uncompressed bytes) / (TT bytes) for the
-// logical table, the quantity Table III reports.
-func (s Shape) compressionRatio() float64 {
-	raw := float64(s.Rows) * float64(s.Dim) * 4
-	return raw / float64(s.FootprintBytes())
-}
 
 // validate reports whether the shape is internally consistent.
 func (s Shape) validate() error {

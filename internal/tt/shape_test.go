@@ -87,8 +87,8 @@ func TestFactorIndexRoundTrip(t *testing.T) {
 		if i1 < 0 || i1 >= s.RowFactors[0] || i2 < 0 || i2 >= s.RowFactors[1] || i3 < 0 || i3 >= s.RowFactors[2] {
 			t.Fatalf("FactorIndex(%d) = (%d,%d,%d) out of range %v", i, i1, i2, i3, s.RowFactors)
 		}
-		if back := s.joinIndex(i1, i2, i3); back != i {
-			t.Fatalf("JoinIndex(FactorIndex(%d)) = %d", i, back)
+		if back := (i1*s.RowFactors[1]+i2)*s.RowFactors[2] + i3; back != i {
+			t.Fatalf("factorIndex(%d) = (%d,%d,%d) does not join back: %d", i, i1, i2, i3, back)
 		}
 	}
 }
@@ -103,7 +103,7 @@ func TestQuickFactorIndexRoundTrip(t *testing.T) {
 		}
 		i := r.Intn(rows)
 		i1, i2, i3 := s.factorIndex(i)
-		return s.joinIndex(i1, i2, i3) == i && s.prefix(i) == i/s.RowFactors[2]
+		return (i1*s.RowFactors[1]+i2)*s.RowFactors[2]+i3 == i && s.prefix(i) == i/s.RowFactors[2]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -151,8 +151,8 @@ func TestCompressionRatioLargeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := s.compressionRatio(); r < 100 {
-		t.Fatalf("compression ratio %v unexpectedly small", r)
+	if raw := int64(s.Rows) * int64(s.Dim) * 4; raw < 100*s.FootprintBytes() {
+		t.Fatalf("%d raw bytes in %d TT bytes: compression ratio unexpectedly small", raw, s.FootprintBytes())
 	}
 }
 

@@ -51,9 +51,10 @@ func NaiveOptions() Options { return Options{} }
 const lockStripes = 128
 
 // Table is a TT-compressed embedding table with sum-pooling lookup
-// semantics identical to embedding.Bag. It is safe for concurrent lookups;
-// backward passes must not run concurrently with each other on the same
-// table.
+// semantics identical to embedding.Bag. A table is used by one goroutine
+// at a time: Lookup writes the table-owned arena that the returned matrix
+// and the following Update read. Concurrent lookups run on replicas, one
+// CloneForServing clone per goroutine.
 type Table struct {
 	Shape Shape
 	Opts  Options

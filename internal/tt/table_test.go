@@ -107,7 +107,7 @@ func TestForwardMatchesReferenceAllOptionCombos(t *testing.T) {
 		tbl.Opts.ReusePrefix = combo&2 != 0
 		mat := tbl.Materialize()
 		indices, offsets := randomBatch(r, tbl.NumRows(), 16, 4)
-		got, cache := tbl.forward(indices, offsets)
+		got, cache := tbl.Lookup(indices, offsets), tbl.arena
 		want := refLookup(mat, indices, offsets)
 		if d := got.MaxAbsDiff(want); d > 1e-4 {
 			t.Fatalf("combo %d deviates by %v", combo, d)
@@ -128,8 +128,8 @@ func TestForwardDedupComputesEachRowOnce(t *testing.T) {
 	tbl := newTestTable(t, 5)
 	indices := []int{7, 7, 7, 7, 3}
 	offsets := []int{0, 2, 4}
-	_, cache := tbl.forward(indices, offsets)
-	if len(cache.WorkIdx) != 2 {
+	tbl.Lookup(indices, offsets)
+	if cache := tbl.arena; len(cache.WorkIdx) != 2 {
 		t.Fatalf("dedup left %d work items, want 2", len(cache.WorkIdx))
 	}
 }
@@ -140,9 +140,9 @@ func TestForwardPrefixBufferDedupsPrefixes(t *testing.T) {
 	// Indices sharing the same (i1,i2) prefix (consecutive within m3 block).
 	indices := []int{0, 1, 2, m3, m3 + 1}
 	offsets := []int{0}
-	_, cache := tbl.forward(indices, offsets)
-	if cache.PrefixBuf.Rows != 2 {
-		t.Fatalf("prefix buffer has %d rows, want 2", cache.PrefixBuf.Rows)
+	tbl.Lookup(indices, offsets)
+	if rows := tbl.arena.PrefixBuf.Rows; rows != 2 {
+		t.Fatalf("prefix buffer has %d rows, want 2", rows)
 	}
 }
 
@@ -156,7 +156,7 @@ func TestForwardMapPathForLargePrefixSpace(t *testing.T) {
 	tbl := NewTable(s, tensor.NewRNG(7), 0.1)
 	r := tensor.NewRNG(8)
 	indices, offsets := randomBatch(r, s.Rows, 8, 3)
-	got, _ := tbl.forward(indices, offsets)
+	got := tbl.Lookup(indices, offsets)
 	want := make([]float32, s.Dim)
 	row := make([]float32, s.Dim)
 	// Reference via LookupRow (no full materialization at 100k rows).
@@ -175,7 +175,7 @@ func TestForwardMapPathForLargePrefixSpace(t *testing.T) {
 
 func TestForwardEmptyBagAndValidation(t *testing.T) {
 	tbl := newTestTable(t, 9)
-	out, _ := tbl.forward([]int{5}, []int{0, 0}) // first bag empty
+	out := tbl.Lookup([]int{5}, []int{0, 0}) // first bag empty
 	for j := 0; j < tbl.Dim(); j++ {
 		if out.At(0, j) != 0 {
 			t.Fatal("empty bag must be zero")
@@ -198,7 +198,7 @@ func TestForwardEmptyBagAndValidation(t *testing.T) {
 					t.Fatalf("%s did not panic", c.name)
 				}
 			}()
-			tbl.forward(c.indices, c.offsets)
+			tbl.Lookup(c.indices, c.offsets)
 		}()
 	}
 }
@@ -217,11 +217,11 @@ func TestQuickForwardOptionAgreement(t *testing.T) {
 		}
 		base := NewTable(s, tensor.NewRNG(seed+1), 0.1)
 		indices, offsets := randomBatch(r, rows, 1+r.Intn(8), 3)
-		ref, _ := base.forward(indices, offsets)
+		ref := base.Lookup(indices, offsets).Clone()
 		for combo := 0; combo < 3; combo++ {
 			base.Opts.DedupIndices = combo&1 != 0
 			base.Opts.ReusePrefix = combo&2 != 0
-			got, _ := base.forward(indices, offsets)
+			got := base.Lookup(indices, offsets)
 			if got.MaxAbsDiff(ref) > 1e-4 {
 				return false
 			}
@@ -327,8 +327,7 @@ func TestQuickBackwardOptionAgreement(t *testing.T) {
 		run := func(dedup, reuse bool) *Table {
 			tbl := NewTable(s, tensor.NewRNG(seed+99), 0.1)
 			tbl.Opts = Options{DedupIndices: dedup, ReusePrefix: reuse, InAdvanceAgg: true, FusedUpdate: false}
-			_, cache := tbl.forward(indices, offsets)
-			tbl.backward(cache, dOut, 0.05)
+			tbl.Update(indices, offsets, dOut, 0.05)
 			return tbl
 		}
 		ref := run(true, true)
