@@ -61,8 +61,9 @@ func ttCore(sc Scale) *Result {
 	// raw-buffer call each: the TT contractions at dim 64 = 4·4·4 and rank
 	// 64 (forward NN, backward TN and NT), and the default model's widest
 	// layer, the top tower's 415→64, at batch 128 (forward NT, dW TN, dx NN);
-	// then the stacked shapes: the interaction's per-sample Z·Zᵀ and S·Z over
-	// 27 features of width 64, and the TT products of a two-prefix G₂ group
+	// then the stacked shapes: one sample's Z·Zᵀ (the interaction's grouped
+	// scoring forward) and S·Z (its backward before lane blocks) over 27
+	// features of width 64, and the TT products of a two-prefix G₂ group
 	// and of a seven-prefix one (the forward fill, the backward dG₂ and c1 of
 	// one G₂ slice).
 	type gemm = func(m, k, n int, a, b, c []float32)

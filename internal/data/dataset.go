@@ -322,19 +322,19 @@ func (z smallZipf) index(u float64, n int) int {
 	thr := z.thr[:n+1]
 	// The largest k with u ≤ thr[k]; thr[0] = 1 always qualifies. Most
 	// draws fall below the last boundary (two in three at s = 1.1), so it
-	// is compared first.
-	k, hi := 0, n
-	if u <= thr[n] {
-		k = n
-	} else {
-		hi = n - 1
-	}
-	for k < hi {
-		mid := (k + hi + 1) / 2
-		if u <= thr[mid] {
-			k = mid
-		} else {
-			hi = mid - 1
+	// is compared first. Below it the search halves [k, k+size) without a
+	// data-dependent branch, so a random u costs no mispredictions: u and
+	// the thresholds are non-negative, so their bits, below 2⁶³, order as
+	// they do, and u ≤ thr[k+half] exactly when the difference of the bits
+	// has its sign clear.
+	k := n
+	if u > thr[n] {
+		ub, size := int64(math.Float64bits(u)), n
+		k = 0
+		for size > 1 {
+			half := size / 2
+			k += half &^ int((int64(math.Float64bits(thr[k+half]))-ub)>>63)
+			size -= half
 		}
 	}
 	if (k > 0 && u >= thr[k]*(1-zipfGuard)) || (k < n && u <= thr[k+1]*(1+zipfGuard)) {

@@ -10,13 +10,15 @@ import (
 // lower triangle of the Gram matrix after the original dense vector — exactly
 // the reference DLRM "dot" interaction.
 //
-// Every entry point works on one sample's stacked features Z, (T+1)×Dim with
-// the dense vector in row 0: the forward is the NT product Z·Zᵀ, the backward
-// the NN product S·Z with S the symmetric matrix of pair gradients. Pair
-// (i, j), i > j, is always row i of the A operand against row j of the B
-// operand, so by the kernels' rule (an element depends on its A row, its B row
-// and k, never on m or n; DESIGN.md §12) the grouped scoring forward below
-// reproduces Forward's bits.
+// Each sample's stacked features Z are (T+1)×Dim with the dense vector in
+// row 0; its forward is the NT product Z·Zᵀ, its backward the NN product S·Z
+// with S the symmetric matrix of pair gradients. Forward and Backward run
+// them tensor.Lanes samples at a time on lane blocks (tensor.PairDots,
+// tensor.PairGrad), each lane with the bits of its sample's own product.
+// Pair (i, j), i > j, is always row i of the A operand against row j of the
+// B operand, so by the kernels' rule (an element depends on its A row, its B
+// row and k, never on m or n; DESIGN.md §12) the per-sample grouped scoring
+// forward below reproduces Forward's bits.
 type Interaction struct {
 	Dim       int // feature dimension shared by dense output and embeddings
 	NumTables int // number of embedding vectors per sample
@@ -30,18 +32,24 @@ type Interaction struct {
 	dEmbs  []*tensor.Matrix
 	dy     *tensor.Matrix // Backward's upstream gradient, for the executors
 
-	// parts[p] is the scratch of the executor running the batch's part p;
-	// parts[0] also serves ForwardShared. split sets n and sample.
-	parts  []sampleScratch
-	n      int
-	sample func(it *Interaction, sc *sampleScratch, s int)
-	// pairs holds FillVarying's two products for one run of rows.
-	pairs []float32
+	// blocks[p] is the scratch of the executor running the batch's part p;
+	// split sets parts and block.
+	blocks []blockScratch
+	parts  int
+	block  func(it *Interaction, sc *blockScratch, s0, rows int)
+	// gram is ForwardShared's Z·Zᵀ; pairs holds FillVarying's two products
+	// for one run of rows.
+	gram, pairs []float32
 }
 
-// sampleScratch is one sample's scratch: z its stacked features, gram Z·Zᵀ
-// (forward) or S (backward), (T+1)×(T+1), dz S·Z.
-type sampleScratch struct{ z, gram, dz []float32 }
+// blockScratch is one executor's lane blocks: z the stacked features
+// (T+1 features of Dim vectors), y the pair dots (forward) or the rows of dy
+// (backward), dz S·Z; rows holds the block's rows of each feature's matrix
+// and one holds one matrix's, the operands of ToLanes and FromLanes.
+type blockScratch struct {
+	z, y, dz  []float32
+	rows, one [][]float32
+}
 
 // NewInteraction returns an interaction layer over numTables embeddings of
 // width dim.
@@ -49,33 +57,39 @@ func NewInteraction(dim, numTables int) *Interaction {
 	return &Interaction{Dim: dim, NumTables: numTables}
 }
 
-// scratch returns part p's scratch, first growing the layer's to p+1 parts.
-func (it *Interaction) scratch(p int) *sampleScratch {
-	f := it.NumTables + 1
-	for len(it.parts) <= p {
-		it.parts = append(it.parts, sampleScratch{
-			z: make([]float32, f*it.Dim), gram: make([]float32, f*f), dz: make([]float32, f*it.Dim),
+// scratch grows the layer's block scratch to p+1 executors.
+func (it *Interaction) scratch(p int) {
+	zs := tensor.LaneBlock(it.NumTables+1, it.Dim)
+	for len(it.blocks) <= p {
+		it.blocks = append(it.blocks, blockScratch{
+			z: make([]float32, zs), y: make([]float32, it.OutputDim()*tensor.Lanes), dz: make([]float32, zs),
+			rows: make([][]float32, it.NumTables+1), one: make([][]float32, 1),
 		})
 	}
-	return &it.parts[p]
 }
 
-// split runs sample over the batch in min(Workers(), batch) contiguous
-// parts, one executor per part on the part's own scratch. A sample's
-// arithmetic does not depend on its part, so neither do the bits.
-func (it *Interaction) split(batch int, sample func(it *Interaction, sc *sampleScratch, s int)) {
-	it.n, it.sample = min(tensor.Workers(), batch), sample
-	it.scratch(max(it.n-1, 0))
-	tensor.ParallelFor(it.n, it, runParts)
+// split runs block over the batch's lane blocks in min(Workers(), blocks)
+// contiguous parts, one executor per part on the part's own scratch. A
+// lane's arithmetic depends on neither its block nor its part, so neither
+// do the bits.
+func (it *Interaction) split(batch int, block func(it *Interaction, sc *blockScratch, s0, rows int)) {
+	it.parts, it.block = min(tensor.Workers(), laneBlocks(batch)), block
+	it.scratch(max(it.parts-1, 0))
+	tensor.ParallelFor(it.parts, it, runBlocks)
 }
 
-// runParts is split's executor body over parts [lo, hi).
-func runParts(ctx any, lo, hi int) {
+// laneBlocks is the number of lane blocks a batch takes.
+func laneBlocks(batch int) int { return (batch + tensor.Lanes - 1) / tensor.Lanes }
+
+// runBlocks is split's executor body over parts [lo, hi).
+func runBlocks(ctx any, lo, hi int) {
 	it := ctx.(*Interaction)
 	batch := it.dense.Rows
+	blocks := laneBlocks(batch)
 	for p := lo; p < hi; p++ {
-		for s := p * batch / it.n; s < (p+1)*batch/it.n; s++ {
-			it.sample(it, &it.parts[p], s)
+		for b := p * blocks / it.parts; b < (p+1)*blocks/it.parts; b++ {
+			s0 := b * tensor.Lanes
+			it.block(it, &it.blocks[p], s0, min(tensor.Lanes, batch-s0))
 		}
 	}
 }
@@ -111,6 +125,17 @@ func (it *Interaction) featuresInto(row, z, gram []float32) {
 	}
 }
 
+// lanes writes the stacked features of rows [s0, s0+rows) into the lane
+// block sc.z, feature by feature.
+func (it *Interaction) lanes(sc *blockScratch, s0, rows int) {
+	d := it.Dim
+	sc.rows[0] = it.dense.Data[s0*d:]
+	for t, e := range it.embs {
+		sc.rows[t+1] = e.Data[s0*d:]
+	}
+	tensor.ToLanes(rows, d, sc.rows, d, sc.z)
+}
+
 // Forward consumes the dense tower output (batch×dim) and one embedding
 // matrix per table (each batch×dim) and returns the interaction features.
 func (it *Interaction) Forward(dense *tensor.Matrix, embs []*tensor.Matrix) *tensor.Matrix {
@@ -129,14 +154,20 @@ func (it *Interaction) Forward(dense *tensor.Matrix, embs []*tensor.Matrix) *ten
 	it.dense, it.embs = dense, embs
 
 	it.out = tensor.Reuse(it.out, batch, it.OutputDim()) // every element is written below
-	it.split(batch, (*Interaction).forwardSample)
+	it.split(batch, (*Interaction).forwardBlock)
 	return it.out
 }
 
-// forwardSample writes sample s's row of Forward's output.
-func (it *Interaction) forwardSample(sc *sampleScratch, s int) {
-	it.pack(sc.z, it.dense, it.embs, s)
-	it.featuresInto(it.out.Row(s), sc.z, sc.gram)
+// forwardBlock writes rows [s0, s0+rows) of Forward's output.
+func (it *Interaction) forwardBlock(sc *blockScratch, s0, rows int) {
+	d, od := it.Dim, it.OutputDim()
+	it.lanes(sc, s0, rows)
+	tensor.PairDots(it.NumTables+1, d, sc.z, sc.y)
+	sc.one[0] = it.out.Data[s0*od+d:]
+	tensor.FromLanes(rows, od-d, sc.y, sc.one, od)
+	for s := s0; s < s0+rows; s++ {
+		copy(it.out.Row(s), it.dense.Row(s))
+	}
 }
 
 // Backward returns gradients for the dense tower output and each embedding
@@ -158,30 +189,25 @@ func (it *Interaction) Backward(dy *tensor.Matrix) (dDense *tensor.Matrix, dEmbs
 		it.dEmbs[i] = tensor.Reuse(it.dEmbs[i], batch, it.Dim)
 	}
 	it.dy = dy
-	it.split(batch, (*Interaction).backwardSample)
+	it.split(batch, (*Interaction).backwardBlock)
 	return it.dDense, it.dEmbs
 }
 
-// backwardSample writes sample s's rows of Backward's gradients.
-func (it *Interaction) backwardSample(sc *sampleScratch, s int) {
-	// dZ = S·Z: feature i collects g(i,j)·z_j over every pair it is in.
-	f, d, sym := it.NumTables+1, it.Dim, sc.gram
-	row := it.dy.Row(s)
-	pos := d
-	for i := 0; i < f; i++ {
-		for j := 0; j < i; j++ {
-			sym[i*f+j], sym[j*f+i] = row[pos], row[pos]
-			pos++
-		}
-		sym[i*f+i] = 0
-	}
-	it.pack(sc.z, it.dense, it.embs, s)
-	tensor.GemmInto(f, f, d, sym, sc.z, sc.dz)
-	tensor.AddTo(sc.dz[:d], row[:d])
-	copy(it.dDense.Row(s), sc.dz)
+// backwardBlock writes rows [s0, s0+rows) of Backward's gradients: dZ = S·Z,
+// feature i collecting g(i,j)·z_j over every pair it is in, S read from the
+// pair columns of the dy block; the dense row adds dy's dense columns.
+func (it *Interaction) backwardBlock(sc *blockScratch, s0, rows int) {
+	d, od, dd := it.Dim, it.OutputDim(), it.Dim*tensor.Lanes
+	it.lanes(sc, s0, rows)
+	sc.one[0] = it.dy.Data[s0*od:]
+	tensor.ToLanes(rows, od, sc.one, od, sc.y)
+	tensor.PairGrad(it.NumTables+1, d, sc.y[dd:], sc.z, sc.dz)
+	tensor.AddTo(sc.dz[:dd], sc.y[:dd])
+	sc.rows[0] = it.dDense.Data[s0*d:]
 	for t, de := range it.dEmbs {
-		copy(de.Row(s), sc.dz[(t+1)*d:])
+		sc.rows[t+1] = de.Data[s0*d:]
 	}
+	tensor.FromLanes(rows, d, sc.dz, sc.rows, d)
 }
 
 // ForwardShared is the once-per-group half of a forward pass in which every
@@ -195,12 +221,14 @@ func (it *Interaction) backwardSample(sc *sampleScratch, s int) {
 func (it *Interaction) ForwardShared(tmpl, ctx, dense *tensor.Matrix, embs []*tensor.Matrix, vary int) (*tensor.Matrix, *tensor.Matrix) {
 	tmpl = tensor.Reuse(tmpl, dense.Rows, it.OutputDim())
 	ctx = tensor.Reuse(ctx, dense.Rows, (it.NumTables+1)*it.Dim)
-	gram := it.scratch(0).gram
+	if f := it.NumTables + 1; len(it.gram) < f*f {
+		it.gram = make([]float32, f*f)
+	}
 	for g := 0; g < dense.Rows; g++ {
 		z := ctx.Row(g)
 		it.pack(z, dense, embs, g)
 		clear(z[(vary+1)*it.Dim : (vary+2)*it.Dim])
-		it.featuresInto(tmpl.Row(g), z, gram)
+		it.featuresInto(tmpl.Row(g), z, it.gram)
 	}
 	return tmpl, ctx
 }

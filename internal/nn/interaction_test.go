@@ -133,8 +133,9 @@ func TestInteractionBackwardBeforeForwardPanics(t *testing.T) {
 }
 
 // TestInteractionSplitBitForBitZeroAlloc: at four workers Forward and
-// Backward split the batch into four parts — uneven at 7 and 33 samples,
-// fewer parts than workers at 1 — and must write exactly the bits of the
+// Backward split the batch's lane blocks into four parts — one short block
+// at 1, 7, 9, 33 and 129 samples, fewer blocks than workers below 25, uneven
+// parts at 33, 128 and 129 — and must write exactly the bits of the
 // one-worker pass; after one warm-up pass at a width, a pass allocates
 // nothing.
 func TestInteractionSplitBitForBitZeroAlloc(t *testing.T) {
@@ -146,7 +147,7 @@ func TestInteractionSplitBitForBitZeroAlloc(t *testing.T) {
 		rng.FillNormal(m.Data, 1)
 		return m
 	}
-	for _, batch := range []int{1, 7, 33, 128} {
+	for _, batch := range []int{1, 7, 8, 9, 33, 128, 129} {
 		dense, embs := random(batch, dim), make([]*tensor.Matrix, tables)
 		for i := range embs {
 			embs[i] = random(batch, dim)

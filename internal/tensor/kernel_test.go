@@ -418,8 +418,9 @@ func TestLevel1MatchesReference(t *testing.T) {
 }
 
 // stackedDims and stackedGroups parameterise the products the stacked callers
-// issue: nn.Interaction's per-sample Z·Zᵀ and S·Z over 27 stacked features of
-// width d, and tt's per-G₂-slice products over a group of k prefixes at
+// issue: one sample's Z·Zᵀ over 27 stacked features of width d (the
+// interaction's scoring path) and S·Z of the same shape (what its training
+// oracle runs), and tt's per-G₂-slice products over a group of k prefixes at
 // n = 4·4·4, R = 64.
 var (
 	stackedDims   = []int{1, 7, 8, 33, 64}

@@ -3,8 +3,9 @@
 // the paper: plain GEMM, transposed GEMM variants (on Matrix values and on
 // caller-owned flat buffers), and element-wise vector helpers. Where the
 // paper issues one cublasGemmBatchedEx call over a pointer list, callers here
-// issue one product per owner (per sample, per G₂ slice). All kernels are
-// deterministic and goroutine-parallel over rows where profitable.
+// issue one product per owner (per lane block of eight samples, per G₂
+// slice). All kernels are deterministic and goroutine-parallel over rows
+// where profitable.
 package tensor
 
 import (

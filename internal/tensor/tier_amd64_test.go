@@ -121,3 +121,41 @@ func TestSplitmixLanesMatchScalarDraws(t *testing.T) {
 		}
 	}
 }
+
+// TestWideLaneKernelsMatchAVX2BitForBit holds the 512-bit lane kernels to
+// the AVX2 ones: pair dots and pair gradients over widths on both sides of
+// the 8-chain step and the 16-column tile, with special operands or (at even
+// feature counts) underflowing ones, write the same bits on both tiers.
+func TestWideLaneKernelsMatchAVX2BitForBit(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the assembly never runs on this host")
+	}
+	if missing := missingAVX512(); len(missing) > 0 {
+		t.Skipf("no 512-bit tier on this host: missing %s", strings.Join(missing, ", "))
+	}
+	rng := NewRNG(84)
+	for _, d := range []int{1, 7, 8, 9, 12, 15, 16, 17, 23, 31, 32, 33, 47, 48, 64, 70} {
+		for _, f := range []int{1, 2, 3, 4, 5, 6, 9, 27} {
+			z := laneOperands(rng, LaneBlock(f, d), true)
+			if f%2 == 0 {
+				z = underflowOperands(f, d)
+			}
+			s := laneOperands(rng, f*(f-1)/2*Lanes, true)
+			dz := [2][]float32{make([]float32, LaneBlock(f, d)), make([]float32, LaneBlock(f, d))}
+			out := [2][]float32{make([]float32, f*(f-1)/2*Lanes), make([]float32, f*(f-1)/2*Lanes)}
+			for i, wide := range []bool{false, true} {
+				if f > 1 {
+					pairDots(wide, f, d, z, out[i])
+				}
+				pairGrad(wide, f, d, s, z, dz[i])
+			}
+			for k, res := range [][2][]float32{out, dz} {
+				for i, v := range res[1] {
+					if math.Float32bits(v) != math.Float32bits(res[0][i]) {
+						t.Fatalf("d %d f %d, %s element %d: %v on the wide tier, %v on AVX2", d, f, []string{"pair dots", "pair gradient"}[k], i, v, res[0][i])
+					}
+				}
+			}
+		}
+	}
+}
