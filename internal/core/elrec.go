@@ -250,12 +250,13 @@ type remappedSource struct {
 
 // Batch generates batch iter into a fresh batch and remaps its sparse
 // indices.
-func (r *remappedSource) Batch(iter, size int) *data.Batch { return r.BatchInto(nil, iter, size) }
+func (r *remappedSource) Batch(iter, size int) *data.Batch { return r.BatchFrom(nil, nil, iter, size) }
 
-// BatchInto generates batch iter into dst (nil: a fresh batch) and remaps
-// its sparse indices in place.
-func (r *remappedSource) BatchInto(dst *data.Batch, iter, size int) *data.Batch {
-	b := r.d.BatchInto(dst, iter, size)
+// BatchFrom generates batch iter into dst (nil: a fresh batch) from the
+// raw streams plan holds, drawing the rest (data.Dataset.BatchFrom), and
+// remaps its sparse indices in place. Labels come from the raw ids.
+func (r *remappedSource) BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, size int) *data.Batch {
+	b := r.d.BatchFrom(dst, plan, iter, size)
 	for t, bij := range r.bijections {
 		if bij != nil {
 			bij.ApplyInPlace(b.Sparse[t])
@@ -264,15 +265,23 @@ func (r *remappedSource) BatchInto(dst *data.Batch, iter, size int) *data.Batch 
 	return b
 }
 
-// IndicesInto draws one table's index stream for batch iter into dst
-// through g, with the same remapping Batch applies, so the lookahead planner
-// (data.SparseSource) sees exactly the ids the pipeline will train on.
+// IndicesInto draws table t's raw index stream of batch iter into dst
+// through g: the stream a lookahead plan keeps for BatchFrom.
 func (r *remappedSource) IndicesInto(g *data.Generator, dst []int, iter, size, t int) []int {
-	ids := r.d.IndicesInto(g, dst, iter, size, t)
-	if bij := r.bijections[t]; bij != nil {
-		bij.ApplyInPlace(ids)
+	return r.d.IndicesInto(g, dst, iter, size, t)
+}
+
+// RemapInto writes table t's training ids for the raw stream ids into dst's
+// storage — the ids Batch remaps them to, which the lookahead planner plans
+// on — or reports false when t has no bijection.
+func (r *remappedSource) RemapInto(dst, ids []int, t int) ([]int, bool) {
+	bij := r.bijections[t]
+	if bij == nil {
+		return dst, false
 	}
-	return ids
+	dst = append(dst[:0], ids...)
+	bij.ApplyInPlace(dst)
+	return dst, true
 }
 
 // Model returns the underlying DLRM.
@@ -362,7 +371,7 @@ func (s *System) Evaluate(startIter, batches, batchSize int) (acc, auc float64) 
 	n := max(batches, 0) * batchSize
 	probs, labels := make([]float32, n), make([]float32, n)
 	for it := 0; it < batches; it++ {
-		s.evalBatch = s.source.BatchInto(s.evalBatch, startIter+it, batchSize)
+		s.evalBatch = s.source.BatchFrom(s.evalBatch, nil, startIter+it, batchSize)
 		at := it * batchSize
 		nn.SigmoidInto(probs[at:at+batchSize], s.model.Forward(s.evalBatch).Data)
 		copy(labels[at:], s.evalBatch.Labels)

@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/tensor"
@@ -40,7 +41,7 @@ func New(spec Spec) (*Dataset, error) {
 		for i := range perm {
 			perm[i] = int32(i)
 		}
-		r := rand.New(rand.NewSource(int64(mix(spec.Seed, uint64(t), 0x5CA77E2)))) //nolint:gosec // deterministic synthetic data
+		r := newRand(int64(mix(spec.Seed, uint64(t), 0x5CA77E2)))
 		r.Shuffle(rows, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		d.scatter[t] = perm
 	}
@@ -57,16 +58,18 @@ type Batch struct {
 	Offsets []int          // bag starts: s·K
 	Labels  []float32
 
-	draw streamDraw // the stream stage BatchInto reuses with this batch
+	draw streamDraw // the stream stage BatchFrom reuses with this batch
 }
 
-// streamDraw is BatchInto's stream stage: min(Workers(), tables) executors
-// claim tables from next and draw their streams, each through its own
-// generator. A stream is seeded by its (iter, table) pair alone, so no bit
-// depends on the executor. gens[0] then draws the dense features and labels.
+// streamDraw is BatchFrom's stream stage: min(Workers(), len(todo))
+// executors claim the tables in todo — those no plan holds a stream for —
+// from next and draw their streams, each through its own generator. A stream
+// is seeded by its (iter, table) pair alone, so no bit depends on the
+// executor. gens[0] then draws the dense features and labels.
 type streamDraw struct {
 	d    *Dataset
 	iter int
+	todo []int
 	next atomic.Int64
 	gens []Generator
 }
@@ -77,7 +80,8 @@ func drawStreams(ctx any, lo, hi int) {
 	b := ctx.(*Batch)
 	w := &b.draw
 	for p := lo; p < hi; p++ {
-		for t := int(w.next.Add(1)) - 1; t < len(b.Sparse); t = int(w.next.Add(1)) - 1 {
+		for i := int(w.next.Add(1)) - 1; i < len(w.todo); i = int(w.next.Add(1)) - 1 {
+			t := w.todo[i]
 			b.Sparse[t] = w.d.IndicesInto(&w.gens[p], b.Sparse[t], w.iter, len(b.Labels), t)
 		}
 	}
@@ -87,11 +91,13 @@ func drawStreams(ctx any, lo, hi int) {
 func (b *Batch) Size() int { return len(b.Labels) }
 
 // Generator is the scratch index-stream generation needs: a single math/rand
-// generator re-seeded per stream, and each table's group Zipf built once
-// against it. Seeding puts the generator's source in exactly the state
-// NewSource(seed) builds, so every draw is the one a fresh generator makes.
-// The zero value is ready to use; it binds to the dataset it first draws
-// for, and a generator serves one goroutine at a time.
+// generator over the in-tree source (source.go), re-seeded per stream, and
+// each table's group Zipf built once against it. Seeding puts the source in
+// exactly the state rand.NewSource(seed) builds, at a third of its cost, so
+// every draw is the one a fresh math/rand generator makes. The zero value is
+// ready to use; it binds to the dataset it first draws for, and a generator
+// serves one goroutine at a time. Every stream — a batch's, the lookahead
+// planner's, the statistics' and BatchIndices' — is drawn through one.
 type Generator struct {
 	d      *Dataset
 	r      *rand.Rand
@@ -104,7 +110,7 @@ func (g *Generator) bind(d *Dataset) {
 	if g.d == d {
 		return
 	}
-	g.d, g.r, g.active = d, rand.New(rand.NewSource(0)), make([]int, d.Spec.ActiveGroups) //nolint:gosec // deterministic synthetic data
+	g.d, g.r, g.active = d, newRand(0), make([]int, d.Spec.ActiveGroups)
 	g.zipf = make([]*rand.Zipf, len(d.groups))
 	for t, n := range d.groups {
 		g.zipf[t] = rand.NewZipf(g.r, d.Spec.ZipfS, d.Spec.ZipfV, uint64(n-1))
@@ -119,8 +125,19 @@ func (d *Dataset) Batch(iter, size int) *Batch { return d.BatchInto(nil, iter, s
 // reusing its storage and the generator scratch it carries, and returns
 // it; a nil dst gets a fresh Batch. The result is the batch Batch(iter,
 // size) returns, and once dst has held a batch of this size from this
-// dataset, generating into it allocates nothing.
+// dataset, generating into it allocates nothing. It is BatchFrom with no
+// plan.
 func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
+	return d.BatchFrom(dst, nil, iter, size)
+}
+
+// BatchFrom is BatchInto for a batch a lookahead window planned: each table
+// plan holds a stream for (see Lookahead.Advance) is copied from the plan
+// instead of being drawn a second time, and only the other tables are drawn.
+// plan must cover iteration iter at this batch size, and its source must
+// draw this dataset's streams (a nil plan holds none); the batch is the one
+// BatchInto generates, and the plan stays the caller's, untouched.
+func (d *Dataset) BatchFrom(dst *Batch, plan *WindowPlan, iter, size int) *Batch {
 	if size <= 0 {
 		panic("data: non-positive batch size")
 	}
@@ -135,14 +152,25 @@ func (d *Dataset) BatchInto(dst *Batch, iter, size int) *Batch {
 		b.Offsets[s] = s * bag
 	}
 	w := &b.draw
-	n := min(tensor.Workers(), len(b.Sparse))
-	for len(w.gens) < n {
+	held := plan.tablesAt(iter, size)
+	for ti, t := range held {
+		b.Sparse[t] = append(b.Sparse[t][:0], plan.Access(ti, iter).stream...)
+	}
+	w.todo = w.todo[:0]
+	for t := range b.Sparse {
+		if !slices.Contains(held, t) {
+			w.todo = append(w.todo, t)
+		}
+	}
+	n := min(tensor.Workers(), len(w.todo))
+	gens := max(n, 1) // gens[0] also draws the dense features and labels
+	for len(w.gens) < gens {
 		w.gens = append(w.gens, Generator{})
 	}
 	// Bound here, not by the first stream an executor happens to claim: an
 	// executor that claims none for many batches would otherwise build its
 	// generator's scratch in some later step.
-	for p := range w.gens[:n] {
+	for p := range w.gens[:gens] {
 		w.gens[p].bind(d)
 	}
 	w.d, w.iter = d, iter
@@ -235,40 +263,36 @@ func (d *Dataset) streamSeed(iter, t int) int64 {
 }
 
 // BatchIndices deterministically generates only table t's indices of batch
-// iter (size·BagSize of them) into a fresh slice with a fresh source — each
-// (iter, table) pair has its own RNG stream, so per-table statistics never
-// pay for the other 25 tables. It equals IndicesInto, which Batch composes,
-// so BatchIndices(i, n, t) equals Batch(i, n).Sparse[t].
+// iter (size·BagSize of them) into a fresh slice through a fresh Generator —
+// each (iter, table) pair has its own RNG stream, so per-table statistics
+// never pay for the other 25 tables. It is IndicesInto, which Batch
+// composes, so BatchIndices(i, n, t) equals Batch(i, n).Sparse[t].
 func (d *Dataset) BatchIndices(iter, size, t int) []int {
-	spec := d.Spec
-	r := rand.New(rand.NewSource(d.streamSeed(iter, t))) //nolint:gosec // deterministic synthetic data
-	out := make([]int, size*spec.BagSize())
-	d.drawIndices(out, r, rand.NewZipf(r, spec.ZipfS, spec.ZipfV, uint64(d.groups[t]-1)), make([]int, spec.ActiveGroups), t)
-	return out
+	return d.IndicesInto(new(Generator), nil, iter, size, t)
 }
 
 // IndicesInto draws table t's index stream of batch iter — BatchIndices(iter,
 // size, t) — into dst's storage through g, and returns it. It is the one
-// path every reused-generator stream takes (BatchInto's tables, the
-// lookahead planner, the access statistics and the reordering profile), and
-// once g has drawn for d and dst has held a stream of this size it
-// allocates nothing.
+// path every stream takes (BatchFrom's tables, the lookahead planner, the
+// access statistics, the reordering profile and BatchIndices), and once g
+// has drawn for d and dst has held a stream of this size it allocates
+// nothing.
 func (d *Dataset) IndicesInto(g *Generator, dst []int, iter, size, t int) []int {
 	g.bind(d)
 	dst = resize(dst, size*d.Spec.BagSize())
 	g.r.Seed(d.streamSeed(iter, t))
-	d.drawIndices(dst, g.r, g.zipf[t], g.active, t)
+	d.drawIndices(dst, g, t)
 	return dst
 }
 
-// drawIndices fills out with table t's index stream from r, which is seeded
-// for the stream; groupZipf draws from r over t's groups and active is
-// ActiveGroups of scratch. The batch concentrates on ActiveGroups hot
+// drawIndices fills out with table t's index stream from g, whose generator
+// is seeded for the stream. The batch concentrates on ActiveGroups hot
 // groups with probability Locality and falls back to the global Zipf
-// distribution otherwise.
-func (d *Dataset) drawIndices(out []int, r *rand.Rand, groupZipf *rand.Zipf, active []int, t int) {
+// distribution over t's groups otherwise.
+func (d *Dataset) drawIndices(out []int, g *Generator, t int) {
 	spec := d.Spec
 	rows := spec.TableRows[t]
+	r, groupZipf, active := g.r, g.zipf[t], g.active
 	for i := range active {
 		active[i] = int(groupZipf.Uint64())
 	}

@@ -16,19 +16,34 @@ import (
 // from the pinned working set (reused within the window), and how long each
 // row's cache entry must survive (its next in-window use).
 //
+// Each planned stream is drawn once. The plan keeps the raw index stream it
+// drew for every planned (table, batch), pooled with the rest of its
+// storage, and the pipeline builds the batch from it (Dataset.BatchFrom)
+// instead of drawing it again; Release frees the streams with the plan.
+//
 // Pinning is strictly per window. The first use of a row in a window always
 // gathers fresh, even if the previous window used the row: whether a cache
 // entry from an earlier window is still live depends on gradient-push
 // visibility, which is timing-dependent, and gather decisions must depend
 // only on window contents so that training is bit-exact at any queue depth.
 
-// sparseSource produces one table's sparse index stream for one batch
-// without materializing the full batch, into dst's storage and through the
-// caller's generator g (see Dataset.IndicesInto). *Dataset implements it;
-// wrappers that remap ids (reordering bijections) implement it by remapping
-// the underlying stream in place.
+// sparseSource produces one table's raw index stream for one batch without
+// materializing the full batch, into dst's storage and through the caller's
+// generator g (see Dataset.IndicesInto): the stream the source's batches
+// hold before any remap, which the plan keeps for Dataset.BatchFrom.
+// *Dataset implements it, and so does core's reordering source, which also
+// implements remapper.
 type sparseSource interface {
 	IndicesInto(g *Generator, dst []int, iter, size, table int) []int
+}
+
+// remapper is implemented by a sparseSource whose batches train on remapped
+// ids (reordering bijections): RemapInto writes the training ids of table's
+// raw stream ids into dst's storage and returns them, or reports false when
+// the table trains on its raw ids. The planner plans such a table on the
+// remapped copy and keeps the raw stream.
+type remapper interface {
+	RemapInto(dst, ids []int, table int) ([]int, bool)
 }
 
 // LookaheadConfig sizes a Lookahead planner.
@@ -61,6 +76,8 @@ type BatchAccess struct {
 	NextUse  []int32
 	FreshIDs []int
 	FreshPos []int
+
+	stream []int // the raw index stream the access was planned from
 }
 
 // TableWindow is one planned table's per-batch access list.
@@ -70,8 +87,9 @@ type TableWindow struct {
 
 // WindowPlan is the planned access set for the window of batches
 // [Start, Start+N). Tables is parallel to the config's Tables. Plans are
-// pooled: Release returns the plan's storage to the planner once every
-// consumer (the last batch's gradient push) is done with it.
+// pooled: Release returns the plan's storage — its kept streams included —
+// to the planner once every consumer (the last batch's gradient push) is
+// done with it.
 type WindowPlan struct {
 	Start, N int
 	Tables   []TableWindow
@@ -82,6 +100,20 @@ type WindowPlan struct {
 // Access returns table t's planned access for absolute iteration iter.
 func (p *WindowPlan) Access(t, iter int) *BatchAccess {
 	return &p.Tables[t].Acc[iter-p.Start]
+}
+
+// tablesAt returns the dataset tables p holds streams for, parallel to
+// p.Tables, checking that p covers batch iter of this size; a nil plan holds
+// none.
+func (p *WindowPlan) tablesAt(iter, size int) []int {
+	if p == nil {
+		return nil
+	}
+	if iter < p.Start || iter >= p.Start+p.N || size != p.owner.cfg.Batch {
+		panic(fmt.Sprintf("data: plan of batches [%d,%d) at size %d cannot build batch %d at size %d",
+			p.Start, p.Start+p.N, p.owner.cfg.Batch, iter, size))
+	}
+	return p.owner.cfg.Tables
 }
 
 // Release returns the plan to its planner's pool. The caller must not touch
@@ -145,12 +177,14 @@ func (acc *BatchAccess) reserve(n, bound int) {
 // happens-before edge for plan reuse. Each plan's contents are immutable
 // between Advance returning it and Release.
 type Lookahead struct {
-	cfg LookaheadConfig
-	src sparseSource
+	cfg   LookaheadConfig
+	src   sparseSource
+	remap remapper // nil: every table trains on its raw stream
 
 	gen     Generator // the one generator every planned stream is drawn through
 	scratch laScratch
-	ids     [][]int // per-batch index stream of the table being planned, storage reused
+	streams [][]int // per batch, the planned table's stream as training sees it
+	mapped  [][]int // per batch, the remapped copy of a remapped table's stream
 
 	mu   sync.Mutex
 	free []*WindowPlan
@@ -158,7 +192,7 @@ type Lookahead struct {
 
 // NewLookahead builds a planner over src, which must implement
 // sparseSource: the planner draws per-table index streams through its own
-// generator into reused buffers and never materializes a batch.
+// generator into the plan's storage and never materializes a batch.
 func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if cfg.Window < 2 {
 		return nil, fmt.Errorf("lookahead window %d: need at least 2 batches", cfg.Window)
@@ -173,7 +207,10 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if !ok {
 		return nil, fmt.Errorf("lookahead source %T does not implement IndicesInto", src)
 	}
-	l := &Lookahead{cfg: cfg, src: sparse, ids: make([][]int, cfg.Window)}
+	l := &Lookahead{cfg: cfg, src: sparse, streams: make([][]int, cfg.Window)}
+	if r, ok := src.(remapper); ok {
+		l.remap, l.mapped = r, make([][]int, cfg.Window)
+	}
 	for _, rows := range cfg.Rows {
 		if rows <= 0 {
 			return nil, fmt.Errorf("lookahead table rows %d: must be positive", rows)
@@ -184,8 +221,10 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 
 // Advance plans the window of n batches starting at absolute iteration
 // start (n may be smaller than the configured window for the tail of a
-// run). The returned plan is valid until Release. Once plan storage and the
-// stream buffers have grown to the working set, it allocates nothing.
+// run). Each planned table's raw streams are drawn into the plan, which
+// keeps them for Dataset.BatchFrom; a table the source remaps is planned on
+// a remapped copy. The returned plan is valid until Release. Once plan
+// storage has grown to the working set, it allocates nothing.
 func (l *Lookahead) Advance(start, n int) *WindowPlan {
 	if n < 1 || n > l.cfg.Window {
 		panic(fmt.Sprintf("lookahead: Advance(%d, %d) outside window size %d", start, n, l.cfg.Window))
@@ -193,8 +232,15 @@ func (l *Lookahead) Advance(start, n int) *WindowPlan {
 	plan := l.takePlan(n)
 	plan.Start, plan.N = start, n
 	for ti, pos := range l.cfg.Tables {
+		acc := plan.Tables[ti].Acc
 		for j := 0; j < n; j++ {
-			l.ids[j] = l.src.IndicesInto(&l.gen, l.ids[j], start+j, l.cfg.Batch, pos)
+			acc[j].stream = l.src.IndicesInto(&l.gen, acc[j].stream, start+j, l.cfg.Batch, pos)
+			l.streams[j] = acc[j].stream
+			if l.remap != nil {
+				if m, ok := l.remap.RemapInto(l.mapped[j], acc[j].stream, pos); ok {
+					l.mapped[j], l.streams[j] = m, m
+				}
+			}
 		}
 		l.planTable(ti, plan, start, n)
 	}
@@ -228,7 +274,7 @@ func (l *Lookahead) takePlan(n int) *WindowPlan {
 }
 
 // planTable runs the two planning passes for table ti over the index
-// streams in l.ids[0:n]. The forward pass builds each batch's uniq/inverse
+// streams in l.streams[0:n]. The forward pass builds each batch's uniq/inverse
 // and hands every distinct row of the window its window slot; a row whose
 // slot it creates is on its first use in the window, so that uniq entry is
 // Fresh and joins FreshIDs/FreshPos; a batch has at most min(ids, rows)
@@ -240,7 +286,7 @@ func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
 	tw := &plan.Tables[ti]
 
 	total := 0
-	for _, ids := range l.ids[:n] {
+	for _, ids := range l.streams[:n] {
 		total += len(ids)
 	}
 	sc.begin(total)
@@ -248,7 +294,7 @@ func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
 	slots, base := 0, 0 // window slots handed out; uslot offset of batch j
 	for j := 0; j < n; j++ {
 		acc := &tw.Acc[j]
-		ids := l.ids[j]
+		ids := l.streams[j]
 		acc.reserve(len(ids), min(len(ids), l.cfg.Rows[ti]))
 		u, k := 0, 0 // the batch's uniq and fresh entries so far
 		for p, id := range ids {

@@ -527,3 +527,93 @@ func containsInt(s []int, v int) bool {
 	}
 	return false
 }
+
+// remapSource trains table `table` on its ids reversed across the table's id
+// space (id → rows−1−id), the way core's reordering source remaps a table
+// through its bijection; the other tables train on their raw ids.
+type remapSource struct {
+	d     *Dataset
+	table int
+}
+
+func (r *remapSource) IndicesInto(g *Generator, dst []int, iter, size, table int) []int {
+	return r.d.IndicesInto(g, dst, iter, size, table)
+}
+
+func (r *remapSource) RemapInto(dst, ids []int, table int) ([]int, bool) {
+	if table != r.table {
+		return dst, false
+	}
+	rows := r.d.Spec.TableRows[table]
+	dst = dst[:0]
+	for _, id := range ids {
+		dst = append(dst, rows-1-id)
+	}
+	return dst, true
+}
+
+// TestBatchFromTakesPlannedStreams: a batch built from its window's plan is
+// the batch BatchInto generates, over the dataset and over a source that
+// remaps a planned table, whose plan is made on the remapped ids while the
+// batch gets the raw stream its labels are drawn from. The planned tables'
+// streams are taken from the plan, not drawn again: a plan whose kept stream
+// is altered yields the altered ids. A plan that does not cover the batch is
+// refused.
+func TestBatchFromTakesPlannedStreams(t *testing.T) {
+	d, err := New(lookaheadTestSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const window, batch, start = 4, 32, 7
+	rows := d.Spec.TableRows
+	tables := []int{2, 0}
+	for _, src := range []sparseSource{d, &remapSource{d: d, table: 2}} {
+		name := fmt.Sprintf("%T", src)
+		la, err := NewLookahead(src, LookaheadConfig{Window: window, Batch: batch, Tables: tables, Rows: []int{rows[2], rows[0]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := la.Advance(start, window)
+		var dst *Batch
+		for it := start; it < start+window; it++ {
+			dst = d.BatchFrom(dst, plan, it, batch)
+			want := d.Batch(it, batch)
+			for tb := range want.Sparse {
+				if !equalInts(dst.Sparse[tb], want.Sparse[tb]) {
+					t.Fatalf("%s: batch %d table %d: BatchFrom disagrees with Batch", name, it, tb)
+				}
+			}
+			if !slices.Equal(dst.Dense.Data, want.Dense.Data) || !slices.Equal(dst.Labels, want.Labels) {
+				t.Fatalf("%s: batch %d: BatchFrom's dense features or labels disagree with Batch", name, it)
+			}
+		}
+		for ti, tb := range tables {
+			streams := streamsOf(d, start, window, batch, tb)
+			if r, ok := src.(remapper); ok {
+				for j := range streams {
+					if m, ok := r.RemapInto(nil, streams[j], tb); ok {
+						streams[j] = m
+					}
+				}
+			}
+			checkPlanAgainstReference(t, name, plan, ti, streams)
+		}
+
+		kept := plan.Access(0, start).stream
+		slices.Reverse(kept)
+		if dst = d.BatchFrom(dst, plan, start, batch); !equalInts(dst.Sparse[2], kept) {
+			t.Fatalf("%s: BatchFrom drew table 2 instead of taking the plan's stream", name)
+		}
+		for _, bad := range [][2]int{{start + window, batch}, {start - 1, batch}, {start, batch + 1}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: BatchFrom built batch %d at size %d from the plan of [%d,%d) at size %d", name, bad[0], bad[1], start, start+window, batch)
+					}
+				}()
+				d.BatchFrom(nil, plan, bad[0], bad[1])
+			}()
+		}
+		plan.Release()
+	}
+}

@@ -27,13 +27,14 @@ const (
 
 // BatchSource produces training batches; data.Dataset satisfies it, and the
 // core package wraps it with the index-reordering bijection. Batch returns a
-// fresh batch; BatchInto generates the same batch into dst's storage (a nil
-// dst gets a fresh one), which is how Train generates its batches. Lookahead
-// planning additionally needs data.sparseSource, per-table index streams
-// (both of those implement it).
+// fresh batch; BatchFrom generates the same batch into dst's storage (a nil
+// dst gets a fresh one), taking the streams the batch's lookahead plan
+// already drew (a nil plan: none), which is how Train generates its batches.
+// Lookahead planning additionally needs data.sparseSource, per-table raw
+// index streams (both of those implement it).
 type BatchSource interface {
 	Batch(iter, size int) *data.Batch
-	BatchInto(dst *data.Batch, iter, size int) *data.Batch
+	BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, size int) *data.Batch
 }
 
 // TableLoc places one embedding table: resident on the device (Device
@@ -574,7 +575,8 @@ func (p *Pipeline) recycleSlab(hb *hostBatch) {
 }
 
 // gatherBatch is the fault-tolerant gather: it generates batch iter into the
-// slab, retries injected transient faults with capped backoff, and converts
+// slab, from the streams its plan already holds and drawing the rest,
+// retries injected transient faults with capped backoff, and converts
 // panics from the data or embedding layers into errors so a faulty
 // pre-fetcher cannot wedge the pipeline.
 func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, hb *hostBatch, batchSize int) (err error) {
@@ -583,11 +585,15 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, hb *hostBatch
 			err = fmt.Errorf("%w: iter %d: %w", errGatherFailed, hb.iter, recoveredErr(r))
 		}
 	}()
-	// Read before generating: when a step trains faster than a batch is
-	// generated, a count read after generation already covers every earlier
-	// push, and a queue-depth-4 run reads no row through the cache at all.
+	// Read before generating the batch. A planned batch's host streams were
+	// drawn earlier, with its window (planFor), so only the device tables'
+	// streams and the labels still lie between this read and the gather.
+	// When a step trains faster than a batch is generated, a count read
+	// after generation already covers every earlier push, and a
+	// queue-depth-4 run reads no row through the cache at all. Which rows the
+	// cache serves depends on this timing either way; their values do not.
 	hb.gathered = p.applied.Load()
-	hb.batch = d.BatchInto(hb.batch, hb.iter, batchSize)
+	hb.batch = d.BatchFrom(hb.batch, hb.plan, hb.iter, batchSize)
 	for attempt := 0; ; attempt++ {
 		ferr := p.injectFault(ctx, faults.OpGather, hb.iter, attempt)
 		if ferr == nil {

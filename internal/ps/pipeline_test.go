@@ -5,7 +5,9 @@ import (
 	"errors"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -410,6 +412,79 @@ type batchOnly struct{ d *data.Dataset }
 
 func (b batchOnly) Batch(iter, size int) *data.Batch { return b.d.Batch(iter, size) }
 
-func (b batchOnly) BatchInto(dst *data.Batch, iter, size int) *data.Batch {
-	return b.d.BatchInto(dst, iter, size)
+func (b batchOnly) BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, size int) *data.Batch {
+	return b.d.BatchFrom(dst, plan, iter, size)
+}
+
+// drawCounter is a BatchSource over a dataset that counts, per (iteration,
+// table), the index streams drawn for training: each IndicesInto call (the
+// lookahead planner's draws) and each table a BatchFrom call draws itself —
+// every table without a plan, and with one only the tables it holds no
+// stream for (data.Dataset.BatchFrom's contract, which data's
+// TestBatchFromTakesPlannedStreams checks on the streams themselves).
+type drawCounter struct {
+	d     *data.Dataset
+	host  []int // the planned tables
+	mu    sync.Mutex
+	drawn map[[2]int]int
+}
+
+func (c *drawCounter) count(iter, table int) {
+	c.mu.Lock()
+	c.drawn[[2]int{iter, table}]++
+	c.mu.Unlock()
+}
+
+func (c *drawCounter) Batch(iter, size int) *data.Batch { return c.BatchFrom(nil, nil, iter, size) }
+
+func (c *drawCounter) BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, size int) *data.Batch {
+	for t := range c.d.Spec.TableRows {
+		if plan == nil || !slices.Contains(c.host, t) {
+			c.count(iter, t)
+		}
+	}
+	return c.d.BatchFrom(dst, plan, iter, size)
+}
+
+func (c *drawCounter) IndicesInto(g *data.Generator, dst []int, iter, size, table int) []int {
+	c.count(iter, table)
+	return c.d.IndicesInto(g, dst, iter, size, table)
+}
+
+// TestPipelineDrawsEachStreamOnce: a 40-step Train at lookahead 16 draws
+// every (iteration, table) stream exactly once, on both schedules. A planned
+// batch's host streams come from its window's plan, which drew them; the
+// first batch of the call is unplanned and draws its own; device tables are
+// drawn with the batch.
+func TestPipelineDrawsEachStreamOnce(t *testing.T) {
+	spec := psSpec()
+	spec.TableRows = []int{400, 120, 300}
+	d, err := data.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps, batch, window = 40, 32, 16
+	for _, depth := range []int{4, 1} {
+		src := &drawCounter{d: d, host: []int{1, 2}, drawn: map[[2]int]int{}}
+		dev := embedding.NewBag(spec.TableRows[0], psModelCfg().EmbDim, tensor.NewRNG(3))
+		locs := []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}, {HostRows: spec.TableRows[2]}}
+		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: depth, Lookahead: window}, locs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustTrain(t, p, src, 0, steps, batch)
+		for it := range steps {
+			for tb := range spec.TableRows {
+				if n := src.drawn[[2]int{it, tb}]; n != 1 {
+					t.Errorf("depth %d: iteration %d table %d drawn %d times, want 1", depth, it, tb, n)
+				}
+			}
+		}
+		if len(src.drawn) != steps*len(spec.TableRows) {
+			t.Errorf("depth %d: %d streams drawn, want %d", depth, len(src.drawn), steps*len(spec.TableRows))
+		}
+		if st := p.Stats(); st.LookaheadWindows == 0 {
+			t.Fatalf("depth %d: lookahead never advanced: %+v", depth, st)
+		}
+	}
 }

@@ -39,8 +39,8 @@ func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize 
 
 // planner returns the lookahead planner over d at this batch size. It is
 // kept for the next Train call over the same source and batch size, so the
-// plan pool, scratch and stream buffers the first windows grew serve every
-// later call instead of being rebuilt per call. Reuse is safe: a call's
+// plan pool (the plans' kept streams included) and scratch the first
+// windows grew serve every later call instead of being rebuilt per call. Reuse is safe: a call's
 // prefetcher has stopped before Train returns, and a plan a failed call
 // never released is simply not reused.
 func (p *Pipeline) planner(d BatchSource, batchSize int) (*data.Lookahead, error) {
