@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dlrm"
 	"repro/internal/nn"
@@ -102,7 +103,9 @@ func ttCore(sc Scale) *Result {
 	// product [G₁]ᵀ·[dP₁₂] and its SGD update of G₂[i₂]. Successive visits
 	// stride through 400 distinct 64 KB slices (25.6 MB, many times a core's
 	// L2), so each one, as in training, finds its slice beyond L2, which the
-	// hot-operand kernel rows above never do.
+	// hot-operand kernel rows above never do. slice-stream-cold is AddTo
+	// over the same cold slices: the memory traffic of one visit alone (read
+	// and write 64 KB), so what a visit costs beyond it is its products'.
 	{
 		const r, cols, n1, slices, stride, lr = 64, 256, 4, 400, 37, 0.05
 		g2 := make([]float32, slices*r*cols)
@@ -127,6 +130,17 @@ func ttCore(sc Scale) *Result {
 			}) / reps
 			addRowMACs(fmt.Sprintf("slice-visit-%dprefix", k), perOp, float64(2*rows*r*cols))
 		}
+		hot := make([]float32, r*cols)
+		rng.FillUniform(hot, 1e-3)
+		next := 0
+		addRow("slice-stream-cold", minOf(5, func() time.Duration {
+			return timeIt(func() {
+				for i := 0; i < 4*slices; i++ {
+					tensor.AddTo(g2[next*r*cols:(next+1)*r*cols], hot)
+					next = (next + stride) % slices
+				}
+			})
+		})/(4*slices))
 	}
 
 	// Raw GEMM kernels at an MLP-tower-like and a square shape.
@@ -214,7 +228,11 @@ func ttCore(sc Scale) *Result {
 
 	// Table initialisation, one call per op: FillUniform over 1 M floats
 	// (what fills every host and dense table and the MLP weights) and
-	// FillNormal over 64 K (every TT core; BenchmarkFillNormal's size).
+	// FillNormal over 64 K (BenchmarkFillNormal's smaller size; it draws every
+	// TT core, but train_tt's G₂ cores hold 0.8–1.2 M floats each). tt-init-r64
+	// builds train_tt's five TT tables (Terabyte(0.01) rows at or above the
+	// default threshold, dim = rank = 64, 5.07 M core floats) as a run does,
+	// through dlrm.TableSpec.Table: most of its time is FillNormal.
 	{
 		x := make([]float32, 1<<20)
 		rng := tensor.NewRNG(19)
@@ -223,6 +241,19 @@ func ttCore(sc Scale) *Result {
 		}))
 		addRow("fill-normal-64K", minOf(5, func() time.Duration {
 			return timeIt(func() { rng.FillNormal(x[:1<<16], 0.02) })
+		}))
+		cfg := core.DefaultConfig(data.TerabyteSpec(0.01))
+		spec := dlrm.TableSpec{Dim: 64, Rank: 64, TTThreshold: cfg.TTThreshold, Opts: tt.EffOptions(), Seed: 20}
+		addRow("tt-init-r64", minOf(5, func() time.Duration {
+			return timeIt(func() {
+				for i, rows := range cfg.Data.TableRows {
+					if spec.Compressed(rows) {
+						if _, err := spec.Table(i, rows); err != nil {
+							panic(err)
+						}
+					}
+				}
+			})
 		}))
 	}
 

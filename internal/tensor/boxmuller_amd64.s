@@ -61,6 +61,12 @@ CONST(cos5, 0x3fa555555555554b)
 CONST(qone, 1)
 CONST(qtwo, 2)
 CONST(qfour, 4)
+CONST(sign, 0x8000000000000000)
+CONST(mix1, 0xbf58476d1ce4e5b9)
+CONST(mix2, 0x94d049bb133111eb)
+CONST(twopi53, 0x3cc921fb54442d18) // float64(2*math.Pi)·2⁻⁵³, exact
+CONST(c52, 0x404a000000000000)     // 52.0
+CONST(step32, 0xc6ef372fe94f82a0) // 32γ: sixteen pairs' draws
 
 // ACC = ACC·X + c, one rounding each: a Horner step.
 #define HORNER(c, X, ACC) \
@@ -217,5 +223,212 @@ loop:
 	ADDQ $16, DX
 	DECQ CX
 	JNZ loop
+	VZEROUPPER
+	RET
+
+// The 512-bit tier fuses the draws into the transform (normalAVX512): eight
+// lanes a group, two groups per iteration, group g the pairs 8g … 8g+7 of
+// the sixteen. Each group's logarithm and cosine are independent chains,
+// and the loop interleaves all four. Per group, log side:
+//   L k, then ln u1, the radius and the result    F f
+//   S s        Q s², then R        P s⁴        A polynomial accumulator
+//   H u1's bits, then hfsq         T scratch    KF f1 ≤ √2/2
+// cosine side:
+//   X x, then z    J j, then zz    Y y, then scratch
+//   C polynomial accumulator       D the cosine, then the result's factor
+//   KS sine lanes (j ∈ {2, 6})    KN negated lanes ((j+2)&4 set)
+// Group 0 is Z0-Z12 and K1-K3, group 1 Z13-Z25 and K4-K6. Shared: Z26 the
+// stream state of this iteration, Z27 the smallest u1 bits seen, Z28 1.0,
+// Z29 0.5, Y31 std; every other constant is a {1to8} broadcast operand.
+// The exact steps (frexp, trunc, the integer ↔ float conversions) take
+// AVX-512's own exact instructions; every rounded one is the scalar code's.
+
+// DRAW sets U to Mix64(c) >> 11, Float64's 53 bits, for the counters c =
+// state + lanes (off(SI), eight of them), with T scratch.
+#define DRAW(off, U, T) \
+	VPADDQ off(SI), Z26, U; \
+	VPSRLQ $30, U, T; \
+	VPXORQ T, U, U; \
+	VPMULLQ.BCST mix1<>(SB), U, U; \
+	VPSRLQ $27, U, T; \
+	VPXORQ T, U, U; \
+	VPMULLQ.BCST mix2<>(SB), U, U; \
+	VPSRLQ $31, U, T; \
+	VPXORQ T, U, U; \
+	VPSRLQ $11, U, U
+
+// ANGLE turns u2's bits m into x = 2π·(m·2⁻⁵³) as the one product
+// m·(2π·2⁻⁵³): exact scalings of the same real, so they round alike.
+#define ANGLE(X) \
+	VCVTQQ2PD X, X; \
+	VMULPD.BCST twopi53<>(SB), X, X
+
+// FREXP: L = k and F = f1 − 1 of frexp(u1), u1 = m·2⁻⁵³ for u1's bits m in
+// U, after archLog's f1 ≤ √2/2 step under mask KF. f1 is m's mantissa in
+// [½, 1) (VGETMANTPD interval 2) and k = ⌊log₂ m⌋ − 52 (VGETEXPPD), exact;
+// so are k − 1 and f1 + f1, as k − 0 and f1·1 are in the other lanes.
+#define FREXP(U, L, F, KF) \
+	VCVTQQ2PD U, U; \
+	VGETMANTPD $2, U, F; \
+	VGETEXPPD U, L; \
+	VSUBPD.BCST c52<>(SB), L, L; \
+	VCMPPD.BCST $2, hsqrt2<>(SB), F, KF; \
+	VSUBPD Z28, L, KF, L; \
+	VADDPD F, F, KF, F; \
+	VSUBPD Z28, F, F
+
+// SFRAC: S = f/(2+f), Q = s², P = s⁴.
+#define SFRAC(F, S, Q, P, T) \
+	VADDPD.BCST two<>(SB), F, T; \
+	VDIVPD T, F, S; \
+	VMULPD S, S, Q; \
+	VMULPD Q, Q, P
+
+// HORNERB is HORNER with c a broadcast operand.
+#define HORNERB(c, X, ACC) \
+	VMULPD X, ACC, ACC; \
+	VADDPD.BCST c<>(SB), ACC, ACC
+
+// LOGPOLY: Q = R = s²·(L1 + s⁴·(L3 + s⁴·(L5 + s⁴·L7))) + s⁴·(L2 + s⁴·(L4 + s⁴·L6)).
+#define LOGPOLY(Q, P, A) \
+	VMULPD.BCST l7<>(SB), P, A; \
+	VADDPD.BCST l5<>(SB), A, A; \
+	HORNERB(l3, P, A); \
+	HORNERB(l1, P, A); \
+	VMULPD A, Q, Q; \
+	VMULPD.BCST l6<>(SB), P, A; \
+	VADDPD.BCST l4<>(SB), A, A; \
+	HORNERB(l2, P, A); \
+	VMULPD A, P, P; \
+	VADDPD P, Q, Q
+
+// RADIUS: L = √(−2·ln u1), ln u1 = k·Ln2Hi − ((hfsq − (s·(hfsq+R) + k·Ln2Lo)) − f).
+#define RADIUS(L, F, S, Q, H, T) \
+	VMULPD Z29, F, H; \
+	VMULPD F, H, H; \
+	VADDPD H, Q, Q; \
+	VMULPD Q, S, S; \
+	VMULPD.BCST ln2lo<>(SB), L, T; \
+	VADDPD T, S, S; \
+	VSUBPD S, H, H; \
+	VSUBPD F, H, H; \
+	VMULPD.BCST ln2hi<>(SB), L, L; \
+	VSUBPD H, L, L; \
+	VMULPD.BCST minus2<>(SB), L, L; \
+	VSQRTPD L, L
+
+// OCTANT: J = j = uint64(x·4/π) stepped to even and Y = y = float64(j),
+// and the masks KS and KN.
+#define OCTANT(X, J, Y, KS, KN) \
+	VMULPD.BCST fouropi<>(SB), X, J; \
+	VCVTTPD2QQ J, J; \
+	VPANDQ.BCST qone<>(SB), J, Y; \
+	VPADDQ Y, J, J; \
+	VCVTQQ2PD J, Y; \
+	VPTESTMQ.BCST qtwo<>(SB), J, KS; \
+	VPADDQ.BCST qtwo<>(SB), J, J; \
+	VPTESTMQ.BCST qfour<>(SB), J, KN
+
+// REDUCE: X = z = ((x − y·PI4A) − y·PI4B) − y·PI4C, J = zz.
+#define REDUCE(X, J, Y, D) \
+	VMULPD.BCST pi4a<>(SB), Y, D; \
+	VSUBPD D, X, X; \
+	VMULPD.BCST pi4b<>(SB), Y, D; \
+	VSUBPD D, X, X; \
+	VMULPD.BCST pi4c<>(SB), Y, D; \
+	VSUBPD D, X, X; \
+	VMULPD X, X, J
+
+// COSINE: D = 1 − 0.5·zz + zz·zz·((((((c0·zz)+c1)·zz+c2)·zz+c3)·zz+c4)·zz+c5).
+#define COSINE(J, Y, C, D) \
+	VMULPD.BCST cos0<>(SB), J, C; \
+	VADDPD.BCST cos1<>(SB), C, C; \
+	HORNERB(cos2, J, C); \
+	HORNERB(cos3, J, C); \
+	HORNERB(cos4, J, C); \
+	HORNERB(cos5, J, C); \
+	VMULPD J, J, Y; \
+	VMULPD C, Y, Y; \
+	VMULPD Z29, J, D; \
+	VSUBPD D, Z28, D; \
+	VADDPD Y, D, D
+
+// SINE: D = z + z·zz·((((((s0·zz)+s1)·zz+s2)·zz+s3)·zz+s4)·zz+s5) in the
+// sine lanes KS; the others keep the cosine.
+#define SINE(X, J, Y, C, D, KS) \
+	VMULPD.BCST sin0<>(SB), J, C; \
+	VADDPD.BCST sin1<>(SB), C, C; \
+	HORNERB(sin2, J, C); \
+	HORNERB(sin3, J, C); \
+	HORNERB(sin4, J, C); \
+	HORNERB(sin5, J, C); \
+	VMULPD J, X, Y; \
+	VMULPD C, Y, Y; \
+	VADDPD Y, X, KS, D
+
+// STORE negates under KN and writes float32(radius·D)·std to off(DX); LY is
+// L's lower half.
+#define STORE(L, LY, D, KN, off) \
+	VPXORQ.BCST sign<>(SB), D, KN, D; \
+	VMULPD D, L, L; \
+	VCVTPD2PS L, LY; \
+	VMULPS Y31, LY, LY; \
+	VMOVUPS LY, off(DX)
+
+// func normalAVX512(state uint64, lanes *[32]uint64, out *float32, n int, std float32) (zero bool)
+// out[i] = float32(boxMuller(u1, u2))·std for the Float64 draws u1 at
+// counter state + lanes[16·(i/8)+i%8] and u2 at state + lanes[16·(i/8)+8+i%8],
+// i < 16, each counter stepping by 32γ for the next sixteen, i < n, n a
+// positive multiple of 16. zero reports whether any u1 drew 0; the values
+// are then not normFloat64's, which would have drawn that u1 again.
+TEXT ·normalAVX512(SB), NOSPLIT, $0-41
+	MOVQ state+0(FP), AX
+	MOVQ lanes+8(FP), SI
+	MOVQ out+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $4, CX
+	VPBROADCASTQ AX, Z26
+	VPTERNLOGQ $0xff, Z27, Z27, Z27
+	VBROADCASTSD one<>(SB), Z28
+	VBROADCASTSD half<>(SB), Z29
+	VBROADCASTSS std+32(FP), Y31
+
+normal:
+	DRAW(0, Z6, Z7)
+	DRAW(128, Z19, Z20)
+	DRAW(64, Z8, Z12)
+	DRAW(192, Z21, Z25)
+	VPMINUQ Z6, Z27, Z27
+	VPMINUQ Z19, Z27, Z27
+	ANGLE(Z8)
+	ANGLE(Z21)
+	FREXP(Z6, Z0, Z1, K1)
+	FREXP(Z19, Z13, Z14, K4)
+	OCTANT(Z8, Z9, Z10, K2, K3)
+	OCTANT(Z21, Z22, Z23, K5, K6)
+	SFRAC(Z1, Z2, Z3, Z4, Z7)
+	SFRAC(Z14, Z15, Z16, Z17, Z20)
+	REDUCE(Z8, Z9, Z10, Z12)
+	REDUCE(Z21, Z22, Z23, Z25)
+	LOGPOLY(Z3, Z4, Z5)
+	LOGPOLY(Z16, Z17, Z18)
+	COSINE(Z9, Z10, Z11, Z12)
+	COSINE(Z22, Z23, Z24, Z25)
+	RADIUS(Z0, Z1, Z2, Z3, Z6, Z7)
+	RADIUS(Z13, Z14, Z15, Z16, Z19, Z20)
+	SINE(Z8, Z9, Z10, Z11, Z12, K2)
+	SINE(Z21, Z22, Z23, Z24, Z25, K5)
+	STORE(Z0, Y0, Z12, K3, 0)
+	STORE(Z13, Y13, Z25, K6, 32)
+
+	VPADDQ.BCST step32<>(SB), Z26, Z26
+	ADDQ $64, DX
+	DECQ CX
+	JNZ normal
+
+	VPTESTNMQ Z27, Z27, K1
+	KORTESTB K1, K1
+	SETNE AX
+	MOVB AX, zero+40(FP)
 	VZEROUPPER
 	RET

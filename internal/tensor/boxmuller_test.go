@@ -97,18 +97,23 @@ func TestInvertMix64(t *testing.T) {
 
 // TestFillNormalRedrawsZeroU1: an RNG built so that the u1 of element pos
 // draws 0 (a Uint64 below 2¹¹) takes normFloat64's retry in FillNormal too,
-// mid-block, on either side of the block boundary and in the scalar tail:
-// same bits as the loop, and exactly one extra draw.
+// with the same bits as the loop and exactly one extra draw: at the first, a
+// middle and the last lane of each of the fused kernel's two groups (and of
+// its last iteration before a chunk boundary), on either side of the AVX2
+// tier's 256-pair block, and in the tails each tier leaves to the next.
 func TestFillNormalRedrawsZeroU1(t *testing.T) {
-	for _, c := range []struct{ n, pos int }{{600, 100}, {600, 255}, {600, 256}, {258, 257}} {
+	cases := []struct{ n, pos int }{{600, 100}, {600, 255}, {600, 256}, {258, 257}, {600, 596}, {603, 601}}
+	for _, lane := range []int{0, 3, 7, 8, 12, 15} {
+		cases = append(cases, struct{ n, pos int }{600, 160 + lane})
+	}
+	cases = append(cases, struct{ n, pos int }{fillChunk + 16, fillChunk - 1})
+	for _, c := range cases {
 		for _, low := range []uint64{0x5a5, 1, 0x7ff} {
 			// Element pos's u1 is draw 2·pos, made from state s0 + (2·pos+1)·golden.
 			s0 := invertMix64(low) - uint64(2*c.pos+1)*golden
 			r := RNG{state: s0}
 			probe := r
-			for range 2 * c.pos {
-				probe.Uint64()
-			}
+			probe.Skip(uint64(2 * c.pos))
 			if probe.Float64() != 0 {
 				t.Fatalf("state %#x: element %d's u1 is not zero", s0, c.pos)
 			}
@@ -193,18 +198,47 @@ func sharpenU2(u1, u2 float64) float64 {
 	return nearestTo(v, 0, m, func(w float64) float64 { return boxMuller(u1, w) })
 }
 
-// checkKernel runs the kernel over four lanes and wants the scalar bits.
+// checkKernel runs the four-lane kernel over the pairs and, with the
+// 512-bit tier, the fused kernel too, and wants the scalar bits. The fused
+// kernel draws its pairs, so it gets each value moved onto Float64's grid
+// (m·2⁻⁵³, u1's m at least 1: every value it can draw) through its counter,
+// the Mix64 preimage of m<<11, and sixteen pairs a call: the pairs repeat
+// to fill the last call, so each of a short list's pairs lands in both
+// groups.
 func checkKernel(t *testing.T, u1, u2 []float64, std float32) {
 	t.Helper()
-	got, want := make([]float32, len(u1)), make([]float32, len(u1))
-	for i := range u1 {
-		want[i] = float32(boxMuller(u1[i], u2[i])) * std
+	check := func(kernel string, u1, u2 []float64, got []float32) {
+		t.Helper()
+		for i := range got {
+			want := float32(boxMuller(u1[i], u2[i])) * std
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("%s: u1=%v u2=%v std=%v: pair %d gives %v (%#08x), scalar %v (%#08x)",
+					kernel, u1[i], u2[i], std, i, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+			}
+		}
 	}
+	got := make([]float32, len(u1))
 	boxMullerAsm(u1, u2, got, std)
-	if i := firstDiff(got, want); i >= 0 {
-		t.Fatalf("u1=%v u2=%v std=%v: lane %d gives %v (%#08x), scalar %v (%#08x)",
-			u1[i], u2[i], std, i%4, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+	check("avx2", u1, u2, got)
+	if !useAVX512 {
+		return
 	}
+	n := (len(u1) + 15) &^ 15
+	g1, g2, got := make([]float64, n), make([]float64, n), make([]float32, n)
+	for b := 0; b < n; b += 16 {
+		var lanes [32]uint64
+		for i := range 16 {
+			m1 := max(uint64(u1[(b+i)%len(u1)]*(1<<53)), 1)
+			m2 := uint64(u2[(b+i)%len(u2)] * (1 << 53))
+			g1[b+i], g2[b+i] = float64(m1)/(1<<53), float64(m2)/(1<<53)
+			reg := 16*(i/8) + i%8
+			lanes[reg], lanes[reg+8] = invertMix64(m1<<11), invertMix64(m2<<11)
+		}
+		if normalAsm(0, &lanes, got[b:b+16], std) {
+			t.Fatalf("pairs %d…%d: the fused kernel reports a zero u1", b, b+15)
+		}
+	}
+	check("avx512", g1, g2, got)
 }
 
 // TestBoxMullerNearFloat32Midpoints holds the kernel to the scalar bits on
@@ -224,7 +258,7 @@ func TestBoxMullerNearFloat32Midpoints(t *testing.T) {
 	checkKernel(t, u1, u2, 1)
 }
 
-// FuzzBoxMuller holds the four-lane kernel to the scalar expression over
+// FuzzBoxMuller holds both kernels to the scalar expression over
 // u1 ∈ [2⁻⁵³, 1) and u2 ∈ [0, 1): lane 0 takes the fuzzed pair, lanes 1-3
 // the pair sharpened in u1, in u2 and in both. Seeds: the smallest and the
 // largest u1;
@@ -257,16 +291,33 @@ func FuzzBoxMuller(f *testing.F) {
 	})
 }
 
-// BenchmarkFillNormal reports FillNormal's cost per element, filling 65 536
-// elements per call.
+// BenchmarkFillNormal reports FillNormal's cost per element at 64 K
+// elements and at 1.25 M (the three cores of train_tt's largest TT table),
+// on each tier the host runs: avx512 (the fused kernel) and avx2 (the loop's
+// draws, the four-lane transform), or the portable loop alone.
 func BenchmarkFillNormal(b *testing.B) {
-	x := make([]float32, 64*64*16)
-	r := NewRNG(1)
-	b.ResetTimer()
-	for range b.N {
-		r.FillNormal(x, 0.02)
+	for _, n := range []struct {
+		name string
+		elts int
+	}{{"64K", 1 << 16}, {"1.25M", 1_250_000}} {
+		for _, wide := range []bool{true, false} {
+			tier := map[bool]string{true: "avx512", false: "avx2"}[wide]
+			if wide && !useAVX512 {
+				continue
+			} else if !useAVX2 {
+				tier = "portable"
+			}
+			b.Run(n.name+"/"+tier, func(b *testing.B) {
+				x := make([]float32, n.elts)
+				r := NewRNG(1)
+				b.ResetTimer()
+				for range b.N {
+					r.fillNormal(wide, x, 0.02)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/elt")
+			})
+		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/elt")
 }
 
 // BenchmarkFillUniform reports FillUniform's cost per element at 1 M

@@ -111,16 +111,21 @@ func reluGradAVX2(dy, y, db *float32, rows, cols int)
 //go:noescape
 func boxMullerAVX2(u1, u2 *float64, out *float32, n int, std float32)
 
-// uniformAVX512 and uniformPairsAVX512 (splitmix_amd64.s) compute eight
-// splitmix64 draws per vector from the RNG state: FillUniform's values for n
-// elements, and Float64 pairs at counters 2i+1 and 2i+2 for n pairs; n is a
-// positive multiple of 8. The state itself is the caller's to advance.
+// normalAVX512 is boxMullerAVX2 on the 512-bit tier with the draws fused
+// in: it writes out[i] = float32(boxMuller(u1, u2))·std for the Float64 pair
+// at counters state + lanes[…] (the layout normalLanes gives, each counter
+// stepping by 32γ per sixteen elements), i < n, n a positive multiple of 16,
+// and reports whether any u1 drew 0.
+//
+//go:noescape
+func normalAVX512(state uint64, lanes *[32]uint64, out *float32, n int, std float32) (zero bool)
+
+// uniformAVX512 (splitmix_amd64.s) computes FillUniform's values for n
+// elements, n a positive multiple of 8, eight splitmix64 draws per vector
+// from the RNG state. The state itself is the caller's to advance.
 //
 //go:noescape
 func uniformAVX512(state uint64, x *float32, n int, scale float32)
-
-//go:noescape
-func uniformPairsAVX512(state uint64, u1, u2 *float64, n int)
 
 // lanesInAVX2, lanesOutAVX2, pairDotsAVX2 and pairGradAVX2 are the
 // lane-block kernels (lanes_amd64.s, lanes.go): ToLanes and FromLanes over
@@ -238,12 +243,9 @@ func uniformAsm(state uint64, x []float32, scale float32) {
 	uniformAVX512(state, &x[0], len(x), scale)
 }
 
-// uniformPairsAsm fills the first n pairs, n ≥ 1, rounded up to a multiple
-// of 8.
-func uniformPairsAsm(state uint64, u1, u2 *[normBlock]float64, n int) {
-	n = (n + 7) &^ 7
-	_ = u1[n-1]
-	uniformPairsAVX512(state, &u1[0], &u2[0], n)
+// normalAsm fills x, len(x) a positive multiple of 16.
+func normalAsm(state uint64, lanes *[32]uint64, x []float32, std float32) (zero bool) {
+	return normalAVX512(state, lanes, &x[0], len(x), std)
 }
 
 // lanesInAsm and lanesOutAsm move the first done columns, a positive

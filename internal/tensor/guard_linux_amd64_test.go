@@ -42,7 +42,7 @@ func guardedFloats(t *testing.T, max int) func(n int) []float32 {
 // elements kills the test binary with SIGSEGV. The Box–Muller kernel's u1,
 // u2 and out end against a page too, at every length it takes up to 68, and
 // so do the splitmix64 kernels' outputs: uniformAsm's x at every length it
-// takes up to 72, and uniformPairsAsm's full blocks.
+// takes up to 72, and the fused normalAsm's at every length up to 80.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: the assembly never runs on this host")
@@ -88,9 +88,9 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	for n := 8; n <= 72; n += 8 {
 		uniformAsm(uint64(n), aAt(n), 0.5)
 	}
-	u1 := (*[normBlock]float64)(float64s(aAt(2 * normBlock)))
-	u2 := (*[normBlock]float64)(float64s(bAt(2 * normBlock)))
-	uniformPairsAsm(5, u1, u2, normBlock)
+	for n := 16; n <= 80; n += 16 {
+		normalAsm(uint64(n), &normalLanes, cAt(n), 0.5)
+	}
 }
 
 // float64s views an even-length float32 slice as float64s.

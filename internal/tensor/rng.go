@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // RNG is a small, fast, deterministic pseudo-random generator: splitmix64,
 // the Mix64 finalizer over a Weyl counter that steps by the golden-ratio
@@ -82,13 +79,15 @@ func (r *RNG) nonzeroFloat64() float64 {
 }
 
 // boxMuller is normFloat64's transform of one uniform pair; boxMullerAsm
-// evaluates it four pairs at a time with the same bits.
+// (four pairs) and normalAsm (sixteen, drawn in the kernel) evaluate it with
+// the same bits.
 func boxMuller(u1, u2 float64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// fillChunk bounds one uniformAsm call, so a large table is filled in
-// calls of about 30 µs each rather than one that cannot be preempted.
+// fillChunk bounds one uniformAsm or normalAsm call, so a large table is
+// filled in calls of about 30 µs (uniform) or 0.4 ms (normal) each rather
+// than one that cannot be preempted.
 const fillChunk = 1 << 16
 
 // FillUniform fills x with uniform values in [-scale, scale]:
@@ -109,45 +108,59 @@ func (r *RNG) FillUniform(x []float32, scale float32) {
 	}
 }
 
-// normBlock is how many uniform pairs FillNormal draws, on the stack,
-// before the vector kernel transforms them.
+// normBlock is how many uniform pairs the AVX2 tier of FillNormal draws, on
+// the stack, before its kernel transforms them.
 const normBlock = 256
 
+// normalLanes holds the counter offsets, from the stream's state, of
+// normalAsm's first sixteen pairs in its four counter registers: pair i's u1
+// at (2i+1)·γ and its u2 at (2i+2)·γ, the draws normFloat64 makes when no u1
+// is zero; pairs 0–7 take registers 0 and 1, pairs 8–15 registers 2 and 3.
+var normalLanes = func() (off [32]uint64) {
+	for i := range uint64(16) {
+		reg := 16*(i/8) + i%8
+		off[reg], off[reg+8] = (2*i+1)*golden, (2*i+2)*golden
+	}
+	return off
+}()
+
 // FillNormal fills x with normal values of the given standard deviation:
-// x[i] = float32(normFloat64())·std in draw order, bit for bit. With AVX2 the
-// transform runs four elements at a time (boxMullerAsm) and the last
-// len(x) mod 4 elements run the loop below.
-func (r *RNG) FillNormal(x []float32, std float32) {
+// x[i] = float32(normFloat64())·std in draw order, bit for bit.
+func (r *RNG) FillNormal(x []float32, std float32) { r.fillNormal(useAVX512, x, std) }
+
+// fillNormal is FillNormal on the 512-bit tier (wide) or the AVX2 one. The
+// wide tier computes sixteen elements at a time from their counters
+// (normalAsm); a zero u1 would have been drawn again, shifting every later
+// counter, so a chunk holding one is drawn again by the AVX2 tier from the
+// saved state. The AVX2 tier draws the uniform pairs in the loop's order and
+// transforms four at a time (boxMullerAsm). The last elements run the loop
+// below, which is also the portable path.
+func (r *RNG) fillNormal(wide bool, x []float32, std float32) {
+	if wide {
+		for len(x) >= 16 {
+			n := min(len(x)&^15, fillChunk)
+			if normalAsm(r.state, &normalLanes, x[:n], std) {
+				r.fillNormal(false, x[:n], std)
+			} else {
+				r.Skip(uint64(2 * n))
+			}
+			x = x[n:]
+		}
+	}
 	if useAVX2 {
 		var u1, u2 [normBlock]float64
 		for len(x) >= 4 {
 			n := min(len(x)&^3, normBlock)
-			r.uniformPairs(&u1, &u2, n)
+			for i := range n {
+				u1[i] = r.nonzeroFloat64()
+				u2[i] = r.Float64()
+			}
 			boxMullerAsm(u1[:n], u2[:n], x[:n], std)
 			x = x[n:]
 		}
 	}
 	for i := range x {
 		x[i] = float32(r.normFloat64()) * std
-	}
-}
-
-// uniformPairs draws normFloat64's first n uniform pairs, u1[i] =
-// nonzeroFloat64() and u2[i] = Float64(). With AVX-512 the lanes compute all
-// n from their counters (uniformPairsAsm); a zero u1 among them would have
-// been redrawn, shifting every later counter, so that block is drawn again
-// by the loop from the saved state.
-func (r *RNG) uniformPairs(u1, u2 *[normBlock]float64, n int) {
-	if useAVX512 {
-		uniformPairsAsm(r.state, u1, u2, n)
-		if !slices.Contains(u1[:n], 0) {
-			r.Skip(uint64(2 * n))
-			return
-		}
-	}
-	for i := range n {
-		u1[i] = r.nonzeroFloat64()
-		u2[i] = r.Float64()
 	}
 }
 

@@ -11,16 +11,13 @@
 // ·2⁻²³, −1 and ·2⁻⁵³ are exact on them. The one rounding left is
 // FillUniform's ·scale, a plain multiply (no FMA) as in the Go expression.
 
-// γ·k mod 2⁶⁴ for the lanes' first counters; the last entry of lanes8 and of
-// evens is the step, 8γ and 16γ.
+// γ·k mod 2⁶⁴ for the lanes' first counters; the last entry is the step, 8γ.
 #define LANES(name, a, b, c, d, e, f, g, h) \
 	DATA name<>+0(SB)/8, $a; DATA name<>+8(SB)/8, $b; DATA name<>+16(SB)/8, $c; DATA name<>+24(SB)/8, $d; \
 	DATA name<>+32(SB)/8, $e; DATA name<>+40(SB)/8, $f; DATA name<>+48(SB)/8, $g; DATA name<>+56(SB)/8, $h; \
 	GLOBL name<>(SB), RODATA|NOPTR, $64
 
 LANES(lanes8, 0x9e3779b97f4a7c15, 0x3c6ef372fe94f82a, 0xdaa66d2c7ddf743f, 0x78dde6e5fd29f054, 0x1715609f7c746c69, 0xb54cda58fbbee87e, 0x538454127b096493, 0xf1bbcdcbfa53e0a8)
-LANES(odds, 0x9e3779b97f4a7c15, 0xdaa66d2c7ddf743f, 0x1715609f7c746c69, 0x538454127b096493, 0x8ff34785799e5cbd, 0xcc623af8783354e7, 0x08d12e6b76c84d11, 0x454021de755d453b)
-LANES(evens, 0x3c6ef372fe94f82a, 0x78dde6e5fd29f054, 0xb54cda58fbbee87e, 0xf1bbcdcbfa53e0a8, 0x2e2ac13ef8e8d8d2, 0x6a99b4b1f77dd0fc, 0xa708a824f612c926, 0xe3779b97f4a7c150)
 
 DATA mix1<>+0(SB)/8, $0xbf58476d1ce4e5b9
 GLOBL mix1<>(SB), RODATA|NOPTR, $8
@@ -30,8 +27,6 @@ DATA exp23<>+0(SB)/4, $0x34000000 // float32 2⁻²³
 GLOBL exp23<>(SB), RODATA|NOPTR, $4
 DATA one32<>+0(SB)/4, $0x3f800000
 GLOBL one32<>(SB), RODATA|NOPTR, $4
-DATA exp53<>+0(SB)/8, $0x3ca0000000000000 // float64 2⁻⁵³
-GLOBL exp53<>(SB), RODATA|NOPTR, $8
 
 // MIX64 sets D to Mix64's first two rounds of Z, ((Z ^ Z>>30)·m1 ^ ·>>27)·m2,
 // with T scratch, m1 in Z2 and m2 in Z3. The third round, D ^ D>>31, leaves
@@ -74,47 +69,5 @@ fill:
 	ADDQ $32, DI
 	DECQ CX
 	JNZ fill
-	VZEROUPPER
-	RET
-
-// func uniformPairsAVX512(state uint64, u1, u2 *float64, n int)
-// u1[i] and u2[i] are Float64 at counters state + (2i+1)·γ and state +
-// (2i+2)·γ, NormFloat64's pair i when no u1 is zero, for i < n, n a positive
-// multiple of 8.
-TEXT ·uniformPairsAVX512(SB), NOSPLIT, $0-32
-	MOVQ state+0(FP), AX
-	MOVQ u1+8(FP), SI
-	MOVQ u2+16(FP), DI
-	MOVQ n+24(FP), CX
-	SHRQ $3, CX
-	VPBROADCASTQ AX, Z0
-	VPADDQ odds<>(SB), Z0, Z1
-	VPADDQ evens<>(SB), Z0, Z0
-	VPBROADCASTQ mix1<>(SB), Z2
-	VPBROADCASTQ mix2<>(SB), Z3
-	VPBROADCASTQ evens<>+56(SB), Z4
-	VBROADCASTSD exp53<>(SB), Z5
-
-pairs:
-	MIX64(Z1, Z6, Z8)
-	VPSRLQ $31, Z6, Z8
-	VPXORQ Z8, Z6, Z6
-	VPSRLQ $11, Z6, Z6
-	VCVTQQ2PD Z6, Z6
-	VMULPD Z5, Z6, Z6
-	VMOVUPD Z6, (SI)
-	MIX64(Z0, Z7, Z8)
-	VPSRLQ $31, Z7, Z8
-	VPXORQ Z8, Z7, Z7
-	VPSRLQ $11, Z7, Z7
-	VCVTQQ2PD Z7, Z7
-	VMULPD Z5, Z7, Z7
-	VMOVUPD Z7, (DI)
-	VPADDQ Z4, Z1, Z1
-	VPADDQ Z4, Z0, Z0
-	ADDQ $64, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ pairs
 	VZEROUPPER
 	RET

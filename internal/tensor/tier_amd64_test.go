@@ -89,9 +89,9 @@ func TestWideKernelsMatchAVX2BitForBit(t *testing.T) {
 
 // TestSplitmixLanesMatchScalarDraws calls the two splitmix64 kernels
 // directly and wants RNG's scalar bits: uniformAsm's (2·Float32() − 1)·scale
-// over 8 to 512 elements, and uniformPairsAsm's Float64 pairs at counters
-// 2i+1 and 2i+2 for every n up to normBlock, each element of a block rounded
-// up to eight lanes included.
+// over 8 to 512 elements, and the fused normalAsm's normal values over 16 to
+// 512, which hold its lanes to the counters the loop draws at, 2i+1 and 2i+2
+// for element i, in both groups and across iterations.
 func TestSplitmixLanesMatchScalarDraws(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: the assembly never runs on this host")
@@ -109,13 +109,49 @@ func TestSplitmixLanesMatchScalarDraws(t *testing.T) {
 				t.Fatalf("state %#x n=%d: lane %d gives %#08x, Float32 %#08x", seed, n, i%8, math.Float32bits(got[i]), math.Float32bits(want[i]))
 			}
 		}
-		for n := 1; n <= normBlock; n++ {
-			var u1, u2 [normBlock]float64
-			uniformPairsAsm(seed, &u1, &u2, n)
+		for n := 16; n <= 512; n += 16 {
+			got, want := make([]float32, n), make([]float32, n)
 			r := RNG{state: seed}
-			for i := range (n + 7) &^ 7 {
-				if w1, w2 := r.Float64(), r.Float64(); u1[i] != w1 || u2[i] != w2 {
-					t.Fatalf("state %#x n=%d: pair %d is (%v, %v), Float64 draws (%v, %v)", seed, n, i, u1[i], u2[i], w1, w2)
+			if normalAsm(seed, &normalLanes, got, -0.3) {
+				t.Fatalf("state %#x n=%d: the kernel reports a zero u1", seed, n)
+			}
+			normalLoop(&r, want, -0.3)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("state %#x n=%d: group %d lane %d gives %#08x, the loop %#08x", seed, n, i/8%2, i%8, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestWideFillNormalMatchesAVX2BitForBit holds FillNormal's 512-bit tier to
+// its AVX2 tier: at every length up to 70, around 256 and at one past a
+// million (many fillChunk calls and a tail), for four standard deviations
+// (1e-40 makes every product subnormal) and three seeds, the two write the
+// same bits and leave the RNG in the same state.
+func TestWideFillNormalMatchesAVX2BitForBit(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no AVX2: the assembly never runs on this host")
+	}
+	if missing := missingAVX512(); len(missing) > 0 {
+		t.Skipf("no 512-bit tier on this host: missing %s", strings.Join(missing, ", "))
+	}
+	var lengths []int
+	for n := 0; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 255, 256, 257, 1_000_003)
+	for _, seed := range []uint64{1, 42, 0xfeedface} {
+		for _, std := range []float32{1, 0.02, -3.5, 1e-40} {
+			for _, n := range lengths {
+				wide, narrow := *NewRNG(seed), *NewRNG(seed)
+				got, want := make([]float32, n), make([]float32, n)
+				wide.fillNormal(true, got, std)
+				narrow.fillNormal(false, want, std)
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("seed %d n=%d std=%v: x[%d] is %#08x on the wide tier, %#08x on AVX2", seed, n, std, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+				if wide.state != narrow.state {
+					t.Fatalf("seed %d n=%d: the wide tier left the RNG at %#x, AVX2 at %#x", seed, n, wide.state, narrow.state)
 				}
 			}
 		}
