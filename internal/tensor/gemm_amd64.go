@@ -8,9 +8,10 @@ package tensor
 // assembly.
 var useAVX2 = detectAVX2()
 
-// useAVX512 reports whether the products also take the 512-bit tier of
-// gemm_amd64.s: NN, TN, and NT with k ≥ ntDotMinK. Like useAVX2 it is
-// detected once; the two tiers give the same bits.
+// useAVX512 reports whether the 512-bit kernels run: the products' tier in
+// gemm_amd64.s (NN, TN, and NT with k ≥ ntDotMinK), FillUniform's
+// uniformAVX512 and FillNormal's fused normalAVX512. Like useAVX2 it is
+// detected once; each 512-bit kernel gives the bits of the path it replaces.
 var useAVX512 = useAVX2 && len(missingAVX512()) == 0
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -128,12 +129,10 @@ func normalAVX512(state uint64, lanes *[32]uint64, out *float32, n int, std floa
 func uniformAVX512(state uint64, x *float32, n int, scale float32)
 
 // lanesInAVX2, lanesOutAVX2, pairDotsAVX2 and pairGradAVX2 are the
-// lane-block kernels (lanes_amd64.s, lanes.go): ToLanes and FromLanes over
-// feats ≥ 1 blocks of tiles ≥ 1 8×8 tiles, strides in floats; PairDots for
-// f ≥ 2, d ≥ 1; PairGrad for f ≥ 1 over the first 1 ≤ cols ≤ d columns of
-// each feature. pairDotsAVX512 (d ≥ 8, tail the masks dotTailMasks gives)
-// and pairGradAVX512 (the first d &^ 15 ≥ 16 columns) are their 512-bit
-// tier: same bits.
+// lane-block kernels (lanes_amd64.s, lanes.go), the one tier of each on
+// every x86-64 host: ToLanes and FromLanes over feats ≥ 1 blocks of
+// tiles ≥ 1 8×8 tiles, strides in floats; PairDots for f ≥ 2, d ≥ 1;
+// PairGrad for f ≥ 1 over the first 1 ≤ cols ≤ d columns of each feature.
 //
 //go:noescape
 func lanesInAVX2(feats, tiles int, srcs *[]float32, ld int, dst *float32, fs int)
@@ -146,12 +145,6 @@ func pairDotsAVX2(f, d, fs int, z, out *float32)
 
 //go:noescape
 func pairGradAVX2(f, fs, cols int, s, z, dz *float32)
-
-//go:noescape
-func pairDotsAVX512(f, d, fs int, z, out *float32, tail uint64)
-
-//go:noescape
-func pairGradAVX512(f, d, fs int, s, z, dz *float32)
 
 // The slice-taking wrappers below are what the dispatchers in gemm.go and
 // tensor.go call. Each asserts the extent the assembly will touch (so a short
@@ -259,55 +252,21 @@ func lanesOutAsm(done, n int, src []float32, dsts [][]float32, ld int) {
 	lanesOutAVX2(len(dsts), done/Lanes, &src[0], laneStride(n), &dsts[0], ld)
 }
 
-func pairDotsAsm(f, d int, z, out []float32) { pairDots(useAVX512, f, d, z, out) }
-
-func pairGradAsm(f, d int, s, z, dz []float32) { pairGrad(useAVX512, f, d, s, z, dz) }
-
-// pairDots and pairGrad run the lane kernels of the wide tier or of AVX2;
-// the tests call both tiers through them. The wide pair dots need d ≥ 8
-// (below it NT runs one chain, pairDotsAVX2's), and the wide pair gradient
-// hands the last d mod 16 columns to AVX2.
-func pairDots(wide bool, f, d int, z, out []float32) {
+// pairDotsAsm (f ≥ 2) and pairGradAsm (f ≥ 1) take d ≥ 1 and assert the
+// extents the kernels touch.
+func pairDotsAsm(f, d int, z, out []float32) {
 	fs := laneStride(d)
 	_, _ = z[(f-1)*fs+d*Lanes-1], out[f*(f-1)/2*Lanes-1]
-	if wide && d >= Lanes {
-		pairDotsAVX512(f, d, fs, &z[0], &out[0], dotTailMasks(d%Lanes))
-		return
-	}
 	pairDotsAVX2(f, d, fs, &z[0], &out[0])
 }
 
-// dotTailMasks is pairDotsAVX512's last-step masks for d mod 8 = r: 16-lane
-// register m holds chains 2m and 2m+1, each real where it is < r.
-func dotTailMasks(r int) uint64 {
-	var masks uint64
-	for m := 0; m < 4; m++ {
-		if 2*m < r {
-			masks |= 0x00ff << (16 * m)
-		}
-		if 2*m+1 < r {
-			masks |= 0xff00 << (16 * m)
-		}
-	}
-	return masks
-}
-
-func pairGrad(wide bool, f, d int, s, z, dz []float32) {
+func pairGradAsm(f, d int, s, z, dz []float32) {
 	fs := laneStride(d)
 	_, _ = z[(f-1)*fs+d*Lanes-1], dz[(f-1)*fs+d*Lanes-1]
-	sp := &z[0] // f = 1 has no pairs, and the kernels read none
+	sp := &z[0] // f = 1 has no pairs, and the kernel reads none
 	if f > 1 {
 		_ = s[f*(f-1)/2*Lanes-1]
 		sp = &s[0]
 	}
-	done := 0
-	if wide {
-		done = d &^ 15
-		if done > 0 {
-			pairGradAVX512(f, d, fs, sp, &z[0], &dz[0])
-		}
-	}
-	if done < d {
-		pairGradAVX2(f, fs, d-done, sp, &z[done*Lanes], &dz[done*Lanes])
-	}
+	pairGradAVX2(f, fs, d, sp, &z[0], &dz[0])
 }

@@ -42,7 +42,11 @@ func guardedFloats(t *testing.T, max int) func(n int) []float32 {
 // elements kills the test binary with SIGSEGV. The Box–Muller kernel's u1,
 // u2 and out end against a page too, at every length it takes up to 68, and
 // so do the splitmix64 kernels' outputs: uniformAsm's x at every length it
-// takes up to 72, and the fused normalAsm's at every length up to 80.
+// takes up to 72, and the fused normalAsm's at every length up to 80. The
+// lane kernels' operands do too, for widths 1 to 70 at 1, 2, 3 and 27
+// features: ToLanes' sources and FromLanes' destinations (eight rows of d
+// floats a feature, laneExtent(f, d) floats in all), z and dz, and the
+// f(f−1)/2 pair vectors PairDots writes and PairGrad reads.
 func TestKernelsStayInsideTheirOperands(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no AVX2: the assembly never runs on this host")
@@ -80,6 +84,22 @@ func TestKernelsStayInsideTheirOperands(t *testing.T) {
 			u1[i], u2[i] = 1-float64(i+1)/128, float64(i)/128
 		}
 		boxMullerAsm(u1, u2, out, 0.5)
+	}
+	maxExtent := laneExtent(27, 70)
+	rowsAt, zAt, dzAt, pairsAt := guardedFloats(t, maxExtent), guardedFloats(t, maxExtent), guardedFloats(t, maxExtent), guardedFloats(t, 27*26/2*Lanes)
+	for _, f := range []int{1, 2, 3, 27} {
+		for d := 1; d <= 70; d++ {
+			fs, ext := laneStride(d), laneExtent(f, d)
+			rows, z, dz, pairs := rowsAt(ext), zAt(ext), dzAt(ext), pairsAt(f*(f-1)/2*Lanes)
+			blocks := make([][]float32, f)
+			for i := range blocks {
+				blocks[i] = rows[i*fs : i*fs+d*Lanes : i*fs+d*Lanes]
+			}
+			ToLanes(Lanes, d, blocks, d, z)
+			PairDots(f, d, z, pairs)
+			PairGrad(f, d, pairs, z, dz)
+			FromLanes(Lanes, d, dz, blocks, d)
+		}
 	}
 	if missing := missingAVX512(); len(missing) > 0 {
 		t.Logf("splitmix64 kernels not run: missing %s", strings.Join(missing, ", "))

@@ -7,9 +7,9 @@ import "fmt"
 // element c of every sample, one sample to a lane, so a kernel that runs
 // vertical operations only computes all of its samples at once, and each
 // lane's bits are those the per-sample product would give that sample. On
-// amd64 with AVX2 and FMA the kernels are lanes_amd64.s, whose 512-bit tier
-// of the two products gives the AVX2 bits; the Go twins below give the
-// portable GEMM kernels' bits.
+// amd64 with AVX2 and FMA the kernels are lanes_amd64.s, one 256-bit tier
+// on AVX2 and AVX-512 hosts alike; the Go twins below give the portable GEMM
+// kernels' bits.
 
 // Lanes is the number of samples a lane block holds, one per vector lane.
 const Lanes = 8

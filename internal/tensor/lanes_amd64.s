@@ -501,292 +501,3 @@ pg1next:
 pgdone:
 	VZEROUPPER
 	RET
-
-// ---------------------------------------------------------------------------
-// 512-bit tier of the two lane kernels, same bits. Lane vectors c and c+1
-// are adjacent, so a 512-bit register holds two of them: pairGradAVX512
-// accumulates columns two to a register against S_ij broadcast to both
-// halves, and pairDotsAVX512 holds chains l and l+1 of one pair in the two
-// halves, its masked last step loading zeros into the chains past d mod 8
-// (as pairDotsAVX2's +0 adds them), and then reduces each register's halves
-// first: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)) again.
-// ---------------------------------------------------------------------------
-
-#define ZGRAD8(S) \
-	VFMADD231PS (BX), S, Z0; \
-	VFMADD231PS 64(BX), S, Z1; \
-	VFMADD231PS 128(BX), S, Z2; \
-	VFMADD231PS 192(BX), S, Z3; \
-	VFMADD231PS 256(BX), S, Z4; \
-	VFMADD231PS 320(BX), S, Z5; \
-	VFMADD231PS 384(BX), S, Z6; \
-	VFMADD231PS 448(BX), S, Z7
-
-// func pairGradAVX512(f, d, fs int, s, z, dz *float32)
-//
-// pairGradAVX2's contract for the first d &^ 15 columns of each feature, in
-// tiles of 16 columns; registers as there, with Z0-Z7 the accumulators, Z8
-// S_ij and Z9 +0.
-TEXT ·pairGradAVX512(SB), NOSPLIT, $0-48
-	MOVQ   f+0(FP), R14
-	MOVQ   d+8(FP), R15
-	ANDQ   $-16, R15
-	MOVQ   fs+16(FP), R10
-	SHLQ   $2, R10
-	VXORPS Z9, Z9, Z9
-
-pz16:
-	TESTQ R15, R15
-	JZ    pzdone
-	MOVQ  s+24(FP), R8
-	MOVQ  z+32(FP), R13
-	MOVQ  dz+40(FP), R12
-	MOVQ  d+8(FP), AX
-	ANDQ  $-16, AX
-	SUBQ  R15, AX
-	SHLQ  $5, AX
-	TILEBASES
-
-pzrow:
-	CMPQ   R11, R14
-	JGE    pznext
-	GRADROW
-	VXORPS Z0, Z0, Z0
-	VXORPS Z1, Z1, Z1
-	VXORPS Z2, Z2, Z2
-	VXORPS Z3, Z3, Z3
-	VXORPS Z4, Z4, Z4
-	VXORPS Z5, Z5, Z5
-	VXORPS Z6, Z6, Z6
-	VXORPS Z7, Z7, Z7
-	GRADHEAD
-	TESTQ  CX, CX
-	JZ     pzdiag
-
-pzlo:
-	VBROADCASTF32X8 (AX), Z8
-	ZGRAD8(Z8)
-	ADDQ            $32, AX
-	ADDQ            R10, BX
-	DECQ            CX
-	JNZ             pzlo
-
-pzdiag:
-	ZGRAD8(Z9)
-	GRADUPPER
-	JZ pzst
-
-pzhi:
-	VBROADCASTF32X8 (AX), Z8
-	ZGRAD8(Z8)
-	ADDQ            DX, AX
-	ADDQ            $32, DX
-	ADDQ            R10, BX
-	DECQ            CX
-	JNZ             pzhi
-
-pzst:
-	VMOVUPS Z0, (DI)
-	VMOVUPS Z1, 64(DI)
-	VMOVUPS Z2, 128(DI)
-	VMOVUPS Z3, 192(DI)
-	VMOVUPS Z4, 256(DI)
-	VMOVUPS Z5, 320(DI)
-	VMOVUPS Z6, 384(DI)
-	VMOVUPS Z7, 448(DI)
-	GRADROWEND
-	JMP     pzrow
-
-pznext:
-	SUBQ $16, R15
-	JMP  pz16
-
-pzdone:
-	VZEROUPPER
-	RET
-
-// One k-step of one pair against z_i in Z16-Z19: A0-A3 are z_j's four
-// register-wide blocks, C0-C3 the pair's accumulators.
-#define DOTSTEP(A0, A1, A2, A3, C0, C1, C2, C3) \
-	VFMADD231PS A0, Z16, C0; \
-	VFMADD231PS A1, Z17, C1; \
-	VFMADD231PS A2, Z18, C2; \
-	VFMADD231PS A3, Z19, C3
-
-// The masked last step of one pair: z_j's blocks through K1-K4.
-#define DOTTAIL(A0, A1, A2, A3, C0, C1, C2, C3) \
-	VMOVUPS.Z   A0, K1, Z20; \
-	VFMADD231PS Z20, Z16, C0; \
-	VMOVUPS.Z   A1, K2, Z21; \
-	VFMADD231PS Z21, Z17, C1; \
-	VMOVUPS.Z   A2, K3, Z22; \
-	VFMADD231PS Z22, Z18, C2; \
-	VMOVUPS.Z   A3, K4, Z23; \
-	VFMADD231PS Z23, Z19, C3
-
-// Reduce one pair's chains and store the pair's vector to OUT.
-#define DOTREDUCE(C0, C1, C2, C3, Y0_, Y1_, Y2_, Y3_, OUT) \
-	VEXTRACTF32X8 $1, C0, Y20; \
-	VADDPS        Y20, Y0_, Y0_; \
-	VEXTRACTF32X8 $1, C1, Y21; \
-	VADDPS        Y21, Y1_, Y1_; \
-	VEXTRACTF32X8 $1, C2, Y22; \
-	VADDPS        Y22, Y2_, Y2_; \
-	VEXTRACTF32X8 $1, C3, Y23; \
-	VADDPS        Y23, Y3_, Y3_; \
-	VADDPS        Y1_, Y0_, Y0_; \
-	VADDPS        Y3_, Y2_, Y2_; \
-	VADDPS        Y2_, Y0_, Y0_; \
-	VMOVUPS       Y0_, OUT
-
-// Reduce two pairs' chains at once, pair A's in the low half of each sum
-// and pair B's in the high half, and store both pairs' vectors to OUT.
-#define DOTREDUCE2(A0, A1, A2, A3, B0, B1, B2, B3, OUT) \
-	VSHUFF32X4 $0x44, B0, A0, Z20; \
-	VSHUFF32X4 $0xEE, B0, A0, Z21; \
-	VADDPS     Z21, Z20, Z20; \
-	VSHUFF32X4 $0x44, B1, A1, Z22; \
-	VSHUFF32X4 $0xEE, B1, A1, Z23; \
-	VADDPS     Z23, Z22, Z22; \
-	VSHUFF32X4 $0x44, B2, A2, Z24; \
-	VSHUFF32X4 $0xEE, B2, A2, Z25; \
-	VADDPS     Z25, Z24, Z24; \
-	VSHUFF32X4 $0x44, B3, A3, Z26; \
-	VSHUFF32X4 $0xEE, B3, A3, Z27; \
-	VADDPS     Z27, Z26, Z26; \
-	VADDPS     Z22, Z20, Z20; \
-	VADDPS     Z26, Z24, Z24; \
-	VADDPS     Z24, Z20, Z20; \
-	VMOVUPS    Z20, OUT
-
-#define ZZERO4(A, B, C, E) \
-	VXORPS A, A, A; \
-	VXORPS B, B, B; \
-	VXORPS C, C, C; \
-	VXORPS E, E, E
-
-// func pairDotsAVX512(f, d, fs int, z, out *float32, tail uint64)
-//
-// pairDotsAVX2's contract for d ≥ 8. Pairs run four at a time, (i, j) to
-// (i, j+3) against one load of z_i, then one at a time. tail holds the last
-// step's four 16-lane masks, register m's in bits 16m to 16m+15.
-//
-// Register plan: pairDotsAVX2's, except
-//   R8 3·R10   Z0-Z15 four pairs' chains (pair t in Z4t-Z4t+3)
-//   Z16-Z19 z_i   Z20-Z23 z_j tail blocks, Z20-Z27 reduction scratch
-//   K1-K4 tail masks
-TEXT ·pairDotsAVX512(SB), NOSPLIT, $0-48
-	MOVQ  f+0(FP), R14
-	MOVQ  d+8(FP), DX
-	MOVQ  fs+16(FP), R10
-	MOVQ  z+24(FP), R12
-	MOVQ  out+32(FP), DI
-	MOVQ  tail+40(FP), AX
-	KMOVW AX, K1
-	SHRQ  $16, AX
-	KMOVW AX, K2
-	SHRQ  $16, AX
-	KMOVW AX, K3
-	SHRQ  $16, AX
-	KMOVW AX, K4
-	MOVQ  DX, R9
-	ANDQ  $7, R9
-	SHRQ  $3, DX
-	SHLQ  $2, R10
-	LEAQ  (R10)(R10*2), R8
-	LEAQ  (R12)(R10*1), R13
-	MOVQ  $1, R11
-
-pzdrow:
-	CMPQ R11, R14
-	JGE  pzddone
-	MOVQ R12, SI
-	MOVQ R11, R15
-
-pzd4:
-	CMPQ   R15, $4
-	JLT    pzd1
-	ZZERO4(Z0, Z1, Z2, Z3)
-	ZZERO4(Z4, Z5, Z6, Z7)
-	ZZERO4(Z8, Z9, Z10, Z11)
-	ZZERO4(Z12, Z13, Z14, Z15)
-	MOVQ   R13, AX
-	MOVQ   SI, BX
-	MOVQ   DX, CX
-
-pzd4k:
-	VMOVUPS (AX), Z16
-	VMOVUPS 64(AX), Z17
-	VMOVUPS 128(AX), Z18
-	VMOVUPS 192(AX), Z19
-	DOTSTEP((BX), 64(BX), 128(BX), 192(BX), Z0, Z1, Z2, Z3)
-	DOTSTEP((BX)(R10*1), 64(BX)(R10*1), 128(BX)(R10*1), 192(BX)(R10*1), Z4, Z5, Z6, Z7)
-	DOTSTEP((BX)(R10*2), 64(BX)(R10*2), 128(BX)(R10*2), 192(BX)(R10*2), Z8, Z9, Z10, Z11)
-	DOTSTEP((BX)(R8*1), 64(BX)(R8*1), 128(BX)(R8*1), 192(BX)(R8*1), Z12, Z13, Z14, Z15)
-	ADDQ    $256, AX
-	ADDQ    $256, BX
-	DECQ    CX
-	JNZ     pzd4k
-
-	TESTQ     R9, R9
-	JZ        pzd4red
-	VMOVUPS.Z (AX), K1, Z16
-	VMOVUPS.Z 64(AX), K2, Z17
-	VMOVUPS.Z 128(AX), K3, Z18
-	VMOVUPS.Z 192(AX), K4, Z19
-	DOTTAIL((BX), 64(BX), 128(BX), 192(BX), Z0, Z1, Z2, Z3)
-	DOTTAIL((BX)(R10*1), 64(BX)(R10*1), 128(BX)(R10*1), 192(BX)(R10*1), Z4, Z5, Z6, Z7)
-	DOTTAIL((BX)(R10*2), 64(BX)(R10*2), 128(BX)(R10*2), 192(BX)(R10*2), Z8, Z9, Z10, Z11)
-	DOTTAIL((BX)(R8*1), 64(BX)(R8*1), 128(BX)(R8*1), 192(BX)(R8*1), Z12, Z13, Z14, Z15)
-
-pzd4red:
-	DOTREDUCE2(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, (DI))
-	DOTREDUCE2(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, 64(DI))
-	ADDQ $128, DI
-	LEAQ (SI)(R10*4), SI
-	SUBQ $4, R15
-	JMP  pzd4
-
-pzd1:
-	TESTQ  R15, R15
-	JZ     pzdnext
-	ZZERO4(Z0, Z1, Z2, Z3)
-	MOVQ   R13, AX
-	MOVQ   SI, BX
-	MOVQ   DX, CX
-
-pzd1k:
-	VMOVUPS (AX), Z16
-	VMOVUPS 64(AX), Z17
-	VMOVUPS 128(AX), Z18
-	VMOVUPS 192(AX), Z19
-	DOTSTEP((BX), 64(BX), 128(BX), 192(BX), Z0, Z1, Z2, Z3)
-	ADDQ    $256, AX
-	ADDQ    $256, BX
-	DECQ    CX
-	JNZ     pzd1k
-
-	TESTQ     R9, R9
-	JZ        pzd1red
-	VMOVUPS.Z (AX), K1, Z16
-	VMOVUPS.Z 64(AX), K2, Z17
-	VMOVUPS.Z 128(AX), K3, Z18
-	VMOVUPS.Z 192(AX), K4, Z19
-	DOTTAIL((BX), 64(BX), 128(BX), 192(BX), Z0, Z1, Z2, Z3)
-
-pzd1red:
-	DOTREDUCE(Z0, Z1, Z2, Z3, Y0, Y1, Y2, Y3, (DI))
-	ADDQ $32, DI
-	ADDQ R10, SI
-	DECQ R15
-	JMP  pzd1
-
-pzdnext:
-	ADDQ R10, R13
-	INCQ R11
-	JMP  pzdrow
-
-pzddone:
-	VZEROUPPER
-	RET
-
