@@ -24,8 +24,9 @@
 // (SIGINT/SIGTERM), so an interrupted run drains the pipeline gracefully and
 // reports the next resumable iteration. With -checkpoint the full training
 // state (model, optimizer state, host tables, iteration counter) is written
-// atomically every -checkpoint-every steps and once more at the drain point;
-// -resume restores it and continues bit-exactly:
+// atomically every -checkpoint-every steps and once more when the run ends,
+// at the drain point or at -steps; -resume restores it and continues
+// bit-exactly:
 //
 //	elrec-train -steps 5000 -checkpoint run.ckpt -checkpoint-every 500
 //	^C  (interrupt mid-run; state saved at the drain point)
@@ -207,7 +208,7 @@ func run(fs *flag.FlagSet, args []string, stderr io.Writer) int {
 	defer stop()
 
 	log.Info("training", "steps", steps-start, "batch", batch, "kernels", tensor.KernelName())
-	done := start
+	done, resumeAt, stopped := start, steps, false
 	for done < steps {
 		chunk := o.logEvery
 		if done+chunk > steps {
@@ -233,17 +234,26 @@ func run(fs *flag.FlagSet, args []string, stderr io.Writer) int {
 			} else {
 				log.Error("training failed", "err", trainErr)
 			}
-			if res.Resumable && o.ckptPath != "" {
-				if err := sys.SaveCheckpoint(o.ckptPath, res.NextIter); err != nil {
-					log.Error("checkpoint at drain point failed", "err", err)
-					return 1
-				}
-				log.Info("state saved", "path", o.ckptPath, "resume_iteration", res.NextIter)
-			} else if res.Resumable {
-				log.Info("resumable (rerun with -checkpoint to persist state)", "resume_iteration", res.NextIter)
+			if !res.Resumable {
+				return 1
 			}
+			resumeAt, stopped = res.NextIter, true
+			break
+		}
+	}
+	// The drain point of a stopped run and the end of a completed one save
+	// the same way.
+	if o.ckptPath != "" {
+		if err := sys.SaveCheckpoint(o.ckptPath, resumeAt); err != nil {
+			log.Error("checkpoint failed", "err", err)
 			return 1
 		}
+		log.Info("state saved", "path", o.ckptPath, "resume_iteration", resumeAt)
+	} else if stopped {
+		log.Info("resumable (rerun with -checkpoint to persist state)", "resume_iteration", resumeAt)
+	}
+	if stopped {
+		return 1
 	}
 
 	acc, auc := sys.Evaluate(steps+1, evalBatches, batch)

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -57,5 +59,30 @@ func TestStrayWordExitsTwo(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run(flag.NewFlagSet("elrec-train", flag.ContinueOnError), args, &stderr); code != 2 || !strings.Contains(stderr.String(), "invalid flags") {
 		t.Fatalf("elrec-train %s: exit %d, log %q; want exit 2 and an invalid flags line", strings.Join(args, " "), code, stderr.String())
+	}
+}
+
+// TestCompletedRunSavesCheckpoint: with -checkpoint and no -checkpoint-every
+// a run that completes saves its final state at resume iteration -steps, and
+// resuming from it trains no step and exits 0.
+func TestCompletedRunSavesCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	train := func(extra string) string {
+		t.Helper()
+		args := append(strings.Fields("-dataset-scale 0.0005 -steps 3 -batch 8 -log-every 1"), strings.Fields(extra)...)
+		var stderr bytes.Buffer
+		if code := run(flag.NewFlagSet("elrec-train", flag.ContinueOnError), args, &stderr); code != 0 {
+			t.Fatalf("elrec-train %s: exit %d, log:\n%s", strings.Join(args, " "), code, stderr.String())
+		}
+		return stderr.String()
+	}
+	if log := train("-checkpoint " + ckpt); !strings.Contains(log, `msg="state saved"`) || !strings.Contains(log, "resume_iteration=3") {
+		t.Fatalf("completed run logged no state saved at iteration 3:\n%s", log)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("completed run left no checkpoint: %v", err)
+	}
+	if log := train("-resume " + ckpt); !strings.Contains(log, "iteration=3") || !strings.Contains(log, "steps=0") {
+		t.Fatalf("resume from the final state did not start at iteration 3 with no steps to train:\n%s", log)
 	}
 }

@@ -16,8 +16,7 @@ import (
 // kernel-level changes show up as per-row deltas between two BENCH_ttcore
 // artifacts (elrec-bench -compare). Unlike the figure experiments it is not
 // a paper artifact: it exists to record before/after trajectories of the
-// blocked GEMM kernels, the zero-allocation TT step and, on its own row, the
-// serving clone's cross-batch prefix memo.
+// blocked GEMM kernels and the zero-allocation TT step.
 func ttCore(sc Scale) *Result {
 	rows := scaledRows(5_000_000, sc, 20_000)
 	r := &Result{
@@ -280,9 +279,6 @@ func ttCore(sc Scale) *Result {
 	w64 := newTableWorkload(rows, sc.Steps, r64Batch, 1004)
 	eff64 := w64.newTT(r64, r64, tt.EffOptions())
 	addRow("tt-lookup-eff-r64", perBatch(measureLookup(eff64, w64.reordered, w64.offsets, sc.WarmSteps)))
-	// The same loop on a read-only serving replica, whose prefix memo keeps
-	// products across batches: the serving regime, not a training number.
-	addRow("tt-lookup-clone-r64", perBatch(measureLookup(eff64.CloneForServing(), w64.reordered, w64.offsets, sc.WarmSteps)))
 	addRow("tt-backward-eff-r64", perBatch(measureBackward(eff64, w64.reordered, w64.offsets, gradFor(r64Batch, r64, 7), sc.WarmSteps)))
 
 	// One-table DLRM training step: the end-to-end steps/sec consumers see.

@@ -39,7 +39,7 @@ func (s *bwScratch) ensure(t *Table) {
 // dOut is the gradient of the loss w.r.t. the pooled batch output
 // (batch×Dim).
 func (t *Table) backward(cache *forwardCache, dOut *tensor.Matrix, lr float32) {
-	if t.memo != nil {
+	if t.readOnly {
 		panic("tt: Backward on a serving clone: serving clones are read-only; train the source and re-clone")
 	}
 	if cache == nil {

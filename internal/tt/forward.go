@@ -26,8 +26,7 @@ type forwardCache struct {
 
 	// PrefixSlots[w] is the reuse-buffer row of work item w; PrefixBuf row
 	// s holds the n₁×(n₂R₂) product for that prefix. Nil when prefix reuse
-	// is disabled. On a serving clone's arena PrefixBuf aliases the clone's
-	// prefix memo.
+	// is disabled.
 	PrefixSlots []int
 	PrefixBuf   *tensor.Matrix
 
@@ -38,7 +37,7 @@ type forwardCache struct {
 	seen       embedding.Index // the one dedup: indices, then prefixes, forward and backward
 	workIdxBuf []int
 	workOfBuf  []int
-	prefixes   []int          // the batch's unique prefixes, sorted by i₂ (batch-local path)
+	prefixes   []int          // the batch's unique prefixes, sorted by i₂
 	i2         groups         // their runs per G₂ slice
 	g1         *tensor.Matrix // prefix → G₁[i₁], a run's slices stacked into one operand
 	out        *tensor.Matrix
@@ -125,7 +124,7 @@ func (t *Table) forwardInto(c *forwardCache, indices, offsets []int) *tensor.Mat
 	t.met.recordForward(len(indices), len(c.WorkIdx))
 
 	if t.Opts.ReusePrefix {
-		t.fillPrefixBuffer(c)
+		t.fillPrefixBatchLocal(c)
 	} else {
 		c.PrefixSlots, c.PrefixBuf = nil, nil
 	}
@@ -206,19 +205,6 @@ func (c *forwardCache) dedupRows() (workIdx, workOf []int) {
 	return c.workIdxBuf, c.workOfBuf
 }
 
-// fillPrefixBuffer populates the reuse buffer of first-two-core products for
-// the batch's work items. One fact selects the path: a serving clone — whose
-// cores never change — resolves prefixes against its cross-batch memo; every
-// trainable table computes the batch's own unique prefixes.
-func (t *Table) fillPrefixBuffer(c *forwardCache) {
-	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx), len(c.Indices))
-	if m := t.memo; m != nil && m.slotOf != nil {
-		t.fillFromMemo(c, m)
-		return
-	}
-	t.fillPrefixBatchLocal(c)
-}
-
 // fillPrefixBatchLocal is Algorithm 1: it deduplicates the prefixes of the
 // work items (Buf_flag/Buf_idx) and computes every unique prefix of the batch
 // into the batch-local reuse buffer. The batched GEMM is stacked per G₂
@@ -228,6 +214,7 @@ func (t *Table) fillPrefixBuffer(c *forwardCache) {
 // streams once per slice instead of once per prefix, and each buffer row has
 // the bits of its own n₁-row product (m-independence, DESIGN.md §12).
 func (t *Table) fillPrefixBatchLocal(c *forwardCache) {
+	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx), len(c.Indices))
 	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes)
 	m2 := t.Shape.RowFactors[1]
 	c.i2.sortByI2(m2, c.prefixes, c.PrefixSlots, len(c.Indices))
@@ -245,16 +232,19 @@ func (t *Table) fillPrefixBatchLocal(c *forwardCache) {
 
 // fillSlices is a ParallelFor body over a *forwardCache: part p of [lo,hi)
 // computes the reuse-buffer rows of the prefixes of i₂ = p, p+parts, …; it
-// owns those rows of PrefixBuf and g1.
+// owns those rows of PrefixBuf and g1. It walks the batch's runs, not all m₂
+// slices: a lookup of a few indices touches a few slices, and at serving's
+// batch sizes a scan of every slice cost about as much as the products.
 func fillSlices(ctx any, lo, hi int) {
 	c := ctx.(*forwardCache)
 	t := c.t
-	n := t.Shape.ColFactors
+	n, m2 := t.Shape.ColFactors, t.Shape.RowFactors[1]
 	sz0, psz := c.g1.Cols, c.PrefixBuf.Cols
 	for p := lo; p < hi; p++ {
-		for i2 := p; i2 < t.Shape.RowFactors[1]; i2 += c.parts {
-			first, end := c.i2.start[i2], c.i2.start[i2+1]
-			if first == end {
+		for first, end := 0, 0; first < len(c.prefixes); first = end {
+			i2 := c.prefixes[first] % m2
+			end = c.i2.start[i2+1]
+			if i2%c.parts != p {
 				continue
 			}
 			g1 := c.g1.Data[first*sz0 : end*sz0]

@@ -18,8 +18,8 @@ func hugeTable(t *testing.T) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.numPrefixes() <= prefixDenseCap {
-		t.Fatalf("%d prefixes: not past prefixDenseCap", s.numPrefixes())
+	if s.numPrefixes() <= 1<<22 {
+		t.Fatalf("%d prefixes: not past 1<<22", s.numPrefixes())
 	}
 	return NewTable(s, tensor.NewRNG(910), 0.1)
 }
@@ -57,12 +57,8 @@ func TestHugeTableLookupUpdateZeroAllocBatchSizedScratch(t *testing.T) {
 		}
 	}
 
-	// A serving clone of it has no memo (its prefix→slot map would be per
-	// prefix) and runs the same batch-local path.
+	// A serving clone of it runs the same batch-local path.
 	clone := tbl.CloneForServing()
-	if clone.memo.slotOf != nil {
-		t.Fatal("clone of a table past prefixDenseCap built a per-prefix memo index")
-	}
 	requireSameBits(t, "clone lookup", clone.Lookup(indices, offsets), tbl.Lookup(indices, offsets))
 }
 

@@ -53,29 +53,6 @@ func TestForwardMetricsKnownBatch(t *testing.T) {
 	}
 }
 
-// TestPrefixGemmLaunchOnlyWhenRun: a serving clone's Lookup whose unique
-// prefixes are all held by its memo runs no batched GEMM and counts none.
-func TestPrefixGemmLaunchOnlyWhenRun(t *testing.T) {
-	tbl := newTestTable(t, 9).CloneForServing()
-	reg := obs.NewRegistry()
-	tbl.AttachMetrics(reg)
-
-	indices := []int{0, 0, 1, 1, 7, 7}
-	offsets := []int{0, 3}
-	tbl.Lookup(indices, offsets)
-	tbl.Lookup(indices, offsets) // both prefixes hit
-	snap := reg.Snapshot()
-	if got := snap.Counter("tt_batched_gemm_launches"); got != 1 {
-		t.Errorf("tt_batched_gemm_launches = %d want 1", got)
-	}
-	if got := snap.Counter("tt_unique_prefixes"); got != 2 {
-		t.Errorf("tt_unique_prefixes = %d want 2", got)
-	}
-	if got := snap.Counter("tt_prefix_cache_hits"); got != 2 {
-		t.Errorf("tt_prefix_cache_hits = %d want 2", got)
-	}
-}
-
 // TestBackwardMetricsAggregation checks both aggregation levels on a known
 // batch: 6 gradient occurrences collapse to 3 aggregated rows, whose
 // prefixes {0, 0, 1} run the rank-sized contractions twice.

@@ -79,9 +79,6 @@ func (s Shape) factorIndex(i int) (i1, i2, i3 int) {
 // coordinate, i.e. i / m₃ exactly as Algorithm 1 computes Buf_idx.
 func (s Shape) prefix(i int) int { return i / s.RowFactors[2] }
 
-// numPrefixes returns m₁·m₂, the size of the prefix space.
-func (s Shape) numPrefixes() int { return s.RowFactors[0] * s.RowFactors[1] }
-
 // sliceSizes returns the float count of one slice of each core.
 func (s Shape) sliceSizes() [Dims]int {
 	n := s.ColFactors

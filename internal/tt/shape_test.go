@@ -8,6 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
+// numPrefixes returns m₁·m₂, the size of the prefix space.
+func (s Shape) numPrefixes() int { return s.RowFactors[0] * s.RowFactors[1] }
+
 func TestNewShapeBasic(t *testing.T) {
 	s, err := NewShape(1000, 16, 8)
 	if err != nil {

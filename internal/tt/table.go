@@ -79,11 +79,9 @@ type Table struct {
 	// across batches (see forwardCache), allocated on first Lookup.
 	arena *forwardCache
 
-	// memo is non-nil exactly on the read-only replicas CloneForServing
-	// returns: it keeps prefix products across batches (prefixmemo.go) and
-	// marks the table as one backward must refuse. Trainable tables run
-	// Algorithm 1's reuse buffer per batch on their arena.
-	memo *prefixMemo
+	// readOnly is set only by CloneForServing: backward refuses a table
+	// whose cores other replicas read.
+	readOnly bool
 
 	// met holds the forward-path instruments (see AttachMetrics). The zero
 	// value's nil counters make every record a no-op, so an unattached
@@ -111,9 +109,6 @@ type tableMetrics struct {
 	backwardWork  *obs.Counter // gradient rows after in-advance aggregation
 	backwardPairs *obs.Counter // dG₁/dG₂ contraction pairs run: one per unique prefix (per row on the baseline)
 
-	cacheHits   *obs.Counter // unique prefixes a serving clone's memo already held
-	cacheMisses *obs.Counter // unique prefixes it computed (absent or recycled); both stay 0 on trainable tables
-
 	dedupRatio    *obs.Gauge // cumulative indices / work items (≥ 1)
 	prefixHitRate *obs.Gauge // cumulative share of prefix work served by the buffer
 	backwardAgg   *obs.Gauge // cumulative backward rows / aggregated rows (≥ 1)
@@ -136,8 +131,6 @@ func (t *Table) AttachMetrics(r *obs.Registry) {
 		backwardRows:   r.Counter("tt_backward_rows"),
 		backwardWork:   r.Counter("tt_backward_work"),
 		backwardPairs:  r.Counter("tt_backward_prefix_work"),
-		cacheHits:      r.Counter("tt_prefix_cache_hits"),
-		cacheMisses:    r.Counter("tt_prefix_cache_misses"),
 		dedupRatio:     r.Gauge("tt_dedup_ratio"),
 		prefixHitRate:  r.Gauge("tt_prefix_hit_rate"),
 		backwardAgg:    r.Gauge("tt_backward_agg_ratio"),
@@ -187,21 +180,9 @@ func (m *tableMetrics) recordPrefix(workItems, uniquePrefixes int) {
 	m.prefixWork.Add(int64(workItems))
 	m.uniquePrefixes.Add(int64(uniquePrefixes))
 	if uniquePrefixes > 0 {
-		// No launch when a serving clone's memo held every prefix.
 		m.gemmLaunches.Inc()
 	}
 	setRatio(m.prefixHitRate, m.uniquePrefixes, m.prefixWork, hitRate)
-}
-
-// recordPrefixCache accumulates one batch's outcome on a serving clone's
-// prefix memo: hits are unique prefixes whose product it already held,
-// misses were computed (absent or recycled).
-func (m *tableMetrics) recordPrefixCache(hits, misses int) {
-	if !m.attached {
-		return
-	}
-	m.cacheHits.Add(int64(hits))
-	m.cacheMisses.Add(int64(misses))
 }
 
 // recordBackward accumulates one backward call's two aggregation levels and

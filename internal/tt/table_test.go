@@ -51,6 +51,19 @@ func refLookup(mat *tensor.Matrix, indices, offsets []int) *tensor.Matrix {
 	return out
 }
 
+// requireSameBits fails unless got and want hold identical floats.
+func requireSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d vs %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if v != want.Data[i] {
+			t.Fatalf("%s: differs at %d: %v vs %v", what, i, v, want.Data[i])
+		}
+	}
+}
+
 // randomBatch builds a random indices/offsets batch over [0,rows).
 func randomBatch(r *tensor.RNG, rows, batchSize, maxBag int) (indices, offsets []int) {
 	offsets = make([]int, batchSize)
@@ -343,5 +356,77 @@ func TestQuickBackwardOptionAgreement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTrainableTableRunsBatchLocalBuffer: a table keeps no product across
+// batches — trainable or a serving clone, its arena reuse buffer holds
+// exactly the current batch's unique prefixes, in storage sized to the
+// batches.
+func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
+	for _, train := range []bool{true, false} {
+		tbl := newTestTable(t, 530)
+		if !train {
+			tbl = tbl.CloneForServing()
+		}
+		r := tensor.NewRNG(531)
+		maxUnique := 0
+		for step := 0; step < 12; step++ {
+			indices, offsets := randomBatch(r, tbl.NumRows(), 2+step, 4)
+			unique := map[int]bool{}
+			for _, idx := range indices {
+				unique[tbl.Shape.prefix(idx)] = true
+			}
+			maxUnique = max(maxUnique, len(unique))
+			out := tbl.Lookup(indices, offsets)
+			if got := tbl.arena.PrefixBuf.Rows; got != len(unique) {
+				t.Fatalf("train=%v step %d: arena reuse buffer holds %d rows, batch has %d unique prefixes", train, step, got, len(unique))
+			}
+			if train {
+				tbl.Update(indices, offsets, out.Clone(), 0.01)
+			}
+		}
+		// Storage follows the batches: the largest one's unique prefixes
+		// plus growInts' quarter of headroom.
+		if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.prefixSize(); got > tensor.Headroom(maxUnique, maxUnique*2) {
+			t.Fatalf("train=%v: arena reuse buffer has room for %d prefixes, the largest batch had %d", train, got, maxUnique)
+		}
+	}
+}
+
+// TestArenaTrainingMatchesFreshCacheTraining: Lookup/Update with scratch
+// reused across batches is the same computation as with a fresh arena per
+// batch — after several steps the cores are bit-identical, for 1, 2 and 4
+// workers, fused and unfused, SGD and Adagrad.
+func TestArenaTrainingMatchesFreshCacheTraining(t *testing.T) {
+	old := tensor.Workers()
+	defer tensor.SetMaxWorkers(old)
+	indices, offsets := sharedSliceBatches(41, 6)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetMaxWorkers(workers)
+		for _, fused := range []bool{true, false} {
+			for _, adagrad := range []bool{false, true} {
+				newTbl := func() *Table {
+					tbl := newTestTable(t, 42)
+					tbl.Opts.FusedUpdate = fused
+					if adagrad {
+						tbl.EnableAdagrad()
+					}
+					return tbl
+				}
+				arena := trainSteps(newTbl(), indices, offsets, 0.05)
+				fresh := newTbl()
+				for s := range indices {
+					fresh.arena = nil // a fresh cache for every batch
+					out := fresh.Lookup(indices[s], offsets[s])
+					fresh.Update(indices[s], offsets[s], out.Clone(), 0.05)
+				}
+				for k := 0; k < Dims; k++ {
+					if d := arena.Cores[k].MaxAbsDiff(fresh.Cores[k]); d != 0 {
+						t.Errorf("workers=%d fused=%v adagrad=%v: core %d differs by %v between arena and fresh-cache training", workers, fused, adagrad, k, d)
+					}
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,9 @@
 # it prints, for each end-to-end metric of CHANGE_DIR/BENCHMARK.json, each
 # side's median over these seeds, the parent's inter-quartile distance and
 # the pairs in which the change reads better, then each side's failed
-# operations.
+# operations, then each side's main.refPiece offset mod 64 in the benchmark
+# binary it built (go tool nm), with a warning when the two differ: a layout
+# shift of the benchmark's normaliser moves op_time_us on its own.
 set -euo pipefail
 parent=$1 change=$2 out=$3 workload=$4 trace=$5
 shift 5
@@ -48,3 +50,15 @@ for side, rs in runs.items():
     print(f"{side}: {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)} operations failed,",
           f"{sum(not r['correct'] for r in rs)} runs not correct")
 EOF
+
+# The benchmark binary each side built last: where its normaliser landed.
+refpiece() { # dir
+	local addr
+	addr=$(go tool nm "$1/.bench_build/bin/benchmark" | awk '$3 == "main.refPiece" { print $1 }')
+	echo $(( 0x$addr % 64 ))
+}
+p=$(refpiece "$parent") c=$(refpiece "$change")
+echo "main.refPiece mod 64: parent $p, change $c"
+if (( p != c )); then
+	echo "warning: the two benchmark binaries' code layouts differ; a difference above may be layout, not the change"
+fi
