@@ -32,6 +32,7 @@ var registry = map[string]runner{
 	"ext-ttdepth":  extTTDepth,
 	"ext-optim":    extOptim,
 	"ext-hotratio": extHotRatio,
+	"quality":      quality,
 }
 
 // Run executes the experiment with the given id.

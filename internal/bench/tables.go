@@ -93,26 +93,9 @@ func table4(sc Scale) *Result {
 		}
 		evalStart := sc.TrainSteps + 1
 
-		build := func(thresh int, opts tt.Options, reorderOn bool) *core.System {
-			cfg := core.DefaultConfig(spec)
-			cfg.Model = modelConfig(spec, sc)
-			cfg.Rank = sc.Rank
-			cfg.TTThreshold = thresh
-			cfg.Opts = opts
-			cfg.Reorder = reorderOn
-			cfg.ProfileBatches, cfg.ProfileBatchSize = 8, 512
-			cfg.Metrics = sc.Metrics
-			sys, err := core.BuildWithDataset(cfg, d)
-			if err != nil {
-				panic(err)
-			}
-			sys.Train(0, sc.TrainSteps, sc.Batch)
-			return sys
-		}
-
-		dlrmSys := build(-1, tt.Options{}, false)
-		ttrecSys := build(sc.TTThresholdRows, tt.NaiveOptions(), false)
-		elrecSys := build(sc.TTThresholdRows, tt.EffOptions(), true)
+		dlrmSys := trainedSystem(sc, d, -1, tt.Options{}, false)
+		ttrecSys := trainedSystem(sc, d, sc.TTThresholdRows, tt.NaiveOptions(), false)
+		elrecSys := trainedSystem(sc, d, sc.TTThresholdRows, tt.EffOptions(), true)
 
 		// FAE trains the same uncompressed model through its hot/cold
 		// scheduler; accuracy matches DLRM by construction of the schedule.
@@ -153,6 +136,27 @@ func table4(sc Scale) *Result {
 	r.addNote("%d training steps, batch %d, dim %d, rank %d; paper finds <0.1pp accuracy loss at full scale",
 		sc.TrainSteps, sc.Batch, sc.EmbDim, sc.Rank)
 	return r
+}
+
+// trainedSystem builds a system over d at the accuracy experiments' model
+// configuration — tables at or above thresh rows in TT format with opts
+// (thresh −1: none), reordered when reorderOn — and trains it for
+// sc.TrainSteps batches from iteration 0.
+func trainedSystem(sc Scale, d *data.Dataset, thresh int, opts tt.Options, reorderOn bool) *core.System {
+	cfg := core.DefaultConfig(d.Spec)
+	cfg.Model = modelConfig(d.Spec, sc)
+	cfg.Rank = sc.Rank
+	cfg.TTThreshold = thresh
+	cfg.Opts = opts
+	cfg.Reorder = reorderOn
+	cfg.ProfileBatches, cfg.ProfileBatchSize = 8, 512
+	cfg.Metrics = sc.Metrics
+	sys, err := core.BuildWithDataset(cfg, d)
+	if err != nil {
+		panic(err)
+	}
+	sys.Train(0, sc.TrainSteps, sc.Batch)
+	return sys
 }
 
 func accuracyPct(probs, labels []float32) float64 {

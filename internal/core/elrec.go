@@ -363,11 +363,18 @@ func (s *System) CanSaveModel() error {
 }
 
 // Evaluate computes held-out accuracy and AUC over batches starting at
-// startIter. The held-out batches are generated into one reused batch and
-// scored into result slices sized once, so beyond those results (and the
-// metrics' own sort) a call on a device-resident system allocates a
-// constant.
+// startIter: EvaluateLoss without the log loss.
 func (s *System) Evaluate(startIter, batches, batchSize int) (acc, auc float64) {
+	acc, auc, _ = s.EvaluateLoss(startIter, batches, batchSize)
+	return acc, auc
+}
+
+// EvaluateLoss computes held-out accuracy, AUC and mean log loss over batches
+// starting at startIter. The held-out batches are generated into one reused
+// batch and scored into result slices sized once, so beyond those results
+// (and the metrics' own sort) a call on a device-resident system allocates a
+// constant.
+func (s *System) EvaluateLoss(startIter, batches, batchSize int) (acc, auc, logLoss float64) {
 	n := max(batches, 0) * batchSize
 	probs, labels := make([]float32, n), make([]float32, n)
 	for it := 0; it < batches; it++ {
@@ -376,7 +383,7 @@ func (s *System) Evaluate(startIter, batches, batchSize int) (acc, auc float64) 
 		nn.SigmoidInto(probs[at:at+batchSize], s.model.Forward(s.evalBatch).Data)
 		copy(labels[at:], s.evalBatch.Labels)
 	}
-	return metrics.Accuracy(probs, labels, 0.5), metrics.AUC(probs, labels)
+	return metrics.Accuracy(probs, labels, 0.5), metrics.AUC(probs, labels), metrics.LogLoss(probs, labels)
 }
 
 // CompressionRatio returns uncompressed embedding bytes over placed bytes.

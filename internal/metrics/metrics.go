@@ -5,6 +5,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -70,6 +71,32 @@ func AUC(probs, labels []float32) float64 {
 		return 0.5
 	}
 	return (posRankSum - float64(pos)*float64(pos+1)/2) / (float64(pos) * float64(neg))
+}
+
+// logLossClamp keeps a saturated probability's log finite: LogLoss reads p
+// as min(max(p, ε), 1−ε).
+const logLossClamp = 1e-7
+
+// LogLoss returns the mean binary cross-entropy of the predicted
+// probabilities against 0/1 labels, −mean(y·ln p + (1−y)·ln(1−p)), with each
+// p clamped to [1e−7, 1−1e−7]. Returns 0 for no predictions.
+func LogLoss(probs, labels []float32) float64 {
+	if len(probs) != len(labels) {
+		panic(fmt.Sprintf("metrics: %d probs vs %d labels", len(probs), len(labels)))
+	}
+	if len(probs) == 0 {
+		return 0
+	}
+	var sum float64
+	for i, p := range probs {
+		q := min(max(float64(p), logLossClamp), 1-logLossClamp)
+		if labels[i] == 1 {
+			sum -= math.Log(q)
+		} else {
+			sum -= math.Log(1 - q)
+		}
+	}
+	return sum / float64(len(probs))
 }
 
 // LossCurve records training loss over iterations (Figure 15).

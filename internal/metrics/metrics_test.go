@@ -96,3 +96,20 @@ func TestSmoothedWindowClamp(t *testing.T) {
 		t.Fatalf("window 0 smoothing = %v", got)
 	}
 }
+
+func TestLogLoss(t *testing.T) {
+	// −(ln 0.8 + ln 0.5 + ln 0.9) / 3: a confident hit, a coin flip and a
+	// confident correct negative.
+	got := LogLoss([]float32{0.8, 0.5, 0.1}, []float32{1, 1, 0})
+	want := -(math.Log(0.8) + math.Log(0.5) + math.Log(0.9)) / 3
+	if math.Abs(got-want) > 1e-6 {
+		t.Fatalf("LogLoss = %v, want %v", got, want)
+	}
+	// A saturated wrong prediction costs −ln 1e−7, not +Inf.
+	if got := LogLoss([]float32{0}, []float32{1}); math.IsInf(got, 0) || math.Abs(got+math.Log(1e-7)) > 1e-6 {
+		t.Fatalf("saturated LogLoss = %v, want %v", got, -math.Log(1e-7))
+	}
+	if got := LogLoss(nil, nil); got != 0 {
+		t.Fatalf("empty LogLoss = %v", got)
+	}
+}
