@@ -66,9 +66,9 @@ func TestReferenceHash(t *testing.T) {
 	}
 	hash, _, _ := strings.Cut(strings.TrimPrefix(out.String(), "final_hash="), " ")
 	want := map[string]string{
-		"amd64/avx512":   "3cd429e3e8d69fc0",
-		"amd64/avx2":     "3cd429e3e8d69fc0",
-		"amd64/portable": "6b955788b9765758",
+		"amd64/avx512":   "9217dde822891f28",
+		"amd64/avx2":     "9217dde822891f28",
+		"amd64/portable": "70bc38276e3a2b5a",
 	}[runtime.GOARCH+"/"+tensor.KernelName()]
 	if want == "" {
 		t.Skipf("no reference hash measured for %s/%s; this run: %s", runtime.GOARCH, tensor.KernelName(), out.String())

@@ -25,7 +25,6 @@ var reachAllowlist = map[string]string{
 	"(*tt.GeneralTable).materialize": "the d = 3 oracle: the whole table, compared against Lookup",
 	"(*tensor.Matrix).transpose":     "builds the TN/NT GEMM oracle operands",
 	"tensor.FromSlice":               "builds the literal matrices of the kernel oracles",
-	"(*tensor.RNG).Intn":             "draws the random shapes of the kernel property tests",
 	"(*faults.Seeded).Injected":      "counts injected faults in the injector's determinism tests",
 }
 

@@ -253,8 +253,8 @@ func TestGroupLocalityInBatches(t *testing.T) {
 	spec := smallSpec()
 	d, _ := New(spec)
 	groupOf := make(map[int]int) // actual id -> hidden group (table 0)
-	for ordered, actual := range d.scatter[0] {
-		groupOf[int(actual)] = ordered / spec.GroupSize
+	for ordered := range spec.TableRows[0] {
+		groupOf[d.tables[0].scatter.at(ordered)] = ordered / spec.GroupSize
 	}
 	intra := map[int]int{}
 	b := d.Batch(0, 256)
@@ -490,4 +490,59 @@ func testBatchIntoMatchesBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("BatchInto over fresh iterations allocated %v times per batch, want 0", allocs)
 	}
 	sameBatch(t, "after the allocation count", dst, d.Batch(iter, 128))
+}
+
+// TestPermutationIsBijection: each table's scatter maps [0, n) onto itself
+// one to one — for the smallest domains, for one either side of every power
+// of two up to 2¹⁸, and for every table of the tracked Terabyte scales.
+func TestPermutationIsBijection(t *testing.T) {
+	sizes := []int{1, 2, 3}
+	for k := 2; k <= 18; k++ {
+		sizes = append(sizes, 1<<k-1, 1<<k, 1<<k+1)
+	}
+	for _, scale := range []float64{0.001, 0.01} {
+		sizes = append(sizes, TerabyteSpec(scale).TableRows...)
+	}
+	seen := make([]bool, 0)
+	for i, n := range sizes {
+		p := newPermutation(n, uint64(i)*0x9E37+1)
+		if cap(seen) < n {
+			seen = make([]bool, n)
+		}
+		seen = seen[:n]
+		clear(seen)
+		for x := range n {
+			y := p.at(x)
+			if y < 0 || y >= n || seen[y] {
+				t.Fatalf("n=%d: %d maps to %d, outside [0, n) or already taken", n, x, y)
+			}
+			seen[y] = true
+		}
+	}
+}
+
+// TestNewIsConstantPerTable: a Dataset holds O(1) state per table, so the
+// full-scale Terabyte spec (115 M rows) builds in under 10 ms and 1 MB.
+func TestNewIsConstantPerTable(t *testing.T) {
+	spec := TerabyteSpec(1.0)
+	var d *Dataset
+	var err error
+	allocs := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			d, err = New(spec)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := allocs.AllocedBytesPerOp(); per >= 1<<20 {
+		t.Fatalf("New(TerabyteSpec(1.0)) allocated %d bytes, want under 1 MB", per)
+	}
+	if per := allocs.NsPerOp(); per >= 10e6 {
+		t.Fatalf("New(TerabyteSpec(1.0)) took %v ns, want under 10 ms", per)
+	}
+	if rows := spec.TableRows[0]; d.tables[0].scatter.at(rows-1) >= rows {
+		t.Fatal("table 0's scatter leaves its id space")
+	}
 }

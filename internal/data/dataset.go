@@ -2,7 +2,6 @@ package data
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 	"sync/atomic"
 
@@ -11,16 +10,26 @@ import (
 
 // Dataset is a deterministic synthetic dataset: Batch(i, size) always
 // produces the same batch for the same spec, independent of generation
-// order, so every training system in a comparison sees identical data.
+// order, so every training system in a comparison sees identical data. It
+// holds O(1) state per table: every stream is a splitmix64 stream
+// (tensor.RNG) keyed by its (seed, iteration, table), and every table's
+// scatter of its hidden groups over the id space is a keyed permutation
+// computed per index.
 type Dataset struct {
 	Spec Spec
-	// scatter[t] maps "ordered" positions (where hidden groups are
-	// contiguous) to actual row ids, one permutation per table.
-	scatter [][]int32
-	// groups[t] is the number of hidden groups of table t.
-	groups []int
+	// tables[t] is table t's group distribution and scatter permutation.
+	tables []tableGen
 	// intra draws an index's offset inside its group.
 	intra smallZipf
+}
+
+// tableGen is what drawing one table's indices needs beyond the spec.
+type tableGen struct {
+	// groups draws a hidden group of the table.
+	groups zipf
+	// scatter maps "ordered" positions (where hidden groups are contiguous)
+	// to actual row ids.
+	scatter permutation
 }
 
 // New builds a Dataset from a validated spec.
@@ -29,21 +38,13 @@ func New(spec Spec) (*Dataset, error) {
 		return nil, err
 	}
 	d := &Dataset{Spec: spec, intra: newSmallZipf(spec.ZipfS, spec.GroupSize)}
-	d.scatter = make([][]int32, spec.NumTables())
-	d.groups = make([]int, spec.NumTables())
+	d.tables = make([]tableGen, spec.NumTables())
 	for t, rows := range spec.TableRows {
-		g := rows / spec.GroupSize
-		if g < 1 {
-			g = 1
+		groups := max(rows/spec.GroupSize, 1)
+		d.tables[t] = tableGen{
+			groups:  newZipf(spec.ZipfS, spec.ZipfV, groups-1),
+			scatter: newPermutation(rows, mix(spec.Seed, uint64(t), 0x5CA77E2)),
 		}
-		d.groups[t] = g
-		perm := make([]int32, rows)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		r := newRand(int64(mix(spec.Seed, uint64(t), 0x5CA77E2)))
-		r.Shuffle(rows, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		d.scatter[t] = perm
 	}
 	return d, nil
 }
@@ -90,19 +91,16 @@ func drawStreams(ctx any, lo, hi int) {
 // Size returns the number of samples in the batch.
 func (b *Batch) Size() int { return len(b.Labels) }
 
-// Generator is the scratch index-stream generation needs: a single math/rand
-// generator over the in-tree source (source.go), re-seeded per stream, and
-// each table's group Zipf built once against it. Seeding puts the source in
-// exactly the state rand.NewSource(seed) builds, at a third of its cost, so
-// every draw is the one a fresh math/rand generator makes. The zero value is
-// ready to use; it binds to the dataset it first draws for, and a generator
-// serves one goroutine at a time. Every stream — a batch's, the lookahead
-// planner's, the statistics' and BatchIndices' — is drawn through one.
+// Generator is the scratch index-stream generation needs: the stream's RNG,
+// re-seeded per stream (one word of state), and a stream's active groups.
+// The zero value is ready to use; it binds to the dataset it first draws
+// for, and a generator serves one goroutine at a time. Every stream — a
+// batch's, the lookahead planner's, the statistics' and BatchIndices' — is
+// drawn through one.
 type Generator struct {
 	d      *Dataset
-	r      *rand.Rand
-	zipf   []*rand.Zipf // per table, over its groups
-	active []int        // a stream's active groups
+	r      tensor.RNG
+	active []int // a stream's active groups
 }
 
 // bind makes g d's generator, building its scratch unless it already is.
@@ -110,11 +108,7 @@ func (g *Generator) bind(d *Dataset) {
 	if g.d == d {
 		return
 	}
-	g.d, g.r, g.active = d, newRand(0), make([]int, d.Spec.ActiveGroups)
-	g.zipf = make([]*rand.Zipf, len(d.groups))
-	for t, n := range d.groups {
-		g.zipf[t] = rand.NewZipf(g.r, d.Spec.ZipfS, d.Spec.ZipfV, uint64(n-1))
-	}
+	g.d, g.active = d, make([]int, d.Spec.ActiveGroups)
 }
 
 // Batch deterministically generates batch number iter with the given size,
@@ -177,13 +171,11 @@ func (d *Dataset) BatchFrom(dst *Batch, plan *WindowPlan, iter, size int) *Batch
 	w.next.Store(0)
 	tensor.ParallelFor(n, b, drawStreams)
 
-	r := w.gens[0].r
-	r.Seed(int64(mix(spec.Seed, uint64(iter), 0xBA7C4)))
+	r := &w.gens[0].r
+	*r = *tensor.NewRNG(mix(spec.Seed, uint64(iter), 0xBA7C4))
 
 	// Dense features: standard normal.
-	for i := range b.Dense.Data {
-		b.Dense.Data[i] = float32(r.NormFloat64())
-	}
+	r.FillNormal(b.Dense.Data, 1)
 
 	// Labels from the hidden model: a matrix-factorization-style pairwise
 	// term (which the DLRM dot interaction can express exactly), a small
@@ -258,8 +250,8 @@ func resize(buf []int, n int) []int {
 }
 
 // streamSeed is the seed of table t's index stream of batch iter.
-func (d *Dataset) streamSeed(iter, t int) int64 {
-	return int64(mix(d.Spec.Seed, uint64(iter), 0x7AB1E0+uint64(t)))
+func (d *Dataset) streamSeed(iter, t int) uint64 {
+	return mix(d.Spec.Seed, uint64(iter), 0x7AB1E0+uint64(t))
 }
 
 // BatchIndices deterministically generates only table t's indices of batch
@@ -280,7 +272,7 @@ func (d *Dataset) BatchIndices(iter, size, t int) []int {
 func (d *Dataset) IndicesInto(g *Generator, dst []int, iter, size, t int) []int {
 	g.bind(d)
 	dst = resize(dst, size*d.Spec.BagSize())
-	g.r.Seed(d.streamSeed(iter, t))
+	g.r = *tensor.NewRNG(d.streamSeed(iter, t))
 	d.drawIndices(dst, g, t)
 	return dst
 }
@@ -292,16 +284,17 @@ func (d *Dataset) IndicesInto(g *Generator, dst []int, iter, size, t int) []int 
 func (d *Dataset) drawIndices(out []int, g *Generator, t int) {
 	spec := d.Spec
 	rows := spec.TableRows[t]
-	r, groupZipf, active := g.r, g.zipf[t], g.active
+	tg := &d.tables[t]
+	r, active := &g.r, g.active
 	for i := range active {
-		active[i] = int(groupZipf.Uint64())
+		active[i] = tg.groups.sample(r)
 	}
 	for s := range out {
 		var grp int
 		if r.Float64() < spec.Locality {
 			grp = active[r.Intn(len(active))]
 		} else {
-			grp = int(groupZipf.Uint64())
+			grp = tg.groups.sample(r)
 		}
 		lo := grp * spec.GroupSize
 		span := spec.GroupSize
@@ -312,8 +305,98 @@ func (d *Dataset) drawIndices(out []int, g *Generator, t int) {
 		}
 		// Intra-group skew (span ≤ GroupSize).
 		off := d.intra.sample(r, span)
-		ordered := lo + off
-		out[s] = int(d.scatter[t][ordered])
+		out[s] = tg.scatter.at(lo + off)
+	}
+}
+
+// zipf draws k ∈ [0, imax] with P(k) ∝ (v+k)^−s by Hörmann and Derflinger's
+// rejection-inversion ("Rejection-inversion to generate variates from
+// monotone discrete distributions", ACM TOMACS 1996): math/rand's Zipf
+// algorithm, constant for constant, drawing its uniforms from a tensor.RNG.
+// It holds no generator, so one value serves every stream of its table.
+type zipf struct {
+	imax, v, q, s           float64
+	oneMinusQ, oneMinusQInv float64
+	hxm, hx0MinusHxm        float64
+}
+
+// newZipf returns the distribution over [0, imax]; s > 1 and v ≥ 1 (Spec
+// validates both).
+func newZipf(s, v float64, imax int) zipf {
+	z := zipf{imax: float64(imax), v: v, q: s, oneMinusQ: 1 - s, oneMinusQInv: 1 / (1 - s)}
+	z.hxm = z.h(z.imax + 0.5)
+	z.hx0MinusHxm = z.h(0.5) - math.Exp(math.Log(z.v)*(-z.q)) - z.hxm
+	z.s = 1 - z.hinv(z.h(1.5)-math.Exp(-z.q*math.Log(z.v+1)))
+	return z
+}
+
+// h is the integral of the hat function, (v+x)^(1−q)/(1−q).
+func (z *zipf) h(x float64) float64 {
+	return math.Exp(z.oneMinusQ*math.Log(z.v+x)) * z.oneMinusQInv
+}
+
+// hinv is h's inverse.
+func (z *zipf) hinv(x float64) float64 {
+	return math.Exp(z.oneMinusQInv*math.Log(z.oneMinusQ*x)) - z.v
+}
+
+// sample draws one value from r.
+func (z *zipf) sample(r *tensor.RNG) int {
+	for {
+		ur := z.hxm + r.Float64()*z.hx0MinusHxm
+		x := z.hinv(ur)
+		k := math.Floor(x + 0.5)
+		if k-x <= z.s || ur >= z.h(k+0.5)-math.Exp(-math.Log(k+z.v)*z.q) {
+			return int(k)
+		}
+	}
+}
+
+// permutation is a keyed pseudo-random permutation of [0, n): a four-round
+// unbalanced Feistel network over the smallest bit width w with 2^w ≥ n,
+// restricted to [0, n) by cycle walking — x is encrypted again while it
+// lands outside (Black and Rogaway, "Ciphers with arbitrary finite
+// domains", CT-RSA 2002). A bijection of [0, 2^w) restricted this way is a
+// bijection of [0, n), and since 2^w < 2n a value takes fewer than two
+// encryptions on average. It is four words of key, not n of table.
+type permutation struct {
+	n uint64
+	// x's low half is lo = ⌈w/2⌉ bits wide and its high half ⌊w/2⌋; a
+	// round's hash is shifted right by 64 − the width of the half it
+	// changes.
+	lo, loShift, hiShift uint
+	keys                 [4]uint64
+}
+
+// newPermutation returns the permutation of [0, n) keyed by key.
+func newPermutation(n int, key uint64) permutation {
+	w := uint(0)
+	for uint64(1)<<w < uint64(n) {
+		w++
+	}
+	p := permutation{n: uint64(n), lo: w - w/2, loShift: 64 - (w - w/2), hiShift: 64 - w/2}
+	r := tensor.NewRNG(key)
+	for i := range p.keys {
+		p.keys[i] = r.Uint64()
+	}
+	return p
+}
+
+// at returns the image of i ∈ [0, n). Each round replaces one half with
+// itself XOR a keyed multiplicative hash of the other: the top bits of
+// (x XOR k)·(k | 1), as wide as the half it changes (a zero-width half
+// stays 0, since a shift by 64 is 0).
+func (p *permutation) at(i int) int {
+	k := &p.keys
+	for x := uint64(i); ; {
+		l, h := x&(1<<p.lo-1), x>>p.lo
+		h ^= ((l ^ k[0]) * (k[0] | 1)) >> p.hiShift
+		l ^= ((h ^ k[1]) * (k[1] | 1)) >> p.loShift
+		h ^= ((l ^ k[2]) * (k[2] | 1)) >> p.hiShift
+		l ^= ((h ^ k[3]) * (k[3] | 1)) >> p.loShift
+		if x = h<<p.lo | l; x < p.n {
+			return int(x)
+		}
 	}
 }
 
@@ -369,7 +452,7 @@ func (z smallZipf) index(u float64, n int) int {
 
 // sample draws one index in [0, n). A draw that inverts to n or beyond is
 // rejected; the loop terminates quickly because mass concentrates near 0.
-func (z smallZipf) sample(r *rand.Rand, n int) int {
+func (z smallZipf) sample(r *tensor.RNG, n int) int {
 	if n <= 1 {
 		return 0
 	}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // powIndex is the definition smallZipf.index must reproduce: the seed's
@@ -83,14 +85,14 @@ func (f fold) floats(xs []float32) {
 }
 
 // TestGeneratedStreamGolden pins the generated stream of the three dataset
-// presets to hashes recorded before sampleZipfSmall lost its math.Pow: every
-// field of four batches through Batch, and every table of one more batch
-// through BatchIndices.
+// presets to hashes recorded when the generator moved onto tensor.RNG and
+// keyed permutations: every field of four batches through Batch, and every
+// table of one more batch through BatchIndices.
 func TestGeneratedStreamGolden(t *testing.T) {
 	golden := map[string][2]uint64{
-		"avazu":    {0x9e733635e3b043d4, 0xd28003680d53e36c},
-		"kaggle":   {0xbeff890d869d3e9c, 0xdd3e59c3f7123375},
-		"terabyte": {0xd97456a0793d99fd, 0xcdd16ad1baf015e9},
+		"avazu":    {0x2a7ce2a38613d3f5, 0x221d4e1080b7feba},
+		"kaggle":   {0x552589eeeacf3f29, 0xb624b30f2cedf14f},
+		"terabyte": {0x74e81c16c46a31c9, 0x0cc7bb2359908b26},
 	}
 	for name, want := range golden {
 		spec, err := SpecByName(name, 0.002)
@@ -116,6 +118,33 @@ func TestGeneratedStreamGolden(t *testing.T) {
 		}
 		if got := [2]uint64{batches.h.Sum64(), indices.h.Sum64()}; got != want {
 			t.Errorf("%s: stream hashes {%#x, %#x}, recorded {%#x, %#x}", name, got[0], got[1], want[0], want[1])
+		}
+	}
+}
+
+// rngSource is a rand.Source64 over a tensor.RNG whose Int63 is the top 53
+// bits of a draw shifted up by 10, so rand.Float64 over it (Int63()/2⁶³) is
+// the RNG's Float64 (top 53 bits/2⁵³), draw for draw and exactly.
+type rngSource struct{ r *tensor.RNG }
+
+func (s rngSource) Int63() int64    { return int64(s.r.Uint64() >> 11 << 10) }
+func (s rngSource) Uint64() uint64  { return s.r.Uint64() }
+func (s rngSource) Seed(seed int64) { *s.r = *tensor.NewRNG(uint64(seed)) }
+
+// TestZipfMatchesMathRand: the group Zipf is math/rand's rejection-inversion
+// sampler, so over the same uniforms it draws math/rand's values, for each
+// preset's exponent and table sizes from one group to 10⁶.
+func TestZipfMatchesMathRand(t *testing.T) {
+	for _, s := range []float64{1.1, 1.15, 1.2, 2} {
+		for _, imax := range []int{0, 1, 2, 63, 17_935, 1_000_000} {
+			z := newZipf(s, 2, imax)
+			got := tensor.NewRNG(uint64(imax) + 1)
+			ref := rand.NewZipf(rand.New(rngSource{tensor.NewRNG(uint64(imax) + 1)}), s, 2, uint64(imax)) //nolint:gosec // the oracle
+			for i := 0; i < 20_000; i++ {
+				if g, w := z.sample(got), int(ref.Uint64()); g != w {
+					t.Fatalf("s=%v imax=%d draw %d: %d, math/rand %d", s, imax, i, g, w)
+				}
+			}
 		}
 	}
 }

@@ -127,19 +127,33 @@ func trainAndEval(t *testing.T, m *Model, d *data.Dataset, steps, batchSize int)
 	return metrics.Accuracy(probs, labels, 0.5), metrics.AUC(probs, labels)
 }
 
+// learnSeeds are the data seeds the learning tests average over: one
+// seed's held-out AUC after 2 000 steps ranges from 0.60 to 0.83 and its
+// early-loss average from 0.58 to 0.73 (seeds 11…30), so a single seed
+// passes or fails a fixed bound by the draw of its data.
+var learnSeeds = []uint64{11, 12, 13, 14, 15}
+
 func TestTrainingLearnsSignalDenseTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long training test skipped in -short")
 	}
-	spec := testSpec()
-	d, _ := data.New(spec)
-	m, err := NewModel(testConfig(), denseTables(t, spec))
-	if err != nil {
-		t.Fatal(err)
+	var sumAcc, sumAUC float64
+	for _, seed := range learnSeeds {
+		spec := testSpec()
+		spec.Seed = seed
+		d, _ := data.New(spec)
+		m, err := NewModel(testConfig(), denseTables(t, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, auc := trainAndEval(t, m, d, 2000, 128)
+		t.Logf("data seed %d: acc=%.3f auc=%.3f", seed, acc, auc)
+		sumAcc += acc
+		sumAUC += auc
 	}
-	acc, auc := trainAndEval(t, m, d, 2000, 128)
-	if auc < 0.65 {
-		t.Fatalf("dense DLRM failed to learn: acc=%.3f auc=%.3f", acc, auc)
+	n := float64(len(learnSeeds))
+	if auc := sumAUC / n; auc < 0.65 {
+		t.Fatalf("dense DLRM failed to learn: mean over data seeds %v acc=%.3f auc=%.3f", learnSeeds, sumAcc/n, auc)
 	}
 }
 
@@ -292,28 +306,30 @@ func (c *tickClock) Now() time.Time {
 }
 
 func TestModelTrainsOnMultiHotBags(t *testing.T) {
-	spec := testSpec()
-	spec.MultiHot = 3
-	d, err := data.New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewModel(testConfig(), ttTables(t, spec))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var first, last float32
-	const steps = 60
-	for it := 0; it < steps; it++ {
-		loss := m.TrainStep(d.Batch(it, 64))
-		if it < 5 {
-			first += loss
+	for _, seed := range learnSeeds {
+		spec := testSpec()
+		spec.MultiHot, spec.Seed = 3, seed
+		d, err := data.New(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if it >= steps-5 {
-			last += loss
+		m, err := NewModel(testConfig(), ttTables(t, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const steps = 60
+		for it := 0; it < steps; it++ {
+			loss := m.TrainStep(d.Batch(it, 64))
+			if it < 5 {
+				first += loss
+			}
+			if it >= steps-5 {
+				last += loss
+			}
 		}
 	}
-	if last >= first {
-		t.Fatalf("multi-hot training loss did not decrease: %v -> %v", first/5, last/5)
+	if n := float32(5 * len(learnSeeds)); last >= first {
+		t.Fatalf("multi-hot training loss did not decrease over data seeds %v: %v -> %v", learnSeeds, first/n, last/n)
 	}
 }
