@@ -62,7 +62,6 @@ func (c *Config) normalize() error {
 // Bijection is a permutation of one table's row ids.
 type Bijection struct {
 	Forward []int32 // Forward[raw] = new id
-	Inverse []int32 // Inverse[new] = raw id
 }
 
 // Apply maps raw indices to reordered indices, returning a new slice.
@@ -84,11 +83,9 @@ func (b *Bijection) ApplyInPlace(indices []int) {
 // Len returns the table size the bijection covers.
 func (b *Bijection) Len() int { return len(b.Forward) }
 
-// Validate reports whether the bijection is a permutation.
+// Validate reports whether the bijection is a permutation: every new id is
+// in range and assigned once.
 func (b *Bijection) Validate() error {
-	if len(b.Forward) != len(b.Inverse) {
-		return fmt.Errorf("reorder: forward/inverse length mismatch %d/%d", len(b.Forward), len(b.Inverse))
-	}
 	seen := make([]bool, len(b.Forward))
 	for raw, nw := range b.Forward {
 		if nw < 0 || int(nw) >= len(b.Forward) {
@@ -98,9 +95,6 @@ func (b *Bijection) Validate() error {
 			return fmt.Errorf("reorder: new id %d assigned twice", nw)
 		}
 		seen[nw] = true
-		if b.Inverse[nw] != int32(raw) {
-			return fmt.Errorf("reorder: Inverse[%d] = %d want %d", nw, b.Inverse[nw], raw)
-		}
 	}
 	return nil
 }
@@ -287,10 +281,7 @@ func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 
 	// Forward starts as the frequency rank: hot ranks, the ranks beyond the
 	// graph cap and untouched graph ranks keep it as their new id.
-	bij := &Bijection{Forward: frequencyOrder(counts), Inverse: make([]int32, n)}
-	for raw, r := range bij.Forward {
-		bij.Inverse[r] = int32(raw)
-	}
+	bij := &Bijection{Forward: frequencyOrder(counts)}
 	hotCount := int(cfg.HotRatio * float64(n))
 	graphNodes := min(n-hotCount, cfg.MaxGraphNodes)
 	g := buildIndexGraph(bij.Forward, batches, hotCount, graphNodes, cfg.MaxPairsPerBatch)
@@ -298,11 +289,16 @@ func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 		return bij, nil
 	}
 	order := communityOrder(g, graphx.Louvain(g))
-	rawOfNode := slices.Clone(bij.Inverse[hotCount : hotCount+len(order)])
+	// rawOfNode[node] is the raw id of graph rank hotCount+node: the
+	// inverse of Forward, only where the graph reorders.
+	rawOfNode := make([]int32, len(order))
+	for raw, r := range bij.Forward {
+		if node := int(r) - hotCount; node >= 0 && node < len(order) {
+			rawOfNode[node] = int32(raw)
+		}
+	}
 	for seq, node := range order {
-		raw := rawOfNode[node]
-		bij.Forward[raw] = int32(hotCount + seq)
-		bij.Inverse[hotCount+seq] = raw
+		bij.Forward[rawOfNode[node]] = int32(hotCount + seq)
 	}
 	return bij, nil
 }

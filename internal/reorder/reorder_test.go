@@ -49,7 +49,6 @@ func TestIdentityBijection(t *testing.T) {
 func TestApplyInPlace(t *testing.T) {
 	b := identity(4)
 	b.Forward = []int32{1, 0, 3, 2}
-	b.Inverse = []int32{1, 0, 3, 2}
 	idx := []int{0, 2}
 	b.ApplyInPlace(idx)
 	if idx[0] != 1 || idx[1] != 3 {
@@ -67,11 +66,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	b.Forward[0] = 5 // out of range
 	if b.Validate() == nil {
 		t.Fatal("out-of-range id accepted")
-	}
-	b = identity(3)
-	b.Inverse[0] = 2 // inconsistent inverse
-	if b.Validate() == nil {
-		t.Fatal("inconsistent inverse accepted")
 	}
 }
 
@@ -304,21 +298,14 @@ func TestBuildIsDeterministic(t *testing.T) {
 					run, i, b.Forward[i], first.Forward[i])
 			}
 		}
-		for i := range first.Inverse {
-			if b.Inverse[i] != first.Inverse[i] {
-				t.Fatalf("run %d: Inverse[%d] = %d, run 0 had %d — bijection is not deterministic",
-					run, i, b.Inverse[i], first.Inverse[i])
-			}
-		}
 	}
 }
 
 // identity is the identity bijection over n rows.
 func identity(n int) *Bijection {
-	b := &Bijection{Forward: make([]int32, n), Inverse: make([]int32, n)}
+	b := &Bijection{Forward: make([]int32, n)}
 	for i := range b.Forward {
 		b.Forward[i] = int32(i)
-		b.Inverse[i] = int32(i)
 	}
 	return b
 }
