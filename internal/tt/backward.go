@@ -108,7 +108,7 @@ func backwardRange(ctx any, lo, hi int) {
 
 			// Fetch or recompute the forward intermediate P₁₂.
 			pref := s.p12
-			if c.PrefixBuf == nil {
+			if !c.reused {
 				t.computePrefix(i1, i2, pref)
 			} else {
 				fw := p // forward work item of occurrence p

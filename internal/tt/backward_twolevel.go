@@ -84,8 +84,8 @@ func (g *groups) build(numKeys int, key []int, bound int) {
 // of returns the items of key k.
 func (g *groups) of(k int) []int { return g.items[g.start[k]:g.start[k+1]] }
 
-// sortByI2 is the stacking step the forward's reuse-buffer fill and the
-// backward share: it stably sorts the batch's unique prefixes uniq (first-
+// sortByI2 is the reuse-buffer fill's stacking step, whose grouping the
+// two-level backward reads too: it stably sorts the batch's unique prefixes uniq (first-
 // occurrence order, prefix = i₁·m₂+i₂) by i₂ and renumbers ids (work item →
 // position in uniq) to match. Afterwards uniq[start[i₂]:start[i₂+1]] are the
 // prefixes of G₂[i₂], still in first-occurrence order, so every row set
@@ -107,23 +107,21 @@ func (g *groups) sortByI2(m2 int, uniq, ids []int, bound int) {
 }
 
 // twoLevelBwd is the state of one two-level backward call. It lives in the
-// forward cache, so the arena path reuses every buffer across batches.
+// forward cache, so the arena path reuses every buffer across batches. The
+// batch's unique prefixes, sorted by i₂ — their values, runs per G₂ slice,
+// reuse-buffer rows and stacked G₁ slices — are the forward cache's
+// (prefixes, i2, PrefixBuf, g1): prefix u is reuse-buffer row u.
 type twoLevelBwd struct {
 	workIdx []int // unique indices of the batch (the work items)
 
-	pfx     []int // unique prefix u → prefix value i₁·m₂+i₂, sorted by i₂
-	pfxOf   []int // work item → u
-	pfxSlot []int // u → reuse-buffer row of P₁₂ (when the forward kept one)
-	key     []int // counting-sort key scratch
+	pfxOf []int // work item → u
+	key   []int // counting-sort key scratch
 
 	byPfx groups // work items by u
 	byI3  groups // work items by i₃
-	i2    groups // start[i₂]: first unique prefix of G₂[i₂]'s run
 	byI1  groups // unique prefixes by i₁
 
-	p12  *tensor.Matrix // u → P₁₂, computed here when there is no reuse buffer
 	dP12 *tensor.Matrix // u → dP₁₂
-	g1   *tensor.Matrix // u → G₁[i₁(u)], a group's slices stacked into one operand
 	c1   *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
 	c3   *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
 	dG2  *tensor.Matrix // part → the dG₂[i₂] it is working on, fused Adagrad only
@@ -136,7 +134,7 @@ func (t *Table) backwardTwoLevel(cache *forwardCache, dOut *tensor.Matrix) {
 	var workOf []int
 	b.workIdx, workOf = t.aggregateGrads(cache, dOut)
 	t.groupWork(cache, b, workOf)
-	t.met.recordBackward(len(cache.Indices), len(b.workIdx), len(b.pfx))
+	t.met.recordBackward(len(cache.Indices), len(b.workIdx), len(cache.prefixes))
 
 	m := t.Shape.RowFactors
 	// Phase 2 loops over parts, part p owning the groups i₂ ≡ p (mod parts):
@@ -147,37 +145,37 @@ func (t *Table) backwardTwoLevel(cache *forwardCache, dOut *tensor.Matrix) {
 	if cache.gradBufs[1] == nil && t.AdagradEnabled() {
 		b.dG2 = tensor.Reuse(b.dG2, cache.parts, t.Shape.sliceSizes()[1])
 	}
-	tensor.ParallelFor(len(b.pfx), cache, prefixPhase)
+	tensor.ParallelFor(len(cache.prefixes), cache, prefixPhase)
 	tensor.ParallelFor(cache.parts, cache, core2Phase)
 	tensor.ParallelFor(m[0]+m[2], cache, core13Phase)
 }
 
-// groupWork dedups the prefixes of the work items and sorts them by i₂,
-// recovers each prefix's reuse-buffer row from the forward's PrefixSlots,
-// counting-sorts work items by prefix and by i₃ and prefixes by i₁, and
-// sizes the scratch.
+// groupWork maps each work item to its unique prefix, counting-sorts work
+// items by prefix and by i₃ and prefixes by i₁, and sizes the scratch. The
+// prefixes are the forward's when it filled the reuse buffer: deduplicated
+// in first-occurrence order and sorted by i₂, they are the same list over
+// occurrences as over unique indices, so forward work item fw's slot is its
+// prefix — fw itself under DedupIndices, occurrence fw's unique index
+// otherwise. When the forward recomputed prefixes instead, the buffer is
+// filled here over the aggregated rows, with the bits of the per-prefix
+// product (m-independence).
 func (t *Table) groupWork(c *forwardCache, b *twoLevelBwd, workOf []int) {
 	m := t.Shape.RowFactors
 	items, bound := len(b.workIdx), len(c.Indices)
-	b.pfxOf = growInts(b.pfxOf, items, bound)
-	b.pfx = t.dedupPrefixes(c, b.workIdx, b.pfxOf, b.pfx)
-	b.i2.sortByI2(m[1], b.pfx, b.pfxOf, bound)
-	prefixes := len(b.pfx)
-
-	if c.PrefixBuf != nil {
-		// Forward work item fw is backward work item fw when the forward
-		// deduplicated, and occurrence fw's unique index otherwise.
-		b.pfxSlot = growInts(b.pfxSlot, prefixes, bound)
+	if c.reused {
+		b.pfxOf = growInts(b.pfxOf, items, bound)
 		for fw, slot := range c.PrefixSlots {
 			w := fw
 			if !t.Opts.DedupIndices {
 				w = workOf[fw]
 			}
-			b.pfxSlot[b.pfxOf[w]] = slot
+			b.pfxOf[w] = slot
 		}
 	} else {
-		b.p12 = tensor.ReuseRows(b.p12, prefixes, t.Shape.prefixSize(), bound)
+		t.fillPrefixBatchLocal(c, b.workIdx)
+		b.pfxOf = c.PrefixSlots
 	}
+	prefixes := len(c.prefixes)
 
 	b.byPfx.build(prefixes, b.pfxOf, bound)
 	b.key = growInts(b.key, items, bound)
@@ -186,35 +184,28 @@ func (t *Table) groupWork(c *forwardCache, b *twoLevelBwd, workOf []int) {
 	}
 	b.byI3.build(m[2], b.key, bound)
 	b.key = growInts(b.key, prefixes, bound)
-	for u, pfx := range b.pfx {
+	for u, pfx := range c.prefixes {
 		b.key[u] = pfx / m[1]
 	}
 	b.byI1.build(m[0], b.key, bound)
 
 	sz := t.Shape.sliceSizes()
 	b.dP12 = tensor.ReuseRows(b.dP12, prefixes, t.Shape.prefixSize(), bound)
-	b.g1 = tensor.ReuseRows(b.g1, prefixes, sz[0], bound)
 	b.c1 = tensor.ReuseRows(b.c1, prefixes, sz[0], bound)
 	b.c3 = tensor.ReuseRows(b.c3, items, sz[2], bound)
 }
 
 // prefixPhase is phase 1, a ParallelFor body over a *forwardCache, for
-// unique prefixes [lo,hi): it owns rows u of p12/dP12 and rows w of c3 for
-// the work items w of u, and only reads cores.
+// unique prefixes [lo,hi): it owns rows u of dP12 and rows w of c3 for the
+// work items w of u, and only reads cores and the reuse buffer.
 func prefixPhase(ctx any, lo, hi int) {
 	c := ctx.(*forwardCache)
 	t, b := c.t, &c.tl
 	n := t.Shape.ColFactors
 	r2 := t.Shape.R2
-	m2, m3 := t.Shape.RowFactors[1], t.Shape.RowFactors[2]
+	m3 := t.Shape.RowFactors[2]
 	for u := lo; u < hi; u++ {
-		var p12 []float32
-		if c.PrefixBuf != nil {
-			p12 = c.PrefixBuf.Row(b.pfxSlot[u])
-		} else {
-			p12 = b.p12.Row(u)
-			t.computePrefix(b.pfx[u]/m2, b.pfx[u]%m2, p12)
-		}
+		p12 := c.PrefixBuf.Row(u)
 		dP12 := b.dP12.Row(u)
 		clear(dP12)
 		for _, w := range b.byPfx.of(u) {
@@ -228,8 +219,9 @@ func prefixPhase(ctx any, lo, hi int) {
 }
 
 // core2Phase is phase 2, a ParallelFor body over a *forwardCache: part p of
-// [lo,hi) owns G₂[i₂] for i₂ = p, p+parts, … and rows u of c1 and g1 for the
-// prefixes u of their groups, and reads G₁ and dP12. c1 is stored before
+// [lo,hi) owns G₂[i₂] for i₂ = p, p+parts, … and rows u of c1 for the
+// prefixes u of their groups, and reads dP12 and the stacked G₁ slices the
+// reuse-buffer fill left in the cache's g1. c1 is stored before
 // G₂[i₂] is written; the dG₂ product accumulates straight into its sink,
 // except under fused Adagrad (which needs dG₂²): that stores it into row p
 // of b.dG2 and applies it there.
@@ -241,7 +233,7 @@ func core2Phase(ctx any, lo, hi int) {
 	sz0, psz := b.c1.Cols, b.dP12.Cols
 	for p := lo; p < hi; p++ {
 		for i2 := p; i2 < t.Shape.RowFactors[1]; i2 += c.parts {
-			first, end := b.i2.start[i2], b.i2.start[i2+1]
+			first, end := c.i2.start[i2], c.i2.start[i2+1]
 			if first == end {
 				continue
 			}
@@ -250,8 +242,7 @@ func core2Phase(ctx any, lo, hi int) {
 			// c1[u] = dP₁₂[u]·G₂[i₂]ᵀ for every u of the group   (k·n₁ × R₁).
 			tensor.GemmTransBInto(rows, n[1]*r2, r1, dP12, t.Slice2(i2), b.c1.Data[first*sz0:end*sz0])
 			// dG₂[i₂] = Σ_u G₁[i₁(u)]ᵀ·dP₁₂[u] = [G₁]ᵀ·[dP₁₂]   (R₁ × n₂R₂).
-			g1 := b.g1.Data[first*sz0 : end*sz0]
-			t.stackG1(g1, b.pfx[first:end])
+			g1 := c.g1.Data[first*sz0 : end*sz0]
 			switch {
 			case c.gradBufs[1] != nil:
 				tensor.GemmTransAAddInto(r1, rows, n[1]*r2, 1, g1, dP12, c.gradBufs[1].Row(i2))

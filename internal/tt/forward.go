@@ -25,10 +25,12 @@ type forwardCache struct {
 	WorkOf  []int
 
 	// PrefixSlots[w] is the reuse-buffer row of work item w; PrefixBuf row
-	// s holds the n₁×(n₂R₂) product for that prefix. Nil when prefix reuse
-	// is disabled.
+	// s holds the n₁×(n₂R₂) product for that prefix. The forward fills them
+	// when reused is set (ReusePrefix); otherwise the two-level backward
+	// fills them for its own work items, and the forward recomputes.
 	PrefixSlots []int
 	PrefixBuf   *tensor.Matrix
+	reused      bool
 
 	// Rows holds the materialized embedding row of each work item
 	// (len(WorkIdx) × Dim).
@@ -123,17 +125,16 @@ func (t *Table) forwardInto(c *forwardCache, indices, offsets []int) *tensor.Mat
 	}
 	t.met.recordForward(len(indices), len(c.WorkIdx))
 
-	if t.Opts.ReusePrefix {
-		t.fillPrefixBatchLocal(c)
-	} else {
-		c.PrefixSlots, c.PrefixBuf = nil, nil
+	if c.reused = t.Opts.ReusePrefix; c.reused {
+		t.fillPrefixBatchLocal(c, c.WorkIdx)
+		t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
 	}
 
 	// Materialize one row per work item, the items split into parts that
 	// each own a row of prefix scratch when there is no reuse buffer.
 	c.Rows = tensor.ReuseRows(c.Rows, len(c.WorkIdx), t.Shape.Dim, len(indices))
 	c.parts = min(tensor.Workers(), len(c.WorkIdx))
-	if c.PrefixBuf == nil {
+	if !c.reused {
 		c.p12 = growFloats(c.p12, c.parts*t.Shape.prefixSize())
 	}
 	tensor.ParallelFor(c.parts, c, materializeRows)
@@ -157,7 +158,7 @@ func materializeRows(ctx any, lo, hi int) {
 		for w := first; w < end; w++ {
 			i1, i2, i3 := t.Shape.factorIndex(c.WorkIdx[w])
 			var p12 []float32
-			if c.PrefixBuf != nil {
+			if c.reused {
 				p12 = c.PrefixBuf.Row(c.PrefixSlots[w])
 			} else {
 				p12 = c.p12[p*psz : (p+1)*psz]
@@ -206,16 +207,18 @@ func (c *forwardCache) dedupRows() (workIdx, workOf []int) {
 }
 
 // fillPrefixBatchLocal is Algorithm 1: it deduplicates the prefixes of the
-// work items (Buf_flag/Buf_idx) and computes every unique prefix of the batch
-// into the batch-local reuse buffer. The batched GEMM is stacked per G₂
+// work items workIdx (Buf_flag/Buf_idx) and computes every unique prefix of
+// the batch into the batch-local reuse buffer, PrefixSlots[w] being work
+// item w's row. The forward runs it over its work items under ReusePrefix;
+// the two-level backward runs it over its aggregated rows otherwise. The batched GEMM is stacked per G₂
 // slice: the prefixes are sorted by i₂, so the buffer rows of one slice are
 // contiguous and take one product [G₁[i₁(u)]]·G₂[i₂] with the run's G₁ slices
 // stacked as the A operand — G₂[i₂], the one operand outside the cache,
 // streams once per slice instead of once per prefix, and each buffer row has
 // the bits of its own n₁-row product (m-independence, DESIGN.md §12).
-func (t *Table) fillPrefixBatchLocal(c *forwardCache) {
-	c.PrefixSlots = growInts(c.PrefixSlots, len(c.WorkIdx), len(c.Indices))
-	c.prefixes = t.dedupPrefixes(c, c.WorkIdx, c.PrefixSlots, c.prefixes)
+func (t *Table) fillPrefixBatchLocal(c *forwardCache, workIdx []int) {
+	c.PrefixSlots = growInts(c.PrefixSlots, len(workIdx), len(c.Indices))
+	c.prefixes = t.dedupPrefixes(c, workIdx, c.PrefixSlots, c.prefixes)
 	m2 := t.Shape.RowFactors[1]
 	c.i2.sortByI2(m2, c.prefixes, c.PrefixSlots, len(c.Indices))
 
@@ -227,7 +230,6 @@ func (t *Table) fillPrefixBatchLocal(c *forwardCache) {
 		c.parts = min(tensor.Workers(), m2)
 	}
 	tensor.ParallelFor(c.parts, c, fillSlices)
-	t.met.recordPrefix(len(c.WorkIdx), len(c.prefixes))
 }
 
 // fillSlices is a ParallelFor body over a *forwardCache: part p of [lo,hi)
@@ -266,8 +268,7 @@ func (t *Table) stackG1(dst []float32, prefixes []int) {
 // dedupPrefixes writes into ids[w] the batch-local dense id of work item w's
 // prefix, ids being handed out in first-occurrence order (Algorithm 1's
 // Buf_flag/Buf_idx), and returns the unique prefixes in prefixes' storage,
-// grown as growInts grows it. The forward's batch-local reuse buffer and the
-// two-level backward share it.
+// grown as growInts grows it. It is fillPrefixBatchLocal's deduplication.
 func (t *Table) dedupPrefixes(c *forwardCache, workIdx, ids, prefixes []int) []int {
 	c.seen.Begin(len(workIdx))
 	prefixes = growInts(prefixes, len(workIdx), len(c.Indices))[:0]
