@@ -315,7 +315,7 @@ func (d *Dataset) drawIndices(out []int, g *Generator, t int) {
 // algorithm, constant for constant, drawing its uniforms from a tensor.RNG.
 // It holds no generator, so one value serves every stream of its table.
 type zipf struct {
-	imax, v, q, s           float64
+	v, q, s                 float64
 	oneMinusQ, oneMinusQInv float64
 	hxm, hx0MinusHxm        float64
 }
@@ -323,8 +323,8 @@ type zipf struct {
 // newZipf returns the distribution over [0, imax]; s > 1 and v ≥ 1 (Spec
 // validates both).
 func newZipf(s, v float64, imax int) zipf {
-	z := zipf{imax: float64(imax), v: v, q: s, oneMinusQ: 1 - s, oneMinusQInv: 1 / (1 - s)}
-	z.hxm = z.h(z.imax + 0.5)
+	z := zipf{v: v, q: s, oneMinusQ: 1 - s, oneMinusQInv: 1 / (1 - s)}
+	z.hxm = z.h(float64(imax) + 0.5)
 	z.hx0MinusHxm = z.h(0.5) - math.Exp(math.Log(z.v)*(-z.q)) - z.hxm
 	z.s = 1 - z.hinv(z.h(1.5)-math.Exp(-z.q*math.Log(z.v+1)))
 	return z
