@@ -210,12 +210,13 @@ func (c *forwardCache) dedupRows() (workIdx, workOf []int) {
 // work items workIdx (Buf_flag/Buf_idx) and computes every unique prefix of
 // the batch into the batch-local reuse buffer, PrefixSlots[w] being work
 // item w's row. The forward runs it over its work items under ReusePrefix;
-// the two-level backward runs it over its aggregated rows otherwise. The batched GEMM is stacked per G₂
-// slice: the prefixes are sorted by i₂, so the buffer rows of one slice are
-// contiguous and take one product [G₁[i₁(u)]]·G₂[i₂] with the run's G₁ slices
-// stacked as the A operand — G₂[i₂], the one operand outside the cache,
-// streams once per slice instead of once per prefix, and each buffer row has
-// the bits of its own n₁-row product (m-independence, DESIGN.md §12).
+// the two-level backward runs it over its aggregated rows otherwise. The
+// batched GEMM is stacked per G₂ slice: the prefixes are sorted by i₂, so
+// the buffer rows of one slice are contiguous and take one product
+// [G₁[i₁(u)]]·G₂[i₂] with the run's G₁ slices stacked as the A operand —
+// G₂[i₂], the one operand outside the cache, streams once per slice instead
+// of once per prefix, and each buffer row has the bits of its own n₁-row
+// product (m-independence, DESIGN.md §12).
 func (t *Table) fillPrefixBatchLocal(c *forwardCache, workIdx []int) {
 	c.PrefixSlots = growInts(c.PrefixSlots, len(workIdx), len(c.Indices))
 	c.prefixes = t.dedupPrefixes(c, workIdx, c.PrefixSlots, c.prefixes)
