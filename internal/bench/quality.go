@@ -39,6 +39,7 @@ func quality(sc Scale) *Result {
 			"AUC DLRM", "AUC EL-Rec", "gap AUC",
 			"logloss DLRM", "logloss EL-Rec", "gap logloss"},
 	}
+	evalStart := sc.TrainSteps + 1
 	for _, base := range datasets(sc) {
 		gaps := make([][]float64, len(qualityGaps))
 		for _, seed := range qualitySeeds {
@@ -48,7 +49,6 @@ func quality(sc Scale) *Result {
 			if err != nil {
 				panic(err)
 			}
-			evalStart := sc.TrainSteps + 1
 			dl := trainedSystem(sc, d, -1, tt.Options{}, false)
 			el := trainedSystem(sc, d, sc.TTThresholdRows, tt.EffOptions(), true)
 			accD, aucD, llD := dl.EvaluateLoss(evalStart, qualityEvalBatches, sc.Batch)
@@ -72,7 +72,7 @@ func quality(sc Scale) *Result {
 		r.addRow(ci...)
 	}
 	r.addNote("%d training steps, batch %d, dim %d, rank %d, TT threshold %d rows; data seeds %v (preset seed + s); %d held-out batches from iteration %d",
-		sc.TrainSteps, sc.Batch, sc.EmbDim, sc.Rank, sc.TTThresholdRows, qualitySeeds, qualityEvalBatches, sc.TrainSteps+1)
+		sc.TrainSteps, sc.Batch, sc.EmbDim, sc.Rank, sc.TTThresholdRows, qualitySeeds, qualityEvalBatches, evalStart)
 	r.addNote("gaps are EL-Rec − DLRM per seed: negative accuracy/AUC and positive log-loss gaps are EL-Rec's quality cost")
 	return r
 }

@@ -503,14 +503,9 @@ func TestPermutationIsBijection(t *testing.T) {
 	for _, scale := range []float64{0.001, 0.01} {
 		sizes = append(sizes, TerabyteSpec(scale).TableRows...)
 	}
-	seen := make([]bool, 0)
 	for i, n := range sizes {
 		p := newPermutation(n, uint64(i)*0x9E37+1)
-		if cap(seen) < n {
-			seen = make([]bool, n)
-		}
-		seen = seen[:n]
-		clear(seen)
+		seen := make([]bool, n)
 		for x := range n {
 			y := p.at(x)
 			if y < 0 || y >= n || seen[y] {
