@@ -13,12 +13,13 @@ import (
 
 // refBuild is the Build that sorted every row and ran Louvain over every
 // graph rank on a map-based graph, kept with that graph and its Louvain as
-// the oracle of TestBuildMatchesReference and FuzzBuildMatchesReference.
+// the oracle of TestBuildMatchesReference and FuzzBuildMatchesReference. It
+// returns the dense map, forward[raw] = new id.
 // Its code is the old Build's, FrequencyOrder's, BuildIndexGraph's and
 // graphx's, renamed (refBuild, refGraph, refLouvain, …); it trusts its
 // config, so callers pass only configs Build accepts. graphx keeps the
 // same graph as Louvain's own oracle.
-func refBuild(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
+func refBuild(counts []int64, batches [][]int, cfg Config) ([]int32, error) {
 	if cfg.MaxGraphNodes == 0 {
 		cfg.MaxGraphNodes = 1 << 20
 	}
@@ -74,11 +75,11 @@ func refBuild(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 			newOfRank[hotCount+node] = int32(hotCount + seq)
 		}
 	}
-	bij := &Bijection{Forward: make([]int32, n)}
+	forward := make([]int32, n)
 	for raw := 0; raw < n; raw++ {
-		bij.Forward[raw] = newOfRank[rank[raw]]
+		forward[raw] = newOfRank[rank[raw]]
 	}
-	return bij, nil
+	return forward, nil
 }
 
 func refFrequencyOrder(counts []int64) []int {
@@ -294,7 +295,7 @@ func refAggregate(g *refGraph, comm []int, numComm int) *refGraph {
 }
 
 // requireSameBijection fails unless Build and refBuild agree on the input:
-// both refuse it, or both return the same Forward and Inverse.
+// both refuse it, or Build's At gives refBuild's new id on every row.
 func requireSameBijection(t *testing.T, counts []int64, batches [][]int, cfg Config) {
 	t.Helper()
 	got, err := Build(counts, batches, cfg)
@@ -305,8 +306,8 @@ func requireSameBijection(t *testing.T, counts []int64, batches [][]int, cfg Con
 	if err != nil {
 		return
 	}
-	if !slices.Equal(got.Forward, want.Forward) {
-		t.Fatalf("Build(%v, %v, %+v):\nForward %v\nreference\nForward %v", counts, batches, cfg, got.Forward, want.Forward)
+	if fwd := forward(got); !slices.Equal(fwd, want) {
+		t.Fatalf("Build(%v, %v, %+v):\nAt %v\nreference\nAt %v", counts, batches, cfg, fwd, want)
 	}
 }
 
@@ -458,25 +459,40 @@ func allocInput() ([]int64, [][]int) {
 	return counts, batches
 }
 
-// TestBuildAllocationFollowsTouchedRows bounds what Build allocates per
-// table row on a 1<<22-row table with about 8 K touched rows: the
-// bijection's two int32 arrays (8 B/row) are the only table-sized state,
-// with an empty index graph (HotRatio 5 %: every touched row is hot) and
-// with a non-empty one (0.05 %).
+// TestBuildAllocationFollowsTouchedRows bounds what Build allocates on a
+// 1<<22-row table with about 8 K touched rows. With an empty index graph
+// (HotRatio 5 %: every touched row is hot) nothing follows the table's
+// rows: the bound is 128 B per touched row, about 1 MB, where a bijection
+// with one int32 per table row alone takes 16.8 MB. With a non-empty graph
+// (0.05 %) the graph's edges dominate, and the bound stays 24 B per table
+// row.
 func TestBuildAllocationFollowsTouchedRows(t *testing.T) {
 	counts, batches := allocInput()
-	for _, hot := range []float64{0.05, 0.0005} {
+	touched := 0
+	for _, c := range counts {
+		if c != 0 {
+			touched++
+		}
+	}
+	for _, tc := range []struct {
+		hot   float64
+		bound int // bytes
+	}{
+		{0.05, 128 * touched},
+		{0.0005, 24 * len(counts)},
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		bij, err := Build(counts, batches, Config{HotRatio: hot})
+		bij, err := Build(counts, batches, Config{HotRatio: tc.hot})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(counts))
-		t.Logf("HotRatio %v: %.1f B/row", hot, perRow)
-		if perRow > 24 {
-			t.Errorf("HotRatio %v: Build allocated %.1f B/row, want ≤ 24", hot, perRow)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("HotRatio %v: %d B, %.1f B per touched row, %.2f B per table row",
+			tc.hot, got, float64(got)/float64(touched), float64(got)/float64(len(counts)))
+		if got > uint64(tc.bound) {
+			t.Errorf("HotRatio %v: Build allocated %d B, want ≤ %d (%d touched rows of %d)", tc.hot, got, tc.bound, touched, len(counts))
 		}
 		runtime.KeepAlive(bij)
 	}

@@ -2,6 +2,7 @@ package reorder
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,7 +25,8 @@ func TestFrequencyOrder(t *testing.T) {
 		{[]int64{0, -1, 3, 0, -5, 3, -1}, []int32{2, 4, 0, 3, 6, 1, 5}},
 		{[]int64{0, 0, 0}, []int32{0, 1, 2}},
 	} {
-		rank := frequencyOrder(tc.counts)
+		b, _ := frequencyOrder(tc.counts)
+		rank := forward(b)
 		for i := range tc.want {
 			if rank[i] != tc.want[i] {
 				t.Fatalf("frequencyOrder(%v) = %v want %v", tc.counts, rank, tc.want)
@@ -47,8 +49,7 @@ func TestIdentityBijection(t *testing.T) {
 }
 
 func TestApplyInPlace(t *testing.T) {
-	b := identity(4)
-	b.Forward = []int32{1, 0, 3, 2}
+	b := fromForward([]int32{1, 0, 3, 2})
 	idx := []int{0, 2}
 	b.ApplyInPlace(idx)
 	if idx[0] != 1 || idx[1] != 3 {
@@ -57,13 +58,13 @@ func TestApplyInPlace(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	b := identity(3)
-	b.Forward[0] = 1 // duplicate
+	b := fromForward([]int32{0, 1, 2})
+	b.news[0] = 1 // duplicate
 	if b.Validate() == nil {
 		t.Fatal("duplicate new id accepted")
 	}
-	b = identity(3)
-	b.Forward[0] = 5 // out of range
+	b = fromForward([]int32{0, 1, 2})
+	b.news[0] = 5 // out of range
 	if b.Validate() == nil {
 		t.Fatal("out-of-range id accepted")
 	}
@@ -85,8 +86,8 @@ func TestBuildHotRowsLandInFront(t *testing.T) {
 	if err := bij.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if bij.Forward[10] != 0 || bij.Forward[20] != 1 {
-		t.Fatalf("hot rows at %d, %d; want 0, 1", bij.Forward[10], bij.Forward[20])
+	if bij.At(10) != 0 || bij.At(20) != 1 {
+		t.Fatalf("hot rows at %d, %d; want 0, 1", bij.At(10), bij.At(20))
 	}
 }
 
@@ -110,9 +111,9 @@ func TestBuildGroupsCooccurringIndices(t *testing.T) {
 		t.Fatal(err)
 	}
 	spreadOf := func(cluster []int) int {
-		lo, hi := int(bij.Forward[cluster[0]]), int(bij.Forward[cluster[0]])
+		lo, hi := bij.At(cluster[0]), bij.At(cluster[0])
 		for _, idx := range cluster[1:] {
-			v := int(bij.Forward[idx])
+			v := bij.At(idx)
 			if v < lo {
 				lo = v
 			}
@@ -168,8 +169,8 @@ func TestBuildGraphNodeCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rows beyond hot+cap keep frequency order: the coldest row stays last.
-	if bij.Forward[999] != 999 {
-		t.Fatalf("tail row moved to %d", bij.Forward[999])
+	if bij.At(999) != 999 {
+		t.Fatalf("tail row moved to %d", bij.At(999))
 	}
 }
 
@@ -292,20 +293,38 @@ func TestBuildIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		for i := range first.Forward {
-			if b.Forward[i] != first.Forward[i] {
-				t.Fatalf("run %d: Forward[%d] = %d, run 0 had %d — bijection is not deterministic",
-					run, i, b.Forward[i], first.Forward[i])
+		for i := range first.Len() {
+			if b.At(i) != first.At(i) {
+				t.Fatalf("run %d: At(%d) = %d, run 0 had %d — bijection is not deterministic",
+					run, i, b.At(i), first.At(i))
 			}
 		}
 	}
 }
 
-// identity is the identity bijection over n rows.
+// identity is the identity bijection over n rows: no stored row, every
+// row its own frequency rank.
 func identity(n int) *Bijection {
-	b := &Bijection{Forward: make([]int32, n)}
-	for i := range b.Forward {
-		b.Forward[i] = int32(i)
-	}
+	b := &Bijection{n: n}
+	b.index()
 	return b
+}
+
+// fromForward is the bijection raw → forward[raw], every row stored.
+func fromForward(forward []int32) *Bijection {
+	b := &Bijection{n: len(forward), news: slices.Clone(forward)}
+	for raw := range forward {
+		b.raws = append(b.raws, int32(raw))
+	}
+	b.index()
+	return b
+}
+
+// forward lists b's new id of every row, forward[raw] = b.At(raw).
+func forward(b *Bijection) []int32 {
+	out := make([]int32, b.Len())
+	for raw := range out {
+		out[raw] = int32(b.At(raw))
+	}
+	return out
 }

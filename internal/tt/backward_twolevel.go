@@ -20,8 +20,9 @@ import "repro/internal/tensor"
 // Execution is three phases, each one tensor.ParallelFor over owners (inline
 // on one executor):
 //
-//  1. per unique prefix u: dP₁₂[u] = Σ_w g_w·G₃[i₃(w)]ᵀ over its work items
-//     in work-item order; each item keeps its small P₁₂ᵀ·g_w in c3[w];
+//  1. per unique prefix u: each of its work items keeps its small P₁₂ᵀ·g_w
+//     in c3[w]; then P₁₂[u], read for the last time, gives its reuse-buffer
+//     row to dP₁₂[u] = Σ_w g_w·G₃[i₃(w)]ᵀ, summed in work-item order;
 //  2. per unique i₂, whose prefixes are contiguous (sortByI2): one product
 //     [dP₁₂[u]]·G₂[i₂]ᵀ leaves every prefix's small share in c1[u], and one
 //     product [G₁[i₁(u)]]ᵀ·[dP₁₂[u]], its inner dimension running over the
@@ -110,7 +111,8 @@ func (g *groups) sortByI2(m2 int, uniq, ids []int, bound int) {
 // forward cache, so the arena path reuses every buffer across batches. The
 // batch's unique prefixes, sorted by i₂ — their values, runs per G₂ slice,
 // reuse-buffer rows and stacked G₁ slices — are the forward cache's
-// (prefixes, i2, PrefixBuf, g1): prefix u is reuse-buffer row u.
+// (prefixes, i2, PrefixBuf, g1): prefix u is reuse-buffer row u, which
+// holds P₁₂[u] until phase 1 overwrites it with dP₁₂[u].
 type twoLevelBwd struct {
 	workIdx []int // unique indices of the batch (the work items)
 
@@ -121,10 +123,9 @@ type twoLevelBwd struct {
 	byI3  groups // work items by i₃
 	byI1  groups // unique prefixes by i₁
 
-	dP12 *tensor.Matrix // u → dP₁₂
-	c1   *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
-	c3   *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
-	dG2  *tensor.Matrix // part → the dG₂[i₂] it is working on, fused Adagrad only
+	c1  *tensor.Matrix // u → dP₁₂[u]·G₂[i₂]ᵀ, prefix u's share of dG₁[i₁]
+	c3  *tensor.Matrix // work item → P₁₂ᵀ·g_w, its share of dG₃[i₃]
+	dG2 *tensor.Matrix // part → the dG₂[i₂] it is working on, fused Adagrad only
 }
 
 // backwardTwoLevel runs the three phases for the batch in cache, whose
@@ -190,14 +191,14 @@ func (t *Table) groupWork(c *forwardCache, b *twoLevelBwd, workOf []int) {
 	b.byI1.build(m[0], b.key, bound)
 
 	sz := t.Shape.sliceSizes()
-	b.dP12 = tensor.ReuseRows(b.dP12, prefixes, t.Shape.prefixSize(), bound)
 	b.c1 = tensor.ReuseRows(b.c1, prefixes, sz[0], bound)
 	b.c3 = tensor.ReuseRows(b.c3, items, sz[2], bound)
 }
 
 // prefixPhase is phase 1, a ParallelFor body over a *forwardCache, for
-// unique prefixes [lo,hi): it owns rows u of dP12 and rows w of c3 for the
-// work items w of u, and only reads cores and the reuse buffer.
+// unique prefixes [lo,hi): it owns reuse-buffer rows u, which it turns from
+// P₁₂[u] into dP₁₂[u], and rows w of c3 for the work items w of u, and only
+// reads cores.
 func prefixPhase(ctx any, lo, hi int) {
 	c := ctx.(*forwardCache)
 	t, b := c.t, &c.tl
@@ -205,23 +206,23 @@ func prefixPhase(ctx any, lo, hi int) {
 	r2 := t.Shape.R2
 	m3 := t.Shape.RowFactors[2]
 	for u := lo; u < hi; u++ {
-		p12 := c.PrefixBuf.Row(u)
-		dP12 := b.dP12.Row(u)
-		clear(dP12)
-		for _, w := range b.byPfx.of(u) {
-			g := c.workGrad.Row(w)
-			// dP₁₂[u] += g·G₃[i₃]ᵀ   (n₁n₂ × R₂).
-			tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, g, t.Slice3(b.workIdx[w]%m3), dP12)
+		row, items := c.PrefixBuf.Row(u), b.byPfx.of(u)
+		for _, w := range items {
 			// c3[w] = P₁₂ᵀ·g   (R₂ × n₃), P₁₂ viewed as n₁n₂ × R₂.
-			tensor.GemmTransAInto(r2, n[0]*n[1], n[2], p12, g, b.c3.Row(w))
+			tensor.GemmTransAInto(r2, n[0]*n[1], n[2], row, c.workGrad.Row(w), b.c3.Row(w))
+		}
+		clear(row)
+		for _, w := range items {
+			// dP₁₂[u] += g·G₃[i₃]ᵀ   (n₁n₂ × R₂).
+			tensor.GemmTransBAddInto(n[0]*n[1], n[2], r2, c.workGrad.Row(w), t.Slice3(b.workIdx[w]%m3), row)
 		}
 	}
 }
 
 // core2Phase is phase 2, a ParallelFor body over a *forwardCache: part p of
 // [lo,hi) owns G₂[i₂] for i₂ = p, p+parts, … and rows u of c1 for the
-// prefixes u of their groups, and reads dP12 and the stacked G₁ slices the
-// reuse-buffer fill left in the cache's g1. c1 is stored before
+// prefixes u of their groups, and reads dP₁₂ from the reuse buffer and the
+// stacked G₁ slices the reuse-buffer fill left in the cache's g1. c1 is stored before
 // G₂[i₂] is written; the dG₂ product accumulates straight into its sink,
 // except under fused Adagrad (which needs dG₂²): that stores it into row p
 // of b.dG2 and applies it there.
@@ -230,7 +231,7 @@ func core2Phase(ctx any, lo, hi int) {
 	t, b := c.t, &c.tl
 	n := t.Shape.ColFactors
 	r1, r2 := t.Shape.R1, t.Shape.R2
-	sz0, psz := b.c1.Cols, b.dP12.Cols
+	sz0, psz := b.c1.Cols, c.PrefixBuf.Cols
 	for p := lo; p < hi; p++ {
 		for i2 := p; i2 < t.Shape.RowFactors[1]; i2 += c.parts {
 			first, end := c.i2.start[i2], c.i2.start[i2+1]
@@ -238,7 +239,7 @@ func core2Phase(ctx any, lo, hi int) {
 				continue
 			}
 			// The group's dP₁₂ stacked: (k·n₁) × n₂R₂ for its k prefixes.
-			rows, dP12 := (end-first)*n[0], b.dP12.Data[first*psz:end*psz]
+			rows, dP12 := (end-first)*n[0], c.PrefixBuf.Data[first*psz:end*psz]
 			// c1[u] = dP₁₂[u]·G₂[i₂]ᵀ for every u of the group   (k·n₁ × R₁).
 			tensor.GemmTransBInto(rows, n[1]*r2, r1, dP12, t.Slice2(i2), b.c1.Data[first*sz0:end*sz0])
 			// dG₂[i₂] = Σ_u G₁[i₁(u)]ᵀ·dP₁₂[u] = [G₁]ᵀ·[dP₁₂]   (R₁ × n₂R₂).

@@ -2,6 +2,7 @@ package tt
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -391,6 +392,35 @@ func TestTrainableTableRunsBatchLocalBuffer(t *testing.T) {
 		if got := cap(tbl.arena.PrefixBuf.Data) / tbl.Shape.prefixSize(); got > tensor.Headroom(maxUnique, maxUnique*2) {
 			t.Fatalf("train=%v: arena reuse buffer has room for %d prefixes, the largest batch had %d", train, got, maxUnique)
 		}
+	}
+}
+
+// TestTwoLevelBackwardKeepsNoPrefixSizedScratch: the two-level backward
+// writes dP₁₂ over the reuse buffer it reads P₁₂ from, so on a fresh
+// rank-64 table the first Update after a Lookup allocates less than one
+// n₁n₂R₂ float row per unique prefix — what a separate dP₁₂ matrix alone
+// would take. Every index of the batch has its own prefix, so the
+// backward's other scratch (c1, c3 and the aggregated gradients, with
+// headroom) comes to about 0.6 such rows per prefix, and a separate dP₁₂
+// took it to 1.7.
+func TestTwoLevelBackwardKeepsNoPrefixSizedScratch(t *testing.T) {
+	shape, err := NewShape(1<<16, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := NewTable(shape, tensor.NewRNG(61), 0)
+	indices, offsets := randomBatch(tensor.NewRNG(62), shape.Rows, 256, 1)
+	out := tbl.Lookup(indices, offsets)
+	dOut := out.Clone()
+	prefixes := len(tbl.arena.prefixes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl.Update(indices, offsets, dOut, 0.01)
+	runtime.ReadMemStats(&after)
+	got, bound := after.TotalAlloc-before.TotalAlloc, uint64(prefixes*shape.prefixSize()*4)
+	t.Logf("%d prefixes: Update allocated %d B, %.2f prefix rows per prefix", prefixes, got, float64(got)/float64(bound))
+	if got >= bound {
+		t.Errorf("first Update allocated %d B, want < %d (one %d-float row for each of %d prefixes)", got, bound, shape.prefixSize(), prefixes)
 	}
 }
 

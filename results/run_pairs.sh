@@ -8,10 +8,13 @@
 # result goes to OUT_DIR/<workload>-t<trace>-s<seed>-<side>.json. At the end
 # it prints, for each end-to-end metric of CHANGE_DIR/BENCHMARK.json, each
 # side's median over these seeds, the parent's inter-quartile distance and
-# the pairs in which the change reads better, then each side's failed
-# operations, then each side's main.refPiece offset mod 64 in the benchmark
-# binary it built (go tool nm), with a warning when the two differ: a layout
-# shift of the benchmark's normaliser moves op_time_us on its own.
+# the pairs in which the change reads better. A traced run (TRACE not 0)
+# reports no end-to-end metric, so then the same is printed for each
+# per-layer metric that every run reports and some run reads nonzero. Then
+# it prints each side's failed operations, then each side's main.refPiece
+# offset mod 64 in the benchmark binary it built (go tool nm), with a
+# warning when the two differ: a layout shift of the benchmark's normaliser
+# moves op_time_us on its own.
 set -euo pipefail
 parent=$1 change=$2 out=$3 workload=$4 trace=$5
 shift 5
@@ -36,16 +39,22 @@ runs = {side: [json.load(open(f"{out}/{workload}-t{trace}-s{s}-{side}.json")) fo
         for side in ("parent", "change")}
 
 print(f"{workload} trace {trace}, {len(seeds)} pairs (seeds {' '.join(seeds)}), parent -> change")
-print(f"{'metric':<12} {'parent':>12} {'change':>12} {'change':>8} {'better':>7} {'parent IQR':>11}")
-for m in json.load(open(spec))["end_to_end"]:
+print(f"{'metric':<26} {'parent':>12} {'change':>12} {'change':>8} {'better':>7} {'parent IQR':>11}")
+metrics = json.load(open(spec))["end_to_end" if trace == "0" else "per_layer"]
+for m in metrics:
     name = m["name"]
+    if trace != "0" and not all(name in r["metrics"] for rs in runs.values() for r in rs):
+        continue
     p = [r["metrics"][name]["value"] for r in runs["parent"]]
     c = [r["metrics"][name]["value"] for r in runs["change"]]
+    if trace != "0" and not any(p + c):
+        continue
     lower = m["better"] == "lower"
     wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
     pm, cm = statistics.median(p), statistics.median(c)
     q = statistics.quantiles(p, n=4, method="inclusive") if len(p) > 1 else [p[0]] * 3
-    print(f"{name:<12} {pm:>12.4g} {cm:>12.4g} {100 * (cm - pm) / pm:>+7.1f}% {wins:>4}/{len(seeds):<2} {q[2] - q[0]:>11.4g}")
+    change = f"{100 * (cm - pm) / pm:>+7.1f}%" if pm else f"{'':>8}"
+    print(f"{name:<26} {pm:>12.4g} {cm:>12.4g} {change} {wins:>4}/{len(seeds):<2} {q[2] - q[0]:>11.4g}")
 for side, rs in runs.items():
     print(f"{side}: {sum(r['failed'] for r in rs)} of {sum(r['attempted'] for r in rs)} operations failed,",
           f"{sum(not r['correct'] for r in rs)} runs not correct")
