@@ -95,7 +95,10 @@ func NewDataset(spec DatasetSpec) (*data.Dataset, error) { return data.New(spec)
 // ReorderConfig tunes index-reordering bijection generation.
 type ReorderConfig = reorder.Config
 
-// Bijection is a permutation of one table's row ids.
+// Bijection is a permutation of one table's row ids: At(raw) is raw's new
+// id, and Apply / ApplyInPlace map a batch's indices. It stores only the
+// rows its profile counted, and its size follows the profile, not the
+// table.
 type Bijection = reorder.Bijection
 
 // BuildReordering builds the locality-based index bijection of one table
