@@ -121,7 +121,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics and pprof on this address while the sweep runs")
 	fs.IntVar(&o.workers, "workers", 0, "bound host-side kernel parallelism (0 keeps GOMAXPROCS)")
 	fs.BoolVar(&o.compare, "compare", false, "compare two BENCH_<id>.json artifacts: elrec-bench -compare old.json new.json")
-	fs.IntVar(&o.lookahead, "lookahead", -1, "override: pipeline lookahead window for pipecache (0 disables planning, -1 keeps the scale default)")
+	fs.IntVar(&o.lookahead, "lookahead", -1, "override: pipeline lookahead window for pipecache (0 and 1 plan one batch at a time, -1 keeps the scale default)")
 	return o
 }
 

@@ -82,7 +82,7 @@ func newOptions(fs *flag.FlagSet) *options {
 	o.spec.Steps, o.spec.Batch = 1000, 512
 	o.spec.RegisterFlags(fs)
 	fs.IntVar(&o.queue, "queue", 4, "pre-fetch/gradient queue depth (1 = sequential)")
-	fs.IntVar(&o.lookahead, "lookahead", 0, "data-pipeline planning window in batches (0 or 1 disables oracle prefetching)")
+	fs.IntVar(&o.lookahead, "lookahead", 0, "data-pipeline planning window in batches (0 and 1 both plan one batch at a time: no cross-batch dedup or pinning)")
 	fs.BoolVar(&o.noReorder, "no-reorder", false, "disable locality-based index reordering")
 	fs.BoolVar(&o.adagrad, "adagrad", false, "use Adagrad for embedding tables instead of SGD")
 	fs.IntVar(&o.logEvery, "log-every", 100, "progress-line interval in steps")
@@ -273,7 +273,7 @@ func run(fs *flag.FlagSet, args []string, stderr io.Writer) int {
 			"pushed_mb", float64(st.BytesPushed)/1e6,
 			"cache_hit_rate", cacheHitRate(reg),
 			"cache_evictions", st.CacheEvictions)
-		if st.LookaheadWindows > 0 {
+		if o.lookahead > 1 {
 			log.Info("lookahead totals",
 				"windows", st.LookaheadWindows,
 				"pinned_rows", st.LookaheadPinnedRows,

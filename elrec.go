@@ -103,7 +103,9 @@ type Bijection = reorder.Bijection
 
 // BuildReordering builds the locality-based index bijection of one table
 // from its access counts and a sample of batched indices (Algorithm 2 +
-// Louvain community detection).
+// Louvain community detection). The counts must be consistent with the
+// batches, as the batches' own occurrence counts are: a negative count, or
+// a batch index whose count is 0, is refused.
 func BuildReordering(counts []int64, batches [][]int, cfg ReorderConfig) (*Bijection, error) {
 	return reorder.Build(counts, batches, cfg)
 }

@@ -11,9 +11,10 @@ import (
 
 // pipeCache measures the data-pipeline cache on the Figure 16 workload
 // (largest table TT-compressed on the device, the rest in host memory behind
-// the parameter server). Scale.Lookahead selects the window size: 0 runs the
-// unplanned push-visibility cache, N≥2 turns on lookahead planning — oracle
-// admission, Belady pinning and cross-batch dedup. Two schedules run back to
+// the parameter server). Scale.Lookahead selects the window size: 0 and 1
+// plan windows of one batch, which gather every row and leave the cache to
+// push visibility alone; N≥2 plans N batches at a time — oracle admission,
+// Belady pinning and cross-batch dedup. Two schedules run back to
 // back from identical initial state: the pipelined schedule (queue depth 4)
 // supplies the throughput/hit-rate rows, and the sequential schedule (queue
 // depth 1, where the worker waits out the entire gather each step) supplies
@@ -38,7 +39,7 @@ import (
 // gather, so its counters repeat exactly. The timing rows vary as timings
 // do.
 //
-// pinned_rows and windows are zero without lookahead.
+// At window 1 pinned_rows is zero and windows counts every batch.
 func pipeCache(sc Scale) *Result {
 	pipe := pipeCacheRun(sc, 4)
 	seq := pipeCacheRun(sc, 1)

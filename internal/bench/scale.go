@@ -33,8 +33,8 @@ type Scale struct {
 	// TrainSteps is the step count for accuracy/convergence experiments.
 	TrainSteps int
 	// Lookahead is the data-pipeline planning window for the pipecache
-	// experiment (0 = nothing planned, N≥2 = oracle prefetching over N
-	// batches). Overridable with elrec-bench -lookahead.
+	// experiment (0 or 1 = windows of one batch, N≥2 = oracle prefetching
+	// over N batches). Overridable with elrec-bench -lookahead.
 	Lookahead int
 	// Metrics, when non-nil, receives the instruments of every system the
 	// experiments build (pipeline ps_*, TT tt_* counters); cmd/elrec-bench

@@ -266,22 +266,12 @@ func (r *remappedSource) BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter,
 }
 
 // IndicesInto draws table t's raw index stream of batch iter into dst
-// through g: the stream a lookahead plan keeps for BatchFrom.
+// through g: the stream a lookahead plan keeps for BatchFrom. The planner
+// plans these raw ids: only compressed tables get a bijection, and Build
+// places every compressed table on the device, so no planned host table is
+// remapped.
 func (r *remappedSource) IndicesInto(g *data.Generator, dst []int, iter, size, t int) []int {
 	return r.d.IndicesInto(g, dst, iter, size, t)
-}
-
-// RemapInto writes table t's training ids for the raw stream ids into dst's
-// storage — the ids Batch remaps them to, which the lookahead planner plans
-// on — or reports false when t has no bijection.
-func (r *remappedSource) RemapInto(dst, ids []int, t int) ([]int, bool) {
-	bij := r.bijections[t]
-	if bij == nil {
-		return dst, false
-	}
-	dst = append(dst[:0], ids...)
-	bij.ApplyInPlace(dst)
-	return dst, true
 }
 
 // Model returns the underlying DLRM.

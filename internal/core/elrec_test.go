@@ -93,6 +93,41 @@ func TestBuildSpillsToHostWhenHBMSmall(t *testing.T) {
 	}
 }
 
+// TestReorderedTablesStayOnDevice guards the invariant that lets the
+// lookahead planner plan raw ids: with reordering on and an HBM budget that
+// pushes tables to the host, every table with a bijection is TT-compressed
+// on the device, so no host table trains on remapped ids.
+func TestReorderedTablesStayOnDevice(t *testing.T) {
+	// Threshold 1000 compresses the 2000- and 5000-row tables, 3000 only the
+	// latter; the 20 KiB budget holds the TT tables and no dense one.
+	for _, threshold := range []int{1000, 3000} {
+		cfg := coreConfig()
+		cfg.Device = hw.Device{Name: "tiny", HBMBytes: 20 << 10, ComputeScale: 1}
+		cfg.HBMReserve = 0
+		cfg.TTThreshold = threshold
+		sys, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosted, reordered := 0, 0
+		for i, bij := range sys.Bijections {
+			if sys.Placements[i] == PlaceHost {
+				hosted++
+			}
+			if bij == nil {
+				continue
+			}
+			reordered++
+			if sys.Placements[i] != PlaceTTDevice {
+				t.Errorf("threshold %d: table %d has a bijection but is placed %q", threshold, i, sys.Placements[i])
+			}
+		}
+		if hosted == 0 || reordered == 0 {
+			t.Fatalf("threshold %d: %d host tables, %d reordered: the invariant is not exercised", threshold, hosted, reordered)
+		}
+	}
+}
+
 // TestTrainContextCancelledWithNoSteps: a cancelled context is reported even
 // when there is nothing to train, on the device-resident loop and through the
 // pipeline — a caller that loops until its steps are done would otherwise spin

@@ -30,25 +30,17 @@ import (
 // sparseSource produces one table's raw index stream for one batch without
 // materializing the full batch, into dst's storage and through the caller's
 // generator g (see Dataset.IndicesInto): the stream the source's batches
-// hold before any remap, which the plan keeps for Dataset.BatchFrom.
-// *Dataset implements it, and so does core's reordering source, which also
-// implements remapper.
+// hold, which the plan keeps for Dataset.BatchFrom. *Dataset implements it,
+// and so does every ps.BatchSource. The planner plans raw ids: only a
+// device-resident table trains on remapped ids, and no plan holds one.
 type sparseSource interface {
 	IndicesInto(g *Generator, dst []int, iter, size, table int) []int
 }
 
-// remapper is implemented by a sparseSource whose batches train on remapped
-// ids (reordering bijections): RemapInto writes the training ids of table's
-// raw stream ids into dst's storage and returns them, or reports false when
-// the table trains on its raw ids. The planner plans such a table on the
-// remapped copy and keeps the raw stream.
-type remapper interface {
-	RemapInto(dst, ids []int, table int) ([]int, bool)
-}
-
 // LookaheadConfig sizes a Lookahead planner.
 type LookaheadConfig struct {
-	// Window is the number of batches planned together (must be > 1).
+	// Window is the number of batches planned together (at least 1; a
+	// one-batch window gathers every row and promises nothing).
 	Window int
 	// Batch is the batch size passed through to the source.
 	Batch int
@@ -123,7 +115,8 @@ func (p *WindowPlan) Release() {
 		return
 	}
 	p.owner.mu.Lock()
-	p.owner.free = append(p.owner.free, p)
+	pool := &p.owner.free[poolOf(p.N)]
+	*pool = append(*pool, p)
 	p.owner.mu.Unlock()
 }
 
@@ -177,25 +170,29 @@ func (acc *BatchAccess) reserve(n, bound int) {
 // happens-before edge for plan reuse. Each plan's contents are immutable
 // between Advance returning it and Release.
 type Lookahead struct {
-	cfg   LookaheadConfig
-	src   sparseSource
-	remap remapper // nil: every table trains on its raw stream
+	cfg LookaheadConfig
+	src sparseSource
 
 	gen     Generator // the one generator every planned stream is drawn through
 	scratch laScratch
-	streams [][]int // per batch, the planned table's stream as training sees it
-	mapped  [][]int // per batch, the remapped copy of a remapped table's stream
 
 	mu   sync.Mutex
-	free []*WindowPlan
+	free [2][]*WindowPlan // released plans by poolOf, reused last in, first out
 }
 
-// NewLookahead builds a planner over src, which must implement
-// sparseSource: the planner draws per-table index streams through its own
-// generator into the plan's storage and never materializes a batch.
-func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
-	if cfg.Window < 2 {
-		return nil, fmt.Errorf("lookahead window %d: need at least 2 batches", cfg.Window)
+// poolOf is the pool a plan of an n-batch window is kept in: one-batch
+// windows' plans apart from longer ones'. A Train call's one-batch first
+// window can still be live when the ramp plans its third window; drawn from
+// one shared pool, the ramp would need a third long plan only when that
+// timing happens, so a later call could build one that the first never did.
+func poolOf(n int) int { return min(n, 2) - 1 }
+
+// NewLookahead builds a planner over src: the planner draws per-table index
+// streams through its own generator into the plan's storage and never
+// materializes a batch.
+func NewLookahead(src sparseSource, cfg LookaheadConfig) (*Lookahead, error) {
+	if cfg.Window < 1 {
+		return nil, fmt.Errorf("lookahead window %d: need at least 1 batch", cfg.Window)
 	}
 	if cfg.Batch <= 0 {
 		return nil, fmt.Errorf("lookahead batch size %d: must be positive", cfg.Batch)
@@ -203,14 +200,7 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 	if len(cfg.Tables) != len(cfg.Rows) {
 		return nil, fmt.Errorf("lookahead config: %d tables but %d row counts", len(cfg.Tables), len(cfg.Rows))
 	}
-	sparse, ok := src.(sparseSource)
-	if !ok {
-		return nil, fmt.Errorf("lookahead source %T does not implement IndicesInto", src)
-	}
-	l := &Lookahead{cfg: cfg, src: sparse, streams: make([][]int, cfg.Window)}
-	if r, ok := src.(remapper); ok {
-		l.remap, l.mapped = r, make([][]int, cfg.Window)
-	}
+	l := &Lookahead{cfg: cfg, src: src}
 	for _, rows := range cfg.Rows {
 		if rows <= 0 {
 			return nil, fmt.Errorf("lookahead table rows %d: must be positive", rows)
@@ -221,10 +211,9 @@ func NewLookahead(src any, cfg LookaheadConfig) (*Lookahead, error) {
 
 // Advance plans the window of n batches starting at absolute iteration
 // start (n may be smaller than the configured window for the tail of a
-// run). Each planned table's raw streams are drawn into the plan, which
-// keeps them for Dataset.BatchFrom; a table the source remaps is planned on
-// a remapped copy. The returned plan is valid until Release. Once plan
-// storage has grown to the working set, it allocates nothing.
+// run). Each planned table's streams are drawn into the plan, which keeps
+// them for Dataset.BatchFrom. The returned plan is valid until Release. Once
+// plan storage has grown to the working set, it allocates nothing.
 func (l *Lookahead) Advance(start, n int) *WindowPlan {
 	if n < 1 || n > l.cfg.Window {
 		panic(fmt.Sprintf("lookahead: Advance(%d, %d) outside window size %d", start, n, l.cfg.Window))
@@ -235,12 +224,6 @@ func (l *Lookahead) Advance(start, n int) *WindowPlan {
 		acc := plan.Tables[ti].Acc
 		for j := 0; j < n; j++ {
 			acc[j].stream = l.src.IndicesInto(&l.gen, acc[j].stream, start+j, l.cfg.Batch, pos)
-			l.streams[j] = acc[j].stream
-			if l.remap != nil {
-				if m, ok := l.remap.RemapInto(l.mapped[j], acc[j].stream, pos); ok {
-					l.mapped[j], l.streams[j] = m, m
-				}
-			}
 		}
 		l.planTable(ti, plan, start, n)
 	}
@@ -252,9 +235,9 @@ func (l *Lookahead) Advance(start, n int) *WindowPlan {
 func (l *Lookahead) takePlan(n int) *WindowPlan {
 	l.mu.Lock()
 	var plan *WindowPlan
-	if k := len(l.free); k > 0 {
-		plan = l.free[k-1]
-		l.free = l.free[:k-1]
+	if pool := &l.free[poolOf(n)]; len(*pool) > 0 {
+		plan = (*pool)[len(*pool)-1]
+		*pool = (*pool)[:len(*pool)-1]
 	}
 	l.mu.Unlock()
 	if plan == nil {
@@ -274,27 +257,27 @@ func (l *Lookahead) takePlan(n int) *WindowPlan {
 }
 
 // planTable runs the two planning passes for table ti over the index
-// streams in l.streams[0:n]. The forward pass builds each batch's uniq/inverse
-// and hands every distinct row of the window its window slot; a row whose
-// slot it creates is on its first use in the window, so that uniq entry is
-// Fresh and joins FreshIDs/FreshPos; a batch has at most min(ids, rows)
-// distinct rows, which is what reserve sizes for. The backward pass links
-// each uniq entry to the row's next in-window use through the slots
-// recorded in uslot.
+// streams the plan's first n accesses hold. The forward pass builds each
+// batch's uniq/inverse and hands every distinct row of the window its window
+// slot; a row whose slot it creates is on its first use in the window, so
+// that uniq entry is Fresh and joins FreshIDs/FreshPos; a batch has at most
+// min(ids, rows) distinct rows, which is what reserve sizes for. The
+// backward pass links each uniq entry to the row's next in-window use
+// through the slots recorded in uslot.
 func (l *Lookahead) planTable(ti int, plan *WindowPlan, start, n int) {
 	sc := &l.scratch
 	tw := &plan.Tables[ti]
 
 	total := 0
-	for _, ids := range l.streams[:n] {
-		total += len(ids)
+	for _, acc := range tw.Acc[:n] {
+		total += len(acc.stream)
 	}
 	sc.begin(total)
 
 	slots, base := 0, 0 // window slots handed out; uslot offset of batch j
 	for j := 0; j < n; j++ {
 		acc := &tw.Acc[j]
-		ids := l.streams[j]
+		ids := acc.stream
 		acc.reserve(len(ids), min(len(ids), l.cfg.Rows[ti]))
 		u, k := 0, 0 // the batch's uniq and fresh entries so far
 		for p, id := range ids {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/embedding"
@@ -137,6 +136,8 @@ func TestLookaheadPlanEquivalence(t *testing.T) {
 		// The pipeline's ramp: windows double up to the configured size, and
 		// the run's tail is truncated.
 		{"ramp and tail", d, d.Spec.TableRows, 16, 8, []window{{0, 2}, {2, 4}, {6, 8}, {14, 16}, {30, 16}, {46, 5}}},
+		// Windows of one batch: every row is fresh and promises nothing.
+		{"one-batch windows", d, d.Spec.TableRows, 1, 32, []window{{0, 1}, {1, 1}, {5, 1}}},
 		// Every row of batch 0 recurs in batch 1 in reverse order, and the
 		// same iterations are planned twice.
 		{"reversed reuse, replanned", &fixedSource{ids: [][][]int{
@@ -374,16 +375,11 @@ func TestLookaheadShortWindow(t *testing.T) {
 	plan.Release()
 }
 
-// batchOnly hides Dataset.IndicesInto: a source the planner must refuse.
-type batchOnly struct{ d *Dataset }
-
-func (b batchOnly) Batch(iter, size int) *Batch { return b.d.Batch(iter, size) }
-
 // TestLookaheadConfigValidation covers NewLookahead's error paths.
 func TestLookaheadConfigValidation(t *testing.T) {
 	src := &fixedSource{ids: [][][]int{{{0}}, {{0}}}}
 	bad := []LookaheadConfig{
-		{Window: 1, Batch: 1},                                   // window too small
+		{Window: 0, Batch: 1},                                   // window too small
 		{Window: 2, Batch: 0},                                   // no batch size
 		{Window: 2, Batch: 1, Tables: []int{0}},                 // rows missing
 		{Window: 2, Batch: 1, Tables: []int{0}, Rows: []int{0}}, // non-positive rows
@@ -392,11 +388,6 @@ func TestLookaheadConfigValidation(t *testing.T) {
 		if _, err := NewLookahead(src, cfg); err == nil {
 			t.Errorf("config %d: expected an error", i)
 		}
-	}
-	// A source that can only build whole batches is refused by name.
-	_, err := NewLookahead(batchOnly{}, LookaheadConfig{Window: 2, Batch: 1})
-	if err == nil || !strings.Contains(err.Error(), "data.batchOnly") {
-		t.Errorf("a source without IndicesInto: got %v, want an error naming data.batchOnly", err)
 	}
 }
 
@@ -528,37 +519,10 @@ func containsInt(s []int, v int) bool {
 	return false
 }
 
-// remapSource trains table `table` on its ids reversed across the table's id
-// space (id → rows−1−id), the way core's reordering source remaps a table
-// through its bijection; the other tables train on their raw ids.
-type remapSource struct {
-	d     *Dataset
-	table int
-}
-
-func (r *remapSource) IndicesInto(g *Generator, dst []int, iter, size, table int) []int {
-	return r.d.IndicesInto(g, dst, iter, size, table)
-}
-
-func (r *remapSource) RemapInto(dst, ids []int, table int) ([]int, bool) {
-	if table != r.table {
-		return dst, false
-	}
-	rows := r.d.Spec.TableRows[table]
-	dst = dst[:0]
-	for _, id := range ids {
-		dst = append(dst, rows-1-id)
-	}
-	return dst, true
-}
-
 // TestBatchFromTakesPlannedStreams: a batch built from its window's plan is
-// the batch BatchInto generates, over the dataset and over a source that
-// remaps a planned table, whose plan is made on the remapped ids while the
-// batch gets the raw stream its labels are drawn from. The planned tables'
-// streams are taken from the plan, not drawn again: a plan whose kept stream
-// is altered yields the altered ids. A plan that does not cover the batch is
-// refused.
+// the batch BatchInto generates. The planned tables' streams are taken from
+// the plan, not drawn again: a plan whose kept stream is altered yields the
+// altered ids. A plan that does not cover the batch is refused.
 func TestBatchFromTakesPlannedStreams(t *testing.T) {
 	d, err := New(lookaheadTestSpec())
 	if err != nil {
@@ -567,53 +531,42 @@ func TestBatchFromTakesPlannedStreams(t *testing.T) {
 	const window, batch, start = 4, 32, 7
 	rows := d.Spec.TableRows
 	tables := []int{2, 0}
-	for _, src := range []sparseSource{d, &remapSource{d: d, table: 2}} {
-		name := fmt.Sprintf("%T", src)
-		la, err := NewLookahead(src, LookaheadConfig{Window: window, Batch: batch, Tables: tables, Rows: []int{rows[2], rows[0]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := la.Advance(start, window)
-		var dst *Batch
-		for it := start; it < start+window; it++ {
-			dst = d.BatchFrom(dst, plan, it, batch)
-			want := d.Batch(it, batch)
-			for tb := range want.Sparse {
-				if !equalInts(dst.Sparse[tb], want.Sparse[tb]) {
-					t.Fatalf("%s: batch %d table %d: BatchFrom disagrees with Batch", name, it, tb)
-				}
-			}
-			if !slices.Equal(dst.Dense.Data, want.Dense.Data) || !slices.Equal(dst.Labels, want.Labels) {
-				t.Fatalf("%s: batch %d: BatchFrom's dense features or labels disagree with Batch", name, it)
-			}
-		}
-		for ti, tb := range tables {
-			streams := streamsOf(d, start, window, batch, tb)
-			if r, ok := src.(remapper); ok {
-				for j := range streams {
-					if m, ok := r.RemapInto(nil, streams[j], tb); ok {
-						streams[j] = m
-					}
-				}
-			}
-			checkPlanAgainstReference(t, name, plan, ti, streams)
-		}
-
-		kept := plan.Access(0, start).stream
-		slices.Reverse(kept)
-		if dst = d.BatchFrom(dst, plan, start, batch); !equalInts(dst.Sparse[2], kept) {
-			t.Fatalf("%s: BatchFrom drew table 2 instead of taking the plan's stream", name)
-		}
-		for _, bad := range [][2]int{{start + window, batch}, {start - 1, batch}, {start, batch + 1}} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s: BatchFrom built batch %d at size %d from the plan of [%d,%d) at size %d", name, bad[0], bad[1], start, start+window, batch)
-					}
-				}()
-				d.BatchFrom(nil, plan, bad[0], bad[1])
-			}()
-		}
-		plan.Release()
+	la, err := NewLookahead(d, LookaheadConfig{Window: window, Batch: batch, Tables: tables, Rows: []int{rows[2], rows[0]}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	plan := la.Advance(start, window)
+	var dst *Batch
+	for it := start; it < start+window; it++ {
+		dst = d.BatchFrom(dst, plan, it, batch)
+		want := d.Batch(it, batch)
+		for tb := range want.Sparse {
+			if !equalInts(dst.Sparse[tb], want.Sparse[tb]) {
+				t.Fatalf("batch %d table %d: BatchFrom disagrees with Batch", it, tb)
+			}
+		}
+		if !slices.Equal(dst.Dense.Data, want.Dense.Data) || !slices.Equal(dst.Labels, want.Labels) {
+			t.Fatalf("batch %d: BatchFrom's dense features or labels disagree with Batch", it)
+		}
+	}
+	for ti, tb := range tables {
+		checkPlanAgainstReference(t, "dataset", plan, ti, streamsOf(d, start, window, batch, tb))
+	}
+
+	kept := plan.Access(0, start).stream
+	slices.Reverse(kept)
+	if dst = d.BatchFrom(dst, plan, start, batch); !equalInts(dst.Sparse[2], kept) {
+		t.Fatal("BatchFrom drew table 2 instead of taking the plan's stream")
+	}
+	for _, bad := range [][2]int{{start + window, batch}, {start - 1, batch}, {start, batch + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("BatchFrom built batch %d at size %d from the plan of [%d,%d) at size %d", bad[0], bad[1], start, start+window, batch)
+				}
+			}()
+			d.BatchFrom(nil, plan, bad[0], bad[1])
+		}()
+	}
+	plan.Release()
 }

@@ -18,8 +18,8 @@ import (
 // cache is the GPU-side embedding cache of §V-B. It keeps the most recent
 // worker-side value of every embedding row that still has a gradient push in
 // flight, so pre-fetched (possibly stale) rows can be patched before use, and
-// — under a lookahead plan — of every row the plan promises to serve from
-// the cache instead of gathering again.
+// of every row the batch's lookahead plan promises to serve from the cache
+// instead of gathering again.
 //
 // Entries expire by push visibility restricted by the plan's promises: an
 // entry is dropped once a gathered batch proves the host copy has absorbed
@@ -74,13 +74,12 @@ func newCache(dim int) *cache {
 		misses: new(obs.Counter), evictions: new(obs.Counter)}
 }
 
-// checkShape panics unless rows holds one c.dim-wide row per id and every
-// non-nil per-row argument is len(ids) long.
-func (c *cache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) {
-	if rows.Rows != len(ids) || rows.Cols != c.dim ||
-		(fresh != nil && len(fresh) != len(ids)) || (nextUse != nil && len(nextUse) != len(ids)) {
+// checkShape panics unless rows holds one c.dim-wide row per id and there
+// are as many fresh flags and next-use hints as ids.
+func (c *cache) checkShape(op string, ids []int, rows *tensor.Matrix, flags, hints int) {
+	if rows.Rows != len(ids) || rows.Cols != c.dim || flags != len(ids) || hints != len(ids) {
 		panic(fmt.Sprintf("ps: %s %d ids vs %dx%d rows (dim %d), %d fresh flags, %d hints",
-			op, len(ids), rows.Rows, rows.Cols, c.dim, len(fresh), len(nextUse)))
+			op, len(ids), rows.Rows, rows.Cols, c.dim, flags, hints))
 	}
 }
 
@@ -92,10 +91,9 @@ func (c *cache) row(s int) []float32 { return c.values[s*c.dim : (s+1)*c.dim] }
 // publish stores the post-update values of the rows trained at iteration
 // pushIter — the iteration whose gradient push will make the host copy catch
 // up with the cached value. nextUse[i] is the retention promise for ids[i]
-// (see cache.nextUse); nil promises nothing. Existing entries are
-// overwritten.
+// (see cache.nextUse). Existing entries are overwritten.
 func (c *cache) publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []int32) {
-	c.checkShape("publish", ids, rows, nil, nextUse)
+	c.checkShape("publish", ids, rows, len(ids), len(nextUse)) // publish takes no fresh flags
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reserve(len(c.ids) + len(ids))
@@ -108,16 +106,8 @@ func (c *cache) publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []
 		}
 		copy(c.row(s), rows.Row(i))
 		c.push[s] = pushIter
-		c.nextUse[s] = hint(nextUse, i)
+		c.nextUse[s] = nextUse[i]
 	}
-}
-
-// hint is nextUse[i], or -1 (no promise) for a nil slice.
-func hint(nextUse []int32, i int) int32 {
-	if nextUse == nil {
-		return -1
-	}
-	return nextUse[i]
 }
 
 // reserve makes room for n live entries: slot arrays of capacity n and an
@@ -158,12 +148,12 @@ func (c *cache) reindex(n int) {
 
 // sync prepares the pre-fetched rows of batch iter for training. applied is
 // the number of gradient pushes already visible in the host tables when the
-// batch was gathered. Rows with fresh[i] true (all of them when fresh is nil)
-// were gathered from the host store and are patched from entries the gather
-// cannot have seen (push ≥ applied: the read-after-write fix of Figure 10);
-// rows with fresh[i] false were skipped by the gather and are served wholly
-// from the cache — the plan only skips rows published earlier under a promise
-// that the sweep below honours, so a missing entry is errLookaheadMiss.
+// batch was gathered. Rows with fresh[i] true were gathered from the host
+// store and are patched from entries the gather cannot have seen (push ≥
+// applied: the read-after-write fix of Figure 10); rows with fresh[i] false
+// were skipped by the gather and are served wholly from the cache — the
+// plan only skips rows published earlier under a promise that the sweep
+// below honours, so a missing entry is errLookaheadMiss.
 // Entries of the batch's rows adopt nextUse[i] as their new promise.
 //
 // A hit means the cache supplied bits the host gather did not: an entry
@@ -173,26 +163,25 @@ func (c *cache) reindex(n int) {
 // The sweep then drops every entry whose push is host-visible and whose
 // promise is absent or at or before iter — Belady's "farthest (or no) next
 // use" with an exact future access set, degenerating to plain push
-// visibility when nothing is planned. Serving runs first so an entry
-// promised to this batch is served, never evicted unserved. The sweep costs
-// O(live entries) over the slot arrays; when it evicted, the index is
-// rebuilt, sized for the survivors plus this batch's rows (what the step's
-// publish may add).
+// visibility under one-batch windows, whose every promise is −1. Serving
+// runs first so an entry promised to this batch is served, never evicted
+// unserved. The sweep costs O(live entries) over the slot arrays; when it
+// evicted, the index is rebuilt, sized for the survivors plus this batch's
+// rows (what the step's publish may add).
 func (c *cache) sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
-	c.checkShape("sync", ids, rows, fresh, nextUse)
+	c.checkShape("sync", ids, rows, len(fresh), len(nextUse))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, id := range ids {
-		gathered := fresh == nil || fresh[i]
 		s, ok := c.index.Find(id)
 		if !ok {
-			if !gathered {
+			if !fresh[i] {
 				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", errLookaheadMiss, id, iter)
 			}
 			continue
 		}
-		c.nextUse[s] = hint(nextUse, i)
-		if gathered && c.push[s] < applied {
+		c.nextUse[s] = nextUse[i]
+		if fresh[i] && c.push[s] < applied {
 			continue
 		}
 		copy(rows.Row(i), c.row(s))

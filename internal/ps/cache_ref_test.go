@@ -10,7 +10,7 @@ import (
 // refCache is the map-based cache this package shipped before the cache moved
 // onto slot arrays, kept as FuzzCacheMatchesReference's oracle. Its code is
 // that cache's, renamed (refCache, refEntry, newRefCache), counting in
-// plain ints; hint is the package's own.
+// plain ints, and like the cache it takes every per-row slice explicitly.
 type refCache struct {
 	dim int
 
@@ -40,23 +40,21 @@ func newRefCache(dim int) *refCache {
 	return &refCache{dim: dim, entries: make(map[int]*refEntry)}
 }
 
-// checkShape panics unless rows holds one c.dim-wide row per id and every
-// non-nil per-row argument is len(ids) long.
-func (c *refCache) checkShape(op string, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) {
-	if rows.Rows != len(ids) || rows.Cols != c.dim ||
-		(fresh != nil && len(fresh) != len(ids)) || (nextUse != nil && len(nextUse) != len(ids)) {
+// checkShape panics unless rows holds one c.dim-wide row per id and there
+// are as many fresh flags and next-use hints as ids.
+func (c *refCache) checkShape(op string, ids []int, rows *tensor.Matrix, flags, hints int) {
+	if rows.Rows != len(ids) || rows.Cols != c.dim || flags != len(ids) || hints != len(ids) {
 		panic(fmt.Sprintf("ps: %s %d ids vs %dx%d rows (dim %d), %d fresh flags, %d hints",
-			op, len(ids), rows.Rows, rows.Cols, c.dim, len(fresh), len(nextUse)))
+			op, len(ids), rows.Rows, rows.Cols, c.dim, flags, hints))
 	}
 }
 
 // Publish stores the post-update values of the rows trained at iteration
 // pushIter — the iteration whose gradient push will make the host copy catch
 // up with the cached value. nextUse[i] is the retention promise for ids[i]
-// (see refEntry.nextUse); nil promises nothing. Existing entries are
-// overwritten.
+// (see refEntry.nextUse). Existing entries are overwritten.
 func (c *refCache) Publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse []int32) {
-	c.checkShape("Publish", ids, rows, nil, nextUse)
+	c.checkShape("Publish", ids, rows, len(ids), len(nextUse))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, id := range ids {
@@ -67,27 +65,26 @@ func (c *refCache) Publish(ids []int, rows *tensor.Matrix, pushIter int, nextUse
 		}
 		copy(e.value, rows.Row(i))
 		e.push = pushIter
-		e.nextUse = hint(nextUse, i)
+		e.nextUse = nextUse[i]
 	}
 }
 
 // Sync prepares the pre-fetched rows of batch iter for training; see
 // cache.sync, whose contract this is.
 func (c *refCache) Sync(applied, iter int, ids []int, rows *tensor.Matrix, fresh []bool, nextUse []int32) (patched int, err error) {
-	c.checkShape("Sync", ids, rows, fresh, nextUse)
+	c.checkShape("Sync", ids, rows, len(fresh), len(nextUse))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, id := range ids {
-		gathered := fresh == nil || fresh[i]
 		e, ok := c.entries[id]
 		if !ok {
-			if !gathered {
+			if !fresh[i] {
 				return patched, fmt.Errorf("%w: row %d pinned for iteration %d has no cache entry", errLookaheadMiss, id, iter)
 			}
 			continue
 		}
-		e.nextUse = hint(nextUse, i)
-		if gathered && e.push < applied {
+		e.nextUse = nextUse[i]
+		if fresh[i] && e.push < applied {
 			continue
 		}
 		copy(rows.Row(i), e.value)

@@ -21,7 +21,7 @@ func rowsOf(vals ...float32) *tensor.Matrix {
 
 func TestCachePublishLookup(t *testing.T) {
 	c := newCache(2)
-	c.publish([]int{7}, rowsOf(1.5), 0, nil)
+	c.publish([]int{7}, rowsOf(1.5), 0, []int32{-1})
 	got, ok := c.Lookup(7)
 	if !ok || got[0] != 1.5 || got[1] != 1.5 {
 		t.Fatalf("Lookup = %v, %v", got, ok)
@@ -32,7 +32,7 @@ func TestCachePublishLookup(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	c.publish([]int{7}, rowsOf(5), 1, nil)
+	c.publish([]int{7}, rowsOf(5), 1, []int32{-1})
 	if got, _ := c.Lookup(7); got[0] != 5 || c.Len() != 1 {
 		t.Fatalf("re-publish did not overwrite in place: %v, Len %d", got, c.Len())
 	}
@@ -40,9 +40,9 @@ func TestCachePublishLookup(t *testing.T) {
 
 func TestCacheSyncPatchesOnlyCached(t *testing.T) {
 	c := newCache(2)
-	c.publish([]int{5}, rowsOf(9), 0, nil)
+	c.publish([]int{5}, rowsOf(9), 0, []int32{-1})
 	vals := rowsOf(1, 2)
-	patched, err := c.sync(0, 1, []int{5, 6}, vals, nil, nil)
+	patched, err := c.sync(0, 1, []int{5, 6}, vals, []bool{true, true}, []int32{-1, -1})
 	if err != nil || patched != 1 {
 		t.Fatalf("patched %d rows (err %v) want 1", patched, err)
 	}
@@ -59,19 +59,22 @@ func TestCacheSyncPatchesOnlyCached(t *testing.T) {
 }
 
 // TestCacheValidation: mismatched id/row/flag/hint lengths and a wrong row
-// width panic; nil fresh and nextUse are valid (see TestCacheNilMeansDefault).
+// width panic; so do nil flags and hints, which no call may pass.
 func TestCacheValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { newCache(0) },
-		func() { newCache(2).publish([]int{1}, rowsOf(), 0, nil) },
-		func() { newCache(2).publish([]int{1}, tensor.New(1, 1), 0, nil) }, // wrong dim
+		func() { newCache(2).publish([]int{1}, rowsOf(), 0, []int32{-1}) },
+		func() { newCache(2).publish([]int{1}, tensor.New(1, 1), 0, []int32{-1}) }, // wrong dim
 		func() { newCache(2).publish([]int{1}, rowsOf(1), 0, []int32{}) },
-		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(), nil, nil) },                  //nolint:errcheck
-		func() { newCache(2).sync(0, 0, []int{1}, tensor.New(1, 3), nil, nil) },          //nolint:errcheck
-		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{}, []int32{-1}) },    //nolint:errcheck
-		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true}, []int32{}) },  //nolint:errcheck
-		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), nil, []int32{-1, -1}) },     //nolint:errcheck
-		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true, false}, nil) }, //nolint:errcheck
+		func() { newCache(2).publish([]int{1}, rowsOf(1), 0, nil) },
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(), []bool{true}, []int32{-1}) },         //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, tensor.New(1, 3), []bool{true}, []int32{-1}) }, //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{}, []int32{-1}) },            //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true}, []int32{}) },          //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true}, []int32{-1, -1}) },    //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true, false}, []int32{-1}) }, //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), nil, []int32{-1}) },                 //nolint:errcheck
+		func() { newCache(2).sync(0, 0, []int{1}, rowsOf(0), []bool{true}, nil) },                //nolint:errcheck
 	} {
 		func() {
 			defer func() {
@@ -92,8 +95,11 @@ func TestCacheValidation(t *testing.T) {
 func TestCacheZeroAllocSteadyState(t *testing.T) {
 	const dim, batch = 8, 64
 	c := newCache(dim)
-	ids, next := make([]int, batch), make([]int32, batch)
+	ids, next, fresh := make([]int, batch), make([]int32, batch), make([]bool, batch)
 	rows := tensor.New(batch, dim)
+	for i := range fresh {
+		fresh[i] = true
+	}
 	iter := 0
 	step := func() {
 		for i := range ids {
@@ -103,7 +109,7 @@ func TestCacheZeroAllocSteadyState(t *testing.T) {
 				next[i] = int32(iter + 2)
 			}
 		}
-		if _, err := c.sync(iter-2, iter, ids, rows, nil, next); err != nil {
+		if _, err := c.sync(iter-2, iter, ids, rows, fresh, next); err != nil {
 			t.Fatal(err)
 		}
 		c.publish(ids, rows, iter, next)
@@ -142,13 +148,13 @@ func (b *fuzzBytes) next() byte {
 //
 // Encoding: byte 0 sets dim = 1 + b%4, then one call per op byte b until the
 // input runs out. Bit 0 picks publish (0) or sync (1); bits 1–3 are the
-// number of ids n; bit 4 gives Sync a fresh slice (else nil); bit 5 gives a
-// nextUse slice (else nil). publish reads its pushIter byte, sync an advance
-// byte (applied += low nibble, iter += high nibble: both never decrease).
-// Then n id bytes (id = b%16), for Sync n fresh bytes (b&1) if flagged, and n
-// promise bytes (b−1: 0 is −1, no promise) if flagged. Inputs over 256
-// bytes are skipped. The committed seeds replay the hand-written cases of
-// cache_window_test.go.
+// number of ids n; bit 4 gives Sync fresh flags (else every row is
+// gathered); bit 5 gives promises (else none, all −1). publish reads its
+// pushIter byte, sync an advance byte (applied += low nibble, iter += high
+// nibble: both never decrease). Then n id bytes (id = b%16), for Sync n
+// fresh bytes (b&1) if flagged, and n promise bytes (b−1: 0 is −1, no
+// promise) if flagged. Inputs over 256 bytes are skipped. The committed
+// seeds replay the hand-written cases of cache_window_test.go.
 func FuzzCacheMatchesReference(f *testing.F) {
 	const idRange = 16
 	f.Fuzz(func(t *testing.T, input []byte) {
@@ -174,16 +180,16 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			for i := range ids {
 				ids[i] = int(in.next()) % idRange
 			}
-			var fresh []bool
+			fresh, nextUse := make([]bool, n), make([]int32, n)
+			for i := range fresh {
+				fresh[i], nextUse[i] = true, -1
+			}
 			if b&1 == 1 && b&0x10 != 0 {
-				fresh = make([]bool, n)
 				for i := range fresh {
 					fresh[i] = in.next()&1 == 1
 				}
 			}
-			var nextUse []int32
 			if b&0x20 != 0 {
-				nextUse = make([]int32, n)
 				for i := range nextUse {
 					nextUse[i] = int32(in.next()) - 1
 				}

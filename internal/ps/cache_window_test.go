@@ -2,7 +2,6 @@ package ps
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/tensor"
@@ -61,12 +60,12 @@ func TestCacheSyncTable(t *testing.T) {
 	cases := []struct {
 		name        string
 		push        int     // entry's gradient-push iteration
-		promise     []int32 // publish's nextUse (nil: no promise)
+		promise     []int32 // publish's nextUse
 		applied     int     // host-visible pushes at sync time
 		iter        int     // batch being served
 		id          int     // the batch's one row: 1 (the entry's) or 2
-		fresh       []bool  // Sync's fresh (nil: gathered)
-		next        []int32 // Sync's nextUse (nil: no promise)
+		fresh       []bool  // Sync's fresh
+		next        []int32 // Sync's nextUse
 		wantPatched int
 		wantEvicted bool
 	}{
@@ -77,11 +76,12 @@ func TestCacheSyncTable(t *testing.T) {
 		{"visible, next use in the future: retained", 5, []int32{12}, 6, 9, 2, []bool{true}, []int32{-1}, 0, false},
 		{"visible, farthest next use: retained", 5, []int32{100}, 6, 9, 2, []bool{true}, []int32{-1}, 0, false},
 		{"visible, hint already behind the batch: evicted", 5, []int32{8}, 6, 9, 2, []bool{true}, []int32{-1}, 0, true},
-		// Reactive rows: nil fresh/nextUse, the unplanned batch.
-		{"nil hints, push visible: evicted by push visibility alone", 5, nil, 6, 9, 2, nil, nil, 0, true},
-		{"nil hints, push in flight: retained", 5, nil, 5, 9, 2, nil, nil, 0, false},
-		{"in-flight entry patches a gathered row", 5, nil, 5, 9, 1, nil, nil, 1, false},
-		{"host-visible entry on a gathered row: miss, row untouched, swept", 5, nil, 6, 9, 1, nil, nil, 0, true},
+		// Reactive rows: a one-batch window's, every row gathered and no
+		// promise made ("nil hints").
+		{"nil hints, push visible: evicted by push visibility alone", 5, []int32{-1}, 6, 9, 2, []bool{true}, []int32{-1}, 0, true},
+		{"nil hints, push in flight: retained", 5, []int32{-1}, 5, 9, 2, []bool{true}, []int32{-1}, 0, false},
+		{"in-flight entry patches a gathered row", 5, []int32{-1}, 5, 9, 1, []bool{true}, []int32{-1}, 1, false},
+		{"host-visible entry on a gathered row: miss, row untouched, swept", 5, []int32{-1}, 6, 9, 1, []bool{true}, []int32{-1}, 0, true},
 		// Planned rows using the entry.
 		{"host-visible entry on a pinned row: hit, then swept", 5, []int32{9}, 6, 9, 1, []bool{false}, []int32{-1}, 1, true},
 		{"host-visible entry on a pinned row, re-promised: hit, retained", 5, []int32{9}, 6, 9, 1, []bool{false}, []int32{12}, 1, false},
@@ -112,60 +112,6 @@ func TestCacheSyncTable(t *testing.T) {
 				t.Fatalf("evictions=%d, want evicted=%v", st.Evictions, tc.wantEvicted)
 			}
 		})
-	}
-}
-
-// TestCacheNilMeansDefault is the property that makes the unplanned batch
-// the degenerate case of the planned one: driving a cache with nil fresh and
-// nil nextUse is indistinguishable — patched rows, entries, counters — from
-// driving it with all-true and all −1, over a random publish/sync schedule
-// with overlapping rows and an advancing applied counter.
-func TestCacheNilMeansDefault(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	implicit, explicit := newCache(2), newCache(2)
-	applied := 0
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(6)
-		ids := make([]int, 0, n)
-		seen := map[int]bool{}
-		for len(ids) < n {
-			if id := rng.Intn(12); !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-		allFresh, noHints := make([]bool, n), make([]int32, n)
-		for i := range allFresh {
-			allFresh[i], noHints[i] = true, -1
-		}
-		gathered := make([]float32, n)
-		for i := range gathered {
-			gathered[i] = float32(-iter - 1) // distinct from every published value
-		}
-		a, b := rowsOf(gathered...), rowsOf(gathered...)
-		pa := mustSync(t, implicit, applied, iter, ids, a, nil, nil)
-		pb := mustSync(t, explicit, applied, iter, ids, b, allFresh, noHints)
-		if pa != pb || a.MaxAbsDiff(b) != 0 {
-			t.Fatalf("iter %d: nil args patched %d rows %v, explicit %d rows %v", iter, pa, a.Data, pb, b.Data)
-		}
-		trained := rowsOf(gathered...)
-		tensor.Scale(-1, trained.Data)
-		implicit.publish(ids, trained, iter, nil)
-		explicit.publish(ids, trained, iter, noHints)
-		if implicit.Len() != explicit.Len() || !reflect.DeepEqual(countsOf(implicit), countsOf(explicit)) {
-			t.Fatalf("iter %d: nil args %d entries %+v, explicit %d entries %+v",
-				iter, implicit.Len(), countsOf(implicit), explicit.Len(), countsOf(explicit))
-		}
-		// The server trails the worker by up to three pushes.
-		if applied < iter+1 && rng.Intn(3) > 0 {
-			applied++
-		}
-		if applied < iter-2 {
-			applied = iter - 2
-		}
-	}
-	if st := countsOf(implicit); st.Hits == 0 || st.Evictions == 0 {
-		t.Fatalf("schedule never hit or evicted; property has no power: %+v", st)
 	}
 }
 
@@ -220,16 +166,16 @@ func TestCacheSyncChainedPromises(t *testing.T) {
 	}
 }
 
-// TestCachePublishNilClearsPromise: republishing a row with no hints resets
-// its retention promise, so stale promises from an earlier window cannot
-// outlive the plan that made them.
+// TestCachePublishNilClearsPromise: republishing a row with no promise (−1)
+// resets its retention promise, so stale promises from an earlier window
+// cannot outlive the plan that made them.
 func TestCachePublishNilClearsPromise(t *testing.T) {
 	c := newCache(2)
 	c.publish([]int{1}, rowsOf(10), 0, []int32{50})
-	c.publish([]int{1}, rowsOf(11), 1, nil)
+	c.publish([]int{1}, rowsOf(11), 1, []int32{-1})
 	// Push visible, promise cleared: plain sweep evicts.
-	mustSync(t, c, 2, 0, []int{2}, rowsOf(0), nil, nil)
+	mustSync(t, c, 2, 0, []int{2}, rowsOf(0), []bool{true}, []int32{-1})
 	if _, ok := c.Lookup(1); ok {
-		t.Fatal("a nil-hint Publish left a stale promise protecting the entry")
+		t.Fatal("a Publish without a promise left a stale promise protecting the entry")
 	}
 }

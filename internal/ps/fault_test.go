@@ -225,6 +225,10 @@ func (c *cancelAtIter) BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, s
 	return c.inner.BatchFrom(dst, plan, iter, size)
 }
 
+func (c *cancelAtIter) IndicesInto(g *data.Generator, dst []int, iter, size, table int) []int {
+	return c.inner.IndicesInto(g, dst, iter, size, table)
+}
+
 // TestPipelineShutdownMidTraining is the shutdown satellite: cancel at a
 // set of staggered steps with QueueDepth > 1 and assert (a) no goroutine
 // leak, (b) no deadlock, (c) the host tables are exactly consistent with

@@ -30,11 +30,13 @@ const (
 // fresh batch; BatchFrom generates the same batch into dst's storage (a nil
 // dst gets a fresh one), taking the streams the batch's lookahead plan
 // already drew (a nil plan: none), which is how Train generates its batches.
-// Lookahead planning additionally needs data.sparseSource, per-table raw
-// index streams (both of those implement it).
+// IndicesInto draws one table's index stream of a batch through g into dst's
+// storage (data.Dataset.IndicesInto): the lookahead planner draws every
+// host table's streams through it, and BatchFrom takes them from the plan.
 type BatchSource interface {
 	Batch(iter, size int) *data.Batch
 	BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, size int) *data.Batch
+	IndicesInto(g *data.Generator, dst []int, iter, size, table int) []int
 }
 
 // TableLoc places one embedding table: resident on the device (Device
@@ -88,9 +90,10 @@ type Config struct {
 	// (data.Lookahead) and uses it for oracle cache admission — rows reused
 	// within the window are gathered once and served from the pinned working
 	// set and rows with no later reference in the window expire by push
-	// visibility. Only host tables are planned. 0 or 1 plans nothing: every
-	// row is gathered every batch and entries expire by push visibility
-	// alone. Training is bit-exact for every setting.
+	// visibility. Only host tables are planned, and every host-table batch
+	// is gathered under a plan. 0 and 1 both mean windows of one batch:
+	// every row is gathered every batch and entries expire by push
+	// visibility alone. Training is bit-exact for every setting.
 	Lookahead int
 
 	// Faults injects deterministic failures into the gather/apply/worker
@@ -135,9 +138,11 @@ type Stats struct {
 	// ps_cache_entries gauge.
 	CacheEntries int64
 
-	// Lookahead counters: windows planned, rows served from the pinned
-	// working set instead of being re-gathered, and the time the worker
-	// spent waiting for pre-fetched batches (the pipeline's prefetch stall).
+	// Lookahead counters: windows planned (a one-batch window counts as
+	// one: a Train call's first batch always is, and every batch is at
+	// Lookahead ≤ 1), rows served from the pinned working set instead of
+	// being re-gathered, and the time the worker spent waiting for
+	// pre-fetched batches (the pipeline's prefetch stall).
 	LookaheadWindows    int64
 	LookaheadPinnedRows int64
 	PrefetchWait        time.Duration
@@ -202,8 +207,9 @@ type hostBatch struct {
 	// bits its push leaves in the host table.
 	gathered int64
 	// plan is the lookahead window plan this batch was gathered under (nil
-	// for an unplanned batch). Apply releases it after the window's final
-	// batch, once no consumer can still reference the plan's slices.
+	// only when the pipeline has no host table). Apply releases it after the
+	// window's final batch, once no consumer can still reference the plan's
+	// slices.
 	plan *data.WindowPlan
 	// donec, when non-nil, is closed once apply has handled the step. The
 	// worker makes it for a step it must wait for (a checkpoint's drain
@@ -213,13 +219,11 @@ type hostBatch struct {
 }
 
 // hostRows carries one host table's rows for one step. uniq/inverse are the
-// batch's dedup. For a planned batch they and fresh/nextUse alias the window
-// plan's access arrays (valid until the plan is released): fresh[i] marks
-// rows gathered from the store (the remaining rows are served from the
-// cache, which cache.sync copies into values), and nextUse[i] is the
-// retention promise forwarded to cache.publish. An unplanned batch
-// deduplicates into the slab's ownUniq/ownInverse, gathers every row and
-// promises nothing: fresh and nextUse are nil. freshN counts gathered rows.
+// batch's dedup; they and fresh/nextUse alias the window plan's access
+// arrays (valid until the plan is released): fresh[i] marks rows gathered
+// from the store (the remaining rows are served from the cache, which
+// cache.sync copies into values), and nextUse[i] is the retention promise
+// forwarded to cache.publish. freshN counts gathered rows.
 //
 // values (len(uniq) × dim) and grads are the slab's storage: the gather
 // fills values, Update aggregates the step's gradient into grads and
@@ -234,8 +238,6 @@ type hostRows struct {
 	nextUse []int32
 	freshN  int
 	updated bool
-
-	ownUniq, ownInverse []int
 }
 
 // Pipeline trains a DLRM whose embedding layer is split between device
@@ -265,11 +267,6 @@ type Pipeline struct {
 
 	clock  obs.Clock   // timestamp source for all stage timing; never nil
 	tracer *obs.Tracer // stage-span recorder; nil disables tracing
-
-	// seen is the gather's dedup of an unplanned batch. Batches are gathered
-	// one at a time (by the pre-fetcher, or inline by the sequential worker),
-	// so one index serves every slab and table.
-	seen embedding.Index
 
 	// la is the lookahead planner of the last Train call, laSrc and laBatch
 	// the source and batch size it plans for (see planner); only Train
@@ -387,6 +384,7 @@ func NewPipeline(cfg Config, locs []TableLoc) (*Pipeline, error) {
 	if cfg.Lookahead < 0 {
 		return nil, fmt.Errorf("%w: lookahead window %d must be non-negative", errInvalidConfig, cfg.Lookahead)
 	}
+	cfg.Lookahead = max(cfg.Lookahead, 1) // 0 and 1 both mean windows of one batch
 	p := &Pipeline{
 		cfg: cfg, retry: cfg.Retry.withDefaults(), clock: obs.System(), tracer: cfg.Trace,
 	}
@@ -488,11 +486,11 @@ func (p *Pipeline) HostBag(i int) *embedding.Bag { return p.hostBags[i] }
 // gather fills the slab's rows for its batch: the unique rows of every host
 // table, read from its store (the server-side embedding lookup of the PS
 // architecture — an in-process bag under a lock, or a remote shard fan-out)
-// straight into the slab's value matrix. Under a plan the batch's
-// uniq/inverse come from the plan and only the rows whose first in-window
-// use this is (acc.FreshIDs) are read, each into its slot (acc.FreshPos) —
-// the cross-batch dedup; cache.sync fills the other rows on the worker,
-// where their presence is guaranteed.
+// straight into the slab's value matrix. The batch's uniq/inverse come from
+// its plan and only the rows whose first in-window use this is
+// (acc.FreshIDs) are read, each into its slot (acc.FreshPos) — the
+// cross-batch dedup; cache.sync fills the other rows on the worker, where
+// their presence is guaranteed.
 func (p *Pipeline) gather(hb *hostBatch) error {
 	start := p.clock.Now()
 	sp := p.tracer.Begin("gather", "ps", tidPrefetch)
@@ -504,23 +502,13 @@ func (p *Pipeline) gather(hb *hostBatch) error {
 	}()
 	for h, pos := range p.hostIdx {
 		hr := &hb.rows[h]
-		ids := hb.batch.Sparse[pos]
-		var read, at []int // the rows read from the store and their slots in uniq (nil: in order)
-		if plan := hb.plan; plan != nil {
-			acc := plan.Access(h, hb.iter)
-			hr.uniq, hr.inverse, hr.fresh, hr.nextUse = acc.Uniq, acc.Inverse, acc.Fresh, acc.NextUse
-			read, at = acc.FreshIDs, acc.FreshPos
-		} else {
-			hr.ownUniq, hr.ownInverse = p.seen.UniqueInto(ids, hr.ownUniq, hr.ownInverse)
-			hr.uniq, hr.inverse = hr.ownUniq, hr.ownInverse
-			hr.fresh, hr.nextUse = nil, nil
-			read = hr.uniq
-		}
-		hr.values = tensor.ReuseRows(hr.values, len(hr.uniq), p.cfg.Model.EmbDim, len(ids))
-		if err := p.stores[h].GatherRows(read, at, hr.values); err != nil {
+		acc := hb.plan.Access(h, hb.iter)
+		hr.uniq, hr.inverse, hr.fresh, hr.nextUse = acc.Uniq, acc.Inverse, acc.Fresh, acc.NextUse
+		hr.values = tensor.ReuseRows(hr.values, len(hr.uniq), p.cfg.Model.EmbDim, len(hb.batch.Sparse[pos]))
+		if err := p.stores[h].GatherRows(acc.FreshIDs, acc.FreshPos, hr.values); err != nil {
 			return fmt.Errorf("host table %d: %w", h, err)
 		}
-		hr.freshN, hr.updated = len(read), false
+		hr.freshN, hr.updated = len(acc.FreshIDs), false
 	}
 	return nil
 }
@@ -585,9 +573,9 @@ func (p *Pipeline) gatherBatch(ctx context.Context, d BatchSource, hb *hostBatch
 			err = fmt.Errorf("%w: iter %d: %w", errGatherFailed, hb.iter, recoveredErr(r))
 		}
 	}()
-	// Read before generating the batch. A planned batch's host streams were
-	// drawn earlier, with its window (planFor), so only the device tables'
-	// streams and the labels still lie between this read and the gather.
+	// Read before generating the batch. Its host streams were drawn
+	// earlier, with its window (planFor), so only the device tables' streams
+	// and the labels still lie between this read and the gather.
 	// When a step trains faster than a batch is generated, a count read
 	// after generation already covers every earlier push, and a
 	// queue-depth-4 run reads no row through the cache at all. Which rows the

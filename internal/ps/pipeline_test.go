@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -130,7 +129,7 @@ func TestPipelineMatchesSequentialExactly(t *testing.T) {
 // trains on a fixed set of QueueDepth+3 step slabs. Each is recycled after
 // its apply, over calls that start mid-window, so a slab carries the rows,
 // gradients and plan of earlier steps into every later gather. Its
-// parameters must still equal a sequential, unplanned run's bit for bit —
+// parameters must still equal a sequential run's at lookahead 0 bit for bit —
 // a stale row or gradient a recycled slab let through would show — and
 // once a warm-up call has grown the slabs, the planner and the cache, a
 // further call allocates only per-call bookkeeping — at one worker and at the
@@ -387,51 +386,35 @@ func TestPipelineLookaheadWithDeviceTTBitExact(t *testing.T) {
 	}
 }
 
-// TestNewPipelineLookaheadValidation: a negative window is a config error,
-// and so is lookahead over a source the planner cannot read per table.
+// TestNewPipelineLookaheadValidation: a negative window is a config error.
+// (A source the planner cannot read per table does not compile: BatchSource
+// carries IndicesInto.)
 func TestNewPipelineLookaheadValidation(t *testing.T) {
 	spec := psSpec()
 	cfg := Config{Model: psModelCfg(), QueueDepth: 1, Lookahead: -1}
 	if _, err := NewPipeline(cfg, allHostLocs(spec)); !errors.Is(err, errInvalidConfig) {
 		t.Fatalf("config %+v: got %v, want ErrInvalidConfig", cfg, err)
 	}
-	d, _ := data.New(spec)
-	p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: 1, Lookahead: 4}, allHostLocs(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := p.Train(context.Background(), batchOnly{d}, 0, 4, 8)
-	if !errors.Is(err, errInvalidConfig) || !strings.Contains(err.Error(), "ps.batchOnly") || res.Completed != 0 {
-		t.Fatalf("lookahead over a batch-only source: completed %d, err %v; want ErrInvalidConfig naming ps.batchOnly", res.Completed, err)
-	}
-}
-
-// batchOnly hides Dataset.BatchIndices: it can feed the pipeline, not the
-// lookahead planner.
-type batchOnly struct{ d *data.Dataset }
-
-func (b batchOnly) Batch(iter, size int) *data.Batch { return b.d.Batch(iter, size) }
-
-func (b batchOnly) BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, size int) *data.Batch {
-	return b.d.BatchFrom(dst, plan, iter, size)
 }
 
 // drawCounter is a BatchSource over a dataset that counts, per (iteration,
-// table), the index streams drawn for training: each IndicesInto call (the
-// lookahead planner's draws) and each table a BatchFrom call draws itself —
-// every table without a plan, and with one only the tables it holds no
-// stream for (data.Dataset.BatchFrom's contract, which data's
-// TestBatchFromTakesPlannedStreams checks on the streams themselves).
+// table), the index streams drawn for training, apart by who drew them:
+// each IndicesInto call (the lookahead planner's draws), and each table a
+// BatchFrom call draws itself — every table without a plan, and with one
+// only the tables it holds no stream for (data.Dataset.BatchFrom's
+// contract, which data's TestBatchFromTakesPlannedStreams checks on the
+// streams themselves).
 type drawCounter struct {
-	d     *data.Dataset
-	host  []int // the planned tables
-	mu    sync.Mutex
-	drawn map[[2]int]int
+	d       *data.Dataset
+	host    []int // the planned tables
+	mu      sync.Mutex
+	planned map[[2]int]int // drawn through IndicesInto
+	batched map[[2]int]int // drawn by BatchFrom
 }
 
-func (c *drawCounter) count(iter, table int) {
+func (c *drawCounter) count(in map[[2]int]int, iter, table int) {
 	c.mu.Lock()
-	c.drawn[[2]int{iter, table}]++
+	in[[2]int{iter, table}]++
 	c.mu.Unlock()
 }
 
@@ -440,22 +423,23 @@ func (c *drawCounter) Batch(iter, size int) *data.Batch { return c.BatchFrom(nil
 func (c *drawCounter) BatchFrom(dst *data.Batch, plan *data.WindowPlan, iter, size int) *data.Batch {
 	for t := range c.d.Spec.TableRows {
 		if plan == nil || !slices.Contains(c.host, t) {
-			c.count(iter, t)
+			c.count(c.batched, iter, t)
 		}
 	}
 	return c.d.BatchFrom(dst, plan, iter, size)
 }
 
 func (c *drawCounter) IndicesInto(g *data.Generator, dst []int, iter, size, table int) []int {
-	c.count(iter, table)
+	c.count(c.planned, iter, table)
 	return c.d.IndicesInto(g, dst, iter, size, table)
 }
 
-// TestPipelineDrawsEachStreamOnce: a 40-step Train at lookahead 16 draws
-// every (iteration, table) stream exactly once, on both schedules. A planned
-// batch's host streams come from its window's plan, which drew them; the
-// first batch of the call is unplanned and draws its own; device tables are
-// drawn with the batch.
+// TestPipelineDrawsEachStreamOnce: a 40-step Train draws every (iteration,
+// table) stream exactly once, on both schedules and at lookahead 0, 1 and
+// 16. Every batch is gathered under a window plan — the call's first batch
+// under a one-batch window of its own — so its host streams are drawn once,
+// by the planner, and never by BatchFrom; device tables are drawn with the
+// batch.
 func TestPipelineDrawsEachStreamOnce(t *testing.T) {
 	spec := psSpec()
 	spec.TableRows = []int{400, 120, 300}
@@ -463,28 +447,37 @@ func TestPipelineDrawsEachStreamOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const steps, batch, window = 40, 32, 16
+	const steps, batch = 40, 32
+	host := []int{1, 2}
 	for _, depth := range []int{4, 1} {
-		src := &drawCounter{d: d, host: []int{1, 2}, drawn: map[[2]int]int{}}
-		dev := embedding.NewBag(spec.TableRows[0], psModelCfg().EmbDim, tensor.NewRNG(3))
-		locs := []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}, {HostRows: spec.TableRows[2]}}
-		p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: depth, Lookahead: window}, locs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustTrain(t, p, src, 0, steps, batch)
-		for it := range steps {
-			for tb := range spec.TableRows {
-				if n := src.drawn[[2]int{it, tb}]; n != 1 {
-					t.Errorf("depth %d: iteration %d table %d drawn %d times, want 1", depth, it, tb, n)
+		for _, window := range []int{0, 1, 16} {
+			src := &drawCounter{d: d, host: host, planned: map[[2]int]int{}, batched: map[[2]int]int{}}
+			dev := embedding.NewBag(spec.TableRows[0], psModelCfg().EmbDim, tensor.NewRNG(3))
+			locs := []TableLoc{{Device: dev}, {HostRows: spec.TableRows[1]}, {HostRows: spec.TableRows[2]}}
+			p, err := NewPipeline(Config{Model: psModelCfg(), QueueDepth: depth, Lookahead: window}, locs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustTrain(t, p, src, 0, steps, batch)
+			for it := range steps {
+				for tb := range spec.TableRows {
+					byPlanner, byBatch := src.planned[[2]int{it, tb}], src.batched[[2]int{it, tb}]
+					if slices.Contains(host, tb) && (byPlanner != 1 || byBatch != 0) {
+						t.Errorf("depth %d lookahead %d: host table %d of iteration %d drawn %d times by the planner and %d by BatchFrom, want 1 and 0",
+							depth, window, tb, it, byPlanner, byBatch)
+					}
+					if !slices.Contains(host, tb) && (byPlanner != 0 || byBatch != 1) {
+						t.Errorf("depth %d lookahead %d: device table %d of iteration %d drawn %d times by the planner and %d by BatchFrom, want 0 and 1",
+							depth, window, tb, it, byPlanner, byBatch)
+					}
 				}
 			}
-		}
-		if len(src.drawn) != steps*len(spec.TableRows) {
-			t.Errorf("depth %d: %d streams drawn, want %d", depth, len(src.drawn), steps*len(spec.TableRows))
-		}
-		if st := p.Stats(); st.LookaheadWindows == 0 {
-			t.Fatalf("depth %d: lookahead never advanced: %+v", depth, st)
+			if n := len(src.planned) + len(src.batched); n != steps*len(spec.TableRows) {
+				t.Errorf("depth %d lookahead %d: %d streams drawn, want %d", depth, window, n, steps*len(spec.TableRows))
+			}
+			if st := p.Stats(); st.LookaheadWindows == 0 {
+				t.Fatalf("depth %d lookahead %d: lookahead never advanced: %+v", depth, window, st)
+			}
 		}
 	}
 }

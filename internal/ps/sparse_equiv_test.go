@@ -78,10 +78,11 @@ func TestPipelineEquivalenceSparseTables(t *testing.T) {
 // across batches — fewer bytes gathered, rows served from the pinned working
 // set — and the lookahead instruments must move. The hit counters are
 // asserted on the sequential schedule, where they are exact: every push is
-// applied before the next gather, so without a plan the cache never holds
-// bits the gather lacks (0 hits), and with one its hits are exactly the
-// pinned serves. The pipelined counters depend on how far the apply stage
-// had advanced at each gather and are only logged.
+// applied before the next gather, so under one-batch windows (lookahead 0)
+// the cache never holds bits the gather lacks (0 hits), and under longer
+// ones its hits are exactly the pinned serves. The pipelined counters depend
+// on how far the apply stage had advanced at each gather and are only
+// logged.
 func TestPipelineLookaheadStats(t *testing.T) {
 	spec := sparseSpec()
 	d, _ := data.New(spec)
@@ -103,8 +104,9 @@ func TestPipelineLookaheadStats(t *testing.T) {
 	if la.LookaheadWindows == 0 || la.LookaheadPinnedRows == 0 {
 		t.Fatalf("lookahead instruments did not move: %+v", la)
 	}
-	if base.LookaheadWindows != 0 || base.LookaheadPinnedRows != 0 {
-		t.Fatalf("baseline run counted lookahead activity: %+v", base)
+	if base.LookaheadWindows != 200 || base.LookaheadPinnedRows != 0 {
+		t.Fatalf("baseline run planned %d windows and pinned %d rows, want one window per batch and no pin: %+v",
+			base.LookaheadWindows, base.LookaheadPinnedRows, base)
 	}
 	if la.BytesPrefetched >= base.BytesPrefetched {
 		t.Fatalf("lookahead gathered %d bytes, baseline %d — dedup saved nothing",
@@ -112,7 +114,7 @@ func TestPipelineLookaheadStats(t *testing.T) {
 	}
 	seqBase, seqLA := run(1, 0), run(1, 12)
 	if seqBase.CacheHits != 0 {
-		t.Fatalf("sequential unplanned run scored %d hits; nothing is ever in flight at a gather", seqBase.CacheHits)
+		t.Fatalf("sequential run at lookahead 0 scored %d hits; nothing is ever in flight at a gather", seqBase.CacheHits)
 	}
 	if seqLA.CacheHits == 0 || seqLA.CacheHits != seqLA.LookaheadPinnedRows {
 		t.Fatalf("sequential lookahead run scored %d hits for %d pinned serves", seqLA.CacheHits, seqLA.LookaheadPinnedRows)

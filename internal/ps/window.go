@@ -14,19 +14,17 @@ import (
 // pool for the duration of the run.
 type windowSchedule struct {
 	p    *Pipeline
-	la   *data.Lookahead  // nil when lookahead is off or there is nothing to plan
+	la   *data.Lookahead  // nil when there is no host table to plan
 	plan *data.WindowPlan // the current window; nil until the first one is planned
 	next int              // first iteration past the current window
 	end  int              // first iteration past the Train call
-	size int              // untruncated size of the current window, 0 before the first
+	size int              // untruncated size of the current window
 }
 
 // newWindowSchedule builds the schedule for Train(startIter, steps).
 func (p *Pipeline) newWindowSchedule(d BatchSource, startIter, steps, batchSize int) (*windowSchedule, error) {
-	// The first batch is never planned (see planFor), so the first window
-	// opens one iteration in.
-	w := &windowSchedule{p: p, next: startIter + 1, end: startIter + steps}
-	if p.cfg.Lookahead <= 1 || len(p.stores) == 0 {
+	w := &windowSchedule{p: p, next: startIter, end: startIter + steps, size: 1}
+	if len(p.stores) == 0 {
 		return w, nil
 	}
 	la, err := p.planner(d, batchSize)
@@ -60,21 +58,24 @@ func (p *Pipeline) planner(d BatchSource, batchSize int) (*data.Lookahead, error
 	return la, nil
 }
 
-// planFor returns the plan batch iter is gathered under (nil: unplanned),
-// planning the next window when iter is the first batch past the current
-// one. The call's first batch is unplanned so the pre-fetcher can hand it to
-// the worker immediately and plan the first window during that step's
-// compute. The first window is the queue depth (at least 2) and later ones
-// double, all capped at the configured size: planning a full window on a
-// cold pipeline stalls the worker behind Window×Tables index-stream
-// generation, while the ramp lets full-window planning overlap with training
-// once the prefetch queue has filled. The schedule depends only on
-// configuration, never on timing, so ramped runs stay bit-exact.
+// planFor returns the plan batch iter is gathered under (nil: the pipeline
+// has no host table), planning the next window when iter is the first batch
+// past the current one. The call's first batch is a window of its own, so
+// the pre-fetcher can hand it to the worker immediately and plan the next
+// window during that step's compute. The next window is the queue depth (at
+// least 2) and later ones double, all capped at the configured size:
+// planning a full window on a cold pipeline stalls the worker behind
+// Window×Tables index-stream generation, while the ramp lets full-window
+// planning overlap with training once the prefetch queue has filled. The
+// schedule depends only on configuration, never on timing, so ramped runs
+// stay bit-exact.
 func (w *windowSchedule) planFor(iter int) *data.WindowPlan {
 	if w.la == nil || iter != w.next {
 		return w.plan
 	}
-	w.size = min(max(2*w.size, w.p.cfg.QueueDepth, 2), w.p.cfg.Lookahead)
+	if w.plan != nil { // past the call's first batch, its own window
+		w.size = min(max(2*w.size, w.p.cfg.QueueDepth, 2), w.p.cfg.Lookahead)
+	}
 	w.plan = w.la.Advance(iter, min(w.size, w.end-iter))
 	w.next = iter + w.plan.N
 	w.p.m.lookaheadWindows.Inc()

@@ -294,11 +294,37 @@ func refAggregate(g *refGraph, comm []int, numComm int) *refGraph {
 	return out
 }
 
-// requireSameBijection fails unless Build and refBuild agree on the input:
-// both refuse it, or Build's At gives refBuild's new id on every row.
+// consistent reports whether counts fit batches as Build requires: no
+// negative count, and no in-range batch index whose count is 0. refBuild
+// takes inconsistent counts too; Build refuses them.
+func consistent(counts []int64, batches [][]int) bool {
+	for _, c := range counts {
+		if c < 0 {
+			return false
+		}
+	}
+	for _, batch := range batches {
+		for _, idx := range batch {
+			if idx >= 0 && idx < len(counts) && counts[idx] == 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// requireSameBijection fails unless Build refuses counts inconsistent with
+// the batches, and otherwise agrees with refBuild on the input: both refuse
+// it, or Build's At gives refBuild's new id on every row.
 func requireSameBijection(t *testing.T, counts []int64, batches [][]int, cfg Config) {
 	t.Helper()
 	got, err := Build(counts, batches, cfg)
+	if !consistent(counts, batches) {
+		if err == nil {
+			t.Fatalf("Build(%v, %v, %+v) accepted counts inconsistent with the batches", counts, batches, cfg)
+		}
+		return
+	}
 	want, werr := refBuild(counts, batches, cfg)
 	if (err == nil) != (werr == nil) {
 		t.Fatalf("Build(%v, %v, %+v) error %v, reference %v", counts, batches, cfg, err, werr)
@@ -312,9 +338,10 @@ func requireSameBijection(t *testing.T, counts []int64, batches [][]int, cfg Con
 }
 
 // TestBuildMatchesReference holds Build to refBuild on generated inputs:
-// zero and negative counts, counts consistent and inconsistent with the
-// batches, clustered and scattered batches, every cap at 0 (the default),
-// 1 and small values, and HotRatio from 0 to 1.
+// zero counts, counts consistent with the batches, clustered and scattered
+// batches, every cap at 0 (the default), 1 and small values, and HotRatio
+// from 0 to 1. Inputs whose counts are inconsistent with the batches
+// (independent of them, with negatives, or noisy) must be refused.
 func TestBuildMatchesReference(t *testing.T) {
 	r := tensor.NewRNG(33)
 	ratios := []float64{0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9, 1}
@@ -383,7 +410,8 @@ func (b *fuzzBytes) next() byte {
 }
 
 // FuzzBuildMatchesReference holds Build to refBuild on one decoded input,
-// and requires Build to refuse exactly the configs refBuild cannot take.
+// and requires Build to refuse exactly the configs refBuild cannot take and
+// every input whose counts are inconsistent with its batches.
 //
 // Encoding: n = 1 + byte 0 rows; byte 1 picks HotRatio from fuzzRatios
 // (NaN, −0.5 and 2 are invalid); bytes 2 and 3 are MaxGraphNodes and

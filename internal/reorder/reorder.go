@@ -62,22 +62,18 @@ func (c *Config) normalize() error {
 // Bijection is a permutation of one table's row ids. It stores only the
 // rows with a nonzero profile count — their raw ids, ascending, and their
 // new ids — and computes every other row's: a zero-count row keeps its
-// frequency rank, pos plus its position among the zero-count rows, unless
-// the index graph spanned that rank (zeroNew, empty when the counts come
-// from the profiled batches). Its size follows the profile, not the table.
+// frequency rank, len(raws) plus its position among the zero-count rows.
+// Build makes the index graph span only rows the batches touch, all of
+// which have a count, so no zero-count rank ever moves. Its size follows
+// the profile, not the table.
 type Bijection struct {
 	n    int     // table rows
-	pos  int     // rows with a positive count: the first zero-count rank
 	raws []int32 // the rows with a nonzero count, ascending
 	news []int32 // news[i] = new id of raws[i]
 	// The stored rows in [k<<shift, (k+1)<<shift) are raws[dir[k]:dir[k+1]]:
 	// no more buckets than stored rows, so At searches about one row.
 	shift uint
 	dir   []int32
-	// Zero-count row z (in id order) takes zeroNew[z−zeroLo] when that is
-	// in range: the ranks the index graph reordered.
-	zeroLo  int
-	zeroNew []int32
 }
 
 // index builds dir over raws.
@@ -106,11 +102,7 @@ func (b *Bijection) At(raw int) int {
 	if found {
 		return int(b.news[i])
 	}
-	z := raw - i // raw's position among the zero-count rows
-	if k := z - b.zeroLo; k >= 0 && k < len(b.zeroNew) {
-		return int(b.zeroNew[k])
-	}
-	return b.pos + z
+	return len(b.raws) + raw - i // raw's position among the zero-count rows, after the stored rows
 }
 
 // Apply maps raw indices to reordered indices, returning a new slice.
@@ -149,10 +141,10 @@ func (b *Bijection) Validate() error {
 
 // frequencyOrder returns the bijection that maps every row to its frequency
 // rank: count descending, ties by row id (0 = most accessed). This is the
-// Fre_order input of Algorithm 2. It reads counts once and sorts only the
-// rows with a nonzero count; the zero-count rows take the ranks between the
-// positive and the negative ones in id order. byRank lists the stored rows
-// (positions in raws) by rank, the zero-count ranks left out.
+// Fre_order input of Algorithm 2. It reads counts (none negative) once and
+// sorts only the rows with a nonzero count; the zero-count rows take the
+// last ranks in id order. byRank lists the stored rows (positions in raws)
+// by rank.
 func frequencyOrder(counts []int64) (b *Bijection, byRank []int32) {
 	b = &Bijection{n: len(counts)}
 	var nonzero []int64 // the counts of raws
@@ -160,9 +152,6 @@ func frequencyOrder(counts []int64) (b *Bijection, byRank []int32) {
 		if c != 0 {
 			b.raws = append(b.raws, int32(idx))
 			nonzero = append(nonzero, c)
-			if c > 0 {
-				b.pos++
-			}
 		}
 	}
 	b.index()
@@ -177,11 +166,7 @@ func frequencyOrder(counts []int64) (b *Bijection, byRank []int32) {
 		return cmp.Compare(x, y)
 	})
 	b.news = make([]int32, len(b.raws))
-	zeros := b.n - len(b.raws)
 	for r, i := range byRank {
-		if r >= b.pos {
-			r += zeros
-		}
 		b.news[i] = int32(r)
 	}
 	return b, byRank
@@ -306,6 +291,10 @@ func communityOrder(g *graphx.Graph, comm []int) []int {
 // detection → contiguous id assignment. Build runs offline. It reads counts
 // once; beyond that, its time and memory follow the rows with a nonzero
 // count and the ranks the batches touch, and so does the bijection's size.
+//
+// The counts must be consistent with the batches: Build refuses a negative
+// count, and a batch index whose count is 0. Counting the batches' own
+// occurrences, as every caller does, satisfies both.
 func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -314,10 +303,18 @@ func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("reorder: empty counts")
 	}
+	for idx, c := range counts {
+		if c < 0 {
+			return nil, fmt.Errorf("reorder: row %d has negative count %d", idx, c)
+		}
+	}
 	for bi, batch := range batches {
 		for _, idx := range batch {
 			if idx < 0 || idx >= n {
 				return nil, fmt.Errorf("reorder: batch %d contains index %d outside [0,%d)", bi, idx, n)
+			}
+			if counts[idx] == 0 {
+				return nil, fmt.Errorf("reorder: batch %d contains index %d, whose count is 0", bi, idx)
 			}
 		}
 	}
@@ -331,24 +328,10 @@ func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 	if g == nil {
 		return bij, nil
 	}
-	order := communityOrder(g, graphx.Louvain(g))
-	// Graph rank r is a stored row's, or the zero-count ranks' [pos,
-	// pos+zeros) where the graph spans them ([lo,hi), kept in zeroNew).
-	zeros := n - len(bij.raws)
-	lo := max(bij.pos, hotCount)
-	if hi := min(bij.pos+zeros, hotCount+len(order)); lo < hi {
-		bij.zeroLo, bij.zeroNew = lo-bij.pos, make([]int32, hi-lo)
-	}
-	for seq, node := range order {
-		nw := int32(hotCount + seq)
-		switch r := hotCount + node; {
-		case r < bij.pos:
-			bij.news[byRank[r]] = nw
-		case r < bij.pos+zeros:
-			bij.zeroNew[r-lo] = nw
-		default:
-			bij.news[byRank[r-zeros]] = nw
-		}
+	// The graph spans only ranks up to the highest a batch touches, and every
+	// touched row has a count: each graph rank is a stored row's.
+	for seq, node := range communityOrder(g, graphx.Louvain(g)) {
+		bij.news[byRank[hotCount+node]] = int32(hotCount + seq)
 	}
 	return bij, nil
 }

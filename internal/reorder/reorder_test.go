@@ -20,9 +20,8 @@ func TestFrequencyOrder(t *testing.T) {
 		// idx 1 (100) -> rank 0, idx 4 (50) -> rank 1, idx 0/2 (5) -> 2,3 by
 		// id, idx 3 (0) -> rank 4.
 		{[]int64{5, 100, 5, 0, 50}, []int32{2, 0, 3, 4, 1}},
-		// Zero counts sit between the positive and the negative ones, in id
-		// order; negative counts still rank by value.
-		{[]int64{0, -1, 3, 0, -5, 3, -1}, []int32{2, 4, 0, 3, 6, 1, 5}},
+		// Zero counts take the last ranks, in id order.
+		{[]int64{0, 1, 3, 0, 5, 3, 0}, []int32{4, 3, 1, 5, 0, 2, 6}},
 		{[]int64{0, 0, 0}, []int32{0, 1, 2}},
 	} {
 		b, _ := frequencyOrder(tc.counts)
@@ -147,6 +146,8 @@ func TestBuildValidation(t *testing.T) {
 		{"negative graph cap", ten, [][]int{{1, 2, 3}}, Config{MaxGraphNodes: -1}, "MaxGraphNodes"},
 		{"negative pair cap", ten, [][]int{{1, 2, 3}}, Config{MaxPairsPerBatch: -2}, "MaxPairsPerBatch"},
 		{"out-of-range batch index", []int64{1, 2}, [][]int{{5}}, DefaultConfig(), "index 5"},
+		{"negative count", []int64{1, -2, 3}, nil, DefaultConfig(), "negative count"},
+		{"batch index with zero count", []int64{1, 0, 3}, [][]int{{0, 1}}, DefaultConfig(), "count is 0"},
 	} {
 		bij, err := Build(tc.counts, tc.batches, tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -188,6 +189,7 @@ func TestQuickBuildIsPermutation(t *testing.T) {
 			batch := make([]int, 1+r.Intn(10))
 			for i := range batch {
 				batch[i] = r.Intn(n)
+				counts[batch[i]]++ // Build takes only counts that cover the batches
 			}
 			batches = append(batches, batch)
 		}
