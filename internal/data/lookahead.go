@@ -181,10 +181,10 @@ type Lookahead struct {
 }
 
 // poolOf is the pool a plan of an n-batch window is kept in: one-batch
-// windows' plans apart from longer ones'. A Train call's one-batch first
-// window can still be live when the ramp plans its third window; drawn from
-// one shared pool, the ramp would need a third long plan only when that
-// timing happens, so a later call could build one that the first never did.
+// windows' plans apart from longer ones'. A pipeline's one-batch first
+// window can still be live when its ramp plans the third window; from one
+// shared pool the ramp would then need a third plan, only under that
+// timing, so a later call could build a plan the first call never did.
 func poolOf(n int) int { return min(n, 2) - 1 }
 
 // NewLookahead builds a planner over src: the planner draws per-table index

@@ -141,10 +141,10 @@ func (b *Bijection) Validate() error {
 
 // frequencyOrder returns the bijection that maps every row to its frequency
 // rank: count descending, ties by row id (0 = most accessed). This is the
-// Fre_order input of Algorithm 2. It reads counts (none negative) once and
-// sorts only the rows with a nonzero count; the zero-count rows take the
-// last ranks in id order. byRank lists the stored rows (positions in raws)
-// by rank.
+// Fre_order input of Algorithm 2. It reads counts once and sorts only the
+// rows with a nonzero count; the zero-count rows take the last ranks in id
+// order, which holds for counts with no negative one (what Build accepts).
+// byRank lists the stored rows (positions in raws) by rank.
 func frequencyOrder(counts []int64) (b *Bijection, byRank []int32) {
 	b = &Bijection{n: len(counts)}
 	var nonzero []int64 // the counts of raws
@@ -303,11 +303,6 @@ func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("reorder: empty counts")
 	}
-	for idx, c := range counts {
-		if c < 0 {
-			return nil, fmt.Errorf("reorder: row %d has negative count %d", idx, c)
-		}
-	}
 	for bi, batch := range batches {
 		for _, idx := range batch {
 			if idx < 0 || idx >= n {
@@ -322,6 +317,11 @@ func Build(counts []int64, batches [][]int, cfg Config) (*Bijection, error) {
 	// The bijection starts as the frequency rank: hot ranks, the ranks
 	// beyond the graph cap and untouched graph ranks keep it as their new id.
 	bij, byRank := frequencyOrder(counts)
+	if k := len(byRank); k > 0 { // the last rank holds the least count
+		if raw := bij.raws[byRank[k-1]]; counts[raw] < 0 {
+			return nil, fmt.Errorf("reorder: row %d has negative count %d", raw, counts[raw])
+		}
+	}
 	hotCount := int(cfg.HotRatio * float64(n))
 	graphNodes := min(n-hotCount, cfg.MaxGraphNodes)
 	g := buildIndexGraph(bij, batches, hotCount, graphNodes, cfg.MaxPairsPerBatch)
